@@ -77,8 +77,9 @@ type Options struct {
 	// Net configures the in-memory network (latency, jitter, seed).
 	Net transport.MemOptions
 	// Network, when non-nil, overrides Net with an explicit transport —
-	// e.g. transport.NewTCP() for a real-socket deployment. Fault
-	// injection is only available on the default in-memory network.
+	// e.g. transport.NewTCPMux() for a real-socket deployment. Fault
+	// injection is available on the default in-memory network and on any
+	// carrier wrapped in transport.NewFaulty.
 	Network transport.Network
 	// Registry overrides the class registry (default: counter only).
 	Registry *object.Registry

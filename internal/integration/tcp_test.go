@@ -1,8 +1,7 @@
-// Package integration runs cross-module tests over the real-socket TCP
+// Package integration runs cross-module tests over the real-socket mux
 // transport, demonstrating that the protocol stack (stores, two-phase
 // commit, outcome-log recovery, group multicast) is transport-agnostic —
-// the same code paths the in-memory experiments use, over loopback TCP
-// with gob framing.
+// the same code paths the in-memory experiments use, over loopback TCP.
 package integration
 
 import (
@@ -26,7 +25,7 @@ type tcpNode struct {
 	st   *store.Store
 }
 
-func newTCPNode(net *transport.TCP, name transport.Addr) *tcpNode {
+func newTCPNode(net *transport.TCPMux, name transport.Addr) *tcpNode {
 	n := &tcpNode{name: name, srv: rpc.NewServer(), st: store.New(string(name))}
 	store.RegisterService(n.srv, n.st)
 	net.Register(name, n.srv.Handler())
@@ -34,7 +33,7 @@ func newTCPNode(net *transport.TCP, name transport.Addr) *tcpNode {
 }
 
 func TestTwoPhaseCommitOverTCP(t *testing.T) {
-	net := transport.NewTCP()
+	net := transport.NewTCPMux()
 	defer net.Close()
 	alpha := newTCPNode(net, "alpha")
 	beta := newTCPNode(net, "beta")
@@ -78,7 +77,7 @@ func TestTwoPhaseCommitOverTCP(t *testing.T) {
 // chaosParticipant unregisters a victim endpoint during phase two,
 // simulating a participant crash between prepare and commit.
 type chaosParticipant struct {
-	net    *transport.TCP
+	net    *transport.TCPMux
 	victim transport.Addr
 }
 
@@ -93,7 +92,7 @@ func (c *chaosParticipant) Commit(ctx context.Context, tx string) error {
 }
 
 func TestCrashBeforePhaseTwoRecoversOverTCP(t *testing.T) {
-	net := transport.NewTCP()
+	net := transport.NewTCPMux()
 	defer net.Close()
 	beta := newTCPNode(net, "beta")
 	coordNode := newTCPNode(net, "coord")
@@ -150,7 +149,7 @@ func TestCrashBeforePhaseTwoRecoversOverTCP(t *testing.T) {
 }
 
 func TestOrderedMulticastOverTCP(t *testing.T) {
-	net := transport.NewTCP()
+	net := transport.NewTCPMux()
 	defer net.Close()
 	type memberState struct {
 		mu  sync.Mutex

@@ -52,17 +52,14 @@
 //
 // # Transports
 //
-// Three carriers implement transport.Network beneath this package. Mem
-// delivers in-process with injectable faults. TCP pools one gob-framed
-// connection per in-flight call. TCPMux multiplexes every call between a
-// node pair onto one connection: request IDs pair pipelined requests with
-// their replies, a per-connection reader demultiplexes, and the
-// connection-state rules differ from the pooled transport in exactly one
-// way — an abandoned call (context cancelled, deadline expired) poisons a
-// pooled gob stream but NOT a mux stream, because mux framing is
-// per-frame rather than per-call. A torn or undecodable frame poisons
-// both. Mux request frames also carry the caller's remaining deadline, so
-// the server bounds each handler's context itself — the caller-side
-// unwind that in-process transports get for free. See
-// internal/transport/mux.go.
+// Two carriers implement transport.Network beneath this package. Mem
+// delivers in-process with injectable faults. TCPMux multiplexes every
+// call between a node pair onto one connection: request IDs pair
+// pipelined requests with their replies and a per-connection reader
+// demultiplexes. An abandoned call (context cancelled, deadline expired)
+// does NOT poison a mux stream, because the framing is per-frame rather
+// than per-call; a torn or undecodable frame does. Mux request frames also
+// carry the caller's remaining deadline, so the server bounds each
+// handler's context itself — the caller-side unwind that the in-process
+// carrier gets for free. See internal/transport/mux.go.
 package rpc

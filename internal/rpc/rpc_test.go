@@ -110,7 +110,7 @@ func TestFromAddressVisibleToHandler(t *testing.T) {
 }
 
 func TestInvokeOverTCP(t *testing.T) {
-	tnet := transport.NewTCP()
+	tnet := transport.NewTCPMux()
 	defer tnet.Close()
 	srv := NewServer()
 	srv.Handle("math", "Add", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {

@@ -265,8 +265,9 @@ func NewCluster(opts transport.MemOptions) *Cluster {
 }
 
 // NewClusterOn returns an empty cluster over the given network — e.g. a
-// transport.TCP for real-socket deployments. Fault injection (Faults) is
-// only available on the in-memory network.
+// transport.TCPMux for real-socket deployments. Fault injection (Faults)
+// is available on the in-memory network and on any carrier wrapped in
+// transport.NewFaulty.
 func NewClusterOn(net transport.Network) *Cluster {
 	return &Cluster{
 		net:     net,
@@ -356,9 +357,9 @@ func (c *Cluster) ResetAllBreakers() {
 }
 
 // Faults returns the network's fault plan, or nil when the underlying
-// network exposes none. Mem carries a plan natively; any other transport
-// (the mux TCP transport in particular) gains one by wrapping it in
-// transport.NewFaulty.
+// network exposes none. Mem always carries one (it is transport.Faulty
+// over the in-process carrier); the mux TCP transport gains one by being
+// wrapped in transport.NewFaulty.
 func (c *Cluster) Faults() *transport.Faults {
 	if f, ok := c.net.(interface{ Faults() *transport.Faults }); ok {
 		return f.Faults()

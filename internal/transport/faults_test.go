@@ -10,9 +10,61 @@ import (
 	"time"
 )
 
-func TestProbabilisticDropIsSeedDeterministic(t *testing.T) {
+// faultyNet is a network that runs the fault pipeline: *Mem and *Faulty.
+type faultyNet interface {
+	Network
+	Faults() *Faults
+}
+
+// carriers are the two carriers the one fault pipeline rides. new builds a
+// fresh network whose plan is seeded with seed; a socket carrier is closed
+// when the test ends.
+var carriers = []struct {
+	name string
+	new  func(t *testing.T, seed int64) faultyNet
+}{
+	{"mem", func(t *testing.T, seed int64) faultyNet {
+		return NewMem(MemOptions{}, NewFaultsSeeded(seed))
+	}},
+	{"mux", func(t *testing.T, seed int64) faultyNet {
+		inner := NewTCPMux()
+		t.Cleanup(inner.Close)
+		return NewFaulty(inner, NewFaultsSeeded(seed))
+	}},
+}
+
+// TestFaultPipeline runs every carrier-independent property of the fault
+// pipeline on both carriers: Faulty.Call is the only copy of it, so what
+// holds over Mem must hold over sockets.
+func TestFaultPipeline(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, newNet func(seed int64) faultyNet)
+	}{
+		{"ProbabilisticDropIsSeedDeterministic", testProbabilisticDropIsSeedDeterministic},
+		{"DelayRequestsAddsLatency", testDelayRequestsAddsLatency},
+		{"DuplicateRequestsDeliversTwice", testDuplicateRequestsDeliversTwice},
+		{"ReorderSwapsConcurrentRequests", testReorderSwapsConcurrentRequests},
+		{"ReorderHoldExpiresWithoutTraffic", testReorderHoldExpiresWithoutTraffic},
+		{"ClearReleasesParkedReorder", testClearReleasesParkedReorder},
+		{"ObserverHooksSeeSideEffectOrdering", testObserverHooksSeeSideEffectOrdering},
+		{"ReplyHookMayUnregisterCallee", testReplyHookMayUnregisterCallee},
+		{"UndeliveredRequestSkipsReplyStage", testUndeliveredRequestSkipsReplyStage},
+		{"AbandonedCallSkipsReplyStage", testAbandonedCallSkipsReplyStage},
+		{"DelayRepliesModelsGrayFailure", testDelayRepliesModelsGrayFailure},
+	}
+	for _, c := range carriers {
+		for _, tc := range cases {
+			t.Run(c.name+"/"+tc.name, func(t *testing.T) {
+				tc.run(t, func(seed int64) faultyNet { return c.new(t, seed) })
+			})
+		}
+	}
+}
+
+func testProbabilisticDropIsSeedDeterministic(t *testing.T, newNet func(int64) faultyNet) {
 	run := func(seed int64) []bool {
-		n := NewMem(MemOptions{}, NewFaultsSeeded(seed))
+		n := newNet(seed)
 		n.Register("b", echoHandler)
 		n.Faults().DropRequestsP(0.5, -1, To("b"))
 		out := make([]bool, 40)
@@ -51,8 +103,8 @@ func TestProbabilisticDropIsSeedDeterministic(t *testing.T) {
 	}
 }
 
-func TestDelayRequestsAddsLatency(t *testing.T) {
-	n := NewMem(MemOptions{}, NewFaultsSeeded(1))
+func testDelayRequestsAddsLatency(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
 	n.Register("b", echoHandler)
 	n.Faults().DelayRequests(1, -1, 30*time.Millisecond, To("b"))
 	start := time.Now()
@@ -77,8 +129,8 @@ func TestDelayRequestsAddsLatency(t *testing.T) {
 	}
 }
 
-func TestDuplicateRequestsDeliversTwice(t *testing.T) {
-	n := NewMem(MemOptions{}, NewFaultsSeeded(1))
+func testDuplicateRequestsDeliversTwice(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
 	var executed atomic.Int32
 	n.Register("b", func(ctx context.Context, req Request) ([]byte, error) {
 		executed.Add(1)
@@ -101,8 +153,8 @@ func TestDuplicateRequestsDeliversTwice(t *testing.T) {
 	}
 }
 
-func TestReorderSwapsConcurrentRequests(t *testing.T) {
-	n := NewMem(MemOptions{}, NewFaultsSeeded(1))
+func testReorderSwapsConcurrentRequests(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
 	var mu sync.Mutex
 	var order []string
 	n.Register("b", func(ctx context.Context, req Request) ([]byte, error) {
@@ -121,6 +173,12 @@ func TestReorderSwapsConcurrentRequests(t *testing.T) {
 	}()
 	// Give the first call time to reach the park point.
 	time.Sleep(20 * time.Millisecond)
+	mu.Lock()
+	early := len(order)
+	mu.Unlock()
+	if early != 0 {
+		t.Fatal("the first request was delivered instead of parked")
+	}
 	if _, err := n.Call(context.Background(), Request{From: "a", To: "b", Payload: []byte("second")}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +192,17 @@ func TestReorderSwapsConcurrentRequests(t *testing.T) {
 	if len(order) != 2 {
 		t.Fatalf("deliveries = %v", order)
 	}
-	if order[0] != "second" {
+	// Once released, the parked request races its overtaker to the handler.
+	// In process the overtaker leads by a goroutine wake-up and always wins;
+	// over a socket both cross the same connection, so only Mem pins the
+	// order.
+	if _, inProcess := n.(*Mem); inProcess && order[0] != "second" {
 		t.Fatalf("delivery order = %v, want the second request to overtake", order)
 	}
 }
 
-func TestReorderHoldExpiresWithoutTraffic(t *testing.T) {
-	n := NewMem(MemOptions{}, NewFaultsSeeded(1))
+func testReorderHoldExpiresWithoutTraffic(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
 	n.Register("b", echoHandler)
 	n.Faults().ReorderRequests(1, 1, 30*time.Millisecond, To("b"))
 	start := time.Now()
@@ -152,8 +214,8 @@ func TestReorderHoldExpiresWithoutTraffic(t *testing.T) {
 	}
 }
 
-func TestClearReleasesParkedReorder(t *testing.T) {
-	n := NewMem(MemOptions{}, NewFaultsSeeded(1))
+func testClearReleasesParkedReorder(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
 	n.Register("b", echoHandler)
 	n.Faults().ReorderRequests(1, 1, time.Hour, To("b"))
 	done := make(chan error, 1)
@@ -173,8 +235,8 @@ func TestClearReleasesParkedReorder(t *testing.T) {
 	}
 }
 
-func TestObserverHooksSeeSideEffectOrdering(t *testing.T) {
-	n := NewMem(MemOptions{}, NewFaultsSeeded(1))
+func testObserverHooksSeeSideEffectOrdering(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
 	var handlerRan atomic.Bool
 	n.Register("b", func(ctx context.Context, req Request) ([]byte, error) {
 		handlerRan.Store(true)
@@ -194,12 +256,12 @@ func TestObserverHooksSeeSideEffectOrdering(t *testing.T) {
 	}
 }
 
-// TestReplyHookMayUnregisterCallee is the nemesis idiom the chaos harness
+// testReplyHookMayUnregisterCallee is the nemesis idiom the chaos harness
 // relies on: a reply hook crashes (unregisters) the callee after the
 // handler's side effects are durable, while the in-flight reply still
 // returns — "voted commit, then died before learning the outcome".
-func TestReplyHookMayUnregisterCallee(t *testing.T) {
-	n := NewMem(MemOptions{}, NewFaultsSeeded(1))
+func testReplyHookMayUnregisterCallee(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
 	n.Register("b", echoHandler)
 	n.Faults().OnReply(1, To("b"), func(Request) { n.Unregister("b") })
 	resp, err := n.Call(context.Background(), Request{From: "a", To: "b", Payload: []byte("x")})
@@ -208,6 +270,113 @@ func TestReplyHookMayUnregisterCallee(t *testing.T) {
 	}
 	if _, err := n.Call(context.Background(), Request{From: "a", To: "b"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v, want unreachable after hook crash", err)
+	}
+}
+
+// testUndeliveredRequestSkipsReplyStage: a request the carrier could not
+// deliver (no endpoint) has no handler execution to duplicate and no reply
+// to hold, observe or drop, so it consumes none of those rules' uses — the
+// one-shot rule is still armed for the first request that does arrive.
+func testUndeliveredRequestSkipsReplyStage(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
+	var executed, observed atomic.Int32
+	n.Faults().DuplicateRequests(1, 1, To("b"))
+	n.Faults().OnReply(1, To("b"), func(Request) { observed.Add(1) })
+	n.Faults().DropReplies(1, To("b"))
+	if _, err := n.Call(context.Background(), Request{From: "a", To: "b"}); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("err = %v, want unreachable", err)
+	}
+	if observed.Load() != 0 {
+		t.Fatal("OnReply hook fired for a request that was never delivered")
+	}
+	n.Register("b", func(ctx context.Context, req Request) ([]byte, error) {
+		executed.Add(1)
+		return nil, nil
+	})
+	if _, err := n.Call(context.Background(), Request{From: "a", To: "b"}); !errors.Is(err, ErrReplyLost) {
+		t.Fatalf("err = %v, want the still-armed reply drop to fire", err)
+	}
+	if executed.Load() != 2 || observed.Load() != 1 {
+		t.Fatalf("executed %d times, observed %d replies; want 2 (duplicate) and 1", executed.Load(), observed.Load())
+	}
+}
+
+// testAbandonedCallSkipsReplyStage: a call whose context died before the
+// carrier produced a reply stops there — the caller already holds the
+// ambiguous timeout, and no reply-stage rule is spent on it.
+func testAbandonedCallSkipsReplyStage(t *testing.T, newNet func(int64) faultyNet) {
+	n := newNet(1)
+	var observed atomic.Int32
+	n.Register("b", func(ctx context.Context, req Request) ([]byte, error) {
+		if string(req.Payload) == "park" {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return nil, nil
+	})
+	n.Faults().OnReply(1, To("b"), func(Request) { observed.Add(1) })
+	n.Faults().DropReplies(1, To("b"))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := n.Call(ctx, Request{From: "a", To: "b", Payload: []byte("park")}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if observed.Load() != 0 {
+		t.Fatal("OnReply hook fired for a call that produced no reply")
+	}
+	if _, err := n.Call(context.Background(), Request{From: "a", To: "b"}); !errors.Is(err, ErrReplyLost) || observed.Load() != 1 {
+		t.Fatalf("err = %v, observed = %d; want the still-armed hook and reply drop to fire", err, observed.Load())
+	}
+}
+
+// TestSameSeedSameDecisionsOnBothCarriers pins what "one pipeline" buys a
+// chaos schedule: for the same seed and the same sequential traffic, the
+// drop and duplicate decisions come out call for call identical whether the
+// plan rides Mem or sockets.
+func TestSameSeedSameDecisionsOnBothCarriers(t *testing.T) {
+	trace := func(n faultyNet) []string {
+		var executed atomic.Int32
+		n.Register("b", func(ctx context.Context, req Request) ([]byte, error) {
+			executed.Add(1)
+			return nil, nil
+		})
+		n.Faults().DropRequestsP(0.3, -1, To("b"))
+		n.Faults().DuplicateRequests(0.4, -1, To("b"))
+		n.Faults().DropRepliesP(0.3, -1, To("b"))
+		out := make([]string, 80)
+		for i := range out {
+			before := executed.Load()
+			_, err := n.Call(context.Background(), Request{From: "a", To: "b"})
+			outcome := "ok"
+			switch {
+			case errors.Is(err, ErrRequestLost):
+				outcome = "request lost"
+			case errors.Is(err, ErrReplyLost):
+				outcome = "reply lost"
+			case err != nil:
+				t.Fatalf("call %d: %v", i, err)
+			}
+			out[i] = fmt.Sprintf("%s, %d deliveries", outcome, executed.Load()-before)
+		}
+		return out
+	}
+	traces := make([][]string, len(carriers))
+	for i, c := range carriers {
+		traces[i] = trace(c.new(t, 11))
+	}
+	kinds := map[string]bool{}
+	for i, got := range traces[0] {
+		if want := traces[1][i]; got != want {
+			t.Fatalf("call %d: %s says %q, %s says %q", i, carriers[0].name, got, carriers[1].name, want)
+		}
+		kinds[got] = true
+	}
+	// 80 calls at these odds must show every decision, or the comparison
+	// above compared nothing.
+	for _, k := range []string{"ok, 1 deliveries", "ok, 2 deliveries", "request lost, 0 deliveries", "reply lost, 1 deliveries", "reply lost, 2 deliveries"} {
+		if !kinds[k] {
+			t.Fatalf("decision %q never occurred in %v", k, traces[0])
+		}
 	}
 }
 

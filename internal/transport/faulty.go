@@ -2,16 +2,17 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
 
-// Faulty wraps any inner Network with a programmable Faults plan, applying
-// the same fault pipeline Mem applies natively: partitions and request
-// drops before delivery, observer hooks, reorder holds, injected delays,
+// Faulty wraps any inner Network with a programmable Faults plan. Its Call
+// is the repository's one fault pipeline: partitions and request drops
+// before delivery, observer hooks, reorder holds, injected delays,
 // duplicate deliveries, and reply drops after the handler has executed.
-// It exists so the chaos harness can run its seeded nemesis schedules over
-// the real-socket transports (the mux transport in particular) instead of
-// only over Mem.
+// Mem is Faulty over the in-process carrier; the chaos harness wraps the
+// mux transport in it to run the same seeded nemesis schedules over real
+// sockets.
 type Faulty struct {
 	inner  Network
 	faults *Faults
@@ -40,8 +41,9 @@ func (f *Faulty) Register(addr Addr, h Handler) { f.inner.Register(addr, h) }
 func (f *Faulty) Unregister(addr Addr) { f.inner.Unregister(addr) }
 
 // Call implements Network: the fault pipeline runs around the inner
-// network's delivery, in the same order as Mem.Call so a seeded schedule
-// draws its coin flips identically on either carrier.
+// network's delivery. The plan's seeded source is consulted in this order
+// and no other, so a seeded schedule draws its coin flips identically on
+// every carrier.
 func (f *Faulty) Call(ctx context.Context, req Request) ([]byte, error) {
 	if f.faults.partitioned(req.From, req.To) {
 		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
@@ -57,11 +59,23 @@ func (f *Faulty) Call(ctx context.Context, req Request) ([]byte, error) {
 		return nil, err
 	}
 	resp, err := f.inner.Call(ctx, req)
+	if err != nil && (errors.Is(err, ErrUnreachable) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+		// No reply exists: the carrier never delivered the request, or the
+		// caller stopped waiting for it. There is no execution to duplicate
+		// and no reply to hold, observe or drop.
+		return nil, err
+	}
 	if f.faults.shouldDuplicate(req) {
-		// A duplicated network message: deliver the request a second time;
-		// the caller sees the first delivery's reply (see Mem.Call).
+		// A duplicated network message: the request is delivered a second
+		// time; the caller sees the first delivery's reply. Idempotent
+		// handlers (the only sanctioned targets) make the second delivery a
+		// no-op.
 		_, _ = f.inner.Call(ctx, req)
 	}
+	// The handler HAS executed by now, so a caller whose deadline dies in a
+	// gray-failure hold is in exactly the Figure-1 ambiguity — effects
+	// durable, outcome unobserved.
 	if derr := sleepCtx(ctx, f.faults.replyDelay(req)); derr != nil {
 		return nil, derr
 	}

@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// TestDelayRepliesModelsGrayFailure verifies the gray-failure primitive:
-// the handler executes (the side effect stands) but the reply is held
-// past the caller's deadline, so the caller observes a timeout — the
-// worst-case ambiguity, not a clean refusal.
-func TestDelayRepliesModelsGrayFailure(t *testing.T) {
+// testDelayRepliesModelsGrayFailure (a TestFaultPipeline case) verifies
+// the gray-failure primitive: the handler executes (the side effect
+// stands) but the reply is held past the caller's deadline, so the caller
+// observes a timeout — the worst-case ambiguity, not a clean refusal.
+func testDelayRepliesModelsGrayFailure(t *testing.T, newNet func(int64) faultyNet) {
 	var executed atomic.Int64
-	n := NewMem(MemOptions{}, NewFaultsSeeded(1))
+	n := newNet(1)
 	n.Register("b", func(ctx context.Context, req Request) ([]byte, error) {
 		executed.Add(1)
 		return []byte("ok"), nil

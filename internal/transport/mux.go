@@ -16,10 +16,9 @@ import (
 // multiplexed connection per (from, to) node pair. Calls are pipelined:
 // each request frame carries a caller-assigned ID, the peer answers frames
 // in whatever order its handlers finish, and a per-connection reader
-// goroutine demultiplexes replies to the waiting callers. Compared to the
-// pooled conn-per-call TCP transport this removes the head-of-line
-// blocking between concurrent calls to the same node and caps the socket
-// count at one per node pair.
+// goroutine demultiplexes replies to the waiting callers. Concurrent calls
+// to the same node never block head-of-line behind one another, and the
+// socket count is capped at one per node pair.
 //
 // Frames are length-prefixed (big-endian u32) so a torn write can never be
 // half-executed: a request either arrives whole or the connection dies
@@ -29,15 +28,17 @@ import (
 //   - A decode error or short read on the reply stream poisons the
 //     connection: all in-flight calls fail, the socket is closed, and the
 //     next call dials fresh. Framing state is unrecoverable after a torn
-//     frame, exactly like a desynced gob stream.
+//     frame.
 //   - A context cancellation or per-call timeout does NOT poison the
 //     connection. The caller abandons its pending slot; the late reply is
-//     dropped by the demux when it arrives. This differs from the pooled
-//     gob transport, which must discard the whole connection — the mux
-//     framing keeps byte-stream state independent of any one call.
+//     dropped by the demux when it arrives — the framing keeps byte-stream
+//     state independent of any one call.
 type TCPMux struct {
 	// CallTimeout bounds each call when the caller's context carries no (or
-	// a later) deadline. Zero selects DefaultCallTimeout.
+	// a later) deadline: the call fails at the earlier of ctx's deadline and
+	// now+CallTimeout. Without it a peer that accepts the connection and
+	// then hangs mid-reply would pin the calling goroutine forever. Zero
+	// selects DefaultCallTimeout; set it before issuing calls.
 	CallTimeout time.Duration
 	// MaxPending caps the in-flight calls per connection: a call that
 	// would exceed it fast-fails with ErrOverloaded instead of growing the
@@ -72,6 +73,12 @@ const maxMuxFrame = 1 << 26
 // side, guaranteeing the caller always times out strictly before the
 // handler's context expires. See the frame-format comment above.
 const muxHandlerGrace = 500 * time.Millisecond
+
+// DefaultCallTimeout is the per-call deadline applied when neither
+// TCPMux.CallTimeout nor the context bounds the call. Generous on purpose:
+// it exists to turn "hangs forever" into "fails eventually", not to race
+// legitimate slow operations (long lock waits ride mux calls too).
+const DefaultCallTimeout = 30 * time.Second
 
 // DefaultMaxPending is the per-connection in-flight call cap when
 // TCPMux.MaxPending is zero. Far above any healthy working set — the cap

@@ -8,9 +8,8 @@ import (
 )
 
 // BenchmarkMuxPipelining measures concurrent call throughput between one
-// node pair on the multiplexed transport versus the pooled conn-per-call
-// transport. The mux variant rides a single connection regardless of
-// parallelism; the pooled variant needs one socket per in-flight call.
+// node pair on the multiplexed transport, which rides a single connection
+// regardless of parallelism.
 func BenchmarkMuxPipelining(b *testing.B) {
 	handler := func(ctx context.Context, req Request) ([]byte, error) {
 		return req.Payload, nil
@@ -41,12 +40,6 @@ func BenchmarkMuxPipelining(b *testing.B) {
 		if d := tm.dials.Load(); d != 1 {
 			b.Fatalf("dials = %d, want 1", d)
 		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		tn := NewTCP()
-		defer tn.Close()
-		tn.Register("srv", handler)
-		bench(b, tn)
 	})
 	for _, inflight := range []int{4, 16} {
 		b.Run(fmt.Sprintf("mux-inflight-%d", inflight), func(b *testing.B) {

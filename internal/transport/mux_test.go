@@ -1,12 +1,9 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,114 +239,70 @@ func TestMuxStaleConnRetriesOnce(t *testing.T) {
 	}
 }
 
-// TestTCPPooledConnDiscardedAfterTruncatedReply is the satellite regression
-// test for the POOLED transport: a truncated gob reply must close the
-// connection (not return it to the pool), and the next call must succeed on
-// a fresh dial. A rogue endpoint speaks the wire protocol but cuts the
-// first reply in half.
-func TestTCPPooledConnDiscardedAfterTruncatedReply(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var truncate atomic.Bool
-	truncate.Store(true)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				for {
-					var wreq wireRequest
-					if err := dec.Decode(&wreq); err != nil {
-						return
-					}
-					var buf bytes.Buffer
-					if err := gob.NewEncoder(&buf).Encode(&wireReply{Payload: wreq.Payload}); err != nil {
-						return
-					}
-					b := buf.Bytes()
-					if truncate.Load() {
-						conn.Write(b[:len(b)/2]) // torn reply, then hang up
-						return
-					}
-					if _, err := conn.Write(b); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-
-	tn := NewTCP()
-	defer tn.Close()
-	// Splice the rogue listener in as the endpoint for "bad": Call only
-	// consults ep.ln for the dial address and ep.idle for pooling.
-	ep := &tcpEndpoint{ln: ln, done: make(chan struct{})}
-	tn.listeners["bad"] = ep
-
-	_, err = tn.Call(context.Background(), Request{From: "cli", To: "bad", Payload: []byte("x")})
-	if err == nil {
-		t.Fatal("truncated reply must fail the call")
-	}
-	ep.poolMu.Lock()
-	idle := len(ep.idle)
-	ep.poolMu.Unlock()
-	if idle != 0 {
-		t.Fatalf("%d conns pooled after decode error, want 0 (conn must be discarded)", idle)
-	}
-	truncate.Store(false)
-	got, err := tn.Call(context.Background(), Request{From: "cli", To: "bad", Payload: []byte("y")})
-	if err != nil {
-		t.Fatalf("call after truncated reply: %v", err)
-	}
-	if string(got) != "y" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-// TestTCPPooledConnDiscardedAfterCtxCancel: unlike the mux transport, the
-// pooled gob transport CANNOT keep a connection whose reply it abandoned —
-// the unread reply bytes would desync the next call's stream. A deadline
-// that expires mid-reply must discard the conn and the next call must
-// succeed fresh.
-func TestTCPPooledConnDiscardedAfterCtxCancel(t *testing.T) {
-	tn := NewTCP()
-	defer tn.Close()
-	var calls atomic.Int64
-	block := make(chan struct{})
-	tn.Register("srv", func(ctx context.Context, req Request) ([]byte, error) {
-		if calls.Add(1) == 1 {
-			<-block
+// TestMuxSlowPeerCallTimeout covers the slow-peer hole with NO context
+// deadline: a peer that accepts the request and then hangs must fail the
+// call at CallTimeout instead of pinning the caller forever — and, the
+// framing being per-frame, the abandoned call must not poison the
+// connection: the next call rides it without a redial.
+func TestMuxSlowPeerCallTimeout(t *testing.T) {
+	tm := NewTCPMux()
+	tm.CallTimeout = 100 * time.Millisecond
+	defer tm.Close()
+	var hang atomic.Bool
+	release := make(chan struct{})
+	tm.Register("srv", func(ctx context.Context, req Request) ([]byte, error) {
+		if hang.Load() {
+			<-release
 		}
 		return req.Payload, nil
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := tn.Call(ctx, Request{From: "cli", To: "srv", Payload: []byte("a")}); err == nil {
-		t.Fatal("expected deadline failure")
+	defer close(release)
+
+	hang.Store(true)
+	start := time.Now()
+	_, err := tm.Call(context.Background(), Request{From: "cli", To: "srv", Payload: []byte("x")})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want a deadline error", err)
 	}
-	close(block)
-	tn.mu.RLock()
-	ep := tn.listeners["srv"]
-	tn.mu.RUnlock()
-	ep.poolMu.Lock()
-	idle := len(ep.idle)
-	ep.poolMu.Unlock()
-	if idle != 0 {
-		t.Fatalf("%d conns pooled after abandoned reply, want 0", idle)
+	if elapsed := time.Since(start); elapsed < 80*time.Millisecond || elapsed > 2*time.Second {
+		t.Fatalf("call took %v; CallTimeout (100ms) did not bound it", elapsed)
 	}
-	got, err := tn.Call(context.Background(), Request{From: "cli", To: "srv", Payload: []byte("b")})
+
+	hang.Store(false)
+	dials := tm.dials.Load()
+	got, err := tm.Call(context.Background(), Request{From: "cli", To: "srv", Payload: []byte("y")})
 	if err != nil {
-		t.Fatalf("call after abandoned reply: %v", err)
+		t.Fatalf("call after the timeout: %v", err)
 	}
-	if string(got) != "b" {
-		t.Fatalf("got %q (stream desync would corrupt this reply)", got)
+	if string(got) != "y" {
+		t.Fatalf("got %q (late reply delivered to the wrong caller?)", got)
+	}
+	if tm.dials.Load() != dials {
+		t.Fatal("a timed-out call poisoned the connection: the next call redialed")
+	}
+}
+
+// TestMuxContextDeadlineWins verifies an earlier context deadline
+// overrides the per-call timeout.
+func TestMuxContextDeadlineWins(t *testing.T) {
+	tm := NewTCPMux()
+	tm.CallTimeout = 10 * time.Second
+	defer tm.Close()
+	release := make(chan struct{})
+	tm.Register("srv", func(ctx context.Context, req Request) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
+	defer close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := tm.Call(ctx, Request{From: "cli", To: "srv"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("call took %v; the context deadline did not bound it", elapsed)
 	}
 }
 

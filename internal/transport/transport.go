@@ -11,10 +11,13 @@
 //   - a lost reply (the callee DID execute the operation but the caller
 //     cannot tell — the scenario of the paper's Figure 1).
 //
-// Two implementations are provided: Mem, an in-memory network with
-// deterministic, injectable faults (used by all experiments), and TCP
-// (tcp.go), a real-socket variant over loopback demonstrating that the
-// protocol stack is transport-agnostic.
+// Two carriers are provided: an in-process one (reached through Mem) and
+// TCPMux (mux.go), real loopback sockets with one multiplexed connection
+// per node pair, demonstrating that the protocol stack is
+// transport-agnostic. Fault injection is not a carrier's job: Faulty
+// (faulty.go) runs the one fault pipeline around whichever carrier it
+// wraps, and Mem is exactly that wrapper over the in-process carrier — the
+// deterministic network all experiments use.
 package transport
 
 import (
@@ -80,8 +83,8 @@ var (
 // FaultRule inspects a request and decides whether a fault fires for it.
 type FaultRule func(req Request) bool
 
-// Faults is a programmable fault plan shared by a Mem network. All methods
-// are safe for concurrent use.
+// Faults is a programmable fault plan, applied by Faulty (and so by Mem)
+// around every call. All methods are safe for concurrent use.
 //
 // Two rule families coexist. The deterministic rules (DropRequests,
 // DropReplies, Partition) fire whenever they match, exactly as the
@@ -298,67 +301,56 @@ func (f *Faults) partitioned(a, b Addr) bool {
 	return f.partitions[pairKey(a, b)]
 }
 
-// fireLocked reports whether any entry fires for req, consuming one use.
-// A probabilistic entry (p > 0) additionally flips a coin from the seeded
-// source; the coin is only flipped — and the use only consumed — when the
-// rule matches. f.mu must be held.
-func (f *Faults) fireLocked(entries []*faultEntry, req Request) (*faultEntry, bool) {
-	for _, e := range entries {
-		if e.remaining == 0 {
-			continue
-		}
-		if !e.rule(req) {
-			continue
-		}
-		if e.p < 1 && (e.p <= 0 || f.rng.Float64() >= e.p) {
-			continue
-		}
-		if e.remaining > 0 {
-			e.remaining--
-		}
-		return e, true
+// fires is the one place a rule is tested: e fires for req when it has
+// uses left, its rule matches and its coin comes up, and firing consumes
+// one use. The coin is drawn from the seeded source only on a match (and
+// only for p < 1), so the draws happen in message-arrival order. f.mu must
+// be held.
+func (f *Faults) fires(e *faultEntry, req Request) bool {
+	if e.remaining == 0 || !e.rule(req) {
+		return false
 	}
-	return nil, false
+	if e.p < 1 && (e.p <= 0 || f.rng.Float64() >= e.p) {
+		return false
+	}
+	if e.remaining > 0 {
+		e.remaining--
+	}
+	return true
 }
 
-func (f *Faults) shouldDropRequest(req Request) bool {
+// anyFires reports whether some entry of list fires for req; entries after
+// the first that fires are left untouched.
+func (f *Faults) anyFires(list *[]*faultEntry, req Request) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, ok := f.fireLocked(f.dropRequests, req)
-	return ok
+	for _, e := range *list {
+		if f.fires(e, req) {
+			return true
+		}
+	}
+	return false
 }
 
-func (f *Faults) shouldDropReply(req Request) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.fireLocked(f.dropReplies, req)
-	return ok
-}
+func (f *Faults) shouldDropRequest(req Request) bool { return f.anyFires(&f.dropRequests, req) }
+func (f *Faults) shouldDropReply(req Request) bool   { return f.anyFires(&f.dropReplies, req) }
+func (f *Faults) shouldDuplicate(req Request) bool   { return f.anyFires(&f.duplicates, req) }
 
-// requestDelay returns the extra delay the matching delay rules add to
-// req's request leg, drawn from the seeded source.
+// requestDelay returns the extra delay the firing delay rules add to req's
+// request leg, each drawn uniformly from [0, max) off the seeded source.
 func (f *Faults) requestDelay(req Request) time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var d time.Duration
 	for _, e := range f.delays {
-		if e.remaining == 0 || !e.rule(req) {
-			continue
-		}
-		if e.p < 1 && (e.p <= 0 || f.rng.Float64() >= e.p) {
-			continue
-		}
-		if e.remaining > 0 {
-			e.remaining--
-		}
-		if e.delay > 0 {
+		if f.fires(e, req) && e.delay > 0 {
 			d += time.Duration(f.rng.Int63n(int64(e.delay)))
 		}
 	}
 	return d
 }
 
-// replyDelay returns the extra hold the matching reply-delay rules add to
+// replyDelay returns the extra hold the firing reply-delay rules add to
 // req's reply leg. The holds are deterministic (see DelayReplies); only
 // the p < 1 coin flips draw from the seeded source.
 func (f *Faults) replyDelay(req Request) time.Duration {
@@ -366,28 +358,14 @@ func (f *Faults) replyDelay(req Request) time.Duration {
 	defer f.mu.Unlock()
 	var d time.Duration
 	for _, e := range f.replyDelays {
-		if e.remaining == 0 || !e.rule(req) {
-			continue
+		if f.fires(e, req) {
+			d += e.delay
 		}
-		if e.p < 1 && (e.p <= 0 || f.rng.Float64() >= e.p) {
-			continue
-		}
-		if e.remaining > 0 {
-			e.remaining--
-		}
-		d += e.delay
 	}
 	return d
 }
 
-func (f *Faults) shouldDuplicate(req Request) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.fireLocked(f.duplicates, req)
-	return ok
-}
-
-// holdForReorder parks req if a reorder rule matches and no request is
+// holdForReorder parks req if a reorder rule fires and no request is
 // already parked on that rule; the parked request resumes when the next
 // matching request overtakes it, when hold elapses, when the plan is
 // cleared, or when ctx dies. A second matching request releases the parked
@@ -405,17 +383,10 @@ func (f *Faults) holdForReorder(ctx context.Context, req Request) error {
 			f.mu.Unlock()
 			return nil
 		}
-		if cand.remaining == 0 || !cand.rule(req) {
-			continue
+		if f.fires(cand, req) {
+			e = cand
+			break
 		}
-		if cand.p < 1 && (cand.p <= 0 || f.rng.Float64() >= cand.p) {
-			continue
-		}
-		if cand.remaining > 0 {
-			cand.remaining--
-		}
-		e = cand
-		break
 	}
 	if e == nil {
 		f.mu.Unlock()
@@ -441,36 +412,25 @@ func (f *Faults) holdForReorder(ctx context.Context, req Request) error {
 	return ctx.Err()
 }
 
-// hooksFor collects the matching hooks without invoking them; the caller
-// runs them outside the lock so a hook may safely call back into the fault
-// plan or crash a node.
-func (f *Faults) hooksFor(list *[]*faultEntry, req Request) []func(Request) {
+// runHooks invokes the hooks of list that fire for req. They are collected
+// under the lock and run outside it, so a hook may safely call back into
+// the fault plan or crash a node.
+func (f *Faults) runHooks(list *[]*faultEntry, req Request) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []func(Request)
+	var hooks []func(Request)
 	for _, e := range *list {
-		if e.remaining == 0 || !e.rule(req) {
-			continue
+		if f.fires(e, req) {
+			hooks = append(hooks, e.hook)
 		}
-		if e.remaining > 0 {
-			e.remaining--
-		}
-		out = append(out, e.hook)
 	}
-	return out
-}
-
-func (f *Faults) runRequestHooks(req Request) {
-	for _, h := range f.hooksFor(&f.reqHooks, req) {
+	f.mu.Unlock()
+	for _, h := range hooks {
 		h(req)
 	}
 }
 
-func (f *Faults) runReplyHooks(req Request) {
-	for _, h := range f.hooksFor(&f.replyHooks, req) {
-		h(req)
-	}
-}
+func (f *Faults) runRequestHooks(req Request) { f.runHooks(&f.reqHooks, req) }
+func (f *Faults) runReplyHooks(req Request)   { f.runHooks(&f.replyHooks, req) }
 
 // MemOptions configure a Mem network.
 type MemOptions struct {
@@ -483,18 +443,10 @@ type MemOptions struct {
 	Seed int64
 }
 
-// Mem is an in-memory Network with programmable faults and latency.
-// It is safe for concurrent use.
-type Mem struct {
-	opts   MemOptions
-	faults *Faults
-
-	mu       sync.RWMutex
-	handlers map[Addr]Handler
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-}
+// Mem is the in-memory Network with programmable faults and latency: the
+// Faulty wrapper over a bare in-process carrier. It is safe for concurrent
+// use.
+type Mem struct{ Faulty }
 
 var _ Network = (*Mem)(nil)
 
@@ -505,46 +457,74 @@ func NewMem(opts MemOptions, faults *Faults) *Mem {
 	if faults == nil {
 		faults = NewFaultsSeeded(opts.Seed)
 	}
-	return &Mem{
+	carrier := &memCarrier{
 		opts:     opts,
-		faults:   faults,
 		handlers: make(map[Addr]Handler),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 	}
+	return &Mem{Faulty{inner: carrier, faults: faults}}
 }
 
-// Faults returns the network's fault plan.
-func (m *Mem) Faults() *Faults { return m.faults }
+// memCarrier is the in-process carrier under Mem: the handler table and
+// the per-leg latency, nothing else. It knows no faults.
+type memCarrier struct {
+	opts MemOptions
+
+	mu       sync.RWMutex
+	handlers map[Addr]Handler
+
+	rngMu sync.Mutex
+	rng   *rand.Rand
+}
 
 // Register implements Network.
-func (m *Mem) Register(addr Addr, h Handler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[addr] = h
+func (c *memCarrier) Register(addr Addr, h Handler) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.handlers[addr] = h
 }
 
 // Unregister implements Network.
-func (m *Mem) Unregister(addr Addr) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.handlers, addr)
+func (c *memCarrier) Unregister(addr Addr) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.handlers, addr)
 }
 
-func (m *Mem) lookup(addr Addr) (Handler, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	h, ok := m.handlers[addr]
+func (c *memCarrier) lookup(addr Addr) (Handler, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	h, ok := c.handlers[addr]
 	return h, ok
 }
 
-func (m *Mem) delay() time.Duration {
-	d := m.opts.BaseLatency
-	if m.opts.Jitter > 0 {
-		m.rngMu.Lock()
-		d += time.Duration(m.rng.Int63n(int64(m.opts.Jitter)))
-		m.rngMu.Unlock()
+func (c *memCarrier) delay() time.Duration {
+	d := c.opts.BaseLatency
+	if c.opts.Jitter > 0 {
+		c.rngMu.Lock()
+		d += time.Duration(c.rng.Int63n(int64(c.opts.Jitter)))
+		c.rngMu.Unlock()
 	}
 	return d
+}
+
+// Call implements Network: request leg, handler, reply leg. The handler
+// executes on the caller's goroutine after the request leg; a caller whose
+// context dies on the reply leg has therefore still had its operation
+// executed.
+func (c *memCarrier) Call(ctx context.Context, req Request) ([]byte, error) {
+	if err := sleepCtx(ctx, c.delay()); err != nil {
+		return nil, err
+	}
+	h, ok := c.lookup(req.To)
+	if !ok {
+		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
+	}
+	resp, err := h(ctx, req)
+	if derr := sleepCtx(ctx, c.delay()); derr != nil {
+		return nil, derr
+	}
+	return resp, err
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -559,47 +539,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// Call implements Network. The handler executes on the caller's goroutine
-// after the request leg; a dropped reply therefore still implies the
-// handler's side effects occurred.
-func (m *Mem) Call(ctx context.Context, req Request) ([]byte, error) {
-	if m.faults.partitioned(req.From, req.To) {
-		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
-	}
-	if m.faults.shouldDropRequest(req) {
-		return nil, fmt.Errorf("%s -> %s %s.%s: %w", req.From, req.To, req.Service, req.Method, ErrRequestLost)
-	}
-	m.faults.runRequestHooks(req)
-	if err := m.faults.holdForReorder(ctx, req); err != nil {
-		return nil, err
-	}
-	if err := sleepCtx(ctx, m.delay()+m.faults.requestDelay(req)); err != nil {
-		return nil, err
-	}
-	h, ok := m.lookup(req.To)
-	if !ok {
-		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
-	}
-	resp, err := h(ctx, req)
-	if m.faults.shouldDuplicate(req) {
-		// A duplicated network message: the handler executes a second time;
-		// the caller sees the first delivery's reply. Idempotent handlers
-		// (the only sanctioned targets) make the second delivery a no-op.
-		_, _ = h(ctx, req)
-	}
-	// The reply-leg sleep includes any gray-failure hold: the handler HAS
-	// executed by now, so a caller whose deadline dies in this sleep is in
-	// exactly the Figure-1 ambiguity — effects durable, outcome unobserved.
-	if derr := sleepCtx(ctx, m.delay()+m.faults.replyDelay(req)); derr != nil {
-		return nil, derr
-	}
-	m.faults.runReplyHooks(req)
-	if m.faults.shouldDropReply(req) {
-		return nil, fmt.Errorf("%s -> %s %s.%s: %w", req.From, req.To, req.Service, req.Method, ErrReplyLost)
-	}
-	return resp, err
 }
 
 // To returns a FaultRule matching requests destined for addr.

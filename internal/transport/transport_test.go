@@ -198,60 +198,15 @@ func TestMemConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestTCPRoundTrip(t *testing.T) {
-	n := NewTCP()
-	defer n.Close()
-	n.Register("b", echoHandler)
-	resp, err := n.Call(context.Background(), Request{From: "a", To: "b", Service: "s", Method: "m", Payload: []byte("over-tcp")})
-	if err != nil {
-		t.Fatalf("Call: %v", err)
+// TestMemCallDoesNotAllocate pins the cost of routing Mem through the
+// Faulty wrapper: with an empty fault plan the pipeline adds no allocation
+// (no closure, no boxed request) to a call.
+func TestMemCallDoesNotAllocate(t *testing.T) {
+	n := NewMem(MemOptions{}, nil)
+	n.Register("b", func(ctx context.Context, req Request) ([]byte, error) { return req.Payload, nil })
+	ctx := context.Background()
+	req := Request{From: "a", To: "b", Service: "s", Method: "m", Payload: []byte("hi")}
+	if allocs := testing.AllocsPerRun(200, func() { _, _ = n.Call(ctx, req) }); allocs != 0 {
+		t.Fatalf("Mem.Call allocates %.1f times per call, want 0", allocs)
 	}
-	if string(resp) != "echo:over-tcp" {
-		t.Fatalf("resp = %q", resp)
-	}
-}
-
-func TestTCPErrorPropagation(t *testing.T) {
-	n := NewTCP()
-	defer n.Close()
-	n.Register("b", func(ctx context.Context, req Request) ([]byte, error) {
-		return nil, errors.New("boom")
-	})
-	_, err := n.Call(context.Background(), Request{From: "a", To: "b"})
-	if err == nil || err.Error() != "boom" {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestTCPUnregisterUnreachable(t *testing.T) {
-	n := NewTCP()
-	defer n.Close()
-	n.Register("b", echoHandler)
-	n.Unregister("b")
-	if _, err := n.Call(context.Background(), Request{From: "a", To: "b"}); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("err = %v, want ErrUnreachable", err)
-	}
-}
-
-func TestTCPConcurrent(t *testing.T) {
-	n := NewTCP()
-	defer n.Close()
-	n.Register("b", echoHandler)
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p := []byte(fmt.Sprintf("x%d", i))
-			resp, err := n.Call(context.Background(), Request{From: "a", To: "b", Payload: p})
-			if err != nil {
-				t.Errorf("call: %v", err)
-				return
-			}
-			if string(resp) != "echo:"+string(p) {
-				t.Errorf("resp = %q", resp)
-			}
-		}(i)
-	}
-	wg.Wait()
 }

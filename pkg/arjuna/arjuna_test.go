@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/lockmgr"
 	"repro/internal/replica"
@@ -242,6 +243,17 @@ func TestErrorsIsMatchesSentinels(t *testing.T) {
 	if got := arjuna.MapError(plain); got != plain {
 		t.Fatalf("MapError(unclassified) = %v, want unchanged", got)
 	}
+	// In doubt outranks what made the doubt unresolvable: an open breaker on
+	// the chain must not file the action under Atomic's retryable classes.
+	doubt := arjuna.MapError(fmt.Errorf("prepare: %w: %w: %w", rpc.ErrPeerUnavailable, replica.ErrNoServers, action.ErrOutcomeUnknown))
+	if !errors.Is(doubt, arjuna.ErrOutcomeUnknown) {
+		t.Fatalf("MapError(in doubt) = %v, does not match ErrOutcomeUnknown", doubt)
+	}
+	for _, not := range []error{arjuna.ErrPeerUnavailable, arjuna.ErrNoServers, arjuna.ErrUnreachable, arjuna.ErrAborted} {
+		if errors.Is(doubt, not) {
+			t.Fatalf("MapError(in doubt) = %v also matches %v", doubt, not)
+		}
+	}
 }
 
 func TestCrashExcludeRecoverStore(t *testing.T) {
@@ -359,44 +371,69 @@ func TestMultiObjectAtomicity(t *testing.T) {
 }
 
 func TestOpenOverTCP(t *testing.T) {
-	variants := []struct {
-		name string
-		opt  arjuna.Option
-	}{
-		{"pooled", arjuna.WithTCP()},
-		{"mux", arjuna.WithTCPMux()},
+	sys := openT(t, arjuna.WithTCPMux())
+	cl := clientT(t, sys, "c1")
+	obj := sys.Objects()[0]
+	ctx := context.Background()
+
+	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		_, err := tx.Object(obj).Invoke(ctx, "add", []byte("13"))
+		return err
+	})
+	if err != nil || !rep.Committed {
+		t.Fatalf("Atomic over TCP: %v (%+v)", err, rep)
 	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			sys := openT(t, v.opt)
-			cl := clientT(t, sys, "c1")
-			obj := sys.Objects()[0]
-			ctx := context.Background()
+	if got := counterValue(t, sys, obj); got != "13" {
+		t.Fatalf("committed state over TCP = %q, want 13", got)
+	}
 
-			rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
-				_, err := tx.Object(obj).Invoke(ctx, "add", []byte("13"))
-				return err
-			})
-			if err != nil || !rep.Committed {
-				t.Fatalf("Atomic over TCP: %v (%+v)", err, rep)
-			}
-			if got := counterValue(t, sys, obj); got != "13" {
-				t.Fatalf("committed state over TCP = %q, want 13", got)
-			}
+	// The typed error taxonomy survives the real wire: app error codes
+	// travel in the rpc envelope, not as in-memory Go values.
+	_, err = cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		_, err := tx.Object(obj).Invoke(ctx, "frobnicate", nil)
+		return err
+	})
+	if !errors.Is(err, arjuna.ErrUnknownMethod) {
+		t.Fatalf("err over TCP = %v, want ErrUnknownMethod", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
 
-			// The typed error taxonomy survives the real wire: app error codes
-			// travel in the rpc envelope, not as in-memory Go values.
-			_, err = cl.Atomic(ctx, func(tx *arjuna.Txn) error {
-				_, err := tx.Object(obj).Invoke(ctx, "frobnicate", nil)
-				return err
-			})
-			if !errors.Is(err, arjuna.ErrUnknownMethod) {
-				t.Fatalf("err over TCP = %v, want ErrUnknownMethod", err)
-			}
-			if err := sys.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-		})
+// TestInDoubtCommitIsNotReportedAborted drives the unresolvable Figure-1
+// ambiguity through the facade: the one-phase round commits at the store,
+// its reply is lost, and the only server crashes before the two-phase
+// fallback can ask again. The facade must say "outcome unknown" — not
+// "aborted, all effects undone" over a durably committed write — and must
+// not retry, which could apply the add a second time.
+func TestInDoubtCommitIsNotReportedAborted(t *testing.T) {
+	sys := openT(t, arjuna.WithServers(1), arjuna.WithStores(1))
+	cl := clientT(t, sys, "c1", arjuna.ClientRetry(5, 0))
+	obj := sys.Objects()[0]
+	ctx := context.Background()
+
+	rule := transport.ToMethod("sv1", "objsrv", "PrepareCommit")
+	sys.Faults().OnReply(1, rule, func(transport.Request) { _ = sys.Crash("sv1") })
+	sys.Faults().DropReplies(1, rule)
+	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		_, err := tx.Object(obj).Invoke(ctx, "add", []byte("7"))
+		return err
+	})
+	if !errors.Is(err, arjuna.ErrOutcomeUnknown) {
+		t.Fatalf("err = %v, want ErrOutcomeUnknown", err)
+	}
+	if errors.Is(err, arjuna.ErrAborted) {
+		t.Fatalf("in-doubt commit tagged ErrAborted: %v", err)
+	}
+	if rep.Attempts != 1 || rep.Committed {
+		t.Fatalf("report = %+v, want one attempt, not committed", rep)
+	}
+	// The write really is durable at the store — the state an "aborted"
+	// report would contradict.
+	data, seq, err := sys.StoreState("st1", obj)
+	if err != nil || string(data) != "7" || seq != 2 {
+		t.Fatalf("st1 = %q@%d err=%v, want committed 7@2", data, seq, err)
 	}
 }
 

@@ -284,9 +284,12 @@ func (o *Object) apply(ctx context.Context, method string, args []byte) ([]byte,
 // queue) — are retried with capped, jittered exponential backoff per the
 // client's ClientRetry setting.
 //
-// The returned error is nil exactly when the action committed; otherwise
-// it carries ErrAborted plus the classified cause. The CommitReport is
-// non-nil in both cases and describes the final attempt.
+// The returned error is nil exactly when the action is known to have
+// committed. Otherwise it carries either ErrAborted plus the classified
+// cause — every effect was undone — or, alone, ErrOutcomeUnknown: the
+// commit ended in doubt, its effects may stand, and the action is not
+// retried. The CommitReport is non-nil in every case and describes the
+// final attempt.
 func (c *Client) Atomic(ctx context.Context, fn func(tx *Txn) error) (*CommitReport, error) {
 	if gate := c.sys.admit; gate != nil {
 		// WithAdmission: hold one in-flight slot for the whole action,
@@ -315,6 +318,8 @@ func (c *Client) Atomic(ctx context.Context, fn func(tx *Txn) error) (*CommitRep
 		// class: conflicts clear in milliseconds, sick nodes in cooldowns,
 		// so the breaker class backs off from a 4× higher base.
 		breakerFail := errors.Is(err, ErrPeerUnavailable)
+		// (An in-doubt commit carries ErrOutcomeUnknown and none of these
+		// classes — see MapError — so it is never retried.)
 		retryable := errors.Is(err, ErrLockRefused) || errors.Is(err, ErrOverloaded) ||
 			errors.Is(err, ErrLeaseStale) || breakerFail
 		if err == nil || attempt >= c.cfg.retries || !retryable {
@@ -382,8 +387,13 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error) (*CommitRe
 	}
 	acrep, err := act.Commit(tx.noted(ctx))
 	if err != nil {
-		// A failed prepare has already rolled the participants back.
-		return tx.report(false), tag(ErrAborted, MapError(err))
+		// A failed prepare has already rolled the participants back — unless
+		// the commit ended in doubt, where the one-phase round may stand at
+		// the store: that is not an abort and must not be called one.
+		if err = MapError(err); !errors.Is(err, ErrOutcomeUnknown) {
+			err = tag(ErrAborted, err)
+		}
+		return tx.report(false), err
 	}
 	committed = true
 	rep := tx.report(true)

@@ -31,7 +31,9 @@
 // returned CommitReport, and failures are classified by the package's
 // typed error taxonomy (ErrLockRefused, ErrUnknownObject, ErrNoServers,
 // ErrAborted, …) so callers use errors.Is / errors.As instead of string
-// matching.
+// matching. One failure is not an abort: ErrOutcomeUnknown reports a
+// commit that ended in doubt — its effects may stand — and comes without
+// ErrAborted and without a retry.
 //
 // # Read-only commit semantics
 //

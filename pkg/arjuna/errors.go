@@ -3,6 +3,7 @@ package arjuna
 import (
 	"errors"
 
+	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/lockmgr"
 	"repro/internal/object"
@@ -27,8 +28,18 @@ import (
 var (
 	// ErrAborted reports that an atomic action ended by aborting: the
 	// closure returned an error, a bind or invoke failed, or two-phase
-	// commit could not prepare. All effects of the action were undone.
+	// commit could not prepare. All effects of the action were undone. An
+	// in-doubt commit (ErrOutcomeUnknown) is NOT an abort and never carries
+	// this sentinel.
 	ErrAborted = errors.New("arjuna: action aborted")
+	// ErrOutcomeUnknown reports an action whose commit ended in doubt: the
+	// one-phase commit round may have been applied at the store, but its
+	// reply was lost and no participant could be reached to resolve the
+	// doubt (the paper's Figure-1 ambiguity). The action is neither known
+	// committed nor known aborted, so the error carries no ErrAborted and
+	// Atomic never retries it — a retry could apply the effects twice. The
+	// next activation of the object observes the true state.
+	ErrOutcomeUnknown = errors.New("arjuna: action outcome unknown")
 	// ErrLockRefused reports a refused database lock acquire or promotion
 	// (the paper's §4.2.1 conflict); the action aborted and may be retried.
 	ErrLockRefused = errors.New("arjuna: lock refused")
@@ -103,6 +114,13 @@ func tag(t, cause error) error {
 func MapError(err error) error {
 	if err == nil {
 		return nil
+	}
+	// In doubt outranks every other category: whatever made the doubt
+	// unresolvable (no servers, an open breaker) is on the chain too, and
+	// classifying by it would file the action under a definite, even a
+	// retryable, failure.
+	if errors.Is(err, action.ErrOutcomeUnknown) {
+		return tag(ErrOutcomeUnknown, err)
 	}
 	// A breaker fast-fail can sit below any of the aggregate categories
 	// (e.g. ErrNoServers when every server's breaker is open), so the

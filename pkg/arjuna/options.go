@@ -252,28 +252,23 @@ func WithDiskOptions(opts storage.DiskOptions) Option {
 }
 
 // WithMemNetwork tunes the default in-memory network (latency, jitter,
-// seed). Ignored when WithNetwork/WithTCP selects another transport.
+// seed). Ignored when WithNetwork/WithTCPMux selects another transport.
 func WithMemNetwork(opts transport.MemOptions) Option {
 	return func(c *config) { c.net = opts }
 }
 
 // WithNetwork runs the deployment over an explicit transport instead of
-// the in-memory simulator. Fault injection (System.Faults) is only
-// available on the in-memory network.
+// the in-memory simulator. Fault injection (System.Faults) is available
+// when the transport runs the fault pipeline: the in-memory network, or any
+// carrier wrapped in transport.NewFaulty.
 func WithNetwork(net transport.Network) Option {
 	return func(c *config) { c.network = net }
 }
 
-// WithTCP runs the deployment over real loopback TCP sockets,
-// demonstrating that the whole protocol stack is transport-agnostic.
-func WithTCP() Option {
-	return func(c *config) { c.network = transport.NewTCP() }
-}
-
-// WithTCPMux runs the deployment over real loopback sockets with one
-// multiplexed connection per node pair: concurrent calls are pipelined on
-// the shared connection and demultiplexed by request ID, instead of each
-// call taking a pooled connection of its own.
+// WithTCPMux runs the deployment over real loopback TCP sockets,
+// demonstrating that the whole protocol stack is transport-agnostic. Each
+// node pair shares one multiplexed connection: concurrent calls are
+// pipelined on it and demultiplexed by request ID.
 func WithTCPMux() Option {
 	return func(c *config) { c.network = transport.NewTCPMux() }
 }

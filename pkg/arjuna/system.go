@@ -103,8 +103,8 @@ func Open(opts ...Option) (*System, error) {
 // Close tears the deployment down: every node's stable storage is shut
 // down (flushing and releasing disk-backed directories, so a new Open on
 // the same data dir can take their locks) and the transport is closed
-// when the deployment runs over a closeable one (e.g. TCP); the
-// in-memory network needs no teardown. Close is idempotent.
+// when the deployment runs over a closeable one (the socket transport);
+// the in-memory network needs no teardown. Close is idempotent.
 func (s *System) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -582,8 +582,9 @@ func (s *System) Sweep(ctx context.Context) SweepReport {
 	return merged
 }
 
-// Faults returns the in-memory network's programmable fault plan, or nil
-// when the deployment runs over a real transport.
+// Faults returns the network's programmable fault plan — the in-memory
+// network always has one — or nil when the deployment runs over a bare
+// socket transport.
 func (s *System) Faults() *transport.Faults {
 	return s.w.Cluster.Faults()
 }
@@ -667,10 +668,7 @@ func (s *System) String() string {
 	if f, ok := net.(*transport.Faulty); ok {
 		net = f.Inner()
 	}
-	switch net.(type) {
-	case *transport.TCP:
-		b.WriteString(", transport=tcp")
-	case *transport.TCPMux:
+	if _, ok := net.(*transport.TCPMux); ok {
 		b.WriteString(", transport=mux")
 	}
 	b.WriteString(")")
