@@ -564,6 +564,36 @@ func BenchmarkBindOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkDBCommit measures the database action around every
+// enhanced-scheme bind — a use-count adjust and its commit — against a
+// database holding that many registered objects. The commit rewrites the
+// one entry it touched, so ns/op and allocs/op must be flat from 16
+// objects to 1,024.
+func BenchmarkDBCommit(b *testing.B) {
+	for _, objects := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("objects=%d", objects), func(b *testing.B) {
+			w, err := harness.New(harness.Options{Servers: 2, Stores: 2, Clients: 1, Objects: objects})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			id, hosts := w.Objects[0], w.Svs[:1]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				adjust := w.DB.Increment
+				if i%2 == 1 {
+					adjust = w.DB.Decrement
+				}
+				if err := adjust(ctx, "bench", "c1", id, "c1", hosts); err != nil {
+					b.Fatal(err)
+				}
+				w.DB.EndAction("bench", true)
+			}
+		})
+	}
+}
+
 // benchTotalRPCs sums every service's call counter across the deployment
 // — the "did this path touch the network at all" probe.
 func benchTotalRPCs(sys *arjuna.System) int64 {

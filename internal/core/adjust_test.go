@@ -134,6 +134,12 @@ func TestFastBindFallsBackToExclusivePassOnBrokenServer(t *testing.T) {
 	if !w.db.Quiescent(w.id) {
 		t.Fatal("use counts did not drain to zero")
 	}
+	// The abandoned fast pass ended with abort (had its read lock stayed,
+	// the exclusive pass above would never have been granted), and neither
+	// pass left a lock behind.
+	if n := w.lockHolders(); n != 0 {
+		t.Fatalf("%d lock holders left after the fallback bind", n)
+	}
 }
 
 // TestAdjustAbortAtZeroClampExact: a decrement that clamps at zero must

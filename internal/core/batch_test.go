@@ -1,0 +1,132 @@
+package core
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/lockmgr"
+	"repro/internal/replica"
+	"repro/internal/rpc"
+	"repro/internal/transport"
+	"repro/internal/uid"
+)
+
+// lockHolders lists who holds the object's Sv and St entry locks.
+func (w *world) lockHolders() (n int) {
+	return len(w.db.locks.HolderModes(svKey(w.id))) + len(w.db.locks.HolderModes(stKey(w.id)))
+}
+
+// TestBatchStopsAtFirstRefusedOp: a batch whose second operation is
+// refused returns that operation's code, leaves the first operation's
+// lock held under its own owner — what two single calls failing at the
+// second would leave — and ending the owners releases everything.
+func TestBatchStopsAtFirstRefusedOp(t *testing.T) {
+	w := newWorld(t, 1, 1, 1)
+	ctx := context.Background()
+	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
+	unknown := uid.UID{Origin: "nobody", Epoch: 1, Seq: 1}
+
+	for _, c := range []struct {
+		name   string
+		second Op
+		code   string
+	}{
+		// "reader" holds sv's read lock, so the non-blocking promotion to
+		// a write lock is refused.
+		{"lock-refused", RemoveOp("top", w.id, "sv1", true), CodeLockRefused},
+		{"unknown-object", GetViewOp("top", unknown), CodeUnknownObject},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, _, err := cli.GetServer(ctx, "reader", w.id, false, false); err != nil {
+				t.Fatal(err)
+			}
+			res, err := cli.Do(ctx, GetServerOp("owner", w.id, true, false), c.second, EndActionOp("owner", true))
+			if rpc.CodeOf(err) != c.code || res != nil {
+				t.Fatalf("batch = %v, %v; want no results and code %s", res, err, c.code)
+			}
+			if !w.db.locks.Holds("owner", svKey(w.id), lockmgr.Read) {
+				t.Fatal("the first op's read lock is not held under its owner")
+			}
+			for _, act := range []string{"owner", "top", "reader"} {
+				if err := cli.EndAction(ctx, act, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := w.lockHolders(); n != 0 {
+				t.Fatalf("%d lock holders left after every owner ended", n)
+			}
+		})
+	}
+}
+
+// TestBindAbortReleasesBatchLocks: the bind-read message's GetView is
+// refused (a recovering store holds the St entry's write lock past the
+// caller's deadline) after its GetServer took the bind action's Sv lock;
+// the binder's abort path must release that lock, and aborting the client
+// action whatever the client action itself held.
+func TestBindAbortReleasesBatchLocks(t *testing.T) {
+	for _, readOnly := range []bool{false, true} {
+		w := newWorld(t, 1, 2, 1)
+		ctx := context.Background()
+		cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
+		if _, err := cli.Include(ctx, "recovery", w.id, "st2"); err != nil {
+			t.Fatal(err)
+		}
+		b := w.binder("c1", SchemeIndependent, replica.SingleCopyPassive, 1)
+		b.FastBind, b.ReadOnly = !readOnly, readOnly
+		act := b.Actions.BeginTop()
+		bindCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		_, err := b.Bind(bindCtx, act, w.id)
+		cancel()
+		if err == nil {
+			t.Fatal("Bind succeeded against a write-locked St entry")
+		}
+		if err := act.Abort(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if holders := w.db.locks.HolderModes(svKey(w.id)); len(holders) != 0 {
+			t.Fatalf("readOnly=%v: Sv entry still locked after the failed bind: %v", readOnly, holders)
+		}
+		if err := cli.EndAction(ctx, "recovery", true); err != nil {
+			t.Fatal(err)
+		}
+		if n := w.lockHolders(); n != 0 {
+			t.Fatalf("readOnly=%v: %d lock holders left", readOnly, n)
+		}
+	}
+}
+
+// TestDuplicatedBatchLeavesNoLock: every database message of an action is
+// delivered twice. Each conversation is self-contained per owner — a
+// message that takes a lock under a bind or decrement action also ends
+// that action, or is followed by a message that does — so the second
+// delivery cannot strand a lock under an owner that has already finished.
+func TestDuplicatedBatchLeavesNoLock(t *testing.T) {
+	for _, readOnly := range []bool{false, true} {
+		w := newWorld(t, 1, 1, 1)
+		w.cluster.Faults().DuplicateRequests(1, -1, transport.ToMethod("db", ServiceName, MethodBatch))
+		b := w.binder("c1", SchemeIndependent, replica.SingleCopyPassive, 1)
+		b.FastBind, b.ReadOnly = !readOnly, readOnly
+		ctx := context.Background()
+		for i := 0; i < 3; i++ {
+			act := b.Actions.BeginTop()
+			bd, err := b.Bind(ctx, act, w.id)
+			if err != nil {
+				t.Fatalf("readOnly=%v: bind: %v", readOnly, err)
+			}
+			if _, err := bd.Invoke(ctx, "get", nil); err != nil {
+				t.Fatalf("readOnly=%v: invoke: %v", readOnly, err)
+			}
+			if _, err := act.Commit(ctx); err != nil {
+				t.Fatalf("readOnly=%v: commit: %v", readOnly, err)
+			}
+		}
+		if n := w.lockHolders(); n != 0 {
+			t.Fatalf("readOnly=%v: %d lock holders left under finished owners", readOnly, n)
+		}
+		if !w.db.Quiescent(w.id) {
+			t.Fatalf("readOnly=%v: use counts did not drain", readOnly)
+		}
+	}
+}

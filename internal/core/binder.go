@@ -13,6 +13,7 @@ import (
 	"repro/internal/action"
 	"repro/internal/object"
 	"repro/internal/replica"
+	"repro/internal/rpc"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/uid"
@@ -72,6 +73,28 @@ func (s Scheme) String() string {
 
 // Binder binds client actions to replicated objects through the group view
 // database, according to a scheme and a replication policy.
+//
+// Under the enhanced schemes one binding talks to the database three
+// times, and each conversation is one message (Client.Do) carrying the
+// paper's operations in the paper's order, each under the action that owns
+// it:
+//
+//   - bind-read — [GetServer(bind action), GetView(client action)]: the
+//     first shaded top-level action of Figure 7 (nested top-level in
+//     Figure 8) reads Sv and the use lists; the St read belongs to the
+//     client action, as in Figure 6. A ReadOnly binder appends
+//     EndAction(bind action) — it has nothing left to do under it.
+//   - bind-close — [Remove(bind action)…, Increment(bind action),
+//     EndAction(bind action, commit)]: the rest of that shaded action,
+//     after activation has shown which servers answer.
+//   - action-end — [EndAction(client action), Decrement(new action),
+//     EndAction(new action, commit)]: the client action's database locks
+//     go, then the last shaded action of Figure 7 drops the use counts.
+//
+// The standard scheme (Figure 6) has bind-read and a bare EndAction only.
+// A message that fails part-way leaves what single calls failing at the
+// same operation would (see registerService), so the failure paths are the
+// single-call ones: abortBind, txDBState.unclaim and the trackTxDB hook.
 type Binder struct {
 	// DB addresses the group view database.
 	DB Client
@@ -252,22 +275,19 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 	top := act.Top().ID()
 	b.trackTxDB(act)
 
-	// GetServer as a nested action of the client action; if the operation
-	// fails the nested action aborts and so must the client action.
+	// GetServer and GetView as a nested action of the client action — the
+	// bind-read conversation, one message; if either operation fails the
+	// nested action aborts and so must the client action.
 	nested, err := b.Actions.Begin(act)
 	if err != nil {
 		return nil, err
 	}
-	sv, _, err := b.DB.GetServer(ctx, top, id, false, false)
+	res, err := b.DB.Do(ctx, GetServerOp(top, id, false, false), GetViewOp(top, id))
 	if err != nil {
 		_ = nested.Abort(ctx)
-		return nil, fmt.Errorf("core: GetServer(%v): %w", id, err)
+		return nil, fmt.Errorf("core: GetServer+GetView(%v): %w", id, err)
 	}
-	st, class, err := b.DB.GetView(ctx, top, id)
-	if err != nil {
-		_ = nested.Abort(ctx)
-		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
-	}
+	sv, st, class := res[0].Nodes, res[1].Nodes, res[1].Class
 	if _, err := nested.Commit(ctx); err != nil {
 		return nil, err
 	}
@@ -318,18 +338,22 @@ func (b *Binder) bindEnhancedMode(ctx context.Context, act *action.Action, id ui
 		_ = bindAct.Abort(context.Background())
 	}
 
+	// Bind-read, one message: Sv (with use lists) under the bind action,
+	// St under the client action. A read-only binder never updates use
+	// lists, so its Sv read lock guards nothing once Sv is read and its
+	// bind action ends in the same message.
 	wantUse := !b.ReadOnly
 	forUpdate := !b.ReadOnly && !fast
-	sv, use, err := b.DB.GetServer(ctx, owner, id, wantUse, forUpdate)
+	ops := []Op{GetServerOp(owner, id, wantUse, forUpdate), GetViewOp(top, id)}
+	if b.ReadOnly {
+		ops = append(ops, EndActionOp(owner, true))
+	}
+	res, err := b.DB.Do(ctx, ops...)
 	if err != nil {
 		abortBind()
-		return nil, fmt.Errorf("core: GetServer(%v): %w", id, err)
+		return nil, fmt.Errorf("core: GetServer+GetView(%v): %w", id, err)
 	}
-	st, class, err := b.DB.GetView(ctx, top, id)
-	if err != nil {
-		abortBind()
-		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
-	}
+	sv, use, st, class := res[0].Nodes, res[0].Use, res[1].Nodes, res[1].Class
 
 	candidates := b.selectServers(sv, use)
 	bd, err := b.activate(ctx, act, id, class, candidates, st)
@@ -339,30 +363,27 @@ func (b *Binder) bindEnhancedMode(ctx context.Context, act *action.Action, id ui
 	}
 
 	if !b.ReadOnly {
-		if fast && len(bd.handle.Broken()) > 0 {
+		broken := bd.handle.Broken()
+		if fast && len(broken) > 0 {
 			// Removing the dead servers needs the exclusive write-locked
 			// pass; rerun the whole bind with it (rare — a bound server
 			// just failed).
 			abortBind()
 			return b.bindEnhancedMode(ctx, act, id, false)
 		}
-		// Remove failed servers from Sv so later clients do not pay the
-		// discovery cost (§4.1.3(i)); we already hold the write lock.
-		for _, dead := range bd.handle.Broken() {
-			if err := b.DB.Remove(ctx, owner, id, dead, false); err != nil {
-				abortBind()
-				return nil, fmt.Errorf("core: Remove(%v,%s): %w", id, dead, err)
-			}
+		// Bind-close, one message: remove failed servers from Sv so later
+		// clients do not pay the discovery cost (§4.1.3(i)) — the exclusive
+		// pass already holds the write lock — then count this binding in
+		// the use lists and commit the bind action.
+		ops = ops[:0]
+		for _, dead := range broken {
+			ops = append(ops, RemoveOp(owner, id, dead, false))
 		}
-		bound := bd.handle.Bound()
-		if err := b.DB.Increment(ctx, owner, id, b.ClientNode, bound); err != nil {
+		ops = append(ops, IncrementOp(owner, id, b.ClientNode, bd.handle.Bound()), EndActionOp(owner, true))
+		if _, err := b.DB.Do(ctx, ops...); err != nil {
 			abortBind()
 			return nil, fmt.Errorf("core: Increment(%v): %w", id, err)
 		}
-	}
-	if err := b.DB.EndAction(ctx, owner, true); err != nil {
-		abortBind()
-		return nil, err
 	}
 	if _, err := bindAct.Commit(ctx); err != nil {
 		return nil, err
@@ -602,7 +623,7 @@ func (bd *Binding) Prepare(ctx context.Context, tx string) (action.Vote, error) 
 	}
 	if vote == action.VoteReadOnly {
 		bd.released = true
-		bd.decrementUse(ctx)
+		_ = bd.endAtDB(ctx, tx, false, false) // the Decrement is best effort
 		return action.VoteReadOnly, nil
 	}
 	return action.VoteCommit, nil
@@ -628,12 +649,7 @@ func (bd *Binding) CommitOnePhase(ctx context.Context, tx string) (action.Vote, 
 	// sibling shares the database action: ending it right here is safe,
 	// and the decision is already commit.
 	bd.released = true
-	if bd.dbState.tryEnd() {
-		if bd.binder.DB.EndAction(ctx, tx, true) != nil {
-			bd.dbState.unclaim()
-		}
-	}
-	bd.decrementUse(ctx)
+	_ = bd.endAtDB(ctx, tx, true, true) // already committed; the resolve hook retries a failed EndAction
 	return vote, nil
 }
 
@@ -655,15 +671,9 @@ func (bd *Binding) Commit(ctx context.Context, tx string) error {
 		// past the outcome-log GC.
 		bd.act.Top().RetainOutcome()
 	}
-	if bd.dbState.tryEnd() {
-		if dbErr := bd.binder.DB.EndAction(ctx, tx, true); dbErr != nil {
-			bd.dbState.unclaim()
-			if err == nil {
-				err = dbErr
-			}
-		}
+	if dbErr := bd.endAtDB(ctx, tx, true, true); err == nil {
+		err = dbErr
 	}
-	bd.decrementUse(ctx)
 	return err
 }
 
@@ -676,37 +686,59 @@ func (bd *Binding) Abort(ctx context.Context, tx string) error {
 		return nil
 	}
 	err := bd.handle.Abort(ctx, tx)
-	if bd.dbState.tryEnd() {
-		if dbErr := bd.binder.DB.EndAction(ctx, tx, false); dbErr != nil {
-			bd.dbState.unclaim()
-			if err == nil {
-				err = dbErr
-			}
-		}
+	if dbErr := bd.endAtDB(ctx, tx, true, false); err == nil {
+		err = dbErr
 	}
-	bd.decrementUse(ctx)
 	return err
 }
 
-// decrementUse runs the §4.1.3 Decrement in its own top-level action after
+// endAtDB is the action-end conversation, one message per database: with
+// endTx, the client action's database action ends with the action's
+// outcome (unless a sibling binding or the resolve hook already ended it),
+// releasing its locks and deciding any Exclude; then — for the enhanced
+// schemes — the §4.1.3 Decrement runs in its own top-level action, after
 // the client action has terminated (the last shaded action of Figure 7).
-func (bd *Binding) decrementUse(ctx context.Context) {
+// Use counts drop whatever the outcome: the binding existed regardless.
+//
+// The returned error is the EndAction's: a failed message releases the
+// claim so that the resolve hook retries with a fresh context (EndAction
+// is idempotent, and a leaked claim would leak the action's database locks
+// instead). The Decrement is best effort, as it always was — the janitor
+// collects what a failed one leaves.
+func (bd *Binding) endAtDB(ctx context.Context, tx string, endTx, commit bool) error {
 	b := bd.binder
-	if b.ReadOnly || b.Scheme == SchemeStandard || len(bd.bound) == 0 {
-		return
+	var ops []Op
+	claimed := endTx && bd.dbState.tryEnd()
+	if claimed {
+		ops = append(ops, EndActionOp(tx, commit))
 	}
-	decAct := b.Actions.BeginTop()
-	owner := decAct.ID()
-	if err := b.DB.Decrement(ctx, owner, bd.id, b.ClientNode, bd.bound); err != nil {
-		_ = b.DB.EndAction(context.Background(), owner, false)
-		_ = decAct.Abort(context.Background())
-		return
+	var decAct *action.Action
+	if !b.ReadOnly && b.Scheme != SchemeStandard && len(bd.bound) > 0 {
+		decAct = b.Actions.BeginTop()
+		ops = append(ops, DecrementOp(decAct.ID(), bd.id, b.ClientNode, bd.bound), EndActionOp(decAct.ID(), true))
 	}
-	if err := b.DB.EndAction(ctx, owner, true); err != nil {
-		_ = decAct.Abort(context.Background())
-		return
+	if len(ops) == 0 {
+		return nil
 	}
-	_, _ = decAct.Commit(ctx)
+	_, err := b.DB.Do(ctx, ops...)
+	if decAct != nil {
+		if err != nil {
+			_ = b.DB.EndAction(context.Background(), decAct.ID(), false)
+			_ = decAct.Abort(context.Background())
+		} else {
+			_, _ = decAct.Commit(ctx)
+		}
+	}
+	if !claimed || rpc.CodeOf(err) != "" {
+		// Not ours to end — or the database answered, so the message's
+		// first operation, the infallible EndAction, ran and the error is
+		// the Decrement's.
+		return nil
+	}
+	if err != nil {
+		bd.dbState.unclaim()
+	}
+	return err
 }
 
 // FailedStores exposes the stores excluded during commit, for experiments.
@@ -752,12 +784,8 @@ func CreateObject(ctx context.Context, db Client, actions *action.Manager, id ui
 	}
 	act := actions.BeginTop()
 	owner := act.ID()
-	if err := db.Register(ctx, owner, id, class, svNodes, stNodes); err != nil {
+	if _, err := db.Do(ctx, RegisterOp(owner, id, class, svNodes, stNodes), EndActionOp(owner, true)); err != nil {
 		_ = db.EndAction(context.Background(), owner, false)
-		_ = act.Abort(context.Background())
-		return err
-	}
-	if err := db.EndAction(ctx, owner, true); err != nil {
 		_ = act.Abort(context.Background())
 		return err
 	}

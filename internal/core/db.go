@@ -14,9 +14,15 @@
 // databases are realised as a single persistent object — the *group view
 // database* (DB) — whose entries are concurrency-controlled independently
 // with read, write, and exclude-write locks, and whose operations execute
-// under atomic actions. The database object lives on one node: its
-// committed image is in that node's stable store and survives crashes;
-// locks and uncommitted mutations are volatile and die with the node.
+// under atomic actions. The database object lives on one node, and it is
+// persistent entry by entry: every Sv entry and every St entry has its own
+// durable record in that node's stable store (a binary rpc.Wire record
+// under a key derived from the object's UID), so the unit of locking is
+// also the unit of durability. A committing action rewrites exactly the
+// entries it changed, all of them in one atomic stable write; a Deregister
+// leaves a tombstone record in the same write. Locks and uncommitted
+// mutations are volatile and die with the node, and recovery rebuilds the
+// database from the records alone.
 //
 // Lock ownership simplification: lock owners are top-level action IDs.
 // Arjuna's nested actions would let a subaction hold the lock until it
@@ -30,12 +36,15 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/lockmgr"
 	"repro/internal/rpc"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/uid"
 )
@@ -55,11 +64,10 @@ const (
 	CodeNotQuiescent = "not-quiescent"
 )
 
-// UseList is the wire/state form of one server node's use list: how many
-// bindings each client node holds against that server (§4.1.3).
-type UseList struct {
-	Host    transport.Addr
-	Clients map[transport.Addr]int
+// useKey names one use-list counter of an Sv entry: the bindings client
+// node client holds against server node host (§4.1.3).
+type useKey struct {
+	host, client transport.Addr
 }
 
 // serverEntry is the Object Server database record for one object.
@@ -68,6 +76,12 @@ type serverEntry struct {
 	Nodes []transport.Addr
 	// Use maps server node → client node → count.
 	Use map[transport.Addr]map[transport.Addr]int
+	// unsettled sums the use-count deltas that actions still in flight have
+	// applied to Use in place under Adjust locks. Those actions run
+	// concurrently, so when one of them commits the entry's durable record
+	// must not carry the others' undecided adjustments: the committed
+	// counters are Use minus unsettled. Nil when no adjuster is in flight.
+	unsettled map[useKey]int
 }
 
 // stateEntry is the Object State database record for one object.
@@ -91,6 +105,9 @@ func (e *serverEntry) clone() *serverEntry {
 		}
 		cp.Use[host] = m
 	}
+	if len(e.unsettled) > 0 {
+		cp.unsettled = maps.Clone(e.unsettled)
+	}
 	return cp
 }
 
@@ -98,19 +115,60 @@ func (e *stateEntry) clone() *stateEntry {
 	return &stateEntry{Nodes: append([]transport.Addr(nil), e.Nodes...), Class: e.Class}
 }
 
+// addUnsettled moves the entry's unsettled sum for k by n: plus a delta
+// when an action applies it, minus the same delta when that action ends,
+// either way.
+func (e *serverEntry) addUnsettled(k useKey, n int) {
+	if sum := e.unsettled[k] + n; sum != 0 {
+		if e.unsettled == nil {
+			e.unsettled = make(map[useKey]int)
+		}
+		e.unsettled[k] = sum
+	} else {
+		delete(e.unsettled, k)
+	}
+}
+
+// record renders the entry's committed state: Sv and the use lists less
+// every adjustment whose action is still undecided.
+func (e *serverEntry) record() *entryRecord {
+	rec := &entryRecord{Nodes: e.Nodes}
+	for host, clients := range e.Use {
+		for c, n := range clients {
+			if n -= e.unsettled[useKey{host, c}]; n > 0 {
+				rec.Use = append(rec.Use, useCount{host, c, n})
+			}
+		}
+	}
+	return rec
+}
+
+func (e *stateEntry) record() *entryRecord {
+	return &entryRecord{Nodes: e.Nodes, Class: e.Class}
+}
+
+// useDelta is one use-count adjustment an action made under an Adjust lock.
+type useDelta struct {
+	id  uid.UID
+	key useKey
+	n   int
+}
+
 // snapshotSet records pre-images of entries an action has mutated, for
-// abort.
+// abort. Its keys are also the action's write set: commit rewrites the
+// durable records of exactly these entries.
 type snapshotSet struct {
 	servers map[uid.UID]*serverEntry // nil value = entry did not exist
 	states  map[uid.UID]*stateEntry
-	// useDeltas records the net use-count adjustments the action made
-	// under Adjust locks: object → host → client → delta. Adjust holders
-	// run concurrently, so abort cannot restore a pre-image (it would
-	// clobber sibling adjustments); it applies the inverse deltas instead,
-	// which is exact because counter addition commutes. An action never
-	// mixes the two undo schemes on one object: adjustUse snapshots when
-	// the action holds the entry's write lock and logs deltas otherwise.
-	useDeltas map[uid.UID]map[transport.Addr]map[transport.Addr]int
+	// useDeltas logs the use-count adjustments the action made under
+	// Adjust locks. Adjust holders run concurrently, so abort cannot
+	// restore a pre-image (it would clobber sibling adjustments); it
+	// applies the inverse deltas instead, which is exact because counter
+	// addition commutes. An action that holds the entry's write lock
+	// snapshots instead (see adjustUse); every delta therefore predates
+	// any snapshot the same action took of that entry, and abort applies
+	// the inverses on top of the restored pre-image.
+	useDeltas []useDelta
 }
 
 // DB is the group view database: the naming and binding service state on
@@ -118,36 +176,34 @@ type snapshotSet struct {
 type DB struct {
 	node  *sim.Node
 	locks *lockmgr.Manager
-	// imageUID names the database's own persistent state in the node's
-	// stable store — the database is itself a persistent object (§3.1).
-	imageUID uid.UID
 
-	mu       sync.Mutex
-	servers  map[uid.UID]*serverEntry
-	states   map[uid.UID]*stateEntry
-	imageSeq uint64
+	mu      sync.Mutex
+	servers map[uid.UID]*serverEntry
+	states  map[uid.UID]*stateEntry
 	// pending maps an in-flight action to its undo snapshots.
 	pending map[string]*snapshotSet
 	// clients maps an in-flight action to the node it came from, for the
 	// janitor's failure detection.
 	clients map[string]transport.Addr
+	// dirty holds the committed records whose stable write failed, by
+	// record key; they ride the next commit's write (see writeRecordsLocked).
+	dirty map[uid.UID][]byte
 }
 
 // NewDB installs the group view database on node and registers its RPC
-// service. The database reloads its committed image from the node's stable
+// service. The database reloads its entry records from the node's stable
 // store, both at creation and whenever the node recovers from a crash.
 func NewDB(node *sim.Node) *DB {
-	db := &DB{
-		node:     node,
-		imageUID: uid.UID{Origin: "groupviewdb", Epoch: 1, Seq: 1},
-	}
-	db.resetVolatile()
-	db.loadImage()
+	db := &DB{node: node}
+	db.mu.Lock()
+	db.resetVolatileLocked()
+	db.loadRecordsLocked()
+	db.mu.Unlock()
 	node.OnRecover(func(*sim.Node) {
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		db.resetVolatileLocked()
-		db.loadImageLocked()
+		db.loadRecordsLocked()
 	})
 	registerService(node.Server(), db)
 	return db
@@ -159,128 +215,172 @@ func (db *DB) Node() *sim.Node { return db.node }
 // Addr returns the database's network address.
 func (db *DB) Addr() transport.Addr { return db.node.Name() }
 
-func (db *DB) resetVolatile() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.resetVolatileLocked()
-}
-
 func (db *DB) resetVolatileLocked() {
 	db.locks = lockmgr.New(lockmgr.NoNesting)
 	db.servers = make(map[uid.UID]*serverEntry)
 	db.states = make(map[uid.UID]*stateEntry)
 	db.pending = make(map[string]*snapshotSet)
 	db.clients = make(map[string]transport.Addr)
+	db.dirty = make(map[uid.UID][]byte)
 }
 
 // --- persistence ---
 
-// image is the gob-serialised committed database state.
-type image struct {
-	Servers map[string]imageServerEntry
-	States  map[string]imageStateEntry
+// The database is itself a persistent object (§3.1), stored one record per
+// entry: object A's Sv entry (nodes and use lists) lives under svRecordKey(A)
+// and its St entry (nodes and class) under stRecordKey(A) in the home
+// node's stable store. Each record is its own version chain there, so a
+// commit costs what it touches, whatever the number of registered objects.
+const (
+	svRecordPrefix = "groupview/sv/"
+	stRecordPrefix = "groupview/st/"
+	// dbTxPrefix marks the stable store's transaction names as the
+	// database's own: no coordinator answers for them, so one found pending
+	// after a crash (a commit torn between its entry writes) is aborted.
+	dbTxPrefix = "groupview/"
+)
+
+func svRecordKey(id uid.UID) uid.UID {
+	return uid.UID{Origin: svRecordPrefix + id.Origin, Epoch: id.Epoch, Seq: id.Seq}
 }
 
-type imageServerEntry struct {
-	Nodes []string
-	Use   map[string]map[string]int
+func stRecordKey(id uid.UID) uid.UID {
+	return uid.UID{Origin: stRecordPrefix + id.Origin, Epoch: id.Epoch, Seq: id.Seq}
 }
 
-type imageStateEntry struct {
-	Nodes []string
-	Class string
-}
-
-func (db *DB) loadImage() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.loadImageLocked()
-}
-
-func (db *DB) loadImageLocked() {
-	v, err := db.node.Store().Read(db.imageUID)
-	if err != nil {
-		return // no committed image yet
-	}
-	var img image
-	if err := rpc.Decode(v.Data, &img); err != nil {
-		// A corrupt stable image would be a catastrophic simulator bug;
-		// fail loudly rather than run with silent data loss.
-		panic(fmt.Sprintf("core: corrupt db image: %v", err))
-	}
-	db.imageSeq = v.Seq
-	db.servers = make(map[uid.UID]*serverEntry, len(img.Servers))
-	for k, e := range img.Servers {
-		id, err := uid.Parse(k)
-		if err != nil {
-			panic(fmt.Sprintf("core: corrupt db image key %q: %v", k, err))
+// loadRecordsLocked rebuilds the database from its entry records. A
+// tombstone (the record a committed Deregister leaves) yields no entry; its
+// version chain stays, for a later Register of the same UID to extend.
+func (db *DB) loadRecordsLocked() {
+	st := db.node.Store()
+	for _, tx := range st.PendingTxs() {
+		if strings.HasPrefix(tx, dbTxPrefix) {
+			_ = st.Abort(tx) // fails only on a closed store, which lists nothing
 		}
-		se := &serverEntry{Use: make(map[transport.Addr]map[transport.Addr]int)}
-		for _, n := range e.Nodes {
-			se.Nodes = append(se.Nodes, transport.Addr(n))
-		}
-		for host, clients := range e.Use {
-			m := make(map[transport.Addr]int, len(clients))
-			for c, n := range clients {
-				m[transport.Addr(c)] = n
+	}
+	for _, key := range st.Objects() {
+		origin, isSv := strings.CutPrefix(key.Origin, svRecordPrefix)
+		if !isSv {
+			var isSt bool
+			if origin, isSt = strings.CutPrefix(key.Origin, stRecordPrefix); !isSt {
+				continue
 			}
-			se.Use[transport.Addr(host)] = m
 		}
-		db.servers[id] = se
-	}
-	db.states = make(map[uid.UID]*stateEntry, len(img.States))
-	for k, e := range img.States {
-		id, err := uid.Parse(k)
+		v, err := st.Read(key)
+		var rec entryRecord
+		if err == nil {
+			err = rpc.Decode(v.Data, &rec)
+		}
 		if err != nil {
-			panic(fmt.Sprintf("core: corrupt db image key %q: %v", k, err))
+			// A corrupt stable record would be a catastrophic simulator bug;
+			// fail loudly rather than run with silent data loss.
+			panic(fmt.Sprintf("core: corrupt db record %v: %v", key, err))
 		}
-		st := &stateEntry{Class: e.Class}
-		for _, n := range e.Nodes {
-			st.Nodes = append(st.Nodes, transport.Addr(n))
+		if rec.Deleted {
+			continue
 		}
-		db.states[id] = st
+		id := uid.UID{Origin: origin, Epoch: key.Epoch, Seq: key.Seq}
+		if !isSv {
+			db.states[id] = &stateEntry{Nodes: rec.Nodes, Class: rec.Class}
+			continue
+		}
+		e := &serverEntry{Nodes: rec.Nodes, Use: make(map[transport.Addr]map[transport.Addr]int, len(rec.Nodes))}
+		for _, u := range rec.Use {
+			if e.Use[u.Host] == nil {
+				e.Use[u.Host] = make(map[transport.Addr]int)
+			}
+			e.Use[u.Host][u.Client] = u.N
+		}
+		db.servers[id] = e
 	}
 }
 
-// persistLocked writes the committed image to stable storage; db.mu held.
-func (db *DB) persistLocked() {
-	img := image{
-		Servers: make(map[string]imageServerEntry, len(db.servers)),
-		States:  make(map[string]imageStateEntry, len(db.states)),
-	}
-	for id, e := range db.servers {
-		ie := imageServerEntry{Use: make(map[string]map[string]int, len(e.Use))}
-		for _, n := range e.Nodes {
-			ie.Nodes = append(ie.Nodes, string(n))
+// commitLocked makes act's mutations durable: one record per entry the
+// action touched — the keys of its snapshot set plus the entries it
+// adjusted — and nothing else, so other actions' provisional changes to
+// other entries never reach stable storage. db.mu held.
+func (db *DB) commitLocked(act string, ss *snapshotSet) {
+	for _, d := range ss.useDeltas {
+		if e, ok := db.servers[d.id]; ok {
+			e.addUnsettled(d.key, -d.n)
 		}
-		for host, clients := range e.Use {
-			m := make(map[string]int, len(clients))
-			for c, n := range clients {
-				m[string(c)] = n
-			}
-			ie.Use[string(host)] = m
-		}
-		img.Servers[id.String()] = ie
 	}
-	for id, e := range db.states {
-		ie := imageStateEntry{Class: e.Class}
-		for _, n := range e.Nodes {
-			ie.Nodes = append(ie.Nodes, string(n))
+	writes := make([]store.Write, 0, len(ss.servers)+len(ss.states)+len(ss.useDeltas))
+	sv := func(id uid.UID) {
+		key := svRecordKey(id)
+		if hasRecord(writes, key) {
+			return
 		}
-		img.States[id.String()] = ie
+		if e, ok := db.servers[id]; ok {
+			writes = append(writes, encodeRecord(key, e.record()))
+		} else if ss.servers[id] != nil {
+			writes = append(writes, encodeRecord(key, &entryRecord{Deleted: true}))
+		}
 	}
-	data, err := rpc.Encode(&img)
+	for id := range ss.servers {
+		sv(id)
+	}
+	for _, d := range ss.useDeltas {
+		sv(d.id)
+	}
+	for id, snap := range ss.states {
+		if e, ok := db.states[id]; ok {
+			writes = append(writes, encodeRecord(stRecordKey(id), e.record()))
+		} else if snap != nil {
+			writes = append(writes, encodeRecord(stRecordKey(id), &entryRecord{Deleted: true}))
+		}
+	}
+	db.writeRecordsLocked(act, writes)
+}
+
+func hasRecord(writes []store.Write, key uid.UID) bool {
+	for _, w := range writes {
+		if w.UID == key {
+			return true
+		}
+	}
+	return false
+}
+
+func encodeRecord(key uid.UID, rec *entryRecord) store.Write {
+	data, err := rpc.Encode(rec)
 	if err != nil {
-		panic(fmt.Sprintf("core: encode db image: %v", err))
+		panic(fmt.Sprintf("core: encode db record %v: %v", key, err)) // the binary codec cannot fail
 	}
-	// Every image is a complete snapshot, so a failed stable write (full
-	// disk, node mid-crash) is survivable by NOT advancing the sequence:
-	// the stable image just stays at the previous checkpoint until the
-	// next mutation persists the full current state again. Recovery then
-	// loads the last image that actually made it to stable storage.
-	if err := db.node.Store().Put(db.imageUID, data, db.imageSeq+1); err == nil {
-		db.imageSeq++
+	return store.Write{UID: key, Data: data}
+}
+
+// writeRecordsLocked writes entry records to stable storage as one atomic
+// update: after a crash either every record of the call is there or none
+// is (a multi-object Exclude, or the two halves of a Register, never
+// half-commit). Each record extends its own version chain by one.
+//
+// A failed stable write (full disk, node mid-crash) is survivable: the
+// records stay in the dirty set and ride the next call's write, whatever
+// action makes it, unless that call carries a newer record of the same
+// entry. Until then the stable entry is at its previous version and
+// recovery loads that. db.mu held.
+func (db *DB) writeRecordsLocked(tx string, writes []store.Write) {
+	for key, data := range db.dirty {
+		if !hasRecord(writes, key) {
+			writes = append(writes, store.Write{UID: key, Data: data})
+		}
 	}
+	if len(writes) == 0 {
+		return
+	}
+	st := db.node.Store()
+	for i := range writes {
+		seq, _ := st.SeqOf(writes[i].UID)
+		writes[i].Seq = seq + 1
+	}
+	if err := st.CommitOnePhase(dbTxPrefix+tx, writes); err != nil {
+		for _, w := range writes {
+			db.dirty[w.UID] = w.Data
+		}
+		return
+	}
+	clear(db.dirty)
 }
 
 // --- lock and snapshot plumbing ---
@@ -299,6 +399,9 @@ func (db *DB) snapServerLocked(act string, id uid.UID) {
 	if _, done := ss.servers[id]; done {
 		return
 	}
+	if ss.servers == nil {
+		ss.servers = make(map[uid.UID]*serverEntry)
+	}
 	if e, ok := db.servers[id]; ok {
 		ss.servers[id] = e.clone()
 	} else {
@@ -311,6 +414,9 @@ func (db *DB) snapStateLocked(act string, id uid.UID) {
 	if _, done := ss.states[id]; done {
 		return
 	}
+	if ss.states == nil {
+		ss.states = make(map[uid.UID]*stateEntry)
+	}
 	if e, ok := db.states[id]; ok {
 		ss.states[id] = e.clone()
 	} else {
@@ -321,42 +427,22 @@ func (db *DB) snapStateLocked(act string, id uid.UID) {
 func (db *DB) pendingSetLocked(act string) *snapshotSet {
 	ss, ok := db.pending[act]
 	if !ok {
-		ss = &snapshotSet{
-			servers:   make(map[uid.UID]*serverEntry),
-			states:    make(map[uid.UID]*stateEntry),
-			useDeltas: make(map[uid.UID]map[transport.Addr]map[transport.Addr]int),
-		}
+		ss = &snapshotSet{}
 		db.pending[act] = ss
 	}
 	return ss
 }
 
-// noteUseDeltaLocked logs one use-count adjustment made under an Adjust
-// lock, for inverse-apply on abort.
-func (db *DB) noteUseDeltaLocked(act string, id uid.UID, host, client transport.Addr, delta int) {
-	ss := db.pendingSetLocked(act)
-	hosts := ss.useDeltas[id]
-	if hosts == nil {
-		hosts = make(map[transport.Addr]map[transport.Addr]int)
-		ss.useDeltas[id] = hosts
-	}
-	m := hosts[host]
-	if m == nil {
-		m = make(map[transport.Addr]int)
-		hosts[host] = m
-	}
-	m[client] += delta
-}
-
-// EndAction finishes an action at the database: commit persists its entry
-// mutations, abort restores the pre-images; either way the action's locks
-// are released (end of Figure 6's read-lock hold, or of the short
-// independent actions of Figures 7–8).
+// EndAction finishes an action at the database: commit makes its entry
+// mutations durable (see commitLocked), abort restores the pre-images;
+// either way the action's locks are released (end of Figure 6's read-lock
+// hold, or of the short independent actions of Figures 7–8). Ending an
+// action the database does not know is a no-op, so the call is idempotent.
 func (db *DB) EndAction(act string, commit bool) {
 	db.mu.Lock()
 	if ss, ok := db.pending[act]; ok {
 		if commit {
-			db.persistLocked()
+			db.commitLocked(act, ss)
 		} else {
 			for id, snap := range ss.servers {
 				if snap == nil {
@@ -372,29 +458,20 @@ func (db *DB) EndAction(act string, commit bool) {
 					db.states[id] = snap
 				}
 			}
-			// Adjust-mode use-count changes are undone by inverse deltas —
-			// the Adjust lock is still held here, so no Write holder can
-			// have restructured the entry underneath. An id with a
-			// pre-image snapshot was mutated under the write lock and is
-			// already fully restored above.
-			for id, hosts := range ss.useDeltas {
-				if _, snapped := ss.servers[id]; snapped {
-					continue
-				}
-				e, ok := db.servers[id]
+			// Adjust-mode use-count changes are undone by inverse deltas,
+			// newest first so that no intermediate value meets the zero
+			// clamp — the Adjust lock is still held here, so no Write
+			// holder can have restructured the entry underneath.
+			for i := len(ss.useDeltas) - 1; i >= 0; i-- {
+				d := ss.useDeltas[i]
+				e, ok := db.servers[d.id]
 				if !ok {
 					continue
 				}
-				for host, clients := range hosts {
-					m := e.Use[host]
-					if m == nil {
-						continue
-					}
-					for c, delta := range clients {
-						m[c] -= delta
-						if m[c] <= 0 {
-							delete(m, c)
-						}
+				e.addUnsettled(d.key, -d.n)
+				if m := e.Use[d.key.host]; m != nil {
+					if m[d.key.client] -= d.n; m[d.key.client] <= 0 {
+						delete(m, d.key.client)
 					}
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -92,10 +93,11 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 
 	// Zero use-list counters contributed by dead clients. This is cleanup
 	// outside the lock protocol by design: the counters' owners are gone
-	// and can never release them.
+	// and can never release them. Only the entries it changed are rewritten.
 	db.mu.Lock()
-	changed := false
-	for _, e := range db.servers {
+	var writes []store.Write
+	for id, e := range db.servers {
+		changed := false
 		for _, clients := range e.Use {
 			for c := range clients {
 				if dead[c] {
@@ -105,10 +107,11 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 				}
 			}
 		}
+		if changed {
+			writes = append(writes, encodeRecord(svRecordKey(id), e.record()))
+		}
 	}
-	if changed {
-		db.persistLocked()
-	}
+	db.writeRecordsLocked("janitor", writes)
 	db.mu.Unlock()
 	return report
 }

@@ -163,3 +163,19 @@ func (c NSClient) Remove(ctx context.Context, id uid.UID, host transport.Addr) e
 	_, err := rpc.Invoke[NameUpdateReq, Ack](ctx, c.RPC, c.Node, NameServiceName, NameMethodRemove, NameUpdateReq{UID: id.String(), Host: string(host)})
 	return err
 }
+
+func toAddrs(in []string) []transport.Addr {
+	out := make([]transport.Addr, len(in))
+	for i, s := range in {
+		out[i] = transport.Addr(s)
+	}
+	return out
+}
+
+func fromAddrs(in []transport.Addr) []string {
+	out := make([]string, len(in))
+	for i, a := range in {
+		out[i] = string(a)
+	}
+	return out
+}

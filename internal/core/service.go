@@ -13,20 +13,9 @@ import (
 // ServiceName is the RPC service name of the group view database.
 const ServiceName = "groupview"
 
-// RPC method names — one per database operation of §4.1/§4.2.
-const (
-	MethodRegister   = "Register"
-	MethodDeregister = "Deregister"
-	MethodGetServer  = "GetServer"
-	MethodInsert     = "Insert"
-	MethodRemove     = "Remove"
-	MethodIncrement  = "Increment"
-	MethodDecrement  = "Decrement"
-	MethodGetView    = "GetView"
-	MethodInclude    = "Include"
-	MethodExclude    = "Exclude"
-	MethodEndAction  = "EndAction"
-)
+// MethodBatch is the database's one RPC method: an ordered list of
+// operations (see Op) executed in one round trip.
+const MethodBatch = "Batch"
 
 // --- server-side operations ---
 
@@ -102,7 +91,7 @@ func (db *DB) Deregister(ctx context.Context, act string, from transport.Addr, i
 // forUpdate takes a write lock instead — the enhanced schemes of §4.1.3
 // read Sv and update use lists within one top-level action, so they take
 // the stronger lock up front rather than promote later.
-func (db *DB) GetServer(ctx context.Context, act string, from transport.Addr, id uid.UID, wantUse, forUpdate bool) ([]transport.Addr, []UseList, error) {
+func (db *DB) GetServer(ctx context.Context, act string, from transport.Addr, id uid.UID, wantUse, forUpdate bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int, error) {
 	mode := lockmgr.Read
 	if forUpdate {
 		mode = lockmgr.Write
@@ -121,17 +110,17 @@ func (db *DB) GetServer(ctx context.Context, act string, from transport.Addr, id
 	if !wantUse {
 		return nodes, nil, nil
 	}
-	uses := make([]UseList, 0, len(e.Nodes))
+	use := make(map[transport.Addr]map[transport.Addr]int, len(e.Nodes))
 	for _, host := range e.Nodes {
-		ul := UseList{Host: host, Clients: make(map[transport.Addr]int)}
+		m := make(map[transport.Addr]int, len(e.Use[host]))
 		for c, n := range e.Use[host] {
 			if n > 0 {
-				ul.Clients[c] = n
+				m[c] = n
 			}
 		}
-		uses = append(uses, ul)
+		use[host] = m
 	}
-	return nodes, uses, nil
+	return nodes, use, nil
 }
 
 // Insert adds host to Sv_A under a write lock. Because the write lock
@@ -245,6 +234,7 @@ func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id
 	if exclusive {
 		db.snapServerLocked(act, id)
 	}
+	ss := db.pendingSetLocked(act)
 	for _, host := range hosts {
 		m := e.Use[host]
 		if m == nil {
@@ -259,11 +249,13 @@ func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id
 		} else {
 			m[clientNode] = nv
 		}
-		if !exclusive {
+		if !exclusive && nv != old {
 			// Log the effective delta — at the zero clamp a decrement
 			// applies less than asked, and the inverse must match what
 			// actually happened to the counter.
-			db.noteUseDeltaLocked(act, id, host, clientNode, nv-old)
+			k := useKey{host, clientNode}
+			e.addUnsettled(k, nv-old)
+			ss.useDeltas = append(ss.useDeltas, useDelta{id, k, nv - old})
 		}
 	}
 	return nil
@@ -375,225 +367,176 @@ func (db *DB) Exclude(ctx context.Context, act string, from transport.Addr, pair
 	return nil
 }
 
-// --- wire records ---
+// --- the batch request ---
 
-// RegisterReq registers a new object in both databases.
-type RegisterReq struct {
-	Action  string
-	UID     string
-	Class   string
-	SvNodes []string
-	StNodes []string
-}
+// OpKind names one database operation of §4.1/§4.2.
+type OpKind byte
 
-// DeregisterReq removes an object from both databases.
-type DeregisterReq struct {
+// The database operations, in wire order.
+const (
+	OpRegister OpKind = iota + 1
+	OpDeregister
+	OpGetServer
+	OpInsert
+	OpRemove
+	OpIncrement
+	OpDecrement
+	OpGetView
+	OpInclude
+	OpExclude
+	OpEndAction
+	opKindEnd // one past the last valid kind
+)
+
+// Op is one operation of a batch request: the kind, the action it runs
+// under (each op names its own, so one message can carry ops of several
+// owners), and the arguments that kind takes. Build one with the
+// constructors below.
+type Op struct {
+	Kind   OpKind
 	Action string
-	UID    string
-}
-
-// DeregisterResp carries the removed entry's St view and class.
-type DeregisterResp struct {
-	Nodes []string
+	// UID is the object (every kind but Exclude and EndAction).
+	UID uid.UID
+	// Class is the object's class (Register).
 	Class string
+	// Host is the node to insert, remove or include, or — for Increment and
+	// Decrement — the client node whose counters move.
+	Host transport.Addr
+	// Hosts lists Sv (Register) or the servers whose use lists move
+	// (Increment, Decrement); Stores lists St (Register).
+	Hosts, Stores []transport.Addr
+	// Pairs lists the exclusions (Exclude).
+	Pairs []ExcludePair
+	// WantUse and ForUpdate qualify GetServer, TryOnly Remove, UseWriteLock
+	// Exclude, and Commit EndAction; see the DB methods of those names.
+	WantUse, ForUpdate, TryOnly, UseWriteLock, Commit bool
 }
 
-// GetServerReq fetches Sv (and optionally use lists).
-type GetServerReq struct {
-	Action  string
-	UID     string
-	WantUse bool
-	// ForUpdate acquires a write lock instead of a read lock (§4.1.3
-	// schemes that will update use lists in the same action).
-	ForUpdate bool
+// RegisterOp registers a new object in both databases.
+func RegisterOp(act string, id uid.UID, class string, svNodes, stNodes []transport.Addr) Op {
+	return Op{Kind: OpRegister, Action: act, UID: id, Class: class, Hosts: svNodes, Stores: stNodes}
 }
 
-// GetServerResp carries Sv and the use lists.
-type GetServerResp struct {
-	Nodes []string
-	Use   map[string]map[string]int
+// DeregisterOp removes an object from both databases.
+func DeregisterOp(act string, id uid.UID) Op {
+	return Op{Kind: OpDeregister, Action: act, UID: id}
 }
 
-// HostReq is the generic {action, uid, host} update request.
-type HostReq struct {
-	Action string
-	UID    string
-	Host   string
-	// TryOnly makes the lock attempt non-blocking (Remove only).
-	TryOnly bool
+// GetServerOp reads Sv_A (and the use lists when wantUse); forUpdate takes
+// a write lock.
+func GetServerOp(act string, id uid.UID, wantUse, forUpdate bool) Op {
+	return Op{Kind: OpGetServer, Action: act, UID: id, WantUse: wantUse, ForUpdate: forUpdate}
 }
 
-// IncludeResp carries the post-include St view.
-type IncludeResp struct {
-	Nodes []string
+// InsertOp adds a server node to Sv_A.
+func InsertOp(act string, id uid.UID, host transport.Addr) Op {
+	return Op{Kind: OpInsert, Action: act, UID: id, Host: host}
 }
 
-// UseReq adjusts use lists.
-type UseReq struct {
-	Action     string
-	UID        string
-	ClientNode string
-	Hosts      []string
+// RemoveOp drops a server node from Sv_A; tryOnly makes the lock attempt
+// non-blocking.
+func RemoveOp(act string, id uid.UID, host transport.Addr, tryOnly bool) Op {
+	return Op{Kind: OpRemove, Action: act, UID: id, Host: host, TryOnly: tryOnly}
 }
 
-// GetViewReq fetches St.
-type GetViewReq struct {
-	Action string
-	UID    string
+// IncrementOp bumps clientNode's use count at the given hosts.
+func IncrementOp(act string, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) Op {
+	return Op{Kind: OpIncrement, Action: act, UID: id, Host: clientNode, Hosts: hosts}
 }
 
-// GetViewResp carries St and the object's class.
-type GetViewResp struct {
-	Nodes []string
+// DecrementOp is the complementary operation to IncrementOp.
+func DecrementOp(act string, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) Op {
+	return Op{Kind: OpDecrement, Action: act, UID: id, Host: clientNode, Hosts: hosts}
+}
+
+// GetViewOp reads St_A and the class name.
+func GetViewOp(act string, id uid.UID) Op {
+	return Op{Kind: OpGetView, Action: act, UID: id}
+}
+
+// IncludeOp adds a store node back into St_A.
+func IncludeOp(act string, id uid.UID, host transport.Addr) Op {
+	return Op{Kind: OpInclude, Action: act, UID: id, Host: host}
+}
+
+// ExcludeOp removes failed store nodes from St sets.
+func ExcludeOp(act string, pairs []ExcludePair, useWriteLock bool) Op {
+	return Op{Kind: OpExclude, Action: act, Pairs: pairs, UseWriteLock: useWriteLock}
+}
+
+// EndActionOp finishes an action at the database.
+func EndActionOp(act string, commit bool) Op {
+	return Op{Kind: OpEndAction, Action: act, Commit: commit}
+}
+
+// OpResult is what one operation returned: Sv and the use lists
+// (GetServer), St and the class (GetView, Deregister), the post-include
+// view (Include), nothing for the rest.
+type OpResult struct {
+	Nodes []transport.Addr
 	Class string
+	Use   map[transport.Addr]map[transport.Addr]int
 }
 
-// ExcludeReq batches St exclusions.
-type ExcludeReq struct {
-	Action string
-	Pairs  []ExcludePairRec
-	// UseWriteLock selects the §4.2.1 baseline (read→write promotion)
-	// instead of the exclude-write lock.
-	UseWriteLock bool
+// BatchReq is the database's request record: operations to execute in
+// order.
+type BatchReq struct {
+	Ops []Op
 }
 
-// ExcludePairRec is the wire form of ExcludePair.
-type ExcludePairRec struct {
-	UID   string
-	Hosts []string
+// BatchResp carries one result per operation of the request.
+type BatchResp struct {
+	Results []OpResult
 }
 
-// EndActionReq finishes an action at the database.
-type EndActionReq struct {
-	Action string
-	Commit bool
-}
-
-// Ack is an empty success response.
-type Ack struct{}
-
+// registerService installs the database's single dispatch path. A batch
+// executes its operations in order, each under its own action exactly as
+// if it had arrived alone, and stops at the first one that fails: that
+// operation's error, code included, is the reply, and the operations
+// before it stand (their locks are held, their mutations pending) — the
+// state a sequence of single calls failing at the same operation leaves.
 func registerService(srv *rpc.Server, db *DB) {
-	srv.Handle(ServiceName, MethodRegister, rpc.Method(func(ctx context.Context, from transport.Addr, req RegisterReq) (Ack, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		return Ack{}, db.Register(ctx, req.Action, from, id, req.Class, toAddrs(req.SvNodes), toAddrs(req.StNodes))
-	}))
-	srv.Handle(ServiceName, MethodDeregister, rpc.Method(func(ctx context.Context, from transport.Addr, req DeregisterReq) (DeregisterResp, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return DeregisterResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		nodes, class, err := db.Deregister(ctx, req.Action, from, id)
-		if err != nil {
-			return DeregisterResp{}, err
-		}
-		return DeregisterResp{Nodes: fromAddrs(nodes), Class: class}, nil
-	}))
-	srv.Handle(ServiceName, MethodGetServer, rpc.Method(func(ctx context.Context, from transport.Addr, req GetServerReq) (GetServerResp, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return GetServerResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		nodes, uses, err := db.GetServer(ctx, req.Action, from, id, req.WantUse, req.ForUpdate)
-		if err != nil {
-			return GetServerResp{}, err
-		}
-		resp := GetServerResp{Nodes: fromAddrs(nodes)}
-		if req.WantUse {
-			resp.Use = make(map[string]map[string]int, len(uses))
-			for _, ul := range uses {
-				m := make(map[string]int, len(ul.Clients))
-				for c, n := range ul.Clients {
-					m[string(c)] = n
-				}
-				resp.Use[string(ul.Host)] = m
+	srv.Handle(ServiceName, MethodBatch, rpc.Method(func(ctx context.Context, from transport.Addr, req BatchReq) (BatchResp, error) {
+		resp := BatchResp{Results: make([]OpResult, len(req.Ops))}
+		for i := range req.Ops {
+			var err error
+			if resp.Results[i], err = db.exec(ctx, from, &req.Ops[i]); err != nil {
+				return BatchResp{}, err
 			}
 		}
 		return resp, nil
 	}))
-	srv.Handle(ServiceName, MethodInsert, rpc.Method(func(ctx context.Context, from transport.Addr, req HostReq) (Ack, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		return Ack{}, db.Insert(ctx, req.Action, from, id, transport.Addr(req.Host))
-	}))
-	srv.Handle(ServiceName, MethodRemove, rpc.Method(func(ctx context.Context, from transport.Addr, req HostReq) (Ack, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		return Ack{}, db.Remove(ctx, req.Action, from, id, transport.Addr(req.Host), req.TryOnly)
-	}))
-	srv.Handle(ServiceName, MethodIncrement, rpc.Method(func(ctx context.Context, from transport.Addr, req UseReq) (Ack, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		return Ack{}, db.Increment(ctx, req.Action, from, id, transport.Addr(req.ClientNode), toAddrs(req.Hosts))
-	}))
-	srv.Handle(ServiceName, MethodDecrement, rpc.Method(func(ctx context.Context, from transport.Addr, req UseReq) (Ack, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		return Ack{}, db.Decrement(ctx, req.Action, from, id, transport.Addr(req.ClientNode), toAddrs(req.Hosts))
-	}))
-	srv.Handle(ServiceName, MethodGetView, rpc.Method(func(ctx context.Context, from transport.Addr, req GetViewReq) (GetViewResp, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return GetViewResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		nodes, class, err := db.GetView(ctx, req.Action, from, id)
-		if err != nil {
-			return GetViewResp{}, err
-		}
-		return GetViewResp{Nodes: fromAddrs(nodes), Class: class}, nil
-	}))
-	srv.Handle(ServiceName, MethodInclude, rpc.Method(func(ctx context.Context, from transport.Addr, req HostReq) (IncludeResp, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return IncludeResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		nodes, err := db.Include(ctx, req.Action, from, id, transport.Addr(req.Host))
-		if err != nil {
-			return IncludeResp{}, err
-		}
-		return IncludeResp{Nodes: fromAddrs(nodes)}, nil
-	}))
-	srv.Handle(ServiceName, MethodExclude, rpc.Method(func(ctx context.Context, from transport.Addr, req ExcludeReq) (Ack, error) {
-		pairs := make([]ExcludePair, 0, len(req.Pairs))
-		for _, p := range req.Pairs {
-			id, err := uid.Parse(p.UID)
-			if err != nil {
-				return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-			}
-			pairs = append(pairs, ExcludePair{UID: id, Hosts: toAddrs(p.Hosts)})
-		}
-		return Ack{}, db.Exclude(ctx, req.Action, from, pairs, req.UseWriteLock)
-	}))
-	srv.Handle(ServiceName, MethodEndAction, rpc.Method(func(ctx context.Context, from transport.Addr, req EndActionReq) (Ack, error) {
-		db.EndAction(req.Action, req.Commit)
-		return Ack{}, nil
-	}))
 }
 
-func toAddrs(in []string) []transport.Addr {
-	out := make([]transport.Addr, len(in))
-	for i, s := range in {
-		out[i] = transport.Addr(s)
+// exec runs one operation.
+func (db *DB) exec(ctx context.Context, from transport.Addr, op *Op) (res OpResult, err error) {
+	switch op.Kind {
+	case OpRegister:
+		err = db.Register(ctx, op.Action, from, op.UID, op.Class, op.Hosts, op.Stores)
+	case OpDeregister:
+		res.Nodes, res.Class, err = db.Deregister(ctx, op.Action, from, op.UID)
+	case OpGetServer:
+		res.Nodes, res.Use, err = db.GetServer(ctx, op.Action, from, op.UID, op.WantUse, op.ForUpdate)
+	case OpInsert:
+		err = db.Insert(ctx, op.Action, from, op.UID, op.Host)
+	case OpRemove:
+		err = db.Remove(ctx, op.Action, from, op.UID, op.Host, op.TryOnly)
+	case OpIncrement:
+		err = db.Increment(ctx, op.Action, from, op.UID, op.Host, op.Hosts)
+	case OpDecrement:
+		err = db.Decrement(ctx, op.Action, from, op.UID, op.Host, op.Hosts)
+	case OpGetView:
+		res.Nodes, res.Class, err = db.GetView(ctx, op.Action, from, op.UID)
+	case OpInclude:
+		res.Nodes, err = db.Include(ctx, op.Action, from, op.UID, op.Host)
+	case OpExclude:
+		err = db.Exclude(ctx, op.Action, from, op.Pairs, op.UseWriteLock)
+	case OpEndAction:
+		db.EndAction(op.Action, op.Commit)
+	default:
+		err = rpc.Errorf(rpc.CodeInternal, "unknown groupview op %d", op.Kind)
 	}
-	return out
-}
-
-func fromAddrs(in []transport.Addr) []string {
-	out := make([]string, len(in))
-	for i, a := range in {
-		out[i] = string(a)
-	}
-	return out
+	return res, err
 }
 
 // Client is a typed client for a remote group view database.
@@ -602,12 +545,32 @@ type Client struct {
 	DB  transport.Addr
 }
 
+// Do sends ops to the database as one message and returns their results
+// in order. On an error no result is returned; see registerService for
+// what a batch that fails part-way leaves behind.
+func (c Client) Do(ctx context.Context, ops ...Op) ([]OpResult, error) {
+	resp, err := rpc.Invoke[BatchReq, BatchResp](ctx, c.RPC, c.DB, ServiceName, MethodBatch, BatchReq{Ops: ops})
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Results) != len(ops) {
+		return nil, fmt.Errorf("core: %v answered %d ops with %d results", c, len(ops), len(resp.Results))
+	}
+	return resp.Results, nil
+}
+
+// do1 sends a single operation.
+func (c Client) do1(ctx context.Context, op Op) (OpResult, error) {
+	res, err := c.Do(ctx, op)
+	if err != nil {
+		return OpResult{}, err
+	}
+	return res[0], nil
+}
+
 // Register registers a new object.
 func (c Client) Register(ctx context.Context, act string, id uid.UID, class string, svNodes, stNodes []transport.Addr) error {
-	_, err := rpc.Invoke[RegisterReq, Ack](ctx, c.RPC, c.DB, ServiceName, MethodRegister, RegisterReq{
-		Action: act, UID: id.String(), Class: class,
-		SvNodes: fromAddrs(svNodes), StNodes: fromAddrs(stNodes),
-	})
+	_, err := c.do1(ctx, RegisterOp(act, id, class, svNodes, stNodes))
 	return err
 }
 
@@ -615,98 +578,65 @@ func (c Client) Register(ctx context.Context, act string, id uid.UID, class stri
 // view and class for the caller's catch-up. Fails with CodeNotQuiescent
 // while any use list is non-empty.
 func (c Client) Deregister(ctx context.Context, act string, id uid.UID) ([]transport.Addr, string, error) {
-	resp, err := rpc.Invoke[DeregisterReq, DeregisterResp](ctx, c.RPC, c.DB, ServiceName, MethodDeregister, DeregisterReq{Action: act, UID: id.String()})
-	if err != nil {
-		return nil, "", err
-	}
-	return toAddrs(resp.Nodes), resp.Class, nil
+	res, err := c.do1(ctx, DeregisterOp(act, id))
+	return res.Nodes, res.Class, err
 }
 
 // GetServer fetches Sv_A (and use lists when wantUse); forUpdate takes a
 // write lock.
 func (c Client) GetServer(ctx context.Context, act string, id uid.UID, wantUse, forUpdate bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int, error) {
-	resp, err := rpc.Invoke[GetServerReq, GetServerResp](ctx, c.RPC, c.DB, ServiceName, MethodGetServer, GetServerReq{
-		Action: act, UID: id.String(), WantUse: wantUse, ForUpdate: forUpdate,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var use map[transport.Addr]map[transport.Addr]int
-	if wantUse {
-		use = make(map[transport.Addr]map[transport.Addr]int, len(resp.Use))
-		for host, clients := range resp.Use {
-			m := make(map[transport.Addr]int, len(clients))
-			for cl, n := range clients {
-				m[transport.Addr(cl)] = n
-			}
-			use[transport.Addr(host)] = m
-		}
-	}
-	return toAddrs(resp.Nodes), use, nil
+	res, err := c.do1(ctx, GetServerOp(act, id, wantUse, forUpdate))
+	return res.Nodes, res.Use, err
 }
 
 // Insert adds a server node to Sv_A.
 func (c Client) Insert(ctx context.Context, act string, id uid.UID, host transport.Addr) error {
-	_, err := rpc.Invoke[HostReq, Ack](ctx, c.RPC, c.DB, ServiceName, MethodInsert, HostReq{Action: act, UID: id.String(), Host: string(host)})
+	_, err := c.do1(ctx, InsertOp(act, id, host))
 	return err
 }
 
 // Remove drops a server node from Sv_A; tryOnly makes the lock attempt
 // non-blocking.
 func (c Client) Remove(ctx context.Context, act string, id uid.UID, host transport.Addr, tryOnly bool) error {
-	_, err := rpc.Invoke[HostReq, Ack](ctx, c.RPC, c.DB, ServiceName, MethodRemove, HostReq{Action: act, UID: id.String(), Host: string(host), TryOnly: tryOnly})
+	_, err := c.do1(ctx, RemoveOp(act, id, host, tryOnly))
 	return err
 }
 
 // Increment bumps this client's use count at the given hosts.
 func (c Client) Increment(ctx context.Context, act string, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
-	_, err := rpc.Invoke[UseReq, Ack](ctx, c.RPC, c.DB, ServiceName, MethodIncrement, UseReq{
-		Action: act, UID: id.String(), ClientNode: string(clientNode), Hosts: fromAddrs(hosts),
-	})
+	_, err := c.do1(ctx, IncrementOp(act, id, clientNode, hosts))
 	return err
 }
 
 // Decrement is the complementary operation to Increment.
 func (c Client) Decrement(ctx context.Context, act string, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
-	_, err := rpc.Invoke[UseReq, Ack](ctx, c.RPC, c.DB, ServiceName, MethodDecrement, UseReq{
-		Action: act, UID: id.String(), ClientNode: string(clientNode), Hosts: fromAddrs(hosts),
-	})
+	_, err := c.do1(ctx, DecrementOp(act, id, clientNode, hosts))
 	return err
 }
 
 // GetView fetches St_A and the class name.
 func (c Client) GetView(ctx context.Context, act string, id uid.UID) ([]transport.Addr, string, error) {
-	resp, err := rpc.Invoke[GetViewReq, GetViewResp](ctx, c.RPC, c.DB, ServiceName, MethodGetView, GetViewReq{Action: act, UID: id.String()})
-	if err != nil {
-		return nil, "", err
-	}
-	return toAddrs(resp.Nodes), resp.Class, nil
+	res, err := c.do1(ctx, GetViewOp(act, id))
+	return res.Nodes, res.Class, err
 }
 
 // Include adds a store node back into St_A under the §4.2 write lock and
 // returns the post-include view — the fetch sources for the caller's
 // catch-up, valid while the caller's action holds the lock.
 func (c Client) Include(ctx context.Context, act string, id uid.UID, host transport.Addr) ([]transport.Addr, error) {
-	resp, err := rpc.Invoke[HostReq, IncludeResp](ctx, c.RPC, c.DB, ServiceName, MethodInclude, HostReq{Action: act, UID: id.String(), Host: string(host)})
-	if err != nil {
-		return nil, err
-	}
-	return toAddrs(resp.Nodes), nil
+	res, err := c.do1(ctx, IncludeOp(act, id, host))
+	return res.Nodes, err
 }
 
 // Exclude removes failed store nodes from St sets (batched).
 func (c Client) Exclude(ctx context.Context, act string, pairs []ExcludePair, useWriteLock bool) error {
-	recs := make([]ExcludePairRec, len(pairs))
-	for i, p := range pairs {
-		recs[i] = ExcludePairRec{UID: p.UID.String(), Hosts: fromAddrs(p.Hosts)}
-	}
-	_, err := rpc.Invoke[ExcludeReq, Ack](ctx, c.RPC, c.DB, ServiceName, MethodExclude, ExcludeReq{Action: act, Pairs: recs, UseWriteLock: useWriteLock})
+	_, err := c.do1(ctx, ExcludeOp(act, pairs, useWriteLock))
 	return err
 }
 
 // EndAction finishes an action at the database.
 func (c Client) EndAction(ctx context.Context, act string, commit bool) error {
-	_, err := rpc.Invoke[EndActionReq, Ack](ctx, c.RPC, c.DB, ServiceName, MethodEndAction, EndActionReq{Action: act, Commit: commit})
+	_, err := c.do1(ctx, EndActionOp(act, commit))
 	return err
 }
 

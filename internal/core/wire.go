@@ -1,28 +1,27 @@
 package core
 
-import "repro/internal/rpc"
-
-// Binary codecs (rpc.Wire) for the group-view database's hot wire records:
-// every bind, use-list adjustment, view read and action end rides these,
-// so they must not pay gob reflection. Tags live in the 0x01–0x1f block of
-// the registry in internal/rpc/doc.go. All codecs are at version 1.
-const (
-	wireTagAck byte = 0x01 + iota
-	wireTagGetServerReq
-	wireTagGetServerResp
-	wireTagHostReq
-	wireTagIncludeResp
-	wireTagUseReq
-	wireTagGetViewReq
-	wireTagGetViewResp
-	wireTagExcludeReq
-	wireTagEndActionReq
-	wireTagRegisterReq
-	wireTagDeregisterReq
-	wireTagDeregisterResp
+import (
+	"repro/internal/rpc"
+	"repro/internal/transport"
+	"repro/internal/uid"
 )
 
-// Ack
+// Binary codecs (rpc.Wire) for the group-view database's records: the
+// batch request and response every bind, use-list adjustment, view read
+// and action end rides, and the durable entry record every commit writes —
+// none of them may pay gob reflection. Tags live in the 0x01–0x1f block of
+// the registry in internal/rpc/doc.go. All codecs are at version 1.
+// (0x02–0x0d were the per-operation request and response records the
+// batch replaced; they stay retired.)
+const (
+	wireTagAck         byte = 0x01
+	wireTagBatchReq    byte = 0x0e
+	wireTagBatchResp   byte = 0x0f
+	wireTagEntryRecord byte = 0x10
+)
+
+// Ack is an empty success response.
+type Ack struct{}
 
 // WireTag implements rpc.Wire.
 func (*Ack) WireTag() (byte, byte) { return wireTagAck, 1 }
@@ -33,281 +32,260 @@ func (*Ack) AppendWire(dst []byte) []byte { return dst }
 // ParseWire implements rpc.Wire.
 func (*Ack) ParseWire(byte, *rpc.WireReader) error { return nil }
 
-// GetServerReq
+// --- field helpers ---
 
-// WireTag implements rpc.Wire.
-func (*GetServerReq) WireTag() (byte, byte) { return wireTagGetServerReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *GetServerReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Action)
-	dst = rpc.AppendString(dst, q.UID)
-	dst = rpc.AppendBool(dst, q.WantUse)
-	return rpc.AppendBool(dst, q.ForUpdate)
+func appendUID(dst []byte, id uid.UID) []byte {
+	dst = rpc.AppendString(dst, id.Origin)
+	dst = rpc.AppendUvarint(dst, uint64(id.Epoch))
+	return rpc.AppendUvarint(dst, id.Seq)
 }
 
-// ParseWire implements rpc.Wire.
-func (q *GetServerReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	q.UID = r.String()
-	q.WantUse = r.Bool()
-	q.ForUpdate = r.Bool()
+func readUID(r *rpc.WireReader) uid.UID {
+	return uid.UID{Origin: r.String(), Epoch: uint32(r.Uvarint()), Seq: r.Uvarint()}
+}
+
+func appendAddrs(dst []byte, as []transport.Addr) []byte {
+	dst = rpc.AppendUvarint(dst, uint64(len(as)))
+	for _, a := range as {
+		dst = rpc.AppendString(dst, string(a))
+	}
+	return dst
+}
+
+// readCount consumes an element count, bounded by the bytes left (every
+// element costs at least one) so a corrupt prefix cannot demand a huge
+// allocation. ok is false on a failed reader or an impossible count.
+func readCount(r *rpc.WireReader) (n int, ok bool) {
+	c := r.Uvarint()
+	if r.Err() != nil || c > uint64(r.Remaining()) {
+		return 0, false
+	}
+	return int(c), true
+}
+
+func readAddrs(r *rpc.WireReader) ([]transport.Addr, error) {
+	n, ok := readCount(r)
+	if !ok {
+		return nil, rpc.ErrWire
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]transport.Addr, n)
+	for i := range out {
+		out[i] = transport.Addr(r.String())
+	}
+	return out, nil
+}
+
+// Operation flags, one bit each in the op's flag byte.
+const (
+	flagWantUse byte = 1 << iota
+	flagForUpdate
+	flagTryOnly
+	flagUseWriteLock
+	flagCommit
+)
+
+func bit(set bool, f byte) byte {
+	if set {
+		return f
+	}
+	return 0
+}
+
+// --- BatchReq ---
+
+// WireTag implements rpc.Wire.
+func (*BatchReq) WireTag() (byte, byte) { return wireTagBatchReq, 1 }
+
+// WireSizeHint implements rpc.WireSizer.
+func (q *BatchReq) WireSizeHint() int { return 64 * len(q.Ops) }
+
+// AppendWire implements rpc.Wire.
+func (q *BatchReq) AppendWire(dst []byte) []byte {
+	dst = rpc.AppendUvarint(dst, uint64(len(q.Ops)))
+	for i := range q.Ops {
+		op := &q.Ops[i]
+		// Kind and flags are both below 0x80: each byte is its own uvarint.
+		dst = append(dst, byte(op.Kind),
+			bit(op.WantUse, flagWantUse)|bit(op.ForUpdate, flagForUpdate)|bit(op.TryOnly, flagTryOnly)|
+				bit(op.UseWriteLock, flagUseWriteLock)|bit(op.Commit, flagCommit))
+		dst = rpc.AppendString(dst, op.Action)
+		dst = appendUID(dst, op.UID)
+		dst = rpc.AppendString(dst, op.Class)
+		dst = rpc.AppendString(dst, string(op.Host))
+		dst = appendAddrs(dst, op.Hosts)
+		dst = appendAddrs(dst, op.Stores)
+		dst = rpc.AppendUvarint(dst, uint64(len(op.Pairs)))
+		for _, p := range op.Pairs {
+			dst = appendUID(dst, p.UID)
+			dst = appendAddrs(dst, p.Hosts)
+		}
+	}
+	return dst
+}
+
+// ParseWire implements rpc.Wire. An operation kind this version does not
+// know fails the whole request: executing the rest of a conversation
+// around a hole would not be the conversation the client sent.
+func (q *BatchReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+	n, ok := readCount(r)
+	if !ok {
+		return rpc.ErrWire
+	}
+	q.Ops = make([]Op, n)
+	for i := range q.Ops {
+		op := &q.Ops[i]
+		kind, flags := r.Uvarint(), r.Uvarint()
+		if kind == 0 || kind >= uint64(opKindEnd) || flags > 0xff {
+			return rpc.ErrWire
+		}
+		op.Kind = OpKind(kind)
+		op.WantUse, op.ForUpdate, op.TryOnly = byte(flags)&flagWantUse != 0, byte(flags)&flagForUpdate != 0, byte(flags)&flagTryOnly != 0
+		op.UseWriteLock, op.Commit = byte(flags)&flagUseWriteLock != 0, byte(flags)&flagCommit != 0
+		op.Action = r.String()
+		op.UID = readUID(r)
+		op.Class = r.String()
+		op.Host = transport.Addr(r.String())
+		if op.Hosts, err = readAddrs(r); err != nil {
+			return err
+		}
+		if op.Stores, err = readAddrs(r); err != nil {
+			return err
+		}
+		pairs, ok := readCount(r)
+		if !ok {
+			return rpc.ErrWire
+		}
+		if pairs > 0 {
+			op.Pairs = make([]ExcludePair, pairs)
+		}
+		for j := range op.Pairs {
+			op.Pairs[j].UID = readUID(r)
+			if op.Pairs[j].Hosts, err = readAddrs(r); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
-// GetServerResp
+// --- BatchResp ---
 
 // WireTag implements rpc.Wire.
-func (*GetServerResp) WireTag() (byte, byte) { return wireTagGetServerResp, 1 }
+func (*BatchResp) WireTag() (byte, byte) { return wireTagBatchResp, 1 }
 
 // AppendWire implements rpc.Wire.
-func (p *GetServerResp) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendStrings(dst, p.Nodes)
-	dst = rpc.AppendUvarint(dst, uint64(len(p.Use)))
-	for host, byClient := range p.Use {
-		dst = rpc.AppendString(dst, host)
-		dst = rpc.AppendUvarint(dst, uint64(len(byClient)))
-		for client, n := range byClient {
-			dst = rpc.AppendString(dst, client)
-			dst = rpc.AppendVarint(dst, int64(n))
+func (p *BatchResp) AppendWire(dst []byte) []byte {
+	dst = rpc.AppendUvarint(dst, uint64(len(p.Results)))
+	for i := range p.Results {
+		res := &p.Results[i]
+		dst = appendAddrs(dst, res.Nodes)
+		dst = rpc.AppendString(dst, res.Class)
+		dst = rpc.AppendUvarint(dst, uint64(len(res.Use)))
+		for host, byClient := range res.Use {
+			dst = rpc.AppendString(dst, string(host))
+			dst = rpc.AppendUvarint(dst, uint64(len(byClient)))
+			for client, n := range byClient {
+				dst = rpc.AppendString(dst, string(client))
+				dst = rpc.AppendVarint(dst, int64(n))
+			}
 		}
 	}
 	return dst
 }
 
 // ParseWire implements rpc.Wire.
-func (p *GetServerResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Nodes = r.Strings()
-	nHosts := r.Uvarint()
-	if r.Err() != nil || nHosts == 0 {
-		return r.Err()
-	}
-	if nHosts > uint64(r.Remaining()) {
+func (p *BatchResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+	n, ok := readCount(r)
+	if !ok {
 		return rpc.ErrWire
 	}
-	p.Use = make(map[string]map[string]int, nHosts)
-	for i := uint64(0); i < nHosts; i++ {
-		host := r.String()
-		nClients := r.Uvarint()
-		if r.Err() != nil {
-			return nil
+	p.Results = make([]OpResult, n)
+	for i := range p.Results {
+		res := &p.Results[i]
+		if res.Nodes, err = readAddrs(r); err != nil {
+			return err
 		}
-		if nClients > uint64(r.Remaining()) {
+		res.Class = r.String()
+		hosts, ok := readCount(r)
+		if !ok {
 			return rpc.ErrWire
 		}
-		byClient := make(map[string]int, nClients)
-		for j := uint64(0); j < nClients; j++ {
-			byClient[r.String()] = int(r.Varint())
+		if hosts == 0 {
+			continue
 		}
-		p.Use[host] = byClient
+		res.Use = make(map[transport.Addr]map[transport.Addr]int, hosts)
+		for j := 0; j < hosts; j++ {
+			host := transport.Addr(r.String())
+			clients, ok := readCount(r)
+			if !ok {
+				return rpc.ErrWire
+			}
+			byClient := make(map[transport.Addr]int, clients)
+			for k := 0; k < clients; k++ {
+				byClient[transport.Addr(r.String())] = int(r.Varint())
+			}
+			res.Use[host] = byClient
+		}
 	}
 	return nil
 }
 
-// HostReq
+// --- entryRecord ---
+
+// useCount is one non-zero use-list counter of an Sv entry's record.
+type useCount struct {
+	Host, Client transport.Addr
+	N            int
+}
+
+// entryRecord is the durable form of one database entry (see db.go,
+// "persistence"). An Sv entry's record carries Nodes and Use, an St
+// entry's Nodes and Class; which of the two a record is follows from the
+// key it is stored under. Deleted marks the tombstone of a deregistered
+// entry.
+type entryRecord struct {
+	Deleted bool
+	Nodes   []transport.Addr
+	Class   string
+	Use     []useCount
+}
 
 // WireTag implements rpc.Wire.
-func (*HostReq) WireTag() (byte, byte) { return wireTagHostReq, 1 }
+func (*entryRecord) WireTag() (byte, byte) { return wireTagEntryRecord, 1 }
 
 // AppendWire implements rpc.Wire.
-func (q *HostReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Action)
-	dst = rpc.AppendString(dst, q.UID)
-	dst = rpc.AppendString(dst, q.Host)
-	return rpc.AppendBool(dst, q.TryOnly)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *HostReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	q.UID = r.String()
-	q.Host = r.String()
-	q.TryOnly = r.Bool()
-	return nil
-}
-
-// IncludeResp
-
-// WireTag implements rpc.Wire.
-func (*IncludeResp) WireTag() (byte, byte) { return wireTagIncludeResp, 1 }
-
-// AppendWire implements rpc.Wire.
-func (p *IncludeResp) AppendWire(dst []byte) []byte { return rpc.AppendStrings(dst, p.Nodes) }
-
-// ParseWire implements rpc.Wire.
-func (p *IncludeResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Nodes = r.Strings()
-	return nil
-}
-
-// UseReq
-
-// WireTag implements rpc.Wire.
-func (*UseReq) WireTag() (byte, byte) { return wireTagUseReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *UseReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Action)
-	dst = rpc.AppendString(dst, q.UID)
-	dst = rpc.AppendString(dst, q.ClientNode)
-	return rpc.AppendStrings(dst, q.Hosts)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *UseReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	q.UID = r.String()
-	q.ClientNode = r.String()
-	q.Hosts = r.Strings()
-	return nil
-}
-
-// GetViewReq
-
-// WireTag implements rpc.Wire.
-func (*GetViewReq) WireTag() (byte, byte) { return wireTagGetViewReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *GetViewReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Action)
-	return rpc.AppendString(dst, q.UID)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *GetViewReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	q.UID = r.String()
-	return nil
-}
-
-// GetViewResp
-
-// WireTag implements rpc.Wire.
-func (*GetViewResp) WireTag() (byte, byte) { return wireTagGetViewResp, 1 }
-
-// AppendWire implements rpc.Wire.
-func (p *GetViewResp) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendStrings(dst, p.Nodes)
-	return rpc.AppendString(dst, p.Class)
-}
-
-// ParseWire implements rpc.Wire.
-func (p *GetViewResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Nodes = r.Strings()
-	p.Class = r.String()
-	return nil
-}
-
-// ExcludeReq
-
-// WireTag implements rpc.Wire.
-func (*ExcludeReq) WireTag() (byte, byte) { return wireTagExcludeReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *ExcludeReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Action)
-	dst = rpc.AppendUvarint(dst, uint64(len(q.Pairs)))
-	for _, p := range q.Pairs {
-		dst = rpc.AppendString(dst, p.UID)
-		dst = rpc.AppendStrings(dst, p.Hosts)
+func (e *entryRecord) AppendWire(dst []byte) []byte {
+	dst = rpc.AppendBool(dst, e.Deleted)
+	dst = appendAddrs(dst, e.Nodes)
+	dst = rpc.AppendString(dst, e.Class)
+	dst = rpc.AppendUvarint(dst, uint64(len(e.Use)))
+	for _, u := range e.Use {
+		dst = rpc.AppendString(dst, string(u.Host))
+		dst = rpc.AppendString(dst, string(u.Client))
+		dst = rpc.AppendUvarint(dst, uint64(u.N))
 	}
-	return rpc.AppendBool(dst, q.UseWriteLock)
+	return dst
 }
 
 // ParseWire implements rpc.Wire.
-func (q *ExcludeReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil
+func (e *entryRecord) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+	e.Deleted = r.Bool()
+	if e.Nodes, err = readAddrs(r); err != nil {
+		return err
 	}
-	if n > uint64(r.Remaining()) {
+	e.Class = r.String()
+	n, ok := readCount(r)
+	if !ok {
 		return rpc.ErrWire
 	}
 	if n > 0 {
-		q.Pairs = make([]ExcludePairRec, 0, n)
-		for i := uint64(0); i < n; i++ {
-			q.Pairs = append(q.Pairs, ExcludePairRec{UID: r.String(), Hosts: r.Strings()})
-		}
+		e.Use = make([]useCount, n)
 	}
-	q.UseWriteLock = r.Bool()
-	return nil
-}
-
-// EndActionReq
-
-// WireTag implements rpc.Wire.
-func (*EndActionReq) WireTag() (byte, byte) { return wireTagEndActionReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *EndActionReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Action)
-	return rpc.AppendBool(dst, q.Commit)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *EndActionReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	q.Commit = r.Bool()
-	return nil
-}
-
-// RegisterReq
-
-// WireTag implements rpc.Wire.
-func (*RegisterReq) WireTag() (byte, byte) { return wireTagRegisterReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *RegisterReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Action)
-	dst = rpc.AppendString(dst, q.UID)
-	dst = rpc.AppendString(dst, q.Class)
-	dst = rpc.AppendStrings(dst, q.SvNodes)
-	return rpc.AppendStrings(dst, q.StNodes)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *RegisterReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	q.UID = r.String()
-	q.Class = r.String()
-	q.SvNodes = r.Strings()
-	q.StNodes = r.Strings()
-	return nil
-}
-
-// DeregisterReq
-
-// WireTag implements rpc.Wire.
-func (*DeregisterReq) WireTag() (byte, byte) { return wireTagDeregisterReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *DeregisterReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Action)
-	return rpc.AppendString(dst, q.UID)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *DeregisterReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	q.UID = r.String()
-	return nil
-}
-
-// DeregisterResp
-
-// WireTag implements rpc.Wire.
-func (*DeregisterResp) WireTag() (byte, byte) { return wireTagDeregisterResp, 1 }
-
-// AppendWire implements rpc.Wire.
-func (p *DeregisterResp) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendStrings(dst, p.Nodes)
-	return rpc.AppendString(dst, p.Class)
-}
-
-// ParseWire implements rpc.Wire.
-func (p *DeregisterResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Nodes = r.Strings()
-	p.Class = r.String()
+	for i := range e.Use {
+		e.Use[i] = useCount{transport.Addr(r.String()), transport.Addr(r.String()), int(r.Uvarint())}
+	}
 	return nil
 }

@@ -1,38 +1,50 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/rpc"
+	"repro/internal/transport"
+	"repro/internal/uid"
 )
 
-// TestWireRoundTrip round-trips every binary codec in this package through
-// rpc.Encode/Decode with representative populated values.
-func TestWireRoundTrip(t *testing.T) {
-	cases := []struct{ in, out any }{
+// wireCases holds one representative populated value of every binary codec
+// in this package, beside an empty value to decode into.
+func wireCases() []struct{ in, out rpc.Wire } {
+	id := uid.UID{Origin: "obj", Epoch: 1, Seq: 7}
+	return []struct{ in, out rpc.Wire }{
 		{&Ack{}, &Ack{}},
-		{&GetServerReq{Action: "a1", UID: "obj", WantUse: true, ForUpdate: true}, &GetServerReq{}},
-		{&GetServerResp{
-			Nodes: []string{"n1", "n2"},
-			Use:   map[string]map[string]int{"n1": {"c1": 2, "c2": -1}, "n2": {}},
-		}, &GetServerResp{}},
-		{&HostReq{Action: "a1", UID: "obj", Host: "n3", TryOnly: true}, &HostReq{}},
-		{&IncludeResp{Nodes: []string{"n1"}}, &IncludeResp{}},
-		{&UseReq{Action: "a1", UID: "obj", ClientNode: "c1", Hosts: []string{"n1", "n2"}}, &UseReq{}},
-		{&GetViewReq{Action: "a1", UID: "obj"}, &GetViewReq{}},
-		{&GetViewResp{Nodes: []string{"n1"}, Class: "Counter"}, &GetViewResp{}},
-		{&ExcludeReq{
-			Action:       "a1",
-			Pairs:        []ExcludePairRec{{UID: "o1", Hosts: []string{"n1"}}, {UID: "o2"}},
-			UseWriteLock: true,
-		}, &ExcludeReq{}},
-		{&EndActionReq{Action: "a1", Commit: true}, &EndActionReq{}},
-		{&RegisterReq{Action: "a1", UID: "obj", Class: "Counter", SvNodes: []string{"n1"}, StNodes: []string{"s1", "s2"}}, &RegisterReq{}},
-		{&DeregisterReq{Action: "a1", UID: "obj"}, &DeregisterReq{}},
-		{&DeregisterResp{Nodes: []string{"n1"}, Class: "Counter"}, &DeregisterResp{}},
+		{&BatchReq{Ops: []Op{
+			RegisterOp("a1", id, "Counter", []transport.Addr{"n1"}, []transport.Addr{"s1", "s2"}),
+			DeregisterOp("a1", id),
+			GetServerOp("a1", id, true, true),
+			InsertOp("a2", id, "n3"),
+			RemoveOp("a2", id, "n3", true),
+			IncrementOp("a3", id, "c1", []transport.Addr{"n1", "n2"}),
+			DecrementOp("a3", id, "c1", []transport.Addr{"n1"}),
+			GetViewOp("top", id),
+			IncludeOp("rec", id, "s3"),
+			ExcludeOp("top", []ExcludePair{{UID: id, Hosts: []transport.Addr{"s1"}}, {UID: uid.UID{Origin: "o2", Epoch: 2, Seq: 1}}}, true),
+			EndActionOp("a3", true),
+		}}, &BatchReq{}},
+		{&BatchResp{Results: []OpResult{
+			{Nodes: []transport.Addr{"n1", "n2"}, Use: map[transport.Addr]map[transport.Addr]int{"n1": {"c1": 2, "c2": -1}, "n2": {}}},
+			{Nodes: []transport.Addr{"s1"}, Class: "Counter"},
+			{},
+		}}, &BatchResp{}},
+		{&entryRecord{Nodes: []transport.Addr{"n1", "n2"}, Use: []useCount{{"n1", "c1", 2}, {"n2", "c9", 1}}}, &entryRecord{}},
+		{&entryRecord{Nodes: []transport.Addr{"s1"}, Class: "Counter"}, &entryRecord{}},
+		{&entryRecord{Deleted: true}, &entryRecord{}},
 	}
-	for _, c := range cases {
+}
+
+// TestWireRoundTrip round-trips every binary codec in this package through
+// rpc.Encode/Decode; the first byte pins that the batch records and the
+// durable entry record take the binary path, not the gob fallback.
+func TestWireRoundTrip(t *testing.T) {
+	for _, c := range wireCases() {
 		data, err := rpc.Encode(c.in)
 		if err != nil {
 			t.Fatalf("%T: encode: %v", c.in, err)
@@ -49,22 +61,54 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireTruncatedInput: every proper prefix of a record's encoding is
+// refused — a torn record never decodes into a half-filled value.
+func TestWireTruncatedInput(t *testing.T) {
+	for _, c := range wireCases() {
+		data, err := rpc.Encode(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 3; cut < len(data); cut++ {
+			out := reflect.New(reflect.TypeOf(c.in).Elem()).Interface()
+			if err := rpc.Decode(data[:cut], out); err == nil {
+				t.Errorf("%T: %d of %d bytes decoded without error", c.in, cut, len(data))
+			}
+		}
+	}
+}
+
+// TestBatchUnknownOp: a request carrying an operation kind outside the
+// known range is refused whole, by the codec and — should a kind slip
+// past it — by the dispatcher.
+func TestBatchUnknownOp(t *testing.T) {
+	for _, kind := range []OpKind{0, opKindEnd, 0x7f} {
+		data, err := rpc.Encode(&BatchReq{Ops: []Op{EndActionOp("a", true), {Kind: kind, Action: "a"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rpc.Decode(data, &BatchReq{}); !errors.Is(err, rpc.ErrWire) {
+			t.Errorf("kind %d: decode error = %v, want ErrWire", kind, err)
+		}
+	}
+	w := newWorld(t, 1, 1, 1)
+	if _, err := w.db.exec(t.Context(), "c1", &Op{Kind: opKindEnd}); rpc.CodeOf(err) != rpc.CodeInternal {
+		t.Errorf("exec of an unknown kind = %v, want %s", err, rpc.CodeInternal)
+	}
+}
+
 // TestWireTagsUnique catches accidental tag reuse inside this package's block.
 func TestWireTagsUnique(t *testing.T) {
-	types := []rpc.Wire{
-		&Ack{}, &GetServerReq{}, &GetServerResp{}, &HostReq{}, &IncludeResp{},
-		&UseReq{}, &GetViewReq{}, &GetViewResp{}, &ExcludeReq{}, &EndActionReq{},
-		&RegisterReq{}, &DeregisterReq{}, &DeregisterResp{},
-	}
 	seen := map[byte]string{}
-	for _, w := range types {
-		tag, ver := w.WireTag()
+	for _, c := range wireCases() {
+		tag, ver := c.in.WireTag()
 		if ver == 0 {
-			t.Errorf("%T: version 0 is reserved", w)
+			t.Errorf("%T: version 0 is reserved", c.in)
 		}
-		if prev, dup := seen[tag]; dup {
-			t.Errorf("tag %#x reused by %T and %s", tag, w, prev)
+		name := reflect.TypeOf(c.in).String()
+		if prev, dup := seen[tag]; dup && prev != name {
+			t.Errorf("tag %#x reused by %s and %s", tag, name, prev)
 		}
-		seen[tag] = reflect.TypeOf(w).String()
+		seen[tag] = name
 	}
 }

@@ -352,9 +352,10 @@ func (s *Store) Commit(tx string) error {
 // single-participant combined prepare+commit of the voting 2PC fast
 // path. The same admission checks as Prepare apply (conflicting pinned
 // intentions, version-chain extension); on success the writes are
-// committed atomically under the store mutex, together with any
-// intentions previously prepared under the same tx, and nothing is left
-// pending. On failure the store is untouched except that earlier
+// committed atomically — under the store mutex, and across a crash: after
+// recovery either all of writes are committed or none is — together with
+// any intentions previously prepared under the same tx, and nothing is
+// left pending. On failure the store is untouched except that earlier
 // intentions of tx remain (the coordinator's roll-back clears them).
 func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 	s.mu.Lock()
@@ -380,15 +381,28 @@ func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 	}
 	// Earlier intentions of tx fold in, then the combined round's writes
 	// land as committed versions; one sync (outside the mutex) covers it
-	// all.
+	// all. Several writes must land all-or-nothing over a crash (the group
+	// view database commits a multi-entry update this way), so they are
+	// staged as intentions first and the single commit record folds them.
+	staged := len(copies) > 1
+	if staged {
+		for _, w := range copies {
+			if err := b.PutIntention(tx, w.UID.String(), storage.Write{Data: w.Data, Seq: w.Seq}); err != nil {
+				s.mu.Unlock()
+				return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
+			}
+		}
+	}
 	if err := b.CommitTx(tx); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
 	}
-	for _, w := range copies {
-		if err := b.PutVersion(w.UID.String(), storage.Version{Data: w.Data, Seq: w.Seq, Tx: tx}); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
+	if !staged {
+		for _, w := range copies {
+			if err := b.PutVersion(w.UID.String(), storage.Version{Data: w.Data, Seq: w.Seq, Tx: tx}); err != nil {
+				s.mu.Unlock()
+				return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
+			}
 		}
 	}
 	for _, w := range s.intentions[tx] {

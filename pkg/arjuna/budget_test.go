@@ -1,0 +1,100 @@
+package arjuna_test
+
+import (
+	"context"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/transport"
+	"repro/internal/uid"
+	"repro/pkg/arjuna"
+)
+
+// countingNet counts the calls one node issues, and how many of them go
+// to the group view database; everything passes through to the carrier
+// untouched.
+type countingNet struct {
+	transport.Network
+	from      transport.Addr
+	calls, db atomic.Int64
+}
+
+func (n *countingNet) Call(ctx context.Context, req transport.Request) ([]byte, error) {
+	if req.From == n.from {
+		n.calls.Add(1)
+		if req.Service == "groupview" {
+			n.db.Add(1)
+		}
+	}
+	return n.Network.Call(ctx, req)
+}
+
+// TestClientCallsPerAction pins, per action class, how many round trips
+// the client itself issues for one committed action in the steady state
+// (object activated, placement cached) — the count is deterministic, so
+// tier-1 can gate on it where a latency could only be advisory. The
+// database's share is one message per conversation, on either topology:
+// bind-read, bind-close and action-end for a write (3), bind-read and
+// action-end for a read (2), and the same per binding of a two-object
+// action (6). With activation, invoke and commit that makes 6, 5 and 14
+// calls in all — 7 for a write over three stores, where one-phase commit
+// is not eligible and the server gets a Prepare and a Commit.
+func TestClientCallsPerAction(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		opts        []arjuna.Option
+		cross       func(t *testing.T, sys *arjuna.System) (a, b uid.UID)
+		writeBudget int64
+	}{
+		{"3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 6},
+		{"1-group-2sv-3st", []arjuna.Option{arjuna.WithShards(1), arjuna.WithServers(2), arjuna.WithStores(3)},
+			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := &countingNet{Network: transport.NewMem(transport.MemOptions{}, nil), from: "c1"}
+			sys := openT(t, append(c.opts, arjuna.WithObjects(8), arjuna.WithNetwork(net))...)
+			rw := clientT(t, sys, "c1", arjuna.ClientFastBind())
+			ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
+			a, b := c.cross(t, sys)
+			ctx := context.Background()
+			write := func() {
+				if _, _, err := rw.Apply(ctx, a, "add", []byte("1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read := func() {
+				if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
+					_, err := tx.Object(a).Read(ctx, "get", nil)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cross := func() {
+				if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
+					if _, err := tx.Object(a).Invoke(ctx, "add", []byte("-1")); err != nil {
+						return err
+					}
+					_, err := tx.Object(b).Invoke(ctx, "add", []byte("1"))
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, class := range []struct {
+				name       string
+				op         func()
+				budget, db int64
+			}{{"write", write, c.writeBudget, 3}, {"read", read, 5, 2}, {"cross", cross, 14, 6}} {
+				class.op() // warm-up: activation, placement cache
+				calls, db := net.calls.Load(), net.db.Load()
+				class.op()
+				calls, db = net.calls.Load()-calls, net.db.Load()-db
+				if calls > class.budget || db > class.db {
+					t.Errorf("%s: the client issued %d calls (%d to the database) for one committed action, budget %d (%d)",
+						class.name, calls, db, class.budget, class.db)
+				}
+			}
+		})
+	}
+}

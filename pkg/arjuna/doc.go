@@ -156,6 +156,10 @@
 // Adjust lock that other binders and readers share, so binds to a hot
 // object stop convoying behind one another's exclusive bind window (the
 // exclusive repair pass still runs whenever a bind finds failed servers).
+// Either way a binding costs three messages to the group view database —
+// read Sv and St, count the binding into the use lists, and end the
+// action and count it out again — and each of the two use-count commits
+// rewrites one database entry, whatever the number of objects.
 // WithAdmission(n) is the outermost valve: it caps how many top-level
 // Atomic actions are in flight across the whole deployment, parking
 // surplus callers cheaply at the gate — before any bind, lock or commit
