@@ -245,6 +245,11 @@ func (r *Registry) Counter(name string) *Counter {
 	return v.(*Counter)
 }
 
+// Attach registers c, a counter its owner keeps outside the registry (a
+// layer that counts on its own hot path without a registry in hand), under
+// name, so that it shows in snapshots.
+func (r *Registry) Attach(name string, c *Counter) { r.counters.Store(name, c) }
+
 // LookupCounter returns the named counter without creating it.
 func (r *Registry) LookupCounter(name string) (*Counter, bool) {
 	v, ok := r.counters.Load(name)

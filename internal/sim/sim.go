@@ -269,11 +269,23 @@ func NewCluster(opts transport.MemOptions) *Cluster {
 // is available on the in-memory network and on any carrier wrapped in
 // transport.NewFaulty.
 func NewClusterOn(net transport.Network) *Cluster {
-	return &Cluster{
+	c := &Cluster{
 		net:     net,
 		metrics: &metrics.Registry{},
 		nodes:   make(map[transport.Addr]*Node),
 	}
+	carrier := net
+	if f, ok := net.(*transport.Faulty); ok {
+		carrier = f.Inner()
+	}
+	if mux, ok := carrier.(*transport.TCPMux); ok {
+		// The socket carrier keeps its own counters; frames ÷ writes is how
+		// much its outboxes coalesce.
+		for name, counter := range mux.Counters() {
+			c.metrics.Attach("transport.mux."+name, counter)
+		}
+	}
+	return c
 }
 
 // Net returns the underlying network.

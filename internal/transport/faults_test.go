@@ -192,11 +192,9 @@ func testReorderSwapsConcurrentRequests(t *testing.T, newNet func(int64) faultyN
 	if len(order) != 2 {
 		t.Fatalf("deliveries = %v", order)
 	}
-	// Once released, the parked request races its overtaker to the handler.
-	// In process the overtaker leads by a goroutine wake-up and always wins;
-	// over a socket both cross the same connection, so only Mem pins the
-	// order.
-	if _, inProcess := n.(*Mem); inProcess && order[0] != "second" {
+	// The parked request is released only once its overtaker's delivery has
+	// returned, so the order is pinned on every carrier.
+	if order[0] != "second" {
 		t.Fatalf("delivery order = %v, want the second request to overtake", order)
 	}
 }

@@ -52,13 +52,19 @@ func (f *Faulty) Call(ctx context.Context, req Request) ([]byte, error) {
 		return nil, fmt.Errorf("%s -> %s %s.%s: %w", req.From, req.To, req.Service, req.Method, ErrRequestLost)
 	}
 	f.faults.runRequestHooks(req)
-	if err := f.faults.holdForReorder(ctx, req); err != nil {
+	overtaken, err := f.faults.holdForReorder(ctx, req)
+	if err != nil {
 		return nil, err
 	}
-	if err := sleepCtx(ctx, f.faults.requestDelay(req)); err != nil {
-		return nil, err
+	var resp []byte
+	if err = sleepCtx(ctx, f.faults.requestDelay(req)); err == nil {
+		resp, err = f.inner.Call(ctx, req)
 	}
-	resp, err := f.inner.Call(ctx, req)
+	if overtaken != nil {
+		// This request overtook a parked one, which may go only now: behind
+		// this delivery, not racing it.
+		close(overtaken)
+	}
 	if err != nil && (errors.Is(err, ErrUnreachable) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 		// No reply exists: the carrier never delivered the request, or the

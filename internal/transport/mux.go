@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TCPMux is a Network implementation over real loopback sockets with ONE
@@ -22,13 +22,28 @@ import (
 //
 // Frames are length-prefixed (big-endian u32) so a torn write can never be
 // half-executed: a request either arrives whole or the connection dies
-// before the handler runs, which is what makes the single retry on a
-// request-write failure safe. Connection-state rules:
+// before the handler runs. A frame costs at most one write and one read. It
+// is encoded, prefix and body, straight into its connection's muxOutbox
+// (requests on the client side, replies on the server side); a sender that
+// finds the outbox idle flushes it with one write, one that finds a flush
+// in progress leaves its frame for the flusher's next write. A write is
+// bounded by CallTimeout and, when the flusher is a caller, by that call's
+// own deadline, past which the caller stops flushing. Both read
+// loops read through a per-connection buffer, so a frame and whatever is
+// pipelined behind it arrive in one read. The server runs handlers on
+// parked per-endpoint workers and spawns one only when none is idle: a slow
+// call never stalls the calls behind it, and a request does not pay for a
+// fresh goroutine's stack growth. Connection-state rules:
 //
-//   - A decode error or short read on the reply stream poisons the
-//     connection: all in-flight calls fail, the socket is closed, and the
-//     next call dials fresh. Framing state is unrecoverable after a torn
-//     frame.
+//   - A decode error or short read on the reply stream, or a failed write,
+//     poisons the connection: the socket is closed and the next call dials
+//     fresh (framing state is unrecoverable after a torn frame). Every call
+//     whose request was wholly written may have executed and fails with
+//     ErrReplyLost.
+//   - A request is retried, once and on a fresh connection, only if the
+//     failed write reported fewer bytes than the offset of the request's
+//     last byte in its batch, or it was still queued: torn or never sent,
+//     it cannot have executed.
 //   - A context cancellation or per-call timeout does NOT poison the
 //     connection. The caller abandons its pending slot; the late reply is
 //     dropped by the demux when it arrives — the framing keeps byte-stream
@@ -40,9 +55,10 @@ type TCPMux struct {
 	// then hangs mid-reply would pin the calling goroutine forever. Zero
 	// selects DefaultCallTimeout; set it before issuing calls.
 	CallTimeout time.Duration
-	// MaxPending caps the in-flight calls per connection: a call that
-	// would exceed it fast-fails with ErrOverloaded instead of growing the
-	// pending-reply map without bound. Zero selects DefaultMaxPending; the
+	// MaxPending caps the in-flight calls per connection, and the frames
+	// waiting behind a write in progress: a call that would exceed it
+	// fast-fails with ErrOverloaded instead of growing the pending-reply map
+	// or the outbox without bound. Zero selects DefaultMaxPending; the
 	// field must be set before the first call.
 	MaxPending int
 
@@ -53,14 +69,49 @@ type TCPMux struct {
 	connMu sync.Mutex
 	conns  map[[2]Addr]*muxConn
 
-	// dials counts fresh client dials (test observability: "the next call
-	// after a poisoned connection runs on a fresh dial").
-	dials atomic.Int64
+	// The monotonic counts behind Stats and Counters.
+	dials, poisoned, requestFrames, replyFrames, writes, reads metrics.Counter
 
 	// mangleReply, when set (tests only), rewrites a server-side reply
-	// frame body before it is framed and written; returning nil makes the
-	// server drop the connection instead of replying — a torn frame.
+	// frame body (without its length prefix) before it is queued; returning
+	// nil makes the server drop the connection instead — a torn frame.
 	mangleReply func(body []byte) []byte
+	// tearWrite, when set (tests only), sees every batch about to be
+	// written; a return of n >= 0 writes only the first n bytes and fails
+	// the write — a torn batch.
+	tearWrite func(batch []byte) int
+}
+
+// MuxStats is a snapshot of a TCPMux's monotonic counters: fresh client
+// dials, client connections poisoned (each once, whatever killed it: a
+// broken stream, a failed write, KillConns, Unregister or Close), the write
+// and read calls issued on sockets (both sides of every connection) and the
+// frames those writes carried — frames ÷ writes is how much the outboxes
+// coalesce.
+type MuxStats struct {
+	Dials, Poisoned, RequestFrames, ReplyFrames, Writes, Reads int64
+}
+
+// Stats returns the current counter values.
+func (t *TCPMux) Stats() MuxStats {
+	return MuxStats{t.dials.Value(), t.poisoned.Value(), t.requestFrames.Value(), t.replyFrames.Value(), t.writes.Value(), t.reads.Value()}
+}
+
+// Counters returns the live counters behind Stats by name, for a metrics
+// registry to attach.
+func (t *TCPMux) Counters() map[string]*metrics.Counter {
+	return map[string]*metrics.Counter{
+		"dials": &t.dials, "poisoned": &t.poisoned,
+		"request_frames": &t.requestFrames, "reply_frames": &t.replyFrames,
+		"writes": &t.writes, "reads": &t.reads,
+	}
+}
+
+func (t *TCPMux) callTimeout() time.Duration {
+	if t.CallTimeout > 0 {
+		return t.CallTimeout
+	}
+	return DefaultCallTimeout
 }
 
 var _ Network = (*TCPMux)(nil)
@@ -73,6 +124,14 @@ const maxMuxFrame = 1 << 26
 // side, guaranteeing the caller always times out strictly before the
 // handler's context expires. See the frame-format comment above.
 const muxHandlerGrace = 500 * time.Millisecond
+
+// maxMuxDeadline clamps the propagated deadline: a larger value can only
+// come from a corrupt or overflowed field.
+const maxMuxDeadline = 24 * time.Hour
+
+// muxWorkerIdle is the interval a parked server worker must see pass
+// without work before it exits.
+const muxWorkerIdle = 10 * time.Second
 
 // DefaultCallTimeout is the per-call deadline applied when neither
 // TCPMux.CallTimeout nor the context bounds the call. Generous on purpose:
@@ -183,18 +242,18 @@ func (p *muxParser) bytes() []byte {
 	return out
 }
 
-func (p *muxParser) str() string { return string(p.bytes()) }
-
 func (p *muxParser) done() bool { return p.ok && len(p.b) == 0 }
 
-func parseMuxRequest(body []byte) (id, deadlineMillis uint64, req Request, err error) {
+// parseMuxRequest decodes a request frame body. The four routing strings
+// go through names (nil: plain allocation); the payload aliases body.
+func parseMuxRequest(body []byte, names muxInterner) (id, deadlineMillis uint64, req Request, err error) {
 	p := muxParser{b: body, ok: true}
 	id = p.uvarint()
 	deadlineMillis = p.uvarint()
-	req.From = Addr(p.str())
-	req.To = Addr(p.str())
-	req.Service = p.str()
-	req.Method = p.str()
+	req.From = Addr(names.str(p.bytes()))
+	req.To = Addr(names.str(p.bytes()))
+	req.Service = names.str(p.bytes())
+	req.Method = names.str(p.bytes())
 	req.Payload = p.bytes()
 	if !p.done() {
 		return 0, 0, Request{}, errMuxFrame
@@ -210,7 +269,7 @@ func parseMuxReply(body []byte) (id uint64, res muxResult, err error) {
 	id = p.uvarint()
 	status := p.bytes1()
 	res.payload = p.bytes()
-	res.errMsg = p.str()
+	res.errMsg = string(p.bytes())
 	if !p.done() || status > 1 {
 		return 0, muxResult{}, errMuxFrame
 	}
@@ -231,62 +290,56 @@ func (p *muxParser) bytes1() byte {
 	return b
 }
 
-// writeFrame writes a length-prefixed frame to w.
-func writeFrame(w net.Conn, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readFrame reads one length-prefixed frame body.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxMuxFrame {
-		return nil, fmt.Errorf("%w: %d-byte frame", errMuxFrame, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
 // --- client side ---
 
+// muxResult is what a parked caller receives: a decoded reply or, if the
+// connection died under the call, connErr — with unsent set when the
+// request was not wholly written and so cannot have executed.
 type muxResult struct {
 	payload []byte
 	errMsg  string
 	hasErr  bool
+	connErr error
+	unsent  bool
 }
 
-// muxConn is one client-side multiplexed connection. The reader goroutine
-// owns the read half; writers serialize on writeMu; pending demux state is
-// guarded by mu. Every pending channel has capacity 1 and is touched
-// exactly once under mu — delivered to or closed (poison), never both.
+// muxCall is a caller's parking slot: the channel its result arrives on
+// (capacity 1; sent to at most once per call, under the connection's mu, as
+// the call leaves the pending map) and the timer bounding its wait. Slots
+// are pooled, and go back with the channel empty and the timer stopped.
+type muxCall struct {
+	ch    chan muxResult
+	timer *time.Timer
+}
+
+var muxCallPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &muxCall{ch: make(chan muxResult, 1), timer: t}
+}}
+
+// muxConn is one client-side multiplexed connection: the outbox its
+// requests leave through plus the pending demux state, also guarded by the
+// outbox's mu. The reader goroutine owns the read half. IDs are assigned as
+// frames are queued, so the k-th frame written carries ID k and a request
+// has been wholly written exactly when its ID <= sent.
 type muxConn struct {
-	conn       net.Conn
+	muxOutbox
 	maxPending int
-	writeMu    sync.Mutex
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan muxResult
-	err     error // non-nil once poisoned
+	nextID     uint64
+	pending    map[uint64]*muxCall
 }
 
-func newMuxConn(conn net.Conn, maxPending int) *muxConn {
-	if maxPending <= 0 {
-		maxPending = DefaultMaxPending
+func newMuxConn(t *TCPMux, conn net.Conn) *muxConn {
+	mc := &muxConn{
+		muxOutbox:  muxOutbox{conn: conn, mux: t, frames: &t.requestFrames},
+		maxPending: t.MaxPending,
+		pending:    make(map[uint64]*muxCall),
 	}
-	mc := &muxConn{conn: conn, maxPending: maxPending, pending: make(map[uint64]chan muxResult)}
+	if mc.maxPending <= 0 {
+		mc.maxPending = DefaultMaxPending
+	}
+	mc.client = mc
 	go mc.readLoop()
 	return mc
 }
@@ -297,45 +350,61 @@ func (mc *muxConn) broken() bool {
 	return mc.err != nil
 }
 
-// register allocates a request ID and its reply channel. It fails if the
-// connection is already poisoned, or with ErrOverloaded when the
-// connection already carries maxPending in-flight calls.
-func (mc *muxConn) register() (uint64, chan muxResult, error) {
+// send registers c under a fresh request ID and queues the request frame,
+// flushing the outbox — for no longer than the call's own deadline — unless
+// a flush is already in progress. It fails, with nothing queued, if the
+// connection is already poisoned, or with ErrOverloaded when it already
+// carries maxPending in-flight calls or as many frames wait behind a stuck
+// write (their callers may have given up; the frames still hold memory). A
+// write failure is not reported here: it poisons the connection, and every
+// call it concerns learns its fate on its channel.
+func (mc *muxConn) send(c *muxCall, deadline time.Time, deadlineMillis uint64, req Request) (uint64, error) {
 	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.err != nil {
-		return 0, nil, mc.err
+	if err := mc.err; err != nil {
+		mc.mu.Unlock()
+		return 0, err
 	}
-	if len(mc.pending) >= mc.maxPending {
-		return 0, nil, ErrOverloaded
+	if len(mc.pending) >= mc.maxPending || len(mc.ends) >= mc.maxPending {
+		mc.mu.Unlock()
+		return 0, ErrOverloaded
 	}
 	mc.nextID++
 	id := mc.nextID
-	ch := make(chan muxResult, 1)
-	mc.pending[id] = ch
-	return id, ch, nil
+	mc.pending[id] = c
+	start := mc.beginFrame()
+	mc.buf = appendMuxRequest(mc.buf, id, deadlineMillis, req)
+	mc.endFrame(start)
+	mc.flush(deadline)
+	return id, nil
 }
 
 // unregister abandons a pending call (ctx cancel or timeout). The late
 // reply, if it ever arrives, is dropped by the demux. The connection stays
-// healthy — framing state is per-frame, not per-call.
-func (mc *muxConn) unregister(id uint64) {
+// healthy — framing state is per-frame, not per-call. A result that beat
+// the caller here is already in the channel and is drained.
+func (mc *muxConn) unregister(id uint64, c *muxCall) {
 	mc.mu.Lock()
+	_, parked := mc.pending[id]
 	delete(mc.pending, id)
 	mc.mu.Unlock()
+	if !parked {
+		<-c.ch
+	}
 }
 
-// poison marks the connection dead, fails every in-flight call and closes
-// the socket. Idempotent.
+// poison marks the connection dead, closes the socket and settles every
+// pending call whose fate is known: lost if its request was wholly written,
+// unsent if not. While a write is in flight the calls beyond sent are left
+// to its flusher, which poisons again when the write returns. Idempotent,
+// and counted once.
 func (mc *muxConn) poison(err error) {
 	mc.mu.Lock()
-	if mc.err != nil {
-		mc.mu.Unlock()
-		return
-	}
-	mc.err = err
-	for id, ch := range mc.pending {
-		close(ch)
+	mc.fail(err)
+	for id, c := range mc.pending {
+		if id > mc.sent && mc.flushing {
+			continue
+		}
+		c.ch <- muxResult{connErr: mc.err, unsent: id > mc.sent}
 		delete(mc.pending, id)
 	}
 	mc.mu.Unlock()
@@ -345,8 +414,9 @@ func (mc *muxConn) poison(err error) {
 // readLoop demultiplexes reply frames to their waiting callers until the
 // stream breaks; any read or parse failure poisons the connection.
 func (mc *muxConn) readLoop() {
+	br := newMuxReader(mc.conn, &mc.mux.reads)
 	for {
-		body, err := readFrame(mc.conn)
+		body, err := readMuxFrame(br)
 		if err != nil {
 			mc.poison(fmt.Errorf("transport: mux conn broken: %w", err))
 			return
@@ -357,10 +427,9 @@ func (mc *muxConn) readLoop() {
 			return
 		}
 		mc.mu.Lock()
-		ch, ok := mc.pending[id]
-		if ok {
+		if c, ok := mc.pending[id]; ok {
 			delete(mc.pending, id)
-			ch <- res // cap 1, never blocks
+			c.ch <- res
 		}
 		mc.mu.Unlock()
 		// An unknown ID is a reply whose caller gave up; drop it.
@@ -381,21 +450,10 @@ func (t *TCPMux) getMuxConn(ctx context.Context, from, to Addr, ep *muxEndpoint)
 	if err != nil {
 		return nil, false, err
 	}
-	t.dials.Add(1)
-	mc = newMuxConn(conn, t.MaxPending)
+	t.dials.Inc()
+	mc = newMuxConn(t, conn)
 	t.conns[key] = mc
 	return mc, false, nil
-}
-
-// discardConn drops the pair's connection if it is still mc.
-func (t *TCPMux) discardConn(from, to Addr, mc *muxConn, err error) {
-	mc.poison(err)
-	key := [2]Addr{from, to}
-	t.connMu.Lock()
-	if t.conns[key] == mc {
-		delete(t.conns, key)
-	}
-	t.connMu.Unlock()
 }
 
 // KillConns force-closes every established client connection dialed FROM
@@ -404,24 +462,30 @@ func (t *TCPMux) discardConn(from, to Addr, mc *muxConn, err error) {
 // peer over a brand-new stream — the scenario that retried, deduplicated
 // protocol messages must survive.
 func (t *TCPMux) KillConns(from, to Addr) {
+	t.dropConns(func(key [2]Addr) bool { return key == [2]Addr{from, to} }, errors.New("transport: connection killed"))
+}
+
+// dropConns forgets and poisons every client connection whose (from, to)
+// pair matches.
+func (t *TCPMux) dropConns(match func(pair [2]Addr) bool, err error) {
 	t.connMu.Lock()
 	var victims []*muxConn
 	for key, mc := range t.conns {
-		if key[0] == from && key[1] == to {
+		if match(key) {
 			victims = append(victims, mc)
 			delete(t.conns, key)
 		}
 	}
 	t.connMu.Unlock()
 	for _, mc := range victims {
-		mc.poison(errors.New("transport: connection killed"))
+		mc.poison(err)
 	}
 }
 
-// Call implements Network. The request is written as one frame on the
-// pair's shared connection and the caller parks on its reply channel; a
-// request-write failure retries once on a fresh connection (the length
-// prefix guarantees a torn request never executed).
+// Call implements Network. The request leaves as one frame on the pair's
+// shared connection and the caller parks on its slot; a request the
+// connection died without wholly writing is retried once on a fresh one
+// (the length prefix guarantees a torn request never executed).
 func (t *TCPMux) Call(ctx context.Context, req Request) ([]byte, error) {
 	t.mu.RLock()
 	ep, ok := t.listeners[req.To]
@@ -429,20 +493,28 @@ func (t *TCPMux) Call(ctx context.Context, req Request) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
 	}
-	callTimeout := t.CallTimeout
-	if callTimeout <= 0 {
-		callTimeout = DefaultCallTimeout
-	}
-	deadline := time.Now().Add(callTimeout)
+	now := time.Now()
+	deadline := now.Add(t.callTimeout())
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
 	}
+	wait := deadline.Sub(now)
+	if wait <= 0 {
+		// Already expired: the request must not be sent at all.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, context.DeadlineExceeded)
+	}
+	millis := max(uint64(wait/time.Millisecond), 1)
+	c := muxCallPool.Get().(*muxCall)
+	defer muxCallPool.Put(c) // every return leaves c.ch empty and c.timer stopped
 	for attempt := 0; ; attempt++ {
 		mc, reused, err := t.getMuxConn(ctx, req.From, req.To, ep)
 		if err != nil {
 			return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
 		}
-		id, ch, err := mc.register()
+		id, err := mc.send(c, deadline, millis, req)
 		if err != nil {
 			if errors.Is(err, ErrOverloaded) {
 				// Backpressure, not sickness: the connection is healthy but
@@ -451,51 +523,37 @@ func (t *TCPMux) Call(ctx context.Context, req Request) ([]byte, error) {
 				// would resell the capacity the cap just refused.
 				return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrOverloaded)
 			}
-			// Poisoned between lookup and register; a fresh dial will work.
-			t.discardConn(req.From, req.To, mc, err)
+			// Poisoned between lookup and send; a fresh dial will work.
 			if attempt == 0 {
 				continue
 			}
 			return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
 		}
-		millis := uint64(time.Until(deadline) / time.Millisecond)
-		if millis == 0 {
-			millis = 1
-		}
-		frame := appendMuxRequest(make([]byte, 0, 64+len(req.Payload)), id, millis, req)
-		mc.writeMu.Lock()
-		mc.conn.SetWriteDeadline(deadline)
-		werr := writeFrame(mc.conn, frame)
-		mc.writeMu.Unlock()
-		if werr != nil {
-			mc.unregister(id)
-			t.discardConn(req.From, req.To, mc, fmt.Errorf("transport: mux write: %w", werr))
-			if reused && attempt == 0 {
-				// The connection went stale between calls; the server cannot
-				// have executed a torn request, so one retry is safe.
-				continue
-			}
-			return nil, fmt.Errorf("%s -> %s: write: %w", req.From, req.To, werr)
-		}
-		timer := time.NewTimer(time.Until(deadline))
+		c.timer.Reset(time.Until(deadline)) // send may have spent some of it flushing
 		select {
-		case res, ok := <-ch:
-			timer.Stop()
-			if !ok {
+		case res := <-c.ch:
+			c.timer.Stop()
+			switch {
+			case res.unsent && reused && attempt == 0:
+				// The connection went stale between calls; the server cannot
+				// have executed a torn or unsent request, so one retry is safe.
+				continue
+			case res.unsent:
+				return nil, fmt.Errorf("%s -> %s: write: %w", req.From, req.To, res.connErr)
+			case res.connErr != nil:
 				// Connection poisoned while we were parked: the reply is gone
 				// and the outcome unobservable (the Figure-1 ambiguity).
 				return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrReplyLost)
-			}
-			if res.hasErr {
+			case res.hasErr:
 				return res.payload, errors.New(res.errMsg)
 			}
 			return res.payload, nil
 		case <-ctx.Done():
-			timer.Stop()
-			mc.unregister(id)
+			c.timer.Stop()
+			mc.unregister(id, c)
 			return nil, ctx.Err()
-		case <-timer.C:
-			mc.unregister(id)
+		case <-c.timer.C:
+			mc.unregister(id, c)
 			return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, context.DeadlineExceeded)
 		}
 	}
@@ -509,6 +567,9 @@ type muxEndpoint struct {
 	mux     *TCPMux
 	done    chan struct{}
 	wg      sync.WaitGroup
+	// work hands a request to a parked worker: unbuffered, so a send
+	// succeeds only if one is waiting.
+	work chan muxWork
 
 	// baseCtx parents every handler invocation; cancel fires on stop so
 	// draining the endpoint unwinds parked handlers instead of waiting
@@ -536,7 +597,7 @@ func (t *TCPMux) Register(addr Addr, h Handler) {
 	if err != nil {
 		panic(fmt.Sprintf("transport: tcp listen: %v", err))
 	}
-	ep := &muxEndpoint{ln: ln, handler: h, mux: t, done: make(chan struct{})}
+	ep := &muxEndpoint{ln: ln, handler: h, mux: t, done: make(chan struct{}), work: make(chan muxWork)}
 	ep.baseCtx, ep.cancel = context.WithCancel(context.Background())
 	t.listeners[addr] = ep
 	ep.wg.Add(1)
@@ -557,18 +618,7 @@ func (t *TCPMux) Unregister(addr Addr) {
 		return
 	}
 	ep.stop()
-	t.connMu.Lock()
-	var victims []*muxConn
-	for key, mc := range t.conns {
-		if key[1] == addr {
-			victims = append(victims, mc)
-			delete(t.conns, key)
-		}
-	}
-	t.connMu.Unlock()
-	for _, mc := range victims {
-		mc.poison(fmt.Errorf("%s: %w", addr, ErrUnreachable))
-	}
+	t.dropConns(func(key [2]Addr) bool { return key[1] == addr }, fmt.Errorf("%s: %w", addr, ErrUnreachable))
 }
 
 // Close shuts down all listeners and connections.
@@ -584,13 +634,7 @@ func (t *TCPMux) Close() {
 	for _, ep := range eps {
 		ep.stop()
 	}
-	t.connMu.Lock()
-	conns := t.conns
-	t.conns = make(map[[2]Addr]*muxConn)
-	t.connMu.Unlock()
-	for _, mc := range conns {
-		mc.poison(errors.New("transport: network closed"))
-	}
+	t.dropConns(func([2]Addr) bool { return true }, errors.New("transport: network closed"))
 }
 
 func (ep *muxEndpoint) stop() {
@@ -638,69 +682,106 @@ func (ep *muxEndpoint) serve() {
 	}
 }
 
-// handleConn reads request frames and dispatches each to the handler on its
-// own goroutine, so a slow call does not stall the calls pipelined behind
-// it. Replies are written in completion order under a per-connection write
-// lock. A malformed frame closes the connection: the stream offset is
-// untrustworthy after it.
+// muxWork is a request on its way to a worker, with its reply's outbox.
+type muxWork struct {
+	out                *muxOutbox
+	id, deadlineMillis uint64
+	req                Request
+}
+
+// handleConn reads request frames and hands each to a worker, so a slow
+// call does not stall the calls pipelined behind it. Replies leave in
+// completion order through the connection's outbox. A malformed frame
+// closes the connection: the stream offset is untrustworthy after it.
 func (ep *muxEndpoint) handleConn(conn net.Conn) {
-	var writeMu sync.Mutex
-	var calls sync.WaitGroup
-	defer calls.Wait()
+	out := &muxOutbox{conn: conn, mux: ep.mux, frames: &ep.mux.replyFrames}
+	br := newMuxReader(conn, &ep.mux.reads)
+	names := make(muxInterner)
 	for {
-		body, err := readFrame(conn)
+		body, err := readMuxFrame(br)
 		if err != nil {
 			return
 		}
-		id, deadlineMillis, req, err := parseMuxRequest(body)
+		id, deadlineMillis, req, err := parseMuxRequest(body, names)
 		if err != nil {
 			return
 		}
-		calls.Add(1)
-		ep.wg.Add(1)
-		go func() {
-			defer calls.Done()
-			defer ep.wg.Done()
-			ctx := ep.baseCtx
-			if deadlineMillis > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx,
-					time.Duration(deadlineMillis)*time.Millisecond+muxHandlerGrace)
-				defer cancel()
-			}
-			payload, herr := ep.handler(ctx, req)
-			var errMsg string
-			hasErr := herr != nil
-			if hasErr {
-				errMsg = herr.Error()
-			}
-			rep := appendMuxReply(make([]byte, 0, 16+len(payload)), id, payload, errMsg, hasErr)
-			if mangle := ep.mux.mangleReply; mangle != nil {
-				if rep = mangle(rep); rep == nil {
-					conn.Close() // torn frame injection: drop the link instead
-					return
-				}
-			}
-			// A stopped endpoint must never answer. stop() cancels baseCtx
-			// mid-handler, so the result above may reflect a half-cancelled
-			// execution (e.g. "context canceled" from an outbound call whose
-			// side effects stand); racing that reply onto the dying
-			// connection would hand the client a definite-looking error for
-			// an ambiguous outcome. stop() closes ep.done before it cancels,
-			// so a handler unwound by the cancellation always observes done
-			// closed here and the client sees connection death (ErrReplyLost,
-			// correctly ambiguous) instead.
-			select {
-			case <-ep.done:
-				return
-			default:
-			}
-			writeMu.Lock()
-			werr := writeFrame(conn, rep)
-			writeMu.Unlock()
-			if werr != nil {
-				conn.Close()
-			}
-		}()
+		w := muxWork{out, id, deadlineMillis, req}
+		select {
+		case ep.work <- w:
+		default:
+			ep.wg.Add(1)
+			go ep.worker(w)
+		}
 	}
+}
+
+// worker runs first, then whatever the endpoint's read loops hand it, on a
+// stack already grown to fit the handlers. It exits when the endpoint stops
+// or a whole idle interval passes without work.
+func (ep *muxEndpoint) worker(first muxWork) {
+	defer ep.wg.Done()
+	ep.handle(first)
+	idle := time.NewTicker(muxWorkerIdle)
+	defer idle.Stop()
+	for worked := true; ; {
+		select {
+		case w := <-ep.work:
+			ep.handle(w)
+			worked = true
+		case <-ep.done:
+			return
+		case <-idle.C:
+			if !worked {
+				return
+			}
+			worked = false
+		}
+	}
+}
+
+// handle runs the handler for one request and queues its reply.
+func (ep *muxEndpoint) handle(w muxWork) {
+	ctx := ep.baseCtx
+	if w.deadlineMillis > 0 {
+		bound := time.Duration(min(w.deadlineMillis, uint64(maxMuxDeadline/time.Millisecond))) * time.Millisecond
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, bound+muxHandlerGrace)
+		defer cancel()
+	}
+	payload, herr := ep.handler(ctx, w.req)
+	var errMsg string
+	if herr != nil {
+		errMsg = herr.Error()
+	}
+	// A stopped endpoint must never answer. stop() cancels baseCtx
+	// mid-handler, so the result above may reflect a half-cancelled
+	// execution (e.g. "context canceled" from an outbound call whose
+	// side effects stand); racing that reply onto the dying
+	// connection would hand the client a definite-looking error for
+	// an ambiguous outcome. stop() closes ep.done before it cancels,
+	// so a handler unwound by the cancellation always observes done
+	// closed here and the client sees connection death (ErrReplyLost,
+	// correctly ambiguous) instead.
+	select {
+	case <-ep.done:
+		return
+	default:
+	}
+	o := w.out
+	o.mu.Lock()
+	if o.err == nil {
+		start := o.beginFrame()
+		o.buf = appendMuxReply(o.buf, w.id, payload, errMsg, herr != nil)
+		if mangle := ep.mux.mangleReply; mangle == nil {
+			o.endFrame(start)
+		} else if body := mangle(o.buf[start+muxPrefixLen:]); body != nil {
+			o.buf = append(o.buf[:start+muxPrefixLen], body...)
+			o.endFrame(start)
+		} else {
+			o.buf = o.buf[:start] // torn frame injection: drop the link instead
+			o.fail(errors.New("transport: reply torn (injected)"))
+		}
+	}
+	o.flush(time.Time{})
 }

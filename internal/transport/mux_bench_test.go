@@ -37,7 +37,7 @@ func BenchmarkMuxPipelining(b *testing.B) {
 		defer tm.Close()
 		tm.Register("srv", handler)
 		bench(b, tm)
-		if d := tm.dials.Load(); d != 1 {
+		if d := tm.dials.Value(); d != 1 {
 			b.Fatalf("dials = %d, want 1", d)
 		}
 	})

@@ -77,11 +77,11 @@ func TestMuxPendingCapHoldsUnderConcurrency(t *testing.T) {
 
 	// The refusals must not have poisoned or replaced the connection:
 	// the next call reuses it and succeeds.
-	dials := tm.dials.Load()
+	dials := tm.dials.Value()
 	if _, err := tm.Call(context.Background(), Request{From: "cli", To: "srv", Payload: []byte("y")}); err != nil {
 		t.Fatalf("call after overload episode: %v", err)
 	}
-	if tm.dials.Load() != dials {
+	if tm.dials.Value() != dials {
 		t.Fatal("overload fast-fail caused a redial")
 	}
 }

@@ -106,7 +106,7 @@ func TestMuxPipelinedCallsShareOneConn(t *testing.T) {
 			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
-	if d := tm.dials.Load(); d != 1 {
+	if d := tm.dials.Value(); d != 1 {
 		t.Fatalf("dials = %d, want 1 (single mux conn per pair)", d)
 	}
 	if p := peak.Load(); p < 2 {
@@ -142,7 +142,7 @@ func TestMuxTruncatedReplyDiscardsConn(t *testing.T) {
 	if string(got) != "y" {
 		t.Fatalf("got %q", got)
 	}
-	if d := tm.dials.Load(); d != 2 {
+	if d := tm.dials.Value(); d != 2 {
 		t.Fatalf("dials = %d, want 2 (poisoned conn must be replaced)", d)
 	}
 }
@@ -214,7 +214,7 @@ func TestMuxCtxCancelKeepsConn(t *testing.T) {
 	if string(got) != "b" {
 		t.Fatalf("got %q (late reply delivered to wrong caller?)", got)
 	}
-	if d := tm.dials.Load(); d != 1 {
+	if d := tm.dials.Value(); d != 1 {
 		t.Fatalf("dials = %d, want 1 (cancel must not discard the mux conn)", d)
 	}
 }
@@ -269,7 +269,7 @@ func TestMuxSlowPeerCallTimeout(t *testing.T) {
 	}
 
 	hang.Store(false)
-	dials := tm.dials.Load()
+	dials := tm.dials.Value()
 	got, err := tm.Call(context.Background(), Request{From: "cli", To: "srv", Payload: []byte("y")})
 	if err != nil {
 		t.Fatalf("call after the timeout: %v", err)
@@ -277,7 +277,7 @@ func TestMuxSlowPeerCallTimeout(t *testing.T) {
 	if string(got) != "y" {
 		t.Fatalf("got %q (late reply delivered to the wrong caller?)", got)
 	}
-	if tm.dials.Load() != dials {
+	if tm.dials.Value() != dials {
 		t.Fatal("a timed-out call poisoned the connection: the next call redialed")
 	}
 }
@@ -333,7 +333,7 @@ func TestMuxConcurrentPairs(t *testing.T) {
 	if n := failed.Load(); n != 0 {
 		t.Fatalf("%d calls failed or got wrong replies", n)
 	}
-	if d := tm.dials.Load(); d != 9 {
+	if d := tm.dials.Value(); d != 9 {
 		t.Fatalf("dials = %d, want 9 (one per pair)", d)
 	}
 }

@@ -205,8 +205,8 @@ func (f *Faults) DuplicateRequests(p float64, count int, rule FaultRule) {
 }
 
 // ReorderRequests installs a rule that reorders matching requests: a
-// matching request is parked until the next matching request arrives (and
-// overtakes it) or until hold elapses, whichever is first. With concurrent
+// matching request is parked until the next matching request has been
+// delivered ahead of it or until hold elapses, whichever is first. With concurrent
 // traffic this swaps delivery order pairwise. count < 0 means unlimited;
 // count is consumed per parked request.
 func (f *Faults) ReorderRequests(p float64, count int, hold time.Duration, rule FaultRule) {
@@ -366,22 +366,23 @@ func (f *Faults) replyDelay(req Request) time.Duration {
 }
 
 // holdForReorder parks req if a reorder rule fires and no request is
-// already parked on that rule; the parked request resumes when the next
-// matching request overtakes it, when hold elapses, when the plan is
-// cleared, or when ctx dies. A second matching request releases the parked
-// one and proceeds immediately (the overtake).
-func (f *Faults) holdForReorder(ctx context.Context, req Request) error {
+// already parked on that rule; the parked request resumes once the next
+// matching request has overtaken it, when hold elapses, when the plan is
+// cleared, or when ctx dies. A second matching request proceeds immediately
+// and is handed the parked one's release channel as overtaken: the caller
+// closes it after delivering the request, so the parked request cannot race
+// its overtaker to the handler.
+func (f *Faults) holdForReorder(ctx context.Context, req Request) (overtaken chan struct{}, err error) {
 	f.mu.Lock()
 	var e *faultEntry
 	for _, cand := range f.reorders {
 		if cand.parked != nil && cand.rule(req) {
-			// Overtake: release the parked request, let this one through.
-			// Releasing needs only a rule match, not remaining budget — the
-			// budget was spent parking.
-			close(cand.parked)
-			cand.parked = nil
+			// Overtake: this request goes through and releases the parked one
+			// behind it. Releasing needs only a rule match, not remaining
+			// budget — the budget was spent parking.
+			overtaken, cand.parked = cand.parked, nil
 			f.mu.Unlock()
-			return nil
+			return overtaken, nil
 		}
 		if f.fires(cand, req) {
 			e = cand
@@ -390,7 +391,7 @@ func (f *Faults) holdForReorder(ctx context.Context, req Request) error {
 	}
 	if e == nil {
 		f.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	release := make(chan struct{})
 	e.parked = release
@@ -409,7 +410,7 @@ func (f *Faults) holdForReorder(ctx context.Context, req Request) error {
 		e.parked = nil
 	}
 	f.mu.Unlock()
-	return ctx.Err()
+	return nil, ctx.Err()
 }
 
 // runHooks invokes the hooks of list that fire for req. They are collected

@@ -396,6 +396,16 @@ func TestOpenOverTCP(t *testing.T) {
 	if !errors.Is(err, arjuna.ErrUnknownMethod) {
 		t.Fatalf("err over TCP = %v, want ErrUnknownMethod", err)
 	}
+	// The socket carrier's own counters show in the deployment snapshot.
+	snap := sys.StatsSnapshot()
+	for _, name := range []string{"dials", "poisoned", "request_frames", "reply_frames", "writes", "reads"} {
+		if !strings.Contains(snap, "transport.mux."+name+" ") {
+			t.Fatalf("snapshot missing transport.mux.%s:\n%s", name, snap)
+		}
+	}
+	if strings.Contains(snap, fmt.Sprintf("counter %-40s 0\n", "transport.mux.writes")) {
+		t.Fatalf("transport.mux.writes is 0 after committed actions:\n%s", snap)
+	}
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
