@@ -23,6 +23,7 @@ import (
 	"repro/internal/replica"
 	"repro/internal/storage"
 	"repro/internal/transport"
+	"repro/internal/uid"
 	"repro/pkg/arjuna"
 )
 
@@ -188,6 +189,15 @@ func BenchmarkE12NonAtomicNameServer(b *testing.B) {
 	}
 }
 
+// addOne runs one atomic increment of the object through the facade.
+func addOne(ctx context.Context, cl *arjuna.Client, obj uid.UID) error {
+	_, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
+		return err
+	})
+	return err
+}
+
 // BenchmarkActionThroughput measures raw end-to-end action cost on the
 // simulator (bind → invoke → 2PC commit) for each replication policy — an
 // ablation for DESIGN.md's commit-processing design notes.
@@ -202,18 +212,23 @@ func BenchmarkActionThroughput(b *testing.B) {
 		{"coordinator-cohort-3", replica.CoordinatorCohort, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			w, err := harness.New(harness.Options{Servers: 3, Stores: 2, Clients: 1})
+			sys, err := arjuna.Open(arjuna.WithServers(3), arjuna.WithStores(2))
 			if err != nil {
 				b.Fatal(err)
 			}
-			bd := w.Binder("c1", core.SchemeStandard, tc.policy, tc.deg)
+			defer sys.Close()
+			cl, err := sys.Client("c1", arjuna.ClientScheme(core.SchemeStandard),
+				arjuna.ClientPolicy(tc.policy), arjuna.ClientDegree(tc.deg))
+			if err != nil {
+				b.Fatal(err)
+			}
 			ctx := context.Background()
+			obj := sys.Objects()[0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := w.RunCounterAction(ctx, bd, 0, 1)
-				if !r.Committed {
-					b.Fatalf("action failed: %v", r.Err)
+				if err := addOne(ctx, cl, obj); err != nil {
+					b.Fatalf("action failed: %v", err)
 				}
 			}
 		})
@@ -242,15 +257,15 @@ func BenchmarkCommitDurability(b *testing.B) {
 		{"disk-group-commit", true, storage.SyncGroup},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			opts := harness.Options{Servers: 1, Stores: 1, Clients: workers, Objects: workers}
+			opts := []arjuna.Option{arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(workers), arjuna.WithObjects(workers)}
 			if tc.disk {
-				opts.DataDir = b.TempDir()
-				opts.Disk = storage.DiskOptions{Sync: tc.sync}
+				opts = append(opts, arjuna.WithDataDir(b.TempDir()), arjuna.WithDiskOptions(storage.DiskOptions{Sync: tc.sync}))
 			}
-			w, err := harness.New(opts)
+			sys, err := arjuna.Open(opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer sys.Close()
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -261,9 +276,13 @@ func BenchmarkCommitDurability(b *testing.B) {
 				wg.Add(1)
 				go func(k int) {
 					defer wg.Done()
-					bd := w.Binder(w.Clients[k], core.SchemeStandard, replica.SingleCopyPassive, 0)
+					cl, err := sys.Client(string(sys.ClientNodes()[k]), arjuna.ClientScheme(core.SchemeStandard))
+					if err != nil {
+						failed.Add(1)
+						return
+					}
 					for next.Add(1) <= int64(b.N) {
-						if r := w.RunCounterAction(ctx, bd, k, 1); !r.Committed {
+						if addOne(ctx, cl, sys.Objects()[k]) != nil {
 							failed.Add(1)
 							return
 						}

@@ -8,9 +8,9 @@
 // histogram of internal/metrics. After a warmup period the measured
 // window begins; at the end loadgen writes a JSON report — p50/p99/p999
 // and mean/max latency overall and per operation class, throughput,
-// abort rate, and per-shard operation counts — to -out
-// (BENCH_shardscale.json by default), so benchmark claims in BENCH.md
-// are backed by a file a machine can diff.
+// abort rate, and per-shard operation counts — to standard output, or to
+// the -out file when one is given; progress and the one-line summary go to
+// standard error. (Numbers to quote come from `bash bench/run.sh`.)
 //
 // Usage:
 //
@@ -21,7 +21,7 @@
 //
 // -hot-frac forces that fraction of operations onto the single hottest
 // key on top of the Zipf draw, making the hot-key tail scenario
-// (BENCH_hotkey.json) reproducible at will. Writes go through
+// reproducible at will. Writes go through
 // Client.Apply, so commutative adds against a contended key may be
 // folded into the lock holder's commit (flat combining); each class's
 // JSON slice reports how many operations were batched, how many retries
@@ -210,7 +210,7 @@ func run() error {
 	warmup := flag.Duration("warmup", 2*time.Second, "warmup period before measurement")
 	duration := flag.Duration("duration", 10*time.Second, "measured window")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
-	out := flag.String("out", "BENCH_shardscale.json", "output JSON path")
+	out := flag.String("out", "", "output JSON path (default: standard output)")
 	opTimeout := flag.Duration("op-timeout", 5*time.Second, "per-operation context timeout")
 	partitionStore := flag.String("partition-store", "", "store node to partition mid-window (\"auto\" = last shard's first store, \"\" = none)")
 	partitionAt := flag.Duration("partition-at", 2*time.Second, "when after measurement start the partition begins")
@@ -252,8 +252,8 @@ func run() error {
 		shardOf[i] = sys.ShardOf(id)
 		byShard[shardOf[i]] = append(byShard[shardOf[i]], i)
 	}
-	fmt.Printf("loadgen: %v\n", sys)
-	fmt.Printf("loadgen: %d workers, %d objects over %d shards, mix read=%.2f write=%.2f cross=%.2f, zipf s=%.2f, hot-frac=%.2f\n",
+	fmt.Fprintf(os.Stderr, "loadgen: %v\n", sys)
+	fmt.Fprintf(os.Stderr, "loadgen: %d workers, %d objects over %d shards, mix read=%.2f write=%.2f cross=%.2f, zipf s=%.2f, hot-frac=%.2f\n",
 		*concurrency, len(objs), sys.ShardCount(), *readFrac, 1-*readFrac-*crossFrac, *crossFrac, *zipfS, *hotFrac)
 
 	measureStart := time.Now().Add(*warmup)
@@ -289,7 +289,7 @@ func run() error {
 		go func() {
 			defer close(partitionDone)
 			time.Sleep(time.Until(measureStart.Add(*partitionAt)))
-			fmt.Printf("loadgen: partitioning %s from %d nodes\n", sick, len(others))
+			fmt.Fprintf(os.Stderr, "loadgen: partitioning %s from %d nodes\n", sick, len(others))
 			for _, o := range others {
 				sys.Faults().Partition(sick, o)
 			}
@@ -297,7 +297,7 @@ func run() error {
 			for _, o := range others {
 				sys.Faults().Heal(sick, o)
 			}
-			fmt.Printf("loadgen: healed %s\n", sick)
+			fmt.Fprintf(os.Stderr, "loadgen: healed %s\n", sick)
 		}()
 	}
 
@@ -526,16 +526,23 @@ func run() error {
 		return err
 	}
 	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	dest := "stdout"
+	if *out == "" {
+		_, err = os.Stdout.Write(data)
+	} else {
+		dest = *out
+		err = os.WriteFile(*out, data, 0o644)
+	}
+	if err != nil {
 		return err
 	}
-	fmt.Printf("loadgen: %d ops in %s (%.0f ops/s), abort rate %.4f, batched %d\n",
+	fmt.Fprintf(os.Stderr, "loadgen: %d ops in %s (%.0f ops/s), abort rate %.4f, batched %d\n",
 		totalOps, duration, rep.Throughput, rep.AbortRate, totalBatched)
-	fmt.Printf("loadgen: latency ms p50=%.3f p99=%.3f p999=%.3f max=%.3f → %s\n",
-		rep.Overall.P50, rep.Overall.P99, rep.Overall.P999, rep.Overall.Max, *out)
+	fmt.Fprintf(os.Stderr, "loadgen: latency ms p50=%.3f p99=%.3f p999=%.3f max=%.3f → %s\n",
+		rep.Overall.P50, rep.Overall.P99, rep.Overall.P999, rep.Overall.Max, dest)
 	if rep.Leases != nil {
 		lr := classes[classNames[opLeasedRead]]
-		fmt.Printf("loadgen: leases ttl=%s L1 hit rate %.3f, L2 hit rate %.3f, %d lease-served reads p50=%.3fms (server reads p50=%.3fms), waitouts=%d\n",
+		fmt.Fprintf(os.Stderr, "loadgen: leases ttl=%s L1 hit rate %.3f, L2 hit rate %.3f, %d lease-served reads p50=%.3fms (server reads p50=%.3fms), waitouts=%d\n",
 			*leaseTTL, rep.Leases.L1HitRate, rep.Leases.L2HitRate,
 			lr.Ops, lr.Latency.P50, classes[classNames[opRead]].Latency.P50, rep.Leases.Waitouts)
 	}

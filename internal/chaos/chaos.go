@@ -7,20 +7,20 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/lease"
 	"repro/internal/object"
 	"repro/internal/replica"
 	"repro/internal/storage"
 	"repro/internal/store"
 	"repro/internal/transport"
+	"repro/pkg/arjuna"
 )
 
 // Workload selects what the concurrent clients do while the nemesis runs.
@@ -46,6 +46,14 @@ const (
 	// the commit is acknowledged, even when the nemesis crashes the
 	// granting server mid-invalidation.
 	WorkloadLeasedCounter
+	// WorkloadLeasedMixed: every write is a MIXED transaction — one Atomic
+	// that reads object A (from the lease cache when it can) and increments
+	// object B — between plain leased reads that keep the caches warm.
+	// Conservation holds on the increments, and I7 tightens: commit-time
+	// revalidation makes the leased read a locked server read, so what a
+	// committed mixed transaction read of A is no older than the newest A
+	// acknowledged before its commit processing began.
+	WorkloadLeasedMixed
 )
 
 // String implements fmt.Stringer.
@@ -57,6 +65,8 @@ func (w Workload) String() string {
 		return "bank"
 	case WorkloadLeasedCounter:
 		return "leased-counter"
+	case WorkloadLeasedMixed:
+		return "leased-mixed"
 	default:
 		return fmt.Sprintf("workload(%d)", int(w))
 	}
@@ -86,8 +96,8 @@ type Config struct {
 	// ActionTimeout bounds one client action (faults may stall locks and
 	// binds; the timeout turns a stall into an abort).
 	ActionTimeout time.Duration
-	// LeaseTTL is the read-lease duration for WorkloadLeasedCounter
-	// (default 80ms there; ignored by other workloads). Long enough that
+	// LeaseTTL is the read-lease duration for the leased workloads
+	// (default 80ms there; ignored by the others). Long enough that
 	// a lease outlives the slow read path that harvested it (an enhanced
 	// bind runs ~25ms of database actions), yet short enough relative to
 	// ActionTimeout that the 2×TTL first-commit grace and fence waitouts
@@ -152,7 +162,7 @@ func (c Config) withDefaults() Config {
 	if c.ActionTimeout <= 0 {
 		c.ActionTimeout = 300 * time.Millisecond
 	}
-	if c.Workload == WorkloadLeasedCounter && c.LeaseTTL <= 0 {
+	if (c.Workload == WorkloadLeasedCounter || c.Workload == WorkloadLeasedMixed) && c.LeaseTTL <= 0 {
 		c.LeaseTTL = 80 * time.Millisecond
 	}
 	if c.Jitter <= 0 {
@@ -170,15 +180,23 @@ type Report struct {
 	// Notes records non-fatal observations (e.g. an online recovery that
 	// had to be retried at quiesce because the DB was partitioned).
 	Notes []string
-	// Committed/Aborted/Uncertain count client actions by observed
-	// outcome. Uncertain actions ran out of time mid-commit: the client
-	// cannot know the outcome, so conservation is checked as a bound.
+	// Committed/Aborted/Uncertain count client actions by the outcome the
+	// facade reported: nil, ErrAborted, ErrOutcomeUnknown. An uncertain
+	// action's commit ended in doubt — its effects may stand — so
+	// conservation is checked as a bound.
 	Committed, Aborted, Uncertain int
+	// Retried counts actions whose Atomic ran more than one attempt (a
+	// lock refusal, overload, open breaker or stale lease was retried).
+	Retried int
+	// LeaseStale counts attempts that commit-time lease revalidation
+	// aborted (ErrLeaseStale) before they could commit over a superseded
+	// snapshot.
+	LeaseStale int
 	// InDoubtResolved counts prepared-but-undecided intentions that
 	// recovery resolved against coordinator outcome logs.
 	InDoubtResolved int
-	// LeasedReads counts committed read actions WorkloadLeasedCounter
-	// served straight from a lease cache (zero RPCs).
+	// LeasedReads counts committed reads the leased workloads served
+	// straight from a lease cache (zero RPCs).
 	LeasedReads int
 	// Repairs lists quiesce-time interventions (restarting wedged server
 	// instances whose phase-two traffic was lost).
@@ -206,11 +224,10 @@ type opRec struct {
 	// breadcrumb that pinpoints WHICH committed update went missing.
 	obj int
 	val int
-	// onePhase, prepared and excluded annotate a committed op's commit
-	// shape, so a forked chain's trace shows WHERE each branch lived.
+	// onePhase and excluded annotate a committed op's commit shape, so a
+	// forked chain's trace shows WHERE each branch lived.
 	onePhase bool
-	prepared []transport.Addr
-	excluded int
+	excluded []transport.Addr
 	// errMsg captures a non-committed op's error — the breadcrumb that
 	// distinguishes "aborted on bind" from "aborted after its invoke
 	// already observed a value" when hunting a phantom update.
@@ -220,15 +237,18 @@ type opRec struct {
 	read bool
 }
 
-// leaseReadRec traces one committed read of the leased-counter workload
-// for I7: floor is the newest committed counter value some client had
-// already seen acknowledged when the read BEGAN, saw the value the read
-// returned, leased whether it was served from a lease cache.
+// leaseReadRec traces one committed read of the leased workloads for I7:
+// floor is the newest committed counter value some client had already
+// seen acknowledged when the read BEGAN (a mixed transaction's: when its
+// body finished), saw the value the read returned, leased whether a lease
+// cache served it — only those reads are held to the floor — and mixed
+// marks a mixed transaction's read.
 type leaseReadRec struct {
 	obj    int
 	floor  int
 	saw    int
 	leased bool
+	mixed  bool
 }
 
 type objTally struct {
@@ -237,7 +257,10 @@ type objTally struct {
 }
 
 type runner struct {
-	cfg    Config
+	cfg Config
+	// sys is the deployment as applications see it; w its nodes and
+	// stores, for the nemesis and the checks.
+	sys    *arjuna.System
 	w      *harness.World
 	faults *transport.Faults
 
@@ -268,37 +291,36 @@ type runner struct {
 // reported in Report.Violations.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	opts := harness.Options{
-		Servers:  cfg.Servers,
-		Stores:   cfg.Stores,
-		Clients:  cfg.Clients,
-		Objects:  cfg.Objects,
-		Shards:   cfg.Shards,
-		Net:      transport.MemOptions{Jitter: cfg.Jitter, Seed: cfg.Seed},
-		DataDir:  cfg.DataDir,
-		Disk:     cfg.Disk,
-		LeaseTTL: cfg.LeaseTTL,
+	opts := []arjuna.Option{
+		arjuna.WithServers(cfg.Servers), arjuna.WithStores(cfg.Stores),
+		arjuna.WithClients(cfg.Clients), arjuna.WithObjects(cfg.Objects),
+		arjuna.WithShards(cfg.Shards),
+		// The seed also feeds each client's retry-backoff jitter.
+		arjuna.WithMemNetwork(transport.MemOptions{Jitter: cfg.Jitter, Seed: cfg.Seed}),
+		arjuna.WithDataDir(cfg.DataDir), arjuna.WithDiskOptions(cfg.Disk),
 	}
-	var muxNet *transport.TCPMux
+	if cfg.LeaseTTL > 0 {
+		opts = append(opts, arjuna.WithReadLeases(cfg.LeaseTTL))
+	}
 	switch cfg.Transport {
 	case "", "mem":
 	case "mux":
-		muxNet = transport.NewTCPMux()
-		opts.Network = transport.NewFaulty(muxNet, transport.NewFaultsSeeded(cfg.Seed))
+		opts = append(opts, arjuna.WithNetwork(
+			transport.NewFaulty(transport.NewTCPMux(), transport.NewFaultsSeeded(cfg.Seed))))
 	default:
 		return nil, fmt.Errorf("chaos: unknown transport %q", cfg.Transport)
 	}
-	w, err := harness.New(opts)
+	sys, err := arjuna.Open(opts...)
 	if err != nil {
 		return nil, err
 	}
-	if muxNet != nil {
-		defer muxNet.Close()
-	}
+	defer sys.Close()
+	w := sys.World()
 	faults := w.Cluster.Faults()
 	faults.Reseed(cfg.Seed)
 	r := &runner{
 		cfg:    cfg,
+		sys:    sys,
 		w:      w,
 		faults: faults,
 		report: &Report{
@@ -314,6 +336,14 @@ func Run(cfg Config) (*Report, error) {
 		tornRng:       rand.New(rand.NewSource(cfg.Seed ^ 0x70524e5441494c)),
 	}
 
+	clients := make([]*arjuna.Client, len(w.Clients))
+	for i, name := range w.Clients {
+		clients[i], err = sys.Client(string(name), arjuna.ClientScheme(cfg.Scheme), arjuna.ClientPolicy(cfg.Policy))
+		if err != nil {
+			return nil, err
+		}
+	}
+
 	events := GenerateSchedule(cfg.Seed, cfg)
 	nemesisCtx, stopNemesis := context.WithCancel(context.Background())
 	var nemesisDone sync.WaitGroup
@@ -324,12 +354,12 @@ func Run(cfg Config) (*Report, error) {
 	}()
 
 	var workers sync.WaitGroup
-	for i := range w.Clients {
+	for i, cl := range clients {
 		workers.Add(1)
-		go func(idx int) {
+		go func(idx int, cl *arjuna.Client) {
 			defer workers.Done()
-			r.worker(idx)
-		}(i)
+			r.worker(idx, cl)
+		}(i, cl)
 	}
 	workers.Wait()
 	stopNemesis()
@@ -342,90 +372,120 @@ func Run(cfg Config) (*Report, error) {
 
 // --- workload ---
 
-func (r *runner) worker(idx int) {
-	client := r.w.Clients[idx]
-	b := r.w.AnyBinder(client, r.cfg.Scheme, r.cfg.Policy, 0)
-	var lc *lease.Local
-	if r.cfg.Workload == WorkloadLeasedCounter {
-		lc = r.w.LeaseLocal(client, 0)
-	}
+// worker runs client node idx's share of the workload. The worker IS an
+// application client: every action goes through arjuna.Client.Atomic —
+// retry classes, jittered backoff, lease revalidation and error taxonomy
+// included.
+func (r *runner) worker(idx int, cl *arjuna.Client) {
 	// Per-client source: decorrelated from the schedule rng but still a
 	// pure function of the seed.
 	rng := rand.New(rand.NewSource(r.cfg.Seed ^ int64(idx+1)*0x5851F42D4C957F2D))
 	for i := 0; i < r.cfg.ActionsPerClient; i++ {
 		switch r.cfg.Workload {
 		case WorkloadBank:
-			r.bankOp(b, client, rng)
+			r.bankOp(cl, rng)
 		case WorkloadLeasedCounter:
-			r.leasedOp(b, lc, client, rng)
+			r.leasedOp(cl, rng)
+		case WorkloadLeasedMixed:
+			r.mixedOp(cl, rng)
 		default:
-			r.counterOp(b, client, rng)
+			r.counterOp(cl, rng)
 		}
 		r.progress.Add(1)
 	}
 }
 
-func (r *runner) record(client transport.Addr, tx string, class outcomeClass, deltas map[int]int) {
-	r.mu.Lock()
-	r.ops = append(r.ops, opRec{tx: tx, client: client, class: class})
-	r.mu.Unlock()
-	r.recordTally(class, deltas)
-}
-
-func (r *runner) recordTally(class outcomeClass, deltas map[int]int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch class {
-	case opCommitted:
-		r.report.Committed++
-		for obj, d := range deltas {
-			r.tallies[obj].committed += d
-		}
-	case opAborted:
-		r.report.Aborted++
-	case opUncertain:
-		r.report.Uncertain++
-		for obj, d := range deltas {
-			r.tallies[obj].uncertain += d
-		}
-	}
-}
-
-// classify maps a harness ActionResult to an outcome class: commits and
-// runner-resolved aborts are certain; a Commit that itself failed is
-// uncertain when the caller's context was dead OR the coordinator
-// affirmatively reported the outcome unknown (an ambiguous one-phase
-// round whose two-phase fallback could not resolve the doubt) — either
-// way the one-phase fast path may have committed at the store with no
-// way to report it.
-func classify(ctx context.Context, res harness.ActionResult) outcomeClass {
+// classOf is the facade's three-way contract, which the invariants hold it
+// to: nil — committed; ErrOutcomeUnknown — in doubt, the effects may stand;
+// anything else carries ErrAborted — every effect was undone.
+func classOf(err error) outcomeClass {
 	switch {
-	case res.Committed:
+	case err == nil:
 		return opCommitted
-	case res.CommitFailed && (ctx.Err() != nil || errors.Is(res.Err, action.ErrOutcomeUnknown)):
+	case errors.Is(err, arjuna.ErrOutcomeUnknown):
 		return opUncertain
 	default:
 		return opAborted
 	}
 }
 
-func (r *runner) counterOp(b core.ActionBinder, client transport.Addr, rng *rand.Rand) {
-	obj := rng.Intn(r.cfg.Objects)
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ActionTimeout)
-	defer cancel()
-	res := r.w.RunCounterAction(ctx, b, obj, 1)
-	class := classify(ctx, res)
-	val, _ := strconv.Atoi(string(res.Result))
-	var errMsg string
-	if res.Err != nil {
-		errMsg = res.Err.Error()
+// step is one counter invocation of a workload action: "add" delta, or
+// "get".
+type step struct {
+	obj    int
+	method string
+	delta  int
+}
+
+// atomic runs steps as ONE Client.Atomic and files the outcome under the
+// class the returned error names: the op trace (final attempt's id, last
+// step's object and value, commit shape), the outcome counters, and the
+// deltas that class owes the conservation tallies. atEnd, when set, runs
+// at the end of every attempt's body. It returns the value each step
+// observed in the final attempt.
+func (r *runner) atomic(ctx context.Context, cl *arjuna.Client, atEnd func(), steps ...step) ([]int, *arjuna.CommitReport, outcomeClass) {
+	vals := make([]int, len(steps))
+	op := opRec{client: cl.Name(), obj: steps[len(steps)-1].obj, read: true}
+	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		op.tx = tx.ID()
+		for i, s := range steps {
+			out, err := tx.Object(r.w.Objects[s.obj]).Invoke(ctx, s.method, []byte(strconv.Itoa(s.delta)))
+			if err != nil {
+				return err
+			}
+			if vals[i], err = strconv.Atoi(string(out)); err != nil {
+				return err
+			}
+		}
+		if atEnd != nil {
+			atEnd()
+		}
+		return nil
+	})
+	op.class, op.val = classOf(err), vals[len(vals)-1]
+	op.onePhase, op.excluded = rep.OnePhase, rep.ExcludedStores
+	if err != nil {
+		op.errMsg = err.Error()
 	}
 	r.mu.Lock()
-	r.ops = append(r.ops, opRec{tx: res.Tx, client: client, class: class, obj: obj, val: val,
-		onePhase: res.OnePhase, prepared: res.PreparedStores, excluded: res.ExcludedStores,
-		errMsg: errMsg})
-	r.mu.Unlock()
-	r.recordTally(class, map[int]int{obj: 1})
+	defer r.mu.Unlock()
+	if rep.Attempts > 1 {
+		r.report.Retried++
+	}
+	r.report.LeaseStale += rep.LeaseStale
+	for _, s := range steps {
+		if s.method != "add" {
+			continue
+		}
+		op.read = false
+		switch op.class {
+		case opCommitted:
+			r.tallies[s.obj].committed += s.delta
+		case opUncertain:
+			r.tallies[s.obj].uncertain += s.delta
+		}
+	}
+	switch op.class {
+	case opCommitted:
+		r.report.Committed++
+	case opAborted:
+		r.report.Aborted++
+	case opUncertain:
+		r.report.Uncertain++
+	}
+	r.ops = append(r.ops, op)
+	return vals, rep, op.class
+}
+
+// actionCtx bounds one workload action.
+func (r *runner) actionCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), r.cfg.ActionTimeout)
+}
+
+func (r *runner) counterOp(cl *arjuna.Client, rng *rand.Rand) {
+	ctx, cancel := r.actionCtx()
+	defer cancel()
+	r.atomic(ctx, cl, nil, step{rng.Intn(r.cfg.Objects), "add", 1})
 }
 
 // leasedOp runs one leased-counter action: ~60% leased reads, the rest
@@ -433,67 +493,84 @@ func (r *runner) counterOp(b core.ActionBinder, client transport.Addr, rng *rand
 // value already acknowledged on this object — BEFORE starting, so the
 // floor is a sound lower bound on what the read "could have observed";
 // increments raise the floor only after their commit is acknowledged.
-func (r *runner) leasedOp(b core.ActionBinder, lc *lease.Local, client transport.Addr, rng *rand.Rand) {
+func (r *runner) leasedOp(cl *arjuna.Client, rng *rand.Rand) {
 	obj := rng.Intn(r.cfg.Objects)
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ActionTimeout)
+	ctx, cancel := r.actionCtx()
 	defer cancel()
-
 	if rng.Intn(5) < 3 {
-		// Reads come in pairs — the locality a lease cache exists for: the
-		// first read harvests a grant on a miss, the second typically hits
-		// it. Both are I7-checked against their own floor snapshot.
-		for k := 0; k < 2; k++ {
-			r.mu.Lock()
-			floor := r.ackedMax[obj]
-			r.mu.Unlock()
-			res := r.w.RunLeasedReadAction(ctx, b, lc, obj)
-			class := classify(ctx, res)
-			var errMsg string
-			if res.Err != nil {
-				errMsg = res.Err.Error()
-			}
-			val, _ := strconv.Atoi(string(res.Result))
-			r.mu.Lock()
-			r.ops = append(r.ops, opRec{tx: res.Tx, client: client, class: class, obj: obj, val: val,
-				errMsg: errMsg, read: true})
-			if class == opCommitted {
-				r.leaseReads = append(r.leaseReads, leaseReadRec{obj: obj, floor: floor, saw: val, leased: res.Leased})
-				if res.Leased {
-					r.report.LeasedReads++
-				}
-			}
-			r.mu.Unlock()
-			r.recordTally(class, nil)
-		}
-		return
+		r.readPair(ctx, cl, obj)
+	} else if vals, _, class := r.atomic(ctx, cl, nil, step{obj, "add", 1}); class == opCommitted {
+		r.ack(obj, vals[0])
 	}
-
-	res := r.w.RunCounterAction(ctx, b, obj, 1)
-	class := classify(ctx, res)
-	val, _ := strconv.Atoi(string(res.Result))
-	var errMsg string
-	if res.Err != nil {
-		errMsg = res.Err.Error()
-	}
-	r.mu.Lock()
-	r.ops = append(r.ops, opRec{tx: res.Tx, client: client, class: class, obj: obj, val: val,
-		onePhase: res.OnePhase, prepared: res.PreparedStores, excluded: res.ExcludedStores,
-		errMsg: errMsg})
-	if class == opCommitted && val > r.ackedMax[obj] {
-		r.ackedMax[obj] = val
-	}
-	r.mu.Unlock()
-	r.recordTally(class, map[int]int{obj: 1})
 }
 
-func (r *runner) bankOp(b core.ActionBinder, client transport.Addr, rng *rand.Rand) {
+// ack raises object obj's I7 floor to val, the counter value a commit
+// just acknowledged to its client.
+func (r *runner) ack(obj, val int) {
+	r.mu.Lock()
+	r.ackedMax[obj] = max(r.ackedMax[obj], val)
+	r.mu.Unlock()
+}
+
+func (r *runner) floor(obj int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ackedMax[obj]
+}
+
+func (r *runner) leaseRead(rec leaseReadRec) {
+	r.mu.Lock()
+	r.leaseReads = append(r.leaseReads, rec)
+	if rec.leased {
+		r.report.LeasedReads++
+	}
+	r.mu.Unlock()
+}
+
+// readPair reads obj twice — the locality a lease cache exists for: the
+// first read harvests a grant on a miss, the second typically hits it.
+// Both are I7-checked against their own floor snapshot.
+func (r *runner) readPair(ctx context.Context, cl *arjuna.Client, obj int) {
+	for k := 0; k < 2; k++ {
+		floor := r.floor(obj)
+		if vals, rep, class := r.atomic(ctx, cl, nil, step{obj, "get", 0}); class == opCommitted {
+			r.leaseRead(leaseReadRec{obj: obj, floor: floor, saw: vals[0], leased: rep.LeaseReads > 0})
+		}
+	}
+}
+
+// mixedOp runs one leased-mixed action: ~40% read pairs (which also keep
+// the lease caches warm), the rest the mixed transaction — read A, then
+// increment B, in ONE Atomic. A's I7 floor is snapshotted at the end of
+// the body, after B's increment returned: every commit on A acknowledged
+// by then precedes this transaction's commit processing, so revalidating
+// a lease-served read of A must have made the transaction observe it.
+func (r *runner) mixedOp(cl *arjuna.Client, rng *rand.Rand) {
+	a := rng.Intn(r.cfg.Objects)
+	b := (a + 1 + rng.Intn(r.cfg.Objects-1)) % r.cfg.Objects
+	ctx, cancel := r.actionCtx()
+	defer cancel()
+	if rng.Intn(5) < 2 {
+		r.readPair(ctx, cl, a)
+		return
+	}
+	var floor int
+	vals, rep, class := r.atomic(ctx, cl, func() { floor = r.floor(a) }, step{a, "get", 0}, step{b, "add", 1})
+	if class == opCommitted {
+		r.leaseRead(leaseReadRec{obj: a, floor: floor, saw: vals[0], leased: rep.LeaseReads > 0, mixed: true})
+		r.ack(b, vals[1])
+	}
+}
+
+// bankOp moves an amount between two accounts in one action, so the
+// transfer is failure-atomic across its two participants.
+func (r *runner) bankOp(cl *arjuna.Client, rng *rand.Rand) {
 	from := rng.Intn(r.cfg.Objects)
 	to := (from + 1 + rng.Intn(r.cfg.Objects-1)) % r.cfg.Objects
 	amount := 1 + rng.Intn(5)
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ActionTimeout)
+	ctx, cancel := r.actionCtx()
 	defer cancel()
-	res := r.w.RunTransferAction(ctx, b, from, to, amount)
-	r.record(client, res.Tx, classify(ctx, res), map[int]int{from: -amount, to: amount})
+	r.atomic(ctx, cl, nil, step{from, "add", -amount}, step{to, "add", amount})
 }
 
 // --- nemesis ---
@@ -617,11 +694,11 @@ func (r *runner) apply(e Event) {
 	}
 }
 
-// recoverNode attempts an online recovery mid-run: restart (which
-// resolves in-doubt intentions against coordinator logs via the cluster's
-// outcome resolver) followed by the store/server recovery protocol.
-// Protocol failures under active faults are notes, not errors — quiesce
-// retries them in a clean network.
+// recoverNode attempts an online recovery mid-run, the way an operator
+// would: System.Recover restarts the node (resolving in-doubt intentions
+// against coordinator logs via the cluster's outcome resolver) and runs its
+// role's store/server recovery protocol. Protocol failures under active
+// faults are notes, not errors — quiesce retries them in a clean network.
 func (r *runner) recoverNode(target transport.Addr) {
 	n := r.w.Cluster.Node(target)
 	if n == nil || n.Up() {
@@ -629,28 +706,15 @@ func (r *runner) recoverNode(target transport.Addr) {
 	}
 	r.maybeTearWAL(target)
 	r.countInDoubt(target)
-	n.Recover(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*r.cfg.ActionTimeout)
 	defer cancel()
-	g := r.w.GroupFor(target)
-	var err error
-	if r.isStore(target) {
-		err = core.RecoverStoreNode(ctx, n, g.DB.Addr(), g.DB.Objects())
-	} else {
-		err = core.RecoverServerNode(ctx, n, g.DB.Addr(), g.DB.Objects())
-	}
-	if err != nil {
+	if err := r.sys.Recover(ctx, string(target)); err != nil {
 		r.note("online recovery of %s deferred: %v", target, err)
 	}
 }
 
 func (r *runner) isStore(addr transport.Addr) bool {
-	for _, st := range r.w.Sts {
-		if st == addr {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(r.w.Sts, addr)
 }
 
 func (r *runner) countInDoubt(addr transport.Addr) {
@@ -713,9 +777,6 @@ func (r *runner) maybeTearWAL(target transport.Addr) {
 // every invariant.
 func (r *runner) quiesce() {
 	r.faults.Clear()
-	resolver := func(n transport.Addr) store.OutcomeLog {
-		return r.w.OutcomeLogFor(r.w.Cluster.Node(n))
-	}
 
 	// Settle kill-at-byte injections: a tripped one's node must be down
 	// (the async crash callback may still be in flight — force it); an
@@ -761,7 +822,7 @@ func (r *runner) quiesce() {
 			r.mu.Lock()
 			r.report.InDoubtResolved += len(pend)
 			r.mu.Unlock()
-			applied, aborted := n.Store().Recover(resolver(st))
+			applied, aborted := n.Store().Recover(r.w.OutcomeLogFor(n))
 			r.note("swept %s: applied %v, aborted %v", st, applied, aborted)
 		}
 	}
@@ -796,36 +857,25 @@ func (r *runner) quiesce() {
 			}
 		}
 	}
-	// Catch-up protocols for every node that ever crashed, now that the
-	// network is clean and intentions are settled. A few retries paper
-	// over ordering between mutually-dependent recoveries.
+	// Catch-up protocols for every node that ever crashed (stores before
+	// servers, again), now that the network is clean and intentions are
+	// settled. A few retries paper over ordering between mutually-dependent
+	// recoveries.
 	r.mu.Lock()
-	crashed := make([]transport.Addr, 0, len(r.everCrashed))
-	for a := range r.everCrashed {
-		crashed = append(crashed, a)
+	var crashed []transport.Addr
+	for _, a := range slices.Concat(r.w.Sts, r.w.Svs) {
+		if r.everCrashed[a] {
+			crashed = append(crashed, a)
+		}
 	}
 	r.mu.Unlock()
 	for attempt := 0; attempt < 3; attempt++ {
 		ok := true
 		for _, a := range crashed {
-			if r.isStore(a) {
-				g := r.w.GroupFor(a)
-				if err := core.RecoverStoreNode(ctx, r.w.Cluster.Node(a), g.DB.Addr(), g.DB.Objects()); err != nil {
-					ok = false
-					if attempt == 2 {
-						r.note("quiesce store recovery %s failed: %v", a, err)
-					}
-				}
-			}
-		}
-		for _, a := range crashed {
-			if !r.isStore(a) {
-				g := r.w.GroupFor(a)
-				if err := core.RecoverServerNode(ctx, r.w.Cluster.Node(a), g.DB.Addr(), g.DB.Objects()); err != nil {
-					ok = false
-					if attempt == 2 {
-						r.note("quiesce server recovery %s failed: %v", a, err)
-					}
+			if err := r.sys.Recover(ctx, string(a)); err != nil {
+				ok = false
+				if attempt == 2 {
+					r.note("quiesce recovery of %s failed: %v", a, err)
 				}
 			}
 		}

@@ -2,8 +2,10 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,9 +13,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/object"
-	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/transport"
+	"repro/internal/uid"
+	"repro/pkg/arjuna"
 )
 
 // seedFlag replays one specific schedule:
@@ -53,8 +56,8 @@ func runSeed(t *testing.T, cfg Config) *Report {
 	if err != nil {
 		t.Fatalf("seed %d: harness: %v", cfg.Seed, err)
 	}
-	t.Logf("seed %d: committed=%d aborted=%d uncertain=%d in-doubt-resolved=%d repairs=%d",
-		rep.Seed, rep.Committed, rep.Aborted, rep.Uncertain, rep.InDoubtResolved, len(rep.Repairs))
+	t.Logf("seed %d: committed=%d aborted=%d uncertain=%d retried=%d lease-stale=%d in-doubt-resolved=%d repairs=%d",
+		rep.Seed, rep.Committed, rep.Aborted, rep.Uncertain, rep.Retried, rep.LeaseStale, rep.InDoubtResolved, len(rep.Repairs))
 	if len(rep.Violations) > 0 {
 		t.Errorf("seed %d violated invariants:\n  %s\nschedule:\n  %s\nnotes:\n  %s\nreproduce with:\n  go test ./internal/chaos -run %s -seed=%d -v",
 			cfg.Seed,
@@ -79,6 +82,42 @@ func seeds(base int64, n int) []int64 {
 	return out
 }
 
+// openT assembles a deployment for a deterministic shape and returns it
+// with the World the fault hooks and store checks reach into.
+func openT(t *testing.T, opts ...arjuna.Option) (*arjuna.System, *harness.World) {
+	t.Helper()
+	sys, err := arjuna.Open(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sys.Close() })
+	return sys, sys.World()
+}
+
+// clientT returns a client on the standard scheme (plus opts).
+func clientT(t *testing.T, sys *arjuna.System, name string, opts ...arjuna.ClientOption) *arjuna.Client {
+	t.Helper()
+	cl, err := sys.Client(name, append([]arjuna.ClientOption{arjuna.ClientScheme(core.SchemeStandard)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// invoke1 runs one single-invocation action — "add" 1 or "get" — and
+// returns the counter value it observed.
+func invoke1(ctx context.Context, cl *arjuna.Client, id uid.UID, method string) (int, *arjuna.CommitReport, error) {
+	var val int
+	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		out, err := tx.Object(id).Invoke(ctx, method, []byte("1"))
+		if err == nil {
+			val, err = strconv.Atoi(string(out))
+		}
+		return err
+	})
+	return val, rep, err
+}
+
 // TestChaosCounter: randomized schedules against concurrent counter
 // increments — value conservation, view consistency, outcome convergence.
 func TestChaosCounter(t *testing.T) {
@@ -86,6 +125,31 @@ func TestChaosCounter(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runSeed(t, Config{Seed: seed, Workload: WorkloadCounter})
 		})
+	}
+}
+
+// pinnedDefaults reports whether the run uses each test's own pinned
+// configuration — no -seed, -backend or -transport override. Assertions
+// about what a pinned schedule EXERCISES (as opposed to the invariants,
+// which hold everywhere) only make sense then: the disk backend changes
+// the fault plan and the socket carrier the interleavings.
+func pinnedDefaults() bool {
+	return *seedFlag == 0 && *backendFlag == "" && *transportFlag == ""
+}
+
+// TestChaosRetriesUnderPartitions pins one counter schedule — three
+// partitions, both servers crashed along the way — on which the facade's
+// retry loop demonstrably runs (breaker fast-fails and refused locks are
+// retried with the client's seeded backoff), and holds it to every
+// invariant: a retried action's earlier attempts were reported aborted, so
+// none of their effects may survive into the conservation tally.
+func TestChaosRetriesUnderPartitions(t *testing.T) {
+	for _, seed := range seeds(40, 1) {
+		rep := runSeed(t, Config{Seed: seed, Workload: WorkloadCounter})
+		if pinnedDefaults() && rep.Retried == 0 {
+			t.Errorf("seed %d: no action was retried; the schedule no longer exercises Atomic's retry loop:\n  %s",
+				seed, strings.Join(rep.Schedule, "\n  "))
+		}
 	}
 }
 
@@ -205,6 +269,35 @@ func TestChaosLeasedCounter(t *testing.T) {
 	}
 }
 
+// TestChaosLeasedMixed: every write is a mixed transaction — lease-read A,
+// increment B, one Atomic — so commit-time lease revalidation runs under
+// crashes, partitions and lost invalidations. Conservation must hold on
+// the increments, and the tightened I7 on the reads: what a committed
+// mixed transaction read of A is no older than anything acknowledged on A
+// before its commit processing began. The seeds are picked, not
+// consecutive: with revalidation disabled (stub Txn.revalidateLeases to
+// return nil) each of them commits a transaction over a superseded
+// snapshot in four or five runs out of five, and the check fails.
+func TestChaosLeasedMixed(t *testing.T) {
+	pinned := []int64{911, 913, 920}
+	if *seedFlag != 0 {
+		pinned = []int64{*seedFlag}
+	}
+	leased, stale := 0, 0
+	for _, seed := range pinned {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rep := runSeed(t, Config{Seed: seed, Workload: WorkloadLeasedMixed, ActionsPerClient: 30})
+			leased += rep.LeasedReads
+			stale += rep.LeaseStale
+		})
+	}
+	// A pinned set in which no read was ever lease-served, or no attempt
+	// was ever caught stale, is not exercising revalidation at all.
+	if pinnedDefaults() && (leased == 0 || stale == 0) {
+		t.Errorf("pinned set served %d leased reads and caught %d stale attempts; want both > 0", leased, stale)
+	}
+}
+
 // TestLeaseFenceServerCrashMidInvalidation pins the phase-two half of I7
 // deterministically: the lease-granting primary crashes at the instant
 // phase two reaches it, so its commit-time fence never runs and no
@@ -219,21 +312,18 @@ func TestLeaseFenceServerCrashMidInvalidation(t *testing.T) {
 	const ttl = 100 * time.Millisecond
 	// Three stores make one-phase commit ineligible, forcing the true
 	// 2PC shape whose phase-two failure is the hazard under test.
-	w, err := harness.New(harness.Options{Servers: 2, Stores: 3, Clients: 2, LeaseTTL: ttl})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, w := openT(t, arjuna.WithServers(2), arjuna.WithStores(3), arjuna.WithClients(2), arjuna.WithReadLeases(ttl))
 	ctx := context.Background()
-	lc2 := w.LeaseLocal("c2", 0)
-	b2 := w.Binder("c2", core.SchemeStandard, replica.SingleCopyPassive, 1)
+	obj := w.Objects[0]
+	c2 := clientT(t, sys, "c2")
 
 	// Objects are pre-seeded at seq 1, so the first read harvests a
 	// grant without any commit (and without the first-commit grace).
-	if res := w.RunLeasedReadAction(ctx, b2, lc2, 0); !res.Committed || res.Leased {
-		t.Fatalf("harvest read: committed=%v leased=%v err=%v", res.Committed, res.Leased, res.Err)
+	if _, rep, err := invoke1(ctx, c2, obj, "get"); err != nil || rep.LeaseReads != 0 {
+		t.Fatalf("harvest read: leased=%d err=%v", rep.LeaseReads, err)
 	}
-	if res := w.RunLeasedReadAction(ctx, b2, lc2, 0); !res.Leased || string(res.Result) != "0" {
-		t.Fatalf("leased read = %q (leased=%v), want cached 0", res.Result, res.Leased)
+	if val, rep, err := invoke1(ctx, c2, obj, "get"); err != nil || rep.LeaseReads != 1 || val != 0 {
+		t.Fatalf("leased read = %d (leased=%d, err=%v), want cached 0", val, rep.LeaseReads, err)
 	}
 
 	// Crash the primary the moment the phase-two Commit reaches it.
@@ -241,22 +331,20 @@ func TestLeaseFenceServerCrashMidInvalidation(t *testing.T) {
 	w.Cluster.Faults().OnRequest(1,
 		transport.ToMethod("sv1", object.ServiceName, object.MethodCommit),
 		func(transport.Request) { sv1.Crash() })
-	b1 := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 1)
-	res := w.RunCounterAction(ctx, b1, 0, 1)
-	if !res.Committed {
-		t.Fatalf("increment did not commit despite store repair: %v", res.Err)
+	if _, _, err := invoke1(ctx, clientT(t, sys, "c1"), obj, "add"); err != nil {
+		t.Fatalf("increment did not commit despite store repair: %v", err)
 	}
 
 	// The ack above was delayed past every grant the primary could have
 	// issued, so the holder's lease is expired NOW — the read takes the
 	// server path (sv2, activated from the repaired stores) and sees 1.
-	got := w.RunLeasedReadAction(ctx, b2, lc2, 0)
-	if !got.Committed {
-		t.Fatalf("post-crash read failed: %v", got.Err)
+	val, rep, err := invoke1(ctx, c2, obj, "get")
+	if err != nil {
+		t.Fatalf("post-crash read failed: %v", err)
 	}
-	if got.Leased || string(got.Result) != "1" {
-		t.Fatalf("read after unfenced commit = %q (leased=%v), want 1 via the server — stale lease outlived the commit ack",
-			got.Result, got.Leased)
+	if rep.LeaseReads != 0 || val != 1 {
+		t.Fatalf("read after unfenced commit = %d (leased=%d), want 1 via the server — stale lease outlived the commit ack",
+			val, rep.LeaseReads)
 	}
 }
 
@@ -268,39 +356,33 @@ func TestLeaseFenceServerCrashMidInvalidation(t *testing.T) {
 // observes the committed value.
 func TestLeaseFencePartitionedHolderWaitout(t *testing.T) {
 	const ttl = 100 * time.Millisecond
-	w, err := harness.New(harness.Options{Servers: 1, Stores: 1, Clients: 2, LeaseTTL: ttl})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, w := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(2), arjuna.WithReadLeases(ttl))
 	ctx := context.Background()
-	lc2 := w.LeaseLocal("c2", 0)
-	b2 := w.Binder("c2", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	if res := w.RunLeasedReadAction(ctx, b2, lc2, 0); !res.Committed || res.Leased {
-		t.Fatalf("harvest read: committed=%v leased=%v err=%v", res.Committed, res.Leased, res.Err)
+	obj := w.Objects[0]
+	c2 := clientT(t, sys, "c2")
+	if _, rep, err := invoke1(ctx, c2, obj, "get"); err != nil || rep.LeaseReads != 0 {
+		t.Fatalf("harvest read: leased=%d err=%v", rep.LeaseReads, err)
 	}
-	if res := w.RunLeasedReadAction(ctx, b2, lc2, 0); !res.Leased {
-		t.Fatal("second read not lease-served")
+	if _, rep, err := invoke1(ctx, c2, obj, "get"); err != nil || rep.LeaseReads != 1 {
+		t.Fatalf("second read not lease-served (err=%v)", err)
 	}
 
-	waitsBefore := w.Metrics.Counter("lease.waitouts").Value()
-	w.Cluster.Faults().Partition("sv1", "c2")
-	b1 := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	res := w.RunCounterAction(ctx, b1, 0, 1)
-	if !res.Committed {
-		t.Fatalf("increment did not commit: %v", res.Err)
+	waitsBefore := sys.LeaseStats().Waitouts
+	sys.Faults().Partition("sv1", "c2")
+	if _, _, err := invoke1(ctx, clientT(t, sys, "c1"), obj, "add"); err != nil {
+		t.Fatalf("increment did not commit: %v", err)
 	}
-	if w.Metrics.Counter("lease.waitouts").Value() == waitsBefore {
+	if sys.LeaseStats().Waitouts == waitsBefore {
 		t.Fatal("commit with an unreachable holder recorded no lease waitout")
 	}
 
-	w.Cluster.Faults().Heal("sv1", "c2")
-	got := w.RunLeasedReadAction(ctx, b2, lc2, 0)
-	if !got.Committed {
-		t.Fatalf("post-heal read failed: %v", got.Err)
+	sys.Faults().Heal("sv1", "c2")
+	val, rep, err := invoke1(ctx, c2, obj, "get")
+	if err != nil {
+		t.Fatalf("post-heal read failed: %v", err)
 	}
-	if got.Leased || string(got.Result) != "1" {
-		t.Fatalf("read after waited-out commit = %q (leased=%v), want 1 via the server",
-			got.Result, got.Leased)
+	if rep.LeaseReads != 0 || val != 1 {
+		t.Fatalf("read after waited-out commit = %d (leased=%d), want 1 via the server", val, rep.LeaseReads)
 	}
 }
 
@@ -391,6 +473,37 @@ func TestInDoubtParticipantConvergesDeterministic(t *testing.T) {
 	}
 }
 
+// TestInDoubtClientOutcomeIsNeverRetried stages the one shape that puts
+// the CLIENT in doubt — the one-phase round commits at the store, its reply
+// is lost, and the only server dies before the two-phase fallback can ask
+// again — on a client whose retry loop is armed. The facade must answer
+// ErrOutcomeUnknown and not ErrAborted, after exactly one attempt (a retry
+// could apply the add twice), and that answer is the nemesis's "uncertain"
+// class: the increment stands at the store, inside the conservation bound
+// only because it was not filed as aborted.
+func TestInDoubtClientOutcomeIsNeverRetried(t *testing.T) {
+	sys, w := openT(t, arjuna.WithServers(1), arjuna.WithStores(1))
+	cl := clientT(t, sys, "c1", arjuna.ClientRetry(5, 2*time.Millisecond))
+	rule := transport.ToMethod("sv1", object.ServiceName, object.MethodPrepareCommit)
+	sys.Faults().OnReply(1, rule, func(transport.Request) { w.Cluster.Node("sv1").Crash() })
+	sys.Faults().DropReplies(1, rule)
+
+	_, rep, err := invoke1(context.Background(), cl, w.Objects[0], "add")
+	if !errors.Is(err, arjuna.ErrOutcomeUnknown) || errors.Is(err, arjuna.ErrAborted) {
+		t.Fatalf("err = %v, want ErrOutcomeUnknown and not ErrAborted", err)
+	}
+	if rep.Attempts != 1 {
+		t.Fatalf("in-doubt commit ran %d attempts, want 1", rep.Attempts)
+	}
+	if classOf(err) != opUncertain {
+		t.Fatalf("class = %v, want uncertain", classOf(err))
+	}
+	v, rerr := w.Cluster.Node("st1").Store().Read(w.Objects[0])
+	if rerr != nil || string(v.Data) != "1" || v.Seq != 2 {
+		t.Fatalf("st1 = %q/%d (%v), want the in-doubt add applied once (1/2)", v.Data, v.Seq, rerr)
+	}
+}
+
 // TestInDoubtDiskParticipantConverges is the disk-backed twin of the
 // deterministic crash-during-commit shapes: st2's crash drops its whole
 // process image, so the prepared intention and the committed base state
@@ -442,10 +555,7 @@ func TestInDoubtDiskParticipantConverges(t *testing.T) {
 // non-empty dataDir puts every node on disk-backed stable storage.
 func newInDoubtWorld(t *testing.T, abortSide bool, dataDir string) *harness.World {
 	t.Helper()
-	w, err := harness.New(harness.Options{Servers: 1, Stores: 2, Clients: 1, DataDir: dataDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, w := openT(t, arjuna.WithServers(1), arjuna.WithStores(2), arjuna.WithDataDir(dataDir))
 	st2 := w.Cluster.Node("st2")
 	rule := transport.ToMethod("st2", store.ServiceName, store.MethodPrepare)
 	if abortSide {
@@ -454,13 +564,19 @@ func newInDoubtWorld(t *testing.T, abortSide bool, dataDir string) *harness.Worl
 		w.Cluster.Faults().DropReplies(1, rule)
 	}
 	w.Cluster.Faults().OnReply(1, rule, func(transport.Request) { st2.Crash() })
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	res := w.RunCounterAction(context.Background(), b, 0, 1)
-	if abortSide && res.Committed {
-		t.Fatal("abort-side run must abort")
+	// The retry loop is armed, and must stay out of it: a store left in
+	// doubt does not put the CLIENT in doubt — the coordinator's log decides
+	// — and neither a commit nor a failed prepare is a retryable class.
+	cl := clientT(t, sys, "c1", arjuna.ClientRetry(5, 2*time.Millisecond))
+	_, rep, err := invoke1(context.Background(), cl, w.Objects[0], "add")
+	if abortSide && (classOf(err) != opAborted || !errors.Is(err, arjuna.ErrAborted)) {
+		t.Fatalf("abort-side run must abort definitely: %v", err)
 	}
-	if !abortSide && !res.Committed {
-		t.Fatalf("commit-side run must commit: %v", res.Err)
+	if !abortSide && err != nil {
+		t.Fatalf("commit-side run must commit: %v", err)
+	}
+	if rep.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1", rep.Attempts)
 	}
 	return w
 }

@@ -1,9 +1,24 @@
 // Package chaos is a seed-deterministic nemesis harness for the
 // replicated-object stack: it derives a randomized fault schedule from a
 // single integer seed, applies it to a simulated cluster while concurrent
-// clients run counter or bank workloads, and then checks a set of
+// clients run counter, bank or leased workloads, and then checks a set of
 // invariants that must hold under ANY failure pattern the paper's
 // protocols claim to tolerate.
+//
+// # The client under test
+//
+// The nemesis drives pkg/arjuna.Client, the client applications run: Run
+// opens the deployment with arjuna.Open, each worker holds its node's
+// Client (the run's Scheme and Policy as ClientScheme and ClientPolicy),
+// and every action is one Client.Atomic — retries, backoff, lease
+// revalidation and all; faults and store checks reach the same nodes via
+// System.World. An action's class is the returned error's and nothing
+// else: nil is committed, ErrOutcomeUnknown is uncertain, anything else is
+// aborted. So the invariants test the facade's contract — "ErrAborted:
+// every effect was undone" — and a breach is a bug in the protocol stack,
+// never a reason to widen a class here. Report.Retried and
+// Report.LeaseStale count retried actions and revalidation-stopped
+// attempts.
 //
 // # Seeds and schedules
 //
@@ -15,7 +30,8 @@
 //     injected (GenerateSchedule is a pure function of seed and config);
 //   - the workload content — which object each client action touches,
 //     which accounts a transfer moves money between (per-client sources
-//     derived from the seed);
+//     derived from the seed), and each client's retry-backoff jitter
+//     (the facade seeds it from the network seed and the client's name);
 //   - the network — jitter and the per-message fault coin flips share the
 //     seed (transport.Faults.Reseed).
 //
@@ -70,8 +86,8 @@
 //     guarantee for St sets);
 //   - conservation / no lost committed updates: for counters, the final
 //     value equals the initial value plus the sum of deltas of every
-//     action a client saw commit (bounded above by the few outcomes the
-//     client could not observe — see Report.Uncertain); for the bank
+//     action the facade reported committed (bounded above by the few it
+//     reported in doubt — see Report.Uncertain); for the bank
 //     workload, the total across all accounts is exactly conserved, since
 //     transfers are failure-atomic across two participants;
 //   - outcome convergence: no store holds a pending intention after the
@@ -81,7 +97,12 @@
 //     aborted, and vice versa;
 //   - server quiescence: no object server instance is left with bound
 //     users or unresolved prepared state (instances wedged by lost
-//     phase-two traffic are restarted and reported in Report.Repairs).
+//     phase-two traffic are restarted and reported in Report.Repairs);
+//   - lease-read freshness (leased workloads): a lease-served read never
+//     observes a value older than the newest commit acknowledged when it
+//     began; a committed MIXED transaction (lease-read A, increment B, one
+//     Atomic) never lease-read an A older than the newest acknowledged when
+//     its body finished — revalidation must abort it (ErrLeaseStale).
 //
 // # Replaying a failure
 //

@@ -12,7 +12,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/rpc"
 	"repro/internal/store"
-	"repro/internal/transport"
 	"repro/internal/uid"
 )
 
@@ -31,7 +30,7 @@ func (r *runner) checkInvariants() []string {
 	// I1 + I2: St view consistency and conservation, per object.
 	total := 0
 	for i, id := range r.w.Objects {
-		view, err := r.w.CurrentStView(ctx, i)
+		view, err := r.sys.StoreView(ctx, id)
 		if err != nil {
 			bad("obj%d: cannot read final St view: %v", i, err)
 			continue
@@ -76,10 +75,12 @@ func (r *runner) checkInvariants() []string {
 		r.report.FinalValues["obj"+strconv.Itoa(i)] = val
 		total += val
 
-		if r.cfg.Workload == WorkloadCounter || r.cfg.Workload == WorkloadLeasedCounter {
+		if r.cfg.Workload != WorkloadBank {
 			// No lost committed update, no phantom: the settled value
-			// covers every delta a client saw commit, and exceeds that
-			// only by deltas whose outcome no client could observe.
+			// covers every delta the facade reported committed, and exceeds
+			// that only by deltas it reported in doubt (ErrOutcomeUnknown).
+			// An action it reported ErrAborted contributes nothing — "every
+			// effect was undone" is the contract under test.
 			t := r.tallies[i]
 			if val < t.committed || val > t.committed+t.uncertain {
 				bad("obj%d: value %d outside [committed=%d, committed+uncertain=%d] — lost or phantom update",
@@ -138,7 +139,7 @@ func (r *runner) checkInvariants() []string {
 	ops := append([]opRec(nil), r.ops...)
 	r.mu.Unlock()
 	for _, op := range ops {
-		logged := r.lookupLog(op.client, op.tx)
+		logged := r.w.Mgrs[op.client].Lookup(op.tx)
 		switch op.class {
 		case opCommitted:
 			if logged == store.OutcomeAborted {
@@ -155,16 +156,23 @@ func (r *runner) checkInvariants() []string {
 	// older than the newest committed value some client had already seen
 	// acknowledged when the read began. The floor is conservative (it
 	// misses commits acknowledged concurrently with the read), so any
-	// breach is a stale lease that outlived its object's commit fence.
-	if r.cfg.Workload == WorkloadLeasedCounter {
-		r.mu.Lock()
-		reads := append([]leaseReadRec(nil), r.leaseReads...)
-		r.mu.Unlock()
-		for _, rec := range reads {
-			if rec.leased && rec.saw < rec.floor {
-				bad("obj%d: lease-served read observed %d after %d was acknowledged committed — stale lease outlived the commit fence",
-					rec.obj, rec.saw, rec.floor)
-			}
+	// breach is a stale lease that outlived its object's commit fence. A
+	// mixed transaction's leased read is held to a later floor — taken when
+	// its body finished — because commit-time revalidation turns it into a
+	// locked server read; a breach there is a transaction that committed
+	// over a snapshot it should have found superseded.
+	r.mu.Lock()
+	reads := append([]leaseReadRec(nil), r.leaseReads...)
+	r.mu.Unlock()
+	for _, rec := range reads {
+		switch {
+		case !rec.leased || rec.saw >= rec.floor:
+		case rec.mixed:
+			bad("obj%d: mixed transaction committed having lease-read %d after %d was acknowledged committed — its read was not revalidated at commit",
+				rec.obj, rec.saw, rec.floor)
+		default:
+			bad("obj%d: lease-served read observed %d after %d was acknowledged committed — stale lease outlived the commit fence",
+				rec.obj, rec.saw, rec.floor)
 		}
 	}
 
@@ -203,14 +211,6 @@ func (r *runner) checkInvariants() []string {
 	return violations
 }
 
-func (r *runner) lookupLog(client transport.Addr, tx string) store.Outcome {
-	mgr := r.w.Mgrs[client]
-	if mgr == nil {
-		return store.OutcomeUnknown
-	}
-	return mgr.Lookup(tx)
-}
-
 // storeStates renders every store node's committed (value, seq, tx) for
 // id — the per-replica view a diverged chain shows up in.
 func (r *runner) storeStates(id uid.UID) string {
@@ -247,7 +247,7 @@ func (r *runner) chainFor(obj int) string {
 		if op.onePhase {
 			shape = " one-phase"
 		}
-		parts[i] = fmt.Sprintf("%d=%s%s prepared=%v excluded=%d", op.val, op.tx, shape, op.prepared, op.excluded)
+		parts[i] = fmt.Sprintf("%d=%s%s excluded=%v", op.val, op.tx, shape, op.excluded)
 	}
 	return strings.Join(parts, "\n    ")
 }

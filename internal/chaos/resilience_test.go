@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
-	"repro/internal/replica"
 	"repro/internal/rpc"
 	"repro/internal/transport"
+	"repro/internal/uid"
+	"repro/pkg/arjuna"
 )
 
 // TestChaosGrayFailure: schedules extended with gray-failure injections —
@@ -78,15 +78,12 @@ func latP99(durs []time.Duration) time.Duration {
 // p99 under 10× the healthy baseline even while involved callers are
 // timing out against the sick store concurrently.
 func TestGrayFailureTailBound(t *testing.T) {
-	w, err := harness.New(harness.Options{Servers: 1, Stores: 1, Clients: 2, Objects: 8, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, w := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(2), arjuna.WithObjects(8), arjuna.WithShards(2))
 	// Find one object per shard.
-	shardObj := map[int]int{}
-	for i, id := range w.Objects {
-		if _, ok := shardObj[w.GroupOf(id).ID]; !ok {
-			shardObj[w.GroupOf(id).ID] = i
+	shardObj := map[int]uid.UID{}
+	for _, id := range w.Objects {
+		if _, ok := shardObj[sys.ShardOf(id)]; !ok {
+			shardObj[sys.ShardOf(id)] = id
 		}
 	}
 	if len(shardObj) < 2 {
@@ -95,19 +92,24 @@ func TestGrayFailureTailBound(t *testing.T) {
 	healthyObj, sickObj := shardObj[1], shardObj[2]
 	sickStore := w.Groups[1].Sts[0]
 
-	run := func(b core.ActionBinder, obj int, timeout time.Duration) (time.Duration, bool) {
+	run := func(cl *arjuna.Client, obj uid.UID, timeout time.Duration) (time.Duration, bool) {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		start := time.Now()
-		res := w.RunCounterAction(ctx, b, obj, 1)
-		return time.Since(start), res.Committed
+		_, _, err := invoke1(ctx, cl, obj, "add")
+		return time.Since(start), err == nil
+	}
+	// Single-attempt clients: the bound is on one action's latency, and the
+	// involved caller is meant to burn its deadline, not back off.
+	client := func(name transport.Addr) *arjuna.Client {
+		return clientT(t, sys, string(name), arjuna.ClientScheme(core.SchemeIndependent), arjuna.ClientRetry(1, 0))
 	}
 
 	// Healthy baseline on shard 1.
-	b1 := w.AnyBinder(w.Clients[0], core.SchemeIndependent, replica.SingleCopyPassive, 0)
+	c1 := client(w.Clients[0])
 	var healthy []time.Duration
 	for i := 0; i < 40; i++ {
-		d, ok := run(b1, healthyObj, 2*time.Second)
+		d, ok := run(c1, healthyObj, 2*time.Second)
 		if !ok {
 			t.Fatalf("healthy action %d did not commit", i)
 		}
@@ -124,26 +126,24 @@ func TestGrayFailureTailBound(t *testing.T) {
 	// Involved load: a second client hammers the sick shard, each action
 	// timing out against the held replies.
 	stop := make(chan struct{})
+	c2 := client(w.Clients[1])
 	var involved sync.WaitGroup
 	involved.Add(1)
 	go func() {
 		defer involved.Done()
-		b2 := w.AnyBinder(w.Clients[1], core.SchemeIndependent, replica.SingleCopyPassive, 0)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-			w.RunCounterAction(ctx, b2, sickObj, 1)
-			cancel()
+			run(c2, sickObj, 100*time.Millisecond)
 		}
 	}()
 
 	var sick []time.Duration
 	for i := 0; i < 40; i++ {
-		d, ok := run(b1, healthyObj, 2*time.Second)
+		d, ok := run(c1, healthyObj, 2*time.Second)
 		if !ok {
 			t.Fatalf("non-involved action %d did not commit with %s gray-failed", i, sickStore)
 		}
@@ -165,25 +165,20 @@ func TestGrayFailureTailBound(t *testing.T) {
 // server's breaker fast-failing any later probe of it — and every
 // subsequent action commits fast.
 func TestGrayFailureBreakerContainsSickStore(t *testing.T) {
-	w, err := harness.New(harness.Options{
-		Servers: 1, Stores: 2, Clients: 1, Objects: 1,
-		Breakers: rpc.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Cluster.Faults().DelayReplies(1, -1, 5*time.Second, transport.To("st2"))
+	sys, w := openT(t, arjuna.WithServers(1), arjuna.WithStores(2),
+		arjuna.WithBreakerConfig(rpc.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour}))
+	sys.Faults().DelayReplies(1, -1, 5*time.Second, transport.To("st2"))
 
-	b := w.AnyBinder("c1", core.SchemeIndependent, replica.SingleCopyPassive, 0)
+	cl := clientT(t, sys, "c1", arjuna.ClientScheme(core.SchemeIndependent), arjuna.ClientRetry(1, 0))
 	const actions = 20
 	durs := make([]time.Duration, actions)
 	committed := make([]bool, actions)
 	for i := 0; i < actions; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 		start := time.Now()
-		res := w.RunCounterAction(ctx, b, 0, 1)
+		_, _, err := invoke1(ctx, cl, w.Objects[0], "add")
 		durs[i] = time.Since(start)
-		committed[i] = res.Committed
+		committed[i] = err == nil
 		cancel()
 	}
 	// Steady state: the tail of the run commits fast — the sick store is
@@ -201,7 +196,7 @@ func TestGrayFailureBreakerContainsSickStore(t *testing.T) {
 	// breaker toward it tripped open. Both stop further waits on it.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	view, err := w.CurrentStView(ctx, 0)
+	view, err := sys.StoreView(ctx, w.Objects[0])
 	if err != nil {
 		t.Fatalf("final St view: %v", err)
 	}
@@ -222,22 +217,20 @@ func TestGrayFailureBreakerContainsSickStore(t *testing.T) {
 // bind and re-bind live — a fresh binder with no cached placement must
 // resolve through a surviving replica and commit.
 func TestPlacementFailoverKeepsBindsLive(t *testing.T) {
-	w, err := harness.New(harness.Options{Servers: 1, Stores: 1, Clients: 1, Objects: 4, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, w := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(4), arjuna.WithShards(2))
 	if len(w.PlaceAddrs) != 3 {
 		t.Fatalf("placement replicas = %v, want 3", w.PlaceAddrs)
 	}
 	for _, victim := range w.PlaceAddrs {
 		n := w.Cluster.Node(victim)
 		n.Crash()
-		b := w.ShardBinder(w.Clients[0], core.SchemeIndependent, replica.SingleCopyPassive, 0)
+		// A fresh client per victim: no cached placement to lean on.
+		cl := clientT(t, sys, "c1", arjuna.ClientScheme(core.SchemeIndependent))
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		res := w.RunCounterAction(ctx, b, 0, 1)
+		_, _, err := invoke1(ctx, cl, w.Objects[0], "add")
 		cancel()
-		if !res.Committed {
-			t.Fatalf("action did not commit with placement replica %s down: %s", victim, res.Err)
+		if err != nil {
+			t.Fatalf("action did not commit with placement replica %s down: %v", victim, err)
 		}
 		n.Recover(nil)
 	}

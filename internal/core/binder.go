@@ -744,10 +744,6 @@ func (bd *Binding) endAtDB(ctx context.Context, tx string, endTx, commit bool) e
 // FailedStores exposes the stores excluded during commit, for experiments.
 func (bd *Binding) FailedStores() []transport.Addr { return bd.handle.FailedStores() }
 
-// PreparedStores exposes the stores holding the action's prepared state,
-// for diagnostics and the chaos harness's replay breadcrumbs.
-func (bd *Binding) PreparedStores() []transport.Addr { return bd.handle.PreparedStores() }
-
 // BrokenServers exposes the bindings broken during the action.
 func (bd *Binding) BrokenServers() []transport.Addr { return bd.handle.Broken() }
 

@@ -27,7 +27,9 @@ func RecoverServerNode(ctx context.Context, node *sim.Node, db transport.Addr, i
 			_ = act.Abort(context.Background())
 			return fmt.Errorf("core: recovery Insert(%v,%s): %w", id, node.Name(), err)
 		}
-		if err := cli.EndAction(ctx, owner, true); err != nil {
+		// Cancellation stripped, as on the error path: an action left open
+		// holds the entry's write lock, and nothing else would end it.
+		if err := cli.EndAction(context.WithoutCancel(ctx), owner, true); err != nil {
 			_ = act.Abort(context.Background())
 			return err
 		}
@@ -54,7 +56,7 @@ func RecoverStoreNode(ctx context.Context, node *sim.Node, db transport.Addr, id
 			_ = act.Abort(context.Background())
 			return err
 		}
-		if err := cli.EndAction(ctx, owner, true); err != nil {
+		if err := cli.EndAction(context.WithoutCancel(ctx), owner, true); err != nil { // see RecoverServerNode
 			_ = act.Abort(context.Background())
 			return err
 		}
@@ -95,6 +97,13 @@ func recoverOneState(ctx context.Context, cli Client, node *sim.Node, owner stri
 		}
 		others++
 		remote := store.RemoteStore{Client: node.Client(), Node: st}
+		// "Commit processing quiescent" still leaves commits whose phase
+		// two never arrived: the member holds the acknowledged version only
+		// as a pinned intention, and Read would hand back the one before
+		// it. Have the member apply what its coordinators have decided
+		// first (best effort — an undecided pin keeps blocking writers, and
+		// the stale-version check refuses a copy loaded underneath it).
+		_, _ = remote.ResolveDecided(ctx)
 		v, err := remote.Read(ctx, id)
 		if err != nil {
 			continue

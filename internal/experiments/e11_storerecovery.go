@@ -5,8 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/harness"
-	"repro/internal/replica"
+	"repro/pkg/arjuna"
 )
 
 // E11Config parameterises the §4.2 store crash-and-recovery experiment:
@@ -51,17 +50,21 @@ func RunE11(cfg E11Config) (*E11Result, error) {
 	if cfg.ActionsAfter < 1 {
 		cfg.ActionsAfter = 3
 	}
-	w, err := harness.New(harness.Options{Servers: 1, Stores: cfg.Stores, Clients: 1})
+	sys, err := arjuna.Open(arjuna.WithServers(1), arjuna.WithStores(cfg.Stores))
+	if err != nil {
+		return nil, err
+	}
+	defer sys.Close()
+	w := sys.World()
+	clients, err := singleAttemptClients(sys, core.SchemeStandard)
 	if err != nil {
 		return nil, err
 	}
 	ctx := context.Background()
 	res := &E11Result{Config: cfg}
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
 	run := func(n int) {
 		for i := 0; i < n; i++ {
-			r := w.RunCounterAction(ctx, b, 0, 1)
-			if r.Committed {
+			if _, err := invokeOnce(ctx, clients[0], w.Objects[0], "add", "1"); err == nil {
 				res.Committed++
 				res.ExpectedValue++
 			} else {
@@ -71,7 +74,7 @@ func RunE11(cfg E11Config) (*E11Result, error) {
 	}
 
 	run(cfg.ActionsBefore)
-	view, err := w.CurrentStView(ctx, 0)
+	view, err := sys.StoreView(ctx, w.Objects[0])
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +83,7 @@ func RunE11(cfg E11Config) (*E11Result, error) {
 	victim := w.Cluster.Node(w.Sts[len(w.Sts)-1])
 	victim.Crash()
 	run(cfg.ActionsDuring) // the first commit here excludes the victim
-	view, err = w.CurrentStView(ctx, 0)
+	view, err = sys.StoreView(ctx, w.Objects[0])
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +94,7 @@ func RunE11(cfg E11Config) (*E11Result, error) {
 	if err := core.RecoverStoreNode(ctx, victim, "db", w.Objects); err != nil {
 		return nil, fmt.Errorf("e11 store recovery: %w", err)
 	}
-	view, err = w.CurrentStView(ctx, 0)
+	view, err = sys.StoreView(ctx, w.Objects[0])
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +111,7 @@ func RunE11(cfg E11Config) (*E11Result, error) {
 	res.CaughtUp = res.RecoveredSeq == maxSeq
 
 	run(cfg.ActionsAfter)
-	view, err = w.CurrentStView(ctx, 0)
+	view, err = sys.StoreView(ctx, w.Objects[0])
 	if err != nil {
 		return nil, err
 	}

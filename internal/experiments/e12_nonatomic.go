@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/replica"
+	"repro/pkg/arjuna"
 )
 
 // E12Config parameterises the §5 (concluding remarks) extension
@@ -74,14 +75,12 @@ func RunE12(cfg E12Config) (*E12Result, error) {
 }
 
 func runE12Churn(cfg E12Config, nonAtomic bool) (committed, aborted int, consistent bool, err error) {
-	w, err := harness.New(harness.Options{
-		Servers: cfg.Servers,
-		Stores:  cfg.Stores,
-		Clients: 1,
-	})
+	sys, err := arjuna.Open(arjuna.WithServers(cfg.Servers), arjuna.WithStores(cfg.Stores))
 	if err != nil {
 		return 0, 0, false, err
 	}
+	defer sys.Close()
+	w := sys.World()
 	ctx := context.Background()
 	var ns *core.NSClient
 	if nonAtomic {
@@ -89,10 +88,14 @@ func runE12Churn(cfg E12Config, nonAtomic bool) (committed, aborted int, consist
 		for _, id := range w.Objects {
 			server.Set(id, w.Svs)
 		}
+		// Binders built from here on read Sv from the name server.
+		w.NameServer = "db"
 		ns = &core.NSClient{RPC: w.Cluster.Node("c1").Client(), Node: "db"}
 	}
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 1)
-	b.NameServer = ns
+	clients, err := singleAttemptClients(sys, core.SchemeStandard)
+	if err != nil {
+		return 0, 0, false, err
+	}
 
 	crashedIdx := -1
 	for n := 0; n < cfg.Actions; n++ {
@@ -113,15 +116,14 @@ func runE12Churn(cfg E12Config, nonAtomic bool) (committed, aborted int, consist
 			crashedIdx = (crashedIdx + 1) % len(w.Svs)
 			w.Cluster.Node(w.Svs[crashedIdx]).Crash()
 		}
-		r := w.RunCounterAction(ctx, b, 0, 1)
-		if r.Committed {
+		if _, err := invokeOnce(ctx, clients[0], w.Objects[0], "add", "1"); err == nil {
 			committed++
 		} else {
 			aborted++
 		}
 	}
 	// Invariant: every store in the final St view holds the same version.
-	view, err := w.CurrentStView(ctx, 0)
+	view, err := sys.StoreView(ctx, w.Objects[0])
 	if err != nil {
 		return 0, 0, false, err
 	}

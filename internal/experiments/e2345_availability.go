@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/replica"
-	"repro/internal/transport"
+	"repro/pkg/arjuna"
 )
 
 // AvailConfig parameterises one availability measurement for a replica
@@ -56,14 +56,11 @@ func RunAvailability(cfg AvailConfig) (*AvailResult, error) {
 	res := &AvailResult{Config: cfg}
 	ctx := context.Background()
 	for trial := 0; trial < cfg.Trials; trial++ {
-		w, err := harness.New(harness.Options{
-			Servers: cfg.Servers,
-			Stores:  cfg.Stores,
-			Clients: 1,
-		})
+		sys, err := arjuna.Open(arjuna.WithServers(cfg.Servers), arjuna.WithStores(cfg.Stores))
 		if err != nil {
 			return nil, fmt.Errorf("availability trial %d: %w", trial, err)
 		}
+		w := sys.World()
 		// Independent crash sample over servers and stores.
 		for _, sv := range w.Svs {
 			if rng.Float64() < cfg.CrashProb {
@@ -82,9 +79,10 @@ func RunAvailability(cfg AvailConfig) (*AvailResult, error) {
 		} else {
 			res.Aborted++
 		}
-		if !storesConsistent(w) {
+		if !storesConsistent(sys) {
 			res.InconsistentStores++
 		}
+		_ = sys.Close() // in-memory deployment: nothing to flush
 	}
 	return res, nil
 }
@@ -121,8 +119,9 @@ func runAvailAction(ctx context.Context, w *harness.World, b *core.Binder, crash
 
 // storesConsistent verifies the St invariant: every store still listed in
 // the St view holds the same committed version.
-func storesConsistent(w *harness.World) bool {
-	view, err := currentView(w)
+func storesConsistent(sys *arjuna.System) bool {
+	w := sys.World()
+	view, err := sys.StoreView(context.Background(), w.Objects[0])
 	if err != nil {
 		// DB unreachable (it never crashes in these experiments) — treat
 		// as consistent-unknown.
@@ -146,10 +145,6 @@ func storesConsistent(w *harness.World) bool {
 		}
 	}
 	return true
-}
-
-func currentView(w *harness.World) ([]transport.Addr, error) {
-	return w.CurrentStView(context.Background(), 0)
 }
 
 // RunE2 is Figure 2: |Sv|=|St|=1, sweeping crash probability.

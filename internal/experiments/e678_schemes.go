@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
-	"repro/internal/replica"
 	"repro/internal/transport"
+	"repro/internal/uid"
+	"repro/pkg/arjuna"
 )
 
 // SchemeConfig parameterises the Figure 6/7/8 comparison: a population of
@@ -51,19 +51,19 @@ func RunScheme(cfg SchemeConfig) (*SchemeResult, error) {
 	if cfg.ActionsPerClient < 1 {
 		cfg.ActionsPerClient = 10
 	}
-	w, err := harness.New(harness.Options{
-		Servers: cfg.Servers,
-		Stores:  cfg.Stores,
-		Clients: cfg.Clients,
-		Net:     transport.MemOptions{BaseLatency: cfg.Latency, Seed: cfg.Seed},
-	})
+	sys, err := arjuna.Open(
+		arjuna.WithServers(cfg.Servers), arjuna.WithStores(cfg.Stores), arjuna.WithClients(cfg.Clients),
+		arjuna.WithMemNetwork(transport.MemOptions{BaseLatency: cfg.Latency, Seed: cfg.Seed}),
+	)
 	if err != nil {
 		return nil, err
 	}
-	binders := make([]*core.Binder, cfg.Clients)
-	for i, c := range w.Clients {
-		binders[i] = w.Binder(c, cfg.Scheme, replica.SingleCopyPassive, 1)
+	defer sys.Close()
+	clients, err := singleAttemptClients(sys, cfg.Scheme)
+	if err != nil {
+		return nil, err
 	}
+	obj := sys.Objects()[0]
 	res := &SchemeResult{Config: cfg}
 	ctx := context.Background()
 	total := cfg.Clients * cfg.ActionsPerClient
@@ -72,27 +72,55 @@ func RunScheme(cfg SchemeConfig) (*SchemeResult, error) {
 	var actionTime time.Duration
 	for n := 0; n < total; n++ {
 		if !crashed && cfg.CrashAfter >= 0 && n >= cfg.CrashAfter {
-			w.Cluster.Node(w.Svs[0]).Crash()
+			if err := sys.Crash(string(sys.Servers()[0])); err != nil {
+				return nil, err
+			}
 			crashed = true
 		}
-		b := binders[n%cfg.Clients]
 		t0 := time.Now()
-		r := w.RunCounterAction(ctx, b, 0, 1)
+		rep, err := invokeOnce(ctx, clients[n%cfg.Clients], obj, "add", "1")
 		actionTime += time.Since(t0)
-		if r.Committed {
+		if err == nil {
 			res.Committed++
 		} else {
 			res.Aborted++
 		}
 		if crashed {
-			res.ProbesAfter += r.Probes
+			res.ProbesAfter += len(rep.BrokenServers)
 		} else {
-			res.ProbesBefore += r.Probes
+			res.ProbesBefore += len(rep.BrokenServers)
 		}
 	}
 	res.TotalMillis = float64(time.Since(start)) / float64(time.Millisecond)
 	res.MeanActionMillis = float64(actionTime) / float64(time.Millisecond) / float64(total)
 	return res, nil
+}
+
+// singleAttemptClients returns one client per client node on the given
+// scheme, single-copy passive with one activated replica, and with the
+// facade's retry loop off (one attempt): the experiments count what ONE
+// pass through the paper's protocols costs, so a refused lock or a dead
+// server must surface as an aborted action, not be retried away.
+func singleAttemptClients(sys *arjuna.System, scheme core.Scheme) ([]*arjuna.Client, error) {
+	var out []*arjuna.Client
+	for _, name := range sys.ClientNodes() {
+		cl, err := sys.Client(string(name), arjuna.ClientScheme(scheme),
+			arjuna.ClientPolicy(arjuna.SingleCopyPassive), arjuna.ClientDegree(1), arjuna.ClientRetry(1, 0))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, cl)
+	}
+	return out, nil
+}
+
+// invokeOnce runs one action that invokes method once on the object. The
+// report is non-nil whatever the outcome.
+func invokeOnce(ctx context.Context, cl *arjuna.Client, id uid.UID, method, args string) (*arjuna.CommitReport, error) {
+	return cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		_, err := tx.Object(id).Invoke(ctx, method, []byte(args))
+		return err
+	})
 }
 
 // RunE678 compares the three schemes under the same crash workload.
@@ -133,15 +161,19 @@ type ContentionResult struct {
 // standard scheme's GetServer takes shared read locks; the enhanced
 // schemes serialize on the Sv entry's write lock (use-list updates).
 func RunSchemeContention(scheme core.Scheme, clients, actionsPerClient int, latency time.Duration, seed int64) (*ContentionResult, error) {
-	w, err := harness.New(harness.Options{
-		Servers: 2,
-		Stores:  2,
-		Clients: clients,
-		Net:     transport.MemOptions{BaseLatency: latency, Seed: seed},
-	})
+	sys, err := arjuna.Open(
+		arjuna.WithServers(2), arjuna.WithStores(2), arjuna.WithClients(clients),
+		arjuna.WithMemNetwork(transport.MemOptions{BaseLatency: latency, Seed: seed}),
+	)
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Close()
+	cls, err := singleAttemptClients(sys, scheme)
+	if err != nil {
+		return nil, err
+	}
+	obj := sys.Objects()[0]
 	res := &ContentionResult{Scheme: scheme, Clients: clients, Actions: clients * actionsPerClient}
 	ctx := context.Background()
 	var (
@@ -151,11 +183,10 @@ func RunSchemeContention(scheme core.Scheme, clients, actionsPerClient int, late
 		aborted   int
 	)
 	start := time.Now()
-	for i, c := range w.Clients {
+	for _, cl := range cls {
 		wg.Add(1)
-		go func(i int, client transport.Addr) {
+		go func(cl *arjuna.Client) {
 			defer wg.Done()
-			b := w.Binder(client, scheme, replica.SingleCopyPassive, 1)
 			localCommitted, localAborted := 0, 0
 			for n := 0; n < actionsPerClient; n++ {
 				// All clients run read-only actions against the SAME
@@ -163,8 +194,7 @@ func RunSchemeContention(scheme core.Scheme, clients, actionsPerClient int, late
 				// serialization comes from the database — shared read
 				// locks (standard) vs write-locked use-list updates
 				// (enhanced).
-				r := w.RunReadAction(ctx, b, 0)
-				if r.Committed {
+				if _, err := invokeOnce(ctx, cl, obj, "get", ""); err == nil {
 					localCommitted++
 				} else {
 					localAborted++
@@ -174,7 +204,7 @@ func RunSchemeContention(scheme core.Scheme, clients, actionsPerClient int, late
 			committed += localCommitted
 			aborted += localAborted
 			mu.Unlock()
-		}(i, c)
+		}(cl)
 	}
 	wg.Wait()
 	res.TotalMillis = float64(time.Since(start)) / float64(time.Millisecond)

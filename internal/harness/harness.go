@@ -1,7 +1,9 @@
 // Package harness assembles full simulated deployments — cluster, group
-// view database, object servers, stores, clients, registered objects — for
-// the examples, experiments and benchmarks. It is the reusable "testbed"
-// on which every figure of the paper is reproduced.
+// view database, object servers, stores, client nodes, registered objects
+// — and hands out the binders that run against them. It is deployment
+// assembly only: the one client that runs actions on a World is
+// pkg/arjuna.Client, which the fault tests, the experiments and the
+// benchmarks drive like any application does.
 package harness
 
 import (
@@ -159,6 +161,10 @@ type World struct {
 	Places []*placement.Service
 	// PlaceAddrs lists every placement node address, primary first.
 	PlaceAddrs []transport.Addr
+	// NameServer, when set, names the node running the §5 extension's
+	// non-atomic name server (core.NewNameServer): binders built from then
+	// on read and repair Sv there, not in the database (E12; one group).
+	NameServer transport.Addr
 }
 
 // New builds a world: one db node, the requested servers/stores/clients,
@@ -378,25 +384,6 @@ func (w *World) leaseHolderFor(client transport.Addr) transport.Addr {
 	return ""
 }
 
-// LeaseLocal builds a per-client L1 lease cache over the client node's
-// shared L2. Requires Options.LeaseTTL to have been set.
-func (w *World) LeaseLocal(client transport.Addr, capacity int) *lease.Local {
-	c, ok := w.LeaseCaches[client]
-	if !ok {
-		panic("harness: LeaseLocal requires Options.LeaseTTL")
-	}
-	return lease.NewLocal(c, capacity)
-}
-
-// AnyBinder returns the natural binder for the world: shard-aware when
-// sharded, the classic single-group binder otherwise.
-func (w *World) AnyBinder(client transport.Addr, scheme core.Scheme, policy replica.Policy, degree int) core.ActionBinder {
-	if w.Sharded() {
-		return w.ShardBinder(client, scheme, policy, degree)
-	}
-	return w.Binder(client, scheme, policy, degree)
-}
-
 // OutcomeLogFor returns the recovery-time outcome log a node (or a
 // restart-equivalent sweep on its behalf) should resolve pending
 // intentions against: transaction origins route to the coordinating
@@ -415,8 +402,9 @@ func (w *World) OutcomeLogFor(n *sim.Node) store.OutcomeLog {
 
 // Binder builds a binder for the named client.
 func (w *World) Binder(client transport.Addr, scheme core.Scheme, policy replica.Policy, degree int) *core.Binder {
-	return &core.Binder{
-		DB:          core.Client{RPC: w.Cluster.Node(client).Client(), DB: "db"},
+	rpcc := w.Cluster.Node(client).Client()
+	b := &core.Binder{
+		DB:          core.Client{RPC: rpcc, DB: "db"},
 		Actions:     w.Mgrs[client],
 		ClientNode:  client,
 		Scheme:      scheme,
@@ -425,177 +413,10 @@ func (w *World) Binder(client transport.Addr, scheme core.Scheme, policy replica
 		LeaseHolder: w.leaseHolderFor(client),
 		LeaseTTL:    w.leaseTTL,
 	}
-}
-
-// ActionResult describes one workload action.
-type ActionResult struct {
-	Committed bool
-	Err       error
-	// Tx is the action's identifier — the key recovery-time outcome
-	// queries are made under.
-	Tx string
-	// CommitFailed distinguishes a failure of Commit itself from a
-	// bind/invoke failure (which the runner resolved by aborting): only a
-	// failed Commit can leave the outcome genuinely unobservable when the
-	// caller's context died mid-protocol.
-	CommitFailed bool
-	// Result is the (first) invocation's reply, e.g. the counter value
-	// after an add — workload checkers use it as an ordering breadcrumb.
-	Result []byte
-	// Probes counts server bindings that were found broken during the
-	// action ("the hard way" discovery cost).
-	Probes int
-	// ExcludedStores counts St nodes excluded at commit.
-	ExcludedStores int
-	// OnePhase reports that the commit took the single-participant
-	// combined round (no outcome-log record).
-	OnePhase bool
-	// PreparedStores lists the St nodes that held the action's prepared
-	// (or one-phase committed) writes — the chaos harness's chain-fork
-	// breadcrumb.
-	PreparedStores []transport.Addr
-	// Leased reports that a read was served entirely from the local
-	// lease cache — zero RPCs, zero lock-manager traffic.
-	Leased bool
-}
-
-// RunCounterAction executes one client action against object idx: bind,
-// add delta, commit. Errors abort the action and are reported in the
-// result rather than returned — workload drivers count them.
-func (w *World) RunCounterAction(ctx context.Context, b core.ActionBinder, idx int, delta int) ActionResult {
-	act := b.BeginTop()
-	res := ActionResult{Tx: act.ID()}
-	bd, err := b.Bind(ctx, act, w.Objects[idx])
-	if err != nil {
-		_ = act.Abort(ctx)
-		res.Err = err
-		return res
+	if w.NameServer != "" {
+		b.NameServer = &core.NSClient{RPC: rpcc, Node: w.NameServer}
 	}
-	out, err := bd.Invoke(ctx, "add", []byte(strconv.Itoa(delta)))
-	if err != nil {
-		_ = act.Abort(ctx)
-		res.Err = err
-		res.Probes = len(bd.BrokenServers())
-		return res
-	}
-	res.Result = out
-	rep, err := act.Commit(ctx)
-	if err != nil {
-		res.Err = err
-		res.CommitFailed = true
-		res.Probes = len(bd.BrokenServers())
-		return res
-	}
-	res.Committed = true
-	res.OnePhase = rep.OnePhase
-	res.Probes = len(bd.BrokenServers())
-	res.ExcludedStores = len(bd.FailedStores())
-	res.PreparedStores = bd.PreparedStores()
-	return res
-}
-
-// RunTransferAction executes one bank-style transfer: a single action
-// binds objects from and to, subtracts amount from the first and adds it
-// to the second. Both bindings are participants of one top-level action,
-// so the transfer is failure-atomic across the two objects — the
-// conservation workload of the chaos harness.
-func (w *World) RunTransferAction(ctx context.Context, b core.ActionBinder, from, to int, amount int) ActionResult {
-	act := b.BeginTop()
-	res := ActionResult{Tx: act.ID()}
-	abort := func(err error) ActionResult {
-		_ = act.Abort(ctx)
-		res.Err = err
-		return res
-	}
-	bdFrom, err := b.Bind(ctx, act, w.Objects[from])
-	if err != nil {
-		return abort(err)
-	}
-	bdTo, err := b.Bind(ctx, act, w.Objects[to])
-	if err != nil {
-		return abort(err)
-	}
-	out, err := bdFrom.Invoke(ctx, "add", []byte(strconv.Itoa(-amount)))
-	if err != nil {
-		return abort(err)
-	}
-	res.Result = out
-	if _, err := bdTo.Invoke(ctx, "add", []byte(strconv.Itoa(amount))); err != nil {
-		return abort(err)
-	}
-	if _, err := act.Commit(ctx); err != nil {
-		res.Err = err
-		res.CommitFailed = true
-		return res
-	}
-	res.Committed = true
-	res.ExcludedStores = len(bdFrom.FailedStores()) + len(bdTo.FailedStores())
-	return res
-}
-
-// RunReadAction executes one read-only action (get) against object idx.
-func (w *World) RunReadAction(ctx context.Context, b core.ActionBinder, idx int) ActionResult {
-	act := b.BeginTop()
-	bd, err := b.Bind(ctx, act, w.Objects[idx])
-	if err != nil {
-		_ = act.Abort(ctx)
-		return ActionResult{Err: err}
-	}
-	if _, err := bd.Invoke(ctx, "get", nil); err != nil {
-		_ = act.Abort(ctx)
-		return ActionResult{Err: err, Probes: len(bd.BrokenServers())}
-	}
-	if _, err := act.Commit(ctx); err != nil {
-		return ActionResult{Err: err, Probes: len(bd.BrokenServers())}
-	}
-	return ActionResult{Committed: true, Probes: len(bd.BrokenServers())}
-}
-
-// RunLeasedReadAction executes one read of object idx that may be served
-// from the client's lease cache: while a valid lease is held the read
-// runs the class's read-only "get" locally on the cached snapshot, with
-// zero RPCs. On a miss it falls back to a regular read-only action whose
-// invocation requests a fresh lease, and caches any grant.
-func (w *World) RunLeasedReadAction(ctx context.Context, b core.ActionBinder, lc *lease.Local, idx int) ActionResult {
-	id := w.Objects[idx]
-	if e, ok := lc.Get(id, time.Now()); ok {
-		if cls, err := w.Registry.Lookup(e.Snap.Class); err == nil && cls.IsReadOnly("get") {
-			if fn, err := cls.Method("get"); err == nil {
-				if _, out, err := fn(e.Snap.State, nil); err == nil {
-					return ActionResult{Committed: true, Leased: true, Result: out}
-				}
-			}
-		}
-	}
-	// Miss (or an unexpected class/method problem): take the slow path.
-	// The grant's client-side expiry is measured from BEFORE the invoke
-	// is sent, so it is conservative under any clock relation.
-	t0 := time.Now()
-	act := b.BeginTop()
-	res := ActionResult{Tx: act.ID()}
-	bd, err := b.Bind(ctx, act, id)
-	if err != nil {
-		_ = act.Abort(ctx)
-		res.Err = err
-		return res
-	}
-	out, err := bd.Invoke(ctx, "get", nil)
-	if err != nil {
-		_ = act.Abort(ctx)
-		res.Err = err
-		return res
-	}
-	res.Result = out
-	if g, ok := bd.LeaseGrant(); ok {
-		lc.Put(lease.Snapshot{UID: id, Class: g.Class, State: g.State, Seq: g.Seq, Expiry: t0.Add(g.TTL)})
-	}
-	if _, err := act.Commit(ctx); err != nil {
-		res.Err = err
-		res.CommitFailed = true
-		return res
-	}
-	res.Committed = true
-	return res
+	return b
 }
 
 // StoreSeqs returns each live store node's committed (value, seq) for
@@ -609,26 +430,4 @@ func (w *World) StoreSeqs(idx int) map[transport.Addr]uint64 {
 		}
 	}
 	return out
-}
-
-// CurrentStView reads St for object idx outside any client action,
-// against the object's own group database.
-func (w *World) CurrentStView(ctx context.Context, idx int) ([]transport.Addr, error) {
-	cli := core.Client{RPC: w.Cluster.Node("c1").Client(), DB: w.GroupOf(w.Objects[idx]).DB.Addr()}
-	act := w.Mgrs["c1"].BeginTop()
-	st, _, err := cli.GetView(ctx, act.ID(), w.Objects[idx])
-	_ = cli.EndAction(ctx, act.ID(), true)
-	_, _ = act.Commit(ctx)
-	return st, err
-}
-
-// CurrentSvView reads Sv for object idx outside any client action,
-// against the object's own group database.
-func (w *World) CurrentSvView(ctx context.Context, idx int) ([]transport.Addr, error) {
-	cli := core.Client{RPC: w.Cluster.Node("c1").Client(), DB: w.GroupOf(w.Objects[idx]).DB.Addr()}
-	act := w.Mgrs["c1"].BeginTop()
-	sv, _, err := cli.GetServer(ctx, act.ID(), w.Objects[idx], false, false)
-	_ = cli.EndAction(ctx, act.ID(), true)
-	_, _ = act.Commit(ctx)
-	return sv, err
 }

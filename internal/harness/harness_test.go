@@ -1,32 +1,66 @@
-package harness
+// The protocol tests below stage one fault each on an assembled World and
+// drive it the way every caller does — through pkg/arjuna.Client — so they
+// live outside package harness, which the facade imports.
+package harness_test
 
 import (
 	"context"
-	"strconv"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/action"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/object"
-	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/transport"
+	"repro/internal/uid"
+	"repro/pkg/arjuna"
 )
 
+// open assembles a one-client deployment and returns it with its World and
+// a client on the standard scheme whose retry loop is armed (5 attempts,
+// 2ms backoff): none of the staged shapes below may be retried, so every
+// test also pins Attempts == 1.
+func open(t *testing.T, opts ...arjuna.Option) (*arjuna.System, *harness.World, *arjuna.Client) {
+	t.Helper()
+	sys, err := arjuna.Open(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sys.Close() })
+	cl, err := sys.Client("c1", arjuna.ClientScheme(arjuna.SchemeStandard), arjuna.ClientRetry(5, 2*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, sys.World(), cl
+}
+
+// add runs one atomic increment of the object and returns the counter
+// value the action observed.
+func add(cl *arjuna.Client, id uid.UID, delta string) (string, *arjuna.CommitReport, error) {
+	ctx := context.Background()
+	var out []byte
+	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		var ierr error
+		out, ierr = tx.Object(id).Invoke(ctx, "add", []byte(delta))
+		return ierr
+	})
+	return string(out), rep, err
+}
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Options{}); err == nil {
+	if _, err := harness.New(harness.Options{}); err == nil {
 		t.Fatal("empty options should fail")
 	}
-	if _, err := New(Options{Servers: 1, Stores: 0, Clients: 1}); err == nil {
+	if _, err := harness.New(harness.Options{Servers: 1, Stores: 0, Clients: 1}); err == nil {
 		t.Fatal("zero stores should fail")
 	}
 }
 
 func TestWorldShape(t *testing.T) {
-	w, err := New(Options{Servers: 2, Stores: 3, Clients: 2, Objects: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, w, _ := open(t, arjuna.WithServers(2), arjuna.WithStores(3), arjuna.WithClients(2), arjuna.WithObjects(2))
 	if len(w.Svs) != 2 || len(w.Sts) != 3 || len(w.Clients) != 2 || len(w.Objects) != 2 {
 		t.Fatalf("world shape: %d/%d/%d/%d", len(w.Svs), len(w.Sts), len(w.Clients), len(w.Objects))
 	}
@@ -42,41 +76,18 @@ func TestWorldShape(t *testing.T) {
 			}
 		}
 	}
-	sv, err := w.CurrentSvView(context.Background(), 0)
+	sv, err := sys.ServerView(context.Background(), w.Objects[0])
 	if err != nil || len(sv) != 2 {
 		t.Fatalf("sv view = %v (%v)", sv, err)
 	}
-	st, err := w.CurrentStView(context.Background(), 0)
+	st, err := sys.StoreView(context.Background(), w.Objects[0])
 	if err != nil || len(st) != 3 {
 		t.Fatalf("st view = %v (%v)", st, err)
 	}
 }
 
-func TestRunCounterActionLifecycle(t *testing.T) {
-	w, err := New(Options{Servers: 1, Stores: 1, Clients: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 1)
-	r := w.RunCounterAction(ctx, b, 0, 5)
-	if !r.Committed || r.Err != nil {
-		t.Fatalf("result = %+v", r)
-	}
-	r = w.RunReadAction(ctx, b, 0)
-	if !r.Committed {
-		t.Fatalf("read result = %+v", r)
-	}
-	// Crash everything: action fails but reports instead of panicking.
-	w.Cluster.Node("sv1").Crash()
-	r = w.RunCounterAction(ctx, b, 0, 1)
-	if r.Committed || r.Err == nil {
-		t.Fatalf("crashed-world result = %+v", r)
-	}
-}
-
 func TestCounterClassBadInputs(t *testing.T) {
-	c := CounterClass()
+	c := harness.CounterClass()
 	add := c.Methods["add"]
 	if _, _, err := add([]byte("7"), []byte("oops")); err == nil {
 		t.Fatal("bad delta should error")
@@ -97,11 +108,7 @@ func TestCounterClassBadInputs(t *testing.T) {
 // must learn the outcome from the coordinator's log — the full
 // OriginLog -> outcome-log-service wiring — and apply it.
 func TestInDoubtStoreResolvesToCommitOnRestart(t *testing.T) {
-	w, err := New(Options{Servers: 1, Stores: 2, Clients: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	_, w, cl := open(t, arjuna.WithServers(1), arjuna.WithStores(2))
 	st2 := w.Cluster.Node("st2")
 	// The moment st2's prepare acknowledgement is on the wire, the node
 	// dies: it has voted commit but will never hear the outcome online.
@@ -109,10 +116,9 @@ func TestInDoubtStoreResolvesToCommitOnRestart(t *testing.T) {
 		transport.ToMethod("st2", store.ServiceName, store.MethodPrepare),
 		func(transport.Request) { st2.Crash() })
 
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	res := w.RunCounterAction(ctx, b, 0, 1)
-	if !res.Committed {
-		t.Fatalf("action should commit (st1 carries it): %v", res.Err)
+	_, rep, err := add(cl, w.Objects[0], "1")
+	if err != nil || rep.Attempts != 1 {
+		t.Fatalf("action should commit first time (st1 carries it): attempts=%d err=%v", rep.Attempts, err)
 	}
 	if pend := st2.Store().PendingTxs(); len(pend) != 1 {
 		t.Fatalf("st2 pending intentions = %v, want exactly the in-doubt tx", pend)
@@ -141,21 +147,18 @@ func TestInDoubtStoreResolvesToCommitOnRestart(t *testing.T) {
 // the ordinary 2PC path — a single store would take the one-phase round,
 // which records no intention to be in doubt about.)
 func TestInDoubtStoreResolvesToAbortOnRestart(t *testing.T) {
-	w, err := New(Options{Servers: 1, Stores: 2, Clients: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	_, w, cl := open(t, arjuna.WithServers(1), arjuna.WithStores(2))
 	st1 := w.Cluster.Node("st1")
 	rule := transport.ToMethod("st1", store.ServiceName, store.MethodPrepare)
 	w.Cluster.Faults().OnReply(1, rule, func(transport.Request) { st1.Crash() })
 	w.Cluster.Faults().DropReplies(1, rule)
 	w.Cluster.Faults().DropRequests(1, transport.ToMethod("st2", store.ServiceName, store.MethodPrepare))
 
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	res := w.RunCounterAction(ctx, b, 0, 1)
-	if res.Committed {
-		t.Fatal("action must abort: no store acknowledged the prepare")
+	// A definite abort: the coordinator logged nothing, so this is not the
+	// client's in-doubt class — and a failed prepare is not retried.
+	_, rep, err := add(cl, w.Objects[0], "1")
+	if !errors.Is(err, arjuna.ErrAborted) || errors.Is(err, arjuna.ErrOutcomeUnknown) || rep.Attempts != 1 {
+		t.Fatalf("action must abort once (no store acknowledged the prepare): attempts=%d err=%v", rep.Attempts, err)
 	}
 	if pend := st1.Store().PendingTxs(); len(pend) != 1 {
 		t.Fatalf("st1 pending intentions = %v, want the in-doubt tx", pend)
@@ -177,20 +180,14 @@ func TestInDoubtStoreResolvesToAbortOnRestart(t *testing.T) {
 // must still land at the stores (directly), not sit stranded as
 // intentions until every store restarts.
 func TestServerCrashAfterPrepareDoesNotStrandCommit(t *testing.T) {
-	w, err := New(Options{Servers: 1, Stores: 2, Clients: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	_, w, cl := open(t, arjuna.WithServers(1), arjuna.WithStores(2))
 	sv1 := w.Cluster.Node("sv1")
 	w.Cluster.Faults().OnReply(1,
 		transport.ToMethod("sv1", object.ServiceName, object.MethodPrepare),
 		func(transport.Request) { sv1.Crash() })
 
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	res := w.RunCounterAction(ctx, b, 0, 1)
-	if !res.Committed {
-		t.Fatalf("action voted commit everywhere; it must commit: %v", res.Err)
+	if _, rep, err := add(cl, w.Objects[0], "1"); err != nil || rep.Attempts != 1 {
+		t.Fatalf("action voted commit everywhere; it must commit first time: attempts=%d err=%v", rep.Attempts, err)
 	}
 	for _, st := range w.Sts {
 		n := w.Cluster.Node(st)
@@ -204,53 +201,20 @@ func TestServerCrashAfterPrepareDoesNotStrandCommit(t *testing.T) {
 	}
 }
 
-// TestTransferConservesTotal sanity-checks the bank workload primitive.
-func TestTransferConservesTotal(t *testing.T) {
-	w, err := New(Options{Servers: 1, Stores: 2, Clients: 1, Objects: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	b := w.Binder("c1", core.SchemeIndependent, replica.SingleCopyPassive, 0)
-	if res := w.RunTransferAction(ctx, b, 0, 1, 5); !res.Committed {
-		t.Fatalf("transfer: %v", res.Err)
-	}
-	total := 0
-	for i := range w.Objects {
-		v, err := w.Cluster.Node("st1").Store().Read(w.Objects[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := strconv.Atoi(string(v.Data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
-	}
-	if total != 0 {
-		t.Fatalf("total after transfer = %d, want 0 (conservation)", total)
-	}
-}
-
 // TestInDoubtIntentionSurvivesUnreachableCoordinator: a participant that
 // voted commit must NOT presume abort just because its coordinator is
 // unreachable at restart — the commit record may exist unread. The
 // intention stays pending through the partitioned restart and resolves to
 // the logged outcome once the coordinator answers.
 func TestInDoubtIntentionSurvivesUnreachableCoordinator(t *testing.T) {
-	w, err := New(Options{Servers: 1, Stores: 2, Clients: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	_, w, cl := open(t, arjuna.WithServers(1), arjuna.WithStores(2))
 	st2 := w.Cluster.Node("st2")
 	w.Cluster.Faults().OnReply(1,
 		transport.ToMethod("st2", store.ServiceName, store.MethodPrepare),
 		func(transport.Request) { st2.Crash() })
 
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	if res := w.RunCounterAction(ctx, b, 0, 1); !res.Committed {
-		t.Fatalf("action should commit: %v", res.Err)
+	if _, _, err := add(cl, w.Objects[0], "1"); err != nil {
+		t.Fatalf("action should commit: %v", err)
 	}
 
 	// Restart while the coordinator is unreachable: the in-doubt
@@ -286,21 +250,16 @@ func TestInDoubtIntentionSurvivesUnreachableCoordinator(t *testing.T) {
 // the latest state, and rebuild the same version on a stale base,
 // dropping this committed update.
 func TestPartitionedRelayCommitsStoreDirectly(t *testing.T) {
-	w, err := New(Options{Servers: 1, Stores: 2, Clients: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	_, w, cl := open(t, arjuna.WithServers(1), arjuna.WithStores(2))
 	// The instant st2's prepare ack is on the wire, partition sv1<->st2:
 	// the vote stands, but the server can no longer relay the outcome.
 	w.Cluster.Faults().OnReply(1,
 		transport.ToMethod("st2", store.ServiceName, store.MethodPrepare),
 		func(transport.Request) { w.Cluster.Faults().Partition("sv1", "st2") })
 
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	res := w.RunCounterAction(ctx, b, 0, 1)
-	if !res.Committed {
-		t.Fatalf("action must commit: %v", res.Err)
+	_, rep, err := add(cl, w.Objects[0], "1")
+	if err != nil {
+		t.Fatalf("action must commit: %v", err)
 	}
 	st2 := w.Cluster.Node("st2")
 	if pend := st2.Store().PendingTxs(); len(pend) != 0 {
@@ -310,8 +269,8 @@ func TestPartitionedRelayCommitsStoreDirectly(t *testing.T) {
 	if err != nil || string(v.Data) != "1" || v.Seq != 2 {
 		t.Fatalf("st2 = %q/%d (%v), want committed 1/2 via the client's direct path", v.Data, v.Seq, err)
 	}
-	if res.ExcludedStores != 0 {
-		t.Fatalf("st2 excluded (%d) despite the healed commit — it still holds the latest state", res.ExcludedStores)
+	if len(rep.ExcludedStores) != 0 {
+		t.Fatalf("st2 excluded (%v) despite the healed commit — it still holds the latest state", rep.ExcludedStores)
 	}
 }
 
@@ -325,31 +284,25 @@ func TestPartitionedRelayCommitsStoreDirectly(t *testing.T) {
 // pins first, which applies X's commit and lets the new prepare extend
 // the healed chain.
 func TestBusyPinResolvesToCommitInsteadOfExclusion(t *testing.T) {
-	w, err := New(Options{Servers: 1, Stores: 2, Clients: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	_, w, cl := open(t, arjuna.WithServers(1), arjuna.WithStores(2))
 	// Eat st1's store-level commit twice: the server's relay and the
 	// client's direct fallback.
 	w.Cluster.Faults().DropRequests(2, transport.ToMethod("st1", store.ServiceName, store.MethodCommit))
 
-	b := w.Binder("c1", core.SchemeStandard, replica.SingleCopyPassive, 0)
-	resX := w.RunCounterAction(ctx, b, 0, 1)
-	if !resX.Committed {
-		t.Fatalf("action X must commit (st2 carries it): %v", resX.Err)
+	if _, _, err := add(cl, w.Objects[0], "1"); err != nil {
+		t.Fatalf("action X must commit (st2 carries it): %v", err)
 	}
 	st1 := w.Cluster.Node("st1")
 	if pend := st1.Store().PendingTxs(); len(pend) != 1 {
 		t.Fatalf("st1 pending = %v, want X's stuck committed intention", pend)
 	}
 
-	resY := w.RunCounterAction(ctx, b, 0, 1)
-	if !resY.Committed {
-		t.Fatalf("action Y must commit: %v", resY.Err)
+	_, repY, err := add(cl, w.Objects[0], "1")
+	if err != nil {
+		t.Fatalf("action Y must commit: %v", err)
 	}
-	if resY.ExcludedStores != 0 {
-		t.Fatalf("Y excluded %d stores — the busy pin should have resolved to X's commit instead", resY.ExcludedStores)
+	if len(repY.ExcludedStores) != 0 {
+		t.Fatalf("Y excluded %v — the busy pin should have resolved to X's commit instead", repY.ExcludedStores)
 	}
 	if pend := st1.Store().PendingTxs(); len(pend) != 0 {
 		t.Fatalf("st1 still pinned after resolution: %v", pend)
@@ -357,5 +310,87 @@ func TestBusyPinResolvesToCommitInsteadOfExclusion(t *testing.T) {
 	v, err := st1.Store().Read(w.Objects[0])
 	if err != nil || string(v.Data) != "2" || v.Seq != 3 {
 		t.Fatalf("st1 = %q/%d (%v), want the healed chain at 2/3", v.Data, v.Seq, err)
+	}
+}
+
+// TestCatchUpAdoptsACommitStillPinnedAtItsSources pins the way a stale
+// store got back into a view (chaos disk bank seed 401): X commits, but
+// phase two is lost at every St member, so the acknowledged version exists
+// only as pinned intentions. A store recovering now reads its sources'
+// committed state — the version BEFORE X — unless they first apply what
+// the coordinator has decided. Re-entering the view one version behind is
+// how a later write-back found "a store that accepts" to fork the chain on.
+func TestCatchUpAdoptsACommitStillPinnedAtItsSources(t *testing.T) {
+	sys, w, cl := open(t, arjuna.WithServers(1), arjuna.WithStores(3))
+	ctx := context.Background()
+	obj := w.Objects[0]
+
+	// st3 misses a commit and is excluded: view {st1, st2}, state 1/2.
+	if err := sys.Crash("st3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, rep, err := add(cl, obj, "1"); err != nil || len(rep.ExcludedStores) != 1 {
+		t.Fatalf("first add: excluded=%v err=%v, want st3 excluded", rep.ExcludedStores, err)
+	}
+	// X: every store-level commit — the server's relay and the client's
+	// direct retry, at both members — is lost.
+	for _, st := range []transport.Addr{"st1", "st2"} {
+		sys.Faults().DropRequests(2, transport.ToMethod(st, store.ServiceName, store.MethodCommit))
+	}
+	if _, _, err := add(cl, obj, "1"); err != nil {
+		t.Fatalf("X must commit (the coordinator logged it): %v", err)
+	}
+	for _, st := range []transport.Addr{"st1", "st2"} {
+		if pend := w.Cluster.Node(st).Store().PendingTxs(); len(pend) != 1 {
+			t.Fatalf("%s pending = %v, want X's committed intention", st, pend)
+		}
+	}
+
+	if err := sys.Recover(ctx, "st3"); err != nil {
+		t.Fatalf("recover st3: %v", err)
+	}
+	v, err := w.Cluster.Node("st3").Store().Read(obj)
+	if err != nil || string(v.Data) != "2" || v.Seq != 3 {
+		t.Fatalf("st3 caught up to %q/%d (%v), want X's version 2/3", v.Data, v.Seq, err)
+	}
+	if view, err := sys.StoreView(ctx, obj); err != nil || len(view) != 3 {
+		t.Fatalf("St view after recovery = %v (%v), want all three stores", view, err)
+	}
+}
+
+// TestRecoveryEndsItsDatabaseActionPastTheCallersDeadline: the recovering
+// store's caller gives up (deadline, cancel) after the catch-up read and
+// before the database action is ended. The Include's write lock on the St
+// entry must not outlive that: a recovery that left its action open wedged
+// every later bind and view read of the object (chaos bank seeds 401 and
+// 108, about one run in thirty).
+func TestRecoveryEndsItsDatabaseActionPastTheCallersDeadline(t *testing.T) {
+	// Some latency, so that a dead context stops a call at its request leg
+	// (the zero-latency carrier delivers regardless).
+	sys, w, cl := open(t, arjuna.WithServers(1), arjuna.WithStores(2),
+		arjuna.WithMemNetwork(transport.MemOptions{BaseLatency: 50 * time.Microsecond}))
+	obj := w.Objects[0]
+	if err := sys.Crash("st2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := add(cl, obj, "1"); err != nil {
+		t.Fatal(err)
+	}
+	st2 := w.Cluster.Node("st2")
+	st2.Recover(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The caller's context dies the moment the catch-up read is answered.
+	sys.Faults().OnReply(1, transport.ToMethod("st1", store.ServiceName, store.MethodRead),
+		func(transport.Request) { cancel() })
+	_ = core.RecoverStoreNode(ctx, st2, "db", w.Objects) // the outcome under test is the lock, not the error
+
+	viewCtx, done := context.WithTimeout(context.Background(), time.Second)
+	defer done()
+	if _, err := sys.StoreView(viewCtx, obj); err != nil {
+		t.Fatalf("St entry still locked by the recovery's database action: %v", err)
+	}
+	if _, _, err := add(cl, obj, "1"); err != nil {
+		t.Fatalf("add after the interrupted recovery: %v", err)
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -116,6 +117,10 @@ var ErrRefused = errors.New("lockmgr: lock refused")
 // caller should shed load (abort and retry with backoff) rather than
 // queue deeper.
 var ErrOverloaded = errors.New("lockmgr: overloaded")
+
+// ErrReleased reports a blocking acquire still queued when its owner's
+// action ended (ReleaseAll); the lock was NOT granted.
+var ErrReleased = errors.New("lockmgr: owner released while waiting")
 
 // Limits bounds a Manager's per-key wait queues. The zero value means
 // unbounded waiting (the classic discipline).
@@ -430,6 +435,8 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	}
 	w := &waiter{owner: owner, mode: mode, ready: make(chan struct{})}
 	e.waiters = append(e.waiters, w)
+	// Indexed like a hold, so that ReleaseAll finds the queue entry too.
+	m.indexKey(owner, key)
 	depth := len(e.waiters)
 	st.mu.Unlock()
 	if m.obs != nil {
@@ -445,6 +452,9 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	}
 	select {
 	case <-w.ready:
+		if !w.granted {
+			return fmt.Errorf("lockmgr: acquire %s on %q for %s: %w", mode, key, owner, ErrReleased)
+		}
 		if m.obs != nil {
 			m.obs.LockGranted(time.Since(start))
 		}
@@ -585,14 +595,24 @@ func (m *Manager) Release(owner Owner, key string, mode Mode) error {
 }
 
 // ReleaseAll drops every lock held by owner — the end of a top-level
-// action. The owner's key set is snapshotted first; the owner must no
-// longer be acquiring (its action has ended).
+// action — and fails the owner's acquires still parked in a queue with
+// ErrReleased: a request whose caller gave up and ended the action while
+// its handler lived on must not be granted the lock afterwards, when
+// nobody is left to release it. The owner's key set is snapshotted first;
+// acquires the owner issues after this point are not covered.
 func (m *Manager) ReleaseAll(owner Owner) {
 	for key := range m.takeKeys(owner) {
 		st := m.stripeOf(key)
 		st.mu.Lock()
 		if e := st.entries[key]; e != nil {
 			delete(e.holders, owner)
+			e.waiters = slices.DeleteFunc(e.waiters, func(w *waiter) bool {
+				if w.owner != owner {
+					return false
+				}
+				close(w.ready) // ungranted: the parked Acquire fails
+				return true
+			})
 			m.grantWaitersLocked(e, key)
 			st.gcLocked(e, key)
 		}

@@ -184,6 +184,43 @@ func TestReleaseAll(t *testing.T) {
 	}
 }
 
+// TestReleaseAllFailsTheOwnersQueuedAcquires: an acquire still parked when
+// its owner's action ends must fail, not be granted later — over a socket
+// transport the handler that issued it outlives the caller who gave up and
+// ended the action, and a lock granted to an ended action is never
+// released (the chaos suite's mux runs wedged on exactly that: a recovery
+// Include granted the St write lock after its EndAction).
+func TestReleaseAllFailsTheOwnersQueuedAcquires(t *testing.T) {
+	m := New(nil)
+	if err := m.Acquire(context.Background(), "holder", "k", Write); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- m.Acquire(context.Background(), "ended", "k", Write) }()
+	behind := make(chan error, 1)
+	go func() {
+		for m.QueueDepth("k") != 1 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		behind <- m.Acquire(context.Background(), "next", "k", Write)
+	}()
+	for m.QueueDepth("k") != 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	m.ReleaseAll("ended")
+	if err := <-parked; !errors.Is(err, ErrReleased) {
+		t.Fatalf("parked acquire of the ended owner: %v, want ErrReleased", err)
+	}
+	// The queue moves on without it: the waiter behind gets the lock.
+	m.ReleaseAll("holder")
+	if err := <-behind; err != nil {
+		t.Fatalf("waiter behind the released one: %v", err)
+	}
+	if m.Holds("ended", "k", Write) || !m.Holds("next", "k", Write) {
+		t.Fatalf("holders after the hand-off: %v", m.HolderModes("k"))
+	}
+}
+
 func TestReleaseErrors(t *testing.T) {
 	m := New(nil)
 	if err := m.Release("nobody", "k", Read); err == nil {

@@ -556,6 +556,55 @@ func TestPrepareCommitReadOnlyReleases(t *testing.T) {
 	}
 }
 
+// TestPrepareNeverExcludesTheStoreThatIsAhead pins the chaos-found chain
+// fork (disk bank seed 401): st1 already holds seq 2 — a commit this copy
+// was loaded underneath — while st2 lags at seq 1 like the copy itself. The
+// write-back of seq 2 is accepted by the laggard and refused by st1. That
+// one refusal proves the copy stale: the action must abort and the instance
+// go, and st1 must NOT be reported failed for the caller to exclude — that
+// would hand the view to st2 and commit a second seq 2 over st1's.
+func TestPrepareNeverExcludesTheStoreThatIsAhead(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	ref := w.ref("sv1")
+	stNodes := []transport.Addr{"st1", "st2"}
+	if _, err := ref.Activate(ctx, "counter", stNodes); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Invoke(ctx, "stale-act", "add", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	w.cluster.Node("st1").Store().Put(w.id, []byte("9"), 2)
+	_, err := ref.Prepare(ctx, "stale-act", stNodes)
+	if rpc.CodeOf(err) != CodeStaleServer {
+		t.Fatalf("err = %v, want stale-server (st1 is ahead of this copy)", err)
+	}
+	if st, err := ref.Status(ctx); err != nil || st.Active {
+		t.Fatalf("stale instance should have been destroyed (status %+v, err %v)", st, err)
+	}
+
+	// The opposite direction stays an exclusion: a fresh copy (seq 2, from
+	// st1) writes seq 3; st2, still at seq 1, is the one behind.
+	if _, err := ref.Activate(ctx, "counter", stNodes); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Invoke(ctx, "fresh-act", "add", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	// st2 still carries stale-act's orphaned intention; clear it so the
+	// refusal below is the version check's, not the pin's.
+	if err := w.cluster.Node("st2").Store().Abort("stale-act"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ref.Prepare(ctx, "fresh-act", stNodes)
+	if err != nil {
+		t.Fatalf("prepare on the current copy: %v", err)
+	}
+	if len(resp.PreparedNodes) != 1 || resp.PreparedNodes[0] != "st1" || len(resp.FailedNodes) != 1 || resp.FailedNodes[0] != "st2" {
+		t.Fatalf("prepared %v failed %v, want st1 prepared and the lagging st2 failed", resp.PreparedNodes, resp.FailedNodes)
+	}
+}
+
 func TestPrepareCommitStaleSingleStoreAborts(t *testing.T) {
 	// A stale activated copy taking the one-phase path must be refused and
 	// destroyed, exactly like the two-phase stale-server handling.

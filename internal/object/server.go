@@ -52,8 +52,9 @@ const (
 	// CodeBusy reports a refused passivation (the object is not quiescent).
 	CodeBusy = "busy"
 	// CodeStaleServer reports that this node's activated copy was refused
-	// by every reachable store as stale; the instance has been destroyed
-	// and the calling action must abort (a retry re-activates fresh).
+	// as stale by a store already holding that version or a later one; the
+	// instance has been destroyed and the calling action must abort (a
+	// retry re-activates fresh).
 	CodeStaleServer = "stale-server"
 	// CodeOverloaded reports admission-control refusal: the object's lock
 	// wait queue or combiner queue is at its cap, or an op's queueing time
@@ -792,7 +793,7 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 	// Remember which prepared so commit/abort can address exactly those.
 	resp := PrepareResp{Dirty: true, NewSeq: newSeq, BatchSize: batchSize}
 	var preparedAddrs []transport.Addr
-	staleRefusals, reachable := 0, 0
+	stale := false
 	prepareStart := time.Now()
 	copyErrs := conc.DoErr(len(req.StNodes), func(i int) error {
 		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(req.StNodes[i])}
@@ -815,14 +816,12 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 	})
 	for i, st := range req.StNodes {
 		if err := copyErrs[i]; err != nil {
-			if errors.Is(err, store.ErrStaleVersion) {
-				staleRefusals++
-				reachable++
+			if errors.Is(err, store.ErrStaleVersion) && !errors.Is(err, store.ErrStoreBehind) {
+				stale = true
 			}
 			resp.FailedNodes = append(resp.FailedNodes, st)
 			continue
 		}
-		reachable++
 		resp.PreparedNodes = append(resp.PreparedNodes, st)
 		preparedAddrs = append(preparedAddrs, transport.Addr(st))
 	}
@@ -836,11 +835,15 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 		// prepareStart — refreshing the no-probe grant window.
 		in.markConfirmed(prepareStart, len(resp.PreparedNodes), len(req.StNodes))
 	}
-	if reachable > 0 && staleRefusals == reachable {
-		// Every reachable store refused the write as stale: this activated
-		// copy has been left behind (commits went through other servers
-		// while it sat idle). Destroy the instance so the next activation
-		// reloads the latest committed state, and abort this action.
+	if stale {
+		// Some St member already holds this version or a later one: this
+		// activated copy has been left behind (commits went through other
+		// servers, or sat at the stores as intentions it was loaded
+		// underneath). ONE such refusal is proof, and the refuser is not a
+		// failed store: excluding it would leave the view to the members
+		// that accepted — the stale ones — and commit a second version over
+		// the same seq (a chaos bank seed lost a transfer leg that way).
+		// Destroy the instance so the next activation reloads, and abort.
 		_, _ = m.handlePassivate(ctx, from, PassivateReq{UID: req.UID, Force: true})
 		return resp, rpc.Errorf(CodeStaleServer, "object %s at %s: activated copy is stale (base seq %d)", req.UID, m.node.Name(), newSeq-1)
 	}

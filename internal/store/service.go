@@ -32,9 +32,38 @@ const (
 	MethodResolveDecided = "ResolveDecided"
 )
 
-// CodeStaleVersion is the RPC error code carrying ErrStaleVersion across
-// the wire.
-const CodeStaleVersion = "stale-version"
+// CodeStaleVersion and CodeStoreBehind are the RPC error codes carrying
+// ErrStaleVersion — alone, and together with ErrStoreBehind — across the
+// wire.
+const (
+	CodeStaleVersion = "stale-version"
+	CodeStoreBehind  = "store-behind"
+)
+
+// admissionErr gives a refused Prepare/CommitOnePhase its wire code.
+func admissionErr(err error) error {
+	switch {
+	case errors.Is(err, ErrBusy):
+		return rpc.Errorf(rpc.CodeConflict, "%v", err)
+	case errors.Is(err, ErrStoreBehind):
+		return rpc.Errorf(CodeStoreBehind, "%v", err)
+	case errors.Is(err, ErrStaleVersion):
+		return rpc.Errorf(CodeStaleVersion, "%v", err)
+	}
+	return err
+}
+
+// chainSentinels maps a version-chain refusal's wire code back to the
+// sentinels, for errors.Is.
+func chainSentinels(err error) error {
+	switch rpc.CodeOf(err) {
+	case CodeStaleVersion:
+		return fmt.Errorf("%v: %w", err, ErrStaleVersion)
+	case CodeStoreBehind:
+		return fmt.Errorf("%v: %w: %w", err, ErrStaleVersion, ErrStoreBehind)
+	}
+	return err
+}
 
 // Request/response records. All fields exported for gob.
 
@@ -132,16 +161,7 @@ func RegisterService(srv *rpc.Server, s *Store) {
 			}
 			writes = append(writes, Write{UID: id, Data: w.Data, Seq: w.Seq})
 		}
-		if err := s.Prepare(req.Tx, writes); err != nil {
-			if errors.Is(err, ErrBusy) {
-				return Ack{}, rpc.Errorf(rpc.CodeConflict, "%v", err)
-			}
-			if errors.Is(err, ErrStaleVersion) {
-				return Ack{}, rpc.Errorf(CodeStaleVersion, "%v", err)
-			}
-			return Ack{}, err
-		}
-		return Ack{}, nil
+		return Ack{}, admissionErr(s.Prepare(req.Tx, writes))
 	}))
 	srv.Handle(ServiceName, MethodCommitOnePhase, rpc.Method(func(ctx context.Context, from transport.Addr, req PrepareReq) (Ack, error) {
 		writes := make([]Write, 0, len(req.Writes))
@@ -152,16 +172,7 @@ func RegisterService(srv *rpc.Server, s *Store) {
 			}
 			writes = append(writes, Write{UID: id, Data: w.Data, Seq: w.Seq})
 		}
-		if err := s.CommitOnePhase(req.Tx, writes); err != nil {
-			if errors.Is(err, ErrBusy) {
-				return Ack{}, rpc.Errorf(rpc.CodeConflict, "%v", err)
-			}
-			if errors.Is(err, ErrStaleVersion) {
-				return Ack{}, rpc.Errorf(CodeStaleVersion, "%v", err)
-			}
-			return Ack{}, err
-		}
-		return Ack{}, nil
+		return Ack{}, admissionErr(s.CommitOnePhase(req.Tx, writes))
 	}))
 	srv.Handle(ServiceName, MethodCommit, rpc.Method(func(ctx context.Context, from transport.Addr, req TxReq) (Ack, error) {
 		return Ack{}, s.Commit(req.Tx)
@@ -204,32 +215,26 @@ func (r RemoteStore) SeqOf(ctx context.Context, id uid.UID) (uint64, bool, error
 	return resp.Seq, resp.OK, nil
 }
 
-// Prepare records intentions at the remote store. Stale-version refusals
-// are mapped back to ErrStaleVersion for errors.Is.
+// Prepare records intentions at the remote store. Version-chain refusals
+// are mapped back to ErrStaleVersion (and ErrStoreBehind) for errors.Is.
 func (r RemoteStore) Prepare(ctx context.Context, tx string, writes []Write) error {
 	recs := make([]WriteRec, len(writes))
 	for i, w := range writes {
 		recs[i] = WriteRec{UID: w.UID.String(), Data: w.Data, Seq: w.Seq}
 	}
 	_, err := rpc.Invoke[PrepareReq, Ack](ctx, r.Client, r.Node, ServiceName, MethodPrepare, PrepareReq{Tx: tx, Writes: recs})
-	if rpc.CodeOf(err) == CodeStaleVersion {
-		return fmt.Errorf("%v: %w", err, ErrStaleVersion)
-	}
-	return err
+	return chainSentinels(err)
 }
 
 // CommitOnePhase validates and applies tx's writes at the remote store in
-// a single round. Stale-version refusals map back to ErrStaleVersion.
+// a single round. Version-chain refusals map back as in Prepare.
 func (r RemoteStore) CommitOnePhase(ctx context.Context, tx string, writes []Write) error {
 	recs := make([]WriteRec, len(writes))
 	for i, w := range writes {
 		recs[i] = WriteRec{UID: w.UID.String(), Data: w.Data, Seq: w.Seq}
 	}
 	_, err := rpc.Invoke[PrepareReq, Ack](ctx, r.Client, r.Node, ServiceName, MethodCommitOnePhase, PrepareReq{Tx: tx, Writes: recs})
-	if rpc.CodeOf(err) == CodeStaleVersion {
-		return fmt.Errorf("%v: %w", err, ErrStaleVersion)
-	}
-	return err
+	return chainSentinels(err)
 }
 
 // ResolveDecided asks the remote store to settle pending intentions

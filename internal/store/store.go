@@ -40,12 +40,17 @@ var ErrBusy = errors.New("store: object has a prepared intention")
 var ErrClosed = errors.New("store: stable storage is shut down")
 
 // ErrStaleVersion reports a prepared write whose sequence number does not
-// extend this store's committed chain (it must be committed seq + 1). A
-// server whose write-back is refused as stale everywhere has been serving
-// an out-of-date activated copy and must re-activate from the current
-// state; a single store refusing as stale is itself lagging and is
-// excluded from St by the caller.
+// extend this store's committed chain (it must be committed seq + 1). On
+// its own it means the WRITER is behind — this store already holds that
+// version or a later one — so the server has been serving an out-of-date
+// activated copy and must re-activate from the current state; the store
+// holds the newer state and must never be excluded for refusing.
 var ErrStaleVersion = errors.New("store: stale version chain")
+
+// ErrStoreBehind accompanies ErrStaleVersion (errors.Is matches both) when
+// it is this STORE that is behind: the write skips past committed seq + 1,
+// so the store missed commits and the caller excludes it from St.
+var ErrStoreBehind = errors.New("store: store is behind the version chain")
 
 // Version is one committed object state.
 type Version struct {
@@ -261,6 +266,21 @@ func (s *Store) Remove(id uid.UID) error {
 	return nil
 }
 
+// chainErr is the version-chain check: a write must extend the committed
+// chain by exactly one, guarding against stale activated copies writing
+// back over newer state. The error says which side is stale. s.mu is held.
+func (s *Store) chainErr(w Write) error {
+	cur, ok := s.committed[w.UID]
+	if !ok || w.Seq == cur.Seq+1 {
+		return nil
+	}
+	err := fmt.Errorf("%s: %v write seq %d, committed seq %d: %w", s.name, w.UID, w.Seq, cur.Seq, ErrStaleVersion)
+	if w.Seq > cur.Seq+1 {
+		err = fmt.Errorf("%w: %w", err, ErrStoreBehind)
+	}
+	return err
+}
+
 // Prepare stably records the writes of transaction tx: the intentions
 // are durable — synced through the backend — before Prepare returns,
 // which is what entitles the store to vote commit. It refuses with
@@ -280,13 +300,9 @@ func (s *Store) Prepare(tx string, writes []Write) error {
 			s.mu.Unlock()
 			return fmt.Errorf("%s: %v pinned by %s: %w", s.name, w.UID, other, ErrBusy)
 		}
-		// Version-chain check: a write must extend the committed chain by
-		// exactly one, guarding against stale activated copies writing
-		// back over newer state.
-		if cur, ok := s.committed[w.UID]; ok && w.Seq != cur.Seq+1 {
+		if err := s.chainErr(w); err != nil {
 			s.mu.Unlock()
-			return fmt.Errorf("%s: %v write seq %d, committed seq %d: %w",
-				s.name, w.UID, w.Seq, cur.Seq, ErrStaleVersion)
+			return err
 		}
 	}
 	b := s.backend
@@ -368,10 +384,9 @@ func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 			s.mu.Unlock()
 			return fmt.Errorf("%s: %v pinned by %s: %w", s.name, w.UID, other, ErrBusy)
 		}
-		if cur, ok := s.committed[w.UID]; ok && w.Seq != cur.Seq+1 {
+		if err := s.chainErr(w); err != nil {
 			s.mu.Unlock()
-			return fmt.Errorf("%s: %v write seq %d, committed seq %d: %w",
-				s.name, w.UID, w.Seq, cur.Seq, ErrStaleVersion)
+			return err
 		}
 	}
 	b := s.backend

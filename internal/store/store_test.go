@@ -110,11 +110,16 @@ func TestPrepareStaleVersionRefused(t *testing.T) {
 	if err := s.Abort("tx-good"); err != nil {
 		t.Fatal(err)
 	}
-	// A stale writer (based on an old version) is refused.
+	// A write that does not extend the chain by one is refused, and the
+	// refusal says who is behind: the writer (seq at or below ours) or this
+	// store (seq skipping past ours).
 	for _, seq := range []uint64{2, 5, 8} {
 		err := s.Prepare("tx-stale", []Write{{UID: id, Data: []byte("x"), Seq: seq}})
 		if !errors.Is(err, ErrStaleVersion) {
 			t.Fatalf("seq %d: err = %v, want ErrStaleVersion", seq, err)
+		}
+		if got, want := errors.Is(err, ErrStoreBehind), seq > 6; got != want {
+			t.Fatalf("seq %d: ErrStoreBehind = %v, want %v (%v)", seq, got, want, err)
 		}
 	}
 	// Unknown objects accept any starting seq.
@@ -134,8 +139,12 @@ func TestRemotePrepareStaleVersionCode(t *testing.T) {
 	id := gen.New()
 	s.Put(id, []byte("v5"), 5)
 	err := remote.Prepare(ctx, "tx", []Write{{UID: id, Data: []byte("x"), Seq: 9}})
-	if !errors.Is(err, ErrStaleVersion) {
-		t.Fatalf("remote stale err = %v", err)
+	if !errors.Is(err, ErrStaleVersion) || !errors.Is(err, ErrStoreBehind) {
+		t.Fatalf("remote err for a write past the chain = %v, want stale version with the store behind", err)
+	}
+	err = remote.Prepare(ctx, "tx", []Write{{UID: id, Data: []byte("x"), Seq: 5}})
+	if !errors.Is(err, ErrStaleVersion) || errors.Is(err, ErrStoreBehind) {
+		t.Fatalf("remote err for a write behind the chain = %v, want stale version, writer behind", err)
 	}
 }
 

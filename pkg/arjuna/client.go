@@ -3,7 +3,7 @@ package arjuna
 import (
 	"context"
 	"errors"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -29,7 +29,9 @@ const (
 // attempt (1-based): exponential growth from base, capped at maxBackoff,
 // with ±50% jitter so clients refused together do not retry together —
 // the single shared policy for lock refusals and overload backpressure.
-func retryDelay(base time.Duration, attempt int) time.Duration {
+// The jitter comes from the client's own source, so a deployment's seed
+// reproduces every client's delay sequence.
+func (c *Client) retryDelay(base time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		return 0
 	}
@@ -41,7 +43,7 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 		d = maxBackoff
 	}
 	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
+	return half + time.Duration(c.jitter.Int64N(int64(half)+1))
 }
 
 // Client runs atomic actions from one client node. Obtain with
@@ -58,6 +60,11 @@ type Client struct {
 	// nil unless the deployment was opened WithReadLeases (and the
 	// client replicates single-copy passive).
 	leases *lease.Local
+	// jitter draws the retry backoff's jitter. It is seeded with the
+	// deployment's network seed and a hash of the client's node name: the
+	// same seed replays the same delays, and clients still decorrelate
+	// because their names differ.
+	jitter *rand.Rand
 }
 
 // Name returns the client's node address.
@@ -106,6 +113,10 @@ type CommitReport struct {
 	// Overloads counts the attempts refused with ErrOverloaded across the
 	// whole Atomic call (the final attempt included, if it failed so).
 	Overloads int
+	// LeaseStale counts the attempts aborted with ErrLeaseStale across the
+	// whole Atomic call: commit-time revalidation found a leased read
+	// superseded, and the attempt was undone before it could commit.
+	LeaseStale int
 	// QueueWait is the longest server-side lock or combiner-queue wait
 	// observed by the final attempt's invocations.
 	QueueWait time.Duration
@@ -304,14 +315,17 @@ func (c *Client) Atomic(ctx context.Context, fn func(tx *Txn) error) (*CommitRep
 	}
 	var rep *CommitReport
 	var err error
-	overloads := 0
+	overloads, stale := 0, 0
 	for attempt := 1; ; attempt++ {
 		rep, err = c.runOnce(ctx, fn)
 		rep.Attempts = attempt
 		if errors.Is(err, ErrOverloaded) {
 			overloads++
 		}
-		rep.Overloads = overloads
+		if errors.Is(err, ErrLeaseStale) {
+			stale++
+		}
+		rep.Overloads, rep.LeaseStale = overloads, stale
 		// A breaker fast-fail is retryable too — the sick peer may have
 		// been excluded from the view by the failed attempt's recovery
 		// path, or its probe may readmit it — but in its own backoff
@@ -329,7 +343,7 @@ func (c *Client) Atomic(ctx context.Context, fn func(tx *Txn) error) (*CommitRep
 		if breakerFail {
 			base *= 4
 		}
-		if d := retryDelay(base, attempt); d > 0 {
+		if d := c.retryDelay(base, attempt); d > 0 {
 			t := time.NewTimer(d)
 			select {
 			case <-ctx.Done():

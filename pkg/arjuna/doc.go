@@ -31,9 +31,23 @@
 // returned CommitReport, and failures are classified by the package's
 // typed error taxonomy (ErrLockRefused, ErrUnknownObject, ErrNoServers,
 // ErrAborted, …) so callers use errors.Is / errors.As instead of string
-// matching. One failure is not an abort: ErrOutcomeUnknown reports a
-// commit that ended in doubt — its effects may stand — and comes without
-// ErrAborted and without a retry.
+// matching.
+//
+// # The outcome contract
+//
+// Atomic's returned error alone says which of three things happened:
+//
+//   - nil: the action committed; its effects are permanent.
+//   - ErrOutcomeUnknown (never with ErrAborted): the commit ended in doubt
+//     — its effects may stand — and was not retried, since a retry could
+//     apply them twice.
+//   - anything else: ErrAborted plus the classified cause; every effect of
+//     every attempt was undone.
+//
+// The chaos suite (internal/chaos) holds the client to exactly this under
+// crashes, partitions and lost messages: its workers are Clients, each
+// action is filed under the class its error names, and conservation lets a
+// counter exceed the committed increments only by those reported in doubt.
 //
 // # Read-only commit semantics
 //

@@ -3,6 +3,8 @@ package arjuna
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/lease"
 	"repro/internal/object"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -173,12 +176,15 @@ func (s *System) Client(name string, opts ...ClientOption) (*Client, error) {
 		b.FastBind = cc.fastBind
 		binder = b
 	}
-	cl := &Client{sys: s, name: addr, binder: binder, cfg: cc}
-	if _, ok := s.w.LeaseCaches[addr]; ok && cc.policy == SingleCopyPassive {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(name)) // hash.Hash.Write never fails
+	cl := &Client{sys: s, name: addr, binder: binder, cfg: cc,
+		jitter: rand.New(rand.NewPCG(uint64(s.cfg.net.Seed), h.Sum64()))}
+	if l2, ok := s.w.LeaseCaches[addr]; ok && cc.policy == SingleCopyPassive {
 		// The client's L1 over its node's shared L2 lease cache. Leases
 		// are granted by the view-primary under single-copy passive
 		// replication only; other policies read through the replicas.
-		cl.leases = s.w.LeaseLocal(addr, 0)
+		cl.leases = lease.NewLocal(l2, 0)
 	}
 	return cl, nil
 }
@@ -588,6 +594,12 @@ func (s *System) Sweep(ctx context.Context) SweepReport {
 func (s *System) Faults() *transport.Faults {
 	return s.w.Cluster.Faults()
 }
+
+// World returns the assembled deployment beneath the facade — nodes,
+// stable stores, placement replicas. Like Faults it is a hook for in-module
+// tooling (the chaos nemesis, the experiments, protocol tests) that crashes
+// nodes mid-protocol and inspects stores; actions still run through Client.
+func (s *System) World() *harness.World { return s.w }
 
 // ServiceStats describes the RPC traffic of one service across the
 // deployment since Open.
