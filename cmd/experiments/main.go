@@ -1,7 +1,7 @@
 // Command experiments regenerates every figure of the paper as a text
 // table (the paper has no measurement tables — its figures are protocol
-// diagrams, reproduced here as executable scenarios; see DESIGN.md §5 for
-// the experiment index and EXPERIMENTS.md for recorded results).
+// diagrams, reproduced here as executable scenarios; README's "What the
+// paper contributes" section maps the paper onto the code).
 //
 // Usage:
 //

@@ -15,12 +15,11 @@ import (
 	"repro/internal/transport"
 )
 
-// RunJanitorAblation measures the design choice DESIGN.md calls out for
-// the §4.1.3 cleanup protocol: a client crashes while holding use counts
-// (its Decrement will never run). Without the janitor the object never
-// becomes quiescent, so a recovering server's Insert (§4.1.2) can only
-// time out; with the janitor the counters are cleared and the Insert
-// succeeds.
+// RunJanitorAblation measures the design choice behind the §4.1.3 cleanup
+// protocol: a client crashes while holding use counts (its Decrement will
+// never run). Without the janitor the object never becomes quiescent, so a
+// recovering server's Insert (§4.1.2) can only time out; with the janitor
+// the counters are cleared and the Insert succeeds.
 func RunJanitorAblation(insertTimeout time.Duration) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation (§4.1.3): use-list janitor on/off after a client crash",

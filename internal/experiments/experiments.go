@@ -3,7 +3,8 @@
 // The paper has no measurement tables — its eight figures are protocol
 // diagrams — so each experiment turns one figure (or one claim in the
 // prose) into a scenario and measures the behaviour the paper asserts.
-// DESIGN.md carries the experiment index; EXPERIMENTS.md the results.
+// README's "What the paper contributes" section maps the paper onto the
+// code; `go run ./cmd/experiments -list` prints the experiment ids.
 //
 // Every experiment is deterministic given its Seed.
 package experiments

@@ -68,6 +68,9 @@ func TestE3ReplicationImprovesAvailability(t *testing.T) {
 	if k3.Availability() <= k1.Availability() {
 		t.Fatalf("state replication did not help: k=1 %v, k=3 %v", k1.Availability(), k3.Availability())
 	}
+	if k1.InconsistentStores+k3.InconsistentStores != 0 {
+		t.Fatal("store consistency violated")
+	}
 }
 
 func TestE4ActiveReplicationMasksMidActionCrash(t *testing.T) {
@@ -87,6 +90,9 @@ func TestE4ActiveReplicationMasksMidActionCrash(t *testing.T) {
 	}
 	if k3.Committed != trials {
 		t.Fatalf("k=3 committed only %d/%d", k3.Committed, trials)
+	}
+	if k1.InconsistentStores+k3.InconsistentStores != 0 {
+		t.Fatal("store consistency violated")
 	}
 }
 
@@ -151,6 +157,9 @@ func TestE678NestedTopLevelMatchesIndependent(t *testing.T) {
 	}
 	if ntl.ProbesAfter != 1 {
 		t.Fatalf("nested-top-level probes = %d, want 1", ntl.ProbesAfter)
+	}
+	if ntl.Aborted != 0 {
+		t.Fatalf("aborts: nested=%d", ntl.Aborted)
 	}
 }
 

@@ -400,11 +400,12 @@ func (w *World) OutcomeLogFor(n *sim.Node) store.OutcomeLog {
 	}
 }
 
-// Binder builds a binder for the named client.
+// Binder builds a binder for the named client against the first (or only)
+// group's database.
 func (w *World) Binder(client transport.Addr, scheme core.Scheme, policy replica.Policy, degree int) *core.Binder {
 	rpcc := w.Cluster.Node(client).Client()
 	b := &core.Binder{
-		DB:          core.Client{RPC: rpcc, DB: "db"},
+		DB:          core.Client{RPC: rpcc, DB: w.DB.Addr()},
 		Actions:     w.Mgrs[client],
 		ClientNode:  client,
 		Scheme:      scheme,

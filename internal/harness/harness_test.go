@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/object"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/uid"
@@ -83,6 +84,35 @@ func TestWorldShape(t *testing.T) {
 	st, err := sys.StoreView(context.Background(), w.Objects[0])
 	if err != nil || len(st) != 3 {
 		t.Fatalf("st view = %v (%v)", st, err)
+	}
+}
+
+// TestBinderOnShardedWorldReachesFirstGroup: a sharded world names its
+// databases db1..dbN — there is no "db" node — so World.Binder must address
+// the first group's database, and an object of that group binds and commits.
+func TestBinderOnShardedWorldReachesFirstGroup(t *testing.T) {
+	w, err := harness.New(harness.Options{Servers: 1, Stores: 1, Clients: 1, Objects: 8, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := uid.Nil
+	for _, o := range w.Objects {
+		if w.GroupOf(o).ID == 1 {
+			id = o
+			break
+		}
+	}
+	if id == uid.Nil {
+		t.Fatalf("none of %d objects landed on shard 1; raise Objects", len(w.Objects))
+	}
+	bd := w.Binder("c1", core.SchemeIndependent, replica.SingleCopyPassive, 1)
+	ctx := context.Background()
+	act := bd.Actions.BeginTop()
+	if _, err := bd.Bind(ctx, act, id); err != nil {
+		t.Fatalf("bind through %s: %v", bd.DB.DB, err)
+	}
+	if _, err := act.Commit(ctx); err != nil {
+		t.Fatalf("commit: %v", err)
 	}
 }
 

@@ -48,9 +48,8 @@ const (
 // (~8 KiB), lock-free recording, and percentile queries with bounded
 // relative error (±2.2%). Unlike the Latency aggregate it answers
 // Percentile, so tail latencies (p99/p999) are first-class; unlike a
-// raw-sample store it never grows, so thousands of closed-loop load
-// generator clients can each own one and Merge them at the end of a run.
-// The zero value is ready to use and safe for concurrent use.
+// raw-sample store it never grows. The zero value is ready to use and
+// safe for concurrent use.
 type Histogram struct {
 	total  atomic.Int64
 	zero   atomic.Int64  // samples ≤ 0
@@ -156,38 +155,6 @@ func (h *Histogram) Quantile(q float64) float64 { return h.Percentile(q) }
 
 // Max returns the exact maximum positive sample, or 0 if empty.
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
-
-// Merge folds other's samples into h. Merging is additive bucket-wise, so
-// per-client histograms combine into a run-wide one without precision
-// loss. Merge reads other without synchronisation barriers beyond the
-// individual atomics — merge quiescent histograms (e.g. after workers
-// have stopped) for exact totals.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	h.total.Add(other.total.Load())
-	h.zero.Add(other.zero.Load())
-	ov := math.Float64frombits(other.sum.Load())
-	for {
-		cur := h.sum.Load()
-		if h.sum.CompareAndSwap(cur, math.Float64bits(math.Float64frombits(cur)+ov)) {
-			break
-		}
-	}
-	om := math.Float64frombits(other.max.Load())
-	for {
-		cur := h.max.Load()
-		if om <= math.Float64frombits(cur) || h.max.CompareAndSwap(cur, math.Float64bits(om)) {
-			break
-		}
-	}
-	for i := 0; i < histBuckets; i++ {
-		if n := other.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-}
 
 // Latency is a fixed-memory latency aggregate: count, sum and max in
 // atomics. Unlike Histogram it stores no samples, so it can sit on a hot

@@ -134,37 +134,6 @@ func TestHistogramRelativeErrorBound(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b, all Histogram
-	for i := 1; i <= 500; i++ {
-		a.Record(float64(i))
-		all.Record(float64(i))
-	}
-	for i := 501; i <= 1000; i++ {
-		b.Record(float64(i))
-		all.Record(float64(i))
-	}
-	var merged Histogram
-	merged.Merge(&a)
-	merged.Merge(&b)
-	merged.Merge(nil) // no-op
-	if merged.Count() != all.Count() {
-		t.Fatalf("merged count = %d, want %d", merged.Count(), all.Count())
-	}
-	if merged.Mean() != all.Mean() {
-		t.Fatalf("merged mean = %v, want %v", merged.Mean(), all.Mean())
-	}
-	if merged.Max() != all.Max() {
-		t.Fatalf("merged max = %v, want %v", merged.Max(), all.Max())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if merged.Percentile(q) != all.Percentile(q) {
-			t.Fatalf("merged p%v = %v, direct p%v = %v — bucket-wise merge must be lossless",
-				q*100, merged.Percentile(q), q*100, all.Percentile(q))
-		}
-	}
-}
-
 func TestHistogramConcurrentRecord(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup

@@ -1002,7 +1002,6 @@ func (m *Manager) handleAbort(ctx context.Context, from transport.Addr, req EndR
 	prepared := in.prepared[req.Action]
 	if snap, ok := in.snaps[req.Action]; ok {
 		in.state = snap
-	} else {
 	}
 	delete(in.snaps, req.Action)
 	delete(in.dirty, req.Action)

@@ -72,7 +72,6 @@
 // Under concurrent commit traffic this collapses N fsyncs into a few
 // without weakening durability — a Sync never returns before the bytes
 // it covers are on disk. SyncEach runs one fsync per Sync call (the
-// naive baseline BenchmarkCommitDurability compares against) and
-// SyncNone trusts the OS page cache (tests that only need the replay
-// path).
+// naive baseline) and SyncNone trusts the OS page cache (tests that only
+// need the replay path).
 package storage

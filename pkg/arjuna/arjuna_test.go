@@ -371,7 +371,7 @@ func TestMultiObjectAtomicity(t *testing.T) {
 }
 
 func TestOpenOverTCP(t *testing.T) {
-	sys := openT(t, arjuna.WithTCPMux())
+	sys := openT(t, arjuna.WithNetwork(transport.NewTCPMux()))
 	cl := clientT(t, sys, "c1")
 	obj := sys.Objects()[0]
 	ctx := context.Background()

@@ -64,7 +64,6 @@ type config struct {
 
 	scheme Scheme
 	policy Policy
-	degree int // <0 = auto: 1 for single-copy passive, all otherwise
 
 	lockLimits lockmgr.Limits
 	admission  int
@@ -87,7 +86,6 @@ func defaultConfig() config {
 		objects: 1,
 		scheme:  SchemeIndependent,
 		policy:  SingleCopyPassive,
-		degree:  -1,
 	}
 }
 
@@ -127,11 +125,6 @@ func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 // WithPolicy sets the deployment's default replication policy; individual
 // clients may override it with ClientPolicy.
 func WithPolicy(p Policy) Option { return func(c *config) { c.policy = p } }
-
-// WithDegree sets the default desired number of activated replicas per
-// binding (|Sv'| of §3.2); 0 means all servers in the view. The default
-// is 1 under single-copy passive replication and all otherwise.
-func WithDegree(d int) Option { return func(c *config) { c.degree = d } }
 
 // WithLockQueue bounds every object server's per-object lock wait queues:
 // at most depth waiters may queue on one lock, and no waiter waits longer
@@ -252,32 +245,26 @@ func WithDiskOptions(opts storage.DiskOptions) Option {
 }
 
 // WithMemNetwork tunes the default in-memory network (latency, jitter,
-// seed). Ignored when WithNetwork/WithTCPMux selects another transport.
+// seed). Ignored when WithNetwork selects another transport.
 func WithMemNetwork(opts transport.MemOptions) Option {
 	return func(c *config) { c.net = opts }
 }
 
 // WithNetwork runs the deployment over an explicit transport instead of
-// the in-memory simulator. Fault injection (System.Faults) is available
-// when the transport runs the fault pipeline: the in-memory network, or any
-// carrier wrapped in transport.NewFaulty.
+// the in-memory simulator: WithNetwork(transport.NewTCPMux()) runs the
+// whole protocol stack over real loopback TCP sockets, each node pair
+// sharing one multiplexed, pipelined connection. Fault injection
+// (System.Faults) is available when the transport runs the fault pipeline:
+// the in-memory network, or any carrier wrapped in transport.NewFaulty.
 func WithNetwork(net transport.Network) Option {
 	return func(c *config) { c.network = net }
-}
-
-// WithTCPMux runs the deployment over real loopback TCP sockets,
-// demonstrating that the whole protocol stack is transport-agnostic. Each
-// node pair shares one multiplexed connection: concurrent calls are
-// pipelined on it and demultiplexed by request ID.
-func WithTCPMux() Option {
-	return func(c *config) { c.network = transport.NewTCPMux() }
 }
 
 // clientConfig describes one Client's binding behaviour.
 type clientConfig struct {
 	scheme   Scheme
 	policy   Policy
-	degree   int
+	degree   int // <0 = auto: 1 for single-copy passive, all otherwise
 	readOnly bool
 	fastBind bool
 	retries  int
@@ -295,8 +282,9 @@ func ClientScheme(s Scheme) ClientOption { return func(c *clientConfig) { c.sche
 // this client.
 func ClientPolicy(p Policy) ClientOption { return func(c *clientConfig) { c.policy = p } }
 
-// ClientDegree overrides the deployment's default replication degree for
-// this client (0 = all servers in the view).
+// ClientDegree sets the desired number of activated replicas per binding
+// (|Sv'| of §3.2) for this client; 0 means all servers in the view. The
+// default is 1 under single-copy passive replication and all otherwise.
 func ClientDegree(d int) ClientOption { return func(c *clientConfig) { c.degree = d } }
 
 // ClientReadOnly applies the §4.1.2 read optimisation: the client binds to

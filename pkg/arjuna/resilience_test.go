@@ -10,6 +10,7 @@ import (
 	"repro/pkg/arjuna"
 
 	"repro/internal/transport"
+	"repro/internal/uid"
 )
 
 // openResilient builds a small deployment with aggressive breakers (trip
@@ -241,5 +242,84 @@ func TestWithPlacementReplicasOne(t *testing.T) {
 		return err
 	}); err != nil {
 		t.Fatalf("atomic: %v", err)
+	}
+}
+
+// TestShardedDeploymentSurvivesPartitionedStore is the degraded-mode shape
+// end to end: on a 3-shard deployment one shard's only store is partitioned
+// from every other node. Actions on the other two shards keep committing;
+// actions on the lost shard abort with ErrNoServers (its server can reach no
+// store holding the state), and once the server's breaker toward the store
+// has opened they abort without a network round — the cooldown outlasts the
+// test, so nothing here waits for a probe.
+func TestShardedDeploymentSurvivesPartitionedStore(t *testing.T) {
+	sys := openResilient(t, arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(12))
+	cl := clientT(t, sys, "c1", arjuna.ClientRetry(1, 0))
+	ctx := context.Background()
+	add := func(obj uid.UID) error {
+		_, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+			_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
+			return err
+		})
+		return err
+	}
+	lost := sys.Shards()[2]
+	sick, server := lost.Stores[0], lost.Servers[0]
+	var lostObjs []uid.UID
+	for _, obj := range sys.Objects() {
+		if sys.ShardOf(obj) == lost.ID {
+			lostObjs = append(lostObjs, obj)
+		}
+	}
+	if len(lostObjs) == 0 {
+		t.Fatalf("no object landed on shard %d; raise WithObjects", lost.ID)
+	}
+	for _, ns := range sys.Status() {
+		if ns.Name != sick {
+			sys.Faults().Partition(sick, ns.Name)
+		}
+	}
+	breakerOpen := func() bool {
+		return slices.ContainsFunc(sys.BreakerStats(), func(b arjuna.BreakerStat) bool {
+			return b.Node == server && b.Peer == sick && b.State == "open"
+		})
+	}
+	transportErrors := func() (n int64) {
+		for _, s := range sys.Stats() {
+			n += s.TransportErrors
+		}
+		return n
+	}
+
+	// Until the breaker trips every attempt pays a refused call to the store.
+	for i := 0; i < 4 && !breakerOpen(); i++ {
+		if err := add(lostObjs[i%len(lostObjs)]); !errors.Is(err, arjuna.ErrNoServers) {
+			t.Fatalf("add with %s partitioned = %v, want ErrNoServers", sick, err)
+		}
+	}
+	if !breakerOpen() {
+		t.Fatalf("breaker %s -> %s not open after 4 failed activations: %+v", server, sick, sys.BreakerStats())
+	}
+
+	before := transportErrors()
+	committed := map[int]int{}
+	for _, obj := range sys.Objects() {
+		shard, err := sys.ShardOf(obj), add(obj)
+		switch {
+		case shard != lost.ID && err != nil:
+			t.Fatalf("add on healthy shard %d: %v", shard, err)
+		case shard != lost.ID:
+			committed[shard]++
+		case !errors.Is(err, arjuna.ErrNoServers) || !errors.Is(err, arjuna.ErrAborted):
+			t.Fatalf("add on lost shard %d = %v, want ErrAborted + ErrNoServers", shard, err)
+		}
+	}
+	for _, sh := range sys.Shards()[:2] {
+		if committed[sh.ID] == 0 {
+			t.Fatalf("no commit on healthy shard %d (per shard: %v); raise WithObjects", sh.ID, committed)
+		}
+	}
+	if n := transportErrors() - before; n != 0 {
+		t.Fatalf("%d calls still went to the wire and failed with the breaker open, want 0 (fast-fail)", n)
 	}
 }

@@ -140,8 +140,7 @@ func (s *System) Close() error {
 }
 
 // Client returns a client bound to the named client node (c1..cN), with
-// the deployment's default scheme, policy and degree unless overridden by
-// options.
+// the deployment's default scheme and policy unless overridden by options.
 func (s *System) Client(name string, opts ...ClientOption) (*Client, error) {
 	addr := transport.Addr(name)
 	if s.w.Mgrs[addr] == nil {
@@ -150,7 +149,7 @@ func (s *System) Client(name string, opts ...ClientOption) (*Client, error) {
 	cc := clientConfig{
 		scheme:  s.cfg.scheme,
 		policy:  s.cfg.policy,
-		degree:  s.cfg.degree,
+		degree:  -1,
 		retries: defaultRetries,
 		backoff: defaultBackoff,
 	}
