@@ -60,11 +60,12 @@ func TestBatchStopsAtFirstRefusedOp(t *testing.T) {
 	}
 }
 
-// TestBindAbortReleasesBatchLocks: the bind-read message's GetView is
-// refused (a recovering store holds the St entry's write lock past the
-// caller's deadline) after its GetServer took the bind action's Sv lock;
-// the binder's abort path must release that lock, and aborting the client
-// action whatever the client action itself held.
+// TestBindAbortReleasesBatchLocks: the bind message's GetView is refused
+// (a recovering store holds the St entry's write lock past the caller's
+// deadline) after its Bind took the bind action's Sv locks and counted the
+// binding; the binder's abort path must release those locks and undo the
+// count, and aborting the client action whatever the client action itself
+// held.
 func TestBindAbortReleasesBatchLocks(t *testing.T) {
 	for _, readOnly := range []bool{false, true} {
 		w := newWorld(t, 1, 2, 1)
@@ -88,6 +89,9 @@ func TestBindAbortReleasesBatchLocks(t *testing.T) {
 		if holders := w.db.locks.HolderModes(svKey(w.id)); len(holders) != 0 {
 			t.Fatalf("readOnly=%v: Sv entry still locked after the failed bind: %v", readOnly, holders)
 		}
+		if !w.db.Quiescent(w.id) {
+			t.Fatalf("readOnly=%v: the failed bind left its use count behind", readOnly)
+		}
 		if err := cli.EndAction(ctx, "recovery", true); err != nil {
 			t.Fatal(err)
 		}
@@ -100,8 +104,9 @@ func TestBindAbortReleasesBatchLocks(t *testing.T) {
 // TestDuplicatedBatchLeavesNoLock: every database message of an action is
 // delivered twice. Each conversation is self-contained per owner — a
 // message that takes a lock under a bind or decrement action also ends
-// that action, or is followed by a message that does — so the second
-// delivery cannot strand a lock under an owner that has already finished.
+// that action — so the second delivery cannot strand a lock under an owner
+// that has already finished; and the bind message counts what the
+// action-end message drops, so twice each still drains.
 func TestDuplicatedBatchLeavesNoLock(t *testing.T) {
 	for _, readOnly := range []bool{false, true} {
 		w := newWorld(t, 1, 1, 1)

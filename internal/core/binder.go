@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,27 +75,40 @@ func (s Scheme) String() string {
 // Binder binds client actions to replicated objects through the group view
 // database, according to a scheme and a replication policy.
 //
-// Under the enhanced schemes one binding talks to the database three
-// times, and each conversation is one message (Client.Do) carrying the
-// paper's operations in the paper's order, each under the action that owns
-// it:
+// Under the enhanced schemes one binding talks to the database twice, and
+// each conversation is one message (Client.Do) carrying the paper's
+// operations in the paper's order, each under the action that owns it:
 //
-//   - bind-read — [GetServer(bind action), GetView(client action)]: the
-//     first shaded top-level action of Figure 7 (nested top-level in
-//     Figure 8) reads Sv and the use lists; the St read belongs to the
-//     client action, as in Figure 6. A ReadOnly binder appends
-//     EndAction(bind action) — it has nothing left to do under it.
-//   - bind-close — [Remove(bind action)…, Increment(bind action),
-//     EndAction(bind action, commit)]: the rest of that shaded action,
-//     after activation has shown which servers answer.
+//   - bind — [Bind(bind action), GetView(client action), EndAction(bind
+//     action, commit)]: the first shaded top-level action of Figure 7
+//     (nested top-level in Figure 8) reads Sv and the use lists, selects the
+//     servers by the fixed rule and counts the binding there (DB.Bind is
+//     GetServer and Increment in one step); the St read belongs to the
+//     client action, as in Figure 6. A ReadOnly binder sends GetServer in
+//     Bind's place — it never updates use lists.
 //   - action-end — [EndAction(client action), Decrement(new action),
 //     EndAction(new action, commit)]: the client action's database locks
 //     go, then the last shaded action of Figure 7 drops the use counts.
 //
-// The standard scheme (Figure 6) has bind-read and a bare EndAction only.
-// A message that fails part-way leaves what single calls failing at the
-// same operation would (see registerService), so the failure paths are the
-// single-call ones: abortBind, txDBState.unclaim and the trackTxDB hook.
+// No message goes to a server at bind time under single-copy passive: the
+// binding's first request activates the object where it lands and is the
+// §4.1.2 probe (replica.Handle). Active and coordinator-cohort bindings
+// probe explicitly, after the bind message. Either way, when the probe
+// finds selected servers dead, one more action follows it, once:
+//
+//   - repair — [GetServer(repair action, for update)], then [Remove(repair
+//     action)…, Increment(repair action), EndAction(repair action,
+//     commit)]: Figure 7's exclusive pass checks that nobody else is using
+//     the servers found dead (see Binding.repair), drops them from Sv so
+//     later clients do not pay the discovery cost (§4.1.3(i)) and counts
+//     the binding at the servers that replaced them.
+//
+// The standard scheme (Figure 6) has [GetServer, GetView] and a bare
+// EndAction only, and never repairs. A message that fails part-way leaves
+// what single calls failing at the same operation would (see
+// registerService), so the failure paths are the single-call ones: ending
+// the bind or repair action as aborted, txDBState.unclaim and the
+// trackTxDB hook.
 type Binder struct {
 	// DB addresses the group view database.
 	DB Client
@@ -119,11 +133,11 @@ type Binder struct {
 	// enhanced schemes' bind action: Sv and the use lists are read under a
 	// shared Read lock and the use-count Increment takes the commutative
 	// Adjust lock, so binds to a hot object proceed in parallel instead of
-	// convoying behind one another's exclusive GetServer-to-EndAction
-	// window. The exclusive write-locked pass of Figure 7 is still used
-	// whenever activation finds broken servers to Remove (and by Insert/
-	// Remove themselves), so Sv repair and the §4.1.2 quiescence check keep
-	// their exact semantics. Ignored by the standard scheme.
+	// convoying behind one another's exclusive write lock. The exclusive
+	// write-locked pass of Figure 7 is still used by the repair that Removes
+	// broken servers (and by Insert/Remove themselves), so Sv repair and the
+	// §4.1.2 quiescence check keep their exact semantics. Ignored by the
+	// standard scheme.
 	FastBind bool
 	// NameServer, when set, enables the §5 extension: Sv is read from (and
 	// repaired in) a traditional non-atomic name server, while the atomic
@@ -153,8 +167,12 @@ type Binding struct {
 	act    *action.Action
 	id     uid.UID
 	handle *replica.Handle
-	// bound is Sv' as successfully activated at bind time.
+	// bound lists the servers whose use lists count this binding: the hosts
+	// the bind action counted, as corrected by repair. Nil where use lists
+	// are not kept (standard scheme, ReadOnly, name server).
 	bound []transport.Addr
+	// probed marks the one post-probe repair as done (see repair).
+	probed bool
 	// stView is St as read at bind time.
 	stView []transport.Addr
 	// released marks end-of-action processing (database EndAction and the
@@ -270,14 +288,22 @@ func (b *Binder) trackTxDB(act *action.Action) *txDBState {
 	return st
 }
 
+// degree is how many servers a binding activates and is counted at.
+func (b *Binder) degree() int {
+	if b.Policy == replica.SingleCopyPassive {
+		return 1 // §3.2(2): exactly one activated copy
+	}
+	return b.Degree
+}
+
 // bindStandard implements Figure 6.
 func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
 	top := act.Top().ID()
 	b.trackTxDB(act)
 
-	// GetServer and GetView as a nested action of the client action — the
-	// bind-read conversation, one message; if either operation fails the
-	// nested action aborts and so must the client action.
+	// GetServer and GetView as a nested action of the client action, one
+	// message; if either operation fails the nested action aborts and so
+	// must the client action.
 	nested, err := b.Actions.Begin(act)
 	if err != nil {
 		return nil, err
@@ -291,22 +317,19 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 	if _, err := nested.Commit(ctx); err != nil {
 		return nil, err
 	}
-
-	candidates := b.selectServers(sv, nil)
-	bd, err := b.finishBind(ctx, act, id, class, candidates, st)
-	if err != nil {
-		return nil, err
-	}
-	// The bind's GetServer/GetView read locks are owned by the client
-	// action and held until it ends (Figure 6); the trackTxDB hook (or a
-	// binding's own commit/abort processing) releases them.
-	return bd, nil
+	// The GetServer/GetView read locks are owned by the client action and
+	// held until it ends (Figure 6); the trackTxDB hook (or a binding's own
+	// commit/abort processing) releases them.
+	candidates, _ := selectServers(sv, nil, b.degree(), b.ReadOnly, b.ClientNode)
+	return b.finishBind(ctx, act, id, class, candidates, st, nil)
 }
 
 // bindEnhanced implements Figures 7 and 8: the Object Server database
 // work (Sv, use lists) runs in its own top-level action (independent, or
 // begun from within the client action — structurally identical here),
-// under a write lock, keeping Sv current.
+// keeping Sv current. With FastBind the action holds the shared Read lock
+// and the commutative Adjust lock, without it the write lock; it begins
+// and ends inside the one bind message.
 //
 // The Object State database read (GetView) is NOT part of that short
 // action: its read lock belongs to the client action and is held until
@@ -320,86 +343,38 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 // is lost once anyone catches up from the recovered node. (The chaos
 // harness finds this within a few dozen seeds.)
 func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	return b.bindEnhancedMode(ctx, act, id, b.FastBind)
-}
-
-// bindEnhancedMode runs the Figure 7/8 bind. With fast set, GetServer
-// takes the shared Read lock and the use-count Increment the commutative
-// Adjust lock (see FastBind); when activation then finds broken servers —
-// whose Remove needs the exclusive pass — the fast bind action aborts and
-// the bind reruns with fast off.
-func (b *Binder) bindEnhancedMode(ctx context.Context, act *action.Action, id uid.UID, fast bool) (*Binding, error) {
 	bindAct := b.Actions.BeginTop()
 	owner := bindAct.ID()
 	top := act.Top().ID()
 	b.trackTxDB(act)
-	abortBind := func() {
+
+	// A read-only binder never updates use lists, so it only reads Sv.
+	svOp := BindOp(owner, id, b.ClientNode, b.degree(), !b.FastBind)
+	if b.ReadOnly {
+		svOp = GetServerOp(owner, id, false, false)
+	}
+	res, err := b.DB.Do(ctx, svOp, GetViewOp(top, id), EndActionOp(owner, true))
+	if err != nil {
 		_ = b.DB.EndAction(context.Background(), owner, false)
 		_ = bindAct.Abort(context.Background())
-	}
-
-	// Bind-read, one message: Sv (with use lists) under the bind action,
-	// St under the client action. A read-only binder never updates use
-	// lists, so its Sv read lock guards nothing once Sv is read and its
-	// bind action ends in the same message.
-	wantUse := !b.ReadOnly
-	forUpdate := !b.ReadOnly && !fast
-	ops := []Op{GetServerOp(owner, id, wantUse, forUpdate), GetViewOp(top, id)}
-	if b.ReadOnly {
-		ops = append(ops, EndActionOp(owner, true))
-	}
-	res, err := b.DB.Do(ctx, ops...)
-	if err != nil {
-		abortBind()
-		return nil, fmt.Errorf("core: GetServer+GetView(%v): %w", id, err)
-	}
-	sv, use, st, class := res[0].Nodes, res[0].Use, res[1].Nodes, res[1].Class
-
-	candidates := b.selectServers(sv, use)
-	bd, err := b.activate(ctx, act, id, class, candidates, st)
-	if err != nil {
-		abortBind()
-		return nil, err
-	}
-
-	if !b.ReadOnly {
-		broken := bd.handle.Broken()
-		if fast && len(broken) > 0 {
-			// Removing the dead servers needs the exclusive write-locked
-			// pass; rerun the whole bind with it (rare — a bound server
-			// just failed).
-			abortBind()
-			return b.bindEnhancedMode(ctx, act, id, false)
-		}
-		// Bind-close, one message: remove failed servers from Sv so later
-		// clients do not pay the discovery cost (§4.1.3(i)) — the exclusive
-		// pass already holds the write lock — then count this binding in
-		// the use lists and commit the bind action.
-		ops = ops[:0]
-		for _, dead := range broken {
-			ops = append(ops, RemoveOp(owner, id, dead, false))
-		}
-		ops = append(ops, IncrementOp(owner, id, b.ClientNode, bd.handle.Bound()), EndActionOp(owner, true))
-		if _, err := b.DB.Do(ctx, ops...); err != nil {
-			abortBind()
-			return nil, fmt.Errorf("core: Increment(%v): %w", id, err)
-		}
+		return nil, fmt.Errorf("core: Bind+GetView(%v): %w", id, err)
 	}
 	if _, err := bindAct.Commit(ctx); err != nil {
 		return nil, err
 	}
-	// The GetView read lock above is owned by the client action and held
-	// until it ends (see the function comment); the trackTxDB hook (or a
-	// binding's own commit/abort processing) releases it.
-	bd.enlist()
-	return bd, nil
+	// The client derives its candidates from what the database selected
+	// from, by the rule the database applied: the hosts counted are the
+	// first of them, the rest are the fallbacks the probe walks.
+	candidates, _ := selectServers(res[0].Nodes, res[0].Use, b.degree(), b.ReadOnly, b.ClientNode)
+	return b.finishBind(ctx, act, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
 }
 
 // bindNonAtomicSv implements the §5 extension: Sv comes from the
 // non-atomic name server (no locks, no actions); failed servers are
-// repaired there immediately. The St side keeps full atomic-action
-// discipline — it alone guarantees that the client binds to the latest
-// mutually consistent state.
+// repaired there as soon as the probe finds them (see repair). The St side
+// keeps full atomic-action discipline — it alone guarantees that the
+// client binds to the latest mutually consistent state; GetView's read
+// lock is owned by the client action and trackTxDB releases it.
 func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
 	top := act.Top().ID()
 	b.trackTxDB(act)
@@ -414,96 +389,185 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 	if err != nil {
 		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
 	}
-	bd, err := b.activate(ctx, act, id, class, b.selectServers(sv, nil), st)
-	if err != nil {
-		return nil, err
-	}
-	// Repair Sv in the name server right away — cheap, since there is no
-	// lock protocol; the price is that concurrent readers may observe the
-	// update mid-action, and a recovering server can re-insert itself with
-	// no quiescence check.
-	for _, dead := range bd.handle.Broken() {
-		if err := b.NameServer.Remove(ctx, id, dead); err != nil {
-			return nil, err
-		}
-	}
-	// GetView's read locks are owned by the client action (the St side
-	// keeps full atomic-action discipline); trackTxDB releases them.
-	bd.enlist()
-	return bd, nil
+	candidates, _ := selectServers(sv, nil, b.degree(), b.ReadOnly, b.ClientNode)
+	return b.finishBind(ctx, act, id, class, candidates, st, nil)
 }
 
-// selectServers applies the client's fixed selection algorithm to Sv.
-func (b *Binder) selectServers(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) []transport.Addr {
+// selectServers is the fixed selection algorithm every client applies to
+// Sv (§3.2, §4.1.3(i)), as a pure function: the group view database calls
+// it to decide where a binding is counted (DB.Bind) and the binder calls it
+// on what the database returned, so both arrive at the same servers. It
+// returns the candidates in preference order and how many of them — the
+// first n — a binding of the given degree (0 = all) activates and is
+// counted at; the rest are fallbacks for the probe.
+func selectServers(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int, degree int, readOnly bool, client transport.Addr) (candidates []transport.Addr, n int) {
 	if len(sv) == 0 {
-		return nil
+		return nil, 0
 	}
-	if b.ReadOnly {
+	if readOnly {
 		// Read optimisation: any convenient node — spread read-only
 		// clients across Sv deterministically by client name.
 		h := fnv.New32a()
-		_, _ = h.Write([]byte(b.ClientNode))
-		i := int(h.Sum32()) % len(sv)
-		return []transport.Addr{sv[i]}
+		_, _ = h.Write([]byte(client))
+		return []transport.Addr{sv[h.Sum32()%uint32(len(sv))]}, 1
 	}
-	if use != nil {
-		// §4.1.3(i): if any use list is non-empty, bind to the servers
-		// with non-zero counters (the object is already activated there).
-		var active []transport.Addr
-		for _, host := range sv {
-			for _, n := range use[host] {
-				if n > 0 {
-					active = append(active, host)
-					break
-				}
+	// §4.1.3(i): if any use list is non-empty, bind to the servers with
+	// non-zero counters (the object is already activated there).
+	if candidates = inUse(sv, use); len(candidates) == 0 {
+		candidates = sv
+	}
+	n = len(candidates)
+	if degree > 0 && degree < n {
+		n = degree
+	}
+	return candidates, n
+}
+
+// inUse lists, sorted, the members of sv whose use lists hold a non-zero
+// counter.
+func inUse(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) []transport.Addr {
+	var active []transport.Addr
+	for _, host := range sv {
+		for _, n := range use[host] {
+			if n > 0 {
+				active = append(active, host)
+				break
 			}
 		}
-		if len(active) > 0 {
-			sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
-			return active
-		}
 	}
-	return sv
+	sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
+	return active
 }
 
-// finishBind activates and enlists for the standard scheme.
-func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st []transport.Addr) (*Binding, error) {
-	bd, err := b.activate(ctx, act, id, class, candidates, st)
-	if err != nil {
-		return nil, err
-	}
-	bd.enlist()
-	return bd, nil
-}
-
-func (b *Binder) activate(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st []transport.Addr) (*Binding, error) {
+// finishBind builds the binding over candidates, runs the explicit probe
+// the replication policy needs (none under single-copy passive) with the
+// repair its findings call for, and enlists the binding. counted lists the
+// servers whose use lists already count it.
+func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
 	handle, err := replica.New(replica.Config{
 		UID:         id,
 		Class:       class,
 		Policy:      b.Policy,
 		Servers:     candidates,
-		Degree:      b.Degree,
+		Degree:      b.degree(),
 		StNodes:     st,
 		Client:      b.DB.RPC,
 		LeaseHolder: b.LeaseHolder,
 		LeaseTTL:    b.LeaseTTL,
 	})
 	if err != nil {
-		return nil, err
+		return nil, err // no candidates, so nothing was counted
 	}
 	handle.DisableAutoEnlist()
-	if err := handle.Activate(ctx); err != nil {
-		return nil, err
-	}
-	return &Binding{
+	bd := &Binding{
 		binder:  b,
 		act:     act,
 		id:      id,
 		handle:  handle,
-		bound:   handle.Bound(),
+		bound:   counted,
 		stView:  append([]transport.Addr(nil), st...),
 		dbState: b.trackTxDB(act),
-	}, nil
+	}
+	if b.Policy != replica.SingleCopyPassive {
+		if err = handle.Activate(ctx); err == nil {
+			err = bd.repair(ctx)
+		}
+		if err != nil {
+			// The bind action committed the count, and this binding will
+			// never be enlisted to drop it at the action's end.
+			_ = bd.endAtDB(ctx, act.Top().ID(), false, false)
+			return nil, err
+		}
+	}
+	bd.enlist()
+	return bd, nil
+}
+
+// repair runs once per binding, when the probe — finishBind's Activate, or
+// under single-copy passive the first answered request — has shown which
+// of the selected servers are dead: they are removed from Sv so that later
+// clients skip the discovery (§4.1.3(i)), in the name server directly (§5:
+// no lock protocol — concurrent readers may see the update mid-action, and
+// a recovering server can re-insert itself with no quiescence check) or by
+// Figure 7's exclusive pass, which also moves this binding's use counts to
+// the servers it ended up at. The standard scheme and read-only binders
+// never repair. A failed repair fails the request that triggered it: the
+// action must not run on at a server its use counts do not name.
+//
+// The exclusive pass is two messages under one write-locked action:
+// [GetServer(forUpdate)], then [Remove…, Increment, EndAction]. Between
+// the bind message and this one the binding was counted at servers it
+// could not reach, and other clients may have bound meanwhile. So the pass
+// re-reads the use lists and applies the selection rule to what everybody
+// else holds: if the object is in use, it is in use at servers this binding
+// must be on too (§4.1.3(i)). When it is not — a server dead to this client
+// is serving others — removing that server would leave two activated
+// copies behind, and the pass refuses instead, as a bind that finds the
+// servers in use unreachable always has.
+func (bd *Binding) repair(ctx context.Context) error {
+	if bd.probed {
+		return nil
+	}
+	bd.probed = true
+	b := bd.binder
+	broken := bd.handle.Broken()
+	if len(broken) == 0 {
+		return nil
+	}
+	if b.NameServer != nil {
+		for _, dead := range broken {
+			if err := b.NameServer.Remove(ctx, bd.id, dead); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if b.Scheme == SchemeStandard || b.ReadOnly {
+		return nil
+	}
+	repairAct := b.Actions.BeginTop()
+	owner := repairAct.ID()
+	fail := func(err error) error {
+		_ = b.DB.EndAction(context.Background(), owner, false)
+		_ = repairAct.Abort(context.Background())
+		return fmt.Errorf("core: repair Sv(%v): %w", bd.id, err)
+	}
+	sv, use, err := b.DB.GetServer(ctx, owner, bd.id, true, true)
+	if err != nil {
+		return fail(err)
+	}
+	for _, host := range bd.bound { // everybody else's use lists: less this binding's own count
+		if use[host][b.ClientNode] > 0 {
+			use[host][b.ClientNode]--
+		}
+	}
+	now := bd.handle.Bound()
+	if others := inUse(sv, use); len(others) > 0 {
+		for _, host := range now {
+			if !slices.Contains(others, host) {
+				return fail(fmt.Errorf("in use at %v, which this client cannot reach: %w", others, replica.ErrNoServers))
+			}
+		}
+	}
+	ops := make([]Op, 0, len(broken)+2)
+	for _, dead := range broken {
+		ops = append(ops, RemoveOp(owner, bd.id, dead, false))
+	}
+	var uncounted []transport.Addr
+	for _, host := range now {
+		if !slices.Contains(bd.bound, host) {
+			uncounted = append(uncounted, host)
+		}
+	}
+	if len(uncounted) > 0 {
+		ops = append(ops, IncrementOp(owner, bd.id, b.ClientNode, uncounted))
+	}
+	if _, err := b.DB.Do(ctx, append(ops, EndActionOp(owner, true))...); err != nil {
+		return fail(err)
+	}
+	_, _ = repairAct.Commit(ctx)
+	bd.bound = now
+	return nil
 }
 
 // enlist registers the binding as the client action's participant, once.
@@ -530,7 +594,11 @@ func (bd *Binding) Servers() []transport.Addr { return bd.handle.Bound() }
 
 // Invoke calls a method on the bound object under the binding's action.
 func (bd *Binding) Invoke(ctx context.Context, method string, args []byte) ([]byte, error) {
-	return bd.handle.Invoke(ctx, bd.act, method, args)
+	res, err := bd.handle.Invoke(ctx, bd.act, method, args)
+	if err == nil {
+		err = bd.repair(ctx)
+	}
+	return res, err
 }
 
 // InvokeSolo calls a method declared to be the action's entire write set
@@ -539,14 +607,22 @@ func (bd *Binding) Invoke(ctx context.Context, method string, args []byte) ([]by
 // binding then votes read-only at its own commit, which has nothing left
 // to send.
 func (bd *Binding) InvokeSolo(ctx context.Context, method string, args []byte) ([]byte, bool, error) {
-	return bd.handle.InvokeSolo(ctx, bd.act, method, args)
+	res, batched, err := bd.handle.InvokeSolo(ctx, bd.act, method, args)
+	if err == nil {
+		err = bd.repair(ctx)
+	}
+	return res, batched, err
 }
 
 // LeaseCheck acquires the object's read lock under the binding's action
 // and returns the committed version the coordinator server holds — the
 // commit-time revalidation of a leased read in a mixed transaction.
 func (bd *Binding) LeaseCheck(ctx context.Context) (uint64, error) {
-	return bd.handle.CheckSeq(ctx, bd.act)
+	seq, err := bd.handle.CheckSeq(ctx, bd.act)
+	if err == nil {
+		err = bd.repair(ctx)
+	}
+	return seq, err
 }
 
 // BatchSize returns the number of operations folded into the commit round

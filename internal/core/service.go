@@ -106,9 +106,15 @@ func (db *DB) GetServer(ctx context.Context, act string, from transport.Addr, id
 	if !ok {
 		return nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
 	}
+	nodes, use := e.view(wantUse)
+	return nodes, use, nil
+}
+
+// view copies out Sv and, with wantUse, the non-zero use-list counters.
+func (e *serverEntry) view(wantUse bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int) {
 	nodes := append([]transport.Addr(nil), e.Nodes...)
 	if !wantUse {
-		return nodes, nil, nil
+		return nodes, nil
 	}
 	use := make(map[transport.Addr]map[transport.Addr]int, len(e.Nodes))
 	for _, host := range e.Nodes {
@@ -120,7 +126,42 @@ func (db *DB) GetServer(ctx context.Context, act string, from transport.Addr, id
 		}
 		use[host] = m
 	}
-	return nodes, use, nil
+	return nodes, use
+}
+
+// Bind is the database half of the Figure 7/8 bind action, as one
+// operation: read Sv and the use lists, apply the fixed selection rule
+// (selectServers) and count clientNode's binding at the degree servers it
+// selects — GetServer and Increment with nothing in between, under one
+// hold of the database mutex. It returns Sv and the use lists as they stood
+// before the count, for the client to derive its fallback candidates from
+// by the same rule, and the hosts counted, which are the ones the client
+// binds to. Locks are the two operations': the write lock with forUpdate,
+// the shared Read lock plus the commutative Adjust lock otherwise (see
+// Binder.FastBind).
+func (db *DB) Bind(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) (sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int, counted []transport.Addr, err error) {
+	owner := lockmgr.Owner(act)
+	modes := []lockmgr.Mode{lockmgr.Read, lockmgr.Adjust}
+	if forUpdate {
+		modes = []lockmgr.Mode{lockmgr.Write}
+	}
+	for _, mode := range modes {
+		if err := db.locks.Acquire(ctx, owner, svKey(id), mode); err != nil {
+			return nil, nil, nil, rpc.Errorf(CodeLockRefused, "%v", err)
+		}
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.noteClientLocked(act, from)
+	e, ok := db.servers[id]
+	if !ok {
+		return nil, nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+	}
+	sv, use = e.view(true)
+	candidates, n := selectServers(sv, use, degree, false, "")
+	counted = candidates[:n]
+	db.adjustUseLocked(act, id, e, clientNode, counted, +1, forUpdate)
+	return sv, use, counted, nil
 }
 
 // Insert adds host to Sv_A under a write lock. Because the write lock
@@ -231,6 +272,13 @@ func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id
 	if !ok {
 		return rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
 	}
+	db.adjustUseLocked(act, id, e, clientNode, hosts, delta, exclusive)
+	return nil
+}
+
+// adjustUseLocked applies adjustUse's delta to entry e of object id, under
+// whichever of the two disciplines the action's lock calls for. db.mu held.
+func (db *DB) adjustUseLocked(act string, id uid.UID, e *serverEntry, clientNode transport.Addr, hosts []transport.Addr, delta int, exclusive bool) {
 	if exclusive {
 		db.snapServerLocked(act, id)
 	}
@@ -258,7 +306,6 @@ func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id
 			ss.useDeltas = append(ss.useDeltas, useDelta{id, k, nv - old})
 		}
 	}
-	return nil
 }
 
 // GetView returns St_A and the object's class under a read lock (§4.2).
@@ -385,6 +432,7 @@ const (
 	OpInclude
 	OpExclude
 	OpEndAction
+	OpBind
 	opKindEnd // one past the last valid kind
 )
 
@@ -399,16 +447,20 @@ type Op struct {
 	UID uid.UID
 	// Class is the object's class (Register).
 	Class string
-	// Host is the node to insert, remove or include, or — for Increment and
-	// Decrement — the client node whose counters move.
+	// Host is the node to insert, remove or include, or — for Increment,
+	// Decrement and Bind — the client node whose counters move.
 	Host transport.Addr
 	// Hosts lists Sv (Register) or the servers whose use lists move
 	// (Increment, Decrement); Stores lists St (Register).
 	Hosts, Stores []transport.Addr
 	// Pairs lists the exclusions (Exclude).
 	Pairs []ExcludePair
-	// WantUse and ForUpdate qualify GetServer, TryOnly Remove, UseWriteLock
-	// Exclude, and Commit EndAction; see the DB methods of those names.
+	// Degree is how many servers the binding is counted at (Bind; 0 = all
+	// the rule selects).
+	Degree int
+	// WantUse qualifies GetServer, ForUpdate GetServer and Bind, TryOnly
+	// Remove, UseWriteLock Exclude, and Commit EndAction; see the DB methods
+	// of those names.
 	WantUse, ForUpdate, TryOnly, UseWriteLock, Commit bool
 }
 
@@ -449,6 +501,12 @@ func DecrementOp(act string, id uid.UID, clientNode transport.Addr, hosts []tran
 	return Op{Kind: OpDecrement, Action: act, UID: id, Host: clientNode, Hosts: hosts}
 }
 
+// BindOp reads Sv_A and the use lists and counts clientNode's binding at
+// the degree servers the selection rule picks; see DB.Bind.
+func BindOp(act string, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) Op {
+	return Op{Kind: OpBind, Action: act, UID: id, Host: clientNode, Degree: degree, ForUpdate: forUpdate}
+}
+
 // GetViewOp reads St_A and the class name.
 func GetViewOp(act string, id uid.UID) Op {
 	return Op{Kind: OpGetView, Action: act, UID: id}
@@ -470,12 +528,13 @@ func EndActionOp(act string, commit bool) Op {
 }
 
 // OpResult is what one operation returned: Sv and the use lists
-// (GetServer), St and the class (GetView, Deregister), the post-include
-// view (Include), nothing for the rest.
+// (GetServer, Bind), the hosts counted (Bind), St and the class (GetView,
+// Deregister), the post-include view (Include), nothing for the rest.
 type OpResult struct {
 	Nodes []transport.Addr
 	Class string
 	Use   map[transport.Addr]map[transport.Addr]int
+	Hosts []transport.Addr
 }
 
 // BatchReq is the database's request record: operations to execute in
@@ -533,6 +592,8 @@ func (db *DB) exec(ctx context.Context, from transport.Addr, op *Op) (res OpResu
 		err = db.Exclude(ctx, op.Action, from, op.Pairs, op.UseWriteLock)
 	case OpEndAction:
 		db.EndAction(op.Action, op.Commit)
+	case OpBind:
+		res.Nodes, res.Use, res.Hosts, err = db.Bind(ctx, op.Action, from, op.UID, op.Host, op.Degree, op.ForUpdate)
 	default:
 		err = rpc.Errorf(rpc.CodeInternal, "unknown groupview op %d", op.Kind)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/rpc"
 	"repro/internal/transport"
 	"repro/internal/uid"
@@ -10,7 +12,8 @@ import (
 // batch request and response every bind, use-list adjustment, view read
 // and action end rides, and the durable entry record every commit writes —
 // none of them may pay gob reflection. Tags live in the 0x01–0x1f block of
-// the registry in internal/rpc/doc.go. All codecs are at version 1.
+// the registry in internal/rpc/doc.go. The batch records are at version 2
+// (the Bind operation's degree and counted hosts); the rest at version 1.
 // (0x02–0x0d were the per-operation request and response records the
 // batch replaced; they stay retired.)
 const (
@@ -97,7 +100,7 @@ func bit(set bool, f byte) byte {
 // --- BatchReq ---
 
 // WireTag implements rpc.Wire.
-func (*BatchReq) WireTag() (byte, byte) { return wireTagBatchReq, 1 }
+func (*BatchReq) WireTag() (byte, byte) { return wireTagBatchReq, 2 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (q *BatchReq) WireSizeHint() int { return 64 * len(q.Ops) }
@@ -122,6 +125,7 @@ func (q *BatchReq) AppendWire(dst []byte) []byte {
 			dst = appendUID(dst, p.UID)
 			dst = appendAddrs(dst, p.Hosts)
 		}
+		dst = rpc.AppendUvarint(dst, uint64(op.Degree))
 	}
 	return dst
 }
@@ -129,7 +133,7 @@ func (q *BatchReq) AppendWire(dst []byte) []byte {
 // ParseWire implements rpc.Wire. An operation kind this version does not
 // know fails the whole request: executing the rest of a conversation
 // around a hole would not be the conversation the client sent.
-func (q *BatchReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+func (q *BatchReq) ParseWire(ver byte, r *rpc.WireReader) (err error) {
 	n, ok := readCount(r)
 	if !ok {
 		return rpc.ErrWire
@@ -167,6 +171,13 @@ func (q *BatchReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 				return err
 			}
 		}
+		if ver >= 2 {
+			degree := r.Uvarint()
+			if degree > math.MaxInt32 {
+				return rpc.ErrWire
+			}
+			op.Degree = int(degree)
+		}
 	}
 	return nil
 }
@@ -174,7 +185,7 @@ func (q *BatchReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 // --- BatchResp ---
 
 // WireTag implements rpc.Wire.
-func (*BatchResp) WireTag() (byte, byte) { return wireTagBatchResp, 1 }
+func (*BatchResp) WireTag() (byte, byte) { return wireTagBatchResp, 2 }
 
 // AppendWire implements rpc.Wire.
 func (p *BatchResp) AppendWire(dst []byte) []byte {
@@ -192,12 +203,13 @@ func (p *BatchResp) AppendWire(dst []byte) []byte {
 				dst = rpc.AppendVarint(dst, int64(n))
 			}
 		}
+		dst = appendAddrs(dst, res.Hosts)
 	}
 	return dst
 }
 
 // ParseWire implements rpc.Wire.
-func (p *BatchResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+func (p *BatchResp) ParseWire(ver byte, r *rpc.WireReader) (err error) {
 	n, ok := readCount(r)
 	if !ok {
 		return rpc.ErrWire
@@ -213,10 +225,9 @@ func (p *BatchResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 		if !ok {
 			return rpc.ErrWire
 		}
-		if hosts == 0 {
-			continue
+		if hosts > 0 {
+			res.Use = make(map[transport.Addr]map[transport.Addr]int, hosts)
 		}
-		res.Use = make(map[transport.Addr]map[transport.Addr]int, hosts)
 		for j := 0; j < hosts; j++ {
 			host := transport.Addr(r.String())
 			clients, ok := readCount(r)
@@ -228,6 +239,11 @@ func (p *BatchResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 				byClient[transport.Addr(r.String())] = int(r.Varint())
 			}
 			res.Use[host] = byClient
+		}
+		if ver >= 2 {
+			if res.Hosts, err = readAddrs(r); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

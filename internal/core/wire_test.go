@@ -28,10 +28,12 @@ func wireCases() []struct{ in, out rpc.Wire } {
 			IncludeOp("rec", id, "s3"),
 			ExcludeOp("top", []ExcludePair{{UID: id, Hosts: []transport.Addr{"s1"}}, {UID: uid.UID{Origin: "o2", Epoch: 2, Seq: 1}}}, true),
 			EndActionOp("a3", true),
+			BindOp("a4", id, "c1", 2, true),
 		}}, &BatchReq{}},
 		{&BatchResp{Results: []OpResult{
 			{Nodes: []transport.Addr{"n1", "n2"}, Use: map[transport.Addr]map[transport.Addr]int{"n1": {"c1": 2, "c2": -1}, "n2": {}}},
 			{Nodes: []transport.Addr{"s1"}, Class: "Counter"},
+			{Nodes: []transport.Addr{"n1", "n2"}, Use: map[transport.Addr]map[transport.Addr]int{"n1": {"c1": 1}}, Hosts: []transport.Addr{"n1"}},
 			{},
 		}}, &BatchResp{}},
 		{&entryRecord{Nodes: []transport.Addr{"n1", "n2"}, Use: []useCount{{"n1", "c1", 2}, {"n2", "c9", 1}}}, &entryRecord{}},
@@ -110,5 +112,29 @@ func TestWireTagsUnique(t *testing.T) {
 			t.Errorf("tag %#x reused by %s and %s", tag, name, prev)
 		}
 		seen[tag] = name
+	}
+}
+
+// TestBatchVersion1Decodes: a version-1 batch frame — no degree per
+// operation, no counted hosts per result — still decodes. With one
+// operation (or result) whose new field is zero, the older frame is the
+// newer one less its last byte.
+func TestBatchVersion1Decodes(t *testing.T) {
+	for _, c := range []struct{ in, out rpc.Wire }{
+		{&BatchReq{Ops: []Op{EndActionOp("a", true)}}, &BatchReq{}},
+		{&BatchResp{Results: []OpResult{{Nodes: []transport.Addr{"s1"}, Class: "Counter"}}}, &BatchResp{}},
+	} {
+		data, err := rpc.Encode(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 := append([]byte(nil), data[:len(data)-1]...)
+		v1[2] = 1
+		if err := rpc.Decode(v1, c.out); err != nil {
+			t.Fatalf("%T v1: %v", c.in, err)
+		}
+		if !reflect.DeepEqual(c.in, c.out) {
+			t.Errorf("%T v1 decoded to %+v, want %+v", c.in, c.out, c.in)
+		}
 	}
 }

@@ -14,6 +14,12 @@ type ServerRef struct {
 	Client rpc.Client
 	Node   transport.Addr
 	UID    uid.UID
+	// Class and StNodes, when Class is non-empty, ride Invoke, InvokeFull,
+	// InvokeSolo and LeaseCheck: the server activates the object on a miss
+	// instead of refusing with CodeNotActive. A binding sets them on its
+	// first request, which makes a separate Activate unnecessary.
+	Class   string
+	StNodes []transport.Addr
 }
 
 // Activate asks the node to activate the object, loading state from one of
@@ -26,14 +32,18 @@ func (r ServerRef) Activate(ctx context.Context, class string, stNodes []transpo
 	})
 }
 
+// invoke sends req, filling in the object and the ref's activation fields.
+func (r ServerRef) invoke(ctx context.Context, req InvokeReq) (InvokeResp, error) {
+	req.UID = r.UID.String()
+	if r.Class != "" {
+		req.Class, req.StNodes = r.Class, addrsToStrings(r.StNodes)
+	}
+	return rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, req)
+}
+
 // Invoke calls a method under the given (top-level) action.
 func (r ServerRef) Invoke(ctx context.Context, action, method string, args []byte) ([]byte, error) {
-	resp, err := rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, InvokeReq{
-		UID:    r.UID.String(),
-		Action: action,
-		Method: method,
-		Args:   args,
-	})
+	resp, err := r.invoke(ctx, InvokeReq{Action: action, Method: method, Args: args})
 	if err != nil {
 		return nil, err
 	}
@@ -45,13 +55,7 @@ func (r ServerRef) Invoke(ctx context.Context, action, method string, args []byt
 // requesting a read lease on the object; a granted lease arrives in
 // InvokeResp.Lease.
 func (r ServerRef) InvokeFull(ctx context.Context, action, method string, args []byte, leaseHolder string) (InvokeResp, error) {
-	return rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, InvokeReq{
-		UID:         r.UID.String(),
-		Action:      action,
-		Method:      method,
-		Args:        args,
-		LeaseHolder: leaseHolder,
-	})
+	return r.invoke(ctx, InvokeReq{Action: action, Method: method, Args: args, LeaseHolder: leaseHolder})
 }
 
 // InvokeSolo calls a method under the given action, declaring that the
@@ -60,13 +64,7 @@ func (r ServerRef) InvokeFull(ctx context.Context, action, method string, args [
 // combining); the full response is returned so the caller can see whether
 // the operation was batched.
 func (r ServerRef) InvokeSolo(ctx context.Context, action, method string, args []byte) (InvokeResp, error) {
-	return rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, InvokeReq{
-		UID:    r.UID.String(),
-		Action: action,
-		Method: method,
-		Args:   args,
-		Solo:   true,
-	})
+	return r.invoke(ctx, InvokeReq{Action: action, Method: method, Args: args, Solo: true})
 }
 
 // Prepare runs the server's commit-time state copy to stNodes (phase one).
@@ -105,10 +103,11 @@ func (r ServerRef) PrepareCommit(ctx context.Context, action string, stNodes, ch
 // the committed version the server holds — commit-time revalidation for a
 // transaction that mixed leased reads with writes.
 func (r ServerRef) LeaseCheck(ctx context.Context, action string) (uint64, error) {
-	resp, err := rpc.Invoke[LeaseCheckReq, LeaseCheckResp](ctx, r.Client, r.Node, ServiceName, MethodLeaseCheck, LeaseCheckReq{
-		UID:    r.UID.String(),
-		Action: action,
-	})
+	req := LeaseCheckReq{UID: r.UID.String(), Action: action}
+	if r.Class != "" {
+		req.Class, req.StNodes = r.Class, addrsToStrings(r.StNodes)
+	}
+	resp, err := rpc.Invoke[LeaseCheckReq, LeaseCheckResp](ctx, r.Client, r.Node, ServiceName, MethodLeaseCheck, req)
 	if err != nil {
 		return 0, err
 	}

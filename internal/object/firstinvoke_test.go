@@ -1,0 +1,127 @@
+package object
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/rpc"
+	"repro/internal/transport"
+	"repro/internal/uid"
+)
+
+// firstRef is the ref a binding uses for its first request: it names the
+// class and the St view, so the server activates on a miss.
+func (w *world) firstRef(node transport.Addr, id uid.UID) ServerRef {
+	return ServerRef{Client: w.cluster.Node("client").Client(), Node: node, UID: id,
+		Class: "counter", StNodes: []transport.Addr{"st1", "st2"}}
+}
+
+// TestConcurrentFirstInvokesAtFreshServer: n cold objects get their first
+// invoke at one fresh server at once, and every one of them must answer
+// its own Prepare afterwards. The requests race to create the node's
+// instance table; if two of them each installed one, an object activated
+// into the table that lost would be not-active to its next request. Then
+// the same again on the incarnation after a crash.
+func TestConcurrentFirstInvokesAtFreshServer(t *testing.T) {
+	const n = 16
+	for round := 0; round < 10; round++ {
+		w := newWorld(t)
+		gen := uid.NewGenerator("cold", 1)
+		ids := make([]uid.UID, n)
+		for i := range ids {
+			ids[i] = gen.New()
+			w.cluster.Node("st1").Store().Put(ids[i], []byte("0"), 1)
+			w.cluster.Node("st2").Store().Put(ids[i], []byte("0"), 1)
+		}
+		for _, incarnation := range []string{"fresh", "recovered"} {
+			ctx := context.Background()
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for i, id := range ids {
+				wg.Add(1)
+				go func(i int, id uid.UID) {
+					defer wg.Done()
+					act := fmt.Sprintf("%s-%d", incarnation, i)
+					if _, err := w.firstRef("sv1", id).Invoke(ctx, act, "add", []byte("1")); err != nil {
+						errs[i] = fmt.Errorf("first invoke: %w", err)
+						return
+					}
+					ref := ServerRef{Client: w.cluster.Node("client").Client(), Node: "sv1", UID: id}
+					if _, err := ref.Prepare(ctx, act, []transport.Addr{"st1", "st2"}); err != nil {
+						errs[i] = fmt.Errorf("prepare: %w", err)
+						return
+					}
+					_, errs[i] = ref.Commit(ctx, act)
+				}(i, id)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("round %d, %s server, object %d: %v", round, incarnation, i, err)
+				}
+			}
+			w.cluster.Node("sv1").Crash()
+			w.cluster.Node("sv1").Recover(nil)
+		}
+	}
+}
+
+// TestFirstRequestActivatesLaterRequestDoesNot: only a request that names
+// the class activates; a binding's later requests meeting a vanished
+// instance are refused as before.
+func TestFirstRequestActivatesLaterRequestDoesNot(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	if _, err := w.ref("sv1").Invoke(ctx, "a1", "get", nil); !IsNotActive(err) {
+		t.Fatalf("plain invoke of a passive object: err = %v, want not-active", err)
+	}
+	if _, err := w.ref("sv1").LeaseCheck(ctx, "a1"); !IsNotActive(err) {
+		t.Fatalf("plain lease check of a passive object: err = %v, want not-active", err)
+	}
+	out, err := w.firstRef("sv1", w.id).Invoke(ctx, "a1", "add", []byte("3"))
+	if err != nil || string(out) != "3" {
+		t.Fatalf("first invoke = %q, %v", out, err)
+	}
+	if st, err := w.ref("sv1").Status(ctx); err != nil || !st.Active || st.Users != 1 {
+		t.Fatalf("status after first invoke = %+v, %v", st, err)
+	}
+	// The first request may be a lease check just as well.
+	seq, err := w.firstRef("sv2", w.id).LeaseCheck(ctx, "a2")
+	if err != nil || seq != 1 {
+		t.Fatalf("first lease check = %d, %v; want seq 1", seq, err)
+	}
+	// Activation's own refusals come back under activation's codes.
+	bad := w.firstRef("sv2", uid.NewGenerator("nowhere", 1).New())
+	if _, err := bad.Invoke(ctx, "a3", "get", nil); rpc.CodeOf(err) != CodeUnavailable {
+		t.Fatalf("first invoke with no state anywhere: err = %v, want %s", err, CodeUnavailable)
+	}
+	bad = w.firstRef("sv2", uid.NewGenerator("nowhere", 1).New())
+	bad.Class = "nonesuch"
+	if _, err := bad.Invoke(ctx, "a3", "get", nil); rpc.CodeOf(err) != rpc.CodeNotFound {
+		t.Fatalf("first invoke of an unknown class: err = %v, want %s", err, rpc.CodeNotFound)
+	}
+}
+
+// TestFirstInvokeAfterPassivationReactivates: the sweep destroys a
+// quiescent instance between two actions; the next binding's first invoke
+// brings it back from the stores instead of aborting.
+func TestFirstInvokeAfterPassivationReactivates(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	mgr := NewManager(w.cluster.Add("sv3"), w.reg)
+	if _, err := w.firstRef("sv3", w.id).Invoke(ctx, "a1", "add", []byte("5")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.ref("sv3").PrepareCommit(ctx, "a1", []transport.Addr{"st1", "st2"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rep := mgr.PassivateQuiescent(); len(rep.Passivated) != 1 {
+		t.Fatalf("sweep passivated %v, want the one quiescent instance", rep.Passivated)
+	}
+	out, err := w.firstRef("sv3", w.id).Invoke(ctx, "a2", "get", nil)
+	if err != nil || string(out) != "5" {
+		t.Fatalf("first invoke after the sweep = %q, %v; want the committed 5", out, err)
+	}
+}

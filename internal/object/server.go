@@ -208,13 +208,15 @@ func (m *Manager) LockOverloaded() {
 // Node returns the manager's node.
 func (m *Manager) Node() *sim.Node { return m.node }
 
+// table returns the node's instance table, creating it on first use in
+// this incarnation. Get-or-create is one step at the node: two first
+// callers racing on a fresh or just-recovered node must agree on the table,
+// or an instance activated into the loser's is not-active to its own next
+// request.
 func (m *Manager) table() *instanceTable {
-	if v, ok := m.node.Volatile(volatileKey); ok {
-		return v.(*instanceTable)
-	}
-	t := &instanceTable{m: make(map[uid.UID]*instance)}
-	m.node.SetVolatile(volatileKey, t)
-	return t
+	return m.node.VolatileOrStore(volatileKey, func() any {
+		return &instanceTable{m: make(map[uid.UID]*instance)}
+	}).(*instanceTable)
 }
 
 func (m *Manager) lookup(id uid.UID) (*instance, bool) {
@@ -265,6 +267,12 @@ type InvokeReq struct {
 	// path and the server can vouch its copy is the latest committed
 	// version, the reply carries a LeaseGrant (see lease.go).
 	LeaseHolder string
+	// Class and StNodes ride a binding's first request: when Class is
+	// non-empty and the object has no server at this node, the handler
+	// activates it — as Activate would — before invoking. Later requests
+	// leave them empty; a miss is then CodeNotActive.
+	Class   string
+	StNodes []string
 }
 
 // InvokeResp carries the method result. Modified reports whether the
@@ -383,6 +391,9 @@ type PrepareCommitResp struct {
 type LeaseCheckReq struct {
 	UID    string
 	Action string
+	// Class and StNodes ride a binding's first request; see InvokeReq.
+	Class   string
+	StNodes []string
 }
 
 // LeaseCheckResp carries the committed version observed under the lock.
@@ -425,19 +436,24 @@ func (m *Manager) handleActivate(ctx context.Context, from transport.Addr, req A
 	if err != nil {
 		return ActivateResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
 	}
-	t := m.table()
-	t.mu.Lock()
-	if in, ok := t.m[id]; ok {
-		t.mu.Unlock()
+	_, resp, err := m.activate(ctx, id, req.Class, req.StNodes)
+	return resp, err
+}
+
+// activate returns the node's server for the object, creating it — state
+// loaded from one of stNodes — when there is none. It is the one
+// implementation behind the Activate RPC and behind a binding's first
+// Invoke or LeaseCheck arriving at a node where the object is passive.
+func (m *Manager) activate(ctx context.Context, id uid.UID, className string, stNodes []string) (*instance, ActivateResp, error) {
+	if in, ok := m.lookup(id); ok {
 		in.mu.Lock()
 		defer in.mu.Unlock()
-		return ActivateResp{Seq: in.seq, Fresh: false}, nil
+		return in, ActivateResp{Seq: in.seq, Fresh: false}, nil
 	}
-	t.mu.Unlock()
 
-	class, err := m.registry.Lookup(req.Class)
+	class, err := m.registry.Lookup(className)
 	if err != nil {
-		return ActivateResp{}, rpc.Errorf(rpc.CodeNotFound, "%v", err)
+		return nil, ActivateResp{}, rpc.Errorf(rpc.CodeNotFound, "%v", err)
 	}
 	// Load the state from any store node in St (§3.2(4): "each server is
 	// free to load the state of the object from any of the nodes ∈ St").
@@ -446,9 +462,21 @@ func (m *Manager) handleActivate(ctx context.Context, from transport.Addr, req A
 		loadedFrom string
 		found      bool
 	)
-	for _, st := range req.StNodes {
+	for _, st := range stNodes {
 		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
 		v, err := remote.Read(ctx, id)
+		if err == nil && v.Pinned {
+			// A prepared intention is pending on the object. It may be an
+			// acknowledged commit whose phase-two message the store never
+			// got, and Read hands back the version before it: have the
+			// store apply what its coordinators have decided and read again
+			// (core's store recovery does the same before it trusts a view
+			// member). An undecided intention stays pending, and the
+			// version chain check refuses a copy loaded underneath it.
+			if _, rerr := remote.ResolveDecided(ctx); rerr == nil {
+				v, err = remote.Read(ctx, id)
+			}
+		}
 		if err != nil {
 			continue
 		}
@@ -456,7 +484,7 @@ func (m *Manager) handleActivate(ctx context.Context, from transport.Addr, req A
 		break
 	}
 	if !found {
-		return ActivateResp{}, rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v has its state", req.UID, req.StNodes)
+		return nil, ActivateResp{}, rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v has its state", id, stNodes)
 	}
 	in := &instance{
 		class:        class,
@@ -470,23 +498,24 @@ func (m *Manager) handleActivate(ctx context.Context, from transport.Addr, req A
 		preparedSeq:  make(map[string]uint64),
 		users:        make(map[string]bool),
 		batches:      make(map[string][]*pendingOp),
-		stNodes:      append([]string(nil), req.StNodes...),
+		stNodes:      append([]string(nil), stNodes...),
 		leaseHolders: make(map[transport.Addr]time.Time),
 	}
+	t := m.table()
 	t.mu.Lock()
 	if existing, ok := t.m[id]; ok {
 		// Lost a race with a concurrent activation; use the winner.
 		t.mu.Unlock()
 		existing.mu.Lock()
 		defer existing.mu.Unlock()
-		return ActivateResp{Seq: existing.seq, Fresh: false}, nil
+		return existing, ActivateResp{Seq: existing.seq, Fresh: false}, nil
 	}
 	t.m[id] = in
 	t.mu.Unlock()
 	if m.ghost != nil {
 		m.ghost.Join(GroupPrefix+id.String(), m.groupApply(in))
 	}
-	return ActivateResp{Seq: loaded.Seq, Fresh: true, LoadedFrom: loadedFrom}, nil
+	return in, ActivateResp{Seq: loaded.Seq, Fresh: true, LoadedFrom: loadedFrom}, nil
 }
 
 // groupApply adapts group deliveries of KindInvoke to instance invocation.
@@ -516,7 +545,7 @@ func (m *Manager) groupApply(in *instance) group.Apply {
 }
 
 func (m *Manager) handleInvoke(ctx context.Context, from transport.Addr, req InvokeReq) (InvokeResp, error) {
-	in, err := m.mustLookup(req.UID)
+	in, err := m.instanceFor(ctx, req.UID, req.Class, req.StNodes)
 	if err != nil {
 		return InvokeResp{}, err
 	}
@@ -759,6 +788,19 @@ func (m *Manager) mustLookup(uidStr string) (*instance, error) {
 		return nil, rpc.Errorf(CodeNotActive, "object %s not active at %s", uidStr, m.node.Name())
 	}
 	return in, nil
+}
+
+// instanceFor returns the server a request addresses. A request that names
+// the object's class (a binding's first) activates the object on a miss;
+// any other miss is CodeNotActive.
+func (m *Manager) instanceFor(ctx context.Context, uidStr, class string, stNodes []string) (*instance, error) {
+	in, err := m.mustLookup(uidStr)
+	if class == "" || !IsNotActive(err) {
+		return in, err
+	}
+	id, _ := uid.Parse(uidStr) // mustLookup parsed it already
+	in, _, err = m.activate(ctx, id, class, stNodes)
+	return in, err
 }
 
 func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req PrepareReq) (PrepareResp, error) {
@@ -1148,7 +1190,7 @@ func (m *Manager) prepareCommitSingleStore(ctx context.Context, from transport.A
 // and releases it exactly like a plain read — a read-only vote with no
 // phase-two round trip.
 func (m *Manager) handleLeaseCheck(ctx context.Context, from transport.Addr, req LeaseCheckReq) (LeaseCheckResp, error) {
-	in, err := m.mustLookup(req.UID)
+	in, err := m.instanceFor(ctx, req.UID, req.Class, req.StNodes)
 	if err != nil {
 		return LeaseCheckResp{}, err
 	}

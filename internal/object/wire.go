@@ -9,8 +9,10 @@ import (
 // Binary codecs (rpc.Wire) for the object-server wire records — the
 // invoke request/reply and the 2PC prepare/commit/abort messages are the
 // hottest payloads in the system. Tags live in the 0x20–0x3f block of the
-// registry in internal/rpc/doc.go. The invoke records are at version 2
-// (read-lease fields); everything else is at version 1.
+// registry in internal/rpc/doc.go. The invoke reply is at version 2
+// (read-lease fields), the invoke request at version 3 and the lease check
+// at version 2 (the first request's activation fields); everything else is
+// at version 1.
 const (
 	wireTagActivateReq byte = 0x20 + iota
 	wireTagActivateResp
@@ -68,14 +70,19 @@ func (p *ActivateResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	return nil
 }
 
-// InvokeReq (version 2 appends the read-lease request field)
+// InvokeReq (version 2 appends the read-lease request field, version 3
+// the first request's activation fields)
 
 // WireTag implements rpc.Wire.
-func (*InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 2 }
+func (*InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 3 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (q *InvokeReq) WireSizeHint() int {
-	return len(q.UID) + len(q.Action) + len(q.Method) + len(q.Args) + len(q.LeaseHolder) + 24
+	n := len(q.UID) + len(q.Action) + len(q.Method) + len(q.Args) + len(q.LeaseHolder) + len(q.Class) + 24
+	for _, st := range q.StNodes {
+		n += len(st) + 2
+	}
+	return n
 }
 
 // AppendWire implements rpc.Wire.
@@ -85,7 +92,9 @@ func (q *InvokeReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.Method)
 	dst = rpc.AppendBytes(dst, q.Args)
 	dst = rpc.AppendBool(dst, q.Solo)
-	return rpc.AppendString(dst, q.LeaseHolder)
+	dst = rpc.AppendString(dst, q.LeaseHolder)
+	dst = rpc.AppendString(dst, q.Class)
+	return rpc.AppendStrings(dst, q.StNodes)
 }
 
 // ParseWire implements rpc.Wire.
@@ -97,6 +106,10 @@ func (q *InvokeReq) ParseWire(ver byte, r *rpc.WireReader) error {
 	q.Solo = r.Bool()
 	if ver >= 2 {
 		q.LeaseHolder = r.String()
+	}
+	if ver >= 3 {
+		q.Class = r.String()
+		q.StNodes = r.Strings()
 	}
 	return nil
 }
@@ -313,21 +326,27 @@ func (p *PrepareCommitResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	return nil
 }
 
-// LeaseCheckReq
+// LeaseCheckReq (version 2 appends the first request's activation fields)
 
 // WireTag implements rpc.Wire.
-func (*LeaseCheckReq) WireTag() (byte, byte) { return wireTagLeaseCheckReq, 1 }
+func (*LeaseCheckReq) WireTag() (byte, byte) { return wireTagLeaseCheckReq, 2 }
 
 // AppendWire implements rpc.Wire.
 func (q *LeaseCheckReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.UID)
-	return rpc.AppendString(dst, q.Action)
+	dst = rpc.AppendString(dst, q.Action)
+	dst = rpc.AppendString(dst, q.Class)
+	return rpc.AppendStrings(dst, q.StNodes)
 }
 
 // ParseWire implements rpc.Wire.
-func (q *LeaseCheckReq) ParseWire(_ byte, r *rpc.WireReader) error {
+func (q *LeaseCheckReq) ParseWire(ver byte, r *rpc.WireReader) error {
 	q.UID = r.String()
 	q.Action = r.String()
+	if ver >= 2 {
+		q.Class = r.String()
+		q.StNodes = r.Strings()
+	}
 	return nil
 }
 

@@ -14,6 +14,7 @@ func TestWireRoundTrip(t *testing.T) {
 		{&ActivateReq{UID: "obj", Class: "Counter", StNodes: []string{"s1", "s2"}}, &ActivateReq{}},
 		{&ActivateResp{Seq: 42, Fresh: true, LoadedFrom: "s1"}, &ActivateResp{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1, 2, 3}, Solo: true}, &InvokeReq{}},
+		{&InvokeReq{UID: "obj", Action: "a1", Method: "get", LeaseHolder: "c1", Class: "Counter", StNodes: []string{"s1", "s2"}}, &InvokeReq{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Batched: true, BatchSize: 5, WaitNanos: -250}, &InvokeResp{}},
 		{&PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}}, &PrepareReq{}},
 		{&PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}, &PrepareResp{}},
@@ -24,6 +25,7 @@ func TestWireRoundTrip(t *testing.T) {
 		{&PrepareCommitReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}, CheckpointTo: []string{"s2"}}, &PrepareCommitReq{}},
 		{&PrepareCommitResp{Dirty: true, NewSeq: 8, FailedNodes: []string{"s1"}, BatchSize: 2}, &PrepareCommitResp{}},
 		{&LeaseCheckReq{UID: "obj", Action: "a1"}, &LeaseCheckReq{}},
+		{&LeaseCheckReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []string{"s1"}}, &LeaseCheckReq{}},
 		{&LeaseCheckResp{Seq: 11}, &LeaseCheckResp{}},
 	}
 	for _, c := range cases {
@@ -61,5 +63,33 @@ func TestWireTagsUnique(t *testing.T) {
 			t.Errorf("tag %#x reused by %T and %s", tag, w, prev)
 		}
 		seen[tag] = reflect.TypeOf(w).String()
+	}
+}
+
+// TestWireOlderRequestVersionsDecode: frames written before the activation
+// fields existed (invoke request v1 and v2, lease check v1) still decode,
+// with those fields empty.
+func TestWireOlderRequestVersionsDecode(t *testing.T) {
+	body := rpc.AppendString(rpc.AppendString(nil, "obj"), "a1")
+	invoke := rpc.AppendBool(rpc.AppendBytes(rpc.AppendString(body, "get"), []byte{7}), true)
+	want := InvokeReq{UID: "obj", Action: "a1", Method: "get", Args: []byte{7}, Solo: true}
+	for ver, frame := range map[byte][]byte{
+		1: invoke,
+		2: rpc.AppendString(invoke[:len(invoke):len(invoke)], ""),
+	} {
+		var got InvokeReq
+		if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagInvokeReq, ver}, frame...), &got); err != nil {
+			t.Fatalf("invoke request v%d: %v", ver, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("invoke request v%d = %+v, want %+v", ver, got, want)
+		}
+	}
+	var check LeaseCheckReq
+	if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagLeaseCheckReq, 1}, body...), &check); err != nil {
+		t.Fatalf("lease check v1: %v", err)
+	}
+	if !reflect.DeepEqual(check, LeaseCheckReq{UID: "obj", Action: "a1"}) {
+		t.Errorf("lease check v1 = %+v", check)
 	}
 }

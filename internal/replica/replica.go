@@ -97,9 +97,10 @@ type Config struct {
 	// first functioning one is the coordinator where relevant).
 	Servers []transport.Addr
 	// Degree is the desired number of activated replicas (|Sv_A'| in
-	// §3.2); 0 means all of Servers. Activate probes Servers in order
-	// until Degree replicas are running — a client with a stale Sv view
-	// discovers crashed nodes "the hard way" here (§4.1.2).
+	// §3.2); 0 means all of Servers. The probe — Activate, or under
+	// single-copy passive the binding's first request — walks Servers in
+	// order until Degree replicas are running: a client with a stale Sv
+	// view discovers crashed nodes "the hard way" here (§4.1.2).
 	Degree int
 	// StNodes is the St_A view used for activation and commit-time copy.
 	StNodes []transport.Addr
@@ -126,9 +127,16 @@ type Handle struct {
 	cfg Config
 
 	mu sync.Mutex
-	// activated lists servers where Activate succeeded, in preference
+	// activated lists servers where activation succeeded, in preference
 	// order; only these participate in invocation and commit.
 	activated []transport.Addr
+	// unprobed marks a single-copy-passive handle that has not yet had a
+	// request answered: it is bound to its first intact candidate, and its
+	// first request carries the activation fields and walks the candidates
+	// (see atCoordinator). Cleared for good by the first answer — or the
+	// first ambiguous failure, after which the operation may have run and
+	// no other server may be tried.
+	unprobed bool
 	// broken marks servers whose binding failed (crash detected); per
 	// §3.1 a broken binding is never repaired within the action.
 	broken map[transport.Addr]bool
@@ -173,7 +181,9 @@ type Handle struct {
 	lastGrant *object.LeaseGrant
 }
 
-// New creates a handle. Call Activate before Invoke.
+// New creates a handle. Call Activate before Invoke under active and
+// coordinator-cohort replication; a single-copy-passive handle is ready as
+// it is.
 func New(cfg Config) (*Handle, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("replica %v: empty server set: %w", cfg.UID, ErrNoServers)
@@ -186,6 +196,7 @@ func New(cfg Config) (*Handle, error) {
 	}
 	return &Handle{
 		cfg:            cfg,
+		unprobed:       cfg.Policy == SingleCopyPassive,
 		broken:         make(map[transport.Addr]bool),
 		failedStores:   make(map[transport.Addr]bool),
 		preparedStores: make(map[transport.Addr]bool),
@@ -200,7 +211,15 @@ func (h *Handle) Policy() Policy { return h.cfg.Policy }
 // state from St as needed. Candidates that cannot activate are marked
 // broken — the "hard way" failure discovery of §4.1.2. The call fails only
 // when no server at all could be activated.
+//
+// Active replicas must have joined the object's group, and cohorts be able
+// to take checkpoints, before the first multicast or commit, so those
+// policies probe explicitly. Single-copy passive sends nothing here: the
+// one copy is activated by the binding's first request (see atCoordinator).
 func (h *Handle) Activate(ctx context.Context) error {
+	if h.cfg.Policy == SingleCopyPassive {
+		return nil
+	}
 	want := h.cfg.Degree
 	if want <= 0 || want > len(h.cfg.Servers) {
 		want = len(h.cfg.Servers)
@@ -249,15 +268,23 @@ func (h *Handle) markBroken(sv transport.Addr) {
 	h.broken[sv] = true
 }
 
-// live returns the activated servers whose bindings are intact, in
-// preference order.
+// live returns the servers whose bindings are intact, in preference order:
+// the activated ones, or — while the handle is unprobed — the candidate its
+// first request will try next.
 func (h *Handle) live() []transport.Addr {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	from := h.activated
+	if h.unprobed {
+		from = h.cfg.Servers
+	}
 	var out []transport.Addr
-	for _, sv := range h.activated {
+	for _, sv := range from {
 		if !h.broken[sv] {
 			out = append(out, sv)
+			if h.unprobed {
+				break
+			}
 		}
 	}
 	return out
@@ -351,16 +378,12 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 		return nil, false, fmt.Errorf("replica %v: enlist in %s: action not running", h.cfg.UID, act.ID())
 	}
 	owner := act.Top().ID()
-	coord, err := h.Coordinator()
+	var resp object.InvokeResp
+	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
+		resp, err = ref.InvokeSolo(ctx, owner, method, args)
+		return err
+	})
 	if err != nil {
-		return nil, false, err
-	}
-	resp, err := h.ref(coord).InvokeSolo(ctx, owner, method, args)
-	if err != nil {
-		if isCrashError(err) || object.IsNotActive(err) {
-			h.markBroken(coord)
-			return nil, false, fmt.Errorf("replica %v: coordinator %s failed: %w", h.cfg.UID, coord, ErrNoServers)
-		}
 		return nil, false, err
 	}
 	h.mu.Lock()
@@ -412,19 +435,12 @@ func (h *Handle) CheckSeq(ctx context.Context, act *action.Action) (uint64, erro
 		return 0, fmt.Errorf("replica %v: enlist in %s: action not running", h.cfg.UID, act.ID())
 	}
 	owner := act.Top().ID()
-	coord, err := h.Coordinator()
-	if err != nil {
-		return 0, err
-	}
-	seq, err := h.ref(coord).LeaseCheck(ctx, owner)
-	if err != nil {
-		if isCrashError(err) || object.IsNotActive(err) {
-			h.markBroken(coord)
-			return 0, fmt.Errorf("replica %v: coordinator %s failed: %w", h.cfg.UID, coord, ErrNoServers)
-		}
-		return 0, err
-	}
-	return seq, nil
+	var seq uint64
+	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
+		seq, err = ref.LeaseCheck(ctx, owner)
+		return err
+	})
+	return seq, err
 }
 
 // LeaseGrant returns the most recent read lease granted across this
@@ -467,38 +483,100 @@ func (h *Handle) enlistOnce(act *action.Action) bool {
 // invokeCoordinator drives single-copy-passive and coordinator-cohort
 // invocation: only the coordinator processes.
 func (h *Handle) invokeCoordinator(ctx context.Context, owner, method string, args []byte) ([]byte, error) {
-	coord, err := h.Coordinator()
+	var resp object.InvokeResp
+	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
+		// Request a read lease only from the view-primary coordinator under
+		// single-copy passive replication (see Config.LeaseHolder).
+		leaseHolder := ""
+		if h.cfg.LeaseHolder != "" && h.cfg.Policy == SingleCopyPassive && ref.Node == h.cfg.Servers[0] {
+			leaseHolder = string(h.cfg.LeaseHolder)
+		}
+		resp, err = ref.InvokeFull(ctx, owner, method, args, leaseHolder)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Request a read lease only from the view-primary coordinator under
-	// single-copy passive replication (see Config.LeaseHolder).
-	leaseHolder := ""
-	if h.cfg.LeaseHolder != "" && h.cfg.Policy == SingleCopyPassive &&
-		len(h.cfg.Servers) > 0 && coord == h.cfg.Servers[0] {
-		leaseHolder = string(h.cfg.LeaseHolder)
+	if resp.Lease != nil {
+		h.mu.Lock()
+		h.lastGrant = resp.Lease
+		h.mu.Unlock()
 	}
-	resp, err := h.ref(coord).InvokeFull(ctx, owner, method, args, leaseHolder)
-	if err == nil {
-		if resp.Lease != nil {
-			h.mu.Lock()
-			h.lastGrant = resp.Lease
-			h.mu.Unlock()
+	if resp.WaitNanos > 0 {
+		h.noteQueueWait(resp.WaitNanos)
+	}
+	return resp.Result, nil
+}
+
+// atCoordinator sends one request to the processing replica. When the
+// server turns out to be gone the binding breaks (§3.1) and stays broken
+// for this action; for coordinator-cohort the paper's cohorts elect a new
+// coordinator for FUTURE actions, the current one must abort because the
+// coordinator's uncommitted state died with it.
+//
+// An unprobed handle's request is its binding's first: it carries the
+// class and the St view, so the server activates the object on a miss, and
+// it is the §4.1.2 "hard way" probe. A failure that shows the request
+// never ran (see neverRan) breaks that candidate and moves on to the next;
+// an ambiguous one — reply lost, deadline — breaks the binding as a
+// mid-action crash does, because the operation may have run there under
+// the action's lock and must not run at a second server.
+func (h *Handle) atCoordinator(call func(ref object.ServerRef) error) error {
+	var lastErr error
+	for {
+		h.mu.Lock()
+		first := h.unprobed
+		h.mu.Unlock()
+		coord, err := h.Coordinator()
+		if err != nil {
+			if lastErr != nil {
+				// Keep the last per-server cause on the chain: callers
+				// distinguish "every server breaker-open" (fast-fail, retry
+				// later) from other total-failure modes.
+				return fmt.Errorf("replica %v: activation failed at all of %v: %w: %w", h.cfg.UID, h.cfg.Servers, ErrNoServers, lastErr)
+			}
+			return err
 		}
-		if resp.WaitNanos > 0 {
-			h.noteQueueWait(resp.WaitNanos)
+		ref := h.ref(coord)
+		if first {
+			ref.Class, ref.StNodes = h.cfg.Class, h.cfg.StNodes
 		}
-		return resp.Result, nil
+		err = call(ref)
+		if first && neverRan(err) {
+			h.markBroken(coord)
+			lastErr = err
+			continue
+		}
+		gone := isCrashError(err) || object.IsNotActive(err)
+		h.mu.Lock()
+		if first {
+			h.unprobed = false
+			h.activated = append(h.activated, coord)
+		}
+		if gone {
+			h.broken[coord] = true
+		}
+		h.mu.Unlock()
+		if gone {
+			return fmt.Errorf("replica %v: coordinator %s failed: %w", h.cfg.UID, coord, ErrNoServers)
+		}
+		return err
 	}
-	if isCrashError(err) || object.IsNotActive(err) {
-		// The binding broke (§3.1) — it stays broken for this action.
-		// For coordinator-cohort the paper's cohorts elect a new
-		// coordinator for FUTURE actions; the current action must abort
-		// because the coordinator's uncommitted state died with it.
-		h.markBroken(coord)
-		return nil, fmt.Errorf("replica %v: coordinator %s failed: %w", h.cfg.UID, coord, ErrNoServers)
+}
+
+// neverRan reports whether a first request's failure is definite: the
+// request was not delivered (unreachable, lost on the way, breaker
+// fast-fail), or the server refused to activate the object and so executed
+// nothing under the action.
+func neverRan(err error) bool {
+	if errors.Is(err, transport.ErrUnreachable) || errors.Is(err, transport.ErrRequestLost) {
+		return true
 	}
-	return nil, err
+	switch rpc.CodeOf(err) {
+	case object.CodeUnavailable, rpc.CodeNotFound, object.CodeNotActive:
+		return true
+	}
+	return false
 }
 
 // invokeActive drives active replication: the invocation is delivered to
@@ -578,12 +656,10 @@ func (h *Handle) Name() string {
 // (§4.1.2); when every server reports that, the handle votes read-only —
 // its commit processing is over with zero phase-two round trips.
 func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
-	h.mu.Lock()
-	released := h.released
-	h.mu.Unlock()
-	if released {
+	if h.releasedOrUnprobed() {
 		// A batched solo invocation already committed with its carrying
-		// action; the servers have forgotten this action.
+		// action and the servers have forgotten this action — or no server
+		// ever heard of it.
 		return action.VoteReadOnly, nil
 	}
 	targets, err := h.prepareTargets()
@@ -670,6 +746,19 @@ func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 	return action.VoteCommit, nil
 }
 
+// releasedOrUnprobed reports whether commit processing has nothing to do:
+// the handle is already released, or it is bound but was never invoked —
+// no server has heard of the action, so it is released here and votes
+// read-only without contacting one.
+func (h *Handle) releasedOrUnprobed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.unprobed {
+		h.released = true
+	}
+	return h.released
+}
+
 // onePhaseCommitVisible reports whether the single St node's committed
 // version carries tx — the affirmative evidence that an ambiguous
 // one-phase round did commit. A read failure, a different TxID (which may
@@ -692,12 +781,9 @@ func (h *Handle) onePhaseCommitVisible(ctx context.Context, tx string) bool {
 // stores, and multiple active replicas must all prepare before any may
 // commit — and falls back to ordinary 2PC untouched.
 func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
-	h.mu.Lock()
-	if h.released {
-		h.mu.Unlock()
+	if h.releasedOrUnprobed() {
 		return action.VoteReadOnly, nil
 	}
-	h.mu.Unlock()
 	targets, err := h.prepareTargets()
 	if err != nil {
 		return 0, err
@@ -793,13 +879,12 @@ func (h *Handle) prepareTargets() ([]transport.Addr, error) {
 // cannot reach resolve the in-doubt intention at their own restart via
 // the outcome log.
 func (h *Handle) Commit(ctx context.Context, tx string) error {
-	h.mu.Lock()
-	released := h.released
-	prepared := append([]transport.Addr(nil), h.prepared...)
-	h.mu.Unlock()
-	if released {
+	if h.releasedOrUnprobed() {
 		return nil
 	}
+	h.mu.Lock()
+	prepared := append([]transport.Addr(nil), h.prepared...)
+	h.mu.Unlock()
 	if len(prepared) == 0 {
 		// Defensive: a commit with no dirty prepare (legacy callers driving
 		// the handle directly) still tells the participating servers to end
@@ -829,10 +914,12 @@ func (h *Handle) Commit(ctx context.Context, tx string) error {
 	for i := range prepared {
 		if err := results[i].err; err != nil {
 			// A successful server Commit implies its lease fence ran
-			// before the reply; a failed one at the view primary — the
-			// sole lease granter — leaves the fence unconfirmed.
-			if h.cfg.LeaseTTL > 0 && h.cfg.Policy == SingleCopyPassive &&
-				len(h.cfg.Servers) > 0 && prepared[i] == h.cfg.Servers[0] {
+			// before the reply; a failed one leaves it unconfirmed. That
+			// holds at a fallback coordinator too: it grants no leases, but
+			// its first commit waits out the ones the view primary granted
+			// before it failed, and a server that dies inside that wait
+			// takes the wait with it.
+			if h.cfg.LeaseTTL > 0 && h.cfg.Policy == SingleCopyPassive {
 				fenceDoubt = true
 			}
 			if isCrashError(err) || object.IsNotActive(err) {
@@ -869,10 +956,10 @@ func (h *Handle) Commit(ctx context.Context, tx string) error {
 		}
 	}
 	if fenceDoubt {
-		// The commit is durable, but the primary never confirmed its lease
+		// The commit is durable, but the server never confirmed its lease
 		// fence — it may have crashed with granted read leases outstanding,
 		// and nobody is left to invalidate them. Wait the lease clock out
-		// before acknowledging: every grant the primary could have issued
+		// before acknowledging: every grant a server could have issued
 		// expires by confirmedAt + 2·TTL, and confirmedAt predates this
 		// commit's store durability, so sleeping 2·TTL from here outlives
 		// them all. Deliberately not ctx-interruptible — cutting the wait
@@ -929,10 +1016,7 @@ func (h *Handle) recordFailure(addr transport.Addr) {
 // parallel. A handle already released (read-only vote) is a no-op — the
 // servers forgot the action when they released it.
 func (h *Handle) Abort(ctx context.Context, tx string) error {
-	h.mu.Lock()
-	released := h.released
-	h.mu.Unlock()
-	if released {
+	if h.releasedOrUnprobed() {
 		return nil
 	}
 	live := h.live()

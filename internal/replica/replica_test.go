@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/action"
 	"repro/internal/group"
@@ -539,5 +540,210 @@ func TestOnePhaseReplyLostThenCrashReportsOutcomeUnknown(t *testing.T) {
 	val, seq := w.storeValue(t, "st1")
 	if val != "7" || seq != 2 {
 		t.Fatalf("st1 = %q seq=%d, want committed 7 seq=2", val, seq)
+	}
+}
+
+// serverStatus reads the object's instance status at sv from outside any
+// action.
+func (w *world) serverStatus(t *testing.T, sv transport.Addr) object.StatusResp {
+	t.Helper()
+	st, err := object.ServerRef{Client: w.cluster.Node("client").Client(), Node: sv, UID: w.id}.Status(context.Background())
+	if err != nil {
+		t.Fatalf("status %s: %v", sv, err)
+	}
+	return st
+}
+
+// TestFirstInvokeWalksPastDefiniteFailures: under single-copy passive the
+// binding's first request is the §4.1.2 probe. A candidate that provably
+// never ran it — crashed, the request lost on the way, or unable to
+// activate the object — is marked broken and the next one is tried; the
+// action commits there.
+func TestFirstInvokeWalksPastDefiniteFailures(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fail func(w *world)
+	}{
+		{"crashed", func(w *world) { w.cluster.Node("sv1").Crash() }},
+		{"request-lost", func(w *world) {
+			w.cluster.Faults().DropRequests(1, transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke))
+		}},
+		{"cannot-activate", func(w *world) {
+			for _, st := range w.sts {
+				w.cluster.Faults().Partition("sv1", st)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(t, 3, 2)
+			ctx := context.Background()
+			c.fail(w)
+			h := w.handle(t, SingleCopyPassive)
+			if got := h.Bound(); len(got) != 1 || got[0] != "sv1" {
+				t.Fatalf("bound before the first request = %v, want the first candidate", got)
+			}
+			a := w.mgr.BeginTop()
+			res, err := h.Invoke(ctx, a, "add", []byte("7"))
+			if err != nil || string(res) != "7" {
+				t.Fatalf("first invoke = %q, %v", res, err)
+			}
+			if got := h.Broken(); len(got) != 1 || got[0] != "sv1" {
+				t.Fatalf("broken = %v, want [sv1]", got)
+			}
+			if got := h.Bound(); len(got) != 1 || got[0] != "sv2" {
+				t.Fatalf("bound = %v, want [sv2]", got)
+			}
+			if _, err := a.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if val, seq := w.storeValue(t, "st1"); val != "7" || seq != 2 {
+				t.Fatalf("st1 = %q seq=%d", val, seq)
+			}
+			if w.serverStatus(t, "sv3").Active {
+				t.Fatal("the walk went past the candidate that answered")
+			}
+		})
+	}
+}
+
+// TestFirstInvokeAllCandidatesDown keeps the total-failure error's shape:
+// ErrNoServers with the last per-server cause on the chain.
+func TestFirstInvokeAllCandidatesDown(t *testing.T) {
+	w := newWorld(t, 2, 1)
+	w.cluster.Node("sv1").Crash()
+	w.cluster.Node("sv2").Crash()
+	h := w.handle(t, SingleCopyPassive)
+	a := w.mgr.BeginTop()
+	_, err := h.Invoke(context.Background(), a, "add", []byte("1"))
+	if !errors.Is(err, ErrNoServers) || !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("err = %v, want ErrNoServers wrapping ErrUnreachable", err)
+	}
+	if got := h.Broken(); len(got) != 2 {
+		t.Fatalf("broken = %v, want both", got)
+	}
+	if err := a.Abort(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFirstInvokeReplyLostAbortsWithoutFailover: the first request ran at
+// sv1 under the action's lock and only its reply was lost. The operation
+// must never be executed at a second server, so the binding breaks and
+// the action aborts — and sv1 is left exactly as a reply lost on a later
+// invoke leaves it (Abort addresses live servers only).
+func TestFirstInvokeReplyLostAbortsWithoutFailover(t *testing.T) {
+	invokeAt := transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke)
+	status := make(map[string]object.StatusResp)
+	for _, lostOn := range []string{"first", "later"} {
+		w := newWorld(t, 2, 1)
+		ctx := context.Background()
+		h := w.handle(t, SingleCopyPassive)
+		a := w.mgr.BeginTop()
+		if lostOn == "later" {
+			if _, err := h.Invoke(ctx, a, "get", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.cluster.Faults().DropReplies(1, invokeAt)
+		if _, err := h.Invoke(ctx, a, "add", []byte("1")); !errors.Is(err, ErrNoServers) {
+			t.Fatalf("reply lost on the %s invoke: err = %v, want ErrNoServers", lostOn, err)
+		}
+		if _, err := h.Invoke(ctx, a, "add", []byte("1")); !errors.Is(err, ErrNoServers) {
+			t.Fatalf("invoke on the broken binding: err = %v, want ErrNoServers", err)
+		}
+		if err := a.Abort(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Broken(); len(got) != 1 || got[0] != "sv1" {
+			t.Fatalf("%s: broken = %v, want [sv1]", lostOn, got)
+		}
+		if w.serverStatus(t, "sv2").Active {
+			t.Fatalf("%s: the operation was taken to a second server", lostOn)
+		}
+		status[lostOn] = w.serverStatus(t, "sv1")
+	}
+	if status["first"] != status["later"] {
+		t.Fatalf("sv1 after a reply lost on the first invoke: %+v; on a later one: %+v", status["first"], status["later"])
+	}
+}
+
+// TestBoundNeverInvokedCommitsWithoutAServer: a single-copy-passive
+// binding that is never invoked has sent nothing, so its commit (and its
+// abort) contact no server either and it votes read-only.
+func TestBoundNeverInvokedCommitsWithoutAServer(t *testing.T) {
+	w := newWorld(t, 2, 1)
+	ctx := context.Background()
+	contacted := 0
+	w.cluster.Faults().OnRequest(-1, func(req transport.Request) bool { return req.Service == object.ServiceName },
+		func(transport.Request) { contacted++ })
+	for _, commit := range []bool{true, false} {
+		h := w.handle(t, SingleCopyPassive)
+		if err := h.Activate(ctx); err != nil {
+			t.Fatal(err)
+		}
+		a := w.mgr.BeginTop()
+		if err := a.Enlist(h); err != nil {
+			t.Fatal(err)
+		}
+		if !commit {
+			if err := a.Abort(ctx); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		rep, err := a.Commit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ReadOnlyVoters != 1 {
+			t.Fatalf("report = %+v, want one read-only voter", rep)
+		}
+	}
+	if contacted != 0 {
+		t.Fatalf("%d requests reached an object server", contacted)
+	}
+}
+
+// TestCommitWaitsOutLeaseClockWhenFallbackCoordinatorDies: the view primary
+// is gone and the action commits at the fallback coordinator, whose first
+// commit is what waits out the read leases the primary had granted. That
+// server dies in phase two, after the stores have the commit; the client
+// finishes the commit at the stores itself — and must then wait the lease
+// clock out in the server's stead before it acknowledges, not only when the
+// server that failed was the primary.
+func TestCommitWaitsOutLeaseClockWhenFallbackCoordinatorDies(t *testing.T) {
+	const ttl = 40 * time.Millisecond
+	w := newWorld(t, 2, 2)
+	ctx := context.Background()
+	w.cluster.Node("sv1").Crash()
+	h, err := New(Config{
+		UID: w.id, Class: "counter", Policy: SingleCopyPassive,
+		Servers: w.svs, StNodes: w.sts, LeaseTTL: ttl,
+		Client: w.cluster.Node("client").Client(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Activate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	a := w.mgr.BeginTop()
+	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	atCommit := transport.ToMethod("sv2", object.ServiceName, object.MethodCommit)
+	w.cluster.Faults().OnReply(1, atCommit, func(transport.Request) { w.cluster.Node("sv2").Crash() })
+	w.cluster.Faults().DropReplies(1, atCommit)
+	start := time.Now()
+	if _, err := a.Commit(ctx); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if waited := time.Since(start); waited < 2*ttl {
+		t.Fatalf("commit acknowledged after %v, inside the %v lease clock", waited, 2*ttl)
+	}
+	for _, st := range w.sts {
+		if val, seq := w.storeValue(t, st); val != "1" || seq != 2 {
+			t.Fatalf("%s = %q seq=%d", st, val, seq)
+		}
 	}
 }

@@ -29,8 +29,8 @@
 //
 // Version rules: Decode rejects version 0 and versions above the
 // type's current one, and ParseWire receives the decoded version so a
-// codec revision can branch on it (the invoke records are at version 2
-// since read leases were added; everything else is at version 1). Decoding is strict — tag mismatches, truncated fields and trailing
+// codec revision can branch on it (each package's wire.go lists the
+// records past version 1). Decoding is strict — tag mismatches, truncated fields and trailing
 // bytes are all errors, never half-filled structs. Decoded messages never
 // alias transport-owned buffers (WireReader.Bytes and String copy out).
 //

@@ -132,26 +132,19 @@ func (n *Node) Epoch() uint32 {
 	return n.epoch
 }
 
-// SetVolatile stores v in the node's volatile memory; it is lost on crash.
-func (n *Node) SetVolatile(key string, v any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.volatile[key] = v
-}
-
-// Volatile fetches a value from volatile memory.
-func (n *Node) Volatile(key string) (any, bool) {
+// VolatileOrStore fetches the value under key in the node's volatile memory
+// — lost on crash — first storing mk's result there when the key is absent:
+// one step, so concurrent first users of a fresh incarnation all get the
+// same value.
+func (n *Node) VolatileOrStore(key string, mk func() any) any {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	v, ok := n.volatile[key]
-	return v, ok
-}
-
-// DeleteVolatile removes a key from volatile memory.
-func (n *Node) DeleteVolatile(key string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.volatile, key)
+	if !ok {
+		v = mk()
+		n.volatile[key] = v
+	}
+	return v
 }
 
 // OnRecover registers a recovery protocol run (in registration order)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"path/filepath"
@@ -49,7 +50,7 @@ func TestCrashMakesUnreachableAndWipesVolatile(t *testing.T) {
 	c := NewCluster(transport.MemOptions{})
 	n := c.Add("alpha")
 	c.Add("beta")
-	n.SetVolatile("activated", 42)
+	n.VolatileOrStore("activated", func() any { return 42 })
 
 	// A service registered on alpha is callable...
 	n.Server().Handle("ping", "Ping", rpc.Method(func(ctx context.Context, from transport.Addr, req struct{}) (string, error) {
@@ -64,8 +65,8 @@ func TestCrashMakesUnreachableAndWipesVolatile(t *testing.T) {
 	if n.Up() {
 		t.Fatal("node should be down")
 	}
-	if _, ok := n.Volatile("activated"); ok {
-		t.Fatal("volatile storage should be wiped")
+	if v := n.VolatileOrStore("activated", func() any { return "wiped" }); v != "wiped" {
+		t.Fatalf("volatile storage should be wiped, still holds %v", v)
 	}
 	if _, err := rpc.Invoke[struct{}, string](context.Background(), cli, "alpha", "ping", "Ping", struct{}{}); !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("post-crash call err = %v", err)
@@ -156,16 +157,32 @@ func TestRecoveryResolvesPendingIntentionsAgainstLog(t *testing.T) {
 	}
 }
 
-func TestVolatileAccessors(t *testing.T) {
-	c := NewCluster(transport.MemOptions{})
-	n := c.Add("alpha")
-	n.SetVolatile("k", "v")
-	if v, ok := n.Volatile("k"); !ok || v != "v" {
-		t.Fatal("volatile get failed")
-	}
-	n.DeleteVolatile("k")
-	if _, ok := n.Volatile("k"); ok {
-		t.Fatal("delete failed")
+// TestVolatileOrStoreAgrees: concurrent first users of a key all get the
+// one value that was stored, and a new incarnation starts over.
+func TestVolatileOrStoreAgrees(t *testing.T) {
+	n := NewCluster(transport.MemOptions{}).Add("alpha")
+	for _, incarnation := range []string{"fresh", "recovered"} {
+		got := make([]any, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = n.VolatileOrStore("k", func() any { return new(int) })
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			if got[i] != got[0] {
+				t.Fatalf("%s node: caller %d got a different value than caller 0", incarnation, i)
+			}
+		}
+		before := got[0]
+		n.Crash()
+		n.Recover(nil)
+		if after := n.VolatileOrStore("k", func() any { return new(int) }); after == before {
+			t.Fatal("a volatile value survived the crash")
+		}
 	}
 }
 

@@ -72,9 +72,10 @@ type ReadReq struct{ UID string }
 
 // ReadResp carries a committed version.
 type ReadResp struct {
-	Data []byte
-	Seq  uint64
-	TxID string
+	Data   []byte
+	Seq    uint64
+	TxID   string
+	Pinned bool
 }
 
 // PutReq installs a committed version directly.
@@ -135,7 +136,7 @@ func RegisterService(srv *rpc.Server, s *Store) {
 			}
 			return ReadResp{}, err
 		}
-		return ReadResp{Data: v.Data, Seq: v.Seq, TxID: v.TxID}, nil
+		return ReadResp{Data: v.Data, Seq: v.Seq, TxID: v.TxID, Pinned: v.Pinned}, nil
 	}))
 	srv.Handle(ServiceName, MethodPut, rpc.Method(func(ctx context.Context, from transport.Addr, req PutReq) (Ack, error) {
 		id, err := uid.Parse(req.UID)
@@ -197,7 +198,7 @@ func (r RemoteStore) Read(ctx context.Context, id uid.UID) (Version, error) {
 		}
 		return Version{}, err
 	}
-	return Version{Data: resp.Data, Seq: resp.Seq, TxID: resp.TxID}, nil
+	return Version{Data: resp.Data, Seq: resp.Seq, TxID: resp.TxID, Pinned: resp.Pinned}, nil
 }
 
 // Put installs a committed version on the remote store.

@@ -61,6 +61,10 @@ type Version struct {
 	Seq uint64
 	// TxID is the action that committed this version ("" for direct puts).
 	TxID string
+	// Pinned is set by Read when a transaction's prepared intention is
+	// pending on the object: a later version may already be decided, with
+	// only its phase-two message missing (see ResolveDecided).
+	Pinned bool
 }
 
 // Write is one intended object-state update inside a transaction.
@@ -206,6 +210,7 @@ func (s *Store) Read(id uid.UID) (Version, error) {
 	// Copy data so callers cannot alias the store's buffer.
 	out := v
 	out.Data = append([]byte(nil), v.Data...)
+	_, out.Pinned = s.pinned[id]
 	return out, nil
 }
 

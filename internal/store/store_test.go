@@ -47,15 +47,15 @@ func TestPrepareCommitApplies(t *testing.T) {
 	if err := s.Prepare("tx1", []Write{{UID: id, Data: []byte("v1"), Seq: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	// Not yet visible.
-	if v, _ := s.Read(id); string(v.Data) != "v0" {
-		t.Fatalf("prepared write visible early: %q", v.Data)
+	// Not yet visible — but the read says an intention is pending.
+	if v, _ := s.Read(id); string(v.Data) != "v0" || !v.Pinned {
+		t.Fatalf("read under a prepared write = %q pinned=%v, want v0 pinned", v.Data, v.Pinned)
 	}
 	if err := s.Commit("tx1"); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := s.Read(id)
-	if string(v.Data) != "v1" || v.Seq != 2 || v.TxID != "tx1" {
+	if string(v.Data) != "v1" || v.Seq != 2 || v.TxID != "tx1" || v.Pinned {
 		t.Fatalf("after commit: %+v", v)
 	}
 	if len(s.PendingTxs()) != 0 {
@@ -244,6 +244,9 @@ func TestRemoteStoreOverRPC(t *testing.T) {
 	if err := remote.Prepare(ctx, "tx9", []Write{{UID: id, Data: []byte("s1"), Seq: 2}}); err != nil {
 		t.Fatal(err)
 	}
+	if v, err := remote.Read(ctx, id); err != nil || !v.Pinned || v.Seq != 1 {
+		t.Fatalf("remote read under a prepared write: %+v err=%v, want seq 1 pinned", v, err)
+	}
 	// Conflicting remote prepare maps to CodeConflict.
 	err = remote.Prepare(ctx, "other", []Write{{UID: id, Data: []byte("zz"), Seq: 2}})
 	if rpc.CodeOf(err) != rpc.CodeConflict {
@@ -253,7 +256,7 @@ func TestRemoteStoreOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _ = remote.Read(ctx, id)
-	if string(v.Data) != "s1" || v.Seq != 2 {
+	if string(v.Data) != "s1" || v.Seq != 2 || v.Pinned {
 		t.Fatalf("after remote commit: %+v", v)
 	}
 	if err := remote.Abort(ctx, "never-started"); err != nil {

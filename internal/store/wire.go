@@ -5,7 +5,8 @@ import "repro/internal/rpc"
 // Binary codecs (rpc.Wire) for the object-store wire records: the 2PC
 // prepare/commit/abort legs every dirty commit fans out, plus the read
 // path activation rides. Tags live in the 0x40–0x4f block of the registry
-// in internal/rpc/doc.go. All codecs are at version 1.
+// in internal/rpc/doc.go. The read reply is at version 2 (Pinned);
+// everything else is at version 1.
 const (
 	wireTagAck byte = 0x40 + iota
 	wireTagReadReq
@@ -45,7 +46,7 @@ func (q *ReadReq) ParseWire(_ byte, r *rpc.WireReader) error {
 // ReadResp
 
 // WireTag implements rpc.Wire.
-func (*ReadResp) WireTag() (byte, byte) { return wireTagReadResp, 1 }
+func (*ReadResp) WireTag() (byte, byte) { return wireTagReadResp, 2 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (p *ReadResp) WireSizeHint() int { return len(p.Data) + len(p.TxID) + 24 }
@@ -54,14 +55,18 @@ func (p *ReadResp) WireSizeHint() int { return len(p.Data) + len(p.TxID) + 24 }
 func (p *ReadResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBytes(dst, p.Data)
 	dst = rpc.AppendUvarint(dst, p.Seq)
-	return rpc.AppendString(dst, p.TxID)
+	dst = rpc.AppendString(dst, p.TxID)
+	return rpc.AppendBool(dst, p.Pinned)
 }
 
-// ParseWire implements rpc.Wire.
-func (p *ReadResp) ParseWire(_ byte, r *rpc.WireReader) error {
+// ParseWire implements rpc.Wire. Version 2 appends Pinned.
+func (p *ReadResp) ParseWire(ver byte, r *rpc.WireReader) error {
 	p.Data = r.Bytes()
 	p.Seq = r.Uvarint()
 	p.TxID = r.String()
+	if ver >= 2 {
+		p.Pinned = r.Bool()
+	}
 	return nil
 }
 

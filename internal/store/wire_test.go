@@ -13,7 +13,7 @@ func TestWireRoundTrip(t *testing.T) {
 	cases := []struct{ in, out any }{
 		{&Ack{}, &Ack{}},
 		{&ReadReq{UID: "obj"}, &ReadReq{}},
-		{&ReadResp{Data: []byte{1, 2}, Seq: 9, TxID: "tx-1"}, &ReadResp{}},
+		{&ReadResp{Data: []byte{1, 2}, Seq: 9, TxID: "tx-1", Pinned: true}, &ReadResp{}},
 		{&PutReq{UID: "obj", Data: []byte{3}, Seq: 10}, &PutReq{}},
 		{&SeqOfReq{UID: "obj"}, &SeqOfReq{}},
 		{&SeqOfResp{Seq: 11, OK: true}, &SeqOfResp{}},

@@ -649,13 +649,24 @@ func (ep *muxEndpoint) stop() {
 	ep.wg.Wait()
 }
 
-func (ep *muxEndpoint) track(conn net.Conn) {
+// track records an accepted connection for stop to close. It reports false
+// when the endpoint is already stopping: stop closes done before it takes
+// servingMu, so a connection accepted in the instant before the listener
+// closed is either in the map when stop walks it or refused here — never
+// left open with its handler parked in a read that stop then waits on.
+func (ep *muxEndpoint) track(conn net.Conn) bool {
 	ep.servingMu.Lock()
+	defer ep.servingMu.Unlock()
+	select {
+	case <-ep.done:
+		return false
+	default:
+	}
 	if ep.serving == nil {
 		ep.serving = make(map[net.Conn]struct{})
 	}
 	ep.serving[conn] = struct{}{}
-	ep.servingMu.Unlock()
+	return true
 }
 
 func (ep *muxEndpoint) untrack(conn net.Conn) {
@@ -671,7 +682,10 @@ func (ep *muxEndpoint) serve() {
 		if err != nil {
 			return
 		}
-		ep.track(conn)
+		if !ep.track(conn) {
+			conn.Close()
+			return
+		}
 		ep.wg.Add(1)
 		go func() {
 			defer ep.wg.Done()

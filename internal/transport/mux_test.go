@@ -447,3 +447,39 @@ func TestMuxStopUnblocksParkedHandlers(t *testing.T) {
 		t.Fatal("call against an unregistered endpoint succeeded")
 	}
 }
+
+// TestMuxUnregisterRacingAccept: Unregister must return even when a
+// connection is accepted in the instant the listener closes. stop used to
+// close the connections it knew of and then wait for every handler; one
+// accepted a moment later was never closed, its handler sat in a read for
+// ever, and the node crash that called Unregister hung with it. Callers
+// dial from several client names at once while the endpoint goes away.
+func TestMuxUnregisterRacingAccept(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		tm := NewTCPMux()
+		tm.Register("srv", plainEcho)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func(from Addr) {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				// Either outcome is fine; only the Unregister below is on trial.
+				_, _ = tm.Call(ctx, Request{From: from, To: "srv", Service: "s", Method: "m"})
+			}(Addr(fmt.Sprintf("cli%d", i)))
+		}
+		done := make(chan struct{})
+		go func() {
+			tm.Unregister("srv")
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Unregister wedged behind a connection accepted as the listener closed", round)
+		}
+		wg.Wait()
+		tm.Close()
+	}
+}

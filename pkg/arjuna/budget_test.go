@@ -31,14 +31,17 @@ func (n *countingNet) Call(ctx context.Context, req transport.Request) ([]byte, 
 
 // TestClientCallsPerAction pins, per action class, how many round trips
 // the client itself issues for one committed action in the steady state
-// (object activated, placement cached) — the count is deterministic, so
-// tier-1 can gate on it where a latency could only be advisory. The
-// database's share is one message per conversation, on either topology:
-// bind-read, bind-close and action-end for a write (3), bind-read and
-// action-end for a read (2), and the same per binding of a two-object
-// action (6). With activation, invoke and commit that makes 6, 5 and 14
-// calls in all — 7 for a write over three stores, where one-phase commit
-// is not eligible and the server gets a Prepare and a Commit.
+// (placement cached) — the count is deterministic, so tier-1 can gate on it
+// where a latency could only be advisory. The database's share is one
+// message per conversation, on either topology: bind and action-end (2),
+// whether the action writes or reads, and the same per binding of a
+// two-object action (4). No message goes to a server at bind time — the
+// first invoke activates — so a write is bind · invoke · PrepareCommit ·
+// action-end and a read bind · invoke · PrepareCommit · EndAction, 4 calls
+// each; a two-object action is 2 binds, 2 invokes, Prepare and Commit at
+// each server and 2 action-ends, 10; and a write over three stores is 5,
+// because one-phase commit is not eligible there and the server gets a
+// Prepare and a Commit.
 func TestClientCallsPerAction(t *testing.T) {
 	for _, c := range []struct {
 		name        string
@@ -46,9 +49,9 @@ func TestClientCallsPerAction(t *testing.T) {
 		cross       func(t *testing.T, sys *arjuna.System) (a, b uid.UID)
 		writeBudget int64
 	}{
-		{"3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 6},
+		{"3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 4},
 		{"1-group-2sv-3st", []arjuna.Option{arjuna.WithShards(1), arjuna.WithServers(2), arjuna.WithStores(3)},
-			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 7},
+			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 5},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net := &countingNet{Network: transport.NewMem(transport.MemOptions{}, nil), from: "c1"}
@@ -85,8 +88,8 @@ func TestClientCallsPerAction(t *testing.T) {
 				name       string
 				op         func()
 				budget, db int64
-			}{{"write", write, c.writeBudget, 3}, {"read", read, 5, 2}, {"cross", cross, 14, 6}} {
-				class.op() // warm-up: activation, placement cache
+			}{{"write", write, c.writeBudget, 2}, {"read", read, 4, 2}, {"cross", cross, 10, 4}} {
+				class.op() // warm-up: placement cache
 				calls, db := net.calls.Load(), net.db.Load()
 				class.op()
 				calls, db = net.calls.Load()-calls, net.db.Load()-db

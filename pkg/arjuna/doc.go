@@ -169,11 +169,17 @@
 // is read under a shared lock and the use-count bump takes a commutative
 // Adjust lock that other binders and readers share, so binds to a hot
 // object stop convoying behind one another's exclusive bind window (the
-// exclusive repair pass still runs whenever a bind finds failed servers).
-// Either way a binding costs three messages to the group view database —
-// read Sv and St, count the binding into the use lists, and end the
-// action and count it out again — and each of the two use-count commits
-// rewrites one database entry, whatever the number of objects.
+// exclusive repair pass still runs whenever a binding finds failed
+// servers). Either way a binding costs two messages to the group view
+// database — one reads Sv and St and counts the binding into the use lists
+// of the servers the selection rule picks, the other ends the action and
+// counts it out again — and each of the two use-count commits rewrites one
+// database entry, whatever the number of objects. No message goes to an
+// object server at bind time under single-copy passive replication: the
+// binding's first invocation carries the class and the St view, activates
+// the object where it lands, and is the probe that discovers a dead server
+// "the hard way" — it moves on to the next candidate when the request
+// provably never ran, and aborts the action when it may have.
 // WithAdmission(n) is the outermost valve: it caps how many top-level
 // Atomic actions are in flight across the whole deployment, parking
 // surplus callers cheaply at the gate — before any bind, lock or commit

@@ -296,8 +296,8 @@ func ClientReadOnly() ClientOption { return func(c *clientConfig) { c.readOnly =
 // locking: Sv is read under a shared lock and the use-count Increment
 // takes an Adjust lock that other adjusters and readers share, so binds
 // to a hot object no longer convoy behind one another's exclusive bind
-// window. The exclusive Figure 7 pass still runs whenever a bind finds
-// failed servers to repair, preserving Sv-repair and quiescence
+// window. The exclusive Figure 7 pass still runs whenever a binding
+// finds failed servers to repair, preserving Sv-repair and quiescence
 // semantics. No effect under SchemeStandard or ClientReadOnly.
 func ClientFastBind() ClientOption { return func(c *clientConfig) { c.fastBind = true } }
 
