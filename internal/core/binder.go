@@ -156,6 +156,10 @@ type Binder struct {
 	// commit processing can wait out the lease clock when a granting
 	// primary fails during phase two (see replica.Config.LeaseTTL).
 	LeaseTTL time.Duration
+
+	// dbtxKey is the stash key of trackTxDB, built on first use.
+	dbtxOnce sync.Once
+	dbtxKey  string
 }
 
 // Binding is one client action's binding to one replicated object. It is
@@ -270,7 +274,8 @@ func (s *txDBState) unclaim() {
 // hook degrades to a no-op.
 func (b *Binder) trackTxDB(act *action.Action) *txDBState {
 	top := act.Top()
-	key := "core.dbtx:" + string(b.DB.DB)
+	b.dbtxOnce.Do(func() { b.dbtxKey = "core.dbtx:" + string(b.DB.DB) })
+	key := b.dbtxKey
 	if v, ok := top.Stashed(key); ok {
 		return v.(*txDBState)
 	}
@@ -299,7 +304,7 @@ func (b *Binder) degree() int {
 // bindStandard implements Figure 6.
 func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
 	top := act.Top().ID()
-	b.trackTxDB(act)
+	dbState := b.trackTxDB(act)
 
 	// GetServer and GetView as a nested action of the client action, one
 	// message; if either operation fails the nested action aborts and so
@@ -321,7 +326,7 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 	// held until it ends (Figure 6); the trackTxDB hook (or a binding's own
 	// commit/abort processing) releases them.
 	candidates, _ := selectServers(sv, nil, b.degree(), b.ReadOnly, b.ClientNode)
-	return b.finishBind(ctx, act, id, class, candidates, st, nil)
+	return b.finishBind(ctx, act, dbState, id, class, candidates, st, nil)
 }
 
 // bindEnhanced implements Figures 7 and 8: the Object Server database
@@ -346,7 +351,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	bindAct := b.Actions.BeginTop()
 	owner := bindAct.ID()
 	top := act.Top().ID()
-	b.trackTxDB(act)
+	dbState := b.trackTxDB(act)
 
 	// A read-only binder never updates use lists, so it only reads Sv.
 	svOp := BindOp(owner, id, b.ClientNode, b.degree(), !b.FastBind)
@@ -366,7 +371,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	// from, by the rule the database applied: the hosts counted are the
 	// first of them, the rest are the fallbacks the probe walks.
 	candidates, _ := selectServers(res[0].Nodes, res[0].Use, b.degree(), b.ReadOnly, b.ClientNode)
-	return b.finishBind(ctx, act, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
+	return b.finishBind(ctx, act, dbState, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
 }
 
 // bindNonAtomicSv implements the §5 extension: Sv comes from the
@@ -377,7 +382,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 // lock is owned by the client action and trackTxDB releases it.
 func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
 	top := act.Top().ID()
-	b.trackTxDB(act)
+	dbState := b.trackTxDB(act)
 	sv, err := b.NameServer.Get(ctx, id)
 	if err != nil {
 		return nil, fmt.Errorf("core: name server Get(%v): %w", id, err)
@@ -390,7 +395,7 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
 	}
 	candidates, _ := selectServers(sv, nil, b.degree(), b.ReadOnly, b.ClientNode)
-	return b.finishBind(ctx, act, id, class, candidates, st, nil)
+	return b.finishBind(ctx, act, dbState, id, class, candidates, st, nil)
 }
 
 // selectServers is the fixed selection algorithm every client applies to
@@ -442,8 +447,9 @@ func inUse(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) [
 // finishBind builds the binding over candidates, runs the explicit probe
 // the replication policy needs (none under single-copy passive) with the
 // repair its findings call for, and enlists the binding. counted lists the
-// servers whose use lists already count it.
-func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
+// servers whose use lists already count it; dbState is the action's
+// trackTxDB guard.
+func (b *Binder) finishBind(ctx context.Context, act *action.Action, dbState *txDBState, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
 	handle, err := replica.New(replica.Config{
 		UID:         id,
 		Class:       class,
@@ -466,7 +472,7 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID,
 		handle:  handle,
 		bound:   counted,
 		stView:  append([]transport.Addr(nil), st...),
-		dbState: b.trackTxDB(act),
+		dbState: dbState,
 	}
 	if b.Policy != replica.SingleCopyPassive {
 		if err = handle.Activate(ctx); err == nil {
@@ -577,7 +583,7 @@ func (bd *Binding) repair(ctx context.Context) error {
 // action-level trackTxDB hook, registered at bind time.
 func (bd *Binding) enlist() {
 	top := bd.act.Top()
-	if top.StashOnce("core.binding:"+bd.id.String(), bd) {
+	if top.StashOnce("core.binding:"+bd.handle.UIDString(), bd) {
 		_ = top.Enlist(bd)
 	}
 }

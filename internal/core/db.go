@@ -385,8 +385,15 @@ func (db *DB) writeRecordsLocked(tx string, writes []store.Write) {
 
 // --- lock and snapshot plumbing ---
 
-func svKey(id uid.UID) string { return "sv/" + id.String() }
-func stKey(id uid.UID) string { return "st/" + id.String() }
+func svKey(id uid.UID) string { return lockKey("sv/", id) }
+func stKey(id uid.UID) string { return lockKey("st/", id) }
+
+// lockKey names an entry in the lock table: prefix, then the UID's
+// canonical form, built in one allocation.
+func lockKey(prefix string, id uid.UID) string {
+	var buf [56]byte
+	return string(id.Append(append(buf[:0], prefix...)))
+}
 
 // noteClientLocked remembers which node an action came from.
 func (db *DB) noteClientLocked(act string, from transport.Addr) {

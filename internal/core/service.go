@@ -145,8 +145,9 @@ func (db *DB) Bind(ctx context.Context, act string, from transport.Addr, id uid.
 	if forUpdate {
 		modes = []lockmgr.Mode{lockmgr.Write}
 	}
+	key := svKey(id)
 	for _, mode := range modes {
-		if err := db.locks.Acquire(ctx, owner, svKey(id), mode); err != nil {
+		if err := db.locks.Acquire(ctx, owner, key, mode); err != nil {
 			return nil, nil, nil, rpc.Errorf(CodeLockRefused, "%v", err)
 		}
 	}
@@ -259,9 +260,10 @@ func (db *DB) Decrement(ctx context.Context, act string, from transport.Addr, id
 // the exclusive pre-image snapshot discipline.
 func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, hosts []transport.Addr, delta int) error {
 	owner := lockmgr.Owner(act)
-	exclusive := db.locks.Holds(owner, svKey(id), lockmgr.Write)
+	key := svKey(id)
+	exclusive := db.locks.Holds(owner, key, lockmgr.Write)
 	if !exclusive {
-		if err := db.locks.Acquire(ctx, owner, svKey(id), lockmgr.Adjust); err != nil {
+		if err := db.locks.Acquire(ctx, owner, key, lockmgr.Adjust); err != nil {
 			return rpc.Errorf(CodeLockRefused, "%v", err)
 		}
 	}

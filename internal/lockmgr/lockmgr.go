@@ -30,6 +30,26 @@
 // refuses waiters beyond the queue-depth cap and expires waiters past the
 // wait deadline with ErrOverloaded, converting server-side convoys into a
 // typed signal the caller can back off on.
+//
+// Layout. The table is two hash-sharded indexes. Keys hash to one of 32
+// stripes, each a mutex over a map from key to entry; an entry is a short
+// unordered list of holders (owner plus a count per mode) and the FIFO of
+// waiters. Owners hash to one of 16 shards, each a mutex over a map from
+// owner to the short list of keys it holds or waits on — what ReleaseAll
+// and Inherit walk. An entry whose last holder and waiter left, and a key
+// list whose owner ended, go to a small free list of their stripe or shard,
+// so the steady state — an action takes one to three uncontended locks and
+// releases them together — allocates nothing. Lists, not maps, because they
+// hold one to a handful of items: a scan is cheaper than a hash and needs
+// no allocation to grow from empty.
+//
+// Whole-owner operations are not atomic across stripes: they take the
+// owner's key list under its shard lock, drop that lock, and visit each
+// key's stripe in turn (an owner shard may be locked while holding a
+// stripe, never the reverse). One lock over both indexes would put every
+// action in the system on a common mutex to protect against something that
+// does not happen: ReleaseAll and Inherit run when the owning action has
+// ended, and an ended action issues no acquires.
 package lockmgr
 
 import (
@@ -149,9 +169,12 @@ type Observer interface {
 	LockOverloaded()
 }
 
-// holder records one owner's grip on an entry: per-mode re-entrancy counts.
+// holder records one owner's grip on an entry: per-mode re-entrancy
+// counts, indexed by Mode (slot 0 is unused; a Mode that is not one of the
+// four is a caller's bug and panics).
 type holder struct {
-	counts map[Mode]int
+	owner  Owner
+	counts [Write + 1]int
 }
 
 func (h *holder) strongest() Mode {
@@ -169,10 +192,7 @@ func (h *holder) strongest() Mode {
 	}
 }
 
-func (h *holder) empty() bool {
-	return h.counts[Read] == 0 && h.counts[Adjust] == 0 &&
-		h.counts[Write] == 0 && h.counts[ExcludeWrite] == 0
-}
+func (h *holder) empty() bool { return h.counts == [Write + 1]int{} }
 
 // waiter is one parked blocking acquire. ready is closed (with granted
 // set, under the stripe lock) when the grant happens, so a receive on
@@ -185,7 +205,9 @@ type waiter struct {
 }
 
 type entry struct {
-	holders map[Owner]*holder
+	// holders is unordered and scanned linearly: an entry has one holder,
+	// or a handful of sharing readers.
+	holders []holder
 	// waiters is the FIFO wait queue: grants happen strictly in arrival
 	// order, each performed synchronously under the stripe lock by
 	// whichever release made it possible — there is no wake-then-race
@@ -193,38 +215,54 @@ type entry struct {
 	waiters []*waiter
 }
 
+// holder returns owner's record on e, or nil. The pointer is good until
+// the next append to e.holders.
+func (e *entry) holder(owner Owner) *holder {
+	for i := range e.holders {
+		if e.holders[i].owner == owner {
+			return &e.holders[i]
+		}
+	}
+	return nil
+}
+
+// dropHolder removes owner's record from e, if there is one.
+func (e *entry) dropHolder(owner Owner) {
+	e.holders = slices.DeleteFunc(e.holders, func(h holder) bool { return h.owner == owner })
+}
+
 // stripeCount and ownerShardCount size the two hash-sharded tables. Both
 // are powers of two so the hash maps to a shard with a mask.
 const (
 	stripeCount     = 32
 	ownerShardCount = 16
+	// maxFreeEntries bounds each stripe's list of emptied entries and each
+	// owner shard's list of emptied key lists.
+	maxFreeEntries = 8
 )
 
 // stripe is one independently locked slice of the key space.
 type stripe struct {
 	mu      sync.Mutex
 	entries map[string]*entry
+	// free holds entries whose last holder and waiter left, for the next
+	// key that needs one: an entry is looked up by key under mu on every
+	// use and never kept across an unlock, so reuse is invisible.
+	free []*entry
 }
 
 // ownerShard is one independently locked slice of the per-owner key
-// index (the old byOwner map).
+// index: the keys each owner holds or waits on, as a short list (an action
+// holds one to three). Lists whose owner ended are kept for the next one.
 type ownerShard struct {
 	mu   sync.Mutex
-	keys map[Owner]map[string]struct{}
+	keys map[Owner][]string
+	free [][]string
 }
 
-// Manager is a lock table keyed by string. It is safe for concurrent
-// use. The table is sharded by key hash into independently locked
-// stripes, and the per-owner key index by owner hash, so concurrent
-// actions touching disjoint keys never contend on a common mutex.
-//
-// Lock ordering: an owner shard may be taken while holding a key stripe,
-// never the reverse — whole-owner operations (ReleaseAll, Inherit)
-// snapshot the owner's keys first, drop the shard lock, and then visit
-// the key stripes. The price of striping is that those whole-owner
-// operations are no longer atomic with respect to concurrent acquires by
-// the same owner; that is fine, because they run only when the owning
-// action has ended and can no longer issue acquires.
+// Manager is a lock table keyed by string. It is safe for concurrent use;
+// concurrent actions touching disjoint keys never contend on a common
+// mutex (see the package comment for the layout and the lock order).
 type Manager struct {
 	ancestry Ancestry
 	limits   Limits
@@ -251,7 +289,7 @@ func NewLimited(ancestry Ancestry, limits Limits) *Manager {
 		m.stripes[i].entries = make(map[string]*entry)
 	}
 	for i := range m.owners {
-		m.owners[i].keys = make(map[Owner]map[string]struct{})
+		m.owners[i].keys = make(map[Owner][]string)
 	}
 	return m
 }
@@ -279,11 +317,12 @@ func (m *Manager) indexKey(owner Owner, key string) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	keys, ok := sh.keys[owner]
-	if !ok {
-		keys = make(map[string]struct{})
-		sh.keys[owner] = keys
+	if n := len(sh.free); !ok && n > 0 {
+		keys, sh.free = sh.free[n-1], sh.free[:n-1]
 	}
-	keys[key] = struct{}{}
+	if !slices.Contains(keys, key) {
+		sh.keys[owner] = append(keys, key)
+	}
 }
 
 // unindexKey removes key from owner's index entry.
@@ -291,28 +330,51 @@ func (m *Manager) unindexKey(owner Owner, key string) {
 	sh := m.shardOf(owner)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if keys := sh.keys[owner]; keys != nil {
-		delete(keys, key)
-		if len(keys) == 0 {
-			delete(sh.keys, owner)
-		}
+	keys := sh.keys[owner]
+	i := slices.Index(keys, key)
+	if i < 0 {
+		return
 	}
+	if keys = slices.Delete(keys, i, i+1); len(keys) > 0 {
+		sh.keys[owner] = keys
+		return
+	}
+	delete(sh.keys, owner)
+	sh.recycle(keys)
 }
 
-// takeKeys removes and returns owner's whole key index entry.
-func (m *Manager) takeKeys(owner Owner) map[string]struct{} {
+// takeKeys removes owner's whole key index entry and returns its keys,
+// appended to buf.
+func (m *Manager) takeKeys(owner Owner, buf []string) []string {
 	sh := m.shardOf(owner)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	keys := sh.keys[owner]
+	keys, ok := sh.keys[owner]
+	if !ok {
+		return buf
+	}
 	delete(sh.keys, owner)
-	return keys
+	buf = append(buf, keys...)
+	clear(keys)
+	sh.recycle(keys[:0])
+	return buf
+}
+
+// recycle keeps an emptied key list for the shard's next new owner.
+func (sh *ownerShard) recycle(keys []string) {
+	if len(sh.free) < maxFreeEntries {
+		sh.free = append(sh.free, keys)
+	}
 }
 
 func (st *stripe) entryLocked(key string) *entry {
 	e, ok := st.entries[key]
 	if !ok {
-		e = &entry{holders: make(map[Owner]*holder)}
+		if n := len(st.free); n > 0 {
+			e, st.free = st.free[n-1], st.free[:n-1]
+		} else {
+			e = &entry{}
+		}
 		st.entries[key] = e
 	}
 	return e
@@ -322,18 +384,12 @@ func (st *stripe) entryLocked(key string) *entry {
 // holders: every conflicting holder must be the owner itself or one of its
 // ancestors (Moss's rule).
 func (m *Manager) grantableLocked(e *entry, owner Owner, mode Mode) bool {
-	for other, h := range e.holders {
-		if other == owner {
+	for i := range e.holders {
+		h := &e.holders[i]
+		if om := h.strongest(); h.owner == owner || om == 0 || Compatible(mode, om) {
 			continue
 		}
-		om := h.strongest()
-		if om == 0 {
-			continue
-		}
-		if Compatible(mode, om) {
-			continue
-		}
-		if !m.ancestry.IsAncestorOf(other, owner) {
+		if !m.ancestry.IsAncestorOf(h.owner, owner) {
 			return false
 		}
 	}
@@ -352,11 +408,11 @@ func (m *Manager) mayOvertakeLocked(e *entry, owner Owner) bool {
 	if len(e.waiters) == 0 {
 		return true
 	}
-	if _, ok := e.holders[owner]; ok {
+	if e.holder(owner) != nil {
 		return true
 	}
-	for other := range e.holders {
-		if m.ancestry.IsAncestorOf(other, owner) {
+	for i := range e.holders {
+		if m.ancestry.IsAncestorOf(e.holders[i].owner, owner) {
 			return true
 		}
 	}
@@ -366,10 +422,10 @@ func (m *Manager) mayOvertakeLocked(e *entry, owner Owner) bool {
 // grantLocked adds one unit of mode for owner on e and indexes the key
 // under the owner; the entry's stripe is held.
 func (m *Manager) grantLocked(e *entry, key string, owner Owner, mode Mode) {
-	h, ok := e.holders[owner]
-	if !ok {
-		h = &holder{counts: make(map[Mode]int)}
-		e.holders[owner] = h
+	h := e.holder(owner)
+	if h == nil {
+		e.holders = append(e.holders, holder{owner: owner})
+		h = &e.holders[len(e.holders)-1]
 	}
 	h.counts[mode]++
 	m.indexKey(owner, key)
@@ -394,10 +450,15 @@ func (m *Manager) grantWaitersLocked(e *entry, key string) {
 	}
 }
 
-// gcLocked garbage-collects an entry with no holders and no waiters.
+// gcLocked retires an entry with no holders and no waiters to the
+// stripe's free list.
 func (st *stripe) gcLocked(e *entry, key string) {
 	if len(e.holders) == 0 && len(e.waiters) == 0 {
 		delete(st.entries, key)
+		if len(st.free) < maxFreeEntries {
+			e.waiters = nil // the queue's backing array was sliced away from its head
+			st.free = append(st.free, e)
+		}
 	}
 }
 
@@ -518,13 +579,13 @@ func (m *Manager) abandonWaiter(st *stripe, key string, w *waiter, keepIfGranted
 // releaseOneLocked drops one unit of mode held by owner and hands the
 // entry to queued waiters; stripe held.
 func (m *Manager) releaseOneLocked(st *stripe, e *entry, key string, owner Owner, mode Mode) {
-	h, ok := e.holders[owner]
-	if !ok || h.counts[mode] == 0 {
+	h := e.holder(owner)
+	if h == nil || h.counts[mode] == 0 {
 		return
 	}
 	h.counts[mode]--
 	if h.empty() {
-		delete(e.holders, owner)
+		e.dropHolder(owner)
 		m.unindexKey(owner, key)
 	}
 	m.grantWaitersLocked(e, key)
@@ -564,8 +625,8 @@ func (m *Manager) TryPromote(owner Owner, key string, from, to Mode) error {
 	if !ok {
 		return fmt.Errorf("promote on %q: owner %s holds nothing: %w", key, owner, ErrRefused)
 	}
-	h, ok := e.holders[owner]
-	if !ok || h.counts[from] == 0 {
+	h := e.holder(owner)
+	if h == nil || h.counts[from] == 0 {
 		return fmt.Errorf("promote on %q: owner %s does not hold %s: %w", key, owner, from, ErrRefused)
 	}
 	if !m.grantableLocked(e, owner, to) {
@@ -586,8 +647,7 @@ func (m *Manager) Release(owner Owner, key string, mode Mode) error {
 	if !ok {
 		return fmt.Errorf("lockmgr: release %s on %q: no such entry", mode, key)
 	}
-	h, ok := e.holders[owner]
-	if !ok || h.counts[mode] == 0 {
+	if h := e.holder(owner); h == nil || h.counts[mode] == 0 {
 		return fmt.Errorf("lockmgr: release %s on %q: not held by %s", mode, key, owner)
 	}
 	m.releaseOneLocked(st, e, key, owner, mode)
@@ -601,11 +661,12 @@ func (m *Manager) Release(owner Owner, key string, mode Mode) error {
 // nobody is left to release it. The owner's key set is snapshotted first;
 // acquires the owner issues after this point are not covered.
 func (m *Manager) ReleaseAll(owner Owner) {
-	for key := range m.takeKeys(owner) {
+	var buf [4]string
+	for _, key := range m.takeKeys(owner, buf[:0]) {
 		st := m.stripeOf(key)
 		st.mu.Lock()
 		if e := st.entries[key]; e != nil {
-			delete(e.holders, owner)
+			e.dropHolder(owner)
 			e.waiters = slices.DeleteFunc(e.waiters, func(w *waiter) bool {
 				if w.owner != owner {
 					return false
@@ -625,7 +686,8 @@ func (m *Manager) ReleaseAll(owner Owner) {
 // The child's key set is snapshotted first; the child must no longer be
 // acquiring (it has committed).
 func (m *Manager) Inherit(child, parent Owner) {
-	for key := range m.takeKeys(child) {
+	var buf [4]string
+	for _, key := range m.takeKeys(child, buf[:0]) {
 		st := m.stripeOf(key)
 		st.mu.Lock()
 		e := st.entries[key]
@@ -633,20 +695,19 @@ func (m *Manager) Inherit(child, parent Owner) {
 			st.mu.Unlock()
 			continue
 		}
-		ch, ok := e.holders[child]
-		if !ok {
+		ch := e.holder(child)
+		if ch == nil {
 			st.mu.Unlock()
 			continue
 		}
-		ph, ok := e.holders[parent]
-		if !ok {
-			ph = &holder{counts: make(map[Mode]int)}
-			e.holders[parent] = ph
+		if ph := e.holder(parent); ph != nil {
+			for mode, n := range ch.counts {
+				ph.counts[mode] += n
+			}
+			e.dropHolder(child)
+		} else {
+			ch.owner = parent // the child's record becomes the parent's
 		}
-		for mode, n := range ch.counts {
-			ph.counts[mode] += n
-		}
-		delete(e.holders, child)
 		m.indexKey(parent, key)
 		// Inheritance can change the effective holder set (e.g. child and
 		// parent both held read; merging may not wake anyone, but entries
@@ -688,11 +749,12 @@ func (m *Manager) HolderModes(key string) []struct {
 		Owner Owner
 		Mode  Mode
 	}, 0, len(e.holders))
-	for o, h := range e.holders {
+	for i := range e.holders {
+		h := &e.holders[i]
 		out = append(out, struct {
 			Owner Owner
 			Mode  Mode
-		}{o, h.strongest()})
+		}{h.owner, h.strongest()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })
 	return out
@@ -709,8 +771,8 @@ func (m *Manager) Holds(owner Owner, key string, mode Mode) bool {
 	if !ok {
 		return false
 	}
-	h, ok := e.holders[owner]
-	if !ok {
+	h := e.holder(owner)
+	if h == nil {
 		return false
 	}
 	if mode == ExcludeWrite {

@@ -14,6 +14,9 @@ type ServerRef struct {
 	Client rpc.Client
 	Node   transport.Addr
 	UID    uid.UID
+	// Name, when non-empty, is UID.String() as the caller already rendered
+	// it: a binding renders its object's name once, not once per request.
+	Name string
 	// Class and StNodes, when Class is non-empty, ride Invoke, InvokeFull,
 	// InvokeSolo and LeaseCheck: the server activates the object on a miss
 	// instead of refusing with CodeNotActive. A binding sets them on its
@@ -22,11 +25,19 @@ type ServerRef struct {
 	StNodes []transport.Addr
 }
 
+// name returns the object's UID as requests carry it.
+func (r ServerRef) name() string {
+	if r.Name != "" {
+		return r.Name
+	}
+	return r.UID.String()
+}
+
 // Activate asks the node to activate the object, loading state from one of
 // stNodes.
 func (r ServerRef) Activate(ctx context.Context, class string, stNodes []transport.Addr) (ActivateResp, error) {
 	return rpc.Invoke[ActivateReq, ActivateResp](ctx, r.Client, r.Node, ServiceName, MethodActivate, ActivateReq{
-		UID:     r.UID.String(),
+		UID:     r.name(),
 		Class:   class,
 		StNodes: addrsToStrings(stNodes),
 	})
@@ -34,7 +45,7 @@ func (r ServerRef) Activate(ctx context.Context, class string, stNodes []transpo
 
 // invoke sends req, filling in the object and the ref's activation fields.
 func (r ServerRef) invoke(ctx context.Context, req InvokeReq) (InvokeResp, error) {
-	req.UID = r.UID.String()
+	req.UID = r.name()
 	if r.Class != "" {
 		req.Class, req.StNodes = r.Class, addrsToStrings(r.StNodes)
 	}
@@ -70,7 +81,7 @@ func (r ServerRef) InvokeSolo(ctx context.Context, action, method string, args [
 // Prepare runs the server's commit-time state copy to stNodes (phase one).
 func (r ServerRef) Prepare(ctx context.Context, action string, stNodes []transport.Addr) (PrepareResp, error) {
 	return rpc.Invoke[PrepareReq, PrepareResp](ctx, r.Client, r.Node, ServiceName, MethodPrepare, PrepareReq{
-		UID:     r.UID.String(),
+		UID:     r.name(),
 		Action:  action,
 		StNodes: addrsToStrings(stNodes),
 	})
@@ -81,7 +92,7 @@ func (r ServerRef) Prepare(ctx context.Context, action string, stNodes []transpo
 // nodes afterwards.
 func (r ServerRef) Commit(ctx context.Context, action string, checkpointTo ...transport.Addr) (EndResp, error) {
 	return rpc.Invoke[EndReq, EndResp](ctx, r.Client, r.Node, ServiceName, MethodCommit, EndReq{
-		UID:          r.UID.String(),
+		UID:          r.name(),
 		Action:       action,
 		CheckpointTo: addrsToStrings(checkpointTo),
 	})
@@ -92,7 +103,7 @@ func (r ServerRef) Commit(ctx context.Context, action string, checkpointTo ...tr
 // checkpointTo asks for coordinator-cohort checkpoints on commit.
 func (r ServerRef) PrepareCommit(ctx context.Context, action string, stNodes, checkpointTo []transport.Addr) (PrepareCommitResp, error) {
 	return rpc.Invoke[PrepareCommitReq, PrepareCommitResp](ctx, r.Client, r.Node, ServiceName, MethodPrepareCommit, PrepareCommitReq{
-		UID:          r.UID.String(),
+		UID:          r.name(),
 		Action:       action,
 		StNodes:      addrsToStrings(stNodes),
 		CheckpointTo: addrsToStrings(checkpointTo),
@@ -103,7 +114,7 @@ func (r ServerRef) PrepareCommit(ctx context.Context, action string, stNodes, ch
 // the committed version the server holds — commit-time revalidation for a
 // transaction that mixed leased reads with writes.
 func (r ServerRef) LeaseCheck(ctx context.Context, action string) (uint64, error) {
-	req := LeaseCheckReq{UID: r.UID.String(), Action: action}
+	req := LeaseCheckReq{UID: r.name(), Action: action}
 	if r.Class != "" {
 		req.Class, req.StNodes = r.Class, addrsToStrings(r.StNodes)
 	}
@@ -118,7 +129,7 @@ func (r ServerRef) LeaseCheck(ctx context.Context, action string) (uint64, error
 // instance if necessary.
 func (r ServerRef) Install(ctx context.Context, class string, state []byte, seq uint64) error {
 	_, err := rpc.Invoke[InstallReq, InstallResp](ctx, r.Client, r.Node, ServiceName, MethodInstall, InstallReq{
-		UID:   r.UID.String(),
+		UID:   r.name(),
 		Class: class,
 		State: state,
 		Seq:   seq,
@@ -128,13 +139,13 @@ func (r ServerRef) Install(ctx context.Context, class string, state []byte, seq 
 
 // Abort undoes the action at this server.
 func (r ServerRef) Abort(ctx context.Context, action string) (EndResp, error) {
-	return rpc.Invoke[EndReq, EndResp](ctx, r.Client, r.Node, ServiceName, MethodAbort, EndReq{UID: r.UID.String(), Action: action})
+	return rpc.Invoke[EndReq, EndResp](ctx, r.Client, r.Node, ServiceName, MethodAbort, EndReq{UID: r.name(), Action: action})
 }
 
 // Passivate destroys the server instance if quiescent (or unconditionally
 // with force).
 func (r ServerRef) Passivate(ctx context.Context, force bool) (bool, error) {
-	resp, err := rpc.Invoke[PassivateReq, PassivateResp](ctx, r.Client, r.Node, ServiceName, MethodPassivate, PassivateReq{UID: r.UID.String(), Force: force})
+	resp, err := rpc.Invoke[PassivateReq, PassivateResp](ctx, r.Client, r.Node, ServiceName, MethodPassivate, PassivateReq{UID: r.name(), Force: force})
 	if err != nil {
 		return false, err
 	}
@@ -143,7 +154,7 @@ func (r ServerRef) Passivate(ctx context.Context, force bool) (bool, error) {
 
 // Status queries the server instance.
 func (r ServerRef) Status(ctx context.Context) (StatusResp, error) {
-	return rpc.Invoke[StatusReq, StatusResp](ctx, r.Client, r.Node, ServiceName, MethodStatus, StatusReq{UID: r.UID.String()})
+	return rpc.Invoke[StatusReq, StatusResp](ctx, r.Client, r.Node, ServiceName, MethodStatus, StatusReq{UID: r.name()})
 }
 
 func addrsToStrings(in []transport.Addr) []string {

@@ -593,28 +593,37 @@ func readTyped[Req, Resp any](ctx context.Context, c *Client, method string, req
 	return resp, nil
 }
 
-// Table returns the shard table, fetching it once (from any replica —
-// the table is immutable for a deployment's lifetime).
-func (c *Client) Table(ctx context.Context) ([]ShardInfo, error) {
+// loadTable returns the cached shard table, fetching it once (from any
+// replica — the table is immutable for a deployment's lifetime). The map
+// is never written once installed, so callers read it without c.mu.
+func (c *Client) loadTable(ctx context.Context) (map[int]ShardInfo, error) {
 	c.mu.Lock()
 	cached := c.table
 	c.mu.Unlock()
-	if cached == nil {
-		resp, err := readTyped[TableReq, TableResp](ctx, c, MethodTable, TableReq{}, false)
-		if err != nil {
-			return nil, err
-		}
-		cached = make(map[int]ShardInfo, len(resp.Shards))
-		for _, r := range resp.Shards {
-			cached[r.ID] = ShardInfo{ID: r.ID, DB: transport.Addr(r.DB), Svs: toAddrs(r.Svs), Sts: toAddrs(r.Sts)}
-		}
-		c.mu.Lock()
-		if c.table == nil {
-			c.table = cached
-		} else {
-			cached = c.table
-		}
-		c.mu.Unlock()
+	if cached != nil {
+		return cached, nil
+	}
+	resp, err := readTyped[TableReq, TableResp](ctx, c, MethodTable, TableReq{}, false)
+	if err != nil {
+		return nil, err
+	}
+	cached = make(map[int]ShardInfo, len(resp.Shards))
+	for _, r := range resp.Shards {
+		cached[r.ID] = ShardInfo{ID: r.ID, DB: transport.Addr(r.DB), Svs: toAddrs(r.Svs), Sts: toAddrs(r.Sts)}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.table == nil {
+		c.table = cached
+	}
+	return c.table, nil
+}
+
+// Table returns the shard table as a list sorted by shard ID.
+func (c *Client) Table(ctx context.Context) ([]ShardInfo, error) {
+	cached, err := c.loadTable(ctx)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]ShardInfo, 0, len(cached))
 	for _, s := range cached {
@@ -624,14 +633,14 @@ func (c *Client) Table(ctx context.Context) ([]ShardInfo, error) {
 	return out, nil
 }
 
-// Shard returns one shard's description by ID.
+// Shard returns one shard's description by ID: a look-up in the cached
+// table, which is fetched only while the cache is cold.
 func (c *Client) Shard(ctx context.Context, id int) (ShardInfo, error) {
-	if _, err := c.Table(ctx); err != nil {
+	table, err := c.loadTable(ctx)
+	if err != nil {
 		return ShardInfo{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	info, ok := c.table[id]
+	info, ok := table[id]
 	if !ok {
 		return ShardInfo{}, fmt.Errorf("placement: unknown shard %d", id)
 	}

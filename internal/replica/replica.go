@@ -27,7 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -125,6 +125,8 @@ type Config struct {
 // replicated object for the duration of one application action.
 type Handle struct {
 	cfg Config
+	// uid is cfg.UID.String(), rendered once for every request and key.
+	uid string
 
 	mu sync.Mutex
 	// activated lists servers where activation succeeded, in preference
@@ -194,17 +196,36 @@ func New(cfg Config) (*Handle, error) {
 		// ones cannot activate.
 		cfg.Degree = 1
 	}
-	return &Handle{
-		cfg:            cfg,
-		unprobed:       cfg.Policy == SingleCopyPassive,
-		broken:         make(map[transport.Addr]bool),
-		failedStores:   make(map[transport.Addr]bool),
-		preparedStores: make(map[transport.Addr]bool),
-	}, nil
+	return &Handle{cfg: cfg, uid: cfg.UID.String(), unprobed: cfg.Policy == SingleCopyPassive}, nil
+}
+
+// mark adds addr to one of the handle's node sets, which stay nil until a
+// node fails or prepares: most actions meet neither. h.mu must be held.
+func mark(set *map[transport.Addr]bool, addr transport.Addr) {
+	if *set == nil {
+		*set = make(map[transport.Addr]bool)
+	}
+	(*set)[addr] = true
+}
+
+// sorted lists a node set in address order; an empty set is nil.
+func sorted(set map[transport.Addr]bool) []transport.Addr {
+	if len(set) == 0 {
+		return nil
+	}
+	out := make([]transport.Addr, 0, len(set))
+	for addr := range set {
+		out = append(out, addr)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Policy returns the handle's replication policy.
 func (h *Handle) Policy() Policy { return h.cfg.Policy }
+
+// UIDString returns the bound object's UID in canonical form.
+func (h *Handle) UIDString() string { return h.uid }
 
 // Activate probes the candidate servers in preference order until Degree
 // of them (all, when Degree is 0) run a server for the object, loading
@@ -259,39 +280,44 @@ func (h *Handle) Activate(ctx context.Context) error {
 }
 
 func (h *Handle) ref(sv transport.Addr) object.ServerRef {
-	return object.ServerRef{Client: h.cfg.Client, Node: sv, UID: h.cfg.UID}
+	return object.ServerRef{Client: h.cfg.Client, Node: sv, UID: h.cfg.UID, Name: h.uid}
 }
 
 func (h *Handle) markBroken(sv transport.Addr) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.broken[sv] = true
+	mark(&h.broken, sv)
 }
 
 // live returns the servers whose bindings are intact, in preference order:
 // the activated ones, or — while the handle is unprobed — the candidate its
-// first request will try next.
+// first request will try next. The result is read-only: unless a binding
+// broke it shares the handle's own list, with no room to append into.
 func (h *Handle) live() []transport.Addr {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	from := h.activated
 	if h.unprobed {
-		from = h.cfg.Servers
+		for i, sv := range h.cfg.Servers {
+			if !h.broken[sv] {
+				return h.cfg.Servers[i : i+1 : i+1]
+			}
+		}
+		return nil
+	}
+	if len(h.broken) == 0 {
+		return h.activated[:len(h.activated):len(h.activated)]
 	}
 	var out []transport.Addr
-	for _, sv := range from {
+	for _, sv := range h.activated {
 		if !h.broken[sv] {
 			out = append(out, sv)
-			if h.unprobed {
-				break
-			}
 		}
 	}
 	return out
 }
 
 // Bound returns the currently live server bindings (a copy).
-func (h *Handle) Bound() []transport.Addr { return h.live() }
+func (h *Handle) Bound() []transport.Addr { return slices.Clone(h.live()) }
 
 // Coordinator returns the first live server (the processing replica for
 // single-copy and coordinator-cohort policies).
@@ -308,12 +334,7 @@ func (h *Handle) Coordinator() (transport.Addr, error) {
 func (h *Handle) Broken() []transport.Addr {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]transport.Addr, 0, len(h.broken))
-	for sv := range h.broken {
-		out = append(out, sv)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sorted(h.broken)
 }
 
 // FailedStores returns the St nodes whose commit-time copy failed, sorted
@@ -321,12 +342,7 @@ func (h *Handle) Broken() []transport.Addr {
 func (h *Handle) FailedStores() []transport.Addr {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]transport.Addr, 0, len(h.failedStores))
-	for st := range h.failedStores {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sorted(h.failedStores)
 }
 
 // PreparedStores returns the St nodes that hold the action's prepared new
@@ -335,12 +351,7 @@ func (h *Handle) FailedStores() []transport.Addr {
 func (h *Handle) PreparedStores() []transport.Addr {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]transport.Addr, 0, len(h.preparedStores))
-	for st := range h.preparedStores {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sorted(h.preparedStores)
 }
 
 // Invoke performs one operation under act. The handle enlists itself as
@@ -474,7 +485,7 @@ func (h *Handle) enlistOnce(act *action.Action) bool {
 		return true
 	}
 	top := act.Top()
-	if !top.StashOnce("replica:"+h.cfg.UID.String(), h) {
+	if !top.StashOnce("replica:"+h.uid, h) {
 		return true
 	}
 	return top.Enlist(h) == nil
@@ -554,7 +565,7 @@ func (h *Handle) atCoordinator(call func(ref object.ServerRef) error) error {
 			h.activated = append(h.activated, coord)
 		}
 		if gone {
-			h.broken[coord] = true
+			mark(&h.broken, coord)
 		}
 		h.mu.Unlock()
 		if gone {
@@ -589,7 +600,7 @@ func (h *Handle) invokeActive(ctx context.Context, owner, method string, args []
 		return nil, fmt.Errorf("replica %v: %w", h.cfg.UID, ErrNoServers)
 	}
 	payload, err := rpc.Encode(&object.InvokeReq{
-		UID:    h.cfg.UID.String(),
+		UID:    h.uid,
 		Action: owner,
 		Method: method,
 		Args:   args,
@@ -597,7 +608,7 @@ func (h *Handle) invokeActive(ctx context.Context, owner, method string, args []
 	if err != nil {
 		return nil, err
 	}
-	g := group.Group{ID: object.GroupPrefix + h.cfg.UID.String(), Members: live}
+	g := group.Group{ID: object.GroupPrefix + h.uid, Members: live}
 	res, err := group.Multicast(ctx, h.cfg.Client, g, object.KindInvoke, payload)
 	if err != nil {
 		// No sequencer reachable: every replica is gone.
@@ -699,10 +710,10 @@ func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 			h.batchSize = results[i].resp.BatchSize
 		}
 		for _, st := range results[i].resp.FailedNodes {
-			h.failedStores[transport.Addr(st)] = true
+			mark(&h.failedStores, transport.Addr(st))
 		}
 		for _, st := range results[i].resp.PreparedNodes {
-			h.preparedStores[transport.Addr(st)] = true
+			mark(&h.preparedStores, transport.Addr(st))
 		}
 		h.mu.Unlock()
 	}
@@ -850,18 +861,14 @@ func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, er
 // and their store prepares merge idempotently), only the coordinator
 // otherwise — cohorts and passive copies never processed anything.
 func (h *Handle) prepareTargets() ([]transport.Addr, error) {
-	if h.cfg.Policy == Active {
-		live := h.live()
-		if len(live) == 0 {
-			return nil, fmt.Errorf("replica %v: %w", h.cfg.UID, ErrNoServers)
-		}
-		return live, nil
+	live := h.live()
+	if len(live) == 0 {
+		return nil, fmt.Errorf("replica %v: %w", h.cfg.UID, ErrNoServers)
 	}
-	coord, err := h.Coordinator()
-	if err != nil {
-		return nil, err
+	if h.cfg.Policy != Active {
+		live = live[:1:1]
 	}
-	return []transport.Addr{coord}, nil
+	return live, nil
 }
 
 // Commit implements action.Participant: phase two at every prepared
@@ -1009,7 +1016,7 @@ func (h *Handle) recordFailure(addr transport.Addr) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.failedStores[addr] = true
+	mark(&h.failedStores, addr)
 }
 
 // Abort implements action.Participant; all live servers abort in

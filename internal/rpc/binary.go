@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // This file is the hand-rolled binary codec that replaced gob on the hot
@@ -26,7 +27,8 @@ import (
 //     or corrupt frame therefore fails loudly instead of yielding a
 //     half-filled struct.
 //   - Ownership: WireReader.Bytes and String COPY out of the input
-//     buffer. Decoded messages never alias transport-owned memory, so a
+//     buffer (String once per short message; doc.go, "Ownership").
+//     Decoded messages never alias transport-owned memory, so a
 //     transport is free to reuse its read buffers the moment Decode
 //     returns (the mux transport does exactly that for request frames).
 
@@ -106,7 +108,17 @@ func AppendStrings(dst []byte, ss []string) []byte {
 type WireReader struct {
 	data []byte
 	err  error
+	// text is one string copy of the input from the first non-empty string
+	// field to its end, taken when that field is read; the strings of a
+	// message are sub-strings of it instead of an allocation each.
+	text string
 }
+
+// maxSharedText is the longest input tail a reader copies whole for its
+// strings to share. A string field keeps that copy alive as long as it
+// lives itself, so beyond this size — a message carrying bulk state beside
+// its names — each string is copied alone.
+const maxSharedText = 512
 
 // NewWireReader returns a reader over body. Exported for fuzz targets;
 // RPC decoding goes through Decode.
@@ -195,9 +207,23 @@ func (r *WireReader) Bytes() []byte {
 	return out
 }
 
-// String consumes a length-prefixed string field (the conversion copies).
+// String consumes a length-prefixed string field. The result never
+// aliases the input: it is a copy of its own, or part of the reader's one
+// copy of a short message's tail (see maxSharedText).
 func (r *WireReader) String() string {
-	return string(r.take("string field"))
+	b := r.take("string field")
+	if len(b) == 0 {
+		return ""
+	}
+	tail := len(b) + len(r.data) // b and the unread input are contiguous
+	if r.text == "" {
+		if tail > maxSharedText {
+			return string(b)
+		}
+		r.text = string(b[:tail])
+	}
+	off := len(r.text) - tail
+	return r.text[off : off+len(b)]
 }
 
 // Strings consumes a uvarint count followed by that many string fields.
@@ -225,17 +251,18 @@ func (r *WireReader) Strings() []string {
 	return out
 }
 
-// encodeWire renders a Wire value as a full payload: magic, tag, version,
-// body. The output is always freshly allocated — it is handed to the
-// transport and must not share memory with any pooled scratch.
-func encodeWire(w Wire) []byte {
+// encodeWire renders a Wire value as a full payload — magic, tag, version,
+// body — behind lead reserved bytes. The output is always freshly
+// allocated — it is handed to the transport and must not share memory
+// with any pooled scratch.
+func encodeWire(w Wire, lead int) []byte {
 	tag, ver := w.WireTag()
 	hint := 64
 	if s, ok := w.(WireSizer); ok {
 		hint = s.WireSizeHint()
 	}
-	out := make([]byte, 3, 3+hint)
-	out[0], out[1], out[2] = WireMagic, tag, ver
+	out := make([]byte, lead+3, lead+3+hint)
+	out[lead], out[lead+1], out[lead+2] = WireMagic, tag, ver
 	return w.AppendWire(out)
 }
 
@@ -252,15 +279,26 @@ func decodeWire(data []byte, w Wire) error {
 	if ver == 0 || ver > cur {
 		return fmt.Errorf("%w: unsupported version %d for %T (current %d)", ErrWire, ver, w, cur)
 	}
-	r := WireReader{data: data[3:]}
-	if err := w.ParseWire(ver, &r); err != nil {
-		return fmt.Errorf("rpc: decode %T: %w", w, err)
+	// ParseWire is called through the interface, so a reader declared here
+	// would be a heap object per decode. A pooled one is handed back, with
+	// its reference to data dropped, before decodeWire returns: ParseWire
+	// implementations must not keep r.
+	r := wireReaderPool.Get().(*WireReader)
+	*r = WireReader{data: data[3:]}
+	perr := w.ParseWire(ver, r)
+	rerr, trailing := r.err, len(r.data)
+	*r = WireReader{}
+	wireReaderPool.Put(r)
+	if perr != nil {
+		return fmt.Errorf("rpc: decode %T: %w", w, perr)
 	}
-	if r.err != nil {
-		return fmt.Errorf("rpc: decode %T: %w", w, r.err)
+	if rerr != nil {
+		return fmt.Errorf("rpc: decode %T: %w", w, rerr)
 	}
-	if len(r.data) != 0 {
-		return fmt.Errorf("rpc: decode %T: %w: %d trailing bytes", w, ErrWire, len(r.data))
+	if trailing != 0 {
+		return fmt.Errorf("rpc: decode %T: %w: %d trailing bytes", w, ErrWire, trailing)
 	}
 	return nil
 }
+
+var wireReaderPool = sync.Pool{New: func() any { return new(WireReader) }}

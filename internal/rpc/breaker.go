@@ -233,7 +233,13 @@ func (s *Breakers) get(peer transport.Addr) *breaker {
 // regardless of outcome, or the breaker stays probe-locked until reset.
 // A false proceed is counted as a fast-fail.
 func (s *Breakers) Acquire(peer transport.Addr) (proceed, probe bool) {
-	proceed, probe = s.get(peer).acquire(time.Now())
+	return s.admit(s.get(peer), time.Now())
+}
+
+// admit is Acquire on a breaker already looked up, at an instant already
+// read.
+func (s *Breakers) admit(b *breaker, now time.Time) (proceed, probe bool) {
+	proceed, probe = b.acquire(now)
 	if !proceed {
 		s.fastFails.Add(1)
 	} else if probe {
@@ -250,8 +256,14 @@ func (s *Breakers) Acquire(peer transport.Addr) (proceed, probe bool) {
 // proves the peer alive and counts as success; caller-side cancellation
 // proves nothing and is not counted at all.
 func (s *Breakers) Record(peer transport.Addr, probe bool, err error) (tripped bool) {
+	return s.settle(s.get(peer), probe, err, time.Now())
+}
+
+// settle is Record on a breaker already looked up, at an instant already
+// read.
+func (s *Breakers) settle(b *breaker, probe bool, err error, now time.Time) (tripped bool) {
 	failure, countable := breakerOutcome(err)
-	tripped = s.get(peer).record(failure, countable, probe, time.Now())
+	tripped = b.record(failure, countable, probe, now)
 	if tripped {
 		s.trips.Add(1)
 	}
@@ -381,10 +393,13 @@ func (n *BreakerNotes) add(peer transport.Addr) {
 	n.skipped[peer]++
 }
 
-// Skipped returns the peers skipped so far, sorted.
+// Skipped returns the peers skipped so far, sorted; nil when none was.
 func (n *BreakerNotes) Skipped() []transport.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if len(n.skipped) == 0 {
+		return nil
+	}
 	out := make([]transport.Addr, 0, len(n.skipped))
 	for p := range n.skipped {
 		out = append(out, p)

@@ -248,7 +248,7 @@ func TestClientFastFailOnOpenBreaker(t *testing.T) {
 	bs := NewBreakers(BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour})
 	srv := NewServer()
 	srv.Handle("echo", "Echo", func(ctx context.Context, from transport.Addr, payload []byte) ([]byte, error) {
-		return payload, nil
+		return encodeFrameOK(payload), nil
 	})
 	net.Register("b", srv.Handler())
 	c := Client{Net: net, From: "a", Metrics: reg, Breakers: bs}

@@ -18,7 +18,8 @@
 //     by the body — uvarint-length-prefixed strings and byte fields, plain
 //     uvarints for counts and sequence numbers, zigzag varints for signed
 //     values, the same record idiom as internal/storage's WAL codec. This
-//     is the hot path: one allocation to encode, a handful to decode,
+//     is the hot path: one allocation to encode and — whatever the number
+//     of string fields — one for all a short message's strings to decode,
 //     against the ~50+ gob spends recompiling its type engines per call.
 //   - Gob: any other type falls back to encoding/gob transparently. A gob
 //     stream's first byte is a uvarint length (<= 0x7f) or a negated byte
@@ -31,8 +32,21 @@
 // type's current one, and ParseWire receives the decoded version so a
 // codec revision can branch on it (each package's wire.go lists the
 // records past version 1). Decoding is strict — tag mismatches, truncated fields and trailing
-// bytes are all errors, never half-filled structs. Decoded messages never
-// alias transport-owned buffers (WireReader.Bytes and String copy out).
+// bytes are all errors, never half-filled structs.
+//
+// Ownership: every slice Encode returns is freshly allocated and the
+// caller's. A reply is encoded once, straight into its frame: Method
+// reserves the frame's tag byte in front of the payload it encodes, so the
+// server frames a reply by storing one byte, not by copying the body. A
+// decoded value never aliases the bytes it was decoded from — a transport
+// may reuse its read buffer the moment Decode returns. WireReader.Bytes
+// copies each field; WireReader.String copies once per message: the first
+// string field read takes one copy of the input from there to its end, and
+// the message's strings are sub-strings of that copy. They therefore keep
+// one another's bytes alive, which is why the sharing stops at
+// maxSharedText: in a message carrying bulk state each string is copied
+// alone. The reader itself is pooled, taken and returned inside Decode, so
+// a ParseWire must not keep it.
 //
 // The tag registry, in package blocks so additions never collide:
 //

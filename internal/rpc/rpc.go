@@ -31,6 +31,14 @@ func Errorf(code, format string, args ...any) *AppError {
 
 // CodeOf extracts the AppError code from err, or "" if err carries none.
 func CodeOf(err error) string {
+	// The two answers the steady state asks for — no error, and the
+	// *AppError Call returns — need no errors.As, whose target escapes.
+	if err == nil {
+		return ""
+	}
+	if ae, ok := err.(*AppError); ok {
+		return ae.Code
+	}
 	var ae *AppError
 	if errors.As(err, &ae) {
 		return ae.Code
@@ -53,8 +61,9 @@ const (
 	frameErr = 0x02 // tag, then u16-len code, u16-len msg
 )
 
-// encodeFrameOK wraps an already-encoded body: one tag byte plus the body
-// verbatim — no re-encoding of the payload.
+// encodeFrameOK builds a success frame around an already-encoded body: one
+// tag byte plus the body verbatim. Method does not come this way: it
+// encodes its result straight into a frame and copies nothing.
 func encodeFrameOK(body []byte) []byte {
 	out := make([]byte, 1+len(body))
 	out[0] = frameOK
@@ -112,7 +121,9 @@ func decodeFrame(raw []byte) (body []byte, appErr *AppError, err error) {
 	}
 }
 
-// HandlerFunc processes a decoded-payload request for one method.
+// HandlerFunc processes one method's request payload and returns the
+// success reply frame, which Method builds from a typed result, or the
+// error the server folds into an error frame.
 type HandlerFunc func(ctx context.Context, from transport.Addr, payload []byte) ([]byte, error)
 
 // Server dispatches incoming requests to registered services and methods.
@@ -155,7 +166,7 @@ func (s *Server) Handler() transport.Handler {
 			return encodeFrameErr(CodeNoSuchMethod,
 				fmt.Sprintf("%s.%s not registered at %s", req.Service, req.Method, req.To)), nil
 		}
-		body, err := h(ctx, req.From, req.Payload)
+		frame, err := h(ctx, req.From, req.Payload)
 		if err != nil {
 			var ae *AppError
 			if errors.As(err, &ae) {
@@ -163,7 +174,7 @@ func (s *Server) Handler() transport.Handler {
 			}
 			return encodeFrameErr(CodeInternal, err.Error()), nil
 		}
-		return encodeFrameOK(body), nil
+		return frame, nil
 	}
 }
 
@@ -185,9 +196,14 @@ var (
 // corrupting any payload still in flight (fan-outs keep encoded payloads
 // alive across many concurrent calls). TestEncodePooledScratchAliasing
 // stress-tests this contract under -race.
-func Encode(v any) ([]byte, error) {
+func Encode(v any) ([]byte, error) { return encode(v, 0) }
+
+// encode is Encode with lead bytes reserved, zeroed, in front of the
+// payload: Method reserves the reply frame's tag byte there, so framing a
+// reply is a store into the slice the encoder allocated, not a copy of it.
+func encode(v any, lead int) ([]byte, error) {
 	if w, ok := v.(Wire); ok {
-		return encodeWire(w), nil
+		return encodeWire(w, lead), nil
 	}
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -195,8 +211,8 @@ func Encode(v any) ([]byte, error) {
 		bufPool.Put(buf)
 		return nil, fmt.Errorf("rpc: encode %T: %w", v, err)
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
+	out := make([]byte, lead+buf.Len())
+	copy(out[lead:], buf.Bytes())
 	bufPool.Put(buf)
 	return out, nil
 }
@@ -267,10 +283,15 @@ func (c Client) serviceMetrics(service string) *svcMetrics {
 // invokes Call per destination. Transport failures are returned as the
 // transport's errors; application failures as *AppError.
 func (c Client) Call(ctx context.Context, to transport.Addr, service, method string, payload []byte) ([]byte, error) {
+	// One clock read each side of the carrier serves the breaker and the
+	// metrics both, and the peer's breaker is looked up once.
+	start := time.Now()
+	var br *breaker
 	var probe bool
 	if c.Breakers != nil {
+		br = c.Breakers.get(to)
 		var proceed bool
-		proceed, probe = c.Breakers.Acquire(to)
+		proceed, probe = c.Breakers.admit(br, start)
 		if !proceed {
 			// Fast-fail before metrics: the call never happened, so it
 			// must not count toward the service's call/latency figures.
@@ -283,10 +304,6 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 			return nil, &peerDownError{peer: to}
 		}
 	}
-	var start time.Time
-	if c.Metrics != nil {
-		start = time.Now()
-	}
 	raw, err := c.Net.Call(ctx, transport.Request{
 		From:    c.From,
 		To:      to,
@@ -294,9 +311,10 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 		Method:  method,
 		Payload: payload,
 	})
+	end := time.Now()
 	if c.Metrics != nil {
 		sm := c.serviceMetrics(service)
-		elapsed := time.Since(start)
+		elapsed := end.Sub(start)
 		sm.calls.Inc()
 		sm.latency.Observe(elapsed)
 		sm.hist.RecordDuration(elapsed)
@@ -307,7 +325,7 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 	if c.Breakers != nil {
 		// err here is the transport-level outcome: any reply at all —
 		// even one carrying an application error frame — records success.
-		if tripped := c.Breakers.Record(to, probe, err); tripped && c.Metrics != nil {
+		if tripped := c.Breakers.settle(br, probe, err, end); tripped && c.Metrics != nil {
 			c.Metrics.Counter("breaker.trips").Inc()
 		}
 	}
@@ -355,6 +373,11 @@ func Method[Req, Resp any](fn func(ctx context.Context, from transport.Addr, req
 		if err != nil {
 			return nil, err
 		}
-		return Encode(&resp)
+		frame, err := encode(&resp, 1)
+		if err != nil {
+			return nil, err
+		}
+		frame[0] = frameOK
+		return frame, nil
 	}
 }

@@ -458,3 +458,103 @@ func TestFaultsMutationUnderTraffic(t *testing.T) {
 		t.Fatalf("network broken after mutation storm: %v", err)
 	}
 }
+
+// TestFaultArmedMidTrafficHitsNextCall pins the unarmed plan's fast path
+// (Faulty.Call skips the pipeline until something is installed): a rule
+// armed after a thousand clean calls, with other callers still in flight,
+// governs the very next call; Clear disarms, and arming again after it
+// works the same way.
+func TestFaultArmedMidTrafficHitsNextCall(t *testing.T) {
+	ab := Request{From: "a", To: "b", Service: "s", Method: "m"}
+	wantErr := func(want error) func(*testing.T, *Faults, error, int32) {
+		return func(t *testing.T, _ *Faults, err error, _ int32) {
+			if !errors.Is(err, want) {
+				t.Fatalf("the call after arming: err = %v, want %v", err, want)
+			}
+		}
+	}
+	arms := []struct {
+		name string
+		arm  func(f *Faults, hooked *atomic.Int32)
+		// check judges the first call after arming.
+		check func(t *testing.T, f *Faults, err error, hooked int32)
+	}{
+		{"Partition", func(f *Faults, _ *atomic.Int32) { f.Partition("a", "b") }, wantErr(ErrUnreachable)},
+		{"DropRequests", func(f *Faults, _ *atomic.Int32) { f.DropRequests(1, Between("a", "b")) }, wantErr(ErrRequestLost)},
+		{"DropReplies", func(f *Faults, _ *atomic.Int32) { f.DropReplies(1, Between("a", "b")) }, wantErr(ErrReplyLost)},
+		{"DelayRequests", func(f *Faults, _ *atomic.Int32) { f.DelayRequests(1, 1, time.Millisecond, Between("a", "b")) },
+			func(t *testing.T, f *Faults, err error, _ int32) {
+				// The delay is drawn from [0, max), so the clock proves
+				// nothing; the rule's spent budget of one does.
+				f.mu.Lock()
+				left := f.delays[0].remaining
+				f.mu.Unlock()
+				if err != nil || left != 0 {
+					t.Fatalf("the call after arming: err = %v, delay rule has %d uses left, want nil and 0", err, left)
+				}
+			}},
+		{"OnRequest", func(f *Faults, hooked *atomic.Int32) {
+			f.OnRequest(-1, Between("a", "b"), func(Request) { hooked.Add(1) })
+		},
+			func(t *testing.T, _ *Faults, err error, hooked int32) {
+				if err != nil || hooked != 1 {
+					t.Fatalf("the call after arming: err = %v, hook ran %d times, want nil and once", err, hooked)
+				}
+			}},
+	}
+	for _, c := range carriers {
+		for _, tc := range arms {
+			t.Run(c.name+"/"+tc.name, func(t *testing.T) {
+				n := c.new(t, 1)
+				n.Register("b", echoHandler)
+				ctx := context.Background()
+
+				// Other callers stay in flight across the arming, on a pair no
+				// rule here matches: they must run clean throughout.
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				var othersFailed atomic.Int32
+				for i := 0; i < 3; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							if _, err := n.Call(ctx, Request{From: "c", To: "b"}); err != nil {
+								othersFailed.Add(1)
+							}
+						}
+					}()
+				}
+				defer func() {
+					close(stop)
+					wg.Wait()
+					if n := othersFailed.Load(); n != 0 {
+						t.Errorf("%d calls on a pair no rule matches failed", n)
+					}
+				}()
+
+				// Round two arms a plan that Clear disarmed.
+				for round := 0; round < 2; round++ {
+					for i := 0; i < 1000; i++ {
+						if _, err := n.Call(ctx, ab); err != nil {
+							t.Fatalf("round %d: clean call %d: %v", round, i, err)
+						}
+					}
+					var hooked atomic.Int32
+					tc.arm(n.Faults(), &hooked)
+					_, err := n.Call(ctx, ab)
+					tc.check(t, n.Faults(), err, hooked.Load())
+					n.Faults().Clear()
+					if n.Faults().armed.Load() {
+						t.Fatalf("round %d: plan still armed after Clear", round)
+					}
+				}
+			})
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 )
 
 // Faulty wraps any inner Network with a programmable Faults plan. Its Call
@@ -13,6 +14,15 @@ import (
 // Mem is Faulty over the in-process carrier; the chaos harness wraps the
 // mux transport in it to run the same seeded nemesis schedules over real
 // sockets.
+//
+// The plan is armed from the first rule, hook or partition installed in it
+// until Clear. While it is not, Call is the inner call and two atomic
+// loads; an installer arms the plan before it returns, so the next call to
+// start runs the pipeline, and a call already past its request half still
+// meets a rule installed meanwhile on its reply half. The seeded source is
+// drawn from only when a probabilistic rule matches a request, which an
+// empty plan never does: skipping the pipeline draws what walking it empty
+// drew — nothing — and every seed replays as it did.
 type Faulty struct {
 	inner  Network
 	faults *Faults
@@ -45,25 +55,34 @@ func (f *Faulty) Unregister(addr Addr) { f.inner.Unregister(addr) }
 // and no other, so a seeded schedule draws its coin flips identically on
 // every carrier.
 func (f *Faulty) Call(ctx context.Context, req Request) ([]byte, error) {
-	if f.faults.partitioned(req.From, req.To) {
-		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
-	}
-	if f.faults.shouldDropRequest(req) {
-		return nil, fmt.Errorf("%s -> %s %s.%s: %w", req.From, req.To, req.Service, req.Method, ErrRequestLost)
-	}
-	f.faults.runRequestHooks(req)
-	overtaken, err := f.faults.holdForReorder(ctx, req)
-	if err != nil {
-		return nil, err
+	var overtaken chan struct{}
+	var delay time.Duration
+	if f.faults.armed.Load() {
+		if f.faults.partitioned(req.From, req.To) {
+			return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, ErrUnreachable)
+		}
+		if f.faults.shouldDropRequest(req) {
+			return nil, fmt.Errorf("%s -> %s %s.%s: %w", req.From, req.To, req.Service, req.Method, ErrRequestLost)
+		}
+		f.faults.runRequestHooks(req)
+		var err error
+		if overtaken, err = f.faults.holdForReorder(ctx, req); err != nil {
+			return nil, err
+		}
+		delay = f.faults.requestDelay(req)
 	}
 	var resp []byte
-	if err = sleepCtx(ctx, f.faults.requestDelay(req)); err == nil {
+	err := sleepCtx(ctx, delay)
+	if err == nil {
 		resp, err = f.inner.Call(ctx, req)
 	}
 	if overtaken != nil {
 		// This request overtook a parked one, which may go only now: behind
 		// this delivery, not racing it.
 		close(overtaken)
+	}
+	if !f.faults.armed.Load() {
+		return resp, err
 	}
 	if err != nil && (errors.Is(err, ErrUnreachable) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {

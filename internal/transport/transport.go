@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -97,6 +98,9 @@ type FaultRule func(req Request) bool
 // — e.g. crash a node the moment its prepare acknowledgement leaves —
 // without perturbing it.
 type Faults struct {
+	// armed is set, under mu, by whatever installs a rule, hook or
+	// partition, and reset by Clear; Faulty.Call reads it without mu.
+	armed        atomic.Bool
 	mu           sync.Mutex
 	rng          *rand.Rand
 	dropRequests []*faultEntry
@@ -231,6 +235,7 @@ func (f *Faults) addEntry(list *[]*faultEntry, e *faultEntry) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	*list = append(*list, e)
+	f.armed.Store(true)
 }
 
 // Partition blocks all traffic between a and b (both directions) until
@@ -239,6 +244,7 @@ func (f *Faults) Partition(a, b Addr) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.partitions[pairKey(a, b)] = true
+	f.armed.Store(true)
 }
 
 // Heal removes a partition between a and b.
@@ -263,7 +269,8 @@ func (f *Faults) SetHealHook(fn func(a, b Addr)) {
 
 // Clear removes all rules, hooks and partitions (the heal hook stays —
 // it belongs to the cluster wiring, not to any one fault plan). Requests
-// parked by a reorder rule are released.
+// parked by a reorder rule are released. The plan is disarmed: calls skip
+// the pipeline again until the next rule, hook or partition re-arms it.
 func (f *Faults) Clear() {
 	f.mu.Lock()
 	for _, e := range f.reorders {
@@ -281,6 +288,7 @@ func (f *Faults) Clear() {
 	f.reqHooks = nil
 	f.replyHooks = nil
 	f.partitions = make(map[[2]Addr]bool)
+	f.armed.Store(false)
 	hook := f.healHook
 	f.mu.Unlock()
 	if hook != nil {

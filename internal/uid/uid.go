@@ -38,10 +38,20 @@ func (u UID) IsNil() bool { return u == Nil }
 
 // String renders the UID in the canonical "origin:epoch:seq" form.
 func (u UID) String() string {
+	var buf [48]byte // the usual UID fits, so the string is the one allocation
+	return string(u.Append(buf[:0]))
+}
+
+// Append appends the UID's canonical form to dst.
+func (u UID) Append(dst []byte) []byte {
 	if u.IsNil() {
-		return "<nil-uid>"
+		return append(dst, "<nil-uid>"...)
 	}
-	return u.Origin + ":" + strconv.FormatUint(uint64(u.Epoch), 10) + ":" + strconv.FormatUint(u.Seq, 10)
+	dst = append(dst, u.Origin...)
+	dst = append(dst, ':')
+	dst = strconv.AppendUint(dst, uint64(u.Epoch), 10)
+	dst = append(dst, ':')
+	return strconv.AppendUint(dst, u.Seq, 10)
 }
 
 // Parse converts the canonical string form back into a UID.

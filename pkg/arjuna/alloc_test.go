@@ -1,0 +1,49 @@
+//go:build !race
+
+package arjuna_test
+
+import (
+	"context"
+	"testing"
+
+	"repro/pkg/arjuna"
+)
+
+// TestFacadeAllocs pins what one committed action allocates end to end —
+// client, database, server and store all run on the caller in a Mem
+// deployment, so AllocsPerRun sees every layer. The budgets are the counts
+// measured when the per-call overhead was taken out (PR 19) plus 5 %: a
+// later change that puts weight back on the path fails here, not in a
+// benchmark run.
+func TestFacadeAllocs(t *testing.T) {
+	sys := openT(t, arjuna.WithShards(1), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(2))
+	rw := clientT(t, sys, "c1", arjuna.ClientFastBind())
+	ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
+	id, ctx := sys.Objects()[0], context.Background()
+	for _, c := range []struct {
+		name   string
+		op     func()
+		budget float64
+	}{
+		{"Apply", func() {
+			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+		}, 134}, // 128 measured; 226 before
+		{"ReadOnly Atomic+Read", func() {
+			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
+				_, err := tx.Object(id).Read(ctx, "get", nil)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, 78}, // 75 measured; 147 before
+	} {
+		c.op() // warm-up: placement cache, activation, lock-table free lists
+		got := testing.AllocsPerRun(200, c.op)
+		t.Logf("%s: %.0f allocations per action (budget %.0f)", c.name, got, c.budget)
+		if got > c.budget {
+			t.Errorf("%s: %.0f allocations per action, budget %.0f", c.name, got, c.budget)
+		}
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/action"
@@ -133,9 +133,11 @@ type CommitReport struct {
 // Txn is one running atomic action. It is handed to the closure passed to
 // Atomic and is only valid for the closure's duration.
 type Txn struct {
-	c       *Client
-	act     *action.Action
-	objects map[uid.UID]*Object
+	c   *Client
+	act *action.Action
+	// objects lists the handles handed out, in first-use order: an action
+	// touches one or two objects, so a scan beats a map.
+	objects []*Object
 	// notes records the peers this action's calls skipped via breaker
 	// fast-fail; surfaced as CommitReport.BreakerSkipped. The note
 	// context is attached per call site (bind/invoke/commit) rather than
@@ -159,12 +161,22 @@ func (t *Txn) ID() string { return t.act.ID() }
 // is bound through the naming and binding service lazily, on its first
 // Invoke/Read; repeated calls return the same handle.
 func (t *Txn) Object(id uid.UID) *Object {
-	if o, ok := t.objects[id]; ok {
+	if o := t.object(id); o != nil {
 		return o
 	}
 	o := &Object{t: t, id: id}
-	t.objects[id] = o
+	t.objects = append(t.objects, o)
 	return o
+}
+
+// object returns the handle already handed out for id, or nil.
+func (t *Txn) object(id uid.UID) *Object {
+	for _, o := range t.objects {
+		if o.id == id {
+			return o
+		}
+	}
+	return nil
 }
 
 // Object is a bound (or about-to-be-bound) handle on one persistent
@@ -378,7 +390,7 @@ func (c *Client) Apply(ctx context.Context, id uid.UID, method string, args []by
 // runOnce executes one begin → fn → commit/abort cycle.
 func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error) (*CommitReport, error) {
 	act := c.binder.BeginTop()
-	tx := &Txn{c: c, act: act, objects: make(map[uid.UID]*Object), notes: &rpc.BreakerNotes{}}
+	tx := &Txn{c: c, act: act, notes: &rpc.BreakerNotes{}}
 	// Abort on every path that does not reach commit — including a panic
 	// inside fn — so no action is left running.
 	committed := false
@@ -456,7 +468,7 @@ func (t *Txn) revalidateLeases(ctx context.Context) error {
 			continue
 		}
 		checked[id] = true
-		o := t.objects[id]
+		o := t.object(id)
 		if o == nil {
 			return ErrLeaseStale
 		}
@@ -484,18 +496,15 @@ func (t *Txn) revalidateLeases(ctx context.Context) error {
 // report collects the failure anatomy from every bound object.
 func (t *Txn) report(committed bool) *CommitReport {
 	rep := &CommitReport{Committed: committed, LeaseReads: len(t.leased)}
-	broken := map[transport.Addr]bool{}
-	excluded := map[transport.Addr]bool{}
+	// Both lists stay nil unless something broke: the accessors return nil
+	// for an empty set.
+	var broken, excluded []transport.Addr
 	for _, o := range t.objects {
 		if o.bd == nil {
 			continue
 		}
-		for _, sv := range o.bd.BrokenServers() {
-			broken[sv] = true
-		}
-		for _, st := range o.bd.FailedStores() {
-			excluded[st] = true
-		}
+		broken = append(broken, o.bd.BrokenServers()...)
+		excluded = append(excluded, o.bd.FailedStores()...)
 		if o.batched {
 			rep.Batched = true
 		}
@@ -506,20 +515,15 @@ func (t *Txn) report(committed bool) *CommitReport {
 			rep.QueueWait = w
 		}
 	}
-	rep.BrokenServers = sortedAddrs(broken)
-	rep.ExcludedStores = sortedAddrs(excluded)
+	rep.BrokenServers = sortedSet(broken)
+	rep.ExcludedStores = sortedSet(excluded)
 	rep.BreakerSkipped = t.notes.Skipped()
 	return rep
 }
 
-func sortedAddrs(set map[transport.Addr]bool) []transport.Addr {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]transport.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// sortedSet sorts addrs and drops the duplicates two objects sharing a node
+// contribute.
+func sortedSet(addrs []transport.Addr) []transport.Addr {
+	slices.Sort(addrs)
+	return slices.Compact(addrs)
 }

@@ -574,16 +574,13 @@ type SweepReport = core.SweepReport
 // deployments merge the per-group reports.
 func (s *System) Sweep(ctx context.Context) SweepReport {
 	var merged SweepReport
-	dead := map[transport.Addr]bool{}
 	for _, j := range s.janitors {
 		rep := j.Sweep(ctx)
-		for _, c := range rep.DeadClients {
-			dead[c] = true
-		}
+		merged.DeadClients = append(merged.DeadClients, rep.DeadClients...)
 		merged.AbortedActions += rep.AbortedActions
 		merged.ClearedCounters += rep.ClearedCounters
 	}
-	merged.DeadClients = sortedAddrs(dead)
+	merged.DeadClients = sortedSet(merged.DeadClients)
 	return merged
 }
 
