@@ -463,6 +463,18 @@ func (a *Action) outcomeRetained() bool {
 	return a.retainLog
 }
 
+// ExpectPrepared opens the action's in-flight window ahead of Commit. A
+// participant about to create remote prepared state before commit
+// processing starts — a request that carries the action's phase one — calls
+// it first, so that a recovery lookup racing the action sees "undecided",
+// never a premature "no record" that presumed abort would drop a live
+// intention on (see Manager.Lookup). The window closes when the action ends,
+// whichever way.
+func (a *Action) ExpectPrepared() {
+	top := a.Top()
+	top.mgr.beginCommitWindow(top.id)
+}
+
 // StashOnce stores v under key if the key is empty and reports whether it
 // stored. It lets per-action resources (e.g. lock trackers) register
 // exactly once.
@@ -811,6 +823,7 @@ func (a *Action) Abort(ctx context.Context) error {
 	allAcked := a.rollbackAll(ctx, participants, a.Top().id)
 	if parent == nil {
 		a.recordAbort(allAcked)
+		a.mgr.endCommitWindow(a.id) // opened early by ExpectPrepared, if at all
 	} else {
 		parent.mu.Lock()
 		if parent.status == StatusRunning {

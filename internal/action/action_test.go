@@ -988,3 +988,33 @@ func TestLookupDuringCommitIsUnavailable(t *testing.T) {
 		t.Fatal("lookup still unavailable after commit finished")
 	}
 }
+
+// TestExpectPreparedOpensTheWindowEarly: a participant whose request carries
+// phase one leaves prepared state at the stores before Commit is called. A
+// recovery lookup in that gap must answer "unavailable" too, and the window
+// must close when the action ends — by abort as well as by commit, or the
+// stores would hold the intention forever.
+func TestExpectPreparedOpensTheWindowEarly(t *testing.T) {
+	m := NewManager("client", nil)
+	for _, commit := range []bool{true, false} {
+		a := m.BeginTop()
+		_ = a.Enlist(&fakeParticipant{name: "p"})
+		if got := m.Lookup(a.ID()); got == store.OutcomeUnavailable {
+			t.Fatalf("lookup of a running action that prepared nothing = %v", got)
+		}
+		a.ExpectPrepared()
+		if got := m.Lookup(a.ID()); got != store.OutcomeUnavailable {
+			t.Fatalf("lookup before Commit, after ExpectPrepared = %v, want unavailable", got)
+		}
+		if commit {
+			if _, err := a.Commit(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := a.Abort(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Lookup(a.ID()); got == store.OutcomeUnavailable {
+			t.Fatalf("lookup still unavailable after the action ended (commit=%v)", commit)
+		}
+	}
+}

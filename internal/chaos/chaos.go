@@ -54,6 +54,14 @@ const (
 	// committed mixed transaction read of A is no older than the newest A
 	// acknowledged before its commit processing began.
 	WorkloadLeasedMixed
+	// WorkloadApplyCounter: the counter workload through Client.Apply —
+	// every op is one Apply("add", "1"), whose single request carries the
+	// action's phase one (and, over one store, its commit). Same invariants
+	// as WorkloadCounter: the settled value covers every increment reported
+	// committed and exceeds that only by ones reported in doubt — an Apply
+	// whose carrying reply was lost must come back ErrOutcomeUnknown, never
+	// aborted, and must never have been retried.
+	WorkloadApplyCounter
 )
 
 // String implements fmt.Stringer.
@@ -67,6 +75,8 @@ func (w Workload) String() string {
 		return "leased-counter"
 	case WorkloadLeasedMixed:
 		return "leased-mixed"
+	case WorkloadApplyCounter:
+		return "apply-counter"
 	default:
 		return fmt.Sprintf("workload(%d)", int(w))
 	}
@@ -388,6 +398,8 @@ func (r *runner) worker(idx int, cl *arjuna.Client) {
 			r.leasedOp(cl, rng)
 		case WorkloadLeasedMixed:
 			r.mixedOp(cl, rng)
+		case WorkloadApplyCounter:
+			r.applyOp(cl, rng)
 		default:
 			r.counterOp(cl, rng)
 		}
@@ -442,7 +454,14 @@ func (r *runner) atomic(ctx context.Context, cl *arjuna.Client, atEnd func(), st
 		}
 		return nil
 	})
-	op.class, op.val = classOf(err), vals[len(vals)-1]
+	op.val = vals[len(vals)-1]
+	return vals, rep, r.file(op, rep, err, steps...)
+}
+
+// file records one finished action under the class its error names and
+// returns that class.
+func (r *runner) file(op opRec, rep *arjuna.CommitReport, err error, steps ...step) outcomeClass {
+	op.class = classOf(err)
 	op.onePhase, op.excluded = rep.OnePhase, rep.ExcludedStores
 	if err != nil {
 		op.errMsg = err.Error()
@@ -474,7 +493,7 @@ func (r *runner) atomic(ctx context.Context, cl *arjuna.Client, atEnd func(), st
 		r.report.Uncertain++
 	}
 	r.ops = append(r.ops, op)
-	return vals, rep, op.class
+	return op.class
 }
 
 // actionCtx bounds one workload action.
@@ -486,6 +505,18 @@ func (r *runner) counterOp(cl *arjuna.Client, rng *rand.Rand) {
 	ctx, cancel := r.actionCtx()
 	defer cancel()
 	r.atomic(ctx, cl, nil, step{rng.Intn(r.cfg.Objects), "add", 1})
+}
+
+// applyOp is counterOp through Client.Apply. The facade does not name the
+// action, so the op trace carries no id.
+func (r *runner) applyOp(cl *arjuna.Client, rng *rand.Rand) {
+	ctx, cancel := r.actionCtx()
+	defer cancel()
+	s := step{rng.Intn(r.cfg.Objects), "add", 1}
+	op := opRec{client: cl.Name(), obj: s.obj}
+	out, rep, err := cl.Apply(ctx, r.w.Objects[s.obj], s.method, []byte(strconv.Itoa(s.delta)))
+	op.val, _ = strconv.Atoi(string(out))
+	r.file(op, rep, err, s)
 }
 
 // leasedOp runs one leased-counter action: ~60% leased reads, the rest

@@ -269,6 +269,38 @@ func TestChaosLeasedCounter(t *testing.T) {
 	}
 }
 
+// TestChaosApplyCounter: the counter schedules through Client.Apply, whose
+// one server message carries the action's phase one — the prepare over the
+// default three stores, the commit itself over one. Crashes, partitions and
+// lost replies (objsrv.Invoke replies among them) now land on a request
+// that may already have committed; conservation holds the facade to its
+// word: a committed increment is never reported aborted, and an in-doubt
+// one is reported ErrOutcomeUnknown and never run twice. The seeds are
+// picked, not consecutive: each set includes schedules on which some Apply
+// does end in doubt (not on every run — interleavings vary).
+func TestChaosApplyCounter(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		pinned []int64
+		cfg    Config
+	}{
+		{"three-stores", []int64{1001, 1015, 1027}, Config{}},
+		{"one-store", []int64{1108, 1122, 1140}, Config{Stores: 1}},
+		{"crash-during-commit", []int64{1020, 1201, 1203}, Config{BiasInDoubt: true}},
+	} {
+		if *seedFlag != 0 {
+			c.pinned = []int64{*seedFlag}
+		}
+		for _, seed := range c.pinned {
+			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Seed, cfg.Workload = seed, WorkloadApplyCounter
+				runSeed(t, cfg)
+			})
+		}
+	}
+}
+
 // TestChaosLeasedMixed: every write is a mixed transaction — lease-read A,
 // increment B, one Atomic — so commit-time lease revalidation runs under
 // crashes, partitions and lost invalidations. Conservation must hold on

@@ -1,7 +1,7 @@
 // Package chaos is a seed-deterministic nemesis harness for the
 // replicated-object stack: it derives a randomized fault schedule from a
 // single integer seed, applies it to a simulated cluster while concurrent
-// clients run counter, bank or leased workloads, and then checks a set of
+// clients run counter, bank, leased or Apply workloads, and then checks a set of
 // invariants that must hold under ANY failure pattern the paper's
 // protocols claim to tolerate.
 //
@@ -11,7 +11,8 @@
 // opens the deployment with arjuna.Open, each worker holds its node's
 // Client (the run's Scheme and Policy as ClientScheme and ClientPolicy),
 // and every action is one Client.Atomic — retries, backoff, lease
-// revalidation and all; faults and store checks reach the same nodes via
+// revalidation and all — or, in WorkloadApplyCounter, one Client.Apply,
+// whose single server message carries the action's phase one; faults and store checks reach the same nodes via
 // System.World. An action's class is the returned error's and nothing
 // else: nil is committed, ErrOutcomeUnknown is uncertain, anything else is
 // aborted. So the invariants test the facade's contract — "ErrAborted:

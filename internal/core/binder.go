@@ -90,6 +90,19 @@ func (s Scheme) String() string {
 //     EndAction(new action, commit)]: the client action's database locks
 //     go, then the last shaded action of Figure 7 drops the use counts.
 //
+// Between the two the binding talks to its servers, and how often depends on
+// what the action says about itself:
+//
+//   - invoke, then Prepare and Commit — or the one PrepareCommit when a
+//     single server writes back to a single store — for a binding of
+//     Atomic + Invoke, one among possibly several in its action;
+//   - one invoke for a binding of Apply (InvokeSolo), whose operation is
+//     declared the action's entire write set: the request carries phase one,
+//     so over one store a committed write is bind · invoke · action-end, and
+//     over several bind · invoke · Commit · action-end, with the outcome
+//     logged before the Commit as ever. Commit processing answers from the
+//     vote the reply carried (replica.Handle).
+//
 // No message goes to a server at bind time under single-copy passive: the
 // binding's first request activates the object where it lands and is the
 // §4.1.2 probe (replica.Handle). Active and coordinator-cohort bindings
@@ -101,7 +114,9 @@ func (s Scheme) String() string {
 //     commit)]: Figure 7's exclusive pass checks that nobody else is using
 //     the servers found dead (see Binding.repair), drops them from Sv so
 //     later clients do not pay the discovery cost (§4.1.3(i)) and counts
-//     the binding at the servers that replaced them.
+//     the binding at the servers that replaced them. A request sent after a
+//     candidate broke carries no phase one, so the repair always precedes
+//     the first message that could commit anything at the replacement.
 //
 // The standard scheme (Figure 6) has [GetServer, GetView] and a bare
 // EndAction only, and never repairs. A message that fails part-way leaves
@@ -170,6 +185,7 @@ type Binding struct {
 	binder *Binder
 	act    *action.Action
 	id     uid.UID
+	class  string
 	handle *replica.Handle
 	// bound lists the servers whose use lists count this binding: the hosts
 	// the bind action counted, as corrected by repair. Nil where use lists
@@ -469,6 +485,7 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, dbState *tx
 		binder:  b,
 		act:     act,
 		id:      id,
+		class:   class,
 		handle:  handle,
 		bound:   counted,
 		stView:  append([]transport.Addr(nil), st...),
@@ -608,17 +625,38 @@ func (bd *Binding) Invoke(ctx context.Context, method string, args []byte) ([]by
 }
 
 // InvokeSolo calls a method declared to be the action's entire write set
-// at this object. A commutative method may be folded into another
-// action's commit (flat combining); the second return reports that — the
-// binding then votes read-only at its own commit, which has nothing left
-// to send.
+// at this object: the caller will invoke nothing else under the action and
+// goes straight on to commit it. The request therefore carries the action's
+// phase one (see replica.Handle.InvokeSolo), and the binding's commit
+// processing answers from the carried vote. A commutative method may
+// instead be folded into another action's commit (flat combining); the
+// second return reports that — the binding then votes read-only at its own
+// commit, which has nothing left to send.
+//
+// Repair keeps its place after the request because a request that carried
+// anything found nothing to repair: the handle carries only while every
+// candidate is intact, so where a candidate broke the answering server has
+// merely run the method, repair names it in the use lists — or fails the
+// request, and the action aborts — and the commit is a message of its own,
+// after that.
+//
+// An error wrapping action.ErrOutcomeUnknown means the request may have
+// committed — it carried the commit, or was folded into one — and its reply
+// is lost: the caller must still commit the action, which resolves the
+// doubt, and must not abort or retry it. The repair is attempted then too,
+// but cannot fail the request any more.
 func (bd *Binding) InvokeSolo(ctx context.Context, method string, args []byte) ([]byte, bool, error) {
 	res, batched, err := bd.handle.InvokeSolo(ctx, bd.act, method, args)
 	if err == nil {
 		err = bd.repair(ctx)
+	} else if errors.Is(err, action.ErrOutcomeUnknown) {
+		_ = bd.repair(ctx)
 	}
 	return res, batched, err
 }
+
+// Class returns the bound object's class name, as the database recorded it.
+func (bd *Binding) Class() string { return bd.class }
 
 // LeaseCheck acquires the object's read lock under the binding's action
 // and returns the committed version the coordinator server holds — the
@@ -789,7 +827,7 @@ func (bd *Binding) Abort(ctx context.Context, tx string) error {
 // collects what a failed one leaves.
 func (bd *Binding) endAtDB(ctx context.Context, tx string, endTx, commit bool) error {
 	b := bd.binder
-	var ops []Op
+	ops := make([]Op, 0, 3) // sized once: EndAction, Decrement, EndAction
 	claimed := endTx && bd.dbState.tryEnd()
 	if claimed {
 		ops = append(ops, EndActionOp(tx, commit))

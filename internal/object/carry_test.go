@@ -1,0 +1,264 @@
+package object
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/rpc"
+	"repro/internal/transport"
+)
+
+// soloRef is the ref a binding's one solo request goes through: it names the
+// class and the St view the carried phase one writes back to.
+func (w *world) soloRef(node transport.Addr, stNodes ...transport.Addr) ServerRef {
+	return ServerRef{Client: w.cluster.Node("client").Client(), Node: node, UID: w.id, Class: "counter", StNodes: stNodes}
+}
+
+func (w *world) stored(t *testing.T, st transport.Addr) (string, uint64) {
+	t.Helper()
+	v, err := w.cluster.Node(st).Store().Read(w.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(v.Data), v.Seq
+}
+
+// TestSoloInvokeCarriesPrepareCommit: over one store the request that runs
+// the method commits the action — the reply has the result and
+// PrepareCommit's answer, the store has the new version, and the server has
+// forgotten the action, so nothing is left for a second message to do.
+func TestSoloInvokeCarriesPrepareCommit(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	resp, err := w.soloRef("sv1", "st1").InvokeSolo(ctx, "a1", "add", []byte("3"), CarryCommit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp.Result) != "3" || resp.Carried != CarryCommit || resp.VoteErr() != nil ||
+		!resp.Vote.Dirty || resp.Vote.NewSeq != 2 || resp.Vote.BatchSize != 1 {
+		t.Fatalf("reply = %+v", resp)
+	}
+	if data, seq := w.stored(t, "st1"); data != "3" || seq != 2 {
+		t.Fatalf("st1 holds %q/%d, want 3/2", data, seq)
+	}
+	if st, err := w.ref("sv1").Status(ctx); err != nil || st.Users != 0 || st.Prepared != 0 || st.Seq != 2 {
+		t.Fatalf("status after the carried commit = %+v, %v", st, err)
+	}
+	// The write lock went with the commit: the next action is not kept waiting.
+	if _, err := w.ref("sv1").Invoke(ctx, "a2", "add", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSoloInvokeCarriesPrepare: over several stores the request carries
+// phase one only — the stores hold intentions, the reply says where, and the
+// Commit message finishes the action as it finishes a Prepare's.
+func TestSoloInvokeCarriesPrepare(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	resp, err := w.soloRef("sv1", "st1", "st2").InvokeSolo(ctx, "a1", "add", []byte("3"), CarryPrepare, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp.Result) != "3" || resp.Carried != CarryPrepare || resp.VoteErr() != nil ||
+		!resp.Vote.Dirty || len(resp.Vote.PreparedNodes) != 2 || len(resp.Vote.FailedNodes) != 0 {
+		t.Fatalf("reply = %+v", resp)
+	}
+	if data, seq := w.stored(t, "st1"); data != "0" || seq != 1 {
+		t.Fatalf("st1 holds %q/%d before phase two, want 0/1", data, seq)
+	}
+	if st, err := w.ref("sv1").Status(ctx); err != nil || st.Users != 1 || st.Prepared != 1 {
+		t.Fatalf("status after the carried prepare = %+v, %v", st, err)
+	}
+	if _, err := w.ref("sv1").Commit(ctx, "a1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []transport.Addr{"st1", "st2"} {
+		if data, seq := w.stored(t, st); data != "3" || seq != 2 {
+			t.Fatalf("%s holds %q/%d, want 3/2", st, data, seq)
+		}
+	}
+}
+
+// TestSoloInvokeRefusedVoteKeepsTheResult: the method ran and the vote was
+// refused — no store took the new state. That is the action's commit
+// failing, not its invocation: the reply still succeeds, the refusal rides in
+// it under the code Prepare would have returned, and the action is left for
+// the caller's Abort.
+func TestSoloInvokeRefusedVoteKeepsTheResult(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	if _, err := w.firstRef("sv1", w.id).Invoke(ctx, "a0", "get", nil); err != nil { // activate while the stores are up
+		t.Fatal(err)
+	}
+	if _, err := w.ref("sv1").Prepare(ctx, "a0", nil); err != nil {
+		t.Fatal(err)
+	}
+	w.cluster.Node("st1").Crash()
+	w.cluster.Node("st2").Crash()
+	resp, err := w.soloRef("sv1", "st1", "st2").InvokeSolo(ctx, "a1", "add", []byte("3"), CarryPrepare, nil)
+	if err != nil {
+		t.Fatalf("the invocation failed with the vote's error: %v", err)
+	}
+	if string(resp.Result) != "3" || resp.Carried != CarryPrepare || rpc.CodeOf(resp.VoteErr()) != CodeUnavailable {
+		t.Fatalf("reply = %+v, vote error %v; want the result and a %s vote", resp, resp.VoteErr(), CodeUnavailable)
+	}
+	if _, err := w.ref("sv1").Abort(ctx, "a1"); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := w.ref("sv1").Invoke(ctx, "a2", "get", nil); err != nil || string(out) != "0" {
+		t.Fatalf("state after the abort = %q, %v; want 0", out, err)
+	}
+}
+
+// TestSoloInvokeFailedMethodCarriesNothing: a method that fails stops the
+// request where it always did — nothing is prepared anywhere, the lock stays
+// with the action, and the Abort that follows restores the snapshot.
+func TestSoloInvokeFailedMethodCarriesNothing(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	if _, err := w.soloRef("sv1", "st1").InvokeSolo(ctx, "a1", "fail", nil, CarryCommit, nil); rpc.CodeOf(err) != rpc.CodeInternal {
+		t.Fatalf("err = %v, want the method's failure", err)
+	}
+	if pend := w.cluster.Node("st1").Store().PendingTxs(); len(pend) != 0 {
+		t.Fatalf("st1 holds intentions %v after a failed method", pend)
+	}
+	if st, err := w.ref("sv1").Status(ctx); err != nil || st.Users != 1 || st.Seq != 1 {
+		t.Fatalf("status = %+v, %v: the action should still hold the object", st, err)
+	}
+	if _, err := w.ref("sv1").Abort(ctx, "a1"); err != nil {
+		t.Fatal(err)
+	}
+	if data, seq := w.stored(t, "st1"); data != "0" || seq != 1 {
+		t.Fatalf("st1 holds %q/%d, want 0/1", data, seq)
+	}
+}
+
+// TestSoloReadIsRunAndRelease: a solo read's carried commit finds the action
+// clean and releases it on the spot — one request, no store traffic, no
+// user left behind.
+func TestSoloReadIsRunAndRelease(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	resp, err := w.soloRef("sv1", "st1").InvokeSolo(ctx, "a1", "get", nil, CarryCommit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp.Result) != "0" || resp.Carried != CarryCommit || resp.Vote.Dirty || resp.VoteErr() != nil {
+		t.Fatalf("reply = %+v", resp)
+	}
+	if st, err := w.ref("sv1").Status(ctx); err != nil || st.Users != 0 {
+		t.Fatalf("status = %+v, %v: the read was not released", st, err)
+	}
+}
+
+// TestSoloLeaderDrainsCombinerInSameRequest: a commutative op that arrives
+// while a carrying leader holds the write lock is folded into the leader's
+// write-back — which now happens in the leader's own request, right after
+// its method — and is answered Batched with the batch size the leader's
+// vote reports.
+func TestSoloLeaderDrainsCombinerInSameRequest(t *testing.T) {
+	w := newWorld(t)
+	// The first "add" blocks inside the method, lock held, until released.
+	entered, release := make(chan struct{}), make(chan struct{})
+	first := true
+	class := counterClass()
+	add := class.Methods["add"]
+	class.Methods["add"] = func(state, args []byte) ([]byte, []byte, error) {
+		if first {
+			first = false
+			close(entered)
+			<-release
+		}
+		return add(state, args)
+	}
+	class.Commutative = map[string]bool{"add": true}
+	w.reg.Register(class)
+	mgr := NewManager(w.cluster.Add("sv3"), w.reg)
+	ctx := context.Background()
+
+	type reply struct {
+		resp InvokeResp
+		err  error
+	}
+	leader, follower := make(chan reply, 1), make(chan reply, 1)
+	go func() {
+		resp, err := w.soloRef("sv3", "st1").InvokeSolo(ctx, "lead", "add", []byte("1"), CarryCommit, nil)
+		leader <- reply{resp, err}
+	}()
+	<-entered
+	go func() {
+		resp, err := w.soloRef("sv3", "st1").InvokeSolo(ctx, "follow", "add", []byte("10"), CarryCommit, nil)
+		follower <- reply{resp, err}
+	}()
+	in, _ := mgr.lookup(w.id)
+	for deadline := time.Now().Add(5 * time.Second); in.comb.depth() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never queued behind the leader")
+		}
+	}
+	close(release)
+
+	l, f := <-leader, <-follower
+	if l.err != nil || f.err != nil {
+		t.Fatalf("leader: %v, follower: %v", l.err, f.err)
+	}
+	if l.resp.Batched || l.resp.Carried != CarryCommit || l.resp.Vote.BatchSize != 2 || string(l.resp.Result) != "1" {
+		t.Fatalf("leader reply = %+v; want a carried commit of a batch of 2", l.resp)
+	}
+	if !f.resp.Batched || f.resp.BatchSize != 2 || f.resp.Carried != CarryNone || string(f.resp.Result) != "11" {
+		t.Fatalf("follower reply = %+v; want Batched, the leader's batch size, and nothing carried", f.resp)
+	}
+	if data, seq := w.stored(t, "st1"); data != "11" || seq != 2 {
+		t.Fatalf("st1 holds %q/%d, want 11/2: one commit for both ops", data, seq)
+	}
+	if st, err := w.ref("sv3").Status(ctx); err != nil || st.Users != 0 {
+		t.Fatalf("status = %+v, %v", st, err)
+	}
+}
+
+// TestFoldedFollowerOfUndecidedLeaderIsUncertain: a follower folded into a
+// leader's prepared write-back waits for the leader's outcome. When that
+// never comes — the leader's client gave the action up without an Abort
+// reaching this server — the follower's caller is released by its own
+// deadline, and told the truth: the op may yet commit, so the answer is
+// CodeCommitUncertain, not a refusal.
+func TestFoldedFollowerOfUndecidedLeaderIsUncertain(t *testing.T) {
+	w := newWorld(t)
+	class := counterClass()
+	class.Commutative = map[string]bool{"add": true}
+	w.reg.Register(class)
+	mgr := NewManager(w.cluster.Add("sv3"), w.reg)
+	ctx := context.Background()
+	// The leader holds the write lock, unprepared: the follower queues.
+	if _, err := w.soloRef("sv3", "st1", "st2").InvokeSolo(ctx, "lead", "add", []byte("1"), CarryNone, nil); err != nil {
+		t.Fatal(err)
+	}
+	fctx, cancel := context.WithCancel(ctx)
+	follower := make(chan error, 1)
+	go func() {
+		_, err := w.soloRef("sv3", "st1", "st2").InvokeSolo(fctx, "follow", "add", []byte("10"), CarryPrepare, nil)
+		follower <- err
+	}()
+	in, _ := mgr.lookup(w.id)
+	for deadline := time.Now().Add(5 * time.Second); in.comb.depth() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never queued behind the leader")
+		}
+	}
+	// The leader prepares — folding the follower — and is never heard of again.
+	presp, err := w.ref("sv3").Prepare(ctx, "lead", []transport.Addr{"st1", "st2"})
+	if err != nil || presp.BatchSize != 2 {
+		t.Fatalf("leader's prepare = %+v, %v; want a batch of 2", presp, err)
+	}
+	cancel()
+	select {
+	case err := <-follower:
+		if rpc.CodeOf(err) != CodeCommitUncertain {
+			t.Fatalf("follower's answer = %v, want %s", err, CodeCommitUncertain)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the follower is still waiting for a verdict that cannot come")
+	}
+}

@@ -20,7 +20,8 @@ type ServerRef struct {
 	// Class and StNodes, when Class is non-empty, ride Invoke, InvokeFull,
 	// InvokeSolo and LeaseCheck: the server activates the object on a miss
 	// instead of refusing with CodeNotActive. A binding sets them on its
-	// first request, which makes a separate Activate unnecessary.
+	// first request, which makes a separate Activate unnecessary. StNodes
+	// alone rides an InvokeSolo that carries phase one.
 	Class   string
 	StNodes []transport.Addr
 }
@@ -46,7 +47,7 @@ func (r ServerRef) Activate(ctx context.Context, class string, stNodes []transpo
 // invoke sends req, filling in the object and the ref's activation fields.
 func (r ServerRef) invoke(ctx context.Context, req InvokeReq) (InvokeResp, error) {
 	req.UID = r.name()
-	if r.Class != "" {
+	if r.Class != "" || req.Carry != CarryNone {
 		req.Class, req.StNodes = r.Class, addrsToStrings(r.StNodes)
 	}
 	return rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, req)
@@ -73,9 +74,15 @@ func (r ServerRef) InvokeFull(ctx context.Context, action, method string, args [
 // invocation is the action's entire write set. That permits the server to
 // fold a commutative method into another action's commit (flat
 // combining); the full response is returned so the caller can see whether
-// the operation was batched.
-func (r ServerRef) InvokeSolo(ctx context.Context, action, method string, args []byte) (InvokeResp, error) {
-	return r.invoke(ctx, InvokeReq{Action: action, Method: method, Args: args, Solo: true})
+// the operation was batched. carry asks the server to go on into the
+// action's phase one against the ref's StNodes (see InvokeReq.Carry), with
+// checkpointTo as PrepareCommit's; the vote is in the response.
+func (r ServerRef) InvokeSolo(ctx context.Context, action, method string, args []byte, carry Carry, checkpointTo []transport.Addr) (InvokeResp, error) {
+	req := InvokeReq{Action: action, Method: method, Args: args, Solo: true, Carry: carry}
+	if len(checkpointTo) > 0 {
+		req.CheckpointTo = addrsToStrings(checkpointTo)
+	}
+	return r.invoke(ctx, req)
 }
 
 // Prepare runs the server's commit-time state copy to stNodes (phase one).

@@ -18,6 +18,22 @@ import (
 // Batched=true; the follower's action then commits locally with nothing
 // left to do. N lock waits + N commits become 1.
 //
+// A solo holder reaches the prepare step in the request that made it the
+// holder: its invoke carries the action's phase one (InvokeReq.Carry), so
+// the drain comes right after its own method — whether it took the lock at
+// once or was promoted from the queue — and the window in which followers
+// can queue behind it is the method plus the lock hand-off, no longer a
+// client round trip. What queues during its store write waits for the
+// release, and the head is promoted then. A holder that is an ordinary
+// action (Atomic + Invoke) drains at its Prepare or PrepareCommit message,
+// as before.
+//
+// A folded operation's fate is its leader's. If no verdict comes — the
+// leader's client gave the action up and no Abort reached this server — the
+// follower's caller is released by its own deadline with
+// CodeCommitUncertain, never with a refusal: the leader's intentions may
+// still be committed.
+//
 // Atomicity: folded operations are applied AFTER the leader's pre-write
 // snapshot was taken, so the leader's abort path (snapshot restore)
 // undoes the whole batch; the store write-back carries the folded state,

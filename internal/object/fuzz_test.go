@@ -22,14 +22,31 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	carryReq, err := rpc.Encode(&InvokeReq{UID: "obj-1", Action: "act-1", Method: "incr", Args: []byte{1}, Solo: true, Class: "counter", StNodes: []string{"st1"}, Carry: CarryCommit, CheckpointTo: []string{"sv2"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	carryResp, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Carried: CarryPrepare, Vote: PrepareResp{Dirty: true, NewSeq: 2, PreparedNodes: []string{"st1"}, FailedNodes: []string{"st2"}, BatchSize: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	refusedResp, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Carried: CarryCommit, VoteCode: CodeCommitUncertain, VoteMsg: "lost"})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(reqFrame)
 	f.Add(respFrame)
+	f.Add(carryReq)
+	f.Add(carryResp)
+	f.Add(refusedResp)
 	f.Add(reqFrame[:len(reqFrame)/2]) // torn mid-body
 	f.Add([]byte{})
 	f.Add([]byte{rpc.WireMagic})
 	f.Add([]byte{rpc.WireMagic, 0x22, 0x00})                 // version 0
 	f.Add([]byte{rpc.WireMagic, 0x22, 0x7f})                 // future version
 	f.Add(append(reqFrame[:len(reqFrame):len(reqFrame)], 0)) // trailing byte
+
+	f.Add(append(carryReq[:len(carryReq)-6:len(carryReq)-6], 9, 0)) // a carry value no version defines
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var req InvokeReq

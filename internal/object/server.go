@@ -63,9 +63,11 @@ const (
 	// CodeCommitUncertain reports that a one-phase commit attempt ended
 	// ambiguously: the server's CommitOnePhase call to the St node failed
 	// with an error that does not rule out the store having durably applied
-	// the write (context cancellation, deadline, or a lost reply). The
-	// caller must NOT treat this as a definite refusal — the outcome is
-	// unknown and has to be resolved (or reported as unknown) upstream.
+	// the write (context cancellation, deadline, or a lost reply) — or a
+	// solo op was folded into another action's commit and its caller stopped
+	// waiting before that commit was decided. The caller must NOT treat this
+	// as a definite refusal — the outcome is unknown and has to be resolved
+	// (or reported as unknown) upstream.
 	CodeCommitUncertain = "commit-uncertain"
 )
 
@@ -270,10 +272,31 @@ type InvokeReq struct {
 	// Class and StNodes ride a binding's first request: when Class is
 	// non-empty and the object has no server at this node, the handler
 	// activates it — as Activate would — before invoking. Later requests
-	// leave them empty; a miss is then CodeNotActive.
+	// leave Class empty; a miss is then CodeNotActive.
 	Class   string
 	StNodes []string
+	// Carry, on a Solo request, asks the server to go straight on from the
+	// method into the action's phase one: the operation is all the action
+	// will ever do, so the vote need not wait for a second message.
+	// CarryPrepare runs what the Prepare RPC runs against StNodes,
+	// CarryCommit what PrepareCommit runs (CheckpointTo included), and the
+	// reply carries the vote beside the result. A method that fails carries
+	// nothing, and neither does an op folded into another action's commit.
+	Carry        Carry
+	CheckpointTo []string
 }
+
+// Carry says how far a solo request takes its action once the method has
+// run.
+type Carry uint8
+
+// The carried phases. The client picks by the rule that picks between the
+// Prepare and PrepareCommit RPCs (see replica.Handle.CommitOnePhase).
+const (
+	CarryNone Carry = iota
+	CarryPrepare
+	CarryCommit
+)
 
 // InvokeResp carries the method result. Modified reports whether the
 // invocation took the write path (clients use it to decide whether a
@@ -294,6 +317,24 @@ type InvokeResp struct {
 	// Lease, when non-nil, is the read lease granted for this
 	// invocation (requested via InvokeReq.LeaseHolder).
 	Lease *LeaseGrant
+	// Carried echoes InvokeReq.Carry when the server went on into phase one
+	// in this request. Vote is then what the Prepare RPC would have answered
+	// (for CarryCommit, PrepareCommit's answer in the same fields), or — the
+	// vote being a refusal — VoteCode and VoteMsg are the error that RPC
+	// would have returned. The method's result stands either way: a refused
+	// vote is the caller's commit failing, not its invocation.
+	Carried           Carry
+	Vote              PrepareResp
+	VoteCode, VoteMsg string
+}
+
+// VoteErr returns the carried phase one's refusal as the error its own RPC
+// would have returned, nil when the vote was given.
+func (p *InvokeResp) VoteErr() error {
+	if p.VoteCode == "" {
+		return nil
+	}
+	return &rpc.AppError{Code: p.VoteCode, Msg: p.VoteMsg}
 }
 
 // PrepareReq asks the server to prepare its commit-time state copy to the
@@ -549,7 +590,35 @@ func (m *Manager) handleInvoke(ctx context.Context, from transport.Addr, req Inv
 	if err != nil {
 		return InvokeResp{}, err
 	}
-	return m.invokeOn(ctx, in, req)
+	resp, err := m.invokeOn(ctx, in, req)
+	if err != nil || !req.Solo || req.Carry == CarryNone || resp.Batched {
+		return resp, err
+	}
+	m.carryPhaseOne(ctx, from, req, &resp)
+	return resp, nil
+}
+
+// carryPhaseOne runs the action's phase one in the request that ran its
+// only operation, by calling the handler the client would otherwise have
+// addressed next — so the lease fence, the combiner drain, stale-copy
+// passivation and the in-doubt report are that handler's, at the same point
+// of its code, one request earlier. The write lock is held from the method
+// to the end of the commit with no client round trip in between.
+func (m *Manager) carryPhaseOne(ctx context.Context, from transport.Addr, req InvokeReq, resp *InvokeResp) {
+	var err error
+	if req.Carry == CarryCommit {
+		var pc PrepareCommitResp
+		pc, err = m.handlePrepareCommit(ctx, from, PrepareCommitReq{UID: req.UID, Action: req.Action, StNodes: req.StNodes, CheckpointTo: req.CheckpointTo})
+		resp.Vote = PrepareResp{Dirty: pc.Dirty, NewSeq: pc.NewSeq, FailedNodes: pc.FailedNodes, BatchSize: pc.BatchSize}
+	} else {
+		resp.Vote, err = m.handlePrepare(ctx, from, PrepareReq{UID: req.UID, Action: req.Action, StNodes: req.StNodes})
+	}
+	resp.Carried = req.Carry
+	if err != nil {
+		// An error reply has no body.
+		ae := rpc.AppErrorOf(err)
+		resp.Vote, resp.VoteCode, resp.VoteMsg = PrepareResp{}, ae.Code, ae.Msg
+	}
 }
 
 func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (InvokeResp, error) {
@@ -651,8 +720,16 @@ func (m *Manager) invokeSolo(ctx context.Context, in *instance, req InvokeReq, m
 		}
 		// A leader claimed the op in the same instant: its fate is tied to
 		// that leader's commit now, so wait for the verdict rather than
-		// reporting an outcome that may be wrong.
-		out = <-op.done
+		// reporting an outcome that may be wrong. A caller that stops waiting
+		// first — the leader may be an action whose client gave it up
+		// without an Abort reaching this server, and then no verdict ever
+		// comes — is told exactly that: the op may yet commit.
+		select {
+		case out = <-op.done:
+		case <-ctx.Done():
+			return InvokeResp{}, rpc.Errorf(CodeCommitUncertain,
+				"object %s: op folded into a commit still undecided: %v", req.UID, ctx.Err())
+		}
 	}
 	wait := int64(time.Since(start))
 	m.stats.Histogram("objsrv.lock.wait_ms").RecordDuration(time.Duration(wait))

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/rpc"
@@ -9,10 +10,11 @@ import (
 // Binary codecs (rpc.Wire) for the object-server wire records — the
 // invoke request/reply and the 2PC prepare/commit/abort messages are the
 // hottest payloads in the system. Tags live in the 0x20–0x3f block of the
-// registry in internal/rpc/doc.go. The invoke reply is at version 2
-// (read-lease fields), the invoke request at version 3 and the lease check
-// at version 2 (the first request's activation fields); everything else is
-// at version 1.
+// registry in internal/rpc/doc.go. The invoke request is at version 4 and
+// the invoke reply at version 3 (the carried phase one and its vote; before
+// that the activation fields and the read-lease fields), the lease check at
+// version 2 (the first request's activation fields); everything else is at
+// version 1.
 const (
 	wireTagActivateReq byte = 0x20 + iota
 	wireTagActivateResp
@@ -71,16 +73,19 @@ func (p *ActivateResp) ParseWire(_ byte, r *rpc.WireReader) error {
 }
 
 // InvokeReq (version 2 appends the read-lease request field, version 3
-// the first request's activation fields)
+// the first request's activation fields, version 4 the carried phase one)
 
 // WireTag implements rpc.Wire.
-func (*InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 3 }
+func (*InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 4 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (q *InvokeReq) WireSizeHint() int {
-	n := len(q.UID) + len(q.Action) + len(q.Method) + len(q.Args) + len(q.LeaseHolder) + len(q.Class) + 24
+	n := len(q.UID) + len(q.Action) + len(q.Method) + len(q.Args) + len(q.LeaseHolder) + len(q.Class) + 28
 	for _, st := range q.StNodes {
 		n += len(st) + 2
+	}
+	for _, sv := range q.CheckpointTo {
+		n += len(sv) + 2
 	}
 	return n
 }
@@ -94,7 +99,9 @@ func (q *InvokeReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBool(dst, q.Solo)
 	dst = rpc.AppendString(dst, q.LeaseHolder)
 	dst = rpc.AppendString(dst, q.Class)
-	return rpc.AppendStrings(dst, q.StNodes)
+	dst = rpc.AppendStrings(dst, q.StNodes)
+	dst = rpc.AppendUvarint(dst, uint64(q.Carry))
+	return rpc.AppendStrings(dst, q.CheckpointTo)
 }
 
 // ParseWire implements rpc.Wire.
@@ -111,19 +118,46 @@ func (q *InvokeReq) ParseWire(ver byte, r *rpc.WireReader) error {
 		q.Class = r.String()
 		q.StNodes = r.Strings()
 	}
+	if ver >= 4 {
+		var err error
+		if q.Carry, err = readCarry(r); err != nil {
+			return err
+		}
+		q.CheckpointTo = r.Strings()
+	}
 	return nil
 }
 
-// InvokeResp (version 2 appends the optional lease grant)
+// readCarry reads a Carry value, refusing the ones this version does not
+// define.
+func readCarry(r *rpc.WireReader) (Carry, error) {
+	c := r.Uvarint()
+	if c > uint64(CarryCommit) {
+		return CarryNone, fmt.Errorf("%w: carry %d", rpc.ErrWire, c)
+	}
+	return Carry(c), nil
+}
+
+// InvokeResp (version 2 appends the optional lease grant, version 3 the
+// carried phase one's vote)
 
 // WireTag implements rpc.Wire.
-func (*InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 2 }
+func (*InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 3 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (p *InvokeResp) WireSizeHint() int {
 	n := len(p.Result) + 32
 	if p.Lease != nil {
 		n += len(p.Lease.Class) + len(p.Lease.State) + 24
+	}
+	if p.Carried != CarryNone {
+		n += len(p.VoteCode) + len(p.VoteMsg) + 24
+		for _, st := range p.Vote.PreparedNodes {
+			n += len(st) + 2
+		}
+		for _, st := range p.Vote.FailedNodes {
+			n += len(st) + 2
+		}
 	}
 	return n
 }
@@ -142,6 +176,12 @@ func (p *InvokeResp) AppendWire(dst []byte) []byte {
 		dst = rpc.AppendUvarint(dst, p.Lease.Seq)
 		dst = rpc.AppendVarint(dst, int64(p.Lease.TTL))
 	}
+	dst = rpc.AppendUvarint(dst, uint64(p.Carried))
+	if p.Carried != CarryNone {
+		dst = rpc.AppendString(dst, p.VoteCode)
+		dst = rpc.AppendString(dst, p.VoteMsg)
+		dst = p.Vote.AppendWire(dst)
+	}
 	return dst
 }
 
@@ -158,6 +198,17 @@ func (p *InvokeResp) ParseWire(ver byte, r *rpc.WireReader) error {
 			State: r.Bytes(),
 			Seq:   r.Uvarint(),
 			TTL:   time.Duration(r.Varint()),
+		}
+	}
+	if ver >= 3 {
+		var err error
+		if p.Carried, err = readCarry(r); err != nil {
+			return err
+		}
+		if p.Carried != CarryNone {
+			p.VoteCode = r.String()
+			p.VoteMsg = r.String()
+			return p.Vote.ParseWire(1, r)
 		}
 	}
 	return nil

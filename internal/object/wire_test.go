@@ -15,7 +15,10 @@ func TestWireRoundTrip(t *testing.T) {
 		{&ActivateResp{Seq: 42, Fresh: true, LoadedFrom: "s1"}, &ActivateResp{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1, 2, 3}, Solo: true}, &InvokeReq{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "get", LeaseHolder: "c1", Class: "Counter", StNodes: []string{"s1", "s2"}}, &InvokeReq{}},
+		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1}, Solo: true, Class: "Counter", StNodes: []string{"s1"}, Carry: CarryCommit, CheckpointTo: []string{"sv2"}}, &InvokeReq{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Batched: true, BatchSize: 5, WaitNanos: -250}, &InvokeResp{}},
+		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryPrepare, Vote: PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}, &InvokeResp{}},
+		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryCommit, VoteCode: CodeCommitUncertain, VoteMsg: "reply lost"}, &InvokeResp{}},
 		{&PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}}, &PrepareReq{}},
 		{&PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}, &PrepareResp{}},
 		{&EndReq{UID: "obj", Action: "a1", CheckpointTo: []string{"s1"}}, &EndReq{}},
@@ -67,15 +70,17 @@ func TestWireTagsUnique(t *testing.T) {
 }
 
 // TestWireOlderRequestVersionsDecode: frames written before the activation
-// fields existed (invoke request v1 and v2, lease check v1) still decode,
-// with those fields empty.
+// fields and the carried phase one existed (invoke request v1 to v3, invoke
+// reply v2, lease check v1) still decode, with those fields empty.
 func TestWireOlderRequestVersionsDecode(t *testing.T) {
 	body := rpc.AppendString(rpc.AppendString(nil, "obj"), "a1")
 	invoke := rpc.AppendBool(rpc.AppendBytes(rpc.AppendString(body, "get"), []byte{7}), true)
 	want := InvokeReq{UID: "obj", Action: "a1", Method: "get", Args: []byte{7}, Solo: true}
+	v2 := rpc.AppendString(invoke[:len(invoke):len(invoke)], "")
 	for ver, frame := range map[byte][]byte{
 		1: invoke,
-		2: rpc.AppendString(invoke[:len(invoke):len(invoke)], ""),
+		2: v2,
+		3: rpc.AppendStrings(rpc.AppendString(v2[:len(v2):len(v2)], ""), nil),
 	} {
 		var got InvokeReq
 		if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagInvokeReq, ver}, frame...), &got); err != nil {
@@ -84,6 +89,15 @@ func TestWireOlderRequestVersionsDecode(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("invoke request v%d = %+v, want %+v", ver, got, want)
 		}
+	}
+	// An invoke reply v2 ends after the lease flag.
+	reply := rpc.AppendBool(rpc.AppendVarint(rpc.AppendUvarint(rpc.AppendBool(rpc.AppendBool(rpc.AppendBytes(nil, []byte("r")), true), false), 0), 9), false)
+	var resp InvokeResp
+	if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagInvokeResp, 2}, reply...), &resp); err != nil {
+		t.Fatalf("invoke reply v2: %v", err)
+	}
+	if !reflect.DeepEqual(resp, InvokeResp{Result: []byte("r"), Modified: true, WaitNanos: 9}) {
+		t.Errorf("invoke reply v2 = %+v", resp)
 	}
 	var check LeaseCheckReq
 	if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagLeaseCheckReq, 1}, body...), &check); err != nil {

@@ -159,15 +159,24 @@ type Handle struct {
 	// invocation folded into another action's commit. Commit and Abort
 	// become no-ops then.
 	released bool
-	// onePhaseDoubt records that a one-phase commit attempt ended
-	// ambiguously (reply lost after the request may have been delivered):
-	// the combined round may have committed at the coordinator. The
+	// onePhaseDoubt records that a one-phase commit attempt — or the solo
+	// request that carried it, or that the server may have folded into
+	// another action's commit — ended ambiguously (reply lost after the
+	// request may have been delivered): the write may have committed. The
 	// two-phase fallback resolves the doubt only when the coordinator
 	// answers the re-prepare; if it cannot be reached, Prepare reports
 	// action.ErrOutcomeUnknown instead of a definite-looking failure — a
 	// crashed coordinator's surviving handler goroutine may have completed
 	// the store commit after the client gave the server up for dead.
 	onePhaseDoubt bool
+	// carried, when not CarryNone, says that a solo request took the action
+	// into phase one at the coordinator (see InvokeSolo), and carriedVote /
+	// carriedErr are what the Prepare (CarryPrepare) or PrepareCommit
+	// (CarryCommit) message would have answered. Prepare or CommitOnePhase
+	// takes the answer in place of sending that message.
+	carried     object.Carry
+	carriedVote object.PrepareResp
+	carriedErr  error
 	// batchSize records how many operations the commit round that carried
 	// this handle's write folded (0 when unknown or unbatched).
 	batchSize int
@@ -371,15 +380,36 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, 
 }
 
 // InvokeSolo performs one operation under act, declaring it the action's
-// entire write set at this object. For a commutative method contending on
-// the write lock, the server may fold the operation into the current lock
-// holder's commit round (flat combining); the second return reports that:
-// the operation's durability is then tied to the carrying action's
-// already-decided commit, the handle is released, and the caller's own
-// commit processing completes locally with no further RPCs.
+// entire write set at this object — the action will do nothing else, so the
+// request also carries the action's phase one: the server goes on from the
+// method into what the handle's next message would have asked for (the
+// combined prepare+commit when CommitOnePhase is eligible, prepare at the
+// St stores otherwise), the reply brings the vote back with the result, and
+// CommitOnePhase or Prepare answers from that record with no message. For
+// a commutative method contending on the write lock, the server may instead
+// fold the operation into the current lock holder's commit round (flat
+// combining); the second return reports that: the operation's durability is
+// then tied to the carrying action's already-decided commit, the handle is
+// released, and the caller's own commit processing completes locally with
+// no further RPCs.
 //
-// Active replication never batches (folding at one replica would diverge
-// the others), so the call degrades to a plain Invoke there.
+// Only a handle with every candidate intact carries. Once a candidate broke,
+// the binding layer has use lists to repair before anything may commit at
+// the server that answered, so the request is a plain solo invoke and commit
+// processing sends its own messages.
+//
+// A solo request that fails ambiguously — reply lost, deadline,
+// cancellation, or the server's own CodeCommitUncertain — may have
+// committed: it carried the commit, or the server folded it into a commit
+// that went through. The binding is not broken then: the error wraps
+// action.ErrOutcomeUnknown, the doubt is recorded, and the caller must go on
+// to commit processing, which resolves it as it resolves a lost
+// PrepareCommit reply (see CommitOnePhase) — aborting instead could undo
+// nothing and report an abort over a committed write.
+//
+// Active replication never batches or carries (one replica folding, or
+// preparing ahead of the others, would diverge the copies), so the call
+// degrades to a plain Invoke there.
 func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method string, args []byte) ([]byte, bool, error) {
 	if h.cfg.Policy == Active {
 		res, err := h.Invoke(ctx, act, method, args)
@@ -391,7 +421,27 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 	owner := act.Top().ID()
 	var resp object.InvokeResp
 	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
-		resp, err = ref.InvokeSolo(ctx, owner, method, args)
+		carry := object.CarryNone
+		var checkpointTo []transport.Addr
+		if h.intact() {
+			ref.StNodes = h.cfg.StNodes
+			if h.onePhaseEligible(1) {
+				carry, checkpointTo = object.CarryCommit, h.cohortsOf(ref.Node)
+			} else {
+				// Intentions will sit at the stores before Commit is called.
+				carry = object.CarryPrepare
+				act.ExpectPrepared()
+			}
+		}
+		resp, err = ref.InvokeSolo(ctx, owner, method, args, carry, checkpointTo)
+		if commitInDoubt(err) {
+			h.mu.Lock()
+			h.onePhaseDoubt = true
+			h.mu.Unlock()
+			// The cause is text only: nothing on the chain may read as a crash
+			// or a refusal, to atCoordinator or to the caller.
+			return fmt.Errorf("replica %v: solo request's outcome unknown (%v): %w", h.cfg.UID, err, action.ErrOutcomeUnknown)
+		}
 		return err
 	})
 	if err != nil {
@@ -407,8 +457,28 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 		h.released = true
 		h.batchSize = resp.BatchSize
 	}
+	h.carried, h.carriedVote, h.carriedErr = resp.Carried, resp.Vote, resp.VoteErr()
 	h.mu.Unlock()
 	return resp.Result, resp.Batched, nil
+}
+
+// intact reports whether no candidate's binding has broken.
+func (h *Handle) intact() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.broken) == 0
+}
+
+// takeCarried hands over, once, the phase-one answer a solo request carried
+// back for the given phase.
+func (h *Handle) takeCarried(phase object.Carry) (vote object.PrepareResp, ok bool, err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.carried != phase {
+		return object.PrepareResp{}, false, nil
+	}
+	h.carried = object.CarryNone
+	return h.carriedVote, true, h.carriedErr
 }
 
 // BatchSize returns the number of operations folded into the commit round
@@ -531,7 +601,9 @@ func (h *Handle) invokeCoordinator(ctx context.Context, owner, method string, ar
 // never ran (see neverRan) breaks that candidate and moves on to the next;
 // an ambiguous one — reply lost, deadline — breaks the binding as a
 // mid-action crash does, because the operation may have run there under
-// the action's lock and must not run at a second server.
+// the action's lock and must not run at a second server. (A solo request's
+// ambiguous failure never gets this far as one: InvokeSolo turns it into a
+// recorded doubt, because that operation may even have committed.)
 func (h *Handle) atCoordinator(call func(ref object.ServerRef) error) error {
 	var lastErr error
 	for {
@@ -682,9 +754,14 @@ func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 		err  error
 	}
 	results := make([]result, len(targets))
-	conc.Do(len(targets), func(i int) {
-		results[i].resp, results[i].err = h.ref(targets[i]).Prepare(ctx, tx, h.cfg.StNodes)
-	})
+	if vote, ok, verr := h.takeCarried(object.CarryPrepare); ok {
+		// Only a coordinator carries, and it is the one target then.
+		results[0] = result{vote, verr}
+	} else {
+		conc.Do(len(targets), func(i int) {
+			results[i].resp, results[i].err = h.ref(targets[i]).Prepare(ctx, tx, h.cfg.StNodes)
+		})
+	}
 	okCount, dirtyCount := 0, 0
 	var firstErr error
 	for i, sv := range targets {
@@ -791,31 +868,40 @@ func (h *Handle) onePhaseCommitVisible(ctx context.Context, tx string) bool {
 // write-back needs the coordinator's outcome log to stay atomic across
 // stores, and multiple active replicas must all prepare before any may
 // commit — and falls back to ordinary 2PC untouched.
+//
+// When the handle's one solo request carried the combined round (see
+// InvokeSolo), its answer is taken here and no message is sent: the vote,
+// the failed nodes, the batch size and every failure below are handled as
+// the PrepareCommit reply's would be, because that is what they are.
 func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
 	if h.releasedOrUnprobed() {
 		return action.VoteReadOnly, nil
+	}
+	h.mu.Lock()
+	doubt := h.onePhaseDoubt
+	h.mu.Unlock()
+	if doubt {
+		// The combined round has been tried — carried by the solo request —
+		// and ended in doubt; asking again could not tell "committed and
+		// forgotten" from "never ran". Two-phase resolves it (see below).
+		return 0, action.ErrOnePhaseIneligible
 	}
 	targets, err := h.prepareTargets()
 	if err != nil {
 		return 0, err
 	}
-	if len(targets) != 1 || len(h.cfg.StNodes) > 1 {
+	if !h.onePhaseEligible(len(targets)) {
 		return 0, action.ErrOnePhaseIneligible
 	}
 	coord := targets[0]
-	var checkpointTo []transport.Addr
-	if h.cfg.Policy == CoordinatorCohort {
-		for _, cohort := range h.live() {
-			if cohort != coord {
-				checkpointTo = append(checkpointTo, cohort)
-			}
-		}
+	vote, carried, err := h.takeCarried(object.CarryCommit)
+	if !carried {
+		var resp object.PrepareCommitResp
+		resp, err = h.ref(coord).PrepareCommit(ctx, tx, h.cfg.StNodes, h.cohortsOf(coord))
+		vote = object.PrepareResp{Dirty: resp.Dirty, FailedNodes: resp.FailedNodes, BatchSize: resp.BatchSize}
 	}
-	resp, err := h.ref(coord).PrepareCommit(ctx, tx, h.cfg.StNodes, checkpointTo)
 	if err != nil {
-		if errors.Is(err, transport.ErrReplyLost) ||
-			errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
-			rpc.CodeOf(err) == object.CodeCommitUncertain {
+		if commitInDoubt(err) {
 			// Ambiguous: the combined round may have committed at the server
 			// with only the reply lost — or the server itself reported that
 			// its store write ended in doubt (CodeCommitUncertain).
@@ -841,19 +927,49 @@ func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, er
 		}
 		return 0, err
 	}
-	for _, f := range resp.FailedNodes {
+	for _, f := range vote.FailedNodes {
 		h.recordFailure(transport.Addr(f))
 	}
 	h.mu.Lock()
 	h.released = true
-	if resp.BatchSize > h.batchSize {
-		h.batchSize = resp.BatchSize
+	if vote.BatchSize > h.batchSize {
+		h.batchSize = vote.BatchSize
 	}
 	h.mu.Unlock()
-	if !resp.Dirty {
+	if !vote.Dirty {
 		return action.VoteReadOnly, nil
 	}
 	return action.VoteCommit, nil
+}
+
+// onePhaseEligible is the shape rule of CommitOnePhase, for a commit
+// addressing the given number of servers.
+func (h *Handle) onePhaseEligible(targets int) bool {
+	return targets == 1 && len(h.cfg.StNodes) <= 1
+}
+
+// commitInDoubt reports whether a failed combined round may nevertheless
+// have committed: its reply was lost, its caller stopped waiting, or the
+// server itself could not tell (CodeCommitUncertain).
+func commitInDoubt(err error) bool {
+	return errors.Is(err, transport.ErrReplyLost) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
+		rpc.CodeOf(err) == object.CodeCommitUncertain
+}
+
+// cohortsOf lists the servers the coordinator checkpoints its committed
+// state to: the other live ones under coordinator-cohort, none otherwise.
+func (h *Handle) cohortsOf(coord transport.Addr) []transport.Addr {
+	if h.cfg.Policy != CoordinatorCohort {
+		return nil
+	}
+	var cohorts []transport.Addr
+	for _, sv := range h.live() {
+		if sv != coord {
+			cohorts = append(cohorts, sv)
+		}
+	}
+	return cohorts
 }
 
 // prepareTargets returns the servers that take part in commit processing:
@@ -907,12 +1023,8 @@ func (h *Handle) Commit(ctx context.Context, tx string) error {
 	results := make([]result, len(prepared))
 	conc.Do(len(prepared), func(i int) {
 		var checkpointTo []transport.Addr
-		if h.cfg.Policy == CoordinatorCohort && i == 0 {
-			for _, cohort := range h.live() {
-				if cohort != prepared[i] {
-					checkpointTo = append(checkpointTo, cohort)
-				}
-			}
+		if i == 0 {
+			checkpointTo = h.cohortsOf(prepared[i])
 		}
 		results[i].resp, results[i].err = h.ref(prepared[i]).Commit(ctx, tx, checkpointTo...)
 	})

@@ -11,6 +11,7 @@ import (
 	"repro/internal/group"
 	"repro/internal/object"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/uid"
 )
@@ -745,5 +746,166 @@ func TestCommitWaitsOutLeaseClockWhenFallbackCoordinatorDies(t *testing.T) {
 		if val, seq := w.storeValue(t, st); val != "1" || seq != 2 {
 			t.Fatalf("%s = %q seq=%d", st, val, seq)
 		}
+	}
+}
+
+// objsrvCalls counts the client's messages to object servers, by method.
+func (w *world) objsrvCalls() map[string]int {
+	calls := make(map[string]int)
+	w.cluster.Faults().OnRequest(-1, func(req transport.Request) bool {
+		return req.From == "client" && req.Service == object.ServiceName
+	}, func(req transport.Request) { calls[req.Method]++ })
+	return calls
+}
+
+// TestInvokeSoloCarriesTheCombinedRound: over one store the solo request is
+// the handle's only message to its server — the commit answers from the
+// vote the reply carried, and still counts as a one-phase commit vote, not a
+// read-only one.
+func TestInvokeSoloCarriesTheCombinedRound(t *testing.T) {
+	w := newWorld(t, 2, 1)
+	ctx := context.Background()
+	calls := w.objsrvCalls()
+	h := w.handle(t, SingleCopyPassive)
+	a := w.mgr.BeginTop()
+	out, batched, err := h.InvokeSolo(ctx, a, "add", []byte("7"))
+	if err != nil || batched || string(out) != "7" {
+		t.Fatalf("InvokeSolo = %q, %v, %v", out, batched, err)
+	}
+	rep, err := a.Commit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OnePhase || rep.CommitVoters != 1 || rep.ReadOnlyVoters != 0 || rep.OutcomeLogged {
+		t.Fatalf("report = %+v; want a one-phase commit vote with no log write", rep)
+	}
+	if len(calls) != 1 || calls[object.MethodInvoke] != 1 {
+		t.Fatalf("messages to servers: %v; want one Invoke", calls)
+	}
+	if val, seq := w.storeValue(t, "st1"); val != "7" || seq != 2 {
+		t.Fatalf("st1 = %q seq=%d, want 7 seq=2", val, seq)
+	}
+	if st := w.serverStatus(t, "sv1"); st.Users != 0 {
+		t.Fatalf("sv1 still has %d users", st.Users)
+	}
+}
+
+// TestInvokeSoloCarriesThePrepare: over several stores the request carries
+// phase one, the coordinator logs the outcome, and Commit is the second and
+// last message — with the coordinator's in-flight window open from before
+// the intentions existed.
+func TestInvokeSoloCarriesThePrepare(t *testing.T) {
+	w := newWorld(t, 1, 3)
+	ctx := context.Background()
+	calls := w.objsrvCalls()
+	h := w.handle(t, SingleCopyPassive)
+	a := w.mgr.BeginTop()
+	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("7")); err != nil {
+		t.Fatal(err)
+	}
+	if pend := w.cluster.Node("st2").Store().PendingTxs(); len(pend) != 1 {
+		t.Fatalf("st2 holds intentions %v after the carried prepare, want one", pend)
+	}
+	if got := w.mgr.Lookup(a.ID()); got != store.OutcomeUnavailable {
+		t.Fatalf("lookup between the carried prepare and Commit = %v, want unavailable", got)
+	}
+	rep, err := a.Commit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OnePhase || rep.CommitVoters != 1 || !rep.OutcomeLogged {
+		t.Fatalf("report = %+v; want a logged two-phase commit", rep)
+	}
+	if len(calls) != 2 || calls[object.MethodInvoke] != 1 || calls[object.MethodCommit] != 1 {
+		t.Fatalf("messages to servers: %v; want one Invoke and one Commit", calls)
+	}
+	for _, st := range w.sts {
+		if val, seq := w.storeValue(t, st); val != "7" || seq != 2 {
+			t.Fatalf("%s = %q seq=%d, want 7 seq=2", st, val, seq)
+		}
+	}
+}
+
+// TestInvokeSoloRefusedVoteAborts: the carried vote is a refusal — no store
+// took the state. The invocation succeeded; the commit fails with the
+// error the PrepareCommit message would have brought, and the roll-back
+// reaches the server.
+func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
+	w := newWorld(t, 1, 1)
+	ctx := context.Background()
+	h := w.handle(t, SingleCopyPassive)
+	warm := w.mgr.BeginTop()
+	if _, _, err := h.InvokeSolo(ctx, warm, "get", nil); err != nil { // activates sv1 while st1 is up
+		t.Fatal(err)
+	}
+	if _, err := warm.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	w.cluster.Node("st1").Crash()
+	h = w.handle(t, SingleCopyPassive)
+	a := w.mgr.BeginTop()
+	if out, _, err := h.InvokeSolo(ctx, a, "add", []byte("7")); err != nil || string(out) != "7" {
+		t.Fatalf("InvokeSolo = %q, %v; the vote's refusal is not the invocation's", out, err)
+	}
+	if _, err := a.Commit(ctx); !errors.Is(err, action.ErrPrepareFailed) || errors.Is(err, action.ErrOutcomeUnknown) {
+		t.Fatalf("commit err = %v, want a definite prepare failure", err)
+	}
+	if st := w.serverStatus(t, "sv1"); st.Users != 0 || st.Seq != 1 {
+		t.Fatalf("sv1 after the roll-back = %+v", st)
+	}
+}
+
+// TestInvokeSoloReplyLostIsInDoubtNotBroken: the solo request's reply is
+// lost after the server committed. The binding is not broken and the error
+// is a doubt; commit processing then establishes the commit from the
+// store's committed TxID, with no second run of the operation anywhere.
+func TestInvokeSoloReplyLostIsInDoubtNotBroken(t *testing.T) {
+	w := newWorld(t, 2, 1)
+	ctx := context.Background()
+	w.cluster.Faults().DropReplies(1, transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke))
+	h := w.handle(t, SingleCopyPassive)
+	a := w.mgr.BeginTop()
+	_, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"))
+	if !errors.Is(err, action.ErrOutcomeUnknown) || errors.Is(err, ErrNoServers) {
+		t.Fatalf("err = %v, want a doubt and no ErrNoServers", err)
+	}
+	if len(h.Broken()) != 0 {
+		t.Fatalf("broken = %v: an in-doubt server must stay addressable for the resolution", h.Broken())
+	}
+	rep, err := a.Commit(ctx)
+	if err != nil || rep.ReadOnlyVoters != 1 {
+		t.Fatalf("commit = %+v, %v; want the doubt resolved to committed-and-released", rep, err)
+	}
+	if val, seq := w.storeValue(t, "st1"); val != "7" || seq != 2 {
+		t.Fatalf("st1 = %q seq=%d, want 7 seq=2", val, seq)
+	}
+	if st := w.serverStatus(t, "sv2"); st.Active {
+		t.Fatal("the operation was taken to a second server")
+	}
+}
+
+// TestInvokeSoloCohortCheckpointsInTheSameRequest: under coordinator-cohort
+// the carried commit also pushes the checkpoint — the list rides the
+// request — so a cohort can take over after the one message.
+func TestInvokeSoloCohortCheckpointsInTheSameRequest(t *testing.T) {
+	w := newWorld(t, 2, 1)
+	ctx := context.Background()
+	h := w.handle(t, CoordinatorCohort)
+	if err := h.Activate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	calls := w.objsrvCalls()
+	a := w.mgr.BeginTop()
+	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("9")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || calls[object.MethodInvoke] != 1 {
+		t.Fatalf("messages to servers: %v; want one Invoke", calls)
+	}
+	if st := w.serverStatus(t, "sv2"); !st.Active || st.Seq != 2 {
+		t.Fatalf("cohort sv2 = %+v; want the checkpoint at seq 2", st)
 	}
 }

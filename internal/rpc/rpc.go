@@ -46,6 +46,16 @@ func CodeOf(err error) string {
 	return ""
 }
 
+// AppErrorOf returns what a handler's error crosses the wire as: the
+// AppError on its chain, or CodeInternal around its text.
+func AppErrorOf(err error) *AppError {
+	var ae *AppError
+	if errors.As(err, &ae) {
+		return ae
+	}
+	return &AppError{Code: CodeInternal, Msg: err.Error()}
+}
+
 // Well-known error codes used across services.
 const (
 	CodeInternal     = "internal" // handler returned a non-App error
@@ -168,11 +178,8 @@ func (s *Server) Handler() transport.Handler {
 		}
 		frame, err := h(ctx, req.From, req.Payload)
 		if err != nil {
-			var ae *AppError
-			if errors.As(err, &ae) {
-				return encodeFrameErr(ae.Code, ae.Msg), nil
-			}
-			return encodeFrameErr(CodeInternal, err.Error()), nil
+			ae := AppErrorOf(err)
+			return encodeFrameErr(ae.Code, ae.Msg), nil
 		}
 		return frame, nil
 	}

@@ -12,9 +12,9 @@ import (
 // TestFacadeAllocs pins what one committed action allocates end to end —
 // client, database, server and store all run on the caller in a Mem
 // deployment, so AllocsPerRun sees every layer. The budgets are the counts
-// measured when the per-call overhead was taken out (PR 19) plus 5 %: a
-// later change that puts weight back on the path fails here, not in a
-// benchmark run.
+// measured when the per-call overhead was taken out (PR 19) and, for Apply,
+// when its PrepareCommit message went (PR 20), plus 5 %: a later change
+// that puts weight back on the path fails here, not in a benchmark run.
 func TestFacadeAllocs(t *testing.T) {
 	sys := openT(t, arjuna.WithShards(1), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(2))
 	rw := clientT(t, sys, "c1", arjuna.ClientFastBind())
@@ -29,7 +29,7 @@ func TestFacadeAllocs(t *testing.T) {
 			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-		}, 134}, // 128 measured; 226 before
+		}, 123}, // 118 measured; 128 with a PrepareCommit message, 226 before PR 19
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)

@@ -3,6 +3,7 @@ package arjuna
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"time"
@@ -189,6 +190,9 @@ type Object struct {
 	// batched records that a solo invocation was folded into another
 	// action's commit (surfaced in the CommitReport).
 	batched bool
+	// inDoubt holds the failure of a solo invocation that carried the
+	// action's commit and may have committed it (see apply).
+	inDoubt error
 }
 
 // ID returns the object's identifier.
@@ -223,6 +227,9 @@ func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte
 		return out, nil
 	}
 	if err := o.bind(ctx); err != nil {
+		return nil, err
+	}
+	if err := o.refuseWrite(method); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
@@ -286,12 +293,44 @@ func (o *Object) Read(ctx context.Context, method string, args []byte) ([]byte, 
 	return o.Invoke(ctx, method, args)
 }
 
-// apply is the solo-invoke path behind Client.Apply.
+// refuseWrite refuses, before any message is sent, a method that may write
+// on a bound object of a ClientReadOnly client: such a client binds to any
+// convenient server, outside the use lists, so its write could activate a
+// second copy beside the one writers use with only the store's version
+// check between the two. A class or method this node does not know is left
+// for the server to refuse.
+func (o *Object) refuseWrite(method string) error {
+	if !o.t.c.cfg.readOnly {
+		return nil
+	}
+	cls, err := o.t.c.sys.w.Registry.Lookup(o.bd.Class())
+	if err != nil || cls.IsReadOnly(method) {
+		return nil
+	}
+	if _, err := cls.Method(method); err != nil {
+		return nil
+	}
+	return fmt.Errorf("arjuna: %s.%s is not a read-only method: refused on a ClientReadOnly client", cls.Name, method)
+}
+
+// apply is the solo-invoke path behind Client.Apply: the request carries
+// the action's phase one, so the commit that follows has nothing to send to
+// the server. A request that carried the commit and failed ambiguously may
+// have committed: the failure is kept in o.inDoubt and NOT returned, so that
+// the closure succeeds and the action goes on to commit processing, which
+// resolves the doubt (Apply reports it).
 func (o *Object) apply(ctx context.Context, method string, args []byte) ([]byte, error) {
 	if err := o.bind(ctx); err != nil {
 		return nil, err
 	}
+	if err := o.refuseWrite(method); err != nil {
+		return nil, err
+	}
 	out, batched, err := o.bd.InvokeSolo(o.t.noted(ctx), method, args)
+	if errors.Is(err, action.ErrOutcomeUnknown) {
+		o.inDoubt = MapError(err)
+		return nil, nil
+	}
 	if err != nil {
 		return nil, MapError(err)
 	}
@@ -369,18 +408,40 @@ func (c *Client) Atomic(ctx context.Context, fn func(tx *Txn) error) (*CommitRep
 
 // Apply runs a single-operation atomic action: bind the object, invoke
 // method once — declared as the action's entire write set — and commit.
-// For a method the object's class marks Commutative, the server may fold
-// the operation into the current write-lock holder's commit round instead
-// of queueing for the lock (flat combining); the report's Batched field
-// says whether that happened. Semantically Apply is exactly
-// Atomic(one Invoke); the solo declaration is what makes the fold legal.
+// Semantically Apply is exactly Atomic(one Invoke); the solo declaration
+// buys two things. The server runs the action's phase one in the request
+// that ran the method (and, when the write-back lands on one store, its
+// commit), so a committed Apply is three client calls — bind, invoke,
+// action-end — and the object's write lock is held for the commit, not for
+// a client round trip as well. And for a method the object's class marks
+// Commutative, the server may fold the operation into the current
+// write-lock holder's commit round instead of queueing for the lock (flat
+// combining); the report's Batched field says whether that happened.
+//
+// An error from Apply means one of two things, told apart with errors.Is.
+// ErrAborted (with the classified cause): the operation's effects were
+// undone or never happened — the method failed, the vote was refused, a
+// server was lost before anything could commit — and transient causes were
+// retried as Atomic retries them. ErrOutcomeUnknown, alone: the request that
+// carried the commit was lost on its way back (or the server could not tell
+// whether its store applied the write), so the operation may stand. It ran
+// at most once, it is never retried, and its result is gone; when commit
+// processing could establish that the write did commit, the report says so
+// (Committed) beside the error.
 func (c *Client) Apply(ctx context.Context, id uid.UID, method string, args []byte) ([]byte, *CommitReport, error) {
-	var result []byte
+	var (
+		result []byte
+		obj    *Object
+	)
 	rep, err := c.Atomic(ctx, func(tx *Txn) error {
-		out, aerr := tx.Object(id).apply(ctx, method, args)
+		obj = tx.Object(id)
+		out, aerr := obj.apply(ctx, method, args)
 		result = out
 		return aerr
 	})
+	if err == nil && obj.inDoubt != nil {
+		err = obj.inDoubt
+	}
 	if err != nil {
 		return nil, rep, err
 	}
@@ -405,7 +466,13 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error) (*CommitRe
 		// is done, and the abort's participant RPCs must still run or the
 		// action's remote locks leak for the process lifetime.
 		_ = act.Abort(context.WithoutCancel(ctx))
-		return tx.report(false), tag(ErrAborted, MapError(err))
+		// This action is undone, but an error that says some commit's
+		// outcome is unknown (an Apply run inside fn) must not read as a
+		// definite abort of that.
+		if err = MapError(err); !errors.Is(err, ErrOutcomeUnknown) {
+			err = tag(ErrAborted, err)
+		}
+		return tx.report(false), err
 	}
 	if err := tx.revalidateLeases(ctx); err != nil {
 		_ = act.Abort(context.WithoutCancel(ctx))

@@ -40,7 +40,10 @@
 //   - nil: the action committed; its effects are permanent.
 //   - ErrOutcomeUnknown (never with ErrAborted): the commit ended in doubt
 //     — its effects may stand — and was not retried, since a retry could
-//     apply them twice.
+//     apply them twice. Client.Apply also answers so when the one request
+//     that ran its operation lost its reply: the operation ran at most once
+//     and may have committed, its result is gone, and the report's Committed
+//     field says whether commit processing could establish that it did.
 //   - anything else: ErrAborted plus the classified cause; every effect of
 //     every attempt was undone.
 //
@@ -150,6 +153,18 @@
 // CommitReport's Batched/BatchSize fields report when a write rode
 // another action's commit; semantically the result is identical to an
 // un-batched Atomic, only cheaper.
+//
+// The same declaration makes Apply one server message for any method,
+// commutative or not: an action that will do nothing else has nothing to
+// wait for between its operation and its vote, so the server goes straight
+// on from the method into the action's phase one — the combined
+// prepare+commit when the write-back lands on one store, the prepare
+// otherwise — and the reply brings the vote back with the result. A
+// committed Apply is bind, invoke, action-end (and a Commit message when
+// several stores hold the object); the write lock is held for the commit,
+// not for a client round trip besides; and a lock holder folds its queued
+// followers in the request that made it the holder. Atomic with Invoke
+// sends the messages it always sent.
 //
 // # Overload backpressure
 //

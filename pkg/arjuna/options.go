@@ -289,7 +289,10 @@ func ClientDegree(d int) ClientOption { return func(c *clientConfig) { c.degree 
 
 // ClientReadOnly applies the §4.1.2 read optimisation: the client binds to
 // any one convenient server and never touches use lists. Only read-only
-// methods should be invoked through such a client.
+// methods can be invoked through such a client: a method its class does not
+// mark ReadOnly is refused before any message is sent and aborts the action
+// — bound outside the use lists, a write could activate a second copy beside
+// the one writers use.
 func ClientReadOnly() ClientOption { return func(c *clientConfig) { c.readOnly = true } }
 
 // ClientFastBind makes the enhanced schemes' bind action use commutative
