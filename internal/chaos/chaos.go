@@ -62,6 +62,19 @@ const (
 	// whose carrying reply was lost must come back ErrOutcomeUnknown, never
 	// aborted, and must never have been retried.
 	WorkloadApplyCounter
+	// WorkloadReadOnlyRegister: the first workload that checks what a read
+	// RETURNS. Each node runs a writer — Apply("add", 1) on a counter key, and
+	// transfers between the two pair objects that keep their sum at zero —
+	// beside a ClientReadOnly reader doing single reads of the counter keys
+	// and two-object reads of the pair, the two concurrently. On top of the
+	// shared invariants: a committed read of a key is no older than the node's
+	// own increments acknowledged before it began and no newer than the
+	// increments anyone had begun, less those already reported aborted; one
+	// client's reads of one key never go backwards; and a committed read of
+	// the pair sees the conserved sum — a read-only client's first read is
+	// released as it is answered, so its second must fail the action's
+	// re-check whenever a transfer slipped in between.
+	WorkloadReadOnlyRegister
 )
 
 // String implements fmt.Stringer.
@@ -77,6 +90,8 @@ func (w Workload) String() string {
 		return "leased-mixed"
 	case WorkloadApplyCounter:
 		return "apply-counter"
+	case WorkloadReadOnlyRegister:
+		return "read-only-register"
 	default:
 		return fmt.Sprintf("workload(%d)", int(w))
 	}
@@ -157,6 +172,9 @@ func (c Config) withDefaults() Config {
 	def(&c.Stores, 3)
 	def(&c.Clients, 3)
 	def(&c.Objects, 3)
+	if c.Workload == WorkloadReadOnlyRegister {
+		c.Objects = max(c.Objects, 3) // the pair and at least one counter key
+	}
 	def(&c.Shards, 1)
 	def(&c.ActionsPerClient, 15)
 	def(&c.Events, 10)
@@ -247,6 +265,25 @@ type opRec struct {
 	read bool
 }
 
+// registerRead traces one committed read of WorkloadReadOnlyRegister. A
+// counter-key read carries the bounds it is held to: lo, the reading node's
+// own increments of the key acknowledged before the read began, and hi, the
+// increments anyone had begun by the time it returned less those reported
+// aborted before it began. A pair read has saw = the sum it observed, and
+// lo = hi = 0.
+type registerRead struct {
+	client      transport.Addr
+	obj         int
+	pair        bool
+	saw, lo, hi int
+}
+
+// keyCounts tallies the increments of one counter key for the read bounds.
+type keyCounts struct {
+	begun, aborted int
+	ackedBy        map[transport.Addr]int
+}
+
 // leaseReadRec traces one committed read of the leased workloads for I7:
 // floor is the newest committed counter value some client had already
 // seen acknowledged when the read BEGAN (a mixed transaction's: when its
@@ -282,6 +319,8 @@ type runner struct {
 	ops         []opRec
 	ackedMax    []int // per object: newest acknowledged committed value (I7 floor)
 	leaseReads  []leaseReadRec
+	regReads    []registerRead
+	keys        []keyCounts // per object (WorkloadReadOnlyRegister)
 	partitions  map[[2]transport.Addr]bool
 	everCrashed map[transport.Addr]bool
 	// placementDown tracks crashed placement replicas separately from
@@ -339,6 +378,7 @@ func Run(cfg Config) (*Report, error) {
 		},
 		tallies:       make([]objTally, cfg.Objects),
 		ackedMax:      make([]int, cfg.Objects),
+		keys:          make([]keyCounts, cfg.Objects),
 		partitions:    make(map[[2]transport.Addr]bool),
 		everCrashed:   make(map[transport.Addr]bool),
 		placementDown: make(map[transport.Addr]bool),
@@ -390,6 +430,10 @@ func (r *runner) worker(idx int, cl *arjuna.Client) {
 	// Per-client source: decorrelated from the schedule rng but still a
 	// pure function of the seed.
 	rng := rand.New(rand.NewSource(r.cfg.Seed ^ int64(idx+1)*0x5851F42D4C957F2D))
+	if r.cfg.Workload == WorkloadReadOnlyRegister {
+		r.registerWorker(cl, rng)
+		return
+	}
 	for i := 0; i < r.cfg.ActionsPerClient; i++ {
 		switch r.cfg.Workload {
 		case WorkloadBank:
@@ -507,16 +551,101 @@ func (r *runner) counterOp(cl *arjuna.Client, rng *rand.Rand) {
 	r.atomic(ctx, cl, nil, step{rng.Intn(r.cfg.Objects), "add", 1})
 }
 
-// applyOp is counterOp through Client.Apply. The facade does not name the
-// action, so the op trace carries no id.
+// applyOp is counterOp through Client.Apply.
 func (r *runner) applyOp(cl *arjuna.Client, rng *rand.Rand) {
 	ctx, cancel := r.actionCtx()
 	defer cancel()
-	s := step{rng.Intn(r.cfg.Objects), "add", 1}
-	op := opRec{client: cl.Name(), obj: s.obj}
-	out, rep, err := cl.Apply(ctx, r.w.Objects[s.obj], s.method, []byte(strconv.Itoa(s.delta)))
+	r.applyAdd(ctx, cl, rng.Intn(r.cfg.Objects))
+}
+
+// applyAdd increments counter obj by one Client.Apply and files the outcome.
+// The facade does not name the action, so the op trace carries no id.
+func (r *runner) applyAdd(ctx context.Context, cl *arjuna.Client, obj int) outcomeClass {
+	s := step{obj, "add", 1}
+	op := opRec{client: cl.Name(), obj: obj}
+	out, rep, err := cl.Apply(ctx, r.w.Objects[obj], s.method, []byte(strconv.Itoa(s.delta)))
 	op.val, _ = strconv.Atoi(string(out))
-	r.file(op, rep, err, s)
+	return r.file(op, rep, err, s)
+}
+
+// registerWorker runs one node's share of WorkloadReadOnlyRegister: the
+// writer (cl) and a ClientReadOnly reader on the same node, concurrently,
+// half the node's actions each. Objects 0 and 1 are the pair transfers move
+// value between; the rest are counter keys.
+func (r *runner) registerWorker(cl *arjuna.Client, rng *rand.Rand) {
+	ro, err := r.sys.Client(string(cl.Name()), arjuna.ClientScheme(r.cfg.Scheme), arjuna.ClientPolicy(r.cfg.Policy), arjuna.ClientReadOnly())
+	if err != nil {
+		panic(fmt.Sprintf("chaos: read-only client on %s: %v", cl.Name(), err)) // the node exists: cl runs on it
+	}
+	readerRng := rand.New(rand.NewSource(rng.Int63()))
+	key := func(rng *rand.Rand) int { return 2 + rng.Intn(r.cfg.Objects-2) }
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < (r.cfg.ActionsPerClient+1)/2; i++ {
+			ctx, cancel := r.actionCtx()
+			if rng.Intn(5) < 3 {
+				r.registerAdd(ctx, cl, key(rng))
+			} else {
+				amount := 1 + rng.Intn(5)
+				r.atomic(ctx, cl, nil, step{0, "add", -amount}, step{1, "add", amount})
+			}
+			cancel()
+			r.progress.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < r.cfg.ActionsPerClient/2; i++ {
+			ctx, cancel := r.actionCtx()
+			if readerRng.Intn(2) == 0 {
+				r.registerRead(ctx, ro, key(readerRng))
+			} else if vals, _, class := r.atomic(ctx, ro, nil, step{0, "get", 0}, step{1, "get", 0}); class == opCommitted {
+				r.mu.Lock()
+				r.regReads = append(r.regReads, registerRead{client: ro.Name(), pair: true, saw: vals[0] + vals[1]})
+				r.mu.Unlock()
+			}
+			cancel()
+			r.progress.Add(1)
+		}
+	}()
+	wg.Wait()
+}
+
+// registerAdd is applyAdd on a counter key, counted for the read bounds.
+func (r *runner) registerAdd(ctx context.Context, cl *arjuna.Client, obj int) {
+	r.mu.Lock()
+	r.keys[obj].begun++
+	r.mu.Unlock()
+	class := r.applyAdd(ctx, cl, obj)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := &r.keys[obj]
+	switch class {
+	case opCommitted:
+		if k.ackedBy == nil {
+			k.ackedBy = make(map[transport.Addr]int)
+		}
+		k.ackedBy[cl.Name()]++
+	case opAborted:
+		k.aborted++
+	}
+}
+
+// registerRead reads one counter key through the read-only client and
+// records what a committed read saw between the bounds taken around it.
+func (r *runner) registerRead(ctx context.Context, ro *arjuna.Client, obj int) {
+	r.mu.Lock()
+	lo, aborted := r.keys[obj].ackedBy[ro.Name()], r.keys[obj].aborted
+	r.mu.Unlock()
+	vals, _, class := r.atomic(ctx, ro, nil, step{obj, "get", 0})
+	if class != opCommitted {
+		return
+	}
+	r.mu.Lock()
+	r.regReads = append(r.regReads, registerRead{client: ro.Name(), obj: obj, saw: vals[0], lo: lo, hi: r.keys[obj].begun - aborted})
+	r.mu.Unlock()
 }
 
 // leasedOp runs one leased-counter action: ~60% leased reads, the rest

@@ -1,9 +1,9 @@
 // Package chaos is a seed-deterministic nemesis harness for the
 // replicated-object stack: it derives a randomized fault schedule from a
 // single integer seed, applies it to a simulated cluster while concurrent
-// clients run counter, bank, leased or Apply workloads, and then checks a set of
-// invariants that must hold under ANY failure pattern the paper's
-// protocols claim to tolerate.
+// clients run counter, bank, leased, Apply or read-checking workloads, and
+// then checks a set of invariants that must hold under ANY failure pattern
+// the paper's protocols claim to tolerate.
 //
 // # The client under test
 //
@@ -12,8 +12,10 @@
 // Client (the run's Scheme and Policy as ClientScheme and ClientPolicy),
 // and every action is one Client.Atomic — retries, backoff, lease
 // revalidation and all — or, in WorkloadApplyCounter, one Client.Apply,
-// whose single server message carries the action's phase one; faults and store checks reach the same nodes via
-// System.World. An action's class is the returned error's and nothing
+// whose single server message carries the action's phase one. In
+// WorkloadReadOnlyRegister each node also runs a ClientReadOnly reader
+// beside its writer, and what its reads return is checked. Faults and store
+// checks reach the same nodes via System.World. An action's class is the returned error's and nothing
 // else: nil is committed, ErrOutcomeUnknown is uncertain, anything else is
 // aborted. So the invariants test the facade's contract — "ErrAborted:
 // every effect was undone" — and a breach is a bug in the protocol stack,
@@ -103,7 +105,16 @@
 //     observes a value older than the newest commit acknowledged when it
 //     began; a committed MIXED transaction (lease-read A, increment B, one
 //     Atomic) never lease-read an A older than the newest acknowledged when
-//     its body finished — revalidation must abort it (ErrLeaseStale).
+//     its body finished — revalidation must abort it (ErrLeaseStale);
+//   - read values (WorkloadReadOnlyRegister): a committed read of a counter
+//     key returns no less than the reading node's own increments
+//     acknowledged before the read began — writer and reader bind by one
+//     rule from one node, so they meet one copy — and no more than the
+//     increments anyone had begun, less those already reported aborted; one
+//     client's successive reads of a key never decrease; and a committed
+//     two-object read of the pair that transfers keep at a constant sum sees
+//     that sum — a read-only client's first read is released as it is
+//     answered, so this is the commit-time re-check under faults.
 //
 // # Replaying a failure
 //

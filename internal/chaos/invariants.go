@@ -75,7 +75,7 @@ func (r *runner) checkInvariants() []string {
 		r.report.FinalValues["obj"+strconv.Itoa(i)] = val
 		total += val
 
-		if r.cfg.Workload != WorkloadBank {
+		if r.cfg.Workload != WorkloadBank && !r.pairObject(i) {
 			// No lost committed update, no phantom: the settled value
 			// covers every delta the facade reported committed, and exceeds
 			// that only by deltas it reported in doubt (ErrOutcomeUnknown).
@@ -102,6 +102,15 @@ func (r *runner) checkInvariants() []string {
 		// outcomes: each action moves value atomically or not at all.
 		if total != 0 {
 			bad("bank total = %d, want 0 — money created or destroyed", total)
+		}
+	}
+	if r.cfg.Workload == WorkloadReadOnlyRegister {
+		if sum := r.report.FinalValues["obj0"] + r.report.FinalValues["obj1"]; sum != 0 {
+			bad("pair total = %d, want 0 — a transfer was not failure-atomic", sum)
+			// A transfer's trace is filed under its second leg, obj1.
+			r.note("obj1 committed chain: %s", r.chainFor(1))
+			r.note("obj1 non-committed ops: %s", r.lostFor(1))
+			r.note("per-store states: obj0 %s; obj1 %s", r.storeStates(r.w.Objects[0]), r.storeStates(r.w.Objects[1]))
 		}
 	}
 
@@ -176,6 +185,40 @@ func (r *runner) checkInvariants() []string {
 		}
 	}
 
+	// I8: what a read-only client's committed reads returned
+	// (WorkloadReadOnlyRegister). A counter key only grows, so a read is
+	// bounded below by the increments its own node's writer had seen
+	// acknowledged before the read began — the two bind by the same rule
+	// from the same node — and above by every increment begun before the
+	// read returned, less those already reported aborted; one client's reads
+	// of one key never decrease; and the pair, which transfers keep at a sum
+	// of zero, is never seen at another sum by a committed two-object read.
+	r.mu.Lock()
+	regReads := append([]registerRead(nil), r.regReads...)
+	r.mu.Unlock()
+	type readerKey struct {
+		client string
+		obj    int
+	}
+	last := make(map[readerKey]int)
+	for _, rd := range regReads {
+		if rd.pair {
+			if rd.saw != 0 {
+				bad("%s: a committed read of the pair saw a sum of %d, want 0 — its two reads straddled a transfer", rd.client, rd.saw)
+			}
+			continue
+		}
+		if rd.saw < rd.lo || rd.saw > rd.hi {
+			bad("obj%d: %s read %d, outside [own increments acknowledged before the read %d, increments begun and not aborted %d]",
+				rd.obj, rd.client, rd.saw, rd.lo, rd.hi)
+		}
+		k := readerKey{string(rd.client), rd.obj}
+		if rd.saw < last[k] {
+			bad("obj%d: %s read %d after it had read %d — reads of one key went backwards", rd.obj, rd.client, rd.saw, last[k])
+		}
+		last[k] = max(last[k], rd.saw)
+	}
+
 	// I6: placement replica convergence — after quiesce every placement
 	// replica's directory (override records with their epochs) must equal
 	// the primary's; a diverged replica would route future binds of a
@@ -209,6 +252,12 @@ func (r *runner) checkInvariants() []string {
 		}
 	}
 	return violations
+}
+
+// pairObject reports whether object i is one of the two WorkloadReadOnlyRegister
+// moves value between: conserved as a pair, not one by one.
+func (r *runner) pairObject(i int) bool {
+	return r.cfg.Workload == WorkloadReadOnlyRegister && i < 2
 }
 
 // storeStates renders every store node's committed (value, seq, tx) for

@@ -123,6 +123,69 @@ func TestBindOpCountsWhatItSelects(t *testing.T) {
 	}
 }
 
+// TestSelectOpFollowsTheUseLists: DB.Select is Bind without the count — the
+// servers in use win, else Sv in its own order — under the shared Read lock
+// alone, and its reply carries the candidates and nothing of the use lists.
+// A read-only binder under single-copy passive binds by it, so it meets the
+// copy the writers keep current; only under active replication is it spread
+// over Sv by name.
+func TestSelectOpFollowsTheUseLists(t *testing.T) {
+	w := newWorld(t, 3, 1, 2)
+	ctx := context.Background()
+	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
+	sel := func() OpResult {
+		t.Helper()
+		res, err := cli.Do(ctx, SelectOp("s", w.id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !w.db.locks.Holds("s", svKey(w.id), lockmgr.Read) || w.db.locks.Holds("s", svKey(w.id), lockmgr.Adjust) {
+			t.Fatal("Select holds something other than the Read lock")
+		}
+		if err := cli.EndAction(ctx, "s", true); err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	if got := sel(); !reflect.DeepEqual(got.Nodes, w.svs) || got.Use != nil || got.Hosts != nil {
+		t.Fatalf("nothing in use: Select = %+v, want Sv %v alone", got, w.svs)
+	}
+	if _, err := cli.Do(ctx, IncrementOp("w", w.id, "c2", []transport.Addr{"sv2"}), EndActionOp("w", true)); err != nil {
+		t.Fatal(err)
+	}
+	if got := sel(); !reflect.DeepEqual(got.Nodes, []transport.Addr{"sv2"}) || got.Use != nil || got.Hosts != nil {
+		t.Fatalf("sv2 in use: Select = %+v, want [sv2] alone", got)
+	}
+	if w.db.Quiescent(w.id) {
+		t.Fatal("the writer's count went")
+	}
+
+	for _, c := range []struct {
+		policy replica.Policy
+		want   transport.Addr
+	}{{replica.SingleCopyPassive, "sv2"}, {replica.CoordinatorCohort, "sv2"}} {
+		b := w.binder("c1", SchemeIndependent, c.policy, 1)
+		b.ReadOnly = true
+		act := b.Actions.BeginTop()
+		bd, err := b.Bind(ctx, act, w.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := bd.Invoke(ctx, "get", nil); err != nil || string(out) != "0" {
+			t.Fatalf("%v: read = %q, %v", c.policy, out, err)
+		}
+		if got := bd.Servers(); len(got) != 1 || got[0] != c.want {
+			t.Fatalf("%v: a read-only binding landed on %v, want the server in use, %s", c.policy, got, c.want)
+		}
+		if _, err := act.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if use := w.db.servers[w.id].Use; len(use["sv1"])+len(use["sv3"]) != 0 || use["sv2"]["c1"] != 0 {
+		t.Fatalf("use lists = %v: a read-only binding was counted", use)
+	}
+}
+
 // objsrvCalls counts the requests that reach any object server.
 func objsrvCalls(w *world) *int {
 	n := new(int)

@@ -84,8 +84,9 @@ func (s Scheme) String() string {
 //     (nested top-level in Figure 8) reads Sv and the use lists, selects the
 //     servers by the fixed rule and counts the binding there (DB.Bind is
 //     GetServer and Increment in one step); the St read belongs to the
-//     client action, as in Figure 6. A ReadOnly binder sends GetServer in
-//     Bind's place — it never updates use lists.
+//     client action, as in Figure 6. A ReadOnly binder never updates use
+//     lists and sends Select in Bind's place — the same read and the same
+//     rule, uncounted — or, under active replication, a bare GetServer.
 //   - action-end — [EndAction(client action), Decrement(new action),
 //     EndAction(new action, commit)]: the client action's database locks
 //     go, then the last shaded action of Figure 7 drops the use counts.
@@ -101,7 +102,15 @@ func (s Scheme) String() string {
 //     so over one store a committed write is bind · invoke · action-end, and
 //     over several bind · invoke · Commit · action-end, with the outcome
 //     logged before the Commit as ever. Commit processing answers from the
-//     vote the reply carried (replica.Handle).
+//     vote the reply carried (replica.Handle);
+//   - one invoke, too, for the read-only binding: a ReadOnly binder's client
+//     cannot write, so when a read is the first thing its action asks of any
+//     server it is sent the same way, flagged read-only — the server runs the
+//     method, gives the read-only vote and releases the action in that one
+//     request, and a committed read is bind · invoke · action-end on either
+//     store count. Unlike an Apply the action may go on; what the read saw is
+//     then re-checked under a held lock before commit (LeaseCheck, one more
+//     message) exactly as a read served from a lease is.
 //
 // No message goes to a server at bind time under single-copy passive: the
 // binding's first request activates the object where it lands and is the
@@ -137,8 +146,11 @@ type Binder struct {
 	Policy replica.Policy
 	// Degree is the desired |Sv'| (0 = all of Sv).
 	Degree int
-	// ReadOnly applies the §4.1.2 read optimisation: the client binds to
-	// any one convenient server and never updates use lists.
+	// ReadOnly applies the §4.1.2 read optimisation: the client never
+	// updates use lists. Under active replication it binds to any one
+	// convenient server — the total order keeps every replica current. Under
+	// the other policies only the copy the writers use is current, so it
+	// binds where they do: the servers in use, else Sv in order (DB.Select).
 	ReadOnly bool
 	// UseWriteLockForExclude selects the §4.2.1 problem baseline: commit-
 	// time Exclude promotes the St read lock to a full write lock instead
@@ -309,6 +321,13 @@ func (b *Binder) trackTxDB(act *action.Action) *txDBState {
 	return st
 }
 
+// spreadReads reports whether bindings are spread over Sv by client name
+// instead of following the use lists: the read optimisation, where every
+// replica is as good as any other.
+func (b *Binder) spreadReads() bool {
+	return b.ReadOnly && b.Policy == replica.Active
+}
+
 // degree is how many servers a binding activates and is counted at.
 func (b *Binder) degree() int {
 	if b.Policy == replica.SingleCopyPassive {
@@ -341,7 +360,7 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 	// The GetServer/GetView read locks are owned by the client action and
 	// held until it ends (Figure 6); the trackTxDB hook (or a binding's own
 	// commit/abort processing) releases them.
-	candidates, _ := selectServers(sv, nil, b.degree(), b.ReadOnly, b.ClientNode)
+	candidates, _ := selectServers(sv, nil, b.degree(), b.spreadReads(), b.ClientNode)
 	return b.finishBind(ctx, act, dbState, id, class, candidates, st, nil)
 }
 
@@ -369,10 +388,14 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	top := act.Top().ID()
 	dbState := b.trackTxDB(act)
 
-	// A read-only binder never updates use lists, so it only reads Sv.
+	// A read-only binder never updates use lists: it reads Sv to spread
+	// over, or has the database select from it as Bind would.
 	svOp := BindOp(owner, id, b.ClientNode, b.degree(), !b.FastBind)
-	if b.ReadOnly {
+	switch {
+	case b.spreadReads():
 		svOp = GetServerOp(owner, id, false, false)
+	case b.ReadOnly:
+		svOp = SelectOp(owner, id)
 	}
 	res, err := b.DB.Do(ctx, svOp, GetViewOp(top, id), EndActionOp(owner, true))
 	if err != nil {
@@ -385,8 +408,10 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	}
 	// The client derives its candidates from what the database selected
 	// from, by the rule the database applied: the hosts counted are the
-	// first of them, the rest are the fallbacks the probe walks.
-	candidates, _ := selectServers(res[0].Nodes, res[0].Use, b.degree(), b.ReadOnly, b.ClientNode)
+	// first of them, the rest are the fallbacks the probe walks. (Select
+	// answers with the candidates themselves and no use lists, which the
+	// rule passes through.)
+	candidates, _ := selectServers(res[0].Nodes, res[0].Use, b.degree(), b.spreadReads(), b.ClientNode)
 	return b.finishBind(ctx, act, dbState, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
 }
 
@@ -410,7 +435,7 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 	if err != nil {
 		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
 	}
-	candidates, _ := selectServers(sv, nil, b.degree(), b.ReadOnly, b.ClientNode)
+	candidates, _ := selectServers(sv, nil, b.degree(), b.spreadReads(), b.ClientNode)
 	return b.finishBind(ctx, act, dbState, id, class, candidates, st, nil)
 }
 
@@ -420,14 +445,16 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 // on what the database returned, so both arrive at the same servers. It
 // returns the candidates in preference order and how many of them — the
 // first n — a binding of the given degree (0 = all) activates and is
-// counted at; the rest are fallbacks for the probe.
-func selectServers(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int, degree int, readOnly bool, client transport.Addr) (candidates []transport.Addr, n int) {
+// counted at; the rest are fallbacks for the probe. With spread (see
+// Binder.spreadReads) the use lists are ignored.
+func selectServers(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int, degree int, spread bool, client transport.Addr) (candidates []transport.Addr, n int) {
 	if len(sv) == 0 {
 		return nil, 0
 	}
-	if readOnly {
-		// Read optimisation: any convenient node — spread read-only
-		// clients across Sv deterministically by client name.
+	if spread {
+		// Read optimisation over replicas kept identical: any convenient
+		// node — spread read-only clients across Sv deterministically by
+		// client name.
 		h := fnv.New32a()
 		_, _ = h.Write([]byte(client))
 		return []transport.Addr{sv[h.Sum32()%uint32(len(sv))]}, 1
@@ -645,8 +672,14 @@ func (bd *Binding) Invoke(ctx context.Context, method string, args []byte) ([]by
 // is lost: the caller must still commit the action, which resolves the
 // doubt, and must not abort or retry it. The repair is attempted then too,
 // but cannot fail the request any more.
-func (bd *Binding) InvokeSolo(ctx context.Context, method string, args []byte) ([]byte, bool, error) {
-	res, batched, err := bd.handle.InvokeSolo(ctx, bd.act, method, args)
+//
+// readOnly passes on the caller's knowledge, from the object's class, that
+// the method writes nothing: the request then carries the read-only vote, a
+// lost reply is a plain failed invoke — never in doubt — and the action may
+// go on to other operations provided it re-checks the read (CarriedRead,
+// LeaseCheck) before it commits.
+func (bd *Binding) InvokeSolo(ctx context.Context, method string, args []byte, readOnly bool) ([]byte, bool, error) {
+	res, batched, err := bd.handle.InvokeSolo(ctx, bd.act, method, args, readOnly)
 	if err == nil {
 		err = bd.repair(ctx)
 	} else if errors.Is(err, action.ErrOutcomeUnknown) {
@@ -658,9 +691,15 @@ func (bd *Binding) InvokeSolo(ctx context.Context, method string, args []byte) (
 // Class returns the bound object's class name, as the database recorded it.
 func (bd *Binding) Class() string { return bd.class }
 
+// CarriedRead reports the committed version a read-only InvokeSolo read,
+// while the vote it carried back stands — that is, while the server holds no
+// lock for the action (see replica.Handle.CarriedRead).
+func (bd *Binding) CarriedRead() (seq uint64, ok bool) { return bd.handle.CarriedRead() }
+
 // LeaseCheck acquires the object's read lock under the binding's action
 // and returns the committed version the coordinator server holds — the
-// commit-time revalidation of a leased read in a mixed transaction.
+// commit-time revalidation, in an action that did other work, of a read
+// served with no lock left behind it: from a lease, or carried.
 func (bd *Binding) LeaseCheck(ctx context.Context) (uint64, error) {
 	seq, err := bd.handle.CheckSeq(ctx, bd.act)
 	if err == nil {

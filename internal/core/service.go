@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/lockmgr"
 	"repro/internal/rpc"
@@ -163,6 +164,27 @@ func (db *DB) Bind(ctx context.Context, act string, from transport.Addr, id uid.
 	counted = candidates[:n]
 	db.adjustUseLocked(act, id, e, clientNode, counted, +1, forUpdate)
 	return sv, use, counted, nil
+}
+
+// Select is Bind for a binder that keeps no use lists (Binder.ReadOnly): the
+// same read of Sv and the use lists under the shared Read lock and the same
+// selection rule, with no count. It returns the rule's candidates in
+// preference order — the servers in use, else Sv — so that a read-only
+// client binds to the copy the writers keep current, and nothing else: the
+// use lists stay at the database.
+func (db *DB) Select(ctx context.Context, act string, from transport.Addr, id uid.UID) ([]transport.Addr, error) {
+	if err := db.locks.Acquire(ctx, lockmgr.Owner(act), svKey(id), lockmgr.Read); err != nil {
+		return nil, rpc.Errorf(CodeLockRefused, "%v", err)
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.noteClientLocked(act, from)
+	e, ok := db.servers[id]
+	if !ok {
+		return nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+	}
+	candidates, _ := selectServers(e.Nodes, e.Use, 0, false, "")
+	return slices.Clone(candidates), nil
 }
 
 // Insert adds host to Sv_A under a write lock. Because the write lock
@@ -435,6 +457,7 @@ const (
 	OpExclude
 	OpEndAction
 	OpBind
+	OpSelect
 	opKindEnd // one past the last valid kind
 )
 
@@ -509,6 +532,12 @@ func BindOp(act string, id uid.UID, clientNode transport.Addr, degree int, forUp
 	return Op{Kind: OpBind, Action: act, UID: id, Host: clientNode, Degree: degree, ForUpdate: forUpdate}
 }
 
+// SelectOp reads Sv_A and the use lists and returns the servers the selection
+// rule picks from, counting nothing; see DB.Select.
+func SelectOp(act string, id uid.UID) Op {
+	return Op{Kind: OpSelect, Action: act, UID: id}
+}
+
 // GetViewOp reads St_A and the class name.
 func GetViewOp(act string, id uid.UID) Op {
 	return Op{Kind: OpGetView, Action: act, UID: id}
@@ -530,8 +559,9 @@ func EndActionOp(act string, commit bool) Op {
 }
 
 // OpResult is what one operation returned: Sv and the use lists
-// (GetServer, Bind), the hosts counted (Bind), St and the class (GetView,
-// Deregister), the post-include view (Include), nothing for the rest.
+// (GetServer, Bind), the hosts counted (Bind), the candidates (Select), St
+// and the class (GetView, Deregister), the post-include view (Include),
+// nothing for the rest.
 type OpResult struct {
 	Nodes []transport.Addr
 	Class string
@@ -596,6 +626,8 @@ func (db *DB) exec(ctx context.Context, from transport.Addr, op *Op) (res OpResu
 		db.EndAction(op.Action, op.Commit)
 	case OpBind:
 		res.Nodes, res.Use, res.Hosts, err = db.Bind(ctx, op.Action, from, op.UID, op.Host, op.Degree, op.ForUpdate)
+	case OpSelect:
+		res.Nodes, err = db.Select(ctx, op.Action, from, op.UID)
 	default:
 		err = rpc.Errorf(rpc.CodeInternal, "unknown groupview op %d", op.Kind)
 	}

@@ -13,7 +13,8 @@ import (
 // and action end rides, and the durable entry record every commit writes —
 // none of them may pay gob reflection. Tags live in the 0x01–0x1f block of
 // the registry in internal/rpc/doc.go. The batch records are at version 2
-// (the Bind operation's degree and counted hosts); the rest at version 1.
+// (the Bind operation's degree and counted hosts; Select, the newest kind,
+// needs no field of its own); the rest at version 1.
 // (0x02–0x0d were the per-operation request and response records the
 // batch replaced; they stay retired.)
 const (

@@ -351,7 +351,9 @@ type PrepareResp struct {
 	// copy is needed, and the server has already released the action (the
 	// §4.1.2 read optimisation — no phase-two round trip follows).
 	Dirty bool
-	// NewSeq is the version number the new state will commit as.
+	// NewSeq is the version number the new state will commit as — or, with
+	// a read-only vote, the committed version the action read under the lock
+	// this reply released.
 	NewSeq uint64
 	// PreparedNodes successfully recorded the intention.
 	PreparedNodes []string
@@ -411,7 +413,8 @@ type PrepareCommitResp struct {
 	// Dirty is false when the action never modified the object; the server
 	// released it with no store traffic at all.
 	Dirty bool
-	// NewSeq is the version number the new state committed as (when Dirty).
+	// NewSeq is the version number the new state committed as (when Dirty),
+	// else the committed version the action read (see PrepareResp.NewSeq).
 	NewSeq uint64
 	// FailedNodes lists store nodes that refused/missed the write-back and
 	// cohorts whose checkpoint failed, for §4.2 exclusion.
@@ -892,10 +895,11 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 		// involvement with no phase-two round trip (§4.1.2).
 		delete(in.snaps, req.Action)
 		delete(in.users, req.Action)
+		seq := in.seq
 		in.mu.Unlock()
 		in.locks.ReleaseAll(lockmgr.Owner(req.Action))
 		m.kickCombiner(in)
-		return PrepareResp{Dirty: false}, nil
+		return PrepareResp{Dirty: false, NewSeq: seq}, nil
 	}
 	// Fold queued commutative ops into this write-back before snapshotting:
 	// they ride this action's single 2PC round (one lock hold, one commit,
@@ -945,9 +949,24 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 		preparedAddrs = append(preparedAddrs, transport.Addr(st))
 	}
 	in.mu.Lock()
-	in.prepared[req.Action] = preparedAddrs
-	in.preparedSeq[req.Action] = newSeq
+	aborted := !in.users[req.Action]
+	if !aborted {
+		in.prepared[req.Action] = preparedAddrs
+		in.preparedSeq[req.Action] = newSeq
+	}
 	in.mu.Unlock()
+	if aborted {
+		// The action's Abort overtook this prepare — its client cancelled the
+		// prepare on another participant's refusal and rolled back at once —
+		// and has been and gone while the copy was at the stores: the
+		// snapshot is restored, the lock released, nobody will ask again.
+		// Recording the intentions now would leave them, and the entry, for
+		// ever; take them back instead.
+		conc.Do(len(preparedAddrs), func(i int) {
+			_ = store.RemoteStore{Client: m.node.Client(), Node: preparedAddrs[i]}.Abort(context.WithoutCancel(ctx), req.Action)
+		})
+		return PrepareResp{}, rpc.Errorf(rpc.CodeRefused, "object %s: action %s was aborted during its prepare", req.UID, req.Action)
+	}
 	if m.leaseTTL > 0 {
 		// A store accepting the prepare validated its base version, so a
 		// majority acceptance confirms this copy was latest at
@@ -1187,10 +1206,11 @@ func (m *Manager) prepareCommitSingleStore(ctx context.Context, from transport.A
 		// Read-only: release immediately, exactly as handlePrepare does.
 		delete(in.snaps, req.Action)
 		delete(in.users, req.Action)
+		seq := in.seq
 		in.mu.Unlock()
 		in.locks.ReleaseAll(lockmgr.Owner(req.Action))
 		m.kickCombiner(in)
-		return PrepareCommitResp{Dirty: false}, nil
+		return PrepareCommitResp{Dirty: false, NewSeq: seq}, nil
 	}
 	// Fold queued commutative ops into the one-phase write-back (see
 	// handlePrepare).

@@ -169,6 +169,10 @@ type Handle struct {
 	// crashed coordinator's surviving handler goroutine may have completed
 	// the store commit after the client gave the server up for dead.
 	onePhaseDoubt bool
+	// wrote records that the coordinator answered one of this handle's
+	// invocations as a write (InvokeResp.Modified): the action is dirty there
+	// and its phase one cannot honestly be a read-only vote (see lostWrite).
+	wrote bool
 	// carried, when not CarryNone, says that a solo request took the action
 	// into phase one at the coordinator (see InvokeSolo), and carriedVote /
 	// carriedErr are what the Prepare (CarryPrepare) or PrepareCommit
@@ -370,6 +374,7 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, 
 	if !h.enlistOnce(act) {
 		return nil, fmt.Errorf("replica %v: enlist in %s: action not running", h.cfg.UID, act.ID())
 	}
+	h.dropCarried()
 	owner := act.Top().ID()
 	switch h.cfg.Policy {
 	case Active:
@@ -407,10 +412,21 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, 
 // PrepareCommit reply (see CommitOnePhase) — aborting instead could undo
 // nothing and report an abort over a committed write.
 //
+// readOnly is the caller's word, from the object's class, that the method
+// writes nothing. The phase one such a request carries is the read-only
+// vote: the server releases the action in the request that ran the method
+// and reports the version it read (CarriedRead). There is nothing to be in
+// doubt about, so an ambiguous failure is what a plain Invoke's is — the
+// binding breaks and the action aborts — and no intention precedes Commit,
+// so no commit window is opened. The promise is weaker too: the caller MAY
+// go on to other requests through the handle; the first of them drops the
+// carried vote (the server holds the action's lock again), and what the read
+// saw is then the caller's to re-check (CheckSeq).
+//
 // Active replication never batches or carries (one replica folding, or
 // preparing ahead of the others, would diverge the copies), so the call
 // degrades to a plain Invoke there.
-func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method string, args []byte) ([]byte, bool, error) {
+func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method string, args []byte, readOnly bool) ([]byte, bool, error) {
 	if h.cfg.Policy == Active {
 		res, err := h.Invoke(ctx, act, method, args)
 		return res, false, err
@@ -428,13 +444,15 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 			if h.onePhaseEligible(1) {
 				carry, checkpointTo = object.CarryCommit, h.cohortsOf(ref.Node)
 			} else {
-				// Intentions will sit at the stores before Commit is called.
 				carry = object.CarryPrepare
-				act.ExpectPrepared()
+				if !readOnly {
+					// Intentions will sit at the stores before Commit is called.
+					act.ExpectPrepared()
+				}
 			}
 		}
 		resp, err = ref.InvokeSolo(ctx, owner, method, args, carry, checkpointTo)
-		if commitInDoubt(err) {
+		if !readOnly && commitInDoubt(err) {
 			h.mu.Lock()
 			h.onePhaseDoubt = true
 			h.mu.Unlock()
@@ -456,10 +474,35 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 		// this handle has nothing left to prepare or commit.
 		h.released = true
 		h.batchSize = resp.BatchSize
+	} else if resp.Modified {
+		h.wrote = true
 	}
 	h.carried, h.carriedVote, h.carriedErr = resp.Carried, resp.Vote, resp.VoteErr()
 	h.mu.Unlock()
 	return resp.Result, resp.Batched, nil
+}
+
+// CarriedRead reports, while a carried read-only vote stands, the committed
+// version the action read: the server ran the method, released the action
+// and said which version that was. A vote that was refused, is dirty, has
+// been taken by commit processing or was dropped by a later request reports
+// false.
+func (h *Handle) CarriedRead() (seq uint64, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.carried == object.CarryNone || h.carriedErr != nil || h.carriedVote.Dirty {
+		return 0, false
+	}
+	return h.carriedVote.NewSeq, true
+}
+
+// dropCarried forgets a carried vote ahead of another request through the
+// handle: that request takes the action back to the server, which will hold
+// a lock for it again until a phase-one message of its own releases it.
+func (h *Handle) dropCarried() {
+	h.mu.Lock()
+	h.carried = object.CarryNone
+	h.mu.Unlock()
 }
 
 // intact reports whether no candidate's binding has broken.
@@ -497,24 +540,18 @@ func (h *Handle) QueueWait() time.Duration {
 	return time.Duration(h.queueWaitNanos)
 }
 
-func (h *Handle) noteQueueWait(nanos int64) {
-	h.mu.Lock()
-	if nanos > h.queueWaitNanos {
-		h.queueWaitNanos = nanos
-	}
-	h.mu.Unlock()
-}
-
 // CheckSeq acquires the object's read lock under act at the coordinator
 // and returns the committed version it holds — the server-backed
-// revalidation of a leased read. The lock, held until the action ends,
-// is what makes the answer durable for the caller's commit: leases are a
-// single-copy-passive feature, so the coordinator is the one server
-// whose version can advance.
+// revalidation of a read served without one: from a lease, or by a request
+// that released the lock as it answered (CarriedRead). The lock, held until
+// the action ends, is what makes the answer durable for the caller's commit:
+// leases are a single-copy-passive feature and active replication never
+// carries, so the coordinator is the one server whose version can advance.
 func (h *Handle) CheckSeq(ctx context.Context, act *action.Action) (uint64, error) {
 	if !h.enlistOnce(act) {
 		return 0, fmt.Errorf("replica %v: enlist in %s: action not running", h.cfg.UID, act.ID())
 	}
+	h.dropCarried()
 	owner := act.Top().ID()
 	var seq uint64
 	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
@@ -578,15 +615,30 @@ func (h *Handle) invokeCoordinator(ctx context.Context, owner, method string, ar
 	if err != nil {
 		return nil, err
 	}
+	h.mu.Lock()
 	if resp.Lease != nil {
-		h.mu.Lock()
 		h.lastGrant = resp.Lease
-		h.mu.Unlock()
 	}
-	if resp.WaitNanos > 0 {
-		h.noteQueueWait(resp.WaitNanos)
+	h.wrote = h.wrote || resp.Modified
+	if resp.WaitNanos > h.queueWaitNanos {
+		h.queueWaitNanos = resp.WaitNanos
 	}
+	h.mu.Unlock()
 	return resp.Result, nil
+}
+
+// lostWrite reports whether a clean phase-one answer from the coordinator
+// contradicts what it told this handle earlier: it ran a write under the
+// action, and now knows of none. Its volatile state went in between — the
+// node restarted and another client's request re-activated the object — and
+// the write with it. Taking the answer as a read-only vote would commit the
+// action's other participants around a lost update, so it counts as the
+// crash it is. (After an ambiguous one-phase attempt a clean answer is the
+// expected one — committed and forgotten — and Prepare resolves it.)
+func (h *Handle) lostWrite() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.wrote && !h.onePhaseDoubt
 }
 
 // atCoordinator sends one request to the processing replica. When the
@@ -601,7 +653,7 @@ func (h *Handle) invokeCoordinator(ctx context.Context, owner, method string, ar
 // never ran (see neverRan) breaks that candidate and moves on to the next;
 // an ambiguous one — reply lost, deadline — breaks the binding as a
 // mid-action crash does, because the operation may have run there under
-// the action's lock and must not run at a second server. (A solo request's
+// the action's lock and must not run at a second server. (A solo write's
 // ambiguous failure never gets this far as one: InvokeSolo turns it into a
 // recorded doubt, because that operation may even have committed.)
 func (h *Handle) atCoordinator(call func(ref object.ServerRef) error) error {
@@ -774,6 +826,13 @@ func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 			}
 			continue
 		}
+		if !results[i].resp.Dirty && h.lostWrite() {
+			h.markBroken(sv)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s restarted under the action and lost its write", sv)
+			}
+			continue
+		}
 		okCount++
 		if !results[i].resp.Dirty {
 			// Server released the read-only action during prepare; it is not
@@ -926,6 +985,10 @@ func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, er
 			h.markBroken(coord)
 		}
 		return 0, err
+	}
+	if !vote.Dirty && h.lostWrite() {
+		h.markBroken(coord)
+		return 0, fmt.Errorf("replica %v: coordinator %s restarted under the action and lost its write: %w", h.cfg.UID, coord, ErrNoServers)
 	}
 	for _, f := range vote.FailedNodes {
 		h.recordFailure(transport.Addr(f))

@@ -768,7 +768,7 @@ func TestInvokeSoloCarriesTheCombinedRound(t *testing.T) {
 	calls := w.objsrvCalls()
 	h := w.handle(t, SingleCopyPassive)
 	a := w.mgr.BeginTop()
-	out, batched, err := h.InvokeSolo(ctx, a, "add", []byte("7"))
+	out, batched, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false)
 	if err != nil || batched || string(out) != "7" {
 		t.Fatalf("InvokeSolo = %q, %v, %v", out, batched, err)
 	}
@@ -800,7 +800,7 @@ func TestInvokeSoloCarriesThePrepare(t *testing.T) {
 	calls := w.objsrvCalls()
 	h := w.handle(t, SingleCopyPassive)
 	a := w.mgr.BeginTop()
-	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("7")); err != nil {
+	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false); err != nil {
 		t.Fatal(err)
 	}
 	if pend := w.cluster.Node("st2").Store().PendingTxs(); len(pend) != 1 {
@@ -835,7 +835,7 @@ func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
 	ctx := context.Background()
 	h := w.handle(t, SingleCopyPassive)
 	warm := w.mgr.BeginTop()
-	if _, _, err := h.InvokeSolo(ctx, warm, "get", nil); err != nil { // activates sv1 while st1 is up
+	if _, _, err := h.InvokeSolo(ctx, warm, "get", nil, true); err != nil { // activates sv1 while st1 is up
 		t.Fatal(err)
 	}
 	if _, err := warm.Commit(ctx); err != nil {
@@ -844,7 +844,7 @@ func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
 	w.cluster.Node("st1").Crash()
 	h = w.handle(t, SingleCopyPassive)
 	a := w.mgr.BeginTop()
-	if out, _, err := h.InvokeSolo(ctx, a, "add", []byte("7")); err != nil || string(out) != "7" {
+	if out, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false); err != nil || string(out) != "7" {
 		t.Fatalf("InvokeSolo = %q, %v; the vote's refusal is not the invocation's", out, err)
 	}
 	if _, err := a.Commit(ctx); !errors.Is(err, action.ErrPrepareFailed) || errors.Is(err, action.ErrOutcomeUnknown) {
@@ -865,7 +865,7 @@ func TestInvokeSoloReplyLostIsInDoubtNotBroken(t *testing.T) {
 	w.cluster.Faults().DropReplies(1, transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke))
 	h := w.handle(t, SingleCopyPassive)
 	a := w.mgr.BeginTop()
-	_, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"))
+	_, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false)
 	if !errors.Is(err, action.ErrOutcomeUnknown) || errors.Is(err, ErrNoServers) {
 		t.Fatalf("err = %v, want a doubt and no ErrNoServers", err)
 	}
@@ -896,7 +896,7 @@ func TestInvokeSoloCohortCheckpointsInTheSameRequest(t *testing.T) {
 	}
 	calls := w.objsrvCalls()
 	a := w.mgr.BeginTop()
-	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("9")); err != nil {
+	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("9"), false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Commit(ctx); err != nil {
@@ -907,5 +907,95 @@ func TestInvokeSoloCohortCheckpointsInTheSameRequest(t *testing.T) {
 	}
 	if st := w.serverStatus(t, "sv2"); !st.Active || st.Seq != 2 {
 		t.Fatalf("cohort sv2 = %+v; want the checkpoint at seq 2", st)
+	}
+}
+
+// TestInvokeSoloReadOnlyCarriesTheVote: flagged read-only, the solo request
+// brings back the read-only vote and the version read, on either store count
+// and with no commit window opened; commit processing sends nothing. A later
+// request through the handle drops the vote — the server holds the action
+// again — and CheckSeq re-reads the version under the lock, which then takes
+// a phase-one message of its own to release.
+func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
+	for _, stores := range []int{1, 3} {
+		w := newWorld(t, 2, stores)
+		ctx := context.Background()
+		calls := w.objsrvCalls()
+		h := w.handle(t, SingleCopyPassive)
+		a := w.mgr.BeginTop()
+		out, _, err := h.InvokeSolo(ctx, a, "get", nil, true)
+		if err != nil || string(out) != "0" {
+			t.Fatalf("%d stores: InvokeSolo(get) = %q, %v", stores, out, err)
+		}
+		if seq, ok := h.CarriedRead(); !ok || seq != 1 {
+			t.Fatalf("%d stores: CarriedRead = %d, %v; want version 1", stores, seq, ok)
+		}
+		if got := w.mgr.Lookup(a.ID()); got == store.OutcomeUnavailable {
+			t.Fatalf("%d stores: a carried read opened the commit window", stores)
+		}
+		if st := w.serverStatus(t, "sv1"); st.Users != 0 {
+			t.Fatalf("%d stores: sv1 holds the action after answering a carried read", stores)
+		}
+		rep, err := a.Commit(ctx)
+		if err != nil || rep.ReadOnlyVoters != 1 || rep.CommitVoters != 0 || rep.OutcomeLogged {
+			t.Fatalf("%d stores: commit = %+v, %v", stores, rep, err)
+		}
+		if calls[object.MethodInvoke] != 1 || calls[object.MethodPrepare]+calls[object.MethodPrepareCommit]+calls[object.MethodCommit] != 0 {
+			t.Fatalf("%d stores: messages to servers: %v; want one Invoke and no commit processing", stores, calls)
+		}
+
+		h = w.handle(t, SingleCopyPassive)
+		a = w.mgr.BeginTop()
+		if _, _, err := h.InvokeSolo(ctx, a, "get", nil, true); err != nil {
+			t.Fatal(err)
+		}
+		seq, err := h.CheckSeq(ctx, a)
+		if err != nil || seq != 1 {
+			t.Fatalf("%d stores: CheckSeq = %d, %v", stores, seq, err)
+		}
+		if _, ok := h.CarriedRead(); ok {
+			t.Fatalf("%d stores: the carried vote outlived a later request", stores)
+		}
+		if st := w.serverStatus(t, "sv1"); st.Users != 1 {
+			t.Fatalf("%d stores: sv1 users = %d after CheckSeq, want the re-taken lock", stores, st.Users)
+		}
+		clear(calls)
+		if _, err := a.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if calls[object.MethodPrepare]+calls[object.MethodPrepareCommit] != 1 {
+			t.Fatalf("%d stores: commit after CheckSeq sent %v; want one releasing message", stores, calls)
+		}
+		if st := w.serverStatus(t, "sv1"); st.Users != 0 {
+			t.Fatalf("%d stores: sv1 still holds the action", stores)
+		}
+	}
+}
+
+// TestInvokeSoloReadOnlyReplyLostBreaksTheBinding: a read-only solo request
+// whose reply is lost fails as a plain Invoke does — the binding breaks, no
+// doubt is recorded, no second server is tried — and the server, having
+// released the action in the request, holds nothing for it.
+func TestInvokeSoloReadOnlyReplyLostBreaksTheBinding(t *testing.T) {
+	w := newWorld(t, 2, 1)
+	ctx := context.Background()
+	w.cluster.Faults().DropReplies(1, transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke))
+	h := w.handle(t, SingleCopyPassive)
+	a := w.mgr.BeginTop()
+	_, _, err := h.InvokeSolo(ctx, a, "get", nil, true)
+	if !errors.Is(err, ErrNoServers) || errors.Is(err, action.ErrOutcomeUnknown) {
+		t.Fatalf("err = %v, want ErrNoServers and no doubt", err)
+	}
+	if broken := h.Broken(); len(broken) != 1 || broken[0] != "sv1" {
+		t.Fatalf("broken = %v, want [sv1]", broken)
+	}
+	if err := a.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.serverStatus(t, "sv1"); st.Users != 0 {
+		t.Fatalf("sv1 holds %d users for an action whose read it answered and released", st.Users)
+	}
+	if st := w.serverStatus(t, "sv2"); st.Active {
+		t.Fatal("the read was taken to a second server")
 	}
 }

@@ -115,8 +115,9 @@ type CommitReport struct {
 	// whole Atomic call (the final attempt included, if it failed so).
 	Overloads int
 	// LeaseStale counts the attempts aborted with ErrLeaseStale across the
-	// whole Atomic call: commit-time revalidation found a leased read
-	// superseded, and the attempt was undone before it could commit.
+	// whole Atomic call: commit-time revalidation found a read served with no
+	// lock behind it — leased, or carried by a ClientReadOnly client's first
+	// request — superseded, and the attempt was undone before it could commit.
 	LeaseStale int
 	// QueueWait is the longest server-side lock or combiner-queue wait
 	// observed by the final attempt's invocations.
@@ -145,9 +146,26 @@ type Txn struct {
 	// by wrapping runOnce's context, because the closure invokes objects
 	// under the CALLER's context, not a derived one.
 	notes *rpc.BreakerNotes
-	// leased records the lease entries whose snapshots served this
-	// action's cache-hit reads, for commit-time revalidation.
-	leased []*lease.Entry
+	// unlocked records the reads this action was served with no lock left
+	// behind them, for commit-time revalidation (see revalidateReads).
+	unlocked []unlockedRead
+	// ops counts the operations that got past bind, on their way to a server,
+	// and carried (0 or 1) how many of them were carried reads.
+	ops, carried int
+	// retry marks an attempt after the first: it never carries a read, so an
+	// action whose carried read went stale falls back to locks held.
+	retry bool
+}
+
+// unlockedRead is one read whose result the action holds with no server lock
+// to keep it current: served from a lease snapshot, or by a request that
+// carried the read-only vote and so released the lock as it answered.
+type unlockedRead struct {
+	id uid.UID
+	// seq is the committed version the read saw.
+	seq uint64
+	// lease is the cache entry that served the read; nil for a carried read.
+	lease *lease.Entry
 }
 
 // noted attaches the transaction's breaker-note recorder to ctx.
@@ -222,6 +240,12 @@ func (o *Object) bind(ctx context.Context) error {
 // a valid lease for — and has not yet bound in this action — runs
 // locally on the leased snapshot instead: zero RPCs, zero lock-manager
 // traffic.
+//
+// On a ClientReadOnly client without a lease cache, a read-only method that
+// is the first thing the action asks of any server is sent as a solo request
+// carrying the read-only vote (see carriedRead): the server runs it and
+// releases the action at once, so an action of one read is three messages —
+// bind, invoke, action-end — and holds the read lock for the method only.
 func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte, error) {
 	if out, ok := o.leasedRead(method, args); ok {
 		return out, nil
@@ -229,15 +253,49 @@ func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte
 	if err := o.bind(ctx); err != nil {
 		return nil, err
 	}
-	if err := o.refuseWrite(method); err != nil {
-		return nil, err
+	t := o.t
+	t.ops++
+	if t.c.cfg.readOnly {
+		readOnly, err := o.classify(method)
+		if err != nil {
+			return nil, err
+		}
+		if readOnly && t.ops == 1 && t.c.leases == nil && !t.retry {
+			return o.carriedRead(ctx, method, args)
+		}
 	}
 	t0 := time.Now()
-	out, err := o.bd.Invoke(o.t.noted(ctx), method, args)
+	out, err := o.bd.Invoke(t.noted(ctx), method, args)
 	if err != nil {
 		return nil, MapError(err)
 	}
 	o.harvestLease(t0)
+	return out, nil
+}
+
+// carriedRead sends a read the way apply sends an Apply: as a solo request
+// that carries the action's phase one, which for a read is the read-only
+// vote — the server releases the action in the request that ran the method,
+// and commit processing answers from the carried vote with no message. It is
+// taken only where the saving cannot cost a write its retry: by a client that
+// cannot write, for the first operation of a first attempt, never with a
+// lease cache (a grant riding a request that also releases the read lock
+// would reach this node after a writer's fence could have missed it; see
+// object.Manager.invalidateHolders).
+//
+// Unlike an Apply, the action may go on. The read is then one served with no
+// lock behind it, and is recorded for revalidateReads beside the leased ones.
+// Where the binding could not carry (a broken candidate, active replication)
+// the server still holds the read lock and nothing is recorded.
+func (o *Object) carriedRead(ctx context.Context, method string, args []byte) ([]byte, error) {
+	out, _, err := o.bd.InvokeSolo(o.t.noted(ctx), method, args, true)
+	if err != nil {
+		return nil, MapError(err)
+	}
+	if seq, ok := o.bd.CarriedRead(); ok {
+		o.t.carried++
+		o.t.unlocked = append(o.t.unlocked, unlockedRead{id: o.id, seq: seq})
+	}
 	return out, nil
 }
 
@@ -268,7 +326,7 @@ func (o *Object) leasedRead(method string, args []byte) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	o.t.leased = append(o.t.leased, e)
+	o.t.unlocked = append(o.t.unlocked, unlockedRead{id: o.id, seq: e.Snap.Seq, lease: e})
 	return out, true
 }
 
@@ -288,29 +346,33 @@ func (o *Object) harvestLease(t0 time.Time) {
 
 // Read invokes a read-only method. It is Invoke under a name that states
 // intent; pair it with a ClientReadOnly client for the §4.1.2 read
-// optimisation.
+// optimisation, under which an action's first Read is its one server message.
 func (o *Object) Read(ctx context.Context, method string, args []byte) ([]byte, error) {
 	return o.Invoke(ctx, method, args)
 }
 
-// refuseWrite refuses, before any message is sent, a method that may write
-// on a bound object of a ClientReadOnly client: such a client binds to any
-// convenient server, outside the use lists, so its write could activate a
-// second copy beside the one writers use with only the store's version
-// check between the two. A class or method this node does not know is left
-// for the server to refuse.
-func (o *Object) refuseWrite(method string) error {
+// classify looks method up in the bound object's class as this node knows it
+// and reports whether the class marks it read-only. On a ClientReadOnly
+// client a method that may write is refused here, before any message is
+// sent: such a client binds outside the use lists, so its write could
+// activate a second copy beside the one writers use with only the store's
+// version check between the two. A class or method this node does not know
+// is left for the server to judge.
+func (o *Object) classify(method string) (readOnly bool, err error) {
+	cls, lerr := o.t.c.sys.w.Registry.Lookup(o.bd.Class())
+	if lerr != nil {
+		return false, nil
+	}
+	if cls.IsReadOnly(method) {
+		return true, nil
+	}
 	if !o.t.c.cfg.readOnly {
-		return nil
+		return false, nil
 	}
-	cls, err := o.t.c.sys.w.Registry.Lookup(o.bd.Class())
-	if err != nil || cls.IsReadOnly(method) {
-		return nil
+	if _, merr := cls.Method(method); merr != nil {
+		return false, nil
 	}
-	if _, err := cls.Method(method); err != nil {
-		return nil
-	}
-	return fmt.Errorf("arjuna: %s.%s is not a read-only method: refused on a ClientReadOnly client", cls.Name, method)
+	return false, fmt.Errorf("arjuna: %s.%s is not a read-only method: refused on a ClientReadOnly client", cls.Name, method)
 }
 
 // apply is the solo-invoke path behind Client.Apply: the request carries
@@ -318,15 +380,18 @@ func (o *Object) refuseWrite(method string) error {
 // the server. A request that carried the commit and failed ambiguously may
 // have committed: the failure is kept in o.inDoubt and NOT returned, so that
 // the closure succeeds and the action goes on to commit processing, which
-// resolves the doubt (Apply reports it).
+// resolves the doubt (Apply reports it). A read-only method has nothing to
+// be in doubt about and is sent saying so: its lost reply is a failed invoke.
 func (o *Object) apply(ctx context.Context, method string, args []byte) ([]byte, error) {
 	if err := o.bind(ctx); err != nil {
 		return nil, err
 	}
-	if err := o.refuseWrite(method); err != nil {
+	readOnly, err := o.classify(method)
+	if err != nil {
 		return nil, err
 	}
-	out, batched, err := o.bd.InvokeSolo(o.t.noted(ctx), method, args)
+	o.t.ops++
+	out, batched, err := o.bd.InvokeSolo(o.t.noted(ctx), method, args, readOnly)
 	if errors.Is(err, action.ErrOutcomeUnknown) {
 		o.inDoubt = MapError(err)
 		return nil, nil
@@ -368,7 +433,7 @@ func (c *Client) Atomic(ctx context.Context, fn func(tx *Txn) error) (*CommitRep
 	var err error
 	overloads, stale := 0, 0
 	for attempt := 1; ; attempt++ {
-		rep, err = c.runOnce(ctx, fn)
+		rep, err = c.runOnce(ctx, fn, attempt > 1)
 		rep.Attempts = attempt
 		if errors.Is(err, ErrOverloaded) {
 			overloads++
@@ -448,10 +513,11 @@ func (c *Client) Apply(ctx context.Context, id uid.UID, method string, args []by
 	return result, rep, nil
 }
 
-// runOnce executes one begin → fn → commit/abort cycle.
-func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error) (*CommitReport, error) {
+// runOnce executes one begin → fn → commit/abort cycle; retry marks an
+// attempt after the first.
+func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool) (*CommitReport, error) {
 	act := c.binder.BeginTop()
-	tx := &Txn{c: c, act: act, notes: &rpc.BreakerNotes{}}
+	tx := &Txn{c: c, act: act, notes: &rpc.BreakerNotes{}, retry: retry}
 	// Abort on every path that does not reach commit — including a panic
 	// inside fn — so no action is left running.
 	committed := false
@@ -474,7 +540,7 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error) (*CommitRe
 		}
 		return tx.report(false), err
 	}
-	if err := tx.revalidateLeases(ctx); err != nil {
+	if err := tx.revalidateReads(ctx); err != nil {
 		_ = act.Abort(context.WithoutCancel(ctx))
 		return tx.report(false), tag(ErrAborted, err)
 	}
@@ -498,63 +564,57 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error) (*CommitRe
 	return rep, nil
 }
 
-// revalidateLeases upgrades, just before commit, every leased read of a
-// transaction that also did server-side work into a LOCKED server read:
-// the object is bound and its coordinator asked — under the action's
-// read lock — for its committed version. A matching version proves the
-// leased snapshot is still the latest committed state, and the read lock
-// (strict 2PL, held through this action's commit) keeps it so, making
-// the transaction equivalent to one that read through the servers. A
+// revalidateReads upgrades, just before commit, every read the action was
+// served with no lock behind it into a LOCKED server read, when the action
+// also did other work at a server. Two producers feed it and one rule covers
+// both: a leased read ran on a cached snapshot, and a carried read
+// (carriedRead) ran at the server under a read lock the same request
+// released; each recorded the committed version it saw. The object is bound
+// if it is not yet and its coordinator asked — under the action's read lock —
+// for its committed version. A matching version proves what was read is
+// still the latest committed state, and the read lock (strict 2PL, held
+// through this action's commit) keeps it so, making the transaction
+// equivalent to one that read through the servers with its locks held. A
 // local validity check would NOT suffice: a concurrent commit's lease
 // invalidation is confirmed before that writer's locks release, but the
 // multicast can still be in flight when THIS transaction — unblocked by
 // a different participant's earlier release — reaches its commit, so
 // only the server's lock queue gives a race-free answer. On mismatch the
-// cached entry is killed so the retry re-reads through the servers.
-// A pure lease-read transaction (nothing bound) skips the check: each
-// read was individually valid when served, which is exactly the lease
-// guarantee.
-func (t *Txn) revalidateLeases(ctx context.Context) error {
-	if len(t.leased) == 0 {
+// attempt fails with ErrLeaseStale and the retry reads through the servers:
+// the cached entry is killed, and a retry never carries.
+//
+// An action that sent no server anything else skips the check. Pure lease
+// reads were each individually valid when served, which is exactly the lease
+// guarantee; a carried read on its own is a whole action at its server —
+// lock, read, release — serialised there like any other.
+func (t *Txn) revalidateReads(ctx context.Context) error {
+	if len(t.unlocked) == 0 || t.ops == t.carried {
 		return nil
 	}
-	bound := false
-	for _, o := range t.objects {
-		if o.bd != nil {
-			bound = true
-			break
+	stale := func(r unlockedRead, err error) error {
+		if r.lease != nil {
+			t.c.leases.Invalidate(r.id)
 		}
+		return err
 	}
-	if !bound {
-		return nil
-	}
-	checked := make(map[uid.UID]bool, len(t.leased))
-	for _, e := range t.leased {
-		id := e.Snap.UID
-		if checked[id] {
+	for i, r := range t.unlocked {
+		if slices.ContainsFunc(t.unlocked[:i], func(p unlockedRead) bool { return p.id == r.id }) {
 			continue
 		}
-		checked[id] = true
-		o := t.object(id)
-		if o == nil {
-			return ErrLeaseStale
-		}
+		// Both producers record through a handle of this action.
+		o := t.object(r.id)
 		if err := o.bind(ctx); err != nil {
-			t.c.leases.Invalidate(id)
-			return err
+			return stale(r, err)
 		}
 		seq, err := o.bd.LeaseCheck(t.noted(ctx))
 		if err != nil {
-			// Unreachable coordinator, refused lock, dead context — the
-			// snapshot cannot be vouched for. Kill it so the retry takes
-			// the plain server path, and classify the cause for the
-			// retry loop.
-			t.c.leases.Invalidate(id)
-			return MapError(err)
+			// Unreachable coordinator, refused lock, dead context — the read
+			// cannot be vouched for. Classify the cause for the retry loop,
+			// which takes the plain server path.
+			return stale(r, MapError(err))
 		}
-		if seq != e.Snap.Seq {
-			t.c.leases.Invalidate(id)
-			return ErrLeaseStale
+		if seq != r.seq {
+			return stale(r, ErrLeaseStale)
 		}
 	}
 	return nil
@@ -562,7 +622,7 @@ func (t *Txn) revalidateLeases(ctx context.Context) error {
 
 // report collects the failure anatomy from every bound object.
 func (t *Txn) report(committed bool) *CommitReport {
-	rep := &CommitReport{Committed: committed, LeaseReads: len(t.leased)}
+	rep := &CommitReport{Committed: committed, LeaseReads: len(t.unlocked) - t.carried}
 	// Both lists stay nil unless something broke: the accessors return nil
 	// for an empty set.
 	var broken, excluded []transport.Addr

@@ -65,9 +65,27 @@
 // anatomy shows which of these fired: ReadOnlyVoters / CommitVoters
 // count the phase-one votes, OnePhase marks the combined round, and
 // OutcomeLogged reports whether a commit record was written at all.
-// Pair ClientReadOnly (bind to any convenient server, no use-list
-// updates) with read-only methods to keep the entire action — binding,
+// Pair ClientReadOnly (no use-list updates; bound where the writers' copy
+// is) with read-only methods to keep the entire action — binding,
 // invocation and commitment — on shared read locks and single rounds.
+//
+// For such a client the read-only vote does not wait to be asked for. It
+// cannot write, so when a read is the first thing its action asks of any
+// server, the request carries the vote — the unsolicited read-only vote of
+// R*: the server runs the method, releases the action and reports the
+// version it read, all in the one request, and commit processing answers
+// from that record. A single-read action is three messages (bind, invoke,
+// action-end; four before) and holds its read lock for the method, not for a
+// client round trip. The action may still go on: its first read then stands
+// with no lock behind it, exactly as a read served from a lease does, and the
+// rule below for leased reads in mixed actions covers it — before commit the
+// object's read lock is taken again and the version compared (one message
+// more than holding the lock throughout would have cost); a mismatch aborts
+// the attempt with ErrLeaseStale, and the retry carries nothing and holds
+// every lock. A retry never carries, a client that may write never carries
+// (its read-then-write actions would pay the re-check every time), a client
+// with a lease cache never carries (the cache serves its reads), and neither
+// does active replication or a binding that found a candidate server dead.
 //
 // # Cached read leases
 //

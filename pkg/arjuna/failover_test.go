@@ -149,3 +149,47 @@ func TestActivationSeesCommitPinnedAsIntention(t *testing.T) {
 		}
 	})
 }
+
+// TestServerRestartUnderActionLosesNoWrite: a server restarts between an
+// action's write and its commit, and another client's request re-activates
+// the object there in between — so the prepare finds a server for the object,
+// one that has never heard of the action, and answers "clean". That is not a
+// read-only vote: the write is gone, and a transfer that took it for one
+// committed its other leg alone (the new read-checking chaos workload found
+// this at the parent, 3 runs in 20 of one seed). The handle knows it wrote;
+// the action aborts as for the crash it is, both legs undone.
+func TestServerRestartUnderActionLosesNoWrite(t *testing.T) {
+	for _, stores := range []int{1, 3} {
+		sys := openT(t, arjuna.WithServers(1), arjuna.WithStores(stores), arjuna.WithObjects(2), arjuna.WithClients(2))
+		cl := clientT(t, sys, "c1", arjuna.ClientFastBind(), arjuna.ClientRetry(1, 0))
+		other := clientT(t, sys, "c2", arjuna.ClientFastBind())
+		ctx, a, b := context.Background(), sys.Objects()[0], sys.Objects()[1]
+		sv1 := sys.World().Cluster.Node("sv1")
+		for _, legs := range []int{1, 2} {
+			rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+				if _, err := tx.Object(a).Invoke(ctx, "add", []byte("-3")); err != nil {
+					return err
+				}
+				sv1.Crash()
+				sv1.Recover(nil)
+				if _, err := other.Atomic(ctx, func(tx *arjuna.Txn) error {
+					_, err := tx.Object(a).Read(ctx, "get", nil)
+					return err
+				}); err != nil {
+					t.Errorf("the other client's read: %v", err)
+				}
+				if legs == 1 {
+					return nil
+				}
+				_, err := tx.Object(b).Invoke(ctx, "add", []byte("3"))
+				return err
+			})
+			if !errors.Is(err, arjuna.ErrAborted) || !errors.Is(err, arjuna.ErrNoServers) || rep.Committed {
+				t.Fatalf("%d stores, %d legs: err = %v, report %+v; want an abort for a lost server", stores, legs, err, rep)
+			}
+			if va, vb := counterValue(t, sys, a), counterValue(t, sys, b); va != "0" || vb != "0" {
+				t.Fatalf("%d stores, %d legs: committed state %s and %s, want both untouched", stores, legs, va, vb)
+			}
+		}
+	}
+}

@@ -287,12 +287,25 @@ func ClientPolicy(p Policy) ClientOption { return func(c *clientConfig) { c.poli
 // default is 1 under single-copy passive replication and all otherwise.
 func ClientDegree(d int) ClientOption { return func(c *clientConfig) { c.degree = d } }
 
-// ClientReadOnly applies the §4.1.2 read optimisation: the client binds to
-// any one convenient server and never touches use lists. Only read-only
-// methods can be invoked through such a client: a method its class does not
-// mark ReadOnly is refused before any message is sent and aborts the action
-// — bound outside the use lists, a write could activate a second copy beside
-// the one writers use.
+// ClientReadOnly applies the §4.1.2 read optimisation: the client never
+// touches use lists, and only read-only methods can be invoked through it —
+// a method its class does not mark ReadOnly is refused before any message is
+// sent and aborts the action, because bound outside the use lists a write
+// could activate a second copy beside the one writers use.
+//
+// What the option promises in return. Its reads are served where the
+// writers' copy is: under single-copy passive and coordinator-cohort
+// replication the client binds by the writers' rule, uncounted — the servers
+// in use, else Sv in order — and only under active replication, where the
+// total order keeps every replica current, is it spread over Sv by its name.
+// And because the client cannot write, an action's first Read is its one
+// server message: the request carries the read-only vote, the server
+// releases the action as it answers, and a single-read action is bind ·
+// invoke · action-end with the read lock held for the method alone. An
+// action that goes on to further operations has that first read re-checked
+// under a held lock before it commits (CommitReport.LeaseStale counts the
+// attempts that failed the check and were retried with every lock held).
+// With WithReadLeases the lease cache serves instead and nothing is carried.
 func ClientReadOnly() ClientOption { return func(c *clientConfig) { c.readOnly = true } }
 
 // ClientFastBind makes the enhanced schemes' bind action use commutative
