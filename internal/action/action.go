@@ -439,10 +439,20 @@ func (a *Action) OnMerge(f func(parent *Action)) {
 // its own level: nested abort (false), top-level commit (true) or abort
 // (false). A nested commit transfers nothing to resolve hooks — the work
 // moves to the parent via OnMerge.
-func (a *Action) OnResolve(f func(committed bool)) {
+//
+// It reports whether the hook was registered. An action that has left
+// StatusRunning has already taken its list of hooks into commit or abort
+// processing, so a hook offered from then on — by a participant's Prepare,
+// say — would never run: OnResolve refuses it, and a caller that was about to
+// acquire something only the hook releases must not acquire it.
+func (a *Action) OnResolve(f func(committed bool)) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.status != StatusRunning {
+		return false
+	}
 	a.resolveHooks = append(a.resolveHooks, f)
+	return true
 }
 
 // RetainOutcome marks the action's commit record as still needed after

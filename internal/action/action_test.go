@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -393,6 +394,67 @@ func TestEnlistAfterEndRefused(t *testing.T) {
 	if err := a.Enlist(&fakeParticipant{name: "x"}); !errors.Is(err, ErrNotRunning) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// hookingParticipant offers the action a resolve hook from inside Prepare.
+type hookingParticipant struct {
+	fakeParticipant
+	act        *Action
+	registered bool
+	ran        atomic.Int64
+}
+
+func (p *hookingParticipant) Prepare(ctx context.Context, tx string) (Vote, error) {
+	p.registered = p.act.OnResolve(func(bool) { p.ran.Add(1) })
+	return p.fakeParticipant.Prepare(ctx, tx)
+}
+
+// TestOnResolveReportsRegistration: commit processing takes the hook list
+// with it when it starts, so a hook offered during phase one — or after the
+// action ended, either way — would never run. OnResolve says so instead of
+// dropping it silently (a lock taken on the strength of such a hook leaked);
+// on a running action it registers and the hook runs once.
+func TestOnResolveReportsRegistration(t *testing.T) {
+	m := NewManager("client", nil)
+	ctx := context.Background()
+	for _, end := range []struct {
+		name string
+		run  func(a *Action) error
+	}{
+		{"commit", func(a *Action) error { _, err := a.Commit(ctx); return err }},
+		{"abort", func(a *Action) error { return a.Abort(ctx) }},
+	} {
+		a := m.BeginTop()
+		var early atomic.Int64
+		if !a.OnResolve(func(bool) { early.Add(1) }) {
+			t.Fatalf("%s: a running action refused a resolve hook", end.name)
+		}
+		p := &hookingParticipant{fakeParticipant: fakeParticipant{name: "p"}, act: a}
+		_ = a.Enlist(p)
+		if err := end.run(a); err != nil {
+			t.Fatal(err)
+		}
+		if end.name == "commit" && p.registered {
+			t.Fatal("a hook offered during phase one was reported registered")
+		}
+		if a.OnResolve(func(bool) { p.ran.Add(1) }) {
+			t.Fatalf("%s: an ended action reported a hook registered", end.name)
+		}
+		if early.Load() != 1 || p.ran.Load() != 0 {
+			t.Fatalf("%s: the hook registered while running ran %d times, the refused ones %d; want 1 and 0",
+				end.name, early.Load(), p.ran.Load())
+		}
+	}
+	// A nested action that committed handed its hooks to the parent.
+	parent := m.BeginTop()
+	child, _ := m.Begin(parent)
+	if _, err := child.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if child.OnResolve(func(bool) {}) {
+		t.Fatal("a committed nested action reported a hook registered")
+	}
+	_ = parent.Abort(ctx)
 }
 
 func TestNestedTopLevelActionIndependent(t *testing.T) {

@@ -91,6 +91,45 @@ func (s Scheme) String() string {
 //     EndAction(new action, commit)]: the client action's database locks
 //     go, then the last shaded action of Figure 7 drops the use counts.
 //
+// The first object a read-only action binds has the first conversation only
+// — [Select(bind action), GetView(bind action), EndAction(bind action)]: the
+// St read joins the bind action, its lock lives and dies inside the one
+// message, and the binding is unpinned: nothing of the client action's is at
+// the database, trackTxDB registers nothing and there is no action-end to
+// send. For an action of ONE object the St read lock guards nothing. It
+// never copies a state back, so a recovering store's Include (§4.2) has no
+// view-read/write-back window of its to stay out of, and a view that misses
+// a store included since is still a set of current members; Exclude was
+// always read-compatible (§4.2.1); Insert and Deregister's use-count check
+// never saw a ReadOnly binder; and placement.Move, the one thing the lock
+// did hold off, leaves the read linearizable at its bind. It is the second
+// object that makes the lock matter — the two must be read from one state
+// of the world — so that is when it is taken:
+//
+//   - pin — [GetView(client action)], at the first binding's own database,
+//     before the second object's bind message (Binding.pin): the lock and
+//     the trackTxDB hook a pinned bind would have left, from here to the
+//     action's end. The second and every later object is bound pinned. A
+//     pin that finds the object deregistered — moved away since the bind —
+//     is ErrPinStale, and the attempt fails: what was read at the old home
+//     cannot be vouched for beside what the new one now says.
+//
+// This is the rule an action served from a lease already lives by (it binds
+// late, when it goes on: pkg/arjuna Txn.revalidateReads). Three conditions
+// keep everyone else pinned from the first bind (bindsUnpinned). ReadOnly: an
+// action that may write copies state back to the view it read. No
+// LeaseHolder: Move's lease fence passivates the source servers and relies on
+// the write-locked entries — which wait for every reader's St lock — to keep
+// new grants from being handed out behind it. Single-copy passive: its
+// binding sends no server anything at bind time, so the unpinned view is
+// used once, by the request that also reads; active and coordinator-cohort
+// bindings activate their replicas from the view in a probe of their own
+// (finishBind), never carry a read, and no test or workload has an Include or
+// a Move sliding between their view read and that probe — they keep the lock
+// that rules it out. The standard scheme never comes this way: Figure 6 holds
+// GetServer's and GetView's locks alike until the action ends, and that is
+// what it measures.
+//
 // Between the two the binding talks to its servers, and how often depends on
 // what the action says about itself:
 //
@@ -107,14 +146,18 @@ func (s Scheme) String() string {
 //     cannot write, so when a read is the first thing its action asks of any
 //     server it is sent the same way, flagged read-only — the server runs the
 //     method, gives the read-only vote and releases the action in that one
-//     request, and a committed read is bind · invoke · action-end on either
-//     store count. Unlike an Apply the action may go on; what the read saw is
-//     then re-checked under a held lock before commit (LeaseCheck, one more
-//     message) exactly as a read served from a lease is.
+//     request, and a committed read is bind · invoke on either store count
+//     (the bind being unpinned). Unlike an Apply the action may go on; what
+//     the read saw is then re-checked under a held lock before commit
+//     (LeaseCheck, one more message) exactly as a read served from a lease
+//     is.
 //
 // No message goes to a server at bind time under single-copy passive: the
 // binding's first request activates the object where it lands and is the
-// §4.1.2 probe (replica.Handle). Active and coordinator-cohort bindings
+// §4.1.2 probe (replica.Handle); where it lands past a candidate that did
+// not answer, the server first checks a copy it already holds against the
+// stores, because nothing else has kept a stand-in's copy current
+// (object.Manager.revalidate). Active and coordinator-cohort bindings
 // probe explicitly, after the bind message. Either way, when the probe
 // finds selected servers dead, one more action follows it, once:
 //
@@ -147,7 +190,10 @@ type Binder struct {
 	// Degree is the desired |Sv'| (0 = all of Sv).
 	Degree int
 	// ReadOnly applies the §4.1.2 read optimisation: the client never
-	// updates use lists. Under active replication it binds to any one
+	// updates use lists, and never writes — its bindings stand outside the
+	// use lists and its first one outside the St lock too, so nothing would
+	// order a state it copied back (pkg/arjuna refuses such a client's
+	// writes before any message). Under active replication it binds to any one
 	// convenient server — the total order keeps every replica current. Under
 	// the other policies only the copy the writers use is current, so it
 	// binds where they do: the servers in use, else Sv in order (DB.Select).
@@ -213,16 +259,29 @@ type Binding struct {
 	// no-ops then.
 	released bool
 	// dbState guards the once-per-action database EndAction, shared with
-	// sibling bindings and the action-level hook (see trackTxDB).
+	// sibling bindings and the action-level hook (see trackTxDB). Nil while
+	// the binding is unpinned: the client action holds nothing at the
+	// database for it (see Binder, Binding.pin).
 	dbState *txDBState
 }
 
 // Bind resolves the object's UID through the naming and binding service
 // and returns a Binding ready for Invoke. It must be called inside a
-// running client action. Binding errors mean the client action must abort.
+// running client action, and an action's binds must follow one another —
+// which of them is the action's one unpinned binding, and whether it has
+// been pinned, is decided with no lock, as one goroutine per action decides
+// it (pkg/arjuna's Client is for sequential use, and nothing else binds).
+// Binding errors mean the client action must abort.
 func (b *Binder) Bind(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
 	if act == nil || act.Status() != action.StatusRunning {
 		return nil, errors.New("core: Bind requires a running client action")
+	}
+	// An action that goes on to another object holds the St read lock of
+	// every object it has bound: the one bound unpinned takes it now.
+	if first, ok := act.Top().Stashed(unpinnedKey); ok {
+		if err := first.(*Binding).pin(ctx); err != nil {
+			return nil, err
+		}
 	}
 	if b.NameServer != nil {
 		return b.bindNonAtomicSv(ctx, act, id)
@@ -300,25 +359,35 @@ func (s *txDBState) unclaim() {
 // which is correct in both worlds; bindings that end the database action
 // during their own commit/abort processing claim the guard first and the
 // hook degrades to a no-op.
-func (b *Binder) trackTxDB(act *action.Action) *txDBState {
+//
+// An action that has left StatusRunning takes no more hooks (its commit or
+// abort processing already holds the list), so nothing would ever end what
+// the caller is about to lock: trackTxDB fails then, before anything is
+// stashed, and the bind or pin that asked fails with it.
+func (b *Binder) trackTxDB(act *action.Action) (*txDBState, error) {
 	top := act.Top()
 	b.dbtxOnce.Do(func() { b.dbtxKey = "core.dbtx:" + string(b.DB.DB) })
 	key := b.dbtxKey
 	if v, ok := top.Stashed(key); ok {
-		return v.(*txDBState)
+		return v.(*txDBState), nil
 	}
 	st := &txDBState{}
-	if !top.StashOnce(key, st) {
-		v, _ := top.Stashed(key)
-		return v.(*txDBState)
-	}
 	tx := top.ID()
-	top.OnResolve(func(committed bool) {
+	if !top.OnResolve(func(committed bool) {
 		if st.tryEnd() {
 			_ = b.DB.EndAction(context.Background(), tx, committed)
 		}
-	})
-	return st
+	}) {
+		return nil, fmt.Errorf("core: %s has begun to end, nothing would release its locks at %s: %w", tx, b.DB.DB, action.ErrNotRunning)
+	}
+	if !top.StashOnce(key, st) {
+		// A sibling bind got in between: its guard is the action's, and
+		// this one's hook is spent before it can fire.
+		st.tryEnd()
+		v, _ := top.Stashed(key)
+		return v.(*txDBState), nil
+	}
+	return st, nil
 }
 
 // spreadReads reports whether bindings are spread over Sv by client name
@@ -326,6 +395,55 @@ func (b *Binder) trackTxDB(act *action.Action) *txDBState {
 // replica is as good as any other.
 func (b *Binder) spreadReads() bool {
 	return b.ReadOnly && b.Policy == replica.Active
+}
+
+// unpinnedKey stashes, on the top-level client action, the one binding the
+// action bound unpinned — its first.
+const unpinnedKey = "core.unpinned"
+
+// ErrPinStale reports a pin that found the object gone from the database the
+// action bound it at: it was moved (placement.Move) between the bind and the
+// pin. What the action read there can no longer be vouched for beside
+// anything it reads from now on, so the attempt must fail; a fresh attempt
+// binds where the object now is.
+var ErrPinStale = errors.New("core: object left its database between bind and pin")
+
+// bindsUnpinned reports whether the first object an action binds through b
+// is bound without the client action's St read lock (see Binder).
+func (b *Binder) bindsUnpinned() bool {
+	return b.ReadOnly && b.Policy == replica.SingleCopyPassive && b.LeaseHolder == ""
+}
+
+// pin takes, for the client action, the St read lock an unpinned binding was
+// bound without — GetView under the client action at the binding's own
+// database, with the trackTxDB hook registered first, exactly the lock and
+// the backstop a pinned bind leaves behind. From here on the binding is a
+// pinned one. A binding bound pinned has nothing to do.
+//
+// The view the pin reads is not compared with the one the bind read: a
+// read-only binding copies nothing back, so a store included since is one
+// its activation did not need and a store excluded since is one today's
+// pinned binding outlives too (Exclude is read-compatible, §4.2.1). Only
+// an object that is no longer registered here is news: ErrPinStale.
+func (bd *Binding) pin(ctx context.Context) error {
+	if bd.dbState != nil {
+		return nil
+	}
+	b := bd.binder
+	dbState, err := b.trackTxDB(bd.act)
+	if err != nil {
+		return err
+	}
+	if _, _, err := b.DB.GetView(ctx, bd.act.Top().ID(), bd.id); err != nil {
+		if rpc.CodeOf(err) == CodeUnknownObject {
+			// The code stays off the chain: a placement binder would read
+			// it as the object being bound now having moved.
+			return fmt.Errorf("core: pin %v: %v: %w", bd.id, err, ErrPinStale)
+		}
+		return fmt.Errorf("core: pin %v: %w", bd.id, err)
+	}
+	bd.dbState = dbState
+	return nil
 }
 
 // degree is how many servers a binding activates and is counted at.
@@ -339,7 +457,10 @@ func (b *Binder) degree() int {
 // bindStandard implements Figure 6.
 func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
 	top := act.Top().ID()
-	dbState := b.trackTxDB(act)
+	dbState, err := b.trackTxDB(act)
+	if err != nil {
+		return nil, err
+	}
 
 	// GetServer and GetView as a nested action of the client action, one
 	// message; if either operation fails the nested action aborts and so
@@ -372,21 +493,40 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 // and ends inside the one bind message.
 //
 // The Object State database read (GetView) is NOT part of that short
-// action: its read lock belongs to the client action and is held until
-// the client action ends, exactly as in the standard scheme. The lock is
-// what serialises commit processing against a recovering store node's
-// Include (§4.2): release it at bind time and an Include may land between
-// this action's view read and its commit-time write-back — the action
-// then copies its new state only to the stale view's members while the
-// recovered node, caught up to the PRE-commit state, is already back in
-// St_A. The St sets' mutual consistency breaks, and the committed update
-// is lost once anyone catches up from the recovered node. (The chaos
-// harness finds this within a few dozen seeds.)
+// action — the first binding of a read-only action apart, which copies
+// nothing back (see Binder): its read lock belongs to the client action
+// and is held until the client action ends, exactly as in the standard
+// scheme. The lock is what serialises commit processing against a
+// recovering store node's Include (§4.2): release it at bind time and an
+// Include may land between this action's view read and its commit-time
+// write-back — the action then copies its new state only to the stale
+// view's members while the recovered node, caught up to the PRE-commit
+// state, is already back in St_A. The St sets' mutual consistency breaks,
+// and the committed update is lost once anyone catches up from the
+// recovered node. (The chaos harness finds this within a few dozen seeds.)
 func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
+	top := act.Top()
+	// The first object a read-only action binds is bound unpinned (see
+	// Binder): the St read is the bind action's, and nothing of the client
+	// action's is left at the database.
+	unpinned := b.bindsUnpinned()
+	if unpinned {
+		_, second := top.Stashed(unpinnedKey)
+		unpinned = !second
+	}
+	var dbState *txDBState
+	if !unpinned {
+		var err error
+		if dbState, err = b.trackTxDB(act); err != nil {
+			return nil, err
+		}
+	}
 	bindAct := b.Actions.BeginTop()
 	owner := bindAct.ID()
-	top := act.Top().ID()
-	dbState := b.trackTxDB(act)
+	viewOwner := top.ID()
+	if unpinned {
+		viewOwner = owner
+	}
 
 	// A read-only binder never updates use lists: it reads Sv to spread
 	// over, or has the database select from it as Bind would.
@@ -397,7 +537,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	case b.ReadOnly:
 		svOp = SelectOp(owner, id)
 	}
-	res, err := b.DB.Do(ctx, svOp, GetViewOp(top, id), EndActionOp(owner, true))
+	res, err := b.DB.Do(ctx, svOp, GetViewOp(viewOwner, id), EndActionOp(owner, true))
 	if err != nil {
 		_ = b.DB.EndAction(context.Background(), owner, false)
 		_ = bindAct.Abort(context.Background())
@@ -412,7 +552,11 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	// answers with the candidates themselves and no use lists, which the
 	// rule passes through.)
 	candidates, _ := selectServers(res[0].Nodes, res[0].Use, b.degree(), b.spreadReads(), b.ClientNode)
-	return b.finishBind(ctx, act, dbState, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
+	bd, err := b.finishBind(ctx, act, dbState, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
+	if err == nil && unpinned {
+		top.StashOnce(unpinnedKey, bd) // free: an action's binds are sequential (Bind)
+	}
+	return bd, err
 }
 
 // bindNonAtomicSv implements the §5 extension: Sv comes from the
@@ -423,7 +567,10 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 // lock is owned by the client action and trackTxDB releases it.
 func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
 	top := act.Top().ID()
-	dbState := b.trackTxDB(act)
+	dbState, err := b.trackTxDB(act)
+	if err != nil {
+		return nil, err
+	}
 	sv, err := b.NameServer.Get(ctx, id)
 	if err != nil {
 		return nil, fmt.Errorf("core: name server Get(%v): %w", id, err)
@@ -867,7 +1014,8 @@ func (bd *Binding) Abort(ctx context.Context, tx string) error {
 func (bd *Binding) endAtDB(ctx context.Context, tx string, endTx, commit bool) error {
 	b := bd.binder
 	ops := make([]Op, 0, 3) // sized once: EndAction, Decrement, EndAction
-	claimed := endTx && bd.dbState.tryEnd()
+	// An unpinned binding left nothing of the client action's at the database.
+	claimed := endTx && bd.dbState != nil && bd.dbState.tryEnd()
 	if claimed {
 		ops = append(ops, EndActionOp(tx, commit))
 	}

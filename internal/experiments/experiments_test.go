@@ -196,6 +196,10 @@ func TestE10ReadOptimisationCommitsEverything(t *testing.T) {
 	if r.DistinctServersUsed < 1 {
 		t.Fatal("no servers recorded")
 	}
+	// RunE10 fails on any committed read that sent another count.
+	if r.OptimisedDBMsgs != 1 || r.FullBindDBMsgs != 2 {
+		t.Fatalf("database messages per committed read: optimised %d, full bind %d; want 1 and 2", r.OptimisedDBMsgs, r.FullBindDBMsgs)
+	}
 }
 
 func TestE11RecoveryRestoresView(t *testing.T) {

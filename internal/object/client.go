@@ -21,9 +21,12 @@ type ServerRef struct {
 	// InvokeSolo and LeaseCheck: the server activates the object on a miss
 	// instead of refusing with CodeNotActive. A binding sets them on its
 	// first request, which makes a separate Activate unnecessary. StNodes
-	// alone rides an InvokeSolo that carries phase one.
-	Class   string
-	StNodes []transport.Addr
+	// alone rides an InvokeSolo that carries phase one. Failover rides with
+	// Class: the binding is here because a server it preferred did not
+	// answer (see InvokeReq.Failover).
+	Class    string
+	StNodes  []transport.Addr
+	Failover bool
 }
 
 // name returns the object's UID as requests carry it.
@@ -48,7 +51,7 @@ func (r ServerRef) Activate(ctx context.Context, class string, stNodes []transpo
 func (r ServerRef) invoke(ctx context.Context, req InvokeReq) (InvokeResp, error) {
 	req.UID = r.name()
 	if r.Class != "" || req.Carry != CarryNone {
-		req.Class, req.StNodes = r.Class, addrsToStrings(r.StNodes)
+		req.Class, req.StNodes, req.Failover = r.Class, addrsToStrings(r.StNodes), r.Failover
 	}
 	return rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, req)
 }
@@ -123,7 +126,7 @@ func (r ServerRef) PrepareCommit(ctx context.Context, action string, stNodes, ch
 func (r ServerRef) LeaseCheck(ctx context.Context, action string) (uint64, error) {
 	req := LeaseCheckReq{UID: r.name(), Action: action}
 	if r.Class != "" {
-		req.Class, req.StNodes = r.Class, addrsToStrings(r.StNodes)
+		req.Class, req.StNodes, req.Failover = r.Class, addrsToStrings(r.StNodes), r.Failover
 	}
 	resp, err := rpc.Invoke[LeaseCheckReq, LeaseCheckResp](ctx, r.Client, r.Node, ServiceName, MethodLeaseCheck, req)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/rpc"
 	"repro/internal/transport"
@@ -123,5 +124,82 @@ func TestFirstInvokeAfterPassivationReactivates(t *testing.T) {
 	out, err := w.firstRef("sv3", w.id).Invoke(ctx, "a2", "get", nil)
 	if err != nil || string(out) != "5" {
 		t.Fatalf("first invoke after the sweep = %q, %v; want the committed 5", out, err)
+	}
+}
+
+// TestFailoverRequestRevalidatesLeftBehindCopy: sv2 stood in for sv1 once
+// and its copy is still activated; commits have gone through sv1 since. A
+// binding whose first request reaches sv2 because sv1 did not answer says so,
+// and sv2 checks its copy against the stores before it serves: a stale copy
+// nobody uses is reloaded, one still in use is refused (the binding moves on),
+// one an action is writing through stands — that writer's prepare is the
+// check — and a request that did not come by failover asks for nothing.
+func TestFailoverRequestRevalidatesLeftBehindCopy(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	stores := []transport.Addr{"st1", "st2"}
+	commitAt := func(node transport.Addr, act, delta string) {
+		t.Helper()
+		if _, err := w.firstRef(node, w.id).Invoke(ctx, act, "add", []byte(delta)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.ref(node).PrepareCommit(ctx, act, stores, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failover := w.firstRef("sv2", w.id)
+	failover.Failover = true
+
+	// The copy at sv2 is current: a failover request is served from it.
+	commitAt("sv2", "w1", "1")
+	if out, err := failover.Invoke(ctx, "r1", "get", nil); err != nil || string(out) != "1" {
+		t.Fatalf("failover read of a current copy = %q, %v; want 1", out, err)
+	}
+	if _, err := w.ref("sv2").Abort(ctx, "r1"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Writers return to sv1; sv2's copy is left behind at 1.
+	commitAt("sv1", "w2", "4")
+	if out, err := w.firstRef("sv2", w.id).Invoke(ctx, "r2", "get", nil); err != nil || string(out) != "1" {
+		t.Fatalf("plain first read at sv2 = %q, %v; want the copy as it stands (1)", out, err)
+	}
+	// r2 still holds its read lock: the stale copy is in use and cannot be
+	// replaced under it, so the failover request is turned away.
+	if _, err := failover.Invoke(ctx, "r3", "get", nil); rpc.CodeOf(err) != CodeUnavailable {
+		t.Fatalf("failover read of a stale copy in use: err = %v, want %s", err, CodeUnavailable)
+	}
+	if _, err := w.ref("sv2").Abort(ctx, "r2"); err != nil {
+		t.Fatal(err)
+	}
+	// Quiescent now: destroyed and reloaded inside the request.
+	if out, err := failover.Invoke(ctx, "r4", "get", nil); err != nil || string(out) != "5" {
+		t.Fatalf("failover read of a stale quiescent copy = %q, %v; want the committed 5", out, err)
+	}
+	if _, err := w.ref("sv2").Abort(ctx, "r4"); err != nil {
+		t.Fatal(err)
+	}
+	// The lease check is a first request too.
+	commitAt("sv1", "w3", "1")
+	if seq, err := failover.LeaseCheck(ctx, "r5"); err != nil || seq != 4 {
+		t.Fatalf("failover lease check = seq %d, %v; want the stores' 4", seq, err)
+	}
+	if _, err := w.ref("sv2").Abort(ctx, "r5"); err != nil {
+		t.Fatal(err)
+	}
+
+	// A copy behind the stores with a writer on it is left to that writer's
+	// prepare: sv1's commit below lands while w4 holds sv2's write lock.
+	if _, err := w.ref("sv2").Invoke(ctx, "w4", "add", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	commitAt("sv1", "w5", "1")
+	readCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if _, err := failover.Invoke(readCtx, "r6", "get", nil); rpc.CodeOf(err) != rpc.CodeRefused {
+		t.Fatalf("failover read behind a writer: err = %v, want the read lock's wait to run out (%s)", err, rpc.CodeRefused)
+	}
+	if _, err := w.ref("sv2").Prepare(ctx, "w4", stores); rpc.CodeOf(err) != CodeStaleServer {
+		t.Fatalf("prepare of the writer on the stale copy: err = %v, want %s", err, CodeStaleServer)
 	}
 }

@@ -22,7 +22,7 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	carryReq, err := rpc.Encode(&InvokeReq{UID: "obj-1", Action: "act-1", Method: "incr", Args: []byte{1}, Solo: true, Class: "counter", StNodes: []string{"st1"}, Carry: CarryCommit, CheckpointTo: []string{"sv2"}})
+	carryReq, err := rpc.Encode(&InvokeReq{UID: "obj-1", Action: "act-1", Method: "incr", Args: []byte{1}, Solo: true, Class: "counter", StNodes: []string{"st1"}, Failover: true, Carry: CarryCommit, CheckpointTo: []string{"sv2"}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	f.Add([]byte{rpc.WireMagic, 0x22, 0x7f})                 // future version
 	f.Add(append(reqFrame[:len(reqFrame):len(reqFrame)], 0)) // trailing byte
 
-	f.Add(append(carryReq[:len(carryReq)-6:len(carryReq)-6], 9, 0)) // a carry value no version defines
+	f.Add(append(carryReq[:len(carryReq)-7:len(carryReq)-7], 9, 0, 0)) // a carry value no version defines
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var req InvokeReq

@@ -272,9 +272,13 @@ type InvokeReq struct {
 	// Class and StNodes ride a binding's first request: when Class is
 	// non-empty and the object has no server at this node, the handler
 	// activates it — as Activate would — before invoking. Later requests
-	// leave Class empty; a miss is then CodeNotActive.
-	Class   string
-	StNodes []string
+	// leave Class empty; a miss is then CodeNotActive. Failover says that
+	// the binding tried a server it preferred first and got no answer: a
+	// copy already activated here is then checked against the stores before
+	// it serves (Manager.revalidate).
+	Class    string
+	StNodes  []string
+	Failover bool
 	// Carry, on a Solo request, asks the server to go straight on from the
 	// method into the action's phase one: the operation is all the action
 	// will ever do, so the vote need not wait for a second message.
@@ -435,9 +439,11 @@ type PrepareCommitResp struct {
 type LeaseCheckReq struct {
 	UID    string
 	Action string
-	// Class and StNodes ride a binding's first request; see InvokeReq.
-	Class   string
-	StNodes []string
+	// Class, StNodes and Failover ride a binding's first request; see
+	// InvokeReq.
+	Class    string
+	StNodes  []string
+	Failover bool
 }
 
 // LeaseCheckResp carries the committed version observed under the lock.
@@ -499,34 +505,7 @@ func (m *Manager) activate(ctx context.Context, id uid.UID, className string, st
 	if err != nil {
 		return nil, ActivateResp{}, rpc.Errorf(rpc.CodeNotFound, "%v", err)
 	}
-	// Load the state from any store node in St (§3.2(4): "each server is
-	// free to load the state of the object from any of the nodes ∈ St").
-	var (
-		loaded     store.Version
-		loadedFrom string
-		found      bool
-	)
-	for _, st := range stNodes {
-		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
-		v, err := remote.Read(ctx, id)
-		if err == nil && v.Pinned {
-			// A prepared intention is pending on the object. It may be an
-			// acknowledged commit whose phase-two message the store never
-			// got, and Read hands back the version before it: have the
-			// store apply what its coordinators have decided and read again
-			// (core's store recovery does the same before it trusts a view
-			// member). An undecided intention stays pending, and the
-			// version chain check refuses a copy loaded underneath it.
-			if _, rerr := remote.ResolveDecided(ctx); rerr == nil {
-				v, err = remote.Read(ctx, id)
-			}
-		}
-		if err != nil {
-			continue
-		}
-		loaded, loadedFrom, found = v, st, true
-		break
-	}
+	loaded, loadedFrom, found := m.loadState(ctx, id, stNodes)
 	if !found {
 		return nil, ActivateResp{}, rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v has its state", id, stNodes)
 	}
@@ -562,6 +541,33 @@ func (m *Manager) activate(ctx context.Context, id uid.UID, className string, st
 	return in, ActivateResp{Seq: loaded.Seq, Fresh: true, LoadedFrom: loadedFrom}, nil
 }
 
+// loadState reads the object's latest committed state from the first store
+// node of stNodes that answers (§3.2(4): "each server is free to load the
+// state of the object from any of the nodes ∈ St").
+func (m *Manager) loadState(ctx context.Context, id uid.UID, stNodes []string) (loaded store.Version, from string, found bool) {
+	for _, st := range stNodes {
+		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
+		v, err := remote.Read(ctx, id)
+		if err == nil && v.Pinned {
+			// A prepared intention is pending on the object. It may be an
+			// acknowledged commit whose phase-two message the store never
+			// got, and Read hands back the version before it: have the
+			// store apply what its coordinators have decided and read again
+			// (core's store recovery does the same before it trusts a view
+			// member). An undecided intention stays pending, and the
+			// version chain check refuses a copy loaded underneath it.
+			if _, rerr := remote.ResolveDecided(ctx); rerr == nil {
+				v, err = remote.Read(ctx, id)
+			}
+		}
+		if err != nil {
+			continue
+		}
+		return v, st, true
+	}
+	return store.Version{}, "", false
+}
+
 // groupApply adapts group deliveries of KindInvoke to instance invocation.
 func (m *Manager) groupApply(in *instance) group.Apply {
 	return func(ctx context.Context, msg group.Delivered) ([]byte, error) {
@@ -589,7 +595,7 @@ func (m *Manager) groupApply(in *instance) group.Apply {
 }
 
 func (m *Manager) handleInvoke(ctx context.Context, from transport.Addr, req InvokeReq) (InvokeResp, error) {
-	in, err := m.instanceFor(ctx, req.UID, req.Class, req.StNodes)
+	in, err := m.instanceFor(ctx, from, req.UID, req.Class, req.StNodes, req.Failover)
 	if err != nil {
 		return InvokeResp{}, err
 	}
@@ -872,15 +878,54 @@ func (m *Manager) mustLookup(uidStr string) (*instance, error) {
 
 // instanceFor returns the server a request addresses. A request that names
 // the object's class (a binding's first) activates the object on a miss;
-// any other miss is CodeNotActive.
-func (m *Manager) instanceFor(ctx context.Context, uidStr, class string, stNodes []string) (*instance, error) {
+// any other miss is CodeNotActive. A first request that came here by
+// failover does not take a copy it finds activated on trust (revalidate).
+func (m *Manager) instanceFor(ctx context.Context, from transport.Addr, uidStr, class string, stNodes []string, failover bool) (*instance, error) {
 	in, err := m.mustLookup(uidStr)
-	if class == "" || !IsNotActive(err) {
+	if class == "" {
+		return in, err
+	}
+	if err == nil && failover {
+		err = m.revalidate(ctx, from, in, stNodes)
+	}
+	if !IsNotActive(err) {
 		return in, err
 	}
 	id, _ := uid.Parse(uidStr) // mustLookup parsed it already
 	in, _, err = m.activate(ctx, id, class, stNodes)
 	return in, err
+}
+
+// revalidate checks, for a binding that reached this node because a server
+// it preferred did not answer, that the copy activated here is still the
+// latest committed state. Nothing passivates an activated copy and nothing
+// refreshes one: bindings follow the use lists and Sv's order to ONE server
+// (§3.2(2)), so a copy at any other was left by an earlier failover — this
+// node stood in while the preferred server was down, or slow for one client
+// — and every commit since went through that server to the stores. A writer
+// here is caught by the stores' version check at its prepare; a reader would
+// be served the old state. So the stores are asked first, as activation asks
+// them: a copy no older than what a member of the request's St view holds
+// stands, and so does one an action is writing through (that writer's
+// prepare is the check, and the read lock queues behind it). A stale copy
+// nobody uses is destroyed — the error is CodeNotActive and the caller
+// activates afresh; one still in use is refused as unavailable, which moves
+// the binding on to its next candidate.
+func (m *Manager) revalidate(ctx context.Context, from transport.Addr, in *instance, stNodes []string) error {
+	latest, _, found := m.loadState(ctx, in.id, stNodes)
+	if !found {
+		return rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v to check the copy at %s against", in.id, stNodes, m.node.Name())
+	}
+	in.mu.Lock()
+	seq, writing := in.seq, len(in.dirty) > 0 || len(in.prepared) > 0
+	in.mu.Unlock()
+	if latest.Seq <= seq || writing {
+		return nil
+	}
+	if _, err := m.handlePassivate(ctx, from, PassivateReq{UID: in.id.String()}); err != nil {
+		return rpc.Errorf(CodeUnavailable, "object %s at %s: activated copy is stale (seq %d, stores hold %d) and in use", in.id, m.node.Name(), seq, latest.Seq)
+	}
+	return rpc.Errorf(CodeNotActive, "object %s at %s: stale copy (seq %d, stores hold %d) passivated", in.id, m.node.Name(), seq, latest.Seq)
 }
 
 func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req PrepareReq) (PrepareResp, error) {
@@ -1287,7 +1332,7 @@ func (m *Manager) prepareCommitSingleStore(ctx context.Context, from transport.A
 // and releases it exactly like a plain read — a read-only vote with no
 // phase-two round trip.
 func (m *Manager) handleLeaseCheck(ctx context.Context, from transport.Addr, req LeaseCheckReq) (LeaseCheckResp, error) {
-	in, err := m.instanceFor(ctx, req.UID, req.Class, req.StNodes)
+	in, err := m.instanceFor(ctx, from, req.UID, req.Class, req.StNodes, req.Failover)
 	if err != nil {
 		return LeaseCheckResp{}, err
 	}

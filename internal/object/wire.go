@@ -10,11 +10,12 @@ import (
 // Binary codecs (rpc.Wire) for the object-server wire records — the
 // invoke request/reply and the 2PC prepare/commit/abort messages are the
 // hottest payloads in the system. Tags live in the 0x20–0x3f block of the
-// registry in internal/rpc/doc.go. The invoke request is at version 4 and
-// the invoke reply at version 3 (the carried phase one and its vote; before
-// that the activation fields and the read-lease fields), the lease check at
-// version 2 (the first request's activation fields); everything else is at
-// version 1.
+// registry in internal/rpc/doc.go. The invoke request is at version 5 (the
+// failover flag; before that the carried phase one, the activation fields
+// and the read-lease field) and the invoke reply at version 3 (the carried
+// vote; before that the read-lease fields), the lease check at version 3
+// (the failover flag; before that the first request's activation fields);
+// everything else is at version 1.
 const (
 	wireTagActivateReq byte = 0x20 + iota
 	wireTagActivateResp
@@ -73,10 +74,11 @@ func (p *ActivateResp) ParseWire(_ byte, r *rpc.WireReader) error {
 }
 
 // InvokeReq (version 2 appends the read-lease request field, version 3
-// the first request's activation fields, version 4 the carried phase one)
+// the first request's activation fields, version 4 the carried phase one,
+// version 5 the failover flag)
 
 // WireTag implements rpc.Wire.
-func (*InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 4 }
+func (*InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 5 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (q *InvokeReq) WireSizeHint() int {
@@ -101,7 +103,8 @@ func (q *InvokeReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.Class)
 	dst = rpc.AppendStrings(dst, q.StNodes)
 	dst = rpc.AppendUvarint(dst, uint64(q.Carry))
-	return rpc.AppendStrings(dst, q.CheckpointTo)
+	dst = rpc.AppendStrings(dst, q.CheckpointTo)
+	return rpc.AppendBool(dst, q.Failover)
 }
 
 // ParseWire implements rpc.Wire.
@@ -124,6 +127,9 @@ func (q *InvokeReq) ParseWire(ver byte, r *rpc.WireReader) error {
 			return err
 		}
 		q.CheckpointTo = r.Strings()
+	}
+	if ver >= 5 {
+		q.Failover = r.Bool()
 	}
 	return nil
 }
@@ -377,17 +383,19 @@ func (p *PrepareCommitResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	return nil
 }
 
-// LeaseCheckReq (version 2 appends the first request's activation fields)
+// LeaseCheckReq (version 2 appends the first request's activation fields,
+// version 3 the failover flag)
 
 // WireTag implements rpc.Wire.
-func (*LeaseCheckReq) WireTag() (byte, byte) { return wireTagLeaseCheckReq, 2 }
+func (*LeaseCheckReq) WireTag() (byte, byte) { return wireTagLeaseCheckReq, 3 }
 
 // AppendWire implements rpc.Wire.
 func (q *LeaseCheckReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.UID)
 	dst = rpc.AppendString(dst, q.Action)
 	dst = rpc.AppendString(dst, q.Class)
-	return rpc.AppendStrings(dst, q.StNodes)
+	dst = rpc.AppendStrings(dst, q.StNodes)
+	return rpc.AppendBool(dst, q.Failover)
 }
 
 // ParseWire implements rpc.Wire.
@@ -397,6 +405,9 @@ func (q *LeaseCheckReq) ParseWire(ver byte, r *rpc.WireReader) error {
 	if ver >= 2 {
 		q.Class = r.String()
 		q.StNodes = r.Strings()
+	}
+	if ver >= 3 {
+		q.Failover = r.Bool()
 	}
 	return nil
 }

@@ -15,7 +15,7 @@ func TestWireRoundTrip(t *testing.T) {
 		{&ActivateResp{Seq: 42, Fresh: true, LoadedFrom: "s1"}, &ActivateResp{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1, 2, 3}, Solo: true}, &InvokeReq{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "get", LeaseHolder: "c1", Class: "Counter", StNodes: []string{"s1", "s2"}}, &InvokeReq{}},
-		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1}, Solo: true, Class: "Counter", StNodes: []string{"s1"}, Carry: CarryCommit, CheckpointTo: []string{"sv2"}}, &InvokeReq{}},
+		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1}, Solo: true, Class: "Counter", StNodes: []string{"s1"}, Failover: true, Carry: CarryCommit, CheckpointTo: []string{"sv2"}}, &InvokeReq{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Batched: true, BatchSize: 5, WaitNanos: -250}, &InvokeResp{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryPrepare, Vote: PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}, &InvokeResp{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryCommit, VoteCode: CodeCommitUncertain, VoteMsg: "reply lost"}, &InvokeResp{}},
@@ -28,7 +28,7 @@ func TestWireRoundTrip(t *testing.T) {
 		{&PrepareCommitReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}, CheckpointTo: []string{"s2"}}, &PrepareCommitReq{}},
 		{&PrepareCommitResp{Dirty: true, NewSeq: 8, FailedNodes: []string{"s1"}, BatchSize: 2}, &PrepareCommitResp{}},
 		{&LeaseCheckReq{UID: "obj", Action: "a1"}, &LeaseCheckReq{}},
-		{&LeaseCheckReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []string{"s1"}}, &LeaseCheckReq{}},
+		{&LeaseCheckReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []string{"s1"}, Failover: true}, &LeaseCheckReq{}},
 		{&LeaseCheckResp{Seq: 11}, &LeaseCheckResp{}},
 	}
 	for _, c := range cases {
@@ -70,17 +70,20 @@ func TestWireTagsUnique(t *testing.T) {
 }
 
 // TestWireOlderRequestVersionsDecode: frames written before the activation
-// fields and the carried phase one existed (invoke request v1 to v3, invoke
-// reply v2, lease check v1) still decode, with those fields empty.
+// fields, the carried phase one and the failover flag existed (invoke request
+// v1 to v4, invoke reply v2, lease check v1 and v2) still decode, with those
+// fields empty.
 func TestWireOlderRequestVersionsDecode(t *testing.T) {
 	body := rpc.AppendString(rpc.AppendString(nil, "obj"), "a1")
 	invoke := rpc.AppendBool(rpc.AppendBytes(rpc.AppendString(body, "get"), []byte{7}), true)
 	want := InvokeReq{UID: "obj", Action: "a1", Method: "get", Args: []byte{7}, Solo: true}
 	v2 := rpc.AppendString(invoke[:len(invoke):len(invoke)], "")
+	v3 := rpc.AppendStrings(rpc.AppendString(v2[:len(v2):len(v2)], ""), nil)
 	for ver, frame := range map[byte][]byte{
 		1: invoke,
 		2: v2,
-		3: rpc.AppendStrings(rpc.AppendString(v2[:len(v2):len(v2)], ""), nil),
+		3: v3,
+		4: rpc.AppendStrings(rpc.AppendUvarint(v3[:len(v3):len(v3)], 0), nil),
 	} {
 		var got InvokeReq
 		if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagInvokeReq, ver}, frame...), &got); err != nil {
@@ -99,11 +102,16 @@ func TestWireOlderRequestVersionsDecode(t *testing.T) {
 	if !reflect.DeepEqual(resp, InvokeResp{Result: []byte("r"), Modified: true, WaitNanos: 9}) {
 		t.Errorf("invoke reply v2 = %+v", resp)
 	}
-	var check LeaseCheckReq
-	if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagLeaseCheckReq, 1}, body...), &check); err != nil {
-		t.Fatalf("lease check v1: %v", err)
-	}
-	if !reflect.DeepEqual(check, LeaseCheckReq{UID: "obj", Action: "a1"}) {
-		t.Errorf("lease check v1 = %+v", check)
+	for ver, frame := range map[byte][]byte{
+		1: body,
+		2: rpc.AppendStrings(rpc.AppendString(body[:len(body):len(body)], ""), nil),
+	} {
+		var check LeaseCheckReq
+		if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagLeaseCheckReq, ver}, frame...), &check); err != nil {
+			t.Fatalf("lease check v%d: %v", ver, err)
+		}
+		if !reflect.DeepEqual(check, LeaseCheckReq{UID: "obj", Action: "a1"}) {
+			t.Errorf("lease check v%d = %+v", ver, check)
+		}
 	}
 }

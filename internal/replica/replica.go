@@ -650,7 +650,8 @@ func (h *Handle) lostWrite() bool {
 // An unprobed handle's request is its binding's first: it carries the
 // class and the St view, so the server activates the object on a miss, and
 // it is the §4.1.2 "hard way" probe. A failure that shows the request
-// never ran (see neverRan) breaks that candidate and moves on to the next;
+// never ran (see neverRan) breaks that candidate and moves on to the next,
+// saying so in the request (object.InvokeReq.Failover);
 // an ambiguous one — reply lost, deadline — breaks the binding as a
 // mid-action crash does, because the operation may have run there under
 // the action's lock and must not run at a second server. (A solo write's
@@ -674,7 +675,10 @@ func (h *Handle) atCoordinator(call func(ref object.ServerRef) error) error {
 		}
 		ref := h.ref(coord)
 		if first {
-			ref.Class, ref.StNodes = h.cfg.Class, h.cfg.StNodes
+			// Past a candidate that did not answer, a copy found activated
+			// at this one is an earlier failover's: the server checks it
+			// against the stores before it serves.
+			ref.Class, ref.StNodes, ref.Failover = h.cfg.Class, h.cfg.StNodes, lastErr != nil
 		}
 		err = call(ref)
 		if first && neverRan(err) {

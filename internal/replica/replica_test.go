@@ -607,6 +607,53 @@ func TestFirstInvokeWalksPastDefiniteFailures(t *testing.T) {
 	}
 }
 
+// TestFailoverReadIsNotServedALeftBehindCopy: sv2 stood in while sv1 was
+// away and nothing passivated its copy; the writers went back to sv1. A
+// reader that cannot reach sv1 lands on sv2 again and must read what the
+// stores hold now, not what sv2 held then — its first request says it came
+// by failover and sv2 re-checks its copy (object.InvokeReq.Failover). A
+// binding that reaches sv2 as its first choice asks for no check.
+func TestFailoverReadIsNotServedALeftBehindCopy(t *testing.T) {
+	w := newWorld(t, 2, 2)
+	ctx := context.Background()
+	add := func(delta string) {
+		t.Helper()
+		a := w.mgr.BeginTop()
+		if _, err := w.handle(t, SingleCopyPassive).Invoke(ctx, a, "add", []byte(delta)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() string {
+		t.Helper()
+		a := w.mgr.BeginTop()
+		res, err := w.handle(t, SingleCopyPassive).Invoke(ctx, a, "get", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return string(res)
+	}
+	w.cluster.Faults().Partition("client", "sv1")
+	add("1") // fails over: sv2 activates the object and commits 1
+	w.cluster.Faults().Heal("client", "sv1")
+	add("1") // sv1 activates from the stores and commits 2; sv2 keeps 1
+	if st := w.serverStatus(t, "sv2"); !st.Active || st.Seq != 2 {
+		t.Fatalf("sv2 = %+v, want its copy left activated at seq 2", st)
+	}
+	w.cluster.Faults().Partition("client", "sv1")
+	if got := read(); got != "2" {
+		t.Fatalf("read by failover = %s, want the committed 2", got)
+	}
+	if st := w.serverStatus(t, "sv2"); st.Seq != 3 {
+		t.Fatalf("sv2 after the failover read = %+v, want the copy reloaded at seq 3", st)
+	}
+}
+
 // TestFirstInvokeAllCandidatesDown keeps the total-failure error's shape:
 // ErrNoServers with the last per-server cause on the chain.
 func TestFirstInvokeAllCandidatesDown(t *testing.T) {

@@ -582,14 +582,18 @@ type muxEndpoint struct {
 }
 
 // Register implements Network: it opens a loopback listener for addr and
-// serves mux frames on it until Unregister or Close.
+// serves mux frames on it until Unregister or Close. An address registered
+// already is unregistered first, client connections into it included — a
+// cached connection to the old listener would take the next request and
+// lose its reply.
 func (t *TCPMux) Register(addr Addr, h Handler) {
+	t.Unregister(addr)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return
 	}
-	if old, ok := t.listeners[addr]; ok {
+	if old, ok := t.listeners[addr]; ok { // a concurrent Register got in between
 		old.stop()
 		delete(t.listeners, addr)
 	}

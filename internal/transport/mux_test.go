@@ -239,6 +239,23 @@ func TestMuxStaleConnRetriesOnce(t *testing.T) {
 	}
 }
 
+// TestMuxReRegisterDropsOldConns: registering an address again replaces its
+// listener, and the pair's cached connection to the old one goes with it —
+// the next call must reach the new handler, not be written into a socket
+// whose far end is closing and come back as a lost reply.
+func TestMuxReRegisterDropsOldConns(t *testing.T) {
+	tm := NewTCPMux()
+	defer tm.Close()
+	for round := 0; round < 200; round++ {
+		want := fmt.Sprintf("handler %d", round)
+		tm.Register("srv", func(ctx context.Context, req Request) ([]byte, error) { return []byte(want), nil })
+		got, err := tm.Call(context.Background(), Request{From: "cli", To: "srv"})
+		if err != nil || string(got) != want {
+			t.Fatalf("round %d: call after re-register = %q, %v; want %q", round, got, err, want)
+		}
+	}
+}
+
 // TestMuxSlowPeerCallTimeout covers the slow-peer hole with NO context
 // deadline: a peer that accepts the request and then hangs must fail the
 // call at CallTimeout instead of pinning the caller forever — and, the

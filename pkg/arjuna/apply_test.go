@@ -221,15 +221,15 @@ func TestReadOnlyClientRefusesWrite(t *testing.T) {
 		t.Fatalf("committed state %q, want 0", got)
 	}
 
-	// A solo read is run-and-release in its one request: bind, invoke,
-	// action-end.
+	// A solo read is run-and-release in its one request, and its bind left
+	// nothing at the database to end: bind, invoke.
 	ro.Apply(ctx, obj, "get", nil) // warm-up
 	calls := net.calls.Load()
 	out, rep, err := ro.Apply(ctx, obj, "get", nil)
 	if err != nil || string(out) != "0" || rep.ReadOnlyVoters != 1 || rep.CommitVoters != 0 {
 		t.Fatalf("Apply(get) = %q, %v, report %+v", out, err, rep)
 	}
-	if n := net.calls.Load() - calls; n != 3 {
-		t.Fatalf("a solo read issued %d calls, want 3", n)
+	if n := net.calls.Load() - calls; n != 2 {
+		t.Fatalf("a solo read issued %d calls, want 2", n)
 	}
 }

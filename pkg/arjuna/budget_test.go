@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 	"repro/internal/uid"
@@ -29,24 +30,33 @@ func (n *countingNet) Call(ctx context.Context, req transport.Request) ([]byte, 
 	return n.Network.Call(ctx, req)
 }
 
+// during runs op and returns how many calls the node issued meanwhile, and
+// how many of them to the database.
+func (n *countingNet) during(op func()) (calls, db int64) {
+	calls, db = n.calls.Load(), n.db.Load()
+	op()
+	return n.calls.Load() - calls, n.db.Load() - db
+}
+
 // TestClientCallsPerAction pins, per action class, how many round trips
 // the client itself issues for one committed action in the steady state
 // (placement cached) — the count is deterministic, so tier-1 can gate on it
-// where a latency could only be advisory. The database's share is one
-// message per conversation, on either topology: bind and action-end (2),
-// whether the action writes or reads, and the same per binding of a
-// two-object action (4). No message goes to a server at bind time — the
-// first invoke activates — and an Apply's invoke carries the action's phase
-// one, so a write is bind · invoke · action-end, 3 calls, and over three
-// stores 4, because one-phase commit is not eligible there: the invoke
-// carries the prepare and the server still gets a Commit. A ClientReadOnly
-// client's read is sent the same way — the read-only vote rides the invoke
-// whatever the store count — so it is bind · invoke · EndAction, 3. Actions a
-// client that may write runs through Atomic + Invoke never send a solo
-// request and are as they were: a two-object action is 2 binds, 2 invokes,
-// Prepare and Commit at each server and 2 action-ends, 10. The counts are
-// exact, not ceilings: a message saved that nobody meant to save is as much
-// news as one added.
+// where a latency could only be advisory. For an action that may write the
+// database's share is one message per conversation, on either topology: bind
+// and action-end (2), and the same per binding of a two-object action (4).
+// No message goes to a server at bind time — the first invoke activates — and
+// an Apply's invoke carries the action's phase one, so a write is bind ·
+// invoke · action-end, 3 calls, and over three stores 4, because one-phase
+// commit is not eligible there: the invoke carries the prepare and the server
+// still gets a Commit. A ClientReadOnly client's read is sent the same way —
+// the read-only vote rides the invoke whatever the store count — and its bind
+// is unpinned: the St read joined the bind action, so nothing of the client
+// action's is left at the database and there is no action-end to send. Its
+// read is bind · invoke, 2 calls, 1 to the database. Actions a client that may
+// write runs through Atomic + Invoke never send a solo request and are as
+// they were: a two-object action is 2 binds, 2 invokes, Prepare and Commit at
+// each server and 2 action-ends, 10. The counts are exact, not ceilings: a
+// message saved that nobody meant to save is as much news as one added.
 func TestClientCallsPerAction(t *testing.T) {
 	for _, c := range []struct {
 		name        string
@@ -93,16 +103,96 @@ func TestClientCallsPerAction(t *testing.T) {
 				name       string
 				op         func()
 				budget, db int64
-			}{{"write", write, c.writeBudget, 2}, {"read", read, 3, 2}, {"cross", cross, 10, 4}} {
+			}{{"write", write, c.writeBudget, 2}, {"read", read, 2, 1}, {"cross", cross, 10, 4}} {
 				class.op() // warm-up: placement cache
-				calls, db := net.calls.Load(), net.db.Load()
-				class.op()
-				calls, db = net.calls.Load()-calls, net.db.Load()-db
+				calls, db := net.during(class.op)
 				if calls != class.budget || db != class.db {
 					t.Errorf("%s: the client issued %d calls (%d to the database) for one committed action, want %d (%d)",
 						class.name, calls, db, class.budget, class.db)
 				}
 			}
+		})
+	}
+}
+
+// TestReadOnlyClientCallsPerAction pins what TestClientCallsPerAction's one
+// read row leaves out. A ClientReadOnly action that goes on to a second
+// object pays for the first one's pin: bind · carried read · pin · bind ·
+// read · LeaseCheck (the carried read re-checked under a held lock) · a
+// Prepare at each server · the action-end the pin's hook sends — one per
+// database, so 10 calls (5 to the databases) across two shards and 9 (4) in
+// one group. And the clients whose first bind stays pinned keep the counts
+// they had: with a lease cache (Move's lease fence leans on the write-locked
+// entries to stop new grants) bind · invoke · PrepareCommit · action-end;
+// under active replication (the binding is probed at bind time, before
+// anything could pin it) the same behind an Activate; under the standard
+// scheme (Figure 6 holds GetServer's and GetView's locks to the action's end
+// alike) bind · carried read · action-end.
+func TestReadOnlyClientCallsPerAction(t *testing.T) {
+	ctx := context.Background()
+	measure := func(t *testing.T, net *countingNet, op func(), calls, db int64) {
+		t.Helper()
+		if c, d := net.during(op); c != calls || d != db {
+			t.Errorf("the client issued %d calls (%d to the database) for one committed action, want %d (%d)", c, d, calls, db)
+		}
+	}
+	newNet := func() *countingNet {
+		return &countingNet{Network: transport.NewMem(transport.MemOptions{}, nil), from: "c1"}
+	}
+	for _, c := range []struct {
+		name      string
+		opts      []arjuna.Option
+		pair      func(t *testing.T, sys *arjuna.System) (a, b uid.UID)
+		calls, db int64
+	}{
+		{"two-object/3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 10, 5},
+		{"two-object/1-group-2sv-3st", []arjuna.Option{arjuna.WithShards(1), arjuna.WithServers(2), arjuna.WithStores(3)},
+			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 9, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := newNet()
+			sys := openT(t, append(c.opts, arjuna.WithObjects(8), arjuna.WithNetwork(net))...)
+			ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
+			a, b := c.pair(t, sys)
+			twoReads := func() {
+				rep, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
+					if _, err := tx.Object(a).Read(ctx, "get", nil); err != nil {
+						return err
+					}
+					_, err := tx.Object(b).Read(ctx, "get", nil)
+					return err
+				})
+				if err != nil || rep.Attempts != 1 {
+					t.Fatalf("two-object read: %v, report %+v", err, rep)
+				}
+			}
+			twoReads() // warm-up: placement cache
+			measure(t, net, twoReads, c.calls, c.db)
+		})
+	}
+	for _, c := range []struct {
+		name      string
+		opts      []arjuna.Option
+		calls, db int64
+	}{
+		{"pinned/read-leases", []arjuna.Option{arjuna.WithReadLeases(30 * time.Second)}, 4, 2},
+		{"pinned/active", []arjuna.Option{arjuna.WithPolicy(arjuna.Active)}, 5, 2},
+		{"pinned/standard", []arjuna.Option{arjuna.WithScheme(arjuna.SchemeStandard)}, 3, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := newNet()
+			sys := openT(t, append(c.opts, arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithObjects(2), arjuna.WithNetwork(net))...)
+			ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
+			// Each object is read once: a second read of one would be served
+			// from the lease the first harvested.
+			if _, _, err := readOne(ctx, ro, sys.Objects()[1]); err != nil {
+				t.Fatal(err)
+			}
+			measure(t, net, func() {
+				if _, _, err := readOne(ctx, ro, sys.Objects()[0]); err != nil {
+					t.Fatal(err)
+				}
+			}, c.calls, c.db)
 		})
 	}
 }

@@ -117,7 +117,9 @@ type CommitReport struct {
 	// LeaseStale counts the attempts aborted with ErrLeaseStale across the
 	// whole Atomic call: commit-time revalidation found a read served with no
 	// lock behind it — leased, or carried by a ClientReadOnly client's first
-	// request — superseded, and the attempt was undone before it could commit.
+	// request — superseded, or such a client's first object had been moved
+	// away when a second was bound, and the attempt was undone before it could
+	// commit.
 	LeaseStale int
 	// QueueWait is the longest server-side lock or combiner-queue wait
 	// observed by the final attempt's invocations.
@@ -244,8 +246,11 @@ func (o *Object) bind(ctx context.Context) error {
 // On a ClientReadOnly client without a lease cache, a read-only method that
 // is the first thing the action asks of any server is sent as a solo request
 // carrying the read-only vote (see carriedRead): the server runs it and
-// releases the action at once, so an action of one read is three messages —
-// bind, invoke, action-end — and holds the read lock for the method only.
+// releases the action at once, and the first bind of such an action left no
+// lock at the database (core.Binder), so an action of one read is two
+// messages — bind, invoke — and holds the read lock for the method only. A
+// second object costs the first one's pin, one database message, before its
+// own bind.
 func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte, error) {
 	if out, ok := o.leasedRead(method, args); ok {
 		return out, nil

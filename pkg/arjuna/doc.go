@@ -74,15 +74,24 @@
 // server, the request carries the vote — the unsolicited read-only vote of
 // R*: the server runs the method, releases the action and reports the
 // version it read, all in the one request, and commit processing answers
-// from that record. A single-read action is three messages (bind, invoke,
-// action-end; four before) and holds its read lock for the method, not for a
-// client round trip. The action may still go on: its first read then stands
+// from that record. And the bind leaves nothing at the database: the first
+// object such an action binds is bound unpinned — its St view read joins the
+// bind action — because for an action of one object, which copies nothing
+// back, the St read lock guards nothing. A single-read action is two
+// messages (bind, invoke; four before) and holds its read lock for the
+// method, not for a client round trip. An action that goes on to a second
+// object first pins the first (one GetView under the client action, one more
+// database message, released with the action) and binds the rest pinned; a
+// pin that finds the object rebalanced away fails the attempt with
+// ErrLeaseStale. The action may still go on: its first read then stands
 // with no lock behind it, exactly as a read served from a lease does, and the
 // rule below for leased reads in mixed actions covers it — before commit the
 // object's read lock is taken again and the version compared (one message
 // more than holding the lock throughout would have cost); a mismatch aborts
-// the attempt with ErrLeaseStale, and the retry carries nothing and holds
-// every lock. A retry never carries, a client that may write never carries
+// the attempt with ErrLeaseStale, and the retry carries nothing: its reads
+// hold their server locks until it ends. (Its first bind is unpinned like
+// any other's, and pinned when it reaches the second object.) A retry never
+// carries, a client that may write never carries
 // (its read-then-write actions would pay the re-check every time), a client
 // with a lease cache never carries (the cache serves its reads), and neither
 // does active replication or a binding that found a candidate server dead.

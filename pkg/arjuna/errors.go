@@ -78,11 +78,14 @@ var (
 	// ErrNotSharded reports a sharding-only operation (e.g. Rebalance) on
 	// a deployment opened without WithShards.
 	ErrNotSharded = errors.New("arjuna: deployment is not sharded")
-	// ErrLeaseStale reports that a transaction mixing lease-served reads
-	// with server-side work found, at commit time, that a leased snapshot
-	// it read had been invalidated or had expired. The action aborted;
-	// Atomic retries it, and the retry re-reads through the servers (the
-	// stale cache entry is gone by construction).
+	// ErrLeaseStale reports a read the action can no longer vouch for: a
+	// transaction mixing lease-served (or carried) reads with server-side
+	// work found, at commit time, that what it read had been superseded,
+	// invalidated or had expired — or a ClientReadOnly action going on to a
+	// second object found its first moved to another shard since it bound
+	// it. The action aborted; Atomic retries it, and the retry binds afresh
+	// and re-reads through the servers (the stale cache entry is gone by
+	// construction).
 	ErrLeaseStale = errors.New("arjuna: leased read went stale before commit")
 )
 
@@ -121,6 +124,13 @@ func MapError(err error) error {
 	// retryable, failure.
 	if errors.Is(err, action.ErrOutcomeUnknown) {
 		return tag(ErrOutcomeUnknown, err)
+	}
+	// A read-only action's first object was moved to another shard before the
+	// action, going on to a second object, could pin it: what it read there
+	// can no longer be vouched for, which is the class Atomic retries through
+	// fresh binds. (A pin refused or unanswered keeps its own class, below.)
+	if errors.Is(err, core.ErrPinStale) {
+		return tag(ErrLeaseStale, err)
 	}
 	// A breaker fast-fail can sit below any of the aggregate categories
 	// (e.g. ErrNoServers when every server's breaker is open), so the

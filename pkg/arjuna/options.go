@@ -300,12 +300,18 @@ func ClientDegree(d int) ClientOption { return func(c *clientConfig) { c.degree 
 // total order keeps every replica current, is it spread over Sv by its name.
 // And because the client cannot write, an action's first Read is its one
 // server message: the request carries the read-only vote, the server
-// releases the action as it answers, and a single-read action is bind ·
-// invoke · action-end with the read lock held for the method alone. An
-// action that goes on to further operations has that first read re-checked
-// under a held lock before it commits (CommitReport.LeaseStale counts the
-// attempts that failed the check and were retried with every lock held).
-// With WithReadLeases the lease cache serves instead and nothing is carried.
+// releases the action as it answers, its bind left no lock at the database
+// to end, and a single-read action is two messages — bind · invoke — with
+// the read lock held for the method alone. An action that goes on to further
+// operations has that first read re-checked under a held lock before it
+// commits, and one that goes on to a second object first takes the database
+// lock the first was bound without — one more database message, and from
+// there on every lock it always held (CommitReport.LeaseStale counts the
+// attempts that failed either check and were retried: the retry carries
+// nothing, so its reads hold their server locks to the end, but its first
+// bind is unpinned again and a second object pins it again).
+// With WithReadLeases the lease cache serves instead, nothing is carried and
+// every bind keeps its lock.
 func ClientReadOnly() ClientOption { return func(c *clientConfig) { c.readOnly = true } }
 
 // ClientFastBind makes the enhanced schemes' bind action use commutative

@@ -398,3 +398,98 @@ func TestCarriedReadActiveDegrades(t *testing.T) {
 		t.Fatalf("an active read sent its servers %v and never released the action", calls)
 	}
 }
+
+// TestReadOnlyTwoObjectsAcrossMove: a ClientReadOnly action's first binding
+// holds no St lock, so the object can be rebalanced away under it — which is
+// harmless only while the action stays with that one object. Here it reads
+// a; a is moved to a third shard and written there, b is written; it reads
+// b. Binding b pins a first, the pin finds a gone from the database it was
+// bound at, and the attempt fails in the class Atomic retries (without the
+// pin the attempt's re-check asks a's left-behind server copy, which still
+// says the old version, and old-a commits beside new-b). The retry binds
+// afresh and reads both new values.
+func TestReadOnlyTwoObjectsAcrossMove(t *testing.T) {
+	sys := openT(t, arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(8), arjuna.WithClients(2))
+	ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
+	rw := clientT(t, sys, "c2", arjuna.ClientFastBind())
+	ctx := context.Background()
+	a, b := crossShardPair(t, sys)
+	target := 6 - sys.ShardOf(a) - sys.ShardOf(b) // of shards 1–3, the one neither is on
+
+	attempt := 0
+	var gotA, gotB string
+	rep, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
+		attempt++
+		va, err := tx.Object(a).Read(ctx, "get", nil)
+		if err != nil {
+			return err
+		}
+		if attempt == 1 {
+			mctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+			err := sys.Rebalance(mctx, a, target)
+			cancel()
+			if err != nil {
+				t.Errorf("rebalance under a one-object read-only action: %v", err)
+			}
+			for _, w := range []struct {
+				id    uid.UID
+				delta string
+			}{{a, "5"}, {b, "7"}} {
+				if _, _, err := rw.Apply(ctx, w.id, "add", []byte(w.delta)); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		vb, err := tx.Object(b).Read(ctx, "get", nil)
+		gotA, gotB = string(va), string(vb)
+		return err
+	})
+	if err != nil || rep.Attempts != 2 || rep.LeaseStale != 1 {
+		t.Fatalf("err = %v, report %+v (A=%s B=%s); want one stale attempt, then a commit", err, rep, gotA, gotB)
+	}
+	if gotA != "5" || gotB != "7" {
+		t.Fatalf("the committed attempt read A=%s B=%s, want 5 and 7", gotA, gotB)
+	}
+	if s := sys.ShardOf(a); s != target {
+		t.Fatalf("a is on shard %d, want %d", s, target)
+	}
+}
+
+// TestReadOnlyOneObjectAcrossMove: a one-object ClientReadOnly action held
+// open does not hold a rebalance off — nothing of it is at the database. It
+// commits what it read, which was current when it bound; the next read binds
+// at the target and sees what was written there.
+func TestReadOnlyOneObjectAcrossMove(t *testing.T) {
+	sys := openT(t, arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(2))
+	ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
+	rw := clientT(t, sys, "c2", arjuna.ClientFastBind())
+	ctx, obj := context.Background(), sys.Objects()[0]
+	target := sys.ShardOf(obj)%3 + 1
+	if _, _, err := rw.Apply(ctx, obj, "add", []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	rep, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
+		v, err := tx.Object(obj).Read(ctx, "get", nil)
+		if err != nil {
+			return err
+		}
+		got = string(v)
+		mctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		defer cancel()
+		if err := sys.Rebalance(mctx, obj, target); err != nil {
+			return fmt.Errorf("rebalance under the open read: %w", err)
+		}
+		_, _, err = rw.Apply(ctx, obj, "add", []byte("1"))
+		return err
+	})
+	if err != nil || rep.Attempts != 1 || got != "3" {
+		t.Fatalf("err = %v, report %+v, read %q; want the pre-move value committed in one attempt", err, rep, got)
+	}
+	if s := sys.ShardOf(obj); s != target {
+		t.Fatalf("the object is on shard %d, want %d", s, target)
+	}
+	if got, _, err := readOne(ctx, ro, obj); err != nil || got != "4" {
+		t.Fatalf("the next read = %q, %v; want the target's 4", got, err)
+	}
+}
