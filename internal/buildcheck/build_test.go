@@ -3,14 +3,19 @@
 // check API drift in pkg/arjuna would break `go run ./examples/...` for
 // users while CI stayed green. The benchmark (bench/) is its own module,
 // which `go build ./... && go test ./...` never enters, so it is vetted
-// from here too.
+// from here too. It also checks README's census of the facade's options
+// against the source.
 package buildcheck
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -55,5 +60,53 @@ func TestBenchModuleVets(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Errorf("go vet ./... in bench/: %v\n%s", err, out)
+	}
+}
+
+// TestEveryOptionHasAReadmeRow keeps the option census true: each exported
+// With*/Client* function of pkg/arjuna/options.go must have a row in
+// README's Options table — name · who sets it outside tests · what
+// justifies it — and the table may name no option that is gone.
+func TestEveryOptionHasAReadmeRow(t *testing.T) {
+	root := moduleRoot(t)
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "pkg", "arjuna", "options.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	options := map[string]bool{}
+	for _, d := range file.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "With") || strings.HasPrefix(fn.Name.Name, "Client")) {
+			options[fn.Name.Name] = true
+		}
+	}
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "\n### Options\n")
+	if !ok {
+		t.Fatal("README.md has no \"### Options\" section")
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		name := strings.Trim(strings.TrimSpace(cells[0]), "`")
+		if len(cells) != 3 || !token.IsIdentifier(name) || name == "Option" {
+			continue
+		}
+		if strings.TrimSpace(cells[1]) == "" || strings.TrimSpace(cells[2]) == "" {
+			t.Errorf("README Options row for %s has an empty cell", name)
+		}
+		if !options[name] {
+			t.Errorf("README Options table names %s, which pkg/arjuna/options.go does not export", name)
+		}
+		rows[name] = true
+	}
+	for name := range options {
+		if !rows[name] {
+			t.Errorf("%s has no row in README's Options table (name | set outside tests by | justified by)", name)
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/group"
 	"repro/internal/lease"
-	"repro/internal/lockmgr"
 	"repro/internal/metrics"
 	"repro/internal/object"
 	"repro/internal/placement"
@@ -94,9 +93,6 @@ type Options struct {
 	// Disk tunes the disk engine (sync discipline, compaction
 	// threshold); only meaningful with DataDir set.
 	Disk storage.DiskOptions
-	// LockLimits bounds every object server's per-object lock wait queues
-	// (depth cap and wait deadline); the zero value leaves them unbounded.
-	LockLimits lockmgr.Limits
 	// NoBreakers disables the per-peer circuit breakers that every node
 	// otherwise gets by default.
 	NoBreakers bool
@@ -221,7 +217,6 @@ func New(opts Options) (*World, error) {
 		name := transport.Addr("sv" + strconv.Itoa(i+1))
 		n := w.Cluster.Add(name)
 		m := object.NewManager(n, reg)
-		m.SetLockLimits(opts.LockLimits)
 		m.EnableGroupInvocation(group.NewHost(n.Server(), n.Client()))
 		if opts.LeaseTTL > 0 {
 			m.EnableLeases(opts.LeaseTTL)

@@ -23,13 +23,11 @@
 // when a nested action commits, its locks are inherited by its parent and
 // released only when the top-level action completes.
 //
-// Waiting is fair and optionally bounded: blocked acquirers join a
-// per-key FIFO queue and are granted strictly in arrival order (no
-// barging — a newly arriving compatible request queues behind earlier
-// waiters rather than overtaking them). A Manager built with Limits
-// refuses waiters beyond the queue-depth cap and expires waiters past the
-// wait deadline with ErrOverloaded, converting server-side convoys into a
-// typed signal the caller can back off on.
+// Waiting is fair: blocked acquirers join a per-key FIFO queue and are
+// granted strictly in arrival order (no barging — a newly arriving
+// compatible request queues behind earlier waiters rather than overtaking
+// them). A waiter leaves the queue granted, cancelled by its context, or
+// failed by its owner's ReleaseAll.
 //
 // Layout. The table is two hash-sharded indexes. Keys hash to one of 32
 // stripes, each a mutex over a map from key to entry; an entry is a short
@@ -131,28 +129,9 @@ var NoNesting Ancestry = AncestryFunc(func(Owner, Owner) bool { return false })
 // waiter it must not overtake).
 var ErrRefused = errors.New("lockmgr: lock refused")
 
-// ErrOverloaded reports that a blocking acquire was refused by admission
-// control: the key's wait queue was at its depth cap, or the waiter's
-// queueing time exceeded the wait deadline. The lock was NOT granted; the
-// caller should shed load (abort and retry with backoff) rather than
-// queue deeper.
-var ErrOverloaded = errors.New("lockmgr: overloaded")
-
 // ErrReleased reports a blocking acquire still queued when its owner's
 // action ended (ReleaseAll); the lock was NOT granted.
 var ErrReleased = errors.New("lockmgr: owner released while waiting")
-
-// Limits bounds a Manager's per-key wait queues. The zero value means
-// unbounded waiting (the classic discipline).
-type Limits struct {
-	// MaxQueue caps how many acquirers may wait on one key at once;
-	// further blocking acquires fail fast with ErrOverloaded. 0 = no cap.
-	MaxQueue int
-	// MaxWait caps how long one acquirer may sit in a wait queue; a
-	// waiter that exceeds it is removed and fails with ErrOverloaded.
-	// 0 = wait forever (until ctx is done).
-	MaxWait time.Duration
-}
 
 // Observer receives queue observability events. Implementations must be
 // safe for concurrent use; hooks run on lock-acquisition paths and must
@@ -164,9 +143,6 @@ type Observer interface {
 	// LockGranted fires when a queued acquirer is granted, with its
 	// queueing time.
 	LockGranted(wait time.Duration)
-	// LockOverloaded fires when an acquirer is refused by the queue cap
-	// or expired by the wait deadline.
-	LockOverloaded()
 }
 
 // holder records one owner's grip on an entry: per-mode re-entrancy
@@ -265,7 +241,6 @@ type ownerShard struct {
 // mutex (see the package comment for the layout and the lock order).
 type Manager struct {
 	ancestry Ancestry
-	limits   Limits
 	obs      Observer
 	seed     maphash.Seed
 	stripes  [stripeCount]stripe
@@ -273,18 +248,11 @@ type Manager struct {
 }
 
 // New returns a Manager using the given ancestry; nil means NoNesting.
-// Waiting is unbounded; use NewLimited for admission control.
 func New(ancestry Ancestry) *Manager {
-	return NewLimited(ancestry, Limits{})
-}
-
-// NewLimited returns a Manager whose per-key wait queues are bounded by
-// limits.
-func NewLimited(ancestry Ancestry, limits Limits) *Manager {
 	if ancestry == nil {
 		ancestry = NoNesting
 	}
-	m := &Manager{ancestry: ancestry, limits: limits, seed: maphash.MakeSeed()}
+	m := &Manager{ancestry: ancestry, seed: maphash.MakeSeed()}
 	for i := range m.stripes {
 		m.stripes[i].entries = make(map[string]*entry)
 	}
@@ -297,9 +265,6 @@ func NewLimited(ancestry Ancestry, limits Limits) *Manager {
 // SetObserver attaches queue observability hooks. Call before the manager
 // sees concurrent traffic.
 func (m *Manager) SetObserver(o Observer) { m.obs = o }
-
-// Limits returns the manager's admission-control bounds.
-func (m *Manager) Limits() Limits { return m.limits }
 
 // stripeOf returns the stripe owning key. Callers lock st.mu.
 func (m *Manager) stripeOf(key string) *stripe {
@@ -470,8 +435,6 @@ func (st *stripe) gcLocked(e *entry, key string) {
 // request queues behind them even when it is compatible with the current
 // holders (no barging), unless queueing would deadlock against the
 // owner's own holds (re-entrancy, blocking promotion, Moss ancestry).
-// Under a Manager with Limits, a full queue or an expired wait deadline
-// fails with ErrOverloaded.
 //
 // An owner that already holds a weaker mode and acquires a stronger one is
 // performing a blocking promotion; the non-blocking variant used at commit
@@ -485,15 +448,6 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 		st.mu.Unlock()
 		return nil
 	}
-	if m.limits.MaxQueue > 0 && len(e.waiters) >= m.limits.MaxQueue {
-		st.gcLocked(e, key)
-		st.mu.Unlock()
-		if m.obs != nil {
-			m.obs.LockOverloaded()
-		}
-		return fmt.Errorf("lockmgr: acquire %s on %q for %s: %d already waiting: %w",
-			mode, key, owner, m.limits.MaxQueue, ErrOverloaded)
-	}
 	w := &waiter{owner: owner, mode: mode, ready: make(chan struct{})}
 	e.waiters = append(e.waiters, w)
 	// Indexed like a hold, so that ReleaseAll finds the queue entry too.
@@ -505,12 +459,6 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	}
 	start := time.Now()
 
-	var deadline <-chan time.Time
-	if m.limits.MaxWait > 0 {
-		t := time.NewTimer(m.limits.MaxWait)
-		defer t.Stop()
-		deadline = t.C
-	}
 	select {
 	case <-w.ready:
 		if !w.granted {
@@ -521,47 +469,26 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 		}
 		return nil
 	case <-ctx.Done():
-		// Cancellation never keeps a racing grant: abandonWaiter undoes it.
-		m.abandonWaiter(st, key, w, false)
+		m.abandonWaiter(st, key, w)
 		return fmt.Errorf("lockmgr: acquire %s on %q for %s: %w", mode, key, owner, ctx.Err())
-	case <-deadline:
-		if !m.abandonWaiter(st, key, w, true) {
-			// Granted in the same instant the deadline fired: keep it.
-			if m.obs != nil {
-				m.obs.LockGranted(time.Since(start))
-			}
-			return nil
-		}
-		if m.obs != nil {
-			m.obs.LockOverloaded()
-		}
-		return fmt.Errorf("lockmgr: acquire %s on %q for %s: waited %s: %w",
-			mode, key, owner, m.limits.MaxWait, ErrOverloaded)
 	}
 }
 
-// abandonWaiter removes w from key's queue after a cancellation or
-// deadline. It reports true when the wait is abandoned (the caller must
-// return its error). When the grant already happened: with keepIfGranted
-// the grant stands and false is returned (the caller returns success);
-// otherwise the grant is undone — release one unit — and true is
-// returned.
-func (m *Manager) abandonWaiter(st *stripe, key string, w *waiter, keepIfGranted bool) bool {
+// abandonWaiter removes w from key's queue after a cancellation. A grant
+// that raced the cancellation is undone — one unit released — so a
+// cancelled Acquire never leaves its owner holding the lock.
+func (m *Manager) abandonWaiter(st *stripe, key string, w *waiter) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e, ok := st.entries[key]
 	if !ok {
 		// Only reachable when a racing ReleaseAll for this owner already
-		// dropped the granted lock and GC'd the entry; nothing is held
-		// either way, so report the wait abandoned.
-		return true
+		// dropped the granted lock and GC'd the entry; nothing is held.
+		return
 	}
 	if w.granted {
-		if keepIfGranted {
-			return false
-		}
 		m.releaseOneLocked(st, e, key, w.owner, w.mode)
-		return true
+		return
 	}
 	for i, q := range e.waiters {
 		if q == w {
@@ -573,7 +500,6 @@ func (m *Manager) abandonWaiter(st *stripe, key string, w *waiter, keepIfGranted
 	// writer between readers).
 	m.grantWaitersLocked(e, key)
 	st.gcLocked(e, key)
-	return true
 }
 
 // releaseOneLocked drops one unit of mode held by owner and hands the

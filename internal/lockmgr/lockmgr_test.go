@@ -578,64 +578,6 @@ func TestFIFOFairnessNoBarging(t *testing.T) {
 	}
 }
 
-func TestQueueCapRefusesWithErrOverloaded(t *testing.T) {
-	m := NewLimited(nil, Limits{MaxQueue: 2})
-	if err := m.Acquire(context.Background(), "holder", "k", Write); err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			o := Owner(fmt.Sprintf("q%d", i))
-			err := m.Acquire(context.Background(), o, "k", Write)
-			if err == nil {
-				m.ReleaseAll(o)
-			}
-			errs <- err
-		}(i)
-	}
-	for m.QueueDepth("k") != 2 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	// Third waiter is over the cap: typed refusal, no queueing.
-	if err := m.Acquire(context.Background(), "over", "k", Write); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over-cap acquire: %v, want ErrOverloaded", err)
-	}
-	if d := m.QueueDepth("k"); d != 2 {
-		t.Fatalf("queue depth after refusal = %d, want 2", d)
-	}
-	m.ReleaseAll("holder")
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("queued waiter: %v", err)
-		}
-	}
-}
-
-func TestMaxWaitExpiresWithErrOverloaded(t *testing.T) {
-	m := NewLimited(nil, Limits{MaxWait: 20 * time.Millisecond})
-	if err := m.Acquire(context.Background(), "holder", "k", Write); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	err := m.Acquire(context.Background(), "waiter", "k", Write)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("expired waiter: %v, want ErrOverloaded", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("deadline did not bound the wait")
-	}
-	// The expired waiter must be fully gone: queue empty, and a release
-	// must not grant to it.
-	if d := m.QueueDepth("k"); d != 0 {
-		t.Fatalf("queue depth after expiry = %d, want 0", d)
-	}
-	m.ReleaseAll("holder")
-	if err := m.TryAcquire("next", "k", Write); err != nil {
-		t.Fatalf("lock not clean after expiry: %v", err)
-	}
-}
-
 func TestCancelledWaiterUnblocksQueueBehindIt(t *testing.T) {
 	// reader holds; writer W queues; readers R1,R2 queue behind W (no
 	// barging). Cancelling W must let R1,R2 be granted alongside the holder.
@@ -725,15 +667,14 @@ func TestMossChildOvertakesQueue(t *testing.T) {
 
 // countingObserver records observer callbacks for tests.
 type countingObserver struct {
-	queued, granted, overloaded atomic.Int64
+	queued, granted atomic.Int64
 }
 
 func (c *countingObserver) LockQueued(int)            { c.queued.Add(1) }
 func (c *countingObserver) LockGranted(time.Duration) { c.granted.Add(1) }
-func (c *countingObserver) LockOverloaded()           { c.overloaded.Add(1) }
 
 func TestObserverCounts(t *testing.T) {
-	m := NewLimited(nil, Limits{MaxQueue: 1})
+	m := New(nil)
 	obs := &countingObserver{}
 	m.SetObserver(obs)
 	if err := m.Acquire(context.Background(), "holder", "k", Write); err != nil {
@@ -744,16 +685,12 @@ func TestObserverCounts(t *testing.T) {
 	for m.QueueDepth("k") != 1 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if err := m.Acquire(context.Background(), "w2", "k", Write); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over cap: %v", err)
-	}
 	m.ReleaseAll("holder")
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if obs.queued.Load() != 1 || obs.granted.Load() != 1 || obs.overloaded.Load() != 1 {
-		t.Fatalf("observer queued=%d granted=%d overloaded=%d, want 1/1/1",
-			obs.queued.Load(), obs.granted.Load(), obs.overloaded.Load())
+	if obs.queued.Load() != 1 || obs.granted.Load() != 1 {
+		t.Fatalf("observer queued=%d granted=%d, want 1/1", obs.queued.Load(), obs.granted.Load())
 	}
 }
 

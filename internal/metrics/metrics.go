@@ -46,10 +46,9 @@ const (
 
 // Histogram is a log-bucketed latency/value histogram: fixed memory
 // (~8 KiB), lock-free recording, and percentile queries with bounded
-// relative error (±2.2%). Unlike the Latency aggregate it answers
-// Percentile, so tail latencies (p99/p999) are first-class; unlike a
-// raw-sample store it never grows. The zero value is ready to use and
-// safe for concurrent use.
+// relative error (±2.2%), so tail latencies (p99/p999) are first-class;
+// unlike a raw-sample store it never grows. The zero value is ready to use
+// and safe for concurrent use.
 type Histogram struct {
 	total  atomic.Int64
 	zero   atomic.Int64  // samples ≤ 0
@@ -156,50 +155,13 @@ func (h *Histogram) Quantile(q float64) float64 { return h.Percentile(q) }
 // Max returns the exact maximum positive sample, or 0 if empty.
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
 
-// Latency is a fixed-memory latency aggregate: count, sum and max in
-// atomics. Unlike Histogram it stores no samples, so it can sit on a hot
-// RPC path without growing memory or perturbing allocation benchmarks.
-type Latency struct {
-	count    atomic.Int64
-	sumNanos atomic.Int64
-	maxNanos atomic.Int64
-}
-
-// Observe records one duration.
-func (l *Latency) Observe(d time.Duration) {
-	l.count.Add(1)
-	l.sumNanos.Add(int64(d))
-	for {
-		cur := l.maxNanos.Load()
-		if int64(d) <= cur || l.maxNanos.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (l *Latency) Count() int64 { return l.count.Load() }
-
-// Mean returns the mean observed duration, or 0 if empty.
-func (l *Latency) Mean() time.Duration {
-	n := l.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(l.sumNanos.Load() / n)
-}
-
-// Max returns the largest observed duration.
-func (l *Latency) Max() time.Duration { return time.Duration(l.maxNanos.Load()) }
-
-// Registry is a named collection of counters, histograms and latency
-// aggregates. The zero value is ready to use. Lookups are lock-free in
-// the steady state so concurrent hot paths (e.g. every RPC of a parallel
-// fan-out) do not serialize on a registry mutex.
+// Registry is a named collection of counters and histograms. The zero
+// value is ready to use. Lookups are lock-free in the steady state so
+// concurrent hot paths (e.g. every RPC of a parallel fan-out) do not
+// serialize on a registry mutex.
 type Registry struct {
 	counters   sync.Map // string -> *Counter
 	histograms sync.Map // string -> *Histogram
-	latencies  sync.Map // string -> *Latency
 	memos      sync.Map // string -> any (caller-derived handle bundles)
 }
 
@@ -244,27 +206,9 @@ func (r *Registry) LookupHistogram(name string) (*Histogram, bool) {
 	return v.(*Histogram), true
 }
 
-// Latency returns (creating on first use) the named latency aggregate.
-func (r *Registry) Latency(name string) *Latency {
-	if v, ok := r.latencies.Load(name); ok {
-		return v.(*Latency)
-	}
-	v, _ := r.latencies.LoadOrStore(name, &Latency{})
-	return v.(*Latency)
-}
-
-// LookupLatency returns the named latency aggregate without creating it.
-func (r *Registry) LookupLatency(name string) (*Latency, bool) {
-	v, ok := r.latencies.Load(name)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Latency), true
-}
-
 // MemoLoad returns the handle bundle cached under key, if any. Together
 // with MemoStore it lets hot-path callers cache derived handle sets
-// (e.g. the RPC layer's per-service counter+latency bundle) on the
+// (e.g. the RPC layer's per-service counter+histogram bundle) on the
 // registry itself, avoiding name concatenation and repeated lookups.
 func (r *Registry) MemoLoad(key string) (any, bool) { return r.memos.Load(key) }
 
@@ -289,7 +233,7 @@ func (r *Registry) CounterNames() []string {
 // Snapshot renders all metrics as a deterministic multi-line string,
 // suitable for experiment reports.
 func (r *Registry) Snapshot() string {
-	var counterNames, histNames, latNames []string
+	var counterNames, histNames []string
 	r.counters.Range(func(k, _ any) bool {
 		counterNames = append(counterNames, k.(string))
 		return true
@@ -298,13 +242,8 @@ func (r *Registry) Snapshot() string {
 		histNames = append(histNames, k.(string))
 		return true
 	})
-	r.latencies.Range(func(k, _ any) bool {
-		latNames = append(latNames, k.(string))
-		return true
-	})
 	sort.Strings(counterNames)
 	sort.Strings(histNames)
-	sort.Strings(latNames)
 	var b strings.Builder
 	for _, name := range counterNames {
 		c, _ := r.LookupCounter(name)
@@ -314,11 +253,6 @@ func (r *Registry) Snapshot() string {
 		h := r.Histogram(name)
 		fmt.Fprintf(&b, "hist    %-40s n=%d mean=%.3f p50=%.3f p99=%.3f p999=%.3f max=%.3f\n",
 			name, h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.Max())
-	}
-	for _, name := range latNames {
-		l, _ := r.LookupLatency(name)
-		fmt.Fprintf(&b, "latency %-40s n=%d mean=%v max=%v\n",
-			name, l.Count(), l.Mean(), l.Max())
 	}
 	return b.String()
 }

@@ -1,9 +1,6 @@
 package object
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // This file implements commutative-operation batching ("flat combining")
 // at the object server. A solo commutative invocation — one whose action
@@ -88,16 +85,12 @@ func (c *combiner) depth() int {
 	return len(c.queue)
 }
 
-// push appends op unless the queue is at cap (maxQueue > 0). It reports
-// whether the op was enqueued and the resulting depth.
-func (c *combiner) push(op *pendingOp, maxQueue int) (bool, int) {
+// push appends op and returns the resulting depth.
+func (c *combiner) push(op *pendingOp) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if maxQueue > 0 && len(c.queue) >= maxQueue {
-		return false, len(c.queue)
-	}
 	c.queue = append(c.queue, op)
-	return true, len(c.queue)
+	return len(c.queue)
 }
 
 // remove deletes op from the queue if still present. A false return means
@@ -133,23 +126,4 @@ func (c *combiner) pop() *pendingOp {
 	op := c.queue[0]
 	c.queue = c.queue[1:]
 	return op
-}
-
-// waitOutcome blocks until the op resolves, the deadline passes, or stop
-// fires. A zero maxWait waits indefinitely.
-func (op *pendingOp) waitOutcome(maxWait time.Duration, stop <-chan struct{}) (opOutcome, bool, bool) {
-	var deadline <-chan time.Time
-	if maxWait > 0 {
-		t := time.NewTimer(maxWait)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case out := <-op.done:
-		return out, false, false
-	case <-deadline:
-		return opOutcome{}, true, false
-	case <-stop:
-		return opOutcome{}, false, true
-	}
 }

@@ -56,10 +56,6 @@ const (
 	// instance has been destroyed and the calling action must abort (a
 	// retry re-activates fresh).
 	CodeStaleServer = "stale-server"
-	// CodeOverloaded reports admission-control refusal: the object's lock
-	// wait queue or combiner queue is at its cap, or an op's queueing time
-	// exceeded the wait deadline. The caller should back off and retry.
-	CodeOverloaded = "overloaded"
 	// CodeCommitUncertain reports that a one-phase commit attempt ended
 	// ambiguously: the server's CommitOnePhase call to the St node failed
 	// with an error that does not rule out the store having durably applied
@@ -142,10 +138,7 @@ type Manager struct {
 	node     *sim.Node
 	registry *Registry
 	ghost    *group.Host // nil unless group invocation is enabled
-	// limits bounds each instance's lock wait queue and combiner queue;
-	// zero means unbounded. Set before any activation.
-	limits lockmgr.Limits
-	stats  *metrics.Registry
+	stats    *metrics.Registry
 	// leaseTTL enables read leases when non-zero (see lease.go). Set
 	// before any traffic.
 	leaseTTL time.Duration
@@ -175,15 +168,10 @@ func NewManager(node *sim.Node, registry *Registry) *Manager {
 // servers — required by active replication (§2.3(2)).
 func (m *Manager) EnableGroupInvocation(host *group.Host) { m.ghost = host }
 
-// SetLockLimits bounds every subsequently activated instance's lock wait
-// queue and combiner queue. Call during deployment setup, before traffic;
-// already-activated instances keep their original limits.
-func (m *Manager) SetLockLimits(l lockmgr.Limits) { m.limits = l }
-
-// newLocks builds an instance's lock manager under the configured limits,
-// with this manager observing queue events.
+// newLocks builds an instance's lock manager, with this manager observing
+// queue events.
 func (m *Manager) newLocks() *lockmgr.Manager {
-	lm := lockmgr.NewLimited(lockmgr.NoNesting, m.limits)
+	lm := lockmgr.New(lockmgr.NoNesting)
 	lm.SetObserver(m)
 	return lm
 }
@@ -200,11 +188,6 @@ func (m *Manager) LockQueued(depth int) {
 // LockGranted implements lockmgr.Observer.
 func (m *Manager) LockGranted(wait time.Duration) {
 	m.stats.Histogram("objsrv.lock.wait_ms").RecordDuration(wait)
-}
-
-// LockOverloaded implements lockmgr.Observer.
-func (m *Manager) LockOverloaded() {
-	m.stats.Counter("objsrv.lock.overload").Inc()
 }
 
 // Node returns the manager's node.
@@ -646,9 +629,6 @@ func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (In
 	// held until that action ends (Commit/Abort RPC).
 	start := time.Now()
 	if err := in.locks.Acquire(ctx, lockmgr.Owner(req.Action), "state", mode); err != nil {
-		if errors.Is(err, lockmgr.ErrOverloaded) {
-			return InvokeResp{}, rpc.Errorf(CodeOverloaded, "lock: %v", err)
-		}
 		return InvokeResp{}, rpc.Errorf(rpc.CodeRefused, "lock: %v", err)
 	}
 	result, err := in.runMethod(req.Action, method, req.Args, mode == lockmgr.Write)
@@ -702,40 +682,32 @@ func (m *Manager) invokeSolo(ctx context.Context, in *instance, req InvokeReq, m
 		}
 		return InvokeResp{Result: result, Modified: true, WaitNanos: int64(time.Since(start))}, nil
 	}
-	lim := in.locks.Limits()
 	op := newPendingOp(req.Action, req.Method, req.Args)
-	queued, depth := in.comb.push(op, lim.MaxQueue)
-	if !queued {
-		m.stats.Counter("objsrv.lock.overload").Inc()
-		return InvokeResp{}, rpc.Errorf(CodeOverloaded,
-			"object %s at %s: %d ops already queued", req.UID, m.node.Name(), depth)
-	}
+	depth := in.comb.push(op)
 	m.stats.Histogram("objsrv.lock.queue_depth").Record(float64(depth))
 	// Self-kick: the lock may have been released between the TryAcquire
 	// above and the enqueue; without this the op could sit forever on an
 	// idle lock.
 	m.kickCombiner(in)
 
-	out, timedOut, cancelled := op.waitOutcome(lim.MaxWait, ctx.Done())
-	if timedOut || cancelled {
+	// Parked like a lock waiter: until the outcome, or the caller's context.
+	var out opOutcome
+	select {
+	case out = <-op.done:
+	case <-ctx.Done():
 		if in.comb.remove(op) {
 			// Still queued: cleanly withdrawn, nothing happened.
-			if timedOut {
-				m.stats.Counter("objsrv.lock.overload").Inc()
-				return InvokeResp{}, rpc.Errorf(CodeOverloaded,
-					"object %s at %s: op waited %s unserved", req.UID, m.node.Name(), lim.MaxWait)
-			}
 			return InvokeResp{}, rpc.Errorf(rpc.CodeRefused, "object %s: op abandoned: %v", req.UID, ctx.Err())
 		}
 		// A leader claimed the op in the same instant: its fate is tied to
-		// that leader's commit now, so wait for the verdict rather than
-		// reporting an outcome that may be wrong. A caller that stops waiting
-		// first — the leader may be an action whose client gave it up
-		// without an Abort reaching this server, and then no verdict ever
-		// comes — is told exactly that: the op may yet commit.
+		// that leader's commit now. The caller has stopped waiting, so
+		// unless the verdict is already in — the leader may be an action
+		// whose client gave it up without an Abort reaching this server, and
+		// then none ever comes — it is told exactly that: the op may yet
+		// commit.
 		select {
 		case out = <-op.done:
-		case <-ctx.Done():
+		default:
 			return InvokeResp{}, rpc.Errorf(CodeCommitUncertain,
 				"object %s: op folded into a commit still undecided: %v", req.UID, ctx.Err())
 		}
@@ -1337,9 +1309,6 @@ func (m *Manager) handleLeaseCheck(ctx context.Context, from transport.Addr, req
 		return LeaseCheckResp{}, err
 	}
 	if err := in.locks.Acquire(ctx, lockmgr.Owner(req.Action), "state", lockmgr.Read); err != nil {
-		if errors.Is(err, lockmgr.ErrOverloaded) {
-			return LeaseCheckResp{}, rpc.Errorf(CodeOverloaded, "lock: %v", err)
-		}
 		return LeaseCheckResp{}, rpc.Errorf(rpc.CodeRefused, "lock: %v", err)
 	}
 	in.mu.Lock()

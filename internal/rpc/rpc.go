@@ -267,7 +267,6 @@ type Client struct {
 type svcMetrics struct {
 	calls         *metrics.Counter
 	transportErrs *metrics.Counter
-	latency       *metrics.Latency
 	hist          *metrics.Histogram
 }
 
@@ -278,7 +277,6 @@ func (c Client) serviceMetrics(service string) *svcMetrics {
 	sm := &svcMetrics{
 		calls:         c.Metrics.Counter("rpc." + service + ".calls"),
 		transportErrs: c.Metrics.Counter("rpc." + service + ".transport-errors"),
-		latency:       c.Metrics.Latency("rpc." + service),
 		hist:          c.Metrics.Histogram("rpc." + service),
 	}
 	return c.Metrics.MemoStore(service, sm).(*svcMetrics)
@@ -323,7 +321,6 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 		sm := c.serviceMetrics(service)
 		elapsed := end.Sub(start)
 		sm.calls.Inc()
-		sm.latency.Observe(elapsed)
 		sm.hist.RecordDuration(elapsed)
 		if err != nil {
 			sm.transportErrs.Inc()
@@ -349,9 +346,10 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 	return body, nil
 }
 
-// Invoke performs a typed call: req is gob-encoded, the reply decoded into
-// Resp. Transport failures are returned as the transport's errors;
-// application failures as *AppError.
+// Invoke performs a typed call: req is Encoded (the binary codec when req
+// is a Wire type, gob otherwise), the reply Decoded into Resp. Transport
+// failures are returned as the transport's errors; application failures as
+// *AppError.
 func Invoke[Req, Resp any](ctx context.Context, c Client, to transport.Addr, service, method string, req Req) (Resp, error) {
 	var zero Resp
 	payload, err := Encode(&req)

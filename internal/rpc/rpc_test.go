@@ -251,7 +251,7 @@ func TestClientRecordsMetrics(t *testing.T) {
 	if got := reg.Counter("rpc.math.transport-errors").Value(); got != 1 {
 		t.Fatalf("transport-errors = %d, want 1", got)
 	}
-	if reg.Latency("rpc.math").Count() != 2 {
+	if reg.Histogram("rpc.math").Count() != 2 {
 		t.Fatal("latency samples missing")
 	}
 }

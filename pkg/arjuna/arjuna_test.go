@@ -219,6 +219,7 @@ func TestErrorsIsMatchesSentinels(t *testing.T) {
 		{"no such method", rpc.Errorf(rpc.CodeNoSuchMethod, "x"), arjuna.ErrUnknownMethod},
 		{"no servers", fmt.Errorf("activate: %w", replica.ErrNoServers), arjuna.ErrNoServers},
 		{"unreachable", fmt.Errorf("call: %w", transport.ErrUnreachable), arjuna.ErrUnreachable},
+		{"connection overloaded", fmt.Errorf("call: %w", transport.ErrOverloaded), arjuna.ErrOverloaded},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

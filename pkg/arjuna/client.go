@@ -111,8 +111,10 @@ type CommitReport struct {
 	// this action's write folded — as the carrying leader or as a folded
 	// follower (0 when the write was not part of any batch).
 	BatchSize int
-	// Overloads counts the attempts refused with ErrOverloaded across the
-	// whole Atomic call (the final attempt included, if it failed so).
+	// Overloads counts the attempts refused with ErrOverloaded — a
+	// multiplexed connection at its pending-call cap, the one source of
+	// that error — across the whole Atomic call (the final attempt
+	// included, if it failed so).
 	Overloads int
 	// LeaseStale counts the attempts aborted with ErrLeaseStale across the
 	// whole Atomic call: commit-time revalidation found a read served with no
@@ -412,8 +414,8 @@ func (o *Object) apply(ctx context.Context, method string, args []byte) ([]byte,
 // and invoke objects through the Txn, then commit — or abort, undoing all
 // effects, if fn returns an error or commit cannot prepare. Transient
 // refusals — lock conflicts (ErrLockRefused, the §4.2.1 conflict) and
-// overload backpressure (ErrOverloaded, a full or expired lock wait
-// queue) — are retried with capped, jittered exponential backoff per the
+// overload backpressure (ErrOverloaded, a connection at its pending-call
+// cap) — are retried with capped, jittered exponential backoff per the
 // client's ClientRetry setting.
 //
 // The returned error is nil exactly when the action is known to have

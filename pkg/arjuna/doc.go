@@ -193,22 +193,25 @@
 // followers in the request that made it the holder. Atomic with Invoke
 // sends the messages it always sent.
 //
-// # Overload backpressure
+// # Hot keys and backpressure
 //
-// WithLockQueue(depth, wait) bounds every object server's per-object
-// lock wait queues: at most depth waiters queue on one lock, none longer
-// than wait. Grants are strictly FIFO (no barging), so the bound also
-// bounds any waiter's delay. Over-limit acquires fail fast with
-// ErrOverloaded; Atomic and Apply treat that — like ErrLockRefused — as
-// retryable, sleeping a capped, jittered exponential backoff between
-// attempts so refused clients spread out instead of re-colliding. The
-// CommitReport's Overloads and QueueWait fields expose the pressure a
-// call experienced. Unbounded queues (the default) never refuse, at the
-// cost of unbounded tail latency on hot objects.
+// An object's lock queue is not bounded: a waiter stays queued until it is
+// granted, in strict FIFO order (no barging), or its caller's context
+// ends, as the paper's locks do (§4.1, §4.2.1). Three valves keep a hot
+// object's queue short instead — flat combining, above, is the first. The
+// CommitReport's QueueWait field exposes the wait a call experienced.
 //
-// Two more valves complete the stack. ClientFastBind applies the paper's
-// §4.2.1 type-specific locking to the bind action itself: the group view
-// is read under a shared lock and the use-count bump takes a commutative
+// ErrOverloaded has one source: over the socket transport
+// (transport.NewTCPMux) a connection that already has its cap of calls
+// awaiting replies refuses the next one before sending it. Atomic and
+// Apply treat that — like ErrLockRefused — as retryable, sleeping a
+// capped, jittered exponential backoff between attempts so refused
+// clients spread out instead of re-colliding; the CommitReport's
+// Overloads field counts the refusals.
+//
+// ClientFastBind is the second valve. It applies the paper's §4.2.1
+// type-specific locking to the bind action itself: the group view is
+// read under a shared lock and the use-count bump takes a commutative
 // Adjust lock that other binders and readers share, so binds to a hot
 // object stop convoying behind one another's exclusive bind window (the
 // exclusive repair pass still runs whenever a binding finds failed
@@ -222,11 +225,12 @@
 // the object where it lands, and is the probe that discovers a dead server
 // "the hard way" — it moves on to the next candidate when the request
 // provably never ran, and aborts the action when it may have.
-// WithAdmission(n) is the outermost valve: it caps how many top-level
-// Atomic actions are in flight across the whole deployment, parking
-// surplus callers cheaply at the gate — before any bind, lock or commit
-// work — instead of letting offered concurrency beyond the deployment's
-// efficient operating point thrash the machinery into negative scaling.
+// WithAdmission(n) is the third, outermost valve: it caps how many
+// top-level Atomic actions are in flight across the whole deployment,
+// parking surplus callers cheaply at the gate — before any bind, lock or
+// commit work — instead of letting offered concurrency beyond the
+// deployment's efficient operating point thrash the machinery into
+// negative scaling.
 //
 // The three database access schemes of §4 (standard, independent
 // top-level, nested top-level) and the three replication policies of §2.3

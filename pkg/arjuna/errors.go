@@ -6,7 +6,6 @@ import (
 	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/lockmgr"
-	"repro/internal/object"
 	"repro/internal/replica"
 	"repro/internal/rpc"
 	"repro/internal/transport"
@@ -43,11 +42,12 @@ var (
 	// ErrLockRefused reports a refused database lock acquire or promotion
 	// (the paper's §4.2.1 conflict); the action aborted and may be retried.
 	ErrLockRefused = errors.New("arjuna: lock refused")
-	// ErrOverloaded reports overload backpressure: an object's bounded
-	// lock wait queue was full, or the wait deadline passed before the
-	// lock was granted. The action aborted; Atomic treats it as retryable
-	// with jittered exponential backoff, shedding load instead of letting
-	// hot-key convoys grow without bound.
+	// ErrOverloaded reports overload backpressure, and has one source: a
+	// multiplexed connection (transport.NewTCPMux) already had its cap of
+	// calls awaiting replies, so the call was refused before it was sent
+	// (transport.ErrOverloaded). The action aborted; Atomic treats it as
+	// retryable with jittered exponential backoff, shedding load instead
+	// of queueing deeper behind a slow peer.
 	ErrOverloaded = errors.New("arjuna: overloaded")
 	// ErrUnknownObject reports an operation on a UID the group view
 	// database has no entry for.
@@ -142,22 +142,17 @@ func MapError(err error) error {
 	case errors.Is(err, replica.ErrNoServers):
 		return tag(ErrNoServers, err)
 	case errors.Is(err, transport.ErrOverloaded):
-		// Mux per-connection backpressure joins the lock-queue overloads
-		// in the retry-with-backoff class.
+		// The mux connection's pending-call cap: the one overload there is.
 		return tag(ErrOverloaded, err)
 	case errors.Is(err, transport.ErrUnreachable):
 		// Breaker fast-fails land here too (a peerDownError unwraps to
 		// transport.ErrUnreachable, so the exclusion paths below the
 		// facade fire on them unchanged).
 		return tag(ErrUnreachable, err)
-	case errors.Is(err, lockmgr.ErrOverloaded):
-		return tag(ErrOverloaded, err)
 	case errors.Is(err, lockmgr.ErrRefused):
 		return tag(ErrLockRefused, err)
 	}
 	switch rpc.CodeOf(err) {
-	case object.CodeOverloaded:
-		return tag(ErrOverloaded, err)
 	case core.CodeLockRefused, rpc.CodeRefused:
 		return tag(ErrLockRefused, err)
 	case core.CodeUnknownObject, rpc.CodeNotFound:

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/object"
+	"repro/internal/transport"
 	"repro/pkg/arjuna"
 )
 
@@ -141,99 +143,53 @@ func TestApplyMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestOverloadBackpressure bounds the lock queue hard, parks a slow
-// transaction on the object's write lock, and checks the taxonomy end to
-// end: contenders arriving behind the full queue are refused with
-// ErrOverloaded (counted in the CommitReport), and refused operations
-// leave no trace in the committed state.
-func TestOverloadBackpressure(t *testing.T) {
-	sys, err := arjuna.Open(
-		arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(7),
-		arjuna.WithLockQueue(1, 5*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	obj := sys.Objects()[0]
+// refusingNet answers the calls from one node to one service with
+// transport.ErrOverloaded — what a multiplexed connection at its pending-call
+// cap does — while refusals remain, and carries every other call.
+type refusingNet struct {
+	transport.Network
+	from     transport.Addr
+	service  string
+	refusals atomic.Int64
+}
 
-	// The holder takes the write lock via an ordinary (non-solo) invoke and
-	// then dawdles, so every contender below finds the lock held for the
-	// whole window.
-	holder, err := sys.Client("c1")
-	if err != nil {
-		t.Fatal(err)
+func (n *refusingNet) Call(ctx context.Context, req transport.Request) ([]byte, error) {
+	if req.From == n.from && req.Service == n.service && n.refusals.Add(-1) >= 0 {
+		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, transport.ErrOverloaded)
 	}
-	locked := make(chan struct{})
-	release := make(chan struct{})
-	holderDone := make(chan error, 1)
-	go func() {
-		_, err := holder.Atomic(context.Background(), func(tx *arjuna.Txn) error {
-			if _, err := tx.Object(obj).Invoke(context.Background(), "add", []byte("1")); err != nil {
-				return err
-			}
-			close(locked)
-			<-release
-			return nil
-		})
-		holderDone <- err
-	}()
-	<-locked
+	return n.Network.Call(ctx, req)
+}
 
-	// Six contenders against a one-slot queue: at most one can park (and
-	// its 5ms wait deadline expires inside the hold window anyway), so
-	// every one must come back ErrOverloaded — after retrying with backoff,
-	// as the Overloads counter proves.
-	var wg sync.WaitGroup
-	var overloaded, overloadAttempts, committed int64
-	var badErr atomic.Value
-	for i := 0; i < 6; i++ {
-		cl, err := sys.Client("c"+strconv.Itoa(i+2), arjuna.ClientRetry(2, time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, rep, err := cl.Apply(context.Background(), obj, "add", []byte("1"))
-			if rep != nil {
-				atomic.AddInt64(&overloadAttempts, int64(rep.Overloads))
-			}
-			switch {
-			case err == nil:
-				atomic.AddInt64(&committed, 1)
-			case errors.Is(err, arjuna.ErrOverloaded):
-				atomic.AddInt64(&overloaded, 1)
-			case errors.Is(err, arjuna.ErrLockRefused):
-				// A waiter that parked and timed out right at a release can
-				// surface as a plain refusal; acceptable, just not counted.
-			default:
-				badErr.Store(err)
-			}
-		}()
+// TestConnectionOverloadBacksOff drives the overload class from its one
+// source, a connection refusing a call with transport.ErrOverloaded. Refused
+// once, the attempt maps to ErrOverloaded and Atomic retries it: the action
+// commits on the second attempt and the report counts the refusal. Refused
+// every time, the action fails with ErrAborted and ErrOverloaded after
+// ClientRetry's attempts, and nothing of it is in the committed state.
+func TestConnectionOverloadBacksOff(t *testing.T) {
+	net := &refusingNet{Network: transport.NewMem(transport.MemOptions{}, nil), from: "c1", service: object.ServiceName}
+	sys := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithNetwork(net))
+	cl := clientT(t, sys, "c1", arjuna.ClientRetry(3, time.Millisecond))
+	ctx, obj := context.Background(), sys.Objects()[0]
+
+	net.refusals.Store(1)
+	out, rep, err := cl.Apply(ctx, obj, "add", []byte("1"))
+	if err != nil || string(out) != "1" {
+		t.Fatalf("Apply refused once = %q, %v; want the retry to commit", out, err)
 	}
-	wg.Wait()
-	close(release)
-	if err := <-holderDone; err != nil {
-		t.Fatalf("holder: %v", err)
-	}
-	if err, ok := badErr.Load().(error); ok {
-		t.Fatalf("unexpected error class: %v", err)
-	}
-	if overloaded == 0 {
-		t.Fatalf("no contender was refused with ErrOverloaded (committed=%d)", committed)
-	}
-	if overloadAttempts == 0 {
-		t.Fatal("CommitReport.Overloads never counted an overload refusal")
+	if !rep.Committed || rep.Attempts != 2 || rep.Overloads != 1 {
+		t.Fatalf("report %+v; want committed on attempt 2 with 1 overload", rep)
 	}
 
-	data, _, err := sys.CommittedState(obj)
-	if err != nil {
-		t.Fatal(err)
+	net.refusals.Store(1 << 30)
+	_, rep, err = cl.Apply(ctx, obj, "add", []byte("1"))
+	if !errors.Is(err, arjuna.ErrAborted) || !errors.Is(err, arjuna.ErrOverloaded) {
+		t.Fatalf("Apply refused every time: err = %v; want ErrAborted and ErrOverloaded", err)
 	}
-	got, _ := strconv.Atoi(string(data))
-	if want := 1 + committed; int64(got) != want {
-		t.Fatalf("counter = %d, want %d (holder + %d committed contenders)", got, want, committed)
+	if rep.Committed || rep.Attempts != 3 || rep.Overloads != 3 {
+		t.Fatalf("report %+v; want 3 attempts, all overloaded", rep)
 	}
-	t.Logf("overloaded=%d committed=%d overload-attempts=%d", overloaded, committed, overloadAttempts)
+	if got := counterValue(t, sys, obj); got != "1" {
+		t.Fatalf("committed state %q, want 1: a refused attempt left a trace", got)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/lockmgr"
 	"repro/internal/object"
 	"repro/internal/replica"
 	"repro/internal/rpc"
@@ -65,8 +64,7 @@ type config struct {
 	scheme Scheme
 	policy Policy
 
-	lockLimits lockmgr.Limits
-	admission  int
+	admission int
 
 	noBreakers        bool
 	breakers          BreakerConfig
@@ -126,26 +124,14 @@ func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 // clients may override it with ClientPolicy.
 func WithPolicy(p Policy) Option { return func(c *config) { c.policy = p } }
 
-// WithLockQueue bounds every object server's per-object lock wait queues:
-// at most depth waiters may queue on one lock, and no waiter waits longer
-// than wait before being refused. Either bound at zero leaves that
-// dimension unbounded. Over-limit acquires fail with ErrOverloaded, which
-// Atomic retries with jittered exponential backoff — backpressure that
-// keeps a hot object's queue (and its tail latency) bounded instead of
-// letting every delayed client pile up behind the lock.
-func WithLockQueue(depth int, wait time.Duration) Option {
-	return func(c *config) { c.lockLimits = lockmgr.Limits{MaxQueue: depth, MaxWait: wait} }
-}
-
 // WithAdmission caps how many top-level Atomic actions may be in flight
-// across the whole deployment at once. Beyond the lock-queue bounds —
-// which refuse work already deep inside the system — the admission gate
-// is the outermost backpressure valve: when offered concurrency exceeds
-// the deployment's efficient operating point, surplus callers park
-// cheaply at the gate instead of thrashing the bind, lock and commit
-// machinery, which is what turns extra clients into negative scaling.
-// An admitted action holds its slot through its retries, so its backoff
-// capacity is not resold. 0 (the default) means no gate.
+// across the whole deployment at once. The admission gate is the
+// outermost backpressure valve, and it refuses nothing: when offered
+// concurrency exceeds the deployment's efficient operating point, surplus
+// callers park cheaply at the gate instead of thrashing the bind, lock
+// and commit machinery, which is what turns extra clients into negative
+// scaling. An admitted action holds its slot through its retries, so its
+// backoff capacity is not resold. 0 (the default) means no gate.
 func WithAdmission(n int) Option {
 	return func(c *config) { c.admission = n }
 }

@@ -62,17 +62,16 @@ func Open(opts ...Option) (*System, error) {
 		}
 	}
 	w, err := harness.New(harness.Options{
-		Servers:    cfg.servers,
-		Stores:     cfg.stores,
-		Clients:    cfg.clients,
-		Objects:    cfg.objects,
-		Shards:     cfg.shards,
-		Net:        cfg.net,
-		Network:    cfg.network,
-		Registry:   reg,
-		DataDir:    cfg.dataDir,
-		Disk:       cfg.disk,
-		LockLimits: cfg.lockLimits,
+		Servers:  cfg.servers,
+		Stores:   cfg.stores,
+		Clients:  cfg.clients,
+		Objects:  cfg.objects,
+		Shards:   cfg.shards,
+		Net:      cfg.net,
+		Network:  cfg.network,
+		Registry: reg,
+		DataDir:  cfg.dataDir,
+		Disk:     cfg.disk,
 
 		NoBreakers:        cfg.noBreakers,
 		Breakers:          cfg.breakers,
@@ -606,7 +605,8 @@ type ServiceStats struct {
 	// calls that failed at the transport (unreachable, lost messages).
 	Calls           int64
 	TransportErrors int64
-	// MeanLatency and MaxLatency aggregate the per-call round-trip time.
+	// MeanLatency and MaxLatency aggregate the per-call round-trip time
+	// (the histogram's exact sum/count and exact maximum).
 	MeanLatency time.Duration
 	MaxLatency  time.Duration
 	// P50/P99/P999 are round-trip latency percentiles from the service's
@@ -640,12 +640,10 @@ func (s *System) Stats() []ServiceStats {
 		if c, ok := reg.LookupCounter("rpc." + service + ".transport-errors"); ok {
 			s.TransportErrors = c.Value()
 		}
-		if lat, ok := reg.LookupLatency("rpc." + service); ok {
-			s.MeanLatency = lat.Mean()
-			s.MaxLatency = lat.Max()
-		}
 		if h, ok := reg.LookupHistogram("rpc." + service); ok {
 			ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+			s.MeanLatency = ms(h.Mean())
+			s.MaxLatency = ms(h.Max())
 			s.P50 = ms(h.Percentile(0.50))
 			s.P99 = ms(h.Percentile(0.99))
 			s.P999 = ms(h.Percentile(0.999))
