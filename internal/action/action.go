@@ -405,9 +405,6 @@ func (a *Action) Top() *Action {
 	return t
 }
 
-// IsTopLevel reports whether the action has no parent.
-func (a *Action) IsTopLevel() bool { return a.parent == nil }
-
 // Status returns the current lifecycle state.
 func (a *Action) Status() Status {
 	a.mu.Lock()

@@ -8,6 +8,7 @@
 package buildcheck
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -66,7 +67,11 @@ func TestBenchModuleVets(t *testing.T) {
 // TestEveryOptionHasAReadmeRow keeps the option census true: each exported
 // With*/Client* function of pkg/arjuna/options.go must have a row in
 // README's Options table — name · who sets it outside tests · what
-// justifies it — and the table may name no option that is gone.
+// justifies it — and the table may name no option that is gone. "tests
+// only" is an answer to who sets an option, never a justification: that
+// cell wants a paper section, a ledger or measured row, or a sentence
+// saying what a test could not do without the option. The counts README
+// states above the table are the counts options.go exports.
 func TestEveryOptionHasAReadmeRow(t *testing.T) {
 	root := moduleRoot(t)
 	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "pkg", "arjuna", "options.go"), nil, parser.SkipObjectResolution)
@@ -74,11 +79,21 @@ func TestEveryOptionHasAReadmeRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	options := map[string]bool{}
+	var withs, clients int
 	for _, d := range file.Decls {
 		fn, ok := d.(*ast.FuncDecl)
-		if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "With") || strings.HasPrefix(fn.Name.Name, "Client")) {
-			options[fn.Name.Name] = true
+		if !ok || fn.Recv != nil {
+			continue
 		}
+		switch {
+		case strings.HasPrefix(fn.Name.Name, "With"):
+			withs++
+		case strings.HasPrefix(fn.Name.Name, "Client"):
+			clients++
+		default:
+			continue
+		}
+		options[fn.Name.Name] = true
 	}
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
@@ -89,6 +104,9 @@ func TestEveryOptionHasAReadmeRow(t *testing.T) {
 		t.Fatal("README.md has no \"### Options\" section")
 	}
 	table, _, _ = strings.Cut(table, "\n#")
+	if counts := fmt.Sprintf("%d `With*` deployment options and %d `Client*` options", withs, clients); !strings.Contains(table, counts) {
+		t.Errorf("README's Options section does not say %q, which is what pkg/arjuna/options.go exports", counts)
+	}
 	rows := map[string]bool{}
 	for _, line := range strings.Split(table, "\n") {
 		cells := strings.Split(strings.Trim(line, "| "), "|")
@@ -98,6 +116,9 @@ func TestEveryOptionHasAReadmeRow(t *testing.T) {
 		}
 		if strings.TrimSpace(cells[1]) == "" || strings.TrimSpace(cells[2]) == "" {
 			t.Errorf("README Options row for %s has an empty cell", name)
+		}
+		if strings.EqualFold(strings.TrimSpace(cells[2]), "tests only") {
+			t.Errorf("README Options row for %s is justified by \"tests only\": nothing ships that only its own tests switch on", name)
 		}
 		if !options[name] {
 			t.Errorf("README Options table names %s, which pkg/arjuna/options.go does not export", name)

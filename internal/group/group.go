@@ -35,7 +35,6 @@ import (
 	"repro/internal/conc"
 	"repro/internal/rpc"
 	"repro/internal/transport"
-	"repro/internal/uid"
 )
 
 // ServiceName is the RPC service name for group communication endpoints.
@@ -156,7 +155,6 @@ type sequenceResp struct {
 // delivery ordering, deduplication, and the sequencer role.
 type Host struct {
 	client rpc.Client
-	msgGen *uid.Generator
 
 	// rounds counts sequencer fan-out rounds run by this host; orderedMsgs
 	// counts the messages those rounds carried. msgs/rounds > 1 means the
@@ -281,7 +279,6 @@ func (m *membership) evictLocked(stable uint64) {
 func NewHost(srv *rpc.Server, client rpc.Client) *Host {
 	h := &Host{
 		client: client,
-		msgGen: uid.NewGenerator(string(client.From)+"/mc", 1),
 		groups: make(map[string]*membership),
 	}
 	srv.Handle(ServiceName, MethodDeliver, rpc.Method(h.handleDeliver))
@@ -787,18 +784,8 @@ func Multicast(ctx context.Context, cli rpc.Client, g Group, kind string, payloa
 	return multicastWithID(ctx, cli, g, kind, payload, msgID)
 }
 
-// NewMsgID mints a stable message ID for callers that need to retry one
-// logical multicast across higher-level attempts.
-func (h *Host) NewMsgID(kind string) string {
-	return h.msgGen.New().String() + "/" + kind
-}
-
-// MulticastWithID is Multicast with a caller-chosen message ID (for retry
-// across higher-level attempts).
-func MulticastWithID(ctx context.Context, cli rpc.Client, g Group, kind string, payload []byte, msgID string) (*Result, error) {
-	return multicastWithID(ctx, cli, g, kind, payload, msgID)
-}
-
+// multicastWithID is Multicast under a caller-chosen message ID: a retry
+// under the same ID is answered from the receivers' dedup records.
 func multicastWithID(ctx context.Context, cli rpc.Client, g Group, kind string, payload []byte, msgID string) (*Result, error) {
 	members := make([]string, len(g.Members))
 	for i, m := range g.Members {
@@ -845,14 +832,5 @@ func NaiveMulticast(ctx context.Context, cli rpc.Client, g Group, kind string, p
 		}
 		out.Replies = append(out.Replies, Reply{Member: member, Payload: resp.Payload})
 	}
-	return out
-}
-
-// SortedFailed returns the failed members sorted, for deterministic
-// reporting.
-func (r *Result) SortedFailed() []transport.Addr {
-	out := make([]transport.Addr, len(r.Failed))
-	copy(out, r.Failed)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

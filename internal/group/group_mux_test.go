@@ -22,7 +22,7 @@ func TestMulticastRetryDeduplicatesAcrossMuxStreams(t *testing.T) {
 	ctx := context.Background()
 	msgID := "stable-id/mux-1"
 
-	first, err := MulticastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
+	first, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestMulticastRetryDeduplicatesAcrossMuxStreams(t *testing.T) {
 		}
 	}
 
-	retry, err := MulticastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
+	retry, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,12 +143,12 @@ func TestMulticastRetryDeduplicates(t *testing.T) {
 	f := newFixture(t, "a1", "a2")
 	ctx := context.Background()
 	msgID := "stable-id/1"
-	first, err := MulticastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
+	first, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Retry of the same logical message: members must not apply twice.
-	retry, err := MulticastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
+	retry, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +182,12 @@ func TestMulticastRetryAfterSequencerCrashReturnsFullReplies(t *testing.T) {
 	f := newFixture(t, "a1", "a2", "a3")
 	ctx := context.Background()
 	msgID := "stable-id/2"
-	first, err := MulticastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
+	first, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.cluster.Node("a1").Crash()
-	retry, err := MulticastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
+	retry, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), msgID)
 	if err != nil {
 		t.Fatal(err)
 	}

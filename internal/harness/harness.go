@@ -69,7 +69,8 @@ type Options struct {
 	Clients int
 	// Shards partitions the deployment into that many independent
 	// server/store groups, each with its own group view database
-	// (db1..dbS), plus a placement service node mapping objects to groups.
+	// (db1..dbS), plus the placement service's replicas mapping objects to
+	// groups.
 	// 0 or 1 keeps the classic single-group topology (node "db", no
 	// placement service) byte-for-byte.
 	Shards int
@@ -93,16 +94,9 @@ type Options struct {
 	// Disk tunes the disk engine (sync discipline, compaction
 	// threshold); only meaningful with DataDir set.
 	Disk storage.DiskOptions
-	// NoBreakers disables the per-peer circuit breakers that every node
-	// otherwise gets by default.
-	NoBreakers bool
-	// Breakers tunes the circuit breakers (zero fields take the rpc
-	// package defaults). Ignored with NoBreakers.
+	// Breakers tunes the per-peer circuit breakers every node gets (zero
+	// fields take the rpc package defaults).
 	Breakers rpc.BreakerConfig
-	// PlacementReplicas is how many placement service replicas a sharded
-	// world runs (nodes "placement", "placement2", ...). 0 selects the
-	// default of 3; 1 keeps the classic single placement node.
-	PlacementReplicas int
 	// LeaseTTL, when positive, enables cached read leases: every object
 	// server grants leased read snapshots with this TTL, and every client
 	// node gets a shared lease cache (World.LeaseCaches) that receives
@@ -111,8 +105,8 @@ type Options struct {
 	LeaseTTL time.Duration
 }
 
-// DefaultPlacementReplicas is the placement replica count a sharded world
-// gets when Options does not choose one.
+// DefaultPlacementReplicas is how many placement service replicas a
+// sharded world runs (nodes "placement", "placement2", "placement3").
 const DefaultPlacementReplicas = 3
 
 // Group is one shard's server/store group and its group view database.
@@ -152,8 +146,7 @@ type World struct {
 	Place *placement.Service
 	// PlaceAddr is the primary placement node's address.
 	PlaceAddr transport.Addr
-	// Places lists every placement replica (primary first); len 1 when
-	// the world runs a single placement node.
+	// Places lists every placement replica, primary first.
 	Places []*placement.Service
 	// PlaceAddrs lists every placement node address, primary first.
 	PlaceAddrs []transport.Addr
@@ -192,9 +185,7 @@ func New(opts Options) (*World, error) {
 	// The world shares the cluster's registry, so RPC-layer call counts
 	// and latencies land next to whatever the harness records itself.
 	w.Metrics = w.Cluster.Metrics()
-	if !opts.NoBreakers {
-		w.Cluster.SetBreakers(opts.Breakers)
-	}
+	w.Cluster.SetBreakers(opts.Breakers)
 	if opts.DataDir != "" {
 		dataDir, disk := opts.DataDir, opts.Disk
 		w.Cluster.SetStorage(func(name transport.Addr) storage.Factory {
@@ -233,11 +224,7 @@ func New(opts Options) (*World, error) {
 		g.Sts = append(g.Sts, name)
 	}
 	if shards > 1 {
-		replicas := opts.PlacementReplicas
-		if replicas <= 0 {
-			replicas = DefaultPlacementReplicas
-		}
-		nodes := make([]*sim.Node, replicas)
+		nodes := make([]*sim.Node, DefaultPlacementReplicas)
 		for i := range nodes {
 			name := transport.Addr("placement")
 			if i > 0 {

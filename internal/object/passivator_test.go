@@ -68,19 +68,3 @@ func TestPassivateQuiescentSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	w := newWorld(t)
-	n := w.cluster.Add("svD")
-	mgr := NewManager(n, w.reg)
-	if got := mgr.Describe(); got == "" {
-		t.Fatal("empty describe")
-	}
-	ref := ServerRef{Client: w.cluster.Node("client").Client(), Node: "svD", UID: w.id}
-	if _, err := ref.Activate(context.Background(), "counter", []transport.Addr{"st1"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := mgr.Describe(); got == "" {
-		t.Fatal("empty describe with instance")
-	}
-}

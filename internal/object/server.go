@@ -3,7 +3,6 @@ package object
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -1379,22 +1378,4 @@ func IsNotActive(err error) bool {
 		return true
 	}
 	return rpc.CodeOf(err) == CodeNotActive
-}
-
-// Describe returns a human-readable summary of the node's activated
-// objects, for the CLI.
-func (m *Manager) Describe() string {
-	t := m.table()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.m) == 0 {
-		return fmt.Sprintf("%s: no active objects", m.node.Name())
-	}
-	out := fmt.Sprintf("%s: %d active object(s)", m.node.Name(), len(t.m))
-	for id, in := range t.m {
-		in.mu.Lock()
-		out += fmt.Sprintf("\n  %s class=%s seq=%d users=%d", id, in.class.Name, in.seq, len(in.users))
-		in.mu.Unlock()
-	}
-	return out
 }

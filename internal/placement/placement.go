@@ -132,7 +132,7 @@ const CodeNotPrimary = "not-primary"
 // non-atomic: lookups and assignments are immediate, mutex-protected map
 // operations with no locks or actions.
 //
-// A Service may be one replica of a replicated group (NewReplicatedGroup).
+// A Service is one replica of a replicated group (NewReplicatedGroup).
 // Replication is primary-based and epoch-fenced: all writes go through a
 // static primary (the group's first node), which applies them locally and
 // pushes the new override records — each carrying its per-object epoch —
@@ -154,12 +154,6 @@ type Service struct {
 	shards    map[int]ShardInfo
 	overrides map[uid.UID]int
 	epochs    map[uid.UID]uint64
-}
-
-// NewService installs a single-replica placement service for the given
-// shards on node (the node is its own primary).
-func NewService(node *sim.Node, shards []ShardInfo) *Service {
-	return newReplica(node, node.Name(), nil, shards)
 }
 
 // NewReplicatedGroup installs one placement replica per node, all serving
@@ -274,9 +268,6 @@ func newReplica(node *sim.Node, primary transport.Addr, peers []transport.Addr, 
 
 // IsPrimary reports whether this replica is the group's write primary.
 func (s *Service) IsPrimary() bool { return s.self == s.primary }
-
-// Primary returns the group's write primary address.
-func (s *Service) Primary() transport.Addr { return s.primary }
 
 // syncPeers pushes freshly written override records to every peer
 // replica, best-effort and synchronously: a down or partitioned peer is
@@ -393,17 +384,6 @@ func (s *Service) Shards() []ShardInfo {
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Overrides returns a copy of the explicit directory entries.
-func (s *Service) Overrides() map[uid.UID]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[uid.UID]int, len(s.overrides))
-	for id, shard := range s.overrides {
-		out[id] = shard
-	}
 	return out
 }
 

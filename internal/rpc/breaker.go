@@ -336,8 +336,7 @@ func (s *Breakers) Counters() (trips, fastFails, probes int64) {
 	return s.trips.Load(), s.fastFails.Load(), s.probes.Load()
 }
 
-// BreakerStatus is one peer's breaker state, as reported by Snapshot and
-// the per-node health RPC.
+// BreakerStatus is one peer's breaker state, as reported by Snapshot.
 type BreakerStatus struct {
 	Peer     transport.Addr
 	State    BreakerState

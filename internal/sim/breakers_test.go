@@ -84,72 +84,3 @@ func TestHealHookResetsBreakers(t *testing.T) {
 		t.Fatalf("breaker after Clear = %v, want closed", st)
 	}
 }
-
-func TestHealthRPC(t *testing.T) {
-	_, a, b, _ := newBreakerCluster(t)
-	b.Crash()
-	trip(t, a, b.Name())
-	h, err := Health(context.Background(), b.Client(), a.Name())
-	if err != nil {
-		t.Fatalf("health: %v", err)
-	}
-	// b is crashed but its CLIENT still works (calls originate fine); we
-	// asked a for its report.
-	if h.Node != "alpha" || h.Epoch != 1 {
-		t.Fatalf("health = %+v", h)
-	}
-	var found bool
-	for _, rec := range h.Breakers {
-		if rec.Peer == "beta" && rec.State == "open" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("alpha's health report misses the open breaker toward beta: %+v", h.Breakers)
-	}
-}
-
-func TestDetectorSuspectsAndResets(t *testing.T) {
-	c, a, b, g := newBreakerCluster(t)
-	d := NewDetector(c, a, 5*time.Millisecond)
-	d.Suspicion = 2
-	d.Start()
-	defer d.Stop()
-
-	b.Crash()
-	trip(t, g, b.Name())
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s := d.Suspected()
-		if len(s) == 1 && s[0] == "beta" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("detector never suspected beta: %v", s)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// Recover WITHOUT the built-in reset path exercising the detector's:
-	// re-trip gamma's breaker after recovery, then let a heartbeat land.
-	b.Recover(nil)
-	b.Crash()
-	trip(t, g, b.Name())
-	b.Recover(nil)
-	// Recover already reset it; trip once more while up is impossible, so
-	// instead verify the detector clears suspicion and the breaker stays
-	// closed once heartbeats land again.
-	deadline = time.Now().Add(2 * time.Second)
-	for {
-		if len(d.Suspected()) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("detector never cleared suspicion: %v", d.Suspected())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if st := g.Breakers().State(b.Name()); st != rpc.StateClosed {
-		t.Fatalf("breaker after detector reset = %v, want closed", st)
-	}
-}

@@ -27,41 +27,16 @@ import (
 	"repro/internal/transport"
 )
 
-// PingService/PingMethod name the liveness probe every node answers;
-// MethodHealth is the richer health report on the same service.
+// PingService/PingMethod name the liveness probe every node answers.
 const (
-	PingService  = "node"
-	PingMethod   = "Ping"
-	MethodHealth = "Health"
+	PingService = "node"
+	PingMethod  = "Ping"
 )
 
 // Ping probes a node's liveness from the given client.
 func Ping(ctx context.Context, cli rpc.Client, node transport.Addr) error {
 	_, err := rpc.Invoke[struct{}, string](ctx, cli, node, PingService, PingMethod, struct{}{})
 	return err
-}
-
-// BreakerRec is one peer's breaker state inside a HealthResp.
-type BreakerRec struct {
-	Peer     transport.Addr
-	State    string
-	Failures int
-	Window   int
-}
-
-// HealthResp is a node's health report: incarnation, stable-store queue
-// depth (pending prepared transactions), and the node's view of its
-// peers' circuit breakers.
-type HealthResp struct {
-	Node         transport.Addr
-	Epoch        uint32
-	StorePending int
-	Breakers     []BreakerRec
-}
-
-// Health fetches node's health report from the given client.
-func Health(ctx context.Context, cli rpc.Client, node transport.Addr) (HealthResp, error) {
-	return rpc.Invoke[struct{}, HealthResp](ctx, cli, node, PingService, MethodHealth, struct{}{})
 }
 
 // Node is one simulated workstation.
@@ -225,7 +200,8 @@ func (n *Node) Recover(log store.OutcomeLog) {
 	n.stable.Recover(log)
 	n.cluster.net.Register(n.name, n.srv.Handler())
 	// The node is provably back: closing everyone's breaker toward it
-	// saves the cooldown+probe round the detector would otherwise need.
+	// saves each caller the cooldown and half-open probe its own breaker
+	// would otherwise need.
 	n.cluster.ResetBreakersFor(n.name)
 	for _, f := range hooks {
 		f(n)
@@ -422,19 +398,6 @@ func (c *Cluster) Add(name transport.Addr) *Node {
 	// check if its clients are functioning", §4.1.3).
 	n.srv.Handle(PingService, PingMethod, rpc.Method(func(context.Context, transport.Addr, struct{}) (string, error) {
 		return "pong", nil
-	}))
-	// The health report behind the heartbeat detector and System.Health:
-	// what the probe answers, plus what this node sees of its peers.
-	n.srv.Handle(PingService, MethodHealth, rpc.Method(func(context.Context, transport.Addr, struct{}) (HealthResp, error) {
-		resp := HealthResp{Node: n.name, Epoch: n.Epoch(), StorePending: len(n.stable.PendingTxs())}
-		if n.breakers != nil {
-			for _, st := range n.breakers.Snapshot() {
-				resp.Breakers = append(resp.Breakers, BreakerRec{
-					Peer: st.Peer, State: st.State.String(), Failures: st.Failures, Window: st.Window,
-				})
-			}
-		}
-		return resp, nil
 	}))
 	c.nodes[name] = n
 	c.net.Register(name, n.srv.Handler())

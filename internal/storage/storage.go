@@ -211,14 +211,6 @@ func (m *Mem) Outcome(tx string) (uint8, bool, error) {
 	return o, ok, nil
 }
 
-// OutcomeCount returns the number of recorded outcomes — the size the
-// outcome-log GC test asserts shrinks.
-func (m *Mem) OutcomeCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.state.Outcomes)
-}
-
 // Sync implements Backend; memory is "durable" by definition here.
 func (m *Mem) Sync() error { return nil }
 

@@ -271,10 +271,10 @@
 //
 // # Failure resilience
 //
-// Every node carries a per-peer circuit breaker in its RPC client
-// (enabled by default; WithoutBreakers disables, WithBreakerConfig
-// tunes). A breaker trips after Threshold transport-level failures in a
-// sliding Window of calls to one peer; while open, further calls to
+// Every node carries a per-peer circuit breaker in its RPC client:
+// breakers are always on, and WithBreakerConfig tunes them. A breaker
+// trips after Threshold transport-level failures in a sliding Window
+// of calls to one peer; while open, further calls to
 // that peer fail locally and immediately with ErrPeerUnavailable
 // instead of burning another transport timeout — so a sick node costs
 // the deployment one timeout per caller, not one per call. A fast-fail
@@ -288,17 +288,13 @@
 // half-open and admits exactly one probe; a successful probe — or the
 // peer's Recover, or a healed partition — closes it.
 //
-// Health is observable and actively monitored. Every node serves a
-// health RPC (incarnation epoch, stable-store backlog, its own breaker
-// states) surfaced through System.Health and System.BreakerStats;
-// WithHealthDetector(interval) runs a background heartbeat loop that
-// pings every node, reports persistent missers via System.Suspected,
-// and — when a suspected peer answers again — resets the whole
-// deployment's breakers toward it so recovery is noticed at heartbeat
-// granularity rather than per-caller probe cadence.
+// There is no heartbeat service: as in the paper (§4.1), a failure is
+// discovered by the call that fails. System.Status reports each node's
+// liveness and incarnation epoch, System.BreakerStats every breaker's
+// state.
 //
-// In sharded deployments the placement service itself is replicated
-// (WithPlacementReplicas, default 3): writes go through the primary
+// In sharded deployments the placement service itself runs three
+// replicas: writes go through the primary
 // replica and are pushed synchronously to the others with per-object
 // epoch fencing, so a replayed or reordered update can never regress
 // the directory; clients read from any replica and fail over — fast,

@@ -66,10 +66,7 @@ type config struct {
 
 	admission int
 
-	noBreakers        bool
-	breakers          BreakerConfig
-	healthInterval    time.Duration
-	placementReplicas int
+	breakers BreakerConfig
 
 	leaseTTL time.Duration
 
@@ -143,36 +140,10 @@ func WithAdmission(n int) Option {
 // cooldown 250ms).
 type BreakerConfig = rpc.BreakerConfig
 
-// WithoutBreakers disables the per-peer circuit breakers, restoring the
-// pre-breaker behaviour where every call to a dead peer burns a full
-// transport timeout. Mainly useful for comparing degraded-mode latency
-// with and without fast-fail in benchmarks.
-func WithoutBreakers() Option { return func(c *config) { c.noBreakers = true } }
-
 // WithBreakerConfig tunes the circuit breakers' window, trip threshold
 // and probe cooldown. Zero fields keep their defaults.
 func WithBreakerConfig(cfg BreakerConfig) Option {
 	return func(c *config) { c.breakers = cfg }
-}
-
-// WithHealthDetector runs a background heartbeat failure detector from
-// the first client node: every interval it pings every other node,
-// marks peers suspected after consecutive misses, and — when a suspected
-// peer answers again — resets the whole deployment's breakers toward it
-// so recovery is noticed promptly rather than after per-caller probe
-// cooldowns. Zero (the default) runs no detector.
-func WithHealthDetector(interval time.Duration) Option {
-	return func(c *config) { c.healthInterval = interval }
-}
-
-// WithPlacementReplicas sets how many replicas back the placement
-// service of a sharded deployment (n < 1 selects the default of 3).
-// Writes go through the first replica and are synchronously pushed to
-// the others with epoch fencing; clients fail reads over to any
-// surviving replica, so any single replica death leaves bind and
-// re-bind live. Ignored without WithShards.
-func WithPlacementReplicas(n int) Option {
-	return func(c *config) { c.placementReplicas = n }
 }
 
 // DefaultLeaseTTL is the read-lease lifetime WithReadLeases selects when

@@ -115,74 +115,70 @@ func TestAtomicFastFailsThroughOpenBreaker(t *testing.T) {
 	}
 }
 
-func TestWithoutBreakersDisablesFastFail(t *testing.T) {
-	sys := openT(t, arjuna.WithoutBreakers())
+// TestBreakerClosesThroughItsOwnProbe is the third way a breaker closes, and
+// the only one a deployment with no fault plan and no restart has: the fault
+// ends unannounced — no Recover, no Heal — and once the cooldown has passed
+// the breaker admits one probe, whose success closes it.
+func TestBreakerClosesThroughItsOwnProbe(t *testing.T) {
+	sys := openT(t,
+		arjuna.WithServers(1), // sv1 is the object's only server: nothing to fail over to
+		arjuna.WithBreakerConfig(arjuna.BreakerConfig{Window: 4, Threshold: 2, Cooldown: 10 * time.Millisecond}),
+	)
 	cl := clientT(t, sys, "c1", arjuna.ClientRetry(1, 0))
 	obj := sys.Objects()[0]
 	ctx := context.Background()
-
-	if err := sys.Crash("st1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Crash("st2"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
+	add := func() error {
 		_, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
 			_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
 			return err
 		})
-		if errors.Is(err, arjuna.ErrPeerUnavailable) {
-			t.Fatalf("breaker fast-fail with WithoutBreakers: %v", err)
+		return err
+	}
+	toSv1 := func() string {
+		for _, b := range sys.BreakerStats() {
+			if b.Node == "c1" && b.Peer == "sv1" {
+				return b.State
+			}
+		}
+		return "absent"
+	}
+	if err := add(); err != nil {
+		t.Fatalf("healthy atomic: %v", err)
+	}
+
+	// Exactly Threshold requests are lost: the second trips the breaker and
+	// spends the plan, so sv1 is reachable again from here on and only the
+	// breaker stands between the client and it.
+	sys.Faults().DropRequests(2, transport.To("sv1"))
+	for i := 0; i < 2; i++ {
+		if err := add(); !errors.Is(err, arjuna.ErrNoServers) || errors.Is(err, arjuna.ErrPeerUnavailable) {
+			t.Fatalf("add %d with requests to sv1 dropped = %v, want ErrNoServers from the wire", i, err)
 		}
 	}
-	if stats := sys.BreakerStats(); len(stats) != 0 {
-		t.Fatalf("BreakerStats = %+v, want none", stats)
+	if st := toSv1(); st != "open" {
+		t.Fatalf("breaker c1 -> sv1 = %s after 2 lost requests, want open", st)
 	}
-}
 
-func TestHealthEndpointAndDetector(t *testing.T) {
-	sys := openResilient(t, arjuna.WithHealthDetector(5*time.Millisecond))
-	ctx := context.Background()
-
-	// Every node answers the health RPC while healthy.
-	for _, h := range sys.Health(ctx) {
-		if !h.Up {
-			t.Fatalf("node %s reported down while healthy", h.Node)
+	// Inside the cooldown an attempt fast-fails; past it, one is the probe.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := add()
+		if err == nil {
+			break
 		}
-	}
-	if sus := sys.Suspected(); len(sus) != 0 {
-		t.Fatalf("suspected = %v, want none", sus)
-	}
-
-	// A crashed node turns up suspected, and Health marks it down.
-	if err := sys.Crash("sv1"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !slices.Contains(sys.Suspected(), transport.Addr("sv1")) {
+		if !errors.Is(err, arjuna.ErrPeerUnavailable) {
+			t.Fatalf("add behind the open breaker = %v, want ErrPeerUnavailable (the plan is spent)", err)
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("detector never suspected sv1: %v", sys.Suspected())
+			t.Fatalf("breaker c1 -> sv1 never admitted a probe: %s", toSv1())
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	hctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
-	defer cancel()
-	for _, h := range sys.Health(hctx) {
-		if h.Node == "sv1" && h.Up {
-			t.Fatal("health reports crashed sv1 as up")
-		}
+	if st := toSv1(); st != "closed" {
+		t.Fatalf("breaker c1 -> sv1 = %s after the probe committed, want closed", st)
 	}
-
-	// Recovery clears the suspicion.
-	if err := sys.Recover(ctx, "sv1"); err != nil {
-		t.Fatalf("recover sv1: %v", err)
-	}
-	for slices.Contains(sys.Suspected(), transport.Addr("sv1")) {
-		if time.Now().After(deadline) {
-			t.Fatalf("detector never cleared sv1: %v", sys.Suspected())
-		}
-		time.Sleep(2 * time.Millisecond)
+	if got := counterValue(t, sys, obj); got != "2" {
+		t.Fatalf("counter = %s, want 2 (the healthy add and the probe's)", got)
 	}
 }
 
@@ -222,26 +218,6 @@ func TestPlacementReplicaDeathKeepsBindsLive(t *testing.T) {
 		if err := sys.Recover(ctx, string(victim)); err != nil {
 			t.Fatalf("recover %s: %v", victim, err)
 		}
-	}
-}
-
-func TestWithPlacementReplicasOne(t *testing.T) {
-	sys := openT(t, arjuna.WithShards(2), arjuna.WithPlacementReplicas(1))
-	var placements []transport.Addr
-	for _, st := range sys.Status() {
-		if st.Kind == "placement" {
-			placements = append(placements, st.Name)
-		}
-	}
-	if len(placements) != 1 {
-		t.Fatalf("placement replicas = %v, want 1", placements)
-	}
-	cl := clientT(t, sys, "c1")
-	if _, err := cl.Atomic(context.Background(), func(tx *arjuna.Txn) error {
-		_, err := tx.Object(sys.Objects()[0]).Invoke(context.Background(), "add", []byte("1"))
-		return err
-	}); err != nil {
-		t.Fatalf("atomic: %v", err)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/lease"
 	"repro/internal/object"
-	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/uid"
 )
@@ -37,8 +36,6 @@ type System struct {
 	// admit, when non-nil, is the WithAdmission gate: a slot must be held
 	// for the duration of every top-level Atomic.
 	admit chan struct{}
-	// detector, when non-nil, is the WithHealthDetector heartbeat loop.
-	detector *sim.Detector
 
 	mu      sync.Mutex
 	created []uid.UID
@@ -73,10 +70,8 @@ func Open(opts ...Option) (*System, error) {
 		DataDir:  cfg.dataDir,
 		Disk:     cfg.disk,
 
-		NoBreakers:        cfg.noBreakers,
-		Breakers:          cfg.breakers,
-		PlacementReplicas: cfg.placementReplicas,
-		LeaseTTL:          cfg.leaseTTL,
+		Breakers: cfg.breakers,
+		LeaseTTL: cfg.leaseTTL,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("arjuna: open: %w", err)
@@ -95,10 +90,6 @@ func Open(opts ...Option) (*System, error) {
 	if cfg.admission > 0 {
 		s.admit = make(chan struct{}, cfg.admission)
 	}
-	if cfg.healthInterval > 0 && len(w.Clients) > 0 {
-		s.detector = sim.NewDetector(w.Cluster, w.Cluster.Node(w.Clients[0]), cfg.healthInterval)
-		s.detector.Start()
-	}
 	return s, nil
 }
 
@@ -114,9 +105,6 @@ func (s *System) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.detector != nil {
-		s.detector.Stop()
-	}
 	var err error
 	for _, n := range s.w.Cluster.Nodes() {
 		if serr := n.Store().Shutdown(); err == nil {
@@ -438,7 +426,8 @@ func (s *System) CommittedState(id uid.UID) ([]byte, uint64, error) {
 type NodeStatus struct {
 	// Name is the node's address (db, sv1.., st1.., c1..).
 	Name transport.Addr
-	// Kind is "db", "server", "store" or "client".
+	// Kind is "db", "server", "store", "client" or — in a sharded
+	// deployment — "placement"; "node" for anything else.
 	Kind string
 	// Up reports whether the node is functioning.
 	Up bool
@@ -492,8 +481,7 @@ type BreakerStat struct {
 
 // BreakerStats reports every non-pristine circuit breaker in the
 // deployment (one entry per node/peer pair that has recorded at least
-// one outcome), sorted by node then peer. Empty when breakers are
-// disabled (WithoutBreakers).
+// one outcome), sorted by node then peer.
 func (s *System) BreakerStats() []BreakerStat {
 	var out []BreakerStat
 	for _, n := range s.w.Cluster.Nodes() {
@@ -512,56 +500,6 @@ func (s *System) BreakerStats() []BreakerStat {
 		}
 	}
 	return out
-}
-
-// NodeHealth is one node's answer to the health RPC: its incarnation
-// epoch, stable-store transaction backlog and breaker states as the node
-// itself sees them. Up=false entries carry only the name.
-type NodeHealth struct {
-	Node         transport.Addr
-	Up           bool
-	Epoch        uint32
-	StorePending int
-	Breakers     []BreakerStat
-}
-
-// Health polls every node's health endpoint from the first client node
-// and reports the answers, sorted by node name. Nodes that are down (or
-// unreachable within ctx) are reported with Up=false.
-func (s *System) Health(ctx context.Context) []NodeHealth {
-	cli := s.w.Cluster.Node(s.w.Clients[0]).Client()
-	// Health checks must reach suspected peers too: bypass breakers.
-	cli.Breakers = nil
-	var out []NodeHealth
-	for _, n := range s.w.Cluster.Nodes() {
-		h := NodeHealth{Node: n.Name()}
-		if resp, err := sim.Health(ctx, cli, n.Name()); err == nil {
-			h.Up = true
-			h.Epoch = resp.Epoch
-			h.StorePending = resp.StorePending
-			for _, b := range resp.Breakers {
-				h.Breakers = append(h.Breakers, BreakerStat{
-					Node:     n.Name(),
-					Peer:     b.Peer,
-					State:    b.State,
-					Failures: b.Failures,
-					Window:   b.Window,
-				})
-			}
-		}
-		out = append(out, h)
-	}
-	return out
-}
-
-// Suspected returns the peers the WithHealthDetector loop currently
-// suspects (consecutive heartbeat misses past its threshold), sorted.
-// Nil when no detector is configured.
-func (s *System) Suspected() []transport.Addr {
-	if s.detector == nil {
-		return nil
-	}
-	return s.detector.Suspected()
 }
 
 // SweepReport is the result of one use-list janitor pass (§4.1.3).
