@@ -1,19 +1,18 @@
 // Package action implements the Atomic Action service of the paper (§2.2):
-// nested atomic actions with the properties of serialisability, failure
+// top-level atomic actions with the properties of serialisability, failure
 // atomicity and permanence of effect, in the style of Arjuna.
 //
-// Three structuring forms from §4.1 are supported:
+// The paper's protocols (§4.1) use two structuring forms, both begun by
+// BeginTop:
 //
-//   - standard nested actions — Begin(parent) creates a child whose effects
-//     commit *into* the parent (locks and participants are inherited) and
-//     become permanent only when the top-level action commits;
 //   - independent top-level actions — BeginTop() with no enclosing action;
 //   - nested top-level actions — BeginTop() invoked from within another
 //     action; it commits independently of the enclosing action, which is
 //     precisely the semantics Figure 8 relies on.
 //
-// Top-level commitment runs two-phase commit over the enlisted
-// Participants; the commit point is a record in the coordinator's
+// Every action is top-level: it owns its locks and participants itself,
+// and its ID is the commit-record key. Commitment runs two-phase commit
+// over the enlisted Participants; the commit point is a record in the coordinator's
 // OutcomeLog, which recovering participants consult (presumed abort).
 package action
 
@@ -21,12 +20,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/conc"
-	"repro/internal/lockmgr"
 	"repro/internal/storage"
 	"repro/internal/store"
 	"repro/internal/uid"
@@ -61,12 +57,8 @@ func (s Status) String() string {
 
 // Errors reported by action lifecycle operations.
 var (
-	// ErrNotRunning reports a Commit/Abort on an action that already ended,
-	// or beginning a child under an ended parent.
+	// ErrNotRunning reports a Commit/Abort on an action that already ended.
 	ErrNotRunning = errors.New("action: not running")
-	// ErrChildrenActive reports a Commit attempted while nested children
-	// are still running.
-	ErrChildrenActive = errors.New("action: children still active")
 	// ErrPrepareFailed reports that two-phase commit aborted because a
 	// participant could not prepare.
 	ErrPrepareFailed = errors.New("action: participant failed to prepare")
@@ -148,12 +140,6 @@ var ErrOnePhaseIneligible = errors.New("action: one-phase commit ineligible")
 type OnePhaser interface {
 	CommitOnePhase(ctx context.Context, tx string) (Vote, error)
 }
-
-// Ancestry is the lockmgr ancestry induced by the action ID scheme: a
-// child's ID is its parent's ID plus a "/"-separated suffix.
-var Ancestry lockmgr.Ancestry = lockmgr.AncestryFunc(func(a, d lockmgr.Owner) bool {
-	return len(a) < len(d) && strings.HasPrefix(string(d), string(a)+"/")
-})
 
 // Log records and reports transaction outcomes; it is the commit-record
 // service of the 2PC coordinator. Record returns an error when the
@@ -342,18 +328,14 @@ func (m *Manager) Lookup(tx string) store.Outcome {
 
 var _ store.OutcomeLog = (*Manager)(nil)
 
-// Action is one atomic action. Use Manager.BeginTop or Begin to create.
+// Action is one top-level atomic action. Use Manager.BeginTop to create.
 type Action struct {
-	mgr    *Manager
-	id     string
-	parent *Action
+	mgr *Manager
+	id  string
 
 	mu           sync.Mutex
 	status       Status
-	children     int
-	childSeq     int
 	participants []Participant
-	mergeHooks   []func(parent *Action)
 	resolveHooks []func(committed bool)
 	stash        map[string]any
 	retainLog    bool
@@ -366,44 +348,9 @@ func (m *Manager) BeginTop() *Action {
 	return &Action{mgr: m, id: m.gen.New().String(), status: StatusRunning}
 }
 
-// Begin starts a nested action under parent; with a nil parent it is
-// equivalent to BeginTop.
-func (m *Manager) Begin(parent *Action) (*Action, error) {
-	if parent == nil {
-		return m.BeginTop(), nil
-	}
-	parent.mu.Lock()
-	defer parent.mu.Unlock()
-	if parent.status != StatusRunning {
-		return nil, fmt.Errorf("begin under %s (%s): %w", parent.id, parent.status, ErrNotRunning)
-	}
-	parent.childSeq++
-	parent.children++
-	return &Action{
-		mgr:    m,
-		id:     parent.id + "/" + strconv.Itoa(parent.childSeq),
-		parent: parent,
-		status: StatusRunning,
-	}, nil
-}
-
-// ID returns the action's hierarchical identifier.
+// ID returns the action's identifier: its lock-owner identity and the key
+// of its commit record.
 func (a *Action) ID() string { return a.id }
-
-// Owner returns the action's lock-owner identity.
-func (a *Action) Owner() lockmgr.Owner { return lockmgr.Owner(a.id) }
-
-// Parent returns the enclosing action, or nil for a top-level action.
-func (a *Action) Parent() *Action { return a.parent }
-
-// Top returns the top-level ancestor (itself if top-level).
-func (a *Action) Top() *Action {
-	t := a
-	for t.parent != nil {
-		t = t.parent
-	}
-	return t
-}
 
 // Status returns the current lifecycle state.
 func (a *Action) Status() Status {
@@ -412,8 +359,7 @@ func (a *Action) Status() Status {
 	return a.status
 }
 
-// Enlist registers a two-phase-commit participant. On nested commit the
-// participant is inherited by the parent; 2PC runs only at top level.
+// Enlist registers a two-phase-commit participant.
 func (a *Action) Enlist(p Participant) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -424,18 +370,8 @@ func (a *Action) Enlist(p Participant) error {
 	return nil
 }
 
-// OnMerge registers a hook invoked when this (nested) action commits into
-// its parent — e.g. lock inheritance. Never invoked for top-level commits.
-func (a *Action) OnMerge(f func(parent *Action)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.mergeHooks = append(a.mergeHooks, f)
-}
-
-// OnResolve registers a hook invoked when the action's fate is decided at
-// its own level: nested abort (false), top-level commit (true) or abort
-// (false). A nested commit transfers nothing to resolve hooks — the work
-// moves to the parent via OnMerge.
+// OnResolve registers a hook invoked when the action's fate is decided:
+// commit (true) or abort (false).
 //
 // It reports whether the hook was registered. An action that has left
 // StatusRunning has already taken its list of hooks into commit or abort
@@ -478,13 +414,11 @@ func (a *Action) outcomeRetained() bool {
 // intention on (see Manager.Lookup). The window closes when the action ends,
 // whichever way.
 func (a *Action) ExpectPrepared() {
-	top := a.Top()
-	top.mgr.beginCommitWindow(top.id)
+	a.mgr.beginCommitWindow(a.id)
 }
 
 // StashOnce stores v under key if the key is empty and reports whether it
-// stored. It lets per-action resources (e.g. lock trackers) register
-// exactly once.
+// stored. It lets per-action resources register exactly once.
 func (a *Action) StashOnce(key string, v any) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -504,66 +438,6 @@ func (a *Action) Stashed(key string) (any, bool) {
 	defer a.mu.Unlock()
 	v, ok := a.stash[key]
 	return v, ok
-}
-
-// Commit ends the action successfully.
-//
-// Nested: effects, participants, and merge hooks transfer to the parent.
-// Top-level: two-phase commit over all participants; the commit record is
-// written to the manager's log between the phases. A prepare failure
-// aborts the action and returns ErrPrepareFailed. Phase-two failures do
-// not undo the commit — crashed participants learn the outcome from the
-// log at recovery; such errors are reported via the returned CommitReport.
-func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
-	a.mu.Lock()
-	if a.status != StatusRunning {
-		st := a.status
-		a.mu.Unlock()
-		return nil, fmt.Errorf("commit %s (%s): %w", a.id, st, ErrNotRunning)
-	}
-	if a.children > 0 {
-		n := a.children
-		a.mu.Unlock()
-		return nil, fmt.Errorf("commit %s with %d running children: %w", a.id, n, ErrChildrenActive)
-	}
-	if a.parent != nil {
-		return a.commitNestedLocked(ctx)
-	}
-	return a.commitTopLocked(ctx)
-}
-
-// commitNestedLocked finishes a nested commit; a.mu is held on entry.
-func (a *Action) commitNestedLocked(_ context.Context) (*CommitReport, error) {
-	a.status = StatusCommitted
-	participants := a.participants
-	mergeHooks := a.mergeHooks
-	resolveHooks := a.resolveHooks
-	a.participants = nil
-	a.mergeHooks = nil
-	a.resolveHooks = nil
-	parent := a.parent
-	a.mu.Unlock()
-
-	parent.mu.Lock()
-	parentRunning := parent.status == StatusRunning
-	if parentRunning {
-		parent.participants = append(parent.participants, participants...)
-		parent.resolveHooks = append(parent.resolveHooks, resolveHooks...)
-		parent.children--
-	}
-	parent.mu.Unlock()
-	if !parentRunning {
-		// The parent ended while the child was committing — a programming
-		// error in callers; treat the child's work as aborted.
-		for _, f := range resolveHooks {
-			f(false)
-		}
-		return nil, fmt.Errorf("commit %s: parent %s already ended: %w", a.id, parent.id, ErrNotRunning)
-	}
-	for _, f := range mergeHooks {
-		f(parent)
-	}
-	return &CommitReport{}, nil
 }
 
 // CommitReport describes the aftermath of a commit — including the vote
@@ -590,8 +464,14 @@ type CommitReport struct {
 	OutcomePruned bool
 }
 
-// commitTopLocked runs top-level commitment; a.mu is held on entry. Both
-// phases fan out to all participants concurrently: participants are
+// Commit ends the action successfully: two-phase commit over all
+// participants, with the commit record written to the manager's log
+// between the phases. A prepare failure aborts the action and returns
+// ErrPrepareFailed. Phase-two failures do not undo the commit — crashed
+// participants learn the outcome from the log at recovery; such errors are
+// reported via the returned CommitReport.
+//
+// Both phases fan out to all participants concurrently: participants are
 // independent resources, so commit latency is that of the slowest
 // participant rather than the sum over participants.
 //
@@ -604,7 +484,13 @@ type CommitReport struct {
 //   - an action with a single participant that implements OnePhaser
 //     commits in one combined prepare+commit round with no log write:
 //     the decision is delegated to the participant.
-func (a *Action) commitTopLocked(ctx context.Context) (*CommitReport, error) {
+func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
+	a.mu.Lock()
+	if a.status != StatusRunning {
+		st := a.status
+		a.mu.Unlock()
+		return nil, fmt.Errorf("commit %s (%s): %w", a.id, st, ErrNotRunning)
+	}
 	a.status = StatusPreparing
 	participants := a.participants
 	resolveHooks := a.resolveHooks
@@ -809,8 +695,7 @@ func (a *Action) prepareAll(ctx context.Context, participants []Participant) (vo
 	return nil, rolledBack, fmt.Errorf("%s: %s: %w: %w", a.id, participants[firstIdx].Name(), firstErr, ErrPrepareFailed)
 }
 
-// Abort ends the action, undoing its effects. Active children are aborted
-// first (outermost call wins).
+// Abort ends the action, undoing its effects.
 func (a *Action) Abort(ctx context.Context) error {
 	a.mu.Lock()
 	if a.status != StatusRunning {
@@ -822,44 +707,15 @@ func (a *Action) Abort(ctx context.Context) error {
 	participants := a.participants
 	resolveHooks := a.resolveHooks
 	a.participants = nil
-	a.mergeHooks = nil
 	a.resolveHooks = nil
-	parent := a.parent
 	a.mu.Unlock()
 
-	allAcked := a.rollbackAll(ctx, participants, a.Top().id)
-	if parent == nil {
-		a.recordAbort(allAcked)
-		a.mgr.endCommitWindow(a.id) // opened early by ExpectPrepared, if at all
-	} else {
-		parent.mu.Lock()
-		if parent.status == StatusRunning {
-			parent.children--
-		}
-		parent.mu.Unlock()
-	}
+	a.recordAbort(a.rollbackAll(ctx, participants, a.id))
+	a.mgr.endCommitWindow(a.id) // opened early by ExpectPrepared, if at all
 	for _, f := range resolveHooks {
 		f(false)
 	}
 	return nil
-}
-
-// TrackLocks ties lock ownership on lm to the action's lifecycle:
-// locks inherited by the parent on nested commit, released on abort and at
-// top-level completion. Safe to call repeatedly; registration happens once
-// per (action, manager) pair.
-func TrackLocks(a *Action, lm *lockmgr.Manager) {
-	key := fmt.Sprintf("lockmgr:%p", lm)
-	if !a.StashOnce(key, lm) {
-		return
-	}
-	a.OnMerge(func(parent *Action) {
-		lm.Inherit(a.Owner(), parent.Owner())
-		TrackLocks(parent, lm)
-	})
-	a.OnResolve(func(bool) {
-		lm.ReleaseAll(a.Owner())
-	})
 }
 
 // StoreParticipant adapts a (possibly remote) object store to the

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/lockmgr"
 	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/store"
@@ -291,79 +290,6 @@ func TestOnePhaseFailureAbortsAction(t *testing.T) {
 	}
 }
 
-func TestNestedCommitTransfersToParent(t *testing.T) {
-	m := NewManager("client", nil)
-	top := m.BeginTop()
-	child, err := m.Begin(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &fakeParticipant{name: "s"}
-	_ = child.Enlist(p)
-	merged := false
-	child.OnMerge(func(parent *Action) {
-		if parent != top {
-			t.Errorf("merge parent = %s", parent.ID())
-		}
-		merged = true
-	})
-	if _, err := child.Commit(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !merged {
-		t.Fatal("merge hook not fired")
-	}
-	// The participant has not prepared yet.
-	pr, _, _ := counts(p)
-	if pr != 0 {
-		t.Fatal("nested commit must not run 2PC")
-	}
-	// Top-level commit drives it, keyed by the top-level ID.
-	if _, err := top.Commit(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.prepares) != 1 || p.prepares[0] != top.ID() {
-		t.Fatalf("prepares = %v, want [%s]", p.prepares, top.ID())
-	}
-}
-
-func TestNestedAbortDoesNotTouchParent(t *testing.T) {
-	m := NewManager("client", nil)
-	top := m.BeginTop()
-	child, _ := m.Begin(top)
-	p := &fakeParticipant{name: "s"}
-	_ = child.Enlist(p)
-	resolvedFalse := false
-	child.OnResolve(func(c bool) { resolvedFalse = !c })
-	if err := child.Abort(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !resolvedFalse {
-		t.Fatal("child resolve(false) not fired")
-	}
-	_, _, ab := counts(p)
-	if ab != 1 {
-		t.Fatal("child participant not aborted")
-	}
-	// Parent can still commit with no participants.
-	if _, err := top.Commit(context.Background()); err != nil {
-		t.Fatalf("parent commit after child abort: %v", err)
-	}
-}
-
-func TestCommitWithRunningChildrenRefused(t *testing.T) {
-	m := NewManager("client", nil)
-	top := m.BeginTop()
-	if _, err := m.Begin(top); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := top.Commit(context.Background()); !errors.Is(err, ErrChildrenActive) {
-		t.Fatalf("err = %v, want ErrChildrenActive", err)
-	}
-}
-
 func TestDoubleEndRefused(t *testing.T) {
 	m := NewManager("client", nil)
 	a := m.BeginTop()
@@ -375,15 +301,6 @@ func TestDoubleEndRefused(t *testing.T) {
 	}
 	if err := a.Abort(context.Background()); !errors.Is(err, ErrNotRunning) {
 		t.Fatalf("abort after commit: %v", err)
-	}
-}
-
-func TestBeginUnderEndedParentRefused(t *testing.T) {
-	m := NewManager("client", nil)
-	a := m.BeginTop()
-	_ = a.Abort(context.Background())
-	if _, err := m.Begin(a); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -445,16 +362,6 @@ func TestOnResolveReportsRegistration(t *testing.T) {
 				end.name, early.Load(), p.ran.Load())
 		}
 	}
-	// A nested action that committed handed its hooks to the parent.
-	parent := m.BeginTop()
-	child, _ := m.Begin(parent)
-	if _, err := child.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if child.OnResolve(func(bool) {}) {
-		t.Fatal("a committed nested action reported a hook registered")
-	}
-	_ = parent.Abort(ctx)
 }
 
 func TestNestedTopLevelActionIndependent(t *testing.T) {
@@ -477,72 +384,6 @@ func TestNestedTopLevelActionIndependent(t *testing.T) {
 	}
 	if m.Log().Lookup(inner.ID()) == store.OutcomeAborted {
 		t.Fatal("inner commit must not be recorded as aborted by the outer abort")
-	}
-}
-
-func TestAncestryMatchesIDScheme(t *testing.T) {
-	m := NewManager("client", nil)
-	top := m.BeginTop()
-	c1, _ := m.Begin(top)
-	c2, _ := m.Begin(c1)
-	other := m.BeginTop()
-	if !Ancestry.IsAncestorOf(top.Owner(), c1.Owner()) {
-		t.Fatal("top should be ancestor of child")
-	}
-	if !Ancestry.IsAncestorOf(top.Owner(), c2.Owner()) {
-		t.Fatal("top should be ancestor of grandchild")
-	}
-	if !Ancestry.IsAncestorOf(c1.Owner(), c2.Owner()) {
-		t.Fatal("child should be ancestor of grandchild")
-	}
-	if Ancestry.IsAncestorOf(c2.Owner(), c1.Owner()) {
-		t.Fatal("descendant is not an ancestor")
-	}
-	if Ancestry.IsAncestorOf(top.Owner(), other.Owner()) {
-		t.Fatal("unrelated tops are not ancestors")
-	}
-	if Ancestry.IsAncestorOf(top.Owner(), top.Owner()) {
-		t.Fatal("self is not a proper ancestor")
-	}
-}
-
-func TestTrackLocksLifecycle(t *testing.T) {
-	m := NewManager("client", nil)
-	lm := lockmgr.New(Ancestry)
-	ctx := context.Background()
-
-	// Nested commit inherits locks to the parent.
-	top := m.BeginTop()
-	child, _ := m.Begin(top)
-	if err := lm.Acquire(ctx, child.Owner(), "entry", lockmgr.Write); err != nil {
-		t.Fatal(err)
-	}
-	TrackLocks(child, lm)
-	TrackLocks(child, lm) // idempotent
-	if _, err := child.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if !lm.Holds(top.Owner(), "entry", lockmgr.Write) {
-		t.Fatal("lock not inherited by parent")
-	}
-	// Top-level commit releases.
-	if _, err := top.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.TryAcquire("stranger", "entry", lockmgr.Write); err != nil {
-		t.Fatalf("lock not released at top commit: %v", err)
-	}
-
-	// Abort releases immediately.
-	a2 := m.BeginTop()
-	lm.ReleaseAll("stranger")
-	if err := lm.Acquire(ctx, a2.Owner(), "entry", lockmgr.Write); err != nil {
-		t.Fatal(err)
-	}
-	TrackLocks(a2, lm)
-	_ = a2.Abort(ctx)
-	if err := lm.TryAcquire("stranger2", "entry", lockmgr.Write); err != nil {
-		t.Fatalf("lock not released at abort: %v", err)
 	}
 }
 
@@ -630,23 +471,6 @@ func TestCrashBeforePhaseTwoRecoversViaLog(t *testing.T) {
 	}
 }
 
-func TestChildIDsUnique(t *testing.T) {
-	m := NewManager("client", nil)
-	top := m.BeginTop()
-	seen := map[string]bool{}
-	for i := 0; i < 10; i++ {
-		c, err := m.Begin(top)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[c.ID()] {
-			t.Fatalf("duplicate child id %s", c.ID())
-		}
-		seen[c.ID()] = true
-		_ = c.Abort(context.Background())
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{
 		StatusRunning:   "running",
@@ -661,34 +485,6 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-func TestConcurrentChildren(t *testing.T) {
-	m := NewManager("client", nil)
-	top := m.BeginTop()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := m.Begin(top)
-			if err != nil {
-				t.Errorf("begin: %v", err)
-				return
-			}
-			if i%2 == 0 {
-				if _, err := c.Commit(context.Background()); err != nil {
-					t.Errorf("commit: %v", err)
-				}
-			} else if err := c.Abort(context.Background()); err != nil {
-				t.Errorf("abort: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if _, err := top.Commit(context.Background()); err != nil {
-		t.Fatalf("top commit after children: %v", err)
-	}
-}
-
 func TestMemLogZeroValue(t *testing.T) {
 	var l MemLog
 	l.Record("t", store.OutcomeCommitted)
@@ -698,19 +494,6 @@ func TestMemLogZeroValue(t *testing.T) {
 	if l.Lookup("unknown") != store.OutcomeUnknown {
 		t.Fatal("unknown tx should be OutcomeUnknown")
 	}
-}
-
-func ExampleManager_nested() {
-	m := NewManager("demo", nil)
-	top := m.BeginTop()
-	child, _ := m.Begin(top)
-	fmt.Println(Ancestry.IsAncestorOf(top.Owner(), child.Owner()))
-	_, _ = child.Commit(context.Background())
-	_, _ = top.Commit(context.Background())
-	fmt.Println(top.Status())
-	// Output:
-	// true
-	// committed
 }
 
 // rendezvousParticipant blocks in Prepare until every sibling has also

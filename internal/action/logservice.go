@@ -57,8 +57,11 @@ func (r RemoteLog) Lookup(tx string) store.Outcome {
 }
 
 // TxOrigin extracts the coordinator origin from an action identifier as
-// minted by a Manager: the UID's origin, with any nested-action "/suffix"
-// stripped. It reports false for identifiers in no recognisable form.
+// minted by a Manager: the UID's origin. Everything from the first '/' on
+// is cut first: recovery managers mint under "node/role" origins and run
+// no outcome-log service, and the cut leaves such an ID with no origin, so
+// a lookup presumes abort instead of waiting on an address nobody serves.
+// It reports false for identifiers in no recognisable form.
 func TxOrigin(tx string) (string, bool) {
 	if i := strings.IndexByte(tx, '/'); i >= 0 {
 		tx = tx[:i]

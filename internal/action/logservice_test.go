@@ -10,16 +10,9 @@ import (
 
 func TestTxOrigin(t *testing.T) {
 	mgr := NewManager("c7", nil)
-	top := mgr.BeginTop()
-	child, err := mgr.Begin(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tx := range []string{top.ID(), child.ID()} {
-		origin, ok := TxOrigin(tx)
-		if !ok || origin != "c7" {
-			t.Fatalf("TxOrigin(%q) = %q, %v; want c7, true", tx, origin, ok)
-		}
+	tx := mgr.BeginTop().ID()
+	if origin, ok := TxOrigin(tx); !ok || origin != "c7" {
+		t.Fatalf("TxOrigin(%q) = %q, %v; want c7, true", tx, origin, ok)
 	}
 	for _, bad := range []string{"", "noseps", "a/b", ":1:2"} {
 		if origin, ok := TxOrigin(bad); ok {

@@ -24,10 +24,10 @@ func TestAdjustModeIncrementsRunConcurrently(t *testing.T) {
 	// Neither action ends before the other adjusts: with the old exclusive
 	// discipline the second Increment would deadlock here (the test would
 	// time out); under Adjust locks both are granted immediately.
-	if err := c1.Increment(ctx, "actA", w.id, "c1", hosts); err != nil {
+	if _, err := c1.Do(ctx, IncrementOp("actA", w.id, "c1", hosts)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Increment(ctx, "actB", w.id, "c2", hosts); err != nil {
+	if _, err := c2.Do(ctx, IncrementOp("actB", w.id, "c2", hosts)); err != nil {
 		t.Fatal(err)
 	}
 	// Both pending adjusters keep the object non-quiescent for Insert: its
@@ -63,7 +63,7 @@ func TestAdjustModeIncrementsRunConcurrently(t *testing.T) {
 	}
 
 	// Drain c2's count; the object is quiescent again and Insert succeeds.
-	if err := c2.Decrement(ctx, "drain", w.id, "c2", hosts); err != nil {
+	if _, err := c2.Do(ctx, DecrementOp("drain", w.id, "c2", hosts)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.EndAction(ctx, "drain", true); err != nil {
@@ -152,10 +152,10 @@ func TestAdjustAbortAtZeroClampExact(t *testing.T) {
 	hosts := []transport.Addr{"sv1"}
 
 	// Decrement at zero (clamped no-op), then increment, all in one action.
-	if err := cli.Decrement(ctx, "act", w.id, "c1", hosts); err != nil {
+	if _, err := cli.Do(ctx, DecrementOp("act", w.id, "c1", hosts)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Increment(ctx, "act", w.id, "c1", hosts); err != nil {
+	if _, err := cli.Do(ctx, IncrementOp("act", w.id, "c1", hosts)); err != nil {
 		t.Fatal(err)
 	}
 	// Abort: the net effective delta is +1, so the rollback must land on

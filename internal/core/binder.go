@@ -26,10 +26,10 @@ type Scheme int
 
 // The three access schemes of the paper.
 const (
-	// SchemeStandard — Figure 6: GetServer/GetView run as nested actions
-	// of the client action; their read locks are held until the top-level
-	// action ends. Sv is static: clients never repair it, so each client
-	// rediscovers dead servers "the hard way".
+	// SchemeStandard — Figure 6: GetServer/GetView run under the client
+	// action itself, which owns their read locks until it ends. Sv is
+	// static: clients never repair it, so each client rediscovers dead
+	// servers "the hard way".
 	SchemeStandard Scheme = iota + 1
 	// SchemeIndependent — Figure 7: an independent top-level action reads
 	// Sv plus use lists under a write lock, removes failed servers, and
@@ -278,7 +278,7 @@ func (b *Binder) Bind(ctx context.Context, act *action.Action, id uid.UID) (*Bin
 	}
 	// An action that goes on to another object holds the St read lock of
 	// every object it has bound: the one bound unpinned takes it now.
-	if first, ok := act.Top().Stashed(unpinnedKey); ok {
+	if first, ok := act.Stashed(unpinnedKey); ok {
 		if err := first.(*Binding).pin(ctx); err != nil {
 			return nil, err
 		}
@@ -365,26 +365,25 @@ func (s *txDBState) unclaim() {
 // the caller is about to lock: trackTxDB fails then, before anything is
 // stashed, and the bind or pin that asked fails with it.
 func (b *Binder) trackTxDB(act *action.Action) (*txDBState, error) {
-	top := act.Top()
 	b.dbtxOnce.Do(func() { b.dbtxKey = "core.dbtx:" + string(b.DB.DB) })
 	key := b.dbtxKey
-	if v, ok := top.Stashed(key); ok {
+	if v, ok := act.Stashed(key); ok {
 		return v.(*txDBState), nil
 	}
 	st := &txDBState{}
-	tx := top.ID()
-	if !top.OnResolve(func(committed bool) {
+	tx := act.ID()
+	if !act.OnResolve(func(committed bool) {
 		if st.tryEnd() {
 			_ = b.DB.EndAction(context.Background(), tx, committed)
 		}
 	}) {
 		return nil, fmt.Errorf("core: %s has begun to end, nothing would release its locks at %s: %w", tx, b.DB.DB, action.ErrNotRunning)
 	}
-	if !top.StashOnce(key, st) {
+	if !act.StashOnce(key, st) {
 		// A sibling bind got in between: its guard is the action's, and
 		// this one's hook is spent before it can fire.
 		st.tryEnd()
-		v, _ := top.Stashed(key)
+		v, _ := act.Stashed(key)
 		return v.(*txDBState), nil
 	}
 	return st, nil
@@ -397,7 +396,7 @@ func (b *Binder) spreadReads() bool {
 	return b.ReadOnly && b.Policy == replica.Active
 }
 
-// unpinnedKey stashes, on the top-level client action, the one binding the
+// unpinnedKey stashes, on the client action, the one binding the
 // action bound unpinned — its first.
 const unpinnedKey = "core.unpinned"
 
@@ -434,7 +433,7 @@ func (bd *Binding) pin(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := b.DB.GetView(ctx, bd.act.Top().ID(), bd.id); err != nil {
+	if _, _, err := b.DB.GetView(ctx, bd.act.ID(), bd.id); err != nil {
 		if rpc.CodeOf(err) == CodeUnknownObject {
 			// The code stays off the chain: a placement binder would read
 			// it as the object being bound now having moved.
@@ -454,33 +453,21 @@ func (b *Binder) degree() int {
 	return b.Degree
 }
 
-// bindStandard implements Figure 6.
+// bindStandard implements Figure 6: GetServer and GetView in one message
+// under the client action, which owns their read locks and holds them until
+// it ends; the trackTxDB hook (or a binding's own commit/abort processing)
+// releases them. If either operation fails the client action must abort.
 func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	top := act.Top().ID()
 	dbState, err := b.trackTxDB(act)
 	if err != nil {
 		return nil, err
 	}
-
-	// GetServer and GetView as a nested action of the client action, one
-	// message; if either operation fails the nested action aborts and so
-	// must the client action.
-	nested, err := b.Actions.Begin(act)
+	tx := act.ID()
+	res, err := b.DB.Do(ctx, GetServerOp(tx, id, false, false), GetViewOp(tx, id))
 	if err != nil {
-		return nil, err
-	}
-	res, err := b.DB.Do(ctx, GetServerOp(top, id, false, false), GetViewOp(top, id))
-	if err != nil {
-		_ = nested.Abort(ctx)
 		return nil, fmt.Errorf("core: GetServer+GetView(%v): %w", id, err)
 	}
 	sv, st, class := res[0].Nodes, res[1].Nodes, res[1].Class
-	if _, err := nested.Commit(ctx); err != nil {
-		return nil, err
-	}
-	// The GetServer/GetView read locks are owned by the client action and
-	// held until it ends (Figure 6); the trackTxDB hook (or a binding's own
-	// commit/abort processing) releases them.
 	candidates, _ := selectServers(sv, nil, b.degree(), b.spreadReads(), b.ClientNode)
 	return b.finishBind(ctx, act, dbState, id, class, candidates, st, nil)
 }
@@ -505,13 +492,12 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 // and the committed update is lost once anyone catches up from the
 // recovered node. (The chaos harness finds this within a few dozen seeds.)
 func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	top := act.Top()
 	// The first object a read-only action binds is bound unpinned (see
 	// Binder): the St read is the bind action's, and nothing of the client
 	// action's is left at the database.
 	unpinned := b.bindsUnpinned()
 	if unpinned {
-		_, second := top.Stashed(unpinnedKey)
+		_, second := act.Stashed(unpinnedKey)
 		unpinned = !second
 	}
 	var dbState *txDBState
@@ -523,7 +509,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	}
 	bindAct := b.Actions.BeginTop()
 	owner := bindAct.ID()
-	viewOwner := top.ID()
+	viewOwner := act.ID()
 	if unpinned {
 		viewOwner = owner
 	}
@@ -554,7 +540,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	candidates, _ := selectServers(res[0].Nodes, res[0].Use, b.degree(), b.spreadReads(), b.ClientNode)
 	bd, err := b.finishBind(ctx, act, dbState, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
 	if err == nil && unpinned {
-		top.StashOnce(unpinnedKey, bd) // free: an action's binds are sequential (Bind)
+		act.StashOnce(unpinnedKey, bd) // free: an action's binds are sequential (Bind)
 	}
 	return bd, err
 }
@@ -566,7 +552,6 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 // client binds to the latest mutually consistent state; GetView's read
 // lock is owned by the client action and trackTxDB releases it.
 func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	top := act.Top().ID()
 	dbState, err := b.trackTxDB(act)
 	if err != nil {
 		return nil, err
@@ -578,7 +563,7 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 	if len(sv) == 0 {
 		return nil, fmt.Errorf("core: name server has no servers for %v", id)
 	}
-	st, class, err := b.DB.GetView(ctx, top, id)
+	st, class, err := b.DB.GetView(ctx, act.ID(), id)
 	if err != nil {
 		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
 	}
@@ -654,7 +639,6 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, dbState *tx
 	if err != nil {
 		return nil, err // no candidates, so nothing was counted
 	}
-	handle.DisableAutoEnlist()
 	bd := &Binding{
 		binder:  b,
 		act:     act,
@@ -672,7 +656,7 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, dbState *tx
 		if err != nil {
 			// The bind action committed the count, and this binding will
 			// never be enlisted to drop it at the action's end.
-			_ = bd.endAtDB(ctx, act.Top().ID(), false, false)
+			_ = bd.endAtDB(ctx, act.ID(), false, false)
 			return nil, err
 		}
 	}
@@ -773,14 +757,10 @@ func (bd *Binding) repair(ctx context.Context) error {
 // action's outcome and never before its commit point — lives in the
 // action-level trackTxDB hook, registered at bind time.
 func (bd *Binding) enlist() {
-	top := bd.act.Top()
-	if top.StashOnce("core.binding:"+bd.handle.UIDString(), bd) {
-		_ = top.Enlist(bd)
+	if bd.act.StashOnce("core.binding:"+bd.handle.UIDString(), bd) {
+		_ = bd.act.Enlist(bd)
 	}
 }
-
-// UID returns the bound object's identifier.
-func (bd *Binding) UID() uid.UID { return bd.id }
 
 // LeaseGrant returns the most recent read lease granted across this
 // binding's invocations, if any (see Binder.LeaseHolder).
@@ -975,7 +955,7 @@ func (bd *Binding) Commit(ctx context.Context, tx string) error {
 		// hold a prepared intention it can only resolve by querying the
 		// coordinator's log at its own recovery. Keep the commit record
 		// past the outcome-log GC.
-		bd.act.Top().RetainOutcome()
+		bd.act.RetainOutcome()
 	}
 	if dbErr := bd.endAtDB(ctx, tx, true, true); err == nil {
 		err = dbErr

@@ -423,14 +423,14 @@ func TestDBCrashLosesUncommittedKeepsCommitted(t *testing.T) {
 	ctx := context.Background()
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
 	// Committed: remove sv2 in a finished action.
-	if err := cli.Remove(ctx, "a-commit", w.id, "sv2", false); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("a-commit", w.id, "sv2", false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.EndAction(ctx, "a-commit", true); err != nil {
 		t.Fatal(err)
 	}
 	// Uncommitted: remove sv1 but never end the action.
-	if err := cli.Remove(ctx, "a-pending", w.id, "sv1", false); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("a-pending", w.id, "sv1", false)); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("db").Crash()
@@ -553,32 +553,6 @@ func TestStoreRecoveryProtocol(t *testing.T) {
 	}
 }
 
-func TestWireRecoveryHooks(t *testing.T) {
-	w := newWorld(t, 2, 2, 1)
-	ctx := context.Background()
-	sv1 := w.cluster.Node("sv1")
-	var recErrs []error
-	WireRecovery(sv1, "db", func() []uid.UID { return []uid.UID{w.id} }, true, false, func(err error) {
-		recErrs = append(recErrs, err)
-	})
-	sv1.Crash()
-	// Remove it (enhanced client behaviour).
-	b := w.binder("c1", SchemeIndependent, replica.SingleCopyPassive, 1)
-	if _, err := w.runAction(b, 1); err != nil {
-		t.Fatal(err)
-	}
-	sv1.Recover(nil)
-	for _, err := range recErrs {
-		t.Fatalf("recovery error: %v", err)
-	}
-	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
-	sv, _, _ := cli.GetServer(ctx, "peek", w.id, false, false)
-	_ = cli.EndAction(ctx, "peek", true)
-	if len(sv) != 2 {
-		t.Fatalf("sv = %v, want auto re-insert", sv)
-	}
-}
-
 func TestReadOnlyOptimisationBindsSingleConvenientServer(t *testing.T) {
 	// §4.1.2: read-only clients may bind to any convenient server and need
 	// no use-list updates.
@@ -613,7 +587,7 @@ func TestAbortRestoresDatabaseEntries(t *testing.T) {
 	w := newWorld(t, 2, 2, 1)
 	ctx := context.Background()
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
-	if err := cli.Remove(ctx, "a1", w.id, "sv2", false); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("a1", w.id, "sv2", false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.EndAction(ctx, "a1", false); err != nil { // abort

@@ -24,12 +24,10 @@
 // mutations are volatile and die with the node, and recovery rebuilds the
 // database from the records alone.
 //
-// Lock ownership simplification: lock owners are top-level action IDs.
-// Arjuna's nested actions would let a subaction hold the lock until it
-// commits into its parent; since every scheme in the paper holds database
-// locks until the *top-level* action ends (Figure 6) or uses separate
-// top-level actions entirely (Figures 7–8), top-level ownership preserves
-// every behaviour under study. Binder (binder.go) implements the three
+// Lock ownership: every action is top-level (internal/action has no nested
+// actions), so a lock owner is a top-level action ID. Every scheme in the
+// paper either holds database locks until the client action ends (Figure 6)
+// or takes them in separate top-level actions (Figures 7–8). Binder (binder.go) implements the three
 // access schemes; recovery.go the §4.1.2/§4.2 recovery protocols;
 // janitor.go the failure-detection cleanup the paper sketches in §4.1.3.
 package core

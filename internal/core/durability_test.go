@@ -104,8 +104,9 @@ func TestCommitPersistsOnlySettledUseCounts(t *testing.T) {
 		ctx := context.Background()
 		x := w.Objects[0]
 		c2 := core.Client{RPC: w.Cluster.Node("c2").Client(), DB: w.DB.Addr()}
-		must(t, w.cli.Increment(ctx, "A", x, "c1", []transport.Addr{"sv1"}))
-		_, err := c2.Do(ctx, core.IncrementOp("B", x, "c2", []transport.Addr{"sv1"}), core.EndActionOp("B", true))
+		_, err := w.cli.Do(ctx, core.IncrementOp("A", x, "c1", []transport.Addr{"sv1"}))
+		must(t, err)
+		_, err = c2.Do(ctx, core.IncrementOp("B", x, "c2", []transport.Addr{"sv1"}), core.EndActionOp("B", true))
 		must(t, err)
 		w.restartDB()
 		_, use := w.svView(t, x)

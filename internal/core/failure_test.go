@@ -153,7 +153,7 @@ func TestDBRecoveryPersistsAcrossMultipleObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Commit a Remove on object 1 and an Exclude on object 2.
-	if err := cli.Remove(ctx, "m1", w.id, "sv2", false); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("m1", w.id, "sv2", false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.EndAction(ctx, "m1", true); err != nil {
@@ -202,9 +202,9 @@ func TestPropertyUseCountsNeverNegative(t *testing.T) {
 			hs := hosts[int(op)%len(hosts)]
 			var err error
 			if op%2 == 0 {
-				err = cli.Increment(ctx, act, w.id, "c1", hs)
+				_, err = cli.Do(ctx, IncrementOp(act, w.id, "c1", hs))
 			} else {
-				err = cli.Decrement(ctx, act, w.id, "c1", hs)
+				_, err = cli.Do(ctx, DecrementOp(act, w.id, "c1", hs))
 			}
 			if err != nil {
 				return false

@@ -147,7 +147,7 @@ func TestRemoveTryOnlyPaths(t *testing.T) {
 	if _, _, err := cli.GetServer(ctx, "a1", w.id, false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Remove(ctx, "a1", w.id, "sv2", true); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("a1", w.id, "sv2", true)); err != nil {
 		t.Fatalf("solo tryOnly remove: %v", err)
 	}
 	if err := cli.EndAction(ctx, "a1", false); err != nil { // roll back
@@ -161,7 +161,7 @@ func TestRemoveTryOnlyPaths(t *testing.T) {
 	if _, _, err := cli.GetServer(ctx, "a2", w.id, false, false); err != nil {
 		t.Fatal(err)
 	}
-	err := cli.Remove(ctx, "a2", w.id, "sv2", true)
+	_, err := cli.Do(ctx, RemoveOp("a2", w.id, "sv2", true))
 	if got := errCode(err); got != CodeLockRefused {
 		t.Fatalf("contended tryOnly remove err = %v (code %q)", err, got)
 	}

@@ -136,23 +136,3 @@ func recoverOneState(ctx context.Context, cli Client, node *sim.Node, owner stri
 	}
 	return nil
 }
-
-// WireRecovery registers the recovery protocols to run automatically when
-// node recovers from a crash. ids is evaluated at recovery time so newly
-// created objects are covered. Failures are recorded in errs (if non-nil);
-// recovery must not panic the node.
-func WireRecovery(node *sim.Node, db transport.Addr, ids func() []uid.UID, asServer, asStore bool, errs func(error)) {
-	node.OnRecover(func(n *sim.Node) {
-		ctx := context.Background()
-		if asStore {
-			if err := RecoverStoreNode(ctx, n, db, ids()); err != nil && errs != nil {
-				errs(err)
-			}
-		}
-		if asServer {
-			if err := RecoverServerNode(ctx, n, db, ids()); err != nil && errs != nil {
-				errs(err)
-			}
-		}
-	})
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -179,34 +178,6 @@ func TestRecoverServerNodeRefusedWhileObjectInUse(t *testing.T) {
 	if err := RecoverServerNode(ctx, sv2, "db", ids); err != nil {
 		t.Fatalf("recovery after quiesce: %v", err)
 	}
-}
-
-// TestWireRecoveryReportsErrors: automatic recovery hooks must deliver
-// failures to the error callback (and not panic the node) when the
-// protocols cannot run — here, with the DB partitioned away.
-func TestWireRecoveryReportsErrors(t *testing.T) {
-	w := newWorld(t, 1, 2, 1)
-	ids := func() []uid.UID { return []uid.UID{w.id} }
-
-	var mu sync.Mutex
-	var got []error
-	victim := w.cluster.Node("st2")
-	WireRecovery(victim, "db", ids, false, true, func(err error) {
-		mu.Lock()
-		got = append(got, err)
-		mu.Unlock()
-	})
-
-	w.cluster.Faults().Partition("st2", "db")
-	victim.Crash()
-	victim.Recover(w.mgrs["c1"].Log())
-	mu.Lock()
-	n := len(got)
-	mu.Unlock()
-	if n == 0 {
-		t.Fatal("recovery failure not reported through the errs callback")
-	}
-	w.cluster.Faults().Heal("st2", "db")
 }
 
 func currentView(t *testing.T, w *world) []transport.Addr {

@@ -690,25 +690,6 @@ func (c Client) Insert(ctx context.Context, act string, id uid.UID, host transpo
 	return err
 }
 
-// Remove drops a server node from Sv_A; tryOnly makes the lock attempt
-// non-blocking.
-func (c Client) Remove(ctx context.Context, act string, id uid.UID, host transport.Addr, tryOnly bool) error {
-	_, err := c.do1(ctx, RemoveOp(act, id, host, tryOnly))
-	return err
-}
-
-// Increment bumps this client's use count at the given hosts.
-func (c Client) Increment(ctx context.Context, act string, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
-	_, err := c.do1(ctx, IncrementOp(act, id, clientNode, hosts))
-	return err
-}
-
-// Decrement is the complementary operation to Increment.
-func (c Client) Decrement(ctx context.Context, act string, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
-	_, err := c.do1(ctx, DecrementOp(act, id, clientNode, hosts))
-	return err
-}
-
 // GetView fetches St_A and the class name.
 func (c Client) GetView(ctx context.Context, act string, id uid.UID) ([]transport.Addr, string, error) {
 	res, err := c.do1(ctx, GetViewOp(act, id))

@@ -19,8 +19,8 @@ func mustEncodeBatch(f *testing.F, req deliverBatchReq) []byte {
 	return raw
 }
 
-// FuzzDeliverBatchDecode hardens the batched-delivery decode path: the
-// gob decode of a deliverBatchReq must never panic on arbitrary bytes,
+// FuzzDeliverBatchDecode hardens the delivery decode path: the binary
+// decode of a deliverBatchReq must never panic on arbitrary bytes,
 // and any frame that decodes is fed through a real member's
 // handleDeliverBatch (with a short deadline so hold-back on sequence gaps
 // cannot stall the fuzzer) — the handler must survive arbitrary seq/dedup

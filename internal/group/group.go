@@ -15,20 +15,26 @@
 //     number and relays to every member. The sender makes a single call, so
 //     a sender failure cannot cause partial delivery; a sequencer failure
 //     is handled by retrying through the next member with the same message
-//     ID, which receivers deduplicate.
+//     ID, which the sequencer re-relays under its original number and
+//     receivers deduplicate.
 //   - NaiveMulticast — the baseline that reproduces the Figure 1 anomaly:
 //     the sender fans out to the members itself, so a failure (of the
 //     sender, or of reply delivery) midway leaves the group inconsistent.
 //
-// Sequence numbers are per group. Receivers deliver strictly in sequence
-// order, holding back out-of-order arrivals.
+// Both travel in one frame, DeliverBatch. The sequencer relays each round —
+// the messages it ordered while the previous round was on the wire, often
+// just one — as one frame per member; a naive send is a frame of one item
+// with sequence number 0. Sequence numbers are per group. Receivers deliver
+// sequenced items strictly in sequence order, holding back out-of-order
+// arrivals, and apply a naive item at once.
 package group
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,10 +51,8 @@ const (
 	// MethodSequence is invoked on the sequencer member to order and relay
 	// a multicast.
 	MethodSequence = "Sequence"
-	// MethodDeliver is invoked on each member to deliver one message.
-	MethodDeliver = "Deliver"
-	// MethodDeliverBatch delivers several sequenced messages in one frame —
-	// the sequencer's batched ordering under pipelined load.
+	// MethodDeliverBatch is invoked on each member to deliver one frame:
+	// the messages of one sequencer round, or one naive message.
 	MethodDeliverBatch = "DeliverBatch"
 )
 
@@ -100,23 +104,8 @@ type sequenceReq struct {
 	Members []string
 }
 
-// deliverReq is the wire form of a delivery.
-type deliverReq struct {
-	Group   string
-	MsgID   string
-	Kind    string
-	Payload []byte
-	Seq     uint64
-	// Stable is the sequencer's stability watermark: every current member
-	// has acknowledged delivery up to this sequence number, so receivers
-	// may evict dedup state at or below it.
-	Stable uint64
-}
-
-// deliverResp carries a member's reply.
-type deliverResp struct{ Payload []byte }
-
-// batchItem is one sequenced message inside a batched deliver frame.
+// batchItem is one message inside a deliver frame; Seq is 0 for a naive
+// message.
 type batchItem struct {
 	MsgID   string
 	Kind    string
@@ -124,11 +113,14 @@ type batchItem struct {
 	Seq     uint64
 }
 
-// deliverBatchReq is the wire form of a batched delivery: all messages
-// the sequencer ordered in one round, sorted by ascending Seq.
+// deliverBatchReq is the wire form of a delivery: all messages the
+// sequencer ordered in one round, sorted by ascending Seq.
 type deliverBatchReq struct {
-	Group  string
-	Items  []batchItem
+	Group string
+	Items []batchItem
+	// Stable is the sequencer's stability watermark: every current member
+	// has acknowledged delivery up to this sequence number, so receivers
+	// may evict dedup state at or below it.
 	Stable uint64
 }
 
@@ -281,7 +273,6 @@ func NewHost(srv *rpc.Server, client rpc.Client) *Host {
 		client: client,
 		groups: make(map[string]*membership),
 	}
-	srv.Handle(ServiceName, MethodDeliver, rpc.Method(h.handleDeliver))
 	srv.Handle(ServiceName, MethodDeliverBatch, rpc.Method(h.handleDeliverBatch))
 	srv.Handle(ServiceName, MethodSequence, rpc.Method(h.handleSequence))
 	return h
@@ -307,19 +298,6 @@ func (h *Host) Leave(groupID string) {
 	delete(h.groups, groupID)
 }
 
-// Delivered returns the highest sequence number applied for groupID.
-func (h *Host) Delivered(groupID string) uint64 {
-	h.mu.Lock()
-	m := h.groups[groupID]
-	h.mu.Unlock()
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.delivered
-}
-
 func (h *Host) lookup(groupID string) (*membership, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -330,26 +308,11 @@ func (h *Host) lookup(groupID string) (*membership, error) {
 	return m, nil
 }
 
-// handleDeliver applies one message respecting total order and dedup.
-func (h *Host) handleDeliver(ctx context.Context, from transport.Addr, req deliverReq) (deliverResp, error) {
-	m, err := h.lookup(req.Group)
-	if err != nil {
-		return deliverResp{}, err
-	}
-	msg := Delivered{Group: req.Group, MsgID: req.MsgID, Kind: req.Kind, Payload: req.Payload, Seq: req.Seq}
-
-	// Naive (unsequenced) messages apply immediately, no ordering or dedup.
-	if req.Seq == 0 {
-		out, err := m.apply(ctx, msg)
-		return deliverResp{Payload: out}, err
-	}
-	return h.applyOrdered(ctx, m, msg, req.Stable)
-}
-
-// handleDeliverBatch applies every message of one sequencer round, in
-// ascending sequence order. Per-message outcomes are reported in item
-// order; the whole call fails only when the member itself cannot proceed
-// (not a group member, context expired holding back a gap).
+// handleDeliverBatch applies every message of one frame, in item order:
+// a sequenced item respecting total order and dedup, a naive (Seq 0) one at
+// once, with neither. Per-message outcomes are reported in item order; the
+// whole call fails only when the member itself cannot proceed (not a group
+// member, context expired holding back a gap).
 func (h *Host) handleDeliverBatch(ctx context.Context, from transport.Addr, req deliverBatchReq) (deliverBatchResp, error) {
 	m, err := h.lookup(req.Group)
 	if err != nil {
@@ -358,7 +321,13 @@ func (h *Host) handleDeliverBatch(ctx context.Context, from transport.Addr, req 
 	resp := deliverBatchResp{Results: make([]batchResult, len(req.Items))}
 	for i, it := range req.Items {
 		msg := Delivered{Group: req.Group, MsgID: it.MsgID, Kind: it.Kind, Payload: it.Payload, Seq: it.Seq}
-		dr, aerr := h.applyOrdered(ctx, m, msg, req.Stable)
+		var out []byte
+		var aerr error
+		if it.Seq == 0 {
+			out, aerr = m.apply(ctx, msg)
+		} else {
+			out, aerr = m.applyOrdered(ctx, msg, req.Stable)
+		}
 		if aerr != nil {
 			if ctx.Err() != nil {
 				// The member is stuck (gap hold-back timed out): fail the
@@ -368,21 +337,21 @@ func (h *Host) handleDeliverBatch(ctx context.Context, from transport.Addr, req 
 			resp.Results[i] = batchResult{Err: aerr.Error()}
 			continue
 		}
-		resp.Results[i] = batchResult{Payload: dr.Payload}
+		resp.Results[i] = batchResult{Payload: out}
 	}
 	return resp, nil
 }
 
 // applyOrdered applies one sequenced message respecting total order and
 // dedup, and applies the stability watermark to the dedup state.
-func (h *Host) applyOrdered(ctx context.Context, m *membership, msg Delivered, stable uint64) (deliverResp, error) {
+func (m *membership) applyOrdered(ctx context.Context, msg Delivered, stable uint64) ([]byte, error) {
 	for {
 		m.mu.Lock()
 		m.evictLocked(stable)
 		if prev, ok := m.seen[msg.MsgID]; ok {
 			// Duplicate (sequencer retry): return the cached reply.
 			m.mu.Unlock()
-			return deliverResp{Payload: prev.reply}, nil
+			return prev.reply, nil
 		}
 		if msg.Seq <= m.delivered {
 			// Superseded sequence number from a failed-over sequencer;
@@ -393,7 +362,7 @@ func (h *Host) applyOrdered(ctx context.Context, m *membership, msg Delivered, s
 				m.seen[msg.MsgID] = seenEntry{reply: out, seq: msg.Seq}
 			}
 			m.mu.Unlock()
-			return deliverResp{Payload: out}, aerr
+			return out, aerr
 		}
 		if msg.Seq == m.delivered+1 {
 			out, aerr := m.apply(ctx, msg)
@@ -404,14 +373,14 @@ func (h *Host) applyOrdered(ctx context.Context, m *membership, msg Delivered, s
 			close(m.applied)
 			m.applied = make(chan struct{})
 			m.mu.Unlock()
-			return deliverResp{Payload: out}, aerr
+			return out, aerr
 		}
 		// Gap: hold back until the predecessor is applied.
 		wait := m.applied
 		m.mu.Unlock()
 		select {
 		case <-ctx.Done():
-			return deliverResp{}, ctx.Err()
+			return nil, ctx.Err()
 		case <-wait:
 		}
 	}
@@ -423,27 +392,16 @@ func (h *Host) applyOrdered(ctx context.Context, m *membership, msg Delivered, s
 // leader orders and delivers them together as one batched frame when the
 // round completes — so the sequencer orders more than one message per
 // round under pipelined load instead of serialising one round trip per
-// message.
+// message. A retried request — the caller failed over from a dead
+// sequencer, under the same MsgID — queues like any other, and the round
+// that carries it re-relays it under its original number (see drain).
 func (h *Host) handleSequence(ctx context.Context, from transport.Addr, req sequenceReq) (sequenceResp, error) {
 	m, err := h.lookup(req.Group)
 	if err != nil {
 		return sequenceResp{}, err
 	}
-	m.mu.Lock()
-	// Dedup retried sequencing requests by MsgID: this host already
-	// delivered the message, so it was already sequenced. Re-relay under
-	// the original sequence number instead of answering with a bare Seq —
-	// members that saw it return their cached replies (so the retrying
-	// caller still receives the full fan-out outcome), and any member the
-	// first fan-out missed is repaired.
-	if prev, ok := m.seen[req.MsgID]; ok {
-		stable := m.stableLocked(req.Members)
-		m.mu.Unlock()
-		h.rounds.Add(1)
-		h.orderedMsgs.Add(1)
-		return h.fanOut(ctx, m, req, prev.seq, stable)
-	}
 	p := &pendingSeq{req: req, done: make(chan struct{}), lead: make(chan struct{})}
+	m.mu.Lock()
 	m.queue = append(m.queue, p)
 	if m.relaying {
 		// A round is in flight: its leader will either deliver this message
@@ -488,12 +446,15 @@ func (h *Host) handleSequence(ctx context.Context, from transport.Addr, req sequ
 
 // drain runs fan-out rounds; the caller must hold leadership (m.relaying
 // set, or its lead channel closed). Each round snapshots the queue,
-// assigns a contiguous sequence range to the new messages (retried ones
-// keep their original numbers), and relays them as one frame. After its
-// round — the one carrying its own message — the leader hands the
-// remaining queue to an elected successor (a live queued waiter) rather
-// than serving the whole burst itself, so no caller is held past its own
-// round and every round runs under a live caller's context.
+// assigns a contiguous sequence range to the new messages, and relays them
+// as one frame. A message this member has already delivered — a retry
+// through a fail-over sequencer — keeps its original number: members that
+// saw it answer from their dedup caches, so the retrying caller still gets
+// the full fan-out outcome, and any member the first relay missed is
+// repaired. After its round — the one carrying its own message — the
+// leader hands the remaining queue to an elected successor (a live queued
+// waiter) rather than serving the whole burst itself, so no caller is held
+// past its own round and every round runs under a live caller's context.
 func (h *Host) drain(ctx context.Context, m *membership) {
 	for {
 		m.mu.Lock()
@@ -510,158 +471,133 @@ func (h *Host) drain(ctx context.Context, m *membership) {
 		if m.nextSeq < m.delivered {
 			m.nextSeq = m.delivered
 		}
-		// Coalesce duplicate MsgIDs (concurrent retries of one logical
-		// message): one delivery, every waiter gets the outcome. Assigning
-		// a duplicate a fresh number would leave a hole in the sequence no
-		// delivery ever fills.
-		type roundEntry struct {
-			req     sequenceReq
-			seq     uint64
-			waiters []*pendingSeq
-		}
-		var entries []*roundEntry
-		byID := make(map[string]*roundEntry, len(batch))
-		for _, p := range batch {
-			if e, ok := byID[p.req.MsgID]; ok {
-				e.waiters = append(e.waiters, p)
+		entries := make([]roundEntry, 0, len(batch))
+		for k, p := range batch {
+			if i := slices.IndexFunc(entries, func(e roundEntry) bool { return e.req.MsgID == p.req.MsgID }); i >= 0 {
+				entries[i].waiters = append(entries[i].waiters, p)
 				continue
 			}
-			e := &roundEntry{req: p.req, waiters: []*pendingSeq{p}}
+			// Capped at one, so a duplicate's append copies instead of
+			// writing into batch.
+			e := roundEntry{req: p.req, waiters: batch[k : k+1 : k+1]}
 			if prev, ok := m.seen[p.req.MsgID]; ok {
 				e.seq = prev.seq
 			} else {
 				m.nextSeq++
 				e.seq = m.nextSeq
 			}
-			byID[p.req.MsgID] = e
 			entries = append(entries, e)
 		}
-		// The member set of the round is the union of the batch's views;
-		// per-entry results are filtered back to each caller's own view.
+		// Item i of the frame is entry i.
+		slices.SortFunc(entries, func(a, b roundEntry) int { return cmp.Compare(a.seq, b.seq) })
+		// The member set of the round is the union of the entries' views, in
+		// address order; each entry's result is filtered back to its own.
 		var members []string
-		memberSet := make(map[string]bool)
 		for _, e := range entries {
 			for _, mem := range e.req.Members {
-				if !memberSet[mem] {
-					memberSet[mem] = true
+				if !slices.Contains(members, mem) {
 					members = append(members, mem)
 				}
 			}
 		}
+		slices.Sort(members)
 		stable := m.stableLocked(members)
 		m.mu.Unlock()
 
 		h.rounds.Add(1)
 		h.orderedMsgs.Add(uint64(len(entries)))
-		if len(entries) == 1 {
-			e := entries[0]
-			resp, err := h.fanOut(ctx, m, e.req, e.seq, stable)
-			for _, p := range e.waiters {
-				p.resp, p.err = resp, err
-				close(p.done)
-			}
-			if h.handOff(m) {
-				return
-			}
-			continue
-		}
-		items := make([]batchItem, len(entries))
-		for i, e := range entries {
-			items[i] = batchItem{MsgID: e.req.MsgID, Kind: e.req.Kind, Payload: e.req.Payload, Seq: e.seq}
-		}
-		sort.Slice(items, func(a, b int) bool { return items[a].Seq < items[b].Seq })
-		frame := deliverBatchReq{Group: entries[0].req.Group, Items: items, Stable: stable}
-		type slot struct {
-			dr  deliverBatchResp
-			err error
-		}
-		slots := make([]slot, len(members))
-		payload, err := rpc.Encode(&frame)
-		if err != nil {
-			for _, e := range entries {
-				for _, p := range e.waiters {
-					p.err = err
-					close(p.done)
-				}
-			}
-			if h.handOff(m) {
-				return
-			}
-			continue
-		}
-		conc.DoLimited(len(members), fanOutConcurrency, func(i int) {
-			addr := transport.Addr(members[i])
-			if addr == h.client.From {
-				// Local delivery skips the network round trip.
-				slots[i].dr, slots[i].err = h.handleDeliverBatch(ctx, h.client.From, frame)
-				return
-			}
-			body, err := h.client.Call(ctx, addr, ServiceName, MethodDeliverBatch, payload)
-			if err != nil {
-				slots[i].err = err
-				return
-			}
-			slots[i].err = rpc.Decode(body, &slots[i].dr)
-		})
-
-		// Index item results by MsgID per member, record delivery acks, and
-		// assemble each entry's sequenceResp over its own member view.
-		itemIdx := make(map[string]int, len(items))
-		for i, it := range items {
-			itemIdx[it.MsgID] = i
-		}
-		m.mu.Lock()
-		for i, mem := range members {
-			if slots[i].err != nil {
-				continue
-			}
-			high := uint64(0)
-			for j, it := range items {
-				if j < len(slots[i].dr.Results) && slots[i].dr.Results[j].Err == "" && it.Seq > high {
-					high = it.Seq
-				}
-			}
-			if high > m.acked[mem] {
-				m.acked[mem] = high
-			}
-		}
-		m.mu.Unlock()
-		for _, e := range entries {
-			resp := sequenceResp{Seq: e.seq}
-			order := make([]string, len(e.req.Members))
-			copy(order, e.req.Members)
-			sort.Strings(order)
-			for _, mem := range order {
-				var si int
-				for si = range members {
-					if members[si] == mem {
-						break
-					}
-				}
-				s := slots[si]
-				if s.err != nil {
-					if isMemberFailure(s.err) {
-						resp.Failed = append(resp.Failed, mem)
-					} else {
-						resp.Replies = append(resp.Replies, Reply{Member: transport.Addr(mem), Err: s.err.Error()})
-					}
-					continue
-				}
-				idx := itemIdx[e.req.MsgID]
-				r := Reply{Member: transport.Addr(mem)}
-				if idx < len(s.dr.Results) {
-					r.Payload = s.dr.Results[idx].Payload
-					r.Err = s.dr.Results[idx].Err
-				}
-				resp.Replies = append(resp.Replies, r)
-			}
-			for _, p := range e.waiters {
-				p.resp = resp
-				close(p.done)
-			}
-		}
+		h.relay(ctx, m, entries, members, stable)
 		if h.handOff(m) {
 			return
+		}
+	}
+}
+
+// roundEntry is one distinct message of a round and the callers waiting on
+// it. Concurrent retries of one logical message coalesce into one entry:
+// one delivery, and every waiter gets the outcome. Giving a duplicate a
+// fresh number would leave a hole in the sequence no delivery ever fills.
+type roundEntry struct {
+	req     sequenceReq
+	seq     uint64
+	waiters []*pendingSeq
+}
+
+// relay sends one round's frame to every member concurrently and answers
+// the round's waiters. Total order is carried by the assigned seqs, not by
+// delivery timing: receivers hold back out-of-order arrivals, so parallel
+// delivery preserves the identical-order guarantee while the latency is
+// that of the slowest member rather than the sum over members. The frame
+// is encoded once and shared by all remote deliveries; a member that is
+// this node is delivered to directly. Replies and Failed come in member
+// order, so results are deterministic, and successful deliveries advance
+// the per-member ack watermark on m.
+func (h *Host) relay(ctx context.Context, m *membership, entries []roundEntry, members []string, stable uint64) {
+	items := make([]batchItem, len(entries))
+	for i, e := range entries {
+		items[i] = batchItem{MsgID: e.req.MsgID, Kind: e.req.Kind, Payload: e.req.Payload, Seq: e.seq}
+	}
+	frame := deliverBatchReq{Group: entries[0].req.Group, Items: items, Stable: stable}
+	payload, err := rpc.Encode(&frame)
+	if err != nil {
+		for _, e := range entries {
+			for _, p := range e.waiters {
+				p.err = err
+				close(p.done)
+			}
+		}
+		return
+	}
+	type slot struct {
+		dr  deliverBatchResp
+		err error
+	}
+	slots := make([]slot, len(members))
+	conc.DoLimited(len(members), fanOutConcurrency, func(i int) {
+		addr := transport.Addr(members[i])
+		if addr == h.client.From {
+			slots[i].dr, slots[i].err = h.handleDeliverBatch(ctx, h.client.From, frame)
+			return
+		}
+		body, err := h.client.Call(ctx, addr, ServiceName, MethodDeliverBatch, payload)
+		if err != nil {
+			slots[i].err = err
+			return
+		}
+		slots[i].err = rpc.Decode(body, &slots[i].dr)
+	})
+
+	m.mu.Lock()
+	for i, mem := range members {
+		s := &slots[i]
+		for j, it := range items {
+			if s.err == nil && j < len(s.dr.Results) && s.dr.Results[j].Err == "" && it.Seq > m.acked[mem] {
+				m.acked[mem] = it.Seq
+			}
+		}
+	}
+	m.mu.Unlock()
+	for j, e := range entries {
+		resp := sequenceResp{Seq: e.seq, Replies: make([]Reply, 0, len(e.req.Members))}
+		for i, mem := range members {
+			if !slices.Contains(e.req.Members, mem) {
+				continue
+			}
+			r := Reply{Member: transport.Addr(mem)}
+			switch s := &slots[i]; {
+			case s.err != nil && isMemberFailure(s.err):
+				resp.Failed = append(resp.Failed, mem)
+				continue
+			case s.err != nil:
+				r.Err = s.err.Error()
+			case j < len(s.dr.Results):
+				r.Payload, r.Err = s.dr.Results[j].Payload, s.dr.Results[j].Err
+			}
+			resp.Replies = append(resp.Replies, r)
+		}
+		for _, p := range e.waiters {
+			p.resp = resp
+			close(p.done)
 		}
 	}
 }
@@ -696,72 +632,9 @@ func (h *Host) handOff(m *membership) bool {
 	return true
 }
 
-// fanOutConcurrency bounds the parallel deliveries of one relayed
-// multicast, so very large groups cannot stampede the relay node.
+// fanOutConcurrency bounds the parallel deliveries of one round, so very
+// large groups cannot stampede the relay node.
 const fanOutConcurrency = 16
-
-// fanOut relays one message to every member concurrently. Total order is
-// carried by the assigned seq, not by delivery timing: receivers hold
-// back out-of-order arrivals, so parallel delivery preserves the
-// identical-order guarantee while the latency is that of the slowest
-// member rather than the sum over members. The payload is encoded once
-// and shared by all deliveries; Replies and Failed are collected in
-// member-sorted order so results are deterministic. Successful
-// deliveries advance the per-member ack watermark on m.
-func (h *Host) fanOut(ctx context.Context, m *membership, req sequenceReq, seq, stable uint64) (sequenceResp, error) {
-	d := deliverReq{Group: req.Group, MsgID: req.MsgID, Kind: req.Kind, Payload: req.Payload, Seq: seq, Stable: stable}
-	payload, err := rpc.Encode(&d)
-	if err != nil {
-		return sequenceResp{}, err
-	}
-	type slot struct {
-		dr  deliverResp
-		err error
-	}
-	slots := make([]slot, len(req.Members))
-	conc.DoLimited(len(req.Members), fanOutConcurrency, func(i int) {
-		addr := transport.Addr(req.Members[i])
-		if addr == h.client.From {
-			// Local delivery skips the network round trip.
-			slots[i].dr, slots[i].err = h.handleDeliver(ctx, h.client.From, d)
-			return
-		}
-		body, err := h.client.Call(ctx, addr, ServiceName, MethodDeliver, payload)
-		if err != nil {
-			slots[i].err = err
-			return
-		}
-		slots[i].err = rpc.Decode(body, &slots[i].dr)
-	})
-
-	m.mu.Lock()
-	for i, mem := range req.Members {
-		if slots[i].err == nil && seq > m.acked[mem] {
-			m.acked[mem] = seq
-		}
-	}
-	m.mu.Unlock()
-
-	order := make([]int, len(req.Members))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return req.Members[order[a]] < req.Members[order[b]] })
-	resp := sequenceResp{Seq: seq}
-	for _, i := range order {
-		s := slots[i]
-		if s.err != nil && isMemberFailure(s.err) {
-			resp.Failed = append(resp.Failed, req.Members[i])
-			continue
-		}
-		r := Reply{Member: transport.Addr(req.Members[i]), Payload: s.dr.Payload}
-		if s.err != nil {
-			r.Err = s.err.Error()
-		}
-		resp.Replies = append(resp.Replies, r)
-	}
-	return resp, nil
-}
 
 // isMemberFailure reports whether err means the member did not (provably)
 // receive the message.
@@ -812,25 +685,27 @@ func multicastWithID(ctx context.Context, cli rpc.Client, g Group, kind string, 
 }
 
 // NaiveMulticast fans out directly from the caller with no ordering,
-// dedup, or relay — the baseline whose inconsistency Figure 1 illustrates.
-// A reply lost from one member leaves that member's state applied but
-// reported in Failed-like terms to the caller (Err set), and a caller
+// dedup, or relay — the baseline whose inconsistency Figure 1 illustrates:
+// each member gets a one-item frame with sequence number 0, which it applies
+// at once. A reply lost from one member leaves that member's state applied
+// but reported in Failed-like terms to the caller (Err set), and a caller
 // crash midway simply stops the loop.
 func NaiveMulticast(ctx context.Context, cli rpc.Client, g Group, kind string, payload []byte) *Result {
-	msgID := string(cli.From) + "/naive/" + kind
+	frame := deliverBatchReq{Group: g.ID, Items: []batchItem{{MsgID: string(cli.From) + "/naive/" + kind, Kind: kind, Payload: payload}}}
 	out := &Result{}
 	for _, member := range g.Members {
-		resp, err := rpc.Invoke[deliverReq, deliverResp](ctx, cli, member, ServiceName, MethodDeliver,
-			deliverReq{Group: g.ID, MsgID: msgID, Kind: kind, Payload: payload, Seq: 0})
-		if err != nil {
-			if isMemberFailure(err) {
-				out.Failed = append(out.Failed, member)
-			} else {
-				out.Replies = append(out.Replies, Reply{Member: member, Err: err.Error()})
-			}
+		resp, err := rpc.Invoke[deliverBatchReq, deliverBatchResp](ctx, cli, member, ServiceName, MethodDeliverBatch, frame)
+		r := Reply{Member: member}
+		switch {
+		case err != nil && isMemberFailure(err):
+			out.Failed = append(out.Failed, member)
 			continue
+		case err != nil:
+			r.Err = err.Error()
+		case len(resp.Results) > 0:
+			r.Payload, r.Err = resp.Results[0].Payload, resp.Results[0].Err
 		}
-		out.Replies = append(out.Replies, Reply{Member: member, Payload: resp.Payload})
+		out.Replies = append(out.Replies, r)
 	}
 	return out
 }

@@ -67,6 +67,12 @@ func newFixtureOn(t *testing.T, cluster *sim.Cluster, names ...transport.Addr) *
 
 func (f *fixture) client() rpc.Client { return f.cluster.Node("client").Client() }
 
+// deliverOne sends it to member as a one-item deliver frame of group G.
+func deliverOne(ctx context.Context, cli rpc.Client, member transport.Addr, it batchItem) (deliverBatchResp, error) {
+	return rpc.Invoke[deliverBatchReq, deliverBatchResp](ctx, cli, member, ServiceName, MethodDeliverBatch,
+		deliverBatchReq{Group: "G", Items: []batchItem{it}})
+}
+
 func TestMulticastDeliversToAllInOrder(t *testing.T) {
 	f := newFixture(t, "a1", "a2", "a3")
 	ctx := context.Background()
@@ -327,8 +333,7 @@ func TestDeliverToNonMemberRefused(t *testing.T) {
 	n := f.cluster.Node("client")
 	NewHost(n.Server(), n.Client()) // host exists but no membership
 	cli := f.cluster.Node("a1").Client()
-	_, err := rpc.Invoke[deliverReq, deliverResp](context.Background(), cli, "client", ServiceName, MethodDeliver,
-		deliverReq{Group: "G", MsgID: "m", Kind: "k", Seq: 1})
+	_, err := deliverOne(context.Background(), cli, "client", batchItem{MsgID: "m", Kind: "k", Seq: 1})
 	if rpc.CodeOf(err) != rpc.CodeNotFound {
 		t.Fatalf("err = %v, want not-found", err)
 	}
@@ -366,8 +371,7 @@ func TestHoldbackDeliversInSeqOrder(t *testing.T) {
 
 	done2 := make(chan error, 1)
 	go func() {
-		_, err := rpc.Invoke[deliverReq, deliverResp](ctx, cli, "a1", ServiceName, MethodDeliver,
-			deliverReq{Group: "G", MsgID: "m2", Kind: "op", Payload: []byte("second"), Seq: 2})
+		_, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "m2", Kind: "op", Payload: []byte("second"), Seq: 2})
 		done2 <- err
 	}()
 	// seq 2 is held back.
@@ -376,8 +380,7 @@ func TestHoldbackDeliversInSeqOrder(t *testing.T) {
 		t.Fatalf("seq 2 delivered before seq 1 (err=%v)", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, err := rpc.Invoke[deliverReq, deliverResp](ctx, cli, "a1", ServiceName, MethodDeliver,
-		deliverReq{Group: "G", MsgID: "m1", Kind: "op", Payload: []byte("first"), Seq: 1}); err != nil {
+	if _, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "m1", Kind: "op", Payload: []byte("first"), Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -398,26 +401,9 @@ func TestHoldbackRespectsContext(t *testing.T) {
 	cli := f.client()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := rpc.Invoke[deliverReq, deliverResp](ctx, cli, "a1", ServiceName, MethodDeliver,
-		deliverReq{Group: "G", MsgID: "gap", Kind: "op", Seq: 5})
+	_, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "gap", Kind: "op", Seq: 5})
 	if err == nil {
 		t.Fatal("gapped delivery should fail when the context expires")
-	}
-}
-
-func TestDeliveredCounter(t *testing.T) {
-	f := newFixture(t, "a1", "a2")
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := Multicast(ctx, f.client(), f.grp, "op", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := f.hosts["a1"].Delivered("G"); got != 3 {
-		t.Fatalf("delivered = %d, want 3", got)
-	}
-	if got := f.hosts["a1"].Delivered("nope"); got != 0 {
-		t.Fatalf("unknown group delivered = %d", got)
 	}
 }
 
@@ -530,8 +516,7 @@ func TestBatchedDeliveryHoldsBackGaps(t *testing.T) {
 		t.Fatalf("batch delivered before seq 1 (err=%v)", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, err := rpc.Invoke[deliverReq, deliverResp](ctx, cli, "a1", ServiceName, MethodDeliver,
-		deliverReq{Group: "G", MsgID: "m1", Kind: "op", Payload: []byte("first"), Seq: 1}); err != nil {
+	if _, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "m1", Kind: "op", Payload: []byte("first"), Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -553,8 +538,7 @@ func TestBatchedDeliveryDeduplicates(t *testing.T) {
 	f := newFixture(t, "a1")
 	cli := f.client()
 	ctx := context.Background()
-	if _, err := rpc.Invoke[deliverReq, deliverResp](ctx, cli, "a1", ServiceName, MethodDeliver,
-		deliverReq{Group: "G", MsgID: "m1", Kind: "op", Payload: []byte("x"), Seq: 1}); err != nil {
+	if _, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "m1", Kind: "op", Payload: []byte("x"), Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := rpc.Invoke[deliverBatchReq, deliverBatchResp](ctx, cli, "a1", ServiceName, MethodDeliverBatch,
@@ -570,5 +554,85 @@ func TestBatchedDeliveryDeduplicates(t *testing.T) {
 	}
 	if got := f.members["a1"].history(); got != "op:x,op:y" {
 		t.Fatalf("history = %q (m1 must apply once)", got)
+	}
+}
+
+// TestEveryRoundIsOneDeliverBatchFrame: a census of the group traffic on the
+// wire. A lone multicast, a retry through a fail-over sequencer under the
+// same MsgID, and a naive send each travel as Sequence calls and one
+// DeliverBatch frame per remote member — nothing else — and the retry comes
+// back under the number the message was first given.
+func TestEveryRoundIsOneDeliverBatchFrame(t *testing.T) {
+	f := newFixture(t, "a1", "a2", "a3")
+	var mu sync.Mutex
+	census := map[string]int{}
+	f.cluster.Faults().OnRequest(-1, func(req transport.Request) bool { return req.Service == ServiceName },
+		func(req transport.Request) {
+			mu.Lock()
+			census[req.Method]++
+			mu.Unlock()
+		})
+	expect := func(phase string, want map[string]int) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if fmt.Sprint(census) != fmt.Sprint(want) {
+			t.Fatalf("%s: group requests %v, want %v", phase, census, want)
+		}
+		clear(census)
+	}
+	ctx := context.Background()
+
+	first, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), "retried")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("lone multicast", map[string]int{MethodSequence: 1, MethodDeliverBatch: 2})
+
+	f.cluster.Node("a1").Crash()
+	retry, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), "retried")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sequence to the dead a1, then to a2, which relays to a1 and a3.
+	expect("fail-over retry", map[string]int{MethodSequence: 2, MethodDeliverBatch: 2})
+	if retry.Seq != first.Seq {
+		t.Fatalf("retry seq = %d, want the original %d", retry.Seq, first.Seq)
+	}
+	if len(retry.Replies) != 2 || len(retry.Failed) != 1 {
+		t.Fatalf("retry replies=%+v failed=%v, want a2 and a3 answering, a1 failed", retry.Replies, retry.Failed)
+	}
+	for _, r := range retry.Replies {
+		if r.Err != "" || string(r.Payload) != "ack-op" {
+			t.Fatalf("retry reply from %s = (%q, %q), want the cached ack", r.Member, r.Payload, r.Err)
+		}
+	}
+
+	NaiveMulticast(ctx, f.client(), f.grp, "naive", []byte("y"))
+	expect("naive multicast", map[string]int{MethodDeliverBatch: 3})
+	for _, name := range []transport.Addr{"a2", "a3"} {
+		if got := f.members[name].history(); got != "op:x,naive:y" {
+			t.Fatalf("%s history = %q", name, got)
+		}
+	}
+}
+
+// TestNaiveItemsAreNotDeduplicated: a naive item is applied on arrival with
+// no dedup — two naive sends share a MsgID and both apply everywhere — while
+// an ordered item delivered twice under one MsgID applies once.
+func TestNaiveItemsAreNotDeduplicated(t *testing.T) {
+	f := newFixture(t, "a1", "a2")
+	ctx := context.Background()
+	NaiveMulticast(ctx, f.client(), f.grp, "op", []byte("a"))
+	NaiveMulticast(ctx, f.client(), f.grp, "op", []byte("b"))
+	for _, name := range f.grp.Members {
+		for i := 0; i < 2; i++ {
+			if _, err := deliverOne(ctx, f.client(), name, batchItem{MsgID: "ordered", Kind: "op", Payload: []byte("c"), Seq: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := f.members[name].history(); got != "op:a,op:b,op:c" {
+			t.Fatalf("%s history = %q, want both naive items and the ordered one once", name, got)
+		}
 	}
 }

@@ -6,16 +6,16 @@ import (
 )
 
 // Binary codecs (rpc.Wire) for the multicast wire frames: sequencing
-// requests, single deliveries and the batched deliver frames the
-// pipelined sequencer emits. Tags live in the 0x50–0x5f block of the
-// registry in internal/rpc/doc.go. All codecs are at version 1.
+// requests and the deliver frame that carries every delivery — a
+// sequencer round, or one naive message. Tags live in the 0x50–0x5f block
+// of the registry in internal/rpc/doc.go; 0x52 and 0x53, the retired
+// single-message Deliver codecs, are not reused. All codecs are at
+// version 1.
 const (
-	wireTagSequenceReq byte = 0x50 + iota
-	wireTagSequenceResp
-	wireTagDeliverReq
-	wireTagDeliverResp
-	wireTagDeliverBatchReq
-	wireTagDeliverBatchResp
+	wireTagSequenceReq      byte = 0x50
+	wireTagSequenceResp     byte = 0x51
+	wireTagDeliverBatchReq  byte = 0x54
+	wireTagDeliverBatchResp byte = 0x55
 )
 
 // sequenceReq
@@ -97,54 +97,6 @@ func (p *sequenceResp) ParseWire(_ byte, r *rpc.WireReader) error {
 		}
 	}
 	p.Failed = r.Strings()
-	return nil
-}
-
-// deliverReq
-
-// WireTag implements rpc.Wire.
-func (*deliverReq) WireTag() (byte, byte) { return wireTagDeliverReq, 1 }
-
-// WireSizeHint implements rpc.WireSizer.
-func (q *deliverReq) WireSizeHint() int {
-	return len(q.Group) + len(q.MsgID) + len(q.Kind) + len(q.Payload) + 40
-}
-
-// AppendWire implements rpc.Wire.
-func (q *deliverReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.Group)
-	dst = rpc.AppendString(dst, q.MsgID)
-	dst = rpc.AppendString(dst, q.Kind)
-	dst = rpc.AppendBytes(dst, q.Payload)
-	dst = rpc.AppendUvarint(dst, q.Seq)
-	return rpc.AppendUvarint(dst, q.Stable)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *deliverReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Group = r.String()
-	q.MsgID = r.String()
-	q.Kind = r.String()
-	q.Payload = r.Bytes()
-	q.Seq = r.Uvarint()
-	q.Stable = r.Uvarint()
-	return nil
-}
-
-// deliverResp
-
-// WireTag implements rpc.Wire.
-func (*deliverResp) WireTag() (byte, byte) { return wireTagDeliverResp, 1 }
-
-// WireSizeHint implements rpc.WireSizer.
-func (p *deliverResp) WireSizeHint() int { return len(p.Payload) + 8 }
-
-// AppendWire implements rpc.Wire.
-func (p *deliverResp) AppendWire(dst []byte) []byte { return rpc.AppendBytes(dst, p.Payload) }
-
-// ParseWire implements rpc.Wire.
-func (p *deliverResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Payload = r.Bytes()
 	return nil
 }
 

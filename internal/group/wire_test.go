@@ -23,8 +23,6 @@ func TestWireRoundTrip(t *testing.T) {
 			},
 			Failed: []string{"n3"},
 		}, &sequenceResp{}},
-		{&deliverReq{Group: "g1", MsgID: "m2", Kind: "invoke", Payload: []byte{3}, Seq: 5, Stable: 4}, &deliverReq{}},
-		{&deliverResp{Payload: []byte{8, 9}}, &deliverResp{}},
 		{&deliverBatchReq{
 			Group: "g1",
 			Items: []batchItem{
@@ -57,8 +55,7 @@ func TestWireRoundTrip(t *testing.T) {
 // TestWireTagsUnique catches accidental tag reuse inside this package's block.
 func TestWireTagsUnique(t *testing.T) {
 	types := []rpc.Wire{
-		&sequenceReq{}, &sequenceResp{}, &deliverReq{}, &deliverResp{},
-		&deliverBatchReq{}, &deliverBatchResp{},
+		&sequenceReq{}, &sequenceResp{}, &deliverBatchReq{}, &deliverBatchResp{},
 	}
 	seen := map[byte]string{}
 	for _, w := range types {

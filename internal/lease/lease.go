@@ -244,9 +244,6 @@ func NewLocal(cache *Cache, capacity int) *Local {
 	return &Local{cache: cache, cap: capacity, entries: make(map[uid.UID]*Entry)}
 }
 
-// Cache returns the underlying shared L2.
-func (l *Local) Cache() *Cache { return l.cache }
-
 // Get performs the layered lookup: L1 first, then the shared L2
 // (caching the pointer on an L2 hit). Returns the entry only while the
 // lease is valid at now.

@@ -18,10 +18,12 @@
 //     a committing server can Exclude failed store nodes while concurrent
 //     clients still hold read locks on the same entry.
 //
-// Owners are atomic actions. Nested actions follow Moss's rule: a lock may
-// be granted if every conflicting holder is an ancestor of the requester;
-// when a nested action commits, its locks are inherited by its parent and
-// released only when the top-level action completes.
+// Owners are top-level atomic actions: an action holds its locks until it
+// ends (ReleaseAll), and no lock is ever inherited. The Ancestry parameter
+// of New, with Moss's rule in the grant checks (a conflicting holder that
+// is the requester's ancestor does not block it), is kept only for the
+// constructor the benchmark pins, New(NoNesting); every caller passes
+// NoNesting, under which the rule never fires.
 //
 // Waiting is fair: blocked acquirers join a per-key FIFO queue and are
 // granted strictly in arrival order (no barging — a newly arriving
@@ -34,20 +36,20 @@
 // unordered list of holders (owner plus a count per mode) and the FIFO of
 // waiters. Owners hash to one of 16 shards, each a mutex over a map from
 // owner to the short list of keys it holds or waits on — what ReleaseAll
-// and Inherit walk. An entry whose last holder and waiter left, and a key
-// list whose owner ended, go to a small free list of their stripe or shard,
-// so the steady state — an action takes one to three uncontended locks and
+// walks. An entry whose last holder and waiter left, and a key list whose
+// owner ended, go to a small free list of their stripe or shard, so the
+// steady state — an action takes one to three uncontended locks and
 // releases them together — allocates nothing. Lists, not maps, because they
 // hold one to a handful of items: a scan is cheaper than a hash and needs
 // no allocation to grow from empty.
 //
-// Whole-owner operations are not atomic across stripes: they take the
-// owner's key list under its shard lock, drop that lock, and visit each
-// key's stripe in turn (an owner shard may be locked while holding a
-// stripe, never the reverse). One lock over both indexes would put every
-// action in the system on a common mutex to protect against something that
-// does not happen: ReleaseAll and Inherit run when the owning action has
-// ended, and an ended action issues no acquires.
+// ReleaseAll, the one whole-owner operation, is not atomic across stripes:
+// it takes the owner's key list under its shard lock, drops that lock, and
+// visits each key's stripe in turn (an owner shard may be locked while
+// holding a stripe, never the reverse). One lock over both indexes would
+// put every action in the system on a common mutex to protect against
+// something that does not happen: ReleaseAll runs when the owning action
+// has ended, and an ended action issues no acquires.
 package lockmgr
 
 import (
@@ -603,44 +605,6 @@ func (m *Manager) ReleaseAll(owner Owner) {
 			m.grantWaitersLocked(e, key)
 			st.gcLocked(e, key)
 		}
-		st.mu.Unlock()
-	}
-}
-
-// Inherit transfers all locks held by child to parent — nested-action
-// commit. If the parent already holds locks on a key the counts merge.
-// The child's key set is snapshotted first; the child must no longer be
-// acquiring (it has committed).
-func (m *Manager) Inherit(child, parent Owner) {
-	var buf [4]string
-	for _, key := range m.takeKeys(child, buf[:0]) {
-		st := m.stripeOf(key)
-		st.mu.Lock()
-		e := st.entries[key]
-		if e == nil {
-			st.mu.Unlock()
-			continue
-		}
-		ch := e.holder(child)
-		if ch == nil {
-			st.mu.Unlock()
-			continue
-		}
-		if ph := e.holder(parent); ph != nil {
-			for mode, n := range ch.counts {
-				ph.counts[mode] += n
-			}
-			e.dropHolder(child)
-		} else {
-			ch.owner = parent // the child's record becomes the parent's
-		}
-		m.indexKey(parent, key)
-		// Inheritance can change the effective holder set (e.g. child and
-		// parent both held read; merging may not wake anyone, but entries
-		// with the child as sole blocker now have the parent — ancestry
-		// relations differ), so re-evaluate the wait queue.
-		m.grantWaitersLocked(e, key)
-		st.gcLocked(e, key)
 		st.mu.Unlock()
 	}
 }

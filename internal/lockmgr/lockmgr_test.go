@@ -283,24 +283,6 @@ func TestMossRuleChildAcquiresUnderParent(t *testing.T) {
 	}
 }
 
-func TestInheritMergesToParent(t *testing.T) {
-	m := New(pathAncestry{})
-	if err := m.Acquire(context.Background(), "p/c", "k", Write); err != nil {
-		t.Fatal(err)
-	}
-	m.Inherit("p/c", "p")
-	if !m.Holds("p", "k", Write) {
-		t.Fatal("parent should hold after inherit")
-	}
-	if m.Holds("p/c", "k", Read) {
-		t.Fatal("child should hold nothing after inherit")
-	}
-	// A new child of p can still get the lock (parent is ancestor).
-	if err := m.TryAcquire("p/c2", "k", Write); err != nil {
-		t.Fatalf("new child: %v", err)
-	}
-}
-
 func TestHoldsSemantics(t *testing.T) {
 	m := New(nil)
 	if err := m.Acquire(context.Background(), "a", "k", Write); err != nil {
@@ -491,35 +473,6 @@ func TestStripedPromotionContentionOneKey(t *testing.T) {
 	}
 	if excludeWins.Load() != 1 {
 		t.Fatalf("read→exclude-write promoted %d times, want exactly 1", excludeWins.Load())
-	}
-}
-
-func TestStripedInheritAcrossStripes(t *testing.T) {
-	// A child holding locks on keys that hash to different stripes must
-	// inherit them all to the parent atomically enough that the parent can
-	// release everything afterwards.
-	anc := AncestryFunc(func(a, d Owner) bool {
-		return len(a) < len(d) && strings.HasPrefix(string(d), string(a)+"/")
-	})
-	m := New(anc)
-	ctx := context.Background()
-	const keys = 64
-	for k := 0; k < keys; k++ {
-		if err := m.Acquire(ctx, "top/child", fmt.Sprintf("k%d", k), Write); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.Inherit("top/child", "top")
-	for k := 0; k < keys; k++ {
-		if !m.Holds("top", fmt.Sprintf("k%d", k), Write) {
-			t.Fatalf("k%d not inherited", k)
-		}
-	}
-	m.ReleaseAll("top")
-	for k := 0; k < keys; k++ {
-		if err := m.TryAcquire("stranger", fmt.Sprintf("k%d", k), Write); err != nil {
-			t.Fatalf("k%d not released after inherit+release-all: %v", k, err)
-		}
 	}
 }
 

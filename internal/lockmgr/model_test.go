@@ -96,7 +96,7 @@ func TestLockTableAgainstModel(t *testing.T) {
 			t.Helper()
 			t.Fatalf("seed %d step %d (%s %s %s): "+format, append([]any{seed, step, owner, key, mode}, args...)...)
 		}
-		switch op := rng.Intn(8); op {
+		switch op := rng.Intn(7); op {
 		case 0, 1: // acquire: blocking where it cannot block, else Try
 			want := model.grantable(key, owner, mode)
 			var err error
@@ -136,16 +136,7 @@ func TestLockTableAgainstModel(t *testing.T) {
 				delete(model[k], owner)
 			}
 			m.ReleaseAll(owner)
-		case 6: // the nested action commits into its parent
-			for _, k := range keys {
-				child, parent := model.counts(k, "a/1"), model.counts(k, "a")
-				for md := range child {
-					parent[md] += child[md]
-				}
-				delete(model[k], "a/1")
-			}
-			m.Inherit("a/1", "a")
-		case 7:
+		case 6:
 			c := model.counts(key, owner)
 			want := strongestOf(c) >= mode
 			if mode == ExcludeWrite {

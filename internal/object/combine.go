@@ -115,15 +115,3 @@ func (c *combiner) takeAll() []*pendingOp {
 	c.queue = nil
 	return q
 }
-
-// pop claims the queue head.
-func (c *combiner) pop() *pendingOp {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.queue) == 0 {
-		return nil
-	}
-	op := c.queue[0]
-	c.queue = c.queue[1:]
-	return op
-}

@@ -189,9 +189,6 @@ func (m *Manager) LockGranted(wait time.Duration) {
 	m.stats.Histogram("objsrv.lock.wait_ms").RecordDuration(wait)
 }
 
-// Node returns the manager's node.
-func (m *Manager) Node() *sim.Node { return m.node }
-
 // table returns the node's instance table, creating it on first use in
 // this incarnation. Get-or-create is one step at the node: two first
 // callers racing on a fresh or just-recovered node must agree on the table,

@@ -5,6 +5,8 @@ package placement
 import (
 	"context"
 	"testing"
+
+	"repro/internal/uid"
 )
 
 // TestWarmResolveAllocs pins the bind path's placement cost: a resolution
@@ -14,7 +16,7 @@ func TestWarmResolveAllocs(t *testing.T) {
 	c, _, _ := newReplicatedWorld(t)
 	cli := NewClient(c.Node("p1").Client(), "p1", "p2", "p3")
 	ctx, id := context.Background(), testUID(t, 9)
-	if _, err := cli.Assign(ctx, id, 2); err != nil {
+	if _, err := cli.AssignBatch(ctx, []uid.UID{id}, 2); err != nil {
 		t.Fatal(err)
 	}
 	resolve := func() {

@@ -83,10 +83,8 @@ func (b *Binder) Bind(ctx context.Context, act *action.Action, id uid.UID) (*cor
 	return b.shardBinder(fresh).Bind(ctx, act, id)
 }
 
-// ShardBinder returns the per-shard core.Binder for a shard, creating it
+// shardBinder returns the per-shard core.Binder for a shard, creating it
 // on first use.
-func (b *Binder) ShardBinder(info ShardInfo) *core.Binder { return b.shardBinder(info) }
-
 func (b *Binder) shardBinder(info ShardInfo) *core.Binder {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -117,7 +117,6 @@ const ServiceName = "placement"
 // Placement RPC methods.
 const (
 	MethodLookup      = "Lookup"
-	MethodAssign      = "Assign"
 	MethodAssignBatch = "AssignBatch"
 	MethodTable       = "Table"
 	MethodSync        = "Sync"  // primary → replica override push
@@ -214,21 +213,6 @@ func newReplica(node *sim.Node, primary transport.Addr, peers []transport.Addr, 
 		}
 		shard, epoch := s.Lookup(id)
 		return LookupResp{Shard: shard, Epoch: epoch}, nil
-	}))
-	srv.Handle(ServiceName, MethodAssign, rpc.Method(func(ctx context.Context, from transport.Addr, req AssignReq) (AssignResp, error) {
-		if !s.IsPrimary() {
-			return AssignResp{}, rpc.Errorf(CodeNotPrimary, "placement writes go through %s", s.primary)
-		}
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return AssignResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		epoch, err := s.Assign(id, req.Shard)
-		if err != nil {
-			return AssignResp{}, err
-		}
-		s.syncPeers(ctx, []SyncRec{{UID: req.UID, Shard: req.Shard, Epoch: epoch}})
-		return AssignResp{Epoch: epoch}, nil
 	}))
 	srv.Handle(ServiceName, MethodAssignBatch, rpc.Method(func(ctx context.Context, from transport.Addr, req AssignBatchReq) (AssignBatchResp, error) {
 		if !s.IsPrimary() {
@@ -342,19 +326,6 @@ func (s *Service) Lookup(id uid.UID) (int, uint64) {
 	return s.ring.Lookup(id.String()), s.epochs[id]
 }
 
-// Assign records an explicit object → shard override and bumps the
-// object's epoch, invalidating every cached resolution.
-func (s *Service) Assign(id uid.UID, shard int) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.shards[shard]; !ok {
-		return 0, rpc.Errorf(rpc.CodeInternal, "placement: unknown shard %d", shard)
-	}
-	s.overrides[id] = shard
-	s.epochs[id]++
-	return s.epochs[id], nil
-}
-
 // AssignBatch records overrides for a whole batch of objects in one
 // critical section — a bulk rebalance flips every mapping atomically with
 // respect to lookups, so a concurrent client sees either the old or the
@@ -397,15 +368,6 @@ type LookupResp struct {
 	Shard int
 	Epoch uint64
 }
-
-// AssignReq records an explicit object → shard override.
-type AssignReq struct {
-	UID   string
-	Shard int
-}
-
-// AssignResp carries the object's new placement epoch.
-type AssignResp struct{ Epoch uint64 }
 
 // AssignRec is one object of a batch assignment.
 type AssignRec struct{ UID string }
@@ -599,20 +561,6 @@ func (c *Client) loadTable(ctx context.Context) (map[int]ShardInfo, error) {
 	return c.table, nil
 }
 
-// Table returns the shard table as a list sorted by shard ID.
-func (c *Client) Table(ctx context.Context) ([]ShardInfo, error) {
-	cached, err := c.loadTable(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ShardInfo, 0, len(cached))
-	for _, s := range cached {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
-}
-
 // Shard returns one shard's description by ID: a look-up in the cached
 // table, which is fetched only while the cache is cold.
 func (c *Client) Shard(ctx context.Context, id int) (ShardInfo, error) {
@@ -659,22 +607,6 @@ func (c *Client) Refresh(ctx context.Context, id uid.UID) (ShardInfo, uint64, er
 	c.mu.Unlock()
 	info, err := c.Shard(ctx, resp.Shard)
 	return info, resp.Epoch, err
-}
-
-// Assign records an explicit override at the service and updates the
-// local cache.
-func (c *Client) Assign(ctx context.Context, id uid.UID, shard int) (uint64, error) {
-	resp, err := rpc.Invoke[AssignReq, AssignResp](ctx, c.RPC, c.primary(), ServiceName, MethodAssign, AssignReq{UID: id.String(), Shard: shard})
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	if c.cache == nil {
-		c.cache = make(map[uid.UID]cachedPlacement)
-	}
-	c.cache[id] = cachedPlacement{shard: shard, epoch: resp.Epoch}
-	c.mu.Unlock()
-	return resp.Epoch, nil
 }
 
 // AssignBatch records overrides for a batch of objects in one RPC and one

@@ -77,25 +77,25 @@ func TestServiceOverridesAndEpochs(t *testing.T) {
 	if ringShard == 1 {
 		other = 2
 	}
-	e1, err := svc.Assign(id, other)
+	e1, err := svc.AssignBatch([]uid.UID{id}, other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1 != 1 {
+	if e1[0] != 1 {
 		t.Fatalf("first assign epoch = %d, want 1", e1)
 	}
 	got, epoch := svc.Lookup(id)
 	if got != other || epoch != 1 {
 		t.Fatalf("after assign: shard=%d epoch=%d, want shard=%d epoch=1", got, epoch, other)
 	}
-	if _, err := svc.Assign(id, 99); err == nil {
+	if _, err := svc.AssignBatch([]uid.UID{id}, 99); err == nil {
 		t.Fatal("assign to unknown shard should fail")
 	}
-	e2, err := svc.Assign(id, ringShard)
+	e2, err := svc.AssignBatch([]uid.UID{id}, ringShard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2 != 2 {
+	if e2[0] != 2 {
 		t.Fatalf("second assign epoch = %d, want 2", e2)
 	}
 }

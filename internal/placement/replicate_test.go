@@ -36,12 +36,12 @@ func TestReplicatedWritesSyncToPeers(t *testing.T) {
 	c, svcs, _ := newReplicatedWorld(t)
 	cli := NewClient(c.Node("p1").Client(), "p1", "p2", "p3")
 	id := testUID(t, 1)
-	epoch, err := cli.Assign(context.Background(), id, 2)
+	epochs, err := cli.AssignBatch(context.Background(), []uid.UID{id}, 2)
 	if err != nil {
 		t.Fatalf("assign: %v", err)
 	}
-	if epoch != 1 {
-		t.Fatalf("epoch = %d, want 1", epoch)
+	if epochs[0] != 1 {
+		t.Fatalf("epoch = %d, want 1", epochs[0])
 	}
 	for i, s := range svcs {
 		shard, e := s.Lookup(id)
@@ -56,7 +56,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	// A client (mis)configured with a replica as its first node gets a
 	// typed refusal, not silent divergence.
 	cli := NewClient(c.Node("p1").Client(), "p2", "p1", "p3")
-	_, err := cli.Assign(context.Background(), testUID(t, 2), 1)
+	_, err := cli.AssignBatch(context.Background(), []uid.UID{testUID(t, 2)}, 1)
 	if rpc.CodeOf(err) != CodeNotPrimary {
 		t.Fatalf("err = %v, want code %s", err, CodeNotPrimary)
 	}
@@ -121,7 +121,7 @@ func TestCatchUpAfterReplicaCrash(t *testing.T) {
 
 	// Replica p3 misses two writes while down.
 	nodes[2].Crash()
-	if _, err := cli.Assign(context.Background(), id1, 2); err != nil {
+	if _, err := cli.AssignBatch(context.Background(), []uid.UID{id1}, 2); err != nil {
 		t.Fatalf("assign: %v", err)
 	}
 	if _, err := cli.AssignBatch(context.Background(), []uid.UID{id2}, 1); err != nil {

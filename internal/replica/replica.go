@@ -17,10 +17,11 @@
 //     broken until the action terminates.
 //
 // A Handle is the per-action client-side facade over the bound servers
-// (the set Sv_A' of §3.2). It is an action.Participant: at commit time the
-// bound servers copy the object's new state to every functioning node in
-// St_A, and the Handle records which St nodes failed so the naming and
-// binding layer can Exclude them (§4.2).
+// (the set Sv_A' of §3.2). It implements action.Participant for the binding
+// that owns it (core.Binding), which enlists itself and drives the handle's
+// Prepare/Commit/Abort: at commit time the bound servers copy the object's
+// new state to every functioning node in St_A, and the Handle records which
+// St nodes failed so the naming and binding layer can Exclude them (§4.2).
 package replica
 
 import (
@@ -187,10 +188,6 @@ type Handle struct {
 	// queueWaitNanos records the longest server-side lock/combiner wait
 	// observed across this handle's invocations.
 	queueWaitNanos int64
-	// noAutoEnlist suppresses self-enlistment in Invoke; set by callers
-	// that compose the handle into a larger participant (the naming and
-	// binding layer wraps it to add Exclude/Remove processing).
-	noAutoEnlist bool
 	// lastGrant holds the most recent read lease granted across this
 	// handle's invocations (nil when none).
 	lastGrant *object.LeaseGrant
@@ -233,9 +230,6 @@ func sorted(set map[transport.Addr]bool) []transport.Addr {
 	slices.Sort(out)
 	return out
 }
-
-// Policy returns the handle's replication policy.
-func (h *Handle) Policy() Policy { return h.cfg.Policy }
 
 // UIDString returns the bound object's UID in canonical form.
 func (h *Handle) UIDString() string { return h.uid }
@@ -367,15 +361,10 @@ func (h *Handle) PreparedStores() []transport.Addr {
 	return sorted(h.preparedStores)
 }
 
-// Invoke performs one operation under act. The handle enlists itself as
-// the action's participant on first use, so commit/abort processing runs
-// automatically with the action's two-phase commit.
+// Invoke performs one operation under act.
 func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, args []byte) ([]byte, error) {
-	if !h.enlistOnce(act) {
-		return nil, fmt.Errorf("replica %v: enlist in %s: action not running", h.cfg.UID, act.ID())
-	}
 	h.dropCarried()
-	owner := act.Top().ID()
+	owner := act.ID()
 	switch h.cfg.Policy {
 	case Active:
 		return h.invokeActive(ctx, owner, method, args)
@@ -431,10 +420,7 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 		res, err := h.Invoke(ctx, act, method, args)
 		return res, false, err
 	}
-	if !h.enlistOnce(act) {
-		return nil, false, fmt.Errorf("replica %v: enlist in %s: action not running", h.cfg.UID, act.ID())
-	}
-	owner := act.Top().ID()
+	owner := act.ID()
 	var resp object.InvokeResp
 	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
 		carry := object.CarryNone
@@ -548,11 +534,8 @@ func (h *Handle) QueueWait() time.Duration {
 // leases are a single-copy-passive feature and active replication never
 // carries, so the coordinator is the one server whose version can advance.
 func (h *Handle) CheckSeq(ctx context.Context, act *action.Action) (uint64, error) {
-	if !h.enlistOnce(act) {
-		return 0, fmt.Errorf("replica %v: enlist in %s: action not running", h.cfg.UID, act.ID())
-	}
 	h.dropCarried()
-	owner := act.Top().ID()
+	owner := act.ID()
 	var seq uint64
 	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
 		seq, err = ref.LeaseCheck(ctx, owner)
@@ -573,29 +556,6 @@ func (h *Handle) LeaseGrant() (object.LeaseGrant, bool) {
 	g := *h.lastGrant
 	h.lastGrant = nil
 	return g, true
-}
-
-// DisableAutoEnlist stops Invoke from enlisting the handle into the
-// action; the caller then drives Prepare/Commit/Abort itself (directly or
-// via a composing participant).
-func (h *Handle) DisableAutoEnlist() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.noAutoEnlist = true
-}
-
-func (h *Handle) enlistOnce(act *action.Action) bool {
-	h.mu.Lock()
-	skip := h.noAutoEnlist
-	h.mu.Unlock()
-	if skip {
-		return true
-	}
-	top := act.Top()
-	if !top.StashOnce("replica:"+h.uid, h) {
-		return true
-	}
-	return top.Enlist(h) == nil
 }
 
 // invokeCoordinator drives single-copy-passive and coordinator-cohort

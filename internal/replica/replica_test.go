@@ -86,6 +86,17 @@ func (w *world) handle(t *testing.T, p Policy) *Handle {
 	return h
 }
 
+// begin starts a top-level action with h enlisted as its participant, as a
+// core.Binding enlists itself for the handle it drives.
+func (w *world) begin(t *testing.T, h *Handle) *action.Action {
+	t.Helper()
+	a := w.mgr.BeginTop()
+	if err := a.Enlist(h); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func (w *world) storeValue(t *testing.T, st transport.Addr) (string, uint64) {
 	t.Helper()
 	v, err := w.cluster.Node(st).Store().Read(w.id)
@@ -117,7 +128,7 @@ func TestSingleCopyPassiveCommitCheckpointsAllStores(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	res, err := h.Invoke(ctx, a, "add", []byte("7"))
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +154,7 @@ func TestSingleCopyAbortLeavesStores(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("7")); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +178,7 @@ func TestSingleCopyServerCrashAbortsAction(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +203,7 @@ func TestActiveReplicationMasksServerCrash(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +238,7 @@ func TestActiveReplicationAllCrashAborts(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +257,7 @@ func TestActiveReplicasConverge(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	for i := 0; i < 4; i++ {
 		if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
 			t.Fatal(err)
@@ -257,12 +268,12 @@ func TestActiveReplicasConverge(t *testing.T) {
 	}
 	// Both replicas report the same committed value.
 	for _, sv := range w.svs {
-		a2 := w.mgr.BeginTop()
 		h2 := w.handle(t, SingleCopyPassive)
 		h2.cfg.Servers = []transport.Addr{sv}
 		if err := h2.Activate(ctx); err != nil {
 			t.Fatal(err)
 		}
+		a2 := w.begin(t, h2)
 		got, err := h2.Invoke(ctx, a2, "get", nil)
 		if err != nil || string(got) != "4" {
 			t.Fatalf("%s value = %q %v", sv, got, err)
@@ -282,7 +293,7 @@ func TestCommitTimeStoreFailureRecordedForExclude(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("5")); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +319,7 @@ func TestAllStoresDownAbortsAction(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("5")); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +344,7 @@ func TestCoordinatorCohortCheckpointAndFailover(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("9")); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +361,7 @@ func TestCoordinatorCohortCheckpointAndFailover(t *testing.T) {
 	if err := h2.Activate(ctx); err != nil {
 		t.Fatalf("cohort activation should not need the store: %v", err)
 	}
-	a2 := w.mgr.BeginTop()
+	a2 := w.begin(t, h2)
 	got, err := h2.Invoke(ctx, a2, "get", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +381,7 @@ func TestCoordinatorCrashMidActionAborts(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("3")); err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +406,7 @@ func TestReadOnlyActionNoStoreTraffic(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "get", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +451,7 @@ func TestMutualConsistencyOfStoresAfterMixedFailures(t *testing.T) {
 		if err := h.Activate(ctx); err != nil {
 			t.Fatal(err)
 		}
-		a := w.mgr.BeginTop()
+		a := w.begin(t, h)
 		if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +505,7 @@ func TestOnePhaseReplyLostResolvedByReprepare(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("7")); err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +536,7 @@ func TestOnePhaseReplyLostThenCrashReportsOutcomeUnknown(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("7")); err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +594,7 @@ func TestFirstInvokeWalksPastDefiniteFailures(t *testing.T) {
 			if got := h.Bound(); len(got) != 1 || got[0] != "sv1" {
 				t.Fatalf("bound before the first request = %v, want the first candidate", got)
 			}
-			a := w.mgr.BeginTop()
+			a := w.begin(t, h)
 			res, err := h.Invoke(ctx, a, "add", []byte("7"))
 			if err != nil || string(res) != "7" {
 				t.Fatalf("first invoke = %q, %v", res, err)
@@ -618,8 +629,9 @@ func TestFailoverReadIsNotServedALeftBehindCopy(t *testing.T) {
 	ctx := context.Background()
 	add := func(delta string) {
 		t.Helper()
-		a := w.mgr.BeginTop()
-		if _, err := w.handle(t, SingleCopyPassive).Invoke(ctx, a, "add", []byte(delta)); err != nil {
+		h := w.handle(t, SingleCopyPassive)
+		a := w.begin(t, h)
+		if _, err := h.Invoke(ctx, a, "add", []byte(delta)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := a.Commit(ctx); err != nil {
@@ -628,8 +640,9 @@ func TestFailoverReadIsNotServedALeftBehindCopy(t *testing.T) {
 	}
 	read := func() string {
 		t.Helper()
-		a := w.mgr.BeginTop()
-		res, err := w.handle(t, SingleCopyPassive).Invoke(ctx, a, "get", nil)
+		h := w.handle(t, SingleCopyPassive)
+		a := w.begin(t, h)
+		res, err := h.Invoke(ctx, a, "get", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -661,7 +674,7 @@ func TestFirstInvokeAllCandidatesDown(t *testing.T) {
 	w.cluster.Node("sv1").Crash()
 	w.cluster.Node("sv2").Crash()
 	h := w.handle(t, SingleCopyPassive)
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	_, err := h.Invoke(context.Background(), a, "add", []byte("1"))
 	if !errors.Is(err, ErrNoServers) || !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrNoServers wrapping ErrUnreachable", err)
@@ -686,7 +699,7 @@ func TestFirstInvokeReplyLostAbortsWithoutFailover(t *testing.T) {
 		w := newWorld(t, 2, 1)
 		ctx := context.Background()
 		h := w.handle(t, SingleCopyPassive)
-		a := w.mgr.BeginTop()
+		a := w.begin(t, h)
 		if lostOn == "later" {
 			if _, err := h.Invoke(ctx, a, "get", nil); err != nil {
 				t.Fatal(err)
@@ -729,10 +742,7 @@ func TestBoundNeverInvokedCommitsWithoutAServer(t *testing.T) {
 		if err := h.Activate(ctx); err != nil {
 			t.Fatal(err)
 		}
-		a := w.mgr.BeginTop()
-		if err := a.Enlist(h); err != nil {
-			t.Fatal(err)
-		}
+		a := w.begin(t, h)
 		if !commit {
 			if err := a.Abort(ctx); err != nil {
 				t.Fatal(err)
@@ -775,7 +785,7 @@ func TestCommitWaitsOutLeaseClockWhenFallbackCoordinatorDies(t *testing.T) {
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -814,7 +824,7 @@ func TestInvokeSoloCarriesTheCombinedRound(t *testing.T) {
 	ctx := context.Background()
 	calls := w.objsrvCalls()
 	h := w.handle(t, SingleCopyPassive)
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	out, batched, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false)
 	if err != nil || batched || string(out) != "7" {
 		t.Fatalf("InvokeSolo = %q, %v, %v", out, batched, err)
@@ -846,7 +856,7 @@ func TestInvokeSoloCarriesThePrepare(t *testing.T) {
 	ctx := context.Background()
 	calls := w.objsrvCalls()
 	h := w.handle(t, SingleCopyPassive)
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false); err != nil {
 		t.Fatal(err)
 	}
@@ -881,7 +891,7 @@ func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
 	w := newWorld(t, 1, 1)
 	ctx := context.Background()
 	h := w.handle(t, SingleCopyPassive)
-	warm := w.mgr.BeginTop()
+	warm := w.begin(t, h)
 	if _, _, err := h.InvokeSolo(ctx, warm, "get", nil, true); err != nil { // activates sv1 while st1 is up
 		t.Fatal(err)
 	}
@@ -890,7 +900,7 @@ func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
 	}
 	w.cluster.Node("st1").Crash()
 	h = w.handle(t, SingleCopyPassive)
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if out, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false); err != nil || string(out) != "7" {
 		t.Fatalf("InvokeSolo = %q, %v; the vote's refusal is not the invocation's", out, err)
 	}
@@ -911,7 +921,7 @@ func TestInvokeSoloReplyLostIsInDoubtNotBroken(t *testing.T) {
 	ctx := context.Background()
 	w.cluster.Faults().DropReplies(1, transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke))
 	h := w.handle(t, SingleCopyPassive)
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	_, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false)
 	if !errors.Is(err, action.ErrOutcomeUnknown) || errors.Is(err, ErrNoServers) {
 		t.Fatalf("err = %v, want a doubt and no ErrNoServers", err)
@@ -942,7 +952,7 @@ func TestInvokeSoloCohortCheckpointsInTheSameRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := w.objsrvCalls()
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("9"), false); err != nil {
 		t.Fatal(err)
 	}
@@ -969,7 +979,7 @@ func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
 		ctx := context.Background()
 		calls := w.objsrvCalls()
 		h := w.handle(t, SingleCopyPassive)
-		a := w.mgr.BeginTop()
+		a := w.begin(t, h)
 		out, _, err := h.InvokeSolo(ctx, a, "get", nil, true)
 		if err != nil || string(out) != "0" {
 			t.Fatalf("%d stores: InvokeSolo(get) = %q, %v", stores, out, err)
@@ -992,7 +1002,7 @@ func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
 		}
 
 		h = w.handle(t, SingleCopyPassive)
-		a = w.mgr.BeginTop()
+		a = w.begin(t, h)
 		if _, _, err := h.InvokeSolo(ctx, a, "get", nil, true); err != nil {
 			t.Fatal(err)
 		}
@@ -1028,7 +1038,7 @@ func TestInvokeSoloReadOnlyReplyLostBreaksTheBinding(t *testing.T) {
 	ctx := context.Background()
 	w.cluster.Faults().DropReplies(1, transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke))
 	h := w.handle(t, SingleCopyPassive)
-	a := w.mgr.BeginTop()
+	a := w.begin(t, h)
 	_, _, err := h.InvokeSolo(ctx, a, "get", nil, true)
 	if !errors.Is(err, ErrNoServers) || errors.Is(err, action.ErrOutcomeUnknown) {
 		t.Fatalf("err = %v, want ErrNoServers and no doubt", err)

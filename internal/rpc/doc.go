@@ -56,6 +56,10 @@
 //	0x50–0x5f  internal/group   (multicast sequence/deliver frames)
 //	0x60–0x6f  internal/lease   (read-lease invalidation records)
 //
+// A retired tag is never reused: a peer still running the old codec must
+// see a tag mismatch, not a misparse. Retired so far: 0x52 and 0x53, the
+// group's single-message Deliver request and reply.
+//
 // # Response framing
 //
 // The response framing is a hand-rolled length-prefixed record rather

@@ -168,9 +168,6 @@ func DiskFactory(dir string, opts DiskOptions) Factory {
 	return func() (Backend, error) { return OpenDisk(dir, opts) }
 }
 
-// Dir returns the backend's directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // TruncatedAtOpen returns how many torn-tail bytes the open discarded.
 func (d *Disk) TruncatedAtOpen() int64 {
 	d.mu.Lock()

@@ -177,7 +177,7 @@ func (t *Txn) noted(ctx context.Context) context.Context {
 	return rpc.ContextWithNotes(ctx, t.notes)
 }
 
-// ID returns the underlying action's hierarchical identifier.
+// ID returns the underlying action's identifier.
 func (t *Txn) ID() string { return t.act.ID() }
 
 // Object returns a handle on the identified persistent object. The handle
