@@ -50,7 +50,7 @@ func main() {
 }
 
 func run() error {
-	shards := flag.Int("shards", 1, "number of shards (1 = classic single-group deployment)")
+	shards := flag.Int("shards", 1, "number of shards (1 = one group, resolved from a one-row placement table with no placement node)")
 	servers := flag.Int("servers", 2, "number of object-server nodes (per shard when sharded)")
 	stores := flag.Int("stores", 2, "number of object-store nodes (per shard when sharded)")
 	schemeName := flag.String("scheme", "independent", "db access scheme: standard | independent | nested")

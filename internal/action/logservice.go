@@ -20,7 +20,7 @@ const LogMethodLookup = "Lookup"
 type LookupReq struct{ Tx string }
 
 // LookupResp carries an outcome.
-type LookupResp struct{ Outcome int }
+type LookupResp struct{ Outcome store.Outcome }
 
 // RegisterLogService exposes log lookups over RPC so that recovering store
 // nodes can resolve their pending intentions (presumed abort). Pass the
@@ -30,7 +30,7 @@ type LookupResp struct{ Outcome int }
 // not-yet-written record for an affirmative abort.
 func RegisterLogService(srv *rpc.Server, log store.OutcomeLog) {
 	srv.Handle(LogServiceName, LogMethodLookup, rpc.Method(func(ctx context.Context, from transport.Addr, req LookupReq) (LookupResp, error) {
-		return LookupResp{Outcome: int(log.Lookup(req.Tx))}, nil
+		return LookupResp{Outcome: log.Lookup(req.Tx)}, nil
 	}))
 }
 
@@ -53,7 +53,7 @@ func (r RemoteLog) Lookup(tx string) store.Outcome {
 	if err != nil {
 		return store.OutcomeUnavailable
 	}
-	return store.Outcome(resp.Outcome)
+	return resp.Outcome
 }
 
 // TxOrigin extracts the coordinator origin from an action identifier as

@@ -4,7 +4,7 @@
 // users while CI stayed green. The benchmark (bench/) is its own module,
 // which `go build ./... && go test ./...` never enters, so it is vetted
 // from here too. It also checks README's census of the facade's options
-// against the source.
+// against the source, and that RPC payloads keep to one codec.
 package buildcheck
 
 import (
@@ -12,6 +12,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -129,5 +130,43 @@ func TestEveryOptionHasAReadmeRow(t *testing.T) {
 		if !rows[name] {
 			t.Errorf("%s has no row in README's Options table (name | set outside tests by | justified by)", name)
 		}
+	}
+}
+
+// TestNoGobOutsideExamples keeps the RPC layer to one codec: every payload
+// is an rpc.Wire record, so no package outside examples/ — whose directory
+// example serialises its own object state — imports encoding/gob.
+func TestNoGobOutsideExamples(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			// Dot directories hold version control and build caches, not
+			// the module's packages.
+			if rel == "examples" || d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob: RPC payloads are rpc.Wire records, and nothing outside examples/ needs gob", rel)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

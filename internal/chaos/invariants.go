@@ -235,8 +235,8 @@ func (r *runner) checkInvariants() []string {
 		}
 		primary := ""
 		for i, addr := range r.w.PlaceAddrs {
-			resp, err := rpc.Invoke[placement.StateReq, placement.StateResp](
-				ctx, pcli, addr, placement.ServiceName, placement.MethodState, placement.StateReq{})
+			resp, err := rpc.Invoke[rpc.Empty, placement.StateResp](
+				ctx, pcli, addr, placement.ServiceName, placement.MethodState, rpc.Empty{})
 			if err != nil {
 				bad("placement replica %s unreachable after quiesce: %v", addr, err)
 				continue

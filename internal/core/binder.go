@@ -296,21 +296,6 @@ func (b *Binder) Bind(ctx context.Context, act *action.Action, id uid.UID) (*Bin
 	}
 }
 
-// BeginTop starts a new top-level client action. Exposed so callers can
-// program against ActionBinder without reaching into the Actions manager.
-func (b *Binder) BeginTop() *action.Action { return b.Actions.BeginTop() }
-
-// ActionBinder is the client-facing surface a workload needs: begin a
-// top-level action and bind objects inside it. Both the single-group
-// Binder and the shard-aware placement binder implement it, so harness
-// workloads and the pkg/arjuna facade run unchanged over either.
-type ActionBinder interface {
-	BeginTop() *action.Action
-	Bind(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error)
-}
-
-var _ ActionBinder = (*Binder)(nil)
-
 // txDBState is the per-(action, database) end-of-action guard, shared by
 // every binding of one client action: EndAction for the action's database
 // state must run exactly once, with the action's outcome.

@@ -42,16 +42,16 @@ const (
 )
 
 // NameGetReq fetches the server list for an object.
-type NameGetReq struct{ UID string }
+type NameGetReq struct{ UID uid.UID }
 
 // NameGetResp carries the server list.
-type NameGetResp struct{ Nodes []string }
+type NameGetResp struct{ Nodes []transport.Addr }
 
 // NameUpdateReq mutates the server list.
 type NameUpdateReq struct {
-	UID   string
-	Host  string
-	Nodes []string // Set only
+	UID   uid.UID
+	Host  transport.Addr
+	Nodes []transport.Addr // Set only
 }
 
 // NewNameServer installs a non-atomic name server on node.
@@ -59,35 +59,19 @@ func NewNameServer(node *sim.Node) *NameServer {
 	ns := &NameServer{entries: make(map[uid.UID][]transport.Addr)}
 	srv := node.Server()
 	srv.Handle(NameServiceName, NameMethodGet, rpc.Method(func(ctx context.Context, from transport.Addr, req NameGetReq) (NameGetResp, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return NameGetResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		return NameGetResp{Nodes: fromAddrs(ns.Get(id))}, nil
+		return NameGetResp{Nodes: ns.Get(req.UID)}, nil
 	}))
-	srv.Handle(NameServiceName, NameMethodSet, rpc.Method(func(ctx context.Context, from transport.Addr, req NameUpdateReq) (Ack, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		ns.Set(id, toAddrs(req.Nodes))
-		return Ack{}, nil
+	srv.Handle(NameServiceName, NameMethodSet, rpc.Method(func(ctx context.Context, from transport.Addr, req NameUpdateReq) (rpc.Empty, error) {
+		ns.Set(req.UID, req.Nodes)
+		return rpc.Empty{}, nil
 	}))
-	srv.Handle(NameServiceName, NameMethodInsert, rpc.Method(func(ctx context.Context, from transport.Addr, req NameUpdateReq) (Ack, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		ns.Insert(id, transport.Addr(req.Host))
-		return Ack{}, nil
+	srv.Handle(NameServiceName, NameMethodInsert, rpc.Method(func(ctx context.Context, from transport.Addr, req NameUpdateReq) (rpc.Empty, error) {
+		ns.Insert(req.UID, req.Host)
+		return rpc.Empty{}, nil
 	}))
-	srv.Handle(NameServiceName, NameMethodRemove, rpc.Method(func(ctx context.Context, from transport.Addr, req NameUpdateReq) (Ack, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		ns.Remove(id, transport.Addr(req.Host))
-		return Ack{}, nil
+	srv.Handle(NameServiceName, NameMethodRemove, rpc.Method(func(ctx context.Context, from transport.Addr, req NameUpdateReq) (rpc.Empty, error) {
+		ns.Remove(req.UID, req.Host)
+		return rpc.Empty{}, nil
 	}))
 	return ns
 }
@@ -139,43 +123,26 @@ type NSClient struct {
 
 // Get fetches the server list.
 func (c NSClient) Get(ctx context.Context, id uid.UID) ([]transport.Addr, error) {
-	resp, err := rpc.Invoke[NameGetReq, NameGetResp](ctx, c.RPC, c.Node, NameServiceName, NameMethodGet, NameGetReq{UID: id.String()})
-	if err != nil {
-		return nil, err
-	}
-	return toAddrs(resp.Nodes), nil
+	resp, err := rpc.Invoke[NameGetReq, NameGetResp](ctx, c.RPC, c.Node, NameServiceName, NameMethodGet, NameGetReq{UID: id})
+	return resp.Nodes, err
 }
 
 // Set replaces the server list.
 func (c NSClient) Set(ctx context.Context, id uid.UID, nodes []transport.Addr) error {
-	_, err := rpc.Invoke[NameUpdateReq, Ack](ctx, c.RPC, c.Node, NameServiceName, NameMethodSet, NameUpdateReq{UID: id.String(), Nodes: fromAddrs(nodes)})
-	return err
+	return c.update(ctx, NameMethodSet, NameUpdateReq{UID: id, Nodes: nodes})
 }
 
 // Insert adds a host.
 func (c NSClient) Insert(ctx context.Context, id uid.UID, host transport.Addr) error {
-	_, err := rpc.Invoke[NameUpdateReq, Ack](ctx, c.RPC, c.Node, NameServiceName, NameMethodInsert, NameUpdateReq{UID: id.String(), Host: string(host)})
-	return err
+	return c.update(ctx, NameMethodInsert, NameUpdateReq{UID: id, Host: host})
 }
 
 // Remove drops a host.
 func (c NSClient) Remove(ctx context.Context, id uid.UID, host transport.Addr) error {
-	_, err := rpc.Invoke[NameUpdateReq, Ack](ctx, c.RPC, c.Node, NameServiceName, NameMethodRemove, NameUpdateReq{UID: id.String(), Host: string(host)})
+	return c.update(ctx, NameMethodRemove, NameUpdateReq{UID: id, Host: host})
+}
+
+func (c NSClient) update(ctx context.Context, method string, req NameUpdateReq) error {
+	_, err := rpc.Invoke[NameUpdateReq, rpc.Empty](ctx, c.RPC, c.Node, NameServiceName, method, req)
 	return err
-}
-
-func toAddrs(in []string) []transport.Addr {
-	out := make([]transport.Addr, len(in))
-	for i, s := range in {
-		out[i] = transport.Addr(s)
-	}
-	return out
-}
-
-func fromAddrs(in []transport.Addr) []string {
-	out := make([]string, len(in))
-	for i, a := range in {
-		out[i] = string(a)
-	}
-	return out
 }

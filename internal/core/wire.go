@@ -10,31 +10,22 @@ import (
 
 // Binary codecs (rpc.Wire) for the group-view database's records: the
 // batch request and response every bind, use-list adjustment, view read
-// and action end rides, and the durable entry record every commit writes —
-// none of them may pay gob reflection. Tags live in the 0x01–0x1f block of
-// the registry in internal/rpc/doc.go. The batch records are at version 2
+// and action end rides, the durable entry record every commit writes, and
+// the §5 name server's requests. Tags live in the 0x01–0x1f block of the
+// registry in internal/rpc/doc.go. The batch records are at version 2
 // (the Bind operation's degree and counted hosts; Select, the newest kind,
 // needs no field of its own); the rest at version 1.
-// (0x02–0x0d were the per-operation request and response records the
-// batch replaced; they stay retired.)
+// (0x01 was the database's own empty Ack, which rpc.Empty replaced, and
+// 0x02–0x0d the per-operation request and response records the batch
+// replaced; they stay retired.)
 const (
-	wireTagAck         byte = 0x01
-	wireTagBatchReq    byte = 0x0e
-	wireTagBatchResp   byte = 0x0f
-	wireTagEntryRecord byte = 0x10
+	wireTagBatchReq      byte = 0x0e
+	wireTagBatchResp     byte = 0x0f
+	wireTagEntryRecord   byte = 0x10
+	wireTagNameGetReq    byte = 0x11
+	wireTagNameGetResp   byte = 0x12
+	wireTagNameUpdateReq byte = 0x13
 )
-
-// Ack is an empty success response.
-type Ack struct{}
-
-// WireTag implements rpc.Wire.
-func (*Ack) WireTag() (byte, byte) { return wireTagAck, 1 }
-
-// AppendWire implements rpc.Wire.
-func (*Ack) AppendWire(dst []byte) []byte { return dst }
-
-// ParseWire implements rpc.Wire.
-func (*Ack) ParseWire(byte, *rpc.WireReader) error { return nil }
 
 // --- field helpers ---
 
@@ -305,4 +296,48 @@ func (e *entryRecord) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 		e.Use[i] = useCount{transport.Addr(r.String()), transport.Addr(r.String()), int(r.Uvarint())}
 	}
 	return nil
+}
+
+// --- name server records ---
+
+// WireTag implements rpc.Wire.
+func (*NameGetReq) WireTag() (byte, byte) { return wireTagNameGetReq, 1 }
+
+// AppendWire implements rpc.Wire.
+func (q *NameGetReq) AppendWire(dst []byte) []byte { return appendUID(dst, q.UID) }
+
+// ParseWire implements rpc.Wire.
+func (q *NameGetReq) ParseWire(_ byte, r *rpc.WireReader) error {
+	q.UID = readUID(r)
+	return nil
+}
+
+// WireTag implements rpc.Wire.
+func (*NameGetResp) WireTag() (byte, byte) { return wireTagNameGetResp, 1 }
+
+// AppendWire implements rpc.Wire.
+func (p *NameGetResp) AppendWire(dst []byte) []byte { return appendAddrs(dst, p.Nodes) }
+
+// ParseWire implements rpc.Wire.
+func (p *NameGetResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+	p.Nodes, err = readAddrs(r)
+	return err
+}
+
+// WireTag implements rpc.Wire.
+func (*NameUpdateReq) WireTag() (byte, byte) { return wireTagNameUpdateReq, 1 }
+
+// AppendWire implements rpc.Wire.
+func (q *NameUpdateReq) AppendWire(dst []byte) []byte {
+	dst = appendUID(dst, q.UID)
+	dst = rpc.AppendString(dst, string(q.Host))
+	return appendAddrs(dst, q.Nodes)
+}
+
+// ParseWire implements rpc.Wire.
+func (q *NameUpdateReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+	q.UID = readUID(r)
+	q.Host = transport.Addr(r.String())
+	q.Nodes, err = readAddrs(r)
+	return err
 }

@@ -10,7 +10,7 @@ import (
 // TestWireRoundTrip round-trips every binary codec in this package through
 // rpc.Encode/Decode with representative populated values.
 func TestWireRoundTrip(t *testing.T) {
-	cases := []struct{ in, out any }{
+	cases := []struct{ in, out rpc.Wire }{
 		{&sequenceReq{
 			Group: "g1", MsgID: "m1", Kind: "invoke",
 			Payload: []byte{1, 2}, Members: []string{"n1", "n2"},

@@ -70,9 +70,9 @@ type Options struct {
 	// Shards partitions the deployment into that many independent
 	// server/store groups, each with its own group view database
 	// (db1..dbS), plus the placement service's replicas mapping objects to
-	// groups.
-	// 0 or 1 keeps the classic single-group topology (node "db", no
-	// placement service) byte-for-byte.
+	// groups. 0 or 1 is one group (node "db") and a one-row placement
+	// table: no placement node, and no lookup message, since every object
+	// lives in the one group.
 	Shards int
 	// Objects is how many counter objects to create (all with full Sv/St).
 	Objects int
@@ -141,14 +141,14 @@ type World struct {
 	leaseTTL time.Duration
 	// Groups lists every shard's group; len 1 when unsharded.
 	Groups []Group
-	// Place is the placement service's primary replica (nil when
-	// unsharded).
-	Place *placement.Service
-	// PlaceAddr is the primary placement node's address.
-	PlaceAddr transport.Addr
-	// Places lists every placement replica, primary first.
-	Places []*placement.Service
-	// PlaceAddrs lists every placement node address, primary first.
+	// table is the placement table, one row per group, that every
+	// placement client is built over.
+	table []placement.ShardInfo
+	// place is the placement service's primary replica (nil with one
+	// group, whose one-row table needs no service).
+	place *placement.Service
+	// PlaceAddrs lists every placement node address, primary first (none
+	// with one group).
 	PlaceAddrs []transport.Addr
 	// NameServer, when set, names the node running the §5 extension's
 	// non-atomic name server (core.NewNameServer): binders built from then
@@ -223,6 +223,9 @@ func New(opts Options) (*World, error) {
 		g := &w.Groups[i/opts.Stores]
 		g.Sts = append(g.Sts, name)
 	}
+	for _, g := range w.Groups {
+		w.table = append(w.table, placement.ShardInfo{ID: g.ID, DB: g.DB.Addr(), Svs: g.Svs, Sts: g.Sts})
+	}
 	if shards > 1 {
 		nodes := make([]*sim.Node, DefaultPlacementReplicas)
 		for i := range nodes {
@@ -233,13 +236,7 @@ func New(opts Options) (*World, error) {
 			nodes[i] = w.Cluster.Add(name)
 			w.PlaceAddrs = append(w.PlaceAddrs, name)
 		}
-		infos := make([]placement.ShardInfo, len(w.Groups))
-		for i, g := range w.Groups {
-			infos[i] = placement.ShardInfo{ID: g.ID, DB: g.DB.Addr(), Svs: g.Svs, Sts: g.Sts}
-		}
-		w.Places = placement.NewReplicatedGroup(nodes, infos)
-		w.Place = w.Places[0]
-		w.PlaceAddr = w.PlaceAddrs[0]
+		w.place = placement.NewReplicatedGroup(nodes, w.table)[0]
 	}
 	for i := 0; i < opts.Clients; i++ {
 		name := transport.Addr("c" + strconv.Itoa(i+1))
@@ -283,16 +280,13 @@ func New(opts Options) (*World, error) {
 	return w, nil
 }
 
-// Sharded reports whether the world has more than one group.
-func (w *World) Sharded() bool { return w.Place != nil }
-
 // GroupOf returns the group an object currently lives in, per the
 // placement service (the only group, when unsharded).
 func (w *World) GroupOf(id uid.UID) *Group {
-	if w.Place == nil {
+	if w.place == nil {
 		return &w.Groups[0]
 	}
-	shard, _ := w.Place.Lookup(id)
+	shard, _ := w.place.Lookup(id)
 	return &w.Groups[shard-1]
 }
 
@@ -327,25 +321,22 @@ func (w *World) Rebalance(ctx context.Context, id uid.UID, target int) error {
 
 // RebalanceBatch moves a batch of objects to the target shard under one
 // migration action and one placement epoch bump per object (a single
-// AssignBatch round), using the first client node as the coordinator.
+// AssignBatch round), using the first client node as the coordinator. On
+// one group every object is already at shard 1, so a move there is a
+// no-op, and any other target is an unknown shard.
 func (w *World) RebalanceBatch(ctx context.Context, ids []uid.UID, target int) error {
-	if w.Place == nil {
-		return fmt.Errorf("harness: Rebalance requires a sharded world")
-	}
 	client := w.Clients[0]
-	pc := placement.NewClient(w.Cluster.Node(client).Client(), w.PlaceAddrs...)
+	pc := placement.NewClient(w.Cluster.Node(client).Client(), w.table, w.PlaceAddrs...)
 	return placement.Move(ctx, pc, w.Mgrs[client], w.Cluster.Node(client).Client(), ids, target, w.leaseTTL > 0)
 }
 
-// ShardBinder builds a shard-aware binder for the named client. Requires
-// a sharded world.
+// ShardBinder builds the placement binder a client binds through, over
+// the world's placement table: one row with one group, resolved without a
+// message.
 func (w *World) ShardBinder(client transport.Addr, scheme core.Scheme, policy replica.Policy, degree int) *placement.Binder {
-	if w.Place == nil {
-		panic("harness: ShardBinder requires a sharded world")
-	}
 	rpcc := w.Cluster.Node(client).Client()
-	return &placement.Binder{
-		Place:       placement.NewClient(rpcc, w.PlaceAddrs...),
+	b := &placement.Binder{
+		Place:       placement.NewClient(rpcc, w.table, w.PlaceAddrs...),
 		Actions:     w.Mgrs[client],
 		ClientNode:  client,
 		RPC:         rpcc,
@@ -355,6 +346,10 @@ func (w *World) ShardBinder(client transport.Addr, scheme core.Scheme, policy re
 		LeaseHolder: w.leaseHolderFor(client),
 		LeaseTTL:    w.leaseTTL,
 	}
+	if w.NameServer != "" {
+		b.NameServer = &core.NSClient{RPC: rpcc, Node: w.NameServer}
+	}
+	return b
 }
 
 // leaseHolderFor names the client as a lease holder when the world runs

@@ -10,12 +10,13 @@ import (
 // Binary codecs (rpc.Wire) for the object-server wire records — the
 // invoke request/reply and the 2PC prepare/commit/abort messages are the
 // hottest payloads in the system. Tags live in the 0x20–0x3f block of the
-// registry in internal/rpc/doc.go. The invoke request is at version 5 (the
-// failover flag; before that the carried phase one, the activation fields
-// and the read-lease field) and the invoke reply at version 3 (the carried
-// vote; before that the read-lease fields), the lease check at version 3
-// (the failover flag; before that the first request's activation fields);
-// everything else is at version 1.
+// registry in internal/rpc/doc.go, beside the passivation and status
+// records a move's lease fence and the checkers send. The invoke request is
+// at version 5 (the failover flag; before that the carried phase one, the
+// activation fields and the read-lease field) and the invoke reply at
+// version 3 (the carried vote; before that the read-lease fields), the
+// lease check at version 3 (the failover flag; before that the first
+// request's activation fields); everything else is at version 1.
 const (
 	wireTagActivateReq byte = 0x20 + iota
 	wireTagActivateResp
@@ -31,6 +32,10 @@ const (
 	wireTagPrepareCommitResp
 	wireTagLeaseCheckReq
 	wireTagLeaseCheckResp
+	wireTagPassivateReq
+	wireTagPassivateResp
+	wireTagStatusReq
+	wireTagStatusResp
 )
 
 // ActivateReq
@@ -423,5 +428,73 @@ func (p *LeaseCheckResp) AppendWire(dst []byte) []byte { return rpc.AppendUvarin
 // ParseWire implements rpc.Wire.
 func (p *LeaseCheckResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	p.Seq = r.Uvarint()
+	return nil
+}
+
+// PassivateReq
+
+// WireTag implements rpc.Wire.
+func (*PassivateReq) WireTag() (byte, byte) { return wireTagPassivateReq, 1 }
+
+// AppendWire implements rpc.Wire.
+func (q *PassivateReq) AppendWire(dst []byte) []byte {
+	dst = rpc.AppendString(dst, q.UID)
+	return rpc.AppendBool(dst, q.Force)
+}
+
+// ParseWire implements rpc.Wire.
+func (q *PassivateReq) ParseWire(_ byte, r *rpc.WireReader) error {
+	q.UID = r.String()
+	q.Force = r.Bool()
+	return nil
+}
+
+// PassivateResp
+
+// WireTag implements rpc.Wire.
+func (*PassivateResp) WireTag() (byte, byte) { return wireTagPassivateResp, 1 }
+
+// AppendWire implements rpc.Wire.
+func (p *PassivateResp) AppendWire(dst []byte) []byte { return rpc.AppendBool(dst, p.Passivated) }
+
+// ParseWire implements rpc.Wire.
+func (p *PassivateResp) ParseWire(_ byte, r *rpc.WireReader) error {
+	p.Passivated = r.Bool()
+	return nil
+}
+
+// StatusReq
+
+// WireTag implements rpc.Wire.
+func (*StatusReq) WireTag() (byte, byte) { return wireTagStatusReq, 1 }
+
+// AppendWire implements rpc.Wire.
+func (q *StatusReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.UID) }
+
+// ParseWire implements rpc.Wire.
+func (q *StatusReq) ParseWire(_ byte, r *rpc.WireReader) error {
+	q.UID = r.String()
+	return nil
+}
+
+// StatusResp
+
+// WireTag implements rpc.Wire.
+func (*StatusResp) WireTag() (byte, byte) { return wireTagStatusResp, 1 }
+
+// AppendWire implements rpc.Wire.
+func (p *StatusResp) AppendWire(dst []byte) []byte {
+	dst = rpc.AppendBool(dst, p.Active)
+	dst = rpc.AppendUvarint(dst, p.Seq)
+	dst = rpc.AppendUvarint(dst, uint64(p.Users))
+	return rpc.AppendUvarint(dst, uint64(p.Prepared))
+}
+
+// ParseWire implements rpc.Wire.
+func (p *StatusResp) ParseWire(_ byte, r *rpc.WireReader) error {
+	p.Active = r.Bool()
+	p.Seq = r.Uvarint()
+	p.Users = int(r.Uvarint())
+	p.Prepared = int(r.Uvarint())
 	return nil
 }

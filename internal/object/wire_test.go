@@ -7,10 +7,10 @@ import (
 	"repro/internal/rpc"
 )
 
-// TestWireRoundTrip round-trips every binary codec in this package through
-// rpc.Encode/Decode with representative populated values.
-func TestWireRoundTrip(t *testing.T) {
-	cases := []struct{ in, out any }{
+// wireCases holds representative populated values of every binary codec in
+// this package, each beside an empty value to decode into.
+func wireCases() []struct{ in, out rpc.Wire } {
+	return []struct{ in, out rpc.Wire }{
 		{&ActivateReq{UID: "obj", Class: "Counter", StNodes: []string{"s1", "s2"}}, &ActivateReq{}},
 		{&ActivateResp{Seq: 42, Fresh: true, LoadedFrom: "s1"}, &ActivateResp{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1, 2, 3}, Solo: true}, &InvokeReq{}},
@@ -30,8 +30,17 @@ func TestWireRoundTrip(t *testing.T) {
 		{&LeaseCheckReq{UID: "obj", Action: "a1"}, &LeaseCheckReq{}},
 		{&LeaseCheckReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []string{"s1"}, Failover: true}, &LeaseCheckReq{}},
 		{&LeaseCheckResp{Seq: 11}, &LeaseCheckResp{}},
+		{&PassivateReq{UID: "obj", Force: true}, &PassivateReq{}},
+		{&PassivateResp{Passivated: true}, &PassivateResp{}},
+		{&StatusReq{UID: "obj"}, &StatusReq{}},
+		{&StatusResp{Active: true, Seq: 12, Users: 2, Prepared: 1}, &StatusResp{}},
 	}
-	for _, c := range cases {
+}
+
+// TestWireRoundTrip round-trips every binary codec in this package through
+// rpc.Encode/Decode.
+func TestWireRoundTrip(t *testing.T) {
+	for _, c := range wireCases() {
 		data, err := rpc.Encode(c.in)
 		if err != nil {
 			t.Fatalf("%T: encode: %v", c.in, err)
@@ -48,13 +57,31 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireTruncatedInput: every proper prefix of a record's encoding is
+// refused — a torn record never decodes into a half-filled value.
+func TestWireTruncatedInput(t *testing.T) {
+	for _, c := range wireCases() {
+		data, err := rpc.Encode(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(data); cut++ {
+			out := reflect.New(reflect.TypeOf(c.in).Elem()).Interface().(rpc.Wire)
+			if err := rpc.Decode(data[:cut], out); err == nil {
+				t.Errorf("%T: %d of %d bytes decoded without error", c.in, cut, len(data))
+			}
+		}
+	}
+}
+
 // TestWireTagsUnique catches accidental tag reuse inside this package's block.
 func TestWireTagsUnique(t *testing.T) {
 	types := []rpc.Wire{
 		&ActivateReq{}, &ActivateResp{}, &InvokeReq{}, &InvokeResp{},
 		&PrepareReq{}, &PrepareResp{}, &EndReq{}, &EndResp{},
 		&InstallReq{}, &InstallResp{}, &PrepareCommitReq{}, &PrepareCommitResp{},
-		&LeaseCheckReq{}, &LeaseCheckResp{},
+		&LeaseCheckReq{}, &LeaseCheckResp{}, &PassivateReq{}, &PassivateResp{},
+		&StatusReq{}, &StatusResp{},
 	}
 	seen := map[byte]string{}
 	for _, w := range types {

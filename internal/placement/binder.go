@@ -13,14 +13,15 @@ import (
 	"repro/internal/uid"
 )
 
-// Binder is the shard-aware core.ActionBinder: it resolves each object's
-// shard through the placement service and delegates the bind to a
-// per-shard core.Binder against that shard's group view database. An
-// action that binds objects from several shards transparently enlists
-// participants from multiple groups — the ordinary 2PC coordinator then
-// spans shards; an action whose objects all live in one shard behaves
-// exactly as an unsharded deployment, fast paths included, because each
-// per-shard binder is a plain core.Binder.
+// Binder is the client's one binder: it resolves each object's shard
+// through the placement client and delegates the bind to a per-shard
+// core.Binder against that shard's group view database. A one-group
+// deployment is a one-row table, resolved without a message, so it binds
+// through here too. An action that binds objects from several shards
+// transparently enlists participants from multiple groups — the ordinary
+// 2PC coordinator then spans shards; an action whose objects all live in
+// one shard keeps every one-group fast path, because each per-shard binder
+// is a plain core.Binder.
 //
 // Stale placements self-heal at bind time: if the resolved shard's
 // database does not know the object (CodeUnknownObject — the object was
@@ -52,12 +53,13 @@ type Binder struct {
 	// LeaseTTL mirrors core.Binder.LeaseTTL (the deployment's read-lease
 	// duration; zero disables the phase-two lease-clock waitout).
 	LeaseTTL time.Duration
+	// NameServer mirrors core.Binder.NameServer (the §5 extension's
+	// non-atomic Sv, which E12 runs on one group).
+	NameServer *core.NSClient
 
 	mu  sync.Mutex
 	sub map[int]*core.Binder
 }
-
-var _ core.ActionBinder = (*Binder)(nil)
 
 // BeginTop starts a new top-level client action.
 func (b *Binder) BeginTop() *action.Action { return b.Actions.BeginTop() }
@@ -102,6 +104,7 @@ func (b *Binder) shardBinder(info ShardInfo) *core.Binder {
 		FastBind:    b.FastBind,
 		LeaseHolder: b.LeaseHolder,
 		LeaseTTL:    b.LeaseTTL,
+		NameServer:  b.NameServer,
 	}
 	if b.sub == nil {
 		b.sub = make(map[int]*core.Binder)

@@ -118,7 +118,6 @@ const ServiceName = "placement"
 const (
 	MethodLookup      = "Lookup"
 	MethodAssignBatch = "AssignBatch"
-	MethodTable       = "Table"
 	MethodSync        = "Sync"  // primary → replica override push
 	MethodState       = "State" // full directory dump for catch-up
 )
@@ -218,9 +217,9 @@ func newReplica(node *sim.Node, primary transport.Addr, peers []transport.Addr, 
 		if !s.IsPrimary() {
 			return AssignBatchResp{}, rpc.Errorf(CodeNotPrimary, "placement writes go through %s", s.primary)
 		}
-		ids := make([]uid.UID, len(req.Assignments))
-		for i, a := range req.Assignments {
-			id, err := uid.Parse(a.UID)
+		ids := make([]uid.UID, len(req.UIDs))
+		for i, u := range req.UIDs {
+			id, err := uid.Parse(u)
 			if err != nil {
 				return AssignBatchResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
 			}
@@ -237,14 +236,11 @@ func newReplica(node *sim.Node, primary transport.Addr, peers []transport.Addr, 
 		s.syncPeers(ctx, recs)
 		return AssignBatchResp{Epochs: epochs}, nil
 	}))
-	srv.Handle(ServiceName, MethodTable, rpc.Method(func(ctx context.Context, from transport.Addr, req TableReq) (TableResp, error) {
-		return TableResp{Shards: shardRecs(s.Shards())}, nil
-	}))
-	srv.Handle(ServiceName, MethodSync, rpc.Method(func(ctx context.Context, from transport.Addr, req SyncReq) (SyncResp, error) {
+	srv.Handle(ServiceName, MethodSync, rpc.Method(func(ctx context.Context, from transport.Addr, req SyncReq) (rpc.Empty, error) {
 		s.applySync(req.Records)
-		return SyncResp{}, nil
+		return rpc.Empty{}, nil
 	}))
-	srv.Handle(ServiceName, MethodState, rpc.Method(func(ctx context.Context, from transport.Addr, req StateReq) (StateResp, error) {
+	srv.Handle(ServiceName, MethodState, rpc.Method(func(ctx context.Context, from transport.Addr, req rpc.Empty) (StateResp, error) {
 		return StateResp{Records: s.stateRecords()}, nil
 	}))
 	return s
@@ -307,7 +303,7 @@ func (s *Service) CatchUp(ctx context.Context) error {
 	if s.IsPrimary() {
 		return nil
 	}
-	resp, err := rpc.Invoke[StateReq, StateResp](ctx, s.cli, s.primary, ServiceName, MethodState, StateReq{})
+	resp, err := rpc.Invoke[rpc.Empty, StateResp](ctx, s.cli, s.primary, ServiceName, MethodState, rpc.Empty{})
 	if err != nil {
 		return err
 	}
@@ -346,19 +342,7 @@ func (s *Service) AssignBatch(ids []uid.UID, shard int) ([]uint64, error) {
 	return epochs, nil
 }
 
-// Shards returns the shard descriptions, ordered by ID.
-func (s *Service) Shards() []ShardInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ShardInfo, 0, len(s.shards))
-	for _, info := range s.shards {
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// --- wire records ---
+// --- wire records (codecs in wire.go) ---
 
 // LookupReq resolves one object's shard.
 type LookupReq struct{ UID string }
@@ -369,14 +353,11 @@ type LookupResp struct {
 	Epoch uint64
 }
 
-// AssignRec is one object of a batch assignment.
-type AssignRec struct{ UID string }
-
 // AssignBatchReq records explicit overrides for a batch of objects, all
 // to the same target shard, in one critical section at the service.
 type AssignBatchReq struct {
-	Assignments []AssignRec
-	Shard       int
+	UIDs  []string
+	Shard int
 }
 
 // AssignBatchResp carries the new placement epochs, in request order.
@@ -393,76 +374,37 @@ type SyncRec struct {
 // SyncReq pushes override records from the primary to a replica.
 type SyncReq struct{ Records []SyncRec }
 
-// SyncResp acknowledges a sync push.
-type SyncResp struct{}
-
-// StateReq asks a replica (normally the primary) for its full directory.
-type StateReq struct{}
-
-// StateResp carries the full override directory.
+// StateResp carries the full override directory, in reply to a State
+// request (an rpc.Empty).
 type StateResp struct{ Records []SyncRec }
 
-// TableReq fetches the shard table.
-type TableReq struct{}
-
-// TableResp carries the shard table.
-type TableResp struct{ Shards []ShardRec }
-
-// ShardRec is the wire form of ShardInfo.
-type ShardRec struct {
-	ID  int
-	DB  string
-	Svs []string
-	Sts []string
-}
-
-func shardRecs(in []ShardInfo) []ShardRec {
-	out := make([]ShardRec, len(in))
-	for i, s := range in {
-		out[i] = ShardRec{ID: s.ID, DB: string(s.DB), Svs: fromAddrs(s.Svs), Sts: fromAddrs(s.Sts)}
-	}
-	return out
-}
-
-func toAddrs(in []string) []transport.Addr {
-	out := make([]transport.Addr, len(in))
-	for i, s := range in {
-		out[i] = transport.Addr(s)
-	}
-	return out
-}
-
-func fromAddrs(in []transport.Addr) []string {
-	out := make([]string, len(in))
-	for i, a := range in {
-		out[i] = string(a)
-	}
-	return out
-}
-
-// Client resolves placements against a remote Service, caching both the
-// shard table (immutable for a deployment's lifetime) and per-object
-// resolutions. Cached resolutions can go stale after a rebalance; the
-// shard-aware binder detects that through CodeUnknownObject at the old
-// shard and calls Refresh, using the epoch to decide whether a re-bind
-// is worthwhile. Safe for concurrent use.
+// Client resolves placements against the deployment's shard table and a
+// remote Service, caching per-object resolutions. The table is the
+// harness's own, fixed for the deployment's lifetime and handed over at
+// construction; with one row it is the whole answer, and the client sends
+// no message at all. Cached resolutions can go stale after a rebalance;
+// the shard-aware binder detects that through CodeUnknownObject at the old
+// shard and calls Refresh, using the epoch to decide whether a re-bind is
+// worthwhile. Safe for concurrent use.
 //
-// When the service is replicated the client knows every replica. Reads
-// try a preferred replica first and fail over to the others on any
-// transport-class failure — including the instant ErrPeerUnavailable
-// fast-fail from an open circuit breaker — so a dead replica costs at
-// most one timeout (often nothing) rather than an outage. Writes always
-// go to the primary (the first address); a lagging replica's stale read
-// fails safely through the binder's Refresh/re-bind path.
+// When the service is replicated the client knows every replica. A
+// lookup asks the primary first and fails over to the others, in order,
+// on any transport-class failure — including the instant
+// ErrPeerUnavailable fast-fail from an open circuit breaker — so a dead
+// replica costs at most one timeout (often nothing) rather than an
+// outage. Writes always go to the primary (the first address); a lagging
+// replica's stale answer fails safely through the binder's Refresh/re-bind
+// path.
 type Client struct {
 	RPC rpc.Client
-	// Nodes are the placement replicas, primary first.
+	// Nodes are the placement replicas, primary first; none when the
+	// table has one row.
 	Nodes []transport.Addr
+	// table is the shard table, read without mu: it is never written.
+	table []ShardInfo
 
-	mu        sync.Mutex
-	preferred int // index into Nodes reads try first
-	table     map[int]ShardInfo
-	cache     map[uid.UID]cachedPlacement
+	mu    sync.Mutex
+	cache map[uid.UID]cachedPlacement
 }
 
 type cachedPlacement struct {
@@ -470,39 +412,29 @@ type cachedPlacement struct {
 	epoch uint64
 }
 
-// NewClient returns a placement client talking to the service replicas at
-// nodes (the first is the write primary).
-func NewClient(rpcc rpc.Client, nodes ...transport.Addr) *Client {
-	if len(nodes) == 0 {
-		panic("placement: client needs at least one service node")
+// NewClient returns a placement client over the deployment's shard table,
+// talking to the service replicas at nodes (the first is the write
+// primary). A one-row table needs no nodes: every object lives in that
+// shard, at epoch 0, since a move to the shard an object is on is skipped.
+func NewClient(rpcc rpc.Client, shards []ShardInfo, nodes ...transport.Addr) *Client {
+	if len(shards) == 0 || (len(shards) > 1 && len(nodes) == 0) {
+		panic("placement: client needs a shard table, and service nodes unless it has one row")
 	}
-	return &Client{RPC: rpcc, Nodes: nodes}
+	return &Client{RPC: rpcc, Nodes: nodes, table: shards}
 }
 
 // primary returns the write primary's address.
 func (c *Client) primary() transport.Addr { return c.Nodes[0] }
 
-// read performs a replica-failover call: the preferred replica first,
-// then the rest in order. An application-level error ends the loop — the
-// replica answered, so trying another would only mask it — while a
-// transport-class failure moves on and, on success, re-points the
-// preference at the replica that worked. primaryFirst pins the first
-// attempt to the primary for reads that want the freshest directory.
-func (c *Client) read(ctx context.Context, method string, payload []byte, primaryFirst bool) ([]byte, error) {
-	c.mu.Lock()
-	start := c.preferred
-	c.mu.Unlock()
-	if primaryFirst {
-		start = 0
-	}
+// read performs a replica-failover call: the primary first, then the rest
+// in order. An application-level error ends the loop — the replica
+// answered, so trying another would only mask it — while a
+// transport-class failure moves on.
+func (c *Client) read(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	var lastErr error
-	for i := 0; i < len(c.Nodes); i++ {
-		idx := (start + i) % len(c.Nodes)
-		body, err := c.RPC.Call(ctx, c.Nodes[idx], ServiceName, method, payload)
+	for _, node := range c.Nodes {
+		body, err := c.RPC.Call(ctx, node, ServiceName, method, payload)
 		if err == nil {
-			c.mu.Lock()
-			c.preferred = idx
-			c.mu.Unlock()
 			return body, nil
 		}
 		var ae *rpc.AppError
@@ -517,72 +449,27 @@ func (c *Client) read(ctx context.Context, method string, payload []byte, primar
 	return nil, lastErr
 }
 
-// readTyped is read with gob encode/decode around it.
-func readTyped[Req, Resp any](ctx context.Context, c *Client, method string, req Req, primaryFirst bool) (Resp, error) {
-	var zero Resp
-	payload, err := rpc.Encode(&req)
-	if err != nil {
-		return zero, err
+// Shard returns one shard's description by ID.
+func (c *Client) Shard(id int) (ShardInfo, error) {
+	for _, info := range c.table {
+		if info.ID == id {
+			return info, nil
+		}
 	}
-	body, err := c.read(ctx, method, payload, primaryFirst)
-	if err != nil {
-		return zero, err
-	}
-	var resp Resp
-	if err := rpc.Decode(body, &resp); err != nil {
-		return zero, err
-	}
-	return resp, nil
-}
-
-// loadTable returns the cached shard table, fetching it once (from any
-// replica — the table is immutable for a deployment's lifetime). The map
-// is never written once installed, so callers read it without c.mu.
-func (c *Client) loadTable(ctx context.Context) (map[int]ShardInfo, error) {
-	c.mu.Lock()
-	cached := c.table
-	c.mu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
-	resp, err := readTyped[TableReq, TableResp](ctx, c, MethodTable, TableReq{}, false)
-	if err != nil {
-		return nil, err
-	}
-	cached = make(map[int]ShardInfo, len(resp.Shards))
-	for _, r := range resp.Shards {
-		cached[r.ID] = ShardInfo{ID: r.ID, DB: transport.Addr(r.DB), Svs: toAddrs(r.Svs), Sts: toAddrs(r.Sts)}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.table == nil {
-		c.table = cached
-	}
-	return c.table, nil
-}
-
-// Shard returns one shard's description by ID: a look-up in the cached
-// table, which is fetched only while the cache is cold.
-func (c *Client) Shard(ctx context.Context, id int) (ShardInfo, error) {
-	table, err := c.loadTable(ctx)
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	info, ok := table[id]
-	if !ok {
-		return ShardInfo{}, fmt.Errorf("placement: unknown shard %d", id)
-	}
-	return info, nil
+	return ShardInfo{}, fmt.Errorf("placement: unknown shard %d", id)
 }
 
 // Resolve returns the object's shard and placement epoch, from cache when
 // possible.
 func (c *Client) Resolve(ctx context.Context, id uid.UID) (ShardInfo, uint64, error) {
+	if len(c.table) == 1 {
+		return c.table[0], 0, nil
+	}
 	c.mu.Lock()
 	p, ok := c.cache[id]
 	c.mu.Unlock()
 	if ok {
-		info, err := c.Shard(ctx, p.shard)
+		info, err := c.Shard(p.shard)
 		return info, p.epoch, err
 	}
 	return c.Refresh(ctx, id)
@@ -593,9 +480,17 @@ func (c *Client) Resolve(ctx context.Context, id uid.UID) (ShardInfo, uint64, er
 // because a cached mapping went stale, so it wants the authoritative
 // directory — but fails over to the replicas when the primary is down
 // (their fenced copy is at worst the same staleness the binder already
-// tolerates).
+// tolerates). A one-row table answers itself.
 func (c *Client) Refresh(ctx context.Context, id uid.UID) (ShardInfo, uint64, error) {
-	resp, err := readTyped[LookupReq, LookupResp](ctx, c, MethodLookup, LookupReq{UID: id.String()}, true)
+	if len(c.table) == 1 {
+		return c.table[0], 0, nil
+	}
+	payload, _ := rpc.Encode(&LookupReq{UID: id.String()})
+	body, err := c.read(ctx, MethodLookup, payload)
+	var resp LookupResp
+	if err == nil {
+		err = rpc.Decode(body, &resp)
+	}
 	if err != nil {
 		return ShardInfo{}, 0, err
 	}
@@ -605,18 +500,18 @@ func (c *Client) Refresh(ctx context.Context, id uid.UID) (ShardInfo, uint64, er
 	}
 	c.cache[id] = cachedPlacement{shard: resp.Shard, epoch: resp.Epoch}
 	c.mu.Unlock()
-	info, err := c.Shard(ctx, resp.Shard)
+	info, err := c.Shard(resp.Shard)
 	return info, resp.Epoch, err
 }
 
 // AssignBatch records overrides for a batch of objects in one RPC and one
 // service-side critical section, updating the local cache.
 func (c *Client) AssignBatch(ctx context.Context, ids []uid.UID, shard int) ([]uint64, error) {
-	recs := make([]AssignRec, len(ids))
+	uids := make([]string, len(ids))
 	for i, id := range ids {
-		recs[i] = AssignRec{UID: id.String()}
+		uids[i] = id.String()
 	}
-	resp, err := rpc.Invoke[AssignBatchReq, AssignBatchResp](ctx, c.RPC, c.primary(), ServiceName, MethodAssignBatch, AssignBatchReq{Assignments: recs, Shard: shard})
+	resp, err := rpc.Invoke[AssignBatchReq, AssignBatchResp](ctx, c.RPC, c.primary(), ServiceName, MethodAssignBatch, AssignBatchReq{UIDs: uids, Shard: shard})
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func Move(ctx context.Context, place *Client, actions *action.Manager, rpcc rpc.
 	if len(pending) == 0 {
 		return nil
 	}
-	tgt, err := place.Shard(ctx, target)
+	tgt, err := place.Shard(target)
 	if err != nil {
 		return err
 	}

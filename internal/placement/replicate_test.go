@@ -12,6 +12,12 @@ import (
 	"repro/internal/uid"
 )
 
+// testShards is the two-shard table the replicated test worlds serve.
+var testShards = []ShardInfo{
+	{ID: 1, DB: "db1", Svs: []transport.Addr{"sv1"}, Sts: []transport.Addr{"st1"}},
+	{ID: 2, DB: "db2", Svs: []transport.Addr{"sv2"}, Sts: []transport.Addr{"st2"}},
+}
+
 // newReplicatedWorld builds a cluster with three placement replicas (and
 // breakers, so failover exercises the fast-fail path too).
 func newReplicatedWorld(t *testing.T) (*sim.Cluster, []*Service, []*sim.Node) {
@@ -19,11 +25,7 @@ func newReplicatedWorld(t *testing.T) (*sim.Cluster, []*Service, []*sim.Node) {
 	c := sim.NewCluster(transport.MemOptions{})
 	c.SetBreakers(rpc.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour})
 	nodes := []*sim.Node{c.Add("p1"), c.Add("p2"), c.Add("p3")}
-	shards := []ShardInfo{
-		{ID: 1, DB: "db1", Svs: []transport.Addr{"sv1"}, Sts: []transport.Addr{"st1"}},
-		{ID: 2, DB: "db2", Svs: []transport.Addr{"sv2"}, Sts: []transport.Addr{"st2"}},
-	}
-	svcs := NewReplicatedGroup(nodes, shards)
+	svcs := NewReplicatedGroup(nodes, testShards)
 	return c, svcs, nodes
 }
 
@@ -34,7 +36,7 @@ func testUID(t *testing.T, n byte) uid.UID {
 
 func TestReplicatedWritesSyncToPeers(t *testing.T) {
 	c, svcs, _ := newReplicatedWorld(t)
-	cli := NewClient(c.Node("p1").Client(), "p1", "p2", "p3")
+	cli := NewClient(c.Node("p1").Client(), testShards, "p1", "p2", "p3")
 	id := testUID(t, 1)
 	epochs, err := cli.AssignBatch(context.Background(), []uid.UID{id}, 2)
 	if err != nil {
@@ -55,7 +57,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	c, _, _ := newReplicatedWorld(t)
 	// A client (mis)configured with a replica as its first node gets a
 	// typed refusal, not silent divergence.
-	cli := NewClient(c.Node("p1").Client(), "p2", "p1", "p3")
+	cli := NewClient(c.Node("p1").Client(), testShards, "p2", "p1", "p3")
 	_, err := cli.AssignBatch(context.Background(), []uid.UID{testUID(t, 2)}, 1)
 	if rpc.CodeOf(err) != CodeNotPrimary {
 		t.Fatalf("err = %v, want code %s", err, CodeNotPrimary)
@@ -78,7 +80,7 @@ func TestEpochFenceRejectsStaleSync(t *testing.T) {
 func TestReadFailoverOnDeadReplica(t *testing.T) {
 	c, _, nodes := newReplicatedWorld(t)
 	reader := c.Add("client")
-	cli := NewClient(reader.Client(), "p1", "p2", "p3")
+	cli := NewClient(reader.Client(), testShards, "p1", "p2", "p3")
 	id := testUID(t, 4)
 	if _, _, err := cli.Resolve(context.Background(), id); err != nil {
 		t.Fatalf("healthy resolve: %v", err)
@@ -90,14 +92,14 @@ func TestReadFailoverOnDeadReplica(t *testing.T) {
 	if _, _, err := cli.Resolve(context.Background(), id); err != nil {
 		t.Fatalf("cached resolve with primary down: %v", err)
 	}
-	fresh := NewClient(reader.Client(), "p1", "p2", "p3")
+	fresh := NewClient(reader.Client(), testShards, "p1", "p2", "p3")
 	if _, _, err := fresh.Refresh(context.Background(), id); err != nil {
 		t.Fatalf("refresh with primary down did not fail over: %v", err)
 	}
 
 	// Once the breaker toward p1 is open the failover is instant — and
 	// still lands on a live replica.
-	fresh2 := NewClient(reader.Client(), "p1", "p2", "p3")
+	fresh2 := NewClient(reader.Client(), testShards, "p1", "p2", "p3")
 	if _, _, err := fresh2.Refresh(context.Background(), id); err != nil {
 		t.Fatalf("refresh via open breaker: %v", err)
 	}
@@ -106,7 +108,7 @@ func TestReadFailoverOnDeadReplica(t *testing.T) {
 	nodes[0].Recover(nil)
 	for i, victim := range nodes {
 		victim.Crash()
-		probe := NewClient(reader.Client(), "p1", "p2", "p3")
+		probe := NewClient(reader.Client(), testShards, "p1", "p2", "p3")
 		if _, _, err := probe.Refresh(context.Background(), id); err != nil {
 			t.Fatalf("refresh with replica %d down: %v", i, err)
 		}
@@ -116,7 +118,7 @@ func TestReadFailoverOnDeadReplica(t *testing.T) {
 
 func TestCatchUpAfterReplicaCrash(t *testing.T) {
 	c, svcs, nodes := newReplicatedWorld(t)
-	cli := NewClient(c.Node("p1").Client(), "p1", "p2", "p3")
+	cli := NewClient(c.Node("p1").Client(), testShards, "p1", "p2", "p3")
 	id1, id2 := testUID(t, 5), testUID(t, 6)
 
 	// Replica p3 misses two writes while down.
@@ -140,17 +142,17 @@ func TestCatchUpAfterReplicaCrash(t *testing.T) {
 
 func TestReadAppErrorDoesNotFailOver(t *testing.T) {
 	c, _, _ := newReplicatedWorld(t)
-	cli := NewClient(c.Node("p1").Client(), "p1", "p2", "p3")
+	cli := NewClient(c.Node("p1").Client(), testShards, "p1", "p2", "p3")
 	// A malformed UID draws an application error from the first replica;
 	// the client must surface it rather than retry the other replicas.
-	_, err := cli.read(context.Background(), MethodLookup, mustEncode(t, &LookupReq{UID: "not-a-uid"}), false)
+	_, err := cli.read(context.Background(), MethodLookup, mustEncode(t, &LookupReq{UID: "not-a-uid"}))
 	var ae *rpc.AppError
 	if !errors.As(err, &ae) {
 		t.Fatalf("err = %v, want AppError", err)
 	}
 }
 
-func mustEncode(t *testing.T, v any) []byte {
+func mustEncode(t *testing.T, v rpc.Wire) []byte {
 	t.Helper()
 	b, err := rpc.Encode(v)
 	if err != nil {

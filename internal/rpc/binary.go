@@ -7,17 +7,15 @@ import (
 	"sync"
 )
 
-// This file is the hand-rolled binary codec that replaced gob on the hot
-// RPC path. See doc.go for the wire format and the tag registry.
+// This file is the hand-rolled binary codec every RPC payload travels
+// in. See doc.go for the wire format and the tag registry.
 //
 // Design notes:
 //
-//   - The first payload byte distinguishes the two codecs. A gob stream's
-//     first byte is a uvarint-encoded message length: <= 0x7f for a
-//     one-byte length, or >= 0xf8 (a negated byte count) for longer
-//     messages. WireMagic sits in the gap (0x80..0xf7), so a binary
-//     payload can never be mistaken for gob and vice versa — gob remains
-//     the transparent fallback for payload types without a codec.
+//   - There is one codec. Encode, Decode, Invoke and Method accept only
+//     types implementing Wire, so a record without a codec is a compile
+//     error, and a payload that does not open with WireMagic, its type's
+//     tag and a known version is refused whole.
 //   - Field encoding reuses the uvarint length-prefix idiom of
 //     internal/storage's WAL record codec: uvarint length + raw bytes for
 //     strings and byte slices, plain uvarint for counts and sequence
@@ -32,11 +30,10 @@ import (
 //     transport is free to reuse its read buffers the moment Decode
 //     returns (the mux transport does exactly that for request frames).
 
-// WireMagic is the first byte of every binary-coded payload. It lies in
-// the byte range a gob stream can never start with.
+// WireMagic is the first byte of every payload.
 const WireMagic = 0xB5
 
-// Wire is implemented by payload types with a hand-rolled binary codec.
+// Wire is implemented by every payload type: its hand-rolled binary codec.
 // WireTag returns the type's registered tag and its CURRENT encoding
 // version; AppendWire appends the body to dst (append semantics);
 // ParseWire fills the receiver from a reader positioned at the body,
@@ -272,6 +269,9 @@ func decodeWire(data []byte, w Wire) error {
 	if len(data) < 3 {
 		return fmt.Errorf("%w: %d-byte frame", ErrWire, len(data))
 	}
+	if data[0] != WireMagic {
+		return fmt.Errorf("%w: first byte %#x, want %#x", ErrWire, data[0], WireMagic)
+	}
 	if data[1] != tag {
 		return fmt.Errorf("%w: tag %#x, want %#x (%T)", ErrWire, data[1], tag, w)
 	}
@@ -302,3 +302,19 @@ func decodeWire(data []byte, w Wire) error {
 }
 
 var wireReaderPool = sync.Pool{New: func() any { return new(WireReader) }}
+
+// wireTagEmpty is Empty's tag, in this package's block of the registry.
+const wireTagEmpty byte = 0x70
+
+// Empty is the record for a request or reply that carries nothing: an
+// acknowledgement, a parameterless request, a liveness probe.
+type Empty struct{}
+
+// WireTag implements Wire.
+func (*Empty) WireTag() (byte, byte) { return wireTagEmpty, 1 }
+
+// AppendWire implements Wire.
+func (*Empty) AppendWire(dst []byte) []byte { return dst }
+
+// ParseWire implements Wire.
+func (*Empty) ParseWire(byte, *WireReader) error { return nil }

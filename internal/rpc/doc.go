@@ -11,22 +11,15 @@
 //
 // # Payload encoding
 //
-// Encode and Decode speak two codecs:
-//
-//   - Binary (binary.go): payload types implementing Wire carry a
-//     hand-rolled codec. The payload is [WireMagic, tag, version] followed
-//     by the body — uvarint-length-prefixed strings and byte fields, plain
-//     uvarints for counts and sequence numbers, zigzag varints for signed
-//     values, the same record idiom as internal/storage's WAL codec. This
-//     is the hot path: one allocation to encode and — whatever the number
-//     of string fields — one for all a short message's strings to decode,
-//     against the ~50+ gob spends recompiling its type engines per call.
-//   - Gob: any other type falls back to encoding/gob transparently. A gob
-//     stream's first byte is a uvarint length (<= 0x7f) or a negated byte
-//     count (>= 0xf8), so WireMagic (0xB5, inside the impossible gap) makes
-//     the two codecs self-describing with no negotiation. Gob payloads are
-//     encoded via pooled scratch buffers; the returned slice is always
-//     copied out of the pool (see TestEncodePooledScratchAliasing).
+// Every payload travels in one codec, the hand-rolled binary one of
+// binary.go: payload types implement Wire, and Encode, Decode, Invoke and
+// Method accept no other, so a record without a codec fails to compile.
+// The payload is [WireMagic, tag, version] followed by the body —
+// uvarint-length-prefixed strings and byte fields, plain uvarints for
+// counts and sequence numbers, zigzag varints for signed values, the same
+// record idiom as internal/storage's WAL codec. Encoding takes one
+// allocation, and decoding one for all a short message's strings, whatever
+// their number. A request or reply that carries nothing is an Empty.
 //
 // Version rules: Decode rejects version 0 and versions above the
 // type's current one, and ParseWire receives the decoded version so a
@@ -50,20 +43,24 @@
 //
 // The tag registry, in package blocks so additions never collide:
 //
-//	0x01–0x1f  internal/core    (group-view database records)
-//	0x20–0x3f  internal/object  (invoke + 2PC prepare/commit/abort)
-//	0x40–0x4f  internal/store   (object store reads, writes, 2PC legs)
-//	0x50–0x5f  internal/group   (multicast sequence/deliver frames)
-//	0x60–0x6f  internal/lease   (read-lease invalidation records)
+//	0x01–0x1f  internal/core      (group-view database records, name server)
+//	0x20–0x3f  internal/object    (invoke + 2PC prepare/commit/abort, status)
+//	0x40–0x4f  internal/store     (object store reads, writes, 2PC legs)
+//	0x50–0x5f  internal/group     (multicast sequence/deliver frames)
+//	0x60–0x6f  internal/lease     (read-lease invalidation records)
+//	0x70–0x7f  internal/rpc       (Empty; this package's tests use 0x7d–0x7e)
+//	0x80–0x8f  internal/placement (lookup, batch assignment, replica sync)
+//	0x90–0x9f  internal/action    (outcome-log lookup)
 //
 // A retired tag is never reused: a peer still running the old codec must
 // see a tag mismatch, not a misparse. Retired so far: 0x52 and 0x53, the
-// group's single-message Deliver request and reply.
+// group's single-message Deliver request and reply; 0x01 and 0x40, the
+// database's and the store's own empty acknowledgements, which Empty
+// replaced.
 //
 // # Response framing
 //
-// The response framing is a hand-rolled length-prefixed record rather
-// than a gob-encoded envelope: a success frame is one tag byte followed
+// The response framing is a hand-rolled length-prefixed record: a success frame is one tag byte followed
 // by the handler's already-encoded body (wrapped without re-encoding,
 // unwrapped zero-copy on the client), an error frame is the tag plus
 // length-prefixed code and message strings.

@@ -1,10 +1,8 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -185,68 +183,16 @@ func (s *Server) Handler() transport.Handler {
 	}
 }
 
-// bufPool recycles encode scratch buffers; readerPool recycles the
-// bytes.Reader wrappers the gob decoder reads from.
-var (
-	bufPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	readerPool = sync.Pool{New: func() any { return new(bytes.Reader) }}
-)
+// Encode renders v into a fresh byte slice owned by the caller: one
+// allocation, no reflection. Every payload type implements Wire, so a type
+// without a codec does not compile here; the error is always nil.
+func Encode(v Wire) ([]byte, error) { return encodeWire(v, 0), nil }
 
-// Encode renders v into a fresh byte slice. Types implementing Wire take
-// the hand-rolled binary codec (one allocation, no reflection); all other
-// types fall back to gob through a pooled scratch buffer.
-//
-// Ownership: the returned slice is always freshly allocated and owned by
-// the caller. The gob path encodes into a pooled buffer and COPIES out
-// before returning the buffer to the pool — returning buf.Bytes() directly
-// would hand the caller a slice the next pooled encode overwrites, silently
-// corrupting any payload still in flight (fan-outs keep encoded payloads
-// alive across many concurrent calls). TestEncodePooledScratchAliasing
-// stress-tests this contract under -race.
-func Encode(v any) ([]byte, error) { return encode(v, 0) }
-
-// encode is Encode with lead bytes reserved, zeroed, in front of the
-// payload: Method reserves the reply frame's tag byte there, so framing a
-// reply is a store into the slice the encoder allocated, not a copy of it.
-func encode(v any, lead int) ([]byte, error) {
-	if w, ok := v.(Wire); ok {
-		return encodeWire(w, lead), nil
-	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		bufPool.Put(buf)
-		return nil, fmt.Errorf("rpc: encode %T: %w", v, err)
-	}
-	out := make([]byte, lead+buf.Len())
-	copy(out[lead:], buf.Bytes())
-	bufPool.Put(buf)
-	return out, nil
-}
-
-// Decode fills v (a pointer) from data. A payload starting with WireMagic
-// must decode into a Wire type with the matching tag; anything else is
-// gob-decoded. Decoded values never alias data (the binary codec copies
-// byte fields out; gob allocates its own), so transports may recycle
-// their read buffers as soon as Decode returns.
-func Decode(data []byte, v any) error {
-	if len(data) > 0 && data[0] == WireMagic {
-		w, ok := v.(Wire)
-		if !ok {
-			return fmt.Errorf("%w: binary frame for non-binary type %T", ErrWire, v)
-		}
-		return decodeWire(data, w)
-	}
-	r := readerPool.Get().(*bytes.Reader)
-	r.Reset(data)
-	err := gob.NewDecoder(r).Decode(v)
-	r.Reset(nil) // drop the reference so the pool does not pin the body
-	readerPool.Put(r)
-	if err != nil {
-		return fmt.Errorf("rpc: decode %T: %w", v, err)
-	}
-	return nil
-}
+// Decode fills v from data, which must be a binary frame of v's tag.
+// Decoded values never alias data (the codec copies byte and string fields
+// out), so transports may recycle their read buffers as soon as Decode
+// returns.
+func Decode(data []byte, v Wire) error { return decodeWire(data, v) }
 
 // Client issues calls from a fixed origin address.
 type Client struct {
@@ -346,42 +292,50 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 	return body, nil
 }
 
-// Invoke performs a typed call: req is Encoded (the binary codec when req
-// is a Wire type, gob otherwise), the reply Decoded into Resp. Transport
-// failures are returned as the transport's errors; application failures as
-// *AppError.
-func Invoke[Req, Resp any](ctx context.Context, c Client, to transport.Addr, service, method string, req Req) (Resp, error) {
-	var zero Resp
-	payload, err := Encode(&req)
-	if err != nil {
-		return zero, err
-	}
-	body, err := c.Call(ctx, to, service, method, payload)
-	if err != nil {
-		return zero, err
-	}
+// Invoke performs a typed call: req is Encoded, the reply Decoded into
+// Resp. Both must have a codec: the constraints on PReq and PResp, which
+// a call infers from Req and Resp, make a record without one a compile
+// error. Transport failures are returned as the transport's errors;
+// application failures as *AppError.
+func Invoke[Req, Resp any, PReq interface {
+	*Req
+	Wire
+}, PResp interface {
+	*Resp
+	Wire
+}](ctx context.Context, c Client, to transport.Addr, service, method string, req Req) (Resp, error) {
 	var resp Resp
-	if err := Decode(body, &resp); err != nil {
+	body, err := c.Call(ctx, to, service, method, encodeWire(PReq(&req), 0))
+	if err == nil {
+		err = decodeWire(body, PResp(&resp))
+	}
+	if err != nil {
+		var zero Resp
 		return zero, err
 	}
 	return resp, nil
 }
 
-// Method adapts a typed function to a HandlerFunc.
-func Method[Req, Resp any](fn func(ctx context.Context, from transport.Addr, req Req) (Resp, error)) HandlerFunc {
+// Method adapts a typed function to a HandlerFunc. Its request and reply
+// types must have codecs, as Invoke's do. The reply is encoded straight
+// into its frame, behind the frame's reserved tag byte.
+func Method[Req, Resp any, PReq interface {
+	*Req
+	Wire
+}, PResp interface {
+	*Resp
+	Wire
+}](fn func(ctx context.Context, from transport.Addr, req Req) (Resp, error)) HandlerFunc {
 	return func(ctx context.Context, from transport.Addr, payload []byte) ([]byte, error) {
 		var req Req
-		if err := Decode(payload, &req); err != nil {
+		if err := decodeWire(payload, PReq(&req)); err != nil {
 			return nil, &AppError{Code: CodeInternal, Msg: err.Error()}
 		}
 		resp, err := fn(ctx, from, req)
 		if err != nil {
 			return nil, err
 		}
-		frame, err := encode(&resp, 1)
-		if err != nil {
-			return nil, err
-		}
+		frame := encodeWire(PResp(&resp), 1)
 		frame[0] = frameOK
 		return frame, nil
 	}

@@ -9,8 +9,11 @@ import (
 	"repro/internal/transport"
 )
 
-type addReq struct{ A, B int }
-type addResp struct{ Sum int }
+// add is the test service's method: it sums a request's Seq and Delta
+// into the reply's Seq.
+func add(ctx context.Context, from transport.Addr, req testMsg) (testMsg, error) {
+	return testMsg{Seq: req.Seq + uint64(req.Delta)}, nil
+}
 
 func newTestNet(t *testing.T) (*transport.Mem, *Server) {
 	t.Helper()
@@ -22,26 +25,24 @@ func newTestNet(t *testing.T) (*transport.Mem, *Server) {
 
 func TestInvokeTyped(t *testing.T) {
 	net, srv := newTestNet(t)
-	srv.Handle("math", "Add", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {
-		return addResp{Sum: req.A + req.B}, nil
-	}))
+	srv.Handle("math", "Add", Method(add))
 	c := Client{Net: net, From: "client"}
-	resp, err := Invoke[addReq, addResp](context.Background(), c, "server", "math", "Add", addReq{A: 2, B: 3})
+	resp, err := Invoke[testMsg, testMsg](context.Background(), c, "server", "math", "Add", testMsg{Seq: 2, Delta: 3})
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
 	}
-	if resp.Sum != 5 {
-		t.Fatalf("Sum = %d, want 5", resp.Sum)
+	if resp.Seq != 5 {
+		t.Fatalf("sum = %d, want 5", resp.Seq)
 	}
 }
 
 func TestInvokeAppError(t *testing.T) {
 	net, srv := newTestNet(t)
-	srv.Handle("math", "Fail", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {
-		return addResp{}, Errorf(CodeConflict, "a=%d conflicts", req.A)
+	srv.Handle("math", "Fail", Method(func(ctx context.Context, from transport.Addr, req testMsg) (testMsg, error) {
+		return testMsg{}, Errorf(CodeConflict, "a=%d conflicts", req.Seq)
 	}))
 	c := Client{Net: net, From: "client"}
-	_, err := Invoke[addReq, addResp](context.Background(), c, "server", "math", "Fail", addReq{A: 9})
+	_, err := Invoke[testMsg, testMsg](context.Background(), c, "server", "math", "Fail", testMsg{Seq: 9})
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -56,11 +57,11 @@ func TestInvokeAppError(t *testing.T) {
 
 func TestInvokeNonAppErrorBecomesInternal(t *testing.T) {
 	net, srv := newTestNet(t)
-	srv.Handle("math", "Boom", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {
-		return addResp{}, errors.New("plain failure")
+	srv.Handle("math", "Boom", Method(func(ctx context.Context, from transport.Addr, req testMsg) (testMsg, error) {
+		return testMsg{}, errors.New("plain failure")
 	}))
 	c := Client{Net: net, From: "client"}
-	_, err := Invoke[addReq, addResp](context.Background(), c, "server", "math", "Boom", addReq{})
+	_, err := Invoke[testMsg, testMsg](context.Background(), c, "server", "math", "Boom", testMsg{})
 	if CodeOf(err) != CodeInternal {
 		t.Fatalf("code = %q, want internal (err=%v)", CodeOf(err), err)
 	}
@@ -69,7 +70,7 @@ func TestInvokeNonAppErrorBecomesInternal(t *testing.T) {
 func TestInvokeNoSuchMethod(t *testing.T) {
 	net, _ := newTestNet(t)
 	c := Client{Net: net, From: "client"}
-	_, err := Invoke[addReq, addResp](context.Background(), c, "server", "math", "Nope", addReq{})
+	_, err := Invoke[testMsg, testMsg](context.Background(), c, "server", "math", "Nope", testMsg{})
 	if CodeOf(err) != CodeNoSuchMethod {
 		t.Fatalf("code = %q, want no-such-method", CodeOf(err))
 	}
@@ -77,18 +78,16 @@ func TestInvokeNoSuchMethod(t *testing.T) {
 
 func TestInvokeTransportErrorsPassThrough(t *testing.T) {
 	net, srv := newTestNet(t)
-	srv.Handle("math", "Add", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {
-		return addResp{Sum: req.A + req.B}, nil
-	}))
+	srv.Handle("math", "Add", Method(add))
 	c := Client{Net: net, From: "client"}
 	// Unreachable destination.
-	_, err := Invoke[addReq, addResp](context.Background(), c, "ghost", "math", "Add", addReq{})
+	_, err := Invoke[testMsg, testMsg](context.Background(), c, "ghost", "math", "Add", testMsg{})
 	if !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
 	// Lost reply: operation executed, caller sees transport error, not AppError.
 	net.Faults().DropReplies(1, transport.To("server"))
-	_, err = Invoke[addReq, addResp](context.Background(), c, "server", "math", "Add", addReq{A: 1})
+	_, err = Invoke[testMsg, testMsg](context.Background(), c, "server", "math", "Add", testMsg{Seq: 1})
 	if !errors.Is(err, transport.ErrReplyLost) {
 		t.Fatalf("err = %v, want ErrReplyLost", err)
 	}
@@ -96,16 +95,16 @@ func TestInvokeTransportErrorsPassThrough(t *testing.T) {
 
 func TestFromAddressVisibleToHandler(t *testing.T) {
 	net, srv := newTestNet(t)
-	srv.Handle("id", "WhoAmI", Method(func(ctx context.Context, from transport.Addr, req struct{}) (string, error) {
-		return string(from), nil
+	srv.Handle("id", "WhoAmI", Method(func(ctx context.Context, from transport.Addr, req Empty) (testMsg, error) {
+		return testMsg{Name: string(from)}, nil
 	}))
 	c := Client{Net: net, From: "client-42"}
-	got, err := Invoke[struct{}, string](context.Background(), c, "server", "id", "WhoAmI", struct{}{})
+	got, err := Invoke[Empty, testMsg](context.Background(), c, "server", "id", "WhoAmI", Empty{})
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
 	}
-	if got != "client-42" {
-		t.Fatalf("from = %q", got)
+	if got.Name != "client-42" {
+		t.Fatalf("from = %q", got.Name)
 	}
 }
 
@@ -113,44 +112,37 @@ func TestInvokeOverTCP(t *testing.T) {
 	tnet := transport.NewTCPMux()
 	defer tnet.Close()
 	srv := NewServer()
-	srv.Handle("math", "Add", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {
-		return addResp{Sum: req.A + req.B}, nil
-	}))
-	srv.Handle("math", "Fail", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {
-		return addResp{}, Errorf(CodeRefused, "no")
+	srv.Handle("math", "Add", Method(add))
+	srv.Handle("math", "Fail", Method(func(ctx context.Context, from transport.Addr, req testMsg) (testMsg, error) {
+		return testMsg{}, Errorf(CodeRefused, "no")
 	}))
 	tnet.Register("server", srv.Handler())
 	c := Client{Net: tnet, From: "client"}
-	resp, err := Invoke[addReq, addResp](context.Background(), c, "server", "math", "Add", addReq{A: 4, B: 7})
+	resp, err := Invoke[testMsg, testMsg](context.Background(), c, "server", "math", "Add", testMsg{Seq: 4, Delta: 7})
 	if err != nil {
 		t.Fatalf("Invoke over TCP: %v", err)
 	}
-	if resp.Sum != 11 {
-		t.Fatalf("Sum = %d", resp.Sum)
+	if resp.Seq != 11 {
+		t.Fatalf("sum = %d", resp.Seq)
 	}
 	// AppError codes survive TCP because they travel in the envelope.
-	_, err = Invoke[addReq, addResp](context.Background(), c, "server", "math", "Fail", addReq{})
+	_, err = Invoke[testMsg, testMsg](context.Background(), c, "server", "math", "Fail", testMsg{})
 	if CodeOf(err) != CodeRefused {
 		t.Fatalf("code over TCP = %q, want refused", CodeOf(err))
 	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	type rec struct {
-		Name string
-		N    int
-		Tags []string
-	}
-	in := rec{Name: "x", N: 3, Tags: []string{"a", "b"}}
+	in := testMsg{Name: "x", Seq: 3, Peers: []string{"a", "b"}}
 	data, err := Encode(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out rec
+	var out testMsg
 	if err := Decode(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Name != in.Name || out.N != in.N || len(out.Tags) != 2 {
+	if out.Name != in.Name || out.Seq != in.Seq || len(out.Peers) != 2 {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 }
@@ -207,11 +199,9 @@ func TestDecodeFrameMalformed(t *testing.T) {
 
 func TestClientCallEncodeOnce(t *testing.T) {
 	net, srv := newTestNet(t)
-	srv.Handle("math", "Add", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {
-		return addResp{Sum: req.A + req.B}, nil
-	}))
+	srv.Handle("math", "Add", Method(add))
 	c := Client{Net: net, From: "client"}
-	payload, err := Encode(&addReq{A: 3, B: 4})
+	payload, err := Encode(&testMsg{Seq: 3, Delta: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,27 +212,25 @@ func TestClientCallEncodeOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var resp addResp
+		var resp testMsg
 		if err := Decode(body, &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Sum != 7 {
-			t.Fatalf("Sum = %d", resp.Sum)
+		if resp.Seq != 7 {
+			t.Fatalf("sum = %d", resp.Seq)
 		}
 	}
 }
 
 func TestClientRecordsMetrics(t *testing.T) {
 	net, srv := newTestNet(t)
-	srv.Handle("math", "Add", Method(func(ctx context.Context, from transport.Addr, req addReq) (addResp, error) {
-		return addResp{Sum: req.A + req.B}, nil
-	}))
+	srv.Handle("math", "Add", Method(add))
 	reg := &metrics.Registry{}
 	c := Client{Net: net, From: "client", Metrics: reg}
-	if _, err := Invoke[addReq, addResp](context.Background(), c, "server", "math", "Add", addReq{A: 1, B: 2}); err != nil {
+	if _, err := Invoke[testMsg, testMsg](context.Background(), c, "server", "math", "Add", testMsg{Seq: 1, Delta: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Invoke[addReq, addResp](context.Background(), c, "ghost", "math", "Add", addReq{}); err == nil {
+	if _, err := Invoke[testMsg, testMsg](context.Background(), c, "ghost", "math", "Add", testMsg{}); err == nil {
 		t.Fatal("expected unreachable error")
 	}
 	if got := reg.Counter("rpc.math.calls").Value(); got != 2 {

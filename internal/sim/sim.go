@@ -35,7 +35,7 @@ const (
 
 // Ping probes a node's liveness from the given client.
 func Ping(ctx context.Context, cli rpc.Client, node transport.Addr) error {
-	_, err := rpc.Invoke[struct{}, string](ctx, cli, node, PingService, PingMethod, struct{}{})
+	_, err := rpc.Invoke[rpc.Empty, rpc.Empty](ctx, cli, node, PingService, PingMethod, rpc.Empty{})
 	return err
 }
 
@@ -389,15 +389,15 @@ func (c *Cluster) Add(name transport.Addr) *Node {
 	// outcomes are affirmatively recorded, routed through the cluster's
 	// outcome resolver. Registered here (not in store.RegisterService)
 	// because only the simulation layer knows the coordinator routing.
-	n.srv.Handle(store.ServiceName, store.MethodResolveDecided, rpc.Method(func(ctx context.Context, from transport.Addr, req store.ResolveReq) (store.ResolveResp, error) {
+	n.srv.Handle(store.ServiceName, store.MethodResolveDecided, rpc.Method(func(ctx context.Context, from transport.Addr, req rpc.Empty) (store.ResolveResp, error) {
 		applied, aborted := n.stable.ResolveDecided(c.outcomeLog(n))
 		return store.ResolveResp{Applied: applied, Aborted: aborted}, nil
 	}))
 	// And a liveness probe, used by failure-detection/cleanup protocols
 	// (the paper mentions the Object Server database "could periodically
 	// check if its clients are functioning", §4.1.3).
-	n.srv.Handle(PingService, PingMethod, rpc.Method(func(context.Context, transport.Addr, struct{}) (string, error) {
-		return "pong", nil
+	n.srv.Handle(PingService, PingMethod, rpc.Method(func(context.Context, transport.Addr, rpc.Empty) (rpc.Empty, error) {
+		return rpc.Empty{}, nil
 	}))
 	c.nodes[name] = n
 	c.net.Register(name, n.srv.Handler())

@@ -53,11 +53,11 @@ func TestCrashMakesUnreachableAndWipesVolatile(t *testing.T) {
 	n.VolatileOrStore("activated", func() any { return 42 })
 
 	// A service registered on alpha is callable...
-	n.Server().Handle("ping", "Ping", rpc.Method(func(ctx context.Context, from transport.Addr, req struct{}) (string, error) {
-		return "pong", nil
+	n.Server().Handle("ping", "Ping", rpc.Method(func(ctx context.Context, from transport.Addr, req rpc.Empty) (rpc.Empty, error) {
+		return rpc.Empty{}, nil
 	}))
 	cli := c.Node("beta").Client()
-	if _, err := rpc.Invoke[struct{}, string](context.Background(), cli, "alpha", "ping", "Ping", struct{}{}); err != nil {
+	if _, err := rpc.Invoke[rpc.Empty, rpc.Empty](context.Background(), cli, "alpha", "ping", "Ping", rpc.Empty{}); err != nil {
 		t.Fatalf("pre-crash call: %v", err)
 	}
 
@@ -68,7 +68,7 @@ func TestCrashMakesUnreachableAndWipesVolatile(t *testing.T) {
 	if v := n.VolatileOrStore("activated", func() any { return "wiped" }); v != "wiped" {
 		t.Fatalf("volatile storage should be wiped, still holds %v", v)
 	}
-	if _, err := rpc.Invoke[struct{}, string](context.Background(), cli, "alpha", "ping", "Ping", struct{}{}); !errors.Is(err, transport.ErrUnreachable) {
+	if _, err := rpc.Invoke[rpc.Empty, rpc.Empty](context.Background(), cli, "alpha", "ping", "Ping", rpc.Empty{}); !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("post-crash call err = %v", err)
 	}
 	if got := c.UpNodes(); len(got) != 1 || got[0] != "beta" {
@@ -94,8 +94,8 @@ func TestRecoverBumpsEpochAndRunsHooksAndReconnects(t *testing.T) {
 	c := NewCluster(transport.MemOptions{})
 	n := c.Add("alpha")
 	c.Add("beta")
-	n.Server().Handle("ping", "Ping", rpc.Method(func(ctx context.Context, from transport.Addr, req struct{}) (string, error) {
-		return "pong", nil
+	n.Server().Handle("ping", "Ping", rpc.Method(func(ctx context.Context, from transport.Addr, req rpc.Empty) (rpc.Empty, error) {
+		return rpc.Empty{}, nil
 	}))
 	hookRuns := 0
 	n.OnRecover(func(node *Node) {
@@ -114,7 +114,7 @@ func TestRecoverBumpsEpochAndRunsHooksAndReconnects(t *testing.T) {
 		t.Fatalf("hook runs = %d", hookRuns)
 	}
 	cli := c.Node("beta").Client()
-	if _, err := rpc.Invoke[struct{}, string](context.Background(), cli, "alpha", "ping", "Ping", struct{}{}); err != nil {
+	if _, err := rpc.Invoke[rpc.Empty, rpc.Empty](context.Background(), cli, "alpha", "ping", "Ping", rpc.Empty{}); err != nil {
 		t.Fatalf("post-recover call: %v", err)
 	}
 }

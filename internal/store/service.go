@@ -65,7 +65,7 @@ func chainSentinels(err error) error {
 	return err
 }
 
-// Request/response records. All fields exported for gob.
+// Request/response records; their codecs are in wire.go.
 
 // ReadReq asks for the committed version of an object.
 type ReadReq struct{ UID string }
@@ -110,17 +110,11 @@ type WriteRec struct {
 // TxReq names a transaction for Commit/Abort.
 type TxReq struct{ Tx string }
 
-// ResolveReq asks for a ResolveDecided pass.
-type ResolveReq struct{}
-
 // ResolveResp reports what a ResolveDecided pass settled.
 type ResolveResp struct {
 	Applied []string
 	Aborted []string
 }
-
-// Ack is an empty successful response.
-type Ack struct{}
 
 // RegisterService exposes s on srv under ServiceName.
 func RegisterService(srv *rpc.Server, s *Store) {
@@ -138,12 +132,12 @@ func RegisterService(srv *rpc.Server, s *Store) {
 		}
 		return ReadResp{Data: v.Data, Seq: v.Seq, TxID: v.TxID, Pinned: v.Pinned}, nil
 	}))
-	srv.Handle(ServiceName, MethodPut, rpc.Method(func(ctx context.Context, from transport.Addr, req PutReq) (Ack, error) {
+	srv.Handle(ServiceName, MethodPut, rpc.Method(func(ctx context.Context, from transport.Addr, req PutReq) (rpc.Empty, error) {
 		id, err := uid.Parse(req.UID)
 		if err != nil {
-			return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
+			return rpc.Empty{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
 		}
-		return Ack{}, s.Put(id, req.Data, req.Seq)
+		return rpc.Empty{}, s.Put(id, req.Data, req.Seq)
 	}))
 	srv.Handle(ServiceName, MethodSeqOf, rpc.Method(func(ctx context.Context, from transport.Addr, req SeqOfReq) (SeqOfResp, error) {
 		id, err := uid.Parse(req.UID)
@@ -153,33 +147,33 @@ func RegisterService(srv *rpc.Server, s *Store) {
 		seq, ok := s.SeqOf(id)
 		return SeqOfResp{Seq: seq, OK: ok}, nil
 	}))
-	srv.Handle(ServiceName, MethodPrepare, rpc.Method(func(ctx context.Context, from transport.Addr, req PrepareReq) (Ack, error) {
+	srv.Handle(ServiceName, MethodPrepare, rpc.Method(func(ctx context.Context, from transport.Addr, req PrepareReq) (rpc.Empty, error) {
 		writes := make([]Write, 0, len(req.Writes))
 		for _, w := range req.Writes {
 			id, err := uid.Parse(w.UID)
 			if err != nil {
-				return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
+				return rpc.Empty{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
 			}
 			writes = append(writes, Write{UID: id, Data: w.Data, Seq: w.Seq})
 		}
-		return Ack{}, admissionErr(s.Prepare(req.Tx, writes))
+		return rpc.Empty{}, admissionErr(s.Prepare(req.Tx, writes))
 	}))
-	srv.Handle(ServiceName, MethodCommitOnePhase, rpc.Method(func(ctx context.Context, from transport.Addr, req PrepareReq) (Ack, error) {
+	srv.Handle(ServiceName, MethodCommitOnePhase, rpc.Method(func(ctx context.Context, from transport.Addr, req PrepareReq) (rpc.Empty, error) {
 		writes := make([]Write, 0, len(req.Writes))
 		for _, w := range req.Writes {
 			id, err := uid.Parse(w.UID)
 			if err != nil {
-				return Ack{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
+				return rpc.Empty{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
 			}
 			writes = append(writes, Write{UID: id, Data: w.Data, Seq: w.Seq})
 		}
-		return Ack{}, admissionErr(s.CommitOnePhase(req.Tx, writes))
+		return rpc.Empty{}, admissionErr(s.CommitOnePhase(req.Tx, writes))
 	}))
-	srv.Handle(ServiceName, MethodCommit, rpc.Method(func(ctx context.Context, from transport.Addr, req TxReq) (Ack, error) {
-		return Ack{}, s.Commit(req.Tx)
+	srv.Handle(ServiceName, MethodCommit, rpc.Method(func(ctx context.Context, from transport.Addr, req TxReq) (rpc.Empty, error) {
+		return rpc.Empty{}, s.Commit(req.Tx)
 	}))
-	srv.Handle(ServiceName, MethodAbort, rpc.Method(func(ctx context.Context, from transport.Addr, req TxReq) (Ack, error) {
-		return Ack{}, s.Abort(req.Tx)
+	srv.Handle(ServiceName, MethodAbort, rpc.Method(func(ctx context.Context, from transport.Addr, req TxReq) (rpc.Empty, error) {
+		return rpc.Empty{}, s.Abort(req.Tx)
 	}))
 }
 
@@ -203,7 +197,7 @@ func (r RemoteStore) Read(ctx context.Context, id uid.UID) (Version, error) {
 
 // Put installs a committed version on the remote store.
 func (r RemoteStore) Put(ctx context.Context, id uid.UID, data []byte, seq uint64) error {
-	_, err := rpc.Invoke[PutReq, Ack](ctx, r.Client, r.Node, ServiceName, MethodPut, PutReq{UID: id.String(), Data: data, Seq: seq})
+	_, err := rpc.Invoke[PutReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodPut, PutReq{UID: id.String(), Data: data, Seq: seq})
 	return err
 }
 
@@ -223,7 +217,7 @@ func (r RemoteStore) Prepare(ctx context.Context, tx string, writes []Write) err
 	for i, w := range writes {
 		recs[i] = WriteRec{UID: w.UID.String(), Data: w.Data, Seq: w.Seq}
 	}
-	_, err := rpc.Invoke[PrepareReq, Ack](ctx, r.Client, r.Node, ServiceName, MethodPrepare, PrepareReq{Tx: tx, Writes: recs})
+	_, err := rpc.Invoke[PrepareReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodPrepare, PrepareReq{Tx: tx, Writes: recs})
 	return chainSentinels(err)
 }
 
@@ -234,24 +228,24 @@ func (r RemoteStore) CommitOnePhase(ctx context.Context, tx string, writes []Wri
 	for i, w := range writes {
 		recs[i] = WriteRec{UID: w.UID.String(), Data: w.Data, Seq: w.Seq}
 	}
-	_, err := rpc.Invoke[PrepareReq, Ack](ctx, r.Client, r.Node, ServiceName, MethodCommitOnePhase, PrepareReq{Tx: tx, Writes: recs})
+	_, err := rpc.Invoke[PrepareReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodCommitOnePhase, PrepareReq{Tx: tx, Writes: recs})
 	return chainSentinels(err)
 }
 
 // ResolveDecided asks the remote store to settle pending intentions
 // whose outcomes are affirmatively recorded at their coordinators.
 func (r RemoteStore) ResolveDecided(ctx context.Context) (ResolveResp, error) {
-	return rpc.Invoke[ResolveReq, ResolveResp](ctx, r.Client, r.Node, ServiceName, MethodResolveDecided, ResolveReq{})
+	return rpc.Invoke[rpc.Empty, ResolveResp](ctx, r.Client, r.Node, ServiceName, MethodResolveDecided, rpc.Empty{})
 }
 
 // Commit applies tx at the remote store.
 func (r RemoteStore) Commit(ctx context.Context, tx string) error {
-	_, err := rpc.Invoke[TxReq, Ack](ctx, r.Client, r.Node, ServiceName, MethodCommit, TxReq{Tx: tx})
+	_, err := rpc.Invoke[TxReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodCommit, TxReq{Tx: tx})
 	return err
 }
 
 // Abort discards tx at the remote store.
 func (r RemoteStore) Abort(ctx context.Context, tx string) error {
-	_, err := rpc.Invoke[TxReq, Ack](ctx, r.Client, r.Node, ServiceName, MethodAbort, TxReq{Tx: tx})
+	_, err := rpc.Invoke[TxReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodAbort, TxReq{Tx: tx})
 	return err
 }

@@ -4,30 +4,21 @@ import "repro/internal/rpc"
 
 // Binary codecs (rpc.Wire) for the object-store wire records: the 2PC
 // prepare/commit/abort legs every dirty commit fans out, plus the read
-// path activation rides. Tags live in the 0x40–0x4f block of the registry
-// in internal/rpc/doc.go. The read reply is at version 2 (Pinned);
-// everything else is at version 1.
+// path activation rides and the recovery-time ResolveDecided report. Tags
+// live in the 0x40–0x4f block of the registry in internal/rpc/doc.go. The
+// read reply is at version 2 (Pinned); everything else is at version 1.
+// (0x40 was the store's own empty Ack, which rpc.Empty replaced; it stays
+// retired.)
 const (
-	wireTagAck byte = 0x40 + iota
-	wireTagReadReq
+	wireTagReadReq byte = 0x41 + iota
 	wireTagReadResp
 	wireTagPutReq
 	wireTagSeqOfReq
 	wireTagSeqOfResp
 	wireTagPrepareReq
 	wireTagTxReq
+	wireTagResolveResp
 )
-
-// Ack
-
-// WireTag implements rpc.Wire.
-func (*Ack) WireTag() (byte, byte) { return wireTagAck, 1 }
-
-// AppendWire implements rpc.Wire.
-func (*Ack) AppendWire(dst []byte) []byte { return dst }
-
-// ParseWire implements rpc.Wire.
-func (*Ack) ParseWire(byte, *rpc.WireReader) error { return nil }
 
 // ReadReq
 
@@ -179,5 +170,23 @@ func (q *TxReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.T
 // ParseWire implements rpc.Wire.
 func (q *TxReq) ParseWire(_ byte, r *rpc.WireReader) error {
 	q.Tx = r.String()
+	return nil
+}
+
+// ResolveResp
+
+// WireTag implements rpc.Wire.
+func (*ResolveResp) WireTag() (byte, byte) { return wireTagResolveResp, 1 }
+
+// AppendWire implements rpc.Wire.
+func (p *ResolveResp) AppendWire(dst []byte) []byte {
+	dst = rpc.AppendStrings(dst, p.Applied)
+	return rpc.AppendStrings(dst, p.Aborted)
+}
+
+// ParseWire implements rpc.Wire.
+func (p *ResolveResp) ParseWire(_ byte, r *rpc.WireReader) error {
+	p.Applied = r.Strings()
+	p.Aborted = r.Strings()
 	return nil
 }

@@ -11,11 +11,14 @@ import (
 
 // TestFacadeAllocs pins what one committed action allocates end to end —
 // client, database, server and store all run on the caller in a Mem
-// deployment, so AllocsPerRun sees every layer. The budgets are the counts
-// measured when the per-call overhead was taken out (PR 19) and when each
-// class's PrepareCommit message went (Apply in PR 20, the read-only client's
-// read in PR 21), plus 5 %: a later change that puts weight back on the path
-// fails here, not in a benchmark run.
+// deployment, so AllocsPerRun sees every layer. The deployment is one
+// group, so every bind goes through the placement binder over a one-row
+// table, and the pin also holds that path to allocating nothing of its own.
+// The budgets are the counts measured when each class last got cheaper —
+// the per-call overhead taken out, each class's PrepareCommit message gone,
+// the read-only client's first bind holding no database lock — plus 5 %: a
+// later change that puts weight back on the path fails here, not in a
+// benchmark run.
 func TestFacadeAllocs(t *testing.T) {
 	sys := openT(t, arjuna.WithShards(1), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(2))
 	rw := clientT(t, sys, "c1", arjuna.ClientFastBind())
@@ -38,7 +41,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 69}, // 66 measured; 75 with a PrepareCommit message, 147 before PR 19
+		}, 56}, // 53 measured; 66 with a locked bind, 75 with a PrepareCommit message, 147 with the per-call overhead
 	} {
 		c.op() // warm-up: placement cache, activation, lock-table free lists
 		got := testing.AllocsPerRun(200, c.op)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/lease"
+	"repro/internal/placement"
 	"repro/internal/rpc"
 	"repro/internal/transport"
 	"repro/internal/uid"
@@ -53,9 +54,10 @@ func (c *Client) retryDelay(base time.Duration, attempt int) time.Duration {
 type Client struct {
 	sys  *System
 	name transport.Addr
-	// binder is the classic single-group binder, or the placement-aware
-	// one when the deployment is sharded.
-	binder core.ActionBinder
+	// binder resolves each object's group through the deployment's
+	// placement table — one row, and no message, with one group — and
+	// binds it there.
+	binder *placement.Binder
 	cfg    clientConfig
 	// leases is the client's L1 view over its node's shared lease cache;
 	// nil unless the deployment was opened WithReadLeases (and the

@@ -254,9 +254,10 @@
 // explicit overrides — the paper's §5 observation (naming data needs no
 // atomic discipline because binding failures are detected and retried)
 // applied one level up, to the object→group map itself. Clients resolve
-// and cache placements transparently inside Atomic: an action touching
-// objects of one shard runs exactly as in an unsharded deployment,
-// keeping the one-phase and all-read-only fast paths, while an action
+// and cache placements transparently inside Atomic — a one-group
+// deployment binds through the same placement binder, over a one-row table
+// that resolves without a message. An action touching objects of one shard
+// keeps the one-phase and all-read-only fast paths, while an action
 // spanning shards enlists participants from several groups under one
 // coordinator and commits through the same voting two-phase protocol.
 //

@@ -75,9 +75,6 @@ var (
 	ErrUnknownMethod = errors.New("arjuna: unknown method")
 	// ErrUnknownNode reports a node name the deployment does not contain.
 	ErrUnknownNode = errors.New("arjuna: unknown node")
-	// ErrNotSharded reports a sharding-only operation (e.g. Rebalance) on
-	// a deployment opened without WithShards.
-	ErrNotSharded = errors.New("arjuna: deployment is not sharded")
 	// ErrLeaseStale reports a read the action can no longer vouch for: a
 	// transaction mixing lease-served (or carried) reads with server-side
 	// work found, at commit time, that what it read had been superseded,

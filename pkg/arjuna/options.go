@@ -109,8 +109,9 @@ func WithObjects(n int) Option { return func(c *config) { c.objects = n } }
 // with an explicit-override directory on top, and every Client binds
 // through it transparently: actions touching one shard keep the
 // one-phase and read-only fast paths, actions spanning shards enlist
-// participants from several groups under one coordinator. n <= 1 keeps
-// the classic single-group deployment (one "db" node) unchanged.
+// participants from several groups under one coordinator. n <= 1 is one
+// group (one "db" node) with no placement service: its placement table has
+// one row, which every Client resolves without a message.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithScheme sets the deployment's default database access scheme;

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -413,9 +414,24 @@ func TestRebalanceRefusesWhileActionInFlight(t *testing.T) {
 	}
 }
 
+// TestRebalanceUnsharded: one group is a one-row placement table, so a move
+// to shard 1 is a no-op that sends nothing, and any other target is an
+// unknown shard that leaves the object where it is.
 func TestRebalanceUnsharded(t *testing.T) {
 	sys := openT(t)
-	if err := sys.Rebalance(context.Background(), sys.Objects()[0], 2); !errors.Is(err, arjuna.ErrNotSharded) {
-		t.Fatalf("err = %v, want ErrNotSharded", err)
+	obj, ctx := sys.Objects()[0], context.Background()
+	var calls atomic.Int64
+	sys.Faults().OnRequest(-1, func(transport.Request) bool { return true }, func(transport.Request) { calls.Add(1) })
+	if err := sys.Rebalance(ctx, obj, 1); err != nil {
+		t.Fatalf("Rebalance to shard 1 = %v, want nil", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("Rebalance to shard 1 sent %d messages, want none", n)
+	}
+	if err := sys.Rebalance(ctx, obj, 2); err == nil {
+		t.Fatal("Rebalance to shard 2 of one succeeded")
+	}
+	if s := sys.ShardOf(obj); s != 1 {
+		t.Fatalf("ShardOf = %d after a refused move, want 1", s)
 	}
 }

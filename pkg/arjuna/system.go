@@ -150,18 +150,9 @@ func (s *System) Client(name string, opts ...ClientOption) (*Client, error) {
 			cc.degree = 0 // all servers in the view
 		}
 	}
-	var binder core.ActionBinder
-	if s.w.Sharded() {
-		sb := s.w.ShardBinder(addr, cc.scheme, cc.policy, cc.degree)
-		sb.ReadOnly = cc.readOnly
-		sb.FastBind = cc.fastBind
-		binder = sb
-	} else {
-		b := s.w.Binder(addr, cc.scheme, cc.policy, cc.degree)
-		b.ReadOnly = cc.readOnly
-		b.FastBind = cc.fastBind
-		binder = b
-	}
+	binder := s.w.ShardBinder(addr, cc.scheme, cc.policy, cc.degree)
+	binder.ReadOnly = cc.readOnly
+	binder.FastBind = cc.fastBind
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name)) // hash.Hash.Write never fails
 	cl := &Client{sys: s, name: addr, binder: binder, cfg: cc,
@@ -299,11 +290,10 @@ func (s *System) ShardOf(id uid.UID) int {
 // the §4.2 catch-up machinery, registered in the target group's
 // database, and the placement override updated with a bumped epoch so
 // clients holding the stale mapping re-bind instead of committing
-// against the old shard. Requires WithShards.
+// against the old shard. An object already on the target stays put, so on
+// one group a move to shard 1 is a no-op and any other target is an
+// unknown shard.
 func (s *System) Rebalance(ctx context.Context, id uid.UID, target int) error {
-	if !s.w.Sharded() {
-		return fmt.Errorf("arjuna: rebalance: %w", ErrNotSharded)
-	}
 	return MapError(s.w.Rebalance(ctx, id, target))
 }
 
@@ -312,11 +302,9 @@ func (s *System) Rebalance(ctx context.Context, id uid.UID, target int) error {
 // re-registered as in Rebalance, but the placement overrides flip in a
 // single service-side critical section (one AssignBatch round, one epoch
 // bump per object) — a concurrent client observes the old or the new
-// placement of the batch, never a torn mixture. Requires WithShards.
+// placement of the batch, never a torn mixture. Targets are as for
+// Rebalance.
 func (s *System) RebalanceBatch(ctx context.Context, ids []uid.UID, target int) error {
-	if !s.w.Sharded() {
-		return fmt.Errorf("arjuna: rebalance: %w", ErrNotSharded)
-	}
 	return MapError(s.w.RebalanceBatch(ctx, ids, target))
 }
 
@@ -456,7 +444,7 @@ func (s *System) kindOf(addr transport.Addr) string {
 		}
 	}
 	switch {
-	case s.w.Sharded() && slices.Contains(s.w.PlaceAddrs, addr):
+	case slices.Contains(s.w.PlaceAddrs, addr):
 		return "placement"
 	case slices.Contains(s.w.Svs, addr):
 		return "server"
@@ -601,13 +589,8 @@ func (s *System) StatsSnapshot() string {
 // String implements fmt.Stringer.
 func (s *System) String() string {
 	var b strings.Builder
-	if s.w.Sharded() {
-		fmt.Fprintf(&b, "arjuna.System(%d shards × (db + %d servers + %d stores) + %d clients, scheme=%v, policy=%v",
-			len(s.w.Groups), s.cfg.servers, s.cfg.stores, len(s.w.Clients), s.cfg.scheme, s.cfg.policy)
-	} else {
-		fmt.Fprintf(&b, "arjuna.System(db + %d servers + %d stores + %d clients, scheme=%v, policy=%v",
-			len(s.w.Svs), len(s.w.Sts), len(s.w.Clients), s.cfg.scheme, s.cfg.policy)
-	}
+	fmt.Fprintf(&b, "arjuna.System(%d × (db + %d servers + %d stores) + %d clients, scheme=%v, policy=%v",
+		len(s.w.Groups), s.cfg.servers, s.cfg.stores, len(s.w.Clients), s.cfg.scheme, s.cfg.policy)
 	net := s.w.Cluster.Net()
 	if f, ok := net.(*transport.Faulty); ok {
 		net = f.Inner()
