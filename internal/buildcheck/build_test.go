@@ -4,7 +4,8 @@
 // users while CI stayed green. The benchmark (bench/) is its own module,
 // which `go build ./... && go test ./...` never enters, so it is vetted
 // from here too. It also checks README's census of the facade's options
-// against the source, and that RPC payloads keep to one codec.
+// against the source, that RPC payloads keep to one codec, and that CI's
+// test selections name tests that exist.
 package buildcheck
 
 import (
@@ -16,7 +17,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -130,6 +133,65 @@ func TestEveryOptionHasAReadmeRow(t *testing.T) {
 		if !rows[name] {
 			t.Errorf("%s has no row in README's Options table (name | set outside tests by | justified by)", name)
 		}
+	}
+}
+
+// TestCIRunPatternsNameTests keeps CI's test selections from rotting: a
+// renamed or deleted test would leave a `-run` alternation matching nothing,
+// and the step would pass having run nothing. Every alternative in the
+// workflow's `-run` patterns that names a test — Test… or Fuzz… and more —
+// must be a prefix of a test or fuzz function declared in the module.
+// Fragments that name none (`^$`, `Alloc`, a bare `Fuzz`) are left alone.
+func TestCIRunPatternsNameTests(t *testing.T) {
+	root := moduleRoot(t)
+	workflow, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// bench/ is a module of its own, which CI's -run patterns never select.
+			if d.Name() == "testdata" || path == filepath.Join(root, "bench") || (path != root && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range file.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, run := range regexp.MustCompile(`-run '([^']*)'`).FindAllStringSubmatch(string(workflow), -1) {
+		for _, alt := range strings.Split(run[1], "|") {
+			if alt == "Test" || alt == "Fuzz" || !(strings.HasPrefix(alt, "Test") || strings.HasPrefix(alt, "Fuzz")) {
+				continue
+			}
+			checked++
+			if !slices.ContainsFunc(names, func(name string) bool { return strings.HasPrefix(name, alt) }) {
+				t.Errorf("ci.yml runs %q, which no test or fuzz function in the module is named after", alt)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no test names in ci.yml's -run patterns: the workflow's shape changed under this check")
 	}
 }
 

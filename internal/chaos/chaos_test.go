@@ -550,7 +550,7 @@ func TestInDoubtParticipantConvergesDeterministic(t *testing.T) {
 func TestInDoubtClientOutcomeIsNeverRetried(t *testing.T) {
 	sys, w := openT(t, arjuna.WithServers(1), arjuna.WithStores(1))
 	cl := clientT(t, sys, "c1", arjuna.ClientRetry(5, 2*time.Millisecond))
-	rule := transport.ToMethod("sv1", object.ServiceName, object.MethodPrepareCommit)
+	rule := transport.ToMethod("sv1", object.ServiceName, object.MethodPrepare)
 	sys.Faults().OnReply(1, rule, func(transport.Request) { w.Cluster.Node("sv1").Crash() })
 	sys.Faults().DropReplies(1, rule)
 

@@ -133,7 +133,7 @@ func (s Scheme) String() string {
 // Between the two the binding talks to its servers, and how often depends on
 // what the action says about itself:
 //
-//   - invoke, then Prepare and Commit — or the one PrepareCommit when a
+//   - invoke, then Prepare and Commit — or one one-phase Prepare when a
 //     single server writes back to a single store — for a binding of
 //     Atomic + Invoke, one among possibly several in its action;
 //   - one invoke for a binding of Apply (InvokeSolo), whose operation is

@@ -26,11 +26,11 @@ func (w *world) stored(t *testing.T, st transport.Addr) (string, uint64) {
 	return string(v.Data), v.Seq
 }
 
-// TestSoloInvokeCarriesPrepareCommit: over one store the request that runs
-// the method commits the action — the reply has the result and
-// PrepareCommit's answer, the store has the new version, and the server has
+// TestSoloInvokeCarriesOnePhasePrepare: over one store the request that runs
+// the method commits the action — the reply has the result and a one-phase
+// Prepare's answer, the store has the new version, and the server has
 // forgotten the action, so nothing is left for a second message to do.
-func TestSoloInvokeCarriesPrepareCommit(t *testing.T) {
+func TestSoloInvokeCarriesOnePhasePrepare(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	resp, err := w.soloRef("sv1", "st1").InvokeSolo(ctx, "a1", "add", []byte("3"), CarryCommit, nil)
@@ -94,7 +94,7 @@ func TestSoloInvokeRefusedVoteKeepsTheResult(t *testing.T) {
 	if _, err := w.firstRef("sv1", w.id).Invoke(ctx, "a0", "get", nil); err != nil { // activate while the stores are up
 		t.Fatal(err)
 	}
-	if _, err := w.ref("sv1").Prepare(ctx, "a0", nil); err != nil {
+	if _, err := w.ref("sv1").Prepare(ctx, "a0", nil, false); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st1").Crash()
@@ -259,7 +259,7 @@ func TestFoldedFollowerOfUndecidedLeaderIsUncertain(t *testing.T) {
 		}
 	}
 	// The leader prepares — folding the follower — and is never heard of again.
-	presp, err := w.ref("sv3").Prepare(ctx, "lead", []transport.Addr{"st1", "st2"})
+	presp, err := w.ref("sv3").Prepare(ctx, "lead", []transport.Addr{"st1", "st2"}, false)
 	if err != nil || presp.BatchSize != 2 {
 		t.Fatalf("leader's prepare = %+v, %v; want a batch of 2", presp, err)
 	}
@@ -292,7 +292,7 @@ func TestAbortOvertakingPrepareLeavesNothing(t *testing.T) {
 			t.Errorf("abort: %v", err)
 		}
 	})
-	if _, err := w.ref("sv1").Prepare(ctx, "a1", []transport.Addr{"st1", "st2"}); rpc.CodeOf(err) != rpc.CodeRefused {
+	if _, err := w.ref("sv1").Prepare(ctx, "a1", []transport.Addr{"st1", "st2"}, false); rpc.CodeOf(err) != rpc.CodeRefused {
 		t.Fatalf("prepare overtaken by its abort: err = %v, want a refusal", err)
 	}
 	if st, err := w.ref("sv1").Status(ctx); err != nil || st.Users != 0 || st.Prepared != 0 {
@@ -305,5 +305,93 @@ func TestAbortOvertakingPrepareLeavesNothing(t *testing.T) {
 	}
 	if out, err := w.ref("sv1").Invoke(ctx, "a2", "get", nil); err != nil || string(out) != "0" {
 		t.Fatalf("read after the abort = %q, %v; want the restored 0", out, err)
+	}
+}
+
+// TestAbortOvertakingOnePhaseRoundKeepsItsCommit: the same race with a
+// one-phase round. The Abort is served while the one store is committing the
+// copy, and rolls the instance back to version 1 while the store moves to 2.
+// The store's commit stands, so the round's answer is no refusal, and the
+// rolled-back instance goes: the next request reloads version 2, and the
+// next write commits version 3 on top of it instead of over it.
+func TestAbortOvertakingOnePhaseRoundKeepsItsCommit(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	ref := w.soloRef("sv1", "st1")
+	if _, err := ref.Invoke(ctx, "a1", "add", []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	w.cluster.Faults().OnReply(1, transport.ToMethod("st1", store.ServiceName, store.MethodCommitOnePhase), func(transport.Request) {
+		if _, err := w.ref("sv1").Abort(ctx, "a1"); err != nil {
+			t.Errorf("abort: %v", err)
+		}
+	})
+	if _, err := w.ref("sv1").Prepare(ctx, "a1", []transport.Addr{"st1"}, true); rpc.CodeOf(err) != CodeCommitUncertain {
+		t.Fatalf("one-phase round overtaken by its abort: err = %v, want %s", err, CodeCommitUncertain)
+	}
+	if resp, err := ref.InvokeSolo(ctx, "a2", "get", nil, CarryCommit, nil); err != nil || string(resp.Result) != "3" {
+		t.Fatalf("read after the overtaken round = %q, %v; want the committed 3", resp.Result, err)
+	}
+	if resp, err := ref.InvokeSolo(ctx, "a3", "add", []byte("1"), CarryCommit, nil); err != nil || resp.VoteErr() != nil {
+		t.Fatalf("write after the overtaken round: %v, vote %v", err, resp.VoteErr())
+	}
+	if data, seq := w.stored(t, "st1"); data != "4" || seq != 3 {
+		t.Fatalf("st1 holds %q/%d, want 4/3", data, seq)
+	}
+}
+
+// TestFoldedFollowerOfAnInDoubtOnePhaseRoundIsNotRetried: an op folded into
+// a one-phase round goes to the store with it, and here the store commits
+// both. The leader's server then loses track of the round — its Abort
+// overtakes the round, or the round's reply is lost and the two-phase
+// re-prepare that follows finds the copy stale and destroys it — and must not
+// tell the follower to retry: its effect may be, and is, committed.
+func TestFoldedFollowerOfAnInDoubtOnePhaseRoundIsNotRetried(t *testing.T) {
+	commitOnePhase := transport.ToMethod("st1", store.ServiceName, store.MethodCommitOnePhase)
+	st1 := []transport.Addr{"st1"}
+	for _, overtaken := range []bool{true, false} {
+		w := newWorld(t)
+		class := counterClass()
+		class.Commutative = map[string]bool{"add": true}
+		w.reg.Register(class)
+		mgr := NewManager(w.cluster.Add("sv3"), w.reg)
+		ctx := context.Background()
+		if _, err := w.soloRef("sv3", "st1").Invoke(ctx, "lead", "add", []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+		follower := make(chan error, 1)
+		go func() {
+			_, err := w.soloRef("sv3", "st1").InvokeSolo(ctx, "follow", "add", []byte("10"), CarryCommit, nil)
+			follower <- err
+		}()
+		in, _ := mgr.lookup(w.id)
+		for deadline := time.Now().Add(5 * time.Second); in.comb.depth() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the follower never queued behind the leader")
+			}
+		}
+		if overtaken {
+			w.cluster.Faults().OnReply(1, commitOnePhase, func(transport.Request) {
+				if _, err := w.ref("sv3").Abort(ctx, "lead"); err != nil {
+					t.Errorf("abort: %v", err)
+				}
+			})
+		} else {
+			w.cluster.Faults().DropReplies(1, commitOnePhase)
+		}
+		if _, err := w.ref("sv3").Prepare(ctx, "lead", st1, true); rpc.CodeOf(err) != CodeCommitUncertain {
+			t.Fatalf("overtaken %v: leader's round: err = %v, want %s", overtaken, err, CodeCommitUncertain)
+		}
+		if !overtaken {
+			if _, err := w.ref("sv3").Prepare(ctx, "lead", st1, false); rpc.CodeOf(err) != CodeStaleServer {
+				t.Fatalf("leader's re-prepare: err = %v, want %s", err, CodeStaleServer)
+			}
+		}
+		if err := <-follower; rpc.CodeOf(err) != CodeCommitUncertain {
+			t.Fatalf("overtaken %v: folded follower's answer = %v, want %s", overtaken, err, CodeCommitUncertain)
+		}
+		if data, seq := w.stored(t, "st1"); data != "11" || seq != 2 {
+			t.Fatalf("overtaken %v: st1 holds %q/%d, want 11/2: both ops committed", overtaken, data, seq)
+		}
 	}
 }

@@ -79,7 +79,7 @@ func (r ServerRef) InvokeFull(ctx context.Context, action, method string, args [
 // combining); the full response is returned so the caller can see whether
 // the operation was batched. carry asks the server to go on into the
 // action's phase one against the ref's StNodes (see InvokeReq.Carry), with
-// checkpointTo as PrepareCommit's; the vote is in the response.
+// checkpointTo as a one-phase Prepare's; the vote is in the response.
 func (r ServerRef) InvokeSolo(ctx context.Context, action, method string, args []byte, carry Carry, checkpointTo []transport.Addr) (InvokeResp, error) {
 	req := InvokeReq{Action: action, Method: method, Args: args, Solo: true, Carry: carry}
 	if len(checkpointTo) > 0 {
@@ -89,12 +89,14 @@ func (r ServerRef) InvokeSolo(ctx context.Context, action, method string, args [
 }
 
 // Prepare runs the server's commit-time state copy to stNodes (phase one).
-func (r ServerRef) Prepare(ctx context.Context, action string, stNodes []transport.Addr) (PrepareResp, error) {
-	return rpc.Invoke[PrepareReq, PrepareResp](ctx, r.Client, r.Node, ServiceName, MethodPrepare, PrepareReq{
-		UID:     r.name(),
-		Action:  action,
-		StNodes: addrsToStrings(stNodes),
-	})
+// onePhase has the server commit it too, and release the action, with
+// checkpointTo as Commit's (see PrepareReq.OnePhase).
+func (r ServerRef) Prepare(ctx context.Context, action string, stNodes []transport.Addr, onePhase bool, checkpointTo ...transport.Addr) (PrepareResp, error) {
+	req := PrepareReq{UID: r.name(), Action: action, StNodes: addrsToStrings(stNodes), OnePhase: onePhase}
+	if len(checkpointTo) > 0 {
+		req.CheckpointTo = addrsToStrings(checkpointTo)
+	}
+	return rpc.Invoke[PrepareReq, PrepareResp](ctx, r.Client, r.Node, ServiceName, MethodPrepare, req)
 }
 
 // Commit finishes the action at this server (phase two). checkpointTo, if
@@ -104,18 +106,6 @@ func (r ServerRef) Commit(ctx context.Context, action string, checkpointTo ...tr
 	return rpc.Invoke[EndReq, EndResp](ctx, r.Client, r.Node, ServiceName, MethodCommit, EndReq{
 		UID:          r.name(),
 		Action:       action,
-		CheckpointTo: addrsToStrings(checkpointTo),
-	})
-}
-
-// PrepareCommit runs the combined prepare+commit round: the server copies
-// and commits its state to stNodes and releases the action, in one RPC.
-// checkpointTo asks for coordinator-cohort checkpoints on commit.
-func (r ServerRef) PrepareCommit(ctx context.Context, action string, stNodes, checkpointTo []transport.Addr) (PrepareCommitResp, error) {
-	return rpc.Invoke[PrepareCommitReq, PrepareCommitResp](ctx, r.Client, r.Node, ServiceName, MethodPrepareCommit, PrepareCommitReq{
-		UID:          r.name(),
-		Action:       action,
-		StNodes:      addrsToStrings(stNodes),
 		CheckpointTo: addrsToStrings(checkpointTo),
 	})
 }

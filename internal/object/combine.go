@@ -22,8 +22,7 @@ import "sync"
 // can queue behind it is the method plus the lock hand-off, no longer a
 // client round trip. What queues during its store write waits for the
 // release, and the head is promoted then. A holder that is an ordinary
-// action (Atomic + Invoke) drains at its Prepare or PrepareCommit message,
-// as before.
+// action (Atomic + Invoke) drains at its Prepare message, one-phase or not.
 //
 // A folded operation's fate is its leader's. If no verdict comes — the
 // leader's client gave the action up and no Abort reached this server — the

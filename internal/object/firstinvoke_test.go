@@ -50,7 +50,7 @@ func TestConcurrentFirstInvokesAtFreshServer(t *testing.T) {
 						return
 					}
 					ref := ServerRef{Client: w.cluster.Node("client").Client(), Node: "sv1", UID: id}
-					if _, err := ref.Prepare(ctx, act, []transport.Addr{"st1", "st2"}); err != nil {
+					if _, err := ref.Prepare(ctx, act, []transport.Addr{"st1", "st2"}, false); err != nil {
 						errs[i] = fmt.Errorf("prepare: %w", err)
 						return
 					}
@@ -115,7 +115,10 @@ func TestFirstInvokeAfterPassivationReactivates(t *testing.T) {
 	if _, err := w.firstRef("sv3", w.id).Invoke(ctx, "a1", "add", []byte("5")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.ref("sv3").PrepareCommit(ctx, "a1", []transport.Addr{"st1", "st2"}, nil); err != nil {
+	if _, err := w.ref("sv3").Prepare(ctx, "a1", []transport.Addr{"st1", "st2"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.ref("sv3").Commit(ctx, "a1"); err != nil {
 		t.Fatal(err)
 	}
 	if rep := mgr.PassivateQuiescent(); len(rep.Passivated) != 1 {
@@ -143,7 +146,10 @@ func TestFailoverRequestRevalidatesLeftBehindCopy(t *testing.T) {
 		if _, err := w.firstRef(node, w.id).Invoke(ctx, act, "add", []byte(delta)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.ref(node).PrepareCommit(ctx, act, stores, nil); err != nil {
+		if _, err := w.ref(node).Prepare(ctx, act, stores, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.ref(node).Commit(ctx, act); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +205,7 @@ func TestFailoverRequestRevalidatesLeftBehindCopy(t *testing.T) {
 	if _, err := failover.Invoke(readCtx, "r6", "get", nil); rpc.CodeOf(err) != rpc.CodeRefused {
 		t.Fatalf("failover read behind a writer: err = %v, want the read lock's wait to run out (%s)", err, rpc.CodeRefused)
 	}
-	if _, err := w.ref("sv2").Prepare(ctx, "w4", stores); rpc.CodeOf(err) != CodeStaleServer {
+	if _, err := w.ref("sv2").Prepare(ctx, "w4", stores, false); rpc.CodeOf(err) != CodeStaleServer {
 		t.Fatalf("prepare of the writer on the stale copy: err = %v, want %s", err, CodeStaleServer)
 	}
 }

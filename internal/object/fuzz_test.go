@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzBinaryInvokeDecode hardens the hottest binary codecs in the system:
-// decoding arbitrary bytes as an invoke request or reply must never panic,
+// decoding arbitrary bytes as an invoke request or reply, or as the prepare
+// request that a carried phase one stands in for, must never panic,
 // over-read or over-allocate, and whatever decodes cleanly must survive a
 // decode -> re-encode -> decode round trip unchanged. Torn and mutated
 // frames (also checked in under testdata/fuzz/FuzzBinaryInvokeDecode) must
@@ -34,11 +35,16 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	prepareReq, err := rpc.Encode(&PrepareReq{UID: "obj-1", Action: "act-1", StNodes: []string{"st1"}, OnePhase: true, CheckpointTo: []string{"sv2"}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(reqFrame)
 	f.Add(respFrame)
 	f.Add(carryReq)
 	f.Add(carryResp)
 	f.Add(refusedResp)
+	f.Add(prepareReq)
 	f.Add(reqFrame[:len(reqFrame)/2]) // torn mid-body
 	f.Add([]byte{})
 	f.Add([]byte{rpc.WireMagic})
@@ -49,32 +55,25 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	f.Add(append(carryReq[:len(carryReq)-7:len(carryReq)-7], 9, 0, 0)) // a carry value no version defines
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var req InvokeReq
-		if err := rpc.Decode(raw, &req); err == nil {
-			re, err := rpc.Encode(&req)
+		for _, fresh := range []func() rpc.Wire{
+			func() rpc.Wire { return new(InvokeReq) },
+			func() rpc.Wire { return new(InvokeResp) },
+			func() rpc.Wire { return new(PrepareReq) },
+		} {
+			v := fresh()
+			if rpc.Decode(raw, v) != nil {
+				continue
+			}
+			re, err := rpc.Encode(v)
 			if err != nil {
-				t.Fatalf("re-encode accepted request: %v", err)
+				t.Fatalf("re-encode accepted %T: %v", v, err)
 			}
-			var req2 InvokeReq
-			if err := rpc.Decode(re, &req2); err != nil {
-				t.Fatalf("re-encoded request undecodable: %v", err)
+			v2 := fresh()
+			if err := rpc.Decode(re, v2); err != nil {
+				t.Fatalf("re-encoded %T undecodable: %v", v, err)
 			}
-			if !reflect.DeepEqual(&req, &req2) {
-				t.Fatalf("request round trip changed content:\n 1: %+v\n 2: %+v", req, req2)
-			}
-		}
-		var resp InvokeResp
-		if err := rpc.Decode(raw, &resp); err == nil {
-			re, err := rpc.Encode(&resp)
-			if err != nil {
-				t.Fatalf("re-encode accepted reply: %v", err)
-			}
-			var resp2 InvokeResp
-			if err := rpc.Decode(re, &resp2); err != nil {
-				t.Fatalf("re-encoded reply undecodable: %v", err)
-			}
-			if !reflect.DeepEqual(&resp, &resp2) {
-				t.Fatalf("reply round trip changed content:\n 1: %+v\n 2: %+v", resp, resp2)
+			if !reflect.DeepEqual(v, v2) {
+				t.Fatalf("%T round trip changed content:\n 1: %+v\n 2: %+v", v, v, v2)
 			}
 		}
 	})

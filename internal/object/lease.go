@@ -56,7 +56,7 @@ func (m *Manager) EnableLeases(ttl time.Duration) { m.leaseTTL = ttl }
 func (m *Manager) maybeGrant(ctx context.Context, in *instance, holder transport.Addr) *LeaseGrant {
 	now := time.Now()
 	in.mu.Lock()
-	if len(in.dirty) > 0 {
+	if in.writing() {
 		// Uncommitted writes in memory (necessarily the invoking
 		// action's own: any other writer's lock would have excluded
 		// this read) — the state is not a committed snapshot.
@@ -83,7 +83,7 @@ func (m *Manager) maybeGrant(ctx context.Context, in *instance, holder transport
 
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.seq != seq || len(in.dirty) > 0 {
+	if in.seq != seq || in.writing() {
 		return nil
 	}
 	in.leaseSeq = seq

@@ -146,7 +146,7 @@ func TestInvokeCommitWritesBackToAllStores(t *testing.T) {
 	if string(res) != "5" {
 		t.Fatalf("result = %q", res)
 	}
-	prep, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"})
+	prep, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPrepareReportsFailedStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st2").Crash()
-	prep, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"})
+	prep, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPrepareAllStoresDownAborts(t *testing.T) {
 	}
 	w.cluster.Node("st1").Crash()
 	w.cluster.Node("st2").Crash()
-	_, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"})
+	_, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"}, false)
 	if rpc.CodeOf(err) != CodeUnavailable {
 		t.Fatalf("err = %v, want unavailable", err)
 	}
@@ -228,7 +228,7 @@ func TestAbortRestoresSnapshotAndStores(t *testing.T) {
 	if _, err := ref.Invoke(ctx, "act1", "add", []byte("7")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"}, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ref.Abort(ctx, "act1"); err != nil {
@@ -260,7 +260,7 @@ func TestReadOnlyActionNeedsNoCopy(t *testing.T) {
 	if _, err := ref.Invoke(ctx, "ro-act", "get", nil); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := ref.Prepare(ctx, "ro-act", []transport.Addr{"st1", "st2"})
+	prep, err := ref.Prepare(ctx, "ro-act", []transport.Addr{"st1", "st2"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestReadOnlyPrepareReleasesServer(t *testing.T) {
 	if _, err := ref.Invoke(ctx, "reader", "get", nil); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := ref.Prepare(ctx, "reader", []transport.Addr{"st1", "st2"})
+	prep, err := ref.Prepare(ctx, "reader", []transport.Addr{"st1", "st2"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,9 +495,9 @@ func TestReadOnlyPrepareReleasesServer(t *testing.T) {
 	}
 }
 
-func TestPrepareCommitOnePhaseSingleStore(t *testing.T) {
-	// Combined prepare+commit against a single St node: one client→server
-	// RPC, one server→store RPC, state committed and the action released.
+func TestOnePhasePrepareSingleStore(t *testing.T) {
+	// A one-phase prepare against a single St node: one client→server RPC,
+	// one server→store RPC, state committed and the action released.
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
@@ -507,7 +507,7 @@ func TestPrepareCommitOnePhaseSingleStore(t *testing.T) {
 	if _, err := ref.Invoke(ctx, "op-act", "add", []byte("7")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ref.PrepareCommit(ctx, "op-act", []transport.Addr{"st1"}, nil)
+	resp, err := ref.Prepare(ctx, "op-act", []transport.Addr{"st1"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestPrepareCommitOnePhaseSingleStore(t *testing.T) {
 	}
 }
 
-func TestPrepareCommitReadOnlyReleases(t *testing.T) {
+func TestOnePhasePrepareReadOnlyReleases(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
@@ -540,12 +540,12 @@ func TestPrepareCommitReadOnlyReleases(t *testing.T) {
 	if _, err := ref.Invoke(ctx, "ro", "get", nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ref.PrepareCommit(ctx, "ro", []transport.Addr{"st1"}, nil)
+	resp, err := ref.Prepare(ctx, "ro", []transport.Addr{"st1"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Dirty {
-		t.Fatal("read-only combined round reported dirty")
+		t.Fatal("read-only one-phase prepare reported dirty")
 	}
 	st, err := ref.Status(ctx)
 	if err != nil {
@@ -575,7 +575,7 @@ func TestPrepareNeverExcludesTheStoreThatIsAhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st1").Store().Put(w.id, []byte("9"), 2)
-	_, err := ref.Prepare(ctx, "stale-act", stNodes)
+	_, err := ref.Prepare(ctx, "stale-act", stNodes, false)
 	if rpc.CodeOf(err) != CodeStaleServer {
 		t.Fatalf("err = %v, want stale-server (st1 is ahead of this copy)", err)
 	}
@@ -596,7 +596,7 @@ func TestPrepareNeverExcludesTheStoreThatIsAhead(t *testing.T) {
 	if err := w.cluster.Node("st2").Store().Abort("stale-act"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ref.Prepare(ctx, "fresh-act", stNodes)
+	resp, err := ref.Prepare(ctx, "fresh-act", stNodes, false)
 	if err != nil {
 		t.Fatalf("prepare on the current copy: %v", err)
 	}
@@ -605,7 +605,37 @@ func TestPrepareNeverExcludesTheStoreThatIsAhead(t *testing.T) {
 	}
 }
 
-func TestPrepareCommitStaleSingleStoreAborts(t *testing.T) {
+// TestOnePhasePrepareOverTwoStoresIsRefused: only one store's apply is
+// atomic without the coordinator's outcome log, so a one-phase prepare over
+// two is malformed — refused before anything is written anywhere.
+func TestOnePhasePrepareOverTwoStoresIsRefused(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	ref := w.ref("sv1")
+	stNodes := []transport.Addr{"st1", "st2"}
+	if _, err := ref.Activate(ctx, "counter", stNodes); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Invoke(ctx, "a1", "add", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Prepare(ctx, "a1", stNodes, true); rpc.CodeOf(err) != rpc.CodeInternal {
+		t.Fatalf("err = %v, want %s", err, rpc.CodeInternal)
+	}
+	for _, st := range stNodes {
+		if pend := w.cluster.Node(st).Store().PendingTxs(); len(pend) != 0 {
+			t.Fatalf("%s holds intentions %v", st, pend)
+		}
+		if v, err := w.cluster.Node(st).Store().Read(w.id); err != nil || v.Seq != 1 {
+			t.Fatalf("%s holds %+v, %v; want version 1", st, v, err)
+		}
+	}
+	if st, err := ref.Status(ctx); err != nil || st.Users != 1 || st.Prepared != 0 {
+		t.Fatalf("status = %+v, %v: the action should still hold the object, unprepared", st, err)
+	}
+}
+
+func TestOnePhasePrepareStaleSingleStoreAborts(t *testing.T) {
 	// A stale activated copy taking the one-phase path must be refused and
 	// destroyed, exactly like the two-phase stale-server handling.
 	w := newWorld(t)
@@ -619,7 +649,7 @@ func TestPrepareCommitStaleSingleStoreAborts(t *testing.T) {
 	}
 	// Another server commits seq 2 behind this copy's back.
 	w.cluster.Node("st1").Store().Put(w.id, []byte("9"), 2)
-	_, err := ref.PrepareCommit(ctx, "stale-act", []transport.Addr{"st1"}, nil)
+	_, err := ref.Prepare(ctx, "stale-act", []transport.Addr{"st1"}, true)
 	if rpc.CodeOf(err) != CodeStaleServer {
 		t.Fatalf("err = %v, want stale-server", err)
 	}

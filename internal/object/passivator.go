@@ -29,7 +29,7 @@ func (m *Manager) PassivateQuiescent() PassivationReport {
 	var report PassivationReport
 	for id, in := range t.m {
 		in.mu.Lock()
-		busy := len(in.users) > 0
+		busy := len(in.actions) > 0
 		in.mu.Unlock()
 		if busy {
 			report.Busy++

@@ -41,7 +41,7 @@ func TestPassivateQuiescentSweep(t *testing.T) {
 	// After the action ends the object is quiescent and is swept. The
 	// action's new state must be checkpointed (Prepare) before Commit so
 	// that passivation does not lose it.
-	if _, err := refP.Prepare(ctx, "a1", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := refP.Prepare(ctx, "a1", []transport.Addr{"st1", "st2"}, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := refP.Commit(ctx, "a1"); err != nil {

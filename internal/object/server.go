@@ -31,9 +31,6 @@ const (
 	MethodPassivate = "Passivate"
 	MethodStatus    = "Status"
 	MethodInstall   = "Install"
-	// MethodPrepareCommit runs prepare and commit as one combined round —
-	// the single-participant 2PC fast path.
-	MethodPrepareCommit = "PrepareCommit"
 	// MethodLeaseCheck acquires the object's read lock under an action and
 	// returns the committed version — the commit-time revalidation a
 	// transaction that mixed leased reads with writes performs.
@@ -84,20 +81,9 @@ type instance struct {
 	state []byte
 	// seq is the committed version this state derives from.
 	seq uint64
-	// snaps maps an action to the pre-action state (for abort).
-	snaps map[string][]byte
-	// dirty marks actions that modified the state.
-	dirty map[string]bool
-	// prepared maps an action to the St nodes where its write-back has
-	// been prepared, and preparedSeq to the version number used.
-	prepared    map[string][]transport.Addr
-	preparedSeq map[string]uint64
-	// users is the set of actions currently bound (invoked at least once
-	// and not yet ended); the object is quiescent when empty.
-	users map[string]bool
-	// batches maps a lock-holding action to the commutative ops folded
-	// into its state write-back at prepare time, awaiting the outcome.
-	batches map[string][]*pendingOp
+	// actions holds a record for each action currently bound here (invoked
+	// at least once and not yet ended); the object is quiescent when empty.
+	actions map[string]actionRec
 
 	// Read-lease state (see lease.go; all guarded by mu). stNodes is
 	// the St view captured at activation, for grant-time probes.
@@ -118,6 +104,54 @@ type instance struct {
 	// comb queues solo commutative ops that lost the write-lock race;
 	// it has its own mutex (see combine.go for the lock order).
 	comb combiner
+}
+
+// actionRec is what an instance keeps about one bound action.
+type actionRec struct {
+	// dirty marks an action that modified the state.
+	dirty bool
+	// snap is the state before the action's first write, which an abort
+	// restores; snapped says it was taken (an empty state copies to nil).
+	snap    []byte
+	snapped bool
+	// prepared lists the St nodes where the action's write-back is
+	// prepared, and preparedSeq is the version it will commit as (0 until
+	// a prepare is recorded, which may have reached no store).
+	prepared    []transport.Addr
+	preparedSeq uint64
+	// batch holds the commutative ops folded into the write-back at
+	// prepare time, awaiting the outcome.
+	batch []*pendingOp
+	// onePhase marks a one-phase store leg in flight, or one that failed
+	// leaving doubt: the batch's fate is the store's, whatever an Abort
+	// says meanwhile.
+	onePhase bool
+}
+
+// newInstance builds an instance holding state at version seq, with no
+// action bound.
+func (m *Manager) newInstance(class *Class, id uid.UID, state []byte, seq uint64, stNodes []string) *instance {
+	return &instance{
+		class:        class,
+		id:           id,
+		locks:        m.newLocks(),
+		state:        state,
+		seq:          seq,
+		actions:      make(map[string]actionRec),
+		stNodes:      stNodes,
+		leaseHolders: make(map[transport.Addr]time.Time),
+	}
+}
+
+// writing reports whether some bound action has modified the state. in.mu
+// is held.
+func (in *instance) writing() bool {
+	for _, rec := range in.actions {
+		if rec.dirty {
+			return true
+		}
+	}
+	return false
 }
 
 // volatileKey is where a node's activated instances live; being volatile,
@@ -157,7 +191,6 @@ func NewManager(node *sim.Node, registry *Registry) *Manager {
 	srv.Handle(ServiceName, MethodPassivate, rpc.Method(m.handlePassivate))
 	srv.Handle(ServiceName, MethodStatus, rpc.Method(m.handleStatus))
 	srv.Handle(ServiceName, MethodInstall, rpc.Method(m.handleInstall))
-	srv.Handle(ServiceName, MethodPrepareCommit, rpc.Method(m.handlePrepareCommit))
 	srv.Handle(ServiceName, MethodLeaseCheck, rpc.Method(m.handleLeaseCheck))
 	return m
 }
@@ -260,11 +293,11 @@ type InvokeReq struct {
 	Failover bool
 	// Carry, on a Solo request, asks the server to go straight on from the
 	// method into the action's phase one: the operation is all the action
-	// will ever do, so the vote need not wait for a second message.
-	// CarryPrepare runs what the Prepare RPC runs against StNodes,
-	// CarryCommit what PrepareCommit runs (CheckpointTo included), and the
-	// reply carries the vote beside the result. A method that fails carries
-	// nothing, and neither does an op folded into another action's commit.
+	// will ever do, so the vote need not wait for a second message. The
+	// server runs what the Prepare RPC runs against StNodes — one-phase, with
+	// CheckpointTo, for CarryCommit — and the reply carries the vote beside
+	// the result. A method that fails carries nothing, and neither does an op
+	// folded into another action's commit.
 	Carry        Carry
 	CheckpointTo []string
 }
@@ -273,8 +306,8 @@ type InvokeReq struct {
 // run.
 type Carry uint8
 
-// The carried phases. The client picks by the rule that picks between the
-// Prepare and PrepareCommit RPCs (see replica.Handle.CommitOnePhase).
+// The carried phases. The client picks by the rule that sets
+// PrepareReq.OnePhase (see replica.Handle.CommitOnePhase).
 const (
 	CarryNone Carry = iota
 	CarryPrepare
@@ -301,11 +334,10 @@ type InvokeResp struct {
 	// invocation (requested via InvokeReq.LeaseHolder).
 	Lease *LeaseGrant
 	// Carried echoes InvokeReq.Carry when the server went on into phase one
-	// in this request. Vote is then what the Prepare RPC would have answered
-	// (for CarryCommit, PrepareCommit's answer in the same fields), or — the
-	// vote being a refusal — VoteCode and VoteMsg are the error that RPC
-	// would have returned. The method's result stands either way: a refused
-	// vote is the caller's commit failing, not its invocation.
+	// in this request. Vote is then what the Prepare RPC would have answered,
+	// or — the vote being a refusal — VoteCode and VoteMsg are the error that
+	// RPC would have returned. The method's result stands either way: a
+	// refused vote is the caller's commit failing, not its invocation.
 	Carried           Carry
 	Vote              PrepareResp
 	VoteCode, VoteMsg string
@@ -326,6 +358,15 @@ type PrepareReq struct {
 	UID     string
 	Action  string
 	StNodes []string
+	// OnePhase delegates the commit decision to this server — the client
+	// action's only voter, writing back to at most one store, which is
+	// then told to commit the copy outright (the coordinator delegation of
+	// R*). A dirty action is finished here as Commit finishes one, with
+	// CheckpointTo as Commit's; no phase two follows. A one-phase prepare
+	// over several stores is refused: only one store's apply is atomic
+	// without the coordinator's outcome log.
+	OnePhase     bool
+	CheckpointTo []string
 }
 
 // PrepareResp reports the write-back prepare outcome.
@@ -334,14 +375,16 @@ type PrepareResp struct {
 	// copy is needed, and the server has already released the action (the
 	// §4.1.2 read optimisation — no phase-two round trip follows).
 	Dirty bool
-	// NewSeq is the version number the new state will commit as — or, with
-	// a read-only vote, the committed version the action read under the lock
-	// this reply released.
+	// NewSeq is the version number the new state will commit (or, one-phase,
+	// committed) as — or, with a read-only vote, the committed version the
+	// action read under the lock this reply released.
 	NewSeq uint64
-	// PreparedNodes successfully recorded the intention.
+	// PreparedNodes successfully recorded the intention (none one-phase:
+	// the store committed the copy).
 	PreparedNodes []string
-	// FailedNodes could not be reached or refused; the paper requires the
-	// caller to Exclude these from St_A.
+	// FailedNodes could not be reached or refused — and, one-phase, cohorts
+	// whose checkpoint failed; the paper requires the caller to Exclude
+	// these from St_A.
 	FailedNodes []string
 	// BatchSize counts the operations this prepare's state copy carries:
 	// 1 for an ordinary action, 1+N when N queued commutative ops were
@@ -376,35 +419,6 @@ type InstallResp struct{ Installed bool }
 // outcome stands).
 type EndResp struct {
 	FailedNodes []string
-}
-
-// PrepareCommitReq runs prepare and commit as one combined round — used
-// by a client action whose only voting participant is this binding, so
-// the commit decision can be delegated to the server (one RPC instead of
-// two, no coordinator outcome-log write).
-type PrepareCommitReq struct {
-	UID     string
-	Action  string
-	StNodes []string
-	// CheckpointTo asks the server, on commit, to push the newly committed
-	// state to these cohort nodes (coordinator-cohort checkpointing).
-	CheckpointTo []string
-}
-
-// PrepareCommitResp reports the combined outcome.
-type PrepareCommitResp struct {
-	// Dirty is false when the action never modified the object; the server
-	// released it with no store traffic at all.
-	Dirty bool
-	// NewSeq is the version number the new state committed as (when Dirty),
-	// else the committed version the action read (see PrepareResp.NewSeq).
-	NewSeq uint64
-	// FailedNodes lists store nodes that refused/missed the write-back and
-	// cohorts whose checkpoint failed, for §4.2 exclusion.
-	FailedNodes []string
-	// BatchSize counts the operations the committed state carried (see
-	// PrepareResp.BatchSize).
-	BatchSize int
 }
 
 // LeaseCheckReq asks the server for the object's committed version under
@@ -488,21 +502,7 @@ func (m *Manager) activate(ctx context.Context, id uid.UID, className string, st
 	if !found {
 		return nil, ActivateResp{}, rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v has its state", id, stNodes)
 	}
-	in := &instance{
-		class:        class,
-		id:           id,
-		locks:        m.newLocks(),
-		state:        loaded.Data,
-		seq:          loaded.Seq,
-		snaps:        make(map[string][]byte),
-		dirty:        make(map[string]bool),
-		prepared:     make(map[string][]transport.Addr),
-		preparedSeq:  make(map[string]uint64),
-		users:        make(map[string]bool),
-		batches:      make(map[string][]*pendingOp),
-		stNodes:      append([]string(nil), stNodes...),
-		leaseHolders: make(map[transport.Addr]time.Time),
-	}
+	in := m.newInstance(class, id, loaded.Data, loaded.Seq, append([]string(nil), stNodes...))
 	t := m.table()
 	t.mu.Lock()
 	if existing, ok := t.m[id]; ok {
@@ -594,13 +594,8 @@ func (m *Manager) handleInvoke(ctx context.Context, from transport.Addr, req Inv
 // to the end of the commit with no client round trip in between.
 func (m *Manager) carryPhaseOne(ctx context.Context, from transport.Addr, req InvokeReq, resp *InvokeResp) {
 	var err error
-	if req.Carry == CarryCommit {
-		var pc PrepareCommitResp
-		pc, err = m.handlePrepareCommit(ctx, from, PrepareCommitReq{UID: req.UID, Action: req.Action, StNodes: req.StNodes, CheckpointTo: req.CheckpointTo})
-		resp.Vote = PrepareResp{Dirty: pc.Dirty, NewSeq: pc.NewSeq, FailedNodes: pc.FailedNodes, BatchSize: pc.BatchSize}
-	} else {
-		resp.Vote, err = m.handlePrepare(ctx, from, PrepareReq{UID: req.UID, Action: req.Action, StNodes: req.StNodes})
-	}
+	resp.Vote, err = m.handlePrepare(ctx, from, PrepareReq{UID: req.UID, Action: req.Action, StNodes: req.StNodes,
+		OnePhase: req.Carry == CarryCommit, CheckpointTo: req.CheckpointTo})
 	resp.Carried = req.Carry
 	if err != nil {
 		// An error reply has no body.
@@ -647,21 +642,17 @@ func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (In
 func (in *instance) runMethod(action string, method Method, args []byte, write bool) ([]byte, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.users[action] = true
-	if write {
-		if _, ok := in.snaps[action]; !ok {
-			in.snaps[action] = append([]byte(nil), in.state...)
-		}
+	rec := in.actions[action]
+	if write && !rec.snapped {
+		rec.snap, rec.snapped = append([]byte(nil), in.state...), true
 	}
 	newState, result, err := method(in.state, args)
-	if err != nil {
-		return nil, err
-	}
-	if write {
+	if err == nil && write {
 		in.state = newState
-		in.dirty[action] = true
+		rec.dirty = true
 	}
-	return result, nil
+	in.actions[action] = rec
+	return result, err
 }
 
 // invokeSolo handles a solo commutative write: take the write lock if
@@ -763,15 +754,15 @@ func (m *Manager) kickCombiner(in *instance) {
 }
 
 // drainCombinerLocked folds every queued commutative op into the state
-// under the given lock-holding action. Caller holds in.mu; the action
-// holds the write lock and its pre-write snapshot is already recorded, so
-// the action's abort undoes the whole fold. Ops whose method fails are
+// under the lock-holding action whose record is rec. Caller holds in.mu and
+// stores rec back; the action holds the write lock and its pre-write
+// snapshot is already recorded, so the action's abort undoes the whole
+// fold. Ops whose method fails are
 // resolved immediately (their individual failure does not poison the
-// batch); the rest park in in.batches awaiting the action's outcome.
+// batch); the rest park in the action's batch awaiting its outcome.
 // Returns the total op count the write-back now carries (1 + folded).
-func (m *Manager) drainCombinerLocked(in *instance, action string) int {
-	ops := in.comb.takeAll()
-	for _, op := range ops {
+func (m *Manager) drainCombinerLocked(in *instance, rec *actionRec) int {
+	for _, op := range in.comb.takeAll() {
 		method, err := in.class.Method(op.method)
 		if err != nil {
 			op.done <- opOutcome{err: rpc.Errorf(rpc.CodeNoSuchMethod, "%v", err)}
@@ -784,49 +775,49 @@ func (m *Manager) drainCombinerLocked(in *instance, action string) int {
 		}
 		in.state = newState
 		op.result = result
-		in.batches[action] = append(in.batches[action], op)
+		rec.batch = append(rec.batch, op)
 	}
-	return 1 + len(in.batches[action])
+	return 1 + len(rec.batch)
 }
 
-// resolveBatch answers every op folded into action's write-back. Commit:
-// each op receives its result and the batch size. Abort: each receives a
-// retryable refusal — its effect was undone with the leader's snapshot
-// restore, and a retry re-runs it fresh.
-func (m *Manager) resolveBatch(in *instance, action string, committed bool) {
-	in.mu.Lock()
-	batch := in.batches[action]
-	delete(in.batches, action)
-	in.mu.Unlock()
+// resolveBatch answers every op folded into an action's write-back: with
+// its result and the batch size when the action committed, else with err.
+func (m *Manager) resolveBatch(batch []*pendingOp, err error) {
 	if len(batch) == 0 {
 		return
 	}
-	if committed {
-		total := 1 + len(batch)
-		m.stats.Counter("objsrv.batch.commits").Inc()
-		m.stats.Histogram("objsrv.batch.size").Record(float64(total))
+	if err != nil {
 		for _, op := range batch {
-			op.done <- opOutcome{result: op.result, batchSize: total}
+			op.done <- opOutcome{err: err}
 		}
 		return
 	}
+	total := 1 + len(batch)
+	m.stats.Counter("objsrv.batch.commits").Inc()
+	m.stats.Histogram("objsrv.batch.size").Record(float64(total))
 	for _, op := range batch {
-		op.done <- opOutcome{err: rpc.Errorf(rpc.CodeRefused,
-			"object %s: carrying action %s aborted; retry", in.id, action)}
+		op.done <- opOutcome{result: op.result, batchSize: total}
 	}
 }
 
 // failPending resolves every queued and folded op with a retryable
 // refusal — the instance is being destroyed (force passivation, stale
-// server) and nobody will ever drain or commit them.
+// server) and nobody will ever drain or commit them — except the ops a
+// one-phase round in doubt took to the store, which may have committed.
 func (m *Manager) failPending(in *instance, why string) {
 	in.mu.Lock()
-	var folded []*pendingOp
-	for action, batch := range in.batches {
-		folded = append(folded, batch...)
-		delete(in.batches, action)
+	var folded, inDoubt []*pendingOp
+	for action, rec := range in.actions {
+		if rec.onePhase {
+			inDoubt = append(inDoubt, rec.batch...)
+		} else {
+			folded = append(folded, rec.batch...)
+		}
+		rec.batch = nil
+		in.actions[action] = rec
 	}
 	in.mu.Unlock()
+	m.resolveBatch(inDoubt, rpc.Errorf(CodeCommitUncertain, "object %s: %s after a one-phase commit in doubt", in.id, why))
 	for _, op := range append(in.comb.takeAll(), folded...) {
 		op.done <- opOutcome{err: rpc.Errorf(rpc.CodeRefused, "object %s: %s; retry", in.id, why)}
 	}
@@ -885,7 +876,7 @@ func (m *Manager) revalidate(ctx context.Context, from transport.Addr, in *insta
 		return rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v to check the copy at %s against", in.id, stNodes, m.node.Name())
 	}
 	in.mu.Lock()
-	seq, writing := in.seq, len(in.dirty) > 0 || len(in.prepared) > 0
+	seq, writing := in.seq, in.writing()
 	in.mu.Unlock()
 	if latest.Seq <= seq || writing {
 		return nil
@@ -896,18 +887,27 @@ func (m *Manager) revalidate(ctx context.Context, from transport.Addr, in *insta
 	return rpc.Errorf(CodeNotActive, "object %s at %s: stale copy (seq %d, stores hold %d) passivated", in.id, m.node.Name(), seq, latest.Seq)
 }
 
+// handlePrepare is phase one at this server: the commit-time copy of the
+// object's state to St (§3.2(2)). An action that only read here is released
+// on the spot. A dirty one has its state — queued commutative ops folded in —
+// recorded as an intention at every St node; or, OnePhase, committed
+// outright by the one store, and the action finished here as Commit
+// finishes it.
 func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req PrepareReq) (PrepareResp, error) {
+	if req.OnePhase && len(req.StNodes) > 1 {
+		return PrepareResp{}, rpc.Errorf(rpc.CodeInternal, "object %s: one-phase prepare over %d stores", req.UID, len(req.StNodes))
+	}
 	in, err := m.mustLookup(req.UID)
 	if err != nil {
 		return PrepareResp{}, err
 	}
 	in.mu.Lock()
-	if !in.dirty[req.Action] {
-		// The action only read here: release it right now — drop its user
-		// entry and its locks — so the read-only vote ends this server's
+	rec := in.actions[req.Action]
+	if !rec.dirty {
+		// The action only read here: release it right now — drop its record
+		// and its locks — so the read-only vote ends this server's
 		// involvement with no phase-two round trip (§4.1.2).
-		delete(in.snaps, req.Action)
-		delete(in.users, req.Action)
+		delete(in.actions, req.Action)
 		seq := in.seq
 		in.mu.Unlock()
 		in.locks.ReleaseAll(lockmgr.Owner(req.Action))
@@ -917,7 +917,11 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 	// Fold queued commutative ops into this write-back before snapshotting:
 	// they ride this action's single 2PC round (one lock hold, one commit,
 	// N replies).
-	batchSize := m.drainCombinerLocked(in, req.Action)
+	batchSize := m.drainCombinerLocked(in, &rec)
+	if req.OnePhase {
+		rec.onePhase = true
+	}
+	in.actions[req.Action] = rec
 	newSeq := in.seq + 1
 	state := append([]byte(nil), in.state...)
 	in.mu.Unlock()
@@ -928,63 +932,84 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 	// StNodes order so PreparedNodes/FailedNodes stay deterministic.
 	// Remember which prepared so commit/abort can address exactly those.
 	resp := PrepareResp{Dirty: true, NewSeq: newSeq, BatchSize: batchSize}
+	start := time.Now()
+	var copyErrs []error
+	if len(req.StNodes) == 1 {
+		// The one-phase shape, on every write of a one-store group: no
+		// fan-out to pay for.
+		copyErrs = []error{m.copyState(ctx, in.id, req.StNodes[0], req.Action, state, newSeq, req.OnePhase)}
+	} else {
+		copyErrs = conc.DoErr(len(req.StNodes), func(i int) error {
+			return m.copyState(ctx, in.id, req.StNodes[i], req.Action, state, newSeq, req.OnePhase)
+		})
+	}
 	var preparedAddrs []transport.Addr
-	stale := false
-	prepareStart := time.Now()
-	copyErrs := conc.DoErr(len(req.StNodes), func(i int) error {
-		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(req.StNodes[i])}
-		writes := []store.Write{{UID: in.id, Data: state, Seq: newSeq}}
-		err := remote.Prepare(ctx, req.Action, writes)
-		if rpc.CodeOf(err) == rpc.CodeConflict {
-			// The object is pinned by another transaction's prepared
-			// intention. That pin may be an ACKNOWLEDGED COMMIT whose
-			// phase-two message this store never received — giving up here
-			// would exclude the one store carrying the latest state and
-			// fork the version chain. Ask the store to resolve pins with
-			// affirmatively recorded outcomes (never presuming abort on a
-			// live, undecided transaction) and retry once: a resolved
-			// commit either unblocks us or correctly refuses us as stale.
-			if _, rerr := remote.ResolveDecided(ctx); rerr == nil {
-				err = remote.Prepare(ctx, req.Action, writes)
-			}
-		}
-		return err
-	})
+	stale, doubt := false, false
 	for i, st := range req.StNodes {
-		if err := copyErrs[i]; err != nil {
-			if errors.Is(err, store.ErrStaleVersion) && !errors.Is(err, store.ErrStoreBehind) {
-				stale = true
+		switch err := copyErrs[i]; {
+		case err == nil:
+			if !req.OnePhase {
+				resp.PreparedNodes = append(resp.PreparedNodes, st)
+				preparedAddrs = append(preparedAddrs, transport.Addr(st))
 			}
-			resp.FailedNodes = append(resp.FailedNodes, st)
 			continue
+		case errors.Is(err, store.ErrStaleVersion) && !errors.Is(err, store.ErrStoreBehind):
+			stale = true
+		case req.OnePhase && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+			errors.Is(err, transport.ErrReplyLost)):
+			// The commit may have reached the store and applied before the
+			// failure was observed (the server torn down mid-call, say).
+			doubt = true
 		}
-		resp.PreparedNodes = append(resp.PreparedNodes, st)
-		preparedAddrs = append(preparedAddrs, transport.Addr(st))
+		resp.FailedNodes = append(resp.FailedNodes, st)
+	}
+	accepted := len(req.StNodes) - len(resp.FailedNodes)
+	if m.leaseTTL > 0 {
+		// A store accepting the copy validated its base version, so a
+		// majority acceptance confirms this copy was latest at start —
+		// refreshing the no-probe grant window.
+		in.markConfirmed(start, accepted, len(req.StNodes))
 	}
 	in.mu.Lock()
-	aborted := !in.users[req.Action]
-	if !aborted {
-		in.prepared[req.Action] = preparedAddrs
-		in.preparedSeq[req.Action] = newSeq
+	rec, bound := in.actions[req.Action]
+	if bound && req.OnePhase && accepted == 1 {
+		// The store committed: finish the action in this hold of in.mu, so
+		// no Abort can come between the commit and the version advance.
+		rec.preparedSeq = newSeq
+		in.actions[req.Action] = rec
+		failed, err := m.commitLocked(ctx, in, req.Action, req.CheckpointTo)
+		resp.FailedNodes = append(resp.FailedNodes, failed...)
+		return resp, err
+	}
+	if bound {
+		if req.OnePhase {
+			// The store did not commit, unless the failure leaves doubt.
+			rec.onePhase = doubt
+		} else {
+			rec.prepared, rec.preparedSeq = preparedAddrs, newSeq
+		}
+		in.actions[req.Action] = rec
 	}
 	in.mu.Unlock()
-	if aborted {
+	if !bound {
 		// The action's Abort overtook this prepare — its client cancelled the
-		// prepare on another participant's refusal and rolled back at once —
-		// and has been and gone while the copy was at the stores: the
-		// snapshot is restored, the lock released, nobody will ask again.
+		// prepare on another participant's refusal, or gave up on a one-phase
+		// round, and rolled back at once — and has been and gone while the
+		// copy was at the stores: the snapshot is restored, the lock released,
+		// nobody will ask again.
+		if req.OnePhase && (accepted == 1 || doubt) {
+			// The store holds, or may hold, a version this rolled-back copy
+			// lacks: destroy the instance so the next request reloads it. The
+			// write may stand, so the answer is no refusal.
+			_, _ = m.handlePassivate(ctx, from, PassivateReq{UID: req.UID, Force: true})
+			return PrepareResp{}, rpc.Errorf(CodeCommitUncertain, "object %s: action %s was aborted while its one-phase commit was at the store", req.UID, req.Action)
+		}
 		// Recording the intentions now would leave them, and the entry, for
 		// ever; take them back instead.
 		conc.Do(len(preparedAddrs), func(i int) {
 			_ = store.RemoteStore{Client: m.node.Client(), Node: preparedAddrs[i]}.Abort(context.WithoutCancel(ctx), req.Action)
 		})
 		return PrepareResp{}, rpc.Errorf(rpc.CodeRefused, "object %s: action %s was aborted during its prepare", req.UID, req.Action)
-	}
-	if m.leaseTTL > 0 {
-		// A store accepting the prepare validated its base version, so a
-		// majority acceptance confirms this copy was latest at
-		// prepareStart — refreshing the no-probe grant window.
-		in.markConfirmed(prepareStart, len(resp.PreparedNodes), len(req.StNodes))
 	}
 	if stale {
 		// Some St member already holds this version or a later one: this
@@ -998,12 +1023,45 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 		_, _ = m.handlePassivate(ctx, from, PassivateReq{UID: req.UID, Force: true})
 		return resp, rpc.Errorf(CodeStaleServer, "object %s at %s: activated copy is stale (base seq %d)", req.UID, m.node.Name(), newSeq-1)
 	}
-	if len(resp.PreparedNodes) == 0 {
+	if doubt {
+		// A definite refusal would let the coordinator record an abort over
+		// a durably committed write.
+		return resp, rpc.Errorf(CodeCommitUncertain, "object %s: one-phase commit outcome unknown: %v", req.UID, copyErrs[0])
+	}
+	if accepted == 0 {
 		// No store holds the new state: the action cannot commit (§3.2(2):
 		// abort if all the nodes ∈ St are down).
 		return resp, rpc.Errorf(CodeUnavailable, "object %s: no St node accepted the new state", req.UID)
 	}
 	return resp, nil
+}
+
+// copyState writes action's new state, at version seq, to one St node: as
+// an intention, or with onePhase as the committed version.
+func (m *Manager) copyState(ctx context.Context, id uid.UID, st, action string, state []byte, seq uint64, onePhase bool) error {
+	remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
+	copyTo := func() error {
+		writes := []store.Write{{UID: id, Data: state, Seq: seq}}
+		if onePhase {
+			return remote.CommitOnePhase(ctx, action, writes)
+		}
+		return remote.Prepare(ctx, action, writes)
+	}
+	err := copyTo()
+	if rpc.CodeOf(err) == rpc.CodeConflict {
+		// The object is pinned by another transaction's prepared
+		// intention. That pin may be an ACKNOWLEDGED COMMIT whose
+		// phase-two message this store never received — giving up here
+		// would exclude the one store carrying the latest state and
+		// fork the version chain. Ask the store to resolve pins with
+		// affirmatively recorded outcomes (never presuming abort on a
+		// live, undecided transaction) and retry once: a resolved
+		// commit either unblocks us or correctly refuses us as stale.
+		if _, rerr := remote.ResolveDecided(ctx); rerr == nil {
+			err = copyTo()
+		}
+	}
+	return err
 }
 
 func (m *Manager) handleCommit(ctx context.Context, from transport.Addr, req EndReq) (EndResp, error) {
@@ -1012,53 +1070,63 @@ func (m *Manager) handleCommit(ctx context.Context, from transport.Addr, req End
 		return EndResp{}, err
 	}
 	in.mu.Lock()
-	prepared := in.prepared[req.Action]
-	newSeq, hasPrepared := in.preparedSeq[req.Action]
-	advanced := in.dirty[req.Action] && hasPrepared
+	failed, err := m.commitLocked(ctx, in, req.Action, req.CheckpointTo)
+	return EndResp{FailedNodes: failed}, err
+}
+
+// commitLocked finishes action at this server as committed — phase two, or
+// a one-phase prepare whose store committed. The version advances to the
+// one the action prepared, the action is forgotten and its folded ops
+// answered; the stores holding its intentions commit them and the cohorts
+// in checkpointTo take the new state; then the lease fence runs and the
+// locks go. It returns the stores and cohorts that failed. in.mu is held on
+// entry and released here.
+func (m *Manager) commitLocked(ctx context.Context, in *instance, action string, checkpointTo []string) ([]string, error) {
+	rec := in.actions[action]
+	delete(in.actions, action)
+	advanced := rec.dirty && rec.preparedSeq != 0
 	if advanced {
-		in.seq = newSeq
+		in.seq = rec.preparedSeq
 	}
-	ckptState := append([]byte(nil), in.state...)
+	var ckptState []byte
+	if len(checkpointTo) > 0 {
+		ckptState = append([]byte(nil), in.state...)
+	}
 	ckptSeq := in.seq
-	className := in.class.Name
-	delete(in.snaps, req.Action)
-	delete(in.dirty, req.Action)
-	delete(in.prepared, req.Action)
-	delete(in.preparedSeq, req.Action)
-	delete(in.users, req.Action)
 	in.mu.Unlock()
-	// The commit decision is already durable upstream (this is phase two),
-	// so folded ops can be answered before the store fan-out completes.
-	m.resolveBatch(in, req.Action, true)
+	// The commit decision is already durable, so folded ops can be answered
+	// before the store fan-out completes.
+	m.resolveBatch(rec.batch, nil)
 
 	// Phase-two store commits and coordinator-cohort checkpoints
 	// (§2.3(ii): push the committed state to the cohorts so one of them
 	// can take over without touching the object stores) are independent —
 	// run them all in parallel, collecting failures in deterministic
 	// order. Checkpoint failures break the cohort binding, which the
-	// caller observes via FailedNodes.
-	var resp EndResp
+	// caller observes via the failed nodes.
+	prepared := rec.prepared
 	commitStart := time.Now()
 	storeErrs := make([]error, len(prepared))
-	ckptErrs := make([]error, len(req.CheckpointTo))
-	conc.Do(len(prepared)+len(req.CheckpointTo), func(i int) {
+	ckptErrs := make([]error, len(checkpointTo))
+	conc.Do(len(prepared)+len(checkpointTo), func(i int) {
 		if i < len(prepared) {
 			remote := store.RemoteStore{Client: m.node.Client(), Node: prepared[i]}
-			storeErrs[i] = remote.Commit(ctx, req.Action)
+			storeErrs[i] = remote.Commit(ctx, action)
 			return
 		}
 		j := i - len(prepared)
-		ref := ServerRef{Client: m.node.Client(), Node: transport.Addr(req.CheckpointTo[j]), UID: in.id}
-		ckptErrs[j] = ref.Install(ctx, className, ckptState, ckptSeq)
+		ref := ServerRef{Client: m.node.Client(), Node: transport.Addr(checkpointTo[j]), UID: in.id}
+		ckptErrs[j] = ref.Install(ctx, in.class.Name, ckptState, ckptSeq)
 	})
+	var failed []string
 	for i, st := range prepared {
 		if storeErrs[i] != nil {
-			resp.FailedNodes = append(resp.FailedNodes, string(st))
+			failed = append(failed, string(st))
 		}
 	}
-	for j, cohort := range req.CheckpointTo {
+	for j, cohort := range checkpointTo {
 		if ckptErrs[j] != nil {
-			resp.FailedNodes = append(resp.FailedNodes, cohort)
+			failed = append(failed, cohort)
 		}
 	}
 	if m.leaseTTL > 0 && advanced {
@@ -1082,9 +1150,9 @@ func (m *Manager) handleCommit(ctx context.Context, from transport.Addr, req End
 	if advanced {
 		fenceErr = m.leaseCommitFence(ctx, in, time.Now(), true)
 	}
-	in.locks.ReleaseAll(lockmgr.Owner(req.Action))
+	in.locks.ReleaseAll(lockmgr.Owner(action))
 	m.kickCombiner(in)
-	return resp, fenceErr
+	return failed, fenceErr
 }
 
 func (m *Manager) handleInstall(ctx context.Context, from transport.Addr, req InstallReq) (InstallResp, error) {
@@ -1094,7 +1162,7 @@ func (m *Manager) handleInstall(ctx context.Context, from transport.Addr, req In
 	}
 	if in, ok := m.lookup(id); ok {
 		in.mu.Lock()
-		if len(in.users) > 0 {
+		if len(in.actions) > 0 {
 			in.mu.Unlock()
 			return InstallResp{}, rpc.Errorf(CodeBusy, "object %s has active users", req.UID)
 		}
@@ -1118,20 +1186,7 @@ func (m *Manager) handleInstall(ctx context.Context, from transport.Addr, req In
 	if err != nil {
 		return InstallResp{}, rpc.Errorf(rpc.CodeNotFound, "%v", err)
 	}
-	in := &instance{
-		class:        class,
-		id:           id,
-		locks:        m.newLocks(),
-		state:        append([]byte(nil), req.State...),
-		seq:          req.Seq,
-		snaps:        make(map[string][]byte),
-		dirty:        make(map[string]bool),
-		prepared:     make(map[string][]transport.Addr),
-		preparedSeq:  make(map[string]uint64),
-		users:        make(map[string]bool),
-		batches:      make(map[string][]*pendingOp),
-		leaseHolders: make(map[transport.Addr]time.Time),
-	}
+	in := m.newInstance(class, id, append([]byte(nil), req.State...), req.Seq, nil)
 	t := m.table()
 	t.mu.Lock()
 	if _, exists := t.m[id]; !exists {
@@ -1150,26 +1205,29 @@ func (m *Manager) handleAbort(ctx context.Context, from transport.Addr, req EndR
 		return EndResp{}, err
 	}
 	in.mu.Lock()
-	prepared := in.prepared[req.Action]
-	if snap, ok := in.snaps[req.Action]; ok {
-		in.state = snap
+	rec := in.actions[req.Action]
+	delete(in.actions, req.Action)
+	if rec.snapped {
+		in.state = rec.snap
 	}
-	delete(in.snaps, req.Action)
-	delete(in.dirty, req.Action)
-	delete(in.prepared, req.Action)
-	delete(in.preparedSeq, req.Action)
-	delete(in.users, req.Action)
 	in.mu.Unlock()
-	// The snapshot restore above undid the whole fold; tell the folded ops
-	// to retry.
-	m.resolveBatch(in, req.Action, false)
+	if len(rec.batch) > 0 {
+		// The snapshot restore above undid the whole fold: the folded ops
+		// are told to retry — unless a one-phase round took them to the
+		// store, which may have committed them.
+		verdict := rpc.Errorf(rpc.CodeRefused, "object %s: carrying action %s aborted; retry", in.id, req.Action)
+		if rec.onePhase {
+			verdict = rpc.Errorf(CodeCommitUncertain, "object %s: carrying action %s aborted after its one-phase commit was sent", in.id, req.Action)
+		}
+		m.resolveBatch(rec.batch, verdict)
+	}
 
 	var resp EndResp
-	abortErrs := conc.DoErr(len(prepared), func(i int) error {
-		remote := store.RemoteStore{Client: m.node.Client(), Node: prepared[i]}
+	abortErrs := conc.DoErr(len(rec.prepared), func(i int) error {
+		remote := store.RemoteStore{Client: m.node.Client(), Node: rec.prepared[i]}
 		return remote.Abort(ctx, req.Action)
 	})
-	for i, st := range prepared {
+	for i, st := range rec.prepared {
 		if abortErrs[i] != nil {
 			resp.FailedNodes = append(resp.FailedNodes, string(st))
 		}
@@ -1177,120 +1235,6 @@ func (m *Manager) handleAbort(ctx context.Context, from transport.Addr, req EndR
 	in.locks.ReleaseAll(lockmgr.Owner(req.Action))
 	m.kickCombiner(in)
 	return resp, nil
-}
-
-// handlePrepareCommit composes handlePrepare and handleCommit into one
-// round. The caller (replica.Handle.CommitOnePhase) only takes this path
-// when the write-back lands on at most one stable store, so there is no
-// multi-store atomic-commitment problem for the missing outcome log to
-// solve: the single store's apply is atomic, and a crash between the
-// store prepare and its commit resolves to abort under presumed abort —
-// exactly what the coordinator reports for a failed one-phase call.
-func (m *Manager) handlePrepareCommit(ctx context.Context, from transport.Addr, req PrepareCommitReq) (PrepareCommitResp, error) {
-	if len(req.StNodes) == 1 {
-		return m.prepareCommitSingleStore(ctx, from, req)
-	}
-	presp, err := m.handlePrepare(ctx, from, PrepareReq{UID: req.UID, Action: req.Action, StNodes: req.StNodes})
-	if err != nil {
-		return PrepareCommitResp{Dirty: presp.Dirty, FailedNodes: presp.FailedNodes}, err
-	}
-	resp := PrepareCommitResp{Dirty: presp.Dirty, NewSeq: presp.NewSeq, FailedNodes: presp.FailedNodes}
-	if !presp.Dirty {
-		// Read-only: handlePrepare already released the action here.
-		return resp, nil
-	}
-	eresp, err := m.handleCommit(ctx, from, EndReq{UID: req.UID, Action: req.Action, CheckpointTo: req.CheckpointTo})
-	resp.FailedNodes = append(resp.FailedNodes, eresp.FailedNodes...)
-	return resp, err
-}
-
-// prepareCommitSingleStore is the fully collapsed one-phase path: with
-// exactly one St node the store's CommitOnePhase applies the write-back
-// atomically, so the server→store leg shrinks to a single round trip
-// too. A failed store call leaves nothing persisted — the caller's
-// action aborts, and the subsequent Abort RPC restores the snapshot.
-func (m *Manager) prepareCommitSingleStore(ctx context.Context, from transport.Addr, req PrepareCommitReq) (PrepareCommitResp, error) {
-	in, err := m.mustLookup(req.UID)
-	if err != nil {
-		return PrepareCommitResp{}, err
-	}
-	in.mu.Lock()
-	if !in.dirty[req.Action] {
-		// Read-only: release immediately, exactly as handlePrepare does.
-		delete(in.snaps, req.Action)
-		delete(in.users, req.Action)
-		seq := in.seq
-		in.mu.Unlock()
-		in.locks.ReleaseAll(lockmgr.Owner(req.Action))
-		m.kickCombiner(in)
-		return PrepareCommitResp{Dirty: false, NewSeq: seq}, nil
-	}
-	// Fold queued commutative ops into the one-phase write-back (see
-	// handlePrepare).
-	batchSize := m.drainCombinerLocked(in, req.Action)
-	newSeq := in.seq + 1
-	state := append([]byte(nil), in.state...)
-	in.mu.Unlock()
-
-	remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(req.StNodes[0])}
-	onePhaseStart := time.Now()
-	if err := remote.CommitOnePhase(ctx, req.Action, []store.Write{{UID: in.id, Data: state, Seq: newSeq}}); err != nil {
-		if errors.Is(err, store.ErrStaleVersion) {
-			// This activated copy has been left behind; destroy it so the
-			// next activation reloads, and abort this action.
-			_, _ = m.handlePassivate(ctx, from, PassivateReq{UID: req.UID, Force: true})
-			return PrepareCommitResp{Dirty: true}, rpc.Errorf(CodeStaleServer,
-				"object %s at %s: activated copy is stale (base seq %d)", req.UID, m.node.Name(), newSeq-1)
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-			errors.Is(err, transport.ErrReplyLost) {
-			// The request may have reached the store and committed before
-			// the failure was observed (e.g. the server is being torn down
-			// and its base context was canceled mid-call). A definite
-			// refusal here would let the coordinator record an abort over
-			// a durably committed write, so report ambiguity instead.
-			return PrepareCommitResp{Dirty: true, FailedNodes: []string{req.StNodes[0]}},
-				rpc.Errorf(CodeCommitUncertain, "object %s: one-phase commit outcome unknown: %v", req.UID, err)
-		}
-		return PrepareCommitResp{Dirty: true, FailedNodes: []string{req.StNodes[0]}},
-			rpc.Errorf(CodeUnavailable, "object %s: no St node accepted the new state: %v", req.UID, err)
-	}
-
-	in.mu.Lock()
-	in.seq = newSeq
-	className := in.class.Name
-	delete(in.snaps, req.Action)
-	delete(in.dirty, req.Action)
-	delete(in.prepared, req.Action)
-	delete(in.preparedSeq, req.Action)
-	delete(in.users, req.Action)
-	in.mu.Unlock()
-	if m.leaseTTL > 0 {
-		// A single-store view: the one accepting store IS the majority.
-		in.markConfirmed(onePhaseStart, 1, 1)
-	}
-	// The store's one-phase apply succeeded: the batch is durable.
-	m.resolveBatch(in, req.Action, true)
-
-	resp := PrepareCommitResp{Dirty: true, NewSeq: newSeq, BatchSize: batchSize}
-	// The write locks are still held, so `state` (snapshotted above) IS the
-	// committed state — reuse it for the cohort checkpoints.
-	ckptErrs := conc.DoErr(len(req.CheckpointTo), func(j int) error {
-		ref := ServerRef{Client: m.node.Client(), Node: transport.Addr(req.CheckpointTo[j]), UID: in.id}
-		return ref.Install(ctx, className, state, newSeq)
-	})
-	for j, cohort := range req.CheckpointTo {
-		if ckptErrs[j] != nil {
-			resp.FailedNodes = append(resp.FailedNodes, cohort)
-		}
-	}
-	// Commit is durable: fence old-version leases before the lock release
-	// (same ordering argument as handleCommit — no conflicting lock grant
-	// until every stale lease is provably dead) and before acknowledging.
-	fenceErr := m.leaseCommitFence(ctx, in, time.Now(), true)
-	in.locks.ReleaseAll(lockmgr.Owner(req.Action))
-	m.kickCombiner(in)
-	return resp, fenceErr
 }
 
 // handleLeaseCheck serves the mixed-transaction revalidation read: take
@@ -1308,7 +1252,9 @@ func (m *Manager) handleLeaseCheck(ctx context.Context, from transport.Addr, req
 		return LeaseCheckResp{}, rpc.Errorf(rpc.CodeRefused, "lock: %v", err)
 	}
 	in.mu.Lock()
-	in.users[req.Action] = true
+	if _, bound := in.actions[req.Action]; !bound {
+		in.actions[req.Action] = actionRec{}
+	}
 	seq := in.seq
 	in.mu.Unlock()
 	return LeaseCheckResp{Seq: seq}, nil
@@ -1327,7 +1273,7 @@ func (m *Manager) handlePassivate(ctx context.Context, from transport.Addr, req 
 		return PassivateResp{Passivated: false}, nil
 	}
 	in.mu.Lock()
-	busy := len(in.users) > 0
+	busy := len(in.actions) > 0
 	in.mu.Unlock()
 	if in.comb.depth() > 0 {
 		busy = true
@@ -1362,7 +1308,13 @@ func (m *Manager) handleStatus(ctx context.Context, from transport.Addr, req Sta
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return StatusResp{Active: true, Seq: in.seq, Users: len(in.users), Prepared: len(in.prepared)}, nil
+	prepared := 0
+	for _, rec := range in.actions {
+		if rec.preparedSeq != 0 {
+			prepared++
+		}
+	}
+	return StatusResp{Active: true, Seq: in.seq, Users: len(in.actions), Prepared: prepared}, nil
 }
 
 // errNotActive exposes a sentinel check helper for clients.

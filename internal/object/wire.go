@@ -16,7 +16,9 @@ import (
 // activation fields and the read-lease field) and the invoke reply at
 // version 3 (the carried vote; before that the read-lease fields), the
 // lease check at version 3 (the failover flag; before that the first
-// request's activation fields); everything else is at version 1.
+// request's activation fields), the prepare request at version 2 (the
+// one-phase flag and its checkpoint targets); everything else is at
+// version 1.
 const (
 	wireTagActivateReq byte = 0x20 + iota
 	wireTagActivateResp
@@ -28,8 +30,8 @@ const (
 	wireTagEndResp
 	wireTagInstallReq
 	wireTagInstallResp
-	wireTagPrepareCommitReq
-	wireTagPrepareCommitResp
+	_ // 0x2a and 0x2b: the combined prepare+commit request and reply,
+	_ // retired when it became PrepareReq.OnePhase
 	wireTagLeaseCheckReq
 	wireTagLeaseCheckResp
 	wireTagPassivateReq
@@ -225,23 +227,30 @@ func (p *InvokeResp) ParseWire(ver byte, r *rpc.WireReader) error {
 	return nil
 }
 
-// PrepareReq
+// PrepareReq (version 2 appends the one-phase flag and its checkpoint
+// targets)
 
 // WireTag implements rpc.Wire.
-func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 1 }
+func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 2 }
 
 // AppendWire implements rpc.Wire.
 func (q *PrepareReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.UID)
 	dst = rpc.AppendString(dst, q.Action)
-	return rpc.AppendStrings(dst, q.StNodes)
+	dst = rpc.AppendStrings(dst, q.StNodes)
+	dst = rpc.AppendBool(dst, q.OnePhase)
+	return rpc.AppendStrings(dst, q.CheckpointTo)
 }
 
 // ParseWire implements rpc.Wire.
-func (q *PrepareReq) ParseWire(_ byte, r *rpc.WireReader) error {
+func (q *PrepareReq) ParseWire(ver byte, r *rpc.WireReader) error {
 	q.UID = r.String()
 	q.Action = r.String()
 	q.StNodes = r.Strings()
+	if ver >= 2 {
+		q.OnePhase = r.Bool()
+		q.CheckpointTo = r.Strings()
+	}
 	return nil
 }
 
@@ -341,50 +350,6 @@ func (p *InstallResp) AppendWire(dst []byte) []byte { return rpc.AppendBool(dst,
 // ParseWire implements rpc.Wire.
 func (p *InstallResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	p.Installed = r.Bool()
-	return nil
-}
-
-// PrepareCommitReq
-
-// WireTag implements rpc.Wire.
-func (*PrepareCommitReq) WireTag() (byte, byte) { return wireTagPrepareCommitReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *PrepareCommitReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.UID)
-	dst = rpc.AppendString(dst, q.Action)
-	dst = rpc.AppendStrings(dst, q.StNodes)
-	return rpc.AppendStrings(dst, q.CheckpointTo)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *PrepareCommitReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	q.Action = r.String()
-	q.StNodes = r.Strings()
-	q.CheckpointTo = r.Strings()
-	return nil
-}
-
-// PrepareCommitResp
-
-// WireTag implements rpc.Wire.
-func (*PrepareCommitResp) WireTag() (byte, byte) { return wireTagPrepareCommitResp, 1 }
-
-// AppendWire implements rpc.Wire.
-func (p *PrepareCommitResp) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendBool(dst, p.Dirty)
-	dst = rpc.AppendUvarint(dst, p.NewSeq)
-	dst = rpc.AppendStrings(dst, p.FailedNodes)
-	return rpc.AppendUvarint(dst, uint64(p.BatchSize))
-}
-
-// ParseWire implements rpc.Wire.
-func (p *PrepareCommitResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Dirty = r.Bool()
-	p.NewSeq = r.Uvarint()
-	p.FailedNodes = r.Strings()
-	p.BatchSize = int(r.Uvarint())
 	return nil
 }
 

@@ -20,13 +20,12 @@ func wireCases() []struct{ in, out rpc.Wire } {
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryPrepare, Vote: PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}, &InvokeResp{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryCommit, VoteCode: CodeCommitUncertain, VoteMsg: "reply lost"}, &InvokeResp{}},
 		{&PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}}, &PrepareReq{}},
+		{&PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}, OnePhase: true, CheckpointTo: []string{"s2"}}, &PrepareReq{}},
 		{&PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}, &PrepareResp{}},
 		{&EndReq{UID: "obj", Action: "a1", CheckpointTo: []string{"s1"}}, &EndReq{}},
 		{&EndResp{FailedNodes: []string{"s2"}}, &EndResp{}},
 		{&InstallReq{UID: "obj", Class: "Counter", State: []byte{9, 9}, Seq: 3}, &InstallReq{}},
 		{&InstallResp{Installed: true}, &InstallResp{}},
-		{&PrepareCommitReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}, CheckpointTo: []string{"s2"}}, &PrepareCommitReq{}},
-		{&PrepareCommitResp{Dirty: true, NewSeq: 8, FailedNodes: []string{"s1"}, BatchSize: 2}, &PrepareCommitResp{}},
 		{&LeaseCheckReq{UID: "obj", Action: "a1"}, &LeaseCheckReq{}},
 		{&LeaseCheckReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []string{"s1"}, Failover: true}, &LeaseCheckReq{}},
 		{&LeaseCheckResp{Seq: 11}, &LeaseCheckResp{}},
@@ -79,7 +78,7 @@ func TestWireTagsUnique(t *testing.T) {
 	types := []rpc.Wire{
 		&ActivateReq{}, &ActivateResp{}, &InvokeReq{}, &InvokeResp{},
 		&PrepareReq{}, &PrepareResp{}, &EndReq{}, &EndResp{},
-		&InstallReq{}, &InstallResp{}, &PrepareCommitReq{}, &PrepareCommitResp{},
+		&InstallReq{}, &InstallResp{},
 		&LeaseCheckReq{}, &LeaseCheckResp{}, &PassivateReq{}, &PassivateResp{},
 		&StatusReq{}, &StatusResp{},
 	}
@@ -94,12 +93,16 @@ func TestWireTagsUnique(t *testing.T) {
 		}
 		seen[tag] = reflect.TypeOf(w).String()
 	}
+	// Retired tags keep their slots: the records after them do not move.
+	if tag, _ := (&LeaseCheckReq{}).WireTag(); tag != 0x2c {
+		t.Errorf("LeaseCheckReq moved from tag 0x2c to %#x", tag)
+	}
 }
 
 // TestWireOlderRequestVersionsDecode: frames written before the activation
-// fields, the carried phase one and the failover flag existed (invoke request
-// v1 to v4, invoke reply v2, lease check v1 and v2) still decode, with those
-// fields empty.
+// fields, the carried phase one, the failover flag and the one-phase prepare
+// existed (invoke request v1 to v4, invoke reply v2, lease check v1 and v2,
+// prepare request v1) still decode, with those fields empty.
 func TestWireOlderRequestVersionsDecode(t *testing.T) {
 	body := rpc.AppendString(rpc.AppendString(nil, "obj"), "a1")
 	invoke := rpc.AppendBool(rpc.AppendBytes(rpc.AppendString(body, "get"), []byte{7}), true)
@@ -140,5 +143,13 @@ func TestWireOlderRequestVersionsDecode(t *testing.T) {
 		if !reflect.DeepEqual(check, LeaseCheckReq{UID: "obj", Action: "a1"}) {
 			t.Errorf("lease check v%d = %+v", ver, check)
 		}
+	}
+	// A prepare request v1 ends after the St nodes: a two-phase prepare.
+	var prep PrepareReq
+	if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagPrepareReq, 1}, rpc.AppendStrings(body[:len(body):len(body)], []string{"s1"})...), &prep); err != nil {
+		t.Fatalf("prepare request v1: %v", err)
+	}
+	if !reflect.DeepEqual(prep, PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}}) {
+		t.Errorf("prepare request v1 = %+v", prep)
 	}
 }

@@ -176,9 +176,9 @@ type Handle struct {
 	wrote bool
 	// carried, when not CarryNone, says that a solo request took the action
 	// into phase one at the coordinator (see InvokeSolo), and carriedVote /
-	// carriedErr are what the Prepare (CarryPrepare) or PrepareCommit
-	// (CarryCommit) message would have answered. Prepare or CommitOnePhase
-	// takes the answer in place of sending that message.
+	// carriedErr are what the Prepare message — one-phase for CarryCommit —
+	// would have answered. Prepare or CommitOnePhase takes the answer in
+	// place of sending that message.
 	carried     object.Carry
 	carriedVote object.PrepareResp
 	carriedErr  error
@@ -376,9 +376,9 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, 
 // InvokeSolo performs one operation under act, declaring it the action's
 // entire write set at this object — the action will do nothing else, so the
 // request also carries the action's phase one: the server goes on from the
-// method into what the handle's next message would have asked for (the
-// combined prepare+commit when CommitOnePhase is eligible, prepare at the
-// St stores otherwise), the reply brings the vote back with the result, and
+// method into what the handle's next message would have asked for (a
+// one-phase prepare when CommitOnePhase is eligible, a plain one
+// otherwise), the reply brings the vote back with the result, and
 // CommitOnePhase or Prepare answers from that record with no message. For
 // a commutative method contending on the write lock, the server may instead
 // fold the operation into the current lock holder's commit round (flat
@@ -397,8 +397,8 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, 
 // committed: it carried the commit, or the server folded it into a commit
 // that went through. The binding is not broken then: the error wraps
 // action.ErrOutcomeUnknown, the doubt is recorded, and the caller must go on
-// to commit processing, which resolves it as it resolves a lost
-// PrepareCommit reply (see CommitOnePhase) — aborting instead could undo
+// to commit processing, which resolves it as it resolves a lost one-phase
+// Prepare reply (see CommitOnePhase) — aborting instead could undo
 // nothing and report an abort over a committed write.
 //
 // readOnly is the caller's word, from the object's class, that the method
@@ -775,7 +775,7 @@ func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 		results[0] = result{vote, verr}
 	} else {
 		conc.Do(len(targets), func(i int) {
-			results[i].resp, results[i].err = h.ref(targets[i]).Prepare(ctx, tx, h.cfg.StNodes)
+			results[i].resp, results[i].err = h.ref(targets[i]).Prepare(ctx, tx, h.cfg.StNodes, false)
 		})
 	}
 	okCount, dirtyCount := 0, 0
@@ -886,16 +886,16 @@ func (h *Handle) onePhaseCommitVisible(ctx context.Context, tx string) bool {
 
 // CommitOnePhase implements action.OnePhaser: when commit processing
 // involves exactly one server and at most one St store, the prepare and
-// commit rounds collapse into a single combined RPC, and the store-side
-// legs collapse too. Any other shape is ineligible — a multi-store
-// write-back needs the coordinator's outcome log to stay atomic across
-// stores, and multiple active replicas must all prepare before any may
-// commit — and falls back to ordinary 2PC untouched.
+// commit rounds collapse into one one-phase Prepare — the server decides
+// and commits — and the store-side legs collapse too. Any other shape is
+// ineligible — a multi-store write-back needs the coordinator's outcome log
+// to stay atomic across stores, and multiple active replicas must all
+// prepare before any may commit — and falls back to ordinary 2PC untouched.
 //
-// When the handle's one solo request carried the combined round (see
+// When the handle's one solo request carried the one-phase round (see
 // InvokeSolo), its answer is taken here and no message is sent: the vote,
 // the failed nodes, the batch size and every failure below are handled as
-// the PrepareCommit reply's would be, because that is what they are.
+// the one-phase Prepare reply's would be, because that is what they are.
 func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
 	if h.releasedOrUnprobed() {
 		return action.VoteReadOnly, nil
@@ -919,9 +919,7 @@ func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, er
 	coord := targets[0]
 	vote, carried, err := h.takeCarried(object.CarryCommit)
 	if !carried {
-		var resp object.PrepareCommitResp
-		resp, err = h.ref(coord).PrepareCommit(ctx, tx, h.cfg.StNodes, h.cohortsOf(coord))
-		vote = object.PrepareResp{Dirty: resp.Dirty, FailedNodes: resp.FailedNodes, BatchSize: resp.BatchSize}
+		vote, err = h.ref(coord).Prepare(ctx, tx, h.cfg.StNodes, true, h.cohortsOf(coord)...)
 	}
 	if err != nil {
 		if commitInDoubt(err) {

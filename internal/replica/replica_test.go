@@ -491,7 +491,7 @@ func TestMutualConsistencyOfStoresAfterMixedFailures(t *testing.T) {
 }
 
 func TestOnePhaseReplyLostResolvedByReprepare(t *testing.T) {
-	// Figure-1 ambiguity, resolved: the combined prepare+commit round
+	// Figure-1 ambiguity, resolved: the one-phase round
 	// executes at the server (the store durably commits) but the reply is
 	// lost. The coordinator must not report an abort — the 2PC fallback
 	// re-prepares, the server answers clean (it released the action when
@@ -500,7 +500,7 @@ func TestOnePhaseReplyLostResolvedByReprepare(t *testing.T) {
 	w := newWorld(t, 1, 1)
 	ctx := context.Background()
 	w.cluster.Faults().DropReplies(1,
-		transport.ToMethod("sv1", object.ServiceName, object.MethodPrepareCommit))
+		transport.ToMethod("sv1", object.ServiceName, object.MethodPrepare))
 	h := w.handle(t, SingleCopyPassive)
 	if err := h.Activate(ctx); err != nil {
 		t.Fatal(err)
@@ -527,7 +527,7 @@ func TestOnePhaseReplyLostThenCrashReportsOutcomeUnknown(t *testing.T) {
 	// update a mux-transport chaos seed caught).
 	w := newWorld(t, 1, 1)
 	ctx := context.Background()
-	rule := transport.ToMethod("sv1", object.ServiceName, object.MethodPrepareCommit)
+	rule := transport.ToMethod("sv1", object.ServiceName, object.MethodPrepare)
 	w.cluster.Faults().OnReply(1, rule, func(transport.Request) {
 		w.cluster.Node("sv1").Crash()
 	})
@@ -885,7 +885,7 @@ func TestInvokeSoloCarriesThePrepare(t *testing.T) {
 
 // TestInvokeSoloRefusedVoteAborts: the carried vote is a refusal — no store
 // took the state. The invocation succeeded; the commit fails with the
-// error the PrepareCommit message would have brought, and the roll-back
+// error the one-phase Prepare message would have brought, and the roll-back
 // reaches the server.
 func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
 	w := newWorld(t, 1, 1)
@@ -997,7 +997,7 @@ func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
 		if err != nil || rep.ReadOnlyVoters != 1 || rep.CommitVoters != 0 || rep.OutcomeLogged {
 			t.Fatalf("%d stores: commit = %+v, %v", stores, rep, err)
 		}
-		if calls[object.MethodInvoke] != 1 || calls[object.MethodPrepare]+calls[object.MethodPrepareCommit]+calls[object.MethodCommit] != 0 {
+		if calls[object.MethodInvoke] != 1 || calls[object.MethodPrepare]+calls[object.MethodCommit] != 0 {
 			t.Fatalf("%d stores: messages to servers: %v; want one Invoke and no commit processing", stores, calls)
 		}
 
@@ -1020,7 +1020,7 @@ func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
 		if _, err := a.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if calls[object.MethodPrepare]+calls[object.MethodPrepareCommit] != 1 {
+		if len(calls) != 1 || calls[object.MethodPrepare] != 1 {
 			t.Fatalf("%d stores: commit after CheckSeq sent %v; want one releasing message", stores, calls)
 		}
 		if st := w.serverStatus(t, "sv1"); st.Users != 0 {

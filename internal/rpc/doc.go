@@ -56,7 +56,8 @@
 // see a tag mismatch, not a misparse. Retired so far: 0x52 and 0x53, the
 // group's single-message Deliver request and reply; 0x01 and 0x40, the
 // database's and the store's own empty acknowledgements, which Empty
-// replaced.
+// replaced; 0x2a and 0x2b, the object server's combined prepare+commit
+// request and reply, which the prepare request's one-phase flag replaced.
 //
 // # Response framing
 //

@@ -218,9 +218,12 @@ func TestMuxCoalescesConcurrentWrites(t *testing.T) {
 
 // TestMuxTornBatchRetriesOnlyUnsentFrames pins the retry rule for a batch.
 // A write carrying requests Y and Z fails just past Y's last byte: Y was
-// wholly written, so it may have executed — it did, once — and its caller
-// must see ErrReplyLost, not a retry; Z was torn, so it cannot have
-// executed, and is retried on a fresh dial, executing exactly once.
+// wholly written, so it may have executed, and its caller must see
+// ErrReplyLost, not a retry; Z was torn, so it cannot have executed, and is
+// retried on a fresh dial, executing exactly once. Whether Y did execute is
+// the kernel's business — the poisoned connection closes with a reply
+// unread, and a reset may discard Y before the server reads it — so Y, like
+// X, is held to at most once.
 func TestMuxTornBatchRetriesOnlyUnsentFrames(t *testing.T) {
 	tm := NewTCPMux()
 	defer tm.Close()
@@ -273,13 +276,14 @@ func TestMuxTornBatchRetriesOnlyUnsentFrames(t *testing.T) {
 	close(finishY)
 	// X left in an earlier, whole write; the torn one poisoned the connection
 	// under it, so it is lost or answered depending on which came first.
-	if err := <-errX; err != nil && !errors.Is(err, ErrReplyLost) {
-		t.Fatalf("X got %v", err)
+	xErr := <-errX
+	if xErr != nil && !errors.Is(xErr, ErrReplyLost) {
+		t.Fatalf("X got %v", xErr)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if executed["Y"] != 1 || executed["Z"] != 1 || executed["X"] != 1 {
-		t.Fatalf("executions %v: want X, Y and Z once each", executed)
+	if executed["Z"] != 1 || executed["Y"] > 1 || executed["X"] > 1 || (xErr == nil && executed["X"] != 1) {
+		t.Fatalf("executions %v (X answered: %v): want Z once, X and Y at most once, X once if answered", executed, xErr == nil)
 	}
 	if s := tm.Stats(); s.Dials != 2 || s.Poisoned != 1 {
 		t.Fatalf("stats %+v: want the torn connection poisoned, counted once, and one redial", s)

@@ -15,15 +15,16 @@ import (
 // group, so every bind goes through the placement binder over a one-row
 // table, and the pin also holds that path to allocating nothing of its own.
 // The budgets are the counts measured when each class last got cheaper —
-// the per-call overhead taken out, each class's PrepareCommit message gone,
-// the read-only client's first bind holding no database lock — plus 5 %: a
-// later change that puts weight back on the path fails here, not in a
-// benchmark run.
+// the per-call overhead taken out, each solo class's one-phase Prepare
+// message carried by its invoke, the read-only client's first bind holding
+// no database lock — plus 5 %: a later change that puts weight back on the
+// path fails here, not in a benchmark run. An Atomic write sends that
+// one-phase Prepare, and a two-object one the two-phase rounds.
 func TestFacadeAllocs(t *testing.T) {
 	sys := openT(t, arjuna.WithShards(1), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(2))
 	rw := clientT(t, sys, "c1", arjuna.ClientFastBind())
 	ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
-	id, ctx := sys.Objects()[0], context.Background()
+	id, id2, ctx := sys.Objects()[0], sys.Objects()[1], context.Background()
 	for _, c := range []struct {
 		name   string
 		op     func()
@@ -33,7 +34,26 @@ func TestFacadeAllocs(t *testing.T) {
 			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-		}, 123}, // 118 measured; 128 with a PrepareCommit message, 226 before PR 19
+		}, 123}, // 117 measured; 128 with a one-phase Prepare message, 226 before PR 19
+		{"Atomic+Invoke", func() {
+			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
+				_, err := tx.Object(id).Invoke(ctx, "add", []byte("1"))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, 134}, // 127 measured; 128 before the one-phase Prepare shared its handler
+		{"Atomic+Invoke two objects", func() {
+			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
+				if _, err := tx.Object(id).Invoke(ctx, "add", []byte("1")); err != nil {
+					return err
+				}
+				_, err := tx.Object(id2).Invoke(ctx, "add", []byte("1"))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, 334}, // 310 measured; 318 before the one-phase Prepare shared its handler
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)
@@ -41,7 +61,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 56}, // 53 measured; 66 with a locked bind, 75 with a PrepareCommit message, 147 with the per-call overhead
+		}, 56}, // 53 measured; 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
 	} {
 		c.op() // warm-up: placement cache, activation, lock-table free lists
 		got := testing.AllocsPerRun(200, c.op)

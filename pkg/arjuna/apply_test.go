@@ -20,7 +20,7 @@ import (
 // may stand: over one store the request carried the commit, and over three
 // the prepare — and a commutative op may in either shape have been folded
 // into another action's commit. So Apply never reports an abort here. Commit
-// processing resolves the doubt as it resolves a lost PrepareCommit reply:
+// processing resolves the doubt as it resolves a lost one-phase Prepare reply:
 // over one store the server has forgotten the action and the store's
 // committed version names it; over three the re-prepare finds it pending and
 // the commit goes through. Both establish the commit, and Apply reports
@@ -111,8 +111,8 @@ func TestApplyUncertainStoreWriteIsNotAnAbort(t *testing.T) {
 // binding's first request fails there and lands on sv2 — WITHOUT the carry:
 // the use lists still name sv1, and nothing may commit at sv2 before the
 // repair has named it. The repair runs after the invoke, and the commit is
-// the PrepareCommit message of its own; by the time it is sent Sv no longer
-// lists sv1.
+// a one-phase Prepare message of its own; by the time it is sent Sv no
+// longer lists sv1.
 func TestApplyFirstCandidateDeadCommitsSeparately(t *testing.T) {
 	onBothCarriers(t, func(t *testing.T, carrier arjuna.Option) {
 		sys := openT(t, arjuna.WithServers(2), arjuna.WithStores(1), carrier)
@@ -130,7 +130,7 @@ func TestApplyFirstCandidateDeadCommitsSeparately(t *testing.T) {
 			carried = append(carried, q.Carry)
 		})
 		var svAtCommit [][]transport.Addr
-		sys.Faults().OnRequest(-1, transport.ToMethod("sv2", object.ServiceName, object.MethodPrepareCommit), func(transport.Request) {
+		sys.Faults().OnRequest(-1, transport.ToMethod("sv2", object.ServiceName, object.MethodPrepare), func(transport.Request) {
 			sv, err := sys.ServerView(ctx, obj)
 			if err != nil {
 				t.Errorf("ServerView: %v", err)
@@ -148,7 +148,7 @@ func TestApplyFirstCandidateDeadCommitsSeparately(t *testing.T) {
 			t.Fatalf("sv2 got invokes carrying %v; want one, carrying nothing", carried)
 		}
 		if len(svAtCommit) != 1 || !slices.Equal(svAtCommit[0], []transport.Addr{"sv2"}) {
-			t.Fatalf("Sv when PrepareCommit was sent: %v; want one message, after sv1 was removed", svAtCommit)
+			t.Fatalf("Sv when Prepare was sent: %v; want one message, after sv1 was removed", svAtCommit)
 		}
 		// With Sv repaired the next Apply is back to one carrying request.
 		carried, svAtCommit = nil, nil
@@ -156,7 +156,7 @@ func TestApplyFirstCandidateDeadCommitsSeparately(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !slices.Equal(carried, []object.Carry{object.CarryCommit}) || len(svAtCommit) != 0 {
-			t.Fatalf("second Apply: carried %v, %d PrepareCommit messages; want the commit carried", carried, len(svAtCommit))
+			t.Fatalf("second Apply: carried %v, %d Prepare messages; want the commit carried", carried, len(svAtCommit))
 		}
 		if !sys.World().DB.Quiescent(obj) {
 			t.Fatal("use counts did not drain")

@@ -424,7 +424,7 @@ func TestInDoubtCommitIsNotReportedAborted(t *testing.T) {
 	obj := sys.Objects()[0]
 	ctx := context.Background()
 
-	rule := transport.ToMethod("sv1", "objsrv", "PrepareCommit")
+	rule := transport.ToMethod("sv1", "objsrv", "Prepare")
 	sys.Faults().OnReply(1, rule, func(transport.Request) { _ = sys.Crash("sv1") })
 	sys.Faults().DropReplies(1, rule)
 	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
@@ -567,8 +567,7 @@ func TestMultiStoreWriteStaysTwoPhase(t *testing.T) {
 }
 
 func TestOnePhaseLostReplyResolvesThroughTwoPhase(t *testing.T) {
-	// The combined prepare+commit executes at the server but its reply is
-	// lost. The handle must not report an abort (the store has committed);
+	// The one-phase Prepare executes at the server but its reply is lost. The handle must not report an abort (the store has committed);
 	// it declares the one-phase attempt ineligible and the 2PC fallback
 	// resolves the doubt: the re-prepare finds the action already released
 	// — a read-only vote — and the committed state stands.
@@ -578,7 +577,7 @@ func TestOnePhaseLostReplyResolvesThroughTwoPhase(t *testing.T) {
 	ctx := context.Background()
 
 	sys.Faults().DropReplies(1, func(req transport.Request) bool {
-		return req.Service == "objsrv" && req.Method == "PrepareCommit"
+		return req.Service == "objsrv" && req.Method == "Prepare"
 	})
 	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
 		_, err := tx.Object(obj).Invoke(ctx, "add", []byte("9"))
@@ -594,7 +593,7 @@ func TestOnePhaseLostReplyResolvesThroughTwoPhase(t *testing.T) {
 		t.Fatal("lost reply must force the 2PC fallback, not a one-phase report")
 	}
 	if got := counterValue(t, sys, obj); got != "9" {
-		t.Fatalf("counter = %q, want 9 (the combined round's effect must stand)", got)
+		t.Fatalf("counter = %q, want 9 (the one-phase round's effect must stand)", got)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestClientCallsPerAction(t *testing.T) {
 // database, so 10 calls (5 to the databases) across two shards and 9 (4) in
 // one group. And the clients whose first bind stays pinned keep the counts
 // they had: with a lease cache (Move's lease fence leans on the write-locked
-// entries to stop new grants) bind · invoke · PrepareCommit · action-end;
+// entries to stop new grants) bind · invoke · one-phase Prepare · action-end;
 // under active replication (the binding is probed at bind time, before
 // anything could pin it) the same behind an Activate; under the standard
 // scheme (Figure 6 holds GetServer's and GetView's locks to the action's end

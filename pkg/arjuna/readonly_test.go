@@ -23,7 +23,8 @@ func fromClient(name transport.Addr) transport.FaultRule {
 }
 
 // sentLog records, in order, the objsrv requests one client node sends:
-// "Invoke/<carry>" for an invocation, the bare method name for the rest.
+// "Invoke/<carry>" for an invocation, "Prepare/one-phase" for a one-phase
+// prepare, the bare method name for the rest.
 type sentLog struct {
 	mu   sync.Mutex
 	sent []string
@@ -37,12 +38,21 @@ func watchServerCalls(t *testing.T, sys *arjuna.System, client transport.Addr) *
 			return
 		}
 		entry := req.Method
-		if req.Method == object.MethodInvoke {
+		switch req.Method {
+		case object.MethodInvoke:
 			var q object.InvokeReq
 			if err := rpc.Decode(req.Payload, &q); err != nil {
 				t.Errorf("undecodable invoke: %v", err)
 			}
 			entry = fmt.Sprintf("Invoke/%d", q.Carry)
+		case object.MethodPrepare:
+			var q object.PrepareReq
+			if err := rpc.Decode(req.Payload, &q); err != nil {
+				t.Errorf("undecodable prepare: %v", err)
+			}
+			if q.OnePhase {
+				entry = "Prepare/one-phase"
+			}
 		}
 		log.mu.Lock()
 		log.sent = append(log.sent, entry)
@@ -323,8 +333,8 @@ func TestApplyReadReplyLostIsAborted(t *testing.T) {
 // TestCarriedReadFirstCandidateDead: with the writers' server down the
 // read-only binding's first request fails there and lands on the next
 // candidate without the carry (a handle with a broken candidate never
-// carries), so that server holds the read lock until the PrepareCommit that
-// follows — and the read is not one to re-check.
+// carries), so that server holds the read lock until the one-phase Prepare
+// that follows — and the read is not one to re-check.
 func TestCarriedReadFirstCandidateDead(t *testing.T) {
 	onBothCarriers(t, func(t *testing.T, carrier arjuna.Option) {
 		sys := openT(t, arjuna.WithServers(2), arjuna.WithStores(1), carrier)
@@ -338,7 +348,7 @@ func TestCarriedReadFirstCandidateDead(t *testing.T) {
 		if err != nil || got != "0" || !slices.Equal(rep.BrokenServers, []transport.Addr{"sv1"}) {
 			t.Fatalf("read = %q, %v, report %+v", got, err, rep)
 		}
-		if calls, want := sent.take(), []string{"Invoke/2", "Invoke/0", "PrepareCommit"}; !slices.Equal(calls, want) {
+		if calls, want := sent.take(), []string{"Invoke/2", "Invoke/0", "Prepare/one-phase"}; !slices.Equal(calls, want) {
 			t.Fatalf("the client sent its servers %v, want %v", calls, want)
 		}
 		if n := userCount(t, sys, "sv2", obj); n != 0 {
@@ -349,7 +359,7 @@ func TestCarriedReadFirstCandidateDead(t *testing.T) {
 
 // TestLeasedClientNeverCarries: with a lease cache the read goes out as it
 // always did — asking for a lease, carrying nothing, released by its own
-// PrepareCommit — because a grant in a request that also released the read
+// one-phase Prepare — because a grant in a request that also released the read
 // lock would break the ordering the writers' fence leans on. The grant is
 // harvested and the next read is served from it.
 func TestLeasedClientNeverCarries(t *testing.T) {
@@ -369,7 +379,7 @@ func TestLeasedClientNeverCarries(t *testing.T) {
 	if err != nil || rep.LeaseReads != 0 {
 		t.Fatalf("first read: %v, report %+v", err, rep)
 	}
-	if calls, want := sent.take(), []string{"Invoke/0", "PrepareCommit"}; !slices.Equal(calls, want) || !slices.Equal(leaseAsked, []string{"c1"}) {
+	if calls, want := sent.take(), []string{"Invoke/0", "Prepare/one-phase"}; !slices.Equal(calls, want) || !slices.Equal(leaseAsked, []string{"c1"}) {
 		t.Fatalf("a leased client's read sent %v asking leases for %v; want %v and c1", calls, leaseAsked, want)
 	}
 	_, rep, err = readOne(ctx, ro, obj)
@@ -391,10 +401,10 @@ func TestCarriedReadActiveDegrades(t *testing.T) {
 		t.Fatalf("read = %q, %v, report %+v", got, err, rep)
 	}
 	calls := sent.take()
-	if slices.ContainsFunc(calls, func(c string) bool { return c != "Activate" && c != "PrepareCommit" && c != "Prepare" }) {
+	if slices.ContainsFunc(calls, func(c string) bool { return c != "Activate" && c != "Prepare" && c != "Prepare/one-phase" }) {
 		t.Fatalf("an active read sent its servers %v: no solo invoke, and the release is its own message", calls)
 	}
-	if !slices.Contains(calls, "PrepareCommit") && !slices.Contains(calls, "Prepare") {
+	if !slices.Contains(calls, "Prepare") && !slices.Contains(calls, "Prepare/one-phase") {
 		t.Fatalf("an active read sent its servers %v and never released the action", calls)
 	}
 }
