@@ -717,57 +717,3 @@ func (a *Action) Abort(ctx context.Context) error {
 	}
 	return nil
 }
-
-// StoreParticipant adapts a (possibly remote) object store to the
-// Participant interface. Writes is evaluated at prepare time so that the
-// final object state of the action is captured.
-type StoreParticipant struct {
-	// Label names the participant in errors (typically the store node).
-	Label string
-	// Remote is the store being driven.
-	Remote store.RemoteStore
-	// Writes yields the object versions to install.
-	Writes func() []store.Write
-}
-
-// Name implements Participant.
-func (p *StoreParticipant) Name() string { return p.Label }
-
-// Prepare implements Participant. A participant with nothing to write
-// votes read-only without touching the store at all — there is no
-// intention to record, so the prepare round trip vanishes along with the
-// phase-two one.
-func (p *StoreParticipant) Prepare(ctx context.Context, tx string) (Vote, error) {
-	writes := p.Writes()
-	if len(writes) == 0 {
-		return VoteReadOnly, nil
-	}
-	if err := p.Remote.Prepare(ctx, tx, writes); err != nil {
-		return 0, err
-	}
-	return VoteCommit, nil
-}
-
-// Commit implements Participant.
-func (p *StoreParticipant) Commit(ctx context.Context, tx string) error {
-	return p.Remote.Commit(ctx, tx)
-}
-
-// Abort implements Participant.
-func (p *StoreParticipant) Abort(ctx context.Context, tx string) error {
-	return p.Remote.Abort(ctx, tx)
-}
-
-// CommitOnePhase implements OnePhaser: a single store applies the writes
-// atomically under its own mutex, so a sole participant needs neither a
-// prepare round nor an outcome-log record.
-func (p *StoreParticipant) CommitOnePhase(ctx context.Context, tx string) (Vote, error) {
-	writes := p.Writes()
-	if len(writes) == 0 {
-		return VoteReadOnly, nil
-	}
-	if err := p.Remote.CommitOnePhase(ctx, tx, writes); err != nil {
-		return 0, err
-	}
-	return VoteCommit, nil
-}

@@ -387,35 +387,21 @@ func TestNestedTopLevelActionIndependent(t *testing.T) {
 	}
 }
 
-func TestStoreParticipantAgainstRealStore(t *testing.T) {
-	net := transport.NewMem(transport.MemOptions{}, nil)
-	srv := rpc.NewServer()
-	st := store.New("beta")
-	store.RegisterService(srv, st)
-	net.Register("beta", srv.Handler())
-
-	gen := uid.NewGenerator("obj", 1)
-	id := gen.New()
-	st.Put(id, []byte("v0"), 1)
-
-	m := NewManager("client", nil)
-	a := m.BeginTop()
-	part := &StoreParticipant{
-		Label:  "beta",
-		Remote: store.RemoteStore{Client: rpc.Client{Net: net, From: "client"}, Node: "beta"},
-		Writes: func() []store.Write {
-			return []store.Write{{UID: id, Data: []byte("v1"), Seq: 2}}
-		},
-	}
-	_ = a.Enlist(part)
-	if _, err := a.Commit(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	v, err := st.Read(id)
-	if err != nil || string(v.Data) != "v1" || v.Seq != 2 {
-		t.Fatalf("store after commit: %+v err=%v", v, err)
-	}
+// storeParticipant drives one store through two-phase commit with a fixed
+// write set.
+type storeParticipant struct {
+	remote store.RemoteStore
+	writes []store.Write
 }
+
+func (p storeParticipant) Name() string { return string(p.remote.Node) }
+func (p storeParticipant) Prepare(ctx context.Context, tx string) (Vote, error) {
+	return VoteCommit, p.remote.Prepare(ctx, tx, p.writes, false)
+}
+func (p storeParticipant) Commit(ctx context.Context, tx string) error {
+	return p.remote.Commit(ctx, tx)
+}
+func (p storeParticipant) Abort(ctx context.Context, tx string) error { return p.remote.Abort(ctx, tx) }
 
 func TestCrashBeforePhaseTwoRecoversViaLog(t *testing.T) {
 	// The classic 2PC recovery flow: participant prepares, coordinator
@@ -436,12 +422,9 @@ func TestCrashBeforePhaseTwoRecoversViaLog(t *testing.T) {
 	m := NewManager("client", nil)
 	RegisterLogService(srv, m.Log())
 	a := m.BeginTop()
-	part := &StoreParticipant{
-		Label:  "beta",
-		Remote: store.RemoteStore{Client: rpc.Client{Net: net, From: "client"}, Node: "beta"},
-		Writes: func() []store.Write {
-			return []store.Write{{UID: id, Data: []byte("v1"), Seq: 2}}
-		},
+	part := storeParticipant{
+		remote: store.RemoteStore{Client: rpc.Client{Net: net, From: "client"}, Node: "beta"},
+		writes: []store.Write{{UID: id, Data: []byte("v1"), Seq: 2}},
 	}
 	_ = a.Enlist(part)
 	_ = a.Enlist(&fakeParticipant{name: "other"})

@@ -17,6 +17,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/object"
 	"repro/internal/replica"
+	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -323,10 +324,6 @@ type runner struct {
 	keys        []keyCounts // per object (WorkloadReadOnlyRegister)
 	partitions  map[[2]transport.Addr]bool
 	everCrashed map[transport.Addr]bool
-	// placementDown tracks crashed placement replicas separately from
-	// everCrashed: they have no St/Sv views to rejoin — recovery is the
-	// replica's own catch-up, run by its OnRecover hook.
-	placementDown map[transport.Addr]bool
 	// armed tracks disk backends carrying a live kill-at-byte injection,
 	// for disarming (or crash-confirming) at quiesce.
 	armed map[transport.Addr]*storage.Disk
@@ -376,14 +373,13 @@ func Run(cfg Config) (*Report, error) {
 			Seed:        cfg.Seed,
 			FinalValues: make(map[string]int),
 		},
-		tallies:       make([]objTally, cfg.Objects),
-		ackedMax:      make([]int, cfg.Objects),
-		keys:          make([]keyCounts, cfg.Objects),
-		partitions:    make(map[[2]transport.Addr]bool),
-		everCrashed:   make(map[transport.Addr]bool),
-		placementDown: make(map[transport.Addr]bool),
-		armed:         make(map[transport.Addr]*storage.Disk),
-		tornRng:       rand.New(rand.NewSource(cfg.Seed ^ 0x70524e5441494c)),
+		tallies:     make([]objTally, cfg.Objects),
+		ackedMax:    make([]int, cfg.Objects),
+		keys:        make([]keyCounts, cfg.Objects),
+		partitions:  make(map[[2]transport.Addr]bool),
+		everCrashed: make(map[transport.Addr]bool),
+		armed:       make(map[transport.Addr]*storage.Disk),
+		tornRng:     rand.New(rand.NewSource(cfg.Seed ^ 0x70524e5441494c)),
 	}
 
 	clients := make([]*arjuna.Client, len(w.Clients))
@@ -784,13 +780,13 @@ func (r *runner) apply(e Event) {
 			r.faults.Heal(p[0], p[1])
 		}
 	case KindDropRequests:
-		r.faults.DropRequestsP(e.P, e.Count, transport.ToMethod(e.Target, e.Service, e.Method))
+		r.faults.DropRequestsP(e.P, e.Count, methodRule(e.Target, e.Service, e.Method))
 	case KindDropReplies:
-		r.faults.DropRepliesP(e.P, e.Count, transport.ToMethod(e.Target, e.Service, e.Method))
+		r.faults.DropRepliesP(e.P, e.Count, methodRule(e.Target, e.Service, e.Method))
 	case KindDelay:
 		r.faults.DelayRequests(e.P, e.Count, e.Hold, transport.To(e.Target))
 	case KindDuplicate:
-		r.faults.DuplicateRequests(e.P, e.Count, transport.ToMethod(e.Target, e.Service, e.Method))
+		r.faults.DuplicateRequests(e.P, e.Count, methodRule(e.Target, e.Service, e.Method))
 	case KindReorder:
 		r.faults.ReorderRequests(e.P, e.Count, e.Hold, transport.To(e.Target))
 	case KindCrashDuringCommit:
@@ -802,7 +798,7 @@ func (r *runner) apply(e Event) {
 		// intention (presumed abort must clean it up).
 		r.markCrashed(e.Target)
 		n := r.w.Cluster.Node(e.Target)
-		rule := transport.ToMethod(e.Target, store.ServiceName, store.MethodPrepare)
+		rule := methodRule(e.Target, store.ServiceName, store.MethodPrepare)
 		if e.AbortSide {
 			r.faults.DropRepliesP(1, 1, rule)
 		}
@@ -814,9 +810,6 @@ func (r *runner) apply(e Event) {
 		r.faults.DelayReplies(1, -1, e.Hold, transport.To(e.Target))
 	case KindCrashPlacement:
 		if n := r.w.Cluster.Node(e.Target); n != nil {
-			r.mu.Lock()
-			r.placementDown[e.Target] = true
-			r.mu.Unlock()
 			n.Crash()
 		}
 	case KindRecoverPlacement:
@@ -824,9 +817,6 @@ func (r *runner) apply(e Event) {
 			// Recover runs the replica's OnRecover catch-up hook against
 			// the primary.
 			n.Recover(nil)
-			r.mu.Lock()
-			delete(r.placementDown, e.Target)
-			r.mu.Unlock()
 		}
 	case KindKillAtByte:
 		// Only meaningful on a live disk-backed store: the WAL is armed
@@ -851,6 +841,22 @@ func (r *runner) apply(e Event) {
 			r.armed[e.Target] = d
 			r.mu.Unlock()
 		}
+	}
+}
+
+// methodRule matches the method's requests at target. A store Prepare
+// rule matches two-phase prepares only: the one-phase round travels as a
+// Prepare too, and the plans were drawn for the prepare that leaves an
+// intention to be in doubt about — keeping their reach keeps every pinned
+// seed replaying the same plan.
+func methodRule(target transport.Addr, service, method string) transport.FaultRule {
+	rule := transport.ToMethod(target, service, method)
+	if service != store.ServiceName || method != store.MethodPrepare {
+		return rule
+	}
+	return func(req transport.Request) bool {
+		var q store.PrepareReq
+		return rule(req) && rpc.Decode(req.Payload, &q) == nil && !q.OnePhase
 	}
 }
 
@@ -960,9 +966,6 @@ func (r *runner) quiesce() {
 			n.Recover(nil)
 		}
 	}
-	r.mu.Lock()
-	r.placementDown = make(map[transport.Addr]bool)
-	r.mu.Unlock()
 
 	// Restart crashed stores; their pending intentions resolve against
 	// coordinator logs inside Recover.

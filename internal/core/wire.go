@@ -12,9 +12,9 @@ import (
 // batch request and response every bind, use-list adjustment, view read
 // and action end rides, the durable entry record every commit writes, and
 // the §5 name server's requests. Tags live in the 0x01–0x1f block of the
-// registry in internal/rpc/doc.go. The batch records are at version 2
-// (the Bind operation's degree and counted hosts; Select, the newest kind,
-// needs no field of its own); the rest at version 1.
+// registry in internal/rpc/doc.go. The batch records are at version 2; the
+// rest at version 1. Only a record's current version decodes (see
+// rpc.Wire).
 // (0x01 was the database's own empty Ack, which rpc.Empty replaced, and
 // 0x02–0x0d the per-operation request and response records the batch
 // replaced; they stay retired.)
@@ -125,7 +125,7 @@ func (q *BatchReq) AppendWire(dst []byte) []byte {
 // ParseWire implements rpc.Wire. An operation kind this version does not
 // know fails the whole request: executing the rest of a conversation
 // around a hole would not be the conversation the client sent.
-func (q *BatchReq) ParseWire(ver byte, r *rpc.WireReader) (err error) {
+func (q *BatchReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 	n, ok := readCount(r)
 	if !ok {
 		return rpc.ErrWire
@@ -163,13 +163,11 @@ func (q *BatchReq) ParseWire(ver byte, r *rpc.WireReader) (err error) {
 				return err
 			}
 		}
-		if ver >= 2 {
-			degree := r.Uvarint()
-			if degree > math.MaxInt32 {
-				return rpc.ErrWire
-			}
-			op.Degree = int(degree)
+		degree := r.Uvarint()
+		if degree > math.MaxInt32 {
+			return rpc.ErrWire
 		}
+		op.Degree = int(degree)
 	}
 	return nil
 }
@@ -201,7 +199,7 @@ func (p *BatchResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *BatchResp) ParseWire(ver byte, r *rpc.WireReader) (err error) {
+func (p *BatchResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 	n, ok := readCount(r)
 	if !ok {
 		return rpc.ErrWire
@@ -232,10 +230,8 @@ func (p *BatchResp) ParseWire(ver byte, r *rpc.WireReader) (err error) {
 			}
 			res.Use[host] = byClient
 		}
-		if ver >= 2 {
-			if res.Hosts, err = readAddrs(r); err != nil {
-				return err
-			}
+		if res.Hosts, err = readAddrs(r); err != nil {
+			return err
 		}
 	}
 	return nil

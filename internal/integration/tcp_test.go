@@ -47,13 +47,9 @@ func TestTwoPhaseCommitOverTCP(t *testing.T) {
 	cli := rpc.Client{Net: net, From: "client"}
 	act := mgr.BeginTop()
 	for _, node := range []*tcpNode{alpha, beta} {
-		node := node
-		part := &action.StoreParticipant{
-			Label:  string(node.name),
-			Remote: store.RemoteStore{Client: cli, Node: node.name},
-			Writes: func() []store.Write {
-				return []store.Write{{UID: id, Data: []byte("v1"), Seq: 2}}
-			},
+		part := storeParticipant{
+			remote: store.RemoteStore{Client: cli, Node: node.name},
+			writes: []store.Write{{UID: id, Data: []byte("v1"), Seq: 2}},
 		}
 		if err := act.Enlist(part); err != nil {
 			t.Fatal(err)
@@ -73,6 +69,22 @@ func TestTwoPhaseCommitOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// storeParticipant drives one store through two-phase commit with a fixed
+// write set.
+type storeParticipant struct {
+	remote store.RemoteStore
+	writes []store.Write
+}
+
+func (p storeParticipant) Name() string { return string(p.remote.Node) }
+func (p storeParticipant) Prepare(ctx context.Context, tx string) (action.Vote, error) {
+	return action.VoteCommit, p.remote.Prepare(ctx, tx, p.writes, false)
+}
+func (p storeParticipant) Commit(ctx context.Context, tx string) error {
+	return p.remote.Commit(ctx, tx)
+}
+func (p storeParticipant) Abort(ctx context.Context, tx string) error { return p.remote.Abort(ctx, tx) }
 
 // witnessParticipant does nothing: enlisting it gives an action a second
 // participant, so the commit runs both phases instead of the one-phase
@@ -113,12 +125,9 @@ func TestCrashBeforePhaseTwoRecoversOverTCP(t *testing.T) {
 	if err := act.Enlist(witnessParticipant{}); err != nil {
 		t.Fatal(err)
 	}
-	part := &action.StoreParticipant{
-		Label:  "beta",
-		Remote: store.RemoteStore{Client: cli, Node: "beta"},
-		Writes: func() []store.Write {
-			return []store.Write{{UID: id, Data: []byte("v1"), Seq: 2}}
-		},
+	part := storeParticipant{
+		remote: store.RemoteStore{Client: cli, Node: "beta"},
+		writes: []store.Write{{UID: id, Data: []byte("v1"), Seq: 2}},
 	}
 	if err := act.Enlist(part); err != nil {
 		t.Fatal(err)

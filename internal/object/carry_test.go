@@ -308,6 +308,16 @@ func TestAbortOvertakingPrepareLeavesNothing(t *testing.T) {
 	}
 }
 
+// onePhaseStoreRound matches the one-phase round at store st: the store
+// Prepare that commits in the same round.
+func onePhaseStoreRound(st transport.Addr) transport.FaultRule {
+	prepare := transport.ToMethod(st, store.ServiceName, store.MethodPrepare)
+	return func(req transport.Request) bool {
+		var q store.PrepareReq
+		return prepare(req) && rpc.Decode(req.Payload, &q) == nil && q.OnePhase
+	}
+}
+
 // TestAbortOvertakingOnePhaseRoundKeepsItsCommit: the same race with a
 // one-phase round. The Abort is served while the one store is committing the
 // copy, and rolls the instance back to version 1 while the store moves to 2.
@@ -321,7 +331,7 @@ func TestAbortOvertakingOnePhaseRoundKeepsItsCommit(t *testing.T) {
 	if _, err := ref.Invoke(ctx, "a1", "add", []byte("3")); err != nil {
 		t.Fatal(err)
 	}
-	w.cluster.Faults().OnReply(1, transport.ToMethod("st1", store.ServiceName, store.MethodCommitOnePhase), func(transport.Request) {
+	w.cluster.Faults().OnReply(1, onePhaseStoreRound("st1"), func(transport.Request) {
 		if _, err := w.ref("sv1").Abort(ctx, "a1"); err != nil {
 			t.Errorf("abort: %v", err)
 		}
@@ -347,7 +357,7 @@ func TestAbortOvertakingOnePhaseRoundKeepsItsCommit(t *testing.T) {
 // re-prepare that follows finds the copy stale and destroys it — and must not
 // tell the follower to retry: its effect may be, and is, committed.
 func TestFoldedFollowerOfAnInDoubtOnePhaseRoundIsNotRetried(t *testing.T) {
-	commitOnePhase := transport.ToMethod("st1", store.ServiceName, store.MethodCommitOnePhase)
+	onePhaseRound := onePhaseStoreRound("st1")
 	st1 := []transport.Addr{"st1"}
 	for _, overtaken := range []bool{true, false} {
 		w := newWorld(t)
@@ -371,13 +381,13 @@ func TestFoldedFollowerOfAnInDoubtOnePhaseRoundIsNotRetried(t *testing.T) {
 			}
 		}
 		if overtaken {
-			w.cluster.Faults().OnReply(1, commitOnePhase, func(transport.Request) {
+			w.cluster.Faults().OnReply(1, onePhaseRound, func(transport.Request) {
 				if _, err := w.ref("sv3").Abort(ctx, "lead"); err != nil {
 					t.Errorf("abort: %v", err)
 				}
 			})
 		} else {
-			w.cluster.Faults().DropReplies(1, commitOnePhase)
+			w.cluster.Faults().DropReplies(1, onePhaseRound)
 		}
 		if _, err := w.ref("sv3").Prepare(ctx, "lead", st1, true); rpc.CodeOf(err) != CodeCommitUncertain {
 			t.Fatalf("overtaken %v: leader's round: err = %v, want %s", overtaken, err, CodeCommitUncertain)

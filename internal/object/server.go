@@ -53,7 +53,7 @@ const (
 	// retry re-activates fresh).
 	CodeStaleServer = "stale-server"
 	// CodeCommitUncertain reports that a one-phase commit attempt ended
-	// ambiguously: the server's CommitOnePhase call to the St node failed
+	// ambiguously: the server's one-phase Prepare to the St node failed
 	// with an error that does not rule out the store having durably applied
 	// the write (context cancellation, deadline, or a lost reply) — or a
 	// solo op was folded into another action's commit and its caller stopped
@@ -1040,14 +1040,8 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 // an intention, or with onePhase as the committed version.
 func (m *Manager) copyState(ctx context.Context, id uid.UID, st, action string, state []byte, seq uint64, onePhase bool) error {
 	remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
-	copyTo := func() error {
-		writes := []store.Write{{UID: id, Data: state, Seq: seq}}
-		if onePhase {
-			return remote.CommitOnePhase(ctx, action, writes)
-		}
-		return remote.Prepare(ctx, action, writes)
-	}
-	err := copyTo()
+	writes := []store.Write{{UID: id, Data: state, Seq: seq}}
+	err := remote.Prepare(ctx, action, writes, onePhase)
 	if rpc.CodeOf(err) == rpc.CodeConflict {
 		// The object is pinned by another transaction's prepared
 		// intention. That pin may be an ACKNOWLEDGED COMMIT whose
@@ -1058,7 +1052,7 @@ func (m *Manager) copyState(ctx context.Context, id uid.UID, st, action string, 
 		// live, undecided transaction) and retry once: a resolved
 		// commit either unblocks us or correctly refuses us as stale.
 		if _, rerr := remote.ResolveDecided(ctx); rerr == nil {
-			err = copyTo()
+			err = remote.Prepare(ctx, action, writes, onePhase)
 		}
 	}
 	return err

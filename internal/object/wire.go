@@ -12,13 +12,10 @@ import (
 // hottest payloads in the system. Tags live in the 0x20–0x3f block of the
 // registry in internal/rpc/doc.go, beside the passivation and status
 // records a move's lease fence and the checkers send. The invoke request is
-// at version 5 (the failover flag; before that the carried phase one, the
-// activation fields and the read-lease field) and the invoke reply at
-// version 3 (the carried vote; before that the read-lease fields), the
-// lease check at version 3 (the failover flag; before that the first
-// request's activation fields), the prepare request at version 2 (the
-// one-phase flag and its checkpoint targets); everything else is at
-// version 1.
+// at version 5, the invoke reply and the lease check at version 3, the
+// prepare request at version 2; everything else is at version 1. Every peer
+// runs the same build, so only a record's current version decodes: a
+// change to a record's fields bumps its version.
 const (
 	wireTagActivateReq byte = 0x20 + iota
 	wireTagActivateResp
@@ -80,9 +77,7 @@ func (p *ActivateResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	return nil
 }
 
-// InvokeReq (version 2 appends the read-lease request field, version 3
-// the first request's activation fields, version 4 the carried phase one,
-// version 5 the failover flag)
+// InvokeReq
 
 // WireTag implements rpc.Wire.
 func (*InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 5 }
@@ -115,29 +110,20 @@ func (q *InvokeReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *InvokeReq) ParseWire(ver byte, r *rpc.WireReader) error {
+func (q *InvokeReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 	q.UID = r.String()
 	q.Action = r.String()
 	q.Method = r.String()
 	q.Args = r.Bytes()
 	q.Solo = r.Bool()
-	if ver >= 2 {
-		q.LeaseHolder = r.String()
+	q.LeaseHolder = r.String()
+	q.Class = r.String()
+	q.StNodes = r.Strings()
+	if q.Carry, err = readCarry(r); err != nil {
+		return err
 	}
-	if ver >= 3 {
-		q.Class = r.String()
-		q.StNodes = r.Strings()
-	}
-	if ver >= 4 {
-		var err error
-		if q.Carry, err = readCarry(r); err != nil {
-			return err
-		}
-		q.CheckpointTo = r.Strings()
-	}
-	if ver >= 5 {
-		q.Failover = r.Bool()
-	}
+	q.CheckpointTo = r.Strings()
+	q.Failover = r.Bool()
 	return nil
 }
 
@@ -151,8 +137,7 @@ func readCarry(r *rpc.WireReader) (Carry, error) {
 	return Carry(c), nil
 }
 
-// InvokeResp (version 2 appends the optional lease grant, version 3 the
-// carried phase one's vote)
+// InvokeResp
 
 // WireTag implements rpc.Wire.
 func (*InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 3 }
@@ -199,13 +184,13 @@ func (p *InvokeResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *InvokeResp) ParseWire(ver byte, r *rpc.WireReader) error {
+func (p *InvokeResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 	p.Result = r.Bytes()
 	p.Modified = r.Bool()
 	p.Batched = r.Bool()
 	p.BatchSize = int(r.Uvarint())
 	p.WaitNanos = r.Varint()
-	if ver >= 2 && r.Bool() {
+	if r.Bool() {
 		p.Lease = &LeaseGrant{
 			Class: r.String(),
 			State: r.Bytes(),
@@ -213,22 +198,18 @@ func (p *InvokeResp) ParseWire(ver byte, r *rpc.WireReader) error {
 			TTL:   time.Duration(r.Varint()),
 		}
 	}
-	if ver >= 3 {
-		var err error
-		if p.Carried, err = readCarry(r); err != nil {
-			return err
-		}
-		if p.Carried != CarryNone {
-			p.VoteCode = r.String()
-			p.VoteMsg = r.String()
-			return p.Vote.ParseWire(1, r)
-		}
+	if p.Carried, err = readCarry(r); err != nil {
+		return err
+	}
+	if p.Carried != CarryNone {
+		p.VoteCode = r.String()
+		p.VoteMsg = r.String()
+		return p.Vote.ParseWire(1, r)
 	}
 	return nil
 }
 
-// PrepareReq (version 2 appends the one-phase flag and its checkpoint
-// targets)
+// PrepareReq
 
 // WireTag implements rpc.Wire.
 func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 2 }
@@ -243,14 +224,12 @@ func (q *PrepareReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *PrepareReq) ParseWire(ver byte, r *rpc.WireReader) error {
+func (q *PrepareReq) ParseWire(_ byte, r *rpc.WireReader) error {
 	q.UID = r.String()
 	q.Action = r.String()
 	q.StNodes = r.Strings()
-	if ver >= 2 {
-		q.OnePhase = r.Bool()
-		q.CheckpointTo = r.Strings()
-	}
+	q.OnePhase = r.Bool()
+	q.CheckpointTo = r.Strings()
 	return nil
 }
 
@@ -353,8 +332,7 @@ func (p *InstallResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	return nil
 }
 
-// LeaseCheckReq (version 2 appends the first request's activation fields,
-// version 3 the failover flag)
+// LeaseCheckReq
 
 // WireTag implements rpc.Wire.
 func (*LeaseCheckReq) WireTag() (byte, byte) { return wireTagLeaseCheckReq, 3 }
@@ -369,16 +347,12 @@ func (q *LeaseCheckReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *LeaseCheckReq) ParseWire(ver byte, r *rpc.WireReader) error {
+func (q *LeaseCheckReq) ParseWire(_ byte, r *rpc.WireReader) error {
 	q.UID = r.String()
 	q.Action = r.String()
-	if ver >= 2 {
-		q.Class = r.String()
-		q.StNodes = r.Strings()
-	}
-	if ver >= 3 {
-		q.Failover = r.Bool()
-	}
+	q.Class = r.String()
+	q.StNodes = r.Strings()
+	q.Failover = r.Bool()
 	return nil
 }
 

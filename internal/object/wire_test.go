@@ -1,6 +1,7 @@
 package object
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -99,57 +100,24 @@ func TestWireTagsUnique(t *testing.T) {
 	}
 }
 
-// TestWireOlderRequestVersionsDecode: frames written before the activation
-// fields, the carried phase one, the failover flag and the one-phase prepare
-// existed (invoke request v1 to v4, invoke reply v2, lease check v1 and v2,
-// prepare request v1) still decode, with those fields empty.
-func TestWireOlderRequestVersionsDecode(t *testing.T) {
-	body := rpc.AppendString(rpc.AppendString(nil, "obj"), "a1")
-	invoke := rpc.AppendBool(rpc.AppendBytes(rpc.AppendString(body, "get"), []byte{7}), true)
-	want := InvokeReq{UID: "obj", Action: "a1", Method: "get", Args: []byte{7}, Solo: true}
-	v2 := rpc.AppendString(invoke[:len(invoke):len(invoke)], "")
-	v3 := rpc.AppendStrings(rpc.AppendString(v2[:len(v2):len(v2)], ""), nil)
-	for ver, frame := range map[byte][]byte{
-		1: invoke,
-		2: v2,
-		3: v3,
-		4: rpc.AppendStrings(rpc.AppendUvarint(v3[:len(v3):len(v3)], 0), nil),
-	} {
-		var got InvokeReq
-		if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagInvokeReq, ver}, frame...), &got); err != nil {
-			t.Fatalf("invoke request v%d: %v", ver, err)
+// TestWireOlderRequestVersionsRefused: every peer runs the same build, so a
+// frame at an older version of a record — invoke request v1 to v4, invoke
+// reply and lease check v1 and v2, prepare request v1 — is refused whole,
+// never read as the current layout.
+func TestWireOlderRequestVersionsRefused(t *testing.T) {
+	for _, c := range wireCases() {
+		data, err := rpc.Encode(c.in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("invoke request v%d = %+v, want %+v", ver, got, want)
+		_, cur := c.in.WireTag()
+		for ver := byte(1); ver < cur; ver++ {
+			old := append([]byte(nil), data...)
+			old[2] = ver
+			out := reflect.New(reflect.TypeOf(c.in).Elem()).Interface().(rpc.Wire)
+			if err := rpc.Decode(old, out); !errors.Is(err, rpc.ErrWire) {
+				t.Errorf("%T v%d (current v%d): err = %v, want ErrWire", c.in, ver, cur, err)
+			}
 		}
-	}
-	// An invoke reply v2 ends after the lease flag.
-	reply := rpc.AppendBool(rpc.AppendVarint(rpc.AppendUvarint(rpc.AppendBool(rpc.AppendBool(rpc.AppendBytes(nil, []byte("r")), true), false), 0), 9), false)
-	var resp InvokeResp
-	if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagInvokeResp, 2}, reply...), &resp); err != nil {
-		t.Fatalf("invoke reply v2: %v", err)
-	}
-	if !reflect.DeepEqual(resp, InvokeResp{Result: []byte("r"), Modified: true, WaitNanos: 9}) {
-		t.Errorf("invoke reply v2 = %+v", resp)
-	}
-	for ver, frame := range map[byte][]byte{
-		1: body,
-		2: rpc.AppendStrings(rpc.AppendString(body[:len(body):len(body)], ""), nil),
-	} {
-		var check LeaseCheckReq
-		if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagLeaseCheckReq, ver}, frame...), &check); err != nil {
-			t.Fatalf("lease check v%d: %v", ver, err)
-		}
-		if !reflect.DeepEqual(check, LeaseCheckReq{UID: "obj", Action: "a1"}) {
-			t.Errorf("lease check v%d = %+v", ver, check)
-		}
-	}
-	// A prepare request v1 ends after the St nodes: a two-phase prepare.
-	var prep PrepareReq
-	if err := rpc.Decode(append([]byte{rpc.WireMagic, wireTagPrepareReq, 1}, rpc.AppendStrings(body[:len(body):len(body)], []string{"s1"})...), &prep); err != nil {
-		t.Fatalf("prepare request v1: %v", err)
-	}
-	if !reflect.DeepEqual(prep, PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}}) {
-		t.Errorf("prepare request v1 = %+v", prep)
 	}
 }

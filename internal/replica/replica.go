@@ -398,7 +398,7 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, 
 // that went through. The binding is not broken then: the error wraps
 // action.ErrOutcomeUnknown, the doubt is recorded, and the caller must go on
 // to commit processing, which resolves it as it resolves a lost one-phase
-// Prepare reply (see CommitOnePhase) — aborting instead could undo
+// Prepare reply (see phaseOne) — aborting instead could undo
 // nothing and report an abort over a committed write.
 //
 // readOnly is the caller's word, from the object's class, that the method
@@ -755,33 +755,96 @@ func (h *Handle) Name() string {
 // (§4.1.2); when every server reports that, the handle votes read-only —
 // its commit processing is over with zero phase-two round trips.
 func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
+	return h.phaseOne(ctx, tx, false)
+}
+
+// CommitOnePhase implements action.OnePhaser: when commit processing
+// involves exactly one server and at most one St store, the prepare and
+// commit rounds collapse into one one-phase Prepare — the server decides
+// and commits — and the store-side legs collapse too. Any other shape is
+// ineligible — a multi-store write-back needs the coordinator's outcome log
+// to stay atomic across stores, and multiple active replicas must all
+// prepare before any may commit — and falls back to ordinary 2PC untouched.
+func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
+	return h.phaseOne(ctx, tx, true)
+}
+
+// phaseOne is Prepare, and with onePhase CommitOnePhase: the phase-one
+// message to every server taking part in commit processing, or — when the
+// handle's one solo request carried it (see InvokeSolo) — the answer that
+// request brought back, handled as the reply would have been, because that
+// is what it is.
+func (h *Handle) phaseOne(ctx context.Context, tx string, onePhase bool) (action.Vote, error) {
 	if h.releasedOrUnprobed() {
 		// A batched solo invocation already committed with its carrying
 		// action and the servers have forgotten this action — or no server
 		// ever heard of it.
 		return action.VoteReadOnly, nil
 	}
+	h.mu.Lock()
+	doubt := h.onePhaseDoubt
+	h.mu.Unlock()
+	if onePhase && doubt {
+		// The combined round has been tried — carried by the solo request —
+		// and ended in doubt; asking again could not tell "committed and
+		// forgotten" from "never ran". Two-phase resolves it (see below).
+		return 0, action.ErrOnePhaseIneligible
+	}
 	targets, err := h.prepareTargets()
 	if err != nil {
 		return 0, err
+	}
+	carry, checkpointTo := object.CarryPrepare, []transport.Addr(nil)
+	if onePhase {
+		if !h.onePhaseEligible(len(targets)) {
+			return 0, action.ErrOnePhaseIneligible
+		}
+		carry, checkpointTo = object.CarryCommit, h.cohortsOf(targets[0])
 	}
 	type result struct {
 		resp object.PrepareResp
 		err  error
 	}
-	results := make([]result, len(targets))
-	if vote, ok, verr := h.takeCarried(object.CarryPrepare); ok {
+	// One target is the common case: its result stays on the stack.
+	var one [1]result
+	results := one[:]
+	switch vote, ok, verr := h.takeCarried(carry); {
+	case ok:
 		// Only a coordinator carries, and it is the one target then.
-		results[0] = result{vote, verr}
-	} else {
+		one[0] = result{vote, verr}
+	case len(targets) == 1:
+		one[0].resp, one[0].err = h.ref(targets[0]).Prepare(ctx, tx, h.cfg.StNodes, onePhase, checkpointTo...)
+	default:
+		many := make([]result, len(targets))
 		conc.Do(len(targets), func(i int) {
-			results[i].resp, results[i].err = h.ref(targets[i]).Prepare(ctx, tx, h.cfg.StNodes, false)
+			many[i].resp, many[i].err = h.ref(targets[i]).Prepare(ctx, tx, h.cfg.StNodes, onePhase, checkpointTo...)
 		})
+		results = many
 	}
 	okCount, dirtyCount := 0, 0
 	var firstErr error
 	for i, sv := range targets {
-		if err := results[i].err; err != nil {
+		resp, err := results[i].resp, results[i].err
+		if err == nil && !resp.Dirty && h.lostWrite() {
+			h.markBroken(sv)
+			err = fmt.Errorf("%s restarted under the action and lost its write", sv)
+		}
+		if err != nil {
+			if onePhase && commitInDoubt(err) {
+				// The combined round may have committed with only the reply
+				// lost — or the server itself reported that its store write
+				// ended in doubt (CodeCommitUncertain) — so an abort would lie.
+				// Ineligible sends the coordinator to ordinary 2PC, which
+				// resolves the doubt: a re-prepare finds either the
+				// still-pending action (normal commit proceeds) or an
+				// already-released one (the server reports it clean and the
+				// store's committed TxID must confirm the commit, see below).
+				// |St| = 1 here, so no store can be left inconsistent.
+				h.mu.Lock()
+				h.onePhaseDoubt = true
+				h.mu.Unlock()
+				return 0, fmt.Errorf("replica %v: one-phase outcome unknown (%v): %w", h.cfg.UID, err, action.ErrOnePhaseIneligible)
+			}
 			if isCrashError(err) || object.IsNotActive(err) {
 				h.markBroken(sv)
 			}
@@ -790,37 +853,31 @@ func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 			}
 			continue
 		}
-		if !results[i].resp.Dirty && h.lostWrite() {
-			h.markBroken(sv)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s restarted under the action and lost its write", sv)
-			}
-			continue
-		}
 		okCount++
-		if !results[i].resp.Dirty {
-			// Server released the read-only action during prepare; it is not
-			// a phase-two target.
+		if !resp.Dirty {
+			// The server released the read-only action during prepare.
 			continue
 		}
 		dirtyCount++
+		// FailedNodes names stores whose copy failed and, after a one-phase
+		// commit, cohorts whose checkpoint failed.
+		for _, f := range resp.FailedNodes {
+			h.recordFailure(transport.Addr(f))
+		}
 		h.mu.Lock()
-		h.prepared = append(h.prepared, sv)
-		if results[i].resp.BatchSize > h.batchSize {
-			h.batchSize = results[i].resp.BatchSize
+		if resp.BatchSize > h.batchSize {
+			h.batchSize = resp.BatchSize
 		}
-		for _, st := range results[i].resp.FailedNodes {
-			mark(&h.failedStores, transport.Addr(st))
-		}
-		for _, st := range results[i].resp.PreparedNodes {
-			mark(&h.preparedStores, transport.Addr(st))
+		if !onePhase {
+			// Prepared: a phase-two target.
+			h.prepared = append(h.prepared, sv)
+			for _, st := range resp.PreparedNodes {
+				mark(&h.preparedStores, transport.Addr(st))
+			}
 		}
 		h.mu.Unlock()
 	}
 	if okCount == 0 {
-		h.mu.Lock()
-		doubt := h.onePhaseDoubt
-		h.mu.Unlock()
 		if doubt {
 			// An ambiguous one-phase attempt preceded this fallback and no
 			// server answered the re-prepare: the combined round may have
@@ -828,30 +885,30 @@ func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 			// a plain failure here would let the caller claim a definite
 			// abort over a committed write (a phantom update — a mux-
 			// transport chaos seed found exactly this); surface the doubt.
-			return 0, fmt.Errorf("replica %v: one-phase doubt unresolved, prepare failed everywhere: %v: %w: %w",
+			return 0, fmt.Errorf("replica %v: one-phase doubt unresolved, prepare failed everywhere: %w: %w: %w",
 				h.cfg.UID, firstErr, ErrNoServers, action.ErrOutcomeUnknown)
 		}
-		return 0, fmt.Errorf("replica %v: prepare failed everywhere: %v: %w", h.cfg.UID, firstErr, ErrNoServers)
+		return 0, fmt.Errorf("replica %v: prepare failed everywhere: %w: %w", h.cfg.UID, firstErr, ErrNoServers)
 	}
-	if dirtyCount == 0 {
-		h.mu.Lock()
-		doubt := h.onePhaseDoubt
-		h.mu.Unlock()
-		if doubt && !h.onePhaseCommitVisible(ctx, tx) {
-			// Every server answered "clean", but under one-phase doubt that
-			// answer is trustworthy only from a server that actually
-			// released this action after committing it — a server that
-			// crashed and recovered in between reports clean about actions
-			// it never saw. The store's committed TxID is the ground truth;
-			// when it does not affirm this tx, the outcome stays unknown
-			// (claiming commit here could report an update that never
-			// happened).
-			return 0, fmt.Errorf("replica %v: one-phase doubt unresolved, servers report clean: %w",
-				h.cfg.UID, action.ErrOutcomeUnknown)
-		}
+	if dirtyCount == 0 && doubt && !h.onePhaseCommitVisible(ctx, tx) {
+		// Every server answered "clean", but under one-phase doubt that
+		// answer is trustworthy only from a server that actually released
+		// this action after committing it — a server that crashed and
+		// recovered in between reports clean about actions it never saw.
+		// The store's committed TxID is the ground truth; when it does not
+		// affirm this tx, the outcome stays unknown (claiming commit here
+		// could report an update that never happened).
+		return 0, fmt.Errorf("replica %v: one-phase doubt unresolved, servers report clean: %w",
+			h.cfg.UID, action.ErrOutcomeUnknown)
+	}
+	if dirtyCount == 0 || onePhase {
+		// Every server released the action, or the one server committed it:
+		// there is no phase two.
 		h.mu.Lock()
 		h.released = true
 		h.mu.Unlock()
+	}
+	if dirtyCount == 0 {
 		return action.VoteReadOnly, nil
 	}
 	return action.VoteCommit, nil
@@ -882,89 +939,6 @@ func (h *Handle) onePhaseCommitVisible(ctx context.Context, tx string) bool {
 	}
 	v, err := store.RemoteStore{Client: h.cfg.Client, Node: h.cfg.StNodes[0]}.Read(ctx, h.cfg.UID)
 	return err == nil && v.TxID == tx
-}
-
-// CommitOnePhase implements action.OnePhaser: when commit processing
-// involves exactly one server and at most one St store, the prepare and
-// commit rounds collapse into one one-phase Prepare — the server decides
-// and commits — and the store-side legs collapse too. Any other shape is
-// ineligible — a multi-store write-back needs the coordinator's outcome log
-// to stay atomic across stores, and multiple active replicas must all
-// prepare before any may commit — and falls back to ordinary 2PC untouched.
-//
-// When the handle's one solo request carried the one-phase round (see
-// InvokeSolo), its answer is taken here and no message is sent: the vote,
-// the failed nodes, the batch size and every failure below are handled as
-// the one-phase Prepare reply's would be, because that is what they are.
-func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
-	if h.releasedOrUnprobed() {
-		return action.VoteReadOnly, nil
-	}
-	h.mu.Lock()
-	doubt := h.onePhaseDoubt
-	h.mu.Unlock()
-	if doubt {
-		// The combined round has been tried — carried by the solo request —
-		// and ended in doubt; asking again could not tell "committed and
-		// forgotten" from "never ran". Two-phase resolves it (see below).
-		return 0, action.ErrOnePhaseIneligible
-	}
-	targets, err := h.prepareTargets()
-	if err != nil {
-		return 0, err
-	}
-	if !h.onePhaseEligible(len(targets)) {
-		return 0, action.ErrOnePhaseIneligible
-	}
-	coord := targets[0]
-	vote, carried, err := h.takeCarried(object.CarryCommit)
-	if !carried {
-		vote, err = h.ref(coord).Prepare(ctx, tx, h.cfg.StNodes, true, h.cohortsOf(coord)...)
-	}
-	if err != nil {
-		if commitInDoubt(err) {
-			// Ambiguous: the combined round may have committed at the server
-			// with only the reply lost — or the server itself reported that
-			// its store write ended in doubt (CodeCommitUncertain).
-			// Reporting an abort here would lie.
-			// Declare the one-phase attempt ineligible so the coordinator
-			// falls back to ordinary 2PC, which resolves the doubt: a
-			// re-prepare finds either the still-pending action (normal
-			// commit proceeds) or an already-released one (the server
-			// reports it clean — a read-only vote — and the committed state
-			// stands). If the fallback cannot reach the server either, the
-			// doubt is unresolvable and Prepare reports
-			// action.ErrOutcomeUnknown (see onePhaseDoubt) — it cannot
-			// cause cross-store inconsistency (|St| = 1 here), and the
-			// next activation observes the true state.
-			h.mu.Lock()
-			h.onePhaseDoubt = true
-			h.mu.Unlock()
-			return 0, fmt.Errorf("replica %v: one-phase outcome unknown (%v): %w",
-				h.cfg.UID, err, action.ErrOnePhaseIneligible)
-		}
-		if isCrashError(err) || object.IsNotActive(err) {
-			h.markBroken(coord)
-		}
-		return 0, err
-	}
-	if !vote.Dirty && h.lostWrite() {
-		h.markBroken(coord)
-		return 0, fmt.Errorf("replica %v: coordinator %s restarted under the action and lost its write: %w", h.cfg.UID, coord, ErrNoServers)
-	}
-	for _, f := range vote.FailedNodes {
-		h.recordFailure(transport.Addr(f))
-	}
-	h.mu.Lock()
-	h.released = true
-	if vote.BatchSize > h.batchSize {
-		h.batchSize = vote.BatchSize
-	}
-	h.mu.Unlock()
-	if !vote.Dirty {
-		return action.VoteReadOnly, nil
-	}
-	return action.VoteCommit, nil
 }
 
 // onePhaseEligible is the shape rule of CommitOnePhase, for a commit
@@ -1030,17 +1004,11 @@ func (h *Handle) Commit(ctx context.Context, tx string) error {
 	if h.releasedOrUnprobed() {
 		return nil
 	}
+	// A handle not released by phase one voted commit, so it prepared at
+	// one server at least.
 	h.mu.Lock()
 	prepared := append([]transport.Addr(nil), h.prepared...)
 	h.mu.Unlock()
-	if len(prepared) == 0 {
-		// Defensive: a commit with no dirty prepare (legacy callers driving
-		// the handle directly) still tells the participating servers to end
-		// the action (release locks, drop use counts).
-		if targets, err := h.prepareTargets(); err == nil {
-			prepared = targets
-		}
-	}
 	type result struct {
 		resp object.EndResp
 		err  error

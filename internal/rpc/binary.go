@@ -15,15 +15,15 @@ import (
 //   - There is one codec. Encode, Decode, Invoke and Method accept only
 //     types implementing Wire, so a record without a codec is a compile
 //     error, and a payload that does not open with WireMagic, its type's
-//     tag and a known version is refused whole.
+//     tag and its current version is refused whole.
 //   - Field encoding reuses the uvarint length-prefix idiom of
 //     internal/storage's WAL record codec: uvarint length + raw bytes for
 //     strings and byte slices, plain uvarint for counts and sequence
 //     numbers, zigzag varint for signed integers.
 //   - Decoding is strict: a WireReader records the first failure, Decode
-//     rejects trailing bytes, unknown tags and unknown versions. A torn
-//     or corrupt frame therefore fails loudly instead of yielding a
-//     half-filled struct.
+//     rejects trailing bytes, unknown tags and every version but the
+//     current one. A torn or corrupt frame therefore fails loudly instead
+//     of yielding a half-filled struct.
 //   - Ownership: WireReader.Bytes and String COPY out of the input
 //     buffer (String once per short message; doc.go, "Ownership").
 //     Decoded messages never alias transport-owned memory, so a
@@ -36,8 +36,10 @@ const WireMagic = 0xB5
 // Wire is implemented by every payload type: its hand-rolled binary codec.
 // WireTag returns the type's registered tag and its CURRENT encoding
 // version; AppendWire appends the body to dst (append semantics);
-// ParseWire fills the receiver from a reader positioned at the body,
-// branching on ver for back-compatible evolution.
+// ParseWire fills the receiver from a reader positioned at the body. Every
+// peer runs the same build, so Decode accepts the current version only, and
+// a codec revision bumps it. The one record kept on stable storage is
+// core's entryRecord: revising it needs a way to read the version on disk.
 type Wire interface {
 	WireTag() (tag, ver byte)
 	AppendWire(dst []byte) []byte
@@ -276,7 +278,7 @@ func decodeWire(data []byte, w Wire) error {
 		return fmt.Errorf("%w: tag %#x, want %#x (%T)", ErrWire, data[1], tag, w)
 	}
 	ver := data[2]
-	if ver == 0 || ver > cur {
+	if ver != cur {
 		return fmt.Errorf("%w: unsupported version %d for %T (current %d)", ErrWire, ver, w, cur)
 	}
 	// ParseWire is called through the interface, so a reader declared here

@@ -97,6 +97,7 @@ func TestDecodeRejectsBadHeader(t *testing.T) {
 		"wrong magic":     mutate(func(b []byte) { b[0] = 0x03 }),
 		"wrong tag":       mutate(func(b []byte) { b[1] = 0x7D }),
 		"version zero":    mutate(func(b []byte) { b[2] = 0 }),
+		"older version":   mutate(func(b []byte) { b[2] = 1 }),
 		"future version":  mutate(func(b []byte) { b[2] = 3 }),
 		"trailing bytes":  append(bytes.Clone(good), 0),
 		"truncated body":  good[:len(good)-2],

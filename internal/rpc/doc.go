@@ -21,11 +21,12 @@
 // allocation, and decoding one for all a short message's strings, whatever
 // their number. A request or reply that carries nothing is an Empty.
 //
-// Version rules: Decode rejects version 0 and versions above the
-// type's current one, and ParseWire receives the decoded version so a
-// codec revision can branch on it (each package's wire.go lists the
-// records past version 1). Decoding is strict — tag mismatches, truncated fields and trailing
-// bytes are all errors, never half-filled structs.
+// Version rules: every peer runs the same build, so Decode rejects every
+// version but the type's current one, and a codec revision bumps it (each
+// package's wire.go lists the records past version 1). The one record kept
+// on stable storage is internal/core's entryRecord, at version 1. Decoding
+// is strict — tag mismatches, truncated fields and trailing bytes are all
+// errors, never half-filled structs.
 //
 // Ownership: every slice Encode returns is freshly allocated and the
 // caller's. A reply is encoded once, straight into its frame: Method
@@ -45,7 +46,9 @@
 //
 //	0x01–0x1f  internal/core      (group-view database records, name server)
 //	0x20–0x3f  internal/object    (invoke + 2PC prepare/commit/abort, status)
-//	0x40–0x4f  internal/store     (object store reads, writes, 2PC legs)
+//	0x40–0x4f  internal/store     (object store reads, writes, 2PC legs;
+//	                               the prepare request, at version 2,
+//	                               also carries the one-phase commit)
 //	0x50–0x5f  internal/group     (multicast sequence/deliver frames)
 //	0x60–0x6f  internal/lease     (read-lease invalidation records)
 //	0x70–0x7f  internal/rpc       (Empty; this package's tests use 0x7d–0x7e)

@@ -16,15 +16,15 @@ const ServiceName = "objectstore"
 
 // RPC method names.
 const (
-	MethodRead    = "Read"
-	MethodPut     = "Put"
-	MethodSeqOf   = "SeqOf"
+	MethodRead  = "Read"
+	MethodPut   = "Put"
+	MethodSeqOf = "SeqOf"
+	// MethodPrepare records a transaction's writes as intentions — or, with
+	// PrepareReq.OnePhase, commits them in the same round: the
+	// single-participant 2PC fast path.
 	MethodPrepare = "Prepare"
 	MethodCommit  = "Commit"
 	MethodAbort   = "Abort"
-	// MethodCommitOnePhase validates and applies a transaction's writes in
-	// one round — the single-participant 2PC fast path.
-	MethodCommitOnePhase = "CommitOnePhase"
 	// MethodResolveDecided asks the store to resolve pending intentions
 	// with affirmatively recorded outcomes against its node's outcome
 	// resolver. The handler is registered by the simulation layer (it
@@ -40,7 +40,7 @@ const (
 	CodeStoreBehind  = "store-behind"
 )
 
-// admissionErr gives a refused Prepare/CommitOnePhase its wire code.
+// admissionErr gives a refused Prepare its wire code.
 func admissionErr(err error) error {
 	switch {
 	case errors.Is(err, ErrBusy):
@@ -98,6 +98,9 @@ type SeqOfResp struct {
 type PrepareReq struct {
 	Tx     string
 	Writes []WriteRec
+	// OnePhase asks the store to commit the writes in this round instead of
+	// recording them as intentions (Store.CommitOnePhase).
+	OnePhase bool
 }
 
 // WriteRec is the wire form of Write.
@@ -156,18 +159,10 @@ func RegisterService(srv *rpc.Server, s *Store) {
 			}
 			writes = append(writes, Write{UID: id, Data: w.Data, Seq: w.Seq})
 		}
-		return rpc.Empty{}, admissionErr(s.Prepare(req.Tx, writes))
-	}))
-	srv.Handle(ServiceName, MethodCommitOnePhase, rpc.Method(func(ctx context.Context, from transport.Addr, req PrepareReq) (rpc.Empty, error) {
-		writes := make([]Write, 0, len(req.Writes))
-		for _, w := range req.Writes {
-			id, err := uid.Parse(w.UID)
-			if err != nil {
-				return rpc.Empty{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-			}
-			writes = append(writes, Write{UID: id, Data: w.Data, Seq: w.Seq})
+		if req.OnePhase {
+			return rpc.Empty{}, admissionErr(s.CommitOnePhase(req.Tx, writes))
 		}
-		return rpc.Empty{}, admissionErr(s.CommitOnePhase(req.Tx, writes))
+		return rpc.Empty{}, admissionErr(s.Prepare(req.Tx, writes))
 	}))
 	srv.Handle(ServiceName, MethodCommit, rpc.Method(func(ctx context.Context, from transport.Addr, req TxReq) (rpc.Empty, error) {
 		return rpc.Empty{}, s.Commit(req.Tx)
@@ -210,25 +205,15 @@ func (r RemoteStore) SeqOf(ctx context.Context, id uid.UID) (uint64, bool, error
 	return resp.Seq, resp.OK, nil
 }
 
-// Prepare records intentions at the remote store. Version-chain refusals
-// are mapped back to ErrStaleVersion (and ErrStoreBehind) for errors.Is.
-func (r RemoteStore) Prepare(ctx context.Context, tx string, writes []Write) error {
+// Prepare records intentions at the remote store, or with onePhase commits
+// the writes there in the same round. Version-chain refusals are mapped
+// back to ErrStaleVersion (and ErrStoreBehind) for errors.Is.
+func (r RemoteStore) Prepare(ctx context.Context, tx string, writes []Write, onePhase bool) error {
 	recs := make([]WriteRec, len(writes))
 	for i, w := range writes {
 		recs[i] = WriteRec{UID: w.UID.String(), Data: w.Data, Seq: w.Seq}
 	}
-	_, err := rpc.Invoke[PrepareReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodPrepare, PrepareReq{Tx: tx, Writes: recs})
-	return chainSentinels(err)
-}
-
-// CommitOnePhase validates and applies tx's writes at the remote store in
-// a single round. Version-chain refusals map back as in Prepare.
-func (r RemoteStore) CommitOnePhase(ctx context.Context, tx string, writes []Write) error {
-	recs := make([]WriteRec, len(writes))
-	for i, w := range writes {
-		recs[i] = WriteRec{UID: w.UID.String(), Data: w.Data, Seq: w.Seq}
-	}
-	_, err := rpc.Invoke[PrepareReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodCommitOnePhase, PrepareReq{Tx: tx, Writes: recs})
+	_, err := rpc.Invoke[PrepareReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodPrepare, PrepareReq{Tx: tx, Writes: recs, OnePhase: onePhase})
 	return chainSentinels(err)
 }
 

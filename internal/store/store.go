@@ -271,19 +271,32 @@ func (s *Store) Remove(id uid.UID) error {
 	return nil
 }
 
-// chainErr is the version-chain check: a write must extend the committed
-// chain by exactly one, guarding against stale activated copies writing
-// back over newer state. The error says which side is stale. s.mu is held.
-func (s *Store) chainErr(w Write) error {
-	cur, ok := s.committed[w.UID]
-	if !ok || w.Seq == cur.Seq+1 {
-		return nil
+// admitLocked is the admission check of Prepare and CommitOnePhase (op
+// names which in errors): the store is open, no other transaction has a
+// prepared intention on any of the objects (ErrBusy), and every write
+// extends its object's committed chain by exactly one, guarding against
+// stale activated copies writing back over newer state — the error says
+// which side is stale. It returns the writes with their data copied, as the
+// store will hold them. s.mu is held.
+func (s *Store) admitLocked(op, tx string, writes []Write) ([]Write, error) {
+	if s.closed {
+		return nil, fmt.Errorf("%s: %s %s: %w", s.name, op, tx, ErrClosed)
 	}
-	err := fmt.Errorf("%s: %v write seq %d, committed seq %d: %w", s.name, w.UID, w.Seq, cur.Seq, ErrStaleVersion)
-	if w.Seq > cur.Seq+1 {
-		err = fmt.Errorf("%w: %w", err, ErrStoreBehind)
+	copies := make([]Write, len(writes))
+	for i, w := range writes {
+		if other, ok := s.pinned[w.UID]; ok && other != tx {
+			return nil, fmt.Errorf("%s: %v pinned by %s: %w", s.name, w.UID, other, ErrBusy)
+		}
+		if cur, ok := s.committed[w.UID]; ok && w.Seq != cur.Seq+1 {
+			err := fmt.Errorf("%s: %v write seq %d, committed seq %d: %w", s.name, w.UID, w.Seq, cur.Seq, ErrStaleVersion)
+			if w.Seq > cur.Seq+1 {
+				err = fmt.Errorf("%w: %w", err, ErrStoreBehind)
+			}
+			return nil, err
+		}
+		copies[i] = Write{UID: w.UID, Data: append([]byte(nil), w.Data...), Seq: w.Seq}
 	}
-	return err
+	return copies, nil
 }
 
 // Prepare stably records the writes of transaction tx: the intentions
@@ -296,25 +309,14 @@ func (s *Store) chainErr(w Write) error {
 // one action safe.
 func (s *Store) Prepare(tx string, writes []Write) error {
 	s.mu.Lock()
-	if s.closed {
+	copies, err := s.admitLocked("prepare", tx, writes)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("%s: prepare %s: %w", s.name, tx, ErrClosed)
-	}
-	for _, w := range writes {
-		if other, ok := s.pinned[w.UID]; ok && other != tx {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: %v pinned by %s: %w", s.name, w.UID, other, ErrBusy)
-		}
-		if err := s.chainErr(w); err != nil {
-			s.mu.Unlock()
-			return err
-		}
+		return err
 	}
 	b := s.backend
-	copies := make([]Write, len(writes))
-	for i, w := range writes {
-		copies[i] = Write{UID: w.UID, Data: append([]byte(nil), w.Data...), Seq: w.Seq}
-		if err := b.PutIntention(tx, w.UID.String(), storage.Write{Data: copies[i].Data, Seq: w.Seq}); err != nil {
+	for _, w := range copies {
+		if err := b.PutIntention(tx, w.UID.String(), storage.Write{Data: w.Data, Seq: w.Seq}); err != nil {
 			s.mu.Unlock()
 			return fmt.Errorf("%s: prepare %s: %w", s.name, tx, err)
 		}
@@ -380,25 +382,12 @@ func (s *Store) Commit(tx string) error {
 // intentions of tx remain (the coordinator's roll-back clears them).
 func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 	s.mu.Lock()
-	if s.closed {
+	copies, err := s.admitLocked("commit-one-phase", tx, writes)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, ErrClosed)
-	}
-	for _, w := range writes {
-		if other, ok := s.pinned[w.UID]; ok && other != tx {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: %v pinned by %s: %w", s.name, w.UID, other, ErrBusy)
-		}
-		if err := s.chainErr(w); err != nil {
-			s.mu.Unlock()
-			return err
-		}
+		return err
 	}
 	b := s.backend
-	copies := make([]Write, len(writes))
-	for i, w := range writes {
-		copies[i] = Write{UID: w.UID, Data: append([]byte(nil), w.Data...), Seq: w.Seq}
-	}
 	// Earlier intentions of tx fold in, then the combined round's writes
 	// land as committed versions; one sync (outside the mutex) covers it
 	// all. Several writes must land all-or-nothing over a crash (the group

@@ -138,11 +138,11 @@ func TestRemotePrepareStaleVersionCode(t *testing.T) {
 	ctx := context.Background()
 	id := gen.New()
 	s.Put(id, []byte("v5"), 5)
-	err := remote.Prepare(ctx, "tx", []Write{{UID: id, Data: []byte("x"), Seq: 9}})
+	err := remote.Prepare(ctx, "tx", []Write{{UID: id, Data: []byte("x"), Seq: 9}}, false)
 	if !errors.Is(err, ErrStaleVersion) || !errors.Is(err, ErrStoreBehind) {
 		t.Fatalf("remote err for a write past the chain = %v, want stale version with the store behind", err)
 	}
-	err = remote.Prepare(ctx, "tx", []Write{{UID: id, Data: []byte("x"), Seq: 5}})
+	err = remote.Prepare(ctx, "tx", []Write{{UID: id, Data: []byte("x"), Seq: 5}}, false)
 	if !errors.Is(err, ErrStaleVersion) || errors.Is(err, ErrStoreBehind) {
 		t.Fatalf("remote err for a write behind the chain = %v, want stale version, writer behind", err)
 	}
@@ -241,14 +241,14 @@ func TestRemoteStoreOverRPC(t *testing.T) {
 	if err != nil || !ok || seq != 1 {
 		t.Fatalf("remote seqof: %d %v %v", seq, ok, err)
 	}
-	if err := remote.Prepare(ctx, "tx9", []Write{{UID: id, Data: []byte("s1"), Seq: 2}}); err != nil {
+	if err := remote.Prepare(ctx, "tx9", []Write{{UID: id, Data: []byte("s1"), Seq: 2}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := remote.Read(ctx, id); err != nil || !v.Pinned || v.Seq != 1 {
 		t.Fatalf("remote read under a prepared write: %+v err=%v, want seq 1 pinned", v, err)
 	}
 	// Conflicting remote prepare maps to CodeConflict.
-	err = remote.Prepare(ctx, "other", []Write{{UID: id, Data: []byte("zz"), Seq: 2}})
+	err = remote.Prepare(ctx, "other", []Write{{UID: id, Data: []byte("zz"), Seq: 2}}, false)
 	if rpc.CodeOf(err) != rpc.CodeConflict {
 		t.Fatalf("conflict code = %q (%v)", rpc.CodeOf(err), err)
 	}
@@ -361,15 +361,15 @@ func TestRemoteCommitOnePhase(t *testing.T) {
 	id := gen.New()
 	s.Put(id, []byte("v0"), 1)
 	r := RemoteStore{Client: cli, Node: "beta"}
-	if err := r.CommitOnePhase(context.Background(), "tx1", []Write{{UID: id, Data: []byte("v1"), Seq: 2}}); err != nil {
+	if err := r.Prepare(context.Background(), "tx1", []Write{{UID: id, Data: []byte("v1"), Seq: 2}}, true); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := s.Read(id)
-	if string(v.Data) != "v1" || v.Seq != 2 {
-		t.Fatalf("after remote one-phase commit: %+v", v)
+	if string(v.Data) != "v1" || v.Seq != 2 || len(s.PendingTxs()) != 0 {
+		t.Fatalf("after remote one-phase commit: %+v, pending %v", v, s.PendingTxs())
 	}
 	// Stale refusal maps back to the sentinel.
-	if err := r.CommitOnePhase(context.Background(), "tx2", []Write{{UID: id, Data: []byte("vX"), Seq: 9}}); !errors.Is(err, ErrStaleVersion) {
+	if err := r.Prepare(context.Background(), "tx2", []Write{{UID: id, Data: []byte("vX"), Seq: 9}}, true); !errors.Is(err, ErrStaleVersion) {
 		t.Fatalf("err = %v, want ErrStaleVersion", err)
 	}
 }

@@ -6,9 +6,10 @@ import "repro/internal/rpc"
 // prepare/commit/abort legs every dirty commit fans out, plus the read
 // path activation rides and the recovery-time ResolveDecided report. Tags
 // live in the 0x40–0x4f block of the registry in internal/rpc/doc.go. The
-// read reply is at version 2 (Pinned); everything else is at version 1.
-// (0x40 was the store's own empty Ack, which rpc.Empty replaced; it stays
-// retired.)
+// read reply is at version 2 (Pinned) and the prepare request at version 2
+// (OnePhase: commit in the same round); everything else is at version 1.
+// Only a record's current version decodes. (0x40 was the store's own empty
+// Ack, which rpc.Empty replaced; it stays retired.)
 const (
 	wireTagReadReq byte = 0x41 + iota
 	wireTagReadResp
@@ -50,14 +51,12 @@ func (p *ReadResp) AppendWire(dst []byte) []byte {
 	return rpc.AppendBool(dst, p.Pinned)
 }
 
-// ParseWire implements rpc.Wire. Version 2 appends Pinned.
-func (p *ReadResp) ParseWire(ver byte, r *rpc.WireReader) error {
+// ParseWire implements rpc.Wire.
+func (p *ReadResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	p.Data = r.Bytes()
 	p.Seq = r.Uvarint()
 	p.TxID = r.String()
-	if ver >= 2 {
-		p.Pinned = r.Bool()
-	}
+	p.Pinned = r.Bool()
 	return nil
 }
 
@@ -119,7 +118,7 @@ func (p *SeqOfResp) ParseWire(_ byte, r *rpc.WireReader) error {
 // PrepareReq
 
 // WireTag implements rpc.Wire.
-func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 1 }
+func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 2 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (q *PrepareReq) WireSizeHint() int {
@@ -133,6 +132,7 @@ func (q *PrepareReq) WireSizeHint() int {
 // AppendWire implements rpc.Wire.
 func (q *PrepareReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.Tx)
+	dst = rpc.AppendBool(dst, q.OnePhase)
 	dst = rpc.AppendUvarint(dst, uint64(len(q.Writes)))
 	for _, w := range q.Writes {
 		dst = rpc.AppendString(dst, w.UID)
@@ -145,6 +145,7 @@ func (q *PrepareReq) AppendWire(dst []byte) []byte {
 // ParseWire implements rpc.Wire.
 func (q *PrepareReq) ParseWire(_ byte, r *rpc.WireReader) error {
 	q.Tx = r.String()
+	q.OnePhase = r.Bool()
 	n := r.Uvarint()
 	if r.Err() != nil || n == 0 {
 		return r.Err()

@@ -81,6 +81,16 @@ func TestApplyCarriedReplyLost(t *testing.T) {
 	})
 }
 
+// onePhaseStoreRound matches the one-phase round at store st: the store
+// Prepare that commits in the same round.
+func onePhaseStoreRound(st transport.Addr) transport.FaultRule {
+	prepare := transport.ToMethod(st, store.ServiceName, store.MethodPrepare)
+	return func(req transport.Request) bool {
+		var q store.PrepareReq
+		return prepare(req) && rpc.Decode(req.Payload, &q) == nil && q.OnePhase
+	}
+}
+
 // TestApplyUncertainStoreWriteIsNotAnAbort: the server's own one-phase
 // write to the store loses its reply, so the carried vote comes back
 // CodeCommitUncertain. The store did apply the write; Apply must not say
@@ -90,7 +100,7 @@ func TestApplyUncertainStoreWriteIsNotAnAbort(t *testing.T) {
 		sys := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), carrier)
 		cl := clientT(t, sys, "c1", arjuna.ClientFastBind())
 		ctx, obj := context.Background(), sys.Objects()[0]
-		sys.Faults().DropReplies(1, transport.ToMethod("st1", store.ServiceName, store.MethodCommitOnePhase))
+		sys.Faults().DropReplies(1, onePhaseStoreRound("st1"))
 		_, rep, err := cl.Apply(ctx, obj, "add", []byte("1"))
 		if errors.Is(err, arjuna.ErrAborted) {
 			t.Fatalf("err = %v: an abort reported over a write the store applied", err)

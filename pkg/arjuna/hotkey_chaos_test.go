@@ -141,7 +141,7 @@ func TestBatchedCommitAbortsAtomically(t *testing.T) {
 	// Crash the store the instant the write-back reaches it: the OnRequest
 	// hook runs before delivery, so the crashed node's endpoint is gone and
 	// the write never lands.
-	rule := transport.ToMethod(target, store.ServiceName, store.MethodCommitOnePhase)
+	rule := onePhaseStoreRound(target)
 	sys.Faults().OnRequest(1, rule, func(transport.Request) { _ = sys.Crash(string(target)) })
 
 	const followers = 4
