@@ -34,7 +34,7 @@ func TestAdjustModeIncrementsRunConcurrently(t *testing.T) {
 	// write lock conflicts with Adjust, so the attempt parks until the
 	// short deadline expires.
 	insCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	if err := c1.Insert(insCtx, "ins", w.id, "sv9"); err == nil {
+	if _, err := c1.Do(insCtx, InsertOp("ins", w.id, "sv9")); err == nil {
 		cancel()
 		t.Fatal("Insert succeeded alongside pending adjusters")
 	}
@@ -72,7 +72,7 @@ func TestAdjustModeIncrementsRunConcurrently(t *testing.T) {
 	if !w.db.Quiescent(w.id) {
 		t.Fatal("object should be quiescent after the drain")
 	}
-	if err := c1.Insert(ctx, "ins2", w.id, "sv9"); err != nil {
+	if _, err := c1.Do(ctx, InsertOp("ins2", w.id, "sv9")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.EndAction(ctx, "ins2", true); err != nil {

@@ -60,12 +60,47 @@ func TestBatchStopsAtFirstRefusedOp(t *testing.T) {
 	}
 }
 
+// TestOwnActionEndsWithItsMessage: the ops of a message's own action are
+// undone and their locks released when a later op of the message fails,
+// whoever's that op is, and committed when none does; a named action's ops
+// in the same message stand either way.
+func TestOwnActionEndsWithItsMessage(t *testing.T) {
+	w := newWorld(t, 1, 1, 1)
+	ctx := context.Background()
+	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
+	unknown := uid.UID{Origin: "nobody", Epoch: 1, Seq: 1}
+	for _, last := range []Op{Own(GetViewOp("", unknown)), GetViewOp("named", unknown)} {
+		_, err := cli.Do(ctx, Own(BindOp("", w.id, "c1", 1, false)), GetViewOp("named", w.id), last)
+		if rpc.CodeOf(err) != CodeUnknownObject {
+			t.Fatalf("batch = %v, want code %s", err, CodeUnknownObject)
+		}
+		if !w.db.Quiescent(w.id) || len(w.db.locks.HolderModes(svKey(w.id))) != 0 {
+			t.Fatal("the failed message's own action left its count or its Sv lock")
+		}
+		if !w.db.locks.Holds("named", stKey(w.id), lockmgr.Read) {
+			t.Fatal("the named action's St read lock did not stand")
+		}
+		if err := cli.EndAction(ctx, "named", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cli.Do(ctx, Own(BindOp("", w.id, "c1", 1, false)), Own(GetViewOp("", w.id))); err != nil {
+		t.Fatal(err)
+	}
+	if w.db.Quiescent(w.id) || w.lockHolders() != 0 {
+		t.Fatal("the own action did not commit its count and release its locks with the message")
+	}
+	if _, err := cli.Do(ctx, Own(DecrementOp("", w.id, "c1", []transport.Addr{"sv1"}))); err != nil || !w.db.Quiescent(w.id) {
+		t.Fatalf("own Decrement = %v, quiescent %v", err, w.db.Quiescent(w.id))
+	}
+}
+
 // TestBindAbortReleasesBatchLocks: the bind message's GetView is refused
 // (a recovering store holds the St entry's write lock past the caller's
-// deadline) after its Bind took the bind action's Sv locks and counted the
-// binding; the binder's abort path must release those locks and undo the
-// count, and aborting the client action whatever the client action itself
-// held.
+// deadline) after its Bind took the bind action's Sv lock and counted the
+// binding; the bind action is the message's own, so the database aborts it
+// there — the lock goes and the count is undone — and aborting the client
+// action releases whatever the client action itself held.
 func TestBindAbortReleasesBatchLocks(t *testing.T) {
 	for _, readOnly := range []bool{false, true} {
 		w := newWorld(t, 1, 2, 1)
@@ -102,11 +137,12 @@ func TestBindAbortReleasesBatchLocks(t *testing.T) {
 }
 
 // TestDuplicatedBatchLeavesNoLock: every database message of an action is
-// delivered twice. Each conversation is self-contained per owner — a
-// message that takes a lock under a bind or decrement action also ends
-// that action — so the second delivery cannot strand a lock under an owner
-// that has already finished; and the bind message counts what the
-// action-end message drops, so twice each still drains.
+// delivered twice. Each conversation is self-contained per owner — the bind
+// and the Decrement run as their message's own action, which ends with the
+// message, and each delivery mints its own — so the second delivery cannot
+// strand a lock under an owner that has already finished; and the bind
+// message counts what the action-end message drops, so twice each still
+// drains.
 func TestDuplicatedBatchLeavesNoLock(t *testing.T) {
 	for _, readOnly := range []bool{false, true} {
 		w := newWorld(t, 1, 1, 1)

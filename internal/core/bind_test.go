@@ -10,6 +10,7 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/object"
 	"repro/internal/replica"
+	"repro/internal/rpc"
 	"repro/internal/transport"
 )
 
@@ -65,41 +66,42 @@ func TestSelectServersReadOnlyHashTopBit(t *testing.T) {
 }
 
 // TestBindOpCountsWhatItSelects: DB.Bind is GetServer, the selection rule
-// and Increment in one step — the reply carries Sv and the use lists as
-// they stood, the hosts counted are the rule's, and the count is the bind
-// action's to commit or undo.
+// and Increment in one step — the reply carries the rule's candidates and
+// the counted prefix of them, and nothing of the use lists; the count is the
+// bind action's to commit or undo. The fast bind holds the Adjust lock
+// alone, and the lock keeps Sv still all the same: a Remove cannot have it.
+// Run as a message's own action, the bind commits with the message.
 func TestBindOpCountsWhatItSelects(t *testing.T) {
 	w := newWorld(t, 3, 1, 2)
 	ctx := context.Background()
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
 	useOf := func() map[transport.Addr]map[transport.Addr]int {
 		t.Helper()
-		_, use, err := cli.GetServer(ctx, "peek", w.id, true, false)
+		res, err := cli.Do(ctx, Own(GetServerOp("", w.id, true, false)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.EndAction(ctx, "peek", true); err != nil {
-			t.Fatal(err)
-		}
-		return use
+		return res[0].Use
 	}
 
-	// Fast: Read + Adjust under the bind action; degree 2 of 3.
+	// Fast: Adjust alone under the bind action; degree 2 of 3.
 	res, err := cli.Do(ctx, BindOp("b1", w.id, "c1", 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res[0]; !reflect.DeepEqual(got.Nodes, w.svs) || !reflect.DeepEqual(got.Hosts, w.svs[:2]) ||
-		len(got.Use["sv1"])+len(got.Use["sv2"])+len(got.Use["sv3"]) != 0 {
-		t.Fatalf("first bind = %+v; want Sv %v, empty use lists, counted %v", got, w.svs, w.svs[:2])
+	if got := res[0]; !reflect.DeepEqual(got.Nodes, w.svs) || !reflect.DeepEqual(got.Hosts, w.svs[:2]) || got.Use != nil {
+		t.Fatalf("first bind = %+v; want candidates %v, counted %v, no use lists", got, w.svs, w.svs[:2])
 	}
-	for _, mode := range []lockmgr.Mode{lockmgr.Read, lockmgr.Adjust} {
-		if !w.db.locks.Holds("b1", svKey(w.id), mode) {
-			t.Fatalf("the fast bind action does not hold the %v lock", mode)
+	if h := w.db.locks.HolderModes(svKey(w.id)); len(h) != 1 || h[0].Owner != "b1" || h[0].Mode != lockmgr.Adjust {
+		t.Fatalf("Sv lock holders = %v; want the fast bind action's Adjust lock alone", h)
+	}
+	if _, err := cli.Do(ctx, RemoveOp("rm", w.id, "sv3", true)); rpc.CodeOf(err) != CodeLockRefused {
+		t.Fatalf("Remove beside the fast bind = %v, want it refused", err)
+	}
+	for _, act := range []string{"rm", "b1"} {
+		if err := cli.EndAction(ctx, act, true); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := cli.EndAction(ctx, "b1", true); err != nil {
-		t.Fatal(err)
 	}
 
 	// Exclusive: the write lock; the counted servers of the first bind now
@@ -108,8 +110,8 @@ func TestBindOpCountsWhatItSelects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res[0]; !reflect.DeepEqual(got.Hosts, w.svs[:2]) || got.Use["sv1"]["c1"] != 1 || got.Use["sv1"]["c2"] != 0 {
-		t.Fatalf("second bind = %+v; want counted %v and the use lists before its own count", got, w.svs[:2])
+	if got := res[0]; !reflect.DeepEqual(got.Nodes, w.svs[:2]) || !reflect.DeepEqual(got.Hosts, w.svs[:2]) {
+		t.Fatalf("second bind = %+v; want candidates and counted %v", got, w.svs[:2])
 	}
 	if !w.db.locks.Holds("b2", svKey(w.id), lockmgr.Write) {
 		t.Fatal("the exclusive bind action does not hold the write lock")
@@ -120,6 +122,17 @@ func TestBindOpCountsWhatItSelects(t *testing.T) {
 	}
 	if use := useOf(); use["sv1"]["c1"] != 1 || use["sv2"]["c1"] != 1 || len(use["sv3"]) != 0 || use["sv1"]["c2"] != 0 {
 		t.Fatalf("use lists = %v; want c1 counted once at sv1 and sv2 only", use)
+	}
+
+	// The message's own action: committed with the message, nothing held.
+	if _, err := cli.Do(ctx, Own(BindOp("", w.id, "c2", 1, false))); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.lockHolders(); n != 0 {
+		t.Fatalf("%d lock holders after the own bind", n)
+	}
+	if use := useOf(); use["sv1"]["c2"] != 1 {
+		t.Fatalf("use lists = %v; want the own bind's count committed at sv1", use)
 	}
 }
 

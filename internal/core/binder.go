@@ -77,34 +77,35 @@ func (s Scheme) String() string {
 //
 // Under the enhanced schemes one binding talks to the database twice, and
 // each conversation is one message (Client.Do) carrying the paper's
-// operations in the paper's order, each under the action that owns it:
+// operations in the paper's order, each under the action that owns it —
+// the short top-level actions of Figure 7 (nested top-level in Figure 8)
+// each under its message's own (BatchReq):
 //
-//   - bind — [Bind(bind action), GetView(client action), EndAction(bind
-//     action, commit)]: the first shaded top-level action of Figure 7
-//     (nested top-level in Figure 8) reads Sv and the use lists, selects the
-//     servers by the fixed rule and counts the binding there (DB.Bind is
-//     GetServer and Increment in one step); the St read belongs to the
-//     client action, as in Figure 6. A ReadOnly binder never updates use
-//     lists and sends Select in Bind's place — the same read and the same
-//     rule, uncounted — or, under active replication, a bare GetServer.
-//   - action-end — [EndAction(client action), Decrement(new action),
-//     EndAction(new action, commit)]: the client action's database locks
-//     go, then the last shaded action of Figure 7 drops the use counts.
+//   - bind — [Bind(own), GetView(client action)]: the first shaded action
+//     reads Sv and the use lists, selects the servers by the fixed rule and
+//     counts the binding there (DB.Bind is GetServer and Increment in one
+//     step); the St read belongs to the client action, as in Figure 6. A
+//     ReadOnly binder never updates use lists and sends Select in Bind's
+//     place — the same read and the same rule, uncounted — or, under active
+//     replication, a bare GetServer.
+//   - action-end — [EndAction(client action), Decrement(own)]: the client
+//     action's database locks go, then the last shaded action of Figure 7
+//     drops the use counts.
 //
 // The first object a read-only action binds has the first conversation only
-// — [Select(bind action), GetView(bind action), EndAction(bind action)]: the
-// St read joins the bind action, its lock lives and dies inside the one
-// message, and the binding is unpinned: nothing of the client action's is at
-// the database, trackTxDB registers nothing and there is no action-end to
-// send. For an action of ONE object the St read lock guards nothing. It
-// never copies a state back, so a recovering store's Include (§4.2) has no
-// view-read/write-back window of its to stay out of, and a view that misses
-// a store included since is still a set of current members; Exclude was
-// always read-compatible (§4.2.1); Insert and Deregister's use-count check
-// never saw a ReadOnly binder; and placement.Move, the one thing the lock
-// did hold off, leaves the read linearizable at its bind. It is the second
-// object that makes the lock matter — the two must be read from one state
-// of the world — so that is when it is taken:
+// — [Select(own), GetView(own)]: the St read joins the bind action, its
+// lock lives and dies inside the one message, and the binding is unpinned:
+// nothing of the client action's is at the database, trackTxDB registers
+// nothing and there is no action-end to send. For an action of ONE object
+// the St read lock guards nothing. It never copies a state back, so a
+// recovering store's Include (§4.2) has no view-read/write-back window of
+// its to stay out of, and a view that misses a store included since is
+// still a set of current members; Exclude was always read-compatible
+// (§4.2.1); Insert and Deregister's use-count check never saw a ReadOnly
+// binder; and placement.Move, the one thing the lock did hold off, leaves
+// the read linearizable at its bind. It is the second object that makes
+// the lock matter — the two must be read from one state of the world — so
+// that is when it is taken:
 //
 //   - pin — [GetView(client action)], at the first binding's own database,
 //     before the second object's bind message (Binding.pin): the lock and
@@ -166,16 +167,16 @@ func (s Scheme) String() string {
 //     commit)]: Figure 7's exclusive pass checks that nobody else is using
 //     the servers found dead (see Binding.repair), drops them from Sv so
 //     later clients do not pay the discovery cost (§4.1.3(i)) and counts
-//     the binding at the servers that replaced them. A request sent after a
-//     candidate broke carries no phase one, so the repair always precedes
-//     the first message that could commit anything at the replacement.
+//     the binding at the servers that replaced them; it spans two messages,
+//     so the client names it. A request sent after a candidate broke carries
+//     no phase one, so the repair always precedes the first message that
+//     could commit anything at the replacement.
 //
 // The standard scheme (Figure 6) has [GetServer, GetView] and a bare
 // EndAction only, and never repairs. A message that fails part-way leaves
-// what single calls failing at the same operation would (see
-// registerService), so the failure paths are the single-call ones: ending
-// the bind or repair action as aborted, txDBState.unclaim and the
-// trackTxDB hook.
+// what single calls failing at the same operation would (see DB.batch), so
+// the failure paths are ending the repair action as aborted,
+// txDBState.unclaim and the trackTxDB hook.
 type Binder struct {
 	// DB addresses the group view database.
 	DB Client
@@ -203,14 +204,14 @@ type Binder struct {
 	// of the read-compatible exclude-write lock.
 	UseWriteLockForExclude bool
 	// FastBind applies the type-specific-locking idea of §4.2.1 to the
-	// enhanced schemes' bind action: Sv and the use lists are read under a
-	// shared Read lock and the use-count Increment takes the commutative
-	// Adjust lock, so binds to a hot object proceed in parallel instead of
-	// convoying behind one another's exclusive write lock. The exclusive
-	// write-locked pass of Figure 7 is still used by the repair that Removes
-	// broken servers (and by Insert/Remove themselves), so Sv repair and the
-	// §4.1.2 quiescence check keep their exact semantics. Ignored by the
-	// standard scheme.
+	// enhanced schemes' bind action: it reads Sv and the use lists and
+	// increments under the commutative Adjust lock alone, which shuts out
+	// every writer of Sv a Read lock would, so binds to a hot object proceed
+	// in parallel instead of convoying behind one another's exclusive write
+	// lock. The exclusive write-locked pass of Figure 7 is still used by the
+	// repair that Removes broken servers (and by Insert/Remove themselves),
+	// so Sv repair and the §4.1.2 quiescence check keep their exact
+	// semantics. Ignored by the standard scheme.
 	FastBind bool
 	// NameServer, when set, enables the §5 extension: Sv is read from (and
 	// repaired in) a traditional non-atomic name server, while the atomic
@@ -460,9 +461,9 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 // bindEnhanced implements Figures 7 and 8: the Object Server database
 // work (Sv, use lists) runs in its own top-level action (independent, or
 // begun from within the client action — structurally identical here),
-// keeping Sv current. With FastBind the action holds the shared Read lock
-// and the commutative Adjust lock, without it the write lock; it begins
-// and ends inside the one bind message.
+// keeping Sv current. With FastBind the action holds the commutative Adjust
+// lock, without it the write lock; it is the bind message's own action, so
+// it begins and ends inside that one message.
 //
 // The Object State database read (GetView) is NOT part of that short
 // action — the first binding of a read-only action apart, which copies
@@ -486,43 +487,36 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 		unpinned = !second
 	}
 	var dbState *txDBState
-	if !unpinned {
+	viewOp := GetViewOp(act.ID(), id)
+	if unpinned {
+		viewOp = Own(viewOp)
+	} else {
 		var err error
 		if dbState, err = b.trackTxDB(act); err != nil {
 			return nil, err
 		}
 	}
-	bindAct := b.Actions.BeginTop()
-	owner := bindAct.ID()
-	viewOwner := act.ID()
-	if unpinned {
-		viewOwner = owner
-	}
 
 	// A read-only binder never updates use lists: it reads Sv to spread
 	// over, or has the database select from it as Bind would.
-	svOp := BindOp(owner, id, b.ClientNode, b.degree(), !b.FastBind)
+	svOp := BindOp("", id, b.ClientNode, b.degree(), !b.FastBind)
 	switch {
 	case b.spreadReads():
-		svOp = GetServerOp(owner, id, false, false)
+		svOp = GetServerOp("", id, false, false)
 	case b.ReadOnly:
-		svOp = SelectOp(owner, id)
+		svOp = SelectOp("", id)
 	}
-	res, err := b.DB.Do(ctx, svOp, GetViewOp(viewOwner, id), EndActionOp(owner, true))
+	res, err := b.DB.Do(ctx, Own(svOp), viewOp)
 	if err != nil {
-		_ = b.DB.EndAction(context.Background(), owner, false)
-		_ = bindAct.Abort(context.Background())
 		return nil, fmt.Errorf("core: Bind+GetView(%v): %w", id, err)
 	}
-	if _, err := bindAct.Commit(ctx); err != nil {
-		return nil, err
+	// The database answers with its selection: the candidates, of which
+	// the hosts counted are the first and the rest the fallbacks the probe
+	// walks. Only the spread over Sv is the client's own to make.
+	candidates := res[0].Nodes
+	if b.spreadReads() {
+		candidates, _ = selectServers(candidates, nil, b.degree(), true, b.ClientNode)
 	}
-	// The client derives its candidates from what the database selected
-	// from, by the rule the database applied: the hosts counted are the
-	// first of them, the rest are the fallbacks the probe walks. (Select
-	// answers with the candidates themselves and no use lists, which the
-	// rule passes through.)
-	candidates, _ := selectServers(res[0].Nodes, res[0].Use, b.degree(), b.spreadReads(), b.ClientNode)
 	bd, err := b.finishBind(ctx, act, dbState, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
 	if err == nil && unpinned {
 		act.StashOnce(unpinnedKey, bd) // free: an action's binds are sequential (Bind)
@@ -558,12 +552,12 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 
 // selectServers is the fixed selection algorithm every client applies to
 // Sv (§3.2, §4.1.3(i)), as a pure function: the group view database calls
-// it to decide where a binding is counted (DB.Bind) and the binder calls it
-// on what the database returned, so both arrive at the same servers. It
-// returns the candidates in preference order and how many of them — the
-// first n — a binding of the given degree (0 = all) activates and is
-// counted at; the rest are fallbacks for the probe. With spread (see
-// Binder.spreadReads) the use lists are ignored.
+// it to decide where a binding is counted (DB.Bind, DB.Select), the binder
+// to spread reads and on the views it reads itself. It returns the
+// candidates in preference order and how many of them — the first n — a
+// binding of the given degree (0 = all) activates and is counted at; the
+// rest are fallbacks for the probe. With spread (see Binder.spreadReads)
+// the use lists are ignored.
 func selectServers(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int, degree int, spread bool, client transport.Addr) (candidates []transport.Addr, n int) {
 	if len(sv) == 0 {
 		return nil, 0
@@ -967,7 +961,7 @@ func (bd *Binding) Abort(ctx context.Context, tx string) error {
 // endTx, the client action's database action ends with the action's
 // outcome (unless a sibling binding or the resolve hook already ended it),
 // releasing its locks and deciding any Exclude; then — for the enhanced
-// schemes — the §4.1.3 Decrement runs in its own top-level action, after
+// schemes — the §4.1.3 Decrement runs as the message's own action, after
 // the client action has terminated (the last shaded action of Figure 7).
 // Use counts drop whatever the outcome: the binding existed regardless.
 //
@@ -978,29 +972,19 @@ func (bd *Binding) Abort(ctx context.Context, tx string) error {
 // collects what a failed one leaves.
 func (bd *Binding) endAtDB(ctx context.Context, tx string, endTx, commit bool) error {
 	b := bd.binder
-	ops := make([]Op, 0, 3) // sized once: EndAction, Decrement, EndAction
+	ops := make([]Op, 0, 2) // sized once: EndAction, Decrement
 	// An unpinned binding left nothing of the client action's at the database.
 	claimed := endTx && bd.dbState != nil && bd.dbState.tryEnd()
 	if claimed {
 		ops = append(ops, EndActionOp(tx, commit))
 	}
-	var decAct *action.Action
 	if !b.ReadOnly && b.Scheme != SchemeStandard && len(bd.bound) > 0 {
-		decAct = b.Actions.BeginTop()
-		ops = append(ops, DecrementOp(decAct.ID(), bd.id, b.ClientNode, bd.bound), EndActionOp(decAct.ID(), true))
+		ops = append(ops, Own(DecrementOp("", bd.id, b.ClientNode, bd.bound)))
 	}
 	if len(ops) == 0 {
 		return nil
 	}
 	_, err := b.DB.Do(ctx, ops...)
-	if decAct != nil {
-		if err != nil {
-			_ = b.DB.EndAction(context.Background(), decAct.ID(), false)
-			_ = decAct.Abort(context.Background())
-		} else {
-			_, _ = decAct.Commit(ctx)
-		}
-	}
 	if !claimed || rpc.CodeOf(err) != "" {
 		// Not ours to end — or the database answered, so the message's
 		// first operation, the infallible EndAction, ran and the error is
@@ -1021,8 +1005,8 @@ func (bd *Binding) BrokenServers() []transport.Addr { return bd.handle.Broken() 
 
 // CreateObject installs a new persistent object: its initial state is
 // written to every St node's object store, then the object is registered
-// in the group view database under a top-level action.
-func CreateObject(ctx context.Context, db Client, actions *action.Manager, id uid.UID, class string, initState []byte, svNodes, stNodes []transport.Addr) error {
+// in the group view database, as the register message's own action.
+func CreateObject(ctx context.Context, db Client, id uid.UID, class string, initState []byte, svNodes, stNodes []transport.Addr) error {
 	// A store already holding a committed version of this UID is being
 	// re-registered — a deployment reopened over an existing data dir.
 	// The install must not regress any chain: the head becomes whatever
@@ -1050,13 +1034,6 @@ func CreateObject(ctx context.Context, db Client, actions *action.Manager, id ui
 			return fmt.Errorf("core: install state at %s: %w", st, err)
 		}
 	}
-	act := actions.BeginTop()
-	owner := act.ID()
-	if _, err := db.Do(ctx, RegisterOp(owner, id, class, svNodes, stNodes), EndActionOp(owner, true)); err != nil {
-		_ = db.EndAction(context.Background(), owner, false)
-		_ = act.Abort(context.Background())
-		return err
-	}
-	_, err := act.Commit(ctx)
+	_, err := db.Do(ctx, Own(RegisterOp("", id, class, svNodes, stNodes)))
 	return err
 }

@@ -79,7 +79,7 @@ func newWorld(t *testing.T, nServers, nStores, nClients int) *world {
 	gen := uid.NewGenerator("obj", 1)
 	w.id = gen.New()
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
-	if err := CreateObject(context.Background(), cli, w.mgrs["c1"], w.id, "counter", []byte("0"), w.svs, w.sts); err != nil {
+	if err := CreateObject(context.Background(), cli, w.id, "counter", []byte("0"), w.svs, w.sts); err != nil {
 		t.Fatalf("CreateObject: %v", err)
 	}
 	return w
@@ -207,7 +207,7 @@ func TestStandardSchemeHoldsReadLockUntilActionEnd(t *testing.T) {
 	// Insert under a short deadline: refused while the client is bound.
 	cli := Client{RPC: w.cluster.Node("sv2").Client(), DB: "db"}
 	shortCtx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
-	err = cli.Insert(shortCtx, "recovery-act", w.id, "sv2")
+	_, err = cli.Do(shortCtx, InsertOp("recovery-act", w.id, "sv2"))
 	cancel()
 	if rpc.CodeOf(err) != CodeLockRefused {
 		t.Fatalf("Insert during action: err = %v, want lock-refused", err)
@@ -217,7 +217,7 @@ func TestStandardSchemeHoldsReadLockUntilActionEnd(t *testing.T) {
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Insert(ctx, "recovery-act2", w.id, "sv2"); err != nil {
+	if _, err := cli.Do(ctx, InsertOp("recovery-act2", w.id, "sv2")); err != nil {
 		t.Fatalf("Insert after action end: %v", err)
 	}
 	_ = cli.EndAction(ctx, "recovery-act2", true)
@@ -474,7 +474,7 @@ func TestJanitorCleansUpDeadClient(t *testing.T) {
 	}
 	// Quiescence restored: a recovering server's Insert succeeds.
 	cli := Client{RPC: w.cluster.Node("c2").Client(), DB: "db"}
-	if err := cli.Insert(ctx, "ins", w.id, "sv9"); err != nil {
+	if _, err := cli.Do(ctx, InsertOp("ins", w.id, "sv9")); err != nil {
 		t.Fatalf("Insert after sweep: %v", err)
 	}
 	_ = cli.EndAction(ctx, "ins", true)
@@ -692,7 +692,7 @@ func TestReadOnlyVoteDoesNotCommitSiblingExcludeEarly(t *testing.T) {
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
 	gen := uid.NewGenerator("obj2", 1)
 	id2 := gen.New()
-	if err := CreateObject(ctx, cli, w.mgrs["c1"], id2, "counter", []byte("0"), w.svs, w.sts); err != nil {
+	if err := CreateObject(ctx, cli, id2, "counter", []byte("0"), w.svs, w.sts); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,20 +24,20 @@
 // mutations are volatile and die with the node, and recovery rebuilds the
 // database from the records alone.
 //
-// Lock ownership: every action is top-level (internal/action has no nested
-// actions), so a lock owner is a top-level action ID. Every scheme in the
-// paper either holds database locks until the client action ends (Figure 6)
-// or takes them in separate top-level actions (Figures 7–8). Binder (binder.go) implements the three
-// access schemes; recovery.go the §4.1.2/§4.2 recovery protocols;
-// janitor.go the failure-detection cleanup the paper sketches in §4.1.3.
+// Lock ownership: every action is top-level, so a lock owner is a top-level
+// action ID. Every scheme in the paper either holds database locks until
+// the client action ends (Figure 6) or takes them in short top-level
+// actions (Figures 7–8), each its message's own (BatchReq). Binder
+// (binder.go) implements the three access schemes; recovery.go the
+// §4.1.2/§4.2 recovery protocols; janitor.go the cleanup of §4.1.3.
 package core
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lockmgr"
 	"repro/internal/rpc"
@@ -74,12 +74,12 @@ type serverEntry struct {
 	Nodes []transport.Addr
 	// Use maps server node → client node → count.
 	Use map[transport.Addr]map[transport.Addr]int
-	// unsettled sums the use-count deltas that actions still in flight have
-	// applied to Use in place under Adjust locks. Those actions run
-	// concurrently, so when one of them commits the entry's durable record
-	// must not carry the others' undecided adjustments: the committed
-	// counters are Use minus unsettled. Nil when no adjuster is in flight.
-	unsettled map[useKey]int
+	// committed holds the non-zero counters as the durable record has them:
+	// Use runs ahead of it by the deltas of actions in flight under Adjust
+	// locks, which run concurrently, so no commit may carry another's. A
+	// commit moves it by the action's deltas, or sets it to Use for an
+	// action holding the write lock (commitLocked).
+	committed map[useKey]int
 }
 
 // stateEntry is the Object State database record for one object.
@@ -103,9 +103,9 @@ func (e *serverEntry) clone() *serverEntry {
 		}
 		cp.Use[host] = m
 	}
-	if len(e.unsettled) > 0 {
-		cp.unsettled = maps.Clone(e.unsettled)
-	}
+	// Shared: a snapshot is restored only under the write lock, beside
+	// which no other action commits to the entry.
+	cp.committed = e.committed
 	return cp
 }
 
@@ -113,30 +113,33 @@ func (e *stateEntry) clone() *stateEntry {
 	return &stateEntry{Nodes: append([]transport.Addr(nil), e.Nodes...), Class: e.Class}
 }
 
-// addUnsettled moves the entry's unsettled sum for k by n: plus a delta
-// when an action applies it, minus the same delta when that action ends,
-// either way.
-func (e *serverEntry) addUnsettled(k useKey, n int) {
-	if sum := e.unsettled[k] + n; sum != 0 {
-		if e.unsettled == nil {
-			e.unsettled = make(map[useKey]int)
+// commitCount sets the committed counter k to n; zero or less drops it.
+func (e *serverEntry) commitCount(k useKey, n int) {
+	if n <= 0 {
+		delete(e.committed, k)
+		return
+	}
+	if e.committed == nil {
+		e.committed = make(map[useKey]int)
+	}
+	e.committed[k] = n
+}
+
+// settle makes the counters as they stand the committed ones.
+func (e *serverEntry) settle() {
+	clear(e.committed)
+	for host, clients := range e.Use {
+		for c, n := range clients {
+			e.commitCount(useKey{host, c}, n)
 		}
-		e.unsettled[k] = sum
-	} else {
-		delete(e.unsettled, k)
 	}
 }
 
-// record renders the entry's committed state: Sv and the use lists less
-// every adjustment whose action is still undecided.
+// record renders the entry's committed state.
 func (e *serverEntry) record() *entryRecord {
 	rec := &entryRecord{Nodes: e.Nodes}
-	for host, clients := range e.Use {
-		for c, n := range clients {
-			if n -= e.unsettled[useKey{host, c}]; n > 0 {
-				rec.Use = append(rec.Use, useCount{host, c, n})
-			}
-		}
+	for k, n := range e.committed {
+		rec.Use = append(rec.Use, useCount{k.host, k.client, n})
 	}
 	return rec
 }
@@ -186,7 +189,14 @@ type DB struct {
 	// dirty holds the committed records whose stable write failed, by
 	// record key; they ride the next commit's write (see writeRecordsLocked).
 	dirty map[uid.UID][]byte
+	// owned numbers the actions minted for messages' own ops (BatchReq);
+	// never reset, as an earlier incarnation's handler may still run.
+	owned atomic.Uint64
 }
+
+// ownActionPrefix starts a minted action's name. A client's action names
+// are UIDs, which always hold a ':', so the two never meet.
+const ownActionPrefix = "own/"
 
 // NewDB installs the group view database on node and registers its RPC
 // service. The database reloads its entry records from the node's stable
@@ -288,6 +298,7 @@ func (db *DB) loadRecordsLocked() {
 				e.Use[u.Host] = make(map[transport.Addr]int)
 			}
 			e.Use[u.Host][u.Client] = u.N
+			e.commitCount(useKey{u.Host, u.Client}, u.N)
 		}
 		db.servers[id] = e
 	}
@@ -296,11 +307,20 @@ func (db *DB) loadRecordsLocked() {
 // commitLocked makes act's mutations durable: one record per entry the
 // action touched — the keys of its snapshot set plus the entries it
 // adjusted — and nothing else, so other actions' provisional changes to
-// other entries never reach stable storage. db.mu held.
+// other entries never reach stable storage. Committed counters follow the
+// entry's own, or move by the action's deltas (serverEntry.committed).
+// db.mu held.
 func (db *DB) commitLocked(act string, ss *snapshotSet) {
+	for id := range ss.servers {
+		if e, ok := db.servers[id]; ok {
+			e.settle()
+		}
+	}
 	for _, d := range ss.useDeltas {
-		if e, ok := db.servers[d.id]; ok {
-			e.addUnsettled(d.key, -d.n)
+		if _, settled := ss.servers[d.id]; !settled {
+			if e, ok := db.servers[d.id]; ok {
+				e.commitCount(d.key, e.committed[d.key]+d.n)
+			}
 		}
 	}
 	writes := make([]store.Write, 0, len(ss.servers)+len(ss.states)+len(ss.useDeltas))
@@ -473,7 +493,6 @@ func (db *DB) EndAction(act string, commit bool) {
 				if !ok {
 					continue
 				}
-				e.addUnsettled(d.key, -d.n)
 				if m := e.Use[d.key.host]; m != nil {
 					if m[d.key.client] -= d.n; m[d.key.client] <= 0 {
 						delete(m, d.key.client)

@@ -28,7 +28,7 @@ func TestDynamicReplicationDegree(t *testing.T) {
 	n := w.cluster.Add("sv3")
 	// Object managers are wired in newWorld for sv1/sv2 only; wire sv3.
 	wireObjectManager(w, n)
-	if err := cli.Insert(ctx, "admin1", w.id, "sv3"); err != nil {
+	if _, err := cli.Do(ctx, InsertOp("admin1", w.id, "sv3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.EndAction(ctx, "admin1", true); err != nil {
@@ -91,7 +91,7 @@ func TestDegreeChangeBlockedByActiveUsers(t *testing.T) {
 	}
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
 	shortCtx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
-	err := cli.Insert(shortCtx, "admin", w.id, "svX")
+	_, err := cli.Do(shortCtx, InsertOp("admin", w.id, "svX"))
 	cancel()
 	if err == nil {
 		t.Fatal("Insert should wait for the active user")

@@ -149,7 +149,7 @@ func TestDBRecoveryPersistsAcrossMultipleObjects(t *testing.T) {
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
 	// Register a second object.
 	id2 := uid.UID{Origin: "obj", Epoch: 1, Seq: 77}
-	if err := CreateObject(ctx, cli, w.mgrs["c1"], id2, "counter", []byte("0"), w.svs[:1], w.sts); err != nil {
+	if err := CreateObject(ctx, cli, id2, "counter", []byte("0"), w.svs[:1], w.sts); err != nil {
 		t.Fatal(err)
 	}
 	// Commit a Remove on object 1 and an Exclude on object 2.
@@ -298,7 +298,7 @@ func TestMultiObjectActionTwoPhaseCommit(t *testing.T) {
 	id2 := uid.UID{Origin: "obj", Epoch: 1, Seq: 88}
 	// The second object's only store is st-solo, which will die.
 	w.cluster.Add("st-solo")
-	if err := CreateObject(ctx, cli, w.mgrs["c1"], id2, "counter", []byte("0"), w.svs, []transport.Addr{"st-solo"}); err != nil {
+	if err := CreateObject(ctx, cli, id2, "counter", []byte("0"), w.svs, []transport.Addr{"st-solo"}); err != nil {
 		t.Fatal(err)
 	}
 	b := w.binder("c1", SchemeStandard, replica.SingleCopyPassive, 0)

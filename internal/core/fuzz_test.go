@@ -15,11 +15,14 @@ import (
 // over-read or over-allocate, and whatever decodes cleanly must survive a
 // decode -> re-encode -> decode round trip unchanged. Torn, older-version
 // and mutated frames are also checked in under
-// testdata/fuzz/FuzzCoreBatchDecode.
+// testdata/fuzz/FuzzCoreBatchDecode: batch-req-v3 is a current request with
+// an op of the message's own action, and the version-2 batch-req and the
+// version-1 frames are inputs the decoder must refuse.
 func FuzzCoreBatchDecode(f *testing.F) {
 	id := uid.UID{Origin: "obj", Epoch: 1, Seq: 7}
 	for _, w := range []rpc.Wire{
 		&BatchReq{Ops: []Op{
+			Own(BindOp("", id, "c1", 1, false)),
 			RegisterOp("a1", id, "Counter", []transport.Addr{"sv1"}, []transport.Addr{"st1", "st2"}),
 			ExcludeOp("a1", []ExcludePair{{UID: id, Hosts: []transport.Addr{"st2"}}}, true),
 			EndActionOp("a1", true),
@@ -39,7 +42,7 @@ func FuzzCoreBatchDecode(f *testing.F) {
 		f.Add(raw[:len(raw)-1])
 	}
 	f.Add([]byte{})
-	f.Add([]byte{rpc.WireMagic, wireTagBatchReq, 2, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{rpc.WireMagic, wireTagBatchReq, 3, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, mk := range []func() rpc.Wire{
 			func() rpc.Wire { return &BatchReq{} },

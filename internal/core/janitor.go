@@ -98,10 +98,11 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 	var writes []store.Write
 	for id, e := range db.servers {
 		changed := false
-		for _, clients := range e.Use {
+		for host, clients := range e.Use {
 			for c := range clients {
 				if dead[c] {
 					delete(clients, c)
+					delete(e.committed, useKey{host, c})
 					report.ClearedCounters++
 					changed = true
 				}

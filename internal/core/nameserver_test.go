@@ -124,7 +124,7 @@ func TestInsertRefusedWhileUseCountsHeld(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli := Client{RPC: w.cluster.Node("c2").Client(), DB: "db"}
-	err = cli.Insert(ctx, "ins", w.id, "sv2")
+	_, err = cli.Do(ctx, InsertOp("ins", w.id, "sv2"))
 	_ = cli.EndAction(ctx, "ins", false)
 	if got := errCode(err); got != CodeNotQuiescent {
 		t.Fatalf("Insert mid-use err = %v (code %q), want not-quiescent", err, got)
@@ -133,7 +133,7 @@ func TestInsertRefusedWhileUseCountsHeld(t *testing.T) {
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Insert(ctx, "ins2", w.id, "sv2"); err != nil {
+	if _, err := cli.Do(ctx, InsertOp("ins2", w.id, "sv2")); err != nil {
 		t.Fatalf("Insert after decrement: %v", err)
 	}
 	_ = cli.EndAction(ctx, "ins2", true)

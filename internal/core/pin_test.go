@@ -20,17 +20,26 @@ func (w *world) secondObject() uid.UID {
 	w.t.Helper()
 	id := uid.NewGenerator("obj", 2).New()
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
-	if err := CreateObject(context.Background(), cli, w.mgrs["c1"], id, "counter", []byte("0"), w.svs, w.sts); err != nil {
+	if err := CreateObject(context.Background(), cli, id, "counter", []byte("0"), w.svs, w.sts); err != nil {
 		w.t.Fatalf("CreateObject: %v", err)
 	}
 	return id
 }
 
-// dbOps records, per message, the operation kinds one client sends the
-// database.
-func dbOps(w *world, client transport.Addr) func() [][]OpKind {
+// opNames spells the operation kinds in conversation goldens.
+var opNames = [...]string{OpRegister: "Register", OpDeregister: "Deregister", OpGetServer: "GetServer",
+	OpInsert: "Insert", OpRemove: "Remove", OpIncrement: "Increment", OpDecrement: "Decrement",
+	OpGetView: "GetView", OpInclude: "Include", OpExclude: "Exclude", OpEndAction: "EndAction",
+	OpBind: "Bind", OpSelect: "Select"}
+
+// dbOps records, per message, the operations one client sends the database,
+// and renders each as its kind and the action it runs under, given the
+// client action's ID: the message's own ("own"), the client action
+// ("client") or another named one ("repair"). A write-locked read adds
+// ", update".
+func dbOps(w *world, client transport.Addr) func(clientAct string) [][]string {
 	var mu sync.Mutex
-	var sent [][]OpKind
+	var sent [][]Op
 	w.cluster.Faults().OnRequest(-1,
 		func(req transport.Request) bool { return req.From == client && req.Service == ServiceName },
 		func(req transport.Request) {
@@ -38,61 +47,94 @@ func dbOps(w *world, client transport.Addr) func() [][]OpKind {
 			if err := rpc.Decode(req.Payload, &q); err != nil {
 				w.t.Errorf("undecodable database message: %v", err)
 			}
-			kinds := make([]OpKind, len(q.Ops))
-			for i, op := range q.Ops {
-				kinds[i] = op.Kind
-			}
 			mu.Lock()
-			sent = append(sent, kinds)
+			sent = append(sent, q.Ops)
 			mu.Unlock()
 		})
-	return func() [][]OpKind {
+	return func(clientAct string) [][]string {
 		mu.Lock()
 		defer mu.Unlock()
-		out := sent
+		out := make([][]string, len(sent))
+		for i, ops := range sent {
+			for _, op := range ops {
+				owner := map[bool]string{true: "client", false: "repair"}[op.Action == clientAct]
+				if op.Own {
+					owner = "own"
+				}
+				if op.ForUpdate {
+					owner += ", update"
+				}
+				out[i] = append(out[i], opNames[op.Kind]+"("+owner+")")
+			}
+		}
 		sent = nil
 		return out
 	}
 }
 
-// TestReadOnlyBindConversations pins what a ReadOnly binder says to the
-// database. The first object an action binds is bound unpinned — the St read
-// joins the bind action and the committed read sends nothing more; a second
-// object pins the first (one GetView under the client action) and is bound
-// pinned, and the one EndAction the hook sends ends both. A lease holder, an
-// active or coordinator-cohort binder and the standard scheme keep the
-// conversations they had.
+// TestReadOnlyBindConversations pins every op list a binder sends the
+// database, one action per row, each message a line of ops.
+//
+// The enhanced schemes' bind runs Figure 7's short action as the bind
+// message's own, and the action-end runs the Decrement as its message's
+// own, after the client action's EndAction: a FastBind writer and a classic
+// one differ in Bind's lock alone. A repair spans two messages, so it runs
+// under an action the client names.
+//
+// A ReadOnly binder's first object is bound unpinned — the St read joins
+// the bind message's own action and the committed read sends nothing more;
+// a second object pins the first (one GetView under the client action) and
+// is bound pinned, and the one EndAction the hook sends ends both. A lease
+// holder and a coordinator-cohort binder bind pinned; an active one spreads
+// over Sv, which it reads with GetServer. The standard scheme (Figure 6)
+// reads both views under the client action and ends it.
 func TestReadOnlyBindConversations(t *testing.T) {
 	ctx := context.Background()
-	read := func(t *testing.T, b *Binder, ids ...uid.UID) {
+	run := func(t *testing.T, b *Binder, ids ...uid.UID) string {
 		t.Helper()
+		method, args := "get", []byte(nil)
+		if !b.ReadOnly {
+			method, args = "add", []byte("1")
+		}
 		act := b.Actions.BeginTop()
 		for _, id := range ids {
 			bd, err := b.Bind(ctx, act, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out, err := bd.Invoke(ctx, "get", nil); err != nil || string(out) != "0" {
-				t.Fatalf("get = %q, %v", out, err)
+			if _, err := bd.Invoke(ctx, method, args); err != nil {
+				t.Fatalf("%s: %v", method, err)
 			}
 		}
 		if _, err := act.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
+		return act.ID()
 	}
-	unpinnedBind := []OpKind{OpSelect, OpGetView, OpEndAction}
+	reader := func(b *Binder) { b.ReadOnly = true }
+	unpinnedBind := []string{"Select(own)", "GetView(own)"}
+	pinnedBind := []string{"Select(own)", "GetView(client)"}
+	end := []string{"EndAction(client)"}
+	bind := []string{"Bind(own)", "GetView(client)"}
+	endAndDecrement := []string{"EndAction(client)", "Decrement(own)"}
 	for _, c := range []struct {
-		name  string
-		tweak func(b *Binder)
-		two   bool
-		want  [][]OpKind
+		name      string
+		tweak     func(b *Binder)
+		two, dead bool
+		want      [][]string
 	}{
-		{"one object", func(*Binder) {}, false, [][]OpKind{unpinnedBind}},
-		{"two objects", func(*Binder) {}, true, [][]OpKind{unpinnedBind, {OpGetView}, unpinnedBind, {OpEndAction}}},
-		{"lease holder", func(b *Binder) { b.LeaseHolder = "c1" }, false, [][]OpKind{unpinnedBind, {OpEndAction}}},
-		{"coordinator-cohort", func(b *Binder) { b.Policy = replica.CoordinatorCohort }, false, [][]OpKind{unpinnedBind, {OpEndAction}}},
-		{"active", func(b *Binder) { b.Policy = replica.Active }, false, [][]OpKind{{OpGetServer, OpGetView, OpEndAction}, {OpEndAction}}},
-		{"standard", func(b *Binder) { b.Scheme = SchemeStandard }, false, [][]OpKind{{OpGetServer, OpGetView}, {OpEndAction}}},
+		{"one object", reader, false, false, [][]string{unpinnedBind}},
+		{"two objects", reader, true, false, [][]string{unpinnedBind, {"GetView(client)"}, pinnedBind, end}},
+		{"lease holder", func(b *Binder) { reader(b); b.LeaseHolder = "c1" }, false, false, [][]string{pinnedBind, end}},
+		{"coordinator-cohort", func(b *Binder) { reader(b); b.Policy = replica.CoordinatorCohort }, false, false, [][]string{pinnedBind, end}},
+		{"active", func(b *Binder) { reader(b); b.Policy = replica.Active }, false, false, [][]string{{"GetServer(own)", "GetView(client)"}, end}},
+		{"standard", func(b *Binder) { reader(b); b.Scheme = SchemeStandard }, false, false, [][]string{{"GetServer(client)", "GetView(client)"}, end}},
+		{"writer, fast bind", func(b *Binder) { b.FastBind = true }, false, false, [][]string{bind, endAndDecrement}},
+		{"writer, classic bind", func(*Binder) {}, false, false, [][]string{{"Bind(own, update)", "GetView(client)"}, endAndDecrement}},
+		{"writer, standard", func(b *Binder) { b.Scheme = SchemeStandard }, false, false, [][]string{{"GetServer(client)", "GetView(client)"}, end}},
+		{"writer, two objects", func(b *Binder) { b.FastBind = true }, true, false, [][]string{bind, bind, endAndDecrement, {"Decrement(own)"}}},
+		{"writer, repair", func(b *Binder) { b.FastBind = true }, false, true, [][]string{
+			bind, {"GetServer(repair, update)"}, {"Remove(repair)", "Increment(repair)", "EndAction(repair)"}, endAndDecrement}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := newWorld(t, 2, 1, 1)
@@ -100,16 +142,20 @@ func TestReadOnlyBindConversations(t *testing.T) {
 			if c.two {
 				ids = append(ids, w.secondObject())
 			}
+			if c.dead {
+				w.cluster.Node("sv1").Crash()
+			}
 			b := w.binder("c1", SchemeIndependent, replica.SingleCopyPassive, 1)
-			b.ReadOnly = true
 			c.tweak(b)
 			sent := dbOps(w, "c1")
-			read(t, b, ids...)
-			if got := sent(); !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("the database was sent %v, want %v", got, c.want)
+			if got := sent(run(t, b, ids...)); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("the database was sent\n %v\nwant\n %v", got, c.want)
 			}
 			if n := w.lockHolders(); n != 0 {
 				t.Fatalf("%d lock holders left", n)
+			}
+			if !w.db.Quiescent(w.id) {
+				t.Fatal("use counts did not drain")
 			}
 		})
 	}

@@ -13,28 +13,15 @@ import (
 
 // RecoverServerNode runs the §4.1.2 server recovery protocol: for each
 // object the node can serve, it executes Insert(UID, node) in a top-level
-// action. Although the node may already be in Sv_A, the Insert's write
-// lock only succeeds when the object is quiescent, which is exactly the
-// check that makes bindings safe across server crash and recovery.
+// action, its message's own. Although the node may already be in Sv_A, the
+// Insert's write lock only succeeds when the object is quiescent, which is
+// exactly the check that makes bindings safe across server crash and
+// recovery.
 func RecoverServerNode(ctx context.Context, node *sim.Node, db transport.Addr, ids []uid.UID) error {
 	cli := Client{RPC: node.Client(), DB: db}
-	mgr := action.NewManager(string(node.Name())+"/sv-recovery", nil)
 	for _, id := range ids {
-		act := mgr.BeginTop()
-		owner := act.ID()
-		if err := cli.Insert(ctx, owner, id, node.Name()); err != nil {
-			_ = cli.EndAction(context.Background(), owner, false)
-			_ = act.Abort(context.Background())
+		if _, err := cli.Do(ctx, Own(InsertOp("", id, node.Name()))); err != nil {
 			return fmt.Errorf("core: recovery Insert(%v,%s): %w", id, node.Name(), err)
-		}
-		// Cancellation stripped, as on the error path: an action left open
-		// holds the entry's write lock, and nothing else would end it.
-		if err := cli.EndAction(context.WithoutCancel(ctx), owner, true); err != nil {
-			_ = act.Abort(context.Background())
-			return err
-		}
-		if _, err := act.Commit(ctx); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/lockmgr"
 	"repro/internal/rpc"
@@ -107,15 +108,9 @@ func (db *DB) GetServer(ctx context.Context, act string, from transport.Addr, id
 	if !ok {
 		return nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
 	}
-	nodes, use := e.view(wantUse)
-	return nodes, use, nil
-}
-
-// view copies out Sv and, with wantUse, the non-zero use-list counters.
-func (e *serverEntry) view(wantUse bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int) {
 	nodes := append([]transport.Addr(nil), e.Nodes...)
 	if !wantUse {
-		return nodes, nil
+		return nodes, nil, nil
 	}
 	use := make(map[transport.Addr]map[transport.Addr]int, len(e.Nodes))
 	for _, host := range e.Nodes {
@@ -127,43 +122,40 @@ func (e *serverEntry) view(wantUse bool) ([]transport.Addr, map[transport.Addr]m
 		}
 		use[host] = m
 	}
-	return nodes, use
+	return nodes, use, nil
 }
 
 // Bind is the database half of the Figure 7/8 bind action, as one
 // operation: read Sv and the use lists, apply the fixed selection rule
 // (selectServers) and count clientNode's binding at the degree servers it
 // selects — GetServer and Increment with nothing in between, under one
-// hold of the database mutex. It returns Sv and the use lists as they stood
-// before the count, for the client to derive its fallback candidates from
-// by the same rule, and the hosts counted, which are the ones the client
-// binds to. Locks are the two operations': the write lock with forUpdate,
-// the shared Read lock plus the commutative Adjust lock otherwise (see
-// Binder.FastBind).
-func (db *DB) Bind(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) (sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int, counted []transport.Addr, err error) {
-	owner := lockmgr.Owner(act)
-	modes := []lockmgr.Mode{lockmgr.Read, lockmgr.Adjust}
+// hold of the database mutex. It returns what Select returns, the rule's
+// candidates in preference order, and the counted prefix of them: the
+// client binds to the counted hosts and walks the rest as fallbacks. The
+// lock is the write lock with forUpdate, else the commutative Adjust lock
+// alone (see Binder.FastBind): on an Sv entry Adjust conflicts with every
+// mode Read does, so it also keeps the entry's Sv still for the read.
+func (db *DB) Bind(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) (candidates, counted []transport.Addr, err error) {
+	owner, key, mode := lockmgr.Owner(act), svKey(id), lockmgr.Adjust
 	if forUpdate {
-		modes = []lockmgr.Mode{lockmgr.Write}
+		mode = lockmgr.Write
 	}
-	key := svKey(id)
-	for _, mode := range modes {
-		if err := db.locks.Acquire(ctx, owner, key, mode); err != nil {
-			return nil, nil, nil, rpc.Errorf(CodeLockRefused, "%v", err)
-		}
+	if err := db.locks.Acquire(ctx, owner, key, mode); err != nil {
+		return nil, nil, rpc.Errorf(CodeLockRefused, "%v", err)
 	}
+	// An action already holding the write lock counts under it (adjustUse).
+	exclusive := forUpdate || db.locks.Holds(owner, key, lockmgr.Write)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.noteClientLocked(act, from)
 	e, ok := db.servers[id]
 	if !ok {
-		return nil, nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+		return nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
 	}
-	sv, use = e.view(true)
-	candidates, n := selectServers(sv, use, degree, false, "")
-	counted = candidates[:n]
-	db.adjustUseLocked(act, id, e, clientNode, counted, +1, forUpdate)
-	return sv, use, counted, nil
+	candidates, n := selectServers(e.Nodes, e.Use, degree, false, "")
+	candidates = slices.Clone(candidates)
+	db.adjustUseLocked(act, id, e, clientNode, candidates[:n], +1, exclusive)
+	return candidates, candidates[:n:n], nil
 }
 
 // Select is Bind for a binder that keeps no use lists (Binder.ReadOnly): the
@@ -325,9 +317,7 @@ func (db *DB) adjustUseLocked(act string, id uid.UID, e *serverEntry, clientNode
 			// Log the effective delta — at the zero clamp a decrement
 			// applies less than asked, and the inverse must match what
 			// actually happened to the counter.
-			k := useKey{host, clientNode}
-			e.addUnsettled(k, nv-old)
-			ss.useDeltas = append(ss.useDeltas, useDelta{id, k, nv - old})
+			ss.useDeltas = append(ss.useDeltas, useDelta{id, useKey{host, clientNode}, nv - old})
 		}
 	}
 }
@@ -468,6 +458,8 @@ const (
 type Op struct {
 	Kind   OpKind
 	Action string
+	// Own runs the op under its message's own action (BatchReq).
+	Own bool
 	// UID is the object (every kind but Exclude and EndAction).
 	UID uid.UID
 	// Class is the object's class (Register).
@@ -487,6 +479,13 @@ type Op struct {
 	// Remove, UseWriteLock Exclude, and Commit EndAction; see the DB methods
 	// of those names.
 	WantUse, ForUpdate, TryOnly, UseWriteLock, Commit bool
+}
+
+// Own returns op to run under its message's own action (see BatchReq); the
+// action op names is dropped.
+func Own(op Op) Op {
+	op.Own, op.Action = true, ""
+	return op
 }
 
 // RegisterOp registers a new object in both databases.
@@ -526,8 +525,8 @@ func DecrementOp(act string, id uid.UID, clientNode transport.Addr, hosts []tran
 	return Op{Kind: OpDecrement, Action: act, UID: id, Host: clientNode, Hosts: hosts}
 }
 
-// BindOp reads Sv_A and the use lists and counts clientNode's binding at
-// the degree servers the selection rule picks; see DB.Bind.
+// BindOp selects from Sv_A by the use lists and counts clientNode's binding
+// at the first degree servers the selection rule picks; see DB.Bind.
 func BindOp(act string, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) Op {
 	return Op{Kind: OpBind, Action: act, UID: id, Host: clientNode, Degree: degree, ForUpdate: forUpdate}
 }
@@ -559,8 +558,8 @@ func EndActionOp(act string, commit bool) Op {
 }
 
 // OpResult is what one operation returned: Sv and the use lists
-// (GetServer, Bind), the hosts counted (Bind), the candidates (Select), St
-// and the class (GetView, Deregister), the post-include view (Include),
+// (GetServer), the candidates (Select, Bind) and the hosts counted (Bind),
+// St and the class (GetView, Deregister), the post-include view (Include),
 // nothing for the rest.
 type OpResult struct {
 	Nodes []transport.Addr
@@ -570,7 +569,9 @@ type OpResult struct {
 }
 
 // BatchReq is the database's request record: operations to execute in
-// order.
+// order. The ops marked Own run under the message's own action, which the
+// database, its lone participant, mints and ends before it replies:
+// committed, or aborted at the first op that failed.
 type BatchReq struct {
 	Ops []Op
 }
@@ -580,23 +581,41 @@ type BatchResp struct {
 	Results []OpResult
 }
 
-// registerService installs the database's single dispatch path. A batch
-// executes its operations in order, each under its own action exactly as
-// if it had arrived alone, and stops at the first one that fails: that
-// operation's error, code included, is the reply, and the operations
-// before it stand (their locks are held, their mutations pending) — the
-// state a sequence of single calls failing at the same operation leaves.
+// registerService installs the database's single dispatch path.
 func registerService(srv *rpc.Server, db *DB) {
-	srv.Handle(ServiceName, MethodBatch, rpc.Method(func(ctx context.Context, from transport.Addr, req BatchReq) (BatchResp, error) {
-		resp := BatchResp{Results: make([]OpResult, len(req.Ops))}
-		for i := range req.Ops {
-			var err error
-			if resp.Results[i], err = db.exec(ctx, from, &req.Ops[i]); err != nil {
-				return BatchResp{}, err
+	srv.Handle(ServiceName, MethodBatch, rpc.Method(db.batch))
+}
+
+// batch executes a message's operations in order and stops at the first
+// one that fails: that operation's error, code included, is the reply. An
+// op of a named action runs exactly as if it had arrived alone, so the named
+// actions' ops before the failure stand (their locks are held, their
+// mutations pending) — the state a sequence of single calls failing at the
+// same operation leaves. The message's own action is aborted instead.
+func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (BatchResp, error) {
+	resp := BatchResp{Results: make([]OpResult, len(req.Ops))}
+	own := ""
+	for i := range req.Ops {
+		op := &req.Ops[i]
+		if op.Own {
+			if own == "" {
+				var buf [24]byte
+				own = string(strconv.AppendUint(append(buf[:0], ownActionPrefix...), db.owned.Add(1), 10))
 			}
+			op.Action = own
 		}
-		return resp, nil
-	}))
+		var err error
+		if resp.Results[i], err = db.exec(ctx, from, op); err != nil {
+			if own != "" {
+				db.EndAction(own, false)
+			}
+			return BatchResp{}, err
+		}
+	}
+	if own != "" {
+		db.EndAction(own, true)
+	}
+	return resp, nil
 }
 
 // exec runs one operation.
@@ -625,7 +644,7 @@ func (db *DB) exec(ctx context.Context, from transport.Addr, op *Op) (res OpResu
 	case OpEndAction:
 		db.EndAction(op.Action, op.Commit)
 	case OpBind:
-		res.Nodes, res.Use, res.Hosts, err = db.Bind(ctx, op.Action, from, op.UID, op.Host, op.Degree, op.ForUpdate)
+		res.Nodes, res.Hosts, err = db.Bind(ctx, op.Action, from, op.UID, op.Host, op.Degree, op.ForUpdate)
 	case OpSelect:
 		res.Nodes, err = db.Select(ctx, op.Action, from, op.UID)
 	default:
@@ -682,12 +701,6 @@ func (c Client) Deregister(ctx context.Context, act string, id uid.UID) ([]trans
 func (c Client) GetServer(ctx context.Context, act string, id uid.UID, wantUse, forUpdate bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int, error) {
 	res, err := c.do1(ctx, GetServerOp(act, id, wantUse, forUpdate))
 	return res.Nodes, res.Use, err
-}
-
-// Insert adds a server node to Sv_A.
-func (c Client) Insert(ctx context.Context, act string, id uid.UID, host transport.Addr) error {
-	_, err := c.do1(ctx, InsertOp(act, id, host))
-	return err
 }
 
 // GetView fetches St_A and the class name.

@@ -28,6 +28,7 @@ func wireCases() []struct{ in, out rpc.Wire } {
 			ExcludeOp("top", []ExcludePair{{UID: id, Hosts: []transport.Addr{"s1"}}, {UID: uid.UID{Origin: "o2", Epoch: 2, Seq: 1}}}, true),
 			EndActionOp("a3", true),
 			BindOp("a4", id, "c1", 2, true),
+			Own(DecrementOp("", id, "c1", []transport.Addr{"n2"})),
 		}}, &BatchReq{}},
 		{&BatchResp{Results: []OpResult{
 			{Nodes: []transport.Addr{"n1", "n2"}, Use: map[transport.Addr]map[transport.Addr]int{"n1": {"c1": 2, "c2": -1}, "n2": {}}},
@@ -121,7 +122,9 @@ func TestWireTagsUnique(t *testing.T) {
 // operation, no counted hosts per result — is refused whole, never read as
 // the current layout: every peer runs the same build. With one operation
 // (or result) whose newer field is zero, the older frame is the newer one
-// less its last byte.
+// less its last byte. So is a version-2 request, whose layout is the
+// current one but whose peer would run an op of the message's own action
+// under the empty action name.
 func TestBatchVersion1Refused(t *testing.T) {
 	for _, c := range []struct{ in, out rpc.Wire }{
 		{&BatchReq{Ops: []Op{EndActionOp("a", true)}}, &BatchReq{}},
@@ -136,5 +139,13 @@ func TestBatchVersion1Refused(t *testing.T) {
 		if err := rpc.Decode(v1, c.out); !errors.Is(err, rpc.ErrWire) {
 			t.Fatalf("%T v1: err = %v, want ErrWire", c.in, err)
 		}
+	}
+	data, err := rpc.Encode(&BatchReq{Ops: []Op{Own(GetViewOp("", uid.UID{Origin: "obj", Epoch: 1, Seq: 1}))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[2] = 2
+	if err := rpc.Decode(data, &BatchReq{}); !errors.Is(err, rpc.ErrWire) {
+		t.Fatalf("BatchReq v2: err = %v, want ErrWire", err)
 	}
 }

@@ -272,7 +272,7 @@ func New(opts Options) (*World, error) {
 		id := gen.New()
 		g := w.GroupOf(id)
 		creator := core.Client{RPC: rpcc, DB: g.DB.Addr()}
-		if err := core.CreateObject(context.Background(), creator, w.Mgrs[w.Clients[0]], id, "counter", []byte("0"), g.Svs, g.Sts); err != nil {
+		if err := core.CreateObject(context.Background(), creator, id, "counter", []byte("0"), g.Svs, g.Sts); err != nil {
 			return nil, fmt.Errorf("harness: create object %d: %w", i, err)
 		}
 		w.Objects = append(w.Objects, id)

@@ -49,6 +49,9 @@
 // the transaction's accumulated intention records into committed
 // versions at replay, exactly as Store.Commit does in memory; an
 // abort-tx record drops them.
+// Only a commit with intentions to fold writes a commit-tx record: phase
+// two, or a one-phase commit of several writes or beside earlier
+// intentions; a lone one-phase write is its version record alone.
 //
 // # Crash safety
 //

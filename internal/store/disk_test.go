@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/storage"
@@ -165,6 +167,99 @@ func TestDiskReopenAfterTornTail(t *testing.T) {
 	}
 	if v, _ := s.Read(id); string(v.Data) != "next" || v.Seq != 2 {
 		t.Fatalf("post-recovery commit = %q/%d, want next/2", v.Data, v.Seq)
+	}
+}
+
+// walTags lists the tag byte of every whole record in dir's WAL, in file
+// order (see the record format in internal/storage), and the WAL's length.
+func walTags(t *testing.T, dir string) ([]byte, int) {
+	t.Helper()
+	buf, err := os.ReadFile(storage.WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tags []byte
+	for i := 0; i+4 <= len(buf); {
+		n := int(binary.LittleEndian.Uint32(buf[i:]))
+		if n == 0 || i+4+n+4 > len(buf) {
+			break
+		}
+		tags = append(tags, buf[i+4])
+		i += 4 + n + 4
+	}
+	return tags, len(buf)
+}
+
+// TestDiskOnePhaseCommitRecords: a one-phase commit of one write, in a
+// transaction with no earlier intentions, appends one committed-version
+// record and no commit record — a torn tail takes that record away whole,
+// never half of it. A one-phase commit that folds earlier intentions of its
+// transaction, or several writes, stages its writes and folds them all
+// with one commit record, as ever.
+func TestDiskOnePhaseCommitRecords(t *testing.T) {
+	const tagVersion, tagIntention, tagCommitTx = 1, 3, 4
+	dir := t.TempDir()
+	s := diskStore(t, dir)
+	x, y := uid.UID{Origin: "obj", Epoch: 1, Seq: 1}, uid.UID{Origin: "obj", Epoch: 1, Seq: 2}
+	for _, id := range []uid.UID{x, y} {
+		if err := s.Put(id, []byte("0"), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appended := func(op func() error) []byte {
+		t.Helper()
+		before, _ := walTags(t, dir)
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := walTags(t, dir)
+		return after[len(before):]
+	}
+
+	lone := appended(func() error { return s.CommitOnePhase("tx-lone", []Write{{UID: x, Data: []byte("1"), Seq: 2}}) })
+	if string(lone) != string([]byte{tagVersion}) {
+		t.Fatalf("a lone one-phase write appended records %v, want one version record", lone)
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	_, size := walTags(t, dir)
+	if err := os.Truncate(storage.WALPath(dir), int64(size-1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Read(x); err != nil || string(v.Data) != "0" || v.Seq != 1 {
+		t.Fatalf("after the torn record: %+v (%v), want 0/1", v, err)
+	}
+	if pend := s.PendingTxs(); len(pend) != 0 {
+		t.Fatalf("the torn record left %v pending", pend)
+	}
+
+	if err := s.Prepare("tx-fold", []Write{{UID: x, Data: []byte("2"), Seq: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	fold := appended(func() error { return s.CommitOnePhase("tx-fold", []Write{{UID: y, Data: []byte("2"), Seq: 2}}) })
+	if string(fold) != string([]byte{tagIntention, tagCommitTx}) {
+		t.Fatalf("a one-phase write beside an earlier intention appended records %v, want intention, commit", fold)
+	}
+	several := appended(func() error {
+		return s.CommitOnePhase("tx-two", []Write{{UID: x, Data: []byte("3"), Seq: 3}, {UID: y, Data: []byte("3"), Seq: 3}})
+	})
+	if string(several) != string([]byte{tagIntention, tagIntention, tagCommitTx}) {
+		t.Fatalf("a one-phase commit of two writes appended records %v, want two intentions, commit", several)
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uid.UID{x, y} {
+		if v, err := s.Read(id); err != nil || string(v.Data) != "3" || v.Seq != 3 || v.TxID != "tx-two" {
+			t.Fatalf("%v after reopen: %+v (%v), want 3/3 by tx-two", id, v, err)
+		}
 	}
 }
 

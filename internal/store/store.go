@@ -380,6 +380,8 @@ func (s *Store) Commit(tx string) error {
 // any intentions previously prepared under the same tx, and nothing is
 // left pending. On failure the store is untouched except that earlier
 // intentions of tx remain (the coordinator's roll-back clears them).
+// A commit record is written only when there is something to fold: a lone
+// write with no earlier intentions is one version record, atomic alone.
 func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 	s.mu.Lock()
 	copies, err := s.admitLocked("commit-one-phase", tx, writes)
@@ -388,30 +390,27 @@ func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 		return err
 	}
 	b := s.backend
-	// Earlier intentions of tx fold in, then the combined round's writes
-	// land as committed versions; one sync (outside the mutex) covers it
-	// all. Several writes must land all-or-nothing over a crash (the group
-	// view database commits a multi-entry update this way), so they are
-	// staged as intentions first and the single commit record folds them.
-	staged := len(copies) > 1
-	if staged {
+	// Several writes, or one beside earlier intentions of tx, must land
+	// all-or-nothing over a crash (the group view database commits a
+	// multi-entry update this way), so they are staged as intentions and
+	// the single commit record folds them all. One sync (outside the mutex)
+	// covers it.
+	if len(copies) > 1 || len(s.intentions[tx]) > 0 {
 		for _, w := range copies {
 			if err := b.PutIntention(tx, w.UID.String(), storage.Write{Data: w.Data, Seq: w.Seq}); err != nil {
 				s.mu.Unlock()
 				return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
 			}
 		}
-	}
-	if err := b.CommitTx(tx); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
-	}
-	if !staged {
-		for _, w := range copies {
-			if err := b.PutVersion(w.UID.String(), storage.Version{Data: w.Data, Seq: w.Seq, Tx: tx}); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
-			}
+		if err := b.CommitTx(tx); err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
+		}
+	} else if len(copies) == 1 {
+		w := copies[0]
+		if err := b.PutVersion(w.UID.String(), storage.Version{Data: w.Data, Seq: w.Seq, Tx: tx}); err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
 		}
 	}
 	for _, w := range s.intentions[tx] {

@@ -34,7 +34,7 @@ func TestFacadeAllocs(t *testing.T) {
 			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-		}, 123}, // 117 measured; 128 with a one-phase Prepare message, 226 before PR 19
+		}, 113}, // 107 measured; 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
 		{"Atomic+Invoke", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Invoke(ctx, "add", []byte("1"))
@@ -42,7 +42,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 134}, // 127 measured; 128 before the one-phase Prepare shared its handler
+		}, 123}, // 117 measured; 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
 		{"Atomic+Invoke two objects", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				if _, err := tx.Object(id).Invoke(ctx, "add", []byte("1")); err != nil {
@@ -53,7 +53,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 334}, // 310 measured; 318 before the one-phase Prepare shared its handler
+		}, 301}, // 286 measured; 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)
@@ -61,7 +61,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 56}, // 53 measured; 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
+		}, 54}, // 51 measured; 53 with a client-minted bind action, 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
 	} {
 		c.op() // warm-up: placement cache, activation, lock-table free lists
 		got := testing.AllocsPerRun(200, c.op)

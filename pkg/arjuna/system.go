@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/lease"
@@ -27,9 +26,6 @@ type System struct {
 	cfg config
 	w   *harness.World
 
-	// viewMgr mints the short-lived top-level actions behind the view
-	// and recovery helpers, separate from any client's actions.
-	viewMgr *action.Manager
 	// janitors sweep use-lists: one per group view database.
 	janitors []*core.Janitor
 	gen      *uid.Generator
@@ -83,7 +79,6 @@ func Open(opts ...Option) (*System, error) {
 	s := &System{
 		cfg:      cfg,
 		w:        w,
-		viewMgr:  action.NewManager("arjuna-sys", nil),
 		janitors: janitors,
 		gen:      uid.NewGenerator("app", 1),
 	}
@@ -236,7 +231,7 @@ func (s *System) CreateObject(ctx context.Context, class string, initState []byt
 	// that shard's group (the only group, when unsharded).
 	g := s.w.GroupOf(id)
 	creator := core.Client{RPC: s.w.Cluster.Node(s.w.Clients[0]).Client(), DB: g.DB.Addr()}
-	if err := core.CreateObject(ctx, creator, s.w.Mgrs[s.w.Clients[0]], id, class, initState, g.Svs, g.Sts); err != nil {
+	if err := core.CreateObject(ctx, creator, id, class, initState, g.Svs, g.Sts); err != nil {
 		return uid.Nil, MapError(err)
 	}
 	s.mu.Lock()
@@ -358,17 +353,15 @@ func (s *System) StoreView(ctx context.Context, id uid.UID) ([]transport.Addr, e
 
 func (s *System) view(ctx context.Context, id uid.UID, wantSt bool) ([]transport.Addr, error) {
 	cli := core.Client{RPC: s.w.Cluster.Node(s.w.Clients[0]).Client(), DB: s.w.GroupOf(id).DB.Addr()}
-	act := s.viewMgr.BeginTop()
-	var view []transport.Addr
-	var err error
+	op := core.GetServerOp("", id, false, false)
 	if wantSt {
-		view, _, err = cli.GetView(ctx, act.ID(), id)
-	} else {
-		view, _, err = cli.GetServer(ctx, act.ID(), id, false, false)
+		op = core.GetViewOp("", id)
 	}
-	_ = cli.EndAction(ctx, act.ID(), true)
-	_, _ = act.Commit(ctx)
-	return view, MapError(err)
+	res, err := cli.Do(ctx, core.Own(op))
+	if err != nil {
+		return nil, MapError(err)
+	}
+	return res[0].Nodes, nil
 }
 
 // StoreState reads the committed (value, seq) of one object directly from
