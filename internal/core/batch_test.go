@@ -69,8 +69,8 @@ func TestOwnActionEndsWithItsMessage(t *testing.T) {
 	ctx := context.Background()
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
 	unknown := uid.UID{Origin: "nobody", Epoch: 1, Seq: 1}
-	for _, last := range []Op{Own(GetViewOp("", unknown)), GetViewOp("named", unknown)} {
-		_, err := cli.Do(ctx, Own(BindOp("", w.id, "c1", 1, false)), GetViewOp("named", w.id), last)
+	for _, last := range []Op{GetViewOp("", unknown), GetViewOp("named", unknown)} {
+		_, err := cli.Do(ctx, BindOp("", w.id, "c1", 1, false), GetViewOp("named", w.id), last)
 		if rpc.CodeOf(err) != CodeUnknownObject {
 			t.Fatalf("batch = %v, want code %s", err, CodeUnknownObject)
 		}
@@ -84,13 +84,13 @@ func TestOwnActionEndsWithItsMessage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cli.Do(ctx, Own(BindOp("", w.id, "c1", 1, false)), Own(GetViewOp("", w.id))); err != nil {
+	if _, err := cli.Do(ctx, BindOp("", w.id, "c1", 1, false), GetViewOp("", w.id)); err != nil {
 		t.Fatal(err)
 	}
 	if w.db.Quiescent(w.id) || w.lockHolders() != 0 {
 		t.Fatal("the own action did not commit its count and release its locks with the message")
 	}
-	if _, err := cli.Do(ctx, Own(DecrementOp("", w.id, "c1", []transport.Addr{"sv1"}))); err != nil || !w.db.Quiescent(w.id) {
+	if _, err := cli.Do(ctx, DecrementOp("", w.id, "c1", []transport.Addr{"sv1"})); err != nil || !w.db.Quiescent(w.id) {
 		t.Fatalf("own Decrement = %v, quiescent %v", err, w.db.Quiescent(w.id))
 	}
 }

@@ -77,7 +77,7 @@ func TestBindOpCountsWhatItSelects(t *testing.T) {
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
 	useOf := func() map[transport.Addr]map[transport.Addr]int {
 		t.Helper()
-		res, err := cli.Do(ctx, Own(GetServerOp("", w.id, true, false)))
+		res, err := cli.Do(ctx, GetServerOp("", w.id, true, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestBindOpCountsWhatItSelects(t *testing.T) {
 	}
 
 	// The message's own action: committed with the message, nothing held.
-	if _, err := cli.Do(ctx, Own(BindOp("", w.id, "c2", 1, false))); err != nil {
+	if _, err := cli.Do(ctx, BindOp("", w.id, "c2", 1, false)); err != nil {
 		t.Fatal(err)
 	}
 	if n := w.lockHolders(); n != 0 {

@@ -479,26 +479,27 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 // recovered node. (The chaos harness finds this within a few dozen seeds.)
 func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
 	// The first object a read-only action binds is bound unpinned (see
-	// Binder): the St read is the bind action's, and nothing of the client
-	// action's is left at the database.
+	// Binder): the St read is the bind message's own action's (the empty
+	// name), and nothing of the client action's is left at the database.
 	unpinned := b.bindsUnpinned()
 	if unpinned {
 		_, second := act.Stashed(unpinnedKey)
 		unpinned = !second
 	}
 	var dbState *txDBState
-	viewOp := GetViewOp(act.ID(), id)
-	if unpinned {
-		viewOp = Own(viewOp)
-	} else {
+	viewAct := ""
+	if !unpinned {
+		viewAct = act.ID()
 		var err error
 		if dbState, err = b.trackTxDB(act); err != nil {
 			return nil, err
 		}
 	}
+	viewOp := GetViewOp(viewAct, id)
 
 	// A read-only binder never updates use lists: it reads Sv to spread
-	// over, or has the database select from it as Bind would.
+	// over, or has the database select from it as Bind would. Either runs
+	// as the message's own action.
 	svOp := BindOp("", id, b.ClientNode, b.degree(), !b.FastBind)
 	switch {
 	case b.spreadReads():
@@ -506,7 +507,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	case b.ReadOnly:
 		svOp = SelectOp("", id)
 	}
-	res, err := b.DB.Do(ctx, Own(svOp), viewOp)
+	res, err := b.DB.Do(ctx, svOp, viewOp)
 	if err != nil {
 		return nil, fmt.Errorf("core: Bind+GetView(%v): %w", id, err)
 	}
@@ -979,7 +980,7 @@ func (bd *Binding) endAtDB(ctx context.Context, tx string, endTx, commit bool) e
 		ops = append(ops, EndActionOp(tx, commit))
 	}
 	if !b.ReadOnly && b.Scheme != SchemeStandard && len(bd.bound) > 0 {
-		ops = append(ops, Own(DecrementOp("", bd.id, b.ClientNode, bd.bound)))
+		ops = append(ops, DecrementOp("", bd.id, b.ClientNode, bd.bound))
 	}
 	if len(ops) == 0 {
 		return nil
@@ -1034,6 +1035,6 @@ func CreateObject(ctx context.Context, db Client, id uid.UID, class string, init
 			return fmt.Errorf("core: install state at %s: %w", st, err)
 		}
 	}
-	_, err := db.Do(ctx, Own(RegisterOp("", id, class, svNodes, stNodes)))
+	_, err := db.Do(ctx, RegisterOp("", id, class, svNodes, stNodes))
 	return err
 }

@@ -22,7 +22,7 @@ func FuzzCoreBatchDecode(f *testing.F) {
 	id := uid.UID{Origin: "obj", Epoch: 1, Seq: 7}
 	for _, w := range []rpc.Wire{
 		&BatchReq{Ops: []Op{
-			Own(BindOp("", id, "c1", 1, false)),
+			BindOp("", id, "c1", 1, false),
 			RegisterOp("a1", id, "Counter", []transport.Addr{"sv1"}, []transport.Addr{"st1", "st2"}),
 			ExcludeOp("a1", []ExcludePair{{UID: id, Hosts: []transport.Addr{"st2"}}}, true),
 			EndActionOp("a1", true),

@@ -494,7 +494,7 @@ func (m *dbModel) batch(ops []Op) ([]OpResult, string) {
 	results := make([]OpResult, len(ops))
 	for i := range ops {
 		act := ops[i].Action
-		if ops[i].Own {
+		if act == "" {
 			act = own
 		}
 		var code string
@@ -575,7 +575,7 @@ func randomOp(rng *rand.Rand, own bool) Op {
 		return EndActionOp(act, rng.Intn(4) != 0)
 	}
 	if own {
-		op = Own(op)
+		op.Action = ""
 	}
 	return op
 }
@@ -584,7 +584,7 @@ func randomOp(rng *rand.Rand, own bool) Op {
 // arguments the kind takes.
 func opString(op Op) string {
 	act := op.Action
-	if op.Own {
+	if act == "" {
 		act = "own"
 	}
 	args := []string{act}

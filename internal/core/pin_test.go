@@ -57,9 +57,12 @@ func dbOps(w *world, client transport.Addr) func(clientAct string) [][]string {
 		out := make([][]string, len(sent))
 		for i, ops := range sent {
 			for _, op := range ops {
-				owner := map[bool]string{true: "client", false: "repair"}[op.Action == clientAct]
-				if op.Own {
+				owner := "repair"
+				switch op.Action {
+				case "":
 					owner = "own"
+				case clientAct:
+					owner = "client"
 				}
 				if op.ForUpdate {
 					owner += ", update"
@@ -102,8 +105,14 @@ func TestReadOnlyBindConversations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := bd.Invoke(ctx, method, args); err != nil {
+			out, err := bd.Invoke(ctx, method, args)
+			if err != nil {
 				t.Fatalf("%s: %v", method, err)
+			}
+			// Every row starts from a fresh world: a reader sees the
+			// committed initial state through whatever its bind pinned.
+			if b.ReadOnly && string(out) != "0" {
+				t.Fatalf("get = %q, want \"0\"", out)
 			}
 		}
 		if _, err := act.Commit(ctx); err != nil {

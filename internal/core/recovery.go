@@ -20,7 +20,7 @@ import (
 func RecoverServerNode(ctx context.Context, node *sim.Node, db transport.Addr, ids []uid.UID) error {
 	cli := Client{RPC: node.Client(), DB: db}
 	for _, id := range ids {
-		if _, err := cli.Do(ctx, Own(InsertOp("", id, node.Name()))); err != nil {
+		if _, err := cli.Do(ctx, InsertOp("", id, node.Name())); err != nil {
 			return fmt.Errorf("core: recovery Insert(%v,%s): %w", id, node.Name(), err)
 		}
 	}
@@ -43,7 +43,9 @@ func RecoverStoreNode(ctx context.Context, node *sim.Node, db transport.Addr, id
 			_ = act.Abort(context.Background())
 			return err
 		}
-		if err := cli.EndAction(context.WithoutCancel(ctx), owner, true); err != nil { // see RecoverServerNode
+		// Cancellation stripped, as on the error path: an action left open
+		// holds the entry's write lock, and nothing else would end it.
+		if err := cli.EndAction(context.WithoutCancel(ctx), owner, true); err != nil {
 			_ = act.Abort(context.Background())
 			return err
 		}

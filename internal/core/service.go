@@ -453,13 +453,11 @@ const (
 
 // Op is one operation of a batch request: the kind, the action it runs
 // under (each op names its own, so one message can carry ops of several
-// owners), and the arguments that kind takes. Build one with the
-// constructors below.
+// owners; the empty name is the message's own action, see BatchReq), and
+// the arguments that kind takes. Build one with the constructors below.
 type Op struct {
 	Kind   OpKind
 	Action string
-	// Own runs the op under its message's own action (BatchReq).
-	Own bool
 	// UID is the object (every kind but Exclude and EndAction).
 	UID uid.UID
 	// Class is the object's class (Register).
@@ -479,13 +477,6 @@ type Op struct {
 	// Remove, UseWriteLock Exclude, and Commit EndAction; see the DB methods
 	// of those names.
 	WantUse, ForUpdate, TryOnly, UseWriteLock, Commit bool
-}
-
-// Own returns op to run under its message's own action (see BatchReq); the
-// action op names is dropped.
-func Own(op Op) Op {
-	op.Own, op.Action = true, ""
-	return op
 }
 
 // RegisterOp registers a new object in both databases.
@@ -569,9 +560,9 @@ type OpResult struct {
 }
 
 // BatchReq is the database's request record: operations to execute in
-// order. The ops marked Own run under the message's own action, which the
-// database, its lone participant, mints and ends before it replies:
-// committed, or aborted at the first op that failed.
+// order. The ops that name no action run under the message's own action,
+// which the database, its lone participant, mints and ends before it
+// replies: committed, or aborted at the first op that failed.
 type BatchReq struct {
 	Ops []Op
 }
@@ -597,7 +588,7 @@ func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (Bat
 	own := ""
 	for i := range req.Ops {
 		op := &req.Ops[i]
-		if op.Own {
+		if op.Action == "" {
 			if own == "" {
 				var buf [24]byte
 				own = string(strconv.AppendUint(append(buf[:0], ownActionPrefix...), db.owned.Add(1), 10))

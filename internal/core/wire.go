@@ -13,7 +13,7 @@ import (
 // and action end rides, the durable entry record every commit writes, and
 // the §5 name server's requests. Tags live in the 0x01–0x1f block of the
 // registry in internal/rpc/doc.go. The batch request is at version 3 (an
-// op flag marks the ops of the message's own action), the batch reply at
+// op that names no action runs under the message's own), the batch reply at
 // version 2, the rest at version 1. Only a record's current version
 // decodes (see rpc.Wire).
 // (0x01 was the database's own empty Ack, which rpc.Empty replaced, and
@@ -81,7 +81,6 @@ const (
 	flagTryOnly
 	flagUseWriteLock
 	flagCommit
-	flagOwn
 )
 
 func bit(set bool, f byte) byte {
@@ -107,7 +106,7 @@ func (q *BatchReq) AppendWire(dst []byte) []byte {
 		// Kind and flags are both below 0x80: each byte is its own uvarint.
 		dst = append(dst, byte(op.Kind),
 			bit(op.WantUse, flagWantUse)|bit(op.ForUpdate, flagForUpdate)|bit(op.TryOnly, flagTryOnly)|
-				bit(op.UseWriteLock, flagUseWriteLock)|bit(op.Commit, flagCommit)|bit(op.Own, flagOwn))
+				bit(op.UseWriteLock, flagUseWriteLock)|bit(op.Commit, flagCommit))
 		dst = rpc.AppendString(dst, op.Action)
 		dst = appendUID(dst, op.UID)
 		dst = rpc.AppendString(dst, op.Class)
@@ -141,7 +140,7 @@ func (q *BatchReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 		}
 		op.Kind = OpKind(kind)
 		op.WantUse, op.ForUpdate, op.TryOnly = byte(flags)&flagWantUse != 0, byte(flags)&flagForUpdate != 0, byte(flags)&flagTryOnly != 0
-		op.UseWriteLock, op.Commit, op.Own = byte(flags)&flagUseWriteLock != 0, byte(flags)&flagCommit != 0, byte(flags)&flagOwn != 0
+		op.UseWriteLock, op.Commit = byte(flags)&flagUseWriteLock != 0, byte(flags)&flagCommit != 0
 		op.Action = r.String()
 		op.UID = readUID(r)
 		op.Class = r.String()

@@ -28,7 +28,7 @@ func wireCases() []struct{ in, out rpc.Wire } {
 			ExcludeOp("top", []ExcludePair{{UID: id, Hosts: []transport.Addr{"s1"}}, {UID: uid.UID{Origin: "o2", Epoch: 2, Seq: 1}}}, true),
 			EndActionOp("a3", true),
 			BindOp("a4", id, "c1", 2, true),
-			Own(DecrementOp("", id, "c1", []transport.Addr{"n2"})),
+			DecrementOp("", id, "c1", []transport.Addr{"n2"}),
 		}}, &BatchReq{}},
 		{&BatchResp{Results: []OpResult{
 			{Nodes: []transport.Addr{"n1", "n2"}, Use: map[transport.Addr]map[transport.Addr]int{"n1": {"c1": 2, "c2": -1}, "n2": {}}},
@@ -140,7 +140,7 @@ func TestBatchVersion1Refused(t *testing.T) {
 			t.Fatalf("%T v1: err = %v, want ErrWire", c.in, err)
 		}
 	}
-	data, err := rpc.Encode(&BatchReq{Ops: []Op{Own(GetViewOp("", uid.UID{Origin: "obj", Epoch: 1, Seq: 1}))}})
+	data, err := rpc.Encode(&BatchReq{Ops: []Op{GetViewOp("", uid.UID{Origin: "obj", Epoch: 1, Seq: 1})}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func RunJanitorAblation(insertTimeout time.Duration) (*Table, error) {
 		// A recovering server tries to re-Insert under a bounded wait.
 		insCtx, cancel := context.WithTimeout(ctx, insertTimeout)
 		cli := core.Client{RPC: w.Cluster.Node("c2").Client(), DB: "db"}
-		_, insErr := cli.Do(insCtx, core.Own(core.InsertOp("", w.Objects[0], "sv2")))
+		_, insErr := cli.Do(insCtx, core.InsertOp("", w.Objects[0], "sv2"))
 		cancel()
 
 		outcome := "succeeded"

@@ -45,8 +45,9 @@
 // The tag registry, in package blocks so additions never collide:
 //
 //	0x01–0x1f  internal/core      (group-view database records, name server;
-//	                               the batch request, at version 3, also
-//	                               marks the ops of a message's own action)
+//	                               the batch request, at version 3, runs
+//	                               an op naming no action under the
+//	                               message's own action)
 //	0x20–0x3f  internal/object    (invoke + 2PC prepare/commit/abort, status)
 //	0x40–0x4f  internal/store     (object store reads, writes, 2PC legs;
 //	                               the prepare request, at version 2,

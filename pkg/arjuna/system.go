@@ -357,7 +357,7 @@ func (s *System) view(ctx context.Context, id uid.UID, wantSt bool) ([]transport
 	if wantSt {
 		op = core.GetViewOp("", id)
 	}
-	res, err := cli.Do(ctx, core.Own(op))
+	res, err := cli.Do(ctx, op)
 	if err != nil {
 		return nil, MapError(err)
 	}
