@@ -844,20 +844,29 @@ func (r *runner) apply(e Event) {
 	}
 }
 
-// methodRule matches the method's requests at target. A store Prepare
-// rule matches two-phase prepares only: the one-phase round travels as a
-// Prepare too, and the plans were drawn for the prepare that leaves an
-// intention to be in doubt about — keeping their reach keeps every pinned
-// seed replaying the same plan.
+// methodRule matches the method's requests at target. Two rules keep the
+// reach their plans were drawn with, so that every pinned seed replays the
+// same plan. A store Prepare rule matches two-phase prepares only: the
+// one-phase round travels as a Prepare too, and the plans were drawn for
+// the prepare that leaves an intention to be in doubt about. An object
+// server Invoke rule matches invokes that name a method only: the
+// activation probe and the lease check travel as method-less Invokes now,
+// and the plans were drawn when each was a message of its own.
 func methodRule(target transport.Addr, service, method string) transport.FaultRule {
 	rule := transport.ToMethod(target, service, method)
-	if service != store.ServiceName || method != store.MethodPrepare {
-		return rule
+	switch {
+	case service == store.ServiceName && method == store.MethodPrepare:
+		return func(req transport.Request) bool {
+			var q store.PrepareReq
+			return rule(req) && rpc.Decode(req.Payload, &q) == nil && !q.OnePhase
+		}
+	case service == object.ServiceName && method == object.MethodInvoke:
+		return func(req transport.Request) bool {
+			var q object.InvokeReq
+			return rule(req) && rpc.Decode(req.Payload, &q) == nil && q.Method != ""
+		}
 	}
-	return func(req transport.Request) bool {
-		var q store.PrepareReq
-		return rule(req) && rpc.Decode(req.Payload, &q) == nil && !q.OnePhase
-	}
+	return rule
 }
 
 // recoverNode attempts an online recovery mid-run, the way an operator

@@ -150,8 +150,8 @@ func (s Scheme) String() string {
 //     request, and a committed read is bind · invoke on either store count
 //     (the bind being unpinned). Unlike an Apply the action may go on; what
 //     the read saw is then re-checked under a held lock before commit
-//     (LeaseCheck, one more message) exactly as a read served from a lease
-//     is.
+//     (a method-less Invoke, one more message) exactly as a read served
+//     from a lease is.
 //
 // No message goes to a server at bind time under single-copy passive: the
 // binding's first request activates the object where it lands and is the

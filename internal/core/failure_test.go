@@ -246,7 +246,8 @@ func TestStaleActivatedCopyCannotLoseUpdates(t *testing.T) {
 
 	// An early (read-only-style) activation leaves an instance at sv2.
 	ref2 := objectRef(w, "sv2")
-	if _, err := ref2.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	ref2.Class, ref2.StNodes = "counter", []transport.Addr{"st1", "st2"}
+	if _, err := ref2.Invoke(ctx, object.InvokeReq{}); err != nil {
 		t.Fatal(err)
 	}
 

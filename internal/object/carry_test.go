@@ -33,7 +33,7 @@ func (w *world) stored(t *testing.T, st transport.Addr) (string, uint64) {
 func TestSoloInvokeCarriesOnePhasePrepare(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-	resp, err := w.soloRef("sv1", "st1").InvokeSolo(ctx, "a1", "add", []byte("3"), CarryCommit, nil)
+	resp, err := w.soloRef("sv1", "st1").Invoke(ctx, InvokeReq{Action: "a1", Method: "add", Args: []byte("3"), Solo: true, Carry: CarryCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSoloInvokeCarriesOnePhasePrepare(t *testing.T) {
 		t.Fatalf("status after the carried commit = %+v, %v", st, err)
 	}
 	// The write lock went with the commit: the next action is not kept waiting.
-	if _, err := w.ref("sv1").Invoke(ctx, "a2", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, w.ref("sv1"), "a2", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +59,7 @@ func TestSoloInvokeCarriesOnePhasePrepare(t *testing.T) {
 func TestSoloInvokeCarriesPrepare(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-	resp, err := w.soloRef("sv1", "st1", "st2").InvokeSolo(ctx, "a1", "add", []byte("3"), CarryPrepare, nil)
+	resp, err := w.soloRef("sv1", "st1", "st2").Invoke(ctx, InvokeReq{Action: "a1", Method: "add", Args: []byte("3"), Solo: true, Carry: CarryPrepare})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSoloInvokeCarriesPrepare(t *testing.T) {
 func TestSoloInvokeRefusedVoteKeepsTheResult(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-	if _, err := w.firstRef("sv1", w.id).Invoke(ctx, "a0", "get", nil); err != nil { // activate while the stores are up
+	if _, err := call(ctx, w.firstRef("sv1", w.id), "a0", "get", nil); err != nil { // activate while the stores are up
 		t.Fatal(err)
 	}
 	if _, err := w.ref("sv1").Prepare(ctx, "a0", nil, false); err != nil {
@@ -99,7 +99,7 @@ func TestSoloInvokeRefusedVoteKeepsTheResult(t *testing.T) {
 	}
 	w.cluster.Node("st1").Crash()
 	w.cluster.Node("st2").Crash()
-	resp, err := w.soloRef("sv1", "st1", "st2").InvokeSolo(ctx, "a1", "add", []byte("3"), CarryPrepare, nil)
+	resp, err := w.soloRef("sv1", "st1", "st2").Invoke(ctx, InvokeReq{Action: "a1", Method: "add", Args: []byte("3"), Solo: true, Carry: CarryPrepare})
 	if err != nil {
 		t.Fatalf("the invocation failed with the vote's error: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestSoloInvokeRefusedVoteKeepsTheResult(t *testing.T) {
 	if _, err := w.ref("sv1").Abort(ctx, "a1"); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := w.ref("sv1").Invoke(ctx, "a2", "get", nil); err != nil || string(out) != "0" {
+	if out, err := call(ctx, w.ref("sv1"), "a2", "get", nil); err != nil || string(out) != "0" {
 		t.Fatalf("state after the abort = %q, %v; want 0", out, err)
 	}
 }
@@ -120,7 +120,7 @@ func TestSoloInvokeRefusedVoteKeepsTheResult(t *testing.T) {
 func TestSoloInvokeFailedMethodCarriesNothing(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-	if _, err := w.soloRef("sv1", "st1").InvokeSolo(ctx, "a1", "fail", nil, CarryCommit, nil); rpc.CodeOf(err) != rpc.CodeInternal {
+	if _, err := w.soloRef("sv1", "st1").Invoke(ctx, InvokeReq{Action: "a1", Method: "fail", Solo: true, Carry: CarryCommit}); rpc.CodeOf(err) != rpc.CodeInternal {
 		t.Fatalf("err = %v, want the method's failure", err)
 	}
 	if pend := w.cluster.Node("st1").Store().PendingTxs(); len(pend) != 0 {
@@ -144,14 +144,14 @@ func TestSoloInvokeFailedMethodCarriesNothing(t *testing.T) {
 func TestSoloReadIsRunAndRelease(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-	if _, err := w.soloRef("sv1", "st1").InvokeSolo(ctx, "w", "add", []byte("3"), CarryCommit, nil); err != nil {
+	if _, err := w.soloRef("sv1", "st1").Invoke(ctx, InvokeReq{Action: "w", Method: "add", Args: []byte("3"), Solo: true, Carry: CarryCommit}); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range []struct {
 		carry Carry
 		ref   ServerRef
 	}{{CarryCommit, w.soloRef("sv1", "st1")}, {CarryPrepare, w.soloRef("sv1", "st1", "st2")}} {
-		resp, err := c.ref.InvokeSolo(ctx, fmt.Sprintf("r%d", i), "get", nil, c.carry, nil)
+		resp, err := c.ref.Invoke(ctx, InvokeReq{Action: fmt.Sprintf("r%d", i), Method: "get", Solo: true, Carry: c.carry})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,12 +195,12 @@ func TestSoloLeaderDrainsCombinerInSameRequest(t *testing.T) {
 	}
 	leader, follower := make(chan reply, 1), make(chan reply, 1)
 	go func() {
-		resp, err := w.soloRef("sv3", "st1").InvokeSolo(ctx, "lead", "add", []byte("1"), CarryCommit, nil)
+		resp, err := w.soloRef("sv3", "st1").Invoke(ctx, InvokeReq{Action: "lead", Method: "add", Args: []byte("1"), Solo: true, Carry: CarryCommit})
 		leader <- reply{resp, err}
 	}()
 	<-entered
 	go func() {
-		resp, err := w.soloRef("sv3", "st1").InvokeSolo(ctx, "follow", "add", []byte("10"), CarryCommit, nil)
+		resp, err := w.soloRef("sv3", "st1").Invoke(ctx, InvokeReq{Action: "follow", Method: "add", Args: []byte("10"), Solo: true, Carry: CarryCommit})
 		follower <- reply{resp, err}
 	}()
 	in, _ := mgr.lookup(w.id)
@@ -215,11 +215,12 @@ func TestSoloLeaderDrainsCombinerInSameRequest(t *testing.T) {
 	if l.err != nil || f.err != nil {
 		t.Fatalf("leader: %v, follower: %v", l.err, f.err)
 	}
-	if l.resp.Batched || l.resp.Carried != CarryCommit || l.resp.Vote.BatchSize != 2 || string(l.resp.Result) != "1" {
-		t.Fatalf("leader reply = %+v; want a carried commit of a batch of 2", l.resp)
+	// Both ops ran on version 1; the commit that carried them made 2.
+	if l.resp.Batched || l.resp.Carried != CarryCommit || l.resp.Vote.BatchSize != 2 || string(l.resp.Result) != "1" || l.resp.Seq != 1 {
+		t.Fatalf("leader reply = %+v; want a carried commit of a batch of 2, run on version 1", l.resp)
 	}
-	if !f.resp.Batched || f.resp.BatchSize != 2 || f.resp.Carried != CarryNone || string(f.resp.Result) != "11" {
-		t.Fatalf("follower reply = %+v; want Batched, the leader's batch size, and nothing carried", f.resp)
+	if !f.resp.Batched || f.resp.BatchSize != 2 || f.resp.Carried != CarryNone || string(f.resp.Result) != "11" || f.resp.Seq != 1 {
+		t.Fatalf("follower reply = %+v; want Batched, the leader's batch size, nothing carried, run on version 1", f.resp)
 	}
 	if data, seq := w.stored(t, "st1"); data != "11" || seq != 2 {
 		t.Fatalf("st1 holds %q/%d, want 11/2: one commit for both ops", data, seq)
@@ -243,13 +244,13 @@ func TestFoldedFollowerOfUndecidedLeaderIsUncertain(t *testing.T) {
 	mgr := NewManager(w.cluster.Add("sv3"), w.reg)
 	ctx := context.Background()
 	// The leader holds the write lock, unprepared: the follower queues.
-	if _, err := w.soloRef("sv3", "st1", "st2").InvokeSolo(ctx, "lead", "add", []byte("1"), CarryNone, nil); err != nil {
+	if _, err := w.soloRef("sv3", "st1", "st2").Invoke(ctx, InvokeReq{Action: "lead", Method: "add", Args: []byte("1"), Solo: true}); err != nil {
 		t.Fatal(err)
 	}
 	fctx, cancel := context.WithCancel(ctx)
 	follower := make(chan error, 1)
 	go func() {
-		_, err := w.soloRef("sv3", "st1", "st2").InvokeSolo(fctx, "follow", "add", []byte("10"), CarryPrepare, nil)
+		_, err := w.soloRef("sv3", "st1", "st2").Invoke(fctx, InvokeReq{Action: "follow", Method: "add", Args: []byte("10"), Solo: true, Carry: CarryPrepare})
 		follower <- err
 	}()
 	in, _ := mgr.lookup(w.id)
@@ -284,7 +285,7 @@ func TestFoldedFollowerOfUndecidedLeaderIsUncertain(t *testing.T) {
 func TestAbortOvertakingPrepareLeavesNothing(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-	if _, err := w.soloRef("sv1", "st1", "st2").Invoke(ctx, "a1", "add", []byte("3")); err != nil {
+	if _, err := call(ctx, w.soloRef("sv1", "st1", "st2"), "a1", "add", []byte("3")); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Faults().OnReply(1, transport.ToMethod("st2", store.ServiceName, store.MethodPrepare), func(transport.Request) {
@@ -303,7 +304,7 @@ func TestAbortOvertakingPrepareLeavesNothing(t *testing.T) {
 			t.Fatalf("%s still holds intentions %v", st, pend)
 		}
 	}
-	if out, err := w.ref("sv1").Invoke(ctx, "a2", "get", nil); err != nil || string(out) != "0" {
+	if out, err := call(ctx, w.ref("sv1"), "a2", "get", nil); err != nil || string(out) != "0" {
 		t.Fatalf("read after the abort = %q, %v; want the restored 0", out, err)
 	}
 }
@@ -328,7 +329,7 @@ func TestAbortOvertakingOnePhaseRoundKeepsItsCommit(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.soloRef("sv1", "st1")
-	if _, err := ref.Invoke(ctx, "a1", "add", []byte("3")); err != nil {
+	if _, err := call(ctx, ref, "a1", "add", []byte("3")); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Faults().OnReply(1, onePhaseStoreRound("st1"), func(transport.Request) {
@@ -339,10 +340,10 @@ func TestAbortOvertakingOnePhaseRoundKeepsItsCommit(t *testing.T) {
 	if _, err := w.ref("sv1").Prepare(ctx, "a1", []transport.Addr{"st1"}, true); rpc.CodeOf(err) != CodeCommitUncertain {
 		t.Fatalf("one-phase round overtaken by its abort: err = %v, want %s", err, CodeCommitUncertain)
 	}
-	if resp, err := ref.InvokeSolo(ctx, "a2", "get", nil, CarryCommit, nil); err != nil || string(resp.Result) != "3" {
+	if resp, err := ref.Invoke(ctx, InvokeReq{Action: "a2", Method: "get", Solo: true, Carry: CarryCommit}); err != nil || string(resp.Result) != "3" {
 		t.Fatalf("read after the overtaken round = %q, %v; want the committed 3", resp.Result, err)
 	}
-	if resp, err := ref.InvokeSolo(ctx, "a3", "add", []byte("1"), CarryCommit, nil); err != nil || resp.VoteErr() != nil {
+	if resp, err := ref.Invoke(ctx, InvokeReq{Action: "a3", Method: "add", Args: []byte("1"), Solo: true, Carry: CarryCommit}); err != nil || resp.VoteErr() != nil {
 		t.Fatalf("write after the overtaken round: %v, vote %v", err, resp.VoteErr())
 	}
 	if data, seq := w.stored(t, "st1"); data != "4" || seq != 3 {
@@ -366,12 +367,12 @@ func TestFoldedFollowerOfAnInDoubtOnePhaseRoundIsNotRetried(t *testing.T) {
 		w.reg.Register(class)
 		mgr := NewManager(w.cluster.Add("sv3"), w.reg)
 		ctx := context.Background()
-		if _, err := w.soloRef("sv3", "st1").Invoke(ctx, "lead", "add", []byte("1")); err != nil {
+		if _, err := call(ctx, w.soloRef("sv3", "st1"), "lead", "add", []byte("1")); err != nil {
 			t.Fatal(err)
 		}
 		follower := make(chan error, 1)
 		go func() {
-			_, err := w.soloRef("sv3", "st1").InvokeSolo(ctx, "follow", "add", []byte("10"), CarryCommit, nil)
+			_, err := w.soloRef("sv3", "st1").Invoke(ctx, InvokeReq{Action: "follow", Method: "add", Args: []byte("10"), Solo: true, Carry: CarryCommit})
 			follower <- err
 		}()
 		in, _ := mgr.lookup(w.id)

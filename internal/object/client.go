@@ -9,7 +9,8 @@ import (
 )
 
 // ServerRef is a typed client for the object server of one object at one
-// node.
+// node. Invoke is its one request for work under an action; the others end
+// actions, checkpoint, passivate and report.
 type ServerRef struct {
 	Client rpc.Client
 	Node   transport.Addr
@@ -17,13 +18,13 @@ type ServerRef struct {
 	// Name, when non-empty, is UID.String() as the caller already rendered
 	// it: a binding renders its object's name once, not once per request.
 	Name string
-	// Class and StNodes, when Class is non-empty, ride Invoke, InvokeFull,
-	// InvokeSolo and LeaseCheck: the server activates the object on a miss
-	// instead of refusing with CodeNotActive. A binding sets them on its
-	// first request, which makes a separate Activate unnecessary. StNodes
-	// alone rides an InvokeSolo that carries phase one. Failover rides with
-	// Class: the binding is here because a server it preferred did not
-	// answer (see InvokeReq.Failover).
+	// Class and StNodes, when Class is non-empty, ride Invoke: the server
+	// activates the object on a miss instead of refusing with CodeNotActive.
+	// A binding sets them on its first request, and a method-less invoke
+	// carrying them is an activation and nothing more. StNodes alone rides
+	// an invoke that carries phase one. Failover rides with Class: the
+	// binding is here because a server it preferred did not answer (see
+	// InvokeReq.Failover).
 	Class    string
 	StNodes  []transport.Addr
 	Failover bool
@@ -37,55 +38,14 @@ func (r ServerRef) name() string {
 	return r.UID.String()
 }
 
-// Activate asks the node to activate the object, loading state from one of
-// stNodes.
-func (r ServerRef) Activate(ctx context.Context, class string, stNodes []transport.Addr) (ActivateResp, error) {
-	return rpc.Invoke[ActivateReq, ActivateResp](ctx, r.Client, r.Node, ServiceName, MethodActivate, ActivateReq{
-		UID:     r.name(),
-		Class:   class,
-		StNodes: addrsToStrings(stNodes),
-	})
-}
-
-// invoke sends req, filling in the object and the ref's activation fields.
-func (r ServerRef) invoke(ctx context.Context, req InvokeReq) (InvokeResp, error) {
+// Invoke sends req — a method under req.Action, or a method-less request
+// (see InvokeReq) — filling in the object and the ref's activation fields.
+func (r ServerRef) Invoke(ctx context.Context, req InvokeReq) (InvokeResp, error) {
 	req.UID = r.name()
 	if r.Class != "" || req.Carry != CarryNone {
 		req.Class, req.StNodes, req.Failover = r.Class, addrsToStrings(r.StNodes), r.Failover
 	}
 	return rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, req)
-}
-
-// Invoke calls a method under the given (top-level) action.
-func (r ServerRef) Invoke(ctx context.Context, action, method string, args []byte) ([]byte, error) {
-	resp, err := r.invoke(ctx, InvokeReq{Action: action, Method: method, Args: args})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
-}
-
-// InvokeFull calls a method under the given action and returns the full
-// response. leaseHolder, when non-empty, names the client node
-// requesting a read lease on the object; a granted lease arrives in
-// InvokeResp.Lease.
-func (r ServerRef) InvokeFull(ctx context.Context, action, method string, args []byte, leaseHolder string) (InvokeResp, error) {
-	return r.invoke(ctx, InvokeReq{Action: action, Method: method, Args: args, LeaseHolder: leaseHolder})
-}
-
-// InvokeSolo calls a method under the given action, declaring that the
-// invocation is the action's entire write set. That permits the server to
-// fold a commutative method into another action's commit (flat
-// combining); the full response is returned so the caller can see whether
-// the operation was batched. carry asks the server to go on into the
-// action's phase one against the ref's StNodes (see InvokeReq.Carry), with
-// checkpointTo as a one-phase Prepare's; the vote is in the response.
-func (r ServerRef) InvokeSolo(ctx context.Context, action, method string, args []byte, carry Carry, checkpointTo []transport.Addr) (InvokeResp, error) {
-	req := InvokeReq{Action: action, Method: method, Args: args, Solo: true, Carry: carry}
-	if len(checkpointTo) > 0 {
-		req.CheckpointTo = addrsToStrings(checkpointTo)
-	}
-	return r.invoke(ctx, req)
 }
 
 // Prepare runs the server's commit-time state copy to stNodes (phase one).
@@ -108,21 +68,6 @@ func (r ServerRef) Commit(ctx context.Context, action string, checkpointTo ...tr
 		Action:       action,
 		CheckpointTo: addrsToStrings(checkpointTo),
 	})
-}
-
-// LeaseCheck acquires the object's read lock under the action and returns
-// the committed version the server holds — commit-time revalidation for a
-// transaction that mixed leased reads with writes.
-func (r ServerRef) LeaseCheck(ctx context.Context, action string) (uint64, error) {
-	req := LeaseCheckReq{UID: r.name(), Action: action}
-	if r.Class != "" {
-		req.Class, req.StNodes, req.Failover = r.Class, addrsToStrings(r.StNodes), r.Failover
-	}
-	resp, err := rpc.Invoke[LeaseCheckReq, LeaseCheckResp](ctx, r.Client, r.Node, ServiceName, MethodLeaseCheck, req)
-	if err != nil {
-		return 0, err
-	}
-	return resp.Seq, nil
 }
 
 // Install pushes a committed state snapshot into the server, creating the

@@ -43,6 +43,8 @@ import "sync"
 // opOutcome is the resolution of one queued operation.
 type opOutcome struct {
 	result []byte
+	// seq is the committed version the operation ran on.
+	seq uint64
 	// batchSize is the total number of operations the carrying commit
 	// folded (leader's own included).
 	batchSize int
@@ -53,13 +55,14 @@ type opOutcome struct {
 }
 
 // pendingOp is one operation parked in a combiner queue. done is buffered
-// so the resolver never blocks on an abandoned waiter. result is filled
-// at fold time (under the instance mutex) and delivered on commit.
+// so the resolver never blocks on an abandoned waiter. result and seq are
+// filled at fold time (under the instance mutex) and delivered on commit.
 type pendingOp struct {
 	action string
 	method string
 	args   []byte
 	result []byte
+	seq    uint64
 	done   chan opOutcome
 }
 

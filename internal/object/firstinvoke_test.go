@@ -45,7 +45,7 @@ func TestConcurrentFirstInvokesAtFreshServer(t *testing.T) {
 				go func(i int, id uid.UID) {
 					defer wg.Done()
 					act := fmt.Sprintf("%s-%d", incarnation, i)
-					if _, err := w.firstRef("sv1", id).Invoke(ctx, act, "add", []byte("1")); err != nil {
+					if _, err := call(ctx, w.firstRef("sv1", id), act, "add", []byte("1")); err != nil {
 						errs[i] = fmt.Errorf("first invoke: %w", err)
 						return
 					}
@@ -75,32 +75,32 @@ func TestConcurrentFirstInvokesAtFreshServer(t *testing.T) {
 func TestFirstRequestActivatesLaterRequestDoesNot(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-	if _, err := w.ref("sv1").Invoke(ctx, "a1", "get", nil); !IsNotActive(err) {
+	if _, err := call(ctx, w.ref("sv1"), "a1", "get", nil); !IsNotActive(err) {
 		t.Fatalf("plain invoke of a passive object: err = %v, want not-active", err)
 	}
-	if _, err := w.ref("sv1").LeaseCheck(ctx, "a1"); !IsNotActive(err) {
-		t.Fatalf("plain lease check of a passive object: err = %v, want not-active", err)
+	if _, err := w.ref("sv1").Invoke(ctx, InvokeReq{Action: "a1"}); !IsNotActive(err) {
+		t.Fatalf("plain method-less invoke of a passive object: err = %v, want not-active", err)
 	}
-	out, err := w.firstRef("sv1", w.id).Invoke(ctx, "a1", "add", []byte("3"))
+	out, err := call(ctx, w.firstRef("sv1", w.id), "a1", "add", []byte("3"))
 	if err != nil || string(out) != "3" {
 		t.Fatalf("first invoke = %q, %v", out, err)
 	}
 	if st, err := w.ref("sv1").Status(ctx); err != nil || !st.Active || st.Users != 1 {
 		t.Fatalf("status after first invoke = %+v, %v", st, err)
 	}
-	// The first request may be a lease check just as well.
-	seq, err := w.firstRef("sv2", w.id).LeaseCheck(ctx, "a2")
-	if err != nil || seq != 1 {
-		t.Fatalf("first lease check = %d, %v; want seq 1", seq, err)
+	// The first request may be a method-less check just as well.
+	check, err := w.firstRef("sv2", w.id).Invoke(ctx, InvokeReq{Action: "a2"})
+	if err != nil || check.Seq != 1 {
+		t.Fatalf("first method-less invoke = %+v, %v; want seq 1", check, err)
 	}
 	// Activation's own refusals come back under activation's codes.
 	bad := w.firstRef("sv2", uid.NewGenerator("nowhere", 1).New())
-	if _, err := bad.Invoke(ctx, "a3", "get", nil); rpc.CodeOf(err) != CodeUnavailable {
+	if _, err := call(ctx, bad, "a3", "get", nil); rpc.CodeOf(err) != CodeUnavailable {
 		t.Fatalf("first invoke with no state anywhere: err = %v, want %s", err, CodeUnavailable)
 	}
 	bad = w.firstRef("sv2", uid.NewGenerator("nowhere", 1).New())
 	bad.Class = "nonesuch"
-	if _, err := bad.Invoke(ctx, "a3", "get", nil); rpc.CodeOf(err) != rpc.CodeNotFound {
+	if _, err := call(ctx, bad, "a3", "get", nil); rpc.CodeOf(err) != rpc.CodeNotFound {
 		t.Fatalf("first invoke of an unknown class: err = %v, want %s", err, rpc.CodeNotFound)
 	}
 }
@@ -112,7 +112,7 @@ func TestFirstInvokeAfterPassivationReactivates(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	mgr := NewManager(w.cluster.Add("sv3"), w.reg)
-	if _, err := w.firstRef("sv3", w.id).Invoke(ctx, "a1", "add", []byte("5")); err != nil {
+	if _, err := call(ctx, w.firstRef("sv3", w.id), "a1", "add", []byte("5")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.ref("sv3").Prepare(ctx, "a1", []transport.Addr{"st1", "st2"}, false); err != nil {
@@ -124,7 +124,7 @@ func TestFirstInvokeAfterPassivationReactivates(t *testing.T) {
 	if rep := mgr.PassivateQuiescent(); len(rep.Passivated) != 1 {
 		t.Fatalf("sweep passivated %v, want the one quiescent instance", rep.Passivated)
 	}
-	out, err := w.firstRef("sv3", w.id).Invoke(ctx, "a2", "get", nil)
+	out, err := call(ctx, w.firstRef("sv3", w.id), "a2", "get", nil)
 	if err != nil || string(out) != "5" {
 		t.Fatalf("first invoke after the sweep = %q, %v; want the committed 5", out, err)
 	}
@@ -143,7 +143,7 @@ func TestFailoverRequestRevalidatesLeftBehindCopy(t *testing.T) {
 	stores := []transport.Addr{"st1", "st2"}
 	commitAt := func(node transport.Addr, act, delta string) {
 		t.Helper()
-		if _, err := w.firstRef(node, w.id).Invoke(ctx, act, "add", []byte(delta)); err != nil {
+		if _, err := call(ctx, w.firstRef(node, w.id), act, "add", []byte(delta)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := w.ref(node).Prepare(ctx, act, stores, false); err != nil {
@@ -158,7 +158,7 @@ func TestFailoverRequestRevalidatesLeftBehindCopy(t *testing.T) {
 
 	// The copy at sv2 is current: a failover request is served from it.
 	commitAt("sv2", "w1", "1")
-	if out, err := failover.Invoke(ctx, "r1", "get", nil); err != nil || string(out) != "1" {
+	if out, err := call(ctx, failover, "r1", "get", nil); err != nil || string(out) != "1" {
 		t.Fatalf("failover read of a current copy = %q, %v; want 1", out, err)
 	}
 	if _, err := w.ref("sv2").Abort(ctx, "r1"); err != nil {
@@ -167,28 +167,28 @@ func TestFailoverRequestRevalidatesLeftBehindCopy(t *testing.T) {
 
 	// Writers return to sv1; sv2's copy is left behind at 1.
 	commitAt("sv1", "w2", "4")
-	if out, err := w.firstRef("sv2", w.id).Invoke(ctx, "r2", "get", nil); err != nil || string(out) != "1" {
+	if out, err := call(ctx, w.firstRef("sv2", w.id), "r2", "get", nil); err != nil || string(out) != "1" {
 		t.Fatalf("plain first read at sv2 = %q, %v; want the copy as it stands (1)", out, err)
 	}
 	// r2 still holds its read lock: the stale copy is in use and cannot be
 	// replaced under it, so the failover request is turned away.
-	if _, err := failover.Invoke(ctx, "r3", "get", nil); rpc.CodeOf(err) != CodeUnavailable {
+	if _, err := call(ctx, failover, "r3", "get", nil); rpc.CodeOf(err) != CodeUnavailable {
 		t.Fatalf("failover read of a stale copy in use: err = %v, want %s", err, CodeUnavailable)
 	}
 	if _, err := w.ref("sv2").Abort(ctx, "r2"); err != nil {
 		t.Fatal(err)
 	}
 	// Quiescent now: destroyed and reloaded inside the request.
-	if out, err := failover.Invoke(ctx, "r4", "get", nil); err != nil || string(out) != "5" {
+	if out, err := call(ctx, failover, "r4", "get", nil); err != nil || string(out) != "5" {
 		t.Fatalf("failover read of a stale quiescent copy = %q, %v; want the committed 5", out, err)
 	}
 	if _, err := w.ref("sv2").Abort(ctx, "r4"); err != nil {
 		t.Fatal(err)
 	}
-	// The lease check is a first request too.
+	// The method-less check is a first request too.
 	commitAt("sv1", "w3", "1")
-	if seq, err := failover.LeaseCheck(ctx, "r5"); err != nil || seq != 4 {
-		t.Fatalf("failover lease check = seq %d, %v; want the stores' 4", seq, err)
+	if check, err := failover.Invoke(ctx, InvokeReq{Action: "r5"}); err != nil || check.Seq != 4 {
+		t.Fatalf("failover method-less invoke = %+v, %v; want the stores' seq 4", check, err)
 	}
 	if _, err := w.ref("sv2").Abort(ctx, "r5"); err != nil {
 		t.Fatal(err)
@@ -196,13 +196,13 @@ func TestFailoverRequestRevalidatesLeftBehindCopy(t *testing.T) {
 
 	// A copy behind the stores with a writer on it is left to that writer's
 	// prepare: sv1's commit below lands while w4 holds sv2's write lock.
-	if _, err := w.ref("sv2").Invoke(ctx, "w4", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, w.ref("sv2"), "w4", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	commitAt("sv1", "w5", "1")
 	readCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
-	if _, err := failover.Invoke(readCtx, "r6", "get", nil); rpc.CodeOf(err) != rpc.CodeRefused {
+	if _, err := call(readCtx, failover, "r6", "get", nil); rpc.CodeOf(err) != rpc.CodeRefused {
 		t.Fatalf("failover read behind a writer: err = %v, want the read lock's wait to run out (%s)", err, rpc.CodeRefused)
 	}
 	if _, err := w.ref("sv2").Prepare(ctx, "w4", stores, false); rpc.CodeOf(err) != CodeStaleServer {

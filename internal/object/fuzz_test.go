@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzBinaryInvokeDecode hardens the hottest binary codecs in the system:
-// decoding arbitrary bytes as an invoke request or reply, or as the prepare
-// request that a carried phase one stands in for, must never panic,
+// decoding arbitrary bytes as an invoke request (method-less ones
+// included) or reply, or as the prepare request that a carried phase one
+// stands in for, must never panic,
 // over-read or over-allocate, and whatever decodes cleanly must survive a
 // decode -> re-encode -> decode round trip unchanged. Torn and mutated
 // frames (also checked in under testdata/fuzz/FuzzBinaryInvokeDecode) must
@@ -20,6 +21,14 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	respFrame, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Batched: true, BatchSize: 4, WaitNanos: -9})
+	if err != nil {
+		f.Fatal(err)
+	}
+	checkReq, err := rpc.Encode(&InvokeReq{UID: "obj-1", Action: "act-1", Class: "counter", StNodes: []string{"st1"}, Failover: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seqResp, err := rpc.Encode(&InvokeResp{Seq: 1 << 33, WaitNanos: 7})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -41,6 +50,8 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	}
 	f.Add(reqFrame)
 	f.Add(respFrame)
+	f.Add(checkReq)
+	f.Add(seqResp)
 	f.Add(carryReq)
 	f.Add(carryResp)
 	f.Add(refusedResp)

@@ -77,32 +77,61 @@ func (w *world) ref(node transport.Addr) ServerRef {
 	return ServerRef{Client: w.cluster.Node("client").Client(), Node: node, UID: w.id}
 }
 
+// activate sends a binding's activation probe through ref: a method-less
+// request naming the class and the St view and no action, which activates
+// the object and locks nothing.
+func activate(ctx context.Context, ref ServerRef, class string, stNodes ...transport.Addr) (InvokeResp, error) {
+	ref.Class, ref.StNodes = class, stNodes
+	return ref.Invoke(ctx, InvokeReq{})
+}
+
+// call invokes method under action through ref and returns its result.
+func call(ctx context.Context, ref ServerRef, action, method string, args []byte) ([]byte, error) {
+	resp, err := ref.Invoke(ctx, InvokeReq{Action: action, Method: method, Args: args})
+	return resp.Result, err
+}
+
 func TestActivateLoadsFromStore(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-	resp, err := w.ref("sv1").Activate(ctx, "counter", []transport.Addr{"st1", "st2"})
+	resp, err := activate(ctx, w.ref("sv1"), "counter", "st1", "st2")
 	if err != nil {
 		t.Fatalf("activate: %v", err)
 	}
-	if !resp.Fresh || resp.Seq != 1 || resp.LoadedFrom != "st1" {
+	if resp.Seq != 1 || resp.Result != nil || resp.Modified {
 		t.Fatalf("resp = %+v", resp)
 	}
-	// Second activation is idempotent.
-	resp2, err := w.ref("sv1").Activate(ctx, "counter", []transport.Addr{"st1"})
-	if err != nil || resp2.Fresh {
+	if st, err := w.ref("sv1").Status(ctx); err != nil || !st.Active || st.Users != 0 {
+		t.Fatalf("status after activation = %+v, %v; want active with no user", st, err)
+	}
+	// Second activation is idempotent: the copy in memory stands, however
+	// far the stores have moved on.
+	w.cluster.Node("st1").Store().Put(w.id, []byte("9"), 2)
+	resp2, err := activate(ctx, w.ref("sv1"), "counter", "st1")
+	if err != nil || resp2.Seq != 1 {
 		t.Fatalf("re-activate: %+v %v", resp2, err)
+	}
+	// With no class the request activates nothing: it reports the version
+	// of a server already there, and refuses where there is none.
+	if resp, err := w.ref("sv1").Invoke(ctx, InvokeReq{}); err != nil || resp.Seq != 1 {
+		t.Fatalf("method-less request without class = %+v, %v", resp, err)
+	}
+	if _, err := w.ref("sv2").Invoke(ctx, InvokeReq{}); !IsNotActive(err) {
+		t.Fatalf("method-less request without class at a passive node: err = %v, want not-active", err)
 	}
 }
 
 func TestActivateFallsBackAcrossStores(t *testing.T) {
 	w := newWorld(t)
+	// Only st2 holds version 2: a copy at 2 was loaded from st2.
+	w.cluster.Node("st2").Store().Put(w.id, []byte("4"), 2)
 	w.cluster.Node("st1").Crash()
-	resp, err := w.ref("sv1").Activate(context.Background(), "counter", []transport.Addr{"st1", "st2"})
+	resp, err := activate(context.Background(), w.ref("sv1"), "counter", "st1", "st2")
 	if err != nil {
 		t.Fatalf("activate: %v", err)
 	}
-	if resp.LoadedFrom != "st2" {
-		t.Fatalf("loaded from %s, want st2", resp.LoadedFrom)
+	if resp.Seq != 2 {
+		t.Fatalf("loaded seq %d, want st2's 2", resp.Seq)
 	}
 }
 
@@ -110,7 +139,7 @@ func TestActivateNoStoreAvailable(t *testing.T) {
 	w := newWorld(t)
 	w.cluster.Node("st1").Crash()
 	w.cluster.Node("st2").Crash()
-	_, err := w.ref("sv1").Activate(context.Background(), "counter", []transport.Addr{"st1", "st2"})
+	_, err := activate(context.Background(), w.ref("sv1"), "counter", "st1", "st2")
 	if rpc.CodeOf(err) != CodeUnavailable {
 		t.Fatalf("err = %v, want unavailable", err)
 	}
@@ -118,15 +147,55 @@ func TestActivateNoStoreAvailable(t *testing.T) {
 
 func TestActivateUnknownClass(t *testing.T) {
 	w := newWorld(t)
-	_, err := w.ref("sv1").Activate(context.Background(), "nonesuch", []transport.Addr{"st1"})
+	_, err := activate(context.Background(), w.ref("sv1"), "nonesuch", "st1")
 	if rpc.CodeOf(err) != rpc.CodeNotFound {
 		t.Fatalf("err = %v", err)
 	}
 }
 
+// TestMethodLessInvokeHoldsReadLockUntilReadOnlyVote: a method-less request
+// under an action takes the read lock and binds the action as a read does:
+// a writer queues behind it until the action's Prepare releases it as a
+// read-only vote, reporting the version the check saw.
+func TestMethodLessInvokeHoldsReadLockUntilReadOnlyVote(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	ref := w.ref("sv1")
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
+		t.Fatal(err)
+	}
+	check, err := ref.Invoke(ctx, InvokeReq{Action: "checker"})
+	if err != nil || check.Seq != 1 || check.Modified || check.Lease != nil {
+		t.Fatalf("check = %+v, %v; want seq 1, nothing written or granted", check, err)
+	}
+	if st, err := ref.Status(ctx); err != nil || st.Users != 1 {
+		t.Fatalf("status = %+v, %v; want the checker bound", st, err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := call(ctx, ref, "writer", "add", []byte("1"))
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		t.Fatalf("writer ran past the check's read lock: %v", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	vote, err := ref.Prepare(ctx, "checker", []transport.Addr{"st1", "st2"}, false)
+	if err != nil || vote.Dirty || vote.NewSeq != check.Seq {
+		t.Fatalf("checker's prepare = %+v, %v; want a read-only vote at seq %d", vote, err, check.Seq)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("writer after the read-only vote: %v", err)
+	}
+	if _, err := ref.Abort(ctx, "writer"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInvokeRequiresActivation(t *testing.T) {
 	w := newWorld(t)
-	_, err := w.ref("sv1").Invoke(context.Background(), "a1", "get", nil)
+	_, err := call(context.Background(), w.ref("sv1"), "a1", "get", nil)
 	if !IsNotActive(err) {
 		t.Fatalf("err = %v, want not-active", err)
 	}
@@ -136,10 +205,10 @@ func TestInvokeCommitWritesBackToAllStores(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.Invoke(ctx, "act1", "add", []byte("5"))
+	res, err := call(ctx, ref, "act1", "add", []byte("5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +244,10 @@ func TestPrepareReportsFailedStores(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "act1", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "act1", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st2").Crash()
@@ -204,10 +273,10 @@ func TestPrepareAllStoresDownAborts(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "act1", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "act1", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st1").Crash()
@@ -222,10 +291,10 @@ func TestAbortRestoresSnapshotAndStores(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "act1", "add", []byte("7")); err != nil {
+	if _, err := call(ctx, ref, "act1", "add", []byte("7")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ref.Prepare(ctx, "act1", []transport.Addr{"st1", "st2"}, false); err != nil {
@@ -235,7 +304,7 @@ func TestAbortRestoresSnapshotAndStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In-memory state restored.
-	res, err := ref.Invoke(ctx, "act2", "get", nil)
+	res, err := call(ctx, ref, "act2", "get", nil)
 	if err != nil || string(res) != "0" {
 		t.Fatalf("after abort get = %q, %v", res, err)
 	}
@@ -254,10 +323,10 @@ func TestReadOnlyActionNeedsNoCopy(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "ro-act", "get", nil); err != nil {
+	if _, err := call(ctx, ref, "ro-act", "get", nil); err != nil {
 		t.Fatal(err)
 	}
 	prep, err := ref.Prepare(ctx, "ro-act", []transport.Addr{"st1", "st2"}, false)
@@ -276,16 +345,16 @@ func TestWriteLockSerializesActions(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "writer1", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "writer1", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	// A second action's write blocks until the first ends.
 	blockedCtx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	defer cancel()
-	_, err := ref.Invoke(blockedCtx, "writer2", "add", []byte("1"))
+	_, err := call(blockedCtx, ref, "writer2", "add", []byte("1"))
 	if rpc.CodeOf(err) != rpc.CodeRefused {
 		t.Fatalf("expected lock refusal, got %v", err)
 	}
@@ -293,7 +362,7 @@ func TestWriteLockSerializesActions(t *testing.T) {
 	if _, err := ref.Commit(ctx, "writer1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "writer2", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "writer2", "add", []byte("1")); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
 	if _, err := ref.Abort(ctx, "writer2"); err != nil {
@@ -305,12 +374,12 @@ func TestSharedReadersDontBlock(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		act := fmt.Sprintf("reader%d", i)
-		if _, err := ref.Invoke(ctx, act, "get", nil); err != nil {
+		if _, err := call(ctx, ref, act, "get", nil); err != nil {
 			t.Fatalf("%s: %v", act, err)
 		}
 	}
@@ -325,16 +394,16 @@ func TestFailedMethodLeavesStateIntact(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "a", "fail", nil); rpc.CodeOf(err) != rpc.CodeInternal {
+	if _, err := call(ctx, ref, "a", "fail", nil); rpc.CodeOf(err) != rpc.CodeInternal {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := ref.Abort(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.Invoke(ctx, "b", "get", nil)
+	res, err := call(ctx, ref, "b", "get", nil)
 	if err != nil || string(res) != "0" {
 		t.Fatalf("get = %q %v", res, err)
 	}
@@ -347,10 +416,10 @@ func TestPassivationQuiescence(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "user1", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "user1", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	// Not quiescent: refuse.
@@ -379,7 +448,7 @@ func TestCrashDestroysActivatedObjects(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
 	node := w.cluster.Node("sv1")
@@ -405,7 +474,7 @@ func TestGroupInvocationTotalOrderAcrossReplicas(t *testing.T) {
 		host := group.NewHost(n.Server(), n.Client())
 		mgr.EnableGroupInvocation(host)
 		ref := ServerRef{Client: w.cluster.Node("client").Client(), Node: sv, UID: w.id}
-		if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+		if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,13 +500,46 @@ func TestGroupInvocationTotalOrderAcrossReplicas(t *testing.T) {
 		if _, err := ref.Commit(ctx, "act"); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ref.Invoke(ctx, "check", "get", nil)
+		got, err := call(ctx, ref, "check", "get", nil)
 		if err != nil || string(got) != "5" {
 			t.Fatalf("%s value = %q, %v", sv, got, err)
 		}
 		if _, err := ref.Commit(ctx, "check"); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAdmitLosingRaceKeepsResidentInstance: an instance admitted for an
+// object the table already holds — a cohort checkpoint losing the race to
+// an activation — is dropped. The resident instance is returned and stays
+// the group member, so group deliveries still reach it.
+func TestAdmitLosingRaceKeepsResidentInstance(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	n := w.cluster.Node("sv1")
+	mgr := NewManager(n, w.reg)
+	mgr.EnableGroupInvocation(group.NewHost(n.Server(), n.Client()))
+	if _, err := activate(ctx, w.ref("sv1"), "counter", "st1", "st2"); err != nil {
+		t.Fatal(err)
+	}
+	resident, _ := mgr.lookup(w.id)
+	class, _ := w.reg.Lookup("counter")
+	if got, admitted := mgr.admit(mgr.newInstance(class, w.id, []byte("100"), 5, nil)); admitted || got != resident {
+		t.Fatalf("admit over a resident instance: admitted %v, resident returned %v", admitted, got == resident)
+	}
+	g := group.Group{ID: GroupPrefix + w.id.String(), Members: []transport.Addr{"sv1"}}
+	payload, err := rpc.Encode(&InvokeReq{UID: w.id.String(), Action: "act", Method: "add", Args: []byte("1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := group.Multicast(ctx, w.cluster.Node("client").Client(), g, KindInvoke, payload)
+	if err != nil || len(res.Replies) != 1 || res.Replies[0].Err != "" {
+		t.Fatalf("multicast: %+v, %v", res, err)
+	}
+	var resp InvokeResp
+	if err := rpc.Decode(res.Replies[0].Payload, &resp); err != nil || string(resp.Result) != "1" || resp.Seq != 1 {
+		t.Fatalf("group delivery answered %+v, %v; want the resident copy's 1 at seq 1", resp, err)
 	}
 }
 
@@ -469,10 +571,10 @@ func TestReadOnlyPrepareReleasesServer(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "reader", "get", nil); err != nil {
+	if _, err := call(ctx, ref, "reader", "get", nil); err != nil {
 		t.Fatal(err)
 	}
 	prep, err := ref.Prepare(ctx, "reader", []transport.Addr{"st1", "st2"}, false)
@@ -490,7 +592,7 @@ func TestReadOnlyPrepareReleasesServer(t *testing.T) {
 		t.Fatalf("users after read-only prepare = %d, want 0 (released)", st.Users)
 	}
 	// The read lock is gone: a writer acquires immediately.
-	if _, err := ref.Invoke(ctx, "writer", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "writer", "add", []byte("1")); err != nil {
 		t.Fatalf("write after read-only release: %v", err)
 	}
 }
@@ -501,10 +603,10 @@ func TestOnePhasePrepareSingleStore(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "op-act", "add", []byte("7")); err != nil {
+	if _, err := call(ctx, ref, "op-act", "add", []byte("7")); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := ref.Prepare(ctx, "op-act", []transport.Addr{"st1"}, true)
@@ -534,10 +636,10 @@ func TestOnePhasePrepareReadOnlyReleases(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "ro", "get", nil); err != nil {
+	if _, err := call(ctx, ref, "ro", "get", nil); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := ref.Prepare(ctx, "ro", []transport.Addr{"st1"}, true)
@@ -568,10 +670,10 @@ func TestPrepareNeverExcludesTheStoreThatIsAhead(t *testing.T) {
 	ctx := context.Background()
 	ref := w.ref("sv1")
 	stNodes := []transport.Addr{"st1", "st2"}
-	if _, err := ref.Activate(ctx, "counter", stNodes); err != nil {
+	if _, err := activate(ctx, ref, "counter", stNodes...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "stale-act", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "stale-act", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st1").Store().Put(w.id, []byte("9"), 2)
@@ -585,10 +687,10 @@ func TestPrepareNeverExcludesTheStoreThatIsAhead(t *testing.T) {
 
 	// The opposite direction stays an exclusion: a fresh copy (seq 2, from
 	// st1) writes seq 3; st2, still at seq 1, is the one behind.
-	if _, err := ref.Activate(ctx, "counter", stNodes); err != nil {
+	if _, err := activate(ctx, ref, "counter", stNodes...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "fresh-act", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "fresh-act", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	// st2 still carries stale-act's orphaned intention; clear it so the
@@ -613,10 +715,10 @@ func TestOnePhasePrepareOverTwoStoresIsRefused(t *testing.T) {
 	ctx := context.Background()
 	ref := w.ref("sv1")
 	stNodes := []transport.Addr{"st1", "st2"}
-	if _, err := ref.Activate(ctx, "counter", stNodes); err != nil {
+	if _, err := activate(ctx, ref, "counter", stNodes...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "a1", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "a1", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ref.Prepare(ctx, "a1", stNodes, true); rpc.CodeOf(err) != rpc.CodeInternal {
@@ -641,10 +743,10 @@ func TestOnePhasePrepareStaleSingleStoreAborts(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Invoke(ctx, "stale-act", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, ref, "stale-act", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	// Another server commits seq 2 behind this copy's back.

@@ -11,7 +11,7 @@ func TestPassivateQuiescentSweep(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	ref := w.ref("sv1")
-	if _, err := ref.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, ref, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
 	// Find the manager: newWorld created one per sv node but did not keep
@@ -19,7 +19,7 @@ func TestPassivateQuiescentSweep(t *testing.T) {
 	n := w.cluster.Add("svP")
 	mgr := NewManager(n, w.reg)
 	refP := ServerRef{Client: w.cluster.Node("client").Client(), Node: "svP", UID: w.id}
-	if _, err := refP.Activate(ctx, "counter", []transport.Addr{"st1", "st2"}); err != nil {
+	if _, err := activate(ctx, refP, "counter", "st1", "st2"); err != nil {
 		t.Fatal(err)
 	}
 	if mgr.ActiveCount() != 1 {
@@ -27,7 +27,7 @@ func TestPassivateQuiescentSweep(t *testing.T) {
 	}
 
 	// A user is active: the sweep must skip the instance.
-	if _, err := refP.Invoke(ctx, "a1", "add", []byte("1")); err != nil {
+	if _, err := call(ctx, refP, "a1", "add", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	rep := mgr.PassivateQuiescent()
@@ -56,11 +56,10 @@ func TestPassivateQuiescentSweep(t *testing.T) {
 	}
 
 	// Re-activation works afterwards (state still in the stores).
-	resp, err := refP.Activate(ctx, "counter", []transport.Addr{"st1", "st2"})
-	if err != nil || !resp.Fresh {
-		t.Fatalf("re-activate: %+v %v", resp, err)
+	if _, err := activate(ctx, refP, "counter", "st1", "st2"); err != nil || mgr.ActiveCount() != 1 {
+		t.Fatalf("re-activate: %v (active %d)", err, mgr.ActiveCount())
 	}
-	got, err := refP.Invoke(ctx, "a2", "get", nil)
+	got, err := call(ctx, refP, "a2", "get", nil)
 	if err != nil || string(got) != "1" {
 		t.Fatalf("state after passivation cycle = %q %v", got, err)
 	}

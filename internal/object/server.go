@@ -23,7 +23,6 @@ const ServiceName = "objsrv"
 
 // RPC method names.
 const (
-	MethodActivate  = "Activate"
 	MethodInvoke    = "Invoke"
 	MethodPrepare   = "Prepare"
 	MethodCommit    = "Commit"
@@ -31,10 +30,6 @@ const (
 	MethodPassivate = "Passivate"
 	MethodStatus    = "Status"
 	MethodInstall   = "Install"
-	// MethodLeaseCheck acquires the object's read lock under an action and
-	// returns the committed version — the commit-time revalidation a
-	// transaction that mixed leased reads with writes performs.
-	MethodLeaseCheck = "LeaseCheck"
 )
 
 // Application error codes specific to object servers.
@@ -183,7 +178,6 @@ type Manager struct {
 func NewManager(node *sim.Node, registry *Registry) *Manager {
 	m := &Manager{node: node, registry: registry, stats: node.Metrics()}
 	srv := node.Server()
-	srv.Handle(ServiceName, MethodActivate, rpc.Method(m.handleActivate))
 	srv.Handle(ServiceName, MethodInvoke, rpc.Method(m.handleInvoke))
 	srv.Handle(ServiceName, MethodPrepare, rpc.Method(m.handlePrepare))
 	srv.Handle(ServiceName, MethodCommit, rpc.Method(m.handleCommit))
@@ -191,7 +185,6 @@ func NewManager(node *sim.Node, registry *Registry) *Manager {
 	srv.Handle(ServiceName, MethodPassivate, rpc.Method(m.handlePassivate))
 	srv.Handle(ServiceName, MethodStatus, rpc.Method(m.handleStatus))
 	srv.Handle(ServiceName, MethodInstall, rpc.Method(m.handleInstall))
-	srv.Handle(ServiceName, MethodLeaseCheck, rpc.Method(m.handleLeaseCheck))
 	return m
 }
 
@@ -243,27 +236,19 @@ func (m *Manager) lookup(id uid.UID) (*instance, bool) {
 
 // --- wire records ---
 
-// ActivateReq activates an object at this node, loading state from one of
-// the StNodes.
-type ActivateReq struct {
-	UID     string
-	Class   string
-	StNodes []string
-}
-
-// ActivateResp reports the activation result.
-type ActivateResp struct {
-	// Seq is the committed version loaded (or already in memory).
-	Seq uint64
-	// Fresh is true when this call created the server (false: already
-	// active).
-	Fresh bool
-	// LoadedFrom is the St node that supplied the state ("" if already
-	// active).
-	LoadedFrom string
-}
-
-// InvokeReq invokes a method under an action.
+// InvokeReq invokes a method under an action. It is the object server's one
+// request for work under an action.
+//
+// A request with no Method runs none. With an Action it takes the object's
+// read lock for that action and records the action bound, as a read-only
+// method does before it runs: the re-check of a read served with no lock
+// behind it (a lease, a carried read-only vote). A writer that superseded
+// that read cannot release its write lock before its lease fence completes,
+// so a granted read lock plus a matching InvokeResp.Seq proves the read
+// still the latest committed state, and keeps it so through the action's
+// commit. Without an Action it takes no lock and records nothing: with
+// Class set it is an activation probe. A method-less request is never Solo,
+// never carries phase one and is never granted a lease.
 type InvokeReq struct {
 	UID    string
 	Action string
@@ -283,11 +268,11 @@ type InvokeReq struct {
 	LeaseHolder string
 	// Class and StNodes ride a binding's first request: when Class is
 	// non-empty and the object has no server at this node, the handler
-	// activates it — as Activate would — before invoking. Later requests
-	// leave Class empty; a miss is then CodeNotActive. Failover says that
-	// the binding tried a server it preferred first and got no answer: a
-	// copy already activated here is then checked against the stores before
-	// it serves (Manager.revalidate).
+	// activates it, loading its state from StNodes, before invoking. Later
+	// requests leave Class empty; a miss is then CodeNotActive. Failover
+	// says that the binding tried a server it preferred first and got no
+	// answer: a copy already activated here is then checked against the
+	// stores before it serves (Manager.revalidate).
 	Class    string
 	StNodes  []string
 	Failover bool
@@ -320,6 +305,9 @@ const (
 type InvokeResp struct {
 	Result   []byte
 	Modified bool
+	// Seq is the committed version the object held when the request ran,
+	// read under the request's lock when it took one.
+	Seq uint64
 	// Batched reports that the op was folded into another action's commit,
 	// which has ALREADY COMMITTED: the effect is durable and the invoking
 	// action has nothing left to write or prepare.
@@ -421,29 +409,6 @@ type EndResp struct {
 	FailedNodes []string
 }
 
-// LeaseCheckReq asks the server for the object's committed version under
-// the action's READ LOCK — the commit-time revalidation of a leased read
-// in a transaction that also wrote. Acquiring the lock (strict 2PL: held
-// until the action ends) is the point: a writer that superseded the
-// leased version cannot release its write lock before its lease fence
-// completes, so a granted read lock plus a matching version proves the
-// leased snapshot is still the latest committed state — and keeps it so
-// through the checking action's own commit.
-type LeaseCheckReq struct {
-	UID    string
-	Action string
-	// Class, StNodes and Failover ride a binding's first request; see
-	// InvokeReq.
-	Class    string
-	StNodes  []string
-	Failover bool
-}
-
-// LeaseCheckResp carries the committed version observed under the lock.
-type LeaseCheckResp struct {
-	Seq uint64
-}
-
 // PassivateReq asks the server to destroy a quiescent instance.
 type PassivateReq struct {
 	UID string
@@ -474,56 +439,49 @@ type StatusResp struct {
 
 // --- handlers ---
 
-func (m *Manager) handleActivate(ctx context.Context, from transport.Addr, req ActivateReq) (ActivateResp, error) {
-	id, err := uid.Parse(req.UID)
-	if err != nil {
-		return ActivateResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-	}
-	_, resp, err := m.activate(ctx, id, req.Class, req.StNodes)
-	return resp, err
-}
-
 // activate returns the node's server for the object, creating it — state
-// loaded from one of stNodes — when there is none. It is the one
-// implementation behind the Activate RPC and behind a binding's first
-// Invoke or LeaseCheck arriving at a node where the object is passive.
-func (m *Manager) activate(ctx context.Context, id uid.UID, className string, stNodes []string) (*instance, ActivateResp, error) {
+// loaded from one of stNodes — when there is none: a binding's first
+// request arriving at a node where the object is passive.
+func (m *Manager) activate(ctx context.Context, id uid.UID, className string, stNodes []string) (*instance, error) {
 	if in, ok := m.lookup(id); ok {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		return in, ActivateResp{Seq: in.seq, Fresh: false}, nil
+		return in, nil
 	}
-
 	class, err := m.registry.Lookup(className)
 	if err != nil {
-		return nil, ActivateResp{}, rpc.Errorf(rpc.CodeNotFound, "%v", err)
+		return nil, rpc.Errorf(rpc.CodeNotFound, "%v", err)
 	}
-	loaded, loadedFrom, found := m.loadState(ctx, id, stNodes)
+	loaded, found := m.loadState(ctx, id, stNodes)
 	if !found {
-		return nil, ActivateResp{}, rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v has its state", id, stNodes)
+		return nil, rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v has its state", id, stNodes)
 	}
-	in := m.newInstance(class, id, loaded.Data, loaded.Seq, append([]string(nil), stNodes...))
+	in, _ := m.admit(m.newInstance(class, id, loaded.Data, loaded.Seq, append([]string(nil), stNodes...)))
+	return in, nil
+}
+
+// admit puts a new instance into the node's instance table and joins it to
+// the object's group. When the table already holds a server for the object —
+// a concurrent activation or checkpoint won the race — in is dropped, and
+// the resident instance is returned with admitted false, its group
+// membership untouched.
+func (m *Manager) admit(in *instance) (resident *instance, admitted bool) {
 	t := m.table()
 	t.mu.Lock()
-	if existing, ok := t.m[id]; ok {
-		// Lost a race with a concurrent activation; use the winner.
+	if existing, ok := t.m[in.id]; ok {
 		t.mu.Unlock()
-		existing.mu.Lock()
-		defer existing.mu.Unlock()
-		return existing, ActivateResp{Seq: existing.seq, Fresh: false}, nil
+		return existing, false
 	}
-	t.m[id] = in
+	t.m[in.id] = in
 	t.mu.Unlock()
 	if m.ghost != nil {
-		m.ghost.Join(GroupPrefix+id.String(), m.groupApply(in))
+		m.ghost.Join(GroupPrefix+in.id.String(), m.groupApply(in))
 	}
-	return in, ActivateResp{Seq: loaded.Seq, Fresh: true, LoadedFrom: loadedFrom}, nil
+	return in, true
 }
 
 // loadState reads the object's latest committed state from the first store
 // node of stNodes that answers (§3.2(4): "each server is free to load the
 // state of the object from any of the nodes ∈ St").
-func (m *Manager) loadState(ctx context.Context, id uid.UID, stNodes []string) (loaded store.Version, from string, found bool) {
+func (m *Manager) loadState(ctx context.Context, id uid.UID, stNodes []string) (loaded store.Version, found bool) {
 	for _, st := range stNodes {
 		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
 		v, err := remote.Read(ctx, id)
@@ -542,9 +500,9 @@ func (m *Manager) loadState(ctx context.Context, id uid.UID, stNodes []string) (
 		if err != nil {
 			continue
 		}
-		return v, st, true
+		return v, true
 	}
-	return store.Version{}, "", false
+	return store.Version{}, false
 }
 
 // groupApply adapts group deliveries of KindInvoke to instance invocation.
@@ -579,7 +537,7 @@ func (m *Manager) handleInvoke(ctx context.Context, from transport.Addr, req Inv
 		return InvokeResp{}, err
 	}
 	resp, err := m.invokeOn(ctx, in, req)
-	if err != nil || !req.Solo || req.Carry == CarryNone || resp.Batched {
+	if err != nil || !req.Solo || req.Carry == CarryNone || resp.Batched || req.Method == "" {
 		return resp, err
 	}
 	m.carryPhaseOne(ctx, from, req, &resp)
@@ -605,13 +563,21 @@ func (m *Manager) carryPhaseOne(ctx context.Context, from transport.Addr, req In
 }
 
 func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (InvokeResp, error) {
-	method, err := in.class.Method(req.Method)
-	if err != nil {
-		return InvokeResp{}, rpc.Errorf(rpc.CodeNoSuchMethod, "%v", err)
-	}
-	mode := lockmgr.Write
-	if in.class.IsReadOnly(req.Method) {
-		mode = lockmgr.Read
+	// A method-less request runs none, under a read lock when it has an
+	// action, and under no lock at all when it has none.
+	method, mode := Method(noMethod), lockmgr.Read
+	if req.Method != "" {
+		var err error
+		if method, err = in.class.Method(req.Method); err != nil {
+			return InvokeResp{}, rpc.Errorf(rpc.CodeNoSuchMethod, "%v", err)
+		}
+		if !in.class.IsReadOnly(req.Method) {
+			mode = lockmgr.Write
+		}
+	} else if req.Action == "" {
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		return InvokeResp{Seq: in.seq}, nil
 	}
 	if req.Solo && mode == lockmgr.Write && in.class.IsCommutative(req.Method) {
 		return m.invokeSolo(ctx, in, req, method)
@@ -622,24 +588,28 @@ func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (In
 	if err := in.locks.Acquire(ctx, lockmgr.Owner(req.Action), "state", mode); err != nil {
 		return InvokeResp{}, rpc.Errorf(rpc.CodeRefused, "lock: %v", err)
 	}
-	result, err := in.runMethod(req.Action, method, req.Args, mode == lockmgr.Write)
+	result, seq, err := in.runMethod(req.Action, method, req.Args, mode == lockmgr.Write)
 	if err != nil {
 		// A failed method leaves the state untouched; the lock stays held
 		// (the action will abort or retry).
 		return InvokeResp{}, rpc.Errorf(rpc.CodeInternal, "method %s: %v", req.Method, err)
 	}
-	resp := InvokeResp{Result: result, Modified: mode == lockmgr.Write, WaitNanos: int64(time.Since(start))}
-	if mode == lockmgr.Read && m.leaseTTL > 0 && req.LeaseHolder != "" {
+	resp := InvokeResp{Result: result, Modified: mode == lockmgr.Write, Seq: seq, WaitNanos: int64(time.Since(start))}
+	if req.Method != "" && mode == lockmgr.Read && m.leaseTTL > 0 && req.LeaseHolder != "" {
 		resp.Lease = m.maybeGrant(ctx, in, transport.Addr(req.LeaseHolder))
 	}
 	return resp, nil
 }
 
+// noMethod is what a method-less request runs.
+func noMethod(state, _ []byte) ([]byte, []byte, error) { return state, nil, nil }
+
 // runMethod executes method under in.mu with strict-2PL bookkeeping: the
 // caller must hold the appropriate lock for action. A failed method
 // leaves state, snapshot, and dirty flags exactly as they were except for
-// the users entry, which records that the action touched this server.
-func (in *instance) runMethod(action string, method Method, args []byte, write bool) ([]byte, error) {
+// the users entry, which records that the action touched this server. The
+// committed version the method ran on is returned beside its result.
+func (in *instance) runMethod(action string, method Method, args []byte, write bool) ([]byte, uint64, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	rec := in.actions[action]
@@ -652,7 +622,7 @@ func (in *instance) runMethod(action string, method Method, args []byte, write b
 		rec.dirty = true
 	}
 	in.actions[action] = rec
-	return result, err
+	return result, in.seq, err
 }
 
 // invokeSolo handles a solo commutative write: take the write lock if
@@ -663,11 +633,11 @@ func (m *Manager) invokeSolo(ctx context.Context, in *instance, req InvokeReq, m
 	owner := lockmgr.Owner(req.Action)
 	start := time.Now()
 	if err := in.locks.TryAcquire(owner, "state", lockmgr.Write); err == nil {
-		result, merr := in.runMethod(req.Action, method, req.Args, true)
+		result, seq, merr := in.runMethod(req.Action, method, req.Args, true)
 		if merr != nil {
 			return InvokeResp{}, rpc.Errorf(rpc.CodeInternal, "method %s: %v", req.Method, merr)
 		}
-		return InvokeResp{Result: result, Modified: true, WaitNanos: int64(time.Since(start))}, nil
+		return InvokeResp{Result: result, Modified: true, Seq: seq, WaitNanos: int64(time.Since(start))}, nil
 	}
 	op := newPendingOp(req.Action, req.Method, req.Args)
 	depth := in.comb.push(op)
@@ -707,10 +677,10 @@ func (m *Manager) invokeSolo(ctx context.Context, in *instance, req InvokeReq, m
 	if out.leader {
 		// Promoted to lock holder: the op is applied and this action drives
 		// its own commit, draining whatever queued behind it meanwhile.
-		return InvokeResp{Result: out.result, Modified: true, WaitNanos: wait}, nil
+		return InvokeResp{Result: out.result, Modified: true, Seq: out.seq, WaitNanos: wait}, nil
 	}
 	m.stats.Counter("objsrv.batch.folded").Inc()
-	return InvokeResp{Result: out.result, Modified: true, Batched: true, BatchSize: out.batchSize, WaitNanos: wait}, nil
+	return InvokeResp{Result: out.result, Modified: true, Seq: out.seq, Batched: true, BatchSize: out.batchSize, WaitNanos: wait}, nil
 }
 
 // kickCombiner promotes the combiner queue head to write-lock holder when
@@ -740,7 +710,7 @@ func (m *Manager) kickCombiner(in *instance) {
 			head.done <- opOutcome{err: rpc.Errorf(rpc.CodeNoSuchMethod, "%v", err)}
 			continue
 		}
-		result, merr := in.runMethod(head.action, method, head.args, true)
+		result, seq, merr := in.runMethod(head.action, method, head.args, true)
 		if merr != nil {
 			// Same contract as a failed ordinary invoke: state untouched,
 			// lock held, the client aborts the action and that abort cleans
@@ -748,7 +718,7 @@ func (m *Manager) kickCombiner(in *instance) {
 			head.done <- opOutcome{err: rpc.Errorf(rpc.CodeInternal, "method %s: %v", head.method, merr)}
 			return
 		}
-		head.done <- opOutcome{result: result, leader: true}
+		head.done <- opOutcome{result: result, seq: seq, leader: true}
 		return
 	}
 }
@@ -774,7 +744,7 @@ func (m *Manager) drainCombinerLocked(in *instance, rec *actionRec) int {
 			continue
 		}
 		in.state = newState
-		op.result = result
+		op.result, op.seq = result, in.seq
 		rec.batch = append(rec.batch, op)
 	}
 	return 1 + len(rec.batch)
@@ -796,7 +766,7 @@ func (m *Manager) resolveBatch(batch []*pendingOp, err error) {
 	m.stats.Counter("objsrv.batch.commits").Inc()
 	m.stats.Histogram("objsrv.batch.size").Record(float64(total))
 	for _, op := range batch {
-		op.done <- opOutcome{result: op.result, batchSize: total}
+		op.done <- opOutcome{result: op.result, seq: op.seq, batchSize: total}
 	}
 }
 
@@ -851,8 +821,7 @@ func (m *Manager) instanceFor(ctx context.Context, from transport.Addr, uidStr, 
 		return in, err
 	}
 	id, _ := uid.Parse(uidStr) // mustLookup parsed it already
-	in, _, err = m.activate(ctx, id, class, stNodes)
-	return in, err
+	return m.activate(ctx, id, class, stNodes)
 }
 
 // revalidate checks, for a binding that reached this node because a server
@@ -871,7 +840,7 @@ func (m *Manager) instanceFor(ctx context.Context, from transport.Addr, uidStr, 
 // activates afresh; one still in use is refused as unavailable, which moves
 // the binding on to its next candidate.
 func (m *Manager) revalidate(ctx context.Context, from transport.Addr, in *instance, stNodes []string) error {
-	latest, _, found := m.loadState(ctx, in.id, stNodes)
+	latest, found := m.loadState(ctx, in.id, stNodes)
 	if !found {
 		return rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v to check the copy at %s against", in.id, stNodes, m.node.Name())
 	}
@@ -1154,41 +1123,37 @@ func (m *Manager) handleInstall(ctx context.Context, from transport.Addr, req In
 	if err != nil {
 		return InstallResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
 	}
-	if in, ok := m.lookup(id); ok {
-		in.mu.Lock()
-		if len(in.actions) > 0 {
-			in.mu.Unlock()
-			return InstallResp{}, rpc.Errorf(CodeBusy, "object %s has active users", req.UID)
+	in, ok := m.lookup(id)
+	if !ok {
+		class, err := m.registry.Lookup(req.Class)
+		if err != nil {
+			return InstallResp{}, rpc.Errorf(rpc.CodeNotFound, "%v", err)
 		}
-		if req.Seq <= in.seq {
-			// Stale checkpoint: keep the newer state.
-			in.mu.Unlock()
-			return InstallResp{Installed: false}, nil
+		var admitted bool
+		if in, admitted = m.admit(m.newInstance(class, id, append([]byte(nil), req.State...), req.Seq, nil)); admitted {
+			return InstallResp{Installed: true}, nil
 		}
-		in.state = append([]byte(nil), req.State...)
-		in.seq = req.Seq
+		// A concurrent activation or checkpoint got there first: this one is
+		// checked against the resident instance as any other is.
+	}
+	in.mu.Lock()
+	if len(in.actions) > 0 {
 		in.mu.Unlock()
-		// The version advanced past any leases this server granted:
-		// fence them before acknowledging (the committer pushing this
-		// checkpoint acks its client only after this reply).
-		if err := m.leaseCommitFence(ctx, in, time.Now(), false); err != nil {
-			return InstallResp{}, err
-		}
-		return InstallResp{Installed: true}, nil
+		return InstallResp{}, rpc.Errorf(CodeBusy, "object %s has active users", req.UID)
 	}
-	class, err := m.registry.Lookup(req.Class)
-	if err != nil {
-		return InstallResp{}, rpc.Errorf(rpc.CodeNotFound, "%v", err)
+	if req.Seq <= in.seq {
+		// Stale checkpoint: keep the newer state.
+		in.mu.Unlock()
+		return InstallResp{Installed: false}, nil
 	}
-	in := m.newInstance(class, id, append([]byte(nil), req.State...), req.Seq, nil)
-	t := m.table()
-	t.mu.Lock()
-	if _, exists := t.m[id]; !exists {
-		t.m[id] = in
-	}
-	t.mu.Unlock()
-	if m.ghost != nil {
-		m.ghost.Join(GroupPrefix+id.String(), m.groupApply(in))
+	in.state = append([]byte(nil), req.State...)
+	in.seq = req.Seq
+	in.mu.Unlock()
+	// The version advanced past any leases this server granted:
+	// fence them before acknowledging (the committer pushing this
+	// checkpoint acks its client only after this reply).
+	if err := m.leaseCommitFence(ctx, in, time.Now(), false); err != nil {
+		return InstallResp{}, err
 	}
 	return InstallResp{Installed: true}, nil
 }
@@ -1229,29 +1194,6 @@ func (m *Manager) handleAbort(ctx context.Context, from transport.Addr, req EndR
 	in.locks.ReleaseAll(lockmgr.Owner(req.Action))
 	m.kickCombiner(in)
 	return resp, nil
-}
-
-// handleLeaseCheck serves the mixed-transaction revalidation read: take
-// the object's read lock under the action (queueing behind any committing
-// writer, whose lease fence precedes its lock release) and report the
-// committed version. The action is registered as a user so prepare sees
-// and releases it exactly like a plain read — a read-only vote with no
-// phase-two round trip.
-func (m *Manager) handleLeaseCheck(ctx context.Context, from transport.Addr, req LeaseCheckReq) (LeaseCheckResp, error) {
-	in, err := m.instanceFor(ctx, from, req.UID, req.Class, req.StNodes, req.Failover)
-	if err != nil {
-		return LeaseCheckResp{}, err
-	}
-	if err := in.locks.Acquire(ctx, lockmgr.Owner(req.Action), "state", lockmgr.Read); err != nil {
-		return LeaseCheckResp{}, rpc.Errorf(rpc.CodeRefused, "lock: %v", err)
-	}
-	in.mu.Lock()
-	if _, bound := in.actions[req.Action]; !bound {
-		in.actions[req.Action] = actionRec{}
-	}
-	seq := in.seq
-	in.mu.Unlock()
-	return LeaseCheckResp{Seq: seq}, nil
 }
 
 func (m *Manager) handlePassivate(ctx context.Context, from transport.Addr, req PassivateReq) (PassivateResp, error) {

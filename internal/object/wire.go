@@ -12,13 +12,13 @@ import (
 // hottest payloads in the system. Tags live in the 0x20–0x3f block of the
 // registry in internal/rpc/doc.go, beside the passivation and status
 // records a move's lease fence and the checkers send. The invoke request is
-// at version 5, the invoke reply and the lease check at version 3, the
-// prepare request at version 2; everything else is at version 1. Every peer
-// runs the same build, so only a record's current version decodes: a
-// change to a record's fields bumps its version.
+// at version 5, the invoke reply at version 4 (Seq), the prepare request at
+// version 2; everything else is at version 1. Every peer runs the same
+// build, so only a record's current version decodes: a change to a record's
+// fields bumps its version.
 const (
-	wireTagActivateReq byte = 0x20 + iota
-	wireTagActivateResp
+	_ byte = 0x20 + iota // 0x20 and 0x21: the activation request and reply,
+	_                    // retired when activation became a method-less invoke
 	wireTagInvokeReq
 	wireTagInvokeResp
 	wireTagPrepareReq
@@ -29,53 +29,13 @@ const (
 	wireTagInstallResp
 	_ // 0x2a and 0x2b: the combined prepare+commit request and reply,
 	_ // retired when it became PrepareReq.OnePhase
-	wireTagLeaseCheckReq
-	wireTagLeaseCheckResp
+	_ // 0x2c and 0x2d: the lease check request and reply, retired when
+	_ // the check became a method-less invoke
 	wireTagPassivateReq
 	wireTagPassivateResp
 	wireTagStatusReq
 	wireTagStatusResp
 )
-
-// ActivateReq
-
-// WireTag implements rpc.Wire.
-func (*ActivateReq) WireTag() (byte, byte) { return wireTagActivateReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *ActivateReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.UID)
-	dst = rpc.AppendString(dst, q.Class)
-	return rpc.AppendStrings(dst, q.StNodes)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *ActivateReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	q.Class = r.String()
-	q.StNodes = r.Strings()
-	return nil
-}
-
-// ActivateResp
-
-// WireTag implements rpc.Wire.
-func (*ActivateResp) WireTag() (byte, byte) { return wireTagActivateResp, 1 }
-
-// AppendWire implements rpc.Wire.
-func (p *ActivateResp) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendUvarint(dst, p.Seq)
-	dst = rpc.AppendBool(dst, p.Fresh)
-	return rpc.AppendString(dst, p.LoadedFrom)
-}
-
-// ParseWire implements rpc.Wire.
-func (p *ActivateResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Seq = r.Uvarint()
-	p.Fresh = r.Bool()
-	p.LoadedFrom = r.String()
-	return nil
-}
 
 // InvokeReq
 
@@ -140,11 +100,11 @@ func readCarry(r *rpc.WireReader) (Carry, error) {
 // InvokeResp
 
 // WireTag implements rpc.Wire.
-func (*InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 3 }
+func (*InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 4 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (p *InvokeResp) WireSizeHint() int {
-	n := len(p.Result) + 32
+	n := len(p.Result) + 42
 	if p.Lease != nil {
 		n += len(p.Lease.Class) + len(p.Lease.State) + 24
 	}
@@ -164,6 +124,7 @@ func (p *InvokeResp) WireSizeHint() int {
 func (p *InvokeResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBytes(dst, p.Result)
 	dst = rpc.AppendBool(dst, p.Modified)
+	dst = rpc.AppendUvarint(dst, p.Seq)
 	dst = rpc.AppendBool(dst, p.Batched)
 	dst = rpc.AppendUvarint(dst, uint64(p.BatchSize))
 	dst = rpc.AppendVarint(dst, p.WaitNanos)
@@ -187,6 +148,7 @@ func (p *InvokeResp) AppendWire(dst []byte) []byte {
 func (p *InvokeResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 	p.Result = r.Bytes()
 	p.Modified = r.Bool()
+	p.Seq = r.Uvarint()
 	p.Batched = r.Bool()
 	p.BatchSize = int(r.Uvarint())
 	p.WaitNanos = r.Varint()
@@ -329,44 +291,6 @@ func (p *InstallResp) AppendWire(dst []byte) []byte { return rpc.AppendBool(dst,
 // ParseWire implements rpc.Wire.
 func (p *InstallResp) ParseWire(_ byte, r *rpc.WireReader) error {
 	p.Installed = r.Bool()
-	return nil
-}
-
-// LeaseCheckReq
-
-// WireTag implements rpc.Wire.
-func (*LeaseCheckReq) WireTag() (byte, byte) { return wireTagLeaseCheckReq, 3 }
-
-// AppendWire implements rpc.Wire.
-func (q *LeaseCheckReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.UID)
-	dst = rpc.AppendString(dst, q.Action)
-	dst = rpc.AppendString(dst, q.Class)
-	dst = rpc.AppendStrings(dst, q.StNodes)
-	return rpc.AppendBool(dst, q.Failover)
-}
-
-// ParseWire implements rpc.Wire.
-func (q *LeaseCheckReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	q.Action = r.String()
-	q.Class = r.String()
-	q.StNodes = r.Strings()
-	q.Failover = r.Bool()
-	return nil
-}
-
-// LeaseCheckResp
-
-// WireTag implements rpc.Wire.
-func (*LeaseCheckResp) WireTag() (byte, byte) { return wireTagLeaseCheckResp, 1 }
-
-// AppendWire implements rpc.Wire.
-func (p *LeaseCheckResp) AppendWire(dst []byte) []byte { return rpc.AppendUvarint(dst, p.Seq) }
-
-// ParseWire implements rpc.Wire.
-func (p *LeaseCheckResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Seq = r.Uvarint()
 	return nil
 }
 

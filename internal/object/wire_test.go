@@ -12,12 +12,13 @@ import (
 // this package, each beside an empty value to decode into.
 func wireCases() []struct{ in, out rpc.Wire } {
 	return []struct{ in, out rpc.Wire }{
-		{&ActivateReq{UID: "obj", Class: "Counter", StNodes: []string{"s1", "s2"}}, &ActivateReq{}},
-		{&ActivateResp{Seq: 42, Fresh: true, LoadedFrom: "s1"}, &ActivateResp{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1, 2, 3}, Solo: true}, &InvokeReq{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "get", LeaseHolder: "c1", Class: "Counter", StNodes: []string{"s1", "s2"}}, &InvokeReq{}},
 		{&InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1}, Solo: true, Class: "Counter", StNodes: []string{"s1"}, Failover: true, Carry: CarryCommit, CheckpointTo: []string{"sv2"}}, &InvokeReq{}},
+		{&InvokeReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []string{"s1"}, Failover: true}, &InvokeReq{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Batched: true, BatchSize: 5, WaitNanos: -250}, &InvokeResp{}},
+		{&InvokeResp{Seq: 11}, &InvokeResp{}},
+		{&InvokeResp{Result: []byte("ok"), Seq: 1 << 40, WaitNanos: 3}, &InvokeResp{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryPrepare, Vote: PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}, &InvokeResp{}},
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryCommit, VoteCode: CodeCommitUncertain, VoteMsg: "reply lost"}, &InvokeResp{}},
 		{&PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}}, &PrepareReq{}},
@@ -27,9 +28,6 @@ func wireCases() []struct{ in, out rpc.Wire } {
 		{&EndResp{FailedNodes: []string{"s2"}}, &EndResp{}},
 		{&InstallReq{UID: "obj", Class: "Counter", State: []byte{9, 9}, Seq: 3}, &InstallReq{}},
 		{&InstallResp{Installed: true}, &InstallResp{}},
-		{&LeaseCheckReq{UID: "obj", Action: "a1"}, &LeaseCheckReq{}},
-		{&LeaseCheckReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []string{"s1"}, Failover: true}, &LeaseCheckReq{}},
-		{&LeaseCheckResp{Seq: 11}, &LeaseCheckResp{}},
 		{&PassivateReq{UID: "obj", Force: true}, &PassivateReq{}},
 		{&PassivateResp{Passivated: true}, &PassivateResp{}},
 		{&StatusReq{UID: "obj"}, &StatusReq{}},
@@ -74,36 +72,41 @@ func TestWireTruncatedInput(t *testing.T) {
 	}
 }
 
-// TestWireTagsUnique catches accidental tag reuse inside this package's block.
+// TestWireTagsUnique catches accidental tag reuse inside this package's
+// block, and the reuse of a retired tag.
 func TestWireTagsUnique(t *testing.T) {
-	types := []rpc.Wire{
-		&ActivateReq{}, &ActivateResp{}, &InvokeReq{}, &InvokeResp{},
-		&PrepareReq{}, &PrepareResp{}, &EndReq{}, &EndResp{},
-		&InstallReq{}, &InstallResp{},
-		&LeaseCheckReq{}, &LeaseCheckResp{}, &PassivateReq{}, &PassivateResp{},
-		&StatusReq{}, &StatusResp{},
-	}
+	retired := map[byte]bool{0x20: true, 0x21: true, 0x2a: true, 0x2b: true, 0x2c: true, 0x2d: true}
 	seen := map[byte]string{}
-	for _, w := range types {
+	for _, c := range wireCases() {
+		w := c.in
 		tag, ver := w.WireTag()
 		if ver == 0 {
 			t.Errorf("%T: version 0 is reserved", w)
 		}
-		if prev, dup := seen[tag]; dup {
+		if prev, dup := seen[tag]; dup && prev != reflect.TypeOf(w).String() {
 			t.Errorf("tag %#x reused by %T and %s", tag, w, prev)
+		}
+		if retired[tag] {
+			t.Errorf("%T uses retired tag %#x", w, tag)
 		}
 		seen[tag] = reflect.TypeOf(w).String()
 	}
 	// Retired tags keep their slots: the records after them do not move.
-	if tag, _ := (&LeaseCheckReq{}).WireTag(); tag != 0x2c {
-		t.Errorf("LeaseCheckReq moved from tag 0x2c to %#x", tag)
+	if tag, _ := (&InvokeReq{}).WireTag(); tag != 0x22 {
+		t.Errorf("InvokeReq moved from tag 0x22 to %#x", tag)
+	}
+	if tag, _ := (&InvokeResp{}).WireTag(); tag != 0x23 {
+		t.Errorf("InvokeResp moved from tag 0x23 to %#x", tag)
+	}
+	if tag, _ := (&PassivateReq{}).WireTag(); tag != 0x2e {
+		t.Errorf("PassivateReq moved from tag 0x2e to %#x", tag)
 	}
 }
 
 // TestWireOlderRequestVersionsRefused: every peer runs the same build, so a
 // frame at an older version of a record — invoke request v1 to v4, invoke
-// reply and lease check v1 and v2, prepare request v1 — is refused whole,
-// never read as the current layout.
+// reply v1 to v3, prepare request v1 — is refused whole, never read as the
+// current layout.
 func TestWireOlderRequestVersionsRefused(t *testing.T) {
 	for _, c := range wireCases() {
 		data, err := rpc.Encode(c.in)

@@ -242,8 +242,11 @@ func (h *Handle) UIDString() string { return h.uid }
 //
 // Active replicas must have joined the object's group, and cohorts be able
 // to take checkpoints, before the first multicast or commit, so those
-// policies probe explicitly. Single-copy passive sends nothing here: the
-// one copy is activated by the binding's first request (see atCoordinator).
+// policies probe explicitly: each probe is a method-less invoke naming the
+// class and the St view and no action, which activates the object and
+// locks nothing (see object.InvokeReq). Single-copy passive sends nothing
+// here: the one copy is activated by the binding's first request (see
+// atCoordinator).
 func (h *Handle) Activate(ctx context.Context) error {
 	if h.cfg.Policy == SingleCopyPassive {
 		return nil
@@ -264,7 +267,9 @@ func (h *Handle) Activate(ctx context.Context) error {
 		if bad {
 			continue
 		}
-		if _, err := h.ref(sv).Activate(ctx, h.cfg.Class, h.cfg.StNodes); err != nil {
+		ref := h.ref(sv)
+		ref.Class, ref.StNodes = h.cfg.Class, h.cfg.StNodes
+		if _, err := ref.Invoke(ctx, object.InvokeReq{}); err != nil {
 			h.markBroken(sv)
 			lastErr = err
 			continue
@@ -369,7 +374,8 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, 
 	case Active:
 		return h.invokeActive(ctx, owner, method, args)
 	default:
-		return h.invokeCoordinator(ctx, owner, method, args)
+		resp, err := h.invokeCoordinator(ctx, owner, method, args)
+		return resp.Result, err
 	}
 }
 
@@ -423,21 +429,23 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 	owner := act.ID()
 	var resp object.InvokeResp
 	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
-		carry := object.CarryNone
-		var checkpointTo []transport.Addr
+		req := object.InvokeReq{Action: owner, Method: method, Args: args, Solo: true}
 		if h.intact() {
 			ref.StNodes = h.cfg.StNodes
 			if h.onePhaseEligible(1) {
-				carry, checkpointTo = object.CarryCommit, h.cohortsOf(ref.Node)
+				req.Carry = object.CarryCommit
+				for _, sv := range h.cohortsOf(ref.Node) {
+					req.CheckpointTo = append(req.CheckpointTo, string(sv))
+				}
 			} else {
-				carry = object.CarryPrepare
+				req.Carry = object.CarryPrepare
 				if !readOnly {
 					// Intentions will sit at the stores before Commit is called.
 					act.ExpectPrepared()
 				}
 			}
 		}
-		resp, err = ref.InvokeSolo(ctx, owner, method, args, carry, checkpointTo)
+		resp, err = ref.Invoke(ctx, req)
 		if !readOnly && commitInDoubt(err) {
 			h.mu.Lock()
 			h.onePhaseDoubt = true
@@ -529,19 +537,17 @@ func (h *Handle) QueueWait() time.Duration {
 // CheckSeq acquires the object's read lock under act at the coordinator
 // and returns the committed version it holds — the server-backed
 // revalidation of a read served without one: from a lease, or by a request
-// that released the lock as it answered (CarriedRead). The lock, held until
-// the action ends, is what makes the answer durable for the caller's commit:
-// leases are a single-copy-passive feature and active replication never
-// carries, so the coordinator is the one server whose version can advance.
+// that released the lock as it answered (CarriedRead). It is a method-less
+// invoke (see object.InvokeReq), sent as any other coordinator request is —
+// as the binding's first, it activates and fails over — and it asks for no
+// lease. The lock, held until the action ends, is what makes the answer
+// durable for the caller's commit: leases are a single-copy-passive feature
+// and active replication never carries, so the coordinator is the one
+// server whose version can advance.
 func (h *Handle) CheckSeq(ctx context.Context, act *action.Action) (uint64, error) {
 	h.dropCarried()
-	owner := act.ID()
-	var seq uint64
-	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
-		seq, err = ref.LeaseCheck(ctx, owner)
-		return err
-	})
-	return seq, err
+	resp, err := h.invokeCoordinator(ctx, act.ID(), "", nil)
+	return resp.Seq, err
 }
 
 // LeaseGrant returns the most recent read lease granted across this
@@ -559,21 +565,23 @@ func (h *Handle) LeaseGrant() (object.LeaseGrant, bool) {
 }
 
 // invokeCoordinator drives single-copy-passive and coordinator-cohort
-// invocation: only the coordinator processes.
-func (h *Handle) invokeCoordinator(ctx context.Context, owner, method string, args []byte) ([]byte, error) {
+// invocation: only the coordinator processes. An empty method is the
+// method-less request (see object.InvokeReq).
+func (h *Handle) invokeCoordinator(ctx context.Context, owner, method string, args []byte) (object.InvokeResp, error) {
 	var resp object.InvokeResp
 	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
-		// Request a read lease only from the view-primary coordinator under
-		// single-copy passive replication (see Config.LeaseHolder).
-		leaseHolder := ""
-		if h.cfg.LeaseHolder != "" && h.cfg.Policy == SingleCopyPassive && ref.Node == h.cfg.Servers[0] {
-			leaseHolder = string(h.cfg.LeaseHolder)
+		req := object.InvokeReq{Action: owner, Method: method, Args: args}
+		// Request a read lease only for a method, and only from the
+		// view-primary coordinator under single-copy passive replication
+		// (see Config.LeaseHolder).
+		if method != "" && h.cfg.LeaseHolder != "" && h.cfg.Policy == SingleCopyPassive && ref.Node == h.cfg.Servers[0] {
+			req.LeaseHolder = string(h.cfg.LeaseHolder)
 		}
-		resp, err = ref.InvokeFull(ctx, owner, method, args, leaseHolder)
+		resp, err = ref.Invoke(ctx, req)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return object.InvokeResp{}, err
 	}
 	h.mu.Lock()
 	if resp.Lease != nil {
@@ -584,7 +592,7 @@ func (h *Handle) invokeCoordinator(ctx context.Context, owner, method string, ar
 		h.queueWaitNanos = resp.WaitNanos
 	}
 	h.mu.Unlock()
-	return resp.Result, nil
+	return resp, nil
 }
 
 // lostWrite reports whether a clean phase-one answer from the coordinator

@@ -48,7 +48,8 @@
 //	                               the batch request, at version 3, runs
 //	                               an op naming no action under the
 //	                               message's own action)
-//	0x20–0x3f  internal/object    (invoke + 2PC prepare/commit/abort, status)
+//	0x20–0x3f  internal/object    (invoke, method-less ones included, + 2PC
+//	                               prepare/commit/abort, status)
 //	0x40–0x4f  internal/store     (object store reads, writes, 2PC legs;
 //	                               the prepare request, at version 2,
 //	                               also carries the one-phase commit)
@@ -63,7 +64,11 @@
 // group's single-message Deliver request and reply; 0x01 and 0x40, the
 // database's and the store's own empty acknowledgements, which Empty
 // replaced; 0x2a and 0x2b, the object server's combined prepare+commit
-// request and reply, which the prepare request's one-phase flag replaced.
+// request and reply, which the prepare request's one-phase flag replaced;
+// 0x20 and 0x21, its activation request and reply, and 0x2c and 0x2d, its
+// lease check request and reply, which the method-less invoke replaced
+// (the invoke reply, at version 4, reports the version read); 0x44 and
+// 0x45, the store's SeqOf request and reply, which nothing called.
 //
 // # Response framing
 //

@@ -16,9 +16,8 @@ const ServiceName = "objectstore"
 
 // RPC method names.
 const (
-	MethodRead  = "Read"
-	MethodPut   = "Put"
-	MethodSeqOf = "SeqOf"
+	MethodRead = "Read"
+	MethodPut  = "Put"
 	// MethodPrepare records a transaction's writes as intentions — or, with
 	// PrepareReq.OnePhase, commits them in the same round: the
 	// single-participant 2PC fast path.
@@ -85,15 +84,6 @@ type PutReq struct {
 	Seq  uint64
 }
 
-// SeqOfReq asks for an object's committed sequence number.
-type SeqOfReq struct{ UID string }
-
-// SeqOfResp carries the result of SeqOf.
-type SeqOfResp struct {
-	Seq uint64
-	OK  bool
-}
-
 // PrepareReq carries a transaction's intended writes.
 type PrepareReq struct {
 	Tx     string
@@ -142,14 +132,6 @@ func RegisterService(srv *rpc.Server, s *Store) {
 		}
 		return rpc.Empty{}, s.Put(id, req.Data, req.Seq)
 	}))
-	srv.Handle(ServiceName, MethodSeqOf, rpc.Method(func(ctx context.Context, from transport.Addr, req SeqOfReq) (SeqOfResp, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return SeqOfResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
-		}
-		seq, ok := s.SeqOf(id)
-		return SeqOfResp{Seq: seq, OK: ok}, nil
-	}))
 	srv.Handle(ServiceName, MethodPrepare, rpc.Method(func(ctx context.Context, from transport.Addr, req PrepareReq) (rpc.Empty, error) {
 		writes := make([]Write, 0, len(req.Writes))
 		for _, w := range req.Writes {
@@ -194,15 +176,6 @@ func (r RemoteStore) Read(ctx context.Context, id uid.UID) (Version, error) {
 func (r RemoteStore) Put(ctx context.Context, id uid.UID, data []byte, seq uint64) error {
 	_, err := rpc.Invoke[PutReq, rpc.Empty](ctx, r.Client, r.Node, ServiceName, MethodPut, PutReq{UID: id.String(), Data: data, Seq: seq})
 	return err
-}
-
-// SeqOf fetches the committed sequence number of id from the remote store.
-func (r RemoteStore) SeqOf(ctx context.Context, id uid.UID) (uint64, bool, error) {
-	resp, err := rpc.Invoke[SeqOfReq, SeqOfResp](ctx, r.Client, r.Node, ServiceName, MethodSeqOf, SeqOfReq{UID: id.String()})
-	if err != nil {
-		return 0, false, err
-	}
-	return resp.Seq, resp.OK, nil
 }
 
 // Prepare records intentions at the remote store, or with onePhase commits

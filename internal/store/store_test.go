@@ -237,10 +237,6 @@ func TestRemoteStoreOverRPC(t *testing.T) {
 	if err != nil || string(v.Data) != "s0" || v.Seq != 1 {
 		t.Fatalf("remote read: %+v err=%v", v, err)
 	}
-	seq, ok, err := remote.SeqOf(ctx, id)
-	if err != nil || !ok || seq != 1 {
-		t.Fatalf("remote seqof: %d %v %v", seq, ok, err)
-	}
 	if err := remote.Prepare(ctx, "tx9", []Write{{UID: id, Data: []byte("s1"), Seq: 2}}, false); err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,14 @@ import "repro/internal/rpc"
 // read reply is at version 2 (Pinned) and the prepare request at version 2
 // (OnePhase: commit in the same round); everything else is at version 1.
 // Only a record's current version decodes. (0x40 was the store's own empty
-// Ack, which rpc.Empty replaced; it stays retired.)
+// Ack, which rpc.Empty replaced; 0x44 and 0x45 were the remote SeqOf request
+// and reply, which nothing called. They stay retired.)
 const (
 	wireTagReadReq byte = 0x41 + iota
 	wireTagReadResp
 	wireTagPutReq
-	wireTagSeqOfReq
-	wireTagSeqOfResp
+	_ // 0x44 and 0x45: the SeqOf request and reply, retired
+	_
 	wireTagPrepareReq
 	wireTagTxReq
 	wireTagResolveResp
@@ -80,38 +81,6 @@ func (q *PutReq) ParseWire(_ byte, r *rpc.WireReader) error {
 	q.UID = r.String()
 	q.Data = r.Bytes()
 	q.Seq = r.Uvarint()
-	return nil
-}
-
-// SeqOfReq
-
-// WireTag implements rpc.Wire.
-func (*SeqOfReq) WireTag() (byte, byte) { return wireTagSeqOfReq, 1 }
-
-// AppendWire implements rpc.Wire.
-func (q *SeqOfReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.UID) }
-
-// ParseWire implements rpc.Wire.
-func (q *SeqOfReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	return nil
-}
-
-// SeqOfResp
-
-// WireTag implements rpc.Wire.
-func (*SeqOfResp) WireTag() (byte, byte) { return wireTagSeqOfResp, 1 }
-
-// AppendWire implements rpc.Wire.
-func (p *SeqOfResp) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendUvarint(dst, p.Seq)
-	return rpc.AppendBool(dst, p.OK)
-}
-
-// ParseWire implements rpc.Wire.
-func (p *SeqOfResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Seq = r.Uvarint()
-	p.OK = r.Bool()
 	return nil
 }
 

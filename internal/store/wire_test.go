@@ -14,8 +14,6 @@ func wireCases() []struct{ in, out rpc.Wire } {
 		{&ReadReq{UID: "obj"}, &ReadReq{}},
 		{&ReadResp{Data: []byte{1, 2}, Seq: 9, TxID: "tx-1", Pinned: true}, &ReadResp{}},
 		{&PutReq{UID: "obj", Data: []byte{3}, Seq: 10}, &PutReq{}},
-		{&SeqOfReq{UID: "obj"}, &SeqOfReq{}},
-		{&SeqOfResp{Seq: 11, OK: true}, &SeqOfResp{}},
 		{&PrepareReq{
 			Tx:       "tx-2",
 			Writes:   []WriteRec{{UID: "o1", Data: []byte{4, 5}, Seq: 12}, {UID: "o2", Seq: 13}},
@@ -60,8 +58,10 @@ func TestWireTruncatedInput(t *testing.T) {
 	}
 }
 
-// TestWireTagsUnique catches accidental tag reuse inside this package's block.
+// TestWireTagsUnique catches accidental tag reuse inside this package's
+// block, and the reuse of a retired tag.
 func TestWireTagsUnique(t *testing.T) {
+	retired := map[byte]bool{0x40: true, 0x44: true, 0x45: true}
 	seen := map[byte]string{}
 	for _, c := range wireCases() {
 		w := c.in
@@ -72,6 +72,13 @@ func TestWireTagsUnique(t *testing.T) {
 		if prev, dup := seen[tag]; dup {
 			t.Errorf("tag %#x reused by %T and %s", tag, w, prev)
 		}
+		if retired[tag] {
+			t.Errorf("%T uses retired tag %#x", w, tag)
+		}
 		seen[tag] = reflect.TypeOf(w).String()
+	}
+	// Retired tags keep their slots: the records after them do not move.
+	if tag, _ := (&PrepareReq{}).WireTag(); tag != 0x46 {
+		t.Errorf("PrepareReq moved from tag 0x46 to %#x", tag)
 	}
 }

@@ -118,16 +118,17 @@ func TestClientCallsPerAction(t *testing.T) {
 // TestReadOnlyClientCallsPerAction pins what TestClientCallsPerAction's one
 // read row leaves out. A ClientReadOnly action that goes on to a second
 // object pays for the first one's pin: bind · carried read · pin · bind ·
-// read · LeaseCheck (the carried read re-checked under a held lock) · a
-// Prepare at each server · the action-end the pin's hook sends — one per
-// database, so 10 calls (5 to the databases) across two shards and 9 (4) in
-// one group. And the clients whose first bind stays pinned keep the counts
-// they had: with a lease cache (Move's lease fence leans on the write-locked
-// entries to stop new grants) bind · invoke · one-phase Prepare · action-end;
-// under active replication (the binding is probed at bind time, before
-// anything could pin it) the same behind an Activate; under the standard
-// scheme (Figure 6 holds GetServer's and GetView's locks to the action's end
-// alike) bind · carried read · action-end.
+// read · a method-less Invoke (the carried read re-checked under a held
+// lock) · a Prepare at each server · the action-end the pin's hook sends —
+// one per database, so 10 calls (5 to the databases) across two shards and
+// 9 (4) in one group. And the clients whose first bind stays pinned keep
+// the counts they had: with a lease cache (Move's lease fence leans on the
+// write-locked entries to stop new grants) bind · invoke · one-phase
+// Prepare · action-end; under active replication (the binding is probed at
+// bind time, before anything could pin it) the same behind a method-less
+// activation Invoke; under the standard scheme (Figure 6 holds GetServer's
+// and GetView's locks to the action's end alike) bind · carried read ·
+// action-end.
 func TestReadOnlyClientCallsPerAction(t *testing.T) {
 	ctx := context.Background()
 	measure := func(t *testing.T, net *countingNet, op func(), calls, db int64) {

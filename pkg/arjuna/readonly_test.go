@@ -23,8 +23,10 @@ func fromClient(name transport.Addr) transport.FaultRule {
 }
 
 // sentLog records, in order, the objsrv requests one client node sends:
-// "Invoke/<carry>" for an invocation, "Prepare/one-phase" for a one-phase
-// prepare, the bare method name for the rest.
+// "Invoke/<carry>" for an invocation, "Invoke/check" for a method-less one
+// under an action and "Invoke/activate" for one under none,
+// "Prepare/one-phase" for a one-phase prepare, the bare method name for the
+// rest.
 type sentLog struct {
 	mu   sync.Mutex
 	sent []string
@@ -44,7 +46,14 @@ func watchServerCalls(t *testing.T, sys *arjuna.System, client transport.Addr) *
 			if err := rpc.Decode(req.Payload, &q); err != nil {
 				t.Errorf("undecodable invoke: %v", err)
 			}
-			entry = fmt.Sprintf("Invoke/%d", q.Carry)
+			switch {
+			case q.Method != "":
+				entry = fmt.Sprintf("Invoke/%d", q.Carry)
+			case q.Action != "":
+				entry = "Invoke/check"
+			default:
+				entry = "Invoke/activate"
+			}
 		case object.MethodPrepare:
 			var q object.PrepareReq
 			if err := rpc.Decode(req.Payload, &q); err != nil {
@@ -130,8 +139,8 @@ func TestReadOnlyClientReadsItsNodesWrites(t *testing.T) {
 // TestReadOnlyTwoReadsRevalidate: the first read of a ClientReadOnly action
 // is carried — the server released its lock as it answered — so an action
 // that goes on to a second object re-checks the first under a held lock
-// before it commits, by the rule a leased read is re-checked: one LeaseCheck
-// more than the parent's two-read action (bind, invoke, bind, invoke, two
+// before it commits, by the rule a leased read is re-checked: one method-less
+// Invoke more than the parent's two-read action (bind, invoke, bind, invoke, two
 // prepares), and nothing else. A writer that commits the first object in
 // between fails the check: one ErrLeaseStale, and the retry carries nothing
 // and commits with both locks held.
@@ -172,7 +181,7 @@ func TestReadOnlyTwoReadsRevalidate(t *testing.T) {
 		}
 		calls := sent.take()
 		slices.Sort(calls[3:]) // the two prepares go out concurrently
-		if want := []string{first, "Invoke/0", "LeaseCheck", "Prepare", "Prepare"}; !slices.Equal(calls, want) {
+		if want := []string{first, "Invoke/0", "Invoke/check", "Prepare", "Prepare"}; !slices.Equal(calls, want) {
 			t.Fatalf("%d stores: a quiet two-read action sent its servers %v, want %v", stores, calls, want)
 		}
 
@@ -188,7 +197,7 @@ func TestReadOnlyTwoReadsRevalidate(t *testing.T) {
 			t.Fatalf("%d stores: the committed attempt read A=%s B=%s, want 5 and 0", stores, gotA, gotB)
 		}
 		calls = sent.take()
-		if calls[0] != first || !slices.Contains(calls[:4], "LeaseCheck") {
+		if calls[0] != first || !slices.Contains(calls[:4], "Invoke/check") {
 			t.Fatalf("%d stores: the stale attempt sent %v; want a carried read and its re-check", stores, calls)
 		}
 		retry := calls[slices.Index(calls, "Abort")+1:]
@@ -401,7 +410,7 @@ func TestCarriedReadActiveDegrades(t *testing.T) {
 		t.Fatalf("read = %q, %v, report %+v", got, err, rep)
 	}
 	calls := sent.take()
-	if slices.ContainsFunc(calls, func(c string) bool { return c != "Activate" && c != "Prepare" && c != "Prepare/one-phase" }) {
+	if slices.ContainsFunc(calls, func(c string) bool { return c != "Invoke/activate" && c != "Prepare" && c != "Prepare/one-phase" }) {
 		t.Fatalf("an active read sent its servers %v: no solo invoke, and the release is its own message", calls)
 	}
 	if !slices.Contains(calls, "Prepare") && !slices.Contains(calls, "Prepare/one-phase") {
