@@ -183,14 +183,6 @@ func (l *MemLog) Forget(tx string) error {
 	return nil
 }
 
-// Len returns the number of live records — what the outcome-log GC test
-// asserts shrinks back to zero.
-func (l *MemLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.m)
-}
-
 // Lookup implements store.OutcomeLog.
 func (l *MemLog) Lookup(tx string) store.Outcome {
 	l.mu.Lock()

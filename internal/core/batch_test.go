@@ -156,7 +156,7 @@ func TestDuplicatedBatchLeavesNoLock(t *testing.T) {
 			if err != nil {
 				t.Fatalf("readOnly=%v: bind: %v", readOnly, err)
 			}
-			if _, err := bd.Invoke(ctx, "get", nil); err != nil {
+			if _, err := bd.Invoke(ctx, replica.Call{Method: "get"}); err != nil {
 				t.Fatalf("readOnly=%v: invoke: %v", readOnly, err)
 			}
 			if _, err := act.Commit(ctx); err != nil {

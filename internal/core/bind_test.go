@@ -184,8 +184,8 @@ func TestSelectOpFollowsTheUseLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out, err := bd.Invoke(ctx, "get", nil); err != nil || string(out) != "0" {
-			t.Fatalf("%v: read = %q, %v", c.policy, out, err)
+		if resp, err := bd.Invoke(ctx, replica.Call{Method: "get"}); err != nil || string(resp.Result) != "0" {
+			t.Fatalf("%v: read = %q, %v", c.policy, resp.Result, err)
 		}
 		if got := bd.Servers(); len(got) != 1 || got[0] != c.want {
 			t.Fatalf("%v: a read-only binding landed on %v, want the server in use, %s", c.policy, got, c.want)
@@ -318,7 +318,7 @@ func TestRepairMovesUseCountsMidAction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
@@ -330,7 +330,7 @@ func TestRepairMovesUseCountsMidAction(t *testing.T) {
 	if len(sv) != 1 || sv[0] != "sv3" || use["sv3"]["c1"] != 1 || len(use) != 1 {
 		t.Fatalf("mid-action: Sv = %v, use = %v; want [sv3] with c1 counted there once", sv, use)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := act.Commit(ctx); err != nil {
@@ -368,7 +368,7 @@ func TestActiveBindRepairsAfterExplicitProbe(t *testing.T) {
 	if len(sv) != 2 || use["sv2"]["c1"] != 1 || use["sv3"]["c1"] != 1 {
 		t.Fatalf("after the bind: Sv = %v, use = %v; want sv2 and sv3 counted once each", sv, use)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := act.Commit(ctx); err != nil {
@@ -452,10 +452,10 @@ func TestRepairRefusedWhileOthersUseTheServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := bd2.Invoke(ctx, "add", []byte("1")); err != nil {
+		if _, err := bd2.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := bd1.Invoke(ctx, "get", nil); !errors.Is(err, replica.ErrNoServers) {
+		if _, err := bd1.Invoke(ctx, replica.Call{Method: "get"}); !errors.Is(err, replica.ErrNoServers) {
 			t.Fatalf("fast=%v: c1's invoke: err = %v, want ErrNoServers (repair refused)", fast, err)
 		}
 		if err := act1.Abort(ctx); err != nil {

@@ -137,7 +137,7 @@ func (s Scheme) String() string {
 //   - invoke, then Prepare and Commit — or one one-phase Prepare when a
 //     single server writes back to a single store — for a binding of
 //     Atomic + Invoke, one among possibly several in its action;
-//   - one invoke for a binding of Apply (InvokeSolo), whose operation is
+//   - one invoke for a binding of Apply (a Solo call), whose operation is
 //     declared the action's entire write set: the request carries phase one,
 //     so over one store a committed write is bind · invoke · action-end, and
 //     over several bind · invoke · Commit · action-end, with the outcome
@@ -220,10 +220,11 @@ type Binder struct {
 	// standard scheme.
 	NameServer *NSClient
 	// LeaseHolder, when non-empty, asks bound objects' view-primary
-	// servers for read leases on read-path invocations (see
+	// servers for read leases on plain read-path invocations (see
 	// internal/lease); the value is this client's node address, where
-	// invalidation multicasts are delivered. Grants are surfaced via
-	// Binding.LeaseGrant for the caller's cache.
+	// invalidation multicasts are delivered. A grant comes back in the
+	// reply Binding.Invoke returns (InvokeResp.Lease), for the caller's
+	// cache.
 	LeaseHolder transport.Addr
 	// LeaseTTL is the deployment's read-lease duration (zero when leases
 	// are disabled), set on every binder — lease holder or not — so that
@@ -742,78 +743,53 @@ func (bd *Binding) enlist() {
 	}
 }
 
-// LeaseGrant returns the most recent read lease granted across this
-// binding's invocations, if any (see Binder.LeaseHolder).
-func (bd *Binding) LeaseGrant() (object.LeaseGrant, bool) { return bd.handle.LeaseGrant() }
-
 // Servers returns the live server bindings.
 func (bd *Binding) Servers() []transport.Addr { return bd.handle.Bound() }
 
-// Invoke calls a method on the bound object under the binding's action.
-func (bd *Binding) Invoke(ctx context.Context, method string, args []byte) ([]byte, error) {
-	res, err := bd.handle.Invoke(ctx, bd.act, method, args)
-	if err == nil {
-		err = bd.repair(ctx)
-	}
-	return res, err
-}
-
-// InvokeSolo calls a method declared to be the action's entire write set
-// at this object: the caller will invoke nothing else under the action and
-// goes straight on to commit it. The request therefore carries the action's
-// phase one (see replica.Handle.InvokeSolo), and the binding's commit
-// processing answers from the carried vote. A commutative method may
-// instead be folded into another action's commit (flat combining); the
-// second return reports that — the binding then votes read-only at its own
-// commit, which has nothing left to send.
+// Invoke sends one call to the bound object under the binding's action and
+// returns the server's reply (see replica.Handle.Invoke): the method's result,
+// the committed version the request ran on, and whatever the server attached
+// — a read lease (see Binder.LeaseHolder), a fold into another action's
+// commit, a carried vote. A method-less replica.Call{} takes the object's read
+// lock under the action and reports the coordinator's committed version — the
+// commit-time revalidation, in an action that did other work, of a read
+// served with no lock left behind it: from a lease, or carried.
 //
-// Repair keeps its place after the request because a request that carried
-// anything found nothing to repair: the handle carries only while every
-// candidate is intact, so where a candidate broke the answering server has
-// merely run the method, repair names it in the use lists — or fails the
-// request, and the action aborts — and the commit is a message of its own,
-// after that.
+// A Solo call is declared the action's entire write set at this object: the
+// caller will invoke nothing else under the action and goes straight on to
+// commit it. The request therefore carries the action's phase one, and the
+// binding's commit processing answers from the carried vote. A commutative
+// method may instead be folded into another action's commit (flat combining;
+// InvokeResp.Batched) — the binding then votes read-only at its own commit,
+// which has nothing left to send. A ReadOnly solo call carries the read-only
+// vote: a lost reply is a plain failed invoke — never in doubt — and the
+// action may go on to other operations provided it re-checks the read (a
+// method-less call) before it commits.
 //
-// An error wrapping action.ErrOutcomeUnknown means the request may have
+// Repair follows a successful request. It keeps its place after a solo
+// request because a request that carried anything found nothing to repair:
+// the handle carries only while every candidate is intact, so where a
+// candidate broke the answering server has merely run the method, repair
+// names it in the use lists — or fails the request, and the action aborts —
+// and the commit is a message of its own, after that.
+//
+// An error wrapping action.ErrOutcomeUnknown means a solo write may have
 // committed — it carried the commit, or was folded into one — and its reply
 // is lost: the caller must still commit the action, which resolves the
 // doubt, and must not abort or retry it. The repair is attempted then too,
 // but cannot fail the request any more.
-//
-// readOnly passes on the caller's knowledge, from the object's class, that
-// the method writes nothing: the request then carries the read-only vote, a
-// lost reply is a plain failed invoke — never in doubt — and the action may
-// go on to other operations provided it re-checks the read (CarriedRead,
-// LeaseCheck) before it commits.
-func (bd *Binding) InvokeSolo(ctx context.Context, method string, args []byte, readOnly bool) ([]byte, bool, error) {
-	res, batched, err := bd.handle.InvokeSolo(ctx, bd.act, method, args, readOnly)
+func (bd *Binding) Invoke(ctx context.Context, c replica.Call) (object.InvokeResp, error) {
+	resp, err := bd.handle.Invoke(ctx, bd.act, c)
 	if err == nil {
 		err = bd.repair(ctx)
 	} else if errors.Is(err, action.ErrOutcomeUnknown) {
 		_ = bd.repair(ctx)
 	}
-	return res, batched, err
+	return resp, err
 }
 
 // Class returns the bound object's class name, as the database recorded it.
 func (bd *Binding) Class() string { return bd.class }
-
-// CarriedRead reports the committed version a read-only InvokeSolo read,
-// while the vote it carried back stands — that is, while the server holds no
-// lock for the action (see replica.Handle.CarriedRead).
-func (bd *Binding) CarriedRead() (seq uint64, ok bool) { return bd.handle.CarriedRead() }
-
-// LeaseCheck acquires the object's read lock under the binding's action
-// and returns the committed version the coordinator server holds — the
-// commit-time revalidation, in an action that did other work, of a read
-// served with no lock left behind it: from a lease, or carried.
-func (bd *Binding) LeaseCheck(ctx context.Context) (uint64, error) {
-	seq, err := bd.handle.CheckSeq(ctx, bd.act)
-	if err == nil {
-		err = bd.repair(ctx)
-	}
-	return seq, err
-}
 
 // BatchSize returns the number of operations folded into the commit round
 // that carried this binding's write (0 when unobserved).

@@ -105,7 +105,7 @@ func (w *world) runAction(b *Binder, delta int) (*Binding, error) {
 		_ = act.Abort(ctx)
 		return nil, err
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte(strconv.Itoa(delta))); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte(strconv.Itoa(delta))}); err != nil {
 		_ = act.Abort(ctx)
 		return bd, err
 	}
@@ -201,7 +201,7 @@ func TestStandardSchemeHoldsReadLockUntilActionEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	// Insert under a short deadline: refused while the client is bound.
@@ -301,7 +301,7 @@ func TestEnhancedSchemeUseListsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	// Mid-action: c1 has a non-zero counter on sv1; object not quiescent.
@@ -402,7 +402,7 @@ func TestExcludeWriteLockSharesWithConcurrentReaders(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+		if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 			return err
 		}
 		w.cluster.Node("st2").Crash()
@@ -454,7 +454,7 @@ func TestJanitorCleansUpDeadClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	// c1 crashes with a non-zero use count (its Decrement will never run).
@@ -569,9 +569,9 @@ func TestReadOnlyOptimisationBindsSingleConvenientServer(t *testing.T) {
 		if got := bd.Servers(); len(got) != 1 {
 			t.Fatalf("%s bound = %v", client, got)
 		}
-		res, err := bd.Invoke(ctx, "get", nil)
-		if err != nil || string(res) != "0" {
-			t.Fatalf("%s get = %q %v", client, res, err)
+		resp, err := bd.Invoke(ctx, replica.Call{Method: "get"})
+		if err != nil || string(resp.Result) != "0" {
+			t.Fatalf("%s get = %q %v", client, resp.Result, err)
 		}
 		if _, err := act.Commit(ctx); err != nil {
 			t.Fatal(err)
@@ -702,14 +702,14 @@ func TestReadOnlyVoteDoesNotCommitSiblingExcludeEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bdA.Invoke(ctx, "get", nil); err != nil {
+	if _, err := bdA.Invoke(ctx, replica.Call{Method: "get"}); err != nil {
 		t.Fatal(err)
 	}
 	bdB, err := b.Bind(ctx, act, id2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bdB.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bdB.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st2").Crash()

@@ -115,16 +115,16 @@ func TestActiveReplicationSequencerCrashMidAction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("sv1").Crash() // the sequencer
-	res, err := bd.Invoke(ctx, "add", []byte("1"))
+	resp, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")})
 	if err != nil {
 		t.Fatalf("invoke after sequencer crash: %v", err)
 	}
-	if string(res) != "2" {
-		t.Fatalf("result = %q", res)
+	if string(resp.Result) != "2" {
+		t.Fatalf("result = %q", resp.Result)
 	}
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatal(err)

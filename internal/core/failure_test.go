@@ -27,7 +27,7 @@ func TestLostPrepareReplyAbortsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	// The reply to the server's store-prepare at st1 is lost. The server
@@ -72,7 +72,7 @@ func TestLostInvokeRequestIsSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.cluster.Faults().DropRequests(1, transport.ToService("sv1", "objsrv"))
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err == nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err == nil {
 		t.Fatal("expected invoke failure")
 	}
 	if err := act.Abort(ctx); err != nil {
@@ -312,10 +312,10 @@ func TestMultiObjectActionTwoPhaseCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd1.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd1.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd2.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd2.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st-solo").Crash()

@@ -100,7 +100,7 @@ func TestReadOnlyStandardSchemeBindsOneServer(t *testing.T) {
 	if got := bd.Servers(); len(got) != 1 {
 		t.Fatalf("read-only bound %v", got)
 	}
-	if _, err := bd.Invoke(ctx, "get", nil); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "get"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := act.Commit(ctx); err != nil {
@@ -120,7 +120,7 @@ func TestInsertRefusedWhileUseCountsHeld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	cli := Client{RPC: w.cluster.Node("c2").Client(), DB: "db"}

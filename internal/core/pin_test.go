@@ -105,14 +105,14 @@ func TestReadOnlyBindConversations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := bd.Invoke(ctx, method, args)
+			resp, err := bd.Invoke(ctx, replica.Call{Method: method, Args: args})
 			if err != nil {
 				t.Fatalf("%s: %v", method, err)
 			}
 			// Every row starts from a fresh world: a reader sees the
 			// committed initial state through whatever its bind pinned.
-			if b.ReadOnly && string(out) != "0" {
-				t.Fatalf("get = %q, want \"0\"", out)
+			if b.ReadOnly && string(resp.Result) != "0" {
+				t.Fatalf("get = %q, want \"0\"", resp.Result)
 			}
 		}
 		if _, err := act.Commit(ctx); err != nil {
@@ -207,7 +207,7 @@ func TestIncludeWaitsForPinnedBindingsOnly(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			if _, err := bd.Invoke(ctx, "get", nil); err != nil {
+			if _, err := bd.Invoke(ctx, replica.Call{Method: "get"}); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 		}

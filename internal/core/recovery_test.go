@@ -157,7 +157,7 @@ func TestRecoverServerNodeRefusedWhileObjectInUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -67,7 +67,7 @@ func soak(t *testing.T, scheme Scheme, seed int64) {
 				cancel()
 				continue
 			}
-			if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+			if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 				_ = act.Abort(context.Background())
 				cancel()
 				continue

@@ -38,7 +38,7 @@ func RunJanitorAblation(insertTimeout time.Duration) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+		if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 			return nil, err
 		}
 		w.Cluster.Node("c1").Crash()

@@ -106,7 +106,7 @@ func RunE10(cfg E10Config) (*E10Result, error) {
 						mu.Unlock()
 						continue
 					}
-					_, invErr := bd.Invoke(ctx, "get", nil)
+					_, invErr := bd.Invoke(ctx, replica.Call{Method: "get"})
 					if invErr != nil {
 						_ = act.Abort(ctx)
 						mu.Lock()

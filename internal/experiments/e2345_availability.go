@@ -96,7 +96,7 @@ func runAvailAction(ctx context.Context, w *harness.World, b *core.Binder, crash
 		_ = act.Abort(ctx)
 		return false
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		_ = act.Abort(ctx)
 		return false
 	}
@@ -107,7 +107,7 @@ func runAvailAction(ctx context.Context, w *harness.World, b *core.Binder, crash
 			w.Cluster.Node(victim).Crash()
 		}
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		_ = act.Abort(ctx)
 		return false
 	}

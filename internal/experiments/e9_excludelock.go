@@ -97,7 +97,7 @@ func runE9Trial(readers int, useWriteLock bool) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if _, err := bd.Invoke(ctx, "add", []byte("1")); err != nil {
+	if _, err := bd.Invoke(ctx, replica.Call{Method: "add", Args: []byte("1")}); err != nil {
 		_ = act.Abort(ctx)
 		return false, err
 	}

@@ -164,6 +164,33 @@ func TestSoloReadIsRunAndRelease(t *testing.T) {
 	}
 }
 
+// TestCarryingReadIsNeverGranted: a read that carries its action's phase one
+// releases the read lock in the request that ran it, so it is granted no
+// lease even when it names a holder — the grant would still be on its way to
+// a holder that has joined no invalidation group when a writer takes the
+// lock and fences. The same read sent plain, holding its lock, is granted.
+func TestCarryingReadIsNeverGranted(t *testing.T) {
+	w := newWorld(t)
+	NewManager(w.cluster.Add("sv3"), w.reg).EnableLeases(time.Minute)
+	ctx := context.Background()
+	plain, err := w.soloRef("sv3", "st1", "st2").Invoke(ctx, InvokeReq{Action: "plain", Method: "get", LeaseHolder: "client"})
+	if err != nil || plain.Lease == nil || plain.Lease.Seq != 1 {
+		t.Fatalf("plain read = %+v, %v; want a lease at version 1", plain, err)
+	}
+	for i, c := range []struct {
+		carry Carry
+		ref   ServerRef
+	}{{CarryCommit, w.soloRef("sv3", "st1")}, {CarryPrepare, w.soloRef("sv3", "st1", "st2")}} {
+		resp, err := c.ref.Invoke(ctx, InvokeReq{Action: fmt.Sprintf("r%d", i), Method: "get", Solo: true, Carry: c.carry, LeaseHolder: "client"})
+		if err != nil || resp.Carried != c.carry || resp.Vote.Dirty || resp.VoteErr() != nil {
+			t.Fatalf("carry %d: reply = %+v, %v; want a carried read-only vote", c.carry, resp, err)
+		}
+		if resp.Lease != nil {
+			t.Fatalf("carry %d: a read that released its lock was granted %+v", c.carry, resp.Lease)
+		}
+	}
+}
+
 // TestSoloLeaderDrainsCombinerInSameRequest: a commutative op that arrives
 // while a carrying leader holds the write lock is folded into the leader's
 // write-back — which now happens in the leader's own request, right after

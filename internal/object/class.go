@@ -14,7 +14,6 @@ package object
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -90,16 +89,4 @@ func (r *Registry) Lookup(name string) (*Class, error) {
 		return nil, fmt.Errorf("object: unknown class %q", name)
 	}
 	return c, nil
-}
-
-// Names returns the registered class names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.classes))
-	for name := range r.classes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

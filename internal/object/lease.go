@@ -277,13 +277,14 @@ func (m *Manager) leaseWait(ctx context.Context, in *instance, deadline time.Tim
 // and hence its Join, has run), and the force-passivate/crash paths are
 // covered by the first-commit grace window instead. A change to
 // lock-break or abort semantics must revisit this branch. It is also why a
-// request that asks for a lease never carries its action's phase one
-// (ServerRef.InvokeSolo has no lease holder to name, and a ClientReadOnly
-// client with a lease cache sends plain invokes): a carried
-// read-only vote releases the read lock in the request that made the grant,
-// while the grant is still on its way to a holder that has joined nothing —
-// a writer could then take the lock, fence, hear not-found from every name,
-// and commit under a lease about to become servable.
+// request that carries its action's phase one is never granted a lease,
+// whatever holder it names (invokeOn; the client sends none on a solo call,
+// and a ClientReadOnly client with a lease cache sends plain invokes): a
+// carried read-only vote releases the read lock in the request that would
+// have made the grant, while the grant is still on its way to a holder that
+// has joined nothing — a writer could then take the lock, fence, hear
+// not-found from every name, and commit under a lease about to become
+// servable.
 func (m *Manager) invalidateHolders(ctx context.Context, id uid.UID, seq uint64, members []transport.Addr) bool {
 	payload, err := lease.EncodeInval(&lease.Inval{UID: id.String(), Seq: seq})
 	if err != nil {

@@ -552,10 +552,10 @@ func TestRegistry(t *testing.T) {
 	if _, err := r.Lookup("nope"); err == nil {
 		t.Fatal("expected unknown class error")
 	}
-	if names := r.Names(); len(names) != 1 || names[0] != "counter" {
-		t.Fatalf("names = %v", names)
-	}
 	c, _ := r.Lookup("counter")
+	if c.Name != "counter" {
+		t.Fatalf("lookup(counter) = class %q", c.Name)
+	}
 	if !c.IsReadOnly("get") || c.IsReadOnly("add") {
 		t.Fatal("readonly flags wrong")
 	}
@@ -620,8 +620,8 @@ func TestOnePhasePrepareSingleStore(t *testing.T) {
 	if err != nil || string(v.Data) != "7" || v.Seq != 2 {
 		t.Fatalf("store state = %+v err=%v, want 7@2", v, err)
 	}
-	if n := w.cluster.Node("st1").Store().PendingWrites("op-act"); n != 0 {
-		t.Fatalf("pending writes after one-phase commit = %d, want 0", n)
+	if pend := w.cluster.Node("st1").Store().PendingTxs(); len(pend) != 0 {
+		t.Fatalf("pending txs after one-phase commit = %v, want none", pend)
 	}
 	st, err := ref.Status(ctx)
 	if err != nil {

@@ -46,12 +46,3 @@ func (m *Manager) PassivateQuiescent() PassivationReport {
 	})
 	return report
 }
-
-// ActiveCount reports how many objects are currently activated at this
-// node.
-func (m *Manager) ActiveCount() int {
-	t := m.table()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}

@@ -263,8 +263,9 @@ type InvokeReq struct {
 	Solo bool
 	// LeaseHolder, when non-empty, names the client node that would
 	// like a read lease on the object: if the invocation takes the read
-	// path and the server can vouch its copy is the latest committed
-	// version, the reply carries a LeaseGrant (see lease.go).
+	// path, carries no phase one, and the server can vouch its copy is the
+	// latest committed version, the reply carries a LeaseGrant (see
+	// lease.go).
 	LeaseHolder string
 	// Class and StNodes ride a binding's first request: when Class is
 	// non-empty and the object has no server at this node, the handler
@@ -595,7 +596,10 @@ func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (In
 		return InvokeResp{}, rpc.Errorf(rpc.CodeInternal, "method %s: %v", req.Method, err)
 	}
 	resp := InvokeResp{Result: result, Modified: mode == lockmgr.Write, Seq: seq, WaitNanos: int64(time.Since(start))}
-	if req.Method != "" && mode == lockmgr.Read && m.leaseTTL > 0 && req.LeaseHolder != "" {
+	// A request carrying phase one releases the read lock before its reply
+	// leaves, so it is never granted (see invalidateHolders).
+	carries := req.Solo && req.Carry != CarryNone
+	if req.Method != "" && mode == lockmgr.Read && !carries && m.leaseTTL > 0 && req.LeaseHolder != "" {
 		resp.Lease = m.maybeGrant(ctx, in, transport.Addr(req.LeaseHolder))
 	}
 	return resp, nil

@@ -17,11 +17,13 @@
 //     broken until the action terminates.
 //
 // A Handle is the per-action client-side facade over the bound servers
-// (the set Sv_A' of §3.2). It implements action.Participant for the binding
-// that owns it (core.Binding), which enlists itself and drives the handle's
-// Prepare/Commit/Abort: at commit time the bound servers copy the object's
-// new state to every functioning node in St_A, and the Handle records which
-// St nodes failed so the naming and binding layer can Exclude them (§4.2).
+// (the set Sv_A' of §3.2). Every request through it is one call, Invoke,
+// which returns the server's reply. It implements action.Participant for the
+// binding that owns it (core.Binding), which enlists itself and drives the
+// handle's Prepare/Commit/Abort: at commit time the bound servers copy the
+// object's new state to every functioning node in St_A, and the Handle
+// records which St nodes failed so the naming and binding layer can Exclude
+// them (§4.2).
 package replica
 
 import (
@@ -175,7 +177,7 @@ type Handle struct {
 	// and its phase one cannot honestly be a read-only vote (see lostWrite).
 	wrote bool
 	// carried, when not CarryNone, says that a solo request took the action
-	// into phase one at the coordinator (see InvokeSolo), and carriedVote /
+	// into phase one at the coordinator (see Invoke), and carriedVote /
 	// carriedErr are what the Prepare message — one-phase for CarryCommit —
 	// would have answered. Prepare or CommitOnePhase takes the answer in
 	// place of sending that message.
@@ -188,9 +190,6 @@ type Handle struct {
 	// queueWaitNanos records the longest server-side lock/combiner wait
 	// observed across this handle's invocations.
 	queueWaitNanos int64
-	// lastGrant holds the most recent read lease granted across this
-	// handle's invocations (nil when none).
-	lastGrant *object.LeaseGrant
 }
 
 // New creates a handle. Call Activate before Invoke under active and
@@ -366,71 +365,96 @@ func (h *Handle) PreparedStores() []transport.Addr {
 	return sorted(h.preparedStores)
 }
 
-// Invoke performs one operation under act.
-func (h *Handle) Invoke(ctx context.Context, act *action.Action, method string, args []byte) ([]byte, error) {
-	h.dropCarried()
-	owner := act.ID()
-	switch h.cfg.Policy {
-	case Active:
-		return h.invokeActive(ctx, owner, method, args)
-	default:
-		resp, err := h.invokeCoordinator(ctx, owner, method, args)
-		return resp.Result, err
-	}
+// Call is one request through a handle. Method and Args name the operation;
+// a Call with no Method is the method-less check (see Invoke).
+type Call struct {
+	Method string
+	Args   []byte
+	// Solo declares the operation the action's entire write set at this
+	// object: the request then carries the action's phase one. A method-less
+	// call is never solo.
+	Solo bool
+	// ReadOnly is the caller's word, from the object's class, that the method
+	// writes nothing; it shapes a Solo call only.
+	ReadOnly bool
 }
 
-// InvokeSolo performs one operation under act, declaring it the action's
-// entire write set at this object — the action will do nothing else, so the
-// request also carries the action's phase one: the server goes on from the
-// method into what the handle's next message would have asked for (a
-// one-phase prepare when CommitOnePhase is eligible, a plain one
-// otherwise), the reply brings the vote back with the result, and
-// CommitOnePhase or Prepare answers from that record with no message. For
-// a commutative method contending on the write lock, the server may instead
-// fold the operation into the current lock holder's commit round (flat
-// combining); the second return reports that: the operation's durability is
-// then tied to the carrying action's already-decided commit, the handle is
-// released, and the caller's own commit processing completes locally with
-// no further RPCs.
+// Invoke sends one call under act and returns the server's reply: the
+// method's Result, the committed version the request ran on (Seq), and what
+// else the server attached — a read lease, a fold into another action's
+// commit, a carried vote. Any call drops a vote an earlier solo read carried:
+// the request takes the action back to the server, which holds a lock for it
+// again until a phase-one message of its own releases it.
+//
+// A plain call runs the method at the coordinator. Under single-copy passive,
+// a handle with a LeaseHolder asks the view primary for a read lease
+// (InvokeResp.Lease).
+//
+// A Solo call declares the operation the action's entire write set at this
+// object — the action will do nothing else, so the request also carries the
+// action's phase one: the server goes on from the method into what the
+// handle's next message would have asked for (a one-phase prepare when
+// CommitOnePhase is eligible, a plain one otherwise), the reply brings the
+// vote back with the result, and CommitOnePhase or Prepare answers from that
+// record with no message. For a commutative method contending on the write
+// lock, the server may instead fold the operation into the current lock
+// holder's commit round (flat combining; InvokeResp.Batched): the
+// operation's durability is then tied to the carrying action's
+// already-decided commit, the handle is released, and the caller's own commit
+// processing completes locally with no further RPCs. A solo request never
+// asks for a lease: a grant riding the request that also released the read
+// lock could reach its holder after a writer's fence missed it.
 //
 // Only a handle with every candidate intact carries. Once a candidate broke,
 // the binding layer has use lists to repair before anything may commit at
 // the server that answered, so the request is a plain solo invoke and commit
 // processing sends its own messages.
 //
-// A solo request that fails ambiguously — reply lost, deadline,
-// cancellation, or the server's own CodeCommitUncertain — may have
-// committed: it carried the commit, or the server folded it into a commit
-// that went through. The binding is not broken then: the error wraps
-// action.ErrOutcomeUnknown, the doubt is recorded, and the caller must go on
-// to commit processing, which resolves it as it resolves a lost one-phase
-// Prepare reply (see phaseOne) — aborting instead could undo
-// nothing and report an abort over a committed write.
+// A solo write that fails ambiguously — reply lost, deadline, cancellation,
+// or the server's own CodeCommitUncertain — may have committed: it carried
+// the commit, or the server folded it into a commit that went through. The
+// binding is not broken then: the error wraps action.ErrOutcomeUnknown, the
+// doubt is recorded, and the caller must go on to commit processing, which
+// resolves it as it resolves a lost one-phase Prepare reply (see phaseOne) —
+// aborting instead could undo nothing and report an abort over a committed
+// write.
 //
-// readOnly is the caller's word, from the object's class, that the method
-// writes nothing. The phase one such a request carries is the read-only
-// vote: the server releases the action in the request that ran the method
-// and reports the version it read (CarriedRead). There is nothing to be in
-// doubt about, so an ambiguous failure is what a plain Invoke's is — the
-// binding breaks and the action aborts — and no intention precedes Commit,
-// so no commit window is opened. The promise is weaker too: the caller MAY
-// go on to other requests through the handle; the first of them drops the
-// carried vote (the server holds the action's lock again), and what the read
-// saw is then the caller's to re-check (CheckSeq).
+// A ReadOnly solo call carries the read-only vote: the server releases the
+// action in the request that ran the method, and the reply's clean Vote says
+// so beside the version read (Seq). There is nothing to be in doubt about, so
+// an ambiguous failure is a plain call's — the binding breaks and the action
+// aborts — and no intention precedes Commit, so no commit window is opened.
+// The promise is weaker too: the caller MAY go on to other calls through the
+// handle, and what the read saw is then the caller's to re-check.
 //
-// Active replication never batches or carries (one replica folding, or
-// preparing ahead of the others, would diverge the copies), so the call
-// degrades to a plain Invoke there.
-func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method string, args []byte, readOnly bool) ([]byte, bool, error) {
-	if h.cfg.Policy == Active {
-		res, err := h.Invoke(ctx, act, method, args)
-		return res, false, err
-	}
+// The method-less call, Call{}, is that re-check: it takes the object's read
+// lock under act at the coordinator and reports the committed version there
+// (Seq) — the server-backed revalidation of a read served without a lock,
+// from a lease or carried. It is sent as any other coordinator request is —
+// as the binding's first, it activates and fails over — under every policy,
+// and it asks for no lease. The lock, held until the action ends, is what
+// makes the answer durable for the caller's commit: leases are a
+// single-copy-passive feature and active replication never carries, so the
+// coordinator is the one server whose version can advance.
+//
+// Under active replication a call that names a method is multicast to every
+// live replica and never batches or carries (one replica folding, or
+// preparing ahead of the others, would diverge the copies): a Solo call is a
+// plain one there.
+func (h *Handle) Invoke(ctx context.Context, act *action.Action, c Call) (object.InvokeResp, error) {
+	h.mu.Lock()
+	h.carried = object.CarryNone
+	h.mu.Unlock()
 	owner := act.ID()
+	if h.cfg.Policy == Active && c.Method != "" {
+		return h.invokeActive(ctx, owner, c.Method, c.Args)
+	}
+	solo := c.Solo && c.Method != ""
 	var resp object.InvokeResp
 	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
-		req := object.InvokeReq{Action: owner, Method: method, Args: args, Solo: true}
-		if h.intact() {
+		req := object.InvokeReq{Action: owner, Method: c.Method, Args: c.Args, Solo: solo}
+		switch {
+		case solo && h.intact():
 			ref.StNodes = h.cfg.StNodes
 			if h.onePhaseEligible(1) {
 				req.Carry = object.CarryCommit
@@ -439,14 +463,17 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 				}
 			} else {
 				req.Carry = object.CarryPrepare
-				if !readOnly {
+				if !c.ReadOnly {
 					// Intentions will sit at the stores before Commit is called.
 					act.ExpectPrepared()
 				}
 			}
+		case !solo && c.Method != "" && h.cfg.LeaseHolder != "" && h.cfg.Policy == SingleCopyPassive && ref.Node == h.cfg.Servers[0]:
+			// Only the view primary grants (see Config.LeaseHolder).
+			req.LeaseHolder = string(h.cfg.LeaseHolder)
 		}
 		resp, err = ref.Invoke(ctx, req)
-		if !readOnly && commitInDoubt(err) {
+		if solo && !c.ReadOnly && commitInDoubt(err) {
 			h.mu.Lock()
 			h.onePhaseDoubt = true
 			h.mu.Unlock()
@@ -457,7 +484,7 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 		return err
 	})
 	if err != nil {
-		return nil, false, err
+		return object.InvokeResp{}, err
 	}
 	h.mu.Lock()
 	if resp.WaitNanos > h.queueWaitNanos {
@@ -473,30 +500,7 @@ func (h *Handle) InvokeSolo(ctx context.Context, act *action.Action, method stri
 	}
 	h.carried, h.carriedVote, h.carriedErr = resp.Carried, resp.Vote, resp.VoteErr()
 	h.mu.Unlock()
-	return resp.Result, resp.Batched, nil
-}
-
-// CarriedRead reports, while a carried read-only vote stands, the committed
-// version the action read: the server ran the method, released the action
-// and said which version that was. A vote that was refused, is dirty, has
-// been taken by commit processing or was dropped by a later request reports
-// false.
-func (h *Handle) CarriedRead() (seq uint64, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.carried == object.CarryNone || h.carriedErr != nil || h.carriedVote.Dirty {
-		return 0, false
-	}
-	return h.carriedVote.NewSeq, true
-}
-
-// dropCarried forgets a carried vote ahead of another request through the
-// handle: that request takes the action back to the server, which will hold
-// a lock for it again until a phase-one message of its own releases it.
-func (h *Handle) dropCarried() {
-	h.mu.Lock()
-	h.carried = object.CarryNone
-	h.mu.Unlock()
+	return resp, nil
 }
 
 // intact reports whether no candidate's binding has broken.
@@ -534,67 +538,6 @@ func (h *Handle) QueueWait() time.Duration {
 	return time.Duration(h.queueWaitNanos)
 }
 
-// CheckSeq acquires the object's read lock under act at the coordinator
-// and returns the committed version it holds — the server-backed
-// revalidation of a read served without one: from a lease, or by a request
-// that released the lock as it answered (CarriedRead). It is a method-less
-// invoke (see object.InvokeReq), sent as any other coordinator request is —
-// as the binding's first, it activates and fails over — and it asks for no
-// lease. The lock, held until the action ends, is what makes the answer
-// durable for the caller's commit: leases are a single-copy-passive feature
-// and active replication never carries, so the coordinator is the one
-// server whose version can advance.
-func (h *Handle) CheckSeq(ctx context.Context, act *action.Action) (uint64, error) {
-	h.dropCarried()
-	resp, err := h.invokeCoordinator(ctx, act.ID(), "", nil)
-	return resp.Seq, err
-}
-
-// LeaseGrant returns the most recent read lease granted across this
-// handle's invocations, if any, and clears it — each grant is harvested
-// into the caller's cache exactly once.
-func (h *Handle) LeaseGrant() (object.LeaseGrant, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.lastGrant == nil {
-		return object.LeaseGrant{}, false
-	}
-	g := *h.lastGrant
-	h.lastGrant = nil
-	return g, true
-}
-
-// invokeCoordinator drives single-copy-passive and coordinator-cohort
-// invocation: only the coordinator processes. An empty method is the
-// method-less request (see object.InvokeReq).
-func (h *Handle) invokeCoordinator(ctx context.Context, owner, method string, args []byte) (object.InvokeResp, error) {
-	var resp object.InvokeResp
-	err := h.atCoordinator(func(ref object.ServerRef) (err error) {
-		req := object.InvokeReq{Action: owner, Method: method, Args: args}
-		// Request a read lease only for a method, and only from the
-		// view-primary coordinator under single-copy passive replication
-		// (see Config.LeaseHolder).
-		if method != "" && h.cfg.LeaseHolder != "" && h.cfg.Policy == SingleCopyPassive && ref.Node == h.cfg.Servers[0] {
-			req.LeaseHolder = string(h.cfg.LeaseHolder)
-		}
-		resp, err = ref.Invoke(ctx, req)
-		return err
-	})
-	if err != nil {
-		return object.InvokeResp{}, err
-	}
-	h.mu.Lock()
-	if resp.Lease != nil {
-		h.lastGrant = resp.Lease
-	}
-	h.wrote = h.wrote || resp.Modified
-	if resp.WaitNanos > h.queueWaitNanos {
-		h.queueWaitNanos = resp.WaitNanos
-	}
-	h.mu.Unlock()
-	return resp, nil
-}
-
 // lostWrite reports whether a clean phase-one answer from the coordinator
 // contradicts what it told this handle earlier: it ran a write under the
 // action, and now knows of none. Its volatile state went in between — the
@@ -623,7 +566,7 @@ func (h *Handle) lostWrite() bool {
 // an ambiguous one — reply lost, deadline — breaks the binding as a
 // mid-action crash does, because the operation may have run there under
 // the action's lock and must not run at a second server. (A solo write's
-// ambiguous failure never gets this far as one: InvokeSolo turns it into a
+// ambiguous failure never gets this far as one: Invoke turns it into a
 // recorded doubt, because that operation may even have committed.)
 func (h *Handle) atCoordinator(call func(ref object.ServerRef) error) error {
 	var lastErr error
@@ -690,10 +633,10 @@ func neverRan(err error) bool {
 // all live replicas in total order; any replica's reply serves as the
 // result; unreachable replicas are masked (binding broken) so long as one
 // replica survives.
-func (h *Handle) invokeActive(ctx context.Context, owner, method string, args []byte) ([]byte, error) {
+func (h *Handle) invokeActive(ctx context.Context, owner, method string, args []byte) (object.InvokeResp, error) {
 	live := h.live()
 	if len(live) == 0 {
-		return nil, fmt.Errorf("replica %v: %w", h.cfg.UID, ErrNoServers)
+		return object.InvokeResp{}, fmt.Errorf("replica %v: %w", h.cfg.UID, ErrNoServers)
 	}
 	payload, err := rpc.Encode(&object.InvokeReq{
 		UID:    h.uid,
@@ -702,7 +645,7 @@ func (h *Handle) invokeActive(ctx context.Context, owner, method string, args []
 		Args:   args,
 	})
 	if err != nil {
-		return nil, err
+		return object.InvokeResp{}, err
 	}
 	g := group.Group{ID: object.GroupPrefix + h.uid, Members: live}
 	res, err := group.Multicast(ctx, h.cfg.Client, g, object.KindInvoke, payload)
@@ -711,13 +654,13 @@ func (h *Handle) invokeActive(ctx context.Context, owner, method string, args []
 		for _, sv := range live {
 			h.markBroken(sv)
 		}
-		return nil, fmt.Errorf("replica %v: %v: %w", h.cfg.UID, err, ErrNoServers)
+		return object.InvokeResp{}, fmt.Errorf("replica %v: %v: %w", h.cfg.UID, err, ErrNoServers)
 	}
 	for _, sv := range res.Failed {
 		h.markBroken(sv)
 	}
 	var (
-		result  []byte
+		resp    object.InvokeResp
 		gotOK   bool
 		lastErr string
 	)
@@ -729,17 +672,17 @@ func (h *Handle) invokeActive(ctx context.Context, owner, method string, args []
 		}
 		var ir object.InvokeResp
 		if err := rpc.Decode(r.Payload, &ir); err != nil {
-			return nil, err
+			return object.InvokeResp{}, err
 		}
-		result, gotOK = ir.Result, true
+		resp, gotOK = ir, true
 	}
 	if !gotOK {
 		if lastErr != "" {
-			return nil, fmt.Errorf("replica %v: all replicas failed the method: %s", h.cfg.UID, lastErr)
+			return object.InvokeResp{}, fmt.Errorf("replica %v: all replicas failed the method: %s", h.cfg.UID, lastErr)
 		}
-		return nil, fmt.Errorf("replica %v: %w", h.cfg.UID, ErrNoServers)
+		return object.InvokeResp{}, fmt.Errorf("replica %v: %w", h.cfg.UID, ErrNoServers)
 	}
-	return result, nil
+	return resp, nil
 }
 
 // --- action.Participant ---
@@ -779,7 +722,7 @@ func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, er
 
 // phaseOne is Prepare, and with onePhase CommitOnePhase: the phase-one
 // message to every server taking part in commit processing, or — when the
-// handle's one solo request carried it (see InvokeSolo) — the answer that
+// handle's one solo request carried it (see Invoke) — the answer that
 // request brought back, handled as the reply would have been, because that
 // is what it is.
 func (h *Handle) phaseOne(ctx context.Context, tx string, onePhase bool) (action.Vote, error) {

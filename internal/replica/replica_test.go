@@ -3,7 +3,9 @@ package replica
 import (
 	"context"
 	"errors"
+	"maps"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,12 +131,12 @@ func TestSingleCopyPassiveCommitCheckpointsAllStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	res, err := h.Invoke(ctx, a, "add", []byte("7"))
+	resp, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("7")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res) != "7" {
-		t.Fatalf("result = %q", res)
+	if string(resp.Result) != "7" {
+		t.Fatalf("result = %q", resp.Result)
 	}
 	if _, err := a.Commit(ctx); err != nil {
 		t.Fatal(err)
@@ -155,7 +157,7 @@ func TestSingleCopyAbortLeavesStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("7")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("7")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Abort(ctx); err != nil {
@@ -179,11 +181,11 @@ func TestSingleCopyServerCrashAbortsAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("sv1").Crash()
-	if _, err := h.Invoke(ctx, a, "add", []byte("1")); !errors.Is(err, ErrNoServers) {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); !errors.Is(err, ErrNoServers) {
 		t.Fatalf("err = %v, want ErrNoServers", err)
 	}
 	if err := a.Abort(ctx); err != nil {
@@ -204,18 +206,18 @@ func TestActiveReplicationMasksServerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	// Two of three replicas die mid-action.
 	w.cluster.Node("sv1").Crash()
 	w.cluster.Node("sv3").Crash()
-	res, err := h.Invoke(ctx, a, "add", []byte("1"))
+	resp, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")})
 	if err != nil {
 		t.Fatalf("masked invoke failed: %v", err)
 	}
-	if string(res) != "2" {
-		t.Fatalf("result = %q", res)
+	if string(resp.Result) != "2" {
+		t.Fatalf("result = %q", resp.Result)
 	}
 	if _, err := a.Commit(ctx); err != nil {
 		t.Fatalf("commit with surviving replica: %v", err)
@@ -239,12 +241,12 @@ func TestActiveReplicationAllCrashAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("sv1").Crash()
 	w.cluster.Node("sv2").Crash()
-	if _, err := h.Invoke(ctx, a, "add", []byte("1")); !errors.Is(err, ErrNoServers) {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); !errors.Is(err, ErrNoServers) {
 		t.Fatalf("err = %v", err)
 	}
 	_ = a.Abort(ctx)
@@ -259,7 +261,7 @@ func TestActiveReplicasConverge(t *testing.T) {
 	}
 	a := w.begin(t, h)
 	for i := 0; i < 4; i++ {
-		if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
+		if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,9 +276,9 @@ func TestActiveReplicasConverge(t *testing.T) {
 			t.Fatal(err)
 		}
 		a2 := w.begin(t, h2)
-		got, err := h2.Invoke(ctx, a2, "get", nil)
-		if err != nil || string(got) != "4" {
-			t.Fatalf("%s value = %q %v", sv, got, err)
+		resp, err := h2.Invoke(ctx, a2, Call{Method: "get"})
+		if err != nil || string(resp.Result) != "4" {
+			t.Fatalf("%s value = %q %v", sv, resp.Result, err)
 		}
 		if _, err := a2.Commit(ctx); err != nil {
 			t.Fatal(err)
@@ -294,7 +296,7 @@ func TestCommitTimeStoreFailureRecordedForExclude(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("5")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("5")}); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st2").Crash()
@@ -320,7 +322,7 @@ func TestAllStoresDownAbortsAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("5")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("5")}); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("st1").Crash()
@@ -345,7 +347,7 @@ func TestCoordinatorCohortCheckpointAndFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("9")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("9")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Commit(ctx); err != nil {
@@ -362,12 +364,12 @@ func TestCoordinatorCohortCheckpointAndFailover(t *testing.T) {
 		t.Fatalf("cohort activation should not need the store: %v", err)
 	}
 	a2 := w.begin(t, h2)
-	got, err := h2.Invoke(ctx, a2, "get", nil)
+	resp, err := h2.Invoke(ctx, a2, Call{Method: "get"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "9" {
-		t.Fatalf("cohort state = %q, want 9 (checkpoint lost?)", got)
+	if string(resp.Result) != "9" {
+		t.Fatalf("cohort state = %q, want 9 (checkpoint lost?)", resp.Result)
 	}
 	if _, err := a2.Commit(ctx); err != nil {
 		t.Fatal(err)
@@ -382,13 +384,13 @@ func TestCoordinatorCrashMidActionAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("3")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("3")}); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("sv1").Crash()
 	// The binding broke; this action cannot continue (uncommitted state
 	// died with the coordinator).
-	if _, err := h.Invoke(ctx, a, "add", []byte("1")); !errors.Is(err, ErrNoServers) {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); !errors.Is(err, ErrNoServers) {
 		t.Fatalf("err = %v", err)
 	}
 	_ = a.Abort(ctx)
@@ -407,7 +409,7 @@ func TestReadOnlyActionNoStoreTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "get", nil); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "get"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Commit(ctx); err != nil {
@@ -452,7 +454,7 @@ func TestMutualConsistencyOfStoresAfterMixedFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := w.begin(t, h)
-		if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
+		if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); err != nil {
 			t.Fatal(err)
 		}
 		if round == 1 {
@@ -506,7 +508,7 @@ func TestOnePhaseReplyLostResolvedByReprepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("7")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("7")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Commit(ctx); err != nil {
@@ -537,7 +539,7 @@ func TestOnePhaseReplyLostThenCrashReportsOutcomeUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("7")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("7")}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := a.Commit(ctx)
@@ -595,9 +597,9 @@ func TestFirstInvokeWalksPastDefiniteFailures(t *testing.T) {
 				t.Fatalf("bound before the first request = %v, want the first candidate", got)
 			}
 			a := w.begin(t, h)
-			res, err := h.Invoke(ctx, a, "add", []byte("7"))
-			if err != nil || string(res) != "7" {
-				t.Fatalf("first invoke = %q, %v", res, err)
+			resp, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("7")})
+			if err != nil || string(resp.Result) != "7" {
+				t.Fatalf("first invoke = %q, %v", resp.Result, err)
 			}
 			if got := h.Broken(); len(got) != 1 || got[0] != "sv1" {
 				t.Fatalf("broken = %v, want [sv1]", got)
@@ -631,7 +633,7 @@ func TestFailoverReadIsNotServedALeftBehindCopy(t *testing.T) {
 		t.Helper()
 		h := w.handle(t, SingleCopyPassive)
 		a := w.begin(t, h)
-		if _, err := h.Invoke(ctx, a, "add", []byte(delta)); err != nil {
+		if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte(delta)}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := a.Commit(ctx); err != nil {
@@ -642,14 +644,14 @@ func TestFailoverReadIsNotServedALeftBehindCopy(t *testing.T) {
 		t.Helper()
 		h := w.handle(t, SingleCopyPassive)
 		a := w.begin(t, h)
-		res, err := h.Invoke(ctx, a, "get", nil)
+		resp, err := h.Invoke(ctx, a, Call{Method: "get"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := a.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		return string(res)
+		return string(resp.Result)
 	}
 	w.cluster.Faults().Partition("client", "sv1")
 	add("1") // fails over: sv2 activates the object and commits 1
@@ -675,7 +677,7 @@ func TestFirstInvokeAllCandidatesDown(t *testing.T) {
 	w.cluster.Node("sv2").Crash()
 	h := w.handle(t, SingleCopyPassive)
 	a := w.begin(t, h)
-	_, err := h.Invoke(context.Background(), a, "add", []byte("1"))
+	_, err := h.Invoke(context.Background(), a, Call{Method: "add", Args: []byte("1")})
 	if !errors.Is(err, ErrNoServers) || !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrNoServers wrapping ErrUnreachable", err)
 	}
@@ -701,15 +703,15 @@ func TestFirstInvokeReplyLostAbortsWithoutFailover(t *testing.T) {
 		h := w.handle(t, SingleCopyPassive)
 		a := w.begin(t, h)
 		if lostOn == "later" {
-			if _, err := h.Invoke(ctx, a, "get", nil); err != nil {
+			if _, err := h.Invoke(ctx, a, Call{Method: "get"}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		w.cluster.Faults().DropReplies(1, invokeAt)
-		if _, err := h.Invoke(ctx, a, "add", []byte("1")); !errors.Is(err, ErrNoServers) {
+		if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); !errors.Is(err, ErrNoServers) {
 			t.Fatalf("reply lost on the %s invoke: err = %v, want ErrNoServers", lostOn, err)
 		}
-		if _, err := h.Invoke(ctx, a, "add", []byte("1")); !errors.Is(err, ErrNoServers) {
+		if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); !errors.Is(err, ErrNoServers) {
 			t.Fatalf("invoke on the broken binding: err = %v, want ErrNoServers", err)
 		}
 		if err := a.Abort(ctx); err != nil {
@@ -786,7 +788,7 @@ func TestCommitWaitsOutLeaseClockWhenFallbackCoordinatorDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := w.begin(t, h)
-	if _, err := h.Invoke(ctx, a, "add", []byte("1")); err != nil {
+	if _, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	atCommit := transport.ToMethod("sv2", object.ServiceName, object.MethodCommit)
@@ -815,84 +817,91 @@ func (w *world) objsrvCalls() map[string]int {
 	return calls
 }
 
-// TestInvokeSoloCarriesTheCombinedRound: over one store the solo request is
-// the handle's only message to its server — the commit answers from the
-// vote the reply carried, and still counts as a one-phase commit vote, not a
-// read-only one.
-func TestInvokeSoloCarriesTheCombinedRound(t *testing.T) {
-	w := newWorld(t, 2, 1)
-	ctx := context.Background()
-	calls := w.objsrvCalls()
-	h := w.handle(t, SingleCopyPassive)
-	a := w.begin(t, h)
-	out, batched, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false)
-	if err != nil || batched || string(out) != "7" {
-		t.Fatalf("InvokeSolo = %q, %v, %v", out, batched, err)
+// TestSoloWriteCarriesPhaseOne: a solo write's request carries the action's
+// phase one. Over one store it is the handle's only message to its server —
+// the commit answers from the vote the reply carried, and still counts as a
+// one-phase commit vote, not a read-only one; under coordinator-cohort the
+// checkpoint list rides the request too, so a cohort can take over after the
+// one message. Over several stores the request carries the prepare, the
+// coordinator logs the outcome, and Commit is the second and last message —
+// with the coordinator's in-flight window open from before the intentions
+// existed.
+func TestSoloWriteCarriesPhaseOne(t *testing.T) {
+	cases := []struct {
+		name            string
+		policy          Policy
+		servers, stores int
+		carry           object.Carry
+		calls           map[string]int
+	}{
+		{"combined-round", SingleCopyPassive, 2, 1, object.CarryCommit, map[string]int{object.MethodInvoke: 1}},
+		{"prepare", SingleCopyPassive, 1, 3, object.CarryPrepare, map[string]int{object.MethodInvoke: 1, object.MethodCommit: 1}},
+		{"cohort-checkpoint", CoordinatorCohort, 2, 1, object.CarryCommit, map[string]int{object.MethodInvoke: 1}},
 	}
-	rep, err := a.Commit(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OnePhase || rep.CommitVoters != 1 || rep.ReadOnlyVoters != 0 || rep.OutcomeLogged {
-		t.Fatalf("report = %+v; want a one-phase commit vote with no log write", rep)
-	}
-	if len(calls) != 1 || calls[object.MethodInvoke] != 1 {
-		t.Fatalf("messages to servers: %v; want one Invoke", calls)
-	}
-	if val, seq := w.storeValue(t, "st1"); val != "7" || seq != 2 {
-		t.Fatalf("st1 = %q seq=%d, want 7 seq=2", val, seq)
-	}
-	if st := w.serverStatus(t, "sv1"); st.Users != 0 {
-		t.Fatalf("sv1 still has %d users", st.Users)
-	}
-}
-
-// TestInvokeSoloCarriesThePrepare: over several stores the request carries
-// phase one, the coordinator logs the outcome, and Commit is the second and
-// last message — with the coordinator's in-flight window open from before
-// the intentions existed.
-func TestInvokeSoloCarriesThePrepare(t *testing.T) {
-	w := newWorld(t, 1, 3)
-	ctx := context.Background()
-	calls := w.objsrvCalls()
-	h := w.handle(t, SingleCopyPassive)
-	a := w.begin(t, h)
-	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false); err != nil {
-		t.Fatal(err)
-	}
-	if pend := w.cluster.Node("st2").Store().PendingTxs(); len(pend) != 1 {
-		t.Fatalf("st2 holds intentions %v after the carried prepare, want one", pend)
-	}
-	if got := w.mgr.Lookup(a.ID()); got != store.OutcomeUnavailable {
-		t.Fatalf("lookup between the carried prepare and Commit = %v, want unavailable", got)
-	}
-	rep, err := a.Commit(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OnePhase || rep.CommitVoters != 1 || !rep.OutcomeLogged {
-		t.Fatalf("report = %+v; want a logged two-phase commit", rep)
-	}
-	if len(calls) != 2 || calls[object.MethodInvoke] != 1 || calls[object.MethodCommit] != 1 {
-		t.Fatalf("messages to servers: %v; want one Invoke and one Commit", calls)
-	}
-	for _, st := range w.sts {
-		if val, seq := w.storeValue(t, st); val != "7" || seq != 2 {
-			t.Fatalf("%s = %q seq=%d, want 7 seq=2", st, val, seq)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(t, c.servers, c.stores)
+			ctx := context.Background()
+			h := w.handle(t, c.policy)
+			if err := h.Activate(ctx); err != nil {
+				t.Fatal(err)
+			}
+			calls := w.objsrvCalls()
+			a := w.begin(t, h)
+			resp, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("7"), Solo: true})
+			if err != nil || resp.Batched || string(resp.Result) != "7" || resp.Carried != c.carry {
+				t.Fatalf("Invoke = %+v, %v; want result 7 carrying phase %d", resp, err, c.carry)
+			}
+			onePhase := c.carry == object.CarryCommit
+			pending := 1
+			if onePhase {
+				pending = 0
+			}
+			for _, st := range w.sts {
+				if pend := w.cluster.Node(st).Store().PendingTxs(); len(pend) != pending {
+					t.Fatalf("%s holds intentions %v after the carried phase one, want %d", st, pend, pending)
+				}
+			}
+			if got := w.mgr.Lookup(a.ID()); (got == store.OutcomeUnavailable) == onePhase {
+				t.Fatalf("lookup between the carried phase one and Commit = %v; the window is open only for a carried prepare", got)
+			}
+			rep, err := a.Commit(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OnePhase != onePhase || rep.CommitVoters != 1 || rep.ReadOnlyVoters != 0 || rep.OutcomeLogged == onePhase {
+				t.Fatalf("report = %+v; want a commit vote, one-phase %v, logged %v", rep, onePhase, !onePhase)
+			}
+			if !maps.Equal(calls, c.calls) {
+				t.Fatalf("messages to servers: %v; want %v", calls, c.calls)
+			}
+			for _, st := range w.sts {
+				if val, seq := w.storeValue(t, st); val != "7" || seq != 2 {
+					t.Fatalf("%s = %q seq=%d, want 7 seq=2", st, val, seq)
+				}
+			}
+			if st := w.serverStatus(t, "sv1"); st.Users != 0 {
+				t.Fatalf("sv1 still has %d users", st.Users)
+			}
+			if c.policy == CoordinatorCohort {
+				if st := w.serverStatus(t, "sv2"); !st.Active || st.Seq != 2 {
+					t.Fatalf("cohort sv2 = %+v; want the checkpoint at seq 2", st)
+				}
+			}
+		})
 	}
 }
 
 // TestInvokeSoloRefusedVoteAborts: the carried vote is a refusal — no store
-// took the state. The invocation succeeded; the commit fails with the
-// error the one-phase Prepare message would have brought, and the roll-back
-// reaches the server.
+// took the state. The invocation succeeded and its reply carries the refusal;
+// the commit fails with the error the one-phase Prepare message would have
+// brought, and the roll-back reaches the server.
 func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
 	w := newWorld(t, 1, 1)
 	ctx := context.Background()
 	h := w.handle(t, SingleCopyPassive)
 	warm := w.begin(t, h)
-	if _, _, err := h.InvokeSolo(ctx, warm, "get", nil, true); err != nil { // activates sv1 while st1 is up
+	if _, err := h.Invoke(ctx, warm, Call{Method: "get", Solo: true, ReadOnly: true}); err != nil { // activates sv1 while st1 is up
 		t.Fatal(err)
 	}
 	if _, err := warm.Commit(ctx); err != nil {
@@ -901,8 +910,12 @@ func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
 	w.cluster.Node("st1").Crash()
 	h = w.handle(t, SingleCopyPassive)
 	a := w.begin(t, h)
-	if out, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false); err != nil || string(out) != "7" {
-		t.Fatalf("InvokeSolo = %q, %v; the vote's refusal is not the invocation's", out, err)
+	resp, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("7"), Solo: true})
+	if err != nil || string(resp.Result) != "7" {
+		t.Fatalf("Invoke = %q, %v; the vote's refusal is not the invocation's", resp.Result, err)
+	}
+	if resp.Carried != object.CarryCommit || resp.VoteErr() == nil {
+		t.Fatalf("reply = %+v; want the carried refusal", resp)
 	}
 	if _, err := a.Commit(ctx); !errors.Is(err, action.ErrPrepareFailed) || errors.Is(err, action.ErrOutcomeUnknown) {
 		t.Fatalf("commit err = %v, want a definite prepare failure", err)
@@ -922,7 +935,7 @@ func TestInvokeSoloReplyLostIsInDoubtNotBroken(t *testing.T) {
 	w.cluster.Faults().DropReplies(1, transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke))
 	h := w.handle(t, SingleCopyPassive)
 	a := w.begin(t, h)
-	_, _, err := h.InvokeSolo(ctx, a, "add", []byte("7"), false)
+	_, err := h.Invoke(ctx, a, Call{Method: "add", Args: []byte("7"), Solo: true})
 	if !errors.Is(err, action.ErrOutcomeUnknown) || errors.Is(err, ErrNoServers) {
 		t.Fatalf("err = %v, want a doubt and no ErrNoServers", err)
 	}
@@ -941,38 +954,13 @@ func TestInvokeSoloReplyLostIsInDoubtNotBroken(t *testing.T) {
 	}
 }
 
-// TestInvokeSoloCohortCheckpointsInTheSameRequest: under coordinator-cohort
-// the carried commit also pushes the checkpoint — the list rides the
-// request — so a cohort can take over after the one message.
-func TestInvokeSoloCohortCheckpointsInTheSameRequest(t *testing.T) {
-	w := newWorld(t, 2, 1)
-	ctx := context.Background()
-	h := w.handle(t, CoordinatorCohort)
-	if err := h.Activate(ctx); err != nil {
-		t.Fatal(err)
-	}
-	calls := w.objsrvCalls()
-	a := w.begin(t, h)
-	if _, _, err := h.InvokeSolo(ctx, a, "add", []byte("9"), false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 1 || calls[object.MethodInvoke] != 1 {
-		t.Fatalf("messages to servers: %v; want one Invoke", calls)
-	}
-	if st := w.serverStatus(t, "sv2"); !st.Active || st.Seq != 2 {
-		t.Fatalf("cohort sv2 = %+v; want the checkpoint at seq 2", st)
-	}
-}
-
 // TestInvokeSoloReadOnlyCarriesTheVote: flagged read-only, the solo request
-// brings back the read-only vote and the version read, on either store count
-// and with no commit window opened; commit processing sends nothing. A later
-// request through the handle drops the vote — the server holds the action
-// again — and CheckSeq re-reads the version under the lock, which then takes
-// a phase-one message of its own to release.
+// brings back the read-only vote and the version read — the reply's Seq is
+// the carried vote's — on either store count and with no commit window
+// opened; commit processing sends nothing. A later call through the handle
+// drops the vote — the server holds the action again — and the method-less
+// call re-reads the version under the lock, which then takes a phase-one
+// message of its own to release.
 func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
 	for _, stores := range []int{1, 3} {
 		w := newWorld(t, 2, stores)
@@ -980,12 +968,16 @@ func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
 		calls := w.objsrvCalls()
 		h := w.handle(t, SingleCopyPassive)
 		a := w.begin(t, h)
-		out, _, err := h.InvokeSolo(ctx, a, "get", nil, true)
-		if err != nil || string(out) != "0" {
-			t.Fatalf("%d stores: InvokeSolo(get) = %q, %v", stores, out, err)
+		read := Call{Method: "get", Solo: true, ReadOnly: true}
+		resp, err := h.Invoke(ctx, a, read)
+		if err != nil || string(resp.Result) != "0" {
+			t.Fatalf("%d stores: Invoke(get) = %q, %v", stores, resp.Result, err)
 		}
-		if seq, ok := h.CarriedRead(); !ok || seq != 1 {
-			t.Fatalf("%d stores: CarriedRead = %d, %v; want version 1", stores, seq, ok)
+		if resp.Carried == object.CarryNone || resp.VoteErr() != nil || resp.Vote.Dirty {
+			t.Fatalf("%d stores: reply = %+v; want a carried read-only vote", stores, resp)
+		}
+		if resp.Seq != 1 || resp.Vote.NewSeq != resp.Seq {
+			t.Fatalf("%d stores: reply Seq = %d, vote NewSeq = %d; want version 1 in both", stores, resp.Seq, resp.Vote.NewSeq)
 		}
 		if got := w.mgr.Lookup(a.ID()); got == store.OutcomeUnavailable {
 			t.Fatalf("%d stores: a carried read opened the commit window", stores)
@@ -1003,25 +995,26 @@ func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
 
 		h = w.handle(t, SingleCopyPassive)
 		a = w.begin(t, h)
-		if _, _, err := h.InvokeSolo(ctx, a, "get", nil, true); err != nil {
+		first, err := h.Invoke(ctx, a, read)
+		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := h.CheckSeq(ctx, a)
-		if err != nil || seq != 1 {
-			t.Fatalf("%d stores: CheckSeq = %d, %v", stores, seq, err)
+		check, err := h.Invoke(ctx, a, Call{})
+		if err != nil || check.Seq != 1 {
+			t.Fatalf("%d stores: method-less call = %+v, %v", stores, check, err)
 		}
-		if _, ok := h.CarriedRead(); ok {
+		if _, ok, _ := h.takeCarried(first.Carried); ok {
 			t.Fatalf("%d stores: the carried vote outlived a later request", stores)
 		}
 		if st := w.serverStatus(t, "sv1"); st.Users != 1 {
-			t.Fatalf("%d stores: sv1 users = %d after CheckSeq, want the re-taken lock", stores, st.Users)
+			t.Fatalf("%d stores: sv1 users = %d after the method-less call, want the re-taken lock", stores, st.Users)
 		}
 		clear(calls)
 		if _, err := a.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if len(calls) != 1 || calls[object.MethodPrepare] != 1 {
-			t.Fatalf("%d stores: commit after CheckSeq sent %v; want one releasing message", stores, calls)
+			t.Fatalf("%d stores: commit after the method-less call sent %v; want one releasing message", stores, calls)
 		}
 		if st := w.serverStatus(t, "sv1"); st.Users != 0 {
 			t.Fatalf("%d stores: sv1 still holds the action", stores)
@@ -1039,7 +1032,7 @@ func TestInvokeSoloReadOnlyReplyLostBreaksTheBinding(t *testing.T) {
 	w.cluster.Faults().DropReplies(1, transport.ToMethod("sv1", object.ServiceName, object.MethodInvoke))
 	h := w.handle(t, SingleCopyPassive)
 	a := w.begin(t, h)
-	_, _, err := h.InvokeSolo(ctx, a, "get", nil, true)
+	_, err := h.Invoke(ctx, a, Call{Method: "get", Solo: true, ReadOnly: true})
 	if !errors.Is(err, ErrNoServers) || errors.Is(err, action.ErrOutcomeUnknown) {
 		t.Fatalf("err = %v, want ErrNoServers and no doubt", err)
 	}
@@ -1054,5 +1047,48 @@ func TestInvokeSoloReadOnlyReplyLostBreaksTheBinding(t *testing.T) {
 	}
 	if st := w.serverStatus(t, "sv2"); st.Active {
 		t.Fatal("the read was taken to a second server")
+	}
+}
+
+// TestMethodLessCallGoesToTheCoordinator: under active replication a call
+// that names a method is multicast to the object's group, but the
+// method-less check is one objsrv Invoke to the coordinator and no group
+// message; it takes the read lock there and reports the committed version.
+func TestMethodLessCallGoesToTheCoordinator(t *testing.T) {
+	w := newWorld(t, 2, 1)
+	ctx := context.Background()
+	h := w.handle(t, Active)
+	if err := h.Activate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sent := make(map[string]int)
+	w.cluster.Faults().OnRequest(-1, func(req transport.Request) bool { return req.From == "client" },
+		func(req transport.Request) { sent[req.Service+"/"+string(req.To)+"/"+req.Method]++ })
+	a := w.begin(t, h)
+	resp, err := h.Invoke(ctx, a, Call{})
+	if err != nil || resp.Seq != 1 {
+		t.Fatalf("method-less call = %+v, %v; want version 1", resp, err)
+	}
+	want := map[string]int{object.ServiceName + "/sv1/" + object.MethodInvoke: 1}
+	if !maps.Equal(sent, want) {
+		t.Fatalf("messages sent: %v; want %v", sent, want)
+	}
+	if st := w.serverStatus(t, "sv1"); st.Users != 1 {
+		t.Fatalf("sv1 users = %d after the method-less call, want the read lock held", st.Users)
+	}
+	if _, err := h.Invoke(ctx, a, Call{Method: "get"}); err != nil {
+		t.Fatal(err)
+	}
+	var group int
+	for k, n := range sent {
+		if strings.HasPrefix(k, "group/") {
+			group += n
+		}
+	}
+	if group == 0 || sent[object.ServiceName+"/sv1/"+object.MethodInvoke] != 1 {
+		t.Fatalf("messages sent after a read: %v; want it multicast, not sent as an Invoke", sent)
+	}
+	if _, err := a.Commit(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -422,14 +422,3 @@ func (c *Cluster) Nodes() []*Node {
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
-
-// UpNodes returns the names of functioning nodes, sorted.
-func (c *Cluster) UpNodes() []transport.Addr {
-	var out []transport.Addr
-	for _, n := range c.Nodes() {
-		if n.Up() {
-			out = append(out, n.name)
-		}
-	}
-	return out
-}

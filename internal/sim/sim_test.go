@@ -30,8 +30,8 @@ func TestAddAndLookup(t *testing.T) {
 	if len(nodes) != 2 || nodes[0].Name() != "alpha" {
 		t.Fatalf("nodes = %v", nodes)
 	}
-	if got := c.UpNodes(); len(got) != 2 {
-		t.Fatalf("up = %v", got)
+	if !nodes[0].Up() || !nodes[1].Up() {
+		t.Fatal("a node added is down")
 	}
 }
 
@@ -71,8 +71,8 @@ func TestCrashMakesUnreachableAndWipesVolatile(t *testing.T) {
 	if _, err := rpc.Invoke[rpc.Empty, rpc.Empty](context.Background(), cli, "alpha", "ping", "Ping", rpc.Empty{}); !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("post-crash call err = %v", err)
 	}
-	if got := c.UpNodes(); len(got) != 1 || got[0] != "beta" {
-		t.Fatalf("up = %v", got)
+	if nodes := c.Nodes(); len(nodes) != 2 || nodes[0].Up() || !nodes[1].Up() {
+		t.Fatal("after alpha's crash, want alpha down and beta up")
 	}
 }
 

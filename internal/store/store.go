@@ -427,14 +427,6 @@ func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 	return nil
 }
 
-// PendingWrites returns the number of distinct objects with prepared
-// writes under tx (0 if unknown). Exposed for tests and recovery tooling.
-func (s *Store) PendingWrites(tx string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.intentions[tx])
-}
-
 // Abort discards tx's prepared intentions; unknown tx is a no-op. The
 // abort record is appended but not synced: losing it to a crash merely
 // leaves an intention that presumed abort rolls back at recovery.

@@ -11,7 +11,9 @@ import (
 	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/lease"
+	"repro/internal/object"
 	"repro/internal/placement"
+	"repro/internal/replica"
 	"repro/internal/rpc"
 	"repro/internal/transport"
 	"repro/internal/uid"
@@ -274,12 +276,12 @@ func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte
 		}
 	}
 	t0 := time.Now()
-	out, err := o.bd.Invoke(t.noted(ctx), method, args)
+	resp, err := o.bd.Invoke(t.noted(ctx), replica.Call{Method: method, Args: args})
 	if err != nil {
 		return nil, MapError(err)
 	}
-	o.harvestLease(t0)
-	return out, nil
+	o.harvestLease(t0, resp.Lease)
+	return resp.Result, nil
 }
 
 // carriedRead sends a read the way apply sends an Apply: as a solo request
@@ -293,19 +295,21 @@ func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte
 // object.Manager.invalidateHolders).
 //
 // Unlike an Apply, the action may go on. The read is then one served with no
-// lock behind it, and is recorded for revalidateReads beside the leased ones.
-// Where the binding could not carry (a broken candidate, active replication)
-// the server still holds the read lock and nothing is recorded.
+// lock behind it, and is recorded for revalidateReads beside the leased ones,
+// with the version the reply says it read. Where the binding could not carry
+// (a broken candidate, active replication), or the carried vote is not a
+// clean read-only one, the server still holds the read lock and nothing is
+// recorded.
 func (o *Object) carriedRead(ctx context.Context, method string, args []byte) ([]byte, error) {
-	out, _, err := o.bd.InvokeSolo(o.t.noted(ctx), method, args, true)
+	resp, err := o.bd.Invoke(o.t.noted(ctx), replica.Call{Method: method, Args: args, Solo: true, ReadOnly: true})
 	if err != nil {
 		return nil, MapError(err)
 	}
-	if seq, ok := o.bd.CarriedRead(); ok {
+	if resp.Carried != object.CarryNone && resp.VoteCode == "" && !resp.Vote.Dirty {
 		o.t.carried++
-		o.t.unlocked = append(o.t.unlocked, unlockedRead{id: o.id, seq: seq})
+		o.t.unlocked = append(o.t.unlocked, unlockedRead{id: o.id, seq: resp.Seq})
 	}
-	return out, nil
+	return resp.Result, nil
 }
 
 // leasedRead serves a read-only method from the client's lease cache
@@ -339,16 +343,12 @@ func (o *Object) leasedRead(method string, args []byte) ([]byte, bool) {
 	return out, true
 }
 
-// harvestLease caches a lease the server attached to an invocation.
+// harvestLease caches a lease g the server attached to an invocation.
 // The snapshot's expiry is computed from t0 — an instant BEFORE the
 // request was sent — so whatever the clocks did, the cached lease dies
 // no later than the granting server believes it does.
-func (o *Object) harvestLease(t0 time.Time) {
-	lc := o.t.c.leases
-	if lc == nil {
-		return
-	}
-	if g, ok := o.bd.LeaseGrant(); ok {
+func (o *Object) harvestLease(t0 time.Time, g *object.LeaseGrant) {
+	if lc := o.t.c.leases; lc != nil && g != nil {
 		lc.Put(lease.Snapshot{UID: o.id, Class: g.Class, State: g.State, Seq: g.Seq, Expiry: t0.Add(g.TTL)})
 	}
 }
@@ -384,7 +384,7 @@ func (o *Object) classify(method string) (readOnly bool, err error) {
 	return false, fmt.Errorf("arjuna: %s.%s is not a read-only method: refused on a ClientReadOnly client", cls.Name, method)
 }
 
-// apply is the solo-invoke path behind Client.Apply: the request carries
+// apply sends Client.Apply's operation as a Solo call: the request carries
 // the action's phase one, so the commit that follows has nothing to send to
 // the server. A request that carried the commit and failed ambiguously may
 // have committed: the failure is kept in o.inDoubt and NOT returned, so that
@@ -400,7 +400,7 @@ func (o *Object) apply(ctx context.Context, method string, args []byte) ([]byte,
 		return nil, err
 	}
 	o.t.ops++
-	out, batched, err := o.bd.InvokeSolo(o.t.noted(ctx), method, args, readOnly)
+	resp, err := o.bd.Invoke(o.t.noted(ctx), replica.Call{Method: method, Args: args, Solo: true, ReadOnly: readOnly})
 	if errors.Is(err, action.ErrOutcomeUnknown) {
 		o.inDoubt = MapError(err)
 		return nil, nil
@@ -408,8 +408,8 @@ func (o *Object) apply(ctx context.Context, method string, args []byte) ([]byte,
 	if err != nil {
 		return nil, MapError(err)
 	}
-	o.batched = batched
-	return out, nil
+	o.batched = resp.Batched
+	return resp.Result, nil
 }
 
 // Atomic runs fn inside one top-level atomic action: begin, let fn bind
@@ -579,8 +579,8 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool
 // both: a leased read ran on a cached snapshot, and a carried read
 // (carriedRead) ran at the server under a read lock the same request
 // released; each recorded the committed version it saw. The object is bound
-// if it is not yet and its coordinator asked — under the action's read lock —
-// for its committed version. A matching version proves what was read is
+// if it is not yet and its coordinator asked, by a method-less call that
+// takes the action's read lock, for its committed version (InvokeResp.Seq). A matching version proves what was read is
 // still the latest committed state, and the read lock (strict 2PL, held
 // through this action's commit) keeps it so, making the transaction
 // equivalent to one that read through the servers with its locks held. A
@@ -615,14 +615,14 @@ func (t *Txn) revalidateReads(ctx context.Context) error {
 		if err := o.bind(ctx); err != nil {
 			return stale(r, err)
 		}
-		seq, err := o.bd.LeaseCheck(t.noted(ctx))
+		resp, err := o.bd.Invoke(t.noted(ctx), replica.Call{})
 		if err != nil {
 			// Unreachable coordinator, refused lock, dead context — the read
 			// cannot be vouched for. Classify the cause for the retry loop,
 			// which takes the plain server path.
 			return stale(r, MapError(err))
 		}
-		if seq != r.seq {
+		if resp.Seq != r.seq {
 			return stale(r, ErrLeaseStale)
 		}
 	}
