@@ -178,8 +178,20 @@ func (s Scheme) String() string {
 // the failure paths are ending the repair action as aborted,
 // txDBState.unclaim and the trackTxDB hook.
 type Binder struct {
+	BindConfig
 	// DB addresses the group view database.
 	DB Client
+
+	// dbtxKey is the stash key of trackTxDB, built on first use.
+	dbtxOnce sync.Once
+	dbtxKey  string
+}
+
+// BindConfig is a binder's settings: every Binder field but the database
+// it binds against. It is its own type so that a template of settings can
+// be copied into each binder built from it (placement.Binder builds one
+// per shard); a Binder itself holds a sync.Once and must not be copied.
+type BindConfig struct {
 	// Actions creates the client's atomic actions.
 	Actions *action.Manager
 	// ClientNode is the client's own address (use-list identity).
@@ -231,10 +243,6 @@ type Binder struct {
 	// commit processing can wait out the lease clock when a granting
 	// primary fails during phase two (see replica.Config.LeaseTTL).
 	LeaseTTL time.Duration
-
-	// dbtxKey is the stash key of trackTxDB, built on first use.
-	dbtxOnce sync.Once
-	dbtxKey  string
 }
 
 // Binding is one client action's binding to one replicated object. It is

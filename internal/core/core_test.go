@@ -87,12 +87,14 @@ func newWorld(t *testing.T, nServers, nStores, nClients int) *world {
 
 func (w *world) binder(client transport.Addr, scheme Scheme, policy replica.Policy, degree int) *Binder {
 	return &Binder{
-		DB:         Client{RPC: w.cluster.Node(client).Client(), DB: "db"},
-		Actions:    w.mgrs[client],
-		ClientNode: client,
-		Scheme:     scheme,
-		Policy:     policy,
-		Degree:     degree,
+		DB: Client{RPC: w.cluster.Node(client).Client(), DB: "db"},
+		BindConfig: BindConfig{
+			Actions:    w.mgrs[client],
+			ClientNode: client,
+			Scheme:     scheme,
+			Policy:     policy,
+			Degree:     degree,
+		},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/placement"
 	"repro/internal/replica"
 	"repro/pkg/arjuna"
 )
@@ -89,7 +90,7 @@ func RunAvailability(cfg AvailConfig) (*AvailResult, error) {
 
 // runAvailAction runs bind → add → (optional mid-action crash) → add →
 // commit and reports whether the action committed.
-func runAvailAction(ctx context.Context, w *harness.World, b *core.Binder, crashDuring bool, rng interface{ Intn(int) int }) bool {
+func runAvailAction(ctx context.Context, w *harness.World, b *placement.Binder, crashDuring bool, rng interface{ Intn(int) int }) bool {
 	act := b.Actions.BeginTop()
 	bd, err := b.Bind(ctx, act, w.Objects[0])
 	if err != nil {

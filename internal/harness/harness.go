@@ -1,9 +1,10 @@
 // Package harness assembles full simulated deployments — cluster, group
 // view database, object servers, stores, client nodes, registered objects
-// — and hands out the binders that run against them. It is deployment
-// assembly only: the one client that runs actions on a World is
-// pkg/arjuna.Client, which the fault tests, the experiments and the
-// benchmarks drive like any application does.
+// — and builds the one binder clients bind through (World.Binder). It is
+// deployment assembly only: the one client that runs actions on a World
+// is pkg/arjuna.Client, which the fault tests and the benchmarks drive
+// like any application does; the experiments that drive a binding
+// directly bind through the same World.Binder.
 package harness
 
 import (
@@ -330,28 +331,6 @@ func (w *World) RebalanceBatch(ctx context.Context, ids []uid.UID, target int) e
 	return placement.Move(ctx, pc, w.Mgrs[client], w.Cluster.Node(client).Client(), ids, target, w.leaseTTL > 0)
 }
 
-// ShardBinder builds the placement binder a client binds through, over
-// the world's placement table: one row with one group, resolved without a
-// message.
-func (w *World) ShardBinder(client transport.Addr, scheme core.Scheme, policy replica.Policy, degree int) *placement.Binder {
-	rpcc := w.Cluster.Node(client).Client()
-	b := &placement.Binder{
-		Place:       placement.NewClient(rpcc, w.table, w.PlaceAddrs...),
-		Actions:     w.Mgrs[client],
-		ClientNode:  client,
-		RPC:         rpcc,
-		Scheme:      scheme,
-		Policy:      policy,
-		Degree:      degree,
-		LeaseHolder: w.leaseHolderFor(client),
-		LeaseTTL:    w.leaseTTL,
-	}
-	if w.NameServer != "" {
-		b.NameServer = &core.NSClient{RPC: rpcc, Node: w.NameServer}
-	}
-	return b
-}
-
 // leaseHolderFor names the client as a lease holder when the world runs
 // with leases enabled (the client node then has a cache to hold them).
 func (w *World) leaseHolderFor(client transport.Addr) transport.Addr {
@@ -377,19 +356,24 @@ func (w *World) OutcomeLogFor(n *sim.Node) store.OutcomeLog {
 	}
 }
 
-// Binder builds a binder for the named client against the first (or only)
-// group's database.
-func (w *World) Binder(client transport.Addr, scheme core.Scheme, policy replica.Policy, degree int) *core.Binder {
+// Binder builds the one binder a client binds through: a placement
+// binder over the world's placement table (one row with one group,
+// resolved without a message). pkg/arjuna's clients, the experiments and
+// the benchmark's probes all bind through it.
+func (w *World) Binder(client transport.Addr, scheme core.Scheme, policy replica.Policy, degree int) *placement.Binder {
 	rpcc := w.Cluster.Node(client).Client()
-	b := &core.Binder{
-		DB:          core.Client{RPC: rpcc, DB: w.DB.Addr()},
-		Actions:     w.Mgrs[client],
-		ClientNode:  client,
-		Scheme:      scheme,
-		Policy:      policy,
-		Degree:      degree,
-		LeaseHolder: w.leaseHolderFor(client),
-		LeaseTTL:    w.leaseTTL,
+	b := &placement.Binder{
+		BindConfig: core.BindConfig{
+			Actions:     w.Mgrs[client],
+			ClientNode:  client,
+			Scheme:      scheme,
+			Policy:      policy,
+			Degree:      degree,
+			LeaseHolder: w.leaseHolderFor(client),
+			LeaseTTL:    w.leaseTTL,
+		},
+		Place: placement.NewClient(rpcc, w.table, w.PlaceAddrs...),
+		RPC:   rpcc,
 	}
 	if w.NameServer != "" {
 		b.NameServer = &core.NSClient{RPC: rpcc, Node: w.NameServer}

@@ -88,8 +88,9 @@ func TestWorldShape(t *testing.T) {
 }
 
 // TestBinderOnShardedWorldReachesFirstGroup: a sharded world names its
-// databases db1..dbN — there is no "db" node — so World.Binder must address
-// the first group's database, and an object of that group binds and commits.
+// databases db1..dbN — there is no "db" node — so World.Binder must resolve
+// an object of the first group to that group's database, where it binds and
+// commits.
 func TestBinderOnShardedWorldReachesFirstGroup(t *testing.T) {
 	w, err := harness.New(harness.Options{Servers: 1, Stores: 1, Clients: 1, Objects: 8, Shards: 2})
 	if err != nil {
@@ -109,7 +110,7 @@ func TestBinderOnShardedWorldReachesFirstGroup(t *testing.T) {
 	ctx := context.Background()
 	act := bd.Actions.BeginTop()
 	if _, err := bd.Bind(ctx, act, id); err != nil {
-		t.Fatalf("bind through %s: %v", bd.DB.DB, err)
+		t.Fatalf("bind through %s: %v", w.Groups[0].DB.Addr(), err)
 	}
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatalf("commit: %v", err)

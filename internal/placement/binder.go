@@ -3,13 +3,10 @@ package placement
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/action"
 	"repro/internal/core"
-	"repro/internal/replica"
 	"repro/internal/rpc"
-	"repro/internal/transport"
 	"repro/internal/uid"
 )
 
@@ -31,38 +28,16 @@ import (
 // mapping is current and the object genuinely is not there, so the
 // original error stands.
 type Binder struct {
+	// BindConfig is copied whole into every per-shard binder.
+	core.BindConfig
 	// Place resolves object → shard.
 	Place *Client
-	// Actions creates the client's atomic actions.
-	Actions *action.Manager
-	// ClientNode is the client's own address (use-list identity).
-	ClientNode transport.Addr
 	// RPC issues calls from the client node.
 	RPC rpc.Client
-	// Scheme, Policy, Degree, ReadOnly and FastBind configure each
-	// per-shard binder exactly as their core.Binder counterparts.
-	Scheme   core.Scheme
-	Policy   replica.Policy
-	Degree   int
-	ReadOnly bool
-	FastBind bool
-	// LeaseHolder mirrors core.Binder.LeaseHolder into every per-shard
-	// binder: when non-empty, read-path invocations request read leases
-	// delivered to this client node.
-	LeaseHolder transport.Addr
-	// LeaseTTL mirrors core.Binder.LeaseTTL (the deployment's read-lease
-	// duration; zero disables the phase-two lease-clock waitout).
-	LeaseTTL time.Duration
-	// NameServer mirrors core.Binder.NameServer (the §5 extension's
-	// non-atomic Sv, which E12 runs on one group).
-	NameServer *core.NSClient
 
 	mu  sync.Mutex
 	sub map[int]*core.Binder
 }
-
-// BeginTop starts a new top-level client action.
-func (b *Binder) BeginTop() *action.Action { return b.Actions.BeginTop() }
 
 // Bind resolves the object's shard and binds it there. Must be called
 // inside a running client action.
@@ -93,19 +68,7 @@ func (b *Binder) shardBinder(info ShardInfo) *core.Binder {
 	if sb, ok := b.sub[info.ID]; ok {
 		return sb
 	}
-	sb := &core.Binder{
-		DB:          core.Client{RPC: b.RPC, DB: info.DB},
-		Actions:     b.Actions,
-		ClientNode:  b.ClientNode,
-		Scheme:      b.Scheme,
-		Policy:      b.Policy,
-		Degree:      b.Degree,
-		ReadOnly:    b.ReadOnly,
-		FastBind:    b.FastBind,
-		LeaseHolder: b.LeaseHolder,
-		LeaseTTL:    b.LeaseTTL,
-		NameServer:  b.NameServer,
-	}
+	sb := &core.Binder{BindConfig: b.BindConfig, DB: core.Client{RPC: b.RPC, DB: info.DB}}
 	if b.sub == nil {
 		b.sub = make(map[int]*core.Binder)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/lockmgr"
+	"repro/internal/object"
 	"repro/internal/replica"
 	"repro/internal/rpc"
 	"repro/internal/transport"
@@ -317,6 +318,46 @@ func TestReadOnlyClient(t *testing.T) {
 	}
 	if string(got) != "9" {
 		t.Fatalf("read = %q, want 9", got)
+	}
+}
+
+// TestClientDegreeDefault: a client left at the default degree activates one
+// replica under single-copy passive replication and every server of Sv under
+// active replication; ClientDegree narrows the latter, and a negative degree
+// means all of Sv.
+func TestClientDegreeDefault(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		policy arjuna.Policy
+		opts   []arjuna.ClientOption
+		want   int
+	}{
+		{"single-copy passive", arjuna.SingleCopyPassive, nil, 1},
+		{"active", arjuna.Active, nil, 3},
+		{"active, degree 1", arjuna.Active, []arjuna.ClientOption{arjuna.ClientDegree(1)}, 1},
+		{"active, degree -1", arjuna.Active, []arjuna.ClientOption{arjuna.ClientDegree(-1)}, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := openT(t, arjuna.WithServers(3), arjuna.WithPolicy(c.policy))
+			id := sys.Objects()[0]
+			if _, _, err := clientT(t, sys, "c1", c.opts...).Apply(ctx, id, "add", []byte("1")); err != nil {
+				t.Fatalf("apply: %v", err)
+			}
+			var active []transport.Addr
+			for _, sv := range sys.World().Svs {
+				st, err := object.ServerRef{Client: sys.World().Cluster.Node("c1").Client(), Node: sv, UID: id}.Status(ctx)
+				if err != nil {
+					t.Fatalf("status at %s: %v", sv, err)
+				}
+				if st.Active {
+					active = append(active, sv)
+				}
+			}
+			if len(active) != c.want {
+				t.Fatalf("active at %v, want %d servers", active, c.want)
+			}
+		})
 	}
 }
 

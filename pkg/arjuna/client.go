@@ -525,7 +525,7 @@ func (c *Client) Apply(ctx context.Context, id uid.UID, method string, args []by
 // runOnce executes one begin → fn → commit/abort cycle; retry marks an
 // attempt after the first.
 func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool) (*CommitReport, error) {
-	act := c.binder.BeginTop()
+	act := c.binder.Actions.BeginTop()
 	tx := &Txn{c: c, act: act, notes: &rpc.BreakerNotes{}, retry: retry}
 	// Abort on every path that does not reach commit — including a panic
 	// inside fn — so no action is left running.

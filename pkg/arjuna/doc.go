@@ -254,12 +254,14 @@
 // explicit overrides — the paper's §5 observation (naming data needs no
 // atomic discipline because binding failures are detected and retried)
 // applied one level up, to the object→group map itself. Clients resolve
-// and cache placements transparently inside Atomic — a one-group
-// deployment binds through the same placement binder, over a one-row table
-// that resolves without a message. An action touching objects of one shard
-// keeps the one-phase and all-read-only fast paths, while an action
-// spanning shards enlists participants from several groups under one
-// coordinator and commits through the same voting two-phase protocol.
+// and cache placements transparently inside Atomic. Every client binds
+// through one placement binder whose settings (scheme, policy, degree, the
+// read optimisation) are copied whole into the binder of each shard it
+// reaches; a one-group deployment binds through it too, over a one-row
+// table that resolves without a message. An action touching objects of
+// one shard keeps the one-phase and all-read-only fast paths, while an
+// action spanning shards enlists participants from several groups under
+// one coordinator and commits through the same voting two-phase protocol.
 //
 // System.Rebalance(ctx, id, shard) migrates an object between shards
 // using the §4.2 catch-up machinery (deregister once quiescent, install

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/object"
 	"repro/internal/replica"
 	"repro/internal/rpc"
@@ -47,38 +48,20 @@ type Class = object.Class
 // Method is one object method: (state, args) → (newState, result, error).
 type Method = object.Method
 
-// config is the assembled deployment description.
+// config is the assembled deployment description: the world's options
+// plus the facade's own defaults and gate.
 type config struct {
-	servers int
-	stores  int
-	clients int
-	objects int
-	shards  int
-
-	net     transport.MemOptions
-	network transport.Network
-
-	dataDir string
-	disk    storage.DiskOptions
+	harness.Options
 
 	scheme Scheme
 	policy Policy
 
 	admission int
-
-	breakers BreakerConfig
-
-	leaseTTL time.Duration
-
-	classes []*Class
 }
 
 func defaultConfig() config {
 	return config{
-		servers: 2,
-		stores:  2,
-		clients: 1,
-		objects: 1,
+		Options: harness.Options{Servers: 2, Stores: 2, Clients: 1, Objects: 1},
 		scheme:  SchemeIndependent,
 		policy:  SingleCopyPassive,
 	}
@@ -88,19 +71,19 @@ func defaultConfig() config {
 type Option func(*config)
 
 // WithServers sets the number of object-server nodes (sv1..svN).
-func WithServers(n int) Option { return func(c *config) { c.servers = n } }
+func WithServers(n int) Option { return func(c *config) { c.Servers = n } }
 
 // WithStores sets the number of object-store nodes (st1..stN).
-func WithStores(n int) Option { return func(c *config) { c.stores = n } }
+func WithStores(n int) Option { return func(c *config) { c.Stores = n } }
 
 // WithClients sets the number of client nodes (c1..cN).
-func WithClients(n int) Option { return func(c *config) { c.clients = n } }
+func WithClients(n int) Option { return func(c *config) { c.Clients = n } }
 
 // WithObjects sets how many pre-created counter objects the deployment
 // starts with (each replicated across all servers and stores of its
 // shard). Further objects of any registered class are created with
 // System.CreateObject.
-func WithObjects(n int) Option { return func(c *config) { c.objects = n } }
+func WithObjects(n int) Option { return func(c *config) { c.Objects = n } }
 
 // WithShards splits the deployment into n independent groups, each with
 // its own group view database (db1..dbN) and its own WithServers servers
@@ -112,7 +95,7 @@ func WithObjects(n int) Option { return func(c *config) { c.objects = n } }
 // participants from several groups under one coordinator. n <= 1 is one
 // group (one "db" node) with no placement service: its placement table has
 // one row, which every Client resolves without a message.
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
+func WithShards(n int) Option { return func(c *config) { c.Shards = n } }
 
 // WithScheme sets the deployment's default database access scheme;
 // individual clients may override it with ClientScheme.
@@ -144,7 +127,7 @@ type BreakerConfig = rpc.BreakerConfig
 // WithBreakerConfig tunes the circuit breakers' window, trip threshold
 // and probe cooldown. Zero fields keep their defaults.
 func WithBreakerConfig(cfg BreakerConfig) Option {
-	return func(c *config) { c.breakers = cfg }
+	return func(c *config) { c.Breakers = cfg }
 }
 
 // DefaultLeaseTTL is the read-lease lifetime WithReadLeases selects when
@@ -171,14 +154,20 @@ func WithReadLeases(ttl time.Duration) Option {
 		if ttl <= 0 {
 			ttl = DefaultLeaseTTL
 		}
-		c.leaseTTL = ttl
+		c.LeaseTTL = ttl
 	}
 }
 
 // WithClass registers an application object class in addition to the
 // built-in "counter" class.
 func WithClass(cl *Class) Option {
-	return func(c *config) { c.classes = append(c.classes, cl) }
+	return func(c *config) {
+		if c.Registry == nil {
+			c.Registry = object.NewRegistry()
+			c.Registry.Register(harness.CounterClass())
+		}
+		c.Registry.Register(cl)
+	}
 }
 
 // WithDataDir roots every node's stable storage in dir: committed
@@ -192,20 +181,20 @@ func WithClass(cl *Class) Option {
 // this option stable storage is in-memory: "stable" only with respect
 // to simulated crashes, gone with the process.
 func WithDataDir(dir string) Option {
-	return func(c *config) { c.dataDir = dir }
+	return func(c *config) { c.DataDir = dir }
 }
 
 // WithDiskOptions tunes the disk engine used with WithDataDir — the
 // fsync discipline (group commit by default) and the WAL compaction
 // threshold.
 func WithDiskOptions(opts storage.DiskOptions) Option {
-	return func(c *config) { c.disk = opts }
+	return func(c *config) { c.Disk = opts }
 }
 
 // WithMemNetwork tunes the default in-memory network (latency, jitter,
 // seed). Ignored when WithNetwork selects another transport.
 func WithMemNetwork(opts transport.MemOptions) Option {
-	return func(c *config) { c.net = opts }
+	return func(c *config) { c.Net = opts }
 }
 
 // WithNetwork runs the deployment over an explicit transport instead of
@@ -215,14 +204,14 @@ func WithMemNetwork(opts transport.MemOptions) Option {
 // (System.Faults) is available when the transport runs the fault pipeline:
 // the in-memory network, or any carrier wrapped in transport.NewFaulty.
 func WithNetwork(net transport.Network) Option {
-	return func(c *config) { c.network = net }
+	return func(c *config) { c.Network = net }
 }
 
 // clientConfig describes one Client's binding behaviour.
 type clientConfig struct {
 	scheme   Scheme
 	policy   Policy
-	degree   int // <0 = auto: 1 for single-copy passive, all otherwise
+	degree   int // 0 = all of Sv (single-copy passive binds one regardless)
 	readOnly bool
 	fastBind bool
 	retries  int
@@ -241,9 +230,17 @@ func ClientScheme(s Scheme) ClientOption { return func(c *clientConfig) { c.sche
 func ClientPolicy(p Policy) ClientOption { return func(c *clientConfig) { c.policy = p } }
 
 // ClientDegree sets the desired number of activated replicas per binding
-// (|Sv'| of §3.2) for this client; 0 means all servers in the view. The
-// default is 1 under single-copy passive replication and all otherwise.
-func ClientDegree(d int) ClientOption { return func(c *clientConfig) { c.degree = d } }
+// (|Sv'| of §3.2) for this client; 0 (the default) means all servers in
+// the view, and d < 0 is treated as 0. Single-copy passive replication
+// always activates one replica, whatever the degree.
+func ClientDegree(d int) ClientOption {
+	return func(c *clientConfig) {
+		if d < 0 {
+			d = 0
+		}
+		c.degree = d
+	}
+}
 
 // ClientReadOnly applies the §4.1.2 read optimisation: the client never
 // touches use lists, and only read-only methods can be invoked through it —

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/lease"
-	"repro/internal/object"
 	"repro/internal/transport"
 	"repro/internal/uid"
 )
@@ -46,29 +45,7 @@ func Open(opts ...Option) (*System, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var reg *object.Registry
-	if len(cfg.classes) > 0 {
-		reg = object.NewRegistry()
-		reg.Register(harness.CounterClass())
-		for _, cl := range cfg.classes {
-			reg.Register(cl)
-		}
-	}
-	w, err := harness.New(harness.Options{
-		Servers:  cfg.servers,
-		Stores:   cfg.stores,
-		Clients:  cfg.clients,
-		Objects:  cfg.objects,
-		Shards:   cfg.shards,
-		Net:      cfg.net,
-		Network:  cfg.network,
-		Registry: reg,
-		DataDir:  cfg.dataDir,
-		Disk:     cfg.disk,
-
-		Breakers: cfg.breakers,
-		LeaseTTL: cfg.leaseTTL,
-	})
+	w, err := harness.New(cfg.Options)
 	if err != nil {
 		return nil, fmt.Errorf("arjuna: open: %w", err)
 	}
@@ -131,27 +108,19 @@ func (s *System) Client(name string, opts ...ClientOption) (*Client, error) {
 	cc := clientConfig{
 		scheme:  s.cfg.scheme,
 		policy:  s.cfg.policy,
-		degree:  -1,
 		retries: defaultRetries,
 		backoff: defaultBackoff,
 	}
 	for _, o := range opts {
 		o(&cc)
 	}
-	if cc.degree < 0 {
-		if cc.policy == SingleCopyPassive {
-			cc.degree = 1
-		} else {
-			cc.degree = 0 // all servers in the view
-		}
-	}
-	binder := s.w.ShardBinder(addr, cc.scheme, cc.policy, cc.degree)
+	binder := s.w.Binder(addr, cc.scheme, cc.policy, cc.degree)
 	binder.ReadOnly = cc.readOnly
 	binder.FastBind = cc.fastBind
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name)) // hash.Hash.Write never fails
 	cl := &Client{sys: s, name: addr, binder: binder, cfg: cc,
-		jitter: rand.New(rand.NewPCG(uint64(s.cfg.net.Seed), h.Sum64()))}
+		jitter: rand.New(rand.NewPCG(uint64(s.cfg.Net.Seed), h.Sum64()))}
 	if l2, ok := s.w.LeaseCaches[addr]; ok && cc.policy == SingleCopyPassive {
 		// The client's L1 over its node's shared L2 lease cache. Leases
 		// are granted by the view-primary under single-copy passive
@@ -583,7 +552,7 @@ func (s *System) StatsSnapshot() string {
 func (s *System) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "arjuna.System(%d × (db + %d servers + %d stores) + %d clients, scheme=%v, policy=%v",
-		len(s.w.Groups), s.cfg.servers, s.cfg.stores, len(s.w.Clients), s.cfg.scheme, s.cfg.policy)
+		len(s.w.Groups), s.cfg.Servers, s.cfg.Stores, len(s.w.Clients), s.cfg.scheme, s.cfg.policy)
 	net := s.w.Cluster.Net()
 	if f, ok := net.(*transport.Faulty); ok {
 		net = f.Inner()
