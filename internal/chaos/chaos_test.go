@@ -164,6 +164,21 @@ func TestChaosBank(t *testing.T) {
 	}
 }
 
+// TestChaosBankIndependent: TestChaosBank under the independent scheme,
+// whose transfers end at the database with the client action's EndAction and
+// both accounts' use-count Decrements in one message, and whose two accounts,
+// at one server, are prepared and committed there in one request each — under
+// crashes, partitions and lost messages. TestChaosBank runs the standard
+// scheme, which sends no Decrement. Conservation and the shared invariants
+// must hold.
+func TestChaosBankIndependent(t *testing.T) {
+	for _, seed := range seeds(121, 4) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runSeed(t, Config{Seed: seed, Workload: WorkloadBank, Scheme: core.SchemeIndependent})
+		})
+	}
+}
+
 // TestChaosCrashDuringCommit: schedules biased so half the events kill a
 // store between its commit vote and the outcome, covering both the
 // commit-side and abort-side in-doubt shapes. The run must resolve every

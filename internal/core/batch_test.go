@@ -171,3 +171,42 @@ func TestDuplicatedBatchLeavesNoLock(t *testing.T) {
 		}
 	}
 }
+
+// TestActionEndDecrementsStandAlone: an action of several objects ends at
+// the database in one message, [EndAction, Decrement(own) × k]. An object
+// deregistered since its binding was counted — its Sv entry gone, and its
+// use lists with it — leaves its Decrement nothing to drop: the message goes
+// through, and the other objects' counts drop, whichever comes first.
+func TestActionEndDecrementsStandAlone(t *testing.T) {
+	w := newWorld(t, 2, 1, 1)
+	ctx := context.Background()
+	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
+	gone := w.secondObject()
+	sv1 := []transport.Addr{"sv1"}
+	if _, err := cli.Do(ctx, IncrementOp("", gone, "c1", sv1)); err != nil {
+		t.Fatal(err)
+	}
+	// The object moves away: its server is removed, which drops the count,
+	// and it is deregistered.
+	if _, err := cli.Do(ctx, RemoveOp("move", gone, "sv1", false), DeregisterOp("move", gone), EndActionOp("move", true)); err != nil {
+		t.Fatal(err)
+	}
+	for _, goneFirst := range []bool{true, false} {
+		if _, err := cli.Do(ctx, IncrementOp("", w.id, "c1", sv1), GetViewOp("act", w.id)); err != nil {
+			t.Fatal(err)
+		}
+		decs := []Op{DecrementOp("", gone, "c1", sv1), DecrementOp("", w.id, "c1", sv1)}
+		if !goneFirst {
+			decs[0], decs[1] = decs[1], decs[0]
+		}
+		if _, err := cli.Do(ctx, append([]Op{EndActionOp("act", true)}, decs...)...); err != nil {
+			t.Fatalf("gone first %v: action-end = %v", goneFirst, err)
+		}
+		if !w.db.Quiescent(w.id) {
+			t.Fatalf("gone first %v: the registered object's count did not drop", goneFirst)
+		}
+		if n := w.lockHolders(); n != 0 {
+			t.Fatalf("gone first %v: %d lock holders left", goneFirst, n)
+		}
+	}
+}

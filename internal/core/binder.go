@@ -75,8 +75,9 @@ func (s Scheme) String() string {
 // Binder binds client actions to replicated objects through the group view
 // database, according to a scheme and a replication policy.
 //
-// Under the enhanced schemes one binding talks to the database twice, and
-// each conversation is one message (Client.Do) carrying the paper's
+// Under the enhanced schemes one binding talks to the database twice — once
+// to bind, and once, shared with the action's other bindings there, to end —
+// and each conversation is one message (Client.Do) carrying the paper's
 // operations in the paper's order, each under the action that owns it —
 // the short top-level actions of Figure 7 (nested top-level in Figure 8)
 // each under its message's own (BatchReq):
@@ -88,9 +89,12 @@ func (s Scheme) String() string {
 //     ReadOnly binder never updates use lists and sends Select in Bind's
 //     place — the same read and the same rule, uncounted — or, under active
 //     replication, a bare GetServer.
-//   - action-end — [EndAction(client action), Decrement(own)]: the client
-//     action's database locks go, then the last shaded action of Figure 7
-//     drops the use counts.
+//   - action-end — [EndAction(client action), Decrement(own) × k]: the
+//     client action's database locks go, then the last shaded action of
+//     Figure 7 drops the use counts, one Decrement for each of the action's
+//     k bindings at this database, each standing alone. It is one message per
+//     database per action, sent when every binding there has finished commit
+//     or abort processing (txGroup.end).
 //
 // The first object a read-only action binds has the first conversation only
 // — [Select(own), GetView(own)]: the St read joins the bind action, its
@@ -136,7 +140,11 @@ func (s Scheme) String() string {
 //
 //   - invoke, then Prepare and Commit — or one one-phase Prepare when a
 //     single server writes back to a single store — for a binding of
-//     Atomic + Invoke, one among possibly several in its action;
+//     Atomic + Invoke, one among possibly several in its action. The
+//     Prepare and the Commit are its group's (txGroup): each server gets
+//     one of each naming every object of the action it holds, so two
+//     objects at one server are bind · bind · invoke · invoke · Prepare ·
+//     Commit · action-end, 7 messages;
 //   - one invoke for a binding of Apply (a Solo call), whose operation is
 //     declared the action's entire write set: the request carries phase one,
 //     so over one store a committed write is bind · invoke · action-end, and
@@ -175,8 +183,8 @@ func (s Scheme) String() string {
 // The standard scheme (Figure 6) has [GetServer, GetView] and a bare
 // EndAction only, and never repairs. A message that fails part-way leaves
 // what single calls failing at the same operation would (see DB.batch), so
-// the failure paths are ending the repair action as aborted,
-// txDBState.unclaim and the trackTxDB hook.
+// the failure paths are ending the repair action as aborted, the
+// action-end's released claim (txGroup.end) and the trackTxDB hook.
 type Binder struct {
 	BindConfig
 	// DB addresses the group view database.
@@ -263,16 +271,14 @@ type Binding struct {
 	probed bool
 	// stView is St as read at bind time.
 	stView []transport.Addr
-	// released marks end-of-action processing (database EndAction and the
-	// use-list Decrement) as already done — a read-only vote or a
-	// one-phase commit finished it during phase one. Commit/Abort are
-	// no-ops then.
-	released bool
-	// dbState guards the once-per-action database EndAction, shared with
-	// sibling bindings and the action-level hook (see trackTxDB). Nil while
-	// the binding is unpinned: the client action holds nothing at the
-	// database for it (see Binder, Binding.pin).
-	dbState *txDBState
+	// group is the client action's group at the binding's database, shared
+	// with sibling bindings and the action-level hook (see txGroup,
+	// trackTxDB). Nil while the binding is unpinned: the client action holds
+	// nothing at the database for it (see Binder, Binding.pin), and the
+	// binding's commit phases are its own.
+	group *txGroup
+	// enlisted marks the binding its action's participant (see enlist).
+	enlisted bool
 }
 
 // Bind resolves the object's UID through the naming and binding service
@@ -306,40 +312,195 @@ func (b *Binder) Bind(ctx context.Context, act *action.Action, id uid.UID) (*Bin
 	}
 }
 
-// txDBState is the per-(action, database) end-of-action guard, shared by
-// every binding of one client action: EndAction for the action's database
-// state must run exactly once, with the action's outcome.
-type txDBState struct {
-	mu    sync.Mutex
-	ended bool
+// txGroup is one client action's bindings at one group view database — in
+// the paper's deployment of one group, every object the action binds. Its
+// bindings share it with the action-level hook (see trackTxDB), and it does
+// once for all of them what each would otherwise do alone:
+//
+//   - each commit phase — Prepare, Commit, Abort — runs once over every
+//     binding's replica handle, so each server gets one request per phase
+//     naming every object of the action it holds (replica.Prepare, Commit,
+//     Abort): the first binding the action asks runs it, and each takes its
+//     own part of the answer (run). Votes, locks and store checks stay per
+//     object; the action still counts one participant per binding.
+//   - the action-end is one message, [EndAction(client action),
+//     Decrement(own) × k], sent after every binding has finished commit or
+//     abort processing: by the phase-two run, or — when no binding here takes
+//     part in phase two, a read-only vote or a one-phase commit having
+//     finished it in phase one — by the hook, once the action's outcome is
+//     decided (end).
+type txGroup struct {
+	b  *Binder
+	tx string
+
+	mu sync.Mutex
+	// members are the group's enlisted bindings; first holds the first, so
+	// that an action of one object allocates no list for it.
+	members []*Binding
+	first   [1]*Binding
+	runs    [numPhases]*phaseRun
+	// ended claims the EndAction; decremented says the Decrements were sent
+	// (or, their message failing, given up: they are best effort).
+	ended, decremented bool
 }
 
-// tryEnd claims the single EndAction; it reports false when another
-// binding (or the action-level hook) already ran it.
-func (s *txDBState) tryEnd() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return false
+// phase names a commit phase a txGroup runs once for its bindings.
+type phase int
+
+const (
+	phasePrepare phase = iota
+	phaseCommit
+	phaseAbort
+	numPhases
+)
+
+// phaseRun is one phase as a group of several bindings ran it: the bindings
+// it covered, each one's outcome, and the action-end's error, which is the
+// leader's — the binding that ran the phase. done is waited for by the
+// others.
+type phaseRun struct {
+	done     sync.WaitGroup
+	members  []*Binding
+	out      []replica.Outcome
+	leader   *Binding
+	endError error
+}
+
+// join adds an enlisted binding to the group.
+func (g *txGroup) join(bd *Binding) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.members == nil {
+		g.members = g.first[:0]
 	}
-	s.ended = true
-	return true
+	g.members = append(g.members, bd)
 }
 
-// unclaim releases a claim whose EndAction RPC failed (dead context,
-// partition), so the action-level hook retries with a fresh context —
-// EndAction is idempotent, and a leaked claim would leak the action's
-// database locks instead.
-func (s *txDBState) unclaim() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ended = false
+// run runs phase ph once for the whole group and returns bd's part of it,
+// and — to the binding that ran it — the action-end's error: phase two and
+// the roll-back end the action at the database when they are done. The
+// action asks every binding for a phase before it goes on to the next, so
+// the first to ask runs it for all and the others wait for their part.
+func (g *txGroup) run(ctx context.Context, ph phase, bd *Binding) (replica.Outcome, error) {
+	g.mu.Lock()
+	if len(g.members) == 1 {
+		// A group of one is asked for each phase once, and waits for nobody.
+		g.mu.Unlock()
+		out := runAlone(ctx, ph, g.tx, bd)
+		if ph == phasePrepare {
+			return out, nil
+		}
+		return out, g.end(ctx, ph == phaseCommit)
+	}
+	r := g.runs[ph]
+	if r == nil {
+		r = &phaseRun{members: slices.Clip(g.members), out: make([]replica.Outcome, len(g.members)), leader: bd}
+		r.done.Add(1)
+		g.runs[ph] = r
+		g.mu.Unlock()
+		runPhase(ctx, ph, g.tx, r.members, r.out)
+		if ph != phasePrepare {
+			r.endError = g.end(ctx, ph == phaseCommit)
+		}
+		r.done.Done()
+	} else {
+		g.mu.Unlock()
+		r.done.Wait()
+	}
+	// Every binding the action asks is a member: it enlisted, or was pinned,
+	// before its action began to end.
+	i := slices.Index(r.members, bd)
+	if r.leader != bd {
+		return r.out[i], nil
+	}
+	return r.out[i], r.endError
 }
 
-// trackTxDB ensures the client action's database state is ended exactly
-// once, with the action's outcome, no matter how the bind proceeds. It
-// registers an action-level resolve hook BEFORE the first tx-owned lock
-// is taken, closing two holes at once:
+// runAlone runs a phase for one binding.
+func runAlone(ctx context.Context, ph phase, tx string, bd *Binding) replica.Outcome {
+	var out [1]replica.Outcome
+	runPhase(ctx, ph, tx, []*Binding{bd}, out[:])
+	return out[0]
+}
+
+// runPhase runs one phase over the bindings' handles together, leaving each
+// binding's outcome at its index in out.
+func runPhase(ctx context.Context, ph phase, tx string, bds []*Binding, out []replica.Outcome) {
+	var one [1]*replica.Handle
+	hs := one[:]
+	if len(bds) > 1 {
+		hs = make([]*replica.Handle, len(bds))
+	}
+	for i, bd := range bds {
+		hs[i] = bd.handle
+	}
+	switch ph {
+	case phasePrepare:
+		replica.Prepare(ctx, tx, hs, false, out)
+	case phaseCommit:
+		replica.Commit(ctx, tx, hs, out)
+	case phaseAbort:
+		replica.Abort(ctx, tx, hs, out)
+	}
+}
+
+// end is the action-end conversation, one message: the client action's
+// database action ends with the action's outcome — unless it was ended
+// already — releasing its locks and deciding any Exclude; then, for the
+// enhanced schemes, each binding's §4.1.3 Decrement runs as the message's own
+// action, after the client action has terminated (the last shaded action of
+// Figure 7). Use counts drop whatever the outcome: the binding existed
+// regardless. A Decrement whose object was deregistered meanwhile drops
+// nothing and fails nothing (DB.Decrement), so each stands alone.
+//
+// The returned error is the EndAction's: a failed message releases the
+// claim so that the resolve hook retries with a fresh context (EndAction
+// is idempotent, and a leaked claim would leak the action's database locks
+// instead). The Decrements are best effort, as they always were — the
+// janitor collects what a failed message leaves.
+func (g *txGroup) end(ctx context.Context, commit bool) error {
+	b := g.b
+	g.mu.Lock()
+	claimed := !g.ended
+	var ops []Op
+	if claimed || !g.decremented {
+		ops = make([]Op, 0, 1+len(g.members))
+	}
+	if claimed {
+		g.ended = true
+		ops = append(ops, EndActionOp(g.tx, commit))
+	}
+	if !g.decremented {
+		g.decremented = true
+		for _, bd := range g.members {
+			ops = bd.appendDecrement(ops)
+		}
+	}
+	g.mu.Unlock()
+	if len(ops) == 0 {
+		return nil
+	}
+	_, err := b.DB.Do(ctx, ops...)
+	if !claimed || rpc.CodeOf(err) != "" {
+		// Not ours to end — or the database answered, so the message's
+		// first operation, the infallible EndAction, ran and the error is
+		// a Decrement's.
+		return nil
+	}
+	if err != nil {
+		g.mu.Lock()
+		g.ended = false
+		g.mu.Unlock()
+	}
+	return err
+}
+
+// trackTxDB returns the client action's group at this database (see
+// txGroup), creating it on the action's first pinned bind here, and ensures
+// the client action's database state is ended exactly once, with the
+// action's outcome, no matter how the bind proceeds. It registers an
+// action-level resolve hook BEFORE the first tx-owned lock is taken, closing
+// two holes at once:
 //
 //   - a bind that fails before any binding enlists would otherwise leak
 //     its read locks forever (nothing else runs EndAction for the
@@ -351,37 +512,34 @@ func (s *txDBState) unclaim() {
 //     action's view-read/write-back window.
 //
 // The hook simply defers the release to the action's own resolution,
-// which is correct in both worlds; bindings that end the database action
-// during their own commit/abort processing claim the guard first and the
-// hook degrades to a no-op.
+// which is correct in both worlds; a phase-two run that ended the database
+// action claimed it first, and the hook degrades to a no-op. It also sends
+// the Decrements nothing else sent: those of an action whose bindings here
+// all finished in phase one.
 //
 // An action that has left StatusRunning takes no more hooks (its commit or
 // abort processing already holds the list), so nothing would ever end what
 // the caller is about to lock: trackTxDB fails then, before anything is
 // stashed, and the bind or pin that asked fails with it.
-func (b *Binder) trackTxDB(act *action.Action) (*txDBState, error) {
+func (b *Binder) trackTxDB(act *action.Action) (*txGroup, error) {
 	b.dbtxOnce.Do(func() { b.dbtxKey = "core.dbtx:" + string(b.DB.DB) })
 	key := b.dbtxKey
 	if v, ok := act.Stashed(key); ok {
-		return v.(*txDBState), nil
+		return v.(*txGroup), nil
 	}
-	st := &txDBState{}
 	tx := act.ID()
-	if !act.OnResolve(func(committed bool) {
-		if st.tryEnd() {
-			_ = b.DB.EndAction(context.Background(), tx, committed)
-		}
-	}) {
+	g := &txGroup{b: b, tx: tx}
+	if !act.OnResolve(func(committed bool) { _ = g.end(context.Background(), committed) }) {
 		return nil, fmt.Errorf("core: %s has begun to end, nothing would release its locks at %s: %w", tx, b.DB.DB, action.ErrNotRunning)
 	}
-	if !act.StashOnce(key, st) {
-		// A sibling bind got in between: its guard is the action's, and
+	if !act.StashOnce(key, g) {
+		// A sibling bind got in between: its group is the action's, and
 		// this one's hook is spent before it can fire.
-		st.tryEnd()
+		g.ended, g.decremented = true, true
 		v, _ := act.Stashed(key)
-		return v.(*txDBState), nil
+		return v.(*txGroup), nil
 	}
-	return st, nil
+	return g, nil
 }
 
 // spreadReads reports whether bindings are spread over Sv by client name
@@ -420,11 +578,11 @@ func (b *Binder) bindsUnpinned() bool {
 // pinned binding outlives too (Exclude is read-compatible, §4.2.1). Only
 // an object that is no longer registered here is news: ErrPinStale.
 func (bd *Binding) pin(ctx context.Context) error {
-	if bd.dbState != nil {
+	if bd.group != nil {
 		return nil
 	}
 	b := bd.binder
-	dbState, err := b.trackTxDB(bd.act)
+	group, err := b.trackTxDB(bd.act)
 	if err != nil {
 		return err
 	}
@@ -436,7 +594,10 @@ func (bd *Binding) pin(ctx context.Context) error {
 		}
 		return fmt.Errorf("core: pin %v: %w", bd.id, err)
 	}
-	bd.dbState = dbState
+	bd.group = group
+	if bd.enlisted {
+		group.join(bd)
+	}
 	return nil
 }
 
@@ -453,7 +614,7 @@ func (b *Binder) degree() int {
 // it ends; the trackTxDB hook (or a binding's own commit/abort processing)
 // releases them. If either operation fails the client action must abort.
 func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	dbState, err := b.trackTxDB(act)
+	group, err := b.trackTxDB(act)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +625,7 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 	}
 	sv, st, class := res[0].Nodes, res[1].Nodes, res[1].Class
 	candidates, _ := selectServers(sv, nil, b.degree(), b.spreadReads(), b.ClientNode)
-	return b.finishBind(ctx, act, dbState, id, class, candidates, st, nil)
+	return b.finishBind(ctx, act, group, id, class, candidates, st, nil)
 }
 
 // bindEnhanced implements Figures 7 and 8: the Object Server database
@@ -495,12 +656,12 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 		_, second := act.Stashed(unpinnedKey)
 		unpinned = !second
 	}
-	var dbState *txDBState
+	var group *txGroup
 	viewAct := ""
 	if !unpinned {
 		viewAct = act.ID()
 		var err error
-		if dbState, err = b.trackTxDB(act); err != nil {
+		if group, err = b.trackTxDB(act); err != nil {
 			return nil, err
 		}
 	}
@@ -527,7 +688,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	if b.spreadReads() {
 		candidates, _ = selectServers(candidates, nil, b.degree(), true, b.ClientNode)
 	}
-	bd, err := b.finishBind(ctx, act, dbState, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
+	bd, err := b.finishBind(ctx, act, group, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
 	if err == nil && unpinned {
 		act.StashOnce(unpinnedKey, bd) // free: an action's binds are sequential (Bind)
 	}
@@ -541,7 +702,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 // client binds to the latest mutually consistent state; GetView's read
 // lock is owned by the client action and trackTxDB releases it.
 func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	dbState, err := b.trackTxDB(act)
+	group, err := b.trackTxDB(act)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +718,7 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
 	}
 	candidates, _ := selectServers(sv, nil, b.degree(), b.spreadReads(), b.ClientNode)
-	return b.finishBind(ctx, act, dbState, id, class, candidates, st, nil)
+	return b.finishBind(ctx, act, group, id, class, candidates, st, nil)
 }
 
 // selectServers is the fixed selection algorithm every client applies to
@@ -611,9 +772,9 @@ func inUse(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) [
 // finishBind builds the binding over candidates, runs the explicit probe
 // the replication policy needs (none under single-copy passive) with the
 // repair its findings call for, and enlists the binding. counted lists the
-// servers whose use lists already count it; dbState is the action's
-// trackTxDB guard.
-func (b *Binder) finishBind(ctx context.Context, act *action.Action, dbState *txDBState, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
+// servers whose use lists already count it; group is the action's group at
+// the database (trackTxDB), nil for an unpinned binding.
+func (b *Binder) finishBind(ctx context.Context, act *action.Action, group *txGroup, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
 	handle, err := replica.New(replica.Config{
 		UID:         id,
 		Class:       class,
@@ -629,14 +790,14 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, dbState *tx
 		return nil, err // no candidates, so nothing was counted
 	}
 	bd := &Binding{
-		binder:  b,
-		act:     act,
-		id:      id,
-		class:   class,
-		handle:  handle,
-		bound:   counted,
-		stView:  append([]transport.Addr(nil), st...),
-		dbState: dbState,
+		binder: b,
+		act:    act,
+		id:     id,
+		class:  class,
+		handle: handle,
+		bound:  counted,
+		stView: append([]transport.Addr(nil), st...),
+		group:  group,
 	}
 	if b.Policy != replica.SingleCopyPassive {
 		if err = handle.Activate(ctx); err == nil {
@@ -645,7 +806,9 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, dbState *tx
 		if err != nil {
 			// The bind action committed the count, and this binding will
 			// never be enlisted to drop it at the action's end.
-			_ = bd.endAtDB(ctx, act.ID(), false, false)
+			if ops := bd.appendDecrement(nil); len(ops) > 0 {
+				_, _ = b.DB.Do(ctx, ops...)
+			}
 			return nil, err
 		}
 	}
@@ -740,14 +903,18 @@ func (bd *Binding) repair(ctx context.Context) error {
 	return nil
 }
 
-// enlist registers the binding as the client action's participant, once.
-// The database EndAction backstop — a binding released at phase one
-// (read-only vote) must still end the tx-owned database state, with the
-// action's outcome and never before its commit point — lives in the
-// action-level trackTxDB hook, registered at bind time.
+// enlist registers the binding as the client action's participant, once,
+// and a member of its group. The database EndAction backstop — a binding
+// released at phase one (read-only vote) must still end the tx-owned
+// database state, with the action's outcome and never before its commit
+// point — lives in the action-level trackTxDB hook, registered at bind time.
 func (bd *Binding) enlist() {
-	if bd.act.StashOnce("core.binding:"+bd.handle.UIDString(), bd) {
-		_ = bd.act.Enlist(bd)
+	if !bd.act.StashOnce("core.binding:"+bd.handle.UIDString(), bd) || bd.act.Enlist(bd) != nil {
+		return
+	}
+	bd.enlisted = true
+	if bd.group != nil {
+		bd.group.join(bd)
 	}
 }
 
@@ -817,24 +984,24 @@ func (bd *Binding) Name() string {
 }
 
 // Prepare implements action.Participant: the servers copy the new object
-// state to the St nodes; any store whose copy failed is then excluded from
-// St_A in the same commit processing (§4.2). A refused exclude lock aborts
-// the action (§4.2.1).
+// state to the St nodes, in the requests the binding's group sends for all
+// its bindings (txGroup.run); any store whose copy failed is then excluded
+// from St_A in the same commit processing (§4.2). A refused exclude lock
+// aborts the action (§4.2.1).
 //
 // When every server reports the action read-only (and no store needs
 // excluding), the binding votes read-only: the servers have released the
-// action, the use-list Decrement (outcome-independent bookkeeping) runs
-// right away, and any tx-owned database locks are released by the
-// bind-time resolve hook once the action's outcome is decided — never
-// during phase one, because the database action is shared with sibling
-// bindings whose pending Excludes must not commit before the commit
-// point. The whole binding is done with no phase-two round trips and no
-// outcome-log write upstream.
+// action, and the use-list Decrement and any tx-owned database locks wait
+// for the action-end — never sent during phase one, because the database
+// action is shared with sibling bindings whose pending Excludes must not
+// commit before the commit point. The binding is done with no phase-two
+// round trips and no outcome-log write upstream.
 func (bd *Binding) Prepare(ctx context.Context, tx string) (action.Vote, error) {
-	vote, err := bd.handle.Prepare(ctx, tx)
-	if err != nil {
-		return 0, err
+	out, _ := bd.phase(ctx, tx, phasePrepare)
+	if out.Err != nil {
+		return 0, out.Err
 	}
+	vote := out.Vote
 	failed := bd.handle.FailedStores()
 	if len(failed) > 0 {
 		err := bd.binder.DB.Exclude(ctx, tx, []ExcludePair{{UID: bd.id, Hosts: failed}}, bd.binder.UseWriteLockForExclude)
@@ -871,17 +1038,22 @@ func (bd *Binding) Prepare(ctx context.Context, tx string) (action.Vote, error) 
 		// voter so EndAction runs in phase two.
 		return action.VoteCommit, nil
 	}
-	if vote == action.VoteReadOnly {
-		bd.released = true
-		_ = bd.endAtDB(ctx, tx, false, false) // the Decrement is best effort
-		return action.VoteReadOnly, nil
+	return vote, nil
+}
+
+// phase runs one commit phase for the binding: with its group, or — unpinned
+// — alone, with nothing at the database to end.
+func (bd *Binding) phase(ctx context.Context, tx string, ph phase) (replica.Outcome, error) {
+	if bd.group != nil {
+		return bd.group.run(ctx, ph, bd)
 	}
-	return action.VoteCommit, nil
+	return runAlone(ctx, ph, tx, bd), nil
 }
 
 // CommitOnePhase implements action.OnePhaser by delegating to the
 // replica handle's combined round; ineligible shapes (several servers or
-// stores) fall back to ordinary 2PC with the binding untouched.
+// stores) fall back to ordinary 2PC with the binding untouched. The action
+// has one participant then, so the binding is its group's only member.
 func (bd *Binding) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
 	vote, err := bd.handle.CommitOnePhase(ctx, tx)
 	if err != nil {
@@ -898,21 +1070,21 @@ func (bd *Binding) CommitOnePhase(ctx context.Context, tx string) (action.Vote, 
 	// One-phase means this binding is the action's only participant, so no
 	// sibling shares the database action: ending it right here is safe,
 	// and the decision is already commit.
-	bd.released = true
-	_ = bd.endAtDB(ctx, tx, true, true) // already committed; the resolve hook retries a failed EndAction
+	if bd.group != nil {
+		_ = bd.group.end(ctx, true) // already committed; the resolve hook retries a failed EndAction
+	}
 	return vote, nil
 }
 
-// Commit implements action.Participant: phase two at the servers, then
-// the database action ends (releasing its locks and committing any
-// Exclude), and finally — for the enhanced schemes — the use-list
-// Decrement runs in its own top-level action. A binding already released
-// at phase one is a no-op.
+// Commit implements action.Participant: phase two at the servers, in the
+// requests the binding's group sends for all its bindings, then the
+// action-end (txGroup.end): the database action ends, releasing its locks
+// and committing any Exclude, and — for the enhanced schemes — the use-list
+// Decrements run as the message's own action. A handle released at phase
+// one sends nothing.
 func (bd *Binding) Commit(ctx context.Context, tx string) error {
-	if bd.released {
-		return nil
-	}
-	err := bd.handle.Commit(ctx, tx)
+	out, endErr := bd.phase(ctx, tx, phaseCommit)
+	err := out.Err
 	if err != nil || len(bd.handle.FailedStores()) > 0 {
 		// Some store never acked this action's writes — whether its
 		// prepare reply was lost or its phase-two copy failed, it may
@@ -921,65 +1093,34 @@ func (bd *Binding) Commit(ctx context.Context, tx string) error {
 		// past the outcome-log GC.
 		bd.act.RetainOutcome()
 	}
-	if dbErr := bd.endAtDB(ctx, tx, true, true); err == nil {
-		err = dbErr
+	if err == nil {
+		err = endErr
 	}
 	return err
 }
 
-// Abort implements action.Participant. Use counts still drop: the binding
-// existed regardless of the action's outcome. A binding already released
-// (read-only voter) has nothing of its own to undo; its share of the
-// database action is rolled back by the bind-time resolve hook.
+// Abort implements action.Participant: the roll-back at the servers, in the
+// requests the binding's group sends for all its bindings, then the
+// action-end. Use counts still drop: the binding existed regardless of the
+// action's outcome. A handle already released (read-only voter) has nothing
+// of its own to undo.
 func (bd *Binding) Abort(ctx context.Context, tx string) error {
-	if bd.released {
-		return nil
+	out, endErr := bd.phase(ctx, tx, phaseAbort)
+	if out.Err != nil {
+		return out.Err
 	}
-	err := bd.handle.Abort(ctx, tx)
-	if dbErr := bd.endAtDB(ctx, tx, true, false); err == nil {
-		err = dbErr
-	}
-	return err
+	return endErr
 }
 
-// endAtDB is the action-end conversation, one message per database: with
-// endTx, the client action's database action ends with the action's
-// outcome (unless a sibling binding or the resolve hook already ended it),
-// releasing its locks and deciding any Exclude; then — for the enhanced
-// schemes — the §4.1.3 Decrement runs as the message's own action, after
-// the client action has terminated (the last shaded action of Figure 7).
-// Use counts drop whatever the outcome: the binding existed regardless.
-//
-// The returned error is the EndAction's: a failed message releases the
-// claim so that the resolve hook retries with a fresh context (EndAction
-// is idempotent, and a leaked claim would leak the action's database locks
-// instead). The Decrement is best effort, as it always was — the janitor
-// collects what a failed one leaves.
-func (bd *Binding) endAtDB(ctx context.Context, tx string, endTx, commit bool) error {
+// appendDecrement appends the binding's §4.1.3 Decrement to ops: the enhanced
+// schemes drop the use counts a binding that may write holds (see
+// txGroup.end).
+func (bd *Binding) appendDecrement(ops []Op) []Op {
 	b := bd.binder
-	ops := make([]Op, 0, 2) // sized once: EndAction, Decrement
-	// An unpinned binding left nothing of the client action's at the database.
-	claimed := endTx && bd.dbState != nil && bd.dbState.tryEnd()
-	if claimed {
-		ops = append(ops, EndActionOp(tx, commit))
+	if b.ReadOnly || b.Scheme == SchemeStandard || len(bd.bound) == 0 {
+		return ops
 	}
-	if !b.ReadOnly && b.Scheme != SchemeStandard && len(bd.bound) > 0 {
-		ops = append(ops, DecrementOp("", bd.id, b.ClientNode, bd.bound))
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	_, err := b.DB.Do(ctx, ops...)
-	if !claimed || rpc.CodeOf(err) != "" {
-		// Not ours to end — or the database answered, so the message's
-		// first operation, the infallible EndAction, ran and the error is
-		// the Decrement's.
-		return nil
-	}
-	if err != nil {
-		bd.dbState.unclaim()
-	}
-	return err
+	return append(ops, DecrementOp("", bd.id, b.ClientNode, bd.bound))
 }
 
 // FailedStores exposes the stores excluded during commit, for experiments.

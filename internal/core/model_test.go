@@ -26,7 +26,8 @@ var dbModelSeed = flag.Int64("db-model-seed", 0, "run TestDBAgainstModel on this
 //
 //   - Entries: Sv as a node list with use counters keyed by (server,
 //     client), St as a node list with a class. A counter is never negative:
-//     a decrement stops at zero.
+//     a decrement stops at zero, and a decrement of an object with no entry
+//     drops nothing and succeeds.
 //   - Locks: per entry, per owner, a count per mode. Two owners may hold
 //     modes at once only as modelShares says: Read shares with Read, Adjust
 //     and ExcludeWrite, Adjust with Read and Adjust, nothing with
@@ -344,6 +345,9 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 			}
 		}
 		e := m.servers[op.UID]
+		if e == nil && op.Kind == OpDecrement {
+			return res, "" // nothing to drop
+		}
 		if e == nil {
 			return res, CodeUnknownObject
 		}
@@ -580,6 +584,22 @@ func randomOp(rng *rand.Rand, own bool) Op {
 	return op
 }
 
+// actionEnd draws the message that ends an action of several objects at a
+// database: the action's EndAction, then each object's Decrement as the
+// message's own action — one of them, perhaps, for an object deregistered
+// since it was counted.
+func actionEnd(rng *rand.Rand) []Op {
+	ops := []Op{EndActionOp(pick(rng, modelActions), rng.Intn(4) != 0)}
+	ids, client := someOf(rng, modelIDs), pick(rng, modelClients)
+	if len(ids) == 0 {
+		ids = modelIDs[:1]
+	}
+	for _, id := range ids {
+		ops = append(ops, DecrementOp("", id, client, someOf(rng, modelServers)))
+	}
+	return ops
+}
+
 // opString renders an op in a failure's history: kind, owner and the
 // arguments the kind takes.
 func opString(op Op) string {
@@ -741,8 +761,8 @@ func compare(db *DB, m *dbModel) error {
 }
 
 // runDBModel drives a fresh database and the model with the op sequence
-// seed draws: steps messages of one to three ops, a few of them crashes of
-// the database's node. It compares every reply and, after every step, the
+// seed draws: steps messages of one to three ops — or an action-end of one
+// to three Decrements — a few of them crashes of the database's node. It compares every reply and, after every step, the
 // whole state.
 func runDBModel(t *testing.T, seed int64, steps int) {
 	t.Helper()
@@ -755,6 +775,9 @@ func runDBModel(t *testing.T, seed int64, steps int) {
 	// refusal, which is what the model says of it.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	// Action-ends are drawn from a generator of their own, so that a seed's
+	// other messages are the ones it drew before they were added.
+	ends := rand.New(rand.NewSource(^seed))
 	var history []string
 	fail := func(step int, err error) {
 		t.Helper()
@@ -768,10 +791,15 @@ func runDBModel(t *testing.T, seed int64, steps int) {
 			node.Recover(nil)
 			m.crash()
 		} else {
-			ownMsg := rng.Intn(3) == 0
-			ops := make([]Op, 1+rng.Intn(3))
-			for i := range ops {
-				ops[i] = randomOp(rng, ownMsg && rng.Intn(4) != 0)
+			var ops []Op
+			if ends.Intn(8) == 0 {
+				ops = actionEnd(ends)
+			} else {
+				ownMsg := rng.Intn(3) == 0
+				ops = make([]Op, 1+rng.Intn(3))
+				for i := range ops {
+					ops[i] = randomOp(rng, ownMsg && rng.Intn(4) != 0)
+				}
 			}
 			line := make([]string, len(ops))
 			for i, op := range ops {
@@ -819,7 +847,11 @@ func TestDBAgainstModel(t *testing.T) {
 // register-after-adjust is the first sequence the model failed the
 // database on: an action re-registered an object it had adjusted, and the
 // in-flight sum the database then subtracted from every later record of
-// the entry counted a binding that was never made.
+// the entry counted a binding that was never made. Its
+// action-end-deregistered is a seed whose first action-end decrements an
+// object deregistered before it, beside others: the database once failed
+// that Decrement and, with it, the message's own action, undoing the other
+// objects' Decrements.
 func FuzzDBAgainstModel(f *testing.F) {
 	f.Add(int64(11))
 	f.Fuzz(func(t *testing.T, seed int64) { runDBModel(t, seed, 300) })

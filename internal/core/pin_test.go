@@ -81,8 +81,9 @@ func dbOps(w *world, client transport.Addr) func(clientAct string) [][]string {
 // The enhanced schemes' bind runs Figure 7's short action as the bind
 // message's own, and the action-end runs the Decrement as its message's
 // own, after the client action's EndAction: a FastBind writer and a classic
-// one differ in Bind's lock alone. A repair spans two messages, so it runs
-// under an action the client names.
+// one differ in Bind's lock alone. An action of two objects at one database
+// ends there in one message, each object's Decrement beside the other's. A
+// repair spans two messages, so it runs under an action the client names.
 //
 // A ReadOnly binder's first object is bound unpinned — the St read joins
 // the bind message's own action and the committed read sends nothing more;
@@ -141,7 +142,7 @@ func TestReadOnlyBindConversations(t *testing.T) {
 		{"writer, fast bind", func(b *Binder) { b.FastBind = true }, false, false, [][]string{bind, endAndDecrement}},
 		{"writer, classic bind", func(*Binder) {}, false, false, [][]string{{"Bind(own, update)", "GetView(client)"}, endAndDecrement}},
 		{"writer, standard", func(b *Binder) { b.Scheme = SchemeStandard }, false, false, [][]string{{"GetServer(client)", "GetView(client)"}, end}},
-		{"writer, two objects", func(b *Binder) { b.FastBind = true }, true, false, [][]string{bind, bind, endAndDecrement, {"Decrement(own)"}}},
+		{"writer, two objects", func(b *Binder) { b.FastBind = true }, true, false, [][]string{bind, bind, {"EndAction(client)", "Decrement(own)", "Decrement(own)"}}},
 		{"writer, repair", func(b *Binder) { b.FastBind = true }, false, true, [][]string{
 			bind, {"GetServer(repair, update)"}, {"Remove(repair)", "Increment(repair)", "EndAction(repair)"}, endAndDecrement}},
 	} {
@@ -245,7 +246,7 @@ func TestPinOnEndedActionTakesNoLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.dbState != nil {
+	if bd.group != nil {
 		t.Fatal("the first binding of a read-only action was bound pinned")
 	}
 	if _, err := act.Commit(ctx); err != nil {

@@ -259,7 +259,11 @@ func (db *DB) Increment(ctx context.Context, act string, from transport.Addr, id
 	return db.adjustUse(ctx, act, from, id, clientNode, hosts, +1)
 }
 
-// Decrement is the complementary operation to Increment.
+// Decrement is the complementary operation to Increment. A Decrement for an
+// object with no Sv entry — deregistered since the binding was counted,
+// its use lists gone with the entry — has nothing to drop and succeeds: the
+// action-end carries one Decrement per object of the action, and one whose
+// object moved away must not fail the others (see txGroup.end).
 func (db *DB) Decrement(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
 	return db.adjustUse(ctx, act, from, id, clientNode, hosts, -1)
 }
@@ -286,6 +290,9 @@ func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id
 	db.noteClientLocked(act, from)
 	e, ok := db.servers[id]
 	if !ok {
+		if delta < 0 {
+			return nil
+		}
 		return rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
 	}
 	db.adjustUseLocked(act, id, e, clientNode, hosts, delta, exclusive)

@@ -37,7 +37,7 @@ func TestSoloInvokeCarriesOnePhasePrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(resp.Result) != "3" || resp.Carried != CarryCommit || resp.VoteErr() != nil ||
+	if string(resp.Result) != "3" || resp.Carried != CarryCommit || resp.Vote.Err() != nil ||
 		!resp.Vote.Dirty || resp.Vote.NewSeq != 2 || resp.Vote.BatchSize != 1 {
 		t.Fatalf("reply = %+v", resp)
 	}
@@ -63,7 +63,7 @@ func TestSoloInvokeCarriesPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(resp.Result) != "3" || resp.Carried != CarryPrepare || resp.VoteErr() != nil ||
+	if string(resp.Result) != "3" || resp.Carried != CarryPrepare || resp.Vote.Err() != nil ||
 		!resp.Vote.Dirty || len(resp.Vote.PreparedNodes) != 2 || len(resp.Vote.FailedNodes) != 0 {
 		t.Fatalf("reply = %+v", resp)
 	}
@@ -103,8 +103,8 @@ func TestSoloInvokeRefusedVoteKeepsTheResult(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the invocation failed with the vote's error: %v", err)
 	}
-	if string(resp.Result) != "3" || resp.Carried != CarryPrepare || rpc.CodeOf(resp.VoteErr()) != CodeUnavailable {
-		t.Fatalf("reply = %+v, vote error %v; want the result and a %s vote", resp, resp.VoteErr(), CodeUnavailable)
+	if string(resp.Result) != "3" || resp.Carried != CarryPrepare || rpc.CodeOf(resp.Vote.Err()) != CodeUnavailable {
+		t.Fatalf("reply = %+v, vote error %v; want the result and a %s vote", resp, resp.Vote.Err(), CodeUnavailable)
 	}
 	if _, err := w.ref("sv1").Abort(ctx, "a1"); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestSoloReadIsRunAndRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(resp.Result) != "3" || resp.Carried != c.carry || resp.Vote.Dirty || resp.Vote.NewSeq != 2 || resp.VoteErr() != nil {
+		if string(resp.Result) != "3" || resp.Carried != c.carry || resp.Vote.Dirty || resp.Vote.NewSeq != 2 || resp.Vote.Err() != nil {
 			t.Fatalf("carry %d: reply = %+v; want a read-only vote at version 2", c.carry, resp)
 		}
 		if st, err := w.ref("sv1").Status(ctx); err != nil || st.Users != 0 {
@@ -182,7 +182,7 @@ func TestCarryingReadIsNeverGranted(t *testing.T) {
 		ref   ServerRef
 	}{{CarryCommit, w.soloRef("sv3", "st1")}, {CarryPrepare, w.soloRef("sv3", "st1", "st2")}} {
 		resp, err := c.ref.Invoke(ctx, InvokeReq{Action: fmt.Sprintf("r%d", i), Method: "get", Solo: true, Carry: c.carry, LeaseHolder: "client"})
-		if err != nil || resp.Carried != c.carry || resp.Vote.Dirty || resp.VoteErr() != nil {
+		if err != nil || resp.Carried != c.carry || resp.Vote.Dirty || resp.Vote.Err() != nil {
 			t.Fatalf("carry %d: reply = %+v, %v; want a carried read-only vote", c.carry, resp, err)
 		}
 		if resp.Lease != nil {
@@ -370,8 +370,8 @@ func TestAbortOvertakingOnePhaseRoundKeepsItsCommit(t *testing.T) {
 	if resp, err := ref.Invoke(ctx, InvokeReq{Action: "a2", Method: "get", Solo: true, Carry: CarryCommit}); err != nil || string(resp.Result) != "3" {
 		t.Fatalf("read after the overtaken round = %q, %v; want the committed 3", resp.Result, err)
 	}
-	if resp, err := ref.Invoke(ctx, InvokeReq{Action: "a3", Method: "add", Args: []byte("1"), Solo: true, Carry: CarryCommit}); err != nil || resp.VoteErr() != nil {
-		t.Fatalf("write after the overtaken round: %v, vote %v", err, resp.VoteErr())
+	if resp, err := ref.Invoke(ctx, InvokeReq{Action: "a3", Method: "add", Args: []byte("1"), Solo: true, Carry: CarryCommit}); err != nil || resp.Vote.Err() != nil {
+		t.Fatalf("write after the overtaken round: %v, vote %v", err, resp.Vote.Err())
 	}
 	if data, seq := w.stored(t, "st1"); data != "4" || seq != 3 {
 		t.Fatalf("st1 holds %q/%d, want 4/3", data, seq)

@@ -2,6 +2,7 @@ package object
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/rpc"
 	"repro/internal/transport"
@@ -9,8 +10,9 @@ import (
 )
 
 // ServerRef is a typed client for the object server of one object at one
-// node. Invoke is its one request for work under an action; the others end
-// actions, checkpoint, passivate and report.
+// node. Invoke is its one request for work under an action; the others
+// checkpoint, passivate and report. An action's commit phases go through
+// Server, which names every object of the action at the node.
 type ServerRef struct {
 	Client rpc.Client
 	Node   transport.Addr
@@ -48,28 +50,6 @@ func (r ServerRef) Invoke(ctx context.Context, req InvokeReq) (InvokeResp, error
 	return rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, req)
 }
 
-// Prepare runs the server's commit-time state copy to stNodes (phase one).
-// onePhase has the server commit it too, and release the action, with
-// checkpointTo as Commit's (see PrepareReq.OnePhase).
-func (r ServerRef) Prepare(ctx context.Context, action string, stNodes []transport.Addr, onePhase bool, checkpointTo ...transport.Addr) (PrepareResp, error) {
-	req := PrepareReq{UID: r.name(), Action: action, StNodes: addrsToStrings(stNodes), OnePhase: onePhase}
-	if len(checkpointTo) > 0 {
-		req.CheckpointTo = addrsToStrings(checkpointTo)
-	}
-	return rpc.Invoke[PrepareReq, PrepareResp](ctx, r.Client, r.Node, ServiceName, MethodPrepare, req)
-}
-
-// Commit finishes the action at this server (phase two). checkpointTo, if
-// non-empty, asks the server to push its committed state to those cohort
-// nodes afterwards.
-func (r ServerRef) Commit(ctx context.Context, action string, checkpointTo ...transport.Addr) (EndResp, error) {
-	return rpc.Invoke[EndReq, EndResp](ctx, r.Client, r.Node, ServiceName, MethodCommit, EndReq{
-		UID:          r.name(),
-		Action:       action,
-		CheckpointTo: addrsToStrings(checkpointTo),
-	})
-}
-
 // Install pushes a committed state snapshot into the server, creating the
 // instance if necessary.
 func (r ServerRef) Install(ctx context.Context, class string, state []byte, seq uint64) error {
@@ -80,11 +60,6 @@ func (r ServerRef) Install(ctx context.Context, class string, state []byte, seq 
 		Seq:   seq,
 	})
 	return err
-}
-
-// Abort undoes the action at this server.
-func (r ServerRef) Abort(ctx context.Context, action string) (EndResp, error) {
-	return rpc.Invoke[EndReq, EndResp](ctx, r.Client, r.Node, ServiceName, MethodAbort, EndReq{UID: r.name(), Action: action})
 }
 
 // Passivate destroys the server instance if quiescent (or unconditionally
@@ -100,6 +75,41 @@ func (r ServerRef) Passivate(ctx context.Context, force bool) (bool, error) {
 // Status queries the server instance.
 func (r ServerRef) Status(ctx context.Context) (StatusResp, error) {
 	return rpc.Invoke[StatusReq, StatusResp](ctx, r.Client, r.Node, ServiceName, MethodStatus, StatusReq{UID: r.name()})
+}
+
+// Server is a typed client for the object servers at one node, for the
+// requests of an action's commit, which name every object of the action the
+// node holds (see PrepareReq). A reply answers each item in item order.
+type Server struct {
+	Client rpc.Client
+	Node   transport.Addr
+}
+
+// Prepare sends phase one.
+func (s Server) Prepare(ctx context.Context, req PrepareReq) (PrepareResp, error) {
+	resp, err := rpc.Invoke[PrepareReq, PrepareResp](ctx, s.Client, s.Node, ServiceName, MethodPrepare, req)
+	if err == nil && len(resp.Votes) != len(req.Items) {
+		err = fmt.Errorf("object: %s answered %d prepare items with %d votes", s.Node, len(req.Items), len(resp.Votes))
+	}
+	return resp, err
+}
+
+// Commit sends phase two of a committed action.
+func (s Server) Commit(ctx context.Context, req EndReq) (EndResp, error) {
+	return s.end(ctx, MethodCommit, req)
+}
+
+// Abort sends phase two of an aborted action.
+func (s Server) Abort(ctx context.Context, req EndReq) (EndResp, error) {
+	return s.end(ctx, MethodAbort, req)
+}
+
+func (s Server) end(ctx context.Context, method string, req EndReq) (EndResp, error) {
+	resp, err := rpc.Invoke[EndReq, EndResp](ctx, s.Client, s.Node, ServiceName, method, req)
+	if err == nil && len(resp.Results) != len(req.Items) {
+		err = fmt.Errorf("object: %s answered %d %s items with %d results", s.Node, len(req.Items), method, len(resp.Results))
+	}
+	return resp, err
 }
 
 func addrsToStrings(in []transport.Addr) []string {

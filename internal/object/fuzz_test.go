@@ -9,8 +9,9 @@ import (
 
 // FuzzBinaryInvokeDecode hardens the hottest binary codecs in the system:
 // decoding arbitrary bytes as an invoke request (method-less ones
-// included) or reply, or as the prepare request that a carried phase one
-// stands in for, must never panic,
+// included) or reply, or as the commit-phase requests and replies — the
+// prepare request a carried phase one stands in for among them, one item or
+// several — must never panic,
 // over-read or over-allocate, and whatever decodes cleanly must survive a
 // decode -> re-encode -> decode round trip unchanged. Torn and mutated
 // frames (also checked in under testdata/fuzz/FuzzBinaryInvokeDecode) must
@@ -36,15 +37,31 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	carryResp, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Carried: CarryPrepare, Vote: PrepareResp{Dirty: true, NewSeq: 2, PreparedNodes: []string{"st1"}, FailedNodes: []string{"st2"}, BatchSize: 1}})
+	carryResp, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Carried: CarryPrepare, Vote: Vote{Dirty: true, NewSeq: 2, PreparedNodes: []string{"st1"}, FailedNodes: []string{"st2"}, BatchSize: 1}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	refusedResp, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Carried: CarryCommit, VoteCode: CodeCommitUncertain, VoteMsg: "lost"})
+	refusedResp, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Carried: CarryCommit, Vote: Vote{Code: CodeCommitUncertain, Msg: "lost"}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	prepareReq, err := rpc.Encode(&PrepareReq{UID: "obj-1", Action: "act-1", StNodes: []string{"st1"}, OnePhase: true, CheckpointTo: []string{"sv2"}})
+	prepareReq, err := rpc.Encode(&PrepareReq{Action: "act-1", Items: []PrepareItem{{UID: "obj-1", StNodes: []string{"st1"}, CheckpointTo: []string{"sv2"}}}, OnePhase: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	groupReq, err := rpc.Encode(&PrepareReq{Action: "act-1", Items: []PrepareItem{{UID: "obj-1", StNodes: []string{"st1", "st2"}}, {UID: "obj-2", StNodes: []string{"st2"}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	groupResp, err := rpc.Encode(&PrepareResp{Votes: []Vote{{Dirty: true, NewSeq: 3, PreparedNodes: []string{"st1"}, FailedNodes: []string{"st2"}, BatchSize: 1}, {Code: CodeStaleServer, Msg: "stale"}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	endReq, err := rpc.Encode(&EndReq{Action: "act-1", Items: []EndItem{{UID: "obj-1", CheckpointTo: []string{"sv2"}}, {UID: "obj-2"}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	endResp, err := rpc.Encode(&EndResp{Results: []EndResult{{FailedNodes: []string{"st3"}}, {Code: CodeNotActive, Msg: "gone"}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -56,6 +73,11 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	f.Add(carryResp)
 	f.Add(refusedResp)
 	f.Add(prepareReq)
+	f.Add(groupReq)
+	f.Add(groupResp)
+	f.Add(endReq)
+	f.Add(endResp)
+	f.Add(groupReq[:len(groupReq)-9]) // torn inside the second item
 	f.Add(reqFrame[:len(reqFrame)/2]) // torn mid-body
 	f.Add([]byte{})
 	f.Add([]byte{rpc.WireMagic})
@@ -70,6 +92,9 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 			func() rpc.Wire { return new(InvokeReq) },
 			func() rpc.Wire { return new(InvokeResp) },
 			func() rpc.Wire { return new(PrepareReq) },
+			func() rpc.Wire { return new(PrepareResp) },
+			func() rpc.Wire { return new(EndReq) },
+			func() rpc.Wire { return new(EndResp) },
 		} {
 			v := fresh()
 			if rpc.Decode(raw, v) != nil {

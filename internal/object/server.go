@@ -3,6 +3,7 @@ package object
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -323,43 +324,50 @@ type InvokeResp struct {
 	// invocation (requested via InvokeReq.LeaseHolder).
 	Lease *LeaseGrant
 	// Carried echoes InvokeReq.Carry when the server went on into phase one
-	// in this request. Vote is then what the Prepare RPC would have answered,
-	// or — the vote being a refusal — VoteCode and VoteMsg are the error that
-	// RPC would have returned. The method's result stands either way: a
-	// refused vote is the caller's commit failing, not its invocation.
-	Carried           Carry
-	Vote              PrepareResp
-	VoteCode, VoteMsg string
+	// in this request. Vote is then what the Prepare RPC would have answered
+	// for the object, a refusal included. The method's result stands either
+	// way: a refused vote is the caller's commit failing, not its invocation.
+	Carried Carry
+	Vote    Vote
 }
 
-// VoteErr returns the carried phase one's refusal as the error its own RPC
-// would have returned, nil when the vote was given.
-func (p *InvokeResp) VoteErr() error {
-	if p.VoteCode == "" {
-		return nil
-	}
-	return &rpc.AppError{Code: p.VoteCode, Msg: p.VoteMsg}
-}
-
-// PrepareReq asks the server to prepare its commit-time state copy to the
-// given St nodes (phase one of the client action's 2PC).
+// PrepareReq is phase one of the client action's 2PC at this server: the
+// commit-time copy of each named object's state to its St nodes. A client
+// sends each server one PrepareReq per action, naming every object of the
+// action it holds there; an object alone at its server is a one-item
+// request. Each object is prepared as it would be alone — its own lock, its
+// own version-chain check at every store, its own vote — but the write-backs
+// bound for one store travel in one store Prepare.
 type PrepareReq struct {
-	UID     string
-	Action  string
-	StNodes []string
+	Action string
+	Items  []PrepareItem
 	// OnePhase delegates the commit decision to this server — the client
-	// action's only voter, writing back to at most one store, which is
-	// then told to commit the copy outright (the coordinator delegation of
-	// R*). A dirty action is finished here as Commit finishes one, with
-	// CheckpointTo as Commit's; no phase two follows. A one-phase prepare
-	// over several stores is refused: only one store's apply is atomic
-	// without the coordinator's outcome log.
-	OnePhase     bool
+	// action's only voter, writing one object back to at most one store,
+	// which is then told to commit the copy outright (the coordinator
+	// delegation of R*). A dirty action is finished here as Commit finishes
+	// one, with the item's CheckpointTo as Commit's; no phase two follows. A
+	// one-phase prepare of several objects or over several stores is
+	// refused: only one store's apply of one write is atomic without the
+	// coordinator's outcome log.
+	OnePhase bool
+}
+
+// PrepareItem names one object of a PrepareReq and the St nodes its state is
+// copied to. CheckpointTo rides a one-phase item only (see
+// PrepareReq.OnePhase).
+type PrepareItem struct {
+	UID          string
+	StNodes      []string
 	CheckpointTo []string
 }
 
-// PrepareResp reports the write-back prepare outcome.
+// PrepareResp answers a PrepareReq with one vote per item, in item order.
 type PrepareResp struct {
+	Votes []Vote
+}
+
+// Vote is one object's phase-one answer.
+type Vote struct {
 	// Dirty is false when the action never modified the object: no state
 	// copy is needed, and the server has already released the action (the
 	// §4.1.2 read optimisation — no phase-two round trip follows).
@@ -379,15 +387,41 @@ type PrepareResp struct {
 	// 1 for an ordinary action, 1+N when N queued commutative ops were
 	// folded into the write-back.
 	BatchSize int
+	// Code and Msg, when Code is set, are the object's refusal: the error a
+	// request naming that object alone would have returned. A refusal
+	// carries nothing else.
+	Code, Msg string
 }
 
-// EndReq commits or aborts an action at this server.
+// Err returns the vote's refusal as an error, nil when the vote was given.
+func (v Vote) Err() error {
+	if v.Code == "" {
+		return nil
+	}
+	return &rpc.AppError{Code: v.Code, Msg: v.Msg}
+}
+
+// refusal returns the item answer that stands for err: its code and text,
+// as the error would have crossed the wire as a request's reply.
+func refusal(err error) (code, msg string) {
+	ae := rpc.AppErrorOf(err)
+	return ae.Code, ae.Msg
+}
+
+// EndReq is phase two — commit or abort — of the client action at this
+// server, for every named object. Like PrepareReq it names every object of
+// the action the server holds, and each store the objects prepared at gets
+// one Commit or Abort of the action.
 type EndReq struct {
-	UID    string
 	Action string
-	// CheckpointTo, on commit, asks the server to push its newly committed
-	// state to these nodes via Install — the coordinator-cohort
-	// checkpointing of §2.3(ii).
+	Items  []EndItem
+}
+
+// EndItem names one object of an EndReq. CheckpointTo, on commit, asks the
+// server to push the object's newly committed state to these nodes via
+// Install — the coordinator-cohort checkpointing of §2.3(ii).
+type EndItem struct {
+	UID          string
 	CheckpointTo []string
 }
 
@@ -404,10 +438,25 @@ type InstallReq struct {
 // InstallResp acknowledges an install.
 type InstallResp struct{ Installed bool }
 
-// EndResp reports fan-out failures during phase two (informational; the
-// outcome stands).
+// EndResp answers an EndReq with one result per item, in item order.
 type EndResp struct {
+	Results []EndResult
+}
+
+// EndResult reports one object's phase two: the stores and cohorts whose
+// leg failed (informational; the outcome stands), or — Code set — the error
+// a request naming that object alone would have returned.
+type EndResult struct {
 	FailedNodes []string
+	Code, Msg   string
+}
+
+// Err returns the result's error, nil when the object's phase two ran.
+func (r EndResult) Err() error {
+	if r.Code == "" {
+		return nil
+	}
+	return &rpc.AppError{Code: r.Code, Msg: r.Msg}
 }
 
 // PassivateReq asks the server to destroy a quiescent instance.
@@ -552,15 +601,14 @@ func (m *Manager) handleInvoke(ctx context.Context, from transport.Addr, req Inv
 // of its code, one request earlier. The write lock is held from the method
 // to the end of the commit with no client round trip in between.
 func (m *Manager) carryPhaseOne(ctx context.Context, from transport.Addr, req InvokeReq, resp *InvokeResp) {
-	var err error
-	resp.Vote, err = m.handlePrepare(ctx, from, PrepareReq{UID: req.UID, Action: req.Action, StNodes: req.StNodes,
-		OnePhase: req.Carry == CarryCommit, CheckpointTo: req.CheckpointTo})
+	item := [1]PrepareItem{{UID: req.UID, StNodes: req.StNodes, CheckpointTo: req.CheckpointTo}}
+	var vote [1]Vote
 	resp.Carried = req.Carry
-	if err != nil {
-		// An error reply has no body.
-		ae := rpc.AppErrorOf(err)
-		resp.Vote, resp.VoteCode, resp.VoteMsg = PrepareResp{}, ae.Code, ae.Msg
+	if err := m.prepare(ctx, from, req.Action, req.Carry == CarryCommit, item[:], vote[:]); err != nil {
+		resp.Vote.Code, resp.Vote.Msg = refusal(err)
+		return
 	}
+	resp.Vote = vote[0]
 }
 
 func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (InvokeResp, error) {
@@ -860,108 +908,251 @@ func (m *Manager) revalidate(ctx context.Context, from transport.Addr, in *insta
 	return rpc.Errorf(CodeNotActive, "object %s at %s: stale copy (seq %d, stores hold %d) passivated", in.id, m.node.Name(), seq, latest.Seq)
 }
 
-// handlePrepare is phase one at this server: the commit-time copy of the
-// object's state to St (§3.2(2)). An action that only read here is released
-// on the spot. A dirty one has its state — queued commutative ops folded in —
-// recorded as an intention at every St node; or, OnePhase, committed
-// outright by the one store, and the action finished here as Commit
-// finishes it.
+// handlePrepare is phase one at this server: the commit-time copy of each
+// named object's state to St (§3.2(2)). An action that only read an object is
+// released from it on the spot. A dirty object has its state — queued
+// commutative ops folded in — recorded as an intention at every St node of its
+// item; or, OnePhase, committed outright by the one store, and the action
+// finished here as Commit finishes it. Each store gets one Prepare carrying
+// every write bound for it (copyStates). Whatever goes wrong for one object —
+// it is not active here, a store refuses its write, its copy is stale — is
+// that object's vote and no other's.
 func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req PrepareReq) (PrepareResp, error) {
-	if req.OnePhase && len(req.StNodes) > 1 {
-		return PrepareResp{}, rpc.Errorf(rpc.CodeInternal, "object %s: one-phase prepare over %d stores", req.UID, len(req.StNodes))
-	}
-	in, err := m.mustLookup(req.UID)
-	if err != nil {
+	resp := PrepareResp{Votes: make([]Vote, len(req.Items))}
+	if err := m.prepare(ctx, from, req.Action, req.OnePhase, req.Items, resp.Votes); err != nil {
 		return PrepareResp{}, err
 	}
+	return resp, nil
+}
+
+// prepare is handlePrepare's work, for the request that carries phase one
+// too: it leaves each item's vote at its index in votes. The error refuses
+// the request's shape.
+func (m *Manager) prepare(ctx context.Context, from transport.Addr, action string, onePhase bool, items []PrepareItem, votes []Vote) error {
+	if onePhase && (len(items) != 1 || len(items[0].StNodes) > 1) {
+		return rpc.Errorf(rpc.CodeInternal, "one-phase prepare of %d objects: one object over one store at most", len(items))
+	}
+	var one [1]writeBack
+	wbs := one[:0]
+	for i := range items {
+		wb, err := m.beginWriteBack(action, &items[i], onePhase)
+		switch {
+		case err != nil:
+			votes[i].Code, votes[i].Msg = refusal(err)
+		case wb.in == nil:
+			votes[i] = Vote{NewSeq: wb.seq}
+		default:
+			wb.vote = i
+			wbs = append(wbs, wb)
+		}
+	}
+	if len(wbs) == 0 {
+		return nil
+	}
+	start := time.Now()
+	m.copyStates(ctx, action, wbs, onePhase)
+	for k := range wbs {
+		vote, err := m.finishWriteBack(ctx, from, action, onePhase, &wbs[k], start)
+		if err != nil {
+			// A refusal carries nothing else, as an error reply has no body.
+			vote = Vote{}
+			vote.Code, vote.Msg = refusal(err)
+		}
+		votes[wbs[k].vote] = vote
+	}
+	return nil
+}
+
+// writeBack is one dirty object's phase one at this server: the state it
+// copies back, the version that will commit as, and each store's answer.
+type writeBack struct {
+	in    *instance
+	item  *PrepareItem
+	vote  int // the item's index in the request
+	seq   uint64
+	state []byte
+	batch int
+	// errs holds the copy's outcome at each of item.StNodes.
+	errs []error
+}
+
+// beginWriteBack starts an object's phase one. An object the action only
+// read is released right now — its record and its locks dropped — so the
+// read-only vote ends this server's involvement with no phase-two round trip
+// (§4.1.2): the returned write-back has no instance then, and seq is the
+// version read. A dirty object has queued commutative ops folded into its
+// state, which is taken for the copy.
+func (m *Manager) beginWriteBack(action string, item *PrepareItem, onePhase bool) (writeBack, error) {
+	in, err := m.mustLookup(item.UID)
+	if err != nil {
+		return writeBack{}, err
+	}
 	in.mu.Lock()
-	rec := in.actions[req.Action]
+	rec := in.actions[action]
 	if !rec.dirty {
-		// The action only read here: release it right now — drop its record
-		// and its locks — so the read-only vote ends this server's
-		// involvement with no phase-two round trip (§4.1.2).
-		delete(in.actions, req.Action)
+		delete(in.actions, action)
 		seq := in.seq
 		in.mu.Unlock()
-		in.locks.ReleaseAll(lockmgr.Owner(req.Action))
+		in.locks.ReleaseAll(lockmgr.Owner(action))
 		m.kickCombiner(in)
-		return PrepareResp{Dirty: false, NewSeq: seq}, nil
+		return writeBack{seq: seq}, nil
 	}
 	// Fold queued commutative ops into this write-back before snapshotting:
 	// they ride this action's single 2PC round (one lock hold, one commit,
 	// N replies).
 	batchSize := m.drainCombinerLocked(in, &rec)
-	if req.OnePhase {
+	if onePhase {
 		rec.onePhase = true
 	}
-	in.actions[req.Action] = rec
-	newSeq := in.seq + 1
-	state := append([]byte(nil), in.state...)
+	in.actions[action] = rec
+	wb := writeBack{in: in, item: item, seq: in.seq + 1, state: append([]byte(nil), in.state...), batch: batchSize}
 	in.mu.Unlock()
+	return wb, nil
+}
 
-	// Copy the new state to all functioning St nodes (§3.2(2)) in
-	// parallel — the copies are independent, so the write-back costs one
-	// store round trip instead of one per store. Outcomes are collected in
-	// StNodes order so PreparedNodes/FailedNodes stay deterministic.
-	// Remember which prepared so commit/abort can address exactly those.
-	resp := PrepareResp{Dirty: true, NewSeq: newSeq, BatchSize: batchSize}
-	start := time.Now()
-	var copyErrs []error
-	if len(req.StNodes) == 1 {
-		// The one-phase shape, on every write of a one-store group: no
-		// fan-out to pay for.
-		copyErrs = []error{m.copyState(ctx, in.id, req.StNodes[0], req.Action, state, newSeq, req.OnePhase)}
-	} else {
-		copyErrs = conc.DoErr(len(req.StNodes), func(i int) error {
-			return m.copyState(ctx, in.id, req.StNodes[i], req.Action, state, newSeq, req.OnePhase)
+// copyStates copies every write-back's new state to each of its St nodes
+// (§3.2(2)), in parallel: each store gets one Prepare carrying every write
+// bound for it, so the write-back costs one store round trip instead of one
+// per store and object. A store refuses a Prepare whole, so a refused one
+// carrying several writes is asked again per write: the refusal must land on
+// the object it is about, and a store excluded for that object stays a store
+// of the others.
+func (m *Manager) copyStates(ctx context.Context, action string, wbs []writeBack, onePhase bool) {
+	if len(wbs) == 1 {
+		// One object: each store's Prepare carries its one write.
+		stNodes := wbs[0].item.StNodes
+		if len(stNodes) == 1 {
+			// The one-phase shape, on every write of a one-store group: no
+			// fan-out to pay for.
+			wbs[0].errs = []error{m.copyState(ctx, action, stNodes[0], []store.Write{wbs[0].write()}, onePhase)}
+			return
+		}
+		writes := []store.Write{wbs[0].write()}
+		wbs[0].errs = conc.DoErr(len(stNodes), func(j int) error {
+			return m.copyState(ctx, action, stNodes[j], writes, onePhase)
 		})
+		return
 	}
+	type leg struct {
+		st     string
+		writes []store.Write // in wbs order
+		errs   []error       // each write's outcome
+	}
+	legs := make([]leg, 0, len(wbs[0].item.StNodes))
+	n := 0
+	for k := range wbs {
+		n += len(wbs[k].item.StNodes)
+	}
+	errs := make([]error, n)
+	for k := range wbs {
+		sts := wbs[k].item.StNodes
+		wbs[k].errs, errs = errs[:len(sts):len(sts)], errs[len(sts):]
+		for _, st := range sts {
+			l := slices.IndexFunc(legs, func(l leg) bool { return l.st == st })
+			if l < 0 {
+				l = len(legs)
+				legs = append(legs, leg{st: st, writes: make([]store.Write, 0, len(wbs)-k)})
+			}
+			legs[l].writes = append(legs[l].writes, wbs[k].write())
+		}
+	}
+	conc.Do(len(legs), func(l int) {
+		lg := &legs[l]
+		lg.errs = make([]error, len(lg.writes))
+		err := m.copyState(ctx, action, lg.st, lg.writes, onePhase)
+		for i := range lg.writes {
+			if err != nil && len(lg.writes) > 1 && storeRefused(err) {
+				lg.errs[i] = m.copyState(ctx, action, lg.st, lg.writes[i:i+1], onePhase)
+			} else {
+				lg.errs[i] = err
+			}
+		}
+	})
+	// A leg's writes are those of the write-backs bound for its store, in
+	// wbs order.
+	for _, lg := range legs {
+		i := 0
+		for k := range wbs {
+			if j := slices.Index(wbs[k].item.StNodes, lg.st); j >= 0 {
+				wbs[k].errs[j] = lg.errs[i]
+				i++
+			}
+		}
+	}
+}
+
+// storeRefused reports whether a store answered a Prepare with a refusal,
+// rather than failing to answer it.
+func storeRefused(err error) bool {
+	return rpc.CodeOf(err) != "" || errors.Is(err, store.ErrStaleVersion)
+}
+
+// write is the store write that copies wb's state back.
+func (wb *writeBack) write() store.Write {
+	return store.Write{UID: wb.in.id, Data: wb.state, Seq: wb.seq}
+}
+
+// finishWriteBack reads one object's store answers (copyStates) into its
+// vote: the St nodes that prepared and the ones that failed. With onePhase and
+// the one store's commit, the action is finished here as Commit finishes it.
+// The error is the object's refusal.
+func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, action string, onePhase bool, wb *writeBack, start time.Time) (Vote, error) {
+	in, item := wb.in, wb.item
+	// Remember which stores prepared so commit/abort can address exactly
+	// those. Outcomes are read in StNodes order so PreparedNodes/FailedNodes
+	// stay deterministic.
+	vote := Vote{Dirty: true, NewSeq: wb.seq, BatchSize: wb.batch}
 	var preparedAddrs []transport.Addr
+	if !onePhase {
+		vote.PreparedNodes = make([]string, 0, len(item.StNodes))
+		preparedAddrs = make([]transport.Addr, 0, len(item.StNodes))
+	}
 	stale, doubt := false, false
-	for i, st := range req.StNodes {
-		switch err := copyErrs[i]; {
+	for i, st := range item.StNodes {
+		switch err := wb.errs[i]; {
 		case err == nil:
-			if !req.OnePhase {
-				resp.PreparedNodes = append(resp.PreparedNodes, st)
+			if !onePhase {
+				vote.PreparedNodes = append(vote.PreparedNodes, st)
 				preparedAddrs = append(preparedAddrs, transport.Addr(st))
 			}
 			continue
 		case errors.Is(err, store.ErrStaleVersion) && !errors.Is(err, store.ErrStoreBehind):
 			stale = true
-		case req.OnePhase && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		case onePhase && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
 			errors.Is(err, transport.ErrReplyLost)):
 			// The commit may have reached the store and applied before the
 			// failure was observed (the server torn down mid-call, say).
 			doubt = true
 		}
-		resp.FailedNodes = append(resp.FailedNodes, st)
+		vote.FailedNodes = append(vote.FailedNodes, st)
 	}
-	accepted := len(req.StNodes) - len(resp.FailedNodes)
+	accepted := len(item.StNodes) - len(vote.FailedNodes)
 	if m.leaseTTL > 0 {
 		// A store accepting the copy validated its base version, so a
 		// majority acceptance confirms this copy was latest at start —
 		// refreshing the no-probe grant window.
-		in.markConfirmed(start, accepted, len(req.StNodes))
+		in.markConfirmed(start, accepted, len(item.StNodes))
 	}
 	in.mu.Lock()
-	rec, bound := in.actions[req.Action]
-	if bound && req.OnePhase && accepted == 1 {
+	rec, bound := in.actions[action]
+	if bound && onePhase && accepted == 1 {
 		// The store committed: finish the action in this hold of in.mu, so
 		// no Abort can come between the commit and the version advance.
-		rec.preparedSeq = newSeq
-		in.actions[req.Action] = rec
-		failed, err := m.commitLocked(ctx, in, req.Action, req.CheckpointTo)
-		resp.FailedNodes = append(resp.FailedNodes, failed...)
-		return resp, err
+		rec.preparedSeq = wb.seq
+		in.actions[action] = rec
+		var res [1]EndResult
+		m.commitEnds(ctx, action, []ending{m.endLocked(in, action, item.CheckpointTo, 0)}, res[:])
+		vote.FailedNodes = append(vote.FailedNodes, res[0].FailedNodes...)
+		return vote, res[0].Err()
 	}
 	if bound {
-		if req.OnePhase {
+		if onePhase {
 			// The store did not commit, unless the failure leaves doubt.
 			rec.onePhase = doubt
 		} else {
-			rec.prepared, rec.preparedSeq = preparedAddrs, newSeq
+			rec.prepared, rec.preparedSeq = preparedAddrs, wb.seq
 		}
-		in.actions[req.Action] = rec
+		in.actions[action] = rec
 	}
 	in.mu.Unlock()
 	if !bound {
@@ -970,19 +1161,19 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 		// round, and rolled back at once — and has been and gone while the
 		// copy was at the stores: the snapshot is restored, the lock released,
 		// nobody will ask again.
-		if req.OnePhase && (accepted == 1 || doubt) {
+		if onePhase && (accepted == 1 || doubt) {
 			// The store holds, or may hold, a version this rolled-back copy
 			// lacks: destroy the instance so the next request reloads it. The
 			// write may stand, so the answer is no refusal.
-			_, _ = m.handlePassivate(ctx, from, PassivateReq{UID: req.UID, Force: true})
-			return PrepareResp{}, rpc.Errorf(CodeCommitUncertain, "object %s: action %s was aborted while its one-phase commit was at the store", req.UID, req.Action)
+			_, _ = m.handlePassivate(ctx, from, PassivateReq{UID: item.UID, Force: true})
+			return Vote{}, rpc.Errorf(CodeCommitUncertain, "object %s: action %s was aborted while its one-phase commit was at the store", item.UID, action)
 		}
 		// Recording the intentions now would leave them, and the entry, for
 		// ever; take them back instead.
 		conc.Do(len(preparedAddrs), func(i int) {
-			_ = store.RemoteStore{Client: m.node.Client(), Node: preparedAddrs[i]}.Abort(context.WithoutCancel(ctx), req.Action)
+			_ = store.RemoteStore{Client: m.node.Client(), Node: preparedAddrs[i]}.Abort(context.WithoutCancel(ctx), action)
 		})
-		return PrepareResp{}, rpc.Errorf(rpc.CodeRefused, "object %s: action %s was aborted during its prepare", req.UID, req.Action)
+		return Vote{}, rpc.Errorf(rpc.CodeRefused, "object %s: action %s was aborted during its prepare", item.UID, action)
 	}
 	if stale {
 		// Some St member already holds this version or a later one: this
@@ -993,30 +1184,29 @@ func (m *Manager) handlePrepare(ctx context.Context, from transport.Addr, req Pr
 		// that accepted — the stale ones — and commit a second version over
 		// the same seq (a chaos bank seed lost a transfer leg that way).
 		// Destroy the instance so the next activation reloads, and abort.
-		_, _ = m.handlePassivate(ctx, from, PassivateReq{UID: req.UID, Force: true})
-		return resp, rpc.Errorf(CodeStaleServer, "object %s at %s: activated copy is stale (base seq %d)", req.UID, m.node.Name(), newSeq-1)
+		_, _ = m.handlePassivate(ctx, from, PassivateReq{UID: item.UID, Force: true})
+		return vote, rpc.Errorf(CodeStaleServer, "object %s at %s: activated copy is stale (base seq %d)", item.UID, m.node.Name(), wb.seq-1)
 	}
 	if doubt {
 		// A definite refusal would let the coordinator record an abort over
 		// a durably committed write.
-		return resp, rpc.Errorf(CodeCommitUncertain, "object %s: one-phase commit outcome unknown: %v", req.UID, copyErrs[0])
+		return vote, rpc.Errorf(CodeCommitUncertain, "object %s: one-phase commit outcome unknown: %v", item.UID, wb.errs[0])
 	}
 	if accepted == 0 {
 		// No store holds the new state: the action cannot commit (§3.2(2):
 		// abort if all the nodes ∈ St are down).
-		return resp, rpc.Errorf(CodeUnavailable, "object %s: no St node accepted the new state", req.UID)
+		return vote, rpc.Errorf(CodeUnavailable, "object %s: no St node accepted the new state", item.UID)
 	}
-	return resp, nil
+	return vote, nil
 }
 
-// copyState writes action's new state, at version seq, to one St node: as
-// an intention, or with onePhase as the committed version.
-func (m *Manager) copyState(ctx context.Context, id uid.UID, st, action string, state []byte, seq uint64, onePhase bool) error {
+// copyState writes action's new states to one St node: as intentions, or
+// with onePhase as the committed versions.
+func (m *Manager) copyState(ctx context.Context, action, st string, writes []store.Write, onePhase bool) error {
 	remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
-	writes := []store.Write{{UID: id, Data: state, Seq: seq}}
 	err := remote.Prepare(ctx, action, writes, onePhase)
 	if rpc.CodeOf(err) == rpc.CodeConflict {
-		// The object is pinned by another transaction's prepared
+		// An object is pinned by another transaction's prepared
 		// intention. That pin may be an ACKNOWLEDGED COMMIT whose
 		// phase-two message this store never received — giving up here
 		// would exclude the one store carrying the latest state and
@@ -1031,95 +1221,177 @@ func (m *Manager) copyState(ctx context.Context, id uid.UID, st, action string, 
 	return err
 }
 
+// handleCommit is phase two at this server: each named object's action ends
+// committed (endLocked, commitEnds).
 func (m *Manager) handleCommit(ctx context.Context, from transport.Addr, req EndReq) (EndResp, error) {
-	in, err := m.mustLookup(req.UID)
-	if err != nil {
-		return EndResp{}, err
+	resp := EndResp{Results: make([]EndResult, len(req.Items))}
+	var one [1]ending
+	ends := one[:0]
+	if len(req.Items) > 1 {
+		ends = make([]ending, 0, len(req.Items))
 	}
-	in.mu.Lock()
-	failed, err := m.commitLocked(ctx, in, req.Action, req.CheckpointTo)
-	return EndResp{FailedNodes: failed}, err
+	for i := range req.Items {
+		in, err := m.mustLookup(req.Items[i].UID)
+		if err != nil {
+			resp.Results[i].Code, resp.Results[i].Msg = refusal(err)
+			continue
+		}
+		in.mu.Lock()
+		ends = append(ends, m.endLocked(in, req.Action, req.Items[i].CheckpointTo, i))
+	}
+	m.commitEnds(ctx, req.Action, ends, resp.Results)
+	return resp, nil
 }
 
-// commitLocked finishes action at this server as committed — phase two, or
-// a one-phase prepare whose store committed. The version advances to the
-// one the action prepared, the action is forgotten and its folded ops
-// answered; the stores holding its intentions commit them and the cohorts
-// in checkpointTo take the new state; then the lease fence runs and the
-// locks go. It returns the stores and cohorts that failed. in.mu is held on
-// entry and released here.
-func (m *Manager) commitLocked(ctx context.Context, in *instance, action string, checkpointTo []string) ([]string, error) {
+// ending is one object's commit at this server in flight (see commitEnds).
+type ending struct {
+	in       *instance
+	rec      actionRec
+	advanced bool
+	// ckptTo are the cohorts that take the committed state, ckptState and
+	// ckptSeq that state.
+	ckptTo    []string
+	ckptState []byte
+	ckptSeq   uint64
+	result    int // the item's index in the request
+}
+
+// endLocked finishes action at in as committed — phase two, or a one-phase
+// prepare whose store committed: the version advances to the one the action
+// prepared, the action is forgotten and its folded ops answered, which the
+// decision, already durable, allows before the stores hear of it. in.mu is
+// held on entry and released here.
+func (m *Manager) endLocked(in *instance, action string, checkpointTo []string, result int) ending {
 	rec := in.actions[action]
 	delete(in.actions, action)
-	advanced := rec.dirty && rec.preparedSeq != 0
-	if advanced {
+	e := ending{in: in, rec: rec, advanced: rec.dirty && rec.preparedSeq != 0, ckptTo: checkpointTo, result: result}
+	if e.advanced {
 		in.seq = rec.preparedSeq
 	}
-	var ckptState []byte
 	if len(checkpointTo) > 0 {
-		ckptState = append([]byte(nil), in.state...)
+		e.ckptState = append([]byte(nil), in.state...)
 	}
-	ckptSeq := in.seq
+	e.ckptSeq = in.seq
 	in.mu.Unlock()
-	// The commit decision is already durable, so folded ops can be answered
-	// before the store fan-out completes.
 	m.resolveBatch(rec.batch, nil)
+	return e
+}
 
+// commitEnds completes the commits endLocked began: each store holding the
+// action's intentions gets one Commit — it applies every intention of the
+// action there, whichever object it is for — and each object's cohorts take
+// its new state; then each object's lease fence runs and its locks go. The
+// fences run side by side, so objects that must wait out their leases wait
+// one window, not one each. Each object's result names its stores and cohorts
+// that failed, or the fence's error.
+func (m *Manager) commitEnds(ctx context.Context, action string, ends []ending, results []EndResult) {
+	if len(ends) == 0 {
+		return
+	}
 	// Phase-two store commits and coordinator-cohort checkpoints
 	// (§2.3(ii): push the committed state to the cohorts so one of them
 	// can take over without touching the object stores) are independent —
 	// run them all in parallel, collecting failures in deterministic
 	// order. Checkpoint failures break the cohort binding, which the
 	// caller observes via the failed nodes.
-	prepared := rec.prepared
+	stores := ends[0].rec.prepared
+	type install struct {
+		ref   ServerRef
+		class string
+		state []byte
+		seq   uint64
+	}
+	var installs []install
+	for k, e := range ends {
+		if k > 0 {
+			for _, st := range e.rec.prepared {
+				if !slices.Contains(stores, st) {
+					stores = append(slices.Clip(stores), st)
+				}
+			}
+		}
+		for _, cohort := range e.ckptTo {
+			ref := ServerRef{Client: m.node.Client(), Node: transport.Addr(cohort), UID: e.in.id}
+			installs = append(installs, install{ref, e.in.class.Name, e.ckptState, e.ckptSeq})
+		}
+	}
 	commitStart := time.Now()
-	storeErrs := make([]error, len(prepared))
-	ckptErrs := make([]error, len(checkpointTo))
-	conc.Do(len(prepared)+len(checkpointTo), func(i int) {
-		if i < len(prepared) {
-			remote := store.RemoteStore{Client: m.node.Client(), Node: prepared[i]}
-			storeErrs[i] = remote.Commit(ctx, action)
-			return
-		}
-		j := i - len(prepared)
-		ref := ServerRef{Client: m.node.Client(), Node: transport.Addr(checkpointTo[j]), UID: in.id}
-		ckptErrs[j] = ref.Install(ctx, in.class.Name, ckptState, ckptSeq)
-	})
-	var failed []string
-	for i, st := range prepared {
-		if storeErrs[i] != nil {
-			failed = append(failed, string(st))
-		}
+	var errs []error
+	if legs := len(stores) + len(installs); legs > 0 {
+		errs = conc.DoErr(legs, func(i int) error {
+			if i < len(stores) {
+				return store.RemoteStore{Client: m.node.Client(), Node: stores[i]}.Commit(ctx, action)
+			}
+			in := installs[i-len(stores)]
+			return in.ref.Install(ctx, in.class, in.state, in.seq)
+		})
 	}
-	for j, cohort := range checkpointTo {
-		if ckptErrs[j] != nil {
-			failed = append(failed, cohort)
-		}
-	}
-	if m.leaseTTL > 0 && advanced {
+	leg := len(stores)
+	for k := range ends {
+		e := &ends[k]
+		r := &results[e.result]
 		committed := 0
-		for i := range prepared {
-			if storeErrs[i] == nil {
+		for _, st := range e.rec.prepared {
+			if errs[slices.Index(stores, st)] != nil {
+				r.FailedNodes = append(r.FailedNodes, string(st))
+			} else {
 				committed++
 			}
 		}
-		in.markConfirmed(commitStart, committed, len(prepared))
+		for _, cohort := range e.ckptTo {
+			if errs[leg] != nil {
+				r.FailedNodes = append(r.FailedNodes, cohort)
+			}
+			leg++
+		}
+		if m.leaseTTL > 0 && e.advanced {
+			e.in.markConfirmed(commitStart, committed, len(e.rec.prepared))
+		}
 	}
-	// The new version is durable: fence every read lease at the old one
-	// BEFORE releasing the action's locks. The order matters — a lock
-	// released first could admit a conflicting action that commits
-	// against this object while the invalidation multicast is still in
-	// flight, so delivery-confirmed invalidation (or the waitout) must
-	// precede any conflicting lock grant here. Even a fence interrupted
-	// by ctx still releases: the commit stands, and holding the locks
-	// past this handler would wedge the object forever.
-	var fenceErr error
-	if advanced {
-		fenceErr = m.leaseCommitFence(ctx, in, time.Now(), true)
+	if m.leaseTTL == 0 || len(ends) == 1 {
+		// Without leases a fence waits for nothing.
+		for k := range ends {
+			fenceFailed(&results[ends[k].result], m.fenceAndRelease(ctx, action, &ends[k]))
+		}
+		return
 	}
-	in.locks.ReleaseAll(lockmgr.Owner(action))
-	m.kickCombiner(in)
-	return failed, fenceErr
+	// The fences run side by side: objects that must wait out their leases
+	// wait one window between them.
+	many := slices.Clone(ends)
+	fenced := make([]error, len(many))
+	conc.Do(len(many), func(k int) { fenced[k] = m.fenceAndRelease(ctx, action, &many[k]) })
+	for k, err := range fenced {
+		fenceFailed(&results[ends[k].result], err)
+	}
+}
+
+// fenceFailed makes a fence's error, if any, the object's result: the commit
+// stands, but its acknowledgement is in doubt.
+func fenceFailed(r *EndResult, err error) {
+	if err != nil {
+		r.FailedNodes = nil
+		r.Code, r.Msg = refusal(err)
+	}
+}
+
+// fenceAndRelease ends a committed object's action at this server: its lease
+// fence, if the version advanced, then its locks.
+//
+// The new version is durable: fence every read lease at the old one BEFORE
+// releasing the action's locks. The order matters — a lock released first
+// could admit a conflicting action that commits against this object while
+// the invalidation multicast is still in flight, so delivery-confirmed
+// invalidation (or the waitout) must precede any conflicting lock grant here.
+// Even a fence interrupted by ctx still releases: the commit stands, and
+// holding the locks past this handler would wedge the object forever.
+func (m *Manager) fenceAndRelease(ctx context.Context, action string, e *ending) error {
+	var err error
+	if e.advanced {
+		err = m.leaseCommitFence(ctx, e.in, time.Now(), true)
+	}
+	e.in.locks.ReleaseAll(lockmgr.Owner(action))
+	m.kickCombiner(e.in)
+	return err
 }
 
 func (m *Manager) handleInstall(ctx context.Context, from transport.Addr, req InstallReq) (InstallResp, error) {
@@ -1162,41 +1434,61 @@ func (m *Manager) handleInstall(ctx context.Context, from transport.Addr, req In
 	return InstallResp{Installed: true}, nil
 }
 
+// handleAbort undoes the action at this server for each named object: its
+// state goes back to the snapshot and its locks go. Each store holding the
+// action's intentions gets one Abort, which takes back every intention of the
+// action there.
 func (m *Manager) handleAbort(ctx context.Context, from transport.Addr, req EndReq) (EndResp, error) {
-	in, err := m.mustLookup(req.UID)
-	if err != nil {
-		return EndResp{}, err
+	resp := EndResp{Results: make([]EndResult, len(req.Items))}
+	type undone struct {
+		in       *instance
+		prepared []transport.Addr
+		result   int
 	}
-	in.mu.Lock()
-	rec := in.actions[req.Action]
-	delete(in.actions, req.Action)
-	if rec.snapped {
-		in.state = rec.snap
-	}
-	in.mu.Unlock()
-	if len(rec.batch) > 0 {
-		// The snapshot restore above undid the whole fold: the folded ops
-		// are told to retry — unless a one-phase round took them to the
-		// store, which may have committed them.
-		verdict := rpc.Errorf(rpc.CodeRefused, "object %s: carrying action %s aborted; retry", in.id, req.Action)
-		if rec.onePhase {
-			verdict = rpc.Errorf(CodeCommitUncertain, "object %s: carrying action %s aborted after its one-phase commit was sent", in.id, req.Action)
+	undo := make([]undone, 0, len(req.Items))
+	var stores []transport.Addr
+	for i := range req.Items {
+		in, err := m.mustLookup(req.Items[i].UID)
+		if err != nil {
+			resp.Results[i].Code, resp.Results[i].Msg = refusal(err)
+			continue
 		}
-		m.resolveBatch(rec.batch, verdict)
+		in.mu.Lock()
+		rec := in.actions[req.Action]
+		delete(in.actions, req.Action)
+		if rec.snapped {
+			in.state = rec.snap
+		}
+		in.mu.Unlock()
+		if len(rec.batch) > 0 {
+			// The snapshot restore above undid the whole fold: the folded ops
+			// are told to retry — unless a one-phase round took them to the
+			// store, which may have committed them.
+			verdict := rpc.Errorf(rpc.CodeRefused, "object %s: carrying action %s aborted; retry", in.id, req.Action)
+			if rec.onePhase {
+				verdict = rpc.Errorf(CodeCommitUncertain, "object %s: carrying action %s aborted after its one-phase commit was sent", in.id, req.Action)
+			}
+			m.resolveBatch(rec.batch, verdict)
+		}
+		undo = append(undo, undone{in: in, prepared: rec.prepared, result: i})
+		for _, st := range rec.prepared {
+			if !slices.Contains(stores, st) {
+				stores = append(stores, st)
+			}
+		}
 	}
-
-	var resp EndResp
-	abortErrs := conc.DoErr(len(rec.prepared), func(i int) error {
-		remote := store.RemoteStore{Client: m.node.Client(), Node: rec.prepared[i]}
-		return remote.Abort(ctx, req.Action)
+	abortErrs := conc.DoErr(len(stores), func(i int) error {
+		return store.RemoteStore{Client: m.node.Client(), Node: stores[i]}.Abort(ctx, req.Action)
 	})
-	for i, st := range rec.prepared {
-		if abortErrs[i] != nil {
-			resp.FailedNodes = append(resp.FailedNodes, string(st))
+	for _, u := range undo {
+		for _, st := range u.prepared {
+			if abortErrs[slices.Index(stores, st)] != nil {
+				resp.Results[u.result].FailedNodes = append(resp.Results[u.result].FailedNodes, string(st))
+			}
 		}
+		u.in.locks.ReleaseAll(lockmgr.Owner(req.Action))
+		m.kickCombiner(u.in)
 	}
-	in.locks.ReleaseAll(lockmgr.Owner(req.Action))
-	m.kickCombiner(in)
 	return resp, nil
 }
 

@@ -12,8 +12,11 @@ import (
 // hottest payloads in the system. Tags live in the 0x20–0x3f block of the
 // registry in internal/rpc/doc.go, beside the passivation and status
 // records a move's lease fence and the checkers send. The invoke request is
-// at version 5, the invoke reply at version 4 (Seq), the prepare request at
-// version 2; everything else is at version 1. Every peer runs the same
+// at version 5, the invoke reply at version 5 (the carried vote is a Vote,
+// its refusal inside), the prepare request at version 3 and its reply and
+// the end request and reply at version 2 (a commit phase names every object
+// of the action the server holds, and answers each); everything else is at
+// version 1. Every peer runs the same
 // build, so only a record's current version decodes: a change to a record's
 // fields bumps its version.
 const (
@@ -100,7 +103,7 @@ func readCarry(r *rpc.WireReader) (Carry, error) {
 // InvokeResp
 
 // WireTag implements rpc.Wire.
-func (*InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 4 }
+func (*InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 5 }
 
 // WireSizeHint implements rpc.WireSizer.
 func (p *InvokeResp) WireSizeHint() int {
@@ -109,13 +112,7 @@ func (p *InvokeResp) WireSizeHint() int {
 		n += len(p.Lease.Class) + len(p.Lease.State) + 24
 	}
 	if p.Carried != CarryNone {
-		n += len(p.VoteCode) + len(p.VoteMsg) + 24
-		for _, st := range p.Vote.PreparedNodes {
-			n += len(st) + 2
-		}
-		for _, st := range p.Vote.FailedNodes {
-			n += len(st) + 2
-		}
+		n += p.Vote.wireSize()
 	}
 	return n
 }
@@ -137,9 +134,7 @@ func (p *InvokeResp) AppendWire(dst []byte) []byte {
 	}
 	dst = rpc.AppendUvarint(dst, uint64(p.Carried))
 	if p.Carried != CarryNone {
-		dst = rpc.AppendString(dst, p.VoteCode)
-		dst = rpc.AppendString(dst, p.VoteMsg)
-		dst = p.Vote.AppendWire(dst)
+		dst = p.Vote.appendWire(dst)
 	}
 	return dst
 }
@@ -164,92 +159,193 @@ func (p *InvokeResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 		return err
 	}
 	if p.Carried != CarryNone {
-		p.VoteCode = r.String()
-		p.VoteMsg = r.String()
-		return p.Vote.ParseWire(1, r)
+		p.Vote.parseWire(r)
 	}
 	return nil
+}
+
+// readCount reads a list's length, refusing one the rest of the frame
+// cannot hold (every element takes a byte at least).
+func readCount(r *rpc.WireReader) (int, error) {
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return 0, r.Err()
+	}
+	if n > uint64(r.Remaining()) {
+		return 0, rpc.ErrWire
+	}
+	return int(n), nil
+}
+
+// stringsSize is what AppendStrings takes for ss, about.
+func stringsSize(ss []string) int {
+	n := 2
+	for _, s := range ss {
+		n += len(s) + 2
+	}
+	return n
 }
 
 // PrepareReq
 
 // WireTag implements rpc.Wire.
-func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 2 }
+func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 3 }
+
+// WireSizeHint implements rpc.WireSizer.
+func (q *PrepareReq) WireSizeHint() int {
+	n := len(q.Action) + 8
+	for _, it := range q.Items {
+		n += len(it.UID) + 2 + stringsSize(it.StNodes) + stringsSize(it.CheckpointTo)
+	}
+	return n
+}
 
 // AppendWire implements rpc.Wire.
 func (q *PrepareReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.UID)
 	dst = rpc.AppendString(dst, q.Action)
-	dst = rpc.AppendStrings(dst, q.StNodes)
 	dst = rpc.AppendBool(dst, q.OnePhase)
-	return rpc.AppendStrings(dst, q.CheckpointTo)
+	dst = rpc.AppendUvarint(dst, uint64(len(q.Items)))
+	for _, it := range q.Items {
+		dst = rpc.AppendString(dst, it.UID)
+		dst = rpc.AppendStrings(dst, it.StNodes)
+		dst = rpc.AppendStrings(dst, it.CheckpointTo)
+	}
+	return dst
 }
 
 // ParseWire implements rpc.Wire.
 func (q *PrepareReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
 	q.Action = r.String()
-	q.StNodes = r.Strings()
 	q.OnePhase = r.Bool()
-	q.CheckpointTo = r.Strings()
+	n, err := readCount(r)
+	if err != nil || n == 0 {
+		return err
+	}
+	q.Items = make([]PrepareItem, n)
+	for i := range q.Items {
+		q.Items[i] = PrepareItem{UID: r.String(), StNodes: r.Strings(), CheckpointTo: r.Strings()}
+	}
 	return nil
 }
 
 // PrepareResp
 
 // WireTag implements rpc.Wire.
-func (*PrepareResp) WireTag() (byte, byte) { return wireTagPrepareResp, 1 }
+func (*PrepareResp) WireTag() (byte, byte) { return wireTagPrepareResp, 2 }
+
+// WireSizeHint implements rpc.WireSizer.
+func (p *PrepareResp) WireSizeHint() int {
+	n := 2
+	for i := range p.Votes {
+		n += p.Votes[i].wireSize()
+	}
+	return n
+}
 
 // AppendWire implements rpc.Wire.
 func (p *PrepareResp) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendBool(dst, p.Dirty)
-	dst = rpc.AppendUvarint(dst, p.NewSeq)
-	dst = rpc.AppendStrings(dst, p.PreparedNodes)
-	dst = rpc.AppendStrings(dst, p.FailedNodes)
-	return rpc.AppendUvarint(dst, uint64(p.BatchSize))
+	dst = rpc.AppendUvarint(dst, uint64(len(p.Votes)))
+	for i := range p.Votes {
+		dst = p.Votes[i].appendWire(dst)
+	}
+	return dst
 }
 
 // ParseWire implements rpc.Wire.
 func (p *PrepareResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Dirty = r.Bool()
-	p.NewSeq = r.Uvarint()
-	p.PreparedNodes = r.Strings()
-	p.FailedNodes = r.Strings()
-	p.BatchSize = int(r.Uvarint())
+	n, err := readCount(r)
+	if err != nil || n == 0 {
+		return err
+	}
+	p.Votes = make([]Vote, n)
+	for i := range p.Votes {
+		p.Votes[i].parseWire(r)
+	}
 	return nil
+}
+
+// Vote is no record of its own: it rides PrepareResp and InvokeResp.
+
+func (v *Vote) wireSize() int {
+	return len(v.Code) + len(v.Msg) + 24 + stringsSize(v.PreparedNodes) + stringsSize(v.FailedNodes)
+}
+
+func (v *Vote) appendWire(dst []byte) []byte {
+	dst = rpc.AppendBool(dst, v.Dirty)
+	dst = rpc.AppendUvarint(dst, v.NewSeq)
+	dst = rpc.AppendStrings(dst, v.PreparedNodes)
+	dst = rpc.AppendStrings(dst, v.FailedNodes)
+	dst = rpc.AppendUvarint(dst, uint64(v.BatchSize))
+	dst = rpc.AppendString(dst, v.Code)
+	return rpc.AppendString(dst, v.Msg)
+}
+
+func (v *Vote) parseWire(r *rpc.WireReader) {
+	v.Dirty = r.Bool()
+	v.NewSeq = r.Uvarint()
+	v.PreparedNodes = r.Strings()
+	v.FailedNodes = r.Strings()
+	v.BatchSize = int(r.Uvarint())
+	v.Code = r.String()
+	v.Msg = r.String()
 }
 
 // EndReq
 
 // WireTag implements rpc.Wire.
-func (*EndReq) WireTag() (byte, byte) { return wireTagEndReq, 1 }
+func (*EndReq) WireTag() (byte, byte) { return wireTagEndReq, 2 }
 
 // AppendWire implements rpc.Wire.
 func (q *EndReq) AppendWire(dst []byte) []byte {
-	dst = rpc.AppendString(dst, q.UID)
 	dst = rpc.AppendString(dst, q.Action)
-	return rpc.AppendStrings(dst, q.CheckpointTo)
+	dst = rpc.AppendUvarint(dst, uint64(len(q.Items)))
+	for _, it := range q.Items {
+		dst = rpc.AppendString(dst, it.UID)
+		dst = rpc.AppendStrings(dst, it.CheckpointTo)
+	}
+	return dst
 }
 
 // ParseWire implements rpc.Wire.
 func (q *EndReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
 	q.Action = r.String()
-	q.CheckpointTo = r.Strings()
+	n, err := readCount(r)
+	if err != nil || n == 0 {
+		return err
+	}
+	q.Items = make([]EndItem, n)
+	for i := range q.Items {
+		q.Items[i] = EndItem{UID: r.String(), CheckpointTo: r.Strings()}
+	}
 	return nil
 }
 
 // EndResp
 
 // WireTag implements rpc.Wire.
-func (*EndResp) WireTag() (byte, byte) { return wireTagEndResp, 1 }
+func (*EndResp) WireTag() (byte, byte) { return wireTagEndResp, 2 }
 
 // AppendWire implements rpc.Wire.
-func (p *EndResp) AppendWire(dst []byte) []byte { return rpc.AppendStrings(dst, p.FailedNodes) }
+func (p *EndResp) AppendWire(dst []byte) []byte {
+	dst = rpc.AppendUvarint(dst, uint64(len(p.Results)))
+	for _, res := range p.Results {
+		dst = rpc.AppendStrings(dst, res.FailedNodes)
+		dst = rpc.AppendString(dst, res.Code)
+		dst = rpc.AppendString(dst, res.Msg)
+	}
+	return dst
+}
 
 // ParseWire implements rpc.Wire.
 func (p *EndResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.FailedNodes = r.Strings()
+	n, err := readCount(r)
+	if err != nil || n == 0 {
+		return err
+	}
+	p.Results = make([]EndResult, n)
+	for i := range p.Results {
+		p.Results[i] = EndResult{FailedNodes: r.Strings(), Code: r.String(), Msg: r.String()}
+	}
 	return nil
 }
 

@@ -19,13 +19,18 @@ func wireCases() []struct{ in, out rpc.Wire } {
 		{&InvokeResp{Result: []byte("ok"), Modified: true, Batched: true, BatchSize: 5, WaitNanos: -250}, &InvokeResp{}},
 		{&InvokeResp{Seq: 11}, &InvokeResp{}},
 		{&InvokeResp{Result: []byte("ok"), Seq: 1 << 40, WaitNanos: 3}, &InvokeResp{}},
-		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryPrepare, Vote: PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}, &InvokeResp{}},
-		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryCommit, VoteCode: CodeCommitUncertain, VoteMsg: "reply lost"}, &InvokeResp{}},
-		{&PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}}, &PrepareReq{}},
-		{&PrepareReq{UID: "obj", Action: "a1", StNodes: []string{"s1"}, OnePhase: true, CheckpointTo: []string{"s2"}}, &PrepareReq{}},
-		{&PrepareResp{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}, &PrepareResp{}},
-		{&EndReq{UID: "obj", Action: "a1", CheckpointTo: []string{"s1"}}, &EndReq{}},
-		{&EndResp{FailedNodes: []string{"s2"}}, &EndResp{}},
+		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryPrepare, Vote: Vote{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}, &InvokeResp{}},
+		{&InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryCommit, Vote: Vote{Code: CodeCommitUncertain, Msg: "reply lost"}}, &InvokeResp{}},
+		{&PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj", StNodes: []string{"s1"}}}}, &PrepareReq{}},
+		{&PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj", StNodes: []string{"s1"}, CheckpointTo: []string{"s2"}}}, OnePhase: true}, &PrepareReq{}},
+		{&PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj1", StNodes: []string{"s1", "s2"}}, {UID: "obj2", StNodes: []string{"s2"}}}}, &PrepareReq{}},
+		{&PrepareReq{Action: "a1"}, &PrepareReq{}},
+		{&PrepareResp{Votes: []Vote{{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}}, &PrepareResp{}},
+		{&PrepareResp{Votes: []Vote{{NewSeq: 4}, {Code: CodeNotActive, Msg: "gone"}, {Dirty: true, NewSeq: 9, PreparedNodes: []string{"s1", "s2"}, BatchSize: 1}}}, &PrepareResp{}},
+		{&EndReq{Action: "a1", Items: []EndItem{{UID: "obj", CheckpointTo: []string{"s1"}}}}, &EndReq{}},
+		{&EndReq{Action: "a1", Items: []EndItem{{UID: "obj1"}, {UID: "obj2", CheckpointTo: []string{"sv2", "sv3"}}}}, &EndReq{}},
+		{&EndResp{Results: []EndResult{{FailedNodes: []string{"s2"}}}}, &EndResp{}},
+		{&EndResp{Results: []EndResult{{}, {Code: CodeCommitUncertain, Msg: "fence interrupted"}, {FailedNodes: []string{"s1", "sv2"}}}}, &EndResp{}},
 		{&InstallReq{UID: "obj", Class: "Counter", State: []byte{9, 9}, Seq: 3}, &InstallReq{}},
 		{&InstallResp{Installed: true}, &InstallResp{}},
 		{&PassivateReq{UID: "obj", Force: true}, &PassivateReq{}},
@@ -105,8 +110,8 @@ func TestWireTagsUnique(t *testing.T) {
 
 // TestWireOlderRequestVersionsRefused: every peer runs the same build, so a
 // frame at an older version of a record — invoke request v1 to v4, invoke
-// reply v1 to v3, prepare request v1 — is refused whole, never read as the
-// current layout.
+// reply v1 to v4, prepare request v1 and v2, prepare reply, end request and
+// end reply v1 — is refused whole, never read as the current layout.
 func TestWireOlderRequestVersionsRefused(t *testing.T) {
 	for _, c := range wireCases() {
 		data, err := rpc.Encode(c.in)

@@ -18,12 +18,16 @@
 //
 // A Handle is the per-action client-side facade over the bound servers
 // (the set Sv_A' of §3.2). Every request through it is one call, Invoke,
-// which returns the server's reply. It implements action.Participant for the
-// binding that owns it (core.Binding), which enlists itself and drives the
-// handle's Prepare/Commit/Abort: at commit time the bound servers copy the
-// object's new state to every functioning node in St_A, and the Handle
-// records which St nodes failed so the naming and binding layer can Exclude
-// them (§4.2).
+// which returns the server's reply. Its commit processing runs with the
+// other handles of its action at one database — the package's Prepare,
+// Commit and Abort send each server one request per phase naming every
+// object of those handles it holds, and each handle reads its own item of
+// the reply as it would read a reply of its own — driven by the binding that
+// owns it (core.Binding), the action's participant; Handle's own Prepare,
+// CommitOnePhase, Commit and Abort run it as a group of one. At commit time
+// the bound servers copy the object's new state to every functioning node in
+// St_A, and the Handle records which St nodes failed so the naming and
+// binding layer can Exclude them (§4.2).
 package replica
 
 import (
@@ -182,7 +186,7 @@ type Handle struct {
 	// would have answered. Prepare or CommitOnePhase takes the answer in
 	// place of sending that message.
 	carried     object.Carry
-	carriedVote object.PrepareResp
+	carriedVote object.Vote
 	carriedErr  error
 	// batchSize records how many operations the commit round that carried
 	// this handle's write folded (0 when unknown or unbatched).
@@ -415,9 +419,9 @@ type Call struct {
 // the commit, or the server folded it into a commit that went through. The
 // binding is not broken then: the error wraps action.ErrOutcomeUnknown, the
 // doubt is recorded, and the caller must go on to commit processing, which
-// resolves it as it resolves a lost one-phase Prepare reply (see phaseOne) —
-// aborting instead could undo nothing and report an abort over a committed
-// write.
+// resolves it as it resolves a lost one-phase Prepare reply (see
+// readPhaseOne) — aborting instead could undo nothing and report an abort
+// over a committed write.
 //
 // A ReadOnly solo call carries the read-only vote: the server releases the
 // action in the request that ran the method, and the reply's clean Vote says
@@ -498,7 +502,7 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, c Call) (object
 	} else if resp.Modified {
 		h.wrote = true
 	}
-	h.carried, h.carriedVote, h.carriedErr = resp.Carried, resp.Vote, resp.VoteErr()
+	h.carried, h.carriedVote, h.carriedErr = resp.Carried, resp.Vote, resp.Vote.Err()
 	h.mu.Unlock()
 	return resp, nil
 }
@@ -512,11 +516,11 @@ func (h *Handle) intact() bool {
 
 // takeCarried hands over, once, the phase-one answer a solo request carried
 // back for the given phase.
-func (h *Handle) takeCarried(phase object.Carry) (vote object.PrepareResp, ok bool, err error) {
+func (h *Handle) takeCarried(phase object.Carry) (vote object.Vote, ok bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.carried != phase {
-		return object.PrepareResp{}, false, nil
+		return object.Vote{}, false, nil
 	}
 	h.carried = object.CarryNone
 	return h.carriedVote, true, h.carriedErr
@@ -694,19 +698,16 @@ func (h *Handle) Name() string {
 	return fmt.Sprintf("replica(%s,%s)", h.cfg.UID, h.cfg.Policy)
 }
 
-// Prepare implements action.Participant: every live server copies the new
-// object state to the functioning St nodes (§3.2(2)/(4)), all servers in
-// parallel — their store prepares merge idempotently, so concurrent
-// write-back is safe and the latency is that of the slowest server.
-// Server failures are masked per policy; St failures are recorded for
-// exclusion. Prepare fails (aborting the action) when no server can
-// complete the copy.
+// Prepare implements action.Participant: the handle's phase one as a group
+// of one (see the package function Prepare).
 //
 // A server the action never modified releases it during the prepare call
 // (§4.1.2); when every server reports that, the handle votes read-only —
 // its commit processing is over with zero phase-two round trips.
 func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
-	return h.phaseOne(ctx, tx, false)
+	var out [1]Outcome
+	Prepare(ctx, tx, []*Handle{h}, false, out[:])
+	return out[0].Vote, out[0].Err
 }
 
 // CommitOnePhase implements action.OnePhaser: when commit processing
@@ -717,65 +718,240 @@ func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 // to stay atomic across stores, and multiple active replicas must all
 // prepare before any may commit — and falls back to ordinary 2PC untouched.
 func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
-	return h.phaseOne(ctx, tx, true)
+	var out [1]Outcome
+	Prepare(ctx, tx, []*Handle{h}, true, out[:])
+	return out[0].Vote, out[0].Err
 }
 
-// phaseOne is Prepare, and with onePhase CommitOnePhase: the phase-one
-// message to every server taking part in commit processing, or — when the
-// handle's one solo request carried it (see Invoke) — the answer that
-// request brought back, handled as the reply would have been, because that
-// is what it is.
-func (h *Handle) phaseOne(ctx context.Context, tx string, onePhase bool) (action.Vote, error) {
+// Outcome is one handle's answer in a grouped commit phase: its vote, in
+// phase one, and its error.
+type Outcome struct {
+	Vote action.Vote
+	Err  error
+}
+
+// pair is one item of a grouped phase on its way to its server.
+type pair[I any] struct {
+	node transport.Addr
+	item I
+}
+
+// reply is a server's answer about one item: the item's own answer, or the
+// request's failure.
+type reply[A any] struct {
+	ans A
+	err error
+}
+
+// answer is an item's answer in a reply: it says whether the item was
+// refused.
+type answer interface{ Err() error }
+
+// sender sends one server's request of a grouped phase.
+type sender[I any, A answer] interface {
+	send(ctx context.Context, node transport.Addr, items []I) ([]A, error)
+}
+
+// exchange sends the items of pairs, one request per server naming every item
+// bound there, and returns each pair's reply, in pairs order — in buf, when
+// there is one pair. A request that fails fails every item it named.
+func exchange[I any, A answer, S sender[I, A]](ctx context.Context, s S, pairs []pair[I], buf *[1]reply[A]) []reply[A] {
+	switch len(pairs) {
+	case 0:
+		return nil
+	case 1:
+		items := [1]I{pairs[0].item}
+		got, err := s.send(ctx, pairs[0].node, items[:])
+		buf[0] = replyOf(got, 0, err)
+		return buf[:]
+	}
+	type request struct {
+		node  transport.Addr
+		items []I
+		got   []A
+		err   error
+	}
+	var reqs []request
+	for i, p := range pairs {
+		r := slices.IndexFunc(reqs, func(r request) bool { return r.node == p.node })
+		if r < 0 {
+			r = len(reqs)
+			reqs = append(reqs, request{node: p.node, items: make([]I, 0, len(pairs)-i)})
+		}
+		reqs[r].items = append(reqs[r].items, p.item)
+	}
+	if len(reqs) == 1 {
+		reqs[0].got, reqs[0].err = s.send(ctx, reqs[0].node, reqs[0].items)
+	} else {
+		conc.Do(len(reqs), func(r int) {
+			reqs[r].got, reqs[r].err = s.send(ctx, reqs[r].node, reqs[r].items)
+		})
+	}
+	// A request's items are its server's pairs, in pairs order.
+	replies := make([]reply[A], len(pairs))
+	for _, r := range reqs {
+		j := 0
+		for i, p := range pairs {
+			if p.node == r.node {
+				replies[i] = replyOf(r.got, j, r.err)
+				j++
+			}
+		}
+	}
+	return replies
+}
+
+// replyOf is item j's reply in a request that answered got or failed.
+func replyOf[A answer](got []A, j int, err error) reply[A] {
+	if err != nil {
+		return reply[A]{err: err}
+	}
+	return reply[A]{ans: got[j], err: got[j].Err()}
+}
+
+// prepareSender sends phase-one requests.
+type prepareSender struct {
+	client   rpc.Client
+	tx       string
+	onePhase bool
+}
+
+func (s prepareSender) send(ctx context.Context, node transport.Addr, items []object.PrepareItem) ([]object.Vote, error) {
+	resp, err := object.Server{Client: s.client, Node: node}.Prepare(ctx, object.PrepareReq{Action: s.tx, Items: items, OnePhase: s.onePhase})
+	return resp.Votes, err
+}
+
+// endSender sends phase-two requests: Commit, or with abort Abort.
+type endSender struct {
+	client rpc.Client
+	tx     string
+	abort  bool
+}
+
+func (s endSender) send(ctx context.Context, node transport.Addr, items []object.EndItem) ([]object.EndResult, error) {
+	srv, req := object.Server{Client: s.client, Node: node}, object.EndReq{Action: s.tx, Items: items}
+	send := srv.Commit
+	if s.abort {
+		send = srv.Abort
+	}
+	resp, err := send(ctx, req)
+	return resp.Results, err
+}
+
+// Prepare runs phase one — with onePhase, the combined round of
+// CommitOnePhase — for the handles hs, one at least and all one client's, and
+// leaves each handle's outcome at its index in out: each server taking part
+// gets one PrepareReq naming every object of hs it takes part for, and each
+// handle reads its own item of the reply as it would read a reply of its
+// own. A transport failure fails every item of the request. Handles with
+// nothing to send — released, unprobed, or answered by the vote their solo
+// request carried — send nothing.
+//
+// Every live server of a handle copies the new object state to the
+// functioning St nodes (§3.2(2)/(4)), all servers in parallel — their store
+// prepares merge idempotently, so concurrent write-back is safe and the
+// latency is that of the slowest server. Server failures are masked per
+// policy; St failures are recorded for exclusion. A handle's phase one fails
+// when no server can complete its copy.
+func Prepare(ctx context.Context, tx string, hs []*Handle, onePhase bool, out []Outcome) {
+	var one [1]phaseOne
+	ones := one[:]
+	if len(hs) > 1 {
+		ones = make([]phaseOne, len(hs))
+	}
+	var pairBuf [1]pair[object.PrepareItem]
+	pairs := pairBuf[:0]
+	for k, h := range hs {
+		p := &ones[k]
+		if out[k].Vote, p.done, out[k].Err = h.startPhaseOne(onePhase, p); p.done || p.carried {
+			continue
+		}
+		p.first = len(pairs)
+		for _, sv := range p.targets {
+			item := object.PrepareItem{UID: h.uid, StNodes: addrsToStrings(h.cfg.StNodes)}
+			if onePhase {
+				item.CheckpointTo = addrsToStrings(p.checkpointTo)
+			}
+			pairs = append(pairs, pair[object.PrepareItem]{sv, item})
+		}
+	}
+	var buf [1]reply[object.Vote]
+	replies := exchange(ctx, prepareSender{hs[0].cfg.Client, tx, onePhase}, pairs, &buf)
+	for k, h := range hs {
+		p := &ones[k]
+		switch {
+		case p.done:
+		case p.carried:
+			out[k].Vote, out[k].Err = h.readPhaseOne(ctx, tx, onePhase, p, p.carriedReply[:])
+		default:
+			out[k].Vote, out[k].Err = h.readPhaseOne(ctx, tx, onePhase, p, replies[p.first:p.first+len(p.targets)])
+		}
+	}
+}
+
+// phaseOne is one handle's part in a grouped phase one.
+type phaseOne struct {
+	// done says the handle answered without a reply to read.
+	done bool
+	// carried says the vote a solo request carried stands in for the reply,
+	// and carriedReply is it.
+	carried      bool
+	carriedReply [1]reply[object.Vote]
+	// doubt is the one-phase doubt the phase started under (see
+	// Handle.onePhaseDoubt).
+	doubt        bool
+	targets      []transport.Addr
+	checkpointTo []transport.Addr
+	// first is the index of the handle's first item among the phase's.
+	first int
+}
+
+// startPhaseOne sets up the handle's phase one in p: the servers taking part
+// in commit processing, or — when the handle's one solo request carried it
+// (see Invoke) — the answer that request brought back, which is read as the
+// reply would have been, because that is what it is. With done, the vote and
+// error are the handle's answer already, and no reply is read.
+func (h *Handle) startPhaseOne(onePhase bool, p *phaseOne) (vote action.Vote, done bool, err error) {
 	if h.releasedOrUnprobed() {
 		// A batched solo invocation already committed with its carrying
 		// action and the servers have forgotten this action — or no server
 		// ever heard of it.
-		return action.VoteReadOnly, nil
+		return action.VoteReadOnly, true, nil
 	}
 	h.mu.Lock()
-	doubt := h.onePhaseDoubt
+	p.doubt = h.onePhaseDoubt
 	h.mu.Unlock()
-	if onePhase && doubt {
+	if onePhase && p.doubt {
 		// The combined round has been tried — carried by the solo request —
 		// and ended in doubt; asking again could not tell "committed and
-		// forgotten" from "never ran". Two-phase resolves it (see below).
-		return 0, action.ErrOnePhaseIneligible
+		// forgotten" from "never ran". Two-phase resolves it (see
+		// readPhaseOne).
+		return 0, true, action.ErrOnePhaseIneligible
 	}
-	targets, err := h.prepareTargets()
-	if err != nil {
-		return 0, err
+	if p.targets, err = h.prepareTargets(); err != nil {
+		return 0, true, err
 	}
-	carry, checkpointTo := object.CarryPrepare, []transport.Addr(nil)
+	carry := object.CarryPrepare
 	if onePhase {
-		if !h.onePhaseEligible(len(targets)) {
-			return 0, action.ErrOnePhaseIneligible
+		if !h.onePhaseEligible(len(p.targets)) {
+			return 0, true, action.ErrOnePhaseIneligible
 		}
-		carry, checkpointTo = object.CarryCommit, h.cohortsOf(targets[0])
+		carry, p.checkpointTo = object.CarryCommit, h.cohortsOf(p.targets[0])
 	}
-	type result struct {
-		resp object.PrepareResp
-		err  error
-	}
-	// One target is the common case: its result stays on the stack.
-	var one [1]result
-	results := one[:]
-	switch vote, ok, verr := h.takeCarried(carry); {
-	case ok:
+	if vote, ok, verr := h.takeCarried(carry); ok {
 		// Only a coordinator carries, and it is the one target then.
-		one[0] = result{vote, verr}
-	case len(targets) == 1:
-		one[0].resp, one[0].err = h.ref(targets[0]).Prepare(ctx, tx, h.cfg.StNodes, onePhase, checkpointTo...)
-	default:
-		many := make([]result, len(targets))
-		conc.Do(len(targets), func(i int) {
-			many[i].resp, many[i].err = h.ref(targets[i]).Prepare(ctx, tx, h.cfg.StNodes, onePhase, checkpointTo...)
-		})
-		results = many
+		p.carried, p.carriedReply[0] = true, reply[object.Vote]{vote, verr}
 	}
+	return 0, false, nil
+}
+
+// readPhaseOne reads the handle's phase-one replies, one per target, into its
+// vote.
+func (h *Handle) readPhaseOne(ctx context.Context, tx string, onePhase bool, p *phaseOne, replies []reply[object.Vote]) (action.Vote, error) {
 	okCount, dirtyCount := 0, 0
 	var firstErr error
-	for i, sv := range targets {
-		resp, err := results[i].resp, results[i].err
+	for i, sv := range p.targets {
+		resp, err := replies[i].ans, replies[i].err
 		if err == nil && !resp.Dirty && h.lostWrite() {
 			h.markBroken(sv)
 			err = fmt.Errorf("%s restarted under the action and lost its write", sv)
@@ -829,7 +1005,7 @@ func (h *Handle) phaseOne(ctx context.Context, tx string, onePhase bool) (action
 		h.mu.Unlock()
 	}
 	if okCount == 0 {
-		if doubt {
+		if p.doubt {
 			// An ambiguous one-phase attempt preceded this fallback and no
 			// server answered the re-prepare: the combined round may have
 			// committed at the store before the coordinator died. Reporting
@@ -841,7 +1017,7 @@ func (h *Handle) phaseOne(ctx context.Context, tx string, onePhase bool) (action
 		}
 		return 0, fmt.Errorf("replica %v: prepare failed everywhere: %w: %w", h.cfg.UID, firstErr, ErrNoServers)
 	}
-	if dirtyCount == 0 && doubt && !h.onePhaseCommitVisible(ctx, tx) {
+	if dirtyCount == 0 && p.doubt && !h.onePhaseCommitVisible(ctx, tx) {
 		// Every server answered "clean", but under one-phase doubt that
 		// answer is trustworthy only from a server that actually released
 		// this action after committing it — a server that crashed and
@@ -937,10 +1113,21 @@ func (h *Handle) prepareTargets() ([]transport.Addr, error) {
 	return live, nil
 }
 
-// Commit implements action.Participant: phase two at every prepared
-// server. For coordinator-cohort the coordinator also checkpoints its
-// committed state to the cohorts. A handle released at phase one (a
-// read-only vote or a one-phase commit) has nothing left to do.
+// Commit implements action.Participant: the handle's phase two as a group
+// of one (see the package function Commit).
+func (h *Handle) Commit(ctx context.Context, tx string) error {
+	var out [1]Outcome
+	Commit(ctx, tx, []*Handle{h}, out[:])
+	return out[0].Err
+}
+
+// Commit runs phase two for the handles hs, one at least and all one
+// client's, and leaves each handle's error at its index in out: each prepared
+// server gets one EndReq naming every object of hs it prepared, and each
+// handle reads its own item of the reply. For coordinator-cohort the
+// coordinator also checkpoints its committed state to the cohorts. A handle
+// released at phase one (a read-only vote or a one-phase commit) has nothing
+// left to do.
 //
 // A prepared server that is gone at phase two — crashed, restarted (its
 // volatile instance lost), or unreachable — cannot relay the commit to
@@ -951,31 +1138,65 @@ func (h *Handle) prepareTargets() ([]transport.Addr, error) {
 // update is never stranded behind a server failure. Stores the fallback
 // cannot reach resolve the in-doubt intention at their own restart via
 // the outcome log.
-func (h *Handle) Commit(ctx context.Context, tx string) error {
-	if h.releasedOrUnprobed() {
-		return nil
+func Commit(ctx context.Context, tx string, hs []*Handle, out []Outcome) {
+	var one [1]phaseTwo
+	twos := one[:]
+	if len(hs) > 1 {
+		twos = make([]phaseTwo, len(hs))
 	}
-	// A handle not released by phase one voted commit, so it prepared at
-	// one server at least.
-	h.mu.Lock()
-	prepared := append([]transport.Addr(nil), h.prepared...)
-	h.mu.Unlock()
-	type result struct {
-		resp object.EndResp
-		err  error
-	}
-	results := make([]result, len(prepared))
-	conc.Do(len(prepared), func(i int) {
-		var checkpointTo []transport.Addr
-		if i == 0 {
-			checkpointTo = h.cohortsOf(prepared[i])
+	var pairBuf [1]pair[object.EndItem]
+	pairs := pairBuf[:0]
+	for k, h := range hs {
+		if h.releasedOrUnprobed() {
+			continue
 		}
-		results[i].resp, results[i].err = h.ref(prepared[i]).Commit(ctx, tx, checkpointTo...)
-	})
+		// A handle not released by phase one voted commit, so it prepared
+		// at one server at least.
+		h.mu.Lock()
+		twos[k] = phaseTwo{servers: slices.Clone(h.prepared), first: len(pairs)}
+		h.mu.Unlock()
+		for i, sv := range twos[k].servers {
+			item := object.EndItem{UID: h.uid}
+			if i == 0 {
+				item.CheckpointTo = addrsToStrings(h.cohortsOf(sv))
+			}
+			pairs = append(pairs, pair[object.EndItem]{sv, item})
+		}
+	}
+	var buf [1]reply[object.EndResult]
+	replies := exchange(ctx, endSender{hs[0].cfg.Client, tx, false}, pairs, &buf)
+	var wait time.Duration
+	for k, h := range hs {
+		t := &twos[k]
+		w, err := h.readCommit(ctx, tx, t.servers, replies[t.first:t.first+len(t.servers)])
+		out[k].Err = err
+		wait = max(wait, w)
+	}
+	if wait > 0 {
+		// The commit is durable, but a server never confirmed its lease
+		// fence — it may have crashed with granted read leases outstanding,
+		// and nobody is left to invalidate them. Wait the lease clock out
+		// before acknowledging — once, for every handle that must. See
+		// readCommit.
+		time.Sleep(wait)
+	}
+}
+
+// phaseTwo is one handle's part in a grouped phase two: the servers it
+// addresses, and the index of its first item among the phase's.
+type phaseTwo struct {
+	servers []transport.Addr
+	first   int
+}
+
+// readCommit reads the handle's phase-two replies, one per prepared server.
+// It returns how long the caller must wait the lease clock out before
+// acknowledging the commit, and the handle's error.
+func (h *Handle) readCommit(ctx context.Context, tx string, prepared []transport.Addr, replies []reply[object.EndResult]) (time.Duration, error) {
 	var firstErr error
 	fenceDoubt := false
 	for i := range prepared {
-		if err := results[i].err; err != nil {
+		if err := replies[i].err; err != nil {
 			// A successful server Commit implies its lease fence ran
 			// before the reply; a failed one leaves it unconfirmed. That
 			// holds at a fallback coordinator too: it grants no leases, but
@@ -1007,7 +1228,7 @@ func (h *Handle) Commit(ctx context.Context, tx string) error {
 		// version on a stale base, silently dropping this committed
 		// update. Store Commit is idempotent, so retrying a relay whose
 		// reply (rather than request) was lost is safe.
-		for _, f := range results[i].resp.FailedNodes {
+		for _, f := range replies[i].ans.FailedNodes {
 			addr := transport.Addr(f)
 			if h.isStore(addr) {
 				direct := store.RemoteStore{Client: h.cfg.Client, Node: addr}
@@ -1021,16 +1242,16 @@ func (h *Handle) Commit(ctx context.Context, tx string) error {
 	if fenceDoubt {
 		// The commit is durable, but the server never confirmed its lease
 		// fence — it may have crashed with granted read leases outstanding,
-		// and nobody is left to invalidate them. Wait the lease clock out
-		// before acknowledging: every grant a server could have issued
-		// expires by confirmedAt + 2·TTL, and confirmedAt predates this
-		// commit's store durability, so sleeping 2·TTL from here outlives
-		// them all. Deliberately not ctx-interruptible — cutting the wait
-		// short would let a caller observe a definite commit while a stale
-		// lease still serves the old state.
-		time.Sleep(2 * h.cfg.LeaseTTL)
+		// and nobody is left to invalidate them. The caller waits the lease
+		// clock out before acknowledging: every grant a server could have
+		// issued expires by confirmedAt + 2·TTL, and confirmedAt predates
+		// this commit's store durability, so sleeping 2·TTL from here
+		// outlives them all. Deliberately not ctx-interruptible — cutting the
+		// wait short would let a caller observe a definite commit while a
+		// stale lease still serves the old state.
+		return 2 * h.cfg.LeaseTTL, firstErr
 	}
-	return firstErr
+	return 0, firstErr
 }
 
 // isStore reports whether addr is one of the handle's St nodes.
@@ -1075,24 +1296,60 @@ func (h *Handle) recordFailure(addr transport.Addr) {
 	mark(&h.failedStores, addr)
 }
 
-// Abort implements action.Participant; all live servers abort in
-// parallel. A handle already released (read-only vote) is a no-op — the
-// servers forgot the action when they released it.
+// Abort implements action.Participant: the handle's roll-back as a group of
+// one (see the package function Abort).
 func (h *Handle) Abort(ctx context.Context, tx string) error {
-	if h.releasedOrUnprobed() {
-		return nil
+	var out [1]Outcome
+	Abort(ctx, tx, []*Handle{h}, out[:])
+	return out[0].Err
+}
+
+// Abort rolls back the handles hs, one at least and all one client's, and
+// leaves each handle's error at its index in out: each live server gets one
+// EndReq naming every object of hs bound there, and each handle reads its own
+// items of the replies. A handle already released (read-only vote) sends nothing —
+// the servers forgot the action when they released it. A server found gone
+// is no error: it holds nothing of the action's any more.
+func Abort(ctx context.Context, tx string, hs []*Handle, out []Outcome) {
+	var one [1]phaseTwo
+	twos := one[:]
+	if len(hs) > 1 {
+		twos = make([]phaseTwo, len(hs))
 	}
-	live := h.live()
-	errs := conc.DoErr(len(live), func(i int) error {
-		_, err := h.ref(live[i]).Abort(ctx, tx)
-		return err
-	})
-	for _, err := range errs {
-		if err != nil && !isCrashError(err) && !object.IsNotActive(err) {
-			return err
+	var pairBuf [1]pair[object.EndItem]
+	pairs := pairBuf[:0]
+	for k, h := range hs {
+		if h.releasedOrUnprobed() {
+			continue
+		}
+		twos[k] = phaseTwo{servers: h.live(), first: len(pairs)}
+		for _, sv := range twos[k].servers {
+			pairs = append(pairs, pair[object.EndItem]{sv, object.EndItem{UID: h.uid}})
 		}
 	}
-	return nil
+	var buf [1]reply[object.EndResult]
+	replies := exchange(ctx, endSender{hs[0].cfg.Client, tx, true}, pairs, &buf)
+	for k := range hs {
+		t := &twos[k]
+		for _, r := range replies[t.first : t.first+len(t.servers)] {
+			if r.err != nil && !isCrashError(r.err) && !object.IsNotActive(r.err) {
+				out[k].Err = r.err
+				break
+			}
+		}
+	}
+}
+
+// addrsToStrings renders nodes as requests carry them.
+func addrsToStrings(nodes []transport.Addr) []string {
+	if len(nodes) == 0 {
+		return nil
+	}
+	out := make([]string, len(nodes))
+	for i, a := range nodes {
+		out[i] = string(a)
+	}
+	return out
 }
 
 // isCrashError reports whether err indicates the callee is gone rather

@@ -914,7 +914,7 @@ func TestInvokeSoloRefusedVoteAborts(t *testing.T) {
 	if err != nil || string(resp.Result) != "7" {
 		t.Fatalf("Invoke = %q, %v; the vote's refusal is not the invocation's", resp.Result, err)
 	}
-	if resp.Carried != object.CarryCommit || resp.VoteErr() == nil {
+	if resp.Carried != object.CarryCommit || resp.Vote.Err() == nil {
 		t.Fatalf("reply = %+v; want the carried refusal", resp)
 	}
 	if _, err := a.Commit(ctx); !errors.Is(err, action.ErrPrepareFailed) || errors.Is(err, action.ErrOutcomeUnknown) {
@@ -973,7 +973,7 @@ func TestInvokeSoloReadOnlyCarriesTheVote(t *testing.T) {
 		if err != nil || string(resp.Result) != "0" {
 			t.Fatalf("%d stores: Invoke(get) = %q, %v", stores, resp.Result, err)
 		}
-		if resp.Carried == object.CarryNone || resp.VoteErr() != nil || resp.Vote.Dirty {
+		if resp.Carried == object.CarryNone || resp.Vote.Err() != nil || resp.Vote.Dirty {
 			t.Fatalf("%d stores: reply = %+v; want a carried read-only vote", stores, resp)
 		}
 		if resp.Seq != 1 || resp.Vote.NewSeq != resp.Seq {

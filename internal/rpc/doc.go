@@ -49,7 +49,10 @@
 //	                               an op naming no action under the
 //	                               message's own action)
 //	0x20–0x3f  internal/object    (invoke, method-less ones included, + 2PC
-//	                               prepare/commit/abort, status)
+//	                               prepare/commit/abort, status; the prepare
+//	                               request, at version 3, its reply and the
+//	                               end request and reply, at version 2, name
+//	                               every object of the action at the server)
 //	0x40–0x4f  internal/store     (object store reads, writes, 2PC legs;
 //	                               the prepare request, at version 2,
 //	                               also carries the one-phase commit)
@@ -67,7 +70,8 @@
 // request and reply, which the prepare request's one-phase flag replaced;
 // 0x20 and 0x21, its activation request and reply, and 0x2c and 0x2d, its
 // lease check request and reply, which the method-less invoke replaced
-// (the invoke reply, at version 4, reports the version read); 0x44 and
+// (the invoke reply reports the version read since version 4, and carries
+// its vote's refusal inside the vote since version 5); 0x44 and
 // 0x45, the store's SeqOf request and reply, which nothing called.
 //
 // # Response framing

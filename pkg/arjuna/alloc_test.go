@@ -19,7 +19,8 @@ import (
 // message carried by its invoke, the read-only client's first bind holding
 // no database lock — plus 5 %: a later change that puts weight back on the
 // path fails here, not in a benchmark run. An Atomic write sends that
-// one-phase Prepare, and a two-object one the two-phase rounds.
+// one-phase Prepare, and a two-object one the two-phase rounds, one message
+// per phase naming both objects.
 func TestFacadeAllocs(t *testing.T) {
 	sys := openT(t, arjuna.WithShards(1), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(2))
 	rw := clientT(t, sys, "c1", arjuna.ClientFastBind())
@@ -53,7 +54,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 301}, // 286 measured; 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
+		}, 281}, // 268 measured; 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)

@@ -12,12 +12,12 @@ import (
 )
 
 // countingNet counts the calls one node issues, and how many of them go
-// to the group view database; everything passes through to the carrier
-// untouched.
+// to the group view database, and the calls anyone sends an object store;
+// everything passes through to the carrier untouched.
 type countingNet struct {
 	transport.Network
-	from      transport.Addr
-	calls, db atomic.Int64
+	from              transport.Addr
+	calls, db, stores atomic.Int64
 }
 
 func (n *countingNet) Call(ctx context.Context, req transport.Request) ([]byte, error) {
@@ -27,15 +27,18 @@ func (n *countingNet) Call(ctx context.Context, req transport.Request) ([]byte, 
 			n.db.Add(1)
 		}
 	}
+	if req.Service == "objectstore" {
+		n.stores.Add(1)
+	}
 	return n.Network.Call(ctx, req)
 }
 
-// during runs op and returns how many calls the node issued meanwhile, and
-// how many of them to the database.
-func (n *countingNet) during(op func()) (calls, db int64) {
-	calls, db = n.calls.Load(), n.db.Load()
+// during runs op and returns how many calls the node issued meanwhile, how
+// many of them to the database, and how many calls the stores were sent.
+func (n *countingNet) during(op func()) (calls, db, stores int64) {
+	calls, db, stores = n.calls.Load(), n.db.Load(), n.stores.Load()
 	op()
-	return n.calls.Load() - calls, n.db.Load() - db
+	return n.calls.Load() - calls, n.db.Load() - db, n.stores.Load() - stores
 }
 
 // TestClientCallsPerAction pins, per action class, how many round trips
@@ -43,30 +46,44 @@ func (n *countingNet) during(op func()) (calls, db int64) {
 // (placement cached) — the count is deterministic, so tier-1 can gate on it
 // where a latency could only be advisory. For an action that may write the
 // database's share is one message per conversation, on either topology: bind
-// and action-end (2), and the same per binding of a two-object action (4).
-// No message goes to a server at bind time — the first invoke activates — and
-// an Apply's invoke carries the action's phase one, so a write is bind ·
-// invoke · action-end, 3 calls, and over three stores 4, because one-phase
-// commit is not eligible there: the invoke carries the prepare and the server
-// still gets a Commit. A ClientReadOnly client's read is sent the same way —
-// the read-only vote rides the invoke whatever the store count — and its bind
-// is unpinned: the St read joined the bind action, so nothing of the client
-// action's is left at the database and there is no action-end to send. Its
-// read is bind · invoke, 2 calls, 1 to the database. Actions a client that may
-// write runs through Atomic + Invoke never send a solo request and are as
-// they were: a two-object action is 2 binds, 2 invokes, Prepare and Commit at
-// each server and 2 action-ends, 10. The counts are exact, not ceilings: a
-// message saved that nobody meant to save is as much news as one added.
+// and action-end (2), and one bind per object beside one action-end per
+// database for an action of several. No message goes to a server at bind
+// time — the first invoke activates — and an Apply's invoke carries the
+// action's phase one, so a write is bind · invoke · action-end, 3 calls, and
+// over three stores 4, because one-phase commit is not eligible there: the
+// invoke carries the prepare and the server still gets a Commit. A
+// ClientReadOnly client's read is sent the same way — the read-only vote
+// rides the invoke whatever the store count — and its bind is unpinned: the
+// St read joined the bind action, so nothing of the client action's is left at
+// the database and there is no action-end to send. Its read is bind · invoke,
+// 2 calls, 1 to the database. Actions a client that may write runs through
+// Atomic + Invoke never send a solo request, and each commit phase sends each
+// server one message naming every object of the action it holds: a
+// two-object action across shards is 2 binds, 2 invokes, Prepare and Commit
+// at each server and an action-end at each database, 10; in one group, where
+// both objects are at one server and one database, it is 2 binds, 2 invokes,
+// one Prepare, one Commit and one action-end, 7, and a three-object action
+// there 9. The server writes the objects of a phase back together, too:
+// each of the group's three stores gets one Prepare and one Commit for the
+// whole action, 6 store calls for two objects as for three. The counts are
+// exact, not ceilings: a message saved that nobody meant to save is as much
+// news as one added.
 func TestClientCallsPerAction(t *testing.T) {
+	// stores, when set, is the count of calls the stores are sent.
+	type budget struct{ calls, db, stores int64 }
 	for _, c := range []struct {
 		name        string
 		opts        []arjuna.Option
 		cross       func(t *testing.T, sys *arjuna.System) (a, b uid.UID)
 		writeBudget int64
+		crossBudget budget
+		// threeBudget, when set, prices an action of three objects, the
+		// deployment's first three.
+		threeBudget budget
 	}{
-		{"3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 3},
+		{"3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 3, budget{10, 4, 0}, budget{}},
 		{"1-group-2sv-3st", []arjuna.Option{arjuna.WithShards(1), arjuna.WithServers(2), arjuna.WithStores(3)},
-			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 4},
+			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 4, budget{7, 3, 6}, budget{9, 4, 6}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net := &countingNet{Network: transport.NewMem(transport.MemOptions{}, nil), from: "c1"}
@@ -88,27 +105,41 @@ func TestClientCallsPerAction(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cross := func() {
-				if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
-					if _, err := tx.Object(a).Invoke(ctx, "add", []byte("-1")); err != nil {
-						return err
+			addTo := func(ids ...uid.UID) func() {
+				return func() {
+					if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
+						for _, id := range ids {
+							if _, err := tx.Object(id).Invoke(ctx, "add", []byte("1")); err != nil {
+								return err
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
 					}
-					_, err := tx.Object(b).Invoke(ctx, "add", []byte("1"))
-					return err
-				}); err != nil {
-					t.Fatal(err)
 				}
 			}
-			for _, class := range []struct {
-				name       string
-				op         func()
-				budget, db int64
-			}{{"write", write, c.writeBudget, 2}, {"read", read, 2, 1}, {"cross", cross, 10, 4}} {
+			classes := []struct {
+				name string
+				op   func()
+				budget
+			}{{"write", write, budget{c.writeBudget, 2, 0}}, {"read", read, budget{2, 1, 0}}, {"cross", addTo(a, b), c.crossBudget}}
+			if c.threeBudget != (budget{}) {
+				classes = append(classes, struct {
+					name string
+					op   func()
+					budget
+				}{"three", addTo(sys.Objects()[:3]...), c.threeBudget})
+			}
+			for _, class := range classes {
 				class.op() // warm-up: placement cache
-				calls, db := net.during(class.op)
-				if calls != class.budget || db != class.db {
+				calls, db, stores := net.during(class.op)
+				if calls != class.calls || db != class.db {
 					t.Errorf("%s: the client issued %d calls (%d to the database) for one committed action, want %d (%d)",
-						class.name, calls, db, class.budget, class.db)
+						class.name, calls, db, class.calls, class.db)
+				}
+				if class.stores != 0 && stores != class.stores {
+					t.Errorf("%s: the stores were sent %d calls for one committed action, want %d", class.name, stores, class.stores)
 				}
 			}
 		})
@@ -119,9 +150,10 @@ func TestClientCallsPerAction(t *testing.T) {
 // read row leaves out. A ClientReadOnly action that goes on to a second
 // object pays for the first one's pin: bind · carried read · pin · bind ·
 // read · a method-less Invoke (the carried read re-checked under a held
-// lock) · a Prepare at each server · the action-end the pin's hook sends —
-// one per database, so 10 calls (5 to the databases) across two shards and
-// 9 (4) in one group. And the clients whose first bind stays pinned keep
+// lock) · a Prepare at each server, naming every object it holds · the
+// action-end the pin's hook sends — one per database, so 10 calls (5 to the
+// databases) across two shards and 8 (4) in one group, where one server holds
+// both objects. And the clients whose first bind stays pinned keep
 // the counts they had: with a lease cache (Move's lease fence leans on the
 // write-locked entries to stop new grants) bind · invoke · one-phase
 // Prepare · action-end; under active replication (the binding is probed at
@@ -133,7 +165,7 @@ func TestReadOnlyClientCallsPerAction(t *testing.T) {
 	ctx := context.Background()
 	measure := func(t *testing.T, net *countingNet, op func(), calls, db int64) {
 		t.Helper()
-		if c, d := net.during(op); c != calls || d != db {
+		if c, d, _ := net.during(op); c != calls || d != db {
 			t.Errorf("the client issued %d calls (%d to the database) for one committed action, want %d (%d)", c, d, calls, db)
 		}
 	}
@@ -148,7 +180,7 @@ func TestReadOnlyClientCallsPerAction(t *testing.T) {
 	}{
 		{"two-object/3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 10, 5},
 		{"two-object/1-group-2sv-3st", []arjuna.Option{arjuna.WithShards(1), arjuna.WithServers(2), arjuna.WithStores(3)},
-			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 9, 4},
+			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 8, 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net := newNet()

@@ -305,7 +305,7 @@ func (o *Object) carriedRead(ctx context.Context, method string, args []byte) ([
 	if err != nil {
 		return nil, MapError(err)
 	}
-	if resp.Carried != object.CarryNone && resp.VoteCode == "" && !resp.Vote.Dirty {
+	if resp.Carried != object.CarryNone && resp.Vote.Code == "" && !resp.Vote.Dirty {
 		o.t.carried++
 		o.t.unlocked = append(o.t.unlocked, unlockedRead{id: o.id, seq: resp.Seq})
 	}
