@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -208,5 +209,50 @@ func TestActionEndDecrementsStandAlone(t *testing.T) {
 		if n := w.lockHolders(); n != 0 {
 			t.Fatalf("gone first %v: %d lock holders left", goneFirst, n)
 		}
+	}
+}
+
+// TestOwnActionDiesWithItsIncarnation: a message's handler still runs when
+// the database's node crashes and recovers — its GetView waits in the
+// earlier incarnation's lock table — and its own action then fails. The
+// Increment it made before the crash died with that incarnation: the
+// recovered entry, rebuilt from the records, must keep its committed count,
+// neither undone by the failed action's rollback nor moved by a commit.
+func TestOwnActionDiesWithItsIncarnation(t *testing.T) {
+	w := newWorld(t, 1, 1, 1)
+	ctx := context.Background()
+	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
+	sv1 := []transport.Addr{"sv1"}
+	if _, err := cli.Do(ctx, IncrementOp("", w.id, "c1", sv1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Include(ctx, "recovery", w.id, "st1"); err != nil {
+		t.Fatal(err)
+	}
+	before := w.db.locks
+	msgCtx, cancel := context.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.db.batch(msgCtx, "c1", BatchReq{Ops: []Op{IncrementOp("", w.id, "c1", sv1), GetViewOp("", w.id)}})
+		done <- err
+	}()
+	for before.QueueDepth(stKey(w.id)) == 0 {
+		runtime.Gosched() // until the GetView waits behind the Include
+	}
+	node := w.db.Node()
+	node.Crash()
+	node.Recover(nil)
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the message whose GetView waited out the crash succeeded")
+	}
+	durable := &DB{node: node}
+	durable.resetVolatileLocked()
+	durable.loadRecordsLocked()
+	w.db.mu.Lock()
+	live := w.db.servers[w.id].Use["sv1"]["c1"]
+	w.db.mu.Unlock()
+	if stable := durable.servers[w.id].Use["sv1"]["c1"]; live != 1 || stable != 1 {
+		t.Fatalf("count after the crash: %d live, %d durable; want the committed 1 in both", live, stable)
 	}
 }

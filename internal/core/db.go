@@ -27,13 +27,28 @@
 // Lock ownership: every action is top-level, so a lock owner is a top-level
 // action ID. Every scheme in the paper either holds database locks until
 // the client action ends (Figure 6) or takes them in short top-level
-// actions (Figures 7–8), each its message's own (BatchReq). Binder
-// (binder.go) implements the three access schemes; recovery.go the
+// actions (Figures 7–8), each its message's own (BatchReq). A named action
+// (a client's, or a recovery's) is kept in the database's action tables —
+// its undo snapshots in pending, its node in clients for the janitor —
+// from its first op to its EndAction. A message's own action never
+// outlives its message, so it is kept in the handler's frame alone: the
+// janitor has nothing of it to abort, and its undo set comes from a small
+// free list and goes back there when the message ends. Its name is minted
+// once as groupview/own/N, the name its stable write goes under.
+//
+// Each registered object's keys — its entries' names in the lock table
+// (sv/…, st/…) and its records' keys in the stable store (groupview/sv/…,
+// groupview/st/…) — are rendered once and kept beside its entries (see
+// entryKeys). A commit encodes its records into scratch the database
+// reuses; the stable store copies what it keeps.
+//
+// Binder (binder.go) implements the three access schemes; recovery.go the
 // §4.1.2/§4.2 recovery protocols; janitor.go the cleanup of §4.1.3.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -135,17 +150,24 @@ func (e *serverEntry) settle() {
 	}
 }
 
-// record renders the entry's committed state.
-func (e *serverEntry) record() *entryRecord {
-	rec := &entryRecord{Nodes: e.Nodes}
+// record renders the entry's committed state into rec, reusing its Use.
+func (e *serverEntry) record(rec *entryRecord) *entryRecord {
+	*rec = entryRecord{Nodes: e.Nodes, Use: rec.Use[:0]}
 	for k, n := range e.committed {
 		rec.Use = append(rec.Use, useCount{k.host, k.client, n})
 	}
 	return rec
 }
 
-func (e *stateEntry) record() *entryRecord {
-	return &entryRecord{Nodes: e.Nodes, Class: e.Class}
+func (e *stateEntry) record(rec *entryRecord) *entryRecord {
+	*rec = entryRecord{Nodes: e.Nodes, Class: e.Class, Use: rec.Use[:0]}
+	return rec
+}
+
+// tombstone renders the record a committed Deregister leaves into rec.
+func tombstone(rec *entryRecord) *entryRecord {
+	*rec = entryRecord{Deleted: true, Use: rec.Use[:0]}
+	return rec
 }
 
 // useDelta is one use-count adjustment an action made under an Adjust lock.
@@ -172,6 +194,39 @@ type snapshotSet struct {
 	useDeltas []useDelta
 }
 
+// maxSpare bounds the database's free list of undo sets, and the entries
+// a set may have held and still go back on it: a cleared map keeps its
+// buckets, which a later range walks.
+const maxSpare = 8
+
+// dbAction is the action an operation runs under: the lock owner and the
+// node the message came from. A named action is looked up in the action
+// tables (pending, clients) by name; the message's own action (own) keeps
+// its undo set here, in batch's frame, once it has one, with the
+// incarnation of the database it was taken in.
+type dbAction struct {
+	name        string
+	from        transport.Addr
+	own         bool
+	snaps       *snapshotSet
+	incarnation uint64
+}
+
+// entryKeys are one object's names: its Sv and St entries' keys in the
+// lock table and their records' keys in the stable store. They are
+// rendered when the object's St entry comes into being (Register, or the
+// load of its records) and dropped when the entry goes for good (a
+// committed Deregister, an aborted Register); an op on a UID without
+// entries renders its keys for itself (keysOf), so bad input grows nothing.
+type entryKeys struct {
+	sv, st             string
+	svRecord, stRecord uid.UID
+}
+
+func newEntryKeys(id uid.UID) *entryKeys {
+	return &entryKeys{sv: svKey(id), st: stKey(id), svRecord: svRecordKey(id), stRecord: stRecordKey(id)}
+}
+
 // DB is the group view database: the naming and binding service state on
 // its home node.
 type DB struct {
@@ -181,22 +236,39 @@ type DB struct {
 	mu      sync.Mutex
 	servers map[uid.UID]*serverEntry
 	states  map[uid.UID]*stateEntry
-	// pending maps an in-flight action to its undo snapshots.
+	// pending maps an in-flight named action to its undo snapshots.
 	pending map[string]*snapshotSet
-	// clients maps an in-flight action to the node it came from, for the
-	// janitor's failure detection.
+	// clients maps an in-flight named action to the node it came from, for
+	// the janitor's failure detection.
 	clients map[string]transport.Addr
+	// spare is the free list of undo sets (snapsLocked, endLocked).
+	spare []*snapshotSet
 	// dirty holds the committed records whose stable write failed, by
 	// record key; they ride the next commit's write (see writeRecordsLocked).
 	dirty map[uid.UID][]byte
+	// writes, rec and buf are a commit's scratch: the records it writes,
+	// the one it renders, and their encodings.
+	writes []store.Write
+	rec    entryRecord
+	buf    []byte
 	// owned numbers the actions minted for messages' own ops (BatchReq);
 	// never reset, as an earlier incarnation's handler may still run.
 	owned atomic.Uint64
+	// incarnation counts the resets of the volatile state (a crash): an own
+	// action's undo set from an earlier one must not reach the state the
+	// records rebuilt, as a named action's goes with the reset pending.
+	incarnation uint64
+
+	// keys holds every registered object's keys (entryKeys). Its own
+	// mutex lets an op find its lock keys before it takes mu.
+	keysMu sync.Mutex
+	keys   map[uid.UID]*entryKeys
 }
 
-// ownActionPrefix starts a minted action's name. A client's action names
-// are UIDs, which always hold a ':', so the two never meet.
-const ownActionPrefix = "own/"
+// ownActionPrefix starts a minted action's name, which is also the name of
+// its stable write (dbTxPrefix). A client's action names are UIDs, which
+// always hold a ':', so the two never meet.
+const ownActionPrefix = dbTxPrefix + "own/"
 
 // NewDB installs the group view database on node and registers its RPC
 // service. The database reloads its entry records from the node's stable
@@ -229,7 +301,40 @@ func (db *DB) resetVolatileLocked() {
 	db.states = make(map[uid.UID]*stateEntry)
 	db.pending = make(map[string]*snapshotSet)
 	db.clients = make(map[string]transport.Addr)
+	db.spare = nil
+	db.incarnation++
 	db.dirty = make(map[uid.UID][]byte)
+	db.keysMu.Lock()
+	db.keys = make(map[uid.UID]*entryKeys)
+	db.keysMu.Unlock()
+}
+
+// keysOf returns id's keys: the ones kept with its entries, or, for a UID
+// without any, a rendering of its own.
+func (db *DB) keysOf(id uid.UID) *entryKeys {
+	db.keysMu.Lock()
+	k := db.keys[id]
+	db.keysMu.Unlock()
+	if k == nil {
+		k = newEntryKeys(id)
+	}
+	return k
+}
+
+// keepKeys keeps k as id's keys, unless it has some; dropKeys drops them.
+// Their callers hold db.mu, so the keys come and go with the entries.
+func (db *DB) keepKeys(id uid.UID, k *entryKeys) {
+	db.keysMu.Lock()
+	if db.keys[id] == nil {
+		db.keys[id] = k
+	}
+	db.keysMu.Unlock()
+}
+
+func (db *DB) dropKeys(id uid.UID) {
+	db.keysMu.Lock()
+	delete(db.keys, id)
+	db.keysMu.Unlock()
 }
 
 // --- persistence ---
@@ -290,6 +395,7 @@ func (db *DB) loadRecordsLocked() {
 		id := uid.UID{Origin: origin, Epoch: key.Epoch, Seq: key.Seq}
 		if !isSv {
 			db.states[id] = &stateEntry{Nodes: rec.Nodes, Class: rec.Class}
+			db.keepKeys(id, newEntryKeys(id))
 			continue
 		}
 		e := &serverEntry{Nodes: rec.Nodes, Use: make(map[transport.Addr]map[transport.Addr]int, len(rec.Nodes))}
@@ -304,13 +410,13 @@ func (db *DB) loadRecordsLocked() {
 	}
 }
 
-// commitLocked makes act's mutations durable: one record per entry the
-// action touched — the keys of its snapshot set plus the entries it
-// adjusted — and nothing else, so other actions' provisional changes to
-// other entries never reach stable storage. Committed counters follow the
-// entry's own, or move by the action's deltas (serverEntry.committed).
-// db.mu held.
-func (db *DB) commitLocked(act string, ss *snapshotSet) {
+// commitLocked makes the mutations of the action whose undo set is ss
+// durable, in stable transaction tx: one record per entry the action
+// touched — the keys of its snapshot set plus the entries it adjusted — and
+// nothing else, so other actions' provisional changes to other entries
+// never reach stable storage. Committed counters follow the entry's own, or
+// move by the action's deltas (serverEntry.committed). db.mu held.
+func (db *DB) commitLocked(tx string, ss *snapshotSet) {
 	for id := range ss.servers {
 		if e, ok := db.servers[id]; ok {
 			e.settle()
@@ -323,16 +429,15 @@ func (db *DB) commitLocked(act string, ss *snapshotSet) {
 			}
 		}
 	}
-	writes := make([]store.Write, 0, len(ss.servers)+len(ss.states)+len(ss.useDeltas))
 	sv := func(id uid.UID) {
-		key := svRecordKey(id)
-		if hasRecord(writes, key) {
+		key := db.keysOf(id).svRecord
+		if hasRecord(db.writes, key) {
 			return
 		}
 		if e, ok := db.servers[id]; ok {
-			writes = append(writes, encodeRecord(key, e.record()))
+			db.addRecordLocked(key, e.record(&db.rec))
 		} else if ss.servers[id] != nil {
-			writes = append(writes, encodeRecord(key, &entryRecord{Deleted: true}))
+			db.addRecordLocked(key, tombstone(&db.rec))
 		}
 	}
 	for id := range ss.servers {
@@ -343,12 +448,17 @@ func (db *DB) commitLocked(act string, ss *snapshotSet) {
 	}
 	for id, snap := range ss.states {
 		if e, ok := db.states[id]; ok {
-			writes = append(writes, encodeRecord(stRecordKey(id), e.record()))
+			db.addRecordLocked(db.keysOf(id).stRecord, e.record(&db.rec))
 		} else if snap != nil {
-			writes = append(writes, encodeRecord(stRecordKey(id), &entryRecord{Deleted: true}))
+			db.addRecordLocked(db.keysOf(id).stRecord, tombstone(&db.rec))
 		}
 	}
-	db.writeRecordsLocked(act, writes)
+	db.writeRecordsLocked(tx)
+	for id := range ss.states {
+		if _, ok := db.states[id]; !ok {
+			db.dropKeys(id) // deregistered
+		}
+	}
 }
 
 func hasRecord(writes []store.Write, key uid.UID) bool {
@@ -360,30 +470,33 @@ func hasRecord(writes []store.Write, key uid.UID) bool {
 	return false
 }
 
-func encodeRecord(key uid.UID, rec *entryRecord) store.Write {
-	data, err := rpc.Encode(rec)
-	if err != nil {
-		panic(fmt.Sprintf("core: encode db record %v: %v", key, err)) // the binary codec cannot fail
-	}
-	return store.Write{UID: key, Data: data}
+// addRecordLocked encodes rec into the commit's scratch and adds it to the
+// records the next writeRecordsLocked writes, under key. db.mu held.
+func (db *DB) addRecordLocked(key uid.UID, rec *entryRecord) {
+	start := len(db.buf)
+	db.buf = rpc.AppendEncode(db.buf, rec)
+	db.writes = append(db.writes, store.Write{UID: key, Data: db.buf[start:len(db.buf):len(db.buf)]})
 }
 
-// writeRecordsLocked writes entry records to stable storage as one atomic
-// update: after a crash either every record of the call is there or none
-// is (a multi-object Exclude, or the two halves of a Register, never
-// half-commit). Each record extends its own version chain by one.
+// writeRecordsLocked writes the records added since its last call
+// (addRecordLocked) to stable storage as one atomic update, stable
+// transaction tx, and empties the scratch: after a crash either every record of the call is there
+// or none is (a multi-object Exclude, or the two halves of a Register,
+// never half-commit). Each record extends its own version chain by one.
 //
 // A failed stable write (full disk, node mid-crash) is survivable: the
-// records stay in the dirty set and ride the next call's write, whatever
-// action makes it, unless that call carries a newer record of the same
-// entry. Until then the stable entry is at its previous version and
-// recovery loads that. db.mu held.
-func (db *DB) writeRecordsLocked(tx string, writes []store.Write) {
+// records are copied out of the scratch into the dirty set and ride the
+// next call's write, whatever action makes it, unless that call carries a
+// newer record of the same entry. Until then the stable entry is at its
+// previous version and recovery loads that. db.mu held.
+func (db *DB) writeRecordsLocked(tx string) {
 	for key, data := range db.dirty {
-		if !hasRecord(writes, key) {
-			writes = append(writes, store.Write{UID: key, Data: data})
+		if !hasRecord(db.writes, key) {
+			db.writes = append(db.writes, store.Write{UID: key, Data: data})
 		}
 	}
+	writes := db.writes
+	db.writes, db.buf = db.writes[:0], db.buf[:0]
 	if len(writes) == 0 {
 		return
 	}
@@ -392,9 +505,9 @@ func (db *DB) writeRecordsLocked(tx string, writes []store.Write) {
 		seq, _ := st.SeqOf(writes[i].UID)
 		writes[i].Seq = seq + 1
 	}
-	if err := st.CommitOnePhase(dbTxPrefix+tx, writes); err != nil {
+	if err := st.CommitOnePhase(tx, writes); err != nil {
 		for _, w := range writes {
-			db.dirty[w.UID] = w.Data
+			db.dirty[w.UID] = slices.Clone(w.Data)
 		}
 		return
 	}
@@ -413,14 +526,18 @@ func lockKey(prefix string, id uid.UID) string {
 	return string(id.Append(append(buf[:0], prefix...)))
 }
 
-// noteClientLocked remembers which node an action came from.
-func (db *DB) noteClientLocked(act string, from transport.Addr) {
-	db.clients[act] = from
+// noteLocked remembers which node a named action came from, for the
+// janitor. The message's own action ends before its message replies, so
+// there is nothing of it to note.
+func (db *DB) noteLocked(a *dbAction) {
+	if !a.own {
+		db.clients[a.name] = a.from
+	}
 }
 
-// snapServerLocked snapshots the server entry for act before mutation.
-func (db *DB) snapServerLocked(act string, id uid.UID) {
-	ss := db.pendingSetLocked(act)
+// snapServerLocked snapshots the server entry for a before mutation.
+func (db *DB) snapServerLocked(a *dbAction, id uid.UID) {
+	ss := db.snapsLocked(a)
 	if _, done := ss.servers[id]; done {
 		return
 	}
@@ -434,8 +551,8 @@ func (db *DB) snapServerLocked(act string, id uid.UID) {
 	}
 }
 
-func (db *DB) snapStateLocked(act string, id uid.UID) {
-	ss := db.pendingSetLocked(act)
+func (db *DB) snapStateLocked(a *dbAction, id uid.UID) {
+	ss := db.snapsLocked(a)
 	if _, done := ss.states[id]; done {
 		return
 	}
@@ -449,62 +566,117 @@ func (db *DB) snapStateLocked(act string, id uid.UID) {
 	}
 }
 
-func (db *DB) pendingSetLocked(act string) *snapshotSet {
-	ss, ok := db.pending[act]
+// snapsLocked returns a's undo set — the own action's from a, a named
+// action's from pending — starting it, from the free list, on first use.
+func (db *DB) snapsLocked(a *dbAction) *snapshotSet {
+	if a.own {
+		if a.snaps == nil || a.incarnation != db.incarnation {
+			a.snaps, a.incarnation = db.spareSnapsLocked(), db.incarnation
+		}
+		return a.snaps
+	}
+	ss, ok := db.pending[a.name]
 	if !ok {
-		ss = &snapshotSet{}
-		db.pending[act] = ss
+		ss = db.spareSnapsLocked()
+		db.pending[a.name] = ss
 	}
 	return ss
 }
 
-// EndAction finishes an action at the database: commit makes its entry
-// mutations durable (see commitLocked), abort restores the pre-images;
-// either way the action's locks are released (end of Figure 6's read-lock
-// hold, or of the short independent actions of Figures 7–8). Ending an
-// action the database does not know is a no-op, so the call is idempotent.
+func (db *DB) spareSnapsLocked() *snapshotSet {
+	if n := len(db.spare); n > 0 {
+		ss := db.spare[n-1]
+		db.spare = db.spare[:n-1]
+		return ss
+	}
+	return &snapshotSet{}
+}
+
+// endLocked commits (in stable transaction tx) or rolls back the action
+// whose undo set is ss, and puts the set back on the free list. db.mu held.
+func (db *DB) endLocked(tx string, ss *snapshotSet, commit bool) {
+	if commit {
+		db.commitLocked(tx, ss)
+	} else {
+		db.rollbackLocked(ss)
+	}
+	if len(db.spare) < maxSpare && len(ss.servers)+len(ss.states) <= maxSpare {
+		clear(ss.servers)
+		clear(ss.states)
+		ss.useDeltas = ss.useDeltas[:0]
+		db.spare = append(db.spare, ss)
+	}
+}
+
+// rollbackLocked restores the pre-images of ss. db.mu held.
+func (db *DB) rollbackLocked(ss *snapshotSet) {
+	for id, snap := range ss.servers {
+		if snap == nil {
+			delete(db.servers, id)
+		} else {
+			db.servers[id] = snap
+		}
+	}
+	for id, snap := range ss.states {
+		if snap == nil {
+			delete(db.states, id)
+			db.dropKeys(id) // an aborted Register
+		} else {
+			db.states[id] = snap
+		}
+	}
+	// Adjust-mode use-count changes are undone by inverse deltas, newest
+	// first so that no intermediate value meets the zero clamp — the Adjust
+	// lock is still held here, so no Write holder can have restructured the
+	// entry underneath.
+	for i := len(ss.useDeltas) - 1; i >= 0; i-- {
+		d := ss.useDeltas[i]
+		e, ok := db.servers[d.id]
+		if !ok {
+			continue
+		}
+		if m := e.Use[d.key.host]; m != nil {
+			if m[d.key.client] -= d.n; m[d.key.client] <= 0 {
+				delete(m, d.key.client)
+			}
+		}
+	}
+}
+
+// EndAction finishes a named action at the database: commit makes its
+// entry mutations durable (see commitLocked), abort restores the
+// pre-images; either way the action's locks are released (end of Figure
+// 6's read-lock hold, or of the short independent actions of Figures 7–8).
+// Ending an action the database does not know is a no-op, so the call is
+// idempotent.
 func (db *DB) EndAction(act string, commit bool) {
 	db.mu.Lock()
 	if ss, ok := db.pending[act]; ok {
-		if commit {
-			db.commitLocked(act, ss)
-		} else {
-			for id, snap := range ss.servers {
-				if snap == nil {
-					delete(db.servers, id)
-				} else {
-					db.servers[id] = snap
-				}
-			}
-			for id, snap := range ss.states {
-				if snap == nil {
-					delete(db.states, id)
-				} else {
-					db.states[id] = snap
-				}
-			}
-			// Adjust-mode use-count changes are undone by inverse deltas,
-			// newest first so that no intermediate value meets the zero
-			// clamp — the Adjust lock is still held here, so no Write
-			// holder can have restructured the entry underneath.
-			for i := len(ss.useDeltas) - 1; i >= 0; i-- {
-				d := ss.useDeltas[i]
-				e, ok := db.servers[d.id]
-				if !ok {
-					continue
-				}
-				if m := e.Use[d.key.host]; m != nil {
-					if m[d.key.client] -= d.n; m[d.key.client] <= 0 {
-						delete(m, d.key.client)
-					}
-				}
-			}
-		}
 		delete(db.pending, act)
+		var tx string
+		if commit {
+			tx = dbTxPrefix + act
+		}
+		db.endLocked(tx, ss, commit)
 	}
 	delete(db.clients, act)
 	db.mu.Unlock()
 	db.locks.ReleaseAll(lockmgr.Owner(act))
+}
+
+// endOwn finishes a message's own action, as EndAction a named one. An
+// undo set from before a crash is dropped: what it undid or would commit
+// died with that incarnation.
+func (db *DB) endOwn(a *dbAction, commit bool) {
+	if a.snaps != nil {
+		db.mu.Lock()
+		if a.incarnation == db.incarnation {
+			db.endLocked(a.name, a.snaps, commit)
+		}
+		a.snaps = nil
+		db.mu.Unlock()
+	}
+	db.locks.ReleaseAll(lockmgr.Owner(a.name))
 }
 
 // Quiescent reports whether all use lists of the object are empty (the

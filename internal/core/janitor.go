@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -18,8 +17,9 @@ import (
 // actions, so its use-list counters and locks would otherwise leak,
 // blocking Insert (quiescence) forever. The janitor pings every client
 // node known to the database; for dead clients it aborts their in-flight
-// database actions (restoring entry pre-images, releasing locks) and
-// zeroes their use-list counters.
+// named database actions (restoring entry pre-images, releasing locks) and
+// zeroes their use-list counters. A message's own action is not the
+// janitor's to end: it ends with its message, whose handler runs on.
 type Janitor struct {
 	db *DB
 }
@@ -95,7 +95,6 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 	// outside the lock protocol by design: the counters' owners are gone
 	// and can never release them. Only the entries it changed are rewritten.
 	db.mu.Lock()
-	var writes []store.Write
 	for id, e := range db.servers {
 		changed := false
 		for host, clients := range e.Use {
@@ -109,10 +108,10 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 			}
 		}
 		if changed {
-			writes = append(writes, encodeRecord(svRecordKey(id), e.record()))
+			db.addRecordLocked(db.keysOf(id).svRecord, e.record(&db.rec))
 		}
 	}
-	db.writeRecordsLocked("janitor", writes)
+	db.writeRecordsLocked(dbTxPrefix + "janitor")
 	db.mu.Unlock()
 	return report
 }

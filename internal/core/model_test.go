@@ -750,6 +750,25 @@ func compare(db *DB, m *dbModel) error {
 			return fmt.Errorf("Quiescent(%v): database %v, model %v", id, got, want)
 		}
 	}
+	// A message's own action ends with its message: none is left in the
+	// action tables or the lock table.
+	db.mu.Lock()
+	leftover := slices.Concat(slices.Collect(maps.Keys(db.pending)), slices.Collect(maps.Keys(db.clients)))
+	db.mu.Unlock()
+	for _, act := range leftover {
+		if strings.HasPrefix(act, ownActionPrefix) {
+			return fmt.Errorf("own action %s left in the action tables", act)
+		}
+	}
+	for _, id := range modelIDs {
+		for _, key := range []string{svKey(id), stKey(id)} {
+			for _, h := range db.locks.HolderModes(key) {
+				if strings.HasPrefix(string(h.Owner), ownActionPrefix) {
+					return fmt.Errorf("own action %s left holding %s", h.Owner, key)
+				}
+			}
+		}
+	}
 	// What a recovering database would load: the durable records.
 	durable := &DB{node: db.node}
 	durable.resetVolatileLocked()

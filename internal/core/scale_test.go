@@ -41,7 +41,7 @@ func newScaleDB(tb testing.TB, n int) (*DB, *countingBackend, uid.UID) {
 	ids := make([]uid.UID, n)
 	for i := range ids {
 		ids[i] = gen.New()
-		if err := db.Register(context.Background(), "setup", "c1", ids[i], "counter", []transport.Addr{"sv1", "sv2"}, []transport.Addr{"st1", "st2", "st3"}); err != nil {
+		if err := db.Register(context.Background(), &dbAction{name: "setup", from: "c1"}, ids[i], "counter", []transport.Addr{"sv1", "sv2"}, []transport.Addr{"st1", "st2", "st3"}); err != nil {
 			tb.Fatal(err)
 		}
 		db.EndAction("setup", true)
@@ -55,11 +55,11 @@ func newScaleDB(tb testing.TB, n int) (*DB, *countingBackend, uid.UID) {
 func bindCommit(tb testing.TB, db *DB, id uid.UID) {
 	ctx := context.Background()
 	hosts := []transport.Addr{"sv1"}
-	if err := db.Increment(ctx, "bind", "c1", id, "c1", hosts); err != nil {
+	if err := db.Increment(ctx, &dbAction{name: "bind", from: "c1"}, id, "c1", hosts); err != nil {
 		tb.Fatal(err)
 	}
 	db.EndAction("bind", true)
-	if err := db.Decrement(ctx, "unbind", "c1", id, "c1", hosts); err != nil {
+	if err := db.Decrement(ctx, &dbAction{name: "unbind", from: "c1"}, id, "c1", hosts); err != nil {
 		tb.Fatal(err)
 	}
 	db.EndAction("unbind", true)

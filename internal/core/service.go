@@ -23,19 +23,20 @@ const MethodBatch = "Batch"
 
 // Register creates the Sv and St entries for a new object (write locks on
 // both). The St entry also records the object's class.
-func (db *DB) Register(ctx context.Context, act string, from transport.Addr, id uid.UID, class string, svNodes, stNodes []transport.Addr) error {
-	owner := lockmgr.Owner(act)
-	if err := db.locks.Acquire(ctx, owner, svKey(id), lockmgr.Write); err != nil {
+func (db *DB) Register(ctx context.Context, a *dbAction, id uid.UID, class string, svNodes, stNodes []transport.Addr) error {
+	owner, keys := lockmgr.Owner(a.name), db.keysOf(id)
+	if err := db.locks.Acquire(ctx, owner, keys.sv, lockmgr.Write); err != nil {
 		return rpc.Errorf(CodeLockRefused, "%v", err)
 	}
-	if err := db.locks.Acquire(ctx, owner, stKey(id), lockmgr.Write); err != nil {
+	if err := db.locks.Acquire(ctx, owner, keys.st, lockmgr.Write); err != nil {
 		return rpc.Errorf(CodeLockRefused, "%v", err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
-	db.snapServerLocked(act, id)
-	db.snapStateLocked(act, id)
+	db.noteLocked(a)
+	db.keepKeys(id, keys)
+	db.snapServerLocked(a, id)
+	db.snapStateLocked(a, id)
 	use := make(map[transport.Addr]map[transport.Addr]int, len(svNodes))
 	for _, n := range svNodes {
 		use[n] = make(map[transport.Addr]int)
@@ -55,17 +56,17 @@ func (db *DB) Register(ctx context.Context, act string, from transport.Addr, id 
 // never stranded against a vanished entry. The deletion is provisional
 // until the action commits: abort restores both entries from their
 // snapshots.
-func (db *DB) Deregister(ctx context.Context, act string, from transport.Addr, id uid.UID) ([]transport.Addr, string, error) {
-	owner := lockmgr.Owner(act)
-	if err := db.locks.Acquire(ctx, owner, svKey(id), lockmgr.Write); err != nil {
+func (db *DB) Deregister(ctx context.Context, a *dbAction, id uid.UID) ([]transport.Addr, string, error) {
+	owner, keys := lockmgr.Owner(a.name), db.keysOf(id)
+	if err := db.locks.Acquire(ctx, owner, keys.sv, lockmgr.Write); err != nil {
 		return nil, "", rpc.Errorf(CodeLockRefused, "%v", err)
 	}
-	if err := db.locks.Acquire(ctx, owner, stKey(id), lockmgr.Write); err != nil {
+	if err := db.locks.Acquire(ctx, owner, keys.st, lockmgr.Write); err != nil {
 		return nil, "", rpc.Errorf(CodeLockRefused, "%v", err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	st, ok := db.states[id]
 	if !ok {
 		return nil, "", rpc.Errorf(CodeUnknownObject, "no St entry for %v", id)
@@ -81,29 +82,29 @@ func (db *DB) Deregister(ctx context.Context, act string, from transport.Addr, i
 	}
 	view := append([]transport.Addr(nil), st.Nodes...)
 	class := st.Class
-	db.snapServerLocked(act, id)
-	db.snapStateLocked(act, id)
+	db.snapServerLocked(a, id)
+	db.snapStateLocked(a, id)
 	delete(db.servers, id)
 	delete(db.states, id)
 	return view, class, nil
 }
 
-// GetServer returns Sv_A under a read lock held by act until the action
+// GetServer returns Sv_A under a read lock held by action a until it
 // ends (§4.1.1). With wantUse it also returns the use lists (§4.1.3).
 // forUpdate takes a write lock instead — the enhanced schemes of §4.1.3
 // read Sv and update use lists within one top-level action, so they take
 // the stronger lock up front rather than promote later.
-func (db *DB) GetServer(ctx context.Context, act string, from transport.Addr, id uid.UID, wantUse, forUpdate bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int, error) {
+func (db *DB) GetServer(ctx context.Context, a *dbAction, id uid.UID, wantUse, forUpdate bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int, error) {
 	mode := lockmgr.Read
 	if forUpdate {
 		mode = lockmgr.Write
 	}
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(act), svKey(id), mode); err != nil {
+	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).sv, mode); err != nil {
 		return nil, nil, rpc.Errorf(CodeLockRefused, "%v", err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
 		return nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
@@ -135,8 +136,8 @@ func (db *DB) GetServer(ctx context.Context, act string, from transport.Addr, id
 // lock is the write lock with forUpdate, else the commutative Adjust lock
 // alone (see Binder.FastBind): on an Sv entry Adjust conflicts with every
 // mode Read does, so it also keeps the entry's Sv still for the read.
-func (db *DB) Bind(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) (candidates, counted []transport.Addr, err error) {
-	owner, key, mode := lockmgr.Owner(act), svKey(id), lockmgr.Adjust
+func (db *DB) Bind(ctx context.Context, a *dbAction, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) (candidates, counted []transport.Addr, err error) {
+	owner, key, mode := lockmgr.Owner(a.name), db.keysOf(id).sv, lockmgr.Adjust
 	if forUpdate {
 		mode = lockmgr.Write
 	}
@@ -147,14 +148,14 @@ func (db *DB) Bind(ctx context.Context, act string, from transport.Addr, id uid.
 	exclusive := forUpdate || db.locks.Holds(owner, key, lockmgr.Write)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
 		return nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
 	}
 	candidates, n := selectServers(e.Nodes, e.Use, degree, false, "")
 	candidates = slices.Clone(candidates)
-	db.adjustUseLocked(act, id, e, clientNode, candidates[:n], +1, exclusive)
+	db.adjustUseLocked(a, id, e, clientNode, candidates[:n], +1, exclusive)
 	return candidates, candidates[:n:n], nil
 }
 
@@ -164,13 +165,13 @@ func (db *DB) Bind(ctx context.Context, act string, from transport.Addr, id uid.
 // preference order — the servers in use, else Sv — so that a read-only
 // client binds to the copy the writers keep current, and nothing else: the
 // use lists stay at the database.
-func (db *DB) Select(ctx context.Context, act string, from transport.Addr, id uid.UID) ([]transport.Addr, error) {
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(act), svKey(id), lockmgr.Read); err != nil {
+func (db *DB) Select(ctx context.Context, a *dbAction, id uid.UID) ([]transport.Addr, error) {
+	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).sv, lockmgr.Read); err != nil {
 		return nil, rpc.Errorf(CodeLockRefused, "%v", err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
 		return nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
@@ -185,13 +186,13 @@ func (db *DB) Select(ctx context.Context, act string, from transport.Addr, id ui
 // clients of the enhanced schemes (whose locks are short-lived) the same
 // guarantee comes from the use lists: Insert refuses while any use list
 // is non-empty (§4.1.3's quiescence definition).
-func (db *DB) Insert(ctx context.Context, act string, from transport.Addr, id uid.UID, host transport.Addr) error {
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(act), svKey(id), lockmgr.Write); err != nil {
+func (db *DB) Insert(ctx context.Context, a *dbAction, id uid.UID, host transport.Addr) error {
+	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).sv, lockmgr.Write); err != nil {
 		return rpc.Errorf(CodeLockRefused, "%v", err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
 		return rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
@@ -203,7 +204,7 @@ func (db *DB) Insert(ctx context.Context, act string, from transport.Addr, id ui
 			}
 		}
 	}
-	db.snapServerLocked(act, id)
+	db.snapServerLocked(a, id)
 	for _, n := range e.Nodes {
 		if n == host {
 			return nil // already a member — idempotent re-insert
@@ -221,27 +222,27 @@ func (db *DB) Insert(ctx context.Context, act string, from transport.Addr, id ui
 // to drop failed servers (§4.1.3). The attempt to take the write lock is
 // non-blocking when tryOnly is set (a client repairing Sv should not wait
 // behind other users; per the paper it simply carries on if it cannot).
-func (db *DB) Remove(ctx context.Context, act string, from transport.Addr, id uid.UID, host transport.Addr, tryOnly bool) error {
-	owner := lockmgr.Owner(act)
+func (db *DB) Remove(ctx context.Context, a *dbAction, id uid.UID, host transport.Addr, tryOnly bool) error {
+	owner, key := lockmgr.Owner(a.name), db.keysOf(id).sv
 	if tryOnly {
-		if db.locks.Holds(owner, svKey(id), lockmgr.Read) {
-			if err := db.locks.TryPromote(owner, svKey(id), lockmgr.Read, lockmgr.Write); err != nil {
+		if db.locks.Holds(owner, key, lockmgr.Read) {
+			if err := db.locks.TryPromote(owner, key, lockmgr.Read, lockmgr.Write); err != nil {
 				return rpc.Errorf(CodeLockRefused, "%v", err)
 			}
-		} else if err := db.locks.TryAcquire(owner, svKey(id), lockmgr.Write); err != nil {
+		} else if err := db.locks.TryAcquire(owner, key, lockmgr.Write); err != nil {
 			return rpc.Errorf(CodeLockRefused, "%v", err)
 		}
-	} else if err := db.locks.Acquire(ctx, owner, svKey(id), lockmgr.Write); err != nil {
+	} else if err := db.locks.Acquire(ctx, owner, key, lockmgr.Write); err != nil {
 		return rpc.Errorf(CodeLockRefused, "%v", err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
 		return rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
 	}
-	db.snapServerLocked(act, id)
+	db.snapServerLocked(a, id)
 	var kept []transport.Addr
 	for _, n := range e.Nodes {
 		if n != host {
@@ -255,8 +256,8 @@ func (db *DB) Remove(ctx context.Context, act string, from transport.Addr, id ui
 
 // Increment bumps clientNode's counter in the use list of each host
 // (§4.1.3).
-func (db *DB) Increment(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
-	return db.adjustUse(ctx, act, from, id, clientNode, hosts, +1)
+func (db *DB) Increment(ctx context.Context, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
+	return db.adjustUse(ctx, a, id, clientNode, hosts, +1)
 }
 
 // Decrement is the complementary operation to Increment. A Decrement for an
@@ -264,8 +265,8 @@ func (db *DB) Increment(ctx context.Context, act string, from transport.Addr, id
 // its use lists gone with the entry — has nothing to drop and succeeds: the
 // action-end carries one Decrement per object of the action, and one whose
 // object moved away must not fail the others (see txGroup.end).
-func (db *DB) Decrement(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
-	return db.adjustUse(ctx, act, from, id, clientNode, hosts, -1)
+func (db *DB) Decrement(ctx context.Context, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
+	return db.adjustUse(ctx, a, id, clientNode, hosts, -1)
 }
 
 // adjustUse applies a use-count delta. Increments and decrements commute,
@@ -276,9 +277,8 @@ func (db *DB) Decrement(ctx context.Context, act string, from transport.Addr, id
 // the inverse delta. An action that does hold the write lock (the Figure 7
 // bind reads Sv, removes failed servers and increments in one action) keeps
 // the exclusive pre-image snapshot discipline.
-func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id uid.UID, clientNode transport.Addr, hosts []transport.Addr, delta int) error {
-	owner := lockmgr.Owner(act)
-	key := svKey(id)
+func (db *DB) adjustUse(ctx context.Context, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr, delta int) error {
+	owner, key := lockmgr.Owner(a.name), db.keysOf(id).sv
 	exclusive := db.locks.Holds(owner, key, lockmgr.Write)
 	if !exclusive {
 		if err := db.locks.Acquire(ctx, owner, key, lockmgr.Adjust); err != nil {
@@ -287,7 +287,7 @@ func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
 		if delta < 0 {
@@ -295,17 +295,16 @@ func (db *DB) adjustUse(ctx context.Context, act string, from transport.Addr, id
 		}
 		return rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
 	}
-	db.adjustUseLocked(act, id, e, clientNode, hosts, delta, exclusive)
+	db.adjustUseLocked(a, id, e, clientNode, hosts, delta, exclusive)
 	return nil
 }
 
 // adjustUseLocked applies adjustUse's delta to entry e of object id, under
 // whichever of the two disciplines the action's lock calls for. db.mu held.
-func (db *DB) adjustUseLocked(act string, id uid.UID, e *serverEntry, clientNode transport.Addr, hosts []transport.Addr, delta int, exclusive bool) {
+func (db *DB) adjustUseLocked(a *dbAction, id uid.UID, e *serverEntry, clientNode transport.Addr, hosts []transport.Addr, delta int, exclusive bool) {
 	if exclusive {
-		db.snapServerLocked(act, id)
+		db.snapServerLocked(a, id)
 	}
-	ss := db.pendingSetLocked(act)
 	for _, host := range hosts {
 		m := e.Use[host]
 		if m == nil {
@@ -324,19 +323,20 @@ func (db *DB) adjustUseLocked(act string, id uid.UID, e *serverEntry, clientNode
 			// Log the effective delta — at the zero clamp a decrement
 			// applies less than asked, and the inverse must match what
 			// actually happened to the counter.
+			ss := db.snapsLocked(a)
 			ss.useDeltas = append(ss.useDeltas, useDelta{id, useKey{host, clientNode}, nv - old})
 		}
 	}
 }
 
 // GetView returns St_A and the object's class under a read lock (§4.2).
-func (db *DB) GetView(ctx context.Context, act string, from transport.Addr, id uid.UID) ([]transport.Addr, string, error) {
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(act), stKey(id), lockmgr.Read); err != nil {
+func (db *DB) GetView(ctx context.Context, a *dbAction, id uid.UID) ([]transport.Addr, string, error) {
+	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).st, lockmgr.Read); err != nil {
 		return nil, "", rpc.Errorf(CodeLockRefused, "%v", err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	e, ok := db.states[id]
 	if !ok {
 		return nil, "", rpc.Errorf(CodeUnknownObject, "no St entry for %v", id)
@@ -352,18 +352,18 @@ func (db *DB) GetView(ctx context.Context, act string, from transport.Addr, id u
 // FIRST and fetches its catch-up state while holding it (the returned view
 // names the fetch sources); fetching before the lock would race in-flight
 // commits and re-admit the node with a stale state.
-func (db *DB) Include(ctx context.Context, act string, from transport.Addr, id uid.UID, host transport.Addr) ([]transport.Addr, error) {
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(act), stKey(id), lockmgr.Write); err != nil {
+func (db *DB) Include(ctx context.Context, a *dbAction, id uid.UID, host transport.Addr) ([]transport.Addr, error) {
+	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).st, lockmgr.Write); err != nil {
 		return nil, rpc.Errorf(CodeLockRefused, "%v", err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	e, ok := db.states[id]
 	if !ok {
 		return nil, rpc.Errorf(CodeUnknownObject, "no St entry for %v", id)
 	}
-	db.snapStateLocked(act, id)
+	db.snapStateLocked(a, id)
 	present := false
 	for _, n := range e.Nodes {
 		if n == host {
@@ -395,14 +395,14 @@ type ExcludePair struct {
 // promotes to a full write lock, reproducing the paper's problem case: the
 // promotion is refused whenever other clients hold read locks, and the
 // caller's action must abort.
-func (db *DB) Exclude(ctx context.Context, act string, from transport.Addr, pairs []ExcludePair, useWriteLock bool) error {
-	owner := lockmgr.Owner(act)
+func (db *DB) Exclude(ctx context.Context, a *dbAction, pairs []ExcludePair, useWriteLock bool) error {
+	owner := lockmgr.Owner(a.name)
 	target := lockmgr.ExcludeWrite
 	if useWriteLock {
 		target = lockmgr.Write
 	}
 	for _, p := range pairs {
-		key := stKey(p.UID)
+		key := db.keysOf(p.UID).st
 		if db.locks.Holds(owner, key, lockmgr.Read) && !db.locks.Holds(owner, key, target) {
 			if err := db.locks.TryPromote(owner, key, lockmgr.Read, target); err != nil {
 				return rpc.Errorf(CodeLockRefused, "exclude %v: %v", p.UID, err)
@@ -415,13 +415,13 @@ func (db *DB) Exclude(ctx context.Context, act string, from transport.Addr, pair
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.noteClientLocked(act, from)
+	db.noteLocked(a)
 	for _, p := range pairs {
 		e, ok := db.states[p.UID]
 		if !ok {
 			return rpc.Errorf(CodeUnknownObject, "no St entry for %v", p.UID)
 		}
-		db.snapStateLocked(act, p.UID)
+		db.snapStateLocked(a, p.UID)
 		for _, host := range p.Hosts {
 			var kept []transport.Addr
 			for _, n := range e.Nodes {
@@ -589,62 +589,67 @@ func registerService(srv *rpc.Server, db *DB) {
 // op of a named action runs exactly as if it had arrived alone, so the named
 // actions' ops before the failure stand (their locks are held, their
 // mutations pending) — the state a sequence of single calls failing at the
-// same operation leaves. The message's own action is aborted instead.
+// same operation leaves. The message's own action is aborted instead. It
+// lives in this frame alone (see dbAction), and its name is minted at its
+// first op.
 func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (BatchResp, error) {
 	resp := BatchResp{Results: make([]OpResult, len(req.Ops))}
-	own := ""
+	own, named := dbAction{from: from, own: true}, dbAction{from: from}
 	for i := range req.Ops {
-		op := &req.Ops[i]
-		if op.Action == "" {
-			if own == "" {
-				var buf [24]byte
-				own = string(strconv.AppendUint(append(buf[:0], ownActionPrefix...), db.owned.Add(1), 10))
-			}
-			op.Action = own
+		op, a := &req.Ops[i], &own
+		if op.Action != "" {
+			named.name, a = op.Action, &named
+		} else if own.name == "" {
+			var buf [40]byte
+			own.name = string(strconv.AppendUint(append(buf[:0], ownActionPrefix...), db.owned.Add(1), 10))
 		}
 		var err error
-		if resp.Results[i], err = db.exec(ctx, from, op); err != nil {
-			if own != "" {
-				db.EndAction(own, false)
+		if resp.Results[i], err = db.exec(ctx, a, op); err != nil {
+			if own.name != "" {
+				db.endOwn(&own, false)
 			}
 			return BatchResp{}, err
 		}
 	}
-	if own != "" {
-		db.EndAction(own, true)
+	if own.name != "" {
+		db.endOwn(&own, true)
 	}
 	return resp, nil
 }
 
-// exec runs one operation.
-func (db *DB) exec(ctx context.Context, from transport.Addr, op *Op) (res OpResult, err error) {
+// exec runs one operation under a.
+func (db *DB) exec(ctx context.Context, a *dbAction, op *Op) (res OpResult, err error) {
 	switch op.Kind {
 	case OpRegister:
-		err = db.Register(ctx, op.Action, from, op.UID, op.Class, op.Hosts, op.Stores)
+		err = db.Register(ctx, a, op.UID, op.Class, op.Hosts, op.Stores)
 	case OpDeregister:
-		res.Nodes, res.Class, err = db.Deregister(ctx, op.Action, from, op.UID)
+		res.Nodes, res.Class, err = db.Deregister(ctx, a, op.UID)
 	case OpGetServer:
-		res.Nodes, res.Use, err = db.GetServer(ctx, op.Action, from, op.UID, op.WantUse, op.ForUpdate)
+		res.Nodes, res.Use, err = db.GetServer(ctx, a, op.UID, op.WantUse, op.ForUpdate)
 	case OpInsert:
-		err = db.Insert(ctx, op.Action, from, op.UID, op.Host)
+		err = db.Insert(ctx, a, op.UID, op.Host)
 	case OpRemove:
-		err = db.Remove(ctx, op.Action, from, op.UID, op.Host, op.TryOnly)
+		err = db.Remove(ctx, a, op.UID, op.Host, op.TryOnly)
 	case OpIncrement:
-		err = db.Increment(ctx, op.Action, from, op.UID, op.Host, op.Hosts)
+		err = db.Increment(ctx, a, op.UID, op.Host, op.Hosts)
 	case OpDecrement:
-		err = db.Decrement(ctx, op.Action, from, op.UID, op.Host, op.Hosts)
+		err = db.Decrement(ctx, a, op.UID, op.Host, op.Hosts)
 	case OpGetView:
-		res.Nodes, res.Class, err = db.GetView(ctx, op.Action, from, op.UID)
+		res.Nodes, res.Class, err = db.GetView(ctx, a, op.UID)
 	case OpInclude:
-		res.Nodes, err = db.Include(ctx, op.Action, from, op.UID, op.Host)
+		res.Nodes, err = db.Include(ctx, a, op.UID, op.Host)
 	case OpExclude:
-		err = db.Exclude(ctx, op.Action, from, op.Pairs, op.UseWriteLock)
+		err = db.Exclude(ctx, a, op.Pairs, op.UseWriteLock)
 	case OpEndAction:
-		db.EndAction(op.Action, op.Commit)
+		if a.own {
+			db.endOwn(a, op.Commit)
+		} else {
+			db.EndAction(a.name, op.Commit)
+		}
 	case OpBind:
-		res.Nodes, res.Hosts, err = db.Bind(ctx, op.Action, from, op.UID, op.Host, op.Degree, op.ForUpdate)
+		res.Nodes, res.Hosts, err = db.Bind(ctx, a, op.UID, op.Host, op.Degree, op.ForUpdate)
 	case OpSelect:
-		res.Nodes, err = db.Select(ctx, op.Action, from, op.UID)
+		res.Nodes, err = db.Select(ctx, a, op.UID)
 	default:
 		err = rpc.Errorf(rpc.CodeInternal, "unknown groupview op %d", op.Kind)
 	}

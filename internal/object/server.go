@@ -966,14 +966,27 @@ func (m *Manager) prepare(ctx context.Context, from transport.Addr, action strin
 // writeBack is one dirty object's phase one at this server: the state it
 // copies back, the version that will commit as, and each store's answer.
 type writeBack struct {
-	in    *instance
-	item  *PrepareItem
+	in *instance
+	// item is held by value: a pointer into the request's items would send
+	// a one-item request's array, which a carried phase one keeps on its
+	// stack, to the heap.
+	item  PrepareItem
 	vote  int // the item's index in the request
 	seq   uint64
 	state []byte
 	batch int
-	// errs holds the copy's outcome at each of item.StNodes.
+	// errs holds the copy's outcome at each of item.StNodes — or, with one
+	// St node, err alone, so that the commonest copy allocates no list.
 	errs []error
+	err  error
+}
+
+// outcome is the copy's outcome at item.StNodes[i].
+func (wb *writeBack) outcome(i int) error {
+	if wb.errs == nil {
+		return wb.err
+	}
+	return wb.errs[i]
 }
 
 // beginWriteBack starts an object's phase one. An object the action only
@@ -1005,7 +1018,7 @@ func (m *Manager) beginWriteBack(action string, item *PrepareItem, onePhase bool
 		rec.onePhase = true
 	}
 	in.actions[action] = rec
-	wb := writeBack{in: in, item: item, seq: in.seq + 1, state: append([]byte(nil), in.state...), batch: batchSize}
+	wb := writeBack{in: in, item: *item, seq: in.seq + 1, state: append([]byte(nil), in.state...), batch: batchSize}
 	in.mu.Unlock()
 	return wb, nil
 }
@@ -1024,7 +1037,7 @@ func (m *Manager) copyStates(ctx context.Context, action string, wbs []writeBack
 		if len(stNodes) == 1 {
 			// The one-phase shape, on every write of a one-store group: no
 			// fan-out to pay for.
-			wbs[0].errs = []error{m.copyState(ctx, action, stNodes[0], []store.Write{wbs[0].write()}, onePhase)}
+			wbs[0].err = m.copyState(ctx, action, stNodes[0], []store.Write{wbs[0].write()}, onePhase)
 			return
 		}
 		writes := []store.Write{wbs[0].write()}
@@ -1097,7 +1110,7 @@ func (wb *writeBack) write() store.Write {
 // the one store's commit, the action is finished here as Commit finishes it.
 // The error is the object's refusal.
 func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, action string, onePhase bool, wb *writeBack, start time.Time) (Vote, error) {
-	in, item := wb.in, wb.item
+	in, item := wb.in, &wb.item
 	// Remember which stores prepared so commit/abort can address exactly
 	// those. Outcomes are read in StNodes order so PreparedNodes/FailedNodes
 	// stay deterministic.
@@ -1109,7 +1122,7 @@ func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, acti
 	}
 	stale, doubt := false, false
 	for i, st := range item.StNodes {
-		switch err := wb.errs[i]; {
+		switch err := wb.outcome(i); {
 		case err == nil:
 			if !onePhase {
 				vote.PreparedNodes = append(vote.PreparedNodes, st)
@@ -1190,7 +1203,7 @@ func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, acti
 	if doubt {
 		// A definite refusal would let the coordinator record an abort over
 		// a durably committed write.
-		return vote, rpc.Errorf(CodeCommitUncertain, "object %s: one-phase commit outcome unknown: %v", item.UID, wb.errs[0])
+		return vote, rpc.Errorf(CodeCommitUncertain, "object %s: one-phase commit outcome unknown: %v", item.UID, wb.outcome(0))
 	}
 	if accepted == 0 {
 		// No store holds the new state: the action cannot commit (§3.2(2):

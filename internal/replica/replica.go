@@ -752,16 +752,28 @@ type sender[I any, A answer] interface {
 	send(ctx context.Context, node transport.Addr, items []I) ([]A, error)
 }
 
+// Lone items' lists: the request that names one item takes its list from
+// here (exchange). The RPC layer moves a request, and so its list, to the
+// heap, and the list is garbage once the request is encoded.
+var (
+	lonePrepareItems = sync.Pool{New: func() any { return new([1]object.PrepareItem) }}
+	loneEndItems     = sync.Pool{New: func() any { return new([1]object.EndItem) }}
+)
+
 // exchange sends the items of pairs, one request per server naming every item
 // bound there, and returns each pair's reply, in pairs order — in buf, when
-// there is one pair. A request that fails fails every item it named.
-func exchange[I any, A answer, S sender[I, A]](ctx context.Context, s S, pairs []pair[I], buf *[1]reply[A]) []reply[A] {
+// there is one pair, whose list comes from lone. A request that fails fails
+// every item it named.
+func exchange[I any, A answer, S sender[I, A]](ctx context.Context, s S, pairs []pair[I], buf *[1]reply[A], lone *sync.Pool) []reply[A] {
 	switch len(pairs) {
 	case 0:
 		return nil
 	case 1:
-		items := [1]I{pairs[0].item}
+		items := lone.Get().(*[1]I)
+		items[0] = pairs[0].item
 		got, err := s.send(ctx, pairs[0].node, items[:])
+		*items = [1]I{}
+		lone.Put(items)
 		buf[0] = replyOf(got, 0, err)
 		return buf[:]
 	}
@@ -876,7 +888,7 @@ func Prepare(ctx context.Context, tx string, hs []*Handle, onePhase bool, out []
 		}
 	}
 	var buf [1]reply[object.Vote]
-	replies := exchange(ctx, prepareSender{hs[0].cfg.Client, tx, onePhase}, pairs, &buf)
+	replies := exchange(ctx, prepareSender{hs[0].cfg.Client, tx, onePhase}, pairs, &buf, &lonePrepareItems)
 	for k, h := range hs {
 		p := &ones[k]
 		switch {
@@ -1164,7 +1176,7 @@ func Commit(ctx context.Context, tx string, hs []*Handle, out []Outcome) {
 		}
 	}
 	var buf [1]reply[object.EndResult]
-	replies := exchange(ctx, endSender{hs[0].cfg.Client, tx, false}, pairs, &buf)
+	replies := exchange(ctx, endSender{hs[0].cfg.Client, tx, false}, pairs, &buf, &loneEndItems)
 	var wait time.Duration
 	for k, h := range hs {
 		t := &twos[k]
@@ -1328,7 +1340,7 @@ func Abort(ctx context.Context, tx string, hs []*Handle, out []Outcome) {
 		}
 	}
 	var buf [1]reply[object.EndResult]
-	replies := exchange(ctx, endSender{hs[0].cfg.Client, tx, true}, pairs, &buf)
+	replies := exchange(ctx, endSender{hs[0].cfg.Client, tx, true}, pairs, &buf, &loneEndItems)
 	for k := range hs {
 		t := &twos[k]
 		for _, r := range replies[t.first : t.first+len(t.servers)] {

@@ -255,14 +255,18 @@ func (r *WireReader) Strings() []string {
 // allocated — it is handed to the transport and must not share memory
 // with any pooled scratch.
 func encodeWire(w Wire, lead int) []byte {
-	tag, ver := w.WireTag()
 	hint := 64
 	if s, ok := w.(WireSizer); ok {
 		hint = s.WireSizeHint()
 	}
-	out := make([]byte, lead+3, lead+3+hint)
-	out[lead], out[lead+1], out[lead+2] = WireMagic, tag, ver
-	return w.AppendWire(out)
+	return AppendEncode(make([]byte, lead, lead+3+hint), w)
+}
+
+// AppendEncode appends w's payload, exactly as Encode renders it, to dst:
+// for a caller that encodes into scratch of its own.
+func AppendEncode(dst []byte, w Wire) []byte {
+	tag, ver := w.WireTag()
+	return w.AppendWire(append(dst, WireMagic, tag, ver))
 }
 
 // decodeWire fills w from a payload previously produced by encodeWire.

@@ -73,6 +73,35 @@ func TestAtomicCommitsOnNilError(t *testing.T) {
 	}
 }
 
+// taggedContext is a caller's own context type whose values cannot be
+// compared with ==.
+type taggedContext struct {
+	context.Context
+	tags []string
+}
+
+// TestAtomicUnderUncomparableContext: an action's calls may run under a
+// context value that == cannot compare — the client remembers the context
+// it attached its breaker notes to, and must not panic comparing the next.
+func TestAtomicUnderUncomparableContext(t *testing.T) {
+	sys := openT(t)
+	cl := clientT(t, sys, "c1")
+	obj := sys.Objects()[0]
+	ctx := taggedContext{context.Background(), []string{"caller"}}
+	if _, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		if _, err := tx.Object(obj).Invoke(ctx, "add", []byte("1")); err != nil {
+			return err
+		}
+		_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
+		return err
+	}); err != nil {
+		t.Fatalf("Atomic: %v", err)
+	}
+	if got := counterValue(t, sys, obj); got != "2" {
+		t.Fatalf("committed state = %q, want 2", got)
+	}
+}
+
 func TestAtomicAbortsOnError(t *testing.T) {
 	sys := openT(t)
 	cl := clientT(t, sys, "c1")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"time"
 
@@ -154,6 +155,9 @@ type Txn struct {
 	// by wrapping runOnce's context, because the closure invokes objects
 	// under the CALLER's context, not a derived one.
 	notes *rpc.BreakerNotes
+	// notedFrom and notedCtx are the last caller context the note context
+	// was derived from, and the derived one (see noted).
+	notedFrom, notedCtx context.Context
 	// unlocked records the reads this action was served with no lock left
 	// behind them, for commit-time revalidation (see revalidateReads).
 	unlocked []unlockedRead
@@ -176,9 +180,22 @@ type unlockedRead struct {
 	lease *lease.Entry
 }
 
-// noted attaches the transaction's breaker-note recorder to ctx.
+// noted attaches the transaction's breaker-note recorder to ctx. An
+// action's bind, invokes and commit nearly always run under one caller
+// context, so the derived context is kept for the last one it was derived
+// from rather than derived per call.
 func (t *Txn) noted(ctx context.Context) context.Context {
-	return rpc.ContextWithNotes(ctx, t.notes)
+	if t.notedCtx == nil || !sameContext(ctx, t.notedFrom) {
+		t.notedFrom, t.notedCtx = ctx, rpc.ContextWithNotes(ctx, t.notes)
+	}
+	return t.notedCtx
+}
+
+// sameContext reports whether a and b are the same context value. A value
+// that cannot be compared — a caller's own context type may hold one —
+// counts as different rather than panic.
+func sameContext(a, b context.Context) bool {
+	return reflect.ValueOf(a).Comparable() && a == b
 }
 
 // ID returns the underlying action's identifier.
