@@ -28,7 +28,10 @@ import (
 // finds the outbox idle flushes it with one write, one that finds a flush
 // in progress leaves its frame for the flusher's next write. A write is
 // bounded by CallTimeout and, when the flusher is a caller, by that call's
-// own deadline, past which the caller stops flushing. Both read
+// own deadline, past which the caller stops flushing. The bound costs a
+// socket deadline only when the write would block: each batch is first
+// written without waiting, and only what the socket would not take goes
+// out under a write deadline, disarmed when it returns. Both read
 // loops read through a per-connection buffer, so a frame and whatever is
 // pipelined behind it arrive in one read. The server runs handlers on
 // parked per-endpoint workers and spawns one only when none is idle: a slow
@@ -178,6 +181,11 @@ func NewTCPMux() *TCPMux {
 // aborted partway through applying state. The server's clock starts at
 // frame receipt, so its expiry is always at least the grace margin after
 // the caller has stopped listening.
+//
+// The bound is armed only when a handler waits on it (muxHandlerCtx): its
+// context reports the deadline and the error from the clock and the
+// endpoint's state, and becomes the context.WithDeadline child of the
+// endpoint's context it stands for when Done or Value is first called.
 
 func muxAppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -340,6 +348,7 @@ func newMuxConn(t *TCPMux, conn net.Conn) *muxConn {
 		mc.maxPending = DefaultMaxPending
 	}
 	mc.client = mc
+	mc.raw.init(conn)
 	go mc.readLoop()
 	return mc
 }
@@ -507,6 +516,12 @@ func (t *TCPMux) Call(ctx context.Context, req Request) ([]byte, error) {
 		return nil, fmt.Errorf("%s -> %s: %w", req.From, req.To, context.DeadlineExceeded)
 	}
 	millis := max(uint64(wait/time.Millisecond), 1)
+	var done <-chan struct{}
+	if hc, ok := ctx.(*muxHandlerCtx); ok {
+		done = hc.doneUnarmed() // the timer below already ends the call at hc's deadline
+	} else {
+		done = ctx.Done()
+	}
 	c := muxCallPool.Get().(*muxCall)
 	defer muxCallPool.Put(c) // every return leaves c.ch empty and c.timer stopped
 	for attempt := 0; ; attempt++ {
@@ -548,7 +563,7 @@ func (t *TCPMux) Call(ctx context.Context, req Request) ([]byte, error) {
 				return res.payload, errors.New(res.errMsg)
 			}
 			return res.payload, nil
-		case <-ctx.Done():
+		case <-done:
 			c.timer.Stop()
 			mc.unregister(id, c)
 			return nil, ctx.Err()
@@ -713,6 +728,7 @@ type muxWork struct {
 // closes the connection: the stream offset is untrustworthy after it.
 func (ep *muxEndpoint) handleConn(conn net.Conn) {
 	out := &muxOutbox{conn: conn, mux: ep.mux, frames: &ep.mux.replyFrames}
+	out.raw.init(conn)
 	br := newMuxReader(conn, &ep.mux.reads)
 	names := make(muxInterner)
 	for {
@@ -758,14 +774,89 @@ func (ep *muxEndpoint) worker(first muxWork) {
 	}
 }
 
+// muxHandlerCtx is a handler's context: the endpoint's baseCtx bounded by
+// the propagated deadline plus muxHandlerGrace. It arms that bound lazily.
+// Deadline and Err answer from the deadline and the endpoint's state alone,
+// and no timer or child of baseCtx exists until something waits on the
+// context — Done, Value (and so any context derived from it) or an Err that
+// is no longer nil. From then on it is the context.WithDeadline child it
+// stands for; Value resolves to that child, so contexts derived from it
+// join its cancellation tree instead of each spawning a goroutine to watch
+// it. A mux call made under it waits on baseCtx and its own timer instead
+// (doneUnarmed), so the server→store calls of a request arm nothing.
+type muxHandlerCtx struct {
+	base     context.Context // the endpoint's baseCtx
+	deadline time.Time
+
+	mu     sync.Mutex
+	armed  context.Context // nil until armed; muxReleased once the handler returned unarmed
+	cancel context.CancelFunc
+}
+
+// muxReleased is what a handler's context turns into when its handler
+// returns before anything armed it: cancelled, like the released child.
+var muxReleased = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+func (c *muxHandlerCtx) arm() context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed == nil {
+		c.armed, c.cancel = context.WithDeadline(c.base, c.deadline)
+	}
+	return c.armed
+}
+
+// release ends the context as its handler returns.
+func (c *muxHandlerCtx) release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed == nil {
+		c.armed = muxReleased
+	} else {
+		c.cancel()
+	}
+}
+
+// doneUnarmed is the channel a mux call under c waits on, with its own
+// timer bounding it by c's deadline: c's own Done once armed, and until
+// then the endpoint's stop.
+func (c *muxHandlerCtx) doneUnarmed() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed != nil {
+		return c.armed.Done()
+	}
+	return c.base.Done()
+}
+
+func (c *muxHandlerCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c *muxHandlerCtx) Done() <-chan struct{}       { return c.arm().Done() }
+func (c *muxHandlerCtx) Value(key any) any           { return c.arm().Value(key) }
+
+// Err is nil, without arming, while the endpoint runs and the deadline is
+// ahead; otherwise it arms, so that the error, once reported, stays.
+func (c *muxHandlerCtx) Err() error {
+	c.mu.Lock()
+	armed := c.armed
+	c.mu.Unlock()
+	if armed == nil && c.base.Err() == nil && time.Now().Before(c.deadline) {
+		return nil
+	}
+	return c.arm().Err()
+}
+
 // handle runs the handler for one request and queues its reply.
 func (ep *muxEndpoint) handle(w muxWork) {
 	ctx := ep.baseCtx
 	if w.deadlineMillis > 0 {
 		bound := time.Duration(min(w.deadlineMillis, uint64(maxMuxDeadline/time.Millisecond))) * time.Millisecond
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, bound+muxHandlerGrace)
-		defer cancel()
+		hc := &muxHandlerCtx{base: ep.baseCtx, deadline: time.Now().Add(bound + muxHandlerGrace)}
+		defer hc.release()
+		ctx = hc
 	}
 	payload, herr := ep.handler(ctx, w.req)
 	var errMsg string

@@ -46,6 +46,8 @@ type muxOutbox struct {
 
 	spareBuf  []byte // the previous batch's storage, swapped back in
 	spareEnds []int
+
+	raw muxRawWriter // the flusher's non-blocking first attempt
 }
 
 // beginFrame reserves the next frame's length prefix at the end of buf; the
@@ -82,27 +84,23 @@ func (o *muxOutbox) fail(err error) {
 //
 // limit, when set, is the deadline of the call the flusher is making: no
 // write of its outlasts it, and once it has passed, whatever is queued —
-// other callers' frames, which a write under an expired deadline would fail
-// — is flushed by a goroutine instead. A caller is never held in here beyond
-// its own deadline; every other caller's deadline bounds its wait through
-// its timer.
+// other callers' frames, which a write bounded by an expired deadline would
+// fail — is flushed by a goroutine instead. A caller is never held in here
+// beyond its own deadline; every other caller's deadline bounds its wait
+// through its timer. The clock is read only to check a caller's limit; a
+// write reads it only if it would block.
 func (o *muxOutbox) flush(limit time.Time) {
 	if !o.flushing {
 		o.flushing = true
 		for len(o.ends) > 0 && o.err == nil {
-			now := time.Now()
-			if !limit.IsZero() && !now.Before(limit) {
+			if !limit.IsZero() && !time.Now().Before(limit) {
 				go func() { o.mu.Lock(); o.flush(time.Time{}) }()
 				break
-			}
-			deadline := now.Add(o.mux.callTimeout())
-			if !limit.IsZero() && limit.Before(deadline) {
-				deadline = limit
 			}
 			batch, ends := o.buf, o.ends
 			o.buf, o.ends = o.spareBuf[:0], o.spareEnds[:0]
 			o.mu.Unlock()
-			n, err := o.write(batch, len(ends), deadline)
+			n, err := o.write(batch, len(ends), limit)
 			o.mu.Lock()
 			whole := len(ends)
 			if err != nil {
@@ -129,8 +127,13 @@ func (o *muxOutbox) flush(limit time.Time) {
 	}
 }
 
-// write sends one batch in one write call, to be over by deadline.
-func (o *muxOutbox) write(batch []byte, frames int, deadline time.Time) (int, error) {
+// write sends one batch in one write call, to be over by CallTimeout from
+// now or by limit, if set and sooner. The first attempt does not wait:
+// whatever the socket takes at once, which on loopback is the whole batch,
+// costs no deadline. Only a write that would block arms the socket's write
+// deadline for the rest, and disarms it after, so no later attempt meets it
+// expired.
+func (o *muxOutbox) write(batch []byte, frames int, limit time.Time) (int, error) {
 	if tear := o.mux.tearWrite; tear != nil {
 		if cut := tear(batch); cut >= 0 {
 			n, _ := o.conn.Write(batch[:cut])
@@ -139,8 +142,18 @@ func (o *muxOutbox) write(batch []byte, frames int, deadline time.Time) (int, er
 	}
 	o.mux.writes.Inc()
 	o.frames.Add(int64(frames))
+	n, err := o.raw.write(batch)
+	if err != nil || n == len(batch) {
+		return n, err
+	}
+	deadline := time.Now().Add(o.mux.callTimeout())
+	if !limit.IsZero() && limit.Before(deadline) {
+		deadline = limit
+	}
 	o.conn.SetWriteDeadline(deadline)
-	return o.conn.Write(batch)
+	rest, err := o.conn.Write(batch[n:])
+	o.conn.SetWriteDeadline(time.Time{})
+	return n + rest, err
 }
 
 // countedReader counts the read calls issued on a socket.
