@@ -38,8 +38,9 @@ func TestBindAllocs(t *testing.T) {
 		// 71 while the database's own actions went through its action
 		// tables, rendered their keys per op and encoded each record into a
 		// fresh buffer; 81 while the client minted, and ended, the bind and
-		// decrement actions.
-		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 53},
+		// decrement actions; 53 while each binding enlisted itself under a
+		// stash key of its own.
+		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 52},
 		// 30 while the database's own actions went through its action tables
 		// and rendered their keys per op; 33 while the client minted, and
 		// ended, the bind action; 31 while the binding's one-phase commit

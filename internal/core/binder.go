@@ -93,14 +93,14 @@ func (s Scheme) String() string {
 //     client action's database locks go, then the last shaded action of
 //     Figure 7 drops the use counts, one Decrement for each of the action's
 //     k bindings at this database, each standing alone. It is one message per
-//     database per action, sent when every binding there has finished commit
-//     or abort processing (txGroup.end).
+//     database per action, sent when the action's group there has finished
+//     commit or abort processing (txGroup.end).
 //
 // The first object a read-only action binds has the first conversation only
 // — [Select(own), GetView(own)]: the St read joins the bind action, its
 // lock lives and dies inside the one message, and the binding is unpinned:
-// nothing of the client action's is at the database, trackTxDB registers
-// nothing and there is no action-end to send. For an action of ONE object
+// nothing of the client action's is at the database, its group is untracked
+// (txGroup) and there is no action-end to send. For an action of ONE object
 // the St read lock guards nothing. It never copies a state back, so a
 // recovering store's Include (§4.2) has no view-read/write-back window of
 // its to stay out of, and a view that misses a store included since is
@@ -112,9 +112,9 @@ func (s Scheme) String() string {
 // that is when it is taken:
 //
 //   - pin — [GetView(client action)], at the first binding's own database,
-//     before the second object's bind message (Binding.pin): the lock and
-//     the trackTxDB hook a pinned bind would have left, from here to the
-//     action's end. The second and every later object is bound pinned. A
+//     before the second object's bind message (Binding.pin): the lock, and
+//     the group tracked as a pinned bind would have left it, from here to
+//     the action's end. The second and every later object is bound pinned. A
 //     pin that finds the object deregistered — moved away since the bind —
 //     is ErrPinStale, and the attempt fails: what was read at the old home
 //     cannot be vouched for beside what the new one now says.
@@ -141,10 +141,11 @@ func (s Scheme) String() string {
 //   - invoke, then Prepare and Commit — or one one-phase Prepare when a
 //     single server writes back to a single store — for a binding of
 //     Atomic + Invoke, one among possibly several in its action. The
-//     Prepare and the Commit are its group's (txGroup): each server gets
-//     one of each naming every object of the action it holds, so two
-//     objects at one server are bind · bind · invoke · invoke · Prepare ·
-//     Commit · action-end, 7 messages;
+//     Prepare and the Commit are its group's, the action's participant at
+//     the database (txGroup): each server gets one of each naming every
+//     object of the action it holds, so two objects at one server are
+//     bind · bind · invoke · invoke · Prepare · Commit · action-end, 7
+//     messages — a group of two is never a one-phase participant;
 //   - one invoke for a binding of Apply (a Solo call), whose operation is
 //     declared the action's entire write set: the request carries phase one,
 //     so over one store a committed write is bind · invoke · action-end, and
@@ -253,10 +254,10 @@ type BindConfig struct {
 	LeaseTTL time.Duration
 }
 
-// Binding is one client action's binding to one replicated object. It is
-// the action's participant: commit processing writes object state to the
-// stores, excludes failed store nodes from St, and maintains use lists per
-// the scheme.
+// Binding is one client action's binding to one replicated object. Its
+// group (txGroup) is the action's participant: commit processing writes
+// object state to the stores, excludes failed store nodes from St, and
+// maintains use lists per the scheme.
 type Binding struct {
 	binder *Binder
 	act    *action.Action
@@ -273,12 +274,15 @@ type Binding struct {
 	stView []transport.Addr
 	// group is the client action's group at the binding's database, shared
 	// with sibling bindings and the action-level hook (see txGroup,
-	// trackTxDB). Nil while the binding is unpinned: the client action holds
-	// nothing at the database for it (see Binder, Binding.pin), and the
-	// binding's commit phases are its own.
+	// trackTxDB). It is untracked while the binding is unpinned: the client
+	// action holds nothing at the database for it (see Binder, Binding.pin).
 	group *txGroup
-	// enlisted marks the binding its action's participant (see enlist).
-	enlisted bool
+	// pinned marks the St read lock an unpinned binding was bound without
+	// taken (pin).
+	pinned bool
+	// vote is the binding's phase-one vote, set by its group's commit
+	// processing (see Vote).
+	vote action.Vote
 }
 
 // Bind resolves the object's UID through the naming and binding service
@@ -313,135 +317,241 @@ func (b *Binder) Bind(ctx context.Context, act *action.Action, id uid.UID) (*Bin
 }
 
 // txGroup is one client action's bindings at one group view database — in
-// the paper's deployment of one group, every object the action binds. Its
-// bindings share it with the action-level hook (see trackTxDB), and it does
-// once for all of them what each would otherwise do alone:
+// the paper's deployment of one group, every object the action binds — and
+// the action's one participant there (action.Participant, and
+// action.OnePhaser). Every binding belongs to exactly one group, and the
+// group does once for all its members what each would otherwise do alone:
 //
 //   - each commit phase — Prepare, Commit, Abort — runs once over every
-//     binding's replica handle, so each server gets one request per phase
+//     member's replica handle, so each server gets one request per phase
 //     naming every object of the action it holds (replica.Prepare, Commit,
-//     Abort): the first binding the action asks runs it, and each takes its
-//     own part of the answer (run). Votes, locks and store checks stay per
-//     object; the action still counts one participant per binding.
+//     Abort), and each member takes its own part of the answer. Votes, locks
+//     and store checks stay per object (Binding.Vote); the group's vote is
+//     commit when any member's is. The stores any member failed to write are
+//     excluded in one Exclude.
 //   - the action-end is one message, [EndAction(client action),
-//     Decrement(own) × k], sent after every binding has finished commit or
-//     abort processing: by the phase-two run, or — when no binding here takes
-//     part in phase two, a read-only vote or a one-phase commit having
-//     finished it in phase one — by the hook, once the action's outcome is
-//     decided (end).
+//     Decrement(own) × k], sent after every member has finished commit or
+//     abort processing: by phase two or the roll-back, or — when the group
+//     takes no part in phase two, its read-only vote or one-phase commit
+//     having finished it in phase one — by the resolve hook, once the
+//     action's outcome is decided (end).
 type txGroup struct {
-	b  *Binder
-	tx string
+	b   *Binder
+	act *action.Action
 
 	mu sync.Mutex
-	// members are the group's enlisted bindings; first holds the first, so
-	// that an action of one object allocates no list for it.
+	// members are the group's bindings, one per object; first holds the
+	// first, so that an action of one object allocates no list for it.
 	members []*Binding
 	first   [1]*Binding
-	runs    [numPhases]*phaseRun
+	// tracked says the resolve hook that ends the client action at the
+	// database is registered (trackTxDB). An unpinned binding's group is
+	// not, until the pin (see Binder), and has no action-end to send.
+	tracked bool
 	// ended claims the EndAction; decremented says the Decrements were sent
 	// (or, their message failing, given up: they are best effort).
 	ended, decremented bool
 }
 
-// phase names a commit phase a txGroup runs once for its bindings.
-type phase int
-
-const (
-	phasePrepare phase = iota
-	phaseCommit
-	phaseAbort
-	numPhases
+var (
+	_ action.Participant = (*txGroup)(nil)
+	_ action.OnePhaser   = (*txGroup)(nil)
 )
 
-// phaseRun is one phase as a group of several bindings ran it: the bindings
-// it covered, each one's outcome, and the action-end's error, which is the
-// leader's — the binding that ran the phase. done is waited for by the
-// others.
-type phaseRun struct {
-	done     sync.WaitGroup
-	members  []*Binding
-	out      []replica.Outcome
-	leader   *Binding
-	endError error
-}
-
-// join adds an enlisted binding to the group.
+// join makes bd a member of its group, unless the group holds its object
+// already, and enlists the group in the action with its first member.
 func (g *txGroup) join(bd *Binding) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if slices.ContainsFunc(g.members, func(m *Binding) bool { return m.id == bd.id }) {
+		return
+	}
 	if g.members == nil {
+		if g.act.Enlist(g) != nil {
+			return
+		}
 		g.members = g.first[:0]
 	}
 	g.members = append(g.members, bd)
 }
 
-// run runs phase ph once for the whole group and returns bd's part of it,
-// and — to the binding that ran it — the action-end's error: phase two and
-// the roll-back end the action at the database when they are done. The
-// action asks every binding for a phase before it goes on to the next, so
-// the first to ask runs it for all and the others wait for their part.
-func (g *txGroup) run(ctx context.Context, ph phase, bd *Binding) (replica.Outcome, error) {
+// handles returns the members with their handles and an outcome for each,
+// all at one index: in buf, for a group of one. Each commit phase passes them
+// to the package function of replica that runs it over every member at once.
+func (g *txGroup) handles(buf *phaseBuf) ([]*Binding, []*replica.Handle, []replica.Outcome) {
 	g.mu.Lock()
-	if len(g.members) == 1 {
-		// A group of one is asked for each phase once, and waits for nobody.
-		g.mu.Unlock()
-		out := runAlone(ctx, ph, g.tx, bd)
-		if ph == phasePrepare {
-			return out, nil
-		}
-		return out, g.end(ctx, ph == phaseCommit)
+	members := g.members
+	g.mu.Unlock()
+	hs, out := buf.hs[:], buf.out[:]
+	if len(members) > 1 {
+		hs, out = make([]*replica.Handle, len(members)), make([]replica.Outcome, len(members))
 	}
-	r := g.runs[ph]
-	if r == nil {
-		r = &phaseRun{members: slices.Clip(g.members), out: make([]replica.Outcome, len(g.members)), leader: bd}
-		r.done.Add(1)
-		g.runs[ph] = r
-		g.mu.Unlock()
-		runPhase(ctx, ph, g.tx, r.members, r.out)
-		if ph != phasePrepare {
-			r.endError = g.end(ctx, ph == phaseCommit)
-		}
-		r.done.Done()
-	} else {
-		g.mu.Unlock()
-		r.done.Wait()
-	}
-	// Every binding the action asks is a member: it enlisted, or was pinned,
-	// before its action began to end.
-	i := slices.Index(r.members, bd)
-	if r.leader != bd {
-		return r.out[i], nil
-	}
-	return r.out[i], r.endError
-}
-
-// runAlone runs a phase for one binding.
-func runAlone(ctx context.Context, ph phase, tx string, bd *Binding) replica.Outcome {
-	var out [1]replica.Outcome
-	runPhase(ctx, ph, tx, []*Binding{bd}, out[:])
-	return out[0]
-}
-
-// runPhase runs one phase over the bindings' handles together, leaving each
-// binding's outcome at its index in out.
-func runPhase(ctx context.Context, ph phase, tx string, bds []*Binding, out []replica.Outcome) {
-	var one [1]*replica.Handle
-	hs := one[:]
-	if len(bds) > 1 {
-		hs = make([]*replica.Handle, len(bds))
-	}
-	for i, bd := range bds {
+	for i, bd := range members {
 		hs[i] = bd.handle
 	}
-	switch ph {
-	case phasePrepare:
-		replica.Prepare(ctx, tx, hs, false, out)
-	case phaseCommit:
-		replica.Commit(ctx, tx, hs, out)
-	case phaseAbort:
-		replica.Abort(ctx, tx, hs, out)
+	return members, hs, out
+}
+
+// phaseBuf holds a group of one's handle and outcome in a commit phase.
+type phaseBuf struct {
+	hs  [1]*replica.Handle
+	out [1]replica.Outcome
+}
+
+// Name implements action.Participant.
+func (g *txGroup) Name() string { return "group(" + string(g.b.DB.DB) + ")" }
+
+// Prepare implements action.Participant: the servers copy every member's
+// new object state to the St nodes (replica.Prepare), and the stores any
+// member's copy failed at are excluded from its St_A in the same commit
+// processing (§4.2), in one Exclude. A refused exclude lock aborts the
+// action (§4.2.1).
+//
+// A member every server reports read-only votes read-only: the servers have
+// released the action for it. When every member does (and no store needs
+// excluding), so does the group: the use-list Decrements and any tx-owned
+// database locks wait for the action-end — never sent during phase one,
+// because the database action must not commit another participant's work
+// before the commit point — and the group is done with no phase-two round
+// trips and no outcome-log write upstream.
+func (g *txGroup) Prepare(ctx context.Context, tx string) (action.Vote, error) {
+	var buf phaseBuf
+	members, hs, out := g.handles(&buf)
+	replica.Prepare(ctx, tx, hs, false, out)
+	vote := action.VoteReadOnly
+	var excluded []ExcludePair
+	for i, bd := range members {
+		if out[i].Err != nil {
+			return 0, out[i].Err
+		}
+		bd.vote = out[i].Vote
+		if failed := bd.handle.FailedStores(); len(failed) > 0 {
+			// An Exclude must commit or abort with the action: the member
+			// stays a commit voter so that EndAction runs in phase two.
+			excluded = append(excluded, ExcludePair{UID: bd.id, Hosts: failed})
+			bd.vote = action.VoteCommit
+		}
+		if bd.vote == action.VoteCommit {
+			vote = action.VoteCommit
+		}
 	}
+	if len(excluded) == 0 {
+		return vote, nil
+	}
+	if err := g.b.DB.Exclude(ctx, tx, excluded, g.b.UseWriteLockForExclude); err != nil {
+		return 0, fmt.Errorf("core: Exclude(%v): %w", excluded, err)
+	}
+	for _, bd := range members {
+		if len(bd.handle.FailedStores()) == 0 {
+			continue
+		}
+		// Cross-exclusion gate, per object. Exclude-write locks share with
+		// readers (§4.2.1), so two concurrent actions can each exclude the
+		// store the OTHER one successfully prepared at — and if both then
+		// committed, the stores' version chains would diverge on disjoint
+		// survivor sets (split brain; the chaos harness finds this). The
+		// gate: after excluding, re-read St and require every remaining
+		// member to hold OUR prepared state, and the view to be non-empty.
+		// Any interleaving of exclude/gate pairs then admits at most one of
+		// the cross-excluders past the gate: the later gate necessarily
+		// observes the earlier action's exclusion and fails.
+		view, _, err := g.b.DB.GetView(ctx, tx, bd.id)
+		if err != nil {
+			return 0, fmt.Errorf("core: post-exclude GetView(%v): %w", bd.id, err)
+		}
+		if len(view) == 0 {
+			return 0, fmt.Errorf("core: %v: St view empty after excluding %v — no surviving store holds the new state", bd.id, bd.handle.FailedStores())
+		}
+		prepared := bd.handle.PreparedStores()
+		for _, st := range view {
+			if !slices.Contains(prepared, st) {
+				return 0, fmt.Errorf("core: %v: St member %s was not prepared by this action (concurrent exclusion race) — aborting to preserve St consistency", bd.id, st)
+			}
+		}
+	}
+	return vote, nil
+}
+
+// CommitOnePhase implements action.OnePhaser: a group of one, the action's
+// only participant, commits in its handle's combined round (replica.Prepare
+// with onePhase), which leaves ineligible shapes (several servers or stores)
+// untouched for ordinary 2PC. A group of several is ineligible: each member
+// would write its own stores, and only the coordinator's outcome log keeps
+// those writes atomic.
+func (g *txGroup) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
+	g.mu.Lock()
+	n := len(g.members)
+	g.mu.Unlock()
+	if n != 1 {
+		return 0, action.ErrOnePhaseIneligible
+	}
+	var buf phaseBuf
+	members, hs, out := g.handles(&buf)
+	replica.Prepare(ctx, tx, hs, true, out)
+	if out[0].Err != nil {
+		// Ineligible passes through untouched; any other failure aborts the
+		// action and the coordinator's roll-back runs g.Abort.
+		return 0, out[0].Err
+	}
+	bd := members[0]
+	bd.vote = out[0].Vote
+	if failed := bd.handle.FailedStores(); len(failed) > 0 {
+		// Best effort: the state is already committed, so a refused exclude
+		// lock cannot abort the action any more; the recovering store will
+		// be excluded by a later action's commit processing instead.
+		_ = g.b.DB.Exclude(ctx, tx, []ExcludePair{{UID: bd.id, Hosts: failed}}, g.b.UseWriteLockForExclude)
+	}
+	// The group is the action's only participant, so nothing else shares
+	// the database action: ending it right here is safe, and the decision
+	// is already commit. The resolve hook retries a failed EndAction.
+	_ = g.end(ctx, true)
+	return bd.vote, nil
+}
+
+// Commit implements action.Participant: phase two at the servers for every
+// member (replica.Commit), then the action-end (end): the database action
+// ends, releasing its locks and committing any Exclude, and — for the
+// enhanced schemes — the use-list Decrements run as the message's own
+// action. A member released at phase one sends nothing.
+func (g *txGroup) Commit(ctx context.Context, tx string) error {
+	var buf phaseBuf
+	members, hs, out := g.handles(&buf)
+	replica.Commit(ctx, tx, hs, out)
+	var err error
+	for i, bd := range members {
+		if out[i].Err != nil || len(bd.handle.FailedStores()) > 0 {
+			// Some store never acked this action's writes — whether its
+			// prepare reply was lost or its phase-two copy failed, it may
+			// hold a prepared intention it can only resolve by querying
+			// the coordinator's log at its own recovery. Keep the commit
+			// record past the outcome-log GC.
+			g.act.RetainOutcome()
+		}
+		if err == nil {
+			err = out[i].Err
+		}
+	}
+	if endErr := g.end(ctx, true); err == nil {
+		err = endErr
+	}
+	return err
+}
+
+// Abort implements action.Participant: the roll-back at the servers for
+// every member (replica.Abort), then the action-end. Use counts still drop:
+// the bindings existed regardless of the action's outcome. A member already
+// released (read-only voter) has nothing of its own to undo.
+func (g *txGroup) Abort(ctx context.Context, tx string) error {
+	var buf phaseBuf
+	members, hs, out := g.handles(&buf)
+	replica.Abort(ctx, tx, hs, out)
+	endErr := g.end(ctx, false)
+	for i := range members {
+		if out[i].Err != nil {
+			return out[i].Err
+		}
+	}
+	return endErr
 }
 
 // end is the action-end conversation, one message: the client action's
@@ -461,6 +571,10 @@ func runPhase(ctx context.Context, ph phase, tx string, bds []*Binding, out []re
 func (g *txGroup) end(ctx context.Context, commit bool) error {
 	b := g.b
 	g.mu.Lock()
+	if !g.tracked {
+		g.mu.Unlock()
+		return nil
+	}
 	claimed := !g.ended
 	var ops []Op
 	if claimed || !g.decremented {
@@ -468,7 +582,7 @@ func (g *txGroup) end(ctx context.Context, commit bool) error {
 	}
 	if claimed {
 		g.ended = true
-		ops = append(ops, EndActionOp(g.tx, commit))
+		ops = append(ops, EndActionOp(g.act.ID(), commit))
 	}
 	if !g.decremented {
 		g.decremented = true
@@ -495,14 +609,25 @@ func (g *txGroup) end(ctx context.Context, commit bool) error {
 	return err
 }
 
-// trackTxDB returns the client action's group at this database (see
-// txGroup), creating it on the action's first pinned bind here, and ensures
+// group returns the client action's group at this database (see txGroup),
+// creating it, untracked, on the action's first bind here.
+func (b *Binder) group(act *action.Action) *txGroup {
+	b.dbtxOnce.Do(func() { b.dbtxKey = "core.dbtx:" + string(b.DB.DB) })
+	if v, ok := act.Stashed(b.dbtxKey); ok {
+		return v.(*txGroup)
+	}
+	g := &txGroup{b: b, act: act}
+	act.StashOnce(b.dbtxKey, g) // free: an action's binds are sequential (Bind)
+	return g
+}
+
+// trackTxDB tracks the client action's group at this database: it ensures
 // the client action's database state is ended exactly once, with the
 // action's outcome, no matter how the bind proceeds. It registers an
 // action-level resolve hook BEFORE the first tx-owned lock is taken, closing
 // two holes at once:
 //
-//   - a bind that fails before any binding enlists would otherwise leak
+//   - a bind that fails before any binding joins would otherwise leak
 //     its read locks forever (nothing else runs EndAction for the
 //     action), wedging a recovering node's Insert/Include;
 //   - releasing those locks eagerly on the failure path would be worse:
@@ -512,34 +637,26 @@ func (g *txGroup) end(ctx context.Context, commit bool) error {
 //     action's view-read/write-back window.
 //
 // The hook simply defers the release to the action's own resolution,
-// which is correct in both worlds; a phase-two run that ended the database
-// action claimed it first, and the hook degrades to a no-op. It also sends
-// the Decrements nothing else sent: those of an action whose bindings here
-// all finished in phase one.
+// which is correct in both worlds; a phase two or roll-back that ended the
+// database action claimed it first, and the hook degrades to a no-op. It
+// also sends the Decrements nothing else sent: those of a group that
+// finished in phase one.
 //
 // An action that has left StatusRunning takes no more hooks (its commit or
 // abort processing already holds the list), so nothing would ever end what
-// the caller is about to lock: trackTxDB fails then, before anything is
-// stashed, and the bind or pin that asked fails with it.
-func (b *Binder) trackTxDB(act *action.Action) (*txGroup, error) {
-	b.dbtxOnce.Do(func() { b.dbtxKey = "core.dbtx:" + string(b.DB.DB) })
-	key := b.dbtxKey
-	if v, ok := act.Stashed(key); ok {
-		return v.(*txGroup), nil
+// the caller is about to lock: trackTxDB fails then, leaving the group
+// untracked, and the bind or pin that asked fails with it.
+func (b *Binder) trackTxDB(act *action.Action) error {
+	g := b.group(act)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.tracked {
+		if !act.OnResolve(func(committed bool) { _ = g.end(context.Background(), committed) }) {
+			return fmt.Errorf("core: %s has begun to end, nothing would release its locks at %s: %w", act.ID(), b.DB.DB, action.ErrNotRunning)
+		}
+		g.tracked = true
 	}
-	tx := act.ID()
-	g := &txGroup{b: b, tx: tx}
-	if !act.OnResolve(func(committed bool) { _ = g.end(context.Background(), committed) }) {
-		return nil, fmt.Errorf("core: %s has begun to end, nothing would release its locks at %s: %w", tx, b.DB.DB, action.ErrNotRunning)
-	}
-	if !act.StashOnce(key, g) {
-		// A sibling bind got in between: its group is the action's, and
-		// this one's hook is spent before it can fire.
-		g.ended, g.decremented = true, true
-		v, _ := act.Stashed(key)
-		return v.(*txGroup), nil
-	}
-	return g, nil
+	return nil
 }
 
 // spreadReads reports whether bindings are spread over Sv by client name
@@ -568,9 +685,9 @@ func (b *Binder) bindsUnpinned() bool {
 
 // pin takes, for the client action, the St read lock an unpinned binding was
 // bound without — GetView under the client action at the binding's own
-// database, with the trackTxDB hook registered first, exactly the lock and
+// database, with its group tracked first (trackTxDB), exactly the lock and
 // the backstop a pinned bind leaves behind. From here on the binding is a
-// pinned one. A binding bound pinned has nothing to do.
+// pinned one, and a second pin has nothing to do.
 //
 // The view the pin reads is not compared with the one the bind read: a
 // read-only binding copies nothing back, so a store included since is one
@@ -578,12 +695,11 @@ func (b *Binder) bindsUnpinned() bool {
 // pinned binding outlives too (Exclude is read-compatible, §4.2.1). Only
 // an object that is no longer registered here is news: ErrPinStale.
 func (bd *Binding) pin(ctx context.Context) error {
-	if bd.group != nil {
+	if bd.pinned {
 		return nil
 	}
 	b := bd.binder
-	group, err := b.trackTxDB(bd.act)
-	if err != nil {
+	if err := b.trackTxDB(bd.act); err != nil {
 		return err
 	}
 	if _, _, err := b.DB.GetView(ctx, bd.act.ID(), bd.id); err != nil {
@@ -594,10 +710,7 @@ func (bd *Binding) pin(ctx context.Context) error {
 		}
 		return fmt.Errorf("core: pin %v: %w", bd.id, err)
 	}
-	bd.group = group
-	if bd.enlisted {
-		group.join(bd)
-	}
+	bd.pinned = true
 	return nil
 }
 
@@ -611,11 +724,10 @@ func (b *Binder) degree() int {
 
 // bindStandard implements Figure 6: GetServer and GetView in one message
 // under the client action, which owns their read locks and holds them until
-// it ends; the trackTxDB hook (or a binding's own commit/abort processing)
+// it ends; the trackTxDB hook (or its group's commit/abort processing)
 // releases them. If either operation fails the client action must abort.
 func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	group, err := b.trackTxDB(act)
-	if err != nil {
+	if err := b.trackTxDB(act); err != nil {
 		return nil, err
 	}
 	tx := act.ID()
@@ -625,7 +737,7 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 	}
 	sv, st, class := res[0].Nodes, res[1].Nodes, res[1].Class
 	candidates, _ := selectServers(sv, nil, b.degree(), b.spreadReads(), b.ClientNode)
-	return b.finishBind(ctx, act, group, id, class, candidates, st, nil)
+	return b.finishBind(ctx, act, id, class, candidates, st, nil)
 }
 
 // bindEnhanced implements Figures 7 and 8: the Object Server database
@@ -656,12 +768,10 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 		_, second := act.Stashed(unpinnedKey)
 		unpinned = !second
 	}
-	var group *txGroup
 	viewAct := ""
 	if !unpinned {
 		viewAct = act.ID()
-		var err error
-		if group, err = b.trackTxDB(act); err != nil {
+		if err := b.trackTxDB(act); err != nil {
 			return nil, err
 		}
 	}
@@ -688,7 +798,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	if b.spreadReads() {
 		candidates, _ = selectServers(candidates, nil, b.degree(), true, b.ClientNode)
 	}
-	bd, err := b.finishBind(ctx, act, group, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
+	bd, err := b.finishBind(ctx, act, id, res[1].Class, candidates, res[1].Nodes, res[0].Hosts)
 	if err == nil && unpinned {
 		act.StashOnce(unpinnedKey, bd) // free: an action's binds are sequential (Bind)
 	}
@@ -702,8 +812,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 // client binds to the latest mutually consistent state; GetView's read
 // lock is owned by the client action and trackTxDB releases it.
 func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	group, err := b.trackTxDB(act)
-	if err != nil {
+	if err := b.trackTxDB(act); err != nil {
 		return nil, err
 	}
 	sv, err := b.NameServer.Get(ctx, id)
@@ -718,7 +827,7 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
 	}
 	candidates, _ := selectServers(sv, nil, b.degree(), b.spreadReads(), b.ClientNode)
-	return b.finishBind(ctx, act, group, id, class, candidates, st, nil)
+	return b.finishBind(ctx, act, id, class, candidates, st, nil)
 }
 
 // selectServers is the fixed selection algorithm every client applies to
@@ -771,10 +880,10 @@ func inUse(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) [
 
 // finishBind builds the binding over candidates, runs the explicit probe
 // the replication policy needs (none under single-copy passive) with the
-// repair its findings call for, and enlists the binding. counted lists the
-// servers whose use lists already count it; group is the action's group at
-// the database (trackTxDB), nil for an unpinned binding.
-func (b *Binder) finishBind(ctx context.Context, act *action.Action, group *txGroup, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
+// repair its findings call for, and joins the binding to the action's group
+// at the database. counted lists the servers whose use lists already count
+// it.
+func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
 	handle, err := replica.New(replica.Config{
 		UID:         id,
 		Class:       class,
@@ -797,7 +906,7 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, group *txGr
 		handle: handle,
 		bound:  counted,
 		stView: append([]transport.Addr(nil), st...),
-		group:  group,
+		group:  b.group(act),
 	}
 	if b.Policy != replica.SingleCopyPassive {
 		if err = handle.Activate(ctx); err == nil {
@@ -805,14 +914,14 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, group *txGr
 		}
 		if err != nil {
 			// The bind action committed the count, and this binding will
-			// never be enlisted to drop it at the action's end.
+			// never join its group to drop it at the action's end.
 			if ops := bd.appendDecrement(nil); len(ops) > 0 {
 				_, _ = b.DB.Do(ctx, ops...)
 			}
 			return nil, err
 		}
 	}
-	bd.enlist()
+	bd.group.join(bd)
 	return bd, nil
 }
 
@@ -903,21 +1012,6 @@ func (bd *Binding) repair(ctx context.Context) error {
 	return nil
 }
 
-// enlist registers the binding as the client action's participant, once,
-// and a member of its group. The database EndAction backstop — a binding
-// released at phase one (read-only vote) must still end the tx-owned
-// database state, with the action's outcome and never before its commit
-// point — lives in the action-level trackTxDB hook, registered at bind time.
-func (bd *Binding) enlist() {
-	if !bd.act.StashOnce("core.binding:"+bd.handle.UIDString(), bd) || bd.act.Enlist(bd) != nil {
-		return
-	}
-	bd.enlisted = true
-	if bd.group != nil {
-		bd.group.join(bd)
-	}
-}
-
 // Servers returns the live server bindings.
 func (bd *Binding) Servers() []transport.Addr { return bd.handle.Bound() }
 
@@ -974,144 +1068,6 @@ func (bd *Binding) BatchSize() int { return bd.handle.BatchSize() }
 // observed across this binding's invocations.
 func (bd *Binding) QueueWait() time.Duration { return bd.handle.QueueWait() }
 
-// --- action.Participant ---
-
-var _ action.Participant = (*Binding)(nil)
-
-// Name implements action.Participant.
-func (bd *Binding) Name() string {
-	return fmt.Sprintf("binding(%v,%v)", bd.id, bd.binder.Scheme)
-}
-
-// Prepare implements action.Participant: the servers copy the new object
-// state to the St nodes, in the requests the binding's group sends for all
-// its bindings (txGroup.run); any store whose copy failed is then excluded
-// from St_A in the same commit processing (§4.2). A refused exclude lock
-// aborts the action (§4.2.1).
-//
-// When every server reports the action read-only (and no store needs
-// excluding), the binding votes read-only: the servers have released the
-// action, and the use-list Decrement and any tx-owned database locks wait
-// for the action-end — never sent during phase one, because the database
-// action is shared with sibling bindings whose pending Excludes must not
-// commit before the commit point. The binding is done with no phase-two
-// round trips and no outcome-log write upstream.
-func (bd *Binding) Prepare(ctx context.Context, tx string) (action.Vote, error) {
-	out, _ := bd.phase(ctx, tx, phasePrepare)
-	if out.Err != nil {
-		return 0, out.Err
-	}
-	vote := out.Vote
-	failed := bd.handle.FailedStores()
-	if len(failed) > 0 {
-		err := bd.binder.DB.Exclude(ctx, tx, []ExcludePair{{UID: bd.id, Hosts: failed}}, bd.binder.UseWriteLockForExclude)
-		if err != nil {
-			return 0, fmt.Errorf("core: Exclude(%v,%v): %w", bd.id, failed, err)
-		}
-		// Cross-exclusion gate. Exclude-write locks share with readers
-		// (§4.2.1), so two concurrent actions can each exclude the store
-		// the OTHER one successfully prepared at — and if both then
-		// committed, the stores' version chains would diverge on disjoint
-		// survivor sets (split brain; the chaos harness finds this). The
-		// gate: after excluding, re-read St and require every remaining
-		// member to hold OUR prepared state, and the view to be non-empty.
-		// Any interleaving of exclude/gate pairs then admits at most one
-		// of the cross-excluders past the gate: the later gate necessarily
-		// observes the earlier action's exclusion and fails.
-		view, _, verr := bd.binder.DB.GetView(ctx, tx, bd.id)
-		if verr != nil {
-			return 0, fmt.Errorf("core: post-exclude GetView(%v): %w", bd.id, verr)
-		}
-		if len(view) == 0 {
-			return 0, fmt.Errorf("core: %v: St view empty after excluding %v — no surviving store holds the new state", bd.id, failed)
-		}
-		prepared := make(map[transport.Addr]bool)
-		for _, st := range bd.handle.PreparedStores() {
-			prepared[st] = true
-		}
-		for _, st := range view {
-			if !prepared[st] {
-				return 0, fmt.Errorf("core: %v: St member %s was not prepared by this action (concurrent exclusion race) — aborting to preserve St consistency", bd.id, st)
-			}
-		}
-		// An Exclude must commit or abort with the action: stay a commit
-		// voter so EndAction runs in phase two.
-		return action.VoteCommit, nil
-	}
-	return vote, nil
-}
-
-// phase runs one commit phase for the binding: with its group, or — unpinned
-// — alone, with nothing at the database to end.
-func (bd *Binding) phase(ctx context.Context, tx string, ph phase) (replica.Outcome, error) {
-	if bd.group != nil {
-		return bd.group.run(ctx, ph, bd)
-	}
-	return runAlone(ctx, ph, tx, bd), nil
-}
-
-// CommitOnePhase implements action.OnePhaser by delegating to the
-// replica handle's combined round; ineligible shapes (several servers or
-// stores) fall back to ordinary 2PC with the binding untouched. The action
-// has one participant then, so the binding is its group's only member.
-func (bd *Binding) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
-	vote, err := bd.handle.CommitOnePhase(ctx, tx)
-	if err != nil {
-		// Ineligible passes through untouched; any other failure aborts the
-		// action and the coordinator's roll-back runs bd.Abort.
-		return 0, err
-	}
-	if failed := bd.handle.FailedStores(); len(failed) > 0 {
-		// Best effort: the state is already committed, so a refused exclude
-		// lock cannot abort the action any more; the recovering store will
-		// be excluded by a later action's commit processing instead.
-		_ = bd.binder.DB.Exclude(ctx, tx, []ExcludePair{{UID: bd.id, Hosts: failed}}, bd.binder.UseWriteLockForExclude)
-	}
-	// One-phase means this binding is the action's only participant, so no
-	// sibling shares the database action: ending it right here is safe,
-	// and the decision is already commit.
-	if bd.group != nil {
-		_ = bd.group.end(ctx, true) // already committed; the resolve hook retries a failed EndAction
-	}
-	return vote, nil
-}
-
-// Commit implements action.Participant: phase two at the servers, in the
-// requests the binding's group sends for all its bindings, then the
-// action-end (txGroup.end): the database action ends, releasing its locks
-// and committing any Exclude, and — for the enhanced schemes — the use-list
-// Decrements run as the message's own action. A handle released at phase
-// one sends nothing.
-func (bd *Binding) Commit(ctx context.Context, tx string) error {
-	out, endErr := bd.phase(ctx, tx, phaseCommit)
-	err := out.Err
-	if err != nil || len(bd.handle.FailedStores()) > 0 {
-		// Some store never acked this action's writes — whether its
-		// prepare reply was lost or its phase-two copy failed, it may
-		// hold a prepared intention it can only resolve by querying the
-		// coordinator's log at its own recovery. Keep the commit record
-		// past the outcome-log GC.
-		bd.act.RetainOutcome()
-	}
-	if err == nil {
-		err = endErr
-	}
-	return err
-}
-
-// Abort implements action.Participant: the roll-back at the servers, in the
-// requests the binding's group sends for all its bindings, then the
-// action-end. Use counts still drop: the binding existed regardless of the
-// action's outcome. A handle already released (read-only voter) has nothing
-// of its own to undo.
-func (bd *Binding) Abort(ctx context.Context, tx string) error {
-	out, endErr := bd.phase(ctx, tx, phaseAbort)
-	if out.Err != nil {
-		return out.Err
-	}
-	return endErr
-}
-
 // appendDecrement appends the binding's §4.1.3 Decrement to ops: the enhanced
 // schemes drop the use counts a binding that may write holds (see
 // txGroup.end).
@@ -1122,6 +1078,10 @@ func (bd *Binding) appendDecrement(ops []Op) []Op {
 	}
 	return append(ops, DecrementOp("", bd.id, b.ClientNode, bd.bound))
 }
+
+// Vote returns the binding's phase-one vote, set by its group's commit
+// processing: zero before it, and for a binding that is no member.
+func (bd *Binding) Vote() action.Vote { return bd.vote }
 
 // FailedStores exposes the stores excluded during commit, for experiments.
 func (bd *Binding) FailedStores() []transport.Addr { return bd.handle.FailedStores() }

@@ -246,7 +246,7 @@ func TestPinOnEndedActionTakesNoLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.group != nil {
+	if bd.group.tracked {
 		t.Fatal("the first binding of a read-only action was bound pinned")
 	}
 	if _, err := act.Commit(ctx); err != nil {

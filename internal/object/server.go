@@ -294,7 +294,7 @@ type InvokeReq struct {
 type Carry uint8
 
 // The carried phases. The client picks by the rule that sets
-// PrepareReq.OnePhase (see replica.Handle.CommitOnePhase).
+// PrepareReq.OnePhase (see replica.Prepare).
 const (
 	CarryNone Carry = iota
 	CarryPrepare

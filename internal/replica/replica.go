@@ -19,15 +19,14 @@
 // A Handle is the per-action client-side facade over the bound servers
 // (the set Sv_A' of §3.2). Every request through it is one call, Invoke,
 // which returns the server's reply. Its commit processing runs with the
-// other handles of its action at one database — the package's Prepare,
+// other handles of its action at one database, driven by the action's
+// participant there (core's group of bindings): the package's Prepare,
 // Commit and Abort send each server one request per phase naming every
 // object of those handles it holds, and each handle reads its own item of
-// the reply as it would read a reply of its own — driven by the binding that
-// owns it (core.Binding), the action's participant; Handle's own Prepare,
-// CommitOnePhase, Commit and Abort run it as a group of one. At commit time
-// the bound servers copy the object's new state to every functioning node in
-// St_A, and the Handle records which St nodes failed so the naming and
-// binding layer can Exclude them (§4.2).
+// the reply as it would read a reply of its own. At commit time the bound
+// servers copy the object's new state to every functioning node in St_A,
+// and the Handle records which St nodes failed so the naming and binding
+// layer can Exclude them (§4.2).
 package replica
 
 import (
@@ -183,8 +182,8 @@ type Handle struct {
 	// carried, when not CarryNone, says that a solo request took the action
 	// into phase one at the coordinator (see Invoke), and carriedVote /
 	// carriedErr are what the Prepare message — one-phase for CarryCommit —
-	// would have answered. Prepare or CommitOnePhase takes the answer in
-	// place of sending that message.
+	// would have answered. Prepare takes the answer in place of sending
+	// that message.
 	carried     object.Carry
 	carriedVote object.Vote
 	carriedErr  error
@@ -233,9 +232,6 @@ func sorted(set map[transport.Addr]bool) []transport.Addr {
 	slices.Sort(out)
 	return out
 }
-
-// UIDString returns the bound object's UID in canonical form.
-func (h *Handle) UIDString() string { return h.uid }
 
 // Activate probes the candidate servers in preference order until Degree
 // of them (all, when Degree is 0) run a server for the object, loading
@@ -397,17 +393,17 @@ type Call struct {
 // A Solo call declares the operation the action's entire write set at this
 // object — the action will do nothing else, so the request also carries the
 // action's phase one: the server goes on from the method into what the
-// handle's next message would have asked for (a one-phase prepare when
-// CommitOnePhase is eligible, a plain one otherwise), the reply brings the
-// vote back with the result, and CommitOnePhase or Prepare answers from that
-// record with no message. For a commutative method contending on the write
-// lock, the server may instead fold the operation into the current lock
-// holder's commit round (flat combining; InvokeResp.Batched): the
-// operation's durability is then tied to the carrying action's
-// already-decided commit, the handle is released, and the caller's own commit
-// processing completes locally with no further RPCs. A solo request never
-// asks for a lease: a grant riding the request that also released the read
-// lock could reach its holder after a writer's fence missed it.
+// handle's next message would have asked for (a one-phase prepare when its
+// shape is eligible, a plain one otherwise), the reply brings the vote back
+// with the result, and Prepare answers from that record with no message.
+// For a commutative method contending on the write lock, the server may
+// instead fold the operation into the current lock holder's commit round
+// (flat combining; InvokeResp.Batched): the operation's durability is then
+// tied to the carrying action's already-decided commit, the handle is
+// released, and the caller's own commit processing completes locally with
+// no further RPCs. A solo request never asks for a lease: a grant riding the
+// request that also released the read lock could reach its holder after a
+// writer's fence missed it.
 //
 // Only a handle with every candidate intact carries. Once a candidate broke,
 // the binding layer has use lists to repair before anything may commit at
@@ -689,40 +685,6 @@ func (h *Handle) invokeActive(ctx context.Context, owner, method string, args []
 	return resp, nil
 }
 
-// --- action.Participant ---
-
-var _ action.Participant = (*Handle)(nil)
-
-// Name implements action.Participant.
-func (h *Handle) Name() string {
-	return fmt.Sprintf("replica(%s,%s)", h.cfg.UID, h.cfg.Policy)
-}
-
-// Prepare implements action.Participant: the handle's phase one as a group
-// of one (see the package function Prepare).
-//
-// A server the action never modified releases it during the prepare call
-// (§4.1.2); when every server reports that, the handle votes read-only —
-// its commit processing is over with zero phase-two round trips.
-func (h *Handle) Prepare(ctx context.Context, tx string) (action.Vote, error) {
-	var out [1]Outcome
-	Prepare(ctx, tx, []*Handle{h}, false, out[:])
-	return out[0].Vote, out[0].Err
-}
-
-// CommitOnePhase implements action.OnePhaser: when commit processing
-// involves exactly one server and at most one St store, the prepare and
-// commit rounds collapse into one one-phase Prepare — the server decides
-// and commits — and the store-side legs collapse too. Any other shape is
-// ineligible — a multi-store write-back needs the coordinator's outcome log
-// to stay atomic across stores, and multiple active replicas must all
-// prepare before any may commit — and falls back to ordinary 2PC untouched.
-func (h *Handle) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
-	var out [1]Outcome
-	Prepare(ctx, tx, []*Handle{h}, true, out[:])
-	return out[0].Vote, out[0].Err
-}
-
 // Outcome is one handle's answer in a grouped commit phase: its vote, in
 // phase one, and its error.
 type Outcome struct {
@@ -850,14 +812,16 @@ func (s endSender) send(ctx context.Context, node transport.Addr, items []object
 	return resp.Results, err
 }
 
-// Prepare runs phase one — with onePhase, the combined round of
-// CommitOnePhase — for the handles hs, one at least and all one client's, and
-// leaves each handle's outcome at its index in out: each server taking part
-// gets one PrepareReq naming every object of hs it takes part for, and each
-// handle reads its own item of the reply as it would read a reply of its
-// own. A transport failure fails every item of the request. Handles with
-// nothing to send — released, unprobed, or answered by the vote their solo
-// request carried — send nothing.
+// Prepare runs phase one — with onePhase, the combined prepare+commit round
+// an action delegates to its only participant (action.OnePhaser), which a
+// handle of ineligible shape (onePhaseEligible) answers with
+// action.ErrOnePhaseIneligible, untouched — for the handles hs, one at least
+// and all one client's, and leaves each handle's outcome at its index in
+// out: each server taking part gets one PrepareReq naming every object of hs
+// it takes part for, and each handle reads its own item of the reply as it
+// would read a reply of its own. A transport failure fails every item of the
+// request. Handles with nothing to send — released, unprobed, or answered by
+// the vote their solo request carried — send nothing.
 //
 // Every live server of a handle copies the new object state to the
 // functioning St nodes (§3.2(2)/(4)), all servers in parallel — their store
@@ -1080,8 +1044,12 @@ func (h *Handle) onePhaseCommitVisible(ctx context.Context, tx string) bool {
 	return err == nil && v.TxID == tx
 }
 
-// onePhaseEligible is the shape rule of CommitOnePhase, for a commit
-// addressing the given number of servers.
+// onePhaseEligible is the shape rule of a one-phase Prepare, for a commit
+// addressing the given number of servers: exactly one server and at most
+// one St store. Any other shape falls back to ordinary 2PC untouched — a
+// multi-store write-back needs the coordinator's outcome log to stay atomic
+// across stores, and multiple active replicas must all prepare before any
+// may commit.
 func (h *Handle) onePhaseEligible(targets int) bool {
 	return targets == 1 && len(h.cfg.StNodes) <= 1
 }
@@ -1123,14 +1091,6 @@ func (h *Handle) prepareTargets() ([]transport.Addr, error) {
 		live = live[:1:1]
 	}
 	return live, nil
-}
-
-// Commit implements action.Participant: the handle's phase two as a group
-// of one (see the package function Commit).
-func (h *Handle) Commit(ctx context.Context, tx string) error {
-	var out [1]Outcome
-	Commit(ctx, tx, []*Handle{h}, out[:])
-	return out[0].Err
 }
 
 // Commit runs phase two for the handles hs, one at least and all one
@@ -1306,14 +1266,6 @@ func (h *Handle) recordFailure(addr transport.Addr) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	mark(&h.failedStores, addr)
-}
-
-// Abort implements action.Participant: the handle's roll-back as a group of
-// one (see the package function Abort).
-func (h *Handle) Abort(ctx context.Context, tx string) error {
-	var out [1]Outcome
-	Abort(ctx, tx, []*Handle{h}, out[:])
-	return out[0].Err
 }
 
 // Abort rolls back the handles hs, one at least and all one client's, and

@@ -89,14 +89,45 @@ func (w *world) handle(t *testing.T, p Policy) *Handle {
 }
 
 // begin starts a top-level action with h enlisted as its participant, as a
-// core.Binding enlists itself for the handle it drives.
+// group of one — the part core's group of bindings plays for its handles.
 func (w *world) begin(t *testing.T, h *Handle) *action.Action {
 	t.Helper()
 	a := w.mgr.BeginTop()
-	if err := a.Enlist(h); err != nil {
+	if err := a.Enlist(participant{h}); err != nil {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// participant runs the package's commit phases for one handle.
+type participant struct{ h *Handle }
+
+var _ action.OnePhaser = participant{}
+
+func (p participant) run(ctx context.Context, tx string, phase func(context.Context, string, []*Handle, []Outcome)) (action.Vote, error) {
+	var out [1]Outcome
+	phase(ctx, tx, []*Handle{p.h}, out[:])
+	return out[0].Vote, out[0].Err
+}
+
+func (p participant) Name() string { return "replica(" + p.h.uid + ")" }
+
+func (p participant) Prepare(ctx context.Context, tx string) (action.Vote, error) {
+	return p.run(ctx, tx, func(ctx context.Context, tx string, hs []*Handle, out []Outcome) { Prepare(ctx, tx, hs, false, out) })
+}
+
+func (p participant) CommitOnePhase(ctx context.Context, tx string) (action.Vote, error) {
+	return p.run(ctx, tx, func(ctx context.Context, tx string, hs []*Handle, out []Outcome) { Prepare(ctx, tx, hs, true, out) })
+}
+
+func (p participant) Commit(ctx context.Context, tx string) error {
+	_, err := p.run(ctx, tx, Commit)
+	return err
+}
+
+func (p participant) Abort(ctx context.Context, tx string) error {
+	_, err := p.run(ctx, tx, Abort)
+	return err
 }
 
 func (w *world) storeValue(t *testing.T, st transport.Addr) (string, uint64) {

@@ -91,13 +91,14 @@ type CommitReport struct {
 	// ExcludedStores lists store nodes excluded from St views during
 	// commit processing of the final attempt (§4.2).
 	ExcludedStores []transport.Addr
-	// PhaseTwoErrors lists participants whose phase-two commit call
-	// failed after the commit point. The action IS committed; such
-	// participants learn the outcome from the log at recovery.
+	// PhaseTwoErrors lists the participants, one per group view database,
+	// whose phase-two commit call failed after the commit point. The
+	// action IS committed; they learn the outcome from the log at recovery.
 	PhaseTwoErrors []error
 	// ReadOnlyVoters and CommitVoters count the phase-one votes of the
-	// final attempt (§4.1.2's read optimisation made visible): read-only
-	// voters were released after phase one and took no part in phase two.
+	// final attempt's objects (§4.1.2's read optimisation made visible):
+	// read-only voters were released after phase one and took no part in
+	// phase two.
 	ReadOnlyVoters int
 	CommitVoters   int
 	// OnePhase reports that the commit ran as a single combined
@@ -583,8 +584,6 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool
 	committed = true
 	rep := tx.report(true)
 	rep.PhaseTwoErrors = acrep.PhaseTwoErrors
-	rep.ReadOnlyVoters = acrep.ReadOnlyVoters
-	rep.CommitVoters = acrep.CommitVoters
 	rep.OnePhase = acrep.OnePhase
 	rep.OutcomeLogged = acrep.OutcomeLogged
 	return rep, nil
@@ -646,7 +645,8 @@ func (t *Txn) revalidateReads(ctx context.Context) error {
 	return nil
 }
 
-// report collects the failure anatomy from every bound object.
+// report collects the failure anatomy from every bound object and, for a
+// committed action, the phase-one vote of each (core.Binding.Vote).
 func (t *Txn) report(committed bool) *CommitReport {
 	rep := &CommitReport{Committed: committed, LeaseReads: len(t.unlocked) - t.carried}
 	// Both lists stay nil unless something broke: the accessors return nil
@@ -658,6 +658,12 @@ func (t *Txn) report(committed bool) *CommitReport {
 		}
 		broken = append(broken, o.bd.BrokenServers()...)
 		excluded = append(excluded, o.bd.FailedStores()...)
+		switch v := o.bd.Vote(); {
+		case committed && v == action.VoteReadOnly:
+			rep.ReadOnlyVoters++
+		case committed && v == action.VoteCommit:
+			rep.CommitVoters++
+		}
 		if o.batched {
 			rep.Batched = true
 		}

@@ -60,10 +60,10 @@
 // part in phase two. An action all of whose participants voted
 // read-only therefore commits with zero phase-two round trips and no
 // outcome-log write (presumed abort makes the record redundant), and an
-// action with a single participant writing through at most one store
-// commits in one combined prepare+commit round. The CommitReport's vote
-// anatomy shows which of these fired: ReadOnlyVoters / CommitVoters
-// count the phase-one votes, OnePhase marks the combined round, and
+// action of a single object writing through at most one store commits in
+// one combined prepare+commit round. The CommitReport's vote anatomy
+// shows which of these fired: ReadOnlyVoters / CommitVoters count the
+// phase-one votes, one per object, OnePhase marks the combined round, and
 // OutcomeLogged reports whether a commit record was written at all.
 // Pair ClientReadOnly (no use-list updates; bound where the writers' copy
 // is) with read-only methods to keep the entire action — binding,
