@@ -8,8 +8,8 @@
 //	arjunasim [-shards N] [-servers N] [-stores N] [-scheme standard|independent|nested] [-policy single|active|cohort] [-data-dir DIR]
 //
 // With -shards N > 1 the deployment splits into N groups (db1..dbN, each
-// with its own servers and stores) under a consistent-hashing placement
-// service; the per-shard placement table is printed at startup and with
+// with its own servers and stores), objects placed by consistent hashing;
+// the per-shard placement table is printed at startup and with
 // the shards command, and -servers/-stores become per-shard counts.
 //
 // With -data-dir, every node's stable storage lives in a WAL+snapshot
@@ -50,7 +50,7 @@ func main() {
 }
 
 func run() error {
-	shards := flag.Int("shards", 1, "number of shards (1 = one group, resolved from a one-row placement table with no placement node)")
+	shards := flag.Int("shards", 1, "number of shards (1 = one group, resolved from a one-row placement table)")
 	servers := flag.Int("servers", 2, "number of object-server nodes (per shard when sharded)")
 	stores := flag.Int("stores", 2, "number of object-store nodes (per shard when sharded)")
 	schemeName := flag.String("scheme", "independent", "db access scheme: standard | independent | nested")

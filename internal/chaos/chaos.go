@@ -107,7 +107,7 @@ type Config struct {
 	Seed int64
 	// Cluster shape. With Shards > 1, Servers and Stores are per-shard
 	// counts (as in harness.Options) and the namespace is partitioned
-	// across that many groups behind the placement service.
+	// across that many groups by the placement ring.
 	Servers, Stores, Clients, Objects int
 	Shards                            int
 	// ActionsPerClient is each client's action count.
@@ -139,11 +139,6 @@ type Config struct {
 	// past the callers' deadlines. The flag gates every extra rng draw,
 	// so classic schedules replay bit-identically with it off.
 	GrayFailures bool
-	// PlacementChaos adds placement-replica crash/recover events to
-	// sharded schedules (ignored with Shards <= 1), plus the
-	// placement-convergence invariant check after quiesce. Gated like
-	// GrayFailures to keep classic seeds stable.
-	PlacementChaos bool
 	// Transport selects the message carrier: "" or "mem" runs over the
 	// in-memory simulator (jittered per Seed), "mux" over the real-socket
 	// multiplexed TCP transport wrapped in transport.Faulty so the same
@@ -808,16 +803,6 @@ func (r *runner) apply(e Event) {
 		// holds every reply for Hold — callers' deadlines expire while
 		// the side effects stand. Cleared (with all rules) at quiesce.
 		r.faults.DelayReplies(1, -1, e.Hold, transport.To(e.Target))
-	case KindCrashPlacement:
-		if n := r.w.Cluster.Node(e.Target); n != nil {
-			n.Crash()
-		}
-	case KindRecoverPlacement:
-		if n := r.w.Cluster.Node(e.Target); n != nil && !n.Up() {
-			// Recover runs the replica's OnRecover catch-up hook against
-			// the primary.
-			n.Recover(nil)
-		}
 	case KindKillAtByte:
 		// Only meaningful on a live disk-backed store: the WAL is armed
 		// to tear once it grows e.Bytes further, and the node dies at the
@@ -964,15 +949,6 @@ func (r *runner) quiesce() {
 		d.ClearFail()
 		if d.Failed() {
 			r.w.Cluster.Node(target).Crash()
-		}
-	}
-
-	// Placement replicas rejoin first: the recovery protocols and the
-	// invariant checks below bind through the placement service. The
-	// OnRecover hook pulls the directory from the primary.
-	for _, p := range r.w.PlaceAddrs {
-		if n := r.w.Cluster.Node(p); n != nil && !n.Up() {
-			n.Recover(nil)
 		}
 	}
 

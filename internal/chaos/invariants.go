@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"repro/internal/object"
-	"repro/internal/placement"
-	"repro/internal/rpc"
 	"repro/internal/store"
 	"repro/internal/uid"
 )
@@ -219,38 +217,6 @@ func (r *runner) checkInvariants() []string {
 		last[k] = max(last[k], rd.saw)
 	}
 
-	// I6: placement replica convergence — after quiesce every placement
-	// replica's directory (override records with their epochs) must equal
-	// the primary's; a diverged replica would route future binds of a
-	// rebalanced object to a stale shard forever.
-	if len(r.w.PlaceAddrs) > 1 {
-		pcli := r.w.Cluster.Node(r.w.Clients[0]).Client()
-		canon := func(recs []placement.SyncRec) string {
-			sort.Slice(recs, func(i, j int) bool { return recs[i].UID < recs[j].UID })
-			parts := make([]string, len(recs))
-			for i, rec := range recs {
-				parts[i] = fmt.Sprintf("%s=%d@%d", rec.UID, rec.Shard, rec.Epoch)
-			}
-			return strings.Join(parts, " ")
-		}
-		primary := ""
-		for i, addr := range r.w.PlaceAddrs {
-			resp, err := rpc.Invoke[rpc.Empty, placement.StateResp](
-				ctx, pcli, addr, placement.ServiceName, placement.MethodState, rpc.Empty{})
-			if err != nil {
-				bad("placement replica %s unreachable after quiesce: %v", addr, err)
-				continue
-			}
-			state := canon(resp.Records)
-			if i == 0 {
-				primary = state
-				continue
-			}
-			if state != primary {
-				bad("placement replica %s diverged from primary: %q vs %q", addr, state, primary)
-			}
-		}
-	}
 	return violations
 }
 

@@ -38,28 +38,6 @@ func TestChaosGrayFailure(t *testing.T) {
 	}
 }
 
-// TestChaosPlacementFailover: sharded schedules extended with
-// placement-replica crash/recover events. Binds must keep working with a
-// replica down (reads fail over), and the replica-convergence invariant
-// (I6) must hold after its catch-up.
-func TestChaosPlacementFailover(t *testing.T) {
-	for _, seed := range seeds(801, 4) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rep := runSeed(t, Config{Seed: seed, Workload: WorkloadCounter, Shards: 3, PlacementChaos: true})
-			applied := 0
-			for _, e := range rep.Schedule {
-				if strings.Contains(e, "crash-placement") {
-					applied++
-				}
-			}
-			if applied == 0 {
-				t.Errorf("seed %d: extended schedule applied no crash-placement event:\n  %s",
-					seed, strings.Join(rep.Schedule, "\n  "))
-			}
-		})
-	}
-}
-
 // latP99 returns ~the p99 of a latency sample (max of all but the top 1%,
 // which for small n is simply the max).
 func latP99(durs []time.Duration) time.Duration {
@@ -209,29 +187,5 @@ func TestGrayFailureBreakerContainsSickStore(t *testing.T) {
 	if !excluded && w.Cluster.Node("sv1").Breakers().State("st2") != rpc.StateOpen {
 		t.Fatalf("st2 neither excluded from St view %v nor breaker-open (%v)",
 			view, w.Cluster.Node("sv1").Breakers().State("st2"))
-	}
-}
-
-// TestPlacementFailoverKeepsBindsLive is the acceptance check for
-// placement replication: killing any single placement replica leaves
-// bind and re-bind live — a fresh binder with no cached placement must
-// resolve through a surviving replica and commit.
-func TestPlacementFailoverKeepsBindsLive(t *testing.T) {
-	sys, w := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(4), arjuna.WithShards(2))
-	if len(w.PlaceAddrs) != 3 {
-		t.Fatalf("placement replicas = %v, want 3", w.PlaceAddrs)
-	}
-	for _, victim := range w.PlaceAddrs {
-		n := w.Cluster.Node(victim)
-		n.Crash()
-		// A fresh client per victim: no cached placement to lean on.
-		cl := clientT(t, sys, "c1", arjuna.ClientScheme(core.SchemeIndependent))
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_, _, err := invoke1(ctx, cl, w.Objects[0], "add")
-		cancel()
-		if err != nil {
-			t.Fatalf("action did not commit with placement replica %s down: %v", victim, err)
-		}
-		n.Recover(nil)
 	}
 }

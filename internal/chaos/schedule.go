@@ -40,11 +40,6 @@ const (
 	// fire; only deadline expiry (and the circuit breakers built on it)
 	// can contain the node.
 	KindGrayFail
-	// KindCrashPlacement / KindRecoverPlacement (Config.PlacementChaos,
-	// sharded runs) kill and restart one placement service replica;
-	// recovery runs the replica's catch-up against the primary.
-	KindCrashPlacement
-	KindRecoverPlacement
 )
 
 // String implements fmt.Stringer.
@@ -76,10 +71,6 @@ func (k EventKind) String() string {
 		return "kill-at-byte"
 	case KindGrayFail:
 		return "gray-fail"
-	case KindCrashPlacement:
-		return "crash-placement"
-	case KindRecoverPlacement:
-		return "recover-placement"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -305,19 +296,6 @@ func GenerateSchedule(seed int64, cfg Config) []Event {
 				Hold:   time.Duration(3+rng.Intn(6)) * cfg.ActionTimeout,
 			})
 		}
-	}
-	if cfg.PlacementChaos && cfg.Shards > 1 {
-		extended = true
-		// Kill one placement replica mid-run and restart it later; binds
-		// must keep working throughout and the replica must converge.
-		replicas := []transport.Addr{"placement", "placement2", "placement3"}
-		victim := replicas[rng.Intn(len(replicas))]
-		at := 1 + rng.Intn(max(1, total/2))
-		events = append(events, Event{After: at, Kind: KindCrashPlacement, Target: victim})
-		events = append(events, Event{
-			After: at + 1 + rng.Intn(max(1, total/4)),
-			Kind:  KindRecoverPlacement, Target: victim,
-		})
 	}
 	if extended {
 		// Appended events carry their own thresholds; restore apply order

@@ -39,13 +39,15 @@ func TestBindAllocs(t *testing.T) {
 		// tables, rendered their keys per op and encoded each record into a
 		// fresh buffer; 81 while the client minted, and ended, the bind and
 		// decrement actions; 53 while each binding enlisted itself under a
-		// stash key of its own.
-		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 52},
+		// stash key of its own; 52 while each binding kept a copy of the St
+		// view it was bound over.
+		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 51},
 		// 30 while the database's own actions went through its action tables
 		// and rendered their keys per op; 33 while the client minted, and
 		// ended, the bind action; 31 while the binding's one-phase commit
-		// built an empty action-end.
-		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 28},
+		// built an empty action-end; 28 while each binding kept a copy of the
+		// St view it was bound over.
+		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 27},
 	} {
 		op := func() {
 			act := c.b.Actions.BeginTop()

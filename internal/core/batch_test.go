@@ -189,7 +189,7 @@ func TestActionEndDecrementsStandAlone(t *testing.T) {
 	}
 	// The object moves away: its server is removed, which drops the count,
 	// and it is deregistered.
-	if _, err := cli.Do(ctx, RemoveOp("move", gone, "sv1", false), DeregisterOp("move", gone), EndActionOp("move", true)); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("move", gone, "sv1", false), DeregisterOp("move", gone, "db2"), EndActionOp("move", true)); err != nil {
 		t.Fatal(err)
 	}
 	for _, goneFirst := range []bool{true, false} {

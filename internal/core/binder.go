@@ -270,8 +270,6 @@ type Binding struct {
 	bound []transport.Addr
 	// probed marks the one post-probe repair as done (see repair).
 	probed bool
-	// stView is St as read at bind time.
-	stView []transport.Addr
 	// group is the client action's group at the binding's database, shared
 	// with sibling bindings and the action-level hook (see txGroup,
 	// trackTxDB). It is untracked while the binding is unpinned: the client
@@ -609,6 +607,14 @@ func (g *txGroup) end(ctx context.Context, commit bool) error {
 	return err
 }
 
+// untrack undoes the trackTxDB of a bind that left nothing at the database:
+// the resolve hook stays, and finds nothing to end.
+func (g *txGroup) untrack() {
+	g.mu.Lock()
+	g.tracked = false
+	g.mu.Unlock()
+}
+
 // group returns the client action's group at this database (see txGroup),
 // creating it, untracked, on the action's first bind here.
 func (b *Binder) group(act *action.Action) *txGroup {
@@ -645,18 +651,19 @@ func (b *Binder) group(act *action.Action) *txGroup {
 // An action that has left StatusRunning takes no more hooks (its commit or
 // abort processing already holds the list), so nothing would ever end what
 // the caller is about to lock: trackTxDB fails then, leaving the group
-// untracked, and the bind or pin that asked fails with it.
-func (b *Binder) trackTxDB(act *action.Action) error {
+// untracked, and the bind or pin that asked fails with it. fresh reports
+// that this call tracked the group.
+func (b *Binder) trackTxDB(act *action.Action) (fresh bool, err error) {
 	g := b.group(act)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.tracked {
 		if !act.OnResolve(func(committed bool) { _ = g.end(context.Background(), committed) }) {
-			return fmt.Errorf("core: %s has begun to end, nothing would release its locks at %s: %w", act.ID(), b.DB.DB, action.ErrNotRunning)
+			return false, fmt.Errorf("core: %s has begun to end, nothing would release its locks at %s: %w", act.ID(), b.DB.DB, action.ErrNotRunning)
 		}
-		g.tracked = true
+		g.tracked, fresh = true, true
 	}
-	return nil
+	return fresh, nil
 }
 
 // spreadReads reports whether bindings are spread over Sv by client name
@@ -699,7 +706,7 @@ func (bd *Binding) pin(ctx context.Context) error {
 		return nil
 	}
 	b := bd.binder
-	if err := b.trackTxDB(bd.act); err != nil {
+	if _, err := b.trackTxDB(bd.act); err != nil {
 		return err
 	}
 	if _, _, err := b.DB.GetView(ctx, bd.act.ID(), bd.id); err != nil {
@@ -727,7 +734,7 @@ func (b *Binder) degree() int {
 // it ends; the trackTxDB hook (or its group's commit/abort processing)
 // releases them. If either operation fails the client action must abort.
 func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	if err := b.trackTxDB(act); err != nil {
+	if _, err := b.trackTxDB(act); err != nil {
 		return nil, err
 	}
 	tx := act.ID()
@@ -768,10 +775,11 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 		_, second := act.Stashed(unpinnedKey)
 		unpinned = !second
 	}
-	viewAct := ""
+	viewAct, fresh := "", false
 	if !unpinned {
 		viewAct = act.ID()
-		if err := b.trackTxDB(act); err != nil {
+		var err error
+		if fresh, err = b.trackTxDB(act); err != nil {
 			return nil, err
 		}
 	}
@@ -789,6 +797,12 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	}
 	res, err := b.DB.Do(ctx, svOp, viewOp)
 	if err != nil {
+		if fresh && MovedTo(err) != "" {
+			// The object moved away. The Sv op said so, and the message
+			// stopped there: the client action holds nothing at this
+			// database, so its action-end would have nothing to end.
+			b.group(act).untrack()
+		}
 		return nil, fmt.Errorf("core: Bind+GetView(%v): %w", id, err)
 	}
 	// The database answers with its selection: the candidates, of which
@@ -812,7 +826,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 // client binds to the latest mutually consistent state; GetView's read
 // lock is owned by the client action and trackTxDB releases it.
 func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid.UID) (*Binding, error) {
-	if err := b.trackTxDB(act); err != nil {
+	if _, err := b.trackTxDB(act); err != nil {
 		return nil, err
 	}
 	sv, err := b.NameServer.Get(ctx, id)
@@ -905,7 +919,6 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID,
 		class:  class,
 		handle: handle,
 		bound:  counted,
-		stView: append([]transport.Addr(nil), st...),
 		group:  b.group(act),
 	}
 	if b.Policy != replica.SingleCopyPassive {

@@ -20,9 +20,11 @@
 // under a key derived from the object's UID), so the unit of locking is
 // also the unit of durability. A committing action rewrites exactly the
 // entries it changed, all of them in one atomic stable write; a Deregister
-// leaves a tombstone record in the same write. Locks and uncommitted
+// leaves a tombstone record in the same write, and the tombstone of an object
+// that moved names the database it went to: the forward every later
+// unknown-object answer for its UID carries (MovedTo). Locks and uncommitted
 // mutations are volatile and die with the node, and recovery rebuilds the
-// database from the records alone.
+// database — forwards included — from the records alone.
 //
 // Lock ownership: every action is top-level, so a lock owner is a top-level
 // action ID. Every scheme in the paper either holds database locks until
@@ -164,9 +166,13 @@ func (e *stateEntry) record(rec *entryRecord) *entryRecord {
 	return rec
 }
 
-// tombstone renders the record a committed Deregister leaves into rec.
-func tombstone(rec *entryRecord) *entryRecord {
+// tombstone renders the record a committed Deregister leaves into rec: to,
+// when set, is the database the object moved to.
+func tombstone(rec *entryRecord, to transport.Addr) *entryRecord {
 	*rec = entryRecord{Deleted: true, Use: rec.Use[:0]}
+	if to != "" {
+		rec.Nodes = append(rec.Nodes, to)
+	}
 	return rec
 }
 
@@ -192,6 +198,9 @@ type snapshotSet struct {
 	// any snapshot the same action took of that entry, and abort applies
 	// the inverses on top of the restored pre-image.
 	useDeltas []useDelta
+	// movedTo names, for each object the action deregistered, the database
+	// it moves to: the forward its commit sets (commitLocked).
+	movedTo map[uid.UID]transport.Addr
 }
 
 // maxSpare bounds the database's free list of undo sets, and the entries
@@ -236,6 +245,9 @@ type DB struct {
 	mu      sync.Mutex
 	servers map[uid.UID]*serverEntry
 	states  map[uid.UID]*stateEntry
+	// forwards maps each UID a committed move took from this database to
+	// the database it went to; a committed Register of the UID clears it.
+	forwards map[uid.UID]transport.Addr
 	// pending maps an in-flight named action to its undo snapshots.
 	pending map[string]*snapshotSet
 	// clients maps an in-flight named action to the node it came from, for
@@ -299,6 +311,7 @@ func (db *DB) resetVolatileLocked() {
 	db.locks = lockmgr.New(lockmgr.NoNesting)
 	db.servers = make(map[uid.UID]*serverEntry)
 	db.states = make(map[uid.UID]*stateEntry)
+	db.forwards = make(map[uid.UID]transport.Addr)
 	db.pending = make(map[string]*snapshotSet)
 	db.clients = make(map[string]transport.Addr)
 	db.spare = nil
@@ -362,8 +375,9 @@ func stRecordKey(id uid.UID) uid.UID {
 }
 
 // loadRecordsLocked rebuilds the database from its entry records. A
-// tombstone (the record a committed Deregister leaves) yields no entry; its
-// version chain stays, for a later Register of the same UID to extend.
+// tombstone (the record a committed Deregister leaves) yields no entry, and
+// an St tombstone that names a database the forward there; its version chain
+// stays, for a later Register of the same UID to extend.
 func (db *DB) loadRecordsLocked() {
 	st := db.node.Store()
 	for _, tx := range st.PendingTxs() {
@@ -389,10 +403,13 @@ func (db *DB) loadRecordsLocked() {
 			// fail loudly rather than run with silent data loss.
 			panic(fmt.Sprintf("core: corrupt db record %v: %v", key, err))
 		}
+		id := uid.UID{Origin: origin, Epoch: key.Epoch, Seq: key.Seq}
 		if rec.Deleted {
+			if !isSv && len(rec.Nodes) > 0 {
+				db.forwards[id] = rec.Nodes[0]
+			}
 			continue
 		}
-		id := uid.UID{Origin: origin, Epoch: key.Epoch, Seq: key.Seq}
 		if !isSv {
 			db.states[id] = &stateEntry{Nodes: rec.Nodes, Class: rec.Class}
 			db.keepKeys(id, newEntryKeys(id))
@@ -415,7 +432,9 @@ func (db *DB) loadRecordsLocked() {
 // touched — the keys of its snapshot set plus the entries it adjusted — and
 // nothing else, so other actions' provisional changes to other entries
 // never reach stable storage. Committed counters follow the entry's own, or
-// move by the action's deltas (serverEntry.committed). db.mu held.
+// move by the action's deltas (serverEntry.committed). A deregistered
+// object's St tombstone carries its forward, which is set here, and a
+// registered one's record clears any. db.mu held.
 func (db *DB) commitLocked(tx string, ss *snapshotSet) {
 	for id := range ss.servers {
 		if e, ok := db.servers[id]; ok {
@@ -437,7 +456,7 @@ func (db *DB) commitLocked(tx string, ss *snapshotSet) {
 		if e, ok := db.servers[id]; ok {
 			db.addRecordLocked(key, e.record(&db.rec))
 		} else if ss.servers[id] != nil {
-			db.addRecordLocked(key, tombstone(&db.rec))
+			db.addRecordLocked(key, tombstone(&db.rec, ""))
 		}
 	}
 	for id := range ss.servers {
@@ -449,8 +468,13 @@ func (db *DB) commitLocked(tx string, ss *snapshotSet) {
 	for id, snap := range ss.states {
 		if e, ok := db.states[id]; ok {
 			db.addRecordLocked(db.keysOf(id).stRecord, e.record(&db.rec))
+			delete(db.forwards, id)
 		} else if snap != nil {
-			db.addRecordLocked(db.keysOf(id).stRecord, tombstone(&db.rec))
+			to := ss.movedTo[id]
+			db.addRecordLocked(db.keysOf(id).stRecord, tombstone(&db.rec, to))
+			if to != "" {
+				db.forwards[id] = to
+			}
 		}
 	}
 	db.writeRecordsLocked(tx)
@@ -600,9 +624,10 @@ func (db *DB) endLocked(tx string, ss *snapshotSet, commit bool) {
 	} else {
 		db.rollbackLocked(ss)
 	}
-	if len(db.spare) < maxSpare && len(ss.servers)+len(ss.states) <= maxSpare {
+	if len(db.spare) < maxSpare && len(ss.servers)+len(ss.states)+len(ss.movedTo) <= maxSpare {
 		clear(ss.servers)
 		clear(ss.states)
+		clear(ss.movedTo)
 		ss.useDeltas = ss.useDeltas[:0]
 		db.spare = append(db.spare, ss)
 	}
@@ -697,6 +722,15 @@ func (db *DB) Quiescent(id uid.UID) bool {
 		}
 	}
 	return true
+}
+
+// Forward returns the database a committed move took the object to from
+// this one, or "" if none did since it was last registered here: what its
+// unknown-object answers name (MovedTo), read in process.
+func (db *DB) Forward(id uid.UID) transport.Addr {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.forwards[id]
 }
 
 // Objects lists registered UIDs, sorted — for tooling.

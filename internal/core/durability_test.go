@@ -196,25 +196,46 @@ func TestMultiEntryCommitIsAtomicAcrossCrash(t *testing.T) {
 }
 
 // TestDeregisterTombstone: a committed Deregister survives the database's
-// restart as a tombstone, and the same UID can be registered again on top
-// of it — and survives the next restart as a live entry.
+// restart as a tombstone that names the database the object moved to, and
+// every unknown-object answer for the UID names it too; an aborted
+// Deregister leaves no forward; and the same UID can be registered again on
+// top of the tombstone, which clears the forward, and survives the next
+// restart as a live entry.
 func TestDeregisterTombstone(t *testing.T) {
 	forEachBackend(t, 2, func(t *testing.T, w durableWorld) {
 		ctx := context.Background()
 		gone, kept := w.Objects[0], w.Objects[1]
-		_, err := w.cli.Do(ctx, core.DeregisterOp("D", gone), core.EndActionOp("D", true))
+		_, err := w.cli.Do(ctx, core.DeregisterOp("A", kept, "db3"))
+		must(t, err)
+		if to := w.DB.Forward(kept); to != "" {
+			t.Fatalf("forward of an uncommitted Deregister = %q, want none", to)
+		}
+		must(t, w.cli.EndAction(ctx, "A", false))
+		_, err = w.cli.Do(ctx, core.DeregisterOp("D", gone, "db2"), core.EndActionOp("D", true))
 		must(t, err)
 		w.restartDB()
-		if _, _, err := w.cli.GetView(ctx, "peek", gone); rpc.CodeOf(err) != core.CodeUnknownObject {
-			t.Fatalf("deregistered object after restart: GetView = %v, want %s", err, core.CodeUnknownObject)
+		if to := w.DB.Forward(kept); to != "" {
+			t.Fatalf("forward of an aborted Deregister = %q, want none", to)
+		}
+		if _, _, err := w.cli.GetView(ctx, "peek", gone); rpc.CodeOf(err) != core.CodeUnknownObject || core.MovedTo(err) != "db2" {
+			t.Fatalf("deregistered object after restart: GetView = %v, want %s naming db2", err, core.CodeUnknownObject)
 		}
 		must(t, w.cli.EndAction(ctx, "peek", true))
+		if _, err := w.cli.Do(ctx, core.SelectOp("", gone)); core.MovedTo(err) != "db2" {
+			t.Fatalf("deregistered object after restart: Select = %v, want it to name db2", err)
+		}
 		if got := w.DB.Objects(); len(got) != 1 || got[0] != kept {
 			t.Fatalf("objects after restart = %v, want [%v]", got, kept)
 		}
 		_, err = w.cli.Do(ctx, core.RegisterOp("R", gone, "counter", []transport.Addr{"sv2"}, []transport.Addr{"st2"}), core.EndActionOp("R", true))
 		must(t, err)
+		if to := w.DB.Forward(gone); to != "" {
+			t.Fatalf("forward after a committed Register = %q, want none", to)
+		}
 		w.restartDB()
+		if to := w.DB.Forward(gone); to != "" {
+			t.Fatalf("forward of the re-registered object after restart = %q, want none", to)
+		}
 		if sv, _ := w.svView(t, gone); len(sv) != 1 || sv[0] != "sv2" {
 			t.Fatalf("Sv of the re-registered object = %v, want [sv2]", sv)
 		}

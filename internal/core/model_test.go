@@ -45,9 +45,15 @@ var dbModelSeed = flag.Int64("db-model-seed", 0, "run TestDBAgainstModel on this
 //     action's Adjust deltas, each stopping at zero, to the committed
 //     counters of the others. A crash drops every action and lock and leaves
 //     the committed state.
+//   - Forwards: a Deregister names the database the object moves to. The
+//     commit that takes away an entry the action found sets the UID's
+//     forward to it, a commit that leaves the UID registered clears it, and
+//     every unknown-object answer for the UID names it. Forwards are
+//     committed state.
 type dbModel struct {
 	servers, committedServers map[uid.UID]*mServer
 	states, committedStates   map[uid.UID]*mState
+	forwards                  map[uid.UID]transport.Addr
 	locks                     map[string]map[string]*[lockmgr.Write + 1]int
 	pending                   map[string]*mPending
 }
@@ -63,12 +69,13 @@ type mState struct {
 }
 
 // mPending is what an action in flight has changed: the pre-images of the
-// entries it changed under Write (nil: the entry did not exist) and its
-// Adjust deltas, in order.
+// entries it changed under Write (nil: the entry did not exist), its Adjust
+// deltas, in order, and where its Deregisters sent each object.
 type mPending struct {
 	servers map[uid.UID]*mServer
 	states  map[uid.UID]*mState
 	deltas  []useDelta
+	movedTo map[uid.UID]transport.Addr
 }
 
 func (e *mServer) clone() *mServer {
@@ -82,6 +89,7 @@ func newDBModel() *dbModel {
 		servers: map[uid.UID]*mServer{}, committedServers: map[uid.UID]*mServer{},
 		states: map[uid.UID]*mState{}, committedStates: map[uid.UID]*mState{},
 		locks: map[string]map[string]*[lockmgr.Write + 1]int{}, pending: map[string]*mPending{},
+		forwards: map[uid.UID]transport.Addr{},
 	}
 }
 
@@ -163,7 +171,7 @@ func (m *dbModel) holders(key string) []string {
 
 func (m *dbModel) pendingOf(act string) *mPending {
 	if m.pending[act] == nil {
-		m.pending[act] = &mPending{servers: map[uid.UID]*mServer{}, states: map[uid.UID]*mState{}}
+		m.pending[act] = &mPending{servers: map[uid.UID]*mServer{}, states: map[uid.UID]*mState{}, movedTo: map[uid.UID]transport.Addr{}}
 	}
 	return m.pending[act]
 }
@@ -241,6 +249,15 @@ func (m *dbModel) adjust(act string, id uid.UID, client transport.Addr, hosts []
 	}
 }
 
+// unknown is the answer to an op on a UID without the entry it needs: the
+// code, and the database the UID's forward names, if it has one.
+func (m *dbModel) unknown(id uid.UID) string {
+	if to, ok := m.forwards[id]; ok {
+		return CodeUnknownObject + movedToSep + string(to)
+	}
+	return CodeUnknownObject
+}
+
 func removeAll(nodes []transport.Addr, host transport.Addr) []transport.Addr {
 	return slices.DeleteFunc(slices.Clone(nodes), func(n transport.Addr) bool { return n == host })
 }
@@ -262,13 +279,16 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 		}
 		s := m.states[op.UID]
 		if s == nil {
-			return res, CodeUnknownObject
+			return res, m.unknown(op.UID)
 		}
 		if m.servers[op.UID] != nil && m.inUse(op.UID) {
 			return res, CodeNotQuiescent
 		}
 		m.snapServer(act, op.UID)
 		m.snapState(act, op.UID)
+		if op.Host != "" {
+			m.pendingOf(act).movedTo[op.UID] = op.Host
+		}
 		delete(m.servers, op.UID)
 		delete(m.states, op.UID)
 		return OpResult{Nodes: s.nodes, Class: s.class}, ""
@@ -282,7 +302,7 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 		}
 		e := m.servers[op.UID]
 		if e == nil {
-			return res, CodeUnknownObject
+			return res, m.unknown(op.UID)
 		}
 		if op.Kind == OpSelect {
 			res.Nodes, _ = e.choose(0)
@@ -313,7 +333,7 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 		}
 		e := m.servers[op.UID]
 		if e == nil {
-			return res, CodeUnknownObject
+			return res, m.unknown(op.UID)
 		}
 		if op.Kind == OpInsert && m.inUse(op.UID) {
 			return res, CodeNotQuiescent
@@ -349,7 +369,7 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 			return res, "" // nothing to drop
 		}
 		if e == nil {
-			return res, CodeUnknownObject
+			return res, m.unknown(op.UID)
 		}
 		hosts, delta := op.Hosts, 1
 		if op.Kind == OpDecrement {
@@ -373,7 +393,7 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 		}
 		s := m.states[op.UID]
 		if s == nil {
-			return res, CodeUnknownObject
+			return res, m.unknown(op.UID)
 		}
 		if op.Kind == OpInclude {
 			m.snapState(act, op.UID)
@@ -403,7 +423,7 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 		for _, p := range op.Pairs {
 			s := m.states[p.UID]
 			if s == nil {
-				return res, CodeUnknownObject
+				return res, m.unknown(p.UID)
 			}
 			m.snapState(act, p.UID)
 			for _, host := range p.Hosts {
@@ -455,11 +475,15 @@ func (m *dbModel) end(act string, commit bool) {
 				delete(c.use, d.key)
 			}
 		}
-		for id := range p.states {
+		for id, pre := range p.states {
 			if s := m.states[id]; s != nil {
 				m.committedStates[id] = s.clone()
+				delete(m.forwards, id)
 			} else {
 				delete(m.committedStates, id)
+				if to := p.movedTo[id]; pre != nil && to != "" {
+					m.forwards[id] = to
+				}
 			}
 		}
 		return
@@ -550,7 +574,7 @@ func randomOp(rng *rand.Rand, own bool) Op {
 	case k < 2:
 		op = RegisterOp(act, id, "counter", someOf(rng, modelServers), someOf(rng, modelStores))
 	case k < 3:
-		op = DeregisterOp(act, id)
+		op = DeregisterOp(act, id, transport.Addr("db-"+act))
 	case k < 5:
 		op = GetServerOp(act, id, rng.Intn(2) == 0, rng.Intn(3) == 0)
 	case k < 6:
@@ -769,12 +793,21 @@ func compare(db *DB, m *dbModel) error {
 			}
 		}
 	}
+	db.mu.Lock()
+	forwards := maps.Clone(db.forwards)
+	db.mu.Unlock()
+	if !maps.Equal(forwards, m.forwards) {
+		return fmt.Errorf("forwards: database %v, model %v", forwards, m.forwards)
+	}
 	// What a recovering database would load: the durable records.
 	durable := &DB{node: db.node}
 	durable.resetVolatileLocked()
 	durable.loadRecordsLocked()
 	if err := diffEntries("durable Sv", realServerEntries(durable.servers), modelServerEntries(m.committedServers)); err != nil {
 		return err
+	}
+	if !maps.Equal(durable.forwards, m.forwards) {
+		return fmt.Errorf("durable forwards: database %v, model %v", durable.forwards, m.forwards)
 	}
 	return diffEntries("durable St", realStateEntries(durable.states), modelStateEntries(m.committedStates))
 }
@@ -828,8 +861,12 @@ func runDBModel(t *testing.T, seed int64, steps int) {
 			resp, err := db.batch(ctx, "c1", BatchReq{Ops: slices.Clone(ops)})
 			got := resp.Results
 			want, code := m.batch(ops)
-			if rpc.CodeOf(err) != code || (err != nil) != (code != "") {
-				fail(step, fmt.Errorf("reply: database %v, model code %q", err, code))
+			answer := rpc.CodeOf(err)
+			if to := MovedTo(err); to != "" {
+				answer += movedToSep + string(to)
+			}
+			if answer != code || (err != nil) != (code != "") {
+				fail(step, fmt.Errorf("reply: database %v, model %q", err, code))
 			}
 			for i := range want {
 				if !sameResult(got[i], want[i]) {

@@ -274,7 +274,7 @@ func TestPinFindsObjectGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
-	if _, _, err := cli.Deregister(ctx, "move", w.id); err != nil {
+	if _, _, err := cli.Deregister(ctx, "move", w.id, "db2"); err != nil {
 		t.Fatalf("Deregister under an unpinned binding: %v", err)
 	}
 	if err := cli.EndAction(ctx, "move", true); err != nil {

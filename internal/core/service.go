@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/lockmgr"
 	"repro/internal/rpc"
@@ -49,14 +51,16 @@ func (db *DB) Register(ctx context.Context, a *dbAction, id uid.UID, class strin
 // Deregister removes both database entries for an object under write
 // locks, returning the St view and class as they stood — the caller (a
 // rebalance moving the object to another group's database) uses them as
-// catch-up sources for installing the state at its destination. Like
+// catch-up sources for installing the state at its destination, to. The
+// commit's tombstone names to, and from then on so does every unknown-object
+// answer for the UID here (see MovedTo); "" leaves no forward. Like
 // Insert, the write lock only serialises against standard-scheme clients;
 // the use-list check guards against the enhanced schemes, refusing with
 // CodeNotQuiescent while any binding is live so an in-flight action is
 // never stranded against a vanished entry. The deletion is provisional
 // until the action commits: abort restores both entries from their
-// snapshots.
-func (db *DB) Deregister(ctx context.Context, a *dbAction, id uid.UID) ([]transport.Addr, string, error) {
+// snapshots, and leaves no forward.
+func (db *DB) Deregister(ctx context.Context, a *dbAction, id uid.UID, to transport.Addr) ([]transport.Addr, string, error) {
 	owner, keys := lockmgr.Owner(a.name), db.keysOf(id)
 	if err := db.locks.Acquire(ctx, owner, keys.sv, lockmgr.Write); err != nil {
 		return nil, "", rpc.Errorf(CodeLockRefused, "%v", err)
@@ -69,7 +73,7 @@ func (db *DB) Deregister(ctx context.Context, a *dbAction, id uid.UID) ([]transp
 	db.noteLocked(a)
 	st, ok := db.states[id]
 	if !ok {
-		return nil, "", rpc.Errorf(CodeUnknownObject, "no St entry for %v", id)
+		return nil, "", db.unknownLocked("St", id)
 	}
 	if sv, ok := db.servers[id]; ok {
 		for _, clients := range sv.Use {
@@ -84,9 +88,47 @@ func (db *DB) Deregister(ctx context.Context, a *dbAction, id uid.UID) ([]transp
 	class := st.Class
 	db.snapServerLocked(a, id)
 	db.snapStateLocked(a, id)
+	if to != "" {
+		ss := db.snapsLocked(a)
+		if ss.movedTo == nil {
+			ss.movedTo = make(map[uid.UID]transport.Addr)
+		}
+		ss.movedTo[id] = to
+	}
 	delete(db.servers, id)
 	delete(db.states, id)
 	return view, class, nil
+}
+
+// movedToSep joins an unknown-object answer's text to the database it names.
+const movedToSep = "; moved to "
+
+// unknownLocked is the answer to an op on a UID without the entry it needs,
+// kind "Sv" or "St". For a UID a committed move took from this database it
+// names the database the object went to (MovedTo). db.mu held.
+func (db *DB) unknownLocked(kind string, id uid.UID) error {
+	if to, ok := db.forwards[id]; ok {
+		return rpc.Errorf(CodeUnknownObject, "no %s entry for %v%s%s", kind, id, movedToSep, to)
+	}
+	return rpc.Errorf(CodeUnknownObject, "no %s entry for %v", kind, id)
+}
+
+// MovedTo returns the database an unknown-object answer names as the one
+// the object moved to, or "" for any other error or answer.
+func MovedTo(err error) transport.Addr {
+	// CodeOf first: a nil error must not pay for errors.As's target.
+	if rpc.CodeOf(err) != CodeUnknownObject {
+		return ""
+	}
+	var ae *rpc.AppError
+	if !errors.As(err, &ae) {
+		return ""
+	}
+	i := strings.LastIndex(ae.Msg, movedToSep)
+	if i < 0 {
+		return ""
+	}
+	return transport.Addr(ae.Msg[i+len(movedToSep):])
 }
 
 // GetServer returns Sv_A under a read lock held by action a until it
@@ -107,7 +149,7 @@ func (db *DB) GetServer(ctx context.Context, a *dbAction, id uid.UID, wantUse, f
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
-		return nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+		return nil, nil, db.unknownLocked("Sv", id)
 	}
 	nodes := append([]transport.Addr(nil), e.Nodes...)
 	if !wantUse {
@@ -151,7 +193,7 @@ func (db *DB) Bind(ctx context.Context, a *dbAction, id uid.UID, clientNode tran
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
-		return nil, nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+		return nil, nil, db.unknownLocked("Sv", id)
 	}
 	candidates, n := selectServers(e.Nodes, e.Use, degree, false, "")
 	candidates = slices.Clone(candidates)
@@ -174,7 +216,7 @@ func (db *DB) Select(ctx context.Context, a *dbAction, id uid.UID) ([]transport.
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
-		return nil, rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+		return nil, db.unknownLocked("Sv", id)
 	}
 	candidates, _ := selectServers(e.Nodes, e.Use, 0, false, "")
 	return slices.Clone(candidates), nil
@@ -195,7 +237,7 @@ func (db *DB) Insert(ctx context.Context, a *dbAction, id uid.UID, host transpor
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
-		return rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+		return db.unknownLocked("Sv", id)
 	}
 	for _, clients := range e.Use {
 		for _, n := range clients {
@@ -240,7 +282,7 @@ func (db *DB) Remove(ctx context.Context, a *dbAction, id uid.UID, host transpor
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
-		return rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+		return db.unknownLocked("Sv", id)
 	}
 	db.snapServerLocked(a, id)
 	var kept []transport.Addr
@@ -293,7 +335,7 @@ func (db *DB) adjustUse(ctx context.Context, a *dbAction, id uid.UID, clientNode
 		if delta < 0 {
 			return nil
 		}
-		return rpc.Errorf(CodeUnknownObject, "no Sv entry for %v", id)
+		return db.unknownLocked("Sv", id)
 	}
 	db.adjustUseLocked(a, id, e, clientNode, hosts, delta, exclusive)
 	return nil
@@ -339,7 +381,7 @@ func (db *DB) GetView(ctx context.Context, a *dbAction, id uid.UID) ([]transport
 	db.noteLocked(a)
 	e, ok := db.states[id]
 	if !ok {
-		return nil, "", rpc.Errorf(CodeUnknownObject, "no St entry for %v", id)
+		return nil, "", db.unknownLocked("St", id)
 	}
 	return append([]transport.Addr(nil), e.Nodes...), e.Class, nil
 }
@@ -361,7 +403,7 @@ func (db *DB) Include(ctx context.Context, a *dbAction, id uid.UID, host transpo
 	db.noteLocked(a)
 	e, ok := db.states[id]
 	if !ok {
-		return nil, rpc.Errorf(CodeUnknownObject, "no St entry for %v", id)
+		return nil, db.unknownLocked("St", id)
 	}
 	db.snapStateLocked(a, id)
 	present := false
@@ -419,7 +461,7 @@ func (db *DB) Exclude(ctx context.Context, a *dbAction, pairs []ExcludePair, use
 	for _, p := range pairs {
 		e, ok := db.states[p.UID]
 		if !ok {
-			return rpc.Errorf(CodeUnknownObject, "no St entry for %v", p.UID)
+			return db.unknownLocked("St", p.UID)
 		}
 		db.snapStateLocked(a, p.UID)
 		for _, host := range p.Hosts {
@@ -469,8 +511,9 @@ type Op struct {
 	UID uid.UID
 	// Class is the object's class (Register).
 	Class string
-	// Host is the node to insert, remove or include, or — for Increment,
-	// Decrement and Bind — the client node whose counters move.
+	// Host is the node to insert, remove or include, for Increment,
+	// Decrement and Bind the client node whose counters move, and for
+	// Deregister the database the object moves to.
 	Host transport.Addr
 	// Hosts lists Sv (Register) or the servers whose use lists move
 	// (Increment, Decrement); Stores lists St (Register).
@@ -491,9 +534,10 @@ func RegisterOp(act string, id uid.UID, class string, svNodes, stNodes []transpo
 	return Op{Kind: OpRegister, Action: act, UID: id, Class: class, Hosts: svNodes, Stores: stNodes}
 }
 
-// DeregisterOp removes an object from both databases.
-func DeregisterOp(act string, id uid.UID) Op {
-	return Op{Kind: OpDeregister, Action: act, UID: id}
+// DeregisterOp removes an object from both databases, leaving a forward to
+// the database to (none if "").
+func DeregisterOp(act string, id uid.UID, to transport.Addr) Op {
+	return Op{Kind: OpDeregister, Action: act, UID: id, Host: to}
 }
 
 // GetServerOp reads Sv_A (and the use lists when wantUse); forUpdate takes
@@ -623,7 +667,7 @@ func (db *DB) exec(ctx context.Context, a *dbAction, op *Op) (res OpResult, err 
 	case OpRegister:
 		err = db.Register(ctx, a, op.UID, op.Class, op.Hosts, op.Stores)
 	case OpDeregister:
-		res.Nodes, res.Class, err = db.Deregister(ctx, a, op.UID)
+		res.Nodes, res.Class, err = db.Deregister(ctx, a, op.UID, op.Host)
 	case OpGetServer:
 		res.Nodes, res.Use, err = db.GetServer(ctx, a, op.UID, op.WantUse, op.ForUpdate)
 	case OpInsert:
@@ -691,11 +735,11 @@ func (c Client) Register(ctx context.Context, act string, id uid.UID, class stri
 	return err
 }
 
-// Deregister removes an object from both databases, returning the last St
-// view and class for the caller's catch-up. Fails with CodeNotQuiescent
-// while any use list is non-empty.
-func (c Client) Deregister(ctx context.Context, act string, id uid.UID) ([]transport.Addr, string, error) {
-	res, err := c.do1(ctx, DeregisterOp(act, id))
+// Deregister removes an object from both databases on its way to the
+// database to, returning the last St view and class for the caller's
+// catch-up. Fails with CodeNotQuiescent while any use list is non-empty.
+func (c Client) Deregister(ctx context.Context, act string, id uid.UID, to transport.Addr) ([]transport.Addr, string, error) {
+	res, err := c.do1(ctx, DeregisterOp(act, id, to))
 	return res.Nodes, res.Class, err
 }
 

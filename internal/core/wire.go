@@ -250,7 +250,8 @@ type useCount struct {
 // "persistence"). An Sv entry's record carries Nodes and Use, an St
 // entry's Nodes and Class; which of the two a record is follows from the
 // key it is stored under. Deleted marks the tombstone of a deregistered
-// entry.
+// entry; an St tombstone's Nodes then name the database the object moved
+// to, if it moved (see DB.Deregister).
 type entryRecord struct {
 	Deleted bool
 	Nodes   []transport.Addr

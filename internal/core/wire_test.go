@@ -17,7 +17,7 @@ func wireCases() []struct{ in, out rpc.Wire } {
 	return []struct{ in, out rpc.Wire }{
 		{&BatchReq{Ops: []Op{
 			RegisterOp("a1", id, "Counter", []transport.Addr{"n1"}, []transport.Addr{"s1", "s2"}),
-			DeregisterOp("a1", id),
+			DeregisterOp("a1", id, "db2"),
 			GetServerOp("a1", id, true, true),
 			InsertOp("a2", id, "n3"),
 			RemoveOp("a2", id, "n3", true),

@@ -70,10 +70,9 @@ type Options struct {
 	Clients int
 	// Shards partitions the deployment into that many independent
 	// server/store groups, each with its own group view database
-	// (db1..dbS), plus the placement service's replicas mapping objects to
-	// groups. 0 or 1 is one group (node "db") and a one-row placement
-	// table: no placement node, and no lookup message, since every object
-	// lives in the one group.
+	// (db1..dbS); an object's home group is its shard on a consistent-hash
+	// ring over the groups (package placement). 0 or 1 is one group (node
+	// "db") and a one-row placement table.
 	Shards int
 	// Objects is how many counter objects to create (all with full Sv/St).
 	Objects int
@@ -105,10 +104,6 @@ type Options struct {
 	// leases on read-path invocations.
 	LeaseTTL time.Duration
 }
-
-// DefaultPlacementReplicas is how many placement service replicas a
-// sharded world runs (nodes "placement", "placement2", "placement3").
-const DefaultPlacementReplicas = 3
 
 // Group is one shard's server/store group and its group view database.
 type Group struct {
@@ -142,15 +137,11 @@ type World struct {
 	leaseTTL time.Duration
 	// Groups lists every shard's group; len 1 when unsharded.
 	Groups []Group
-	// table is the placement table, one row per group, that every
-	// placement client is built over.
+	// table is the placement table, one row per group, and ring the
+	// consistent-hash ring over its shard IDs (nil with one group), that
+	// every placement client is built over.
 	table []placement.ShardInfo
-	// place is the placement service's primary replica (nil with one
-	// group, whose one-row table needs no service).
-	place *placement.Service
-	// PlaceAddrs lists every placement node address, primary first (none
-	// with one group).
-	PlaceAddrs []transport.Addr
+	ring  *placement.Ring
 	// NameServer, when set, names the node running the §5 extension's
 	// non-atomic name server (core.NewNameServer): binders built from then
 	// on read and repair Sv there, not in the database (E12; one group).
@@ -224,20 +215,13 @@ func New(opts Options) (*World, error) {
 		g := &w.Groups[i/opts.Stores]
 		g.Sts = append(g.Sts, name)
 	}
-	for _, g := range w.Groups {
+	ids := make([]int, len(w.Groups))
+	for i, g := range w.Groups {
 		w.table = append(w.table, placement.ShardInfo{ID: g.ID, DB: g.DB.Addr(), Svs: g.Svs, Sts: g.Sts})
+		ids[i] = g.ID
 	}
 	if shards > 1 {
-		nodes := make([]*sim.Node, DefaultPlacementReplicas)
-		for i := range nodes {
-			name := transport.Addr("placement")
-			if i > 0 {
-				name = transport.Addr("placement" + strconv.Itoa(i+1))
-			}
-			nodes[i] = w.Cluster.Add(name)
-			w.PlaceAddrs = append(w.PlaceAddrs, name)
-		}
-		w.place = placement.NewReplicatedGroup(nodes, w.table)[0]
+		w.ring = placement.NewRing(ids, 0)
 	}
 	for i := 0; i < opts.Clients; i++ {
 		name := transport.Addr("c" + strconv.Itoa(i+1))
@@ -281,19 +265,27 @@ func New(opts Options) (*World, error) {
 	return w, nil
 }
 
-// GroupOf returns the group an object currently lives in, per the
-// placement service (the only group, when unsharded).
+// GroupOf returns the group an object currently lives in (the only group,
+// when unsharded): its home on the ring, or where the forwards the group
+// view databases hold lead from there, read in process, at most one hop per
+// group as a binder's follow takes (placement.Client.Follow).
 func (w *World) GroupOf(id uid.UID) *Group {
-	if w.place == nil {
+	if w.ring == nil {
 		return &w.Groups[0]
 	}
-	shard, _ := w.place.Lookup(id)
-	return &w.Groups[shard-1]
+	g := &w.Groups[w.ring.Lookup(id.String())-1]
+	for range w.Groups {
+		to := g.DB.Forward(id)
+		if to == "" {
+			break
+		}
+		g = w.GroupFor(to)
+	}
+	return g
 }
 
 // GroupFor returns the group a node belongs to (its database, server or
-// store set), or the first group for nodes outside any (clients, the
-// placement node).
+// store set), or the first group for nodes outside any (clients).
 func (w *World) GroupFor(node transport.Addr) *Group {
 	for i := range w.Groups {
 		g := &w.Groups[i]
@@ -321,13 +313,12 @@ func (w *World) Rebalance(ctx context.Context, id uid.UID, target int) error {
 }
 
 // RebalanceBatch moves a batch of objects to the target shard under one
-// migration action and one placement epoch bump per object (a single
-// AssignBatch round), using the first client node as the coordinator. On
-// one group every object is already at shard 1, so a move there is a
-// no-op, and any other target is an unknown shard.
+// migration action (placement.Move), using the first client node as the
+// coordinator. On one group every object is already at shard 1, so a move
+// there is a no-op, and any other target is an unknown shard.
 func (w *World) RebalanceBatch(ctx context.Context, ids []uid.UID, target int) error {
 	client := w.Clients[0]
-	pc := placement.NewClient(w.Cluster.Node(client).Client(), w.table, w.PlaceAddrs...)
+	pc := placement.NewClient(w.table, w.ring)
 	return placement.Move(ctx, pc, w.Mgrs[client], w.Cluster.Node(client).Client(), ids, target, w.leaseTTL > 0)
 }
 
@@ -372,7 +363,7 @@ func (w *World) Binder(client transport.Addr, scheme core.Scheme, policy replica
 			LeaseHolder: w.leaseHolderFor(client),
 			LeaseTTL:    w.leaseTTL,
 		},
-		Place: placement.NewClient(rpcc, w.table, w.PlaceAddrs...),
+		Place: placement.NewClient(w.table, w.ring),
 		RPC:   rpcc,
 	}
 	if w.NameServer != "" {

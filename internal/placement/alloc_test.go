@@ -3,52 +3,52 @@
 package placement
 
 import (
-	"context"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/uid"
 )
 
 // TestWarmResolveAllocs pins the bind path's placement cost: a resolution
-// the client has cached is a map look-up and a scan of the shard table,
-// not a copy and a sort of it (which is what Shard used to do on its way
-// to the look-up). A one-row client — one group, no placement node — has
-// nothing to look up: its Resolve allocates nothing and sends nothing.
+// the client has cached is a map look-up and a scan of the shard table, and
+// allocates nothing. A cold Resolve on a three-row table is the ring, and
+// sends no message; a one-row client has nothing to look up at all.
 func TestWarmResolveAllocs(t *testing.T) {
-	c, _, _ := newReplicatedWorld(t)
+	c := sim.NewCluster(transport.MemOptions{})
+	for _, info := range testShards {
+		c.Add(info.DB)
+	}
 	var calls atomic.Int64
 	c.Faults().OnRequest(-1, func(transport.Request) bool { return true }, func(transport.Request) { calls.Add(1) })
-	ctx, id := context.Background(), testUID(t, 9)
+	id := testUID(t, 9)
 
-	cli := NewClient(c.Node("p1").Client(), testShards, "p1", "p2", "p3")
-	if _, err := cli.AssignBatch(ctx, []uid.UID{id}, 2); err != nil {
-		t.Fatal(err)
-	}
+	ring := NewRing([]int{1, 2, 3}, 0)
+	cli := NewClient(testShards, ring)
+	home := ring.Lookup(id.String())
 	resolve := func() {
-		info, _, err := cli.Resolve(ctx, id)
-		if err != nil || info.ID != 2 {
-			t.Fatalf("Resolve = shard %d, %v, want shard 2", info.ID, err)
+		if info := cli.Resolve(id); info.ID != home {
+			t.Fatalf("Resolve = shard %d, want its ring shard %d", info.ID, home)
 		}
 	}
 	resolve()
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("a cold Resolve on a three-row table sent %d messages, want none", n)
+	}
 	if got := testing.AllocsPerRun(200, resolve); got != 0 {
 		t.Fatalf("a warm Resolve allocated %.0f objects, want 0", got)
 	}
 
-	one := NewClient(c.Node("p1").Client(), testShards[:1])
-	before := calls.Load()
+	one := NewClient(testShards[:1], nil)
 	resolveOne := func() {
-		info, epoch, err := one.Resolve(ctx, id)
-		if err != nil || info.ID != 1 || epoch != 0 {
-			t.Fatalf("one-row Resolve = shard %d epoch %d, %v, want shard 1 epoch 0", info.ID, epoch, err)
+		if info := one.Resolve(id); info.ID != 1 {
+			t.Fatalf("one-row Resolve = shard %d, want shard 1", info.ID)
 		}
 	}
 	if got := testing.AllocsPerRun(200, resolveOne); got != 0 {
 		t.Fatalf("a one-row Resolve allocated %.0f objects, want 0", got)
 	}
-	if n := calls.Load() - before; n != 0 {
-		t.Fatalf("one-row Resolves sent %d calls, want none", n)
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("Resolves sent %d messages, want none", n)
 	}
 }

@@ -20,13 +20,12 @@ import (
 // one shard keeps every one-group fast path, because each per-shard binder
 // is a plain core.Binder.
 //
-// Stale placements self-heal at bind time: if the resolved shard's
-// database does not know the object (CodeUnknownObject — the object was
-// rebalanced away and deregistered), the binder forces a placement
-// Refresh and, when the epoch has advanced, retries the bind once
-// against the new shard. An epoch that has NOT advanced means the
-// mapping is current and the object genuinely is not there, so the
-// original error stands.
+// Stale placements heal at bind time (Client.Follow): if the resolved
+// shard's database answers that the object moved away — an unknown-object
+// answer naming the database it went to — the binder caches that shard and
+// binds there, following at most one forward per shard. An unknown-object
+// answer that names no destination means the object really is not there,
+// and the error stands.
 type Binder struct {
 	// BindConfig is copied whole into every per-shard binder.
 	core.BindConfig
@@ -42,22 +41,12 @@ type Binder struct {
 // Bind resolves the object's shard and binds it there. Must be called
 // inside a running client action.
 func (b *Binder) Bind(ctx context.Context, act *action.Action, id uid.UID) (*core.Binding, error) {
-	info, epoch, err := b.Place.Resolve(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	bd, err := b.shardBinder(info).Bind(ctx, act, id)
-	if err == nil || rpc.CodeOf(err) != core.CodeUnknownObject {
-		return bd, err
-	}
-	// The shard's database does not know the object. Re-resolve: a
-	// rebalance bumps the placement epoch when it reassigns, so an
-	// advanced epoch (or changed shard) means our cache was stale.
-	fresh, freshEpoch, rerr := b.Place.Refresh(ctx, id)
-	if rerr != nil || (fresh.ID == info.ID && freshEpoch == epoch) {
-		return nil, err
-	}
-	return b.shardBinder(fresh).Bind(ctx, act, id)
+	var bd *core.Binding
+	err := b.Place.Follow(id, func(info ShardInfo) (err error) {
+		bd, err = b.shardBinder(info).Bind(ctx, act, id)
+		return err
+	})
+	return bd, err
 }
 
 // shardBinder returns the per-shard core.Binder for a shard, creating it

@@ -9,6 +9,8 @@ import (
 	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/replica"
+	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/uid"
 )
 
@@ -16,12 +18,12 @@ import (
 // whole of the placement binder's settings, whichever shard it binds on. The
 // template sets every field, so a setting the copy dropped would show.
 func TestShardBindersGetEverySetting(t *testing.T) {
-	c, _, _ := newReplicatedWorld(t)
+	c := sim.NewCluster(transport.MemOptions{})
 	ctx := context.Background()
 	client := c.Add("c1")
 	ns := core.NewNameServer(c.Add("ns"))
-	place := NewClient(client.Client(), testShards, "p1", "p2", "p3")
-	ids := []uid.UID{testUID(t, 1), testUID(t, 2)}
+	place := NewClient(testShards, NewRing([]int{1, 2, 3}, 0))
+	ids := []uid.UID{testUID(t, 1), testUID(t, 2), testUID(t, 3)}
 	for i, info := range testShards {
 		core.NewDB(c.Add(info.DB))
 		for _, n := range info.Svs {
@@ -30,9 +32,7 @@ func TestShardBindersGetEverySetting(t *testing.T) {
 		for _, n := range info.Sts {
 			c.Add(n)
 		}
-		if _, err := place.AssignBatch(ctx, ids[i:i+1], info.ID); err != nil {
-			t.Fatalf("assign %v to shard %d: %v", ids[i], info.ID, err)
-		}
+		place.remember(ids[i], info.ID)
 		db := core.Client{RPC: client.Client(), DB: info.DB}
 		if err := core.CreateObject(ctx, db, ids[i], "counter", []byte("0"), info.Svs, info.Sts); err != nil {
 			t.Fatalf("create %v on shard %d: %v", ids[i], info.ID, err)

@@ -1,11 +1,29 @@
 package placement
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/rpc"
+	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/uid"
 )
+
+// testShards is a three-shard table.
+var testShards = []ShardInfo{
+	{ID: 1, DB: "db1", Svs: []transport.Addr{"sv1"}, Sts: []transport.Addr{"st1"}},
+	{ID: 2, DB: "db2", Svs: []transport.Addr{"sv2"}, Sts: []transport.Addr{"st2"}},
+	{ID: 3, DB: "db3", Svs: []transport.Addr{"sv3"}, Sts: []transport.Addr{"st3"}},
+}
+
+func testUID(t *testing.T, n byte) uid.UID {
+	t.Helper()
+	return uid.UID{Origin: "t", Epoch: 1, Seq: uint64(n)}
+}
 
 func TestRingCoversAllShards(t *testing.T) {
 	ring := NewRing([]int{1, 2, 3}, 0)
@@ -61,41 +79,63 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
-func TestServiceOverridesAndEpochs(t *testing.T) {
-	svc := &Service{
-		ring:      NewRing([]int{1, 2}, 0),
-		shards:    map[int]ShardInfo{1: {ID: 1}, 2: {ID: 2}},
-		overrides: make(map[uid.UID]int),
-		epochs:    make(map[uid.UID]uint64),
+// TestFollowForwards: a client follows the forwards the group view
+// databases hold, one hop per database, and caches where the object was
+// found; a chain that comes back to a shard it left, or an unknown-object
+// answer that names no destination, ends the follow with the error.
+func TestFollowForwards(t *testing.T) {
+	c := sim.NewCluster(transport.MemOptions{})
+	for _, info := range testShards {
+		core.NewDB(c.Add(info.DB))
 	}
-	id := uid.UID{Origin: "t", Epoch: 1, Seq: 7}
-	ringShard, epoch := svc.Lookup(id)
-	if epoch != 0 {
-		t.Fatalf("fresh object epoch = %d, want 0", epoch)
+	rpcc, ctx, id := c.Add("c1").Client(), context.Background(), testUID(t, 1)
+	at := func(db transport.Addr) core.Client { return core.Client{RPC: rpcc, DB: db} }
+	do := func(db transport.Addr, op core.Op) {
+		t.Helper()
+		if _, err := at(db).Do(ctx, op, core.EndActionOp("m", true)); err != nil {
+			t.Fatalf("%v at %s: %v", op.Kind, db, err)
+		}
 	}
-	other := 1
-	if ringShard == 1 {
-		other = 2
+	register := func(db transport.Addr) {
+		do(db, core.RegisterOp("m", id, "counter", []transport.Addr{"sv"}, []transport.Addr{"st"}))
 	}
-	e1, err := svc.AssignBatch([]uid.UID{id}, other)
-	if err != nil {
-		t.Fatal(err)
+	register("db1")
+	do("db1", core.DeregisterOp("m", id, "db2"))
+	register("db2")
+	do("db2", core.DeregisterOp("m", id, "db3"))
+	register("db3")
+
+	cli := NewClient(testShards, NewRing([]int{1, 2, 3}, 0))
+	follow := func(start int) ([]int, error) {
+		cli.remember(id, start)
+		var asked []int
+		err := cli.Follow(id, func(info ShardInfo) error {
+			asked = append(asked, info.ID)
+			_, _, err := at(info.DB).GetView(ctx, "", id)
+			return err
+		})
+		return asked, err
 	}
-	if e1[0] != 1 {
-		t.Fatalf("first assign epoch = %d, want 1", e1)
+	if asked, err := follow(1); err != nil || !slices.Equal(asked, []int{1, 2, 3}) {
+		t.Fatalf("follow from shard 1 asked %v, %v; want [1 2 3], nil", asked, err)
 	}
-	got, epoch := svc.Lookup(id)
-	if got != other || epoch != 1 {
-		t.Fatalf("after assign: shard=%d epoch=%d, want shard=%d epoch=1", got, epoch, other)
+	if got := cli.Resolve(id).ID; got != 3 {
+		t.Fatalf("Resolve after the follow = shard %d, want 3", got)
 	}
-	if _, err := svc.AssignBatch([]uid.UID{id}, 99); err == nil {
-		t.Fatal("assign to unknown shard should fail")
+
+	// db3's forward names db1, whose forward still names db2: the chain
+	// comes back to shard 3.
+	do("db3", core.DeregisterOp("m", id, "db1"))
+	asked, err := follow(3)
+	if !slices.Equal(asked, []int{3, 1, 2}) || core.MovedTo(err) != "db3" {
+		t.Fatalf("follow round a cycle asked %v, %v; want [3 1 2] and db2's answer", asked, err)
 	}
-	e2, err := svc.AssignBatch([]uid.UID{id}, ringShard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2[0] != 2 {
-		t.Fatalf("second assign epoch = %d, want 2", e2)
+
+	ghost := testUID(t, 2)
+	if err := cli.Follow(ghost, func(info ShardInfo) error {
+		_, _, err := at(info.DB).GetView(ctx, "", ghost)
+		return err
+	}); rpc.CodeOf(err) != core.CodeUnknownObject {
+		t.Fatalf("follow of an object no database knows = %v, want %s", err, core.CodeUnknownObject)
 	}
 }

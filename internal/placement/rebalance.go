@@ -20,65 +20,56 @@ import (
 // recovery. Objects already placed at the target are skipped. Under a
 // single top-level action the batch is migrated as one unit:
 //
-//  1. Each object is deregistered at its source group's database — write
-//     locks on both entries plus the use-list quiescence check, so the
-//     move waits out in-flight bindings rather than racing them (a
-//     CodeNotQuiescent / CodeLockRefused refusal retries the whole batch
-//     with backoff until ctx expires);
+//  1. Each object is deregistered at the database it lives in, found as a
+//     binder finds it (Client.Follow), with the target's database named as
+//     where it goes — write locks on both entries plus the use-list
+//     quiescence check, so the move waits out in-flight bindings rather
+//     than racing them (a CodeNotQuiescent / CodeLockRefused refusal
+//     retries the whole batch with backoff until ctx expires). An object
+//     the follow finds at the target is skipped;
 //  2. each object's newest committed state among its source St view is
 //     installed on every target store that is behind — the same
 //     highest-surviving-version rule as store recovery;
 //  3. each object is registered at the target group's database over the
 //     target group's nodes;
-//  4. the target database commits first, then ONE AssignBatch RPC records
-//     every new placement in a single service-side critical section (one
-//     epoch bump per object, no torn intermediate mapping visible to
-//     lookups), then the source databases commit.
+//  4. the target database commits first, then each source database. A
+//     source's commit is the flip of its objects: their deregistrations and
+//     the tombstones that forward to the target are one stable write.
 //
-// The commit order bounds every crash window to a consistent state: a
-// crash before step 4 aborts all databases (locks cleaned by the janitor)
-// and every object stays at its source; a crash between the target commit
-// and the source commits leaves the batch registered at the target —
-// where placement now points — while the sources' stale entries sit
-// behind the move action's write locks until cleanup, so no client can
-// bind them. After the source commits the old entries are gone and a
-// stale client's bind fails over to the new shard via the epoch check.
+// The commit order bounds every crash window to a consistent state. A crash
+// before the target commits aborts every database (locks cleaned by the
+// janitor), and every object stays at its source with no forward. Between
+// the target's commit and a source's, that source's objects are registered
+// at both databases, but the source's entries sit behind the move's write
+// locks, so a bind there is refused and retried, never served; a bind that
+// goes to the target — a client whose ring or cache names it — finds the
+// state the move installed. Only when a source's commit is lost for good
+// (the mover, or the source, crashes in that window) does the cleanup
+// abort the source half: its entries come back, with no forward, and its
+// objects stay registered at both databases until a Move runs again.
+// After a source commits, its entries are gone and a stale client's bind
+// there follows the forward to the target.
 //
 // leaseFence, set when the deployment runs read leases, force-passivates
-// each object's source instances before placement flips, fencing any
+// each object's source instances before its source commits, fencing any
 // leases they granted (a commit on the target shard could never reach
 // those holders). Leaseless deployments pass false and keep the gentler
 // behaviour: source instances are left to drain and the write-locked
 // database entries alone keep new binds out.
 func Move(ctx context.Context, place *Client, actions *action.Manager, rpcc rpc.Client, ids []uid.UID, target int, leaseFence bool) error {
-	// Drop objects already at the target; remember each survivor's source.
-	var pending []uid.UID
-	for _, id := range ids {
-		src, _, err := place.Refresh(ctx, id)
-		if err != nil {
-			return err
-		}
-		if src.ID != target {
-			pending = append(pending, id)
-		}
-	}
-	if len(pending) == 0 {
-		return nil
-	}
 	tgt, err := place.Shard(target)
-	if err != nil {
-		return err
+	if err != nil || len(place.table) == 1 {
+		return err // on one shard, every object is at the target already
 	}
-
 	backoff := 5 * time.Millisecond
 	for {
-		err := moveOnce(ctx, place, actions, rpcc, pending, tgt, target, leaseFence)
+		err := moveOnce(ctx, place, actions, rpcc, ids, tgt, leaseFence)
 		switch rpc.CodeOf(err) {
 		case core.CodeNotQuiescent, core.CodeLockRefused:
 			// An in-flight binding holds one of the objects; let it finish.
 			select {
 			case <-ctx.Done():
-				return fmt.Errorf("placement: move %v: %w (last: %v)", pending, ctx.Err(), err)
+				return fmt.Errorf("placement: move %v: %w (last: %v)", ids, ctx.Err(), err)
 			case <-time.After(backoff):
 			}
 			if backoff < 200*time.Millisecond {
@@ -90,12 +81,13 @@ func Move(ctx context.Context, place *Client, actions *action.Manager, rpcc rpc.
 	}
 }
 
-func moveOnce(ctx context.Context, place *Client, actions *action.Manager, rpcc rpc.Client, ids []uid.UID, tgt ShardInfo, target int, leaseFence bool) error {
+func moveOnce(ctx context.Context, place *Client, actions *action.Manager, rpcc rpc.Client, ids []uid.UID, tgt ShardInfo, leaseFence bool) error {
 	act := actions.BeginTop()
 	owner := act.ID()
 	tgtDB := core.Client{RPC: rpcc, DB: tgt.DB}
-	// Objects of one batch may come from several source shards; each
-	// source database ends its share of the action exactly once.
+	// Objects of one batch may come from several source shards, and a
+	// follow takes the move's locks at every database it asks; each ends
+	// its share of the action exactly once.
 	srcDBs := make(map[transport.Addr]core.Client)
 	abort := func() {
 		for _, db := range srcDBs {
@@ -106,20 +98,27 @@ func moveOnce(ctx context.Context, place *Client, actions *action.Manager, rpcc 
 	}
 
 	for _, id := range ids {
-		src, _, err := place.Refresh(ctx, id)
+		var src ShardInfo
+		var view []transport.Addr
+		var class string
+		err := place.Follow(id, func(info ShardInfo) (err error) {
+			src = info
+			if info.ID == tgt.ID {
+				// Already at the target, unless it answers with a forward.
+				_, _, err = tgtDB.GetView(ctx, "", id)
+				return err
+			}
+			db := core.Client{RPC: rpcc, DB: info.DB}
+			srcDBs[info.DB] = db
+			view, class, err = db.Deregister(ctx, owner, id, tgt.DB)
+			return err
+		})
 		if err != nil {
 			abort()
 			return err
 		}
-		srcDB, ok := srcDBs[src.DB]
-		if !ok {
-			srcDB = core.Client{RPC: rpcc, DB: src.DB}
-			srcDBs[src.DB] = srcDB
-		}
-		view, class, err := srcDB.Deregister(ctx, owner, id)
-		if err != nil {
-			abort()
-			return err
+		if src.ID == tgt.ID {
+			continue
 		}
 
 		// Catch-up: the newest committed state among the (lock-protected)
@@ -154,7 +153,7 @@ func moveOnce(ctx context.Context, place *Client, actions *action.Manager, rpcc 
 			return err
 		}
 
-		// Fence stale read leases BEFORE placement flips: a lease granted
+		// Fence stale read leases BEFORE the source commits: a lease granted
 		// by a source server enrols only holders that server knows, so a
 		// commit on the target shard could never invalidate it — it would
 		// keep serving the pre-move state for its full TTL after writes
@@ -179,20 +178,8 @@ func moveOnce(ctx context.Context, place *Client, actions *action.Manager, rpcc 
 			}
 		}
 	}
-
 	if err := tgtDB.EndAction(ctx, owner, true); err != nil {
 		abort()
-		return err
-	}
-	if _, err := place.AssignBatch(ctx, ids, target); err != nil {
-		// The target registrations are already committed, but placement
-		// still points at the sources: abort the source halves so their
-		// entries are restored and clients carry on there. The target's
-		// orphan entries are overwritten by a later successful Move.
-		for _, db := range srcDBs {
-			_ = db.EndAction(context.Background(), owner, false)
-		}
-		_ = act.Abort(context.Background())
 		return err
 	}
 	var firstErr error

@@ -59,7 +59,8 @@
 //	0x50–0x5f  internal/group     (multicast sequence/deliver frames)
 //	0x60–0x6f  internal/lease     (read-lease invalidation records)
 //	0x70–0x7f  internal/rpc       (Empty; this package's tests use 0x7d–0x7e)
-//	0x80–0x8f  internal/placement (lookup, batch assignment, replica sync)
+//	0x80–0x8f  retired: the placement service's lookup, batch
+//	                               assignment and replica sync
 //	0x90–0x9f  internal/action    (outcome-log lookup)
 //
 // A retired tag is never reused: a peer still running the old codec must
@@ -72,7 +73,9 @@
 // lease check request and reply, which the method-less invoke replaced
 // (the invoke reply reports the version read since version 4, and carries
 // its vote's refusal inside the vote since version 5); 0x44 and
-// 0x45, the store's SeqOf request and reply, which nothing called.
+// 0x45, the store's SeqOf request and reply, which nothing called; the
+// whole 0x80–0x8f block, the placement service's records, which the
+// forwards in the group view databases replaced.
 //
 // # Response framing
 //

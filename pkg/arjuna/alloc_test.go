@@ -35,7 +35,7 @@ func TestFacadeAllocs(t *testing.T) {
 			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-		}, 91}, // 86 measured; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
+		}, 89}, // 84 measured; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
 		{"Atomic+Invoke", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Invoke(ctx, "add", []byte("1"))
@@ -43,7 +43,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 104}, // 99 measured; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
+		}, 102}, // 97 measured; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
 		{"Atomic+Invoke two objects", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				if _, err := tx.Object(id).Invoke(ctx, "add", []byte("1")); err != nil {
@@ -54,7 +54,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 243}, // 231 measured; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
+		}, 233}, // 221 measured; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)
@@ -62,7 +62,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 49}, // 46 measured; 51 with the database's keys rendered per op, a note context per call and the carried vote's item on the heap, 53 with a client-minted bind action, 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
+		}, 48}, // 45 measured; 46 with a copy of the St view kept per binding; 51 with the database's keys rendered per op, a note context per call and the carried vote's item on the heap, 53 with a client-minted bind action, 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
 	} {
 		c.op() // warm-up: placement cache, activation, lock-table free lists
 		got := testing.AllocsPerRun(200, c.op)

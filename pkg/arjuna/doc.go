@@ -241,8 +241,8 @@
 // # Sharding
 //
 // WithShards(n) splits the deployment into n independent groups, each
-// with its own group view database and its own server and store nodes,
-// under a placement service that maps every object UID to a shard:
+// with its own group view database and its own server and store nodes;
+// every object UID has a home shard on a consistent-hash ring:
 //
 //	sys, err := arjuna.Open(
 //		arjuna.WithShards(3),
@@ -250,11 +250,13 @@
 //		arjuna.WithStores(2),  // per shard
 //	)
 //
-// Placement is consistent hashing over the shard set plus a directory of
-// explicit overrides — the paper's §5 observation (naming data needs no
-// atomic discipline because binding failures are detected and retried)
-// applied one level up, to the object→group map itself. Clients resolve
-// and cache placements transparently inside Atomic. Every client binds
+// Placement keeps no naming data beside the group view databases: every
+// client holds the ring, and an object that moved is found through the
+// database it left, whose tombstone names the database it went to — the
+// paper's §5 observation (naming data needs no atomic discipline because
+// binding failures are detected and retried) applied one level up, to the
+// object→group map itself. Clients resolve placements without a message
+// and cache them transparently inside Atomic. Every client binds
 // through one placement binder whose settings (scheme, policy, degree, the
 // read optimisation) are copied whole into the binder of each shard it
 // reaches; a one-group deployment binds through it too, over a one-row
@@ -265,12 +267,15 @@
 //
 // System.Rebalance(ctx, id, shard) migrates an object between shards
 // using the §4.2 catch-up machinery (deregister once quiescent, install
-// the latest committed state at the target group, re-register, flip the
-// placement override). Each override bumps the object's placement epoch;
-// a client that cached the stale shard discovers the move on its next
-// bind (unknown-object from the old group), re-resolves, and retries
-// against the new shard — it can never commit against the old one,
-// because the old group no longer registers the object.
+// the latest committed state at the target group, re-register; the target
+// commits first, then the source, whose commit leaves the forward). A
+// client that cached the stale shard — or whose ring names it — discovers
+// the move on its next bind: the old group answers unknown-object naming
+// the group the object went to, and the client binds there, following at
+// most one forward per shard. It can never commit against the old group,
+// which no longer registers the object. An object that never moved needs
+// only its own database, as in one group; a cold client of a moved object
+// needs every database along its chain of moves.
 //
 // # Failure resilience
 //
@@ -296,17 +301,8 @@
 // liveness and incarnation epoch, System.BreakerStats every breaker's
 // state.
 //
-// In sharded deployments the placement service itself runs three
-// replicas: writes go through the primary
-// replica and are pushed synchronously to the others with per-object
-// epoch fencing, so a replayed or reordered update can never regress
-// the directory; clients read from any replica and fail over — fast,
-// when a breaker is already open — so any single replica death leaves
-// bind and re-bind live. A replica that missed updates while crashed
-// pulls the full directory from the primary on recovery. Stale reads
-// are safe end to end: a client acting on an outdated mapping gets
-// unknown-object from the wrong group, re-resolves and retries, exactly
-// as with a stale cached placement.
+// Sharded deployments have no placement node to lose: resolving an object's
+// shard sends no message, so a bind depends only on the databases it asks.
 //
 // # Stable storage
 //

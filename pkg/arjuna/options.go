@@ -87,14 +87,14 @@ func WithObjects(n int) Option { return func(c *config) { c.Objects = n } }
 
 // WithShards splits the deployment into n independent groups, each with
 // its own group view database (db1..dbN) and its own WithServers servers
-// and WithStores stores — the per-node counts become per-shard counts. A
-// placement service maps each object to a shard by consistent hashing,
-// with an explicit-override directory on top, and every Client binds
-// through it transparently: actions touching one shard keep the
+// and WithStores stores — the per-node counts become per-shard counts. Each
+// object's home shard is given by consistent hashing, a moved object is
+// found through the forward its old database keeps, and every Client binds
+// through that placement transparently: actions touching one shard keep the
 // one-phase and read-only fast paths, actions spanning shards enlist
 // participants from several groups under one coordinator. n <= 1 is one
-// group (one "db" node) with no placement service: its placement table has
-// one row, which every Client resolves without a message.
+// group (one "db" node): its placement table has one row. Either way a
+// Client resolves a placement without a message.
 func WithShards(n int) Option { return func(c *config) { c.Shards = n } }
 
 // WithScheme sets the deployment's default database access scheme;

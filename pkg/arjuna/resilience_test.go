@@ -182,45 +182,6 @@ func TestBreakerClosesThroughItsOwnProbe(t *testing.T) {
 	}
 }
 
-func TestPlacementReplicaDeathKeepsBindsLive(t *testing.T) {
-	sys := openT(t,
-		arjuna.WithShards(2),
-		arjuna.WithObjects(4),
-		arjuna.WithBreakerConfig(arjuna.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour}),
-	)
-	ctx := context.Background()
-	obj := sys.Objects()[0]
-
-	// All three placement replicas are part of the deployment's status.
-	var placements []transport.Addr
-	for _, st := range sys.Status() {
-		if st.Kind == "placement" {
-			placements = append(placements, st.Name)
-		}
-	}
-	if len(placements) != 3 {
-		t.Fatalf("placement replicas = %v, want 3", placements)
-	}
-
-	// Killing any single replica leaves bind and commit live: a fresh
-	// client (no cached placement) must resolve through a survivor.
-	for _, victim := range placements {
-		if err := sys.Crash(string(victim)); err != nil {
-			t.Fatal(err)
-		}
-		cl := clientT(t, sys, "c1")
-		if _, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
-			_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
-			return err
-		}); err != nil {
-			t.Fatalf("atomic with placement replica %s down: %v", victim, err)
-		}
-		if err := sys.Recover(ctx, string(victim)); err != nil {
-			t.Fatalf("recover %s: %v", victim, err)
-		}
-	}
-}
-
 // TestShardedDeploymentSurvivesPartitionedStore is the degraded-mode shape
 // end to end: on a 3-shard deployment one shard's only store is partitioned
 // from every other node. Actions on the other two shards keep committing;

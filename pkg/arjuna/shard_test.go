@@ -15,8 +15,8 @@ import (
 	"repro/pkg/arjuna"
 )
 
-// crossShardPair returns two pre-created objects the placement service
-// put on different shards. Object UIDs are minted deterministically, so
+// crossShardPair returns two pre-created objects the placement ring put
+// on different shards. Object UIDs are minted deterministically, so
 // the pair is stable across runs.
 func crossShardPair(t *testing.T, sys *arjuna.System) (a, b uid.UID) {
 	t.Helper()
@@ -301,9 +301,9 @@ func TestRebalanceMovesObjectAndStaleClientRebinds(t *testing.T) {
 	}
 
 	// The same client still holds the stale placement. Its next bind hits
-	// the old shard, sees the object gone, re-resolves through the bumped
-	// epoch and retries on the new shard — invisibly to the caller, and
-	// still on the single-shard fast path.
+	// the old shard, whose answer names the database the object moved to,
+	// and binds on the new shard — invisibly to the caller, and still on
+	// the single-shard fast path.
 	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
 		_, err := tx.Object(obj).Invoke(ctx, "add", []byte("7"))
 		return err
@@ -353,7 +353,7 @@ func TestRebalanceBatchMovesAllUnderOneEpochBump(t *testing.T) {
 	}
 
 	// The batch is usable at the target — the stale client re-binds
-	// through the bumped epochs.
+	// through the forwards its sources keep.
 	for _, obj := range objs {
 		if _, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
 			_, err := tx.Object(obj).Invoke(ctx, "add", []byte("10"))
@@ -433,5 +433,60 @@ func TestRebalanceUnsharded(t *testing.T) {
 	}
 	if s := sys.ShardOf(obj); s != 1 {
 		t.Fatalf("ShardOf = %d after a refused move, want 1", s)
+	}
+}
+
+// TestMovedObjectFollowsForwards: an object moved A → B → C is found by a
+// fresh client through the forwards A's and B's databases keep, at one
+// database message per hop — its first action costs exactly two more than
+// its second, which finds C in the client's cache. Moved back to its ring
+// shard A, the object is found by that client, which cached C, through C's
+// forward.
+func TestMovedObjectFollowsForwards(t *testing.T) {
+	net := &countingNet{Network: transport.NewMem(transport.MemOptions{}, nil), from: "c2"}
+	sys := openT(t, arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1),
+		arjuna.WithClients(2), arjuna.WithNetwork(net))
+	obj, ctx := sys.Objects()[0], context.Background()
+	add := func(cl *arjuna.Client) func() {
+		return func() {
+			if _, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+				_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	move := func(target int) {
+		t.Helper()
+		if err := sys.Rebalance(ctx, obj, target); err != nil {
+			t.Fatalf("rebalance to shard %d: %v", target, err)
+		}
+		if got := sys.ShardOf(obj); got != target {
+			t.Fatalf("ShardOf after rebalance = %d, want %d", got, target)
+		}
+	}
+	home := sys.ShardOf(obj)
+	move(home%3 + 1)
+	move((home+1)%3 + 1)
+
+	cl := clientT(t, sys, "c2")
+	_, first, _ := net.during(add(cl))
+	_, second, _ := net.during(add(cl))
+	if first != second+2 {
+		t.Fatalf("a fresh client's first action sent %d database messages, its second %d; want two more (one per hop)", first, second)
+	}
+	_, third, _ := net.during(add(cl))
+	if third != second {
+		t.Fatalf("a warm client's action sent %d database messages, then %d", second, third)
+	}
+
+	move(home)
+	_, back, _ := net.during(add(cl))
+	if back != second+1 {
+		t.Fatalf("the action after the move home sent %d database messages, want %d (one hop from the cached shard)", back, second+1)
+	}
+	if got := counterValue(t, sys, obj); got != "4" {
+		t.Fatalf("counter = %q, want 4", got)
 	}
 }

@@ -196,7 +196,7 @@ func (s *System) ClientNodes() []transport.Addr {
 // its Sv/St views. The new UID is returned.
 func (s *System) CreateObject(ctx context.Context, class string, initState []byte) (uid.UID, error) {
 	id := s.gen.New()
-	// Placement decides the shard from the UID; the object is created in
+	// The ring decides the shard from the UID; the object is created in
 	// that shard's group (the only group, when unsharded).
 	g := s.w.GroupOf(id)
 	creator := core.Client{RPC: s.w.Cluster.Node(s.w.Clients[0]).Client(), DB: g.DB.Addr()}
@@ -241,9 +241,9 @@ func (s *System) Shards() []ShardInfo {
 	return out
 }
 
-// ShardOf returns the shard an object currently lives on, per the
-// placement service: the consistent-hash shard unless a rebalance has
-// recorded an explicit override. Always 1 when unsharded.
+// ShardOf returns the shard an object currently lives on: its
+// consistent-hash shard, or where the forwards that rebalances left in the
+// group view databases lead from there. Always 1 when unsharded.
 func (s *System) ShardOf(id uid.UID) int {
 	return s.w.GroupOf(id).ID
 }
@@ -251,23 +251,22 @@ func (s *System) ShardOf(id uid.UID) int {
 // Rebalance migrates an object to the target shard (1-based): the
 // object is deregistered from its current group once quiescent, its
 // latest committed state installed at the target group's stores through
-// the §4.2 catch-up machinery, registered in the target group's
-// database, and the placement override updated with a bumped epoch so
-// clients holding the stale mapping re-bind instead of committing
-// against the old shard. An object already on the target stays put, so on
-// one group a move to shard 1 is a no-op and any other target is an
-// unknown shard.
+// the §4.2 catch-up machinery, and registered in the target group's
+// database. The target commits first, then the source, whose tombstone
+// names the target database, so a client holding the stale mapping is
+// forwarded there instead of committing against the old shard. An object
+// already on the target stays put, so on one group a move to shard 1 is a
+// no-op and any other target is an unknown shard.
 func (s *System) Rebalance(ctx context.Context, id uid.UID, target int) error {
 	return MapError(s.w.Rebalance(ctx, id, target))
 }
 
 // RebalanceBatch migrates a whole batch of objects to the target shard
 // under one migration action: every object is deregistered, caught up and
-// re-registered as in Rebalance, but the placement overrides flip in a
-// single service-side critical section (one AssignBatch round, one epoch
-// bump per object) — a concurrent client observes the old or the new
-// placement of the batch, never a torn mixture. Targets are as for
-// Rebalance.
+// re-registered as in Rebalance. The batch flips per source database: each
+// source's objects flip together at its commit, and until then its entries
+// stay write-locked, so a concurrent bind there is refused and retried, not
+// misrouted. Targets are as for Rebalance.
 func (s *System) RebalanceBatch(ctx context.Context, ids []uid.UID, target int) error {
 	return MapError(s.w.RebalanceBatch(ctx, ids, target))
 }
@@ -376,8 +375,8 @@ func (s *System) CommittedState(id uid.UID) ([]byte, uint64, error) {
 type NodeStatus struct {
 	// Name is the node's address (db, sv1.., st1.., c1..).
 	Name transport.Addr
-	// Kind is "db", "server", "store", "client" or — in a sharded
-	// deployment — "placement"; "node" for anything else.
+	// Kind is "db", "server", "store" or "client"; "node" for anything
+	// else.
 	Kind string
 	// Up reports whether the node is functioning.
 	Up bool
@@ -406,8 +405,6 @@ func (s *System) kindOf(addr transport.Addr) string {
 		}
 	}
 	switch {
-	case slices.Contains(s.w.PlaceAddrs, addr):
-		return "placement"
 	case slices.Contains(s.w.Svs, addr):
 		return "server"
 	case slices.Contains(s.w.Sts, addr):
@@ -478,8 +475,8 @@ func (s *System) Faults() *transport.Faults {
 	return s.w.Cluster.Faults()
 }
 
-// World returns the assembled deployment beneath the facade — nodes,
-// stable stores, placement replicas. Like Faults it is a hook for in-module
+// World returns the assembled deployment beneath the facade — nodes and
+// stable stores. Like Faults it is a hook for in-module
 // tooling (the chaos nemesis, the experiments, protocol tests) that crashes
 // nodes mid-protocol and inspects stores; actions still run through Client.
 func (s *System) World() *harness.World { return s.w }
