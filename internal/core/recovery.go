@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/action"
 	"repro/internal/sim"
@@ -74,36 +75,19 @@ func recoverOneState(ctx context.Context, cli Client, node *sim.Node, owner stri
 		return fmt.Errorf("core: recovery Include(%v,%s): %w", id, self, err)
 	}
 	ownSeq, haveOwn := node.Store().SeqOf(id)
-	var (
-		best      store.Version
-		haveBest  bool
-		reachable int
-		others    int
-	)
-	for _, st := range view {
-		if st == self {
-			continue
-		}
-		others++
-		remote := store.RemoteStore{Client: node.Client(), Node: st}
-		// "Commit processing quiescent" still leaves commits whose phase
-		// two never arrived: the member holds the acknowledged version only
-		// as a pinned intention, and Read would hand back the one before
-		// it. Have the member apply what its coordinators have decided
-		// first (best effort — an undecided pin keeps blocking writers, and
-		// the stale-version check refuses a copy loaded underneath it).
-		_, _ = remote.ResolveDecided(ctx)
-		v, err := remote.Read(ctx, id)
-		if err != nil {
-			continue
-		}
-		reachable++
-		if !haveBest || v.Seq > best.Seq {
-			best, haveBest = v, true
-		}
+	// "Commit processing quiescent" still leaves commits whose phase two
+	// never arrived: a member holds the acknowledged version only as a
+	// pinned intention. Newest has such a member apply what its
+	// coordinators have decided before it is read (an undecided pin keeps
+	// blocking writers, and the stale-version check refuses a copy loaded
+	// underneath it).
+	best, reachable := store.Newest(ctx, node.Client(), view, self, id)
+	others := len(view)
+	if slices.Contains(view, self) {
+		others--
 	}
 	switch {
-	case haveBest:
+	case reachable > 0:
 		if !haveOwn || best.Seq > ownSeq {
 			if err := node.Store().Put(id, best.Data, best.Seq); err != nil {
 				return fmt.Errorf("core: recovery adopt %v at %s: %w", id, self, err)

@@ -530,27 +530,16 @@ func (m *Manager) admit(in *instance) (resident *instance, admitted bool) {
 
 // loadState reads the object's latest committed state from the first store
 // node of stNodes that answers (§3.2(4): "each server is free to load the
-// state of the object from any of the nodes ∈ St").
+// state of the object from any of the nodes ∈ St"). The read is
+// ReadDecided: a commit whose phase-two message the store never got is
+// applied first. An undecided intention stays pending, and the version
+// chain check refuses a copy loaded underneath it.
 func (m *Manager) loadState(ctx context.Context, id uid.UID, stNodes []string) (loaded store.Version, found bool) {
 	for _, st := range stNodes {
 		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
-		v, err := remote.Read(ctx, id)
-		if err == nil && v.Pinned {
-			// A prepared intention is pending on the object. It may be an
-			// acknowledged commit whose phase-two message the store never
-			// got, and Read hands back the version before it: have the
-			// store apply what its coordinators have decided and read again
-			// (core's store recovery does the same before it trusts a view
-			// member). An undecided intention stays pending, and the
-			// version chain check refuses a copy loaded underneath it.
-			if _, rerr := remote.ResolveDecided(ctx); rerr == nil {
-				v, err = remote.Read(ctx, id)
-			}
+		if v, err := remote.ReadDecided(ctx, id); err == nil {
+			return v, true
 		}
-		if err != nil {
-			continue
-		}
-		return v, true
 	}
 	return store.Version{}, false
 }

@@ -29,7 +29,9 @@ import (
 //     the follow finds at the target is skipped;
 //  2. each object's newest committed state among its source St view is
 //     installed on every target store that is behind — the same
-//     highest-surviving-version rule as store recovery;
+//     highest-surviving-version rule as store recovery, one helper for
+//     both (store.Newest). A source store whose intention on the object
+//     is still undecided refuses the move as not quiescent, to retry;
 //  3. each object is registered at the target group's database over the
 //     target group's nodes;
 //  4. the target database commits first, then each source database. A
@@ -66,7 +68,8 @@ func Move(ctx context.Context, place *Client, actions *action.Manager, rpcc rpc.
 		err := moveOnce(ctx, place, actions, rpcc, ids, tgt, leaseFence)
 		switch rpc.CodeOf(err) {
 		case core.CodeNotQuiescent, core.CodeLockRefused:
-			// An in-flight binding holds one of the objects; let it finish.
+			// An in-flight binding or commit holds one of the objects; let
+			// it finish.
 			select {
 			case <-ctx.Done():
 				return fmt.Errorf("placement: move %v: %w (last: %v)", ids, ctx.Err(), err)
@@ -124,25 +127,25 @@ func moveOnce(ctx context.Context, place *Client, actions *action.Manager, rpcc 
 		// Catch-up: the newest committed state among the (lock-protected)
 		// source view is the object's state; unreachable members are
 		// skipped — the survivors are mutually consistent, so any reachable
-		// copy of the highest sequence is authoritative.
-		var headData []byte
-		var headSeq uint64
-		for _, st := range view {
-			remote := store.RemoteStore{Client: rpcc, Node: st}
-			if v, rerr := remote.Read(ctx, id); rerr == nil && v.Seq >= headSeq {
-				headData, headSeq = v.Data, v.Seq
-			}
-		}
-		if headSeq == 0 {
+		// copy of the highest sequence is authoritative. A member still
+		// holding an undecided intention on the object may hold a commit
+		// the others missed: the move waits for its outcome rather than
+		// copy the version beneath it.
+		head, _ := store.Newest(ctx, rpcc, view, "", id)
+		if head.Seq == 0 {
 			abort()
 			return fmt.Errorf("placement: move %v: no committed state reachable in source view %v", id, view)
 		}
+		if head.Pinned {
+			abort()
+			return rpc.Errorf(core.CodeNotQuiescent, "placement: move %v: an undecided intention is pending in source view %v", id, view)
+		}
 		for _, st := range tgt.Sts {
 			remote := store.RemoteStore{Client: rpcc, Node: st}
-			if v, rerr := remote.Read(ctx, id); rerr == nil && v.Seq >= headSeq {
+			if v, rerr := remote.Read(ctx, id); rerr == nil && v.Seq >= head.Seq {
 				continue
 			}
-			if perr := remote.Put(ctx, id, headData, headSeq); perr != nil {
+			if perr := remote.Put(ctx, id, head.Data, head.Seq); perr != nil {
 				abort()
 				return fmt.Errorf("placement: move %v: install state at %s: %w", id, st, perr)
 			}

@@ -132,7 +132,7 @@ func (n *Node) OnRecover(f func(*Node)) {
 
 // Crash fail-silently stops the node: it disappears from the network and
 // its volatile storage is lost. On a node with persistent (disk-backed)
-// stable storage the whole process state goes too — the store's maps are
+// stable storage the whole process state goes too — the stable image is
 // dropped and its files closed; only the backend's directory survives,
 // exactly like a real machine losing power. Crashing a crashed node is a
 // no-op.

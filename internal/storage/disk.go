@@ -77,6 +77,7 @@ func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot") }
 // and a periodic snapshot. See the package documentation for the record
 // format and the crash-safety argument.
 type Disk struct {
+	mutations
 	dir  string
 	opts DiskOptions
 
@@ -121,6 +122,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		return nil, fmt.Errorf("storage: %s: %w", dir, err)
 	}
 	d := &Disk{dir: dir, opts: opts, lock: lock, state: NewState()}
+	d.mutations = mutations{d.append}
 	d.syncCond = sync.NewCond(&d.syncMu)
 	fail := func(err error) (*Disk, error) {
 		lock.Close()
@@ -175,8 +177,9 @@ func (d *Disk) TruncatedAtOpen() int64 {
 	return d.truncated
 }
 
-// append frames r, writes it to the WAL and applies it to the live
-// state. The caller's later Sync makes it durable.
+// append frames r, writes it to the WAL and only then applies it to the
+// image: a record the WAL refused never reaches it. The caller's later Sync
+// makes it durable.
 func (d *Disk) append(r record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -236,42 +239,7 @@ func (d *Disk) Load() (*State, error) {
 	if d.closed {
 		return nil, ErrClosed
 	}
-	return d.state.clone(), nil
-}
-
-// PutVersion implements Backend.
-func (d *Disk) PutVersion(id string, v Version) error {
-	return d.append(record{tag: recVersion, id: id, tx: v.Tx, seq: v.Seq, data: v.Data})
-}
-
-// DeleteVersion implements Backend.
-func (d *Disk) DeleteVersion(id string) error {
-	return d.append(record{tag: recDeleteVersion, id: id})
-}
-
-// PutIntention implements Backend.
-func (d *Disk) PutIntention(tx, id string, w Write) error {
-	return d.append(record{tag: recIntention, tx: tx, id: id, seq: w.Seq, data: w.Data})
-}
-
-// CommitTx implements Backend.
-func (d *Disk) CommitTx(tx string) error {
-	return d.append(record{tag: recCommitTx, tx: tx})
-}
-
-// AbortTx implements Backend.
-func (d *Disk) AbortTx(tx string) error {
-	return d.append(record{tag: recAbortTx, tx: tx})
-}
-
-// PutOutcome implements Backend.
-func (d *Disk) PutOutcome(tx string, outcome uint8) error {
-	return d.append(record{tag: recOutcome, tx: tx, seq: uint64(outcome)})
-}
-
-// DeleteOutcome implements Backend.
-func (d *Disk) DeleteOutcome(tx string) error {
-	return d.append(record{tag: recDeleteOutcome, tx: tx})
+	return d.state, nil
 }
 
 // Outcome implements Backend.

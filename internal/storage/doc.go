@@ -1,10 +1,24 @@
 // Package storage is the stable-storage engine under the reproduction's
 // "stable" state: committed object versions, prepared (undecided) 2PC
-// intentions, and coordinator outcome records. Everything above it —
-// store.Store, the action outcome log, sim node recovery — holds its
-// working state in ordinary Go maps and mirrors every mutation through a
-// Backend, so that what survives a crash is exactly what the backend made
-// durable.
+// intentions, and coordinator outcome records.
+//
+// # One image per node
+//
+// A node's stable contents have one in-memory image, the State its
+// backend holds, and one transition function, applyRecord: every mutation
+// is a record, which a Mem backend applies to the image and a Disk backend
+// appends to its WAL and then applies, and which replay at open applies
+// again. Nothing else changes the image, and no one keeps a second copy:
+// Load returns the live State, and callers only read it. Two parties write
+// it, each its own part, and each reads only its own part:
+//
+//   - store.Store, which opened the backend, writes the versions and the
+//     intentions (and with them the pins), under its own mutex, and reads
+//     them under that mutex alone;
+//   - the node's coordinator outcome log (action.BackendLog) writes and
+//     reads the outcomes, through the backend's methods and its lock.
+//
+// What survives a crash is exactly what the backend made durable.
 //
 // # The Backend contract
 //
@@ -15,20 +29,23 @@
 //   - prepared intentions      (tx -> object -> data, seq)
 //   - transaction outcomes     (tx -> outcome code)
 //
-// Mutations are appended in call order; Sync makes every preceding
-// mutation durable and is the caller's commit point (a store must Sync a
-// prepared intention before voting commit, and a coordinator must Sync
-// the commit record before phase two). Load returns a copy of the current
-// contents; the caller may mutate the returned maps freely.
+// The pin index (object -> tx of its prepared intention) is derived from
+// the intentions by applyRecord and never recorded. Mutations are appended
+// in call order; Sync makes every preceding mutation durable and is the
+// caller's commit point (a store must Sync a prepared intention before
+// voting commit, and a coordinator must Sync the commit record before
+// phase two).
 //
 // Two implementations exist:
 //
-//   - Mem: maps guarded by a mutex. Nothing touches the filesystem; Sync
+//   - Mem: the image behind a mutex. Nothing touches the filesystem; Sync
 //     and Close are no-ops and the data survives Close, which models the
 //     paper's simulation default where "stable" means "kept across the
 //     simulated crash". Zero-dependency tests run on it unchanged.
 //   - Disk: a real per-directory engine — append-only WAL plus periodic
-//     snapshot — whose contents survive actual process death.
+//     snapshot — whose contents survive actual process death. A record
+//     the WAL refuses (a kill at a byte, an I/O error) never reaches the
+//     image, and the backend refuses all work from then on.
 //
 // # WAL record format
 //
@@ -47,8 +64,7 @@
 // Unused fields are empty. Tags: version, delete-version, intention,
 // commit-tx, abort-tx, outcome, delete-outcome. A commit-tx record folds
 // the transaction's accumulated intention records into committed
-// versions at replay, exactly as Store.Commit does in memory; an
-// abort-tx record drops them.
+// versions; an abort-tx record drops them.
 // Only a commit with intentions to fold writes a commit-tx record: phase
 // two, or a one-phase commit of several writes or beside earlier
 // intentions; a lone one-phase write is its version record alone.

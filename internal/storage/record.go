@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Record tags. The tag travels as the first payload byte; replay applies
@@ -141,8 +142,9 @@ func scanRecords(buf []byte, strict bool, apply func(record)) (int64, error) {
 	return int64(off), nil
 }
 
-// applyRecord folds one record into st — the single replay semantics the
-// WAL, the snapshot and the live Disk state all share.
+// applyRecord folds one record into st. It is the one transition of a
+// node's stable image: the WAL and snapshot replay, a Disk append and every
+// Mem mutation go through it, and nothing else changes a State.
 func applyRecord(st *State, r record) {
 	switch r.tag {
 	case recVersion:
@@ -156,13 +158,14 @@ func applyRecord(st *State, r record) {
 			st.Intentions[r.tx] = in
 		}
 		in[r.id] = Write{Data: r.data, Seq: r.seq}
+		st.Pins[r.id] = r.tx
 	case recCommitTx:
 		for id, w := range st.Intentions[r.tx] {
 			st.Versions[id] = Version{Data: w.Data, Seq: w.Seq, Tx: r.tx}
 		}
-		delete(st.Intentions, r.tx)
+		dropIntentions(st, r.tx)
 	case recAbortTx:
-		delete(st.Intentions, r.tx)
+		dropIntentions(st, r.tx)
 	case recOutcome:
 		st.Outcomes[r.tx] = uint8(r.seq)
 	case recDeleteOutcome:
@@ -170,33 +173,34 @@ func applyRecord(st *State, r record) {
 	}
 }
 
+// dropIntentions forgets tx's intentions and the pins they hold.
+func dropIntentions(st *State, tx string) {
+	for id := range st.Intentions[tx] {
+		if st.Pins[id] == tx {
+			delete(st.Pins, id)
+		}
+	}
+	delete(st.Intentions, tx)
+}
+
 // encodeState renders st as a record stream (the snapshot body), in a
 // deterministic order: versions, intentions, outcomes, each sorted by
 // key.
 func encodeState(st *State) []byte {
 	var buf []byte
-	for _, id := range sortedKeys(st.Versions) {
+	for _, id := range slices.Sorted(maps.Keys(st.Versions)) {
 		v := st.Versions[id]
 		buf = appendRecord(buf, record{tag: recVersion, id: id, tx: v.Tx, seq: v.Seq, data: v.Data})
 	}
-	for _, tx := range sortedKeys(st.Intentions) {
+	for _, tx := range slices.Sorted(maps.Keys(st.Intentions)) {
 		in := st.Intentions[tx]
-		for _, id := range sortedKeys(in) {
+		for _, id := range slices.Sorted(maps.Keys(in)) {
 			w := in[id]
 			buf = appendRecord(buf, record{tag: recIntention, tx: tx, id: id, seq: w.Seq, data: w.Data})
 		}
 	}
-	for _, tx := range sortedKeys(st.Outcomes) {
+	for _, tx := range slices.Sorted(maps.Keys(st.Outcomes)) {
 		buf = appendRecord(buf, record{tag: recOutcome, tx: tx, seq: uint64(st.Outcomes[tx])})
 	}
 	return buf
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -25,13 +25,18 @@ type Write struct {
 	Seq  uint64
 }
 
-// State is a full image of a backend's contents. Load returns a copy the
-// caller owns; the byte slices are shared and must not be mutated.
+// State is the in-memory image of a backend's contents: the only one a
+// node keeps. applyRecord is the only code that changes it, under the
+// backend's mutex; Load hands out the live image, which callers only read
+// (see the package documentation for who may read what, when).
 type State struct {
 	// Versions maps an object UID (string form) to its committed version.
 	Versions map[string]Version
 	// Intentions maps a transaction ID to its prepared writes by object.
 	Intentions map[string]map[string]Write
+	// Pins maps an object UID to the transaction whose prepared intention
+	// is pending on it. It is derived from Intentions, never recorded.
+	Pins map[string]string
 	// Outcomes maps a transaction ID to its recorded outcome code.
 	Outcomes map[string]uint8
 }
@@ -41,30 +46,9 @@ func NewState() *State {
 	return &State{
 		Versions:   make(map[string]Version),
 		Intentions: make(map[string]map[string]Write),
+		Pins:       make(map[string]string),
 		Outcomes:   make(map[string]uint8),
 	}
-}
-
-func (s *State) clone() *State {
-	out := &State{
-		Versions:   make(map[string]Version, len(s.Versions)),
-		Intentions: make(map[string]map[string]Write, len(s.Intentions)),
-		Outcomes:   make(map[string]uint8, len(s.Outcomes)),
-	}
-	for id, v := range s.Versions {
-		out.Versions[id] = v
-	}
-	for tx, m := range s.Intentions {
-		c := make(map[string]Write, len(m))
-		for id, w := range m {
-			c[id] = w
-		}
-		out.Intentions[tx] = c
-	}
-	for tx, o := range s.Outcomes {
-		out.Outcomes[tx] = o
-	}
-	return out
 }
 
 // Backend is a stable-storage engine: it persists committed versions,
@@ -72,7 +56,9 @@ func (s *State) clone() *State {
 // makes mutations durable on Sync. Implementations are safe for
 // concurrent use.
 type Backend interface {
-	// Load returns a copy of the backend's current contents.
+	// Load returns the backend's live image. The caller must not change
+	// it, and reads a part of it only while no one writes that part (the
+	// package documentation says who writes what).
 	Load() (*State, error)
 	// PutVersion records a committed version of an object.
 	PutVersion(id string, v Version) error
@@ -108,16 +94,57 @@ type Backend interface {
 // factory replays the directory.
 type Factory func() (Backend, error)
 
+// mutations implements the Backend's seven mutations by handing each, as
+// its record, to apply: Mem applies it to the image, Disk appends it to
+// the WAL first.
+type mutations struct{ apply func(record) error }
+
+// PutVersion implements Backend.
+func (m mutations) PutVersion(id string, v Version) error {
+	return m.apply(record{tag: recVersion, id: id, tx: v.Tx, seq: v.Seq, data: v.Data})
+}
+
+// DeleteVersion implements Backend.
+func (m mutations) DeleteVersion(id string) error {
+	return m.apply(record{tag: recDeleteVersion, id: id})
+}
+
+// PutIntention implements Backend.
+func (m mutations) PutIntention(tx, id string, w Write) error {
+	return m.apply(record{tag: recIntention, tx: tx, id: id, seq: w.Seq, data: w.Data})
+}
+
+// CommitTx implements Backend.
+func (m mutations) CommitTx(tx string) error { return m.apply(record{tag: recCommitTx, tx: tx}) }
+
+// AbortTx implements Backend.
+func (m mutations) AbortTx(tx string) error { return m.apply(record{tag: recAbortTx, tx: tx}) }
+
+// PutOutcome implements Backend.
+func (m mutations) PutOutcome(tx string, outcome uint8) error {
+	return m.apply(record{tag: recOutcome, tx: tx, seq: uint64(outcome)})
+}
+
+// DeleteOutcome implements Backend.
+func (m mutations) DeleteOutcome(tx string) error {
+	return m.apply(record{tag: recDeleteOutcome, tx: tx})
+}
+
 // Mem is the in-memory Backend: the simulation's "stable storage that
 // survives the crash because we keep the value". The zero value is not
 // usable; call NewMem.
 type Mem struct {
+	mutations
 	mu    sync.Mutex
 	state *State
 }
 
 // NewMem returns an empty in-memory backend.
-func NewMem() *Mem { return &Mem{state: NewState()} }
+func NewMem() *Mem {
+	m := &Mem{state: NewState()}
+	m.mutations = mutations{m.apply}
+	return m
+}
 
 // MemFactory returns a Factory that always hands back the same fresh
 // Mem instance — close/reopen cycles see the same data, mirroring the
@@ -132,76 +159,15 @@ func (m *Mem) Factory() Factory {
 	return func() (Backend, error) { return m, nil }
 }
 
+func (m *Mem) apply(r record) error {
+	m.mu.Lock()
+	applyRecord(m.state, r)
+	m.mu.Unlock()
+	return nil
+}
+
 // Load implements Backend.
-func (m *Mem) Load() (*State, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state.clone(), nil
-}
-
-// PutVersion implements Backend.
-func (m *Mem) PutVersion(id string, v Version) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.state.Versions[id] = v
-	return nil
-}
-
-// DeleteVersion implements Backend.
-func (m *Mem) DeleteVersion(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.state.Versions, id)
-	return nil
-}
-
-// PutIntention implements Backend.
-func (m *Mem) PutIntention(tx, id string, w Write) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	in := m.state.Intentions[tx]
-	if in == nil {
-		in = make(map[string]Write)
-		m.state.Intentions[tx] = in
-	}
-	in[id] = w
-	return nil
-}
-
-// CommitTx implements Backend.
-func (m *Mem) CommitTx(tx string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for id, w := range m.state.Intentions[tx] {
-		m.state.Versions[id] = Version{Data: w.Data, Seq: w.Seq, Tx: tx}
-	}
-	delete(m.state.Intentions, tx)
-	return nil
-}
-
-// AbortTx implements Backend.
-func (m *Mem) AbortTx(tx string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.state.Intentions, tx)
-	return nil
-}
-
-// PutOutcome implements Backend.
-func (m *Mem) PutOutcome(tx string, outcome uint8) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.state.Outcomes[tx] = outcome
-	return nil
-}
-
-// DeleteOutcome implements Backend.
-func (m *Mem) DeleteOutcome(tx string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.state.Outcomes, tx)
-	return nil
-}
+func (m *Mem) Load() (*State, error) { return m.state, nil }
 
 // Outcome implements Backend.
 func (m *Mem) Outcome(tx string) (uint8, bool, error) {

@@ -296,3 +296,62 @@ func TestDiskStoreCompacts(t *testing.T) {
 		t.Fatalf("after 300 commits: %+v (%v), want seq 301", v, err)
 	}
 }
+
+// TestDiskStoreKilledMidOperationAnswersNothing kills the WAL at every byte
+// of a two-write Prepare and of a two-write one-phase commit. The records
+// that landed before the cut are in the image, so until it is reopened the
+// store answers nothing — no read may show an intention, or a pin, of an
+// operation that failed — and after reopening, nothing of the operation is
+// committed.
+func TestDiskStoreKilledMidOperationAnswersNothing(t *testing.T) {
+	a, b := uid.UID{Origin: "obj", Epoch: 1, Seq: 1}, uid.UID{Origin: "obj", Epoch: 1, Seq: 2}
+	writes := []Write{{UID: a, Data: []byte("a2"), Seq: 2}, {UID: b, Data: []byte("b2"), Seq: 2}}
+	ops := map[string]func(s *Store) error{
+		"prepare":          func(s *Store) error { return s.Prepare("tx", writes) },
+		"commit-one-phase": func(s *Store) error { return s.CommitOnePhase("tx", writes) },
+	}
+	for name, op := range ops {
+		// open returns a store holding a and b at seq 1, and its WAL length.
+		open := func(dir string) (*Store, int64) {
+			s := diskStore(t, dir)
+			for _, id := range []uid.UID{a, b} {
+				if err := s.Put(id, []byte("1"), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return s, s.Backend().(*storage.Disk).WALSize()
+		}
+		ref, before := open(t.TempDir())
+		if err := op(ref); err != nil {
+			t.Fatal(err)
+		}
+		span := ref.Backend().(*storage.Disk).WALSize() - before
+		ref.Shutdown()
+		for cut := int64(0); cut < span; cut++ {
+			s, before := open(t.TempDir())
+			s.Backend().(*storage.Disk).FailAfter(before+cut, nil)
+			if err := op(s); err == nil {
+				t.Fatalf("%s cut at byte %d of %d: the operation succeeded", name, cut, span)
+			}
+			if _, err := s.Read(a); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s cut at byte %d: read after the failed write = %v, want ErrClosed", name, cut, err)
+			}
+			if pend := s.PendingTxs(); len(pend) != 0 {
+				t.Fatalf("%s cut at byte %d: pending after the failed write = %v", name, cut, pend)
+			}
+			if err := s.Shutdown(); err != nil && !errors.Is(err, storage.ErrKilled) {
+				t.Fatal(err)
+			}
+			if err := s.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+			s.Recover(nil)
+			for _, id := range []uid.UID{a, b} {
+				if v, err := s.Read(id); err != nil || string(v.Data) != "1" || v.Pinned {
+					t.Fatalf("%s cut at byte %d: %v after reopen = %+v, %v; want 1, nothing pending", name, cut, id, v, err)
+				}
+			}
+			s.Shutdown()
+		}
+	}
+}

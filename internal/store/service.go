@@ -109,14 +109,29 @@ type ResolveResp struct {
 	Aborted []string
 }
 
+// checkUID refuses a request whose UID is not in canonical form: the
+// handlers key the image with the request's string itself, so it must be
+// the key that rendering the UID gives.
+func checkUID(s string) error {
+	id, err := uid.Parse(s)
+	if err != nil {
+		return rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
+	}
+	var buf [keyLen]byte
+	if string(id.Append(buf[:0])) != s {
+		return rpc.Errorf(rpc.CodeInternal, "bad uid: %q is not in canonical form", s)
+	}
+	return nil
+}
+
 // RegisterService exposes s on srv under ServiceName.
 func RegisterService(srv *rpc.Server, s *Store) {
 	srv.Handle(ServiceName, MethodRead, rpc.Method(func(ctx context.Context, from transport.Addr, req ReadReq) (ReadResp, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return ReadResp{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
+		if err := checkUID(req.UID); err != nil {
+			return ReadResp{}, err
 		}
-		v, err := s.Read(id)
+		var buf [keyLen]byte
+		v, err := s.read(append(buf[:0], req.UID...))
 		if err != nil {
 			if errors.Is(err, ErrNoState) {
 				return ReadResp{}, rpc.Errorf(rpc.CodeNotFound, "%v", err)
@@ -126,20 +141,18 @@ func RegisterService(srv *rpc.Server, s *Store) {
 		return ReadResp{Data: v.Data, Seq: v.Seq, TxID: v.TxID, Pinned: v.Pinned}, nil
 	}))
 	srv.Handle(ServiceName, MethodPut, rpc.Method(func(ctx context.Context, from transport.Addr, req PutReq) (rpc.Empty, error) {
-		id, err := uid.Parse(req.UID)
-		if err != nil {
-			return rpc.Empty{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
+		if err := checkUID(req.UID); err != nil {
+			return rpc.Empty{}, err
 		}
-		return rpc.Empty{}, s.Put(id, req.Data, req.Seq)
+		return rpc.Empty{}, s.put(req.UID, req.Data, req.Seq)
 	}))
 	srv.Handle(ServiceName, MethodPrepare, rpc.Method(func(ctx context.Context, from transport.Addr, req PrepareReq) (rpc.Empty, error) {
 		writes := make([]Write, 0, len(req.Writes))
 		for _, w := range req.Writes {
-			id, err := uid.Parse(w.UID)
-			if err != nil {
-				return rpc.Empty{}, rpc.Errorf(rpc.CodeInternal, "bad uid: %v", err)
+			if err := checkUID(w.UID); err != nil {
+				return rpc.Empty{}, err
 			}
-			writes = append(writes, Write{UID: id, Data: w.Data, Seq: w.Seq})
+			writes = append(writes, Write{key: w.UID, Data: w.Data, Seq: w.Seq})
 		}
 		if req.OnePhase {
 			return rpc.Empty{}, admissionErr(s.CommitOnePhase(req.Tx, writes))
@@ -170,6 +183,46 @@ func (r RemoteStore) Read(ctx context.Context, id uid.UID) (Version, error) {
 		return Version{}, err
 	}
 	return Version{Data: resp.Data, Seq: resp.Seq, TxID: resp.TxID, Pinned: resp.Pinned}, nil
+}
+
+// ReadDecided is Read for a caller about to rely on the version as the
+// object's latest: when the read shows an intention pending on the object,
+// the store is first asked to apply what its coordinators have decided and
+// is read again. The intention may be an acknowledged commit whose
+// phase-two message never arrived, and the read beneath it returns the
+// version before. A version still Pinned after that has an undecided
+// intention on it.
+func (r RemoteStore) ReadDecided(ctx context.Context, id uid.UID) (Version, error) {
+	v, err := r.Read(ctx, id)
+	if err == nil && v.Pinned {
+		if _, rerr := r.ResolveDecided(ctx); rerr == nil {
+			v, err = r.Read(ctx, id)
+		}
+	}
+	return v, err
+}
+
+// Newest returns the newest committed version of id among the stores of
+// view other than skip, each read with ReadDecided, and how many of them
+// answered. The version is Pinned when some store that answered still has
+// an undecided intention on id: a copy made from it may miss a commit.
+func Newest(ctx context.Context, c rpc.Client, view []transport.Addr, skip transport.Addr, id uid.UID) (newest Version, answered int) {
+	pinned := false
+	for _, st := range view {
+		if st == skip {
+			continue
+		}
+		v, err := RemoteStore{Client: c, Node: st}.ReadDecided(ctx, id)
+		if err != nil {
+			continue
+		}
+		if answered++; answered == 1 || v.Seq > newest.Seq {
+			newest = v
+		}
+		pinned = pinned || v.Pinned
+	}
+	newest.Pinned = pinned
+	return newest, answered
 }
 
 // Put installs a committed version on the remote store.

@@ -4,14 +4,23 @@
 //
 // A Store models one node's stable object store. Data written through the
 // two-phase interface (Prepare/Commit/Abort) or directly (Put) survives
-// node crashes. The working state lives in maps, and every mutation is
-// mirrored through a storage.Backend before it is acknowledged: with the
-// default in-memory backend the simulation keeps the backend value across
-// Crash() — matching the paper's failure assumptions (§2.1) — while a
-// disk backend (storage.OpenDisk) makes the state survive real process
-// death: Shutdown drops every map and closes the files, Reopen replays
-// them. Prepared-but-undecided intentions are stable too, and are
-// resolved at recovery against the commit log (presumed abort).
+// node crashes. The store keeps no state of its own: it reads the one
+// image of the node's stable contents, the storage.State its backend's
+// Load returns, and changes it only by writing through the backend, which
+// applies each record to the image (after the WAL took it, on disk). With
+// the default in-memory backend the simulation keeps the backend value
+// across Crash() — matching the paper's failure assumptions (§2.1) — while
+// a disk backend (storage.OpenDisk) makes the state survive real process
+// death: Shutdown lets go of the image and closes the files, Reopen
+// replays them into a new one. Prepared-but-undecided intentions are
+// stable too, and are resolved at recovery against the commit log
+// (presumed abort).
+//
+// One writer per part of the image: only the Store that opened a backend
+// writes its versions and intentions (and so its pins), always under the
+// Store's mutex, which is why the Store may read them under that mutex
+// alone; the node's coordinator outcome log, which shares the backend,
+// writes and reads only the outcomes, under the backend's own lock.
 //
 // Each committed object version carries a sequence number; two store nodes
 // hold *mutually consistent* states of an object exactly when their
@@ -74,6 +83,21 @@ type Write struct {
 	// Seq is assigned by the committing action so that all replica stores
 	// record the same version number.
 	Seq uint64
+	// key is UID's canonical form when the caller already holds it (the
+	// store service has it from the request), so it is not rendered again.
+	key string
+}
+
+// keyLen sizes the stack buffer a key is rendered into for a lookup:
+// indexing a map by string(b) does not allocate.
+const keyLen = 96
+
+// appendKey appends w's key to dst.
+func (w *Write) appendKey(dst []byte) []byte {
+	if w.key != "" {
+		return append(dst, w.key...)
+	}
+	return w.UID.Append(dst)
 }
 
 // Store is one node's stable object store. It is safe for concurrent use.
@@ -81,17 +105,12 @@ type Store struct {
 	name    string
 	factory storage.Factory
 
-	mu        sync.Mutex
-	backend   storage.Backend
-	closed    bool
-	committed map[uid.UID]Version
-	// intentions maps a transaction ID to its stable, prepared writes,
-	// keyed by object so that repeated prepares for the same transaction
-	// merge (last write per object wins).
-	intentions map[string]map[uid.UID]Write
-	// pinned maps a UID to the transaction that has prepared a write for
-	// it, to refuse conflicting prepares.
-	pinned map[uid.UID]string
+	mu      sync.Mutex
+	backend storage.Backend // nil while shut down
+	// st is the backend's image (see the package documentation), nil while
+	// shut down and after a failed backend write: the image may then hold
+	// part of the operation, and the store answers nothing until reopened.
+	st *storage.State
 }
 
 // New returns an empty store for the named node over a fresh in-memory
@@ -110,7 +129,7 @@ func New(name string) *Store {
 // yields, loading any persisted state. The factory is kept for Reopen:
 // after a Shutdown (crash) it opens the backend again.
 func OpenWith(name string, f storage.Factory) (*Store, error) {
-	s := &Store{name: name, factory: f, closed: true}
+	s := &Store{name: name, factory: f}
 	if err := s.Reopen(); err != nil {
 		return nil, err
 	}
@@ -130,32 +149,28 @@ func (s *Store) Backend() storage.Backend {
 }
 
 // Shutdown models the stable-storage side of a node crash: the backend
-// is closed and every in-process map is dropped. With a disk backend
+// is closed and the store lets go of its image. With a disk backend
 // nothing of the store's contents remains in memory; with the in-memory
 // backend the data lives on inside the (kept) backend value. Shutdown is
 // idempotent.
 func (s *Store) Shutdown() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.backend == nil {
 		return nil
 	}
-	s.closed = true
 	err := s.backend.Close()
-	s.backend = nil
-	s.committed = nil
-	s.intentions = nil
-	s.pinned = nil
+	s.backend, s.st = nil, nil
 	return err
 }
 
 // Reopen reverses a Shutdown: the factory opens the backend (replaying
-// its contents, for a disk backend) and the working maps are rebuilt
-// from it. Reopening an open store is a no-op.
+// its contents, for a disk backend) and the store reads the image it
+// loads. Reopening an open store is a no-op.
 func (s *Store) Reopen() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.closed {
+	if s.backend != nil {
 		return nil
 	}
 	b, err := s.factory()
@@ -166,62 +181,62 @@ func (s *Store) Reopen() error {
 	if err != nil {
 		return fmt.Errorf("store: load %s: %w", s.name, err)
 	}
-	committed := make(map[uid.UID]Version, len(st.Versions))
-	for id, v := range st.Versions {
-		u, err := uid.Parse(id)
-		if err != nil {
-			return fmt.Errorf("store: load %s: bad uid %q: %w", s.name, id, err)
-		}
-		committed[u] = Version{Data: v.Data, Seq: v.Seq, TxID: v.Tx}
+	s.backend, s.st = b, st
+	return nil
+}
+
+// wroteLocked returns the error of a backend write; on one, the store stops
+// answering until Shutdown and Reopen (see Store.st). s.mu is held.
+func (s *Store) wroteLocked(err error) error {
+	if err != nil {
+		s.st = nil
 	}
-	intentions := make(map[string]map[uid.UID]Write, len(st.Intentions))
-	pinned := make(map[uid.UID]string)
-	for tx, m := range st.Intentions {
-		in := make(map[uid.UID]Write, len(m))
-		for id, w := range m {
-			u, err := uid.Parse(id)
-			if err != nil {
-				return fmt.Errorf("store: load %s: bad uid %q: %w", s.name, id, err)
-			}
-			in[u] = Write{UID: u, Data: w.Data, Seq: w.Seq}
-			pinned[u] = tx
-		}
-		intentions[tx] = in
+	return err
+}
+
+// synced ends a mutating method, outside s.mu (see Put): it Syncs b unless
+// the method failed, and names op and what in the error.
+func (s *Store) synced(b storage.Backend, err error, op, what string) error {
+	if err == nil {
+		err = b.Sync()
 	}
-	s.backend = b
-	s.committed = committed
-	s.intentions = intentions
-	s.pinned = pinned
-	s.closed = false
+	if err != nil {
+		return fmt.Errorf("%s: %s %s: %w", s.name, op, what, err)
+	}
 	return nil
 }
 
 // Read returns the committed version of id.
 func (s *Store) Read(id uid.UID) (Version, error) {
+	var buf [keyLen]byte
+	return s.read(id.Append(buf[:0]))
+}
+
+func (s *Store) read(key []byte) (Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.st == nil {
 		return Version{}, fmt.Errorf("%s: %w", s.name, ErrClosed)
 	}
-	v, ok := s.committed[id]
+	v, ok := s.st.Versions[string(key)]
 	if !ok {
-		return Version{}, fmt.Errorf("%s: %v: %w", s.name, id, ErrNoState)
+		return Version{}, fmt.Errorf("%s: %s: %w", s.name, string(key), ErrNoState)
 	}
-	// Copy data so callers cannot alias the store's buffer.
-	out := v
-	out.Data = append([]byte(nil), v.Data...)
-	_, out.Pinned = s.pinned[id]
-	return out, nil
+	_, pinned := s.st.Pins[string(key)]
+	// Copy data so callers cannot alias the image.
+	return Version{Data: append([]byte(nil), v.Data...), Seq: v.Seq, TxID: v.Tx, Pinned: pinned}, nil
 }
 
 // SeqOf returns the committed sequence number for id, or (0, false).
 func (s *Store) SeqOf(id uid.UID) (uint64, bool) {
+	var buf [keyLen]byte
+	key := id.Append(buf[:0])
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.st == nil {
 		return 0, false
 	}
-	v, ok := s.committed[id]
+	v, ok := s.st.Versions[string(key)]
 	return v.Seq, ok
 }
 
@@ -229,45 +244,40 @@ func (s *Store) SeqOf(id uid.UID) (uint64, bool) {
 // to install initial states and by recovery catch-up. The write is
 // durable when Put returns.
 //
-// Mutating methods follow one discipline: validate, append the backend
-// records and apply the in-memory update under the store mutex — so WAL
-// order always matches memory order — then Sync OUTSIDE the mutex before
-// returning. Nothing is acknowledged before it is durable, and because a
-// WAL is prefix-durable (an fsync covers everything appended before it),
-// any state a later operation built on is durable by the time that
-// operation acks. Releasing the mutex across the fsync is what lets a
+// Mutating methods follow one discipline: validate, then append the
+// backend records — which apply them to the image — under the store
+// mutex, so WAL order always matches image order; then Sync OUTSIDE the
+// mutex before returning. Nothing is acknowledged before it is durable,
+// and because a WAL is prefix-durable (an fsync covers everything appended
+// before it), any state a later operation built on is durable by the time
+// that operation acks. Releasing the mutex across the fsync is what lets a
 // disk backend's group commit coalesce concurrent transactions' syncs.
 func (s *Store) Put(id uid.UID, data []byte, seq uint64) error {
+	return s.put(id.String(), data, seq)
+}
+
+func (s *Store) put(key string, data []byte, seq uint64) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("%s: put %v: %w", s.name, id, ErrClosed)
+	b, err := s.backend, ErrClosed
+	if s.st != nil {
+		err = s.wroteLocked(b.PutVersion(key, storage.Version{Data: append([]byte(nil), data...), Seq: seq}))
 	}
-	b := s.backend
-	copied := append([]byte(nil), data...)
-	if err := b.PutVersion(id.String(), storage.Version{Data: copied, Seq: seq}); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("%s: put %v: %w", s.name, id, err)
-	}
-	s.committed[id] = Version{Data: copied, Seq: seq}
 	s.mu.Unlock()
-	if err := b.Sync(); err != nil {
-		return fmt.Errorf("%s: put %v: %w", s.name, id, err)
-	}
-	return nil
+	return s.synced(b, err, "put", key)
 }
 
 // Remove deletes any committed state for id.
 func (s *Store) Remove(id uid.UID) error {
+	key := id.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("%s: remove %v: %w", s.name, id, ErrClosed)
+	err := ErrClosed
+	if s.st != nil {
+		err = s.wroteLocked(s.backend.DeleteVersion(key))
 	}
-	if err := s.backend.DeleteVersion(id.String()); err != nil {
-		return fmt.Errorf("%s: remove %v: %w", s.name, id, err)
+	if err != nil {
+		return fmt.Errorf("%s: remove %s: %w", s.name, key, err)
 	}
-	delete(s.committed, id)
 	return nil
 }
 
@@ -276,25 +286,33 @@ func (s *Store) Remove(id uid.UID) error {
 // prepared intention on any of the objects (ErrBusy), and every write
 // extends its object's committed chain by exactly one, guarding against
 // stale activated copies writing back over newer state — the error says
-// which side is stale. It returns the writes with their data copied, as the
-// store will hold them. s.mu is held.
+// which side is stale. It returns the writes with their data copied and
+// their keys rendered, as the image will hold them. s.mu is held.
 func (s *Store) admitLocked(op, tx string, writes []Write) ([]Write, error) {
-	if s.closed {
+	if s.st == nil {
 		return nil, fmt.Errorf("%s: %s %s: %w", s.name, op, tx, ErrClosed)
 	}
-	copies := make([]Write, len(writes))
-	for i, w := range writes {
-		if other, ok := s.pinned[w.UID]; ok && other != tx {
-			return nil, fmt.Errorf("%s: %v pinned by %s: %w", s.name, w.UID, other, ErrBusy)
+	var buf [keyLen]byte
+	for i := range writes {
+		w := &writes[i]
+		key := w.appendKey(buf[:0])
+		if other, ok := s.st.Pins[string(key)]; ok && other != tx {
+			return nil, fmt.Errorf("%s: %s pinned by %s: %w", s.name, string(key), other, ErrBusy)
 		}
-		if cur, ok := s.committed[w.UID]; ok && w.Seq != cur.Seq+1 {
-			err := fmt.Errorf("%s: %v write seq %d, committed seq %d: %w", s.name, w.UID, w.Seq, cur.Seq, ErrStaleVersion)
+		if cur, ok := s.st.Versions[string(key)]; ok && w.Seq != cur.Seq+1 {
+			err := fmt.Errorf("%s: %s write seq %d, committed seq %d: %w", s.name, string(key), w.Seq, cur.Seq, ErrStaleVersion)
 			if w.Seq > cur.Seq+1 {
 				err = fmt.Errorf("%w: %w", err, ErrStoreBehind)
 			}
 			return nil, err
 		}
-		copies[i] = Write{UID: w.UID, Data: append([]byte(nil), w.Data...), Seq: w.Seq}
+	}
+	copies := make([]Write, len(writes))
+	for i, w := range writes {
+		if w.key == "" {
+			w.key = w.UID.String()
+		}
+		copies[i] = Write{key: w.key, Data: append([]byte(nil), w.Data...), Seq: w.Seq}
 	}
 	return copies, nil
 }
@@ -315,26 +333,18 @@ func (s *Store) Prepare(tx string, writes []Write) error {
 		return err
 	}
 	b := s.backend
-	for _, w := range copies {
-		if err := b.PutIntention(tx, w.UID.String(), storage.Write{Data: w.Data, Seq: w.Seq}); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: prepare %s: %w", s.name, tx, err)
-		}
-	}
-	m, ok := s.intentions[tx]
-	if !ok {
-		m = make(map[uid.UID]Write, len(writes))
-		s.intentions[tx] = m
-	}
-	for _, w := range copies {
-		m[w.UID] = w
-		s.pinned[w.UID] = tx
-	}
+	err = s.wroteLocked(stage(b, tx, copies))
 	s.mu.Unlock()
-	// Sync outside the mutex (see Put); the intention must be durable
-	// before the vote this return represents.
-	if err := b.Sync(); err != nil {
-		return fmt.Errorf("%s: prepare %s: %w", s.name, tx, err)
+	// The intention must be durable before the vote this return represents.
+	return s.synced(b, err, "prepare", tx)
+}
+
+// stage appends writes as intentions of tx.
+func stage(b storage.Backend, tx string, writes []Write) error {
+	for _, w := range writes {
+		if err := b.PutIntention(tx, w.key, storage.Write{Data: w.Data, Seq: w.Seq}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -344,31 +354,19 @@ func (s *Store) Prepare(tx string, writes []Write) error {
 // already been applied — idempotent retry).
 func (s *Store) Commit(tx string) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("%s: commit %s: %w", s.name, tx, ErrClosed)
-	}
-	b := s.backend
-	writes, ok := s.intentions[tx]
-	if ok {
-		if err := b.CommitTx(tx); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: commit %s: %w", s.name, tx, err)
+	b, err := s.backend, ErrClosed
+	if s.st != nil {
+		err = nil
+		if _, ok := s.st.Intentions[tx]; ok {
+			err = s.wroteLocked(b.CommitTx(tx))
 		}
-		for _, w := range writes {
-			s.committed[w.UID] = Version{Data: w.Data, Seq: w.Seq, TxID: tx}
-		}
-		s.clearLocked(tx)
 	}
 	s.mu.Unlock()
 	// Sync even on the unknown-tx no-op path: a duplicate Commit racing
 	// the original must not acknowledge before the original's record is
 	// durable (the ack licenses the coordinator to prune its outcome
 	// record).
-	if err := b.Sync(); err != nil {
-		return fmt.Errorf("%s: commit %s: %w", s.name, tx, err)
-	}
-	return nil
+	return s.synced(b, err, "commit", tx)
 }
 
 // CommitOnePhase validates and applies writes for tx in one step — the
@@ -395,36 +393,17 @@ func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 	// multi-entry update this way), so they are staged as intentions and
 	// the single commit record folds them all. One sync (outside the mutex)
 	// covers it.
-	if len(copies) > 1 || len(s.intentions[tx]) > 0 {
-		for _, w := range copies {
-			if err := b.PutIntention(tx, w.UID.String(), storage.Write{Data: w.Data, Seq: w.Seq}); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
-			}
-		}
-		if err := b.CommitTx(tx); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
+	if len(copies) > 1 || len(s.st.Intentions[tx]) > 0 {
+		if err = stage(b, tx, copies); err == nil {
+			err = b.CommitTx(tx)
 		}
 	} else if len(copies) == 1 {
 		w := copies[0]
-		if err := b.PutVersion(w.UID.String(), storage.Version{Data: w.Data, Seq: w.Seq, Tx: tx}); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
-		}
+		err = b.PutVersion(w.key, storage.Version{Data: w.Data, Seq: w.Seq, Tx: tx})
 	}
-	for _, w := range s.intentions[tx] {
-		s.committed[w.UID] = Version{Data: w.Data, Seq: w.Seq, TxID: tx}
-	}
-	for _, w := range copies {
-		s.committed[w.UID] = Version{Data: w.Data, Seq: w.Seq, TxID: tx}
-	}
-	s.clearLocked(tx)
+	err = s.wroteLocked(err)
 	s.mu.Unlock()
-	if err := b.Sync(); err != nil {
-		return fmt.Errorf("%s: commit-one-phase %s: %w", s.name, tx, err)
-	}
-	return nil
+	return s.synced(b, err, "commit-one-phase", tx)
 }
 
 // Abort discards tx's prepared intentions; unknown tx is a no-op. The
@@ -433,25 +412,15 @@ func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 func (s *Store) Abort(tx string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.st == nil {
 		return fmt.Errorf("%s: abort %s: %w", s.name, tx, ErrClosed)
 	}
-	if _, ok := s.intentions[tx]; ok {
-		if err := s.backend.AbortTx(tx); err != nil {
+	if _, ok := s.st.Intentions[tx]; ok {
+		if err := s.wroteLocked(s.backend.AbortTx(tx)); err != nil {
 			return fmt.Errorf("%s: abort %s: %w", s.name, tx, err)
 		}
 	}
-	s.clearLocked(tx)
 	return nil
-}
-
-func (s *Store) clearLocked(tx string) {
-	for _, w := range s.intentions[tx] {
-		if s.pinned[w.UID] == tx {
-			delete(s.pinned, w.UID)
-		}
-	}
-	delete(s.intentions, tx)
 }
 
 // PendingTxs returns the transaction IDs with prepared, undecided
@@ -460,8 +429,11 @@ func (s *Store) clearLocked(tx string) {
 func (s *Store) PendingTxs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.intentions))
-	for tx := range s.intentions {
+	if s.st == nil {
+		return nil
+	}
+	out := make([]string, 0, len(s.st.Intentions))
+	for tx := range s.st.Intentions {
 		out = append(out, tx)
 	}
 	sort.Strings(out)
@@ -472,11 +444,21 @@ func (s *Store) PendingTxs() []string {
 func (s *Store) Objects() []uid.UID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]uid.UID, 0, len(s.committed))
-	for id := range s.committed {
-		out = append(out, id)
+	if s.st == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	keys := make([]string, 0, len(s.st.Versions))
+	for k := range s.st.Versions {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]uid.UID, 0, len(keys))
+	for _, k := range keys {
+		// Every key was a UID's canonical form when it was written.
+		if id, err := uid.Parse(k); err == nil {
+			out = append(out, id)
+		}
+	}
 	return out
 }
 
@@ -519,17 +501,7 @@ func (s *Store) ResolveDecided(log OutcomeLog) (applied, aborted []string) {
 	if log == nil {
 		return nil, nil
 	}
-	for _, tx := range s.PendingTxs() {
-		switch log.Lookup(tx) {
-		case OutcomeCommitted:
-			_ = s.Commit(tx)
-			applied = append(applied, tx)
-		case OutcomeAborted:
-			_ = s.Abort(tx)
-			aborted = append(aborted, tx)
-		}
-	}
-	return applied, aborted
+	return s.resolve(log, false)
 }
 
 // Recover resolves every pending intention against log: committed
@@ -541,19 +513,24 @@ func (s *Store) ResolveDecided(log OutcomeLog) (applied, aborted []string) {
 // caller asserts presumed abort). It returns the transactions applied
 // and aborted; still-pending ones remain visible via PendingTxs.
 func (s *Store) Recover(log OutcomeLog) (applied, aborted []string) {
+	return s.resolve(log, true)
+}
+
+// resolve applies the pending intentions log records as committed and rolls
+// back those it records as aborted — and, with presumeAbort, those it has
+// no record of (a nil log has none).
+func (s *Store) resolve(log OutcomeLog, presumeAbort bool) (applied, aborted []string) {
 	for _, tx := range s.PendingTxs() {
 		outcome := OutcomeUnknown
 		if log != nil {
 			outcome = log.Lookup(tx)
 		}
-		switch outcome {
-		case OutcomeCommitted:
+		switch {
+		case outcome == OutcomeCommitted:
 			// Commit never fails for a known tx on healthy storage.
 			_ = s.Commit(tx)
 			applied = append(applied, tx)
-		case OutcomeUnavailable:
-			// In doubt and unanswerable: keep the intention.
-		default:
+		case outcome == OutcomeAborted || outcome == OutcomeUnknown && presumeAbort:
 			_ = s.Abort(tx)
 			aborted = append(aborted, tx)
 		}

@@ -369,3 +369,28 @@ func TestRemoteCommitOnePhase(t *testing.T) {
 		t.Fatalf("err = %v, want ErrStaleVersion", err)
 	}
 }
+
+// TestServiceRefusesNonCanonicalUID: the service keys the image with the
+// request's UID string itself, so a string that parses to a UID but is not
+// that UID's canonical form ("obj:01:1" for obj:1:1) is refused, not
+// stored under a second key.
+func TestServiceRefusesNonCanonicalUID(t *testing.T) {
+	net := transport.NewMem(transport.MemOptions{}, nil)
+	srv := rpc.NewServer()
+	s := New("beta")
+	RegisterService(srv, s)
+	net.Register("beta", srv.Handler())
+	c, ctx := rpc.Client{Net: net, From: "alpha"}, context.Background()
+	for _, bad := range []string{"obj:01:1", "obj:1:+1", "nope"} {
+		if _, err := rpc.Invoke[PutReq, rpc.Empty](ctx, c, "beta", ServiceName, MethodPut, PutReq{UID: bad, Data: []byte("x"), Seq: 1}); err == nil {
+			t.Fatalf("put of %q accepted", bad)
+		}
+		req := PrepareReq{Tx: "tx", Writes: []WriteRec{{UID: bad, Data: []byte("x"), Seq: 1}}, OnePhase: true}
+		if _, err := rpc.Invoke[PrepareReq, rpc.Empty](ctx, c, "beta", ServiceName, MethodPrepare, req); err == nil {
+			t.Fatalf("one-phase write of %q accepted", bad)
+		}
+	}
+	if objs := s.Objects(); len(objs) != 0 {
+		t.Fatalf("refused writes left objects %v", objs)
+	}
+}

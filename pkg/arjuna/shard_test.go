@@ -490,3 +490,52 @@ func TestMovedObjectFollowsForwards(t *testing.T) {
 		t.Fatalf("counter = %q, want 4", got)
 	}
 }
+
+// TestRebalanceMovesCommitPinnedAsIntention: a committed action's phase-two
+// message never reaches any store of the object's shard — the server's
+// relay and the client's direct retry are both lost at each — so every
+// source store holds the acknowledged version only as a prepared intention,
+// and a plain read there returns the version before it. A move must have
+// the source stores apply what the coordinator decided before it copies a
+// state to the target: copying beneath the intention loses the commit.
+func TestRebalanceMovesCommitPinnedAsIntention(t *testing.T) {
+	sys := openT(t, arjuna.WithShards(2), arjuna.WithServers(1), arjuna.WithStores(2))
+	cl := clientT(t, sys, "c1", arjuna.ClientRetry(1, 0))
+	obj := sys.Objects()[0]
+	ctx := context.Background()
+	src := sys.ShardOf(obj)
+	for _, st := range sys.Shards()[src-1].Stores {
+		sys.Faults().DropRequests(2, transport.ToMethod(st, store.ServiceName, store.MethodCommit))
+	}
+	if _, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+		_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range sys.Shards()[src-1].Stores {
+		if data, _, err := sys.StoreState(string(st), obj); err != nil || string(data) != "0" {
+			t.Fatalf("%s = %q, %v: the test needs the commit still pinned there", st, data, err)
+		}
+	}
+
+	target := src%2 + 1
+	if err := sys.Rebalance(ctx, obj, target); err != nil {
+		t.Fatalf("rebalance %d → %d: %v", src, target, err)
+	}
+	for _, st := range sys.Shards()[target-1].Stores {
+		if data, _, err := sys.StoreState(string(st), obj); err != nil || string(data) != "1" {
+			t.Fatalf("target store %s = %q, %v after the move, want the acknowledged 1", st, data, err)
+		}
+	}
+	var got []byte
+	if _, err := cl.Atomic(ctx, func(tx *arjuna.Txn) (err error) {
+		got, err = tx.Object(obj).Read(ctx, "get", nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "1" {
+		t.Fatalf("read after the move = %q, want the acknowledged 1", got)
+	}
+}
