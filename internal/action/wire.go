@@ -14,33 +14,37 @@ const (
 )
 
 // WireTag implements rpc.Wire.
-func (*LookupReq) WireTag() (byte, byte) { return wireTagLookupReq, 1 }
+func (LookupReq) WireTag() (byte, byte) { return wireTagLookupReq, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (q LookupReq) WireSizeHint() int { return len(q.Tx) + 2 }
 
 // AppendWire implements rpc.Wire.
-func (q *LookupReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.Tx) }
+func (q LookupReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.Tx) }
 
 // ParseWire implements rpc.Wire.
-func (q *LookupReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Tx = r.String()
-	return nil
+func (LookupReq) ParseWire(_ byte, r *rpc.WireReader) (LookupReq, error) {
+	return LookupReq{Tx: r.String()}, nil
 }
 
 // WireTag implements rpc.Wire.
-func (*LookupResp) WireTag() (byte, byte) { return wireTagLookupResp, 1 }
+func (LookupResp) WireTag() (byte, byte) { return wireTagLookupResp, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (LookupResp) WireSizeHint() int { return 1 }
 
 // AppendWire implements rpc.Wire.
-func (p *LookupResp) AppendWire(dst []byte) []byte {
+func (p LookupResp) AppendWire(dst []byte) []byte {
 	return rpc.AppendUvarint(dst, uint64(p.Outcome))
 }
 
 // ParseWire implements rpc.Wire. An outcome no version defines is refused:
 // a recovering store must not settle an intention on a value it cannot
 // read.
-func (p *LookupResp) ParseWire(_ byte, r *rpc.WireReader) error {
+func (LookupResp) ParseWire(_ byte, r *rpc.WireReader) (LookupResp, error) {
 	v := r.Uvarint()
 	if v > uint64(store.OutcomeUnavailable) {
-		return rpc.ErrWire
+		return LookupResp{}, rpc.ErrWire
 	}
-	p.Outcome = store.Outcome(v)
-	return nil
+	return LookupResp{Outcome: store.Outcome(v)}, nil
 }

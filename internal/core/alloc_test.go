@@ -20,6 +20,14 @@ import (
 //   - an unpinned read-only bind: a ReadOnly binder binds and commits before
 //     any invoke — the bind message alone.
 //
+// What remains, by a memory profile: for each database conversation, the
+// request payload and reply frame, the decoded op and result slices, their
+// address lists and each side's one string copy — the records themselves
+// are values — and the database's batch bookkeeping; for the writer, the
+// store's admission of the database's own action; and the binder's and
+// the action's own objects — the action, its stash and enlistment, the
+// binding's St view and replica group, the object's rendered name.
+//
 // A change that adds an allocation to either path fails here; one that
 // takes one away updates the pin, and says so.
 func TestBindAllocs(t *testing.T) {
@@ -40,14 +48,16 @@ func TestBindAllocs(t *testing.T) {
 		// fresh buffer; 81 while the client minted, and ended, the bind and
 		// decrement actions; 53 while each binding enlisted itself under a
 		// stash key of its own; 52 while each binding kept a copy of the St
-		// view it was bound over.
-		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 51},
+		// view it was bound over; 51 while each of its two conversations
+		// put its request and reply on the heap at both ends.
+		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 43},
 		// 30 while the database's own actions went through its action tables
 		// and rendered their keys per op; 33 while the client minted, and
 		// ended, the bind action; 31 while the binding's one-phase commit
 		// built an empty action-end; 28 while each binding kept a copy of the
-		// St view it was bound over.
-		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 27},
+		// St view it was bound over; 27 while its conversation put its
+		// request and reply on the heap at both ends.
+		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 23},
 	} {
 		op := func() {
 			act := c.b.Actions.BeginTop()

@@ -153,23 +153,23 @@ func (e *serverEntry) settle() {
 }
 
 // record renders the entry's committed state into rec, reusing its Use.
-func (e *serverEntry) record(rec *entryRecord) *entryRecord {
-	*rec = entryRecord{Nodes: e.Nodes, Use: rec.Use[:0]}
+func (e *serverEntry) record(rec *EntryRecord) *EntryRecord {
+	*rec = EntryRecord{Nodes: e.Nodes, Use: rec.Use[:0]}
 	for k, n := range e.committed {
-		rec.Use = append(rec.Use, useCount{k.host, k.client, n})
+		rec.Use = append(rec.Use, UseCount{k.host, k.client, n})
 	}
 	return rec
 }
 
-func (e *stateEntry) record(rec *entryRecord) *entryRecord {
-	*rec = entryRecord{Nodes: e.Nodes, Class: e.Class, Use: rec.Use[:0]}
+func (e *stateEntry) record(rec *EntryRecord) *EntryRecord {
+	*rec = EntryRecord{Nodes: e.Nodes, Class: e.Class, Use: rec.Use[:0]}
 	return rec
 }
 
 // tombstone renders the record a committed Deregister leaves into rec: to,
 // when set, is the database the object moved to.
-func tombstone(rec *entryRecord, to transport.Addr) *entryRecord {
-	*rec = entryRecord{Deleted: true, Use: rec.Use[:0]}
+func tombstone(rec *EntryRecord, to transport.Addr) *EntryRecord {
+	*rec = EntryRecord{Deleted: true, Use: rec.Use[:0]}
 	if to != "" {
 		rec.Nodes = append(rec.Nodes, to)
 	}
@@ -261,7 +261,7 @@ type DB struct {
 	// writes, rec and buf are a commit's scratch: the records it writes,
 	// the one it renders, and their encodings.
 	writes []store.Write
-	rec    entryRecord
+	rec    EntryRecord
 	buf    []byte
 	// owned numbers the actions minted for messages' own ops (BatchReq);
 	// never reset, as an earlier incarnation's handler may still run.
@@ -394,7 +394,7 @@ func (db *DB) loadRecordsLocked() {
 			}
 		}
 		v, err := st.Read(key)
-		var rec entryRecord
+		var rec EntryRecord
 		if err == nil {
 			err = rpc.Decode(v.Data, &rec)
 		}
@@ -496,7 +496,7 @@ func hasRecord(writes []store.Write, key uid.UID) bool {
 
 // addRecordLocked encodes rec into the commit's scratch and adds it to the
 // records the next writeRecordsLocked writes, under key. db.mu held.
-func (db *DB) addRecordLocked(key uid.UID, rec *entryRecord) {
+func (db *DB) addRecordLocked(key uid.UID, rec *EntryRecord) {
 	start := len(db.buf)
 	db.buf = rpc.AppendEncode(db.buf, rec)
 	db.writes = append(db.writes, store.Write{UID: key, Data: db.buf[start:len(db.buf):len(db.buf)]})

@@ -48,30 +48,25 @@ func appendAddrs(dst []byte, as []transport.Addr) []byte {
 	return dst
 }
 
-// readCount consumes an element count, bounded by the bytes left (every
-// element costs at least one) so a corrupt prefix cannot demand a huge
-// allocation. ok is false on a failed reader or an impossible count.
-func readCount(r *rpc.WireReader) (n int, ok bool) {
-	c := r.Uvarint()
-	if r.Err() != nil || c > uint64(r.Remaining()) {
-		return 0, false
+// addrsSize is what appendAddrs takes for as, about.
+func addrsSize(as []transport.Addr) int {
+	n := 2
+	for _, a := range as {
+		n += len(a) + 2
 	}
-	return int(c), true
+	return n
 }
 
-func readAddrs(r *rpc.WireReader) ([]transport.Addr, error) {
-	n, ok := readCount(r)
-	if !ok {
-		return nil, rpc.ErrWire
-	}
+func readAddrs(r *rpc.WireReader) []transport.Addr {
+	n := r.Count(1)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]transport.Addr, n)
 	for i := range out {
 		out[i] = transport.Addr(r.String())
 	}
-	return out, nil
+	return out
 }
 
 // Operation flags, one bit each in the op's flag byte.
@@ -90,16 +85,29 @@ func bit(set bool, f byte) byte {
 	return 0
 }
 
+// The fewest bytes a list element encodes to, one per field: an op's kind
+// and flags and its ten fields (a UID is three), an exclude pair's UID and
+// host list, a result's four fields, a use-list host's name and client
+// count, a client's name and count, an entry record's use counter.
+const (
+	minOpSize       = 12
+	minPairSize     = 4
+	minResultSize   = 4
+	minUseHostSize  = 2
+	minUseCountSize = 2
+	minUseEntrySize = 3
+)
+
 // --- BatchReq ---
 
 // WireTag implements rpc.Wire.
-func (*BatchReq) WireTag() (byte, byte) { return wireTagBatchReq, 3 }
+func (BatchReq) WireTag() (byte, byte) { return wireTagBatchReq, 3 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (q *BatchReq) WireSizeHint() int { return 64 * len(q.Ops) }
+// WireSizeHint implements rpc.Wire.
+func (q BatchReq) WireSizeHint() int { return 64 * len(q.Ops) }
 
 // AppendWire implements rpc.Wire.
-func (q *BatchReq) AppendWire(dst []byte) []byte {
+func (q BatchReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(q.Ops)))
 	for i := range q.Ops {
 		op := &q.Ops[i]
@@ -126,17 +134,13 @@ func (q *BatchReq) AppendWire(dst []byte) []byte {
 // ParseWire implements rpc.Wire. An operation kind this version does not
 // know fails the whole request: executing the rest of a conversation
 // around a hole would not be the conversation the client sent.
-func (q *BatchReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
-	n, ok := readCount(r)
-	if !ok {
-		return rpc.ErrWire
-	}
-	q.Ops = make([]Op, n)
+func (BatchReq) ParseWire(_ byte, r *rpc.WireReader) (BatchReq, error) {
+	q := BatchReq{Ops: make([]Op, r.Count(minOpSize))}
 	for i := range q.Ops {
 		op := &q.Ops[i]
 		kind, flags := r.Uvarint(), r.Uvarint()
 		if kind == 0 || kind >= uint64(opKindEnd) || flags > 0xff {
-			return rpc.ErrWire
+			return BatchReq{}, rpc.ErrWire
 		}
 		op.Kind = OpKind(kind)
 		op.WantUse, op.ForUpdate, op.TryOnly = byte(flags)&flagWantUse != 0, byte(flags)&flagForUpdate != 0, byte(flags)&flagTryOnly != 0
@@ -145,41 +149,33 @@ func (q *BatchReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 		op.UID = readUID(r)
 		op.Class = r.String()
 		op.Host = transport.Addr(r.String())
-		if op.Hosts, err = readAddrs(r); err != nil {
-			return err
-		}
-		if op.Stores, err = readAddrs(r); err != nil {
-			return err
-		}
-		pairs, ok := readCount(r)
-		if !ok {
-			return rpc.ErrWire
-		}
-		if pairs > 0 {
-			op.Pairs = make([]ExcludePair, pairs)
-		}
-		for j := range op.Pairs {
-			op.Pairs[j].UID = readUID(r)
-			if op.Pairs[j].Hosts, err = readAddrs(r); err != nil {
-				return err
+		op.Hosts = readAddrs(r)
+		op.Stores = readAddrs(r)
+		if n := r.Count(minPairSize); n > 0 {
+			op.Pairs = make([]ExcludePair, n)
+			for j := range op.Pairs {
+				op.Pairs[j] = ExcludePair{UID: readUID(r), Hosts: readAddrs(r)}
 			}
 		}
 		degree := r.Uvarint()
 		if degree > math.MaxInt32 {
-			return rpc.ErrWire
+			return BatchReq{}, rpc.ErrWire
 		}
 		op.Degree = int(degree)
 	}
-	return nil
+	return q, nil
 }
 
 // --- BatchResp ---
 
 // WireTag implements rpc.Wire.
-func (*BatchResp) WireTag() (byte, byte) { return wireTagBatchResp, 2 }
+func (BatchResp) WireTag() (byte, byte) { return wireTagBatchResp, 2 }
+
+// WireSizeHint implements rpc.Wire.
+func (p BatchResp) WireSizeHint() int { return 64 * len(p.Results) }
 
 // AppendWire implements rpc.Wire.
-func (p *BatchResp) AppendWire(dst []byte) []byte {
+func (p BatchResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(p.Results)))
 	for i := range p.Results {
 		res := &p.Results[i]
@@ -200,70 +196,58 @@ func (p *BatchResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *BatchResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
-	n, ok := readCount(r)
-	if !ok {
-		return rpc.ErrWire
-	}
-	p.Results = make([]OpResult, n)
+func (BatchResp) ParseWire(_ byte, r *rpc.WireReader) (BatchResp, error) {
+	p := BatchResp{Results: make([]OpResult, r.Count(minResultSize))}
 	for i := range p.Results {
 		res := &p.Results[i]
-		if res.Nodes, err = readAddrs(r); err != nil {
-			return err
-		}
+		res.Nodes = readAddrs(r)
 		res.Class = r.String()
-		hosts, ok := readCount(r)
-		if !ok {
-			return rpc.ErrWire
-		}
-		if hosts > 0 {
+		if hosts := r.Count(minUseHostSize); hosts > 0 {
 			res.Use = make(map[transport.Addr]map[transport.Addr]int, hosts)
-		}
-		for j := 0; j < hosts; j++ {
-			host := transport.Addr(r.String())
-			clients, ok := readCount(r)
-			if !ok {
-				return rpc.ErrWire
+			for j := 0; j < hosts; j++ {
+				host := transport.Addr(r.String())
+				clients := r.Count(minUseCountSize)
+				byClient := make(map[transport.Addr]int, clients)
+				for k := 0; k < clients; k++ {
+					byClient[transport.Addr(r.String())] = int(r.Varint())
+				}
+				res.Use[host] = byClient
 			}
-			byClient := make(map[transport.Addr]int, clients)
-			for k := 0; k < clients; k++ {
-				byClient[transport.Addr(r.String())] = int(r.Varint())
-			}
-			res.Use[host] = byClient
 		}
-		if res.Hosts, err = readAddrs(r); err != nil {
-			return err
-		}
+		res.Hosts = readAddrs(r)
 	}
-	return nil
+	return p, nil
 }
 
-// --- entryRecord ---
+// --- EntryRecord ---
 
-// useCount is one non-zero use-list counter of an Sv entry's record.
-type useCount struct {
+// UseCount is one non-zero use-list counter of an Sv entry's record.
+type UseCount struct {
 	Host, Client transport.Addr
 	N            int
 }
 
-// entryRecord is the durable form of one database entry (see db.go,
+// EntryRecord is the durable form of one database entry (see db.go,
 // "persistence"). An Sv entry's record carries Nodes and Use, an St
 // entry's Nodes and Class; which of the two a record is follows from the
 // key it is stored under. Deleted marks the tombstone of a deregistered
 // entry; an St tombstone's Nodes then name the database the object moved
 // to, if it moved (see DB.Deregister).
-type entryRecord struct {
+type EntryRecord struct {
 	Deleted bool
 	Nodes   []transport.Addr
 	Class   string
-	Use     []useCount
+	Use     []UseCount
 }
 
 // WireTag implements rpc.Wire.
-func (*entryRecord) WireTag() (byte, byte) { return wireTagEntryRecord, 1 }
+func (EntryRecord) WireTag() (byte, byte) { return wireTagEntryRecord, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (e EntryRecord) WireSizeHint() int { return addrsSize(e.Nodes) + len(e.Class) + 32*len(e.Use) + 4 }
 
 // AppendWire implements rpc.Wire.
-func (e *entryRecord) AppendWire(dst []byte) []byte {
+func (e EntryRecord) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBool(dst, e.Deleted)
 	dst = appendAddrs(dst, e.Nodes)
 	dst = rpc.AppendString(dst, e.Class)
@@ -277,65 +261,63 @@ func (e *entryRecord) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (e *entryRecord) ParseWire(_ byte, r *rpc.WireReader) (err error) {
-	e.Deleted = r.Bool()
-	if e.Nodes, err = readAddrs(r); err != nil {
-		return err
+func (EntryRecord) ParseWire(_ byte, r *rpc.WireReader) (EntryRecord, error) {
+	e := EntryRecord{Deleted: r.Bool(), Nodes: readAddrs(r), Class: r.String()}
+	if n := r.Count(minUseEntrySize); n > 0 {
+		e.Use = make([]UseCount, n)
+		for i := range e.Use {
+			e.Use[i] = UseCount{transport.Addr(r.String()), transport.Addr(r.String()), int(r.Uvarint())}
+		}
 	}
-	e.Class = r.String()
-	n, ok := readCount(r)
-	if !ok {
-		return rpc.ErrWire
-	}
-	if n > 0 {
-		e.Use = make([]useCount, n)
-	}
-	for i := range e.Use {
-		e.Use[i] = useCount{transport.Addr(r.String()), transport.Addr(r.String()), int(r.Uvarint())}
-	}
-	return nil
+	return e, nil
 }
 
 // --- name server records ---
 
 // WireTag implements rpc.Wire.
-func (*NameGetReq) WireTag() (byte, byte) { return wireTagNameGetReq, 1 }
+func (NameGetReq) WireTag() (byte, byte) { return wireTagNameGetReq, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (q NameGetReq) WireSizeHint() int { return len(q.UID.Origin) + 16 }
 
 // AppendWire implements rpc.Wire.
-func (q *NameGetReq) AppendWire(dst []byte) []byte { return appendUID(dst, q.UID) }
+func (q NameGetReq) AppendWire(dst []byte) []byte { return appendUID(dst, q.UID) }
 
 // ParseWire implements rpc.Wire.
-func (q *NameGetReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = readUID(r)
-	return nil
+func (NameGetReq) ParseWire(_ byte, r *rpc.WireReader) (NameGetReq, error) {
+	return NameGetReq{UID: readUID(r)}, nil
 }
 
 // WireTag implements rpc.Wire.
-func (*NameGetResp) WireTag() (byte, byte) { return wireTagNameGetResp, 1 }
+func (NameGetResp) WireTag() (byte, byte) { return wireTagNameGetResp, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (p NameGetResp) WireSizeHint() int { return addrsSize(p.Nodes) }
 
 // AppendWire implements rpc.Wire.
-func (p *NameGetResp) AppendWire(dst []byte) []byte { return appendAddrs(dst, p.Nodes) }
+func (p NameGetResp) AppendWire(dst []byte) []byte { return appendAddrs(dst, p.Nodes) }
 
 // ParseWire implements rpc.Wire.
-func (p *NameGetResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
-	p.Nodes, err = readAddrs(r)
-	return err
+func (NameGetResp) ParseWire(_ byte, r *rpc.WireReader) (NameGetResp, error) {
+	return NameGetResp{Nodes: readAddrs(r)}, nil
 }
 
 // WireTag implements rpc.Wire.
-func (*NameUpdateReq) WireTag() (byte, byte) { return wireTagNameUpdateReq, 1 }
+func (NameUpdateReq) WireTag() (byte, byte) { return wireTagNameUpdateReq, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (q NameUpdateReq) WireSizeHint() int {
+	return len(q.UID.Origin) + 16 + len(q.Host) + 2 + addrsSize(q.Nodes)
+}
 
 // AppendWire implements rpc.Wire.
-func (q *NameUpdateReq) AppendWire(dst []byte) []byte {
+func (q NameUpdateReq) AppendWire(dst []byte) []byte {
 	dst = appendUID(dst, q.UID)
 	dst = rpc.AppendString(dst, string(q.Host))
 	return appendAddrs(dst, q.Nodes)
 }
 
 // ParseWire implements rpc.Wire.
-func (q *NameUpdateReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
-	q.UID = readUID(r)
-	q.Host = transport.Addr(r.String())
-	q.Nodes, err = readAddrs(r)
-	return err
+func (NameUpdateReq) ParseWire(_ byte, r *rpc.WireReader) (NameUpdateReq, error) {
+	return NameUpdateReq{UID: readUID(r), Host: transport.Addr(r.String()), Nodes: readAddrs(r)}, nil
 }

@@ -2,20 +2,20 @@ package core
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/rpc"
+	"repro/internal/rpc/wiretest"
 	"repro/internal/transport"
 	"repro/internal/uid"
 )
 
 // wireCases holds one representative populated value of every binary codec
-// in this package, beside an empty value to decode into.
-func wireCases() []struct{ in, out rpc.Wire } {
+// in this package.
+func wireCases() []wiretest.Record {
 	id := uid.UID{Origin: "obj", Epoch: 1, Seq: 7}
-	return []struct{ in, out rpc.Wire }{
-		{&BatchReq{Ops: []Op{
+	return []wiretest.Record{
+		wiretest.Of(BatchReq{Ops: []Op{
 			RegisterOp("a1", id, "Counter", []transport.Addr{"n1"}, []transport.Addr{"s1", "s2"}),
 			DeregisterOp("a1", id, "db2"),
 			GetServerOp("a1", id, true, true),
@@ -29,59 +29,30 @@ func wireCases() []struct{ in, out rpc.Wire } {
 			EndActionOp("a3", true),
 			BindOp("a4", id, "c1", 2, true),
 			DecrementOp("", id, "c1", []transport.Addr{"n2"}),
-		}}, &BatchReq{}},
-		{&BatchResp{Results: []OpResult{
+		}}),
+		wiretest.Of(BatchResp{Results: []OpResult{
 			{Nodes: []transport.Addr{"n1", "n2"}, Use: map[transport.Addr]map[transport.Addr]int{"n1": {"c1": 2, "c2": -1}, "n2": {}}},
 			{Nodes: []transport.Addr{"s1"}, Class: "Counter"},
 			{Nodes: []transport.Addr{"n1", "n2"}, Use: map[transport.Addr]map[transport.Addr]int{"n1": {"c1": 1}}, Hosts: []transport.Addr{"n1"}},
 			{},
-		}}, &BatchResp{}},
-		{&entryRecord{Nodes: []transport.Addr{"n1", "n2"}, Use: []useCount{{"n1", "c1", 2}, {"n2", "c9", 1}}}, &entryRecord{}},
-		{&entryRecord{Nodes: []transport.Addr{"s1"}, Class: "Counter"}, &entryRecord{}},
-		{&entryRecord{Deleted: true}, &entryRecord{}},
-		{&NameGetReq{UID: id}, &NameGetReq{}},
-		{&NameGetResp{Nodes: []transport.Addr{"sv1", "sv2"}}, &NameGetResp{}},
-		{&NameUpdateReq{UID: id, Host: "sv3"}, &NameUpdateReq{}},
-		{&NameUpdateReq{UID: id, Nodes: []transport.Addr{"sv1"}}, &NameUpdateReq{}},
+		}}),
+		wiretest.Of(EntryRecord{Nodes: []transport.Addr{"n1", "n2"}, Use: []UseCount{{"n1", "c1", 2}, {"n2", "c9", 1}}}),
+		wiretest.Of(EntryRecord{Nodes: []transport.Addr{"s1"}, Class: "Counter"}),
+		wiretest.Of(EntryRecord{Deleted: true}),
+		wiretest.Of(NameGetReq{UID: id}),
+		wiretest.Of(NameGetResp{Nodes: []transport.Addr{"sv1", "sv2"}}),
+		wiretest.Of(NameUpdateReq{UID: id, Host: "sv3"}),
+		wiretest.Of(NameUpdateReq{UID: id, Nodes: []transport.Addr{"sv1"}}),
 	}
 }
 
 // TestWireRoundTrip round-trips every binary codec in this package through
 // rpc.Encode/Decode.
-func TestWireRoundTrip(t *testing.T) {
-	for _, c := range wireCases() {
-		data, err := rpc.Encode(c.in)
-		if err != nil {
-			t.Fatalf("%T: encode: %v", c.in, err)
-		}
-		if data[0] != rpc.WireMagic {
-			t.Fatalf("%T: not binary-coded (first byte %#x)", c.in, data[0])
-		}
-		if err := rpc.Decode(data, c.out); err != nil {
-			t.Fatalf("%T: decode: %v", c.in, err)
-		}
-		if !reflect.DeepEqual(c.in, c.out) {
-			t.Errorf("%T mismatch:\n in: %+v\nout: %+v", c.in, c.in, c.out)
-		}
-	}
-}
+func TestWireRoundTrip(t *testing.T) { wiretest.RoundTrip(t, wireCases()...) }
 
 // TestWireTruncatedInput: every proper prefix of a record's encoding is
 // refused — a torn record never decodes into a half-filled value.
-func TestWireTruncatedInput(t *testing.T) {
-	for _, c := range wireCases() {
-		data, err := rpc.Encode(c.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cut := 0; cut < len(data); cut++ {
-			out := reflect.New(reflect.TypeOf(c.in).Elem()).Interface().(rpc.Wire)
-			if err := rpc.Decode(data[:cut], out); err == nil {
-				t.Errorf("%T: %d of %d bytes decoded without error", c.in, cut, len(data))
-			}
-		}
-	}
-}
+func TestWireTruncatedInput(t *testing.T) { wiretest.Truncated(t, wireCases()...) }
 
 // TestBatchUnknownOp: a request carrying an operation kind outside the
 // known range is refused whole, by the codec and — should a kind slip
@@ -103,20 +74,7 @@ func TestBatchUnknownOp(t *testing.T) {
 }
 
 // TestWireTagsUnique catches accidental tag reuse inside this package's block.
-func TestWireTagsUnique(t *testing.T) {
-	seen := map[byte]string{}
-	for _, c := range wireCases() {
-		tag, ver := c.in.WireTag()
-		if ver == 0 {
-			t.Errorf("%T: version 0 is reserved", c.in)
-		}
-		name := reflect.TypeOf(c.in).String()
-		if prev, dup := seen[tag]; dup && prev != name {
-			t.Errorf("tag %#x reused by %s and %s", tag, name, prev)
-		}
-		seen[tag] = name
-	}
-}
+func TestWireTagsUnique(t *testing.T) { wiretest.TagsUnique(t, wireCases()...) }
 
 // TestBatchVersion1Refused: a version-1 batch frame — no degree per
 // operation, no counted hosts per result — is refused whole, never read as
@@ -126,18 +84,15 @@ func TestWireTagsUnique(t *testing.T) {
 // current one but whose peer would run an op of the message's own action
 // under the empty action name.
 func TestBatchVersion1Refused(t *testing.T) {
-	for _, c := range []struct{ in, out rpc.Wire }{
-		{&BatchReq{Ops: []Op{EndActionOp("a", true)}}, &BatchReq{}},
-		{&BatchResp{Results: []OpResult{{Nodes: []transport.Addr{"s1"}, Class: "Counter"}}}, &BatchResp{}},
+	for _, rec := range []wiretest.Record{
+		wiretest.Of(BatchReq{Ops: []Op{EndActionOp("a", true)}}),
+		wiretest.Of(BatchResp{Results: []OpResult{{Nodes: []transport.Addr{"s1"}, Class: "Counter"}}}),
 	} {
-		data, err := rpc.Encode(c.in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := rec.Encode()
 		v1 := append([]byte(nil), data[:len(data)-1]...)
 		v1[2] = 1
-		if err := rpc.Decode(v1, c.out); !errors.Is(err, rpc.ErrWire) {
-			t.Fatalf("%T v1: err = %v, want ErrWire", c.in, err)
+		if _, err := rec.Decode(v1); !errors.Is(err, rpc.ErrWire) {
+			t.Fatalf("%s v1: err = %v, want ErrWire", rec.Name(), err)
 		}
 	}
 	data, err := rpc.Encode(&BatchReq{Ops: []Op{GetViewOp("", uid.UID{Origin: "obj", Epoch: 1, Seq: 1})}})

@@ -10,7 +10,7 @@ import (
 )
 
 // mustEncodeBatch builds a valid wire frame for the seed corpus.
-func mustEncodeBatch(f *testing.F, req deliverBatchReq) []byte {
+func mustEncodeBatch(f *testing.F, req DeliverBatchReq) []byte {
 	f.Helper()
 	raw, err := rpc.Encode(&req)
 	if err != nil {
@@ -20,7 +20,7 @@ func mustEncodeBatch(f *testing.F, req deliverBatchReq) []byte {
 }
 
 // FuzzDeliverBatchDecode hardens the delivery decode path: the binary
-// decode of a deliverBatchReq must never panic on arbitrary bytes,
+// decode of a DeliverBatchReq must never panic on arbitrary bytes,
 // and any frame that decodes is fed through a real member's
 // handleDeliverBatch (with a short deadline so hold-back on sequence gaps
 // cannot stall the fuzzer) — the handler must survive arbitrary seq/dedup
@@ -28,14 +28,14 @@ func mustEncodeBatch(f *testing.F, req deliverBatchReq) []byte {
 func FuzzDeliverBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03})
-	f.Add(mustEncodeBatch(f, deliverBatchReq{Group: "g", Items: []batchItem{
+	f.Add(mustEncodeBatch(f, DeliverBatchReq{Group: "g", Items: []BatchItem{
 		{MsgID: "m1", Kind: "k", Payload: []byte("p"), Seq: 1},
 		{MsgID: "m2", Kind: "k", Payload: []byte("q"), Seq: 2},
 	}, Stable: 1}))
-	f.Add(mustEncodeBatch(f, deliverBatchReq{Group: "g", Items: []batchItem{
+	f.Add(mustEncodeBatch(f, DeliverBatchReq{Group: "g", Items: []BatchItem{
 		{MsgID: "dup", Seq: 5}, {MsgID: "dup", Seq: 5}, {MsgID: "gap", Seq: 9},
 	}}))
-	f.Add(mustEncodeBatch(f, deliverBatchReq{Group: "missing", Stable: ^uint64(0)}))
+	f.Add(mustEncodeBatch(f, DeliverBatchReq{Group: "missing", Stable: ^uint64(0)}))
 
 	net := transport.NewMem(transport.MemOptions{}, nil)
 	srv := rpc.NewServer()
@@ -45,7 +45,7 @@ func FuzzDeliverBatchDecode(f *testing.F) {
 	})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var req deliverBatchReq
+		var req DeliverBatchReq
 		if err := rpc.Decode(raw, &req); err != nil {
 			return // malformed input correctly rejected
 		}

@@ -95,8 +95,8 @@ type Result struct {
 	Failed []transport.Addr
 }
 
-// sequenceReq is the wire form of a sequencing request.
-type sequenceReq struct {
+// SequenceReq is the wire form of a sequencing request.
+type SequenceReq struct {
 	Group   string
 	MsgID   string
 	Kind    string
@@ -104,40 +104,40 @@ type sequenceReq struct {
 	Members []string
 }
 
-// batchItem is one message inside a deliver frame; Seq is 0 for a naive
+// BatchItem is one message inside a deliver frame; Seq is 0 for a naive
 // message.
-type batchItem struct {
+type BatchItem struct {
 	MsgID   string
 	Kind    string
 	Payload []byte
 	Seq     uint64
 }
 
-// deliverBatchReq is the wire form of a delivery: all messages the
+// DeliverBatchReq is the wire form of a delivery: all messages the
 // sequencer ordered in one round, sorted by ascending Seq.
-type deliverBatchReq struct {
+type DeliverBatchReq struct {
 	Group string
-	Items []batchItem
+	Items []BatchItem
 	// Stable is the sequencer's stability watermark: every current member
 	// has acknowledged delivery up to this sequence number, so receivers
 	// may evict dedup state at or below it.
 	Stable uint64
 }
 
-// batchResult is one member's per-message outcome within a batch.
-type batchResult struct {
+// BatchResult is one member's per-message outcome within a batch.
+type BatchResult struct {
 	Payload []byte
 	Err     string
 }
 
-// deliverBatchResp carries the member's reply for every item, in item
+// DeliverBatchResp carries the member's reply for every item, in item
 // order.
-type deliverBatchResp struct {
-	Results []batchResult
+type DeliverBatchResp struct {
+	Results []BatchResult
 }
 
-// sequenceResp carries the fan-out outcome back to the caller.
-type sequenceResp struct {
+// SequenceResp carries the fan-out outcome back to the caller.
+type SequenceResp struct {
 	Seq     uint64
 	Replies []Reply
 	Failed  []string
@@ -180,10 +180,10 @@ type seenEntry struct {
 // under the membership mutex); a waiter whose context expires marks
 // itself abandoned so it is never elected.
 type pendingSeq struct {
-	req  sequenceReq
+	req  SequenceReq
 	done chan struct{}
 	lead chan struct{}
-	resp sequenceResp
+	resp SequenceResp
 	err  error
 
 	// elected and abandoned are guarded by the membership mutex.
@@ -313,12 +313,12 @@ func (h *Host) lookup(groupID string) (*membership, error) {
 // once, with neither. Per-message outcomes are reported in item order; the
 // whole call fails only when the member itself cannot proceed (not a group
 // member, context expired holding back a gap).
-func (h *Host) handleDeliverBatch(ctx context.Context, from transport.Addr, req deliverBatchReq) (deliverBatchResp, error) {
+func (h *Host) handleDeliverBatch(ctx context.Context, from transport.Addr, req DeliverBatchReq) (DeliverBatchResp, error) {
 	m, err := h.lookup(req.Group)
 	if err != nil {
-		return deliverBatchResp{}, err
+		return DeliverBatchResp{}, err
 	}
-	resp := deliverBatchResp{Results: make([]batchResult, len(req.Items))}
+	resp := DeliverBatchResp{Results: make([]BatchResult, len(req.Items))}
 	for i, it := range req.Items {
 		msg := Delivered{Group: req.Group, MsgID: it.MsgID, Kind: it.Kind, Payload: it.Payload, Seq: it.Seq}
 		var out []byte
@@ -332,12 +332,12 @@ func (h *Host) handleDeliverBatch(ctx context.Context, from transport.Addr, req 
 			if ctx.Err() != nil {
 				// The member is stuck (gap hold-back timed out): fail the
 				// whole call so the sequencer counts it unreachable.
-				return deliverBatchResp{}, aerr
+				return DeliverBatchResp{}, aerr
 			}
-			resp.Results[i] = batchResult{Err: aerr.Error()}
+			resp.Results[i] = BatchResult{Err: aerr.Error()}
 			continue
 		}
-		resp.Results[i] = batchResult{Payload: out}
+		resp.Results[i] = BatchResult{Payload: out}
 	}
 	return resp, nil
 }
@@ -395,10 +395,10 @@ func (m *membership) applyOrdered(ctx context.Context, msg Delivered, stable uin
 // message. A retried request — the caller failed over from a dead
 // sequencer, under the same MsgID — queues like any other, and the round
 // that carries it re-relays it under its original number (see drain).
-func (h *Host) handleSequence(ctx context.Context, from transport.Addr, req sequenceReq) (sequenceResp, error) {
+func (h *Host) handleSequence(ctx context.Context, from transport.Addr, req SequenceReq) (SequenceResp, error) {
 	m, err := h.lookup(req.Group)
 	if err != nil {
-		return sequenceResp{}, err
+		return SequenceResp{}, err
 	}
 	p := &pendingSeq{req: req, done: make(chan struct{}), lead: make(chan struct{})}
 	m.mu.Lock()
@@ -433,7 +433,7 @@ func (h *Host) handleSequence(ctx context.Context, from transport.Addr, req sequ
 				<-p.done
 				return p.resp, p.err
 			}
-			return sequenceResp{}, ctx.Err()
+			return SequenceResp{}, ctx.Err()
 		}
 	}
 	m.relaying = true
@@ -518,7 +518,7 @@ func (h *Host) drain(ctx context.Context, m *membership) {
 // one delivery, and every waiter gets the outcome. Giving a duplicate a
 // fresh number would leave a hole in the sequence no delivery ever fills.
 type roundEntry struct {
-	req     sequenceReq
+	req     SequenceReq
 	seq     uint64
 	waiters []*pendingSeq
 }
@@ -533,11 +533,11 @@ type roundEntry struct {
 // order, so results are deterministic, and successful deliveries advance
 // the per-member ack watermark on m.
 func (h *Host) relay(ctx context.Context, m *membership, entries []roundEntry, members []string, stable uint64) {
-	items := make([]batchItem, len(entries))
+	items := make([]BatchItem, len(entries))
 	for i, e := range entries {
-		items[i] = batchItem{MsgID: e.req.MsgID, Kind: e.req.Kind, Payload: e.req.Payload, Seq: e.seq}
+		items[i] = BatchItem{MsgID: e.req.MsgID, Kind: e.req.Kind, Payload: e.req.Payload, Seq: e.seq}
 	}
-	frame := deliverBatchReq{Group: entries[0].req.Group, Items: items, Stable: stable}
+	frame := DeliverBatchReq{Group: entries[0].req.Group, Items: items, Stable: stable}
 	payload, err := rpc.Encode(&frame)
 	if err != nil {
 		for _, e := range entries {
@@ -549,7 +549,7 @@ func (h *Host) relay(ctx context.Context, m *membership, entries []roundEntry, m
 		return
 	}
 	type slot struct {
-		dr  deliverBatchResp
+		dr  DeliverBatchResp
 		err error
 	}
 	slots := make([]slot, len(members))
@@ -578,7 +578,7 @@ func (h *Host) relay(ctx context.Context, m *membership, entries []roundEntry, m
 	}
 	m.mu.Unlock()
 	for j, e := range entries {
-		resp := sequenceResp{Seq: e.seq, Replies: make([]Reply, 0, len(e.req.Members))}
+		resp := SequenceResp{Seq: e.seq, Replies: make([]Reply, 0, len(e.req.Members))}
 		for i, mem := range members {
 			if !slices.Contains(e.req.Members, mem) {
 				continue
@@ -664,10 +664,10 @@ func multicastWithID(ctx context.Context, cli rpc.Client, g Group, kind string, 
 	for i, m := range g.Members {
 		members[i] = string(m)
 	}
-	req := sequenceReq{Group: g.ID, MsgID: msgID, Kind: kind, Payload: payload, Members: members}
+	req := SequenceReq{Group: g.ID, MsgID: msgID, Kind: kind, Payload: payload, Members: members}
 	var lastErr error
 	for _, seqr := range g.Members {
-		resp, err := rpc.Invoke[sequenceReq, sequenceResp](ctx, cli, seqr, ServiceName, MethodSequence, req)
+		resp, err := rpc.Invoke[SequenceReq, SequenceResp](ctx, cli, seqr, ServiceName, MethodSequence, req)
 		if err != nil {
 			if isMemberFailure(err) || errors.Is(err, transport.ErrReplyLost) {
 				lastErr = err
@@ -691,10 +691,10 @@ func multicastWithID(ctx context.Context, cli rpc.Client, g Group, kind string, 
 // but reported in Failed-like terms to the caller (Err set), and a caller
 // crash midway simply stops the loop.
 func NaiveMulticast(ctx context.Context, cli rpc.Client, g Group, kind string, payload []byte) *Result {
-	frame := deliverBatchReq{Group: g.ID, Items: []batchItem{{MsgID: string(cli.From) + "/naive/" + kind, Kind: kind, Payload: payload}}}
+	frame := DeliverBatchReq{Group: g.ID, Items: []BatchItem{{MsgID: string(cli.From) + "/naive/" + kind, Kind: kind, Payload: payload}}}
 	out := &Result{}
 	for _, member := range g.Members {
-		resp, err := rpc.Invoke[deliverBatchReq, deliverBatchResp](ctx, cli, member, ServiceName, MethodDeliverBatch, frame)
+		resp, err := rpc.Invoke[DeliverBatchReq, DeliverBatchResp](ctx, cli, member, ServiceName, MethodDeliverBatch, frame)
 		r := Reply{Member: member}
 		switch {
 		case err != nil && isMemberFailure(err):

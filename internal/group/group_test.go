@@ -68,9 +68,9 @@ func newFixtureOn(t *testing.T, cluster *sim.Cluster, names ...transport.Addr) *
 func (f *fixture) client() rpc.Client { return f.cluster.Node("client").Client() }
 
 // deliverOne sends it to member as a one-item deliver frame of group G.
-func deliverOne(ctx context.Context, cli rpc.Client, member transport.Addr, it batchItem) (deliverBatchResp, error) {
-	return rpc.Invoke[deliverBatchReq, deliverBatchResp](ctx, cli, member, ServiceName, MethodDeliverBatch,
-		deliverBatchReq{Group: "G", Items: []batchItem{it}})
+func deliverOne(ctx context.Context, cli rpc.Client, member transport.Addr, it BatchItem) (DeliverBatchResp, error) {
+	return rpc.Invoke[DeliverBatchReq, DeliverBatchResp](ctx, cli, member, ServiceName, MethodDeliverBatch,
+		DeliverBatchReq{Group: "G", Items: []BatchItem{it}})
 }
 
 func TestMulticastDeliversToAllInOrder(t *testing.T) {
@@ -333,7 +333,7 @@ func TestDeliverToNonMemberRefused(t *testing.T) {
 	n := f.cluster.Node("client")
 	NewHost(n.Server(), n.Client()) // host exists but no membership
 	cli := f.cluster.Node("a1").Client()
-	_, err := deliverOne(context.Background(), cli, "client", batchItem{MsgID: "m", Kind: "k", Seq: 1})
+	_, err := deliverOne(context.Background(), cli, "client", BatchItem{MsgID: "m", Kind: "k", Seq: 1})
 	if rpc.CodeOf(err) != rpc.CodeNotFound {
 		t.Fatalf("err = %v, want not-found", err)
 	}
@@ -371,7 +371,7 @@ func TestHoldbackDeliversInSeqOrder(t *testing.T) {
 
 	done2 := make(chan error, 1)
 	go func() {
-		_, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "m2", Kind: "op", Payload: []byte("second"), Seq: 2})
+		_, err := deliverOne(ctx, cli, "a1", BatchItem{MsgID: "m2", Kind: "op", Payload: []byte("second"), Seq: 2})
 		done2 <- err
 	}()
 	// seq 2 is held back.
@@ -380,7 +380,7 @@ func TestHoldbackDeliversInSeqOrder(t *testing.T) {
 		t.Fatalf("seq 2 delivered before seq 1 (err=%v)", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "m1", Kind: "op", Payload: []byte("first"), Seq: 1}); err != nil {
+	if _, err := deliverOne(ctx, cli, "a1", BatchItem{MsgID: "m1", Kind: "op", Payload: []byte("first"), Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -401,7 +401,7 @@ func TestHoldbackRespectsContext(t *testing.T) {
 	cli := f.client()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "gap", Kind: "op", Seq: 5})
+	_, err := deliverOne(ctx, cli, "a1", BatchItem{MsgID: "gap", Kind: "op", Seq: 5})
 	if err == nil {
 		t.Fatal("gapped delivery should fail when the context expires")
 	}
@@ -504,8 +504,8 @@ func TestBatchedDeliveryHoldsBackGaps(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := rpc.Invoke[deliverBatchReq, deliverBatchResp](ctx, cli, "a1", ServiceName, MethodDeliverBatch,
-			deliverBatchReq{Group: "G", Items: []batchItem{
+		_, err := rpc.Invoke[DeliverBatchReq, DeliverBatchResp](ctx, cli, "a1", ServiceName, MethodDeliverBatch,
+			DeliverBatchReq{Group: "G", Items: []BatchItem{
 				{MsgID: "m2", Kind: "op", Payload: []byte("second"), Seq: 2},
 				{MsgID: "m3", Kind: "op", Payload: []byte("third"), Seq: 3},
 			}})
@@ -516,7 +516,7 @@ func TestBatchedDeliveryHoldsBackGaps(t *testing.T) {
 		t.Fatalf("batch delivered before seq 1 (err=%v)", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "m1", Kind: "op", Payload: []byte("first"), Seq: 1}); err != nil {
+	if _, err := deliverOne(ctx, cli, "a1", BatchItem{MsgID: "m1", Kind: "op", Payload: []byte("first"), Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -538,11 +538,11 @@ func TestBatchedDeliveryDeduplicates(t *testing.T) {
 	f := newFixture(t, "a1")
 	cli := f.client()
 	ctx := context.Background()
-	if _, err := deliverOne(ctx, cli, "a1", batchItem{MsgID: "m1", Kind: "op", Payload: []byte("x"), Seq: 1}); err != nil {
+	if _, err := deliverOne(ctx, cli, "a1", BatchItem{MsgID: "m1", Kind: "op", Payload: []byte("x"), Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := rpc.Invoke[deliverBatchReq, deliverBatchResp](ctx, cli, "a1", ServiceName, MethodDeliverBatch,
-		deliverBatchReq{Group: "G", Items: []batchItem{
+	resp, err := rpc.Invoke[DeliverBatchReq, DeliverBatchResp](ctx, cli, "a1", ServiceName, MethodDeliverBatch,
+		DeliverBatchReq{Group: "G", Items: []BatchItem{
 			{MsgID: "m1", Kind: "op", Payload: []byte("x"), Seq: 1},
 			{MsgID: "m2", Kind: "op", Payload: []byte("y"), Seq: 2},
 		}})
@@ -627,7 +627,7 @@ func TestNaiveItemsAreNotDeduplicated(t *testing.T) {
 	NaiveMulticast(ctx, f.client(), f.grp, "op", []byte("b"))
 	for _, name := range f.grp.Members {
 		for i := 0; i < 2; i++ {
-			if _, err := deliverOne(ctx, f.client(), name, batchItem{MsgID: "ordered", Kind: "op", Payload: []byte("c"), Seq: 1}); err != nil {
+			if _, err := deliverOne(ctx, f.client(), name, BatchItem{MsgID: "ordered", Kind: "op", Payload: []byte("c"), Seq: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -18,18 +18,18 @@ const (
 	wireTagDeliverBatchResp byte = 0x55
 )
 
-// sequenceReq
+// SequenceReq
 
 // WireTag implements rpc.Wire.
-func (*sequenceReq) WireTag() (byte, byte) { return wireTagSequenceReq, 1 }
+func (SequenceReq) WireTag() (byte, byte) { return wireTagSequenceReq, 1 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (q *sequenceReq) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (q SequenceReq) WireSizeHint() int {
 	return len(q.Group) + len(q.MsgID) + len(q.Kind) + len(q.Payload) + 16*len(q.Members) + 32
 }
 
 // AppendWire implements rpc.Wire.
-func (q *sequenceReq) AppendWire(dst []byte) []byte {
+func (q SequenceReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.Group)
 	dst = rpc.AppendString(dst, q.MsgID)
 	dst = rpc.AppendString(dst, q.Kind)
@@ -38,22 +38,17 @@ func (q *sequenceReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *sequenceReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Group = r.String()
-	q.MsgID = r.String()
-	q.Kind = r.String()
-	q.Payload = r.Bytes()
-	q.Members = r.Strings()
-	return nil
+func (SequenceReq) ParseWire(_ byte, r *rpc.WireReader) (SequenceReq, error) {
+	return SequenceReq{Group: r.String(), MsgID: r.String(), Kind: r.String(), Payload: r.Bytes(), Members: r.Strings()}, nil
 }
 
-// sequenceResp
+// SequenceResp
 
 // WireTag implements rpc.Wire.
-func (*sequenceResp) WireTag() (byte, byte) { return wireTagSequenceResp, 1 }
+func (SequenceResp) WireTag() (byte, byte) { return wireTagSequenceResp, 1 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (p *sequenceResp) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (p SequenceResp) WireSizeHint() int {
 	n := 32
 	for _, rep := range p.Replies {
 		n += len(rep.Member) + len(rep.Payload) + len(rep.Err) + 16
@@ -65,7 +60,7 @@ func (p *sequenceResp) WireSizeHint() int {
 }
 
 // AppendWire implements rpc.Wire.
-func (p *sequenceResp) AppendWire(dst []byte) []byte {
+func (p SequenceResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, p.Seq)
 	dst = rpc.AppendUvarint(dst, uint64(len(p.Replies)))
 	for _, rep := range p.Replies {
@@ -77,36 +72,25 @@ func (p *sequenceResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *sequenceResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Seq = r.Uvarint()
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()) {
-		return rpc.ErrWire
-	}
-	if n > 0 {
-		p.Replies = make([]Reply, 0, n)
-		for i := uint64(0); i < n; i++ {
-			p.Replies = append(p.Replies, Reply{
-				Member:  transport.Addr(r.String()),
-				Payload: r.Bytes(),
-				Err:     r.String(),
-			})
+func (SequenceResp) ParseWire(_ byte, r *rpc.WireReader) (SequenceResp, error) {
+	p := SequenceResp{Seq: r.Uvarint()}
+	if n := r.Count(3); n > 0 { // a reply is a member, a payload and an error
+		p.Replies = make([]Reply, n)
+		for i := range p.Replies {
+			p.Replies[i] = Reply{Member: transport.Addr(r.String()), Payload: r.Bytes(), Err: r.String()}
 		}
 	}
 	p.Failed = r.Strings()
-	return nil
+	return p, nil
 }
 
-// deliverBatchReq
+// DeliverBatchReq
 
 // WireTag implements rpc.Wire.
-func (*deliverBatchReq) WireTag() (byte, byte) { return wireTagDeliverBatchReq, 1 }
+func (DeliverBatchReq) WireTag() (byte, byte) { return wireTagDeliverBatchReq, 1 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (q *deliverBatchReq) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (q DeliverBatchReq) WireSizeHint() int {
 	n := len(q.Group) + 32
 	for _, it := range q.Items {
 		n += len(it.MsgID) + len(it.Kind) + len(it.Payload) + 24
@@ -115,7 +99,7 @@ func (q *deliverBatchReq) WireSizeHint() int {
 }
 
 // AppendWire implements rpc.Wire.
-func (q *deliverBatchReq) AppendWire(dst []byte) []byte {
+func (q DeliverBatchReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.Group)
 	dst = rpc.AppendUvarint(dst, uint64(len(q.Items)))
 	for _, it := range q.Items {
@@ -128,37 +112,25 @@ func (q *deliverBatchReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *deliverBatchReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Group = r.String()
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()) {
-		return rpc.ErrWire
-	}
-	if n > 0 {
-		q.Items = make([]batchItem, 0, n)
-		for i := uint64(0); i < n; i++ {
-			q.Items = append(q.Items, batchItem{
-				MsgID:   r.String(),
-				Kind:    r.String(),
-				Payload: r.Bytes(),
-				Seq:     r.Uvarint(),
-			})
+func (DeliverBatchReq) ParseWire(_ byte, r *rpc.WireReader) (DeliverBatchReq, error) {
+	q := DeliverBatchReq{Group: r.String()}
+	if n := r.Count(4); n > 0 { // an item is a message id, a kind, a payload and a seq
+		q.Items = make([]BatchItem, n)
+		for i := range q.Items {
+			q.Items[i] = BatchItem{MsgID: r.String(), Kind: r.String(), Payload: r.Bytes(), Seq: r.Uvarint()}
 		}
 	}
 	q.Stable = r.Uvarint()
-	return nil
+	return q, nil
 }
 
-// deliverBatchResp
+// DeliverBatchResp
 
 // WireTag implements rpc.Wire.
-func (*deliverBatchResp) WireTag() (byte, byte) { return wireTagDeliverBatchResp, 1 }
+func (DeliverBatchResp) WireTag() (byte, byte) { return wireTagDeliverBatchResp, 1 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (p *deliverBatchResp) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (p DeliverBatchResp) WireSizeHint() int {
 	n := 16
 	for _, res := range p.Results {
 		n += len(res.Payload) + len(res.Err) + 16
@@ -167,7 +139,7 @@ func (p *deliverBatchResp) WireSizeHint() int {
 }
 
 // AppendWire implements rpc.Wire.
-func (p *deliverBatchResp) AppendWire(dst []byte) []byte {
+func (p DeliverBatchResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(p.Results)))
 	for _, res := range p.Results {
 		dst = rpc.AppendBytes(dst, res.Payload)
@@ -177,17 +149,13 @@ func (p *deliverBatchResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *deliverBatchResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	n := r.Uvarint()
-	if r.Err() != nil || n == 0 {
-		return r.Err()
+func (DeliverBatchResp) ParseWire(_ byte, r *rpc.WireReader) (DeliverBatchResp, error) {
+	var p DeliverBatchResp
+	if n := r.Count(2); n > 0 { // a result is a payload and an error
+		p.Results = make([]BatchResult, n)
+		for i := range p.Results {
+			p.Results[i] = BatchResult{Payload: r.Bytes(), Err: r.String()}
+		}
 	}
-	if n > uint64(r.Remaining()) {
-		return rpc.ErrWire
-	}
-	p.Results = make([]batchResult, 0, n)
-	for i := uint64(0); i < n; i++ {
-		p.Results = append(p.Results, batchResult{Payload: r.Bytes(), Err: r.String()})
-	}
-	return nil
+	return p, nil
 }

@@ -19,19 +19,20 @@ type Inval struct {
 }
 
 // WireTag implements rpc.Wire.
-func (*Inval) WireTag() (byte, byte) { return wireTagInval, 1 }
+func (Inval) WireTag() (byte, byte) { return wireTagInval, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (v Inval) WireSizeHint() int { return len(v.UID) + 12 }
 
 // AppendWire implements rpc.Wire.
-func (v *Inval) AppendWire(dst []byte) []byte {
+func (v Inval) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, v.UID)
 	return rpc.AppendUvarint(dst, v.Seq)
 }
 
 // ParseWire implements rpc.Wire.
-func (v *Inval) ParseWire(_ byte, r *rpc.WireReader) error {
-	v.UID = r.String()
-	v.Seq = r.Uvarint()
-	return nil
+func (Inval) ParseWire(_ byte, r *rpc.WireReader) (Inval, error) {
+	return Inval{UID: r.String(), Seq: r.Uvarint()}, nil
 }
 
 // EncodeInval renders the record for a multicast payload.

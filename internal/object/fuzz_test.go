@@ -1,10 +1,10 @@
 package object
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/rpc"
+	"repro/internal/rpc/wiretest"
 )
 
 // FuzzBinaryInvokeDecode hardens the hottest binary codecs in the system:
@@ -88,29 +88,9 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	f.Add(append(carryReq[:len(carryReq)-7:len(carryReq)-7], 9, 0, 0)) // a carry value no version defines
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		for _, fresh := range []func() rpc.Wire{
-			func() rpc.Wire { return new(InvokeReq) },
-			func() rpc.Wire { return new(InvokeResp) },
-			func() rpc.Wire { return new(PrepareReq) },
-			func() rpc.Wire { return new(PrepareResp) },
-			func() rpc.Wire { return new(EndReq) },
-			func() rpc.Wire { return new(EndResp) },
-		} {
-			v := fresh()
-			if rpc.Decode(raw, v) != nil {
-				continue
-			}
-			re, err := rpc.Encode(v)
-			if err != nil {
-				t.Fatalf("re-encode accepted %T: %v", v, err)
-			}
-			v2 := fresh()
-			if err := rpc.Decode(re, v2); err != nil {
-				t.Fatalf("re-encoded %T undecodable: %v", v, err)
-			}
-			if !reflect.DeepEqual(v, v2) {
-				t.Fatalf("%T round trip changed content:\n 1: %+v\n 2: %+v", v, v, v2)
-			}
-		}
+		wiretest.Reencode(t, raw,
+			wiretest.Of(InvokeReq{}), wiretest.Of(InvokeResp{}),
+			wiretest.Of(PrepareReq{}), wiretest.Of(PrepareResp{}),
+			wiretest.Of(EndReq{}), wiretest.Of(EndResp{}))
 	})
 }

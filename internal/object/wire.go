@@ -43,10 +43,10 @@ const (
 // InvokeReq
 
 // WireTag implements rpc.Wire.
-func (*InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 5 }
+func (InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 5 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (q *InvokeReq) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (q InvokeReq) WireSizeHint() int {
 	n := len(q.UID) + len(q.Action) + len(q.Method) + len(q.Args) + len(q.LeaseHolder) + len(q.Class) + 28
 	for _, st := range q.StNodes {
 		n += len(st) + 2
@@ -58,7 +58,7 @@ func (q *InvokeReq) WireSizeHint() int {
 }
 
 // AppendWire implements rpc.Wire.
-func (q *InvokeReq) AppendWire(dst []byte) []byte {
+func (q InvokeReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.UID)
 	dst = rpc.AppendString(dst, q.Action)
 	dst = rpc.AppendString(dst, q.Method)
@@ -73,7 +73,7 @@ func (q *InvokeReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *InvokeReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+func (InvokeReq) ParseWire(_ byte, r *rpc.WireReader) (q InvokeReq, err error) {
 	q.UID = r.String()
 	q.Action = r.String()
 	q.Method = r.String()
@@ -83,11 +83,11 @@ func (q *InvokeReq) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 	q.Class = r.String()
 	q.StNodes = r.Strings()
 	if q.Carry, err = readCarry(r); err != nil {
-		return err
+		return q, err
 	}
 	q.CheckpointTo = r.Strings()
 	q.Failover = r.Bool()
-	return nil
+	return q, nil
 }
 
 // readCarry reads a Carry value, refusing the ones this version does not
@@ -103,10 +103,10 @@ func readCarry(r *rpc.WireReader) (Carry, error) {
 // InvokeResp
 
 // WireTag implements rpc.Wire.
-func (*InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 5 }
+func (InvokeResp) WireTag() (byte, byte) { return wireTagInvokeResp, 5 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (p *InvokeResp) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (p InvokeResp) WireSizeHint() int {
 	n := len(p.Result) + 42
 	if p.Lease != nil {
 		n += len(p.Lease.Class) + len(p.Lease.State) + 24
@@ -118,7 +118,7 @@ func (p *InvokeResp) WireSizeHint() int {
 }
 
 // AppendWire implements rpc.Wire.
-func (p *InvokeResp) AppendWire(dst []byte) []byte {
+func (p InvokeResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBytes(dst, p.Result)
 	dst = rpc.AppendBool(dst, p.Modified)
 	dst = rpc.AppendUvarint(dst, p.Seq)
@@ -140,7 +140,7 @@ func (p *InvokeResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *InvokeResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
+func (InvokeResp) ParseWire(_ byte, r *rpc.WireReader) (p InvokeResp, err error) {
 	p.Result = r.Bytes()
 	p.Modified = r.Bool()
 	p.Seq = r.Uvarint()
@@ -156,25 +156,12 @@ func (p *InvokeResp) ParseWire(_ byte, r *rpc.WireReader) (err error) {
 		}
 	}
 	if p.Carried, err = readCarry(r); err != nil {
-		return err
+		return p, err
 	}
 	if p.Carried != CarryNone {
-		p.Vote.parseWire(r)
+		p.Vote = parseVote(r)
 	}
-	return nil
-}
-
-// readCount reads a list's length, refusing one the rest of the frame
-// cannot hold (every element takes a byte at least).
-func readCount(r *rpc.WireReader) (int, error) {
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return 0, r.Err()
-	}
-	if n > uint64(r.Remaining()) {
-		return 0, rpc.ErrWire
-	}
-	return int(n), nil
+	return p, nil
 }
 
 // stringsSize is what AppendStrings takes for ss, about.
@@ -189,10 +176,10 @@ func stringsSize(ss []string) int {
 // PrepareReq
 
 // WireTag implements rpc.Wire.
-func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 3 }
+func (PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 3 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (q *PrepareReq) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (q PrepareReq) WireSizeHint() int {
 	n := len(q.Action) + 8
 	for _, it := range q.Items {
 		n += len(it.UID) + 2 + stringsSize(it.StNodes) + stringsSize(it.CheckpointTo)
@@ -201,7 +188,7 @@ func (q *PrepareReq) WireSizeHint() int {
 }
 
 // AppendWire implements rpc.Wire.
-func (q *PrepareReq) AppendWire(dst []byte) []byte {
+func (q PrepareReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.Action)
 	dst = rpc.AppendBool(dst, q.OnePhase)
 	dst = rpc.AppendUvarint(dst, uint64(len(q.Items)))
@@ -214,27 +201,24 @@ func (q *PrepareReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *PrepareReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	q.OnePhase = r.Bool()
-	n, err := readCount(r)
-	if err != nil || n == 0 {
-		return err
+func (PrepareReq) ParseWire(_ byte, r *rpc.WireReader) (PrepareReq, error) {
+	q := PrepareReq{Action: r.String(), OnePhase: r.Bool()}
+	if n := r.Count(3); n > 0 { // an item is a UID and two lists
+		q.Items = make([]PrepareItem, n)
+		for i := range q.Items {
+			q.Items[i] = PrepareItem{UID: r.String(), StNodes: r.Strings(), CheckpointTo: r.Strings()}
+		}
 	}
-	q.Items = make([]PrepareItem, n)
-	for i := range q.Items {
-		q.Items[i] = PrepareItem{UID: r.String(), StNodes: r.Strings(), CheckpointTo: r.Strings()}
-	}
-	return nil
+	return q, nil
 }
 
 // PrepareResp
 
 // WireTag implements rpc.Wire.
-func (*PrepareResp) WireTag() (byte, byte) { return wireTagPrepareResp, 2 }
+func (PrepareResp) WireTag() (byte, byte) { return wireTagPrepareResp, 2 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (p *PrepareResp) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (p PrepareResp) WireSizeHint() int {
 	n := 2
 	for i := range p.Votes {
 		n += p.Votes[i].wireSize()
@@ -243,7 +227,7 @@ func (p *PrepareResp) WireSizeHint() int {
 }
 
 // AppendWire implements rpc.Wire.
-func (p *PrepareResp) AppendWire(dst []byte) []byte {
+func (p PrepareResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(p.Votes)))
 	for i := range p.Votes {
 		dst = p.Votes[i].appendWire(dst)
@@ -252,16 +236,15 @@ func (p *PrepareResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *PrepareResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	n, err := readCount(r)
-	if err != nil || n == 0 {
-		return err
+func (PrepareResp) ParseWire(_ byte, r *rpc.WireReader) (PrepareResp, error) {
+	var p PrepareResp
+	if n := r.Count(minVoteSize); n > 0 {
+		p.Votes = make([]Vote, n)
+		for i := range p.Votes {
+			p.Votes[i] = parseVote(r)
+		}
 	}
-	p.Votes = make([]Vote, n)
-	for i := range p.Votes {
-		p.Votes[i].parseWire(r)
-	}
-	return nil
+	return p, nil
 }
 
 // Vote is no record of its own: it rides PrepareResp and InvokeResp.
@@ -280,23 +263,37 @@ func (v *Vote) appendWire(dst []byte) []byte {
 	return rpc.AppendString(dst, v.Msg)
 }
 
-func (v *Vote) parseWire(r *rpc.WireReader) {
-	v.Dirty = r.Bool()
-	v.NewSeq = r.Uvarint()
-	v.PreparedNodes = r.Strings()
-	v.FailedNodes = r.Strings()
-	v.BatchSize = int(r.Uvarint())
-	v.Code = r.String()
-	v.Msg = r.String()
+// minVoteSize is the fewest bytes a vote encodes to: one per field.
+const minVoteSize = 7
+
+func parseVote(r *rpc.WireReader) Vote {
+	return Vote{
+		Dirty:         r.Bool(),
+		NewSeq:        r.Uvarint(),
+		PreparedNodes: r.Strings(),
+		FailedNodes:   r.Strings(),
+		BatchSize:     int(r.Uvarint()),
+		Code:          r.String(),
+		Msg:           r.String(),
+	}
 }
 
 // EndReq
 
 // WireTag implements rpc.Wire.
-func (*EndReq) WireTag() (byte, byte) { return wireTagEndReq, 2 }
+func (EndReq) WireTag() (byte, byte) { return wireTagEndReq, 2 }
+
+// WireSizeHint implements rpc.Wire.
+func (q EndReq) WireSizeHint() int {
+	n := len(q.Action) + 4
+	for _, it := range q.Items {
+		n += len(it.UID) + 2 + stringsSize(it.CheckpointTo)
+	}
+	return n
+}
 
 // AppendWire implements rpc.Wire.
-func (q *EndReq) AppendWire(dst []byte) []byte {
+func (q EndReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.Action)
 	dst = rpc.AppendUvarint(dst, uint64(len(q.Items)))
 	for _, it := range q.Items {
@@ -307,26 +304,33 @@ func (q *EndReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *EndReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Action = r.String()
-	n, err := readCount(r)
-	if err != nil || n == 0 {
-		return err
+func (EndReq) ParseWire(_ byte, r *rpc.WireReader) (EndReq, error) {
+	q := EndReq{Action: r.String()}
+	if n := r.Count(2); n > 0 { // an item is a UID and a list
+		q.Items = make([]EndItem, n)
+		for i := range q.Items {
+			q.Items[i] = EndItem{UID: r.String(), CheckpointTo: r.Strings()}
+		}
 	}
-	q.Items = make([]EndItem, n)
-	for i := range q.Items {
-		q.Items[i] = EndItem{UID: r.String(), CheckpointTo: r.Strings()}
-	}
-	return nil
+	return q, nil
 }
 
 // EndResp
 
 // WireTag implements rpc.Wire.
-func (*EndResp) WireTag() (byte, byte) { return wireTagEndResp, 2 }
+func (EndResp) WireTag() (byte, byte) { return wireTagEndResp, 2 }
+
+// WireSizeHint implements rpc.Wire.
+func (p EndResp) WireSizeHint() int {
+	n := 2
+	for _, res := range p.Results {
+		n += stringsSize(res.FailedNodes) + len(res.Code) + len(res.Msg) + 4
+	}
+	return n
+}
 
 // AppendWire implements rpc.Wire.
-func (p *EndResp) AppendWire(dst []byte) []byte {
+func (p EndResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(p.Results)))
 	for _, res := range p.Results {
 		dst = rpc.AppendStrings(dst, res.FailedNodes)
@@ -337,30 +341,29 @@ func (p *EndResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *EndResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	n, err := readCount(r)
-	if err != nil || n == 0 {
-		return err
+func (EndResp) ParseWire(_ byte, r *rpc.WireReader) (EndResp, error) {
+	var p EndResp
+	if n := r.Count(3); n > 0 { // a result is a list, a code and a message
+		p.Results = make([]EndResult, n)
+		for i := range p.Results {
+			p.Results[i] = EndResult{FailedNodes: r.Strings(), Code: r.String(), Msg: r.String()}
+		}
 	}
-	p.Results = make([]EndResult, n)
-	for i := range p.Results {
-		p.Results[i] = EndResult{FailedNodes: r.Strings(), Code: r.String(), Msg: r.String()}
-	}
-	return nil
+	return p, nil
 }
 
 // InstallReq
 
 // WireTag implements rpc.Wire.
-func (*InstallReq) WireTag() (byte, byte) { return wireTagInstallReq, 1 }
+func (InstallReq) WireTag() (byte, byte) { return wireTagInstallReq, 1 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (q *InstallReq) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (q InstallReq) WireSizeHint() int {
 	return len(q.UID) + len(q.Class) + len(q.State) + 24
 }
 
 // AppendWire implements rpc.Wire.
-func (q *InstallReq) AppendWire(dst []byte) []byte {
+func (q InstallReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.UID)
 	dst = rpc.AppendString(dst, q.Class)
 	dst = rpc.AppendBytes(dst, q.State)
@@ -368,81 +371,87 @@ func (q *InstallReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *InstallReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	q.Class = r.String()
-	q.State = r.Bytes()
-	q.Seq = r.Uvarint()
-	return nil
+func (InstallReq) ParseWire(_ byte, r *rpc.WireReader) (InstallReq, error) {
+	return InstallReq{UID: r.String(), Class: r.String(), State: r.Bytes(), Seq: r.Uvarint()}, nil
 }
 
 // InstallResp
 
 // WireTag implements rpc.Wire.
-func (*InstallResp) WireTag() (byte, byte) { return wireTagInstallResp, 1 }
+func (InstallResp) WireTag() (byte, byte) { return wireTagInstallResp, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (InstallResp) WireSizeHint() int { return 1 }
 
 // AppendWire implements rpc.Wire.
-func (p *InstallResp) AppendWire(dst []byte) []byte { return rpc.AppendBool(dst, p.Installed) }
+func (p InstallResp) AppendWire(dst []byte) []byte { return rpc.AppendBool(dst, p.Installed) }
 
 // ParseWire implements rpc.Wire.
-func (p *InstallResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Installed = r.Bool()
-	return nil
+func (InstallResp) ParseWire(_ byte, r *rpc.WireReader) (InstallResp, error) {
+	return InstallResp{Installed: r.Bool()}, nil
 }
 
 // PassivateReq
 
 // WireTag implements rpc.Wire.
-func (*PassivateReq) WireTag() (byte, byte) { return wireTagPassivateReq, 1 }
+func (PassivateReq) WireTag() (byte, byte) { return wireTagPassivateReq, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (q PassivateReq) WireSizeHint() int { return len(q.UID) + 3 }
 
 // AppendWire implements rpc.Wire.
-func (q *PassivateReq) AppendWire(dst []byte) []byte {
+func (q PassivateReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.UID)
 	return rpc.AppendBool(dst, q.Force)
 }
 
 // ParseWire implements rpc.Wire.
-func (q *PassivateReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	q.Force = r.Bool()
-	return nil
+func (PassivateReq) ParseWire(_ byte, r *rpc.WireReader) (PassivateReq, error) {
+	return PassivateReq{UID: r.String(), Force: r.Bool()}, nil
 }
 
 // PassivateResp
 
 // WireTag implements rpc.Wire.
-func (*PassivateResp) WireTag() (byte, byte) { return wireTagPassivateResp, 1 }
+func (PassivateResp) WireTag() (byte, byte) { return wireTagPassivateResp, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (PassivateResp) WireSizeHint() int { return 1 }
 
 // AppendWire implements rpc.Wire.
-func (p *PassivateResp) AppendWire(dst []byte) []byte { return rpc.AppendBool(dst, p.Passivated) }
+func (p PassivateResp) AppendWire(dst []byte) []byte { return rpc.AppendBool(dst, p.Passivated) }
 
 // ParseWire implements rpc.Wire.
-func (p *PassivateResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Passivated = r.Bool()
-	return nil
+func (PassivateResp) ParseWire(_ byte, r *rpc.WireReader) (PassivateResp, error) {
+	return PassivateResp{Passivated: r.Bool()}, nil
 }
 
 // StatusReq
 
 // WireTag implements rpc.Wire.
-func (*StatusReq) WireTag() (byte, byte) { return wireTagStatusReq, 1 }
+func (StatusReq) WireTag() (byte, byte) { return wireTagStatusReq, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (q StatusReq) WireSizeHint() int { return len(q.UID) + 2 }
 
 // AppendWire implements rpc.Wire.
-func (q *StatusReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.UID) }
+func (q StatusReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.UID) }
 
 // ParseWire implements rpc.Wire.
-func (q *StatusReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	return nil
+func (StatusReq) ParseWire(_ byte, r *rpc.WireReader) (StatusReq, error) {
+	return StatusReq{UID: r.String()}, nil
 }
 
 // StatusResp
 
 // WireTag implements rpc.Wire.
-func (*StatusResp) WireTag() (byte, byte) { return wireTagStatusResp, 1 }
+func (StatusResp) WireTag() (byte, byte) { return wireTagStatusResp, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (StatusResp) WireSizeHint() int { return 32 }
 
 // AppendWire implements rpc.Wire.
-func (p *StatusResp) AppendWire(dst []byte) []byte {
+func (p StatusResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBool(dst, p.Active)
 	dst = rpc.AppendUvarint(dst, p.Seq)
 	dst = rpc.AppendUvarint(dst, uint64(p.Users))
@@ -450,10 +459,6 @@ func (p *StatusResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *StatusResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Active = r.Bool()
-	p.Seq = r.Uvarint()
-	p.Users = int(r.Uvarint())
-	p.Prepared = int(r.Uvarint())
-	return nil
+func (StatusResp) ParseWire(_ byte, r *rpc.WireReader) (StatusResp, error) {
+	return StatusResp{Active: r.Bool(), Seq: r.Uvarint(), Users: int(r.Uvarint()), Prepared: int(r.Uvarint())}, nil
 }

@@ -16,6 +16,14 @@ import (
 //     types implementing Wire, so a record without a codec is a compile
 //     error, and a payload that does not open with WireMagic, its type's
 //     tag and its current version is refused whole.
+//   - Records are values. Wire's methods take value receivers and
+//     ParseWire returns the record it decodes, because a generic function
+//     calls a type parameter's methods through its dictionary, which
+//     escape analysis cannot see through: a pointer handed to such a call
+//     is assumed to escape, so a record whose pointer methods Invoke or
+//     Method called was a heap object per call, request and reply alike,
+//     on both sides. A value receiver is a copy, and a returned record is
+//     a copy too, so the record stays in the caller's frame.
 //   - Field encoding reuses the uvarint length-prefix idiom of
 //     internal/storage's WAL record codec: uvarint length + raw bytes for
 //     strings and byte slices, plain uvarint for counts and sequence
@@ -24,6 +32,10 @@ import (
 //     rejects trailing bytes, unknown tags and every version but the
 //     current one. A torn or corrupt frame therefore fails loudly instead
 //     of yielding a half-filled struct.
+//   - A list's count is bounded by what the rest of its frame can hold at
+//     each element's least encoded size (WireReader.Count), so a decoder
+//     preallocates no more than a fixed multiple of its input, whatever
+//     the count says.
 //   - Ownership: WireReader.Bytes and String COPY out of the input
 //     buffer (String once per short message; doc.go, "Ownership").
 //     Decoded messages never alias transport-owned memory, so a
@@ -33,25 +45,20 @@ import (
 // WireMagic is the first byte of every payload.
 const WireMagic = 0xB5
 
-// Wire is implemented by every payload type: its hand-rolled binary codec.
-// WireTag returns the type's registered tag and its CURRENT encoding
-// version; AppendWire appends the body to dst (append semantics);
-// ParseWire fills the receiver from a reader positioned at the body. Every
-// peer runs the same build, so Decode accepts the current version only, and
-// a codec revision bumps it. The one record kept on stable storage is
-// core's entryRecord: revising it needs a way to read the version on disk.
-type Wire interface {
+// Wire is the codec of record type T, implemented on T's value. WireTag
+// returns the type's registered tag and its CURRENT encoding version;
+// WireSizeHint estimates the body's encoded size, so Encode sizes its
+// output in one allocation; AppendWire appends the body to dst (append
+// semantics); ParseWire decodes a body from a reader positioned at it and
+// returns the record (its receiver is not read). Every peer runs the same
+// build, so Decode accepts the current version only, and a codec revision
+// bumps it. The one record kept on stable storage is core's EntryRecord:
+// revising it needs a way to read the version on disk.
+type Wire[T any] interface {
 	WireTag() (tag, ver byte)
-	AppendWire(dst []byte) []byte
-	ParseWire(ver byte, r *WireReader) error
-}
-
-// WireSizer is optionally implemented by Wire types whose encoded size is
-// cheap to estimate; Encode pre-sizes its output buffer with the hint so
-// large payloads (invoke args, state copies, batch frames) encode with a
-// single allocation.
-type WireSizer interface {
 	WireSizeHint() int
+	AppendWire(dst []byte) []byte
+	ParseWire(ver byte, r *WireReader) (T, error)
 }
 
 // ErrWire reports a malformed or mismatched binary payload.
@@ -225,53 +232,63 @@ func (r *WireReader) String() string {
 	return r.text[off : off+len(b)]
 }
 
-// Strings consumes a uvarint count followed by that many string fields.
-// The count is sanity-bounded by the remaining payload size so a corrupt
-// prefix cannot demand a huge allocation.
-func (r *WireReader) Strings() []string {
+// Count consumes a list's uvarint element count, where each element
+// encodes to at least minSize bytes. A count the rest of the input cannot
+// hold fails the reader and reads as 0, so a decoder that preallocates the
+// count allocates at most sizeof(element)/minSize bytes per input byte,
+// whatever a corrupt or hostile count claims.
+func (r *WireReader) Count(minSize int) int {
 	n := r.Uvarint()
 	if r.err != nil {
-		return nil
+		return 0
 	}
+	if n > uint64(len(r.data)/minSize) {
+		r.fail("list count")
+		return 0
+	}
+	return int(n)
+}
+
+// Strings consumes a uvarint count followed by that many string fields.
+func (r *WireReader) Strings() []string {
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
-	if n > uint64(len(r.data)) { // each element costs >= 1 byte
-		r.fail("string list")
-		return nil
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.String()
 	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.String())
-		if r.err != nil {
-			return nil
-		}
+	if r.err != nil {
+		return nil
 	}
 	return out
 }
 
-// encodeWire renders a Wire value as a full payload — magic, tag, version,
-// body — behind lead reserved bytes. The output is always freshly
-// allocated — it is handed to the transport and must not share memory
-// with any pooled scratch.
-func encodeWire(w Wire, lead int) []byte {
-	hint := 64
-	if s, ok := w.(WireSizer); ok {
-		hint = s.WireSizeHint()
-	}
-	return AppendEncode(make([]byte, lead, lead+3+hint), w)
+// encodeWire renders *v as a full payload — magic, tag, version, body —
+// behind lead reserved bytes. The output is always freshly allocated — it
+// is handed to the transport and must not share memory with any pooled
+// scratch. v is only dereferenced, so it does not escape: the codec's
+// methods take their copies of the record themselves.
+func encodeWire[T Wire[T]](v *T, lead int) []byte {
+	return AppendEncode(make([]byte, lead, lead+3+(*v).WireSizeHint()), v)
 }
 
-// AppendEncode appends w's payload, exactly as Encode renders it, to dst:
+// AppendEncode appends *v's payload, exactly as Encode renders it, to dst:
 // for a caller that encodes into scratch of its own.
-func AppendEncode(dst []byte, w Wire) []byte {
-	tag, ver := w.WireTag()
-	return w.AppendWire(append(dst, WireMagic, tag, ver))
+func AppendEncode[T Wire[T]](dst []byte, v *T) []byte {
+	var zero T
+	tag, ver := zero.WireTag()
+	return (*v).AppendWire(append(dst, WireMagic, tag, ver))
 }
 
-// decodeWire fills w from a payload previously produced by encodeWire.
-func decodeWire(data []byte, w Wire) error {
-	tag, cur := w.WireTag()
+// decodeWire sets *v to the record a payload previously produced by
+// encodeWire holds, and leaves it as it was on an error. Its errors name
+// the type as *T, through a nil pointer: formatting the record itself
+// would make it escape on every path, not only the failing one.
+func decodeWire[T Wire[T]](data []byte, v *T) error {
+	var zero T
+	tag, cur := zero.WireTag()
 	if len(data) < 3 {
 		return fmt.Errorf("%w: %d-byte frame", ErrWire, len(data))
 	}
@@ -279,31 +296,31 @@ func decodeWire(data []byte, w Wire) error {
 		return fmt.Errorf("%w: first byte %#x, want %#x", ErrWire, data[0], WireMagic)
 	}
 	if data[1] != tag {
-		return fmt.Errorf("%w: tag %#x, want %#x (%T)", ErrWire, data[1], tag, w)
+		return fmt.Errorf("%w: tag %#x, want %#x (%T)", ErrWire, data[1], tag, (*T)(nil))
 	}
 	ver := data[2]
 	if ver != cur {
-		return fmt.Errorf("%w: unsupported version %d for %T (current %d)", ErrWire, ver, w, cur)
+		return fmt.Errorf("%w: unsupported version %d for %T (current %d)", ErrWire, ver, (*T)(nil), cur)
 	}
-	// ParseWire is called through the interface, so a reader declared here
-	// would be a heap object per decode. A pooled one is handed back, with
-	// its reference to data dropped, before decodeWire returns: ParseWire
-	// implementations must not keep r.
+	// ParseWire is called through the type's dictionary, so a reader
+	// declared here would be a heap object per decode. A pooled one is
+	// handed back, with its reference to data dropped, before decodeWire
+	// returns: ParseWire implementations must not keep r.
 	r := wireReaderPool.Get().(*WireReader)
 	*r = WireReader{data: data[3:]}
-	perr := w.ParseWire(ver, r)
+	rec, perr := zero.ParseWire(ver, r)
 	rerr, trailing := r.err, len(r.data)
 	*r = WireReader{}
 	wireReaderPool.Put(r)
-	if perr != nil {
-		return fmt.Errorf("rpc: decode %T: %w", w, perr)
+	switch {
+	case perr != nil:
+		return fmt.Errorf("rpc: decode %T: %w", (*T)(nil), perr)
+	case rerr != nil:
+		return fmt.Errorf("rpc: decode %T: %w", (*T)(nil), rerr)
+	case trailing != 0:
+		return fmt.Errorf("rpc: decode %T: %w: %d trailing bytes", (*T)(nil), ErrWire, trailing)
 	}
-	if rerr != nil {
-		return fmt.Errorf("rpc: decode %T: %w", w, rerr)
-	}
-	if trailing != 0 {
-		return fmt.Errorf("rpc: decode %T: %w: %d trailing bytes", w, ErrWire, trailing)
-	}
+	*v = rec
 	return nil
 }
 
@@ -317,10 +334,13 @@ const wireTagEmpty byte = 0x70
 type Empty struct{}
 
 // WireTag implements Wire.
-func (*Empty) WireTag() (byte, byte) { return wireTagEmpty, 1 }
+func (Empty) WireTag() (byte, byte) { return wireTagEmpty, 1 }
+
+// WireSizeHint implements Wire.
+func (Empty) WireSizeHint() int { return 0 }
 
 // AppendWire implements Wire.
-func (*Empty) AppendWire(dst []byte) []byte { return dst }
+func (Empty) AppendWire(dst []byte) []byte { return dst }
 
 // ParseWire implements Wire.
-func (*Empty) ParseWire(byte, *WireReader) error { return nil }
+func (Empty) ParseWire(byte, *WireReader) (Empty, error) { return Empty{}, nil }

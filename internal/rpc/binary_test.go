@@ -17,9 +17,11 @@ type testMsg struct {
 	Peers []string
 }
 
-func (*testMsg) WireTag() (byte, byte) { return 0x7E, 2 }
+func (testMsg) WireTag() (byte, byte) { return 0x7E, 2 }
 
-func (m *testMsg) AppendWire(dst []byte) []byte {
+func (m testMsg) WireSizeHint() int { return len(m.Name) + len(m.Blob) + 32 }
+
+func (m testMsg) AppendWire(dst []byte) []byte {
 	dst = AppendString(dst, m.Name)
 	dst = AppendBytes(dst, m.Blob)
 	dst = AppendUvarint(dst, m.Seq)
@@ -28,14 +30,15 @@ func (m *testMsg) AppendWire(dst []byte) []byte {
 	return AppendStrings(dst, m.Peers)
 }
 
-func (m *testMsg) ParseWire(_ byte, r *WireReader) error {
-	m.Name = r.String()
-	m.Blob = r.Bytes()
-	m.Seq = r.Uvarint()
-	m.Delta = r.Varint()
-	m.Flag = r.Bool()
-	m.Peers = r.Strings()
-	return nil
+func (testMsg) ParseWire(_ byte, r *WireReader) (testMsg, error) {
+	return testMsg{
+		Name:  r.String(),
+		Blob:  r.Bytes(),
+		Seq:   r.Uvarint(),
+		Delta: r.Varint(),
+		Flag:  r.Bool(),
+		Peers: r.Strings(),
+	}, nil
 }
 
 func TestBinaryRoundTrip(t *testing.T) {

@@ -21,10 +21,22 @@
 // allocation, and decoding one for all a short message's strings, whatever
 // their number. A request or reply that carries nothing is an Empty.
 //
+// Records are values: Wire[T] is implemented on T itself, with value
+// receivers, and ParseWire returns the record it decodes. Invoke, Method,
+// Encode and Decode are generic, and a generic function calls its type
+// parameter's methods through a dictionary that escape analysis cannot see
+// into, so it must assume a pointer passed to such a call escapes. Were the
+// codec on *T, every typed call would put its request and its reply on the
+// heap at the caller and again at the handler; on T the record is copied
+// into the call and out of it, and stays in its frame. A list decoder
+// preallocates no more than its count, and WireReader.Count bounds the
+// count by what the rest of the frame holds at the element's least encoded
+// size.
+//
 // Version rules: every peer runs the same build, so Decode rejects every
 // version but the type's current one, and a codec revision bumps it (each
 // package's wire.go lists the records past version 1). The one record kept
-// on stable storage is internal/core's entryRecord, at version 1. Decoding
+// on stable storage is internal/core's EntryRecord, at version 1. Decoding
 // is strict — tag mismatches, truncated fields and trailing bytes are all
 // errors, never half-filled structs.
 //
@@ -65,7 +77,9 @@
 //
 // A retired tag is never reused: a peer still running the old codec must
 // see a tag mismatch, not a misparse. Retired so far: 0x52 and 0x53, the
-// group's single-message Deliver request and reply; 0x01 and 0x40, the
+// group's single-message Deliver request and reply; 0x02–0x0d, the
+// database's per-operation requests and replies, which its batch replaced;
+// 0x01 and 0x40, the
 // database's and the store's own empty acknowledgements, which Empty
 // replaced; 0x2a and 0x2b, the object server's combined prepare+commit
 // request and reply, which the prepare request's one-phase flag replaced;

@@ -183,16 +183,16 @@ func (s *Server) Handler() transport.Handler {
 	}
 }
 
-// Encode renders v into a fresh byte slice owned by the caller: one
+// Encode renders *v into a fresh byte slice owned by the caller: one
 // allocation, no reflection. Every payload type implements Wire, so a type
 // without a codec does not compile here; the error is always nil.
-func Encode(v Wire) ([]byte, error) { return encodeWire(v, 0), nil }
+func Encode[T Wire[T]](v *T) ([]byte, error) { return encodeWire(v, 0), nil }
 
-// Decode fills v from data, which must be a binary frame of v's tag.
-// Decoded values never alias data (the codec copies byte and string fields
-// out), so transports may recycle their read buffers as soon as Decode
-// returns.
-func Decode(data []byte, v Wire) error { return decodeWire(data, v) }
+// Decode sets *v to the record data encodes, which must be a binary frame
+// of T's tag; on an error *v is left as it was. Decoded values never alias
+// data (the codec copies byte and string fields out), so transports may
+// recycle their read buffers as soon as Decode returns.
+func Decode[T Wire[T]](data []byte, v *T) error { return decodeWire(data, v) }
 
 // Client issues calls from a fixed origin address.
 type Client struct {
@@ -292,50 +292,33 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 	return body, nil
 }
 
-// Invoke performs a typed call: req is Encoded, the reply Decoded into
-// Resp. Both must have a codec: the constraints on PReq and PResp, which
-// a call infers from Req and Resp, make a record without one a compile
-// error. Transport failures are returned as the transport's errors;
-// application failures as *AppError.
-func Invoke[Req, Resp any, PReq interface {
-	*Req
-	Wire
-}, PResp interface {
-	*Resp
-	Wire
-}](ctx context.Context, c Client, to transport.Addr, service, method string, req Req) (Resp, error) {
+// Invoke performs a typed call: req is Encoded, the reply Decoded as a
+// Resp. Both must have a codec: the Wire constraints make a record without
+// one a compile error. Transport failures are returned as the transport's
+// errors; application failures as *AppError.
+func Invoke[Req Wire[Req], Resp Wire[Resp]](ctx context.Context, c Client, to transport.Addr, service, method string, req Req) (Resp, error) {
 	var resp Resp
-	body, err := c.Call(ctx, to, service, method, encodeWire(PReq(&req), 0))
+	body, err := c.Call(ctx, to, service, method, encodeWire(&req, 0))
 	if err == nil {
-		err = decodeWire(body, PResp(&resp))
+		err = decodeWire(body, &resp)
 	}
-	if err != nil {
-		var zero Resp
-		return zero, err
-	}
-	return resp, nil
+	return resp, err
 }
 
 // Method adapts a typed function to a HandlerFunc. Its request and reply
 // types must have codecs, as Invoke's do. The reply is encoded straight
 // into its frame, behind the frame's reserved tag byte.
-func Method[Req, Resp any, PReq interface {
-	*Req
-	Wire
-}, PResp interface {
-	*Resp
-	Wire
-}](fn func(ctx context.Context, from transport.Addr, req Req) (Resp, error)) HandlerFunc {
+func Method[Req Wire[Req], Resp Wire[Resp]](fn func(ctx context.Context, from transport.Addr, req Req) (Resp, error)) HandlerFunc {
 	return func(ctx context.Context, from transport.Addr, payload []byte) ([]byte, error) {
 		var req Req
-		if err := decodeWire(payload, PReq(&req)); err != nil {
+		if err := decodeWire(payload, &req); err != nil {
 			return nil, &AppError{Code: CodeInternal, Msg: err.Error()}
 		}
 		resp, err := fn(ctx, from, req)
 		if err != nil {
 			return nil, err
 		}
-		frame := encodeWire(PResp(&resp), 1)
+		frame := encodeWire(&resp, 1)
 		frame[0] = frameOK
 		return frame, nil
 	}

@@ -25,27 +25,29 @@ const (
 // ReadReq
 
 // WireTag implements rpc.Wire.
-func (*ReadReq) WireTag() (byte, byte) { return wireTagReadReq, 1 }
+func (ReadReq) WireTag() (byte, byte) { return wireTagReadReq, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (q ReadReq) WireSizeHint() int { return len(q.UID) + 2 }
 
 // AppendWire implements rpc.Wire.
-func (q *ReadReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.UID) }
+func (q ReadReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.UID) }
 
 // ParseWire implements rpc.Wire.
-func (q *ReadReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	return nil
+func (ReadReq) ParseWire(_ byte, r *rpc.WireReader) (ReadReq, error) {
+	return ReadReq{UID: r.String()}, nil
 }
 
 // ReadResp
 
 // WireTag implements rpc.Wire.
-func (*ReadResp) WireTag() (byte, byte) { return wireTagReadResp, 2 }
+func (ReadResp) WireTag() (byte, byte) { return wireTagReadResp, 2 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (p *ReadResp) WireSizeHint() int { return len(p.Data) + len(p.TxID) + 24 }
+// WireSizeHint implements rpc.Wire.
+func (p ReadResp) WireSizeHint() int { return len(p.Data) + len(p.TxID) + 24 }
 
 // AppendWire implements rpc.Wire.
-func (p *ReadResp) AppendWire(dst []byte) []byte {
+func (p ReadResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBytes(dst, p.Data)
 	dst = rpc.AppendUvarint(dst, p.Seq)
 	dst = rpc.AppendString(dst, p.TxID)
@@ -53,44 +55,37 @@ func (p *ReadResp) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (p *ReadResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Data = r.Bytes()
-	p.Seq = r.Uvarint()
-	p.TxID = r.String()
-	p.Pinned = r.Bool()
-	return nil
+func (ReadResp) ParseWire(_ byte, r *rpc.WireReader) (ReadResp, error) {
+	return ReadResp{Data: r.Bytes(), Seq: r.Uvarint(), TxID: r.String(), Pinned: r.Bool()}, nil
 }
 
 // PutReq
 
 // WireTag implements rpc.Wire.
-func (*PutReq) WireTag() (byte, byte) { return wireTagPutReq, 1 }
+func (PutReq) WireTag() (byte, byte) { return wireTagPutReq, 1 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (q *PutReq) WireSizeHint() int { return len(q.UID) + len(q.Data) + 24 }
+// WireSizeHint implements rpc.Wire.
+func (q PutReq) WireSizeHint() int { return len(q.UID) + len(q.Data) + 24 }
 
 // AppendWire implements rpc.Wire.
-func (q *PutReq) AppendWire(dst []byte) []byte {
+func (q PutReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.UID)
 	dst = rpc.AppendBytes(dst, q.Data)
 	return rpc.AppendUvarint(dst, q.Seq)
 }
 
 // ParseWire implements rpc.Wire.
-func (q *PutReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.UID = r.String()
-	q.Data = r.Bytes()
-	q.Seq = r.Uvarint()
-	return nil
+func (PutReq) ParseWire(_ byte, r *rpc.WireReader) (PutReq, error) {
+	return PutReq{UID: r.String(), Data: r.Bytes(), Seq: r.Uvarint()}, nil
 }
 
 // PrepareReq
 
 // WireTag implements rpc.Wire.
-func (*PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 2 }
+func (PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 2 }
 
-// WireSizeHint implements rpc.WireSizer.
-func (q *PrepareReq) WireSizeHint() int {
+// WireSizeHint implements rpc.Wire.
+func (q PrepareReq) WireSizeHint() int {
 	n := len(q.Tx) + 16
 	for _, w := range q.Writes {
 		n += len(w.UID) + len(w.Data) + 24
@@ -99,7 +94,7 @@ func (q *PrepareReq) WireSizeHint() int {
 }
 
 // AppendWire implements rpc.Wire.
-func (q *PrepareReq) AppendWire(dst []byte) []byte {
+func (q PrepareReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendString(dst, q.Tx)
 	dst = rpc.AppendBool(dst, q.OnePhase)
 	dst = rpc.AppendUvarint(dst, uint64(len(q.Writes)))
@@ -112,51 +107,57 @@ func (q *PrepareReq) AppendWire(dst []byte) []byte {
 }
 
 // ParseWire implements rpc.Wire.
-func (q *PrepareReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Tx = r.String()
-	q.OnePhase = r.Bool()
-	n := r.Uvarint()
-	if r.Err() != nil || n == 0 {
-		return r.Err()
+func (PrepareReq) ParseWire(_ byte, r *rpc.WireReader) (PrepareReq, error) {
+	q := PrepareReq{Tx: r.String(), OnePhase: r.Bool()}
+	if n := r.Count(3); n > 0 { // a write is a UID, its data and a seq
+		q.Writes = make([]WriteRec, n)
+		for i := range q.Writes {
+			q.Writes[i] = WriteRec{UID: r.String(), Data: r.Bytes(), Seq: r.Uvarint()}
+		}
 	}
-	if n > uint64(r.Remaining()) {
-		return rpc.ErrWire
-	}
-	q.Writes = make([]WriteRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		q.Writes = append(q.Writes, WriteRec{UID: r.String(), Data: r.Bytes(), Seq: r.Uvarint()})
-	}
-	return nil
+	return q, nil
 }
 
 // TxReq
 
 // WireTag implements rpc.Wire.
-func (*TxReq) WireTag() (byte, byte) { return wireTagTxReq, 1 }
+func (TxReq) WireTag() (byte, byte) { return wireTagTxReq, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (q TxReq) WireSizeHint() int { return len(q.Tx) + 2 }
 
 // AppendWire implements rpc.Wire.
-func (q *TxReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.Tx) }
+func (q TxReq) AppendWire(dst []byte) []byte { return rpc.AppendString(dst, q.Tx) }
 
 // ParseWire implements rpc.Wire.
-func (q *TxReq) ParseWire(_ byte, r *rpc.WireReader) error {
-	q.Tx = r.String()
-	return nil
+func (TxReq) ParseWire(_ byte, r *rpc.WireReader) (TxReq, error) {
+	return TxReq{Tx: r.String()}, nil
 }
 
 // ResolveResp
 
 // WireTag implements rpc.Wire.
-func (*ResolveResp) WireTag() (byte, byte) { return wireTagResolveResp, 1 }
+func (ResolveResp) WireTag() (byte, byte) { return wireTagResolveResp, 1 }
+
+// WireSizeHint implements rpc.Wire.
+func (p ResolveResp) WireSizeHint() int {
+	n := 4
+	for _, tx := range p.Applied {
+		n += len(tx) + 2
+	}
+	for _, tx := range p.Aborted {
+		n += len(tx) + 2
+	}
+	return n
+}
 
 // AppendWire implements rpc.Wire.
-func (p *ResolveResp) AppendWire(dst []byte) []byte {
+func (p ResolveResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendStrings(dst, p.Applied)
 	return rpc.AppendStrings(dst, p.Aborted)
 }
 
 // ParseWire implements rpc.Wire.
-func (p *ResolveResp) ParseWire(_ byte, r *rpc.WireReader) error {
-	p.Applied = r.Strings()
-	p.Aborted = r.Strings()
-	return nil
+func (ResolveResp) ParseWire(_ byte, r *rpc.WireReader) (ResolveResp, error) {
+	return ResolveResp{Applied: r.Strings(), Aborted: r.Strings()}, nil
 }
