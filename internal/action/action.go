@@ -542,8 +542,10 @@ func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
 	// never happened — no recovery could learn it — so the action aborts
 	// and the prepared participants are rolled back.
 	if err := a.mgr.log.Record(a.id, store.OutcomeCommitted); err != nil {
-		rolledBack := a.rollbackAll(ctx, participants, a.id)
-		a.recordAbort(rolledBack)
+		// The failed write may have left the record behind unsynced: take
+		// it back, so no lookup can read a commit that never happened.
+		_ = a.mgr.log.Forget(a.id)
+		a.recordAbort(a.rollbackAll(ctx, participants, a.id))
 		a.finish(StatusAborted, resolveHooks)
 		return nil, fmt.Errorf("%s: %v: %w", a.id, err, ErrOutcomeLog)
 	}
@@ -583,15 +585,14 @@ func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
 	return report, nil
 }
 
-// recordAbort writes the abort record and immediately prunes it when
-// every participant acknowledged its rollback: with all intentions gone
-// no recovery will ask, and even for stragglers presumed abort gives the
-// same answer with no record at all — the record is kept only as a
-// diagnostic breadcrumb while some participant is still unaccounted for.
+// recordAbort writes the abort record only when some participant did not
+// acknowledge its rollback: with every intention gone no recovery will
+// ask, and even for stragglers presumed abort gives the same answer with
+// no record at all — the record is only a diagnostic breadcrumb while some
+// participant is still unaccounted for.
 func (a *Action) recordAbort(rolledBack bool) {
-	_ = a.mgr.log.Record(a.id, store.OutcomeAborted)
-	if rolledBack {
-		_ = a.mgr.log.Forget(a.id)
+	if !rolledBack {
+		_ = a.mgr.log.Record(a.id, store.OutcomeAborted)
 	}
 }
 

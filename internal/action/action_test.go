@@ -121,10 +121,10 @@ func TestPrepareFailureAbortsAll(t *testing.T) {
 	if ba != 1 {
 		t.Fatalf("bad aborts=%d, want 1", ba)
 	}
-	// Every participant acknowledged its rollback, so the abort record is
-	// pruned right away — presumed abort answers any later query the same.
+	// Every participant acknowledged its rollback, so no abort record is
+	// kept — presumed abort answers any later query the same.
 	if m.Log().Lookup(a.ID()) != store.OutcomeUnknown {
-		t.Fatal("fully-acked abort record must be garbage-collected")
+		t.Fatal("a fully-acked abort must leave no record")
 	}
 }
 
@@ -579,8 +579,7 @@ func TestPrepareFirstFailureCancelsInFlightPrepares(t *testing.T) {
 		t.Fatalf("failed participant aborted %d times, want 1", aborts)
 	}
 	// The slow participant's rollback used the live context and acked, as
-	// did the failed one — so the abort record is pruned under presumed
-	// abort rather than retained.
+	// did the failed one — so presumed abort keeps no abort record.
 	if m.Log().Lookup(act.ID()) == store.OutcomeCommitted {
 		t.Fatal("cancelled commit must never be recorded as committed")
 	}
@@ -700,6 +699,44 @@ func TestOutcomeLogGCRetainsUnackedAbort(t *testing.T) {
 	}
 	if log.Lookup(a.ID()) != store.OutcomeAborted {
 		t.Fatal("abort record pruned while a participant never acked the rollback")
+	}
+}
+
+// countingLog counts the calls that write to the log.
+type countingLog struct {
+	MemLog
+	records, forgets atomic.Int32
+}
+
+func (l *countingLog) Record(tx string, o store.Outcome) error {
+	l.records.Add(1)
+	return l.MemLog.Record(tx, o)
+}
+
+func (l *countingLog) Forget(tx string) error {
+	l.forgets.Add(1)
+	return l.MemLog.Forget(tx)
+}
+
+// TestAckedAbortWritesNoRecord: presumed abort needs no record for an abort
+// every participant acknowledged, so neither an Abort nor a refused
+// prepare whose rollback was acknowledged touches the log.
+func TestAckedAbortWritesNoRecord(t *testing.T) {
+	log := &countingLog{}
+	m := NewManager("acked", log)
+	a := m.BeginTop()
+	_ = a.Enlist(&fakeParticipant{name: "p"})
+	if err := a.Abort(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	b := m.BeginTop()
+	_ = b.Enlist(&fakeParticipant{name: "good"})
+	_ = b.Enlist(&fakeParticipant{name: "bad", failPrepare: true})
+	if _, err := b.Commit(context.Background()); !errors.Is(err, ErrPrepareFailed) {
+		t.Fatalf("commit with a refused prepare: %v", err)
+	}
+	if r, f := log.records.Load(), log.forgets.Load(); r != 0 || f != 0 {
+		t.Fatalf("acknowledged aborts wrote %d records and forgot %d; want none", r, f)
 	}
 }
 

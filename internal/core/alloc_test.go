@@ -49,15 +49,18 @@ func TestBindAllocs(t *testing.T) {
 		// decrement actions; 53 while each binding enlisted itself under a
 		// stash key of its own; 52 while each binding kept a copy of the St
 		// view it was bound over; 51 while each of its two conversations
-		// put its request and reply on the heap at both ends.
-		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 43},
+		// put its request and reply on the heap at both ends; 43 while the
+		// client's op list for the bind message was the caller's own array,
+		// which the RPC layer's generic call moved to the heap.
+		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 42},
 		// 30 while the database's own actions went through its action tables
 		// and rendered their keys per op; 33 while the client minted, and
 		// ended, the bind action; 31 while the binding's one-phase commit
 		// built an empty action-end; 28 while each binding kept a copy of the
 		// St view it was bound over; 27 while its conversation put its
-		// request and reply on the heap at both ends.
-		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 23},
+		// request and reply on the heap at both ends; 23 while its op list
+		// was the caller's own array, moved to the heap.
+		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 22},
 	} {
 		op := func() {
 			act := c.b.Actions.BeginTop()

@@ -242,8 +242,8 @@ type BindConfig struct {
 	NameServer *NSClient
 	// LeaseHolder, when non-empty, asks bound objects' view-primary
 	// servers for read leases on plain read-path invocations (see
-	// internal/lease); the value is this client's node address, where
-	// invalidation multicasts are delivered. A grant comes back in the
+	// internal/lease); the value is this client's node address, whose
+	// lease mailbox receives the invalidations. A grant comes back in the
 	// reply Binding.Invoke returns (InvokeResp.Lease), for the caller's
 	// cache.
 	LeaseHolder transport.Addr

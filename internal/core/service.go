@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/lockmgr"
 	"repro/internal/rpc"
@@ -706,11 +707,22 @@ type Client struct {
 	DB  transport.Addr
 }
 
+// opScratch holds the op lists Do sends. The RPC layer's generic call
+// leaks its request, so a request naming the caller's ops would put every
+// variadic caller's argument array on the heap; Do copies them into a list
+// from here instead, free for the next message once its request returns.
+var opScratch = sync.Pool{New: func() any { return new([]Op) }}
+
 // Do sends ops to the database as one message and returns their results
 // in order. On an error no result is returned; see registerService for
 // what a batch that fails part-way leaves behind.
 func (c Client) Do(ctx context.Context, ops ...Op) ([]OpResult, error) {
-	resp, err := rpc.Invoke[BatchReq, BatchResp](ctx, c.RPC, c.DB, ServiceName, MethodBatch, BatchReq{Ops: ops})
+	scratch := opScratch.Get().(*[]Op)
+	sent := append((*scratch)[:0], ops...)
+	resp, err := rpc.Invoke[BatchReq, BatchResp](ctx, c.RPC, c.DB, ServiceName, MethodBatch, BatchReq{Ops: sent})
+	clear(sent)
+	*scratch = sent[:0]
+	opScratch.Put(scratch)
 	if err != nil {
 		return nil, err
 	}

@@ -10,10 +10,11 @@ import (
 	"repro/internal/transport"
 )
 
-// TestLocalRoundAllocs pins a lease invalidation's multicast: the holder is
-// the group's sole member and so its own sequencer, and the round's one-item
-// frame is delivered locally — the caller's Sequence call and nothing else
-// on the wire. The single-message relay this replaced cost 33–34.
+// TestLocalRoundAllocs pins a one-member sequenced round, as active
+// replication sends to a group of one replica: the member is its own
+// sequencer, and the round's one-item frame is delivered locally — the
+// caller's Sequence call and nothing else on the wire. The single-message
+// relay this replaced cost 33–34.
 func TestLocalRoundAllocs(t *testing.T) {
 	c := sim.NewCluster(transport.MemOptions{})
 	n := c.Add("holder")

@@ -17,9 +17,12 @@
 //     is handled by retrying through the next member with the same message
 //     ID, which the sequencer re-relays under its original number and
 //     receivers deduplicate.
-//   - NaiveMulticast — the baseline that reproduces the Figure 1 anomaly:
-//     the sender fans out to the members itself, so a failure (of the
-//     sender, or of reply delivery) midway leaves the group inconsistent.
+//   - NaiveMulticast — the sender fans out to the members itself, one
+//     after another, so a failure (of the sender, or of reply delivery)
+//     midway leaves the group inconsistent: the baseline that reproduces
+//     the Figure 1 anomaly, and the right tool where members share no
+//     state to diverge — a lease invalidation, one message to each holder
+//     node's mailbox (internal/lease), travels this way.
 //
 // Both travel in one frame, DeliverBatch. The sequencer relays each round —
 // the messages it ordered while the previous round was on the wire, often
@@ -685,11 +688,12 @@ func multicastWithID(ctx context.Context, cli rpc.Client, g Group, kind string, 
 }
 
 // NaiveMulticast fans out directly from the caller with no ordering,
-// dedup, or relay — the baseline whose inconsistency Figure 1 illustrates:
-// each member gets a one-item frame with sequence number 0, which it applies
-// at once. A reply lost from one member leaves that member's state applied
-// but reported in Failed-like terms to the caller (Err set), and a caller
-// crash midway simply stops the loop.
+// dedup, or relay — the baseline whose inconsistency Figure 1 illustrates,
+// and the send of a lease invalidation: each member gets a one-item frame
+// with sequence number 0, which it applies at once. A reply lost from one
+// member leaves that member's state applied but reported in Failed-like
+// terms to the caller (Err set), and a caller crash midway simply stops the
+// loop.
 func NaiveMulticast(ctx context.Context, cli rpc.Client, g Group, kind string, payload []byte) *Result {
 	frame := DeliverBatchReq{Group: g.ID, Items: []BatchItem{{MsgID: string(cli.From) + "/naive/" + kind, Kind: kind, Payload: payload}}}
 	out := &Result{}

@@ -99,8 +99,8 @@ type Options struct {
 	Breakers rpc.BreakerConfig
 	// LeaseTTL, when positive, enables cached read leases: every object
 	// server grants leased read snapshots with this TTL, and every client
-	// node gets a shared lease cache (World.LeaseCaches) that receives
-	// invalidation multicasts. Binders built by the world then request
+	// node gets a shared lease cache (World.LeaseCaches) whose mailbox
+	// receives invalidations. Binders built by the world then request
 	// leases on read-path invocations.
 	LeaseTTL time.Duration
 }
@@ -239,8 +239,8 @@ func New(opts Options) (*World, error) {
 		// which is why the manager, not the raw log, serves lookups).
 		action.RegisterLogService(n.Server(), w.Mgrs[name])
 		if opts.LeaseTTL > 0 {
-			// The client node's group host receives the invalidation
-			// multicasts committing servers send to lease holders.
+			// The client node's group host carries the lease mailbox,
+			// where committing servers send lease holders invalidations.
 			w.LeaseCaches[name] = lease.NewCache(group.NewHost(n.Server(), n.Client()), w.Metrics)
 		}
 		w.Clients = append(w.Clients, name)

@@ -1,9 +1,9 @@
 // Package lease implements the client side of cached read leases: a
 // tiered snapshot cache (a small per-client L1 over a shared per-node
 // L2) whose entries are leased object snapshots granted by object
-// servers, invalidated either eagerly — by an invalidation record the
-// committing server piggybacks on the ordered group multicast — or
-// lazily by lease expiry when the holder is unreachable.
+// servers, invalidated either eagerly — by one invalidation record the
+// committing server sends to the holder's mailbox — or lazily by lease
+// expiry when the holder is unreachable.
 //
 // A cache entry is (state, seq, expiry). While the entry is valid —
 // not expired and not invalidated — the holder may apply read-only
@@ -15,19 +15,19 @@
 // (the standard lease safety rule; see the server side in
 // internal/object).
 //
-// Invalidation channel. Each grant at version seq enrols the holder in
-// the per-object, per-version group GroupID(id, seq). A commit that
-// advances seq multicasts one Inval record to that group over the same
-// ordered-multicast machinery that active replication uses, so
-// invalidations are consistent with commit order by construction.
-// Exactly one message is ever sent to a given group (the version it
-// names is gone afterwards), so holders leave the group as soon as the
-// record arrives.
+// Invalidation channel. Every node with a lease cache is a member of
+// one group, Mailbox, joined once when the cache is built. A commit
+// that replaces version s of an object sends each holder it granted a
+// lease at s one Inval{UID, s}, a direct group.NaiveMulticast frame: a
+// holder only needs to hear "versions ≤ s are dead" once, so no order
+// between holders or between objects is asked of the channel. The
+// mailbox kills and drops the node's entry for the object when that
+// entry's version is s or older, leaves a newer grant alone, and answers
+// without error whether or not it held anything.
 package lease
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,18 +37,9 @@ import (
 	"repro/internal/uid"
 )
 
-// GroupPrefix prefixes the invalidation group joined for each granted
-// lease: GroupPrefix + uid + "/" + seq.
-const GroupPrefix = "lease/"
-
-// GroupID names the invalidation group for version seq of object id.
-// Keying the group by version — not just object — means a committing
-// server needs no handshake with foreign granters: whoever granted a
-// lease at seq enrolled its holder here, and the commit that replaces
-// seq invalidates exactly this group.
-func GroupID(id uid.UID, seq uint64) string {
-	return GroupPrefix + id.String() + "/" + strconv.FormatUint(seq, 10)
-}
+// Mailbox is the group every lease cache's node joins to receive the
+// Inval records committing servers send it.
+const Mailbox = "lease/mailbox"
 
 // Snapshot is the leased read snapshot a grant carries.
 type Snapshot struct {
@@ -83,44 +74,38 @@ func (e *Entry) Kill() { e.dead.Store(true) }
 
 // Cache is the shared per-node L2: every client on the node sees the
 // same set of leases, so one client's grant serves its neighbours'
-// reads too. It owns the node's membership in the invalidation groups.
+// reads too. An entry leaves the map only dead or expired, so an L1
+// still pointing at it never serves it.
 type Cache struct {
-	host  *group.Host
 	stats *metrics.Registry
 
 	mu      sync.Mutex
 	entries map[uid.UID]*Entry
 }
 
-// NewCache builds the node's shared lease cache over its group host
-// (which receives the invalidation multicasts).
+// NewCache builds the node's shared lease cache and joins host to the
+// node's Mailbox. The join comes before any Put can make an entry
+// servable: committing servers read a clean or not-found reply from a
+// holder as proof that no lease at the version they replace survives
+// there (see invalidateHolders in internal/object).
 func NewCache(host *group.Host, stats *metrics.Registry) *Cache {
-	return &Cache{host: host, stats: stats, entries: make(map[uid.UID]*Entry)}
+	c := &Cache{stats: stats, entries: make(map[uid.UID]*Entry)}
+	host.Join(Mailbox, c.deliver)
+	return c
 }
 
-// Put installs a freshly granted lease and enrols this node in the
-// grant's invalidation group. Any previous lease for the object is
-// killed and its group left — a newer grant supersedes it.
+// Put installs a freshly granted lease. Any previous lease for the
+// object is killed — a newer grant supersedes it.
 func (c *Cache) Put(snap Snapshot) *Entry {
 	e := &Entry{Snap: snap}
+	now := time.Now()
 	c.mu.Lock()
-	old := c.entries[snap.UID]
-	delete(c.entries, snap.UID)
-	c.mu.Unlock()
-	// Retire the superseded lease before joining: a re-grant at the SAME
-	// version reuses the same group ID, and Leave-after-Join would strand
-	// the new entry with no invalidation channel.
-	c.retire(old)
-	// Join BEFORE the entry becomes servable. Committing servers treat a
-	// not-found reply to the invalidation multicast as proof the holder
-	// discarded its lease (see invalidateHolders in internal/object);
-	// joining first means a holder absent from the group can never be
-	// about to serve from the entry being granted.
-	c.host.Join(GroupID(snap.UID, snap.Seq), c.invalApply(e))
-	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.entries[snap.UID]; old != nil {
+		old.Kill()
+	}
 	c.entries[snap.UID] = e
-	c.mu.Unlock()
-	c.pruneSome(time.Now())
+	c.pruneSomeLocked(now)
 	return e
 }
 
@@ -128,71 +113,64 @@ func (c *Cache) Put(snap Snapshot) *Entry {
 // constant amortized sweep instead of a background goroutine.
 const pruneSample = 8
 
-// pruneSome retires up to pruneSample dead or expired entries. Without
-// it, an entry whose object is never read again would be retained
-// forever — snapshot bytes plus the invalidation-group membership from
-// host.Join — so a long-lived node with object churn would grow without
-// bound; Get only prunes the entry it was asked for. Map iteration
-// starts at a different point each time, so repeated Puts eventually
-// visit everything.
-func (c *Cache) pruneSome(now time.Time) {
-	c.mu.Lock()
-	var victims []*Entry
+// pruneSomeLocked drops up to pruneSample dead or expired entries.
+// Without it, an entry whose object is never read again would be
+// retained forever with its snapshot bytes, so a long-lived node with
+// object churn would grow without bound; Get only prunes the entry it
+// was asked for. Map iteration starts at a different point each time,
+// so repeated Puts eventually visit everything.
+func (c *Cache) pruneSomeLocked(now time.Time) {
 	seen := 0
 	for id, e := range c.entries {
-		if seen >= pruneSample {
-			break
+		if seen == pruneSample {
+			return
 		}
 		seen++
 		if !e.Valid(now) {
 			delete(c.entries, id)
-			victims = append(victims, e)
 		}
-	}
-	c.mu.Unlock()
-	for _, e := range victims {
-		c.retire(e)
 	}
 }
 
-// invalApply is the group delivery callback for one entry: an Inval
-// record naming this entry's version (or a newer one) kills it. The
-// group has served its purpose after the one message it will ever
-// carry, so membership is dropped — asynchronously, to stay clear of
-// the group host's delivery locks.
-func (c *Cache) invalApply(e *Entry) group.Apply {
-	return func(ctx context.Context, msg group.Delivered) ([]byte, error) {
-		if msg.Kind != KindInval {
-			return nil, nil
-		}
-		var inv Inval
-		if err := decodeInval(msg.Payload, &inv); err != nil {
-			return nil, err
-		}
-		if e.Snap.Seq <= inv.Seq {
-			e.Kill()
-			c.stats.Counter("lease.invalidated").Inc()
-		}
-		gid := msg.Group
-		go c.host.Leave(gid)
+// deliver is the Mailbox's apply: an Inval at version s kills and drops
+// the node's entry for the object when that entry's version is s or
+// older. It answers without error whether or not anything was held.
+func (c *Cache) deliver(_ context.Context, msg group.Delivered) ([]byte, error) {
+	if msg.Kind != KindInval {
 		return nil, nil
 	}
+	var inv Inval
+	if err := decodeInval(msg.Payload, &inv); err != nil {
+		return nil, err
+	}
+	id, err := uid.Parse(inv.UID)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	e := c.entries[id]
+	killed := e != nil && e.Snap.Seq <= inv.Seq
+	if killed {
+		e.Kill()
+		delete(c.entries, id)
+	}
+	c.mu.Unlock()
+	if killed {
+		c.stats.Counter("lease.invalidated").Inc()
+	}
+	return nil, nil
 }
 
 // Get returns the object's lease entry if it is still valid at now.
-// Invalid entries are pruned (and their group membership dropped) on
-// the way.
+// An invalid entry is pruned on the way.
 func (c *Cache) Get(id uid.UID, now time.Time) (*Entry, bool) {
 	c.mu.Lock()
 	e := c.entries[id]
 	if e != nil && !e.Valid(now) {
 		delete(c.entries, id)
-		c.mu.Unlock()
-		c.retire(e)
 		e = nil
-	} else {
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	if e == nil {
 		c.stats.Counter("lease.l2.misses").Inc()
 		return nil, false
@@ -205,19 +183,11 @@ func (c *Cache) Get(id uid.UID, now time.Time) (*Entry, bool) {
 // holder itself commits a write to the object through the servers).
 func (c *Cache) Invalidate(id uid.UID) {
 	c.mu.Lock()
-	e := c.entries[id]
-	delete(c.entries, id)
-	c.mu.Unlock()
-	c.retire(e)
-}
-
-// retire kills a superseded or pruned entry and leaves its group.
-func (c *Cache) retire(e *Entry) {
-	if e == nil {
-		return
+	if e := c.entries[id]; e != nil {
+		e.Kill()
+		delete(c.entries, id)
 	}
-	e.Kill()
-	c.host.Leave(GroupID(e.Snap.UID, e.Snap.Seq))
+	c.mu.Unlock()
 }
 
 // Local is a per-client L1 over the shared Cache: a tiny map of entry
@@ -264,6 +234,13 @@ func (l *Local) Get(id uid.UID, now time.Time) (*Entry, bool) {
 	if !ok {
 		return nil, false
 	}
+	l.keep(id, e)
+	return e, true
+}
+
+// keep caches e's pointer under id, dropping an arbitrary entry first
+// when the L1 is full.
+func (l *Local) keep(id uid.UID, e *Entry) {
 	l.mu.Lock()
 	if len(l.entries) >= l.cap {
 		for k := range l.entries {
@@ -273,22 +250,13 @@ func (l *Local) Get(id uid.UID, now time.Time) (*Entry, bool) {
 	}
 	l.entries[id] = e
 	l.mu.Unlock()
-	return e, true
 }
 
 // Put installs a fresh grant into the shared L2 and caches the pointer
 // in this L1.
 func (l *Local) Put(snap Snapshot) *Entry {
 	e := l.cache.Put(snap)
-	l.mu.Lock()
-	if len(l.entries) >= l.cap {
-		for k := range l.entries {
-			delete(l.entries, k)
-			break
-		}
-	}
-	l.entries[snap.UID] = e
-	l.mu.Unlock()
+	l.keep(snap.UID, e)
 	return e
 }
 

@@ -5,6 +5,11 @@ package object
 import (
 	"context"
 	"testing"
+	"time"
+
+	"repro/internal/group"
+	"repro/internal/lease"
+	"repro/internal/metrics"
 )
 
 // The allocation pins are built without the race runtime, which allocates
@@ -44,5 +49,41 @@ func TestInvokeAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, call); got != c.want {
 			t.Errorf("%s: %.0f allocations per request, want %.0f", c.name, got, c.want)
 		}
+	}
+}
+
+// TestLeaseFenceAllocs pins what one commit fence to one live lease holder
+// costs over the Mem transport, server and holder together: the object's
+// name rendered into the Inval record and its payload, the fence's list of
+// holders, and the one DeliverBatch frame to the holder's lease mailbox —
+// its message ID, item list, request and reply on both sides, the
+// mailbox's copy of the record's name, the caller's result. 38 (and 8 in
+// the grant's Put for a Join) while each grant enrolled its holder in a
+// group of its own, the record went through that group's sequencer and the
+// holder left the group from a goroutine of its own.
+func TestLeaseFenceAllocs(t *testing.T) {
+	w := newWorld(t)
+	m := NewManager(w.cluster.Add("sv3"), w.reg)
+	m.EnableLeases(time.Minute)
+	holder := w.cluster.Add("holder")
+	lease.NewCache(group.NewHost(holder.Server(), holder.Client()), &metrics.Registry{})
+	ctx := context.Background()
+	if _, err := activate(ctx, w.ref("sv3"), "counter", "st1"); err != nil {
+		t.Fatal(err)
+	}
+	in, _ := m.lookup(w.id)
+	fences := m.stats.Counter("lease.invalidations")
+	fence := func() {
+		in.mu.Lock()
+		in.leaseHolders["holder"] = time.Now().Add(time.Minute)
+		in.mu.Unlock()
+		before := fences.Value()
+		if err := m.leaseCommitFence(ctx, in, time.Now(), false); err != nil || fences.Value() != before+1 {
+			t.Fatalf("fence: %v, holder confirmed: %v", err, fences.Value() == before+1)
+		}
+	}
+	fence() // creates the node pair's metric handles
+	if got := testing.AllocsPerRun(200, fence); got != 15 {
+		t.Errorf("a fence to one holder allocated %.0f objects, pinned at 15", got)
 	}
 }

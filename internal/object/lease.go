@@ -2,7 +2,7 @@ package object
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -18,8 +18,8 @@ import (
 // LeaseGrant is a leased read snapshot piggybacked on an InvokeResp:
 // the holder may serve read-only methods from State locally until the
 // lease expires (TTL after the request was sent) or an invalidation
-// record arrives on the ordered multicast. See internal/lease for the
-// holder side and the safety argument.
+// record arrives in its node's lease mailbox. See internal/lease for the
+// holder side.
 type LeaseGrant struct {
 	// Class names the object's type, so the holder can run its
 	// read-only methods without a bind.
@@ -34,9 +34,9 @@ type LeaseGrant struct {
 // EnableLeases makes this node's object servers grant read leases with
 // the given TTL and enforce the matching commit-time fence: a commit
 // that advances an object's version is not acknowledged until every
-// lease at the old version is provably dead — eagerly invalidated over
-// the multicast, or waited out. Call during deployment setup, before
-// traffic. A zero TTL leaves leasing disabled.
+// lease at the old version is provably dead — eagerly invalidated
+// through its holder's mailbox, or waited out. Call during deployment
+// setup, before traffic. A zero TTL leaves leasing disabled.
 func (m *Manager) EnableLeases(ttl time.Duration) { m.leaseTTL = ttl }
 
 // maybeGrant issues a read lease to holder for in's current state, or
@@ -154,43 +154,30 @@ func (m *Manager) probeLatest(ctx context.Context, id uid.UID, seq uint64, stNod
 // leaseCommitFence runs the lease side of a version advance that
 // became durable at the stores at tc: no acknowledgement may leave
 // this server until every read lease at the old version is provably
-// dead. Known holders get an eager invalidation record on the ordered
-// multicast; if any holder cannot confirm, the commit waits out the
-// lease clock instead (tc + 2*TTL bounds every grant's expiry — see
-// maybeGrant). withGrace additionally enforces the first-commit grace:
-// until this instance has advanced the version once, leases granted by
-// a prior incarnation of the object's server may still be live, so the
-// first advance always waits out the clock. Returns an error only when
-// ctx dies mid-fence — the commit itself already stands, so the caller
-// must report ambiguity, not refusal.
+// dead. Known holders are invalidated (invalidateHolders); if any holder
+// cannot confirm, the commit waits out the lease clock instead (tc +
+// 2*TTL bounds every grant's expiry — see maybeGrant). withGrace
+// additionally enforces the first-commit grace: until this instance has
+// advanced the version once, leases granted by a prior incarnation of
+// the object's server may still be live, so the first advance always
+// waits out the clock. Returns an error only when ctx dies mid-fence —
+// the commit itself already stands, so the caller must report
+// ambiguity, not refusal.
 func (m *Manager) leaseCommitFence(ctx context.Context, in *instance, tc time.Time, withGrace bool) error {
 	if m.leaseTTL == 0 {
 		return nil
 	}
 	window := 2 * m.leaseTTL
-	in.mu.Lock()
-	holders := in.leaseHolders
-	seq := in.leaseSeq
-	in.leaseHolders = make(map[transport.Addr]time.Time)
 	var deadline time.Time
 	if withGrace {
+		in.mu.Lock()
 		if in.graceUntil.IsZero() {
 			in.graceUntil = tc.Add(window)
 		}
 		deadline = in.graceUntil
+		in.mu.Unlock()
 	}
-	in.mu.Unlock()
-
-	now := time.Now()
-	var members []transport.Addr
-	for addr, exp := range holders {
-		if exp.After(now) {
-			members = append(members, addr)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	if len(members) > 0 && !m.invalidateHolders(ctx, in.id, seq, members) {
-		m.stats.Counter("lease.waitouts").Inc()
+	if _, ok := m.invalidateHolders(ctx, in); !ok {
 		if d := tc.Add(window); d.After(deadline) {
 			deadline = d
 		}
@@ -209,33 +196,10 @@ func (m *Manager) leasePassivateFence(ctx context.Context, in *instance) error {
 	if m.leaseTTL == 0 {
 		return nil
 	}
-	in.mu.Lock()
-	holders := in.leaseHolders
-	seq := in.leaseSeq
-	in.leaseHolders = make(map[transport.Addr]time.Time)
-	in.mu.Unlock()
-
-	now := time.Now()
-	var members []transport.Addr
-	var deadline time.Time
-	for addr, exp := range holders {
-		if !exp.After(now) {
-			continue
-		}
-		members = append(members, addr)
-		if exp.After(deadline) {
-			deadline = exp
-		}
+	if last, ok := m.invalidateHolders(ctx, in); !ok {
+		return m.leaseWait(ctx, in, last)
 	}
-	if len(members) == 0 {
-		return nil
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	if m.invalidateHolders(ctx, in.id, seq, members) {
-		return nil
-	}
-	m.stats.Counter("lease.waitouts").Inc()
-	return m.leaseWait(ctx, in, deadline)
+	return nil
 }
 
 // leaseWait sleeps until deadline, surfacing an ambiguity error if ctx
@@ -257,62 +221,65 @@ func (m *Manager) leaseWait(ctx context.Context, in *instance, deadline time.Tim
 	}
 }
 
-// invalidateHolders multicasts one Inval record to the lease group for
-// (id, seq) and reports whether EVERY member provably discarded its
-// lease. A member that already dropped the lease answers not-found
-// (it left the group) — that is a confirmation, including when the
-// member was acting as sequencer, in which case the multicast is
-// retried through the remaining holders.
+// invalidateHolders forgets the instance's lease holders and sends each
+// whose lease is still live one Inval record naming the version they were
+// granted, to its node's lease Mailbox, directly and one after another.
+// It reports the last of those leases' expiries, and whether EVERY such
+// holder provably discarded its lease (true when there was none to ask):
+// the mailbox answers cleanly whether or not it held one, and a node with
+// no mailbox (not-found) holds no lease either. A holder that cannot be
+// reached, or any other error, is unconfirmed, and the caller waits the
+// lease clock out.
 //
-// Treating not-found as "discarded" leans on a grant-side ordering
-// invariant: a holder joins the invalidation group BEFORE its lease
-// entry becomes servable (lease.Cache.Put joins first, then installs),
-// so a holder that answers not-found either never completed the grant —
-// its entry can never serve — or already retired it. The remaining
-// window is the grant response still in flight toward a holder that has
-// not run Put at all; that holder is unreachable by ANY group name, and
-// safety there rests on lock order: this fence runs while the committing
+// A clean answer proves nothing about a grant still on its way to the
+// holder: the mailbox was joined before any entry could be servable
+// (lease.NewCache), but a holder that has not yet run Put for this
+// grant answers cleanly and then installs a lease at the old version.
+// Safety there rests on lock order: this fence runs while the committing
 // action still holds the object's write lock, strict 2PL keeps that lock
 // out of a reader's hands until the reader's action ended (its harvest,
-// and hence its Join, has run), and the force-passivate/crash paths are
+// and hence its Put, has run), and the force-passivate/crash paths are
 // covered by the first-commit grace window instead. A change to
-// lock-break or abort semantics must revisit this branch. It is also why a
-// request that carries its action's phase one is never granted a lease,
-// whatever holder it names (invokeOn; the client sends none on a solo call,
-// and a ClientReadOnly client with a lease cache sends plain invokes): a
-// carried read-only vote releases the read lock in the request that would
-// have made the grant, while the grant is still on its way to a holder that
-// has joined nothing — a writer could then take the lock, fence, hear
-// not-found from every name, and commit under a lease about to become
-// servable.
-func (m *Manager) invalidateHolders(ctx context.Context, id uid.UID, seq uint64, members []transport.Addr) bool {
-	payload, err := lease.EncodeInval(&lease.Inval{UID: id.String(), Seq: seq})
-	if err != nil {
-		return false
+// lock-break or abort semantics must revisit this branch. It is also why
+// a request that carries its action's phase one is never granted a lease,
+// whatever holder it names (invokeOn; the client sends none on a solo
+// call, and a ClientReadOnly client with a lease cache sends plain
+// invokes): a carried read-only vote releases the read lock in the
+// request that would have made the grant, while the grant is still on its
+// way to a holder that has installed nothing — a writer could then take
+// the lock, fence, hear a clean answer from every mailbox, and commit
+// under a lease about to become servable.
+func (m *Manager) invalidateHolders(ctx context.Context, in *instance) (last time.Time, ok bool) {
+	now := time.Now()
+	var members []transport.Addr
+	in.mu.Lock()
+	seq := in.leaseSeq
+	for addr, exp := range in.leaseHolders {
+		if exp.After(now) {
+			members = append(members, addr)
+			if exp.After(last) {
+				last = exp
+			}
+		}
 	}
-	gid := lease.GroupID(id, seq)
-	for len(members) > 0 {
-		res, merr := group.Multicast(ctx, m.node.Client(), group.Group{ID: gid, Members: members},
+	clear(in.leaseHolders)
+	in.mu.Unlock()
+	if len(members) == 0 {
+		return last, true
+	}
+	slices.Sort(members)
+	payload, err := lease.EncodeInval(&lease.Inval{UID: in.id.String(), Seq: seq})
+	if ok = err == nil; ok {
+		res := group.NaiveMulticast(ctx, m.node.Client(), group.Group{ID: lease.Mailbox, Members: members},
 			lease.KindInval, payload)
-		if merr != nil {
-			if rpc.CodeOf(merr) == rpc.CodeNotFound {
-				// The sequencer (first member) no longer holds the
-				// lease: confirmed dead, retry with the rest.
-				members = members[1:]
-				continue
-			}
-			return false
-		}
-		if len(res.Failed) > 0 {
-			return false
-		}
-		for _, rep := range res.Replies {
-			if rep.Err != "" && !strings.HasPrefix(rep.Err, rpc.CodeNotFound+":") {
-				return false
-			}
-		}
-		m.stats.Counter("lease.invalidations").Inc()
-		return true
+		ok = len(res.Failed) == 0 && !slices.ContainsFunc(res.Replies, func(r group.Reply) bool {
+			return r.Err != "" && !strings.HasPrefix(r.Err, rpc.CodeNotFound+":")
+		})
 	}
-	return true
+	if ok {
+		m.stats.Counter("lease.invalidations").Inc()
+	} else {
+		m.stats.Counter("lease.waitouts").Inc()
+	}
+	return last, ok
 }

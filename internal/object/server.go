@@ -1382,7 +1382,7 @@ func fenceFailed(r *EndResult, err error) {
 // The new version is durable: fence every read lease at the old one BEFORE
 // releasing the action's locks. The order matters — a lock released first
 // could admit a conflicting action that commits against this object while
-// the invalidation multicast is still in flight, so delivery-confirmed
+// the holders' invalidations are still in flight, so delivery-confirmed
 // invalidation (or the waitout) must precede any conflicting lock grant here.
 // Even a fence interrupted by ctx still releases: the commit stands, and
 // holding the locks past this handler would wedge the object forever.

@@ -162,7 +162,7 @@ func moveOnce(ctx context.Context, place *Client, actions *action.Manager, rpcc 
 		// keep serving the pre-move state for its full TTL after writes
 		// land on the new shard. Force-passivating the source instances
 		// runs the server-side passivation fence (every holder is
-		// invalidated over the multicast, or waited out) while the
+		// invalidated through its mailbox, or waited out) while the
 		// write-locked database entries still block new binds and hence
 		// new grants. Unreachable servers are skipped: a crashed server
 		// lost its volatile instance with its process; a partitioned one

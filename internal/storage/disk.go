@@ -18,9 +18,6 @@ const (
 	// caller fsyncs on behalf of everyone whose mutations were already
 	// appended when the fsync started.
 	SyncGroup SyncMode = iota
-	// SyncEach runs one fsync per Sync call — the naive per-commit
-	// baseline.
-	SyncEach
 	// SyncNone never fsyncs; durability is left to the OS page cache.
 	// For tests that only need the replay path.
 	SyncNone
@@ -31,8 +28,6 @@ func (m SyncMode) String() string {
 	switch m {
 	case SyncGroup:
 		return "group"
-	case SyncEach:
-		return "each"
 	case SyncNone:
 		return "none"
 	default:
@@ -278,19 +273,6 @@ func (d *Disk) sync() error {
 		return err
 	}
 	mode, wal := d.opts.Sync, d.wal
-	if mode == SyncEach {
-		defer d.mu.Unlock()
-		if err := wal.Sync(); err != nil {
-			// A failed fsync may have dropped dirty pages the kernel will
-			// never retry (the error flag is consumed); anything appended
-			// but unsynced is now a potential hole, so the backend must
-			// refuse further work rather than acknowledge records on top
-			// of it. Reopen replays exactly the durable prefix.
-			d.failed = fmt.Errorf("storage: wal fsync: %w", err)
-			return d.failed
-		}
-		return nil
-	}
 	d.mu.Unlock()
 	if mode == SyncNone {
 		return nil
@@ -332,11 +314,14 @@ func (d *Disk) sync() error {
 		cover := d.appendGen.Load()
 		err := wal.Sync()
 		if err != nil {
-			// Poison the backend (see the SyncEach branch): a failed fsync
-			// leaves an undetectable hole, and a retry that happens to
-			// return nil must not resurrect the durability claim. Lock
-			// order is syncMu→mu here; no path holds mu while taking
-			// syncMu.
+			// Poison the backend: a failed fsync may have dropped dirty
+			// pages the kernel will never retry (the error flag is
+			// consumed), so anything appended but unsynced is now a
+			// potential hole, and a retry that happens to return nil must
+			// not resurrect the durability claim. The backend refuses
+			// further work instead; reopen replays exactly the durable
+			// prefix. Lock order is syncMu→mu here; no path holds mu
+			// while taking syncMu.
 			d.mu.Lock()
 			if d.failed == nil {
 				d.failed = fmt.Errorf("storage: wal fsync: %w", err)

@@ -90,7 +90,6 @@
 // a single fsync acknowledges every mutation appended before it started.
 // Under concurrent commit traffic this collapses N fsyncs into a few
 // without weakening durability — a Sync never returns before the bytes
-// it covers are on disk. SyncEach runs one fsync per Sync call (the
-// naive baseline) and SyncNone trusts the OS page cache (tests that only
-// need the replay path).
+// it covers are on disk. SyncNone trusts the OS page cache (tests that
+// only need the replay path).
 package storage

@@ -81,7 +81,7 @@ func TestMemBackendRoundTrip(t *testing.T) {
 
 func TestDiskReplayAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	for _, mode := range []SyncMode{SyncGroup, SyncEach, SyncNone} {
+	for _, mode := range []SyncMode{SyncGroup, SyncNone} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := fmt.Sprintf("%s/%s", dir, mode)
 			b, err := OpenDisk(dir, DiskOptions{Sync: mode})

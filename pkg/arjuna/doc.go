@@ -107,9 +107,9 @@
 // ZERO RPCs and zero lock-manager traffic. The guarantee is the usual
 // lease one: a snapshot is served only while its lease is valid, and no
 // commit that supersedes a leased version is acknowledged to its writer
-// until every lease on the old version is invalidated — delivered over
-// the same ordered multicast that carries group state — or has provably
-// expired. A read served from the cache is therefore never staler than
+// until every lease on the old version is invalidated — one message to
+// each holder node's lease mailbox, confirmed by its reply — or has
+// provably expired. A read served from the cache is therefore never staler than
 // the last acknowledged commit; what is given up is only the exclusion
 // a server-side read lock would add, which a read-only action does not
 // need. An Atomic that MIXES leased reads with server-side work gets
@@ -125,8 +125,8 @@
 //
 // Expiry and invalidation are the two ways a cached lease dies, and
 // they are deliberately asymmetric. Invalidation is the fast, common
-// path: a commit that advances a leased object's version multicasts an
-// invalidation to the holders it knows and proceeds as soon as delivery
+// path: a commit that advances a leased object's version sends an
+// invalidation to each holder it knows and proceeds as soon as every one
 // is confirmed. Expiry is the backstop: when a holder cannot be reached
 // (crashed, partitioned), the committing server waits out the lease
 // clock — bounded by the grants it actually issued, at worst 2×TTL —

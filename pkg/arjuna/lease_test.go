@@ -2,9 +2,12 @@ package arjuna_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/group"
+	"repro/internal/transport"
 	"repro/pkg/arjuna"
 )
 
@@ -230,5 +233,63 @@ func TestReadLeaseSecondClientSharesL2(t *testing.T) {
 	}
 	if sys.LeaseStats().L2Hits == l2Before {
 		t.Fatal("second client's read did not hit the shared L2")
+	}
+}
+
+// TestLeaseFenceSendsOneFrame: the fence of a commit to an object that one
+// node holds a lease on is one DeliverBatch frame, straight to that node's
+// lease mailbox — no Sequence call, no relay — and the lease is dead when
+// the writer's commit returns.
+func TestLeaseFenceSendsOneFrame(t *testing.T) {
+	const ttl = 500 * time.Millisecond
+	sys := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(2), arjuna.WithReadLeases(ttl))
+	ctx := context.Background()
+	obj := sys.Objects()[0]
+	writer, holder := clientT(t, sys, "c1"), clientT(t, sys, "c2")
+	read := func() (string, int) {
+		var out []byte
+		rep, err := holder.Atomic(ctx, func(tx *arjuna.Txn) error {
+			var rerr error
+			out, rerr = tx.Object(obj).Read(ctx, "get", nil)
+			return rerr
+		})
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		return string(out), rep.LeaseReads
+	}
+	// The first advance of the object's instance waits out the
+	// first-commit grace; the fence under test is a later one.
+	if _, _, err := writer.Apply(ctx, obj, "add", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	read() // harvests the grant
+	if _, leased := read(); leased != 1 {
+		t.Fatal("the holder's second read was not served from its lease")
+	}
+
+	var mu sync.Mutex
+	frames := map[string][]transport.Addr{}
+	sys.Faults().OnRequest(-1, func(r transport.Request) bool { return r.Service == group.ServiceName },
+		func(r transport.Request) {
+			mu.Lock()
+			frames[r.Method] = append(frames[r.Method], r.To)
+			mu.Unlock()
+		})
+	invalidated := sys.LeaseStats().Invalidated
+	if _, _, err := writer.Apply(ctx, obj, "add", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	sent, sequenced := frames[group.MethodDeliverBatch], len(frames[group.MethodSequence])
+	mu.Unlock()
+	if len(sent) != 1 || sent[0] != "c2" || sequenced != 0 {
+		t.Fatalf("the fence sent DeliverBatch to %v and %d Sequence calls; want one frame to c2 and none", sent, sequenced)
+	}
+	if sys.LeaseStats().Invalidated != invalidated+1 {
+		t.Fatal("the fence's frame killed no lease at the holder")
+	}
+	if out, leased := read(); leased != 0 || out != "2" {
+		t.Fatalf("read after the fenced commit = %q (leased %d), want 2 through the server", out, leased)
 	}
 }

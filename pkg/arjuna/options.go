@@ -141,7 +141,7 @@ const DefaultLeaseTTL = 250 * time.Millisecond
 // top), and a Client whose Atomic body only performs read-only methods
 // on lease-valid objects completes with zero RPCs and zero lock-manager
 // traffic. Commits stay safe: a commit that advances a leased object's
-// version invalidates the holders over the ordered multicast — or, when
+// version sends each holder an invalidation — or, when
 // a holder cannot be reached, waits out the lease clock — before it is
 // acknowledged. See the package documentation for the exact guarantee
 // and the costs (a 2×TTL grace on the first commit after an instance

@@ -141,10 +141,10 @@ type LeaseStats struct {
 	// counts grant attempts refused because the server could not confirm
 	// it holds the object's latest committed version.
 	Grants, GrantsRefused int64
-	// Invalidations counts invalidation multicasts delivered to holders
-	// by committing servers; Invalidated counts cache entries they
-	// killed. Waitouts counts commits that could not confirm delivery
-	// and waited out the lease clock instead.
+	// Invalidations counts fences by committing servers whose
+	// invalidations every holder confirmed; Invalidated counts cache
+	// entries they killed. Waitouts counts commits that could not confirm
+	// delivery and waited out the lease clock instead.
 	Invalidations, Invalidated, Waitouts int64
 }
 
