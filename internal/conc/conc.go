@@ -86,24 +86,3 @@ func DoErr(n int, fn func(i int) error) []error {
 	Do(n, func(i int) { errs[i] = fn(i) })
 	return errs
 }
-
-// DoLimited is Do with at most limit invocations in flight at once (a
-// bounded errgroup-style fan-out). limit <= 0 means unbounded.
-func DoLimited(n, limit int, fn func(i int)) {
-	if limit <= 0 || limit >= n {
-		Do(n, fn)
-		return
-	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}

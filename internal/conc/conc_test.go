@@ -26,32 +26,6 @@ func TestDoRunsAllIndices(t *testing.T) {
 	}
 }
 
-func TestDoLimitedBoundsConcurrency(t *testing.T) {
-	const n, limit = 64, 4
-	var inFlight, maxSeen atomic.Int64
-	DoLimited(n, limit, func(i int) {
-		cur := inFlight.Add(1)
-		for {
-			m := maxSeen.Load()
-			if cur <= m || maxSeen.CompareAndSwap(m, cur) {
-				break
-			}
-		}
-		inFlight.Add(-1)
-	})
-	if m := maxSeen.Load(); m > limit {
-		t.Fatalf("in-flight peak %d exceeds limit %d", m, limit)
-	}
-}
-
-func TestDoLimitedUnboundedWhenLimitZero(t *testing.T) {
-	var count atomic.Int64
-	DoLimited(8, 0, func(int) { count.Add(1) })
-	if count.Load() != 8 {
-		t.Fatalf("ran %d times, want 8", count.Load())
-	}
-}
-
 // TestDoRunsEveryLegOnceAndWaits is the contract parked workers must not
 // bend: every index runs exactly once and Do returns only after all did —
 // also when leg 0, which runs on the caller, panics.

@@ -906,6 +906,7 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID,
 		Degree:      b.degree(),
 		StNodes:     st,
 		Client:      b.DB.RPC,
+		ReadOnly:    b.ReadOnly,
 		LeaseHolder: b.LeaseHolder,
 		LeaseTTL:    b.LeaseTTL,
 	})

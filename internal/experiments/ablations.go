@@ -117,19 +117,19 @@ func RunMulticastCost(sizes []int, messages int, latency time.Duration) (*Table,
 }
 
 // PipelinedMulticastPoint is the measured cost of concurrent ordered
-// multicast — the batched-sequencer workload.
+// multicast: many senders' messages through one sequencer at once.
 type PipelinedMulticastPoint struct {
 	Members int
 	Senders int
 	// Micros is the wall-clock per-message cost across all senders.
 	Micros float64
-	// Rounds and Messages are the sequencer's fan-out statistics;
-	// Messages/Rounds > 1 means requests were ordered in batches.
+	// Rounds and Messages are the sequencer's fan-out statistics. The
+	// sequencer relays each message on its own, so they are equal.
 	Rounds   uint64
 	Messages uint64
 }
 
-// MsgsPerRound reports the batching factor.
+// MsgsPerRound reports messages per sequencer round: 1 by construction.
 func (p PipelinedMulticastPoint) MsgsPerRound() float64 {
 	if p.Rounds == 0 {
 		return 0
@@ -139,11 +139,10 @@ func (p PipelinedMulticastPoint) MsgsPerRound() float64 {
 
 // MeasurePipelinedMulticast drives `senders` concurrent callers, each
 // multicasting `perSender` ordered messages to a `members`-strong group,
-// and reports throughput plus the sequencer's batching statistics. Under
-// the serial one-round-per-message sequencer the fan-out count equals
-// the message count; the batched sequencer orders every request that
-// arrived during an in-flight round in the next frame, so rounds stay
-// well below messages.
+// and reports the per-message cost plus the sequencer's fan-out statistics.
+// The sequencer numbers and relays each message as it arrives, so many
+// messages are on the wire at once and the cost falls below one round trip
+// per message as senders are added.
 func MeasurePipelinedMulticast(members, senders, perSender int, latency time.Duration) (PipelinedMulticastPoint, error) {
 	cluster := sim.NewCluster(transport.MemOptions{BaseLatency: latency})
 	var addrs []transport.Addr

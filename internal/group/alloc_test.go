@@ -10,11 +10,12 @@ import (
 	"repro/internal/transport"
 )
 
-// TestLocalRoundAllocs pins a one-member sequenced round, as active
+// TestLocalRoundAllocs pins a one-member sequenced message, as active
 // replication sends to a group of one replica: the member is its own
-// sequencer, and the round's one-item frame is delivered locally — the
-// caller's Sequence call and nothing else on the wire. The single-message
-// relay this replaced cost 33–34.
+// sequencer, and the message's one-item frame is delivered locally — the
+// caller's Sequence call and nothing else on the wire: 26–27, as the round
+// batcher this replaced cost; the single-message relay before that cost
+// 33–34.
 func TestLocalRoundAllocs(t *testing.T) {
 	c := sim.NewCluster(transport.MemOptions{})
 	n := c.Add("holder")
@@ -28,7 +29,7 @@ func TestLocalRoundAllocs(t *testing.T) {
 		}
 	}
 	round()
-	if got := testing.AllocsPerRun(500, round); got > 32 {
-		t.Fatalf("a local round allocated %.0f objects, want at most 32", got)
+	if got := testing.AllocsPerRun(500, round); got > 27 {
+		t.Fatalf("a local round allocated %.0f objects, want at most 27", got)
 	}
 }

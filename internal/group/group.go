@@ -10,12 +10,13 @@
 //
 // Two disciplines are implemented:
 //
-//   - Multicast — reliable, totally ordered: the sender hands the message
-//     to a deterministic sequencer member, which assigns the next sequence
-//     number and relays to every member. The sender makes a single call, so
-//     a sender failure cannot cause partial delivery; a sequencer failure
-//     is handled by retrying through the next member with the same message
-//     ID, which the sequencer re-relays under its original number and
+//   - Multicast — reliable, totally ordered: a fixed sequencer (Kaashoek et
+//     al.'s Amoeba broadcast). The sender hands the message to the first
+//     member of its view that answers, which gives it the group's next
+//     sequence number and relays it to every member. The sender makes a
+//     single call, so a sender failure cannot cause partial delivery; a
+//     sequencer failure is handled by retrying through the next member with
+//     the same message ID, which keeps its original number and which
 //     receivers deduplicate.
 //   - NaiveMulticast — the sender fans out to the members itself, one
 //     after another, so a failure (of the sender, or of reply delivery)
@@ -24,22 +25,21 @@
 //     state to diverge — a lease invalidation, one message to each holder
 //     node's mailbox (internal/lease), travels this way.
 //
-// Both travel in one frame, DeliverBatch. The sequencer relays each round —
-// the messages it ordered while the previous round was on the wire, often
-// just one — as one frame per member; a naive send is a frame of one item
-// with sequence number 0. Sequence numbers are per group. Receivers deliver
-// sequenced items strictly in sequence order, holding back out-of-order
-// arrivals, and apply a naive item at once.
+// Both travel in one frame, DeliverBatch. The sequencer relays each message
+// on its own, to all members at once, as a frame of one item; a naive send
+// is a frame of one item with sequence number 0. Sequence numbers are per
+// group. Receivers deliver sequenced items strictly in sequence order,
+// holding back out-of-order arrivals, and apply a naive item at once.
 package group
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/conc"
 	"repro/internal/rpc"
@@ -55,7 +55,7 @@ const (
 	// a multicast.
 	MethodSequence = "Sequence"
 	// MethodDeliverBatch is invoked on each member to deliver one frame:
-	// the messages of one sequencer round, or one naive message.
+	// a sequenced message, or a naive one.
 	MethodDeliverBatch = "DeliverBatch"
 )
 
@@ -68,7 +68,8 @@ type Group struct {
 
 // Delivered is a message as seen by a member's apply callback.
 type Delivered struct {
-	Group   string
+	Group string
+	// MsgID is empty for a naive message.
 	MsgID   string
 	Kind    string
 	Payload []byte
@@ -107,8 +108,8 @@ type SequenceReq struct {
 	Members []string
 }
 
-// BatchItem is one message inside a deliver frame; Seq is 0 for a naive
-// message.
+// BatchItem is one message inside a deliver frame; Seq is 0 and MsgID
+// empty for a naive message.
 type BatchItem struct {
 	MsgID   string
 	Kind    string
@@ -116,8 +117,8 @@ type BatchItem struct {
 	Seq     uint64
 }
 
-// DeliverBatchReq is the wire form of a delivery: all messages the
-// sequencer ordered in one round, sorted by ascending Seq.
+// DeliverBatchReq is the wire form of a delivery: its messages, sorted by
+// ascending Seq. The sequencer and NaiveMulticast send one per frame.
 type DeliverBatchReq struct {
 	Group string
 	Items []BatchItem
@@ -151,87 +152,105 @@ type SequenceResp struct {
 type Host struct {
 	client rpc.Client
 
-	// rounds counts sequencer fan-out rounds run by this host; orderedMsgs
-	// counts the messages those rounds carried. msgs/rounds > 1 means the
-	// batcher is amortising legs under pipelined load.
-	rounds      atomic.Uint64
-	orderedMsgs atomic.Uint64
+	// sequenced counts the messages this host has numbered and relayed as
+	// a sequencer.
+	sequenced atomic.Uint64
 
 	mu     sync.Mutex
 	groups map[string]*membership
 }
 
-// SequencerStats reports how many fan-out rounds this host has run as a
-// sequencer and how many messages they carried in total. Under pipelined
-// load messages exceed rounds: requests that arrive while a fan-out is in
-// flight are ordered and delivered together in the next round.
+// SequencerStats reports how many relay rounds this host has run as a
+// sequencer and how many messages they carried. Each message is a round of
+// its own, so the two are equal.
 func (h *Host) SequencerStats() (rounds, messages uint64) {
-	return h.rounds.Load(), h.orderedMsgs.Load()
-}
-
-// seenEntry caches one delivered message: the reply returned to the
-// relaying sequencer and the sequence number the message was assigned, so
-// a fail-over sequencer can re-relay under the original number.
-type seenEntry struct {
-	reply []byte
-	seq   uint64
-}
-
-// pendingSeq is one sequencing request waiting for a fan-out round. The
-// round leader fills resp/err and closes done. A queued waiter may
-// instead be elected the next round's leader (lead closed, elected set
-// under the membership mutex); a waiter whose context expires marks
-// itself abandoned so it is never elected.
-type pendingSeq struct {
-	req  SequenceReq
-	done chan struct{}
-	lead chan struct{}
-	resp SequenceResp
-	err  error
-
-	// elected and abandoned are guarded by the membership mutex.
-	elected   bool
-	abandoned bool
+	n := h.sequenced.Load()
+	return n, n
 }
 
 type membership struct {
 	apply Apply
 
+	// mu orders delivery, and is held across each in-order apply.
 	mu        sync.Mutex
-	nextSeq   uint64 // sequencer counter: next seq to assign is nextSeq+1
-	delivered uint64 // receiver: highest seq applied
-	seen      map[string]seenEntry
-	applied   chan struct{} // closed & renewed after each in-order apply
-	// relaying marks a fan-out round in flight; sequence requests arriving
-	// meanwhile queue up and are ordered+delivered together in the next
-	// round by the current leader (batched sequencer ordering).
-	relaying bool
-	queue    []*pendingSeq
-	// acked tracks, per member, the highest sequence number that member
-	// has acknowledged delivering (sequencer-role state). The minimum over
-	// the current membership is the stability watermark shipped with every
-	// delivery so receivers can evict dedup entries.
-	acked map[string]uint64
-	// stable is the receiver-side eviction watermark already applied to
-	// the seen map.
-	stable uint64
+	delivered uint64 // highest seq applied
+	// seen caches each delivered message's reply by message ID, for a
+	// retry to be answered from.
+	seen    map[string][]byte
+	seenAge ageing
+	// held maps a held-back sequence number to the channel closed when its
+	// predecessor has been applied: the one wake-up its waiters need.
+	held map[uint64]chan struct{}
+
+	// seq is the sequencer role's state, under a lock of its own: an apply
+	// holds mu for as long as it runs — as long as it waits for an object's
+	// lock, say — and numbering the next message must not wait for that.
+	seq sequencer
 }
 
-// stableLocked returns the stability watermark for the given member
-// list: the highest seq every one of them has acknowledged. m.mu held.
-func (m *membership) stableLocked(members []string) uint64 {
-	low := ^uint64(0)
-	for _, mem := range members {
-		a, ok := m.acked[mem]
+// sequencer is a member's state for the sequencer role.
+type sequencer struct {
+	mu sync.Mutex
+	// last is the highest sequence number this member has given or been
+	// sent, so a fail-over sequencer continues the stream rather than
+	// reusing numbers.
+	last uint64
+	// numbered maps a message ID to the number it was given, here or by
+	// the sequencer that relayed it here, so a retry keeps its number.
+	numbered    map[string]uint64
+	numberedAge ageing
+	// acked tracks, per member, the highest sequence number that member
+	// has acknowledged delivering. The minimum over a message's members is
+	// the stability watermark shipped with its delivery, so receivers can
+	// evict dedup entries.
+	acked map[string]uint64
+}
+
+// number gives msgID its sequence number — the one it already has, for a
+// retry — and returns it with the stability watermark over members.
+func (s *sequencer) number(msgID string, members []string) (seq, stable uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stable = s.stableLocked(members)
+	seq, ok := s.numbered[msgID]
+	if !ok {
+		s.last++
+		seq = s.last
+		s.addLocked(msgID, seq, stable)
+	}
+	return seq, stable
+}
+
+// note records that msgID arrived numbered seq, under the relaying
+// sequencer's watermark stable.
+func (s *sequencer) note(msgID string, seq, stable uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.numbered[msgID]; !ok {
+		s.addLocked(msgID, seq, stable)
+	}
+	s.last = max(s.last, seq)
+}
+
+// addLocked records msgID's number and retires the numbers stable has
+// made old. s.mu held.
+func (s *sequencer) addLocked(msgID string, seq, stable uint64) {
+	s.numbered[msgID] = seq
+	s.numberedAge.add(msgID, seq)
+	s.numberedAge.retire(stable, func(id string) { delete(s.numbered, id) })
+}
+
+// stableLocked returns the stability watermark for the given member list:
+// the highest seq every one of them has acknowledged. s.mu held.
+func (s *sequencer) stableLocked(members []string) (low uint64) {
+	for i, mem := range members {
+		a, ok := s.acked[mem]
 		if !ok {
 			return 0
 		}
-		if a < low {
+		if i == 0 || a < low {
 			low = a
 		}
-	}
-	if low == ^uint64(0) {
-		return 0
 	}
 	return low
 }
@@ -239,34 +258,46 @@ func (m *membership) stableLocked(members []string) uint64 {
 // dedupRetention is how many sequence numbers of already-stable dedup
 // entries each member retains beyond the stability watermark. Stability
 // says every member acknowledged delivery — but the *caller's* reply may
-// still have been lost, and its retry (typically a few rounds later)
+// still have been lost, and its retry (typically a few messages later)
 // must still find the entry or the message would be re-sequenced and
 // applied twice. The margin buys the retry that time while keeping the
 // cache bounded at roughly the in-flight window plus the margin.
 const dedupRetention = 16
 
-// evictLocked applies a stability watermark: dedup entries more than
-// dedupRetention below it are dropped — every member has acknowledged
-// delivery past them and the retry grace window has passed. m.mu held.
+// ageing lists a dedup map's keys in the order they were added, so a
+// stability watermark retires the old ones from the front of the list
+// instead of by a scan of the map. A key added out of sequence order
+// retires with the keys added before it.
+type ageing struct {
+	keys   []agedKey
+	stable uint64 // the watermark already applied
+}
+
+type agedKey struct {
+	id  string
+	seq uint64
+}
+
+func (a *ageing) add(id string, seq uint64) { a.keys = append(a.keys, agedKey{id, seq}) }
+
+// retire applies a stability watermark: keys more than dedupRetention
+// below it go to drop — every member has acknowledged delivery past them
+// and the retry grace window has passed.
 //
 // This is the bounded-memory trade-off: a retry that arrives after its
 // message has aged out of the horizon would be re-sequenced as a new
-// message. Callers retry within a few rounds, so the horizon closes
+// message. Callers retry within a few messages, so the horizon closes
 // only behind them.
-func (m *membership) evictLocked(stable uint64) {
-	if stable <= m.stable {
+func (a *ageing) retire(stable uint64, drop func(id string)) {
+	if stable <= a.stable || stable <= dedupRetention {
 		return
 	}
-	m.stable = stable
-	if stable <= dedupRetention {
-		return
+	a.stable = stable
+	n := 0
+	for ; n < len(a.keys) && a.keys[n].seq < stable-dedupRetention; n++ {
+		drop(a.keys[n].id)
 	}
-	cutoff := stable - dedupRetention
-	for id, se := range m.seen {
-		if se.seq < cutoff {
-			delete(m.seen, id)
-		}
-	}
+	a.keys = a.keys[n:]
 }
 
 // NewHost creates a Host for a node and registers its RPC handlers on srv.
@@ -287,10 +318,10 @@ func (h *Host) Join(groupID string, apply Apply) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.groups[groupID] = &membership{
-		apply:   apply,
-		seen:    make(map[string]seenEntry),
-		applied: make(chan struct{}),
-		acked:   make(map[string]uint64),
+		apply: apply,
+		seen:  make(map[string][]byte),
+		held:  make(map[uint64]chan struct{}),
+		seq:   sequencer{numbered: make(map[string]uint64), acked: make(map[string]uint64)},
 	}
 }
 
@@ -329,6 +360,9 @@ func (h *Host) handleDeliverBatch(ctx context.Context, from transport.Addr, req 
 		if it.Seq == 0 {
 			out, aerr = m.apply(ctx, msg)
 		} else {
+			if from != h.client.From { // the sequencer numbered it here
+				m.seq.note(it.MsgID, it.Seq, req.Stable)
+			}
 			out, aerr = m.applyOrdered(ctx, msg, req.Stable)
 		}
 		if aerr != nil {
@@ -350,36 +384,37 @@ func (h *Host) handleDeliverBatch(ctx context.Context, from transport.Addr, req 
 func (m *membership) applyOrdered(ctx context.Context, msg Delivered, stable uint64) ([]byte, error) {
 	for {
 		m.mu.Lock()
-		m.evictLocked(stable)
-		if prev, ok := m.seen[msg.MsgID]; ok {
+		m.seenAge.retire(stable, func(id string) { delete(m.seen, id) })
+		if reply, ok := m.seen[msg.MsgID]; ok {
 			// Duplicate (sequencer retry): return the cached reply.
 			m.mu.Unlock()
-			return prev.reply, nil
+			return reply, nil
 		}
-		if msg.Seq <= m.delivered {
-			// Superseded sequence number from a failed-over sequencer;
-			// deliver anyway (dedup above did not match, so it is new) to
-			// preserve reliability, but in arrival order at this point.
+		if msg.Seq <= m.delivered+1 {
+			// The next message — or, at or below delivered, one renumbered
+			// by a failed-over sequencer, new since dedup did not match: it
+			// is delivered for reliability, in arrival order at this point.
 			out, aerr := m.apply(ctx, msg)
 			if aerr == nil {
-				m.seen[msg.MsgID] = seenEntry{reply: out, seq: msg.Seq}
+				m.seen[msg.MsgID] = out
+				m.seenAge.add(msg.MsgID, msg.Seq)
 			}
-			m.mu.Unlock()
-			return out, aerr
-		}
-		if msg.Seq == m.delivered+1 {
-			out, aerr := m.apply(ctx, msg)
-			if aerr == nil {
-				m.seen[msg.MsgID] = seenEntry{reply: out, seq: msg.Seq}
+			if msg.Seq == m.delivered+1 {
+				m.delivered = msg.Seq
+				if next, ok := m.held[msg.Seq+1]; ok {
+					close(next)
+					delete(m.held, msg.Seq+1)
+				}
 			}
-			m.delivered = msg.Seq
-			close(m.applied)
-			m.applied = make(chan struct{})
 			m.mu.Unlock()
 			return out, aerr
 		}
 		// Gap: hold back until the predecessor is applied.
-		wait := m.applied
+		wait, ok := m.held[msg.Seq]
+		if !ok {
+			wait = make(chan struct{})
+			m.held[msg.Seq] = wait
+		}
 		m.mu.Unlock()
 		select {
 		case <-ctx.Done():
@@ -389,174 +424,65 @@ func (m *membership) applyOrdered(ctx context.Context, msg Delivered, stable uin
 	}
 }
 
-// handleSequence runs on the sequencer member. The first request to
-// arrive while no fan-out is in flight becomes the round leader; requests
-// arriving while the leader's round is on the wire queue up, and the
-// leader orders and delivers them together as one batched frame when the
-// round completes — so the sequencer orders more than one message per
-// round under pipelined load instead of serialising one round trip per
-// message. A retried request — the caller failed over from a dead
-// sequencer, under the same MsgID — queues like any other, and the round
-// that carries it re-relays it under its original number (see drain).
+// relayGrace is how long a relay may outlive the caller that asked for it.
+// A message that has its number must reach every member, or each member it
+// missed holds back every later message of the group; so a caller that
+// gives up — cancels, or meets its deadline — does not take the relay down
+// with it. The grace bounds how long a member that cannot apply (waiting
+// for an object's lock, say) keeps the relay, and the sequencer's handler,
+// waiting after that.
+const relayGrace = 2 * time.Second
+
+// handleSequence runs on the sequencer member: it numbers the message,
+// relays it to every member concurrently as a one-item frame, and answers
+// with their replies. A retried request — the caller failed over from a
+// dead sequencer, or a concurrent retry under the same MsgID — keeps the
+// number the message was first given, here or by the sequencer that
+// relayed it here: members that saw it answer from their dedup caches, so
+// the retrying caller still gets the full fan-out outcome, and any member
+// the first relay missed is repaired.
+//
+// Total order is carried by the number, not by delivery timing: receivers
+// hold back out-of-order arrivals, so parallel delivery preserves the
+// identical-order guarantee while the latency is that of the slowest
+// member rather than the sum over members. The frame is encoded once and
+// shared by all remote deliveries; a member that is this node is delivered
+// to directly. Replies and Failed come in member address order, so results
+// are deterministic, and successful deliveries advance the per-member ack
+// watermark.
 func (h *Host) handleSequence(ctx context.Context, from transport.Addr, req SequenceReq) (SequenceResp, error) {
 	m, err := h.lookup(req.Group)
 	if err != nil {
 		return SequenceResp{}, err
 	}
-	p := &pendingSeq{req: req, done: make(chan struct{}), lead: make(chan struct{})}
-	m.mu.Lock()
-	m.queue = append(m.queue, p)
-	if m.relaying {
-		// A round is in flight: its leader will either deliver this message
-		// with the next batch or elect this caller to lead that batch.
-		m.mu.Unlock()
-		select {
-		case <-p.done:
-			return p.resp, p.err
-		case <-p.lead:
-			h.drain(ctx, m)
-			<-p.done
-			return p.resp, p.err
-		case <-ctx.Done():
-			m.mu.Lock()
-			elected := p.elected
-			p.abandoned = true
-			m.mu.Unlock()
-			if elected {
-				// Lost the race with our election. Serving the round under
-				// our dead context would assign sequence numbers to live
-				// callers' messages and then fail every delivery, leaving a
-				// hole in the sequence stream — so hand leadership to a
-				// live waiter instead, and only if none exists serve the
-				// remaining (all-abandoned) entries under a detached
-				// context so their assigned numbers really get delivered.
-				if !h.handOff(m) {
-					h.drain(context.WithoutCancel(ctx), m)
-				}
-				<-p.done
-				return p.resp, p.err
-			}
-			return SequenceResp{}, ctx.Err()
+	seq, stable := m.seq.number(req.MsgID, req.Members)
+	h.sequenced.Add(1)
+	if ctx.Done() != nil {
+		deadline := time.Now().Add(relayGrace)
+		if d, ok := ctx.Deadline(); ok && d.After(deadline) {
+			deadline = d
 		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(context.WithoutCancel(ctx), deadline)
+		defer cancel()
 	}
-	m.relaying = true
-	m.mu.Unlock()
-
-	h.drain(ctx, m)
-	<-p.done
-	return p.resp, p.err
-}
-
-// drain runs fan-out rounds; the caller must hold leadership (m.relaying
-// set, or its lead channel closed). Each round snapshots the queue,
-// assigns a contiguous sequence range to the new messages, and relays them
-// as one frame. A message this member has already delivered — a retry
-// through a fail-over sequencer — keeps its original number: members that
-// saw it answer from their dedup caches, so the retrying caller still gets
-// the full fan-out outcome, and any member the first relay missed is
-// repaired. After its round — the one carrying its own message — the
-// leader hands the remaining queue to an elected successor (a live queued
-// waiter) rather than serving the whole burst itself, so no caller is held
-// past its own round and every round runs under a live caller's context.
-func (h *Host) drain(ctx context.Context, m *membership) {
-	for {
-		m.mu.Lock()
-		if len(m.queue) == 0 {
-			m.relaying = false
-			m.mu.Unlock()
-			return
-		}
-		batch := m.queue
-		m.queue = nil
-		// Initialise the counter from what this member has observed, so a
-		// fail-over sequencer continues the stream rather than reusing
-		// numbers.
-		if m.nextSeq < m.delivered {
-			m.nextSeq = m.delivered
-		}
-		entries := make([]roundEntry, 0, len(batch))
-		for k, p := range batch {
-			if i := slices.IndexFunc(entries, func(e roundEntry) bool { return e.req.MsgID == p.req.MsgID }); i >= 0 {
-				entries[i].waiters = append(entries[i].waiters, p)
-				continue
-			}
-			// Capped at one, so a duplicate's append copies instead of
-			// writing into batch.
-			e := roundEntry{req: p.req, waiters: batch[k : k+1 : k+1]}
-			if prev, ok := m.seen[p.req.MsgID]; ok {
-				e.seq = prev.seq
-			} else {
-				m.nextSeq++
-				e.seq = m.nextSeq
-			}
-			entries = append(entries, e)
-		}
-		// Item i of the frame is entry i.
-		slices.SortFunc(entries, func(a, b roundEntry) int { return cmp.Compare(a.seq, b.seq) })
-		// The member set of the round is the union of the entries' views, in
-		// address order; each entry's result is filtered back to its own.
-		var members []string
-		for _, e := range entries {
-			for _, mem := range e.req.Members {
-				if !slices.Contains(members, mem) {
-					members = append(members, mem)
-				}
-			}
-		}
-		slices.Sort(members)
-		stable := m.stableLocked(members)
-		m.mu.Unlock()
-
-		h.rounds.Add(1)
-		h.orderedMsgs.Add(uint64(len(entries)))
-		h.relay(ctx, m, entries, members, stable)
-		if h.handOff(m) {
-			return
-		}
+	frame := DeliverBatchReq{
+		Group:  req.Group,
+		Items:  []BatchItem{{MsgID: req.MsgID, Kind: req.Kind, Payload: req.Payload, Seq: seq}},
+		Stable: stable,
 	}
-}
-
-// roundEntry is one distinct message of a round and the callers waiting on
-// it. Concurrent retries of one logical message coalesce into one entry:
-// one delivery, and every waiter gets the outcome. Giving a duplicate a
-// fresh number would leave a hole in the sequence no delivery ever fills.
-type roundEntry struct {
-	req     SequenceReq
-	seq     uint64
-	waiters []*pendingSeq
-}
-
-// relay sends one round's frame to every member concurrently and answers
-// the round's waiters. Total order is carried by the assigned seqs, not by
-// delivery timing: receivers hold back out-of-order arrivals, so parallel
-// delivery preserves the identical-order guarantee while the latency is
-// that of the slowest member rather than the sum over members. The frame
-// is encoded once and shared by all remote deliveries; a member that is
-// this node is delivered to directly. Replies and Failed come in member
-// order, so results are deterministic, and successful deliveries advance
-// the per-member ack watermark on m.
-func (h *Host) relay(ctx context.Context, m *membership, entries []roundEntry, members []string, stable uint64) {
-	items := make([]BatchItem, len(entries))
-	for i, e := range entries {
-		items[i] = BatchItem{MsgID: e.req.MsgID, Kind: e.req.Kind, Payload: e.req.Payload, Seq: e.seq}
-	}
-	frame := DeliverBatchReq{Group: entries[0].req.Group, Items: items, Stable: stable}
 	payload, err := rpc.Encode(&frame)
 	if err != nil {
-		for _, e := range entries {
-			for _, p := range e.waiters {
-				p.err = err
-				close(p.done)
-			}
-		}
-		return
+		return SequenceResp{}, err
 	}
+	members := req.Members // decoded for this request: ours to sort
+	slices.Sort(members)
 	type slot struct {
 		dr  DeliverBatchResp
 		err error
 	}
 	slots := make([]slot, len(members))
-	conc.DoLimited(len(members), fanOutConcurrency, func(i int) {
+	conc.Do(len(members), func(i int) {
 		addr := transport.Addr(members[i])
 		if addr == h.client.From {
 			slots[i].dr, slots[i].err = h.handleDeliverBatch(ctx, h.client.From, frame)
@@ -570,74 +496,27 @@ func (h *Host) relay(ctx context.Context, m *membership, entries []roundEntry, m
 		slots[i].err = rpc.Decode(body, &slots[i].dr)
 	})
 
-	m.mu.Lock()
+	resp := SequenceResp{Seq: seq, Replies: make([]Reply, 0, len(members))}
+	m.seq.mu.Lock()
+	defer m.seq.mu.Unlock()
 	for i, mem := range members {
-		s := &slots[i]
-		for j, it := range items {
-			if s.err == nil && j < len(s.dr.Results) && s.dr.Results[j].Err == "" && it.Seq > m.acked[mem] {
-				m.acked[mem] = it.Seq
+		r := Reply{Member: transport.Addr(mem)}
+		switch s := &slots[i]; {
+		case s.err != nil && isMemberFailure(s.err):
+			resp.Failed = append(resp.Failed, mem)
+			continue
+		case s.err != nil:
+			r.Err = s.err.Error()
+		case len(s.dr.Results) > 0:
+			r.Payload, r.Err = s.dr.Results[0].Payload, s.dr.Results[0].Err
+			if r.Err == "" {
+				m.seq.acked[mem] = max(m.seq.acked[mem], seq)
 			}
 		}
+		resp.Replies = append(resp.Replies, r)
 	}
-	m.mu.Unlock()
-	for j, e := range entries {
-		resp := SequenceResp{Seq: e.seq, Replies: make([]Reply, 0, len(e.req.Members))}
-		for i, mem := range members {
-			if !slices.Contains(e.req.Members, mem) {
-				continue
-			}
-			r := Reply{Member: transport.Addr(mem)}
-			switch s := &slots[i]; {
-			case s.err != nil && isMemberFailure(s.err):
-				resp.Failed = append(resp.Failed, mem)
-				continue
-			case s.err != nil:
-				r.Err = s.err.Error()
-			case j < len(s.dr.Results):
-				r.Payload, r.Err = s.dr.Results[j].Payload, s.dr.Results[j].Err
-			}
-			resp.Replies = append(resp.Replies, r)
-		}
-		for _, p := range e.waiters {
-			p.resp = resp
-			close(p.done)
-		}
-	}
+	return resp, nil
 }
-
-// handOff ends the caller's leadership after its round: it elects the
-// first live queued waiter to lead the next round (closing its lead
-// channel) and returns true. With an empty queue it clears the relaying
-// flag and returns true. It returns false only when every queued entry
-// has been abandoned by its caller — those messages still deserve
-// delivery, so the current leader keeps serving.
-func (h *Host) handOff(m *membership) bool {
-	m.mu.Lock()
-	if len(m.queue) == 0 {
-		m.relaying = false
-		m.mu.Unlock()
-		return true
-	}
-	var successor *pendingSeq
-	for _, q := range m.queue {
-		if !q.abandoned {
-			successor = q
-			break
-		}
-	}
-	if successor == nil {
-		m.mu.Unlock()
-		return false
-	}
-	successor.elected = true
-	m.mu.Unlock()
-	close(successor.lead)
-	return true
-}
-
-// fanOutConcurrency bounds the parallel deliveries of one round, so very
-// large groups cannot stampede the relay node.
-const fanOutConcurrency = 16
 
 // isMemberFailure reports whether err means the member did not (provably)
 // receive the message.
@@ -695,7 +574,8 @@ func multicastWithID(ctx context.Context, cli rpc.Client, g Group, kind string, 
 // terms to the caller (Err set), and a caller crash midway simply stops the
 // loop.
 func NaiveMulticast(ctx context.Context, cli rpc.Client, g Group, kind string, payload []byte) *Result {
-	frame := DeliverBatchReq{Group: g.ID, Items: []BatchItem{{MsgID: string(cli.From) + "/naive/" + kind, Kind: kind, Payload: payload}}}
+	// A naive item has no message ID: nothing deduplicates it.
+	frame := DeliverBatchReq{Group: g.ID, Items: []BatchItem{{Kind: kind, Payload: payload}}}
 	out := &Result{}
 	for _, member := range g.Members {
 		resp, err := rpc.Invoke[DeliverBatchReq, DeliverBatchResp](ctx, cli, member, ServiceName, MethodDeliverBatch, frame)

@@ -407,70 +407,9 @@ func TestHoldbackRespectsContext(t *testing.T) {
 	}
 }
 
-func TestBatchedSequencerOrdersMultiplePerRound(t *testing.T) {
-	// Pipelined load: with a per-leg latency, concurrent multicasts arrive
-	// while the first fan-out is on the wire, so the sequencer must batch —
-	// more than one message ordered per round — while every member still
-	// applies the identical history exactly once (the gap/hold-back
-	// invariant over batched frames).
-	cluster := sim.NewCluster(transport.MemOptions{BaseLatency: 500 * time.Microsecond})
-	names := []transport.Addr{"m1", "m2", "m3"}
-	members := make(map[transport.Addr]*member)
-	var seqHost *Host
-	for _, name := range names {
-		n := cluster.Add(name)
-		h := NewHost(n.Server(), n.Client())
-		m := &member{}
-		h.Join("G", m.apply)
-		members[name] = m
-		if name == "m1" {
-			seqHost = h
-		}
-	}
-	cluster.Add("client")
-	grp := Group{ID: "G", Members: names}
-	cli := cluster.Node("client").Client()
-
-	const callers = 24
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := Multicast(ctx, cli, grp, "op", []byte(fmt.Sprintf("%d", i)))
-			if err != nil {
-				t.Errorf("multicast %d: %v", i, err)
-				return
-			}
-			if len(res.Replies) != 3 || len(res.Failed) != 0 {
-				t.Errorf("multicast %d: replies=%d failed=%v", i, len(res.Replies), res.Failed)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	h1 := members["m1"].history()
-	for _, name := range names[1:] {
-		if got := members[name].history(); got != h1 {
-			t.Fatalf("total order violated:\n m1: %s\n %s: %s", h1, name, got)
-		}
-	}
-	if got := len(members["m1"].log); got != callers {
-		t.Fatalf("deliveries = %d, want %d (once each)", got, callers)
-	}
-	rounds, msgs := seqHost.SequencerStats()
-	if msgs != callers {
-		t.Fatalf("ordered messages = %d, want %d", msgs, callers)
-	}
-	if rounds >= msgs {
-		t.Fatalf("rounds = %d for %d messages: sequencer never batched", rounds, msgs)
-	}
-	t.Logf("sequencer: %d messages in %d rounds (%.1f msgs/round)", msgs, rounds, float64(msgs)/float64(rounds))
-}
-
 func TestDedupStateBoundedUnderSustainedTraffic(t *testing.T) {
-	// The per-msgID dedup cache must not grow without limit: once every
+	// The per-msgID dedup cache, and the sequencer's record of the numbers
+	// it gave, must not grow without limit: once every
 	// member has acknowledged delivery past a message's seq (plus the
 	// retry grace margin), its entry is evicted via the stability
 	// watermark shipped with later deliveries.
@@ -491,6 +430,12 @@ func TestDedupStateBoundedUnderSustainedTraffic(t *testing.T) {
 		m.mu.Unlock()
 		if size > dedupRetention+4 {
 			t.Fatalf("%s dedup cache holds %d of %d entries: unbounded growth", name, size, msgs)
+		}
+		m.seq.mu.Lock()
+		size = len(m.seq.numbered)
+		m.seq.mu.Unlock()
+		if size > dedupRetention+4 {
+			t.Fatalf("%s keeps the numbers of %d of %d messages: unbounded growth", name, size, msgs)
 		}
 	}
 }
@@ -633,6 +578,123 @@ func TestNaiveItemsAreNotDeduplicated(t *testing.T) {
 		}
 		if got := f.members[name].history(); got != "op:a,op:b,op:c" {
 			t.Fatalf("%s history = %q, want both naive items and the ordered one once", name, got)
+		}
+	}
+}
+
+// TestMulticastCallerGivingUpLeavesNoHole: a caller that gives up after its
+// message was numbered does not take the relay down with it. The message
+// still reaches every member, so the next one is not held back behind a
+// number some member never gets.
+func TestMulticastCallerGivingUpLeavesNoHole(t *testing.T) {
+	// A leg's latency is where a cancelled context would stop the relay.
+	f := newFixtureOn(t, sim.NewCluster(transport.MemOptions{BaseLatency: time.Millisecond}), "a1", "a2")
+	relayed, gaveUp := make(chan struct{}), make(chan struct{})
+	f.cluster.Faults().OnRequest(1, func(req transport.Request) bool {
+		return req.Method == MethodDeliverBatch && req.To == "a2"
+	}, func(transport.Request) {
+		close(relayed)
+		<-gaveUp
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := Multicast(ctx, f.client(), f.grp, "op", []byte("x"))
+		done <- err
+	}()
+	<-relayed // numbered, and on its way to a2
+	cancel()
+	close(gaveUp)
+	<-done // over Mem the call returns once its handler has
+
+	next, stop := context.WithTimeout(context.Background(), time.Second)
+	defer stop()
+	res, err := Multicast(next, f.client(), f.grp, "op", []byte("y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Seq != 2 || len(res.Failed) != 0 || len(res.Replies) != 2 {
+		t.Fatalf("next message: seq %d, replies %+v, failed %v; want seq 2 delivered to both", res.Seq, res.Replies, res.Failed)
+	}
+	for _, r := range res.Replies {
+		if r.Err != "" {
+			t.Fatalf("%s refused the next message: %s", r.Member, r.Err)
+		}
+	}
+	for name, m := range f.members {
+		if got := m.history(); got != "op:x,op:y" {
+			t.Fatalf("%s history = %q, want both messages in order", name, got)
+		}
+	}
+}
+
+// TestMulticastConcurrentRetriesShareANumber: retries of one message that
+// reach the sequencer at once are one message: one number, one apply at
+// each member, and the next message takes the next number, so no member
+// waits for a number nothing carries.
+func TestMulticastConcurrentRetriesShareANumber(t *testing.T) {
+	f := newFixture(t, "a1", "a2", "a3")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	seqs := make([]uint64, 4)
+	for i := range seqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("x"), "retried")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			seqs[i] = res.Seq
+		}()
+	}
+	wg.Wait()
+	for i, seq := range seqs {
+		if seq != 1 {
+			t.Fatalf("retry %d numbered %d, want 1: %v", i, seq, seqs)
+		}
+	}
+	res, err := Multicast(ctx, f.client(), f.grp, "op", []byte("y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Seq != 2 || len(res.Failed) != 0 {
+		t.Fatalf("next message: seq %d, failed %v; want seq 2 at every member", res.Seq, res.Failed)
+	}
+	for name, m := range f.members {
+		if got := m.history(); got != "op:x,op:y" {
+			t.Fatalf("%s history = %q, want the retried message once", name, got)
+		}
+	}
+}
+
+// TestMulticastFailoverSequencerContinuesTheStream: a member that takes
+// over as sequencer knows the numbers the old one gave the messages it
+// relayed here. A retry of one keeps its number, and a new message takes
+// the next, so the survivors apply each message once and in one order.
+func TestMulticastFailoverSequencerContinuesTheStream(t *testing.T) {
+	f := newFixture(t, "a1", "a2", "a3")
+	ctx := context.Background()
+	for i, id := range []string{"x", "y"} {
+		res, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte(id), id)
+		if err != nil || res.Seq != uint64(i+1) {
+			t.Fatalf("message %s: seq %v, %v", id, res, err)
+		}
+	}
+	f.cluster.Node("a1").Crash()
+	retry, err := multicastWithID(ctx, f.client(), f.grp, "op", []byte("y"), "y")
+	if err != nil || retry.Seq != 2 {
+		t.Fatalf("retry of y through a2: %+v, %v; want its original number 2", retry, err)
+	}
+	next, err := Multicast(ctx, f.client(), f.grp, "op", []byte("z"))
+	if err != nil || next.Seq != 3 || len(next.Replies) != 2 {
+		t.Fatalf("next message through a2: %+v, %v; want number 3 at a2 and a3", next, err)
+	}
+	for _, name := range []transport.Addr{"a2", "a3"} {
+		if got := f.members[name].history(); got != "op:x,op:y,op:z" {
+			t.Fatalf("%s history = %q, want each message once, in order", name, got)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Binary codecs (rpc.Wire) for the multicast wire frames: sequencing
 // requests and the deliver frame that carries every delivery — a
-// sequencer round, or one naive message. Tags live in the 0x50–0x5f block
+// sequenced message, or a naive one. Tags live in the 0x50–0x5f block
 // of the registry in internal/rpc/doc.go; 0x52 and 0x53, the retired
 // single-message Deliver codecs, are not reused. All codecs are at
 // version 1.

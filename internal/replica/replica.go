@@ -119,6 +119,11 @@ type Config struct {
 	// primary the sole granter is what lets its commits invalidate every
 	// known lease without a granter handshake.
 	LeaseHolder transport.Addr
+	// ReadOnly marks a binding that only reads, bound outside the use lists
+	// (§4.1.2's read optimisation). Under active replication it holds one
+	// replica, and its calls go to that replica alone, outside the group's
+	// total order (see Invoke).
+	ReadOnly bool
 	// LeaseTTL is the deployment's read-lease duration; zero when leases
 	// are disabled. It is set whether or not THIS client holds leases:
 	// phase two needs it to wait out the lease clock before acknowledging
@@ -440,14 +445,21 @@ type Call struct {
 // Under active replication a call that names a method is multicast to every
 // live replica and never batches or carries (one replica folding, or
 // preparing ahead of the others, would diverge the copies): a Solo call is a
-// plain one there.
+// plain one there. A ReadOnly binding's call is sent to its one replica as a
+// plain call: multicast to a view of that replica alone, it would take a
+// group sequence number no other replica is ever sent, and every other
+// replica would hold the group's next message back for it. The replica's
+// lock orders the read against the writes the group delivers.
 func (h *Handle) Invoke(ctx context.Context, act *action.Action, c Call) (object.InvokeResp, error) {
 	h.mu.Lock()
 	h.carried = object.CarryNone
 	h.mu.Unlock()
 	owner := act.ID()
 	if h.cfg.Policy == Active && c.Method != "" {
-		return h.invokeActive(ctx, owner, c.Method, c.Args)
+		if !h.cfg.ReadOnly {
+			return h.invokeActive(ctx, owner, c.Method, c.Args)
+		}
+		c.Solo = false
 	}
 	solo := c.Solo && c.Method != ""
 	var resp object.InvokeResp

@@ -252,7 +252,8 @@ func ClientDegree(d int) ClientOption {
 // writers' copy is: under single-copy passive and coordinator-cohort
 // replication the client binds by the writers' rule, uncounted — the servers
 // in use, else Sv in order — and only under active replication, where the
-// total order keeps every replica current, is it spread over Sv by its name.
+// total order keeps every replica current, is it spread over Sv by its name;
+// there its reads go to the one replica it binds, outside the total order.
 // And because the client cannot write, an action's first Read is its one
 // server message: the request carries the read-only vote, the server
 // releases the action as it answers, its bind left no lock at the database
