@@ -269,6 +269,10 @@ type Manager struct {
 	// correct again.
 	mu       sync.Mutex
 	inflight map[string]struct{}
+
+	// pool runs the fan-outs of the manager's actions to their
+	// participants.
+	pool conc.Pool
 }
 
 // NewManager returns a manager minting action IDs from origin; log may be
@@ -557,7 +561,7 @@ func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
 	// Phase two: concurrent over the commit voters only, best effort;
 	// failures are survivable and aggregated in participant order so the
 	// report is deterministic.
-	errs := conc.DoErr(len(voters), func(i int) error {
+	errs := a.mgr.pool.DoErr(len(voters), func(i int) error {
 		if err := voters[i].Commit(ctx, a.id); err != nil {
 			return fmt.Errorf("phase-2 commit at %s: %w", voters[i].Name(), err)
 		}
@@ -599,7 +603,7 @@ func (a *Action) recordAbort(rolledBack bool) {
 // rollbackAll aborts every participant under the given transaction ID
 // and reports whether all of them acknowledged.
 func (a *Action) rollbackAll(ctx context.Context, participants []Participant, tx string) bool {
-	errs := conc.DoErr(len(participants), func(i int) error {
+	errs := a.mgr.pool.DoErr(len(participants), func(i int) error {
 		return participants[i].Abort(ctx, tx)
 	})
 	for _, err := range errs {
@@ -664,7 +668,7 @@ func (a *Action) prepareAll(ctx context.Context, participants []Participant) (vo
 		firstIdx int
 	)
 	votes = make([]Vote, len(participants))
-	conc.Do(len(participants), func(i int) {
+	a.mgr.pool.Do(len(participants), func(i int) {
 		v, err := participants[i].Prepare(pctx, a.id)
 		if err != nil {
 			mu.Lock()

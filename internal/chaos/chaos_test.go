@@ -42,6 +42,11 @@ var backendFlag = flag.String("backend", "", `stable-storage backend for all run
 // the default keeps the in-memory simulator.
 var transportFlag = flag.String("transport", "", `message carrier for all runs ("mux", "mem" or "" = in-memory)`)
 
+// runSchedule runs one schedule for runSeed. A test binary built with
+// GOEXPERIMENT=synctest runs in-memory schedules in a bubble instead (see
+// bubble_test.go).
+var runSchedule = Run
+
 // runSeed executes one schedule and fails the test with a full replay
 // recipe if any invariant broke.
 func runSeed(t *testing.T, cfg Config) *Report {
@@ -52,7 +57,7 @@ func runSeed(t *testing.T, cfg Config) *Report {
 	if *transportFlag != "" && cfg.Transport == "" {
 		cfg.Transport = *transportFlag
 	}
-	rep, err := Run(cfg)
+	rep, err := runSchedule(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: harness: %v", cfg.Seed, err)
 	}

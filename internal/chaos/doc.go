@@ -121,4 +121,22 @@
 // Re-run the failing test with -seed=N. The printed Report.Schedule shows
 // the fault plan in applied order; Report.Repairs and the per-object
 // final values narrow down which invariant broke and where.
+//
+// # Virtual time
+//
+// A test binary built with the synctest experiment runs every schedule
+// over the in-memory transport inside a testing/synctest bubble:
+//
+//	GOEXPERIMENT=synctest go test ./internal/chaos
+//
+// Run needs nothing for it: the deployment, its timers and its fan-out
+// pools are all made inside the bubble, whose clock jumps ahead whenever
+// every goroutine of the run is blocked, so a nemesis timeout costs no
+// wall-clock time and a looped seed runs hundreds of times a minute.
+// Runs over the mux transport (-transport=mux) stay on the wall clock: a
+// goroutine waiting on a socket never counts as blocked. A bubble fixes
+// the clock, not the interleaving, so a seed still does not replay one
+// exact schedule, and because timers fire the moment everything blocks,
+// lock waits give up sooner relative to the work done: a bubbled seed
+// commits fewer of its actions than the same seed on the wall clock.
 package chaos

@@ -8,10 +8,11 @@ import (
 )
 
 func TestDoRunsAllIndices(t *testing.T) {
+	var p Pool
 	for _, n := range []int{0, 1, 2, 17} {
 		var seen sync.Map
 		var count atomic.Int64
-		Do(n, func(i int) {
+		p.Do(n, func(i int) {
 			seen.Store(i, true)
 			count.Add(1)
 		})
@@ -30,6 +31,7 @@ func TestDoRunsAllIndices(t *testing.T) {
 // bend: every index runs exactly once and Do returns only after all did —
 // also when leg 0, which runs on the caller, panics.
 func TestDoRunsEveryLegOnceAndWaits(t *testing.T) {
+	var p Pool
 	for _, n := range []int{2, 3, 9} {
 		for _, panicAtZero := range []bool{false, true} {
 			ran := make([]atomic.Int32, n)
@@ -40,7 +42,7 @@ func TestDoRunsEveryLegOnceAndWaits(t *testing.T) {
 						t.Fatalf("n=%d: recovered %v, leg 0 panics = %v", n, r, panicAtZero)
 					}
 				}()
-				Do(n, func(i int) {
+				p.Do(n, func(i int) {
 					ran[i].Add(1)
 					if i == 0 && panicAtZero {
 						defer done.Add(1)

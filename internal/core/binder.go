@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/action"
+	"repro/internal/conc"
 	"repro/internal/object"
 	"repro/internal/replica"
 	"repro/internal/rpc"
@@ -194,12 +195,16 @@ type Binder struct {
 	// dbtxKey is the stash key of trackTxDB, built on first use.
 	dbtxOnce sync.Once
 	dbtxKey  string
+
+	// pool runs the fan-outs of the handles the binder creates.
+	pool conc.Pool
 }
 
 // BindConfig is a binder's settings: every Binder field but the database
 // it binds against. It is its own type so that a template of settings can
 // be copied into each binder built from it (placement.Binder builds one
-// per shard); a Binder itself holds a sync.Once and must not be copied.
+// per shard); a Binder itself holds a sync.Once and a pool, and must not
+// be copied.
 type BindConfig struct {
 	// Actions creates the client's atomic actions.
 	Actions *action.Manager
@@ -906,6 +911,7 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID,
 		Degree:      b.degree(),
 		StNodes:     st,
 		Client:      b.DB.RPC,
+		Pool:        &b.pool,
 		ReadOnly:    b.ReadOnly,
 		LeaseHolder: b.LeaseHolder,
 		LeaseTTL:    b.LeaseTTL,

@@ -158,6 +158,9 @@ type Host struct {
 
 	mu     sync.Mutex
 	groups map[string]*membership
+
+	// pool runs a sequencer's relays to the members.
+	pool conc.Pool
 }
 
 // SequencerStats reports how many relay rounds this host has run as a
@@ -482,7 +485,7 @@ func (h *Host) handleSequence(ctx context.Context, from transport.Addr, req Sequ
 		err error
 	}
 	slots := make([]slot, len(members))
-	conc.Do(len(members), func(i int) {
+	h.pool.Do(len(members), func(i int) {
 		addr := transport.Addr(members[i])
 		if addr == h.client.From {
 			slots[i].dr, slots[i].err = h.handleDeliverBatch(ctx, h.client.From, frame)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/group"
 	"repro/internal/lease"
 	"repro/internal/rpc"
@@ -130,7 +129,7 @@ func (m *Manager) probeLatest(ctx context.Context, id uid.UID, seq uint64, stNod
 	}
 	seqs := make([]uint64, len(stNodes))
 	oks := make([]bool, len(stNodes))
-	conc.Do(len(stNodes), func(i int) {
+	m.pool.Do(len(stNodes), func(i int) {
 		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(stNodes[i])}
 		v, err := remote.Read(ctx, id)
 		if err != nil {

@@ -171,6 +171,8 @@ type Manager struct {
 	// leaseTTL enables read leases when non-zero (see lease.go). Set
 	// before any traffic.
 	leaseTTL time.Duration
+	// pool runs the manager's fan-outs to stores and cohorts.
+	pool conc.Pool
 }
 
 // NewManager installs an object-server manager on node, registering its
@@ -1030,7 +1032,7 @@ func (m *Manager) copyStates(ctx context.Context, action string, wbs []writeBack
 			return
 		}
 		writes := []store.Write{wbs[0].write()}
-		wbs[0].errs = conc.DoErr(len(stNodes), func(j int) error {
+		wbs[0].errs = m.pool.DoErr(len(stNodes), func(j int) error {
 			return m.copyState(ctx, action, stNodes[j], writes, onePhase)
 		})
 		return
@@ -1058,7 +1060,7 @@ func (m *Manager) copyStates(ctx context.Context, action string, wbs []writeBack
 			legs[l].writes = append(legs[l].writes, wbs[k].write())
 		}
 	}
-	conc.Do(len(legs), func(l int) {
+	m.pool.Do(len(legs), func(l int) {
 		lg := &legs[l]
 		lg.errs = make([]error, len(lg.writes))
 		err := m.copyState(ctx, action, lg.st, lg.writes, onePhase)
@@ -1172,7 +1174,7 @@ func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, acti
 		}
 		// Recording the intentions now would leave them, and the entry, for
 		// ever; take them back instead.
-		conc.Do(len(preparedAddrs), func(i int) {
+		m.pool.Do(len(preparedAddrs), func(i int) {
 			_ = store.RemoteStore{Client: m.node.Client(), Node: preparedAddrs[i]}.Abort(context.WithoutCancel(ctx), action)
 		})
 		return Vote{}, rpc.Errorf(rpc.CodeRefused, "object %s: action %s was aborted during its prepare", item.UID, action)
@@ -1320,7 +1322,7 @@ func (m *Manager) commitEnds(ctx context.Context, action string, ends []ending, 
 	commitStart := time.Now()
 	var errs []error
 	if legs := len(stores) + len(installs); legs > 0 {
-		errs = conc.DoErr(legs, func(i int) error {
+		errs = m.pool.DoErr(legs, func(i int) error {
 			if i < len(stores) {
 				return store.RemoteStore{Client: m.node.Client(), Node: stores[i]}.Commit(ctx, action)
 			}
@@ -1361,7 +1363,7 @@ func (m *Manager) commitEnds(ctx context.Context, action string, ends []ending, 
 	// wait one window between them.
 	many := slices.Clone(ends)
 	fenced := make([]error, len(many))
-	conc.Do(len(many), func(k int) { fenced[k] = m.fenceAndRelease(ctx, action, &many[k]) })
+	m.pool.Do(len(many), func(k int) { fenced[k] = m.fenceAndRelease(ctx, action, &many[k]) })
 	for k, err := range fenced {
 		fenceFailed(&results[ends[k].result], err)
 	}
@@ -1479,7 +1481,7 @@ func (m *Manager) handleAbort(ctx context.Context, from transport.Addr, req EndR
 			}
 		}
 	}
-	abortErrs := conc.DoErr(len(stores), func(i int) error {
+	abortErrs := m.pool.DoErr(len(stores), func(i int) error {
 		return store.RemoteStore{Client: m.node.Client(), Node: stores[i]}.Abort(ctx, req.Action)
 	})
 	for _, u := range undo {

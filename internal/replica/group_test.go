@@ -20,7 +20,7 @@ func (w *world) secondHandle(t *testing.T) (*Handle, uid.UID) {
 		w.cluster.Node(st).Store().Put(id, []byte("0"), 1)
 	}
 	h, err := New(Config{UID: id, Class: "counter", Policy: SingleCopyPassive, Servers: w.svs, StNodes: w.sts,
-		Client: w.cluster.Node("client").Client()})
+		Client: w.cluster.Node("client").Client(), Pool: &w.pool})
 	if err != nil {
 		t.Fatal(err)
 	}

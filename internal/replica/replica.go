@@ -112,6 +112,10 @@ type Config struct {
 	StNodes []transport.Addr
 	// Client is the invoking node's RPC client.
 	Client rpc.Client
+	// Pool runs the handle's fan-outs, and those of the grouped phases
+	// (Prepare, Commit, Abort) it takes part in. It belongs to whoever
+	// creates the handle, and outlives the handle. Required.
+	Pool *conc.Pool
 	// LeaseHolder, when non-empty, names the client node to request read
 	// leases for. Leases are only requested from the view-primary
 	// coordinator (Servers[0]) under single-copy passive replication: a
@@ -206,6 +210,9 @@ type Handle struct {
 func New(cfg Config) (*Handle, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("replica %v: empty server set: %w", cfg.UID, ErrNoServers)
+	}
+	if cfg.Pool == nil {
+		return nil, fmt.Errorf("replica %v: no fan-out pool", cfg.UID)
 	}
 	if cfg.Policy == SingleCopyPassive {
 		// §3.2(2): single-copy passive means exactly one activated copy;
@@ -735,10 +742,10 @@ var (
 )
 
 // exchange sends the items of pairs, one request per server naming every item
-// bound there, and returns each pair's reply, in pairs order — in buf, when
-// there is one pair, whose list comes from lone. A request that fails fails
-// every item it named.
-func exchange[I any, A answer, S sender[I, A]](ctx context.Context, s S, pairs []pair[I], buf *[1]reply[A], lone *sync.Pool) []reply[A] {
+// bound there, on pool's workers, and returns each pair's reply, in pairs
+// order — in buf, when there is one pair, whose list comes from lone. A
+// request that fails fails every item it named.
+func exchange[I any, A answer, S sender[I, A]](ctx context.Context, pool *conc.Pool, s S, pairs []pair[I], buf *[1]reply[A], lone *sync.Pool) []reply[A] {
 	switch len(pairs) {
 	case 0:
 		return nil
@@ -769,7 +776,7 @@ func exchange[I any, A answer, S sender[I, A]](ctx context.Context, s S, pairs [
 	if len(reqs) == 1 {
 		reqs[0].got, reqs[0].err = s.send(ctx, reqs[0].node, reqs[0].items)
 	} else {
-		conc.Do(len(reqs), func(r int) {
+		pool.Do(len(reqs), func(r int) {
 			reqs[r].got, reqs[r].err = s.send(ctx, reqs[r].node, reqs[r].items)
 		})
 	}
@@ -864,7 +871,7 @@ func Prepare(ctx context.Context, tx string, hs []*Handle, onePhase bool, out []
 		}
 	}
 	var buf [1]reply[object.Vote]
-	replies := exchange(ctx, prepareSender{hs[0].cfg.Client, tx, onePhase}, pairs, &buf, &lonePrepareItems)
+	replies := exchange(ctx, hs[0].cfg.Pool, prepareSender{hs[0].cfg.Client, tx, onePhase}, pairs, &buf, &lonePrepareItems)
 	for k, h := range hs {
 		p := &ones[k]
 		switch {
@@ -1148,7 +1155,7 @@ func Commit(ctx context.Context, tx string, hs []*Handle, out []Outcome) {
 		}
 	}
 	var buf [1]reply[object.EndResult]
-	replies := exchange(ctx, endSender{hs[0].cfg.Client, tx, false}, pairs, &buf, &loneEndItems)
+	replies := exchange(ctx, hs[0].cfg.Pool, endSender{hs[0].cfg.Client, tx, false}, pairs, &buf, &loneEndItems)
 	var wait time.Duration
 	for k, h := range hs {
 		t := &twos[k]
@@ -1253,7 +1260,7 @@ func (h *Handle) isStore(addr transport.Addr) bool {
 // stores that could not be reached are recorded as failed (for Exclude)
 // and will resolve the intention at restart via the outcome log.
 func (h *Handle) commitStoresDirect(ctx context.Context, tx string) bool {
-	errs := conc.DoErr(len(h.cfg.StNodes), func(i int) error {
+	errs := h.cfg.Pool.DoErr(len(h.cfg.StNodes), func(i int) error {
 		return store.RemoteStore{Client: h.cfg.Client, Node: h.cfg.StNodes[i]}.Commit(ctx, tx)
 	})
 	ok := true
@@ -1304,7 +1311,7 @@ func Abort(ctx context.Context, tx string, hs []*Handle, out []Outcome) {
 		}
 	}
 	var buf [1]reply[object.EndResult]
-	replies := exchange(ctx, endSender{hs[0].cfg.Client, tx, true}, pairs, &buf, &loneEndItems)
+	replies := exchange(ctx, hs[0].cfg.Pool, endSender{hs[0].cfg.Client, tx, true}, pairs, &buf, &loneEndItems)
 	for k := range hs {
 		t := &twos[k]
 		for _, r := range replies[t.first : t.first+len(t.servers)] {

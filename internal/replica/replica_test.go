@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/action"
+	"repro/internal/conc"
 	"repro/internal/group"
 	"repro/internal/object"
 	"repro/internal/sim"
@@ -43,6 +44,8 @@ type world struct {
 	mgr     *action.Manager
 	svs     []transport.Addr
 	sts     []transport.Addr
+	// pool runs the fan-outs of the world's handles, as a binder's does.
+	pool conc.Pool
 }
 
 func newWorld(t *testing.T, nServers, nStores int) *world {
@@ -81,6 +84,7 @@ func (w *world) handle(t *testing.T, p Policy) *Handle {
 		Servers: w.svs,
 		StNodes: w.sts,
 		Client:  w.cluster.Node("client").Client(),
+		Pool:    &w.pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +480,7 @@ func TestMutualConsistencyOfStoresAfterMixedFailures(t *testing.T) {
 		h, err := New(Config{
 			UID: w.id, Class: "counter", Policy: SingleCopyPassive,
 			Servers: w.svs, StNodes: stView,
-			Client: w.cluster.Node("client").Client(),
+			Client: w.cluster.Node("client").Client(), Pool: &w.pool,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -810,7 +814,7 @@ func TestCommitWaitsOutLeaseClockWhenFallbackCoordinatorDies(t *testing.T) {
 	h, err := New(Config{
 		UID: w.id, Class: "counter", Policy: SingleCopyPassive,
 		Servers: w.svs, StNodes: w.sts, LeaseTTL: ttl,
-		Client: w.cluster.Node("client").Client(),
+		Client: w.cluster.Node("client").Client(), Pool: &w.pool,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,6 +24,10 @@ const (
 	muxKeepBuffer = 64 << 10
 	// muxInternMax bounds a connection's table of routing strings.
 	muxInternMax = 64
+	// muxFrameChunk is the most of a frame body allocated ahead of the bytes
+	// that fill it: a larger body's buffer starts at this size and doubles
+	// as its bytes arrive, so a length prefix alone commits no more.
+	muxFrameChunk = 64 << 10
 )
 
 // muxOutbox is the write half of one connection. Senders encode frames
@@ -174,7 +178,10 @@ func newMuxReader(r io.Reader, reads *metrics.Counter) *bufio.Reader {
 }
 
 // readMuxFrame reads one length-prefixed frame and returns its body in a
-// slice of its own (request payloads and reply payloads alias it).
+// slice of its own (request payloads and reply payloads alias it). A body
+// of up to muxFrameChunk bytes gets one allocation of its exact size; a
+// larger one grows with the bytes that arrive, not the bytes its prefix
+// claims.
 func readMuxFrame(br *bufio.Reader) ([]byte, error) {
 	prefix, err := br.Peek(muxPrefixLen)
 	if err != nil {
@@ -188,9 +195,21 @@ func readMuxFrame(br *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d-byte frame", errMuxFrame, n)
 	}
 	br.Discard(muxPrefixLen)
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
+	body := make([]byte, 0, min(n, muxFrameChunk))
+	for len(body) < int(n) {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(int(n), 2*cap(body)))
+			copy(grown, body)
+			body = grown
+		}
+		got, err := io.ReadFull(br, body[len(body):cap(body)])
+		body = body[:len(body)+got]
+		if err != nil {
+			if err == io.EOF && len(body) > 0 {
+				err = io.ErrUnexpectedEOF // as one read of the whole body would say
+			}
+			return nil, err
+		}
 	}
 	return body, nil
 }

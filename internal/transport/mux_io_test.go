@@ -82,8 +82,9 @@ func TestMuxFrameDecodeIgnoresChunking(t *testing.T) {
 		}
 	}
 	// One body is larger than the read buffer, so it takes the
-	// read-straight-into-the-slice path.
-	stream, want = muxTestStream(nil, []byte("x"), bytes.Repeat([]byte("big"), muxReadBuffer), []byte("tail"))
+	// read-straight-into-the-slice path, and one is larger than a frame
+	// chunk, so its buffer grows as it is read.
+	stream, want = muxTestStream(nil, []byte("x"), bytes.Repeat([]byte("big"), muxReadBuffer), []byte("tail"), bytes.Repeat([]byte("huge"), muxFrameChunk))
 	check("whole", bytes.NewReader(stream))
 	check("one byte at a time", iotest.OneByteReader(bytes.NewReader(stream)))
 	check("halves", iotest.HalfReader(bytes.NewReader(stream)))
@@ -101,6 +102,25 @@ func TestMuxFrameDecodeIgnoresChunking(t *testing.T) {
 		if got, err := decodeMuxStream(bytes.NewReader(stream[:cut])); err == nil || len(got) != len(want)-1 {
 			t.Fatalf("stream cut at %d of %d: %d frames, err %v; want %d frames and an error", cut, len(stream), len(got), err, len(want)-1)
 		}
+	}
+}
+
+// TestMuxFrameAllocatesWhatArrives: a prefix that claims the largest frame,
+// followed by a few bytes and the end of the stream, makes the reader
+// allocate no more than one chunk, not the 64 MiB the prefix claims.
+func TestMuxFrameAllocatesWhatArrives(t *testing.T) {
+	raw := binary.BigEndian.AppendUint32(nil, maxMuxFrame)
+	raw = append(raw, "a few bytes"...)
+	br := newMuxReader(bytes.NewReader(raw), new(metrics.Counter))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readMuxFrame(br)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a frame cut short read as %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > muxFrameChunk {
+		t.Fatalf("reading %d bytes of a claimed %d-byte frame allocated %d bytes, want at most one %d-byte chunk", len(raw), maxMuxFrame, got, muxFrameChunk)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/uid"
 	"repro/pkg/arjuna"
 )
 
@@ -16,10 +17,9 @@ import (
 const activeSlowest = 500 * time.Millisecond
 
 // runBeside runs each op n times, all ops at once, every call under its own
-// 2 s context. It fails the test on the first error or call slower than
-// activeSlowest, and then starts no further calls.
-func runBeside(t *testing.T, n int, ops ...func(ctx context.Context) error) {
-	t.Helper()
+// 2 s context. It returns the first error or call slower than
+// activeSlowest, and starts no further calls after one.
+func runBeside(n int, ops ...func(ctx context.Context) error) error {
 	var (
 		wg    sync.WaitGroup
 		once  sync.Once
@@ -54,30 +54,46 @@ func runBeside(t *testing.T, n int, ops ...func(ctx context.Context) error) {
 		}()
 	}
 	wg.Wait()
-	if first != nil {
-		t.Fatal(first)
-	}
+	return first
 }
+
+// The two tests below report through the test goroutine only: each runs a
+// body that opens, drives and closes its own System and returns its first
+// failure, so the same body also runs inside a synctest bubble
+// (active_bubble_test.go).
 
 // TestActiveTwoWritersNeverWedge: two plain clients write one actively
 // replicated object at once. Each invocation is its own numbered message,
 // so neither writer's invocation waits in one delivery behind the lock the
 // other writer's holds: no operation fails, and none waits out its context.
 func TestActiveTwoWritersNeverWedge(t *testing.T) {
-	sys := openT(t, arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithClients(2), arjuna.WithPolicy(arjuna.Active))
+	if err := activeTwoWriters(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func activeTwoWriters() error {
+	sys, err := arjuna.Open(arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithClients(2), arjuna.WithPolicy(arjuna.Active))
+	if err != nil {
+		return err
+	}
+	defer func() { _ = sys.Close() }()
 	obj := sys.Objects()[0]
 	var ops []func(context.Context) error
 	for _, name := range []string{"c1", "c2"} {
-		cl := clientT(t, sys, name)
+		cl, err := sys.Client(name)
+		if err != nil {
+			return err
+		}
 		ops = append(ops, func(ctx context.Context) error {
 			_, _, err := cl.Apply(ctx, obj, "add", []byte("1"))
 			return err
 		})
 	}
-	runBeside(t, 100, ops...)
-	if got := counterValue(t, sys, obj); got != "200" {
-		t.Fatalf("counter = %s after 200 committed adds", got)
+	if err := runBeside(100, ops...); err != nil {
+		return err
 	}
+	return wantCounter(sys, obj, "200")
 }
 
 // TestActiveReadOnlyReaderBesideWriter: a ClientReadOnly client binds one
@@ -89,22 +105,52 @@ func TestActiveTwoWritersNeverWedge(t *testing.T) {
 func TestActiveReadOnlyReaderBesideWriter(t *testing.T) {
 	for _, reader := range []string{"c2", "c3"} {
 		t.Run(reader, func(t *testing.T) {
-			sys := openT(t, arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithClients(3), arjuna.WithPolicy(arjuna.Active))
-			obj := sys.Objects()[0]
-			w := clientT(t, sys, "c1")
-			r := clientT(t, sys, reader, arjuna.ClientReadOnly())
-			runBeside(t, 100,
-				func(ctx context.Context) error {
-					_, _, err := w.Apply(ctx, obj, "add", []byte("1"))
-					return err
-				},
-				func(ctx context.Context) error {
-					_, _, err := readOne(ctx, r, obj)
-					return err
-				})
-			if got := counterValue(t, sys, obj); got != "100" {
-				t.Fatalf("counter = %s after 100 committed adds", got)
+			if err := activeReaderBesideWriter(reader); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
+}
+
+func activeReaderBesideWriter(reader string) error {
+	sys, err := arjuna.Open(arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithClients(3), arjuna.WithPolicy(arjuna.Active))
+	if err != nil {
+		return err
+	}
+	defer func() { _ = sys.Close() }()
+	obj := sys.Objects()[0]
+	w, err := sys.Client("c1")
+	if err != nil {
+		return err
+	}
+	r, err := sys.Client(reader, arjuna.ClientReadOnly())
+	if err != nil {
+		return err
+	}
+	err = runBeside(100,
+		func(ctx context.Context) error {
+			_, _, err := w.Apply(ctx, obj, "add", []byte("1"))
+			return err
+		},
+		func(ctx context.Context) error {
+			_, _, err := readOne(ctx, r, obj)
+			return err
+		})
+	if err != nil {
+		return err
+	}
+	return wantCounter(sys, obj, "100")
+}
+
+// wantCounter checks the object's committed state after every add of a
+// run committed.
+func wantCounter(sys *arjuna.System, id uid.UID, want string) error {
+	data, _, err := sys.CommittedState(id)
+	if err != nil {
+		return err
+	}
+	if got := string(data); got != want {
+		return fmt.Errorf("counter = %s after %s committed adds", got, want)
+	}
+	return nil
 }
