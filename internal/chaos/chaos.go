@@ -2,11 +2,9 @@ package chaos
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -148,11 +146,10 @@ type Config struct {
 	Transport string
 	// DataDir switches the run onto disk-backed stable storage rooted
 	// here (tests pass t.TempDir() to stay hermetic): crashes drop whole
-	// process images, recovery replays WAL+snapshot, and the schedule
-	// gains kill-at-byte injections plus seeded torn-tail corruption at
-	// restarts. Empty keeps the in-memory backend. Only DataDir's
-	// emptiness influences the schedule, never its value, so replays
-	// from fresh temp dirs reproduce the same fault plan.
+	// process images and recovery replays WAL+snapshot. Empty keeps the
+	// in-memory backend. Only DataDir's emptiness influences the
+	// schedule, never its value, so replays from fresh temp dirs
+	// reproduce the same fault plan.
 	DataDir string
 	// Disk tunes the disk engine when DataDir is set.
 	Disk storage.DiskOptions
@@ -319,12 +316,6 @@ type runner struct {
 	keys        []keyCounts // per object (WorkloadReadOnlyRegister)
 	partitions  map[[2]transport.Addr]bool
 	everCrashed map[transport.Addr]bool
-	// armed tracks disk backends carrying a live kill-at-byte injection,
-	// for disarming (or crash-confirming) at quiesce.
-	armed map[transport.Addr]*storage.Disk
-	// tornRng drives the seeded torn-tail corruption injected into
-	// crashed stores' WALs before they reopen.
-	tornRng *rand.Rand
 }
 
 // Run executes one seeded chaos schedule and returns its report. The
@@ -373,8 +364,6 @@ func Run(cfg Config) (*Report, error) {
 		keys:        make([]keyCounts, cfg.Objects),
 		partitions:  make(map[[2]transport.Addr]bool),
 		everCrashed: make(map[transport.Addr]bool),
-		armed:       make(map[transport.Addr]*storage.Disk),
-		tornRng:     rand.New(rand.NewSource(cfg.Seed ^ 0x70524e5441494c)),
 	}
 
 	clients := make([]*arjuna.Client, len(w.Clients))
@@ -803,29 +792,6 @@ func (r *runner) apply(e Event) {
 		// holds every reply for Hold — callers' deadlines expire while
 		// the side effects stand. Cleared (with all rules) at quiesce.
 		r.faults.DelayReplies(1, -1, e.Hold, transport.To(e.Target))
-	case KindKillAtByte:
-		// Only meaningful on a live disk-backed store: the WAL is armed
-		// to tear once it grows e.Bytes further, and the node dies at the
-		// torn write (FailAfter fires the callback asynchronously, as a
-		// real power cut would interleave with the writer).
-		r.markCrashed(e.Target)
-		n := r.w.Cluster.Node(e.Target)
-		if d, ok := n.Store().Backend().(*storage.Disk); ok {
-			// The kill callback runs async (FailAfter fires it in its own
-			// goroutine); guard it with the node's incarnation so a
-			// late-scheduled callback cannot crash the node AGAIN after
-			// quiesce has already restarted it — the kill belongs to this
-			// epoch only.
-			epoch := n.Epoch()
-			d.FailAfter(d.WALSize()+e.Bytes, func() {
-				if n.Epoch() == epoch {
-					n.Crash()
-				}
-			})
-			r.mu.Lock()
-			r.armed[e.Target] = d
-			r.mu.Unlock()
-		}
 	}
 }
 
@@ -864,7 +830,6 @@ func (r *runner) recoverNode(target transport.Addr) {
 	if n == nil || n.Up() {
 		return
 	}
-	r.maybeTearWAL(target)
 	r.countInDoubt(target)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*r.cfg.ActionTimeout)
 	defer cancel()
@@ -898,36 +863,6 @@ func (r *runner) countInDoubt(addr transport.Addr) {
 	}
 }
 
-// maybeTearWAL injects a seeded torn write — a frame header promising
-// more bytes than follow — into a crashed disk-backed store's WAL before
-// it reopens. Recovery must truncate it and lose nothing acknowledged;
-// the invariant checks prove that.
-func (r *runner) maybeTearWAL(target transport.Addr) {
-	if r.cfg.DataDir == "" || !r.isStore(target) {
-		return
-	}
-	if n := r.w.Cluster.Node(target); n == nil || n.Up() {
-		return
-	}
-	r.mu.Lock()
-	tear := r.tornRng.Float64() < 0.5
-	junk := make([]byte, 5+r.tornRng.Intn(24))
-	binary.LittleEndian.PutUint32(junk, 64) // promises 64 payload bytes
-	for i := 4; i < len(junk); i++ {
-		junk[i] = byte(r.tornRng.Intn(256))
-	}
-	r.mu.Unlock()
-	if !tear {
-		return
-	}
-	dir := filepath.Join(r.cfg.DataDir, string(target))
-	if err := storage.CorruptWALTail(dir, junk); err != nil {
-		r.note("torn-tail injection at %s failed: %v", target, err)
-		return
-	}
-	r.note("torn WAL tail injected at %s (%d junk bytes)", target, len(junk))
-}
-
 // --- quiesce ---
 
 // quiesce drains the chaos: heal the network, restart every crashed node
@@ -938,26 +873,11 @@ func (r *runner) maybeTearWAL(target transport.Addr) {
 func (r *runner) quiesce() {
 	r.faults.Clear()
 
-	// Settle kill-at-byte injections: a tripped one's node must be down
-	// (the async crash callback may still be in flight — force it); an
-	// untripped one is disarmed so recovery-time WAL writes cannot die.
-	r.mu.Lock()
-	armed := r.armed
-	r.armed = make(map[transport.Addr]*storage.Disk)
-	r.mu.Unlock()
-	for target, d := range armed {
-		d.ClearFail()
-		if d.Failed() {
-			r.w.Cluster.Node(target).Crash()
-		}
-	}
-
 	// Restart crashed stores; their pending intentions resolve against
 	// coordinator logs inside Recover.
 	for _, st := range r.w.Sts {
 		n := r.w.Cluster.Node(st)
 		if !n.Up() {
-			r.maybeTearWAL(st)
 			r.countInDoubt(st)
 			n.Recover(nil)
 		}

@@ -211,8 +211,7 @@ func TestChaosCrashDuringCommit(t *testing.T) {
 // TestChaosDiskRecovery: pinned disk-backed seeds biased toward
 // crash-during-commit, so recovery repeatedly reloads committed versions
 // from WAL+snapshot, replays prepared intentions and resolves them
-// through the in-doubt protocol — with seeded torn-tail corruption and
-// kill-at-byte injections on top. Crashes here drop the whole process
+// through the in-doubt protocol. Crashes here drop the whole process
 // image; only the per-node directories survive.
 func TestChaosDiskRecovery(t *testing.T) {
 	for _, seed := range seeds(301, 4) {

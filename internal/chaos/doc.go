@@ -66,15 +66,15 @@
 // stable storage onto the internal/storage WAL+snapshot engine. Crashes
 // then drop the target's entire process image — recovery must replay
 // committed versions and prepared intentions from its directory before
-// the in-doubt protocol can resolve anything — and two storage-level
-// injections join the schedule: kill-at-byte (the store's WAL tears
-// mid-frame once it grows a seeded number of bytes, and the node dies at
-// that torn write) and seeded torn-tail corruption (junk appended to a
-// crashed store's WAL before it reopens, which open-time truncation must
-// shave off without losing anything acknowledged). Only whether DataDir
-// is set influences the schedule, never its value, so -seed replays from
-// fresh temp directories reproduce the same fault plan. The -backend=disk
-// test flag forces every chaos test onto disk storage.
+// the in-doubt protocol can resolve anything. A crash lands between two
+// of a store's operations (it takes the store's mutex), never inside
+// one: what a crash inside one can leave in a store's
+// files (a torn record, junk after the last one, a compaction cut at any
+// step) is enumerated, byte by byte, by the store's reference model
+// (internal/store TestStoreBackendsAgree), which needs no cluster. Only
+// whether DataDir is set influences the schedule, never its value, so
+// -seed replays from fresh temp directories reproduce the same fault plan.
+// The -backend=disk test flag forces every chaos test onto disk storage.
 //
 // # Invariants
 //

@@ -28,11 +28,6 @@ const (
 	KindDuplicate
 	KindReorder
 	KindCrashDuringCommit
-	// KindKillAtByte (disk-backed runs only) arms the target store's WAL
-	// to tear mid-frame once it grows Bytes further, crashing the node at
-	// that instant — a process dying halfway through a write. Recovery
-	// must truncate the torn record and lose nothing acknowledged.
-	KindKillAtByte
 	// KindGrayFail (Config.GrayFailures) makes the target sick rather
 	// than dead: it accepts every request and executes it, but holds all
 	// replies for Hold — past the callers' deadlines, so side effects
@@ -67,8 +62,6 @@ func (k EventKind) String() string {
 		return "reorder"
 	case KindCrashDuringCommit:
 		return "crash-during-commit"
-	case KindKillAtByte:
-		return "kill-at-byte"
 	case KindGrayFail:
 		return "gray-fail"
 	default:
@@ -103,9 +96,6 @@ type Event struct {
 	// along with the node, so the coordinator aborts while the dead
 	// participant holds a prepared intention.
 	AbortSide bool
-	// Bytes is the WAL growth budget of a kill-at-byte event: the target
-	// dies when its WAL has grown this many more bytes.
-	Bytes int64
 }
 
 // String renders the event for schedule traces.
@@ -126,8 +116,6 @@ func (e Event) String() string {
 			side = "abort-side"
 		}
 		return fmt.Sprintf("%s %s (%s)", s, e.Target, side)
-	case KindKillAtByte:
-		return fmt.Sprintf("%s %s (+%d bytes)", s, e.Target, e.Bytes)
 	case KindGrayFail:
 		return fmt.Sprintf("%s %s hold=%s", s, e.Target, e.Hold)
 	default:
@@ -215,15 +203,11 @@ func GenerateSchedule(seed int64, cfg Config) []Event {
 		switch k := rng.Intn(12); {
 		case k < 2 && downStores < len(stores)-1: // keep one store up
 			e = Event{Kind: KindCrashStore, Target: pick(stores)}
-			// Disk-backed runs spend half their store crashes as
-			// kill-at-byte injections: the store dies mid-WAL-write
-			// instead of between operations. The model bookkeeping is the
-			// same — the target counts as crashed from here on (it dies
-			// as soon as its WAL grows; a target that never writes again
-			// is disarmed at quiesce).
+			// Disk-backed runs once turned half their store crashes into
+			// kills at a WAL byte; the draws stay so that every pinned
+			// seed's plan is the one it always was.
 			if cfg.DataDir != "" && rng.Intn(2) == 0 {
-				e.Kind = KindKillAtByte
-				e.Bytes = int64(1 + rng.Intn(96))
+				_ = rng.Intn(96)
 			}
 			crashStore(e.Target)
 		case k < 3 && len(servers) > 1:

@@ -49,8 +49,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -255,9 +255,9 @@ type DB struct {
 	clients map[string]transport.Addr
 	// spare is the free list of undo sets (snapsLocked, endLocked).
 	spare []*snapshotSet
-	// dirty holds the committed records whose stable write failed, by
-	// record key; they ride the next commit's write (see writeRecordsLocked).
-	dirty map[uid.UID][]byte
+	// failed is set by a stable write that failed: the database answers
+	// nothing from then on until its node restarts (writeRecordsLocked).
+	failed atomic.Bool
 	// writes, rec and buf are a commit's scratch: the records it writes,
 	// the one it renders, and their encodings.
 	writes []store.Write
@@ -316,7 +316,7 @@ func (db *DB) resetVolatileLocked() {
 	db.clients = make(map[string]transport.Addr)
 	db.spare = nil
 	db.incarnation++
-	db.dirty = make(map[uid.UID][]byte)
+	db.failed.Store(false)
 	db.keysMu.Lock()
 	db.keys = make(map[uid.UID]*entryKeys)
 	db.keysMu.Unlock()
@@ -434,8 +434,9 @@ func (db *DB) loadRecordsLocked() {
 // never reach stable storage. Committed counters follow the entry's own, or
 // move by the action's deltas (serverEntry.committed). A deregistered
 // object's St tombstone carries its forward, which is set here, and a
-// registered one's record clears any. db.mu held.
-func (db *DB) commitLocked(tx string, ss *snapshotSet) {
+// registered one's record clears any. It returns the stable write's error.
+// db.mu held.
+func (db *DB) commitLocked(tx string, ss *snapshotSet) error {
 	for id := range ss.servers {
 		if e, ok := db.servers[id]; ok {
 			e.settle()
@@ -477,12 +478,12 @@ func (db *DB) commitLocked(tx string, ss *snapshotSet) {
 			}
 		}
 	}
-	db.writeRecordsLocked(tx)
 	for id := range ss.states {
 		if _, ok := db.states[id]; !ok {
 			db.dropKeys(id) // deregistered
 		}
 	}
+	return db.writeRecordsLocked(tx)
 }
 
 func hasRecord(writes []store.Write, key uid.UID) bool {
@@ -504,25 +505,24 @@ func (db *DB) addRecordLocked(key uid.UID, rec *EntryRecord) {
 
 // writeRecordsLocked writes the records added since its last call
 // (addRecordLocked) to stable storage as one atomic update, stable
-// transaction tx, and empties the scratch: after a crash either every record of the call is there
-// or none is (a multi-object Exclude, or the two halves of a Register,
-// never half-commit). Each record extends its own version chain by one.
+// transaction tx, and empties the scratch: after a crash either every
+// record of the call is there or none is (a multi-object Exclude, or the
+// two halves of a Register, never half-commit). Each record extends its own
+// version chain by one.
 //
-// A failed stable write (full disk, node mid-crash) is survivable: the
-// records are copied out of the scratch into the dirty set and ride the
-// next call's write, whatever action makes it, unless that call carries a
-// newer record of the same entry. Until then the stable entry is at its
-// previous version and recovery loads that. db.mu held.
-func (db *DB) writeRecordsLocked(tx string) {
-	for key, data := range db.dirty {
-		if !hasRecord(db.writes, key) {
-			db.writes = append(db.writes, store.Write{UID: key, Data: data})
-		}
-	}
+// A failed stable write fails the commit, and the database with it: from
+// then on it writes nothing and answers no message until its node restarts
+// and reloads the records, as a fail-silent node would (§2.1). The entries
+// in memory hold a commit the records may not, so nothing may be
+// acknowledged from them. db.mu held.
+func (db *DB) writeRecordsLocked(tx string) error {
 	writes := db.writes
 	db.writes, db.buf = db.writes[:0], db.buf[:0]
+	if db.failed.Load() {
+		return errStopped
+	}
 	if len(writes) == 0 {
-		return
+		return nil
 	}
 	st := db.node.Store()
 	for i := range writes {
@@ -530,13 +530,15 @@ func (db *DB) writeRecordsLocked(tx string) {
 		writes[i].Seq = seq + 1
 	}
 	if err := st.CommitOnePhase(tx, writes); err != nil {
-		for _, w := range writes {
-			db.dirty[w.UID] = slices.Clone(w.Data)
-		}
-		return
+		db.failed.Store(true)
+		return fmt.Errorf("%w: %w", errStopped, err)
 	}
-	clear(db.dirty)
+	return nil
 }
+
+// errStopped is the answer of a database whose stable write failed, until
+// its node restarts.
+var errStopped = errors.New("core: the group view database's stable write failed; it answers nothing until its node restarts")
 
 // --- lock and snapshot plumbing ---
 
@@ -617,10 +619,11 @@ func (db *DB) spareSnapsLocked() *snapshotSet {
 }
 
 // endLocked commits (in stable transaction tx) or rolls back the action
-// whose undo set is ss, and puts the set back on the free list. db.mu held.
-func (db *DB) endLocked(tx string, ss *snapshotSet, commit bool) {
+// whose undo set is ss, and puts the set back on the free list. It returns
+// the commit's error. db.mu held.
+func (db *DB) endLocked(tx string, ss *snapshotSet, commit bool) (err error) {
 	if commit {
-		db.commitLocked(tx, ss)
+		err = db.commitLocked(tx, ss)
 	} else {
 		db.rollbackLocked(ss)
 	}
@@ -631,6 +634,7 @@ func (db *DB) endLocked(tx string, ss *snapshotSet, commit bool) {
 		ss.useDeltas = ss.useDeltas[:0]
 		db.spare = append(db.spare, ss)
 	}
+	return err
 }
 
 // rollbackLocked restores the pre-images of ss. db.mu held.
@@ -673,8 +677,8 @@ func (db *DB) rollbackLocked(ss *snapshotSet) {
 // pre-images; either way the action's locks are released (end of Figure
 // 6's read-lock hold, or of the short independent actions of Figures 7–8).
 // Ending an action the database does not know is a no-op, so the call is
-// idempotent.
-func (db *DB) EndAction(act string, commit bool) {
+// idempotent. The error is the commit's stable write's.
+func (db *DB) EndAction(act string, commit bool) (err error) {
 	db.mu.Lock()
 	if ss, ok := db.pending[act]; ok {
 		delete(db.pending, act)
@@ -682,26 +686,28 @@ func (db *DB) EndAction(act string, commit bool) {
 		if commit {
 			tx = dbTxPrefix + act
 		}
-		db.endLocked(tx, ss, commit)
+		err = db.endLocked(tx, ss, commit)
 	}
 	delete(db.clients, act)
 	db.mu.Unlock()
 	db.locks.ReleaseAll(lockmgr.Owner(act))
+	return err
 }
 
 // endOwn finishes a message's own action, as EndAction a named one. An
 // undo set from before a crash is dropped: what it undid or would commit
 // died with that incarnation.
-func (db *DB) endOwn(a *dbAction, commit bool) {
+func (db *DB) endOwn(a *dbAction, commit bool) (err error) {
 	if a.snaps != nil {
 		db.mu.Lock()
 		if a.incarnation == db.incarnation {
-			db.endLocked(a.name, a.snaps, commit)
+			err = db.endLocked(a.name, a.snaps, commit)
 		}
 		a.snaps = nil
 		db.mu.Unlock()
 	}
 	db.locks.ReleaseAll(lockmgr.Owner(a.name))
+	return err
 }
 
 // Quiescent reports whether all use lists of the object are empty (the

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -18,6 +20,7 @@ import (
 type durableWorld struct {
 	*harness.World
 	cli core.Client
+	dir string // the nodes' data directories' parent, on disk
 }
 
 func forEachBackend(t *testing.T, objects int, f func(t *testing.T, w durableWorld)) {
@@ -39,7 +42,7 @@ func openDurable(t *testing.T, disk bool, objects int) durableWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return durableWorld{World: w, cli: core.Client{RPC: w.Cluster.Node("c1").Client(), DB: w.DB.Addr()}}
+	return durableWorld{World: w, cli: core.Client{RPC: w.Cluster.Node("c1").Client(), DB: w.DB.Addr()}, dir: opts.DataDir}
 }
 
 func (w durableWorld) restartDB() {
@@ -116,11 +119,11 @@ func TestCommitPersistsOnlySettledUseCounts(t *testing.T) {
 	})
 }
 
-// TestMultiEntryCommitIsAtomicAcrossCrash tears the stable write of a
-// multi-entry commit at every point of its byte range: after recovery the
-// entries have all changed or none has — a two-object Exclude never loses
-// one store from one view only, a Register never yields an object with one
-// database half.
+// TestMultiEntryCommitIsAtomicAcrossCrash lets a multi-entry commit
+// complete, crashes the database node, cuts its WAL at every byte of the
+// commit's records and recovers: the entries have all changed or none has —
+// a two-object Exclude never loses one store from one view only, a Register
+// never yields an object with one database half.
 func TestMultiEntryCommitIsAtomicAcrossCrash(t *testing.T) {
 	fresh := uid.UID{Origin: "late", Epoch: 1, Seq: 1}
 	for _, c := range []struct {
@@ -161,35 +164,28 @@ func TestMultiEntryCommitIsAtomicAcrossCrash(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			commit := func(w durableWorld) {
-				_, err := w.cli.Do(context.Background(), c.op(w), core.EndActionOp("A", true))
-				must(t, err)
-			}
-			// An untorn run measures the commit's byte range in the WAL.
 			w := openDurable(t, true, 2)
-			disk := w.DB.Node().Store().Backend().(*storage.Disk)
-			before := disk.WALSize()
-			commit(w)
-			size := disk.WALSize() - before
-			w.restartDB()
-			if n := c.changed(t, w); n != 2 {
-				t.Fatalf("untorn commit changed %d of 2 entries", n)
-			}
-			for _, cut := range []int64{1, size / 4, size / 2, 3 * size / 4, size - 1} {
-				w := openDurable(t, true, 2)
-				node := w.DB.Node()
-				disk := node.Store().Backend().(*storage.Disk)
-				if disk.WALSize() != before {
-					t.Fatalf("set-up is not deterministic: WAL at %d bytes, was %d", disk.WALSize(), before)
-				}
-				crashed := make(chan struct{})
-				disk.FailAfter(before+cut, func() { node.Crash(); close(crashed) })
-				commit(w) // the database acknowledges; its stable write is torn
-				<-crashed
+			node := w.DB.Node()
+			wal := storage.WALPath(filepath.Join(w.dir, string(node.Name())))
+			before := node.Store().Backend().(*storage.Disk).WALSize()
+			_, err := w.cli.Do(context.Background(), c.op(w), core.EndActionOp("A", true))
+			must(t, err)
+			node.Crash()
+			full, err := os.ReadFile(wal)
+			must(t, err)
+			for cut := len(full); cut >= int(before); cut-- {
+				// Recovery appends to the WAL (it aborts a commit it finds
+				// cut short), so each cut is written afresh.
+				must(t, os.WriteFile(wal, full[:cut], 0o644))
 				node.Recover(nil)
-				if n := c.changed(t, w); n != 0 {
-					t.Fatalf("commit torn %d bytes into %d changed %d of 2 entries", cut, size, n)
+				want := 0
+				if cut == len(full) {
+					want = 2
 				}
+				if n := c.changed(t, w); n != want {
+					t.Fatalf("commit cut %d bytes into %d changed %d of 2 entries", cut-int(before), len(full)-int(before), n)
+				}
+				node.Crash()
 			}
 		})
 	}
@@ -245,24 +241,35 @@ func TestDeregisterTombstone(t *testing.T) {
 	})
 }
 
-// TestFailedStableWriteRidesNextCommit: the stable store refuses A's
-// commit; the entry stays dirty in the database and the next commit —
-// of another action, on another object — persists it too.
-func TestFailedStableWriteRidesNextCommit(t *testing.T) {
-	w := openDurable(t, false, 2)
-	ctx := context.Background()
-	x, y := w.Objects[0], w.Objects[1]
-	stable := w.DB.Node().Store()
+// TestFailedStableWriteStopsTheDatabase: with the database's stable store
+// shut, a commit fails rather than being acknowledged, and so does the
+// next, of another action on another object. The database answers nothing
+// until its node restarts, even once the store is back, and the restart
+// finds neither commit.
+func TestFailedStableWriteStopsTheDatabase(t *testing.T) {
+	forEachBackend(t, 2, func(t *testing.T, w durableWorld) {
+		ctx := context.Background()
+		x, y := w.Objects[0], w.Objects[1]
+		stable := w.DB.Node().Store()
 
-	must(t, stable.Shutdown())
-	_, err := w.cli.Do(ctx, core.RemoveOp("A", x, "sv2", false), core.EndActionOp("A", true))
-	must(t, err)
-	must(t, stable.Reopen())
-	_, err = w.cli.Do(ctx, core.IncrementOp("B", y, "c1", []transport.Addr{"sv1"}), core.EndActionOp("B", true))
-	must(t, err)
+		must(t, stable.Shutdown())
+		if _, err := w.cli.Do(ctx, core.RemoveOp("A", x, "sv2", false), core.EndActionOp("A", true)); err == nil {
+			t.Fatal("a commit whose stable write failed was acknowledged")
+		}
+		if _, err := w.cli.Do(ctx, core.IncrementOp("B", y, "c1", []transport.Addr{"sv1"}), core.EndActionOp("B", true)); err == nil {
+			t.Fatal("a commit after a failed stable write was acknowledged")
+		}
+		must(t, stable.Reopen())
+		if _, err := w.cli.Do(ctx, core.GetViewOp("peek", x), core.EndActionOp("peek", true)); err == nil {
+			t.Fatal("the database answered before its node restarted")
+		}
 
-	w.restartDB()
-	if sv, _ := w.svView(t, x); len(sv) != 1 || sv[0] != "sv1" {
-		t.Fatalf("Sv(X) = %v after recovery, want [sv1]: the commit whose stable write failed was never persisted", sv)
-	}
+		w.restartDB()
+		if sv, _ := w.svView(t, x); len(sv) != 2 {
+			t.Fatalf("Sv(X) = %v after recovery, want both servers: the failed commit was persisted", sv)
+		}
+		if _, use := w.svView(t, y); use["sv1"]["c1"] != 0 {
+			t.Fatalf("use lists of Y = %v after recovery: the failed commit was persisted", use)
+		}
+	})
 }

@@ -638,6 +638,9 @@ func registerService(srv *rpc.Server, db *DB) {
 // lives in this frame alone (see dbAction), and its name is minted at its
 // first op.
 func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (BatchResp, error) {
+	if db.failed.Load() {
+		return BatchResp{}, errStopped
+	}
 	resp := BatchResp{Results: make([]OpResult, len(req.Ops))}
 	own, named := dbAction{from: from, own: true}, dbAction{from: from}
 	for i := range req.Ops {
@@ -657,7 +660,9 @@ func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (Bat
 		}
 	}
 	if own.name != "" {
-		db.endOwn(&own, true)
+		if err := db.endOwn(&own, true); err != nil {
+			return BatchResp{}, err
+		}
 	}
 	return resp, nil
 }
@@ -687,9 +692,9 @@ func (db *DB) exec(ctx context.Context, a *dbAction, op *Op) (res OpResult, err 
 		err = db.Exclude(ctx, a, op.Pairs, op.UseWriteLock)
 	case OpEndAction:
 		if a.own {
-			db.endOwn(a, op.Commit)
+			err = db.endOwn(a, op.Commit)
 		} else {
-			db.EndAction(a.name, op.Commit)
+			err = db.EndAction(a.name, op.Commit)
 		}
 	case OpBind:
 		res.Nodes, res.Hosts, err = db.Bind(ctx, a, op.UID, op.Host, op.Degree, op.ForUpdate)

@@ -149,9 +149,6 @@ func bucketValueAt(i int) float64 {
 	return math.Exp2((float64(i+histOctaveMin*histBucketsPerOctave) + 0.5) / histBucketsPerOctave)
 }
 
-// Quantile is an alias for Percentile, mirroring the old raw-sample API.
-func (h *Histogram) Quantile(q float64) float64 { return h.Percentile(q) }
-
 // Max returns the exact maximum positive sample, or 0 if empty.
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
 
@@ -252,7 +249,7 @@ func (r *Registry) Snapshot() string {
 	for _, name := range histNames {
 		h := r.Histogram(name)
 		fmt.Fprintf(&b, "hist    %-40s n=%d mean=%.3f p50=%.3f p99=%.3f p999=%.3f max=%.3f\n",
-			name, h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.Max())
+			name, h.Count(), h.Mean(), h.Percentile(0.5), h.Percentile(0.99), h.Percentile(0.999), h.Max())
 	}
 	return b.String()
 }

@@ -139,9 +139,6 @@ func (r *WireReader) fail(what string) {
 // Err returns the first decode failure, or nil.
 func (r *WireReader) Err() error { return r.err }
 
-// Remaining returns the number of unconsumed bytes.
-func (r *WireReader) Remaining() int { return len(r.data) }
-
 // Uvarint consumes a uvarint.
 func (r *WireReader) Uvarint() uint64 {
 	if r.err != nil {

@@ -47,11 +47,6 @@ type DiskOptions struct {
 
 const defaultCompactAt = 1 << 20
 
-// ErrKilled reports that an injected kill-at-byte limit was hit: the
-// append was torn mid-frame and the backend refuses further work, as a
-// process dying mid-write would.
-var ErrKilled = errors.New("storage: killed at injected byte limit")
-
 // ErrLocked reports that another live backend holds the directory: two
 // writers interleaving appends into one WAL would corrupt it, so a
 // directory admits one open Disk at a time (the flock dies with its
@@ -80,20 +75,15 @@ type Disk struct {
 	// outside mu to know which generation an fsync must cover.
 	appendGen atomic.Uint64
 
-	mu        sync.Mutex // guards the fields below and WAL writes
-	lock      *os.File   // held flock on the directory
-	wal       *os.File
-	walSize   int64
-	state     *State
-	closed    bool
-	truncated int64 // torn-tail bytes dropped at open
-	scratch   []byte
-
-	// Kill-at-byte injection (chaos harness): when armed, the append
-	// that would carry the WAL past killAt is torn at the limit and the
-	// backend fails sticky, firing killFn once in its own goroutine.
-	killAt int64
-	killFn func()
+	mu      sync.Mutex // guards the fields below and WAL writes
+	lock    *os.File   // held flock on the directory
+	wal     *os.File
+	walSize int64
+	state   *State
+	closed  bool
+	scratch []byte
+	// failed is the first WAL write or fsync error; the backend refuses
+	// all work from then on (see sync).
 	failed error
 
 	// Group commit.
@@ -116,22 +106,14 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s: %w", dir, err)
 	}
-	d := &Disk{dir: dir, opts: opts, lock: lock, state: NewState()}
-	d.mutations = mutations{d.append}
-	d.syncCond = sync.NewCond(&d.syncMu)
 	fail := func(err error) (*Disk, error) {
 		lock.Close()
 		return nil, err
 	}
-
-	if snap, err := os.ReadFile(SnapshotPath(dir)); err == nil {
-		if _, err := scanRecords(snap, true, func(r record) { applyRecord(d.state, r) }); err != nil {
-			return fail(fmt.Errorf("storage: snapshot %s: %w", dir, err))
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	snap, err := os.ReadFile(SnapshotPath(dir))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fail(fmt.Errorf("storage: %w", err))
 	}
-
 	wal, err := os.OpenFile(WALPath(dir), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fail(fmt.Errorf("storage: %w", err))
@@ -141,11 +123,14 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		wal.Close()
 		return fail(fmt.Errorf("storage: %w", err))
 	}
-	clean, _ := scanRecords(buf, false, func(r record) { applyRecord(d.state, r) })
+	state, clean, err := Replay(snap, buf)
+	if err != nil {
+		wal.Close()
+		return fail(fmt.Errorf("storage: %s: %w", dir, err))
+	}
 	if clean < int64(len(buf)) {
 		// Torn tail: a crash mid-append left a partial or corrupt frame.
 		// Everything before it is intact; drop the tail.
-		d.truncated = int64(len(buf)) - clean
 		if err := wal.Truncate(clean); err != nil {
 			wal.Close()
 			return fail(fmt.Errorf("storage: truncate torn tail: %w", err))
@@ -155,21 +140,30 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		wal.Close()
 		return fail(fmt.Errorf("storage: %w", err))
 	}
-	d.wal, d.walSize = wal, clean
+	d := &Disk{dir: dir, opts: opts, lock: lock, state: state, wal: wal, walSize: clean}
+	d.mutations = mutations{d.append}
+	d.syncCond = sync.NewCond(&d.syncMu)
 	return d, nil
+}
+
+// Replay rebuilds the image a Disk directory's files hold: the snapshot,
+// which must decode whole (it is written atomically), then the WAL's clean
+// prefix, which ends at the first torn or corrupt frame. It returns the
+// image and the length of that prefix; OpenDisk truncates the WAL there.
+func Replay(snapshot, wal []byte) (*State, int64, error) {
+	st := NewState()
+	apply := func(r record) { applyRecord(st, r) }
+	if _, err := scanRecords(snapshot, true, apply); err != nil {
+		return nil, 0, fmt.Errorf("snapshot: %w", err)
+	}
+	clean, _ := scanRecords(wal, false, apply)
+	return st, clean, nil
 }
 
 // DiskFactory returns a Factory that opens dir with opts — the reopen
 // hook a disk-backed node's recovery uses.
 func DiskFactory(dir string, opts DiskOptions) Factory {
 	return func() (Backend, error) { return OpenDisk(dir, opts) }
-}
-
-// TruncatedAtOpen returns how many torn-tail bytes the open discarded.
-func (d *Disk) TruncatedAtOpen() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.truncated
 }
 
 // append frames r, writes it to the WAL and only then applies it to the
@@ -185,24 +179,7 @@ func (d *Disk) append(r record) error {
 		return d.failed
 	}
 	d.scratch = appendRecord(d.scratch[:0], r)
-	frame := d.scratch
-	if d.killAt > 0 && d.walSize+int64(len(frame)) > d.killAt {
-		// Injected death mid-write: tear the frame at the byte limit,
-		// poison the backend, and fire the kill callback asynchronously
-		// (it typically crashes the owning node, whose shutdown needs
-		// locks the failing writer is holding).
-		if keep := d.killAt - d.walSize; keep > 0 {
-			_, _ = d.wal.Write(frame[:keep])
-			d.walSize = d.killAt
-		}
-		d.failed = ErrKilled
-		if fn := d.killFn; fn != nil {
-			d.killFn = nil
-			go fn()
-		}
-		return d.failed
-	}
-	n, err := d.wal.Write(frame)
+	n, err := d.wal.Write(d.scratch)
 	d.walSize += int64(n)
 	if err != nil {
 		d.failed = fmt.Errorf("storage: wal append: %w", err)
@@ -424,53 +401,9 @@ func (d *Disk) Close() error {
 	return err
 }
 
-// FailAfter arms the kill-at-byte injection: the append that would carry
-// the WAL past limit bytes is torn mid-frame, the backend fails sticky
-// with ErrKilled, and fn (if non-nil) runs once in its own goroutine —
-// the chaos harness crashes the owning node there, modelling a process
-// dying mid-write.
-func (d *Disk) FailAfter(limit int64, fn func()) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.killAt = limit
-	d.killFn = fn
-}
-
-// ClearFail disarms a FailAfter that has not tripped yet. A tripped
-// backend stays failed — the node is expected to crash and reopen.
-func (d *Disk) ClearFail() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.killAt = 0
-	d.killFn = nil
-}
-
-// Failed reports whether the backend is poisoned (a tripped injection or
-// an I/O error); every further operation returns that error.
-func (d *Disk) Failed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.failed != nil
-}
-
 // WALSize returns the current WAL length in bytes.
 func (d *Disk) WALSize() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.walSize
-}
-
-// CorruptWALTail appends junk bytes to the WAL file of a (closed) disk
-// backend directory — the chaos harness's torn-write injection. The next
-// open must truncate the junk away.
-func CorruptWALTail(dir string, junk []byte) error {
-	f, err := os.OpenFile(WALPath(dir), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(junk)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }

@@ -44,8 +44,8 @@
 //     simulated crash". Zero-dependency tests run on it unchanged.
 //   - Disk: a real per-directory engine — append-only WAL plus periodic
 //     snapshot — whose contents survive actual process death. A record
-//     the WAL refuses (a kill at a byte, an I/O error) never reaches the
-//     image, and the backend refuses all work from then on.
+//     the WAL refuses (an I/O error) never reaches the image, and the
+//     backend refuses all work from then on.
 //
 // # WAL record format
 //
@@ -82,6 +82,19 @@
 // record's effect is deterministic and last-writer-wins per key, so
 // replaying a WAL prefix that the snapshot already includes converges to
 // the same state.
+//
+// The store's reference model (internal/store, TestStoreBackendsAgree)
+// checks this from the bytes the engine wrote, with no help from it. After
+// each operation it replays (Replay, the function OpenDisk opens with) the
+// WAL cut at every byte of the records the operation appended, bare and
+// followed by junk: a short length, an over-long one, garbage and a frame
+// with a bad CRC. Each image must hold the records wholly before the cut
+// and nothing after, and replay must keep exactly their bytes. At each
+// compaction it opens the directory as each step leaves it: the new
+// snapshot partly written to its temporary file, whole there but not
+// renamed (the engine's own compaction with the rename blocked), renamed
+// over a WAL not yet truncated, and with the WAL truncated. Each must
+// open to the state at the compaction.
 //
 // # Group commit
 //

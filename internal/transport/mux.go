@@ -72,6 +72,12 @@ type TCPMux struct {
 	connMu sync.Mutex
 	conns  map[[2]Addr]*muxConn
 
+	// calls is the free list of callers' parking slots (getCall), the
+	// most recently used last. A slot is some 450 bytes, so the 256 it
+	// keeps hold about 115 KiB; calls in flight past them make their own.
+	callsMu sync.Mutex
+	calls   []*muxCall
+
 	// The monotonic counts behind Stats and Counters.
 	dials, poisoned, requestFrames, replyFrames, writes, reads metrics.Counter
 
@@ -314,17 +320,38 @@ type muxResult struct {
 // muxCall is a caller's parking slot: the channel its result arrives on
 // (capacity 1; sent to at most once per call, under the connection's mu, as
 // the call leaves the pending map) and the timer bounding its wait. Slots
-// are pooled, and go back with the channel empty and the timer stopped.
+// are reused, and go back with the channel empty and the timer stopped.
 type muxCall struct {
 	ch    chan muxResult
 	timer *time.Timer
 }
 
-var muxCallPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &muxCall{ch: make(chan muxResult, 1), timer: t}
-}}
+// getCall takes a parking slot from the free list, or makes one. The list
+// is not a sync.Pool: a Pool is emptied by every garbage collection, and
+// under the race detector it drops one Put in four, so a call's allocations
+// would depend on both.
+func (t *TCPMux) getCall() *muxCall {
+	t.callsMu.Lock()
+	if n := len(t.calls); n > 0 {
+		c := t.calls[n-1]
+		t.calls = t.calls[:n-1]
+		t.callsMu.Unlock()
+		return c
+	}
+	t.callsMu.Unlock()
+	tm := time.NewTimer(time.Hour)
+	tm.Stop()
+	return &muxCall{ch: make(chan muxResult, 1), timer: tm}
+}
+
+// putCall returns a slot to the free list, or drops it when the list is full.
+func (t *TCPMux) putCall(c *muxCall) {
+	t.callsMu.Lock()
+	if len(t.calls) < 256 {
+		t.calls = append(t.calls, c)
+	}
+	t.callsMu.Unlock()
+}
 
 // muxConn is one client-side multiplexed connection: the outbox its
 // requests leave through plus the pending demux state, also guarded by the
@@ -522,8 +549,8 @@ func (t *TCPMux) Call(ctx context.Context, req Request) ([]byte, error) {
 	} else {
 		done = ctx.Done()
 	}
-	c := muxCallPool.Get().(*muxCall)
-	defer muxCallPool.Put(c) // every return leaves c.ch empty and c.timer stopped
+	c := t.getCall()
+	defer t.putCall(c) // every return leaves c.ch empty and c.timer stopped
 	for attempt := 0; ; attempt++ {
 		mc, reused, err := t.getMuxConn(ctx, req.From, req.To, ep)
 		if err != nil {

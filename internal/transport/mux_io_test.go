@@ -406,7 +406,7 @@ func TestMuxFlusherPastDeadlineHandsOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := tm.conns[[2]Addr{"cli", "srv"}]
-	c := muxCallPool.Get().(*muxCall)
+	c := tm.getCall()
 	req := Request{From: "cli", To: "srv", Payload: []byte("late")}
 	if _, err := mc.send(c, time.Now().Add(-time.Second), 1000, req); err != nil {
 		t.Fatal(err)
