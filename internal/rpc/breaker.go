@@ -361,48 +361,3 @@ func (s *Breakers) Snapshot() []BreakerStatus {
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }
-
-// BreakerNotes collects the peers a call chain skipped via breaker
-// fast-fail, threaded through context so an action's CommitReport can
-// name them. Safe for concurrent use.
-type BreakerNotes struct {
-	mu      sync.Mutex
-	skipped map[transport.Addr]int
-}
-
-type breakerNotesKey struct{}
-
-// ContextWithNotes attaches notes to ctx; every breaker fast-fail on a
-// Call under that context is recorded in it.
-func ContextWithNotes(ctx context.Context, notes *BreakerNotes) context.Context {
-	return context.WithValue(ctx, breakerNotesKey{}, notes)
-}
-
-func notesFrom(ctx context.Context) *BreakerNotes {
-	n, _ := ctx.Value(breakerNotesKey{}).(*BreakerNotes)
-	return n
-}
-
-func (n *BreakerNotes) add(peer transport.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.skipped == nil {
-		n.skipped = make(map[transport.Addr]int)
-	}
-	n.skipped[peer]++
-}
-
-// Skipped returns the peers skipped so far, sorted; nil when none was.
-func (n *BreakerNotes) Skipped() []transport.Addr {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.skipped) == 0 {
-		return nil
-	}
-	out := make([]transport.Addr, 0, len(n.skipped))
-	for p := range n.skipped {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

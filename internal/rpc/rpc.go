@@ -246,9 +246,6 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 		if !proceed {
 			// Fast-fail before metrics: the call never happened, so it
 			// must not count toward the service's call/latency figures.
-			if n := notesFrom(ctx); n != nil {
-				n.add(to)
-			}
 			if c.Metrics != nil {
 				c.Metrics.Counter("breaker.fastfail").Inc()
 			}

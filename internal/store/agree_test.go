@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -697,11 +698,22 @@ func TestStoreBackendsAgree(t *testing.T) {
 
 // FuzzStoreAgainstModel runs the model on operation sequences drawn from
 // the fuzzer's bytes, one byte per choice. The corpus is checked in under
-// testdata/fuzz/FuzzStoreAgainstModel.
+// testdata/fuzz/FuzzStoreAgainstModel, and a plain test run replays each
+// entry in full, up to 200 operations. Under -fuzz an input drives at most
+// fuzzSteps of them: every operation checks each byte cut of what it wrote,
+// and the fuzzer reruns each new input many times to minimize it, so a long
+// input would hold the fuzzer for minutes.
 func FuzzStoreAgainstModel(f *testing.F) {
+	steps := 200
+	if fuzz := flag.Lookup("test.fuzz"); fuzz != nil && fuzz.Value.String() != "" {
+		steps = fuzzSteps
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		c := byteChooser(raw)
-		runModel(t, &c, min(len(raw)/3, 200))
+		runModel(t, &c, min(len(raw)/3, steps))
 	})
 }
+
+// fuzzSteps caps the operations of one input while fuzzing.
+const fuzzSteps = 32

@@ -250,12 +250,17 @@ func TestMuxNestedCallUnderHandlerContext(t *testing.T) {
 // TestMuxSlowWriteLeavesNoDeadlineArmed: a write that blocks against a slow
 // reader runs under a socket deadline and completes; a call made after that
 // deadline has passed still goes out on the same connection, so the write
-// deadline was disarmed, not left to expire under the next write.
+// deadline was disarmed, not left to expire under the next write. The test
+// checks its own precondition: when the reader starts, the caller is still
+// inside its write, which therefore blocked and armed the deadline.
 func TestMuxSlowWriteLeavesNoDeadlineArmed(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	tm := NewTCPMux()
+	tm.CallTimeout = 5 * time.Second
+	writing := make(chan bool, 1)
 	peerDone := make(chan error, 1)
 	go func() { // a mux server that starts reading late, then echoes
 		conn, err := ln.Accept()
@@ -265,6 +270,7 @@ func TestMuxSlowWriteLeavesNoDeadlineArmed(t *testing.T) {
 		}
 		defer conn.Close()
 		time.Sleep(200 * time.Millisecond)
+		writing <- stillFlushing(tm)
 		br := newMuxReader(conn, new(metrics.Counter))
 		for {
 			body, err := readMuxFrame(br)
@@ -287,8 +293,6 @@ func TestMuxSlowWriteLeavesNoDeadlineArmed(t *testing.T) {
 			}
 		}
 	}()
-	tm := NewTCPMux()
-	tm.CallTimeout = 5 * time.Second
 	ep := &muxEndpoint{ln: ln, mux: tm, done: make(chan struct{})}
 	ep.baseCtx, ep.cancel = context.WithCancel(context.Background())
 	tm.listeners["srv"] = ep
@@ -296,9 +300,15 @@ func TestMuxSlowWriteLeavesNoDeadlineArmed(t *testing.T) {
 	const limit = time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), limit)
 	defer cancel()
-	big := make([]byte, 32<<20) // far beyond the socket buffers
+	// Twice what a loopback socket pair with a 4 MiB send buffer holds (a
+	// little under 4 MiB): large enough to block, small enough to finish well
+	// inside the second under the race detector.
+	big := make([]byte, 8<<20)
 	if _, err := tm.Call(ctx, Request{From: "cli", To: "srv", Payload: big}); err != nil {
 		t.Fatalf("a write the reader drained late failed: %v", err)
+	}
+	if !<-writing {
+		t.Fatalf("a %d-byte write had left before the reader started: it never blocked, so it armed no deadline", len(big))
 	}
 	<-ctx.Done() // the blocked write's deadline has passed
 	if got, err := tm.Call(context.Background(), Request{From: "cli", To: "srv", Payload: []byte("after")}); err != nil || string(got) != "after" {
@@ -312,4 +322,18 @@ func TestMuxSlowWriteLeavesNoDeadlineArmed(t *testing.T) {
 	if err := <-peerDone; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stillFlushing reports whether the cli -> srv connection's caller is still
+// inside a write.
+func stillFlushing(tm *TCPMux) bool {
+	tm.connMu.Lock()
+	mc := tm.conns[[2]Addr{"cli", "srv"}]
+	tm.connMu.Unlock()
+	if mc == nil {
+		return false
+	}
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	return mc.flushing
 }

@@ -15,12 +15,13 @@ import (
 // group, so every bind goes through the placement binder over a one-row
 // table, and the pin also holds that path to allocating nothing of its own.
 // The budgets are the counts measured when each class last got cheaper —
-// the per-call overhead taken out, each solo class's one-phase Prepare
-// message carried by its invoke, the read-only client's first bind holding
-// no database lock — plus 5 %: a later change that puts weight back on the
-// path fails here, not in a benchmark run. An Atomic write sends that
-// one-phase Prepare, and a two-object one the two-phase rounds, one message
-// per phase naming both objects.
+// the breaker-note context per attempt taken out, the per-call overhead
+// before it, each solo class's one-phase Prepare message carried by its
+// invoke, the read-only client's first bind holding no database lock — plus
+// 5 %, rounded up: a later change that puts weight back on the path fails
+// here, not in a benchmark run. An Atomic write sends that one-phase
+// Prepare, and a two-object one the two-phase rounds, one message per phase
+// naming both objects.
 func TestFacadeAllocs(t *testing.T) {
 	sys := openT(t, arjuna.WithShards(1), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(2))
 	rw := clientT(t, sys, "c1", arjuna.ClientFastBind())
@@ -35,7 +36,7 @@ func TestFacadeAllocs(t *testing.T) {
 			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-		}, 89}, // 84 measured; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
+		}, 70}, // 66 measured; 68 with a breaker-note context per attempt, 84 when last pinned; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
 		{"Atomic+Invoke", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Invoke(ctx, "add", []byte("1"))
@@ -43,7 +44,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 102}, // 97 measured; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
+		}, 79}, // 75 measured; 77 with a breaker-note context per attempt, 97 when last pinned; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
 		{"Atomic+Invoke two objects", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				if _, err := tx.Object(id).Invoke(ctx, "add", []byte("1")); err != nil {
@@ -54,7 +55,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 233}, // 221 measured; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
+		}, 191}, // 181 measured; 183 with a breaker-note context per attempt, 221 when last pinned; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)
@@ -62,7 +63,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 48}, // 45 measured; 46 with a copy of the St view kept per binding; 51 with the database's keys rendered per op, a note context per call and the carried vote's item on the heap, 53 with a client-minted bind action, 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
+		}, 36}, // 34 measured; 36 with a breaker-note context per attempt, 45 when last pinned; 46 with a copy of the St view kept per binding; 51 with the database's keys rendered per op, a note context per call and the carried vote's item on the heap, 53 with a client-minted bind action, 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
 	} {
 		c.op() // warm-up: placement cache, activation, lock-table free lists
 		got := testing.AllocsPerRun(200, c.op)

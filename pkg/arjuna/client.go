@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/object"
 	"repro/internal/placement"
 	"repro/internal/replica"
-	"repro/internal/rpc"
 	"repro/internal/transport"
 	"repro/internal/uid"
 )
@@ -132,10 +130,6 @@ type CommitReport struct {
 	// QueueWait is the longest server-side lock or combiner-queue wait
 	// observed by the final attempt's invocations.
 	QueueWait time.Duration
-	// BreakerSkipped lists peers the final attempt never called because
-	// their circuit breakers were open — the action ran in degraded mode,
-	// routing around nodes already known sick.
-	BreakerSkipped []transport.Addr
 	// LeaseReads counts the final attempt's invocations served entirely
 	// from the client's lease cache — zero RPCs and zero lock-manager
 	// traffic each (WithReadLeases).
@@ -150,15 +144,6 @@ type Txn struct {
 	// objects lists the handles handed out, in first-use order: an action
 	// touches one or two objects, so a scan beats a map.
 	objects []*Object
-	// notes records the peers this action's calls skipped via breaker
-	// fast-fail; surfaced as CommitReport.BreakerSkipped. The note
-	// context is attached per call site (bind/invoke/commit) rather than
-	// by wrapping runOnce's context, because the closure invokes objects
-	// under the CALLER's context, not a derived one.
-	notes *rpc.BreakerNotes
-	// notedFrom and notedCtx are the last caller context the note context
-	// was derived from, and the derived one (see noted).
-	notedFrom, notedCtx context.Context
 	// unlocked records the reads this action was served with no lock left
 	// behind them, for commit-time revalidation (see revalidateReads).
 	unlocked []unlockedRead
@@ -179,24 +164,6 @@ type unlockedRead struct {
 	seq uint64
 	// lease is the cache entry that served the read; nil for a carried read.
 	lease *lease.Entry
-}
-
-// noted attaches the transaction's breaker-note recorder to ctx. An
-// action's bind, invokes and commit nearly always run under one caller
-// context, so the derived context is kept for the last one it was derived
-// from rather than derived per call.
-func (t *Txn) noted(ctx context.Context) context.Context {
-	if t.notedCtx == nil || !sameContext(ctx, t.notedFrom) {
-		t.notedFrom, t.notedCtx = ctx, rpc.ContextWithNotes(ctx, t.notes)
-	}
-	return t.notedCtx
-}
-
-// sameContext reports whether a and b are the same context value. A value
-// that cannot be compared — a caller's own context type may hold one —
-// counts as different rather than panic.
-func sameContext(a, b context.Context) bool {
-	return reflect.ValueOf(a).Comparable() && a == b
 }
 
 // ID returns the underlying action's identifier.
@@ -249,7 +216,7 @@ func (o *Object) bind(ctx context.Context) error {
 	if o.bd != nil {
 		return nil
 	}
-	bd, err := o.t.c.binder.Bind(o.t.noted(ctx), o.t.act, o.id)
+	bd, err := o.t.c.binder.Bind(ctx, o.t.act, o.id)
 	if err != nil {
 		o.bindErr = MapError(err)
 		return o.bindErr
@@ -294,7 +261,7 @@ func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte
 		}
 	}
 	t0 := time.Now()
-	resp, err := o.bd.Invoke(t.noted(ctx), replica.Call{Method: method, Args: args})
+	resp, err := o.bd.Invoke(ctx, replica.Call{Method: method, Args: args})
 	if err != nil {
 		return nil, MapError(err)
 	}
@@ -319,7 +286,7 @@ func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte
 // clean read-only one, the server still holds the read lock and nothing is
 // recorded.
 func (o *Object) carriedRead(ctx context.Context, method string, args []byte) ([]byte, error) {
-	resp, err := o.bd.Invoke(o.t.noted(ctx), replica.Call{Method: method, Args: args, Solo: true, ReadOnly: true})
+	resp, err := o.bd.Invoke(ctx, replica.Call{Method: method, Args: args, Solo: true, ReadOnly: true})
 	if err != nil {
 		return nil, MapError(err)
 	}
@@ -418,7 +385,7 @@ func (o *Object) apply(ctx context.Context, method string, args []byte) ([]byte,
 		return nil, err
 	}
 	o.t.ops++
-	resp, err := o.bd.Invoke(o.t.noted(ctx), replica.Call{Method: method, Args: args, Solo: true, ReadOnly: readOnly})
+	resp, err := o.bd.Invoke(ctx, replica.Call{Method: method, Args: args, Solo: true, ReadOnly: readOnly})
 	if errors.Is(err, action.ErrOutcomeUnknown) {
 		o.inDoubt = MapError(err)
 		return nil, nil
@@ -544,7 +511,7 @@ func (c *Client) Apply(ctx context.Context, id uid.UID, method string, args []by
 // attempt after the first.
 func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool) (*CommitReport, error) {
 	act := c.binder.Actions.BeginTop()
-	tx := &Txn{c: c, act: act, notes: &rpc.BreakerNotes{}, retry: retry}
+	tx := &Txn{c: c, act: act, retry: retry}
 	// Abort on every path that does not reach commit — including a panic
 	// inside fn — so no action is left running.
 	committed := false
@@ -571,7 +538,7 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool
 		_ = act.Abort(context.WithoutCancel(ctx))
 		return tx.report(false), tag(ErrAborted, err)
 	}
-	acrep, err := act.Commit(tx.noted(ctx))
+	acrep, err := act.Commit(ctx)
 	if err != nil {
 		// A failed prepare has already rolled the participants back — unless
 		// the commit ended in doubt, where the one-phase round may stand at
@@ -631,7 +598,7 @@ func (t *Txn) revalidateReads(ctx context.Context) error {
 		if err := o.bind(ctx); err != nil {
 			return stale(r, err)
 		}
-		resp, err := o.bd.Invoke(t.noted(ctx), replica.Call{})
+		resp, err := o.bd.Invoke(ctx, replica.Call{})
 		if err != nil {
 			// Unreachable coordinator, refused lock, dead context — the read
 			// cannot be vouched for. Classify the cause for the retry loop,
@@ -676,7 +643,6 @@ func (t *Txn) report(committed bool) *CommitReport {
 	}
 	rep.BrokenServers = sortedSet(broken)
 	rep.ExcludedStores = sortedSet(excluded)
-	rep.BreakerSkipped = t.notes.Skipped()
 	return rep
 }
 

@@ -290,9 +290,11 @@
 // exclusion-and-repair machinery fires on it exactly as on a real
 // transport failure; Atomic treats it as retryable with a longer
 // backoff class than lock conflicts (the peer needs recovery, not a
-// few milliseconds of spacing), and the CommitReport's BreakerSkipped
-// field names the peers an attempt skipped, marking the action as
-// having run in degraded mode. After a Cooldown the breaker goes
+// few milliseconds of spacing). What an attempt routed around is
+// reported where any failure it met is: the CommitReport's BrokenServers
+// and ExcludedStores name the servers and stores, and a failed action's
+// error matches ErrPeerUnavailable when an open breaker, not a timeout,
+// did the skipping. After a Cooldown the breaker goes
 // half-open and admits exactly one probe; a successful probe — or the
 // peer's Recover, or a healed partition — closes it.
 //

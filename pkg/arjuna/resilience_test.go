@@ -72,7 +72,8 @@ func TestAtomicFastFailsThroughOpenBreaker(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoServers too", last)
 	}
 
-	// The report names the skipped peers.
+	// The report names the servers the attempt routed around, and the
+	// error says their breakers did the skipping.
 	rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
 		_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
 		return err
@@ -80,13 +81,11 @@ func TestAtomicFastFailsThroughOpenBreaker(t *testing.T) {
 	if err == nil {
 		t.Fatal("atomic succeeded with every server down")
 	}
-	if len(rep.BreakerSkipped) == 0 {
-		t.Fatalf("report = %+v, want BreakerSkipped naming the servers", rep)
+	if want := []transport.Addr{"sv1", "sv2"}; !slices.Equal(rep.BrokenServers, want) {
+		t.Fatalf("report = %+v, want BrokenServers %v", rep, want)
 	}
-	for _, p := range rep.BreakerSkipped {
-		if p != "sv1" && p != "sv2" {
-			t.Fatalf("unexpected skipped peer %q", p)
-		}
+	if !errors.Is(err, arjuna.ErrPeerUnavailable) {
+		t.Fatalf("err = %v, want ErrPeerUnavailable", err)
 	}
 
 	// BreakerStats surfaces the open breakers.
@@ -113,6 +112,47 @@ func TestAtomicFastFailsThroughOpenBreaker(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("atomic after recovery: %v", err)
 	}
+}
+
+// TestCrashedStoreReportedAlikeOnEveryCarrier: what an action routed around
+// is reported by the binding itself, so the report does not depend on the
+// carrier. One server writes four objects to three stores after st3 crashed:
+// the server's breaker toward st3 opens on the way, and every write still
+// commits and names st3 among its excluded stores, in memory and over
+// sockets alike.
+func TestCrashedStoreReportedAlikeOnEveryCarrier(t *testing.T) {
+	onBothCarriers(t, func(t *testing.T, carrier arjuna.Option) {
+		sys := openT(t,
+			arjuna.WithServers(1),
+			arjuna.WithStores(3),
+			arjuna.WithObjects(4),
+			arjuna.WithBreakerConfig(arjuna.BreakerConfig{Window: 4, Threshold: 2, Cooldown: time.Hour}),
+			carrier,
+		)
+		cl := clientT(t, sys, "c1", arjuna.ClientRetry(1, 0))
+		ctx := context.Background()
+		if err := sys.Crash("st3"); err != nil {
+			t.Fatal(err)
+		}
+		for i, obj := range sys.Objects() {
+			rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+				_, err := tx.Object(obj).Invoke(ctx, "add", []byte("1"))
+				return err
+			})
+			if err != nil {
+				t.Fatalf("write %d: %v", i+1, err)
+			}
+			if !slices.Contains(rep.ExcludedStores, "st3") {
+				t.Fatalf("write %d: report = %+v, want st3 among ExcludedStores", i+1, rep)
+			}
+		}
+		// The later writes were breaker skips, not calls that timed out.
+		if !slices.ContainsFunc(sys.BreakerStats(), func(b arjuna.BreakerStat) bool {
+			return b.Node == "sv1" && b.Peer == "st3" && b.State == "open"
+		}) {
+			t.Fatalf("BreakerStats = %+v, want sv1's breaker toward st3 open", sys.BreakerStats())
+		}
+	})
 }
 
 // TestBreakerClosesThroughItsOwnProbe is the third way a breaker closes, and
