@@ -71,8 +71,6 @@ func run() error {
 		arjuna.WithShards(*shards),
 		arjuna.WithServers(*servers),
 		arjuna.WithStores(*stores),
-		arjuna.WithScheme(scheme),
-		arjuna.WithPolicy(policy),
 	}
 	if *dataDir != "" {
 		opts = append(opts, arjuna.WithDataDir(*dataDir))
@@ -83,7 +81,7 @@ func run() error {
 	}
 	defer sys.Close()
 	ctx := context.Background()
-	cl, err := sys.Client("c1")
+	cl, err := sys.Client("c1", arjuna.ClientScheme(scheme), arjuna.ClientPolicy(policy))
 	if err != nil {
 		return err
 	}

@@ -66,7 +66,6 @@ func main() {
 		arjuna.WithServers(2),
 		arjuna.WithStores(2),
 		arjuna.WithClass(accountClass()),
-		arjuna.WithScheme(arjuna.SchemeIndependent),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -84,7 +83,7 @@ func main() {
 	}
 	fmt.Println("created accounts alice (1000) and bob (500); invariant: total = 1500")
 
-	cl, err := sys.Client("c1")
+	cl, err := sys.Client("c1", arjuna.ClientScheme(arjuna.SchemeIndependent))
 	if err != nil {
 		log.Fatal(err)
 	}

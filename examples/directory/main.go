@@ -99,8 +99,6 @@ func main() {
 		arjuna.WithServers(3),
 		arjuna.WithStores(2),
 		arjuna.WithClass(directoryClass()),
-		arjuna.WithScheme(arjuna.SchemeStandard),
-		arjuna.WithPolicy(arjuna.Active),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -110,7 +108,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, err := sys.Client("c1")
+	cl, err := sys.Client("c1", arjuna.ClientScheme(arjuna.SchemeStandard), arjuna.ClientPolicy(arjuna.Active))
 	if err != nil {
 		log.Fatal(err)
 	}

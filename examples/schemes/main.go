@@ -44,7 +44,6 @@ func demo(ctx context.Context, scheme arjuna.Scheme) error {
 		arjuna.WithServers(2),
 		arjuna.WithStores(2),
 		arjuna.WithClients(3),
-		arjuna.WithScheme(scheme),
 	)
 	if err != nil {
 		return err
@@ -56,7 +55,7 @@ func demo(ctx context.Context, scheme arjuna.Scheme) error {
 
 	clients := make([]*arjuna.Client, 0, 3)
 	for _, c := range sys.ClientNodes() {
-		cl, err := sys.Client(string(c))
+		cl, err := sys.Client(string(c), arjuna.ClientScheme(scheme))
 		if err != nil {
 			return err
 		}

@@ -21,7 +21,7 @@ import (
 var dbModelSeed = flag.Int64("db-model-seed", 0, "run TestDBAgainstModel on this seed alone")
 
 // The reference model of the group view database: the database's rules as
-// its comments state them, over plain maps — no lock-table stripes, no
+// its comments state them, over plain maps — no lock table, no
 // snapshot sets shared with the implementation, no record encoding.
 //
 //   - Entries: Sv as a node list with use counters keyed by (server,

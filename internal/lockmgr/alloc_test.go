@@ -40,3 +40,14 @@ func TestUncontendedAcquireReleaseAllocsNothing(t *testing.T) {
 		t.Fatalf("uncontended Acquire + Release allocated %.0f objects, want 0", got)
 	}
 }
+
+// tableSink makes the table built under AllocsPerRun escape, as every real
+// one does.
+var tableSink *Manager
+
+// Every object activation and every database restart builds a table.
+func TestNewAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { tableSink = New(NoNesting) }); got > 3 {
+		t.Fatalf("New allocated %.0f objects, want at most 3", got)
+	}
+}

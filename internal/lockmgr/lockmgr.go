@@ -31,32 +31,29 @@
 // them). A waiter leaves the queue granted, cancelled by its context, or
 // failed by its owner's ReleaseAll.
 //
-// Layout. The table is two hash-sharded indexes. Keys hash to one of 32
-// stripes, each a mutex over a map from key to entry; an entry is a short
-// unordered list of holders (owner plus a count per mode) and the FIFO of
-// waiters. Owners hash to one of 16 shards, each a mutex over a map from
-// owner to the short list of keys it holds or waits on — what ReleaseAll
-// walks. An entry whose last holder and waiter left, and a key list whose
-// owner ended, go to a small free list of their stripe or shard, so the
-// steady state — an action takes one to three uncontended locks and
-// releases them together — allocates nothing. Lists, not maps, because they
-// hold one to a handful of items: a scan is cheaper than a hash and needs
-// no allocation to grow from empty.
+// Layout. One mutex guards the whole table: a map from key to entry, where
+// an entry is a short unordered list of holders (owner plus a count per
+// mode) and the FIFO of waiters, and a map from owner to the short list of
+// keys it holds or waits on — what ReleaseAll walks. An entry whose last
+// holder and waiter left, and a key list whose owner ended, go to a small
+// free list, so the steady state — an action takes one to three
+// uncontended locks and releases them together — allocates nothing. Lists,
+// not maps, because they hold one to a handful of items: a scan is cheaper
+// than a hash and needs no allocation to grow from empty.
 //
-// ReleaseAll, the one whole-owner operation, is not atomic across stripes:
-// it takes the owner's key list under its shard lock, drops that lock, and
-// visits each key's stripe in turn (an owner shard may be locked while
-// holding a stripe, never the reverse). One lock over both indexes would
-// put every action in the system on a common mutex to protect against
-// something that does not happen: ReleaseAll runs when the owning action
-// has ended, and an ended action issues no acquires.
+// One mutex suffices because no table sees concurrent work on disjoint keys
+// that it could overlap. The system builds two kinds of table: an activated
+// object's, which holds its single "state" key, and the group view
+// database's, whose every operation takes the database's own mutex right
+// after its entry lock. Under the one mutex ReleaseAll is a single critical
+// section: the owner's holds are dropped and its parked acquires failed
+// together.
 package lockmgr
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
 	"sync"
@@ -173,7 +170,7 @@ func (h *holder) strongest() Mode {
 func (h *holder) empty() bool { return h.counts == [Write + 1]int{} }
 
 // waiter is one parked blocking acquire. ready is closed (with granted
-// set, under the stripe lock) when the grant happens, so a receive on
+// set, under the table's mutex) when the grant happens, so a receive on
 // ready observes a fully granted lock.
 type waiter struct {
 	owner   Owner
@@ -187,7 +184,7 @@ type entry struct {
 	// or a handful of sharing readers.
 	holders []holder
 	// waiters is the FIFO wait queue: grants happen strictly in arrival
-	// order, each performed synchronously under the stripe lock by
+	// order, each performed synchronously under the table's mutex by
 	// whichever release made it possible — there is no wake-then-race
 	// window for a newcomer to barge through.
 	waiters []*waiter
@@ -209,44 +206,23 @@ func (e *entry) dropHolder(owner Owner) {
 	e.holders = slices.DeleteFunc(e.holders, func(h holder) bool { return h.owner == owner })
 }
 
-// stripeCount and ownerShardCount size the two hash-sharded tables. Both
-// are powers of two so the hash maps to a shard with a mask.
-const (
-	stripeCount     = 32
-	ownerShardCount = 16
-	// maxFreeEntries bounds each stripe's list of emptied entries and each
-	// owner shard's list of emptied key lists.
-	maxFreeEntries = 8
-)
-
-// stripe is one independently locked slice of the key space.
-type stripe struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	// free holds entries whose last holder and waiter left, for the next
-	// key that needs one: an entry is looked up by key under mu on every
-	// use and never kept across an unlock, so reuse is invisible.
-	free []*entry
-}
-
-// ownerShard is one independently locked slice of the per-owner key
-// index: the keys each owner holds or waits on, as a short list (an action
-// holds one to three). Lists whose owner ended are kept for the next one.
-type ownerShard struct {
-	mu   sync.Mutex
-	keys map[Owner][]string
-	free [][]string
-}
+// maxFree bounds each free list: emptied entries and emptied key lists.
+const maxFree = 8
 
 // Manager is a lock table keyed by string. It is safe for concurrent use;
-// concurrent actions touching disjoint keys never contend on a common
-// mutex (see the package comment for the layout and the lock order).
+// one mutex guards all of it (see the package comment for why).
 type Manager struct {
 	ancestry Ancestry
 	obs      Observer
-	seed     maphash.Seed
-	stripes  [stripeCount]stripe
-	owners   [ownerShardCount]ownerShard
+
+	mu      sync.Mutex
+	entries map[string]*entry
+	owners  map[Owner][]string // the keys each owner holds or waits on
+	// Emptied entries and key lists, kept for reuse: an entry is looked up
+	// by key under mu on every use and never kept across an unlock, so
+	// reuse is invisible.
+	freeEntries []*entry
+	freeKeys    [][]string
 }
 
 // New returns a Manager using the given ancestry; nil means NoNesting.
@@ -254,95 +230,59 @@ func New(ancestry Ancestry) *Manager {
 	if ancestry == nil {
 		ancestry = NoNesting
 	}
-	m := &Manager{ancestry: ancestry, seed: maphash.MakeSeed()}
-	for i := range m.stripes {
-		m.stripes[i].entries = make(map[string]*entry)
+	return &Manager{
+		ancestry: ancestry,
+		entries:  make(map[string]*entry),
+		owners:   make(map[Owner][]string),
 	}
-	for i := range m.owners {
-		m.owners[i].keys = make(map[Owner][]string)
-	}
-	return m
 }
 
 // SetObserver attaches queue observability hooks. Call before the manager
 // sees concurrent traffic.
 func (m *Manager) SetObserver(o Observer) { m.obs = o }
 
-// stripeOf returns the stripe owning key. Callers lock st.mu.
-func (m *Manager) stripeOf(key string) *stripe {
-	return &m.stripes[maphash.String(m.seed, key)&(stripeCount-1)]
-}
-
-// shardOf returns the owner shard owning owner. Callers lock sh.mu.
-func (m *Manager) shardOf(owner Owner) *ownerShard {
-	return &m.owners[maphash.String(m.seed, string(owner))&(ownerShardCount-1)]
-}
-
-// indexKey records key under owner in the owner index.
-func (m *Manager) indexKey(owner Owner, key string) {
-	sh := m.shardOf(owner)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	keys, ok := sh.keys[owner]
-	if n := len(sh.free); !ok && n > 0 {
-		keys, sh.free = sh.free[n-1], sh.free[:n-1]
+// indexKeyLocked records key under owner in the owner index.
+func (m *Manager) indexKeyLocked(owner Owner, key string) {
+	keys, ok := m.owners[owner]
+	if n := len(m.freeKeys); !ok && n > 0 {
+		keys, m.freeKeys = m.freeKeys[n-1], m.freeKeys[:n-1]
 	}
 	if !slices.Contains(keys, key) {
-		sh.keys[owner] = append(keys, key)
+		m.owners[owner] = append(keys, key)
 	}
 }
 
-// unindexKey removes key from owner's index entry.
-func (m *Manager) unindexKey(owner Owner, key string) {
-	sh := m.shardOf(owner)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	keys := sh.keys[owner]
+// unindexKeyLocked removes key from owner's index entry.
+func (m *Manager) unindexKeyLocked(owner Owner, key string) {
+	keys := m.owners[owner]
 	i := slices.Index(keys, key)
 	if i < 0 {
 		return
 	}
 	if keys = slices.Delete(keys, i, i+1); len(keys) > 0 {
-		sh.keys[owner] = keys
+		m.owners[owner] = keys
 		return
 	}
-	delete(sh.keys, owner)
-	sh.recycle(keys)
+	delete(m.owners, owner)
+	m.recycleKeysLocked(keys)
 }
 
-// takeKeys removes owner's whole key index entry and returns its keys,
-// appended to buf.
-func (m *Manager) takeKeys(owner Owner, buf []string) []string {
-	sh := m.shardOf(owner)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	keys, ok := sh.keys[owner]
-	if !ok {
-		return buf
-	}
-	delete(sh.keys, owner)
-	buf = append(buf, keys...)
-	clear(keys)
-	sh.recycle(keys[:0])
-	return buf
-}
-
-// recycle keeps an emptied key list for the shard's next new owner.
-func (sh *ownerShard) recycle(keys []string) {
-	if len(sh.free) < maxFreeEntries {
-		sh.free = append(sh.free, keys)
+// recycleKeysLocked keeps an emptied key list for the next new owner.
+func (m *Manager) recycleKeysLocked(keys []string) {
+	if len(m.freeKeys) < maxFree {
+		m.freeKeys = append(m.freeKeys, keys)
 	}
 }
 
-func (st *stripe) entryLocked(key string) *entry {
-	e, ok := st.entries[key]
+func (m *Manager) entryLocked(key string) *entry {
+	e, ok := m.entries[key]
 	if !ok {
-		if n := len(st.free); n > 0 {
-			e, st.free = st.free[n-1], st.free[:n-1]
+		if n := len(m.freeEntries); n > 0 {
+			e, m.freeEntries = m.freeEntries[n-1], m.freeEntries[:n-1]
 		} else {
 			e = &entry{}
 		}
-		st.entries[key] = e
+		m.entries[key] = e
 	}
 	return e
 }
@@ -387,7 +327,7 @@ func (m *Manager) mayOvertakeLocked(e *entry, owner Owner) bool {
 }
 
 // grantLocked adds one unit of mode for owner on e and indexes the key
-// under the owner; the entry's stripe is held.
+// under the owner.
 func (m *Manager) grantLocked(e *entry, key string, owner Owner, mode Mode) {
 	h := e.holder(owner)
 	if h == nil {
@@ -395,14 +335,14 @@ func (m *Manager) grantLocked(e *entry, key string, owner Owner, mode Mode) {
 		h = &e.holders[len(e.holders)-1]
 	}
 	h.counts[mode]++
-	m.indexKey(owner, key)
+	m.indexKeyLocked(owner, key)
 }
 
 // grantWaitersLocked hands the entry's lock to queued waiters strictly in
 // FIFO order: the head is granted while grantable (consecutive compatible
 // waiters — e.g. a run of readers — are granted together), and granting
 // stops at the first waiter that still conflicts. Performed under the
-// stripe lock, so no concurrently arriving acquire can barge between a
+// table's mutex, so no concurrently arriving acquire can barge between a
 // release and the grant it enables.
 func (m *Manager) grantWaitersLocked(e *entry, key string) {
 	for len(e.waiters) > 0 {
@@ -417,14 +357,14 @@ func (m *Manager) grantWaitersLocked(e *entry, key string) {
 	}
 }
 
-// gcLocked retires an entry with no holders and no waiters to the
-// stripe's free list.
-func (st *stripe) gcLocked(e *entry, key string) {
+// gcLocked retires an entry with no holders and no waiters to the free
+// list.
+func (m *Manager) gcLocked(e *entry, key string) {
 	if len(e.holders) == 0 && len(e.waiters) == 0 {
-		delete(st.entries, key)
-		if len(st.free) < maxFreeEntries {
+		delete(m.entries, key)
+		if len(m.freeEntries) < maxFree {
 			e.waiters = nil // the queue's backing array was sliced away from its head
-			st.free = append(st.free, e)
+			m.freeEntries = append(m.freeEntries, e)
 		}
 	}
 }
@@ -442,20 +382,19 @@ func (st *stripe) gcLocked(e *entry, key string) {
 // performing a blocking promotion; the non-blocking variant used at commit
 // time is TryPromote.
 func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mode) error {
-	st := m.stripeOf(key)
-	st.mu.Lock()
-	e := st.entryLocked(key)
+	m.mu.Lock()
+	e := m.entryLocked(key)
 	if m.grantableLocked(e, owner, mode) && m.mayOvertakeLocked(e, owner) {
 		m.grantLocked(e, key, owner, mode)
-		st.mu.Unlock()
+		m.mu.Unlock()
 		return nil
 	}
 	w := &waiter{owner: owner, mode: mode, ready: make(chan struct{})}
 	e.waiters = append(e.waiters, w)
 	// Indexed like a hold, so that ReleaseAll finds the queue entry too.
-	m.indexKey(owner, key)
+	m.indexKeyLocked(owner, key)
 	depth := len(e.waiters)
-	st.mu.Unlock()
+	m.mu.Unlock()
 	if m.obs != nil {
 		m.obs.LockQueued(depth)
 	}
@@ -471,7 +410,7 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 		}
 		return nil
 	case <-ctx.Done():
-		m.abandonWaiter(st, key, w)
+		m.abandonWaiter(key, w)
 		return fmt.Errorf("lockmgr: acquire %s on %q for %s: %w", mode, key, owner, ctx.Err())
 	}
 }
@@ -479,17 +418,17 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 // abandonWaiter removes w from key's queue after a cancellation. A grant
 // that raced the cancellation is undone — one unit released — so a
 // cancelled Acquire never leaves its owner holding the lock.
-func (m *Manager) abandonWaiter(st *stripe, key string, w *waiter) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[key]
+func (m *Manager) abandonWaiter(key string, w *waiter) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
 	if !ok {
 		// Only reachable when a racing ReleaseAll for this owner already
 		// dropped the granted lock and GC'd the entry; nothing is held.
 		return
 	}
 	if w.granted {
-		m.releaseOneLocked(st, e, key, w.owner, w.mode)
+		m.releaseOneLocked(e, key, w.owner, w.mode)
 		return
 	}
 	for i, q := range e.waiters {
@@ -501,12 +440,12 @@ func (m *Manager) abandonWaiter(st *stripe, key string, w *waiter) {
 	// Removing a waiter can unblock the ones behind it (a cancelled
 	// writer between readers).
 	m.grantWaitersLocked(e, key)
-	st.gcLocked(e, key)
+	m.gcLocked(e, key)
 }
 
 // releaseOneLocked drops one unit of mode held by owner and hands the
-// entry to queued waiters; stripe held.
-func (m *Manager) releaseOneLocked(st *stripe, e *entry, key string, owner Owner, mode Mode) {
+// entry to queued waiters.
+func (m *Manager) releaseOneLocked(e *entry, key string, owner Owner, mode Mode) {
 	h := e.holder(owner)
 	if h == nil || h.counts[mode] == 0 {
 		return
@@ -514,10 +453,10 @@ func (m *Manager) releaseOneLocked(st *stripe, e *entry, key string, owner Owner
 	h.counts[mode]--
 	if h.empty() {
 		e.dropHolder(owner)
-		m.unindexKey(owner, key)
+		m.unindexKeyLocked(owner, key)
 	}
 	m.grantWaitersLocked(e, key)
-	st.gcLocked(e, key)
+	m.gcLocked(e, key)
 }
 
 // TryAcquire is a non-blocking Acquire: it either grants immediately or
@@ -526,12 +465,11 @@ func (m *Manager) releaseOneLocked(st *stripe, e *entry, key string, owner Owner
 // Acquire it refuses to overtake queued waiters, so it cannot starve the
 // FIFO queue.
 func (m *Manager) TryAcquire(owner Owner, key string, mode Mode) error {
-	st := m.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e := st.entryLocked(key)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.entryLocked(key)
 	if !m.grantableLocked(e, owner, mode) || !m.mayOvertakeLocked(e, owner) {
-		st.gcLocked(e, key)
+		m.gcLocked(e, key)
 		return fmt.Errorf("%s on %q for %s: %w", mode, key, owner, ErrRefused)
 	}
 	m.grantLocked(e, key, owner, mode)
@@ -546,10 +484,9 @@ func (m *Manager) TryAcquire(owner Owner, key string, mode Mode) error {
 // while other clients hold read locks, whereas read → ExcludeWrite
 // succeeds alongside them.
 func (m *Manager) TryPromote(owner Owner, key string, from, to Mode) error {
-	st := m.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[key]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
 	if !ok {
 		return fmt.Errorf("promote on %q: owner %s holds nothing: %w", key, owner, ErrRefused)
 	}
@@ -568,17 +505,16 @@ func (m *Manager) TryPromote(owner Owner, key string, from, to Mode) error {
 // Release drops one unit of mode held by owner on key. Releasing a lock
 // not held is a programming error and is reported.
 func (m *Manager) Release(owner Owner, key string, mode Mode) error {
-	st := m.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[key]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
 	if !ok {
 		return fmt.Errorf("lockmgr: release %s on %q: no such entry", mode, key)
 	}
 	if h := e.holder(owner); h == nil || h.counts[mode] == 0 {
 		return fmt.Errorf("lockmgr: release %s on %q: not held by %s", mode, key, owner)
 	}
-	m.releaseOneLocked(st, e, key, owner, mode)
+	m.releaseOneLocked(e, key, owner, mode)
 	return nil
 }
 
@@ -586,36 +522,41 @@ func (m *Manager) Release(owner Owner, key string, mode Mode) error {
 // action — and fails the owner's acquires still parked in a queue with
 // ErrReleased: a request whose caller gave up and ended the action while
 // its handler lived on must not be granted the lock afterwards, when
-// nobody is left to release it. The owner's key set is snapshotted first;
-// acquires the owner issues after this point are not covered.
+// nobody is left to release it.
 func (m *Manager) ReleaseAll(owner Owner) {
-	var buf [4]string
-	for _, key := range m.takeKeys(owner, buf[:0]) {
-		st := m.stripeOf(key)
-		st.mu.Lock()
-		if e := st.entries[key]; e != nil {
-			e.dropHolder(owner)
-			e.waiters = slices.DeleteFunc(e.waiters, func(w *waiter) bool {
-				if w.owner != owner {
-					return false
-				}
-				close(w.ready) // ungranted: the parked Acquire fails
-				return true
-			})
-			m.grantWaitersLocked(e, key)
-			st.gcLocked(e, key)
-		}
-		st.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keys, ok := m.owners[owner]
+	if !ok {
+		return
 	}
+	delete(m.owners, owner)
+	for _, key := range keys {
+		e := m.entries[key]
+		if e == nil { // a cancelled Acquire's key, its entry since retired
+			continue
+		}
+		e.dropHolder(owner)
+		e.waiters = slices.DeleteFunc(e.waiters, func(w *waiter) bool {
+			if w.owner != owner {
+				return false
+			}
+			close(w.ready) // ungranted: the parked Acquire fails
+			return true
+		})
+		m.grantWaitersLocked(e, key)
+		m.gcLocked(e, key)
+	}
+	clear(keys)
+	m.recycleKeysLocked(keys[:0])
 }
 
 // QueueDepth reports how many acquirers are waiting on key, for
 // inspection and tests.
 func (m *Manager) QueueDepth(key string) int {
-	st := m.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[key]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
 	if !ok {
 		return 0
 	}
@@ -628,10 +569,9 @@ func (m *Manager) HolderModes(key string) []struct {
 	Owner Owner
 	Mode  Mode
 } {
-	st := m.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[key]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
 	if !ok {
 		return nil
 	}
@@ -654,10 +594,9 @@ func (m *Manager) HolderModes(key string) []struct {
 // access on key (a Write holder Holds Read, per promotion ordering; note
 // ExcludeWrite does not imply Read semantics — it is checked exactly).
 func (m *Manager) Holds(owner Owner, key string, mode Mode) bool {
-	st := m.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[key]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
 	if !ok {
 		return false
 	}

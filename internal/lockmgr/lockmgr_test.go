@@ -386,10 +386,10 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestStripedDisjointKeysFullLifecycle(t *testing.T) {
-	// Hammer the striped table from many goroutines on disjoint keys —
+func TestDisjointKeysFullLifecycle(t *testing.T) {
+	// Hammer the table from many goroutines on disjoint keys —
 	// acquire, promote, release, release-all — and verify per-key holder
-	// state stays exact. Run with -race to check the stripe discipline.
+	// state stays exact. Run with -race to check the locking discipline.
 	m := New(NoNesting)
 	const workers = 16
 	const keysPerWorker = 40
@@ -439,8 +439,8 @@ func TestStripedDisjointKeysFullLifecycle(t *testing.T) {
 	}
 }
 
-func TestStripedPromotionContentionOneKey(t *testing.T) {
-	// All contenders on ONE key (one stripe): shared readers, then each
+func TestPromotionContentionOneKey(t *testing.T) {
+	// All contenders on ONE key: shared readers, then each
 	// tries the §4.2.1 commit-time promotions. Read→Write must be refused
 	// while other readers hold; read→ExcludeWrite succeeds for exactly one
 	// holder at a time.

@@ -73,7 +73,7 @@ func TestActiveTwoWritersNeverWedge(t *testing.T) {
 }
 
 func activeTwoWriters() error {
-	sys, err := arjuna.Open(arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithClients(2), arjuna.WithPolicy(arjuna.Active))
+	sys, err := arjuna.Open(arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithClients(2))
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func activeTwoWriters() error {
 	obj := sys.Objects()[0]
 	var ops []func(context.Context) error
 	for _, name := range []string{"c1", "c2"} {
-		cl, err := sys.Client(name)
+		cl, err := sys.Client(name, arjuna.ClientPolicy(arjuna.Active))
 		if err != nil {
 			return err
 		}
@@ -113,17 +113,17 @@ func TestActiveReadOnlyReaderBesideWriter(t *testing.T) {
 }
 
 func activeReaderBesideWriter(reader string) error {
-	sys, err := arjuna.Open(arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithClients(3), arjuna.WithPolicy(arjuna.Active))
+	sys, err := arjuna.Open(arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithClients(3))
 	if err != nil {
 		return err
 	}
 	defer func() { _ = sys.Close() }()
 	obj := sys.Objects()[0]
-	w, err := sys.Client("c1")
+	w, err := sys.Client("c1", arjuna.ClientPolicy(arjuna.Active))
 	if err != nil {
 		return err
 	}
-	r, err := sys.Client(reader, arjuna.ClientReadOnly())
+	r, err := sys.Client(reader, arjuna.ClientPolicy(arjuna.Active), arjuna.ClientReadOnly())
 	if err != nil {
 		return err
 	}

@@ -368,9 +368,10 @@ func TestClientDegreeDefault(t *testing.T) {
 		{"active, degree -1", arjuna.Active, []arjuna.ClientOption{arjuna.ClientDegree(-1)}, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sys := openT(t, arjuna.WithServers(3), arjuna.WithPolicy(c.policy))
+			sys := openT(t, arjuna.WithServers(3))
 			id := sys.Objects()[0]
-			if _, _, err := clientT(t, sys, "c1", c.opts...).Apply(ctx, id, "add", []byte("1")); err != nil {
+			opts := append([]arjuna.ClientOption{arjuna.ClientPolicy(c.policy)}, c.opts...)
+			if _, _, err := clientT(t, sys, "c1", opts...).Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatalf("apply: %v", err)
 			}
 			var active []transport.Addr

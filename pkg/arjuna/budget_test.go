@@ -206,16 +206,17 @@ func TestReadOnlyClientCallsPerAction(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		opts      []arjuna.Option
+		client    []arjuna.ClientOption
 		calls, db int64
 	}{
-		{"pinned/read-leases", []arjuna.Option{arjuna.WithReadLeases(30 * time.Second)}, 4, 2},
-		{"pinned/active", []arjuna.Option{arjuna.WithPolicy(arjuna.Active)}, 5, 2},
-		{"pinned/standard", []arjuna.Option{arjuna.WithScheme(arjuna.SchemeStandard)}, 3, 2},
+		{"pinned/read-leases", []arjuna.Option{arjuna.WithReadLeases(30 * time.Second)}, nil, 4, 2},
+		{"pinned/active", nil, []arjuna.ClientOption{arjuna.ClientPolicy(arjuna.Active)}, 5, 2},
+		{"pinned/standard", nil, []arjuna.ClientOption{arjuna.ClientScheme(arjuna.SchemeStandard)}, 3, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net := newNet()
 			sys := openT(t, append(c.opts, arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithObjects(2), arjuna.WithNetwork(net))...)
-			ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
+			ro := clientT(t, sys, "c1", append(c.client, arjuna.ClientReadOnly())...)
 			// Each object is read once: a second read of one would be served
 			// from the lease the first harvested.
 			if _, _, err := readOne(ctx, ro, sys.Objects()[1]); err != nil {

@@ -53,17 +53,12 @@ type Method = object.Method
 type config struct {
 	harness.Options
 
-	scheme Scheme
-	policy Policy
-
 	admission int
 }
 
 func defaultConfig() config {
 	return config{
 		Options: harness.Options{Servers: 2, Stores: 2, Clients: 1, Objects: 1},
-		scheme:  SchemeIndependent,
-		policy:  SingleCopyPassive,
 	}
 }
 
@@ -96,14 +91,6 @@ func WithObjects(n int) Option { return func(c *config) { c.Objects = n } }
 // group (one "db" node): its placement table has one row. Either way a
 // Client resolves a placement without a message.
 func WithShards(n int) Option { return func(c *config) { c.Shards = n } }
-
-// WithScheme sets the deployment's default database access scheme;
-// individual clients may override it with ClientScheme.
-func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
-
-// WithPolicy sets the deployment's default replication policy; individual
-// clients may override it with ClientPolicy.
-func WithPolicy(p Policy) Option { return func(c *config) { c.policy = p } }
 
 // WithAdmission caps how many top-level Atomic actions may be in flight
 // across the whole deployment at once. The admission gate is the
@@ -221,12 +208,12 @@ type clientConfig struct {
 // ClientOption configures System.Client.
 type ClientOption func(*clientConfig)
 
-// ClientScheme overrides the deployment's default access scheme for this
-// client.
+// ClientScheme sets this client's database access scheme; the default is
+// SchemeIndependent.
 func ClientScheme(s Scheme) ClientOption { return func(c *clientConfig) { c.scheme = s } }
 
-// ClientPolicy overrides the deployment's default replication policy for
-// this client.
+// ClientPolicy sets this client's replication policy; the default is
+// SingleCopyPassive.
 func ClientPolicy(p Policy) ClientOption { return func(c *clientConfig) { c.policy = p } }
 
 // ClientDegree sets the desired number of activated replicas per binding

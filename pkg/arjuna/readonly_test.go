@@ -401,8 +401,8 @@ func TestLeasedClientNeverCarries(t *testing.T) {
 // client's read there is a plain invoke at its one replica (outside the
 // group's order, see replica.Config.ReadOnly) and the prepare it always was.
 func TestCarriedReadActiveDegrades(t *testing.T) {
-	sys := openT(t, arjuna.WithServers(2), arjuna.WithStores(1), arjuna.WithPolicy(arjuna.Active))
-	ro := clientT(t, sys, "c1", arjuna.ClientReadOnly())
+	sys := openT(t, arjuna.WithServers(2), arjuna.WithStores(1))
+	ro := clientT(t, sys, "c1", arjuna.ClientPolicy(arjuna.Active), arjuna.ClientReadOnly())
 	ctx, obj := context.Background(), sys.Objects()[0]
 	sent := watchServerCalls(t, sys, "c1")
 	got, rep, err := readOne(ctx, ro, obj)

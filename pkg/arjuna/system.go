@@ -99,15 +99,15 @@ func (s *System) Close() error {
 }
 
 // Client returns a client bound to the named client node (c1..cN), with
-// the deployment's default scheme and policy unless overridden by options.
+// SchemeIndependent and SingleCopyPassive unless options say otherwise.
 func (s *System) Client(name string, opts ...ClientOption) (*Client, error) {
 	addr := transport.Addr(name)
 	if s.w.Mgrs[addr] == nil {
 		return nil, fmt.Errorf("arjuna: client node %q: %w", name, ErrUnknownNode)
 	}
 	cc := clientConfig{
-		scheme:  s.cfg.scheme,
-		policy:  s.cfg.policy,
+		scheme:  SchemeIndependent,
+		policy:  SingleCopyPassive,
 		retries: defaultRetries,
 		backoff: defaultBackoff,
 	}
@@ -548,8 +548,8 @@ func (s *System) StatsSnapshot() string {
 // String implements fmt.Stringer.
 func (s *System) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "arjuna.System(%d × (db + %d servers + %d stores) + %d clients, scheme=%v, policy=%v",
-		len(s.w.Groups), s.cfg.Servers, s.cfg.Stores, len(s.w.Clients), s.cfg.scheme, s.cfg.policy)
+	fmt.Fprintf(&b, "arjuna.System(%d × (db + %d servers + %d stores) + %d clients",
+		len(s.w.Groups), s.cfg.Servers, s.cfg.Stores, len(s.w.Clients))
 	net := s.w.Cluster.Net()
 	if f, ok := net.(*transport.Faulty); ok {
 		net = f.Inner()
