@@ -136,8 +136,8 @@ func run(args []string) error {
 		return nil
 	}
 
-	// E8 (nested top-level) is covered inside the E6 table's three rows;
-	// keep the id addressable anyway.
+	// E8 (nested top-level) is a row of the E6 table, and it runs the
+	// independent row's code; keep the id addressable anyway.
 	ran := 0
 	for _, j := range jobs {
 		if !want(j.id) && !(j.id == "E6" && (want("E8") || want("E6"))) {

@@ -2,15 +2,10 @@
 // top-level atomic actions with the properties of serialisability, failure
 // atomicity and permanence of effect, in the style of Arjuna.
 //
-// The paper's protocols (§4.1) use two structuring forms, both begun by
-// BeginTop:
-//
-//   - independent top-level actions — BeginTop() with no enclosing action;
-//   - nested top-level actions — BeginTop() invoked from within another
-//     action; it commits independently of the enclosing action, which is
-//     precisely the semantics Figure 8 relies on.
-//
-// Every action is top-level: it owns its locks and participants itself,
+// Every action is top-level, begun by BeginTop: there are no nested
+// actions, so the paper's nested top-level actions (Figure 8) are not
+// built, and the binder runs Figure 8's scheme as Figure 7's independent
+// top-level actions. An action owns its locks and participants itself,
 // and its ID is the commit-record key. Commitment runs two-phase commit
 // over the enlisted Participants; the commit point is a record in the coordinator's
 // OutcomeLog, which recovering participants consult (presumed abort).
@@ -337,9 +332,8 @@ type Action struct {
 	retainLog    bool
 }
 
-// BeginTop starts a top-level action. Called from within another action's
-// dynamic extent, it is a *nested top-level action* (Figure 8): it commits
-// or aborts independently of the enclosing action.
+// BeginTop starts a top-level action. It commits or aborts independently of
+// every other action, one begun while another is running included.
 func (m *Manager) BeginTop() *Action {
 	return &Action{mgr: m, id: m.gen.New().String(), status: StatusRunning}
 }

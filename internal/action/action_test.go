@@ -365,11 +365,12 @@ func TestOnResolveReportsRegistration(t *testing.T) {
 }
 
 func TestNestedTopLevelActionIndependent(t *testing.T) {
-	// Figure 8: a top-level action begun inside another commits even if
-	// the enclosing action later aborts.
+	// An action begun while another runs commits even if the other later
+	// aborts: the independence Figure 8's nested top-level actions have,
+	// though no binder begins one inside another.
 	m := NewManager("client", nil)
 	outer := m.BeginTop()
-	inner := m.BeginTop() // nested top-level: structurally independent
+	inner := m.BeginTop() // begun while outer runs: still independent
 	p := &fakeParticipant{name: "db"}
 	_ = inner.Enlist(p)
 	if _, err := inner.Commit(context.Background()); err != nil {

@@ -4,7 +4,8 @@
 // users while CI stayed green. The benchmark (bench/) is its own module,
 // which `go build ./... && go test ./...` never enters, so it is vetted
 // from here too. It also checks README's census of the facade's options
-// against the source, that RPC payloads keep to one codec, and that CI's
+// against the source, that README stays short and names only tests and
+// paths that exist, that RPC payloads keep to one codec, and that CI's
 // test selections name tests that exist.
 package buildcheck
 

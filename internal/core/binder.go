@@ -25,7 +25,10 @@ import (
 // application action (§4.1.2–§4.1.3).
 type Scheme int
 
-// The three access schemes of the paper.
+// The three access schemes of the paper. Figure 8 differs from Figure 7
+// only in nesting the database actions inside the client action, and this
+// system has no nested actions: SchemeNestedTopLevel binds through Figure
+// 7's code, and its spelling stays so that all three figures can be named.
 const (
 	// SchemeStandard — Figure 6: GetServer/GetView run under the client
 	// action itself, which owns their read locks until it ends. Sv is
@@ -37,9 +40,9 @@ const (
 	// increments use counts; after the client action terminates another
 	// top-level action decrements them. Sv stays current.
 	SchemeIndependent
-	// SchemeNestedTopLevel — Figure 8: functionally SchemeIndependent, but
-	// the database actions are nested top-level actions begun from inside
-	// the client action.
+	// SchemeNestedTopLevel — Figure 8: in the paper, SchemeIndependent with
+	// the database actions begun as nested top-level actions inside the
+	// client action. Here it runs SchemeIndependent's code.
 	SchemeNestedTopLevel
 )
 
@@ -80,8 +83,8 @@ func (s Scheme) String() string {
 // to bind, and once, shared with the action's other bindings there, to end —
 // and each conversation is one message (Client.Do) carrying the paper's
 // operations in the paper's order, each under the action that owns it —
-// the short top-level actions of Figure 7 (nested top-level in Figure 8)
-// each under its message's own (BatchReq):
+// the short top-level actions of Figure 7 (Figure 8's scheme runs the same
+// code) each under its message's own (BatchReq):
 //
 //   - bind — [Bind(own), GetView(client action)]: the first shaded action
 //     reads Sv and the use lists, selects the servers by the fixed rule and

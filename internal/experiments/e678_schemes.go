@@ -142,6 +142,7 @@ func RunE678(cfg SchemeConfig) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper claim (Fig 6): under the standard scheme Sv is static — every client after the crash probes the dead node",
 		"paper claim (Fig 7/8): the enhanced schemes repair Sv — only the first client after the crash pays the probe",
+		"nested-top-level runs the independent-top-level row's code: without nested actions Figure 8 is Figure 7",
 	)
 	return t, nil
 }
@@ -230,6 +231,7 @@ func RunE678Contention(clients, actionsPerClient int, latency time.Duration, see
 	t.Notes = append(t.Notes,
 		"paper claim: the standard scheme avoids write locks on the database (GetServer is a shared read);",
 		"the enhanced schemes pay Increment/Decrement write-lock actions per bind — 'a situation which we are trying to avoid' (§4.1.2)",
+		"nested-top-level runs the independent-top-level row's code: without nested actions Figure 8 is Figure 7",
 	)
 	return t, nil
 }

@@ -145,6 +145,9 @@ func TestE678ProbeShape(t *testing.T) {
 	}
 }
 
+// TestE678NestedTopLevelMatchesIndependent: without nested actions Figure 8
+// runs Figure 7's code, so on one workload the two schemes' rows agree in
+// every count, and both repair Sv with the one probe.
 func TestE678NestedTopLevelMatchesIndependent(t *testing.T) {
 	cfg := SchemeConfig{
 		Servers: 2, Stores: 1, Clients: 3,
@@ -154,6 +157,17 @@ func TestE678NestedTopLevelMatchesIndependent(t *testing.T) {
 	ntl, err := RunScheme(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cfg.Scheme = core.SchemeIndependent
+	ind, err := RunScheme(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct{ committed, aborted, probesBefore, probesAfter int }
+	nested := counts{ntl.Committed, ntl.Aborted, ntl.ProbesBefore, ntl.ProbesAfter}
+	independent := counts{ind.Committed, ind.Aborted, ind.ProbesBefore, ind.ProbesAfter}
+	if nested != independent {
+		t.Fatalf("nested-top-level row %+v, independent row %+v: want them equal", nested, independent)
 	}
 	if ntl.ProbesAfter != 1 {
 		t.Fatalf("nested-top-level probes = %d, want 1", ntl.ProbesAfter)

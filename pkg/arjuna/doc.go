@@ -78,7 +78,7 @@
 // object such an action binds is bound unpinned — its St view read joins the
 // bind action — because for an action of one object, which copies nothing
 // back, the St read lock guards nothing. A single-read action is two
-// messages (bind, invoke; four before) and holds its read lock for the
+// messages (bind, invoke) and holds its read lock for the
 // method, not for a client round trip. An action that goes on to a second
 // object first pins the first (one GetView under the client action, one more
 // database message, released with the action) and binds the rest pinned; a
@@ -235,8 +235,10 @@
 // The three database access schemes of §4 (standard, independent
 // top-level, nested top-level) and the three replication policies of §2.3
 // (single-copy passive, active, coordinator-cohort) are selected per
-// system or per client via options; Crash/Recover drive the §4.1.2/§4.2
-// failure and recovery protocols for whole nodes.
+// client, by ClientScheme and ClientPolicy. There are no nested actions, so
+// the nested top-level scheme (Figure 8) runs the independent one's code
+// (Figure 7). Crash/Recover drive the §4.1.2/§4.2 failure and recovery
+// protocols for whole nodes.
 //
 // # Sharding
 //
