@@ -72,7 +72,7 @@ func wireSamples() []wiretest.Record {
 		wiretest.Of(group.SequenceResp{Seq: 4, Replies: []group.Reply{{Member: "n1", Payload: []byte{7}}, {Member: "n2", Err: "boom"}}, Failed: []string{"n3"}}),
 		wiretest.Of(group.DeliverBatchReq{Group: "g1", Items: []group.BatchItem{{MsgID: "m3", Kind: "invoke", Payload: []byte{1}, Seq: 6}, {MsgID: "m4", Kind: "install", Seq: 7}}, Stable: 5}),
 		wiretest.Of(group.DeliverBatchResp{Results: []group.BatchResult{{Payload: []byte{2}}, {Err: "nope"}}}),
-		wiretest.Of(lease.Inval{UID: "obj", Seq: 8}),
+		wiretest.Of(lease.Inval{UID: "obj", Seq: 8, NewSeq: 9, State: []byte{4, 2}}),
 		wiretest.Of(rpc.Empty{}),
 		wiretest.Of(action.LookupReq{Tx: "c1:1:42"}),
 		wiretest.Of(action.LookupResp{Outcome: store.OutcomeCommitted}),

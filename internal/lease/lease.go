@@ -1,17 +1,17 @@
 // Package lease implements the client side of cached read leases: a
 // tiered snapshot cache (a small per-client L1 over a shared per-node
 // L2) whose entries are leased object snapshots granted by object
-// servers, invalidated either eagerly — by one invalidation record the
-// committing server sends to the holder's mailbox — or lazily by lease
-// expiry when the holder is unreachable.
+// servers, retired either eagerly — by one record the committing server
+// sends to the holder's mailbox — or lazily by lease expiry when the
+// holder is unreachable.
 //
 // A cache entry is (state, seq, expiry). While the entry is valid —
 // not expired and not invalidated — the holder may apply read-only
 // methods to the cached state locally, with zero RPCs and zero
 // lock-manager traffic, and the result is guaranteed to reflect the
 // latest committed version the reader could have observed: any commit
-// that advances the object's version either delivered an invalidation
-// to this holder or waited out the lease clock before acknowledging
+// that advances the object's version either retired this holder's lease
+// at the old version or waited out the lease clock before acknowledging
 // (the standard lease safety rule; see the server side in
 // internal/object).
 //
@@ -24,6 +24,17 @@
 // mailbox kills and drops the node's entry for the object when that
 // entry's version is s or older, leaves a newer grant alone, and answers
 // without error whether or not it held anything.
+//
+// Update in place. The fence of a server's own commit carries the new
+// version s' and its state in the same frame. A holder whose entry at s
+// or older is still live swaps in an entry at s' under the OLD entry's
+// expiry and answers Kept; the server then keeps it on its holder list at
+// the expiry it recorded for the grant. An update never extends a lease,
+// so every bound the expiry-based safety argument uses — the server's
+// recorded expiry, the 2×TTL window a committer waits out — holds for the
+// moved lease as it held for the grant. A holder with nothing live answers
+// empty and drops off the list; a repeat of an update already applied
+// answers Kept again and changes nothing.
 package lease
 
 import (
@@ -87,7 +98,8 @@ type Cache struct {
 // node's Mailbox. The join comes before any Put can make an entry
 // servable: committing servers read a clean or not-found reply from a
 // holder as proof that no lease at the version they replace survives
-// there (see invalidateHolders in internal/object).
+// there, and a Kept one as proof that the one lease left is at the new
+// version (see invalidateHolders in internal/object).
 func NewCache(host *group.Host, stats *metrics.Registry) *Cache {
 	c := &Cache{stats: stats, entries: make(map[uid.UID]*Entry)}
 	host.Join(Mailbox, c.deliver)
@@ -134,7 +146,12 @@ func (c *Cache) pruneSomeLocked(now time.Time) {
 
 // deliver is the Mailbox's apply: an Inval at version s kills and drops
 // the node's entry for the object when that entry's version is s or
-// older. It answers without error whether or not anything was held.
+// older. An updating Inval (NewSeq past s) puts an entry at NewSeq with
+// the Inval's state in its place, under the old entry's expiry, when the
+// old entry was still live, and answers Kept; it answers Kept too for a
+// live entry already at NewSeq, so a repeated frame reads as the first
+// did. A newer entry is left alone. Every other answer is empty, and none
+// is an error.
 func (c *Cache) deliver(_ context.Context, msg group.Delivered) ([]byte, error) {
 	if msg.Kind != KindInval {
 		return nil, nil
@@ -147,18 +164,34 @@ func (c *Cache) deliver(_ context.Context, msg group.Delivered) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
+	now := time.Now()
+	update := inv.NewSeq > inv.Seq
+	var answer []byte
 	c.mu.Lock()
 	e := c.entries[id]
 	killed := e != nil && e.Snap.Seq <= inv.Seq
-	if killed {
+	switch {
+	case killed:
+		live := e.Valid(now)
 		e.Kill()
 		delete(c.entries, id)
+		if update && live {
+			snap := e.Snap
+			snap.State, snap.Seq = inv.State, inv.NewSeq
+			c.entries[id] = &Entry{Snap: snap}
+			answer = kept
+		}
+	case update && e != nil && e.Snap.Seq == inv.NewSeq && e.Valid(now):
+		answer = kept
 	}
 	c.mu.Unlock()
 	if killed {
 		c.stats.Counter("lease.invalidated").Inc()
+		if answer != nil {
+			c.stats.Counter("lease.updated").Inc()
+		}
 	}
-	return nil, nil
+	return answer, nil
 }
 
 // Get returns the object's lease entry if it is still valid at now.

@@ -48,6 +48,7 @@ func TestPutPrunesExpiredEntries(t *testing.T) {
 // sends it invalidations as a committing server's fence does.
 type mailboxWorld struct {
 	cache     *Cache
+	stats     *metrics.Registry
 	committer *sim.Node
 }
 
@@ -55,26 +56,46 @@ func newMailboxWorld(t *testing.T) *mailboxWorld {
 	t.Helper()
 	cluster := sim.NewCluster(transport.MemOptions{})
 	holder := cluster.Add("holder")
+	stats := &metrics.Registry{}
 	return &mailboxWorld{
-		cache:     NewCache(group.NewHost(holder.Server(), holder.Client()), &metrics.Registry{}),
+		cache:     NewCache(group.NewHost(holder.Server(), holder.Client()), stats),
+		stats:     stats,
 		committer: cluster.Add("committer"),
 	}
 }
 
-// inval sends the holder's Mailbox one Inval for (id, seq) and fails the
-// test unless the holder answered without error.
-func (w *mailboxWorld) inval(t *testing.T, id uid.UID, seq uint64) {
+// send delivers inv to the holder's Mailbox, fails the test unless the
+// holder answered without error, and returns the answer.
+func (w *mailboxWorld) send(t *testing.T, inv Inval) []byte {
 	t.Helper()
-	payload, err := EncodeInval(&Inval{UID: id.String(), Seq: seq})
+	payload, err := EncodeInval(&inv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := group.NaiveMulticast(context.Background(), w.committer.Client(),
 		group.Group{ID: Mailbox, Members: []transport.Addr{"holder"}}, KindInval, payload)
 	if len(res.Failed) != 0 || len(res.Replies) != 1 || res.Replies[0].Err != "" {
-		t.Fatalf("invalidation of %v at %d: failed %v, replies %+v", id, seq, res.Failed, res.Replies)
+		t.Fatalf("%+v: failed %v, replies %+v", inv, res.Failed, res.Replies)
+	}
+	return res.Replies[0].Payload
+}
+
+// inval sends the holder's Mailbox one kill-only Inval for (id, seq).
+func (w *mailboxWorld) inval(t *testing.T, id uid.UID, seq uint64) {
+	t.Helper()
+	if answer := w.send(t, Inval{UID: id.String(), Seq: seq}); answer != nil {
+		t.Fatalf("a kill-only invalidation was answered %v", answer)
 	}
 }
+
+// update sends the holder's Mailbox one updating Inval moving (id, seq) to
+// newSeq with state, and reports whether the holder answered Kept.
+func (w *mailboxWorld) update(t *testing.T, id uid.UID, seq, newSeq uint64, state string) bool {
+	t.Helper()
+	return Kept(w.send(t, Inval{UID: id.String(), Seq: seq, NewSeq: newSeq, State: []byte(state)}))
+}
+
+func (w *mailboxWorld) updated() int64 { return w.stats.Counter("lease.updated").Value() }
 
 func leaseAt(id uid.UID, seq uint64) Snapshot {
 	return Snapshot{UID: id, Seq: seq, Expiry: time.Now().Add(time.Minute)}
@@ -145,5 +166,115 @@ func TestMailboxAnswersWhenHoldingNothing(t *testing.T) {
 	w.inval(t, gen.New(), 7)
 	if _, ok := w.cache.Get(other, time.Now()); !ok {
 		t.Fatal("an invalidation of one object killed another's lease")
+	}
+}
+
+// TestMailboxUpdateKeepsExpiry: an updating Inval swaps the live lease at
+// the replaced version for one at the new version, with the new state and
+// the OLD expiry — an update never extends a lease — and answers Kept. An
+// L1 holding the old entry's pointer finds it dead and reads the new one
+// through the shared L2.
+func TestMailboxUpdateKeepsExpiry(t *testing.T) {
+	w := newMailboxWorld(t)
+	id := uid.NewGenerator("t", 1).New()
+	local := NewLocal(w.cache, 0)
+	snap := leaseAt(id, 7)
+	snap.Class, snap.State = "counter", []byte("7")
+	old := local.Put(snap)
+
+	if !w.update(t, id, 7, 8, "8") {
+		t.Fatal("the holder of a live lease at the replaced version did not answer Kept")
+	}
+	if old.Valid(time.Now()) {
+		t.Fatal("the entry at the replaced version still serves")
+	}
+	e, ok := local.Get(id, time.Now())
+	if !ok {
+		t.Fatal("no lease serves after the update")
+	}
+	if e.Snap.Seq != 8 || string(e.Snap.State) != "8" || e.Snap.Class != "counter" || !e.Snap.Expiry.Equal(snap.Expiry) {
+		t.Fatalf("updated lease %+v, want seq 8, state 8, class counter, expiry %v", e.Snap, snap.Expiry)
+	}
+	if w.updated() != 1 {
+		t.Fatalf("lease.updated = %d, want 1", w.updated())
+	}
+}
+
+// TestMailboxUpdateNeverRevives: an update finds an expired lease, or one
+// killed locally, and brings neither back: the holder answers not kept and
+// serves nothing.
+func TestMailboxUpdateNeverRevives(t *testing.T) {
+	w := newMailboxWorld(t)
+	gen := uid.NewGenerator("t", 1)
+
+	expired := gen.New()
+	w.cache.Put(Snapshot{UID: expired, Seq: 7, Expiry: time.Now().Add(30 * time.Millisecond)})
+	killed := gen.New()
+	w.cache.Put(leaseAt(killed, 7)).Kill()
+	time.Sleep(60 * time.Millisecond)
+
+	for name, id := range map[string]uid.UID{"expired": expired, "killed": killed} {
+		if w.update(t, id, 7, 8, "8") {
+			t.Errorf("%s lease: the holder answered Kept", name)
+		}
+		if _, ok := w.cache.Get(id, time.Now()); ok {
+			t.Errorf("%s lease: an update revived it", name)
+		}
+	}
+	if w.updated() != 0 {
+		t.Fatalf("lease.updated = %d, want 0", w.updated())
+	}
+}
+
+// TestMailboxUpdateSparesNewerLease: an update of version 7 leaves a lease
+// granted at 9 as it was, and answers not kept: the lease left is not at
+// the update's version.
+func TestMailboxUpdateSparesNewerLease(t *testing.T) {
+	w := newMailboxWorld(t)
+	id := uid.NewGenerator("t", 1).New()
+	snap := leaseAt(id, 9)
+	snap.State = []byte("9")
+	w.cache.Put(snap)
+	if w.update(t, id, 7, 8, "8") {
+		t.Fatal("an update of version 7 was answered Kept by a lease at 9")
+	}
+	if e, ok := w.cache.Get(id, time.Now()); !ok || e.Snap.Seq != 9 || string(e.Snap.State) != "9" {
+		t.Fatal("an update of version 7 touched the lease at 9")
+	}
+}
+
+// TestMailboxUpdateNotKeptWhenHoldingNothing: a node with no lease of the
+// object answers an update without error and not kept, and the update
+// grants it nothing.
+func TestMailboxUpdateNotKeptWhenHoldingNothing(t *testing.T) {
+	w := newMailboxWorld(t)
+	id := uid.NewGenerator("t", 1).New()
+	if w.update(t, id, 7, 8, "8") {
+		t.Fatal("a node holding nothing answered Kept")
+	}
+	if _, ok := w.cache.Get(id, time.Now()); ok {
+		t.Fatal("an update installed a lease at a node that held none")
+	}
+}
+
+// TestMailboxUpdateDuplicated: a repeat of an update already applied finds
+// the lease at the new version, changes nothing and answers Kept again, so
+// whichever copy the committing server hears from, it reads the same.
+func TestMailboxUpdateDuplicated(t *testing.T) {
+	w := newMailboxWorld(t)
+	id := uid.NewGenerator("t", 1).New()
+	w.cache.Put(leaseAt(id, 7))
+	if !w.update(t, id, 7, 8, "8") {
+		t.Fatal("the first update was not answered Kept")
+	}
+	first, _ := w.cache.Get(id, time.Now())
+	if !w.update(t, id, 7, 8, "8") {
+		t.Fatal("the repeated update was not answered Kept")
+	}
+	if again, ok := w.cache.Get(id, time.Now()); !ok || again != first {
+		t.Fatal("the repeated update replaced or killed the lease the first one made")
+	}
+	if w.updated() != 1 {
+		t.Fatalf("lease.updated = %d, want 1", w.updated())
 	}
 }

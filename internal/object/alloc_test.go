@@ -53,38 +53,63 @@ func TestInvokeAllocs(t *testing.T) {
 }
 
 // TestLeaseFenceAllocs pins what one commit fence to one live lease holder
-// costs over the Mem transport, server and holder together: the object's
-// name rendered into the Inval record and its payload, the fence's list of
-// holders, and the one DeliverBatch frame to the holder's lease mailbox —
-// its item list, request and reply on both sides, the mailbox's copy of the
-// record's name, the caller's result. 15 while the frame's item carried a
-// message ID nothing reads; 38 (and 8 in the grant's Put for a Join) while
-// each grant enrolled its holder in a group of its own, the record went
-// through that group's sequencer and the holder left the group from a
-// goroutine of its own.
+// costs over the Mem transport, server and holder together. A kill-only
+// fence: the object's name rendered into the Inval record and its payload,
+// the fence's list of holders, and the one DeliverBatch frame to the
+// holder's lease mailbox — its item list, request and reply on both sides,
+// the mailbox's copy of the record's name, the caller's result. 15 while
+// the frame's item carried a message ID nothing reads; 38 (and 8 in the
+// grant's Put for a Join) while each grant enrolled its holder in a group
+// of its own, the record went through that group's sequencer and the
+// holder left the group from a goroutine of its own. The fence of the
+// server's own commit, moving the holder's lease forward, adds the
+// holder's copy of the state the record carries, its new cache entry and
+// the server's copy of the holder's Kept answer.
 func TestLeaseFenceAllocs(t *testing.T) {
 	w := newWorld(t)
 	m := NewManager(w.cluster.Add("sv3"), w.reg)
 	m.EnableLeases(time.Minute)
 	holder := w.cluster.Add("holder")
-	lease.NewCache(group.NewHost(holder.Server(), holder.Client()), &metrics.Registry{})
+	cache := lease.NewCache(group.NewHost(holder.Server(), holder.Client()), &metrics.Registry{})
 	ctx := context.Background()
 	if _, err := activate(ctx, w.ref("sv3"), "counter", "st1"); err != nil {
 		t.Fatal(err)
 	}
 	in, _ := m.lookup(w.id)
 	fences := m.stats.Counter("lease.invalidations")
-	fence := func() {
-		in.mu.Lock()
-		in.leaseHolders["holder"] = time.Now().Add(time.Minute)
-		in.mu.Unlock()
-		before := fences.Value()
-		if err := m.leaseCommitFence(ctx, in, time.Now(), false); err != nil || fences.Value() != before+1 {
-			t.Fatalf("fence: %v, holder confirmed: %v", err, fences.Value() == before+1)
+	fence := func(own bool) func() {
+		return func() {
+			in.mu.Lock()
+			if own {
+				in.seq++ // the version the commit made
+			} else {
+				in.leaseHolders["holder"] = time.Now().Add(time.Minute)
+			}
+			in.mu.Unlock()
+			before := fences.Value()
+			if err := m.leaseCommitFence(ctx, in, time.Now(), own); err != nil || fences.Value() != before+1 {
+				t.Fatalf("fence: %v, holder confirmed: %v", err, fences.Value() == before+1)
+			}
 		}
 	}
-	fence() // creates the node pair's metric handles
-	if got := testing.AllocsPerRun(200, fence); got != 14 {
-		t.Errorf("a fence to one holder allocated %.0f objects, pinned at 14", got)
+	kill := fence(false)
+	kill() // creates the node pair's metric handles
+	if got := testing.AllocsPerRun(200, kill); got != 14 {
+		t.Errorf("a kill-only fence to one holder allocated %.0f objects, pinned at 14", got)
+	}
+
+	in.mu.Lock()
+	in.graceUntil = time.Now() // the first-commit grace is over
+	in.leaseSeq = in.seq
+	in.leaseHolders["holder"] = time.Now().Add(time.Minute)
+	in.mu.Unlock()
+	cache.Put(lease.Snapshot{UID: w.id, Seq: in.seq, Expiry: time.Now().Add(time.Minute)})
+	update := fence(true)
+	update()
+	if got := testing.AllocsPerRun(200, update); got != 17 {
+		t.Errorf("an updating fence to one holder allocated %.0f objects, pinned at 17", got)
+	}
+	if e, ok := cache.Get(w.id, time.Now()); !ok || e.Snap.Seq != in.seq {
+		t.Fatal("the updating fences did not keep the holder's lease at the latest version")
 	}
 }

@@ -51,7 +51,9 @@ func (m *Manager) EnableLeases(ttl time.Duration) { m.leaseTTL = ttl }
 // confirmedAt + 2*TTL, and any commit elsewhere refutes this server's
 // next confirmation, so confirmedAt < commit time and a committer that
 // waits 2*TTL after its store write outlives every lease this server
-// could have granted.
+// could have granted. A lease this server later moves forward in place
+// (invalidateHolders) keeps the expiry of this grant, so the bound holds
+// for it too: an update never extends an expiry.
 func (m *Manager) maybeGrant(ctx context.Context, in *instance, holder transport.Addr) *LeaseGrant {
 	now := time.Now()
 	in.mu.Lock()
@@ -153,22 +155,26 @@ func (m *Manager) probeLatest(ctx context.Context, id uid.UID, seq uint64, stNod
 // leaseCommitFence runs the lease side of a version advance that
 // became durable at the stores at tc: no acknowledgement may leave
 // this server until every read lease at the old version is provably
-// dead. Known holders are invalidated (invalidateHolders); if any holder
+// retired. Known holders are told (invalidateHolders); if any holder
 // cannot confirm, the commit waits out the lease clock instead (tc +
-// 2*TTL bounds every grant's expiry — see maybeGrant). withGrace
-// additionally enforces the first-commit grace: until this instance has
-// advanced the version once, leases granted by a prior incarnation of
-// the object's server may still be live, so the first advance always
-// waits out the clock. Returns an error only when ctx dies mid-fence —
-// the commit itself already stands, so the caller must report
-// ambiguity, not refusal.
-func (m *Manager) leaseCommitFence(ctx context.Context, in *instance, tc time.Time, withGrace bool) error {
+// 2*TTL bounds every grant's expiry — see maybeGrant). own marks the
+// server's own commit, as against a checkpoint Installed by its
+// coordinator, and does two things. Its frames carry the new version and
+// state, so a live holder keeps its lease, moved forward under the same
+// expiry: an update never extends an expiry, so the waits below are
+// measured against the same expiries with or without it. And it enforces
+// the first-commit grace: until this instance has advanced the version
+// once, leases granted by a prior incarnation of the object's server may
+// still be live, so the first advance always waits out the clock. Returns
+// an error only when ctx dies mid-fence — the commit itself already
+// stands, so the caller must report ambiguity, not refusal.
+func (m *Manager) leaseCommitFence(ctx context.Context, in *instance, tc time.Time, own bool) error {
 	if m.leaseTTL == 0 {
 		return nil
 	}
 	window := 2 * m.leaseTTL
 	var deadline time.Time
-	if withGrace {
+	if own {
 		in.mu.Lock()
 		if in.graceUntil.IsZero() {
 			in.graceUntil = tc.Add(window)
@@ -176,7 +182,7 @@ func (m *Manager) leaseCommitFence(ctx context.Context, in *instance, tc time.Ti
 		deadline = in.graceUntil
 		in.mu.Unlock()
 	}
-	if _, ok := m.invalidateHolders(ctx, in); !ok {
+	if _, ok := m.invalidateHolders(ctx, in, own); !ok {
 		if d := tc.Add(window); d.After(deadline) {
 			deadline = d
 		}
@@ -195,7 +201,7 @@ func (m *Manager) leasePassivateFence(ctx context.Context, in *instance) error {
 	if m.leaseTTL == 0 {
 		return nil
 	}
-	if last, ok := m.invalidateHolders(ctx, in); !ok {
+	if last, ok := m.invalidateHolders(ctx, in, false); !ok {
 		return m.leaseWait(ctx, in, last)
 	}
 	return nil
@@ -220,15 +226,29 @@ func (m *Manager) leaseWait(ctx context.Context, in *instance, deadline time.Tim
 	}
 }
 
-// invalidateHolders forgets the instance's lease holders and sends each
-// whose lease is still live one Inval record naming the version they were
-// granted, to its node's lease Mailbox, directly and one after another.
-// It reports the last of those leases' expiries, and whether EVERY such
-// holder provably discarded its lease (true when there was none to ask):
-// the mailbox answers cleanly whether or not it held one, and a node with
-// no mailbox (not-found) holds no lease either. A holder that cannot be
-// reached, or any other error, is unconfirmed, and the caller waits the
-// lease clock out.
+// invalidateHolders sends each of the instance's lease holders whose lease
+// is still live one Inval record naming the version they were granted, to
+// its node's lease Mailbox, directly and one after another. It reports the
+// last of those leases' expiries, and whether EVERY such holder answered
+// (true when there was none to ask): the mailbox answers cleanly whether or
+// not it held a lease, and a node with no mailbox (not-found) holds no
+// lease either. A holder that cannot be reached, or any other error, is
+// unconfirmed, and the caller waits the lease clock out.
+//
+// A kill-only fence forgets every holder. With update, the record also
+// carries the instance's committed version and state, built under in.mu
+// from in.state itself: the fence of an own commit runs under the
+// committing action's write lock, so no grant and no other write can
+// interleave, and a state some action has dirtied is never sent — that
+// fence falls back to kill-only. A holder that answers Kept has its lease
+// at the new version under the expiry of its grant, and stays on the list
+// at the expiry recorded for that grant; one that answers empty drops off.
+// One whose answer was lost may have kept a lease or not, so it stays on
+// the list too. That is safe: an update never extends an expiry, and the
+// wait-out its missing answer causes outlasts the recorded expiry, so the
+// record is dead before this commit releases its locks and before any
+// later commit can advance past the moved lease; and when ctx cuts the
+// wait short, the next commit still fences that holder.
 //
 // A clean answer proves nothing about a grant still on its way to the
 // holder: the mailbox was joined before any entry could be servable
@@ -248,32 +268,48 @@ func (m *Manager) leaseWait(ctx context.Context, in *instance, deadline time.Tim
 // way to a holder that has installed nothing — a writer could then take
 // the lock, fence, hear a clean answer from every mailbox, and commit
 // under a lease about to become servable.
-func (m *Manager) invalidateHolders(ctx context.Context, in *instance) (last time.Time, ok bool) {
+func (m *Manager) invalidateHolders(ctx context.Context, in *instance, update bool) (last time.Time, ok bool) {
 	now := time.Now()
 	var members []transport.Addr
 	in.mu.Lock()
-	seq := in.leaseSeq
 	for addr, exp := range in.leaseHolders {
-		if exp.After(now) {
-			members = append(members, addr)
-			if exp.After(last) {
-				last = exp
-			}
+		if !exp.After(now) {
+			delete(in.leaseHolders, addr)
+			continue
+		}
+		members = append(members, addr)
+		if exp.After(last) {
+			last = exp
 		}
 	}
-	clear(in.leaseHolders)
-	in.mu.Unlock()
 	if len(members) == 0 {
+		in.mu.Unlock()
 		return last, true
 	}
+	rec := lease.Inval{UID: in.id.String(), Seq: in.leaseSeq}
+	if update = update && !in.writing(); update {
+		rec.NewSeq, rec.State = in.seq, in.state
+		in.leaseSeq = in.seq
+	} else {
+		clear(in.leaseHolders)
+	}
+	payload, err := lease.EncodeInval(&rec)
+	in.mu.Unlock()
 	slices.Sort(members)
-	payload, err := lease.EncodeInval(&lease.Inval{UID: in.id.String(), Seq: seq})
 	if ok = err == nil; ok {
 		res := group.NaiveMulticast(ctx, m.node.Client(), group.Group{ID: lease.Mailbox, Members: members},
 			lease.KindInval, payload)
-		ok = len(res.Failed) == 0 && !slices.ContainsFunc(res.Replies, func(r group.Reply) bool {
-			return r.Err != "" && !strings.HasPrefix(r.Err, rpc.CodeNotFound+":")
-		})
+		ok = len(res.Failed) == 0
+		in.mu.Lock()
+		for _, r := range res.Replies {
+			switch {
+			case r.Err != "" && !strings.HasPrefix(r.Err, rpc.CodeNotFound+":"):
+				ok = false
+			case update && !lease.Kept(r.Payload):
+				delete(in.leaseHolders, r.Member)
+			}
+		}
+		in.mu.Unlock()
 	}
 	if ok {
 		m.stats.Counter("lease.invalidations").Inc()

@@ -88,7 +88,8 @@ type instance struct {
 	// activated copy loaded from ONE store may be stale, so the first
 	// grant always probes). leaseHolders maps each holder's client node
 	// to its grant expiry by this server's clock; leaseSeq is the
-	// version those holders were granted at. graceUntil is the instant
+	// version those holders were granted at, or the one the last fence
+	// moved their leases to (invalidateHolders). graceUntil is the instant
 	// before which no version-advancing commit may be acknowledged
 	// (zero until the instance's first advance sets it).
 	stNodes      []string
@@ -1385,8 +1386,9 @@ func fenceFailed(r *EndResult, err error) {
 // releasing the action's locks. The order matters — a lock released first
 // could admit a conflicting action that commits against this object while
 // the holders' invalidations are still in flight, so delivery-confirmed
-// invalidation (or the waitout) must precede any conflicting lock grant here.
-// Even a fence interrupted by ctx still releases: the commit stands, and
+// invalidation (or the waitout) must precede any conflicting lock grant here;
+// the held write lock is also what keeps the state the fence sends on to the
+// holders the one this commit made. Even a fence interrupted by ctx still releases: the commit stands, and
 // holding the locks past this handler would wedge the object forever.
 func (m *Manager) fenceAndRelease(ctx context.Context, action string, e *ending) error {
 	var err error

@@ -69,7 +69,9 @@
 //	                               the prepare request, at version 2,
 //	                               also carries the one-phase commit)
 //	0x50–0x5f  internal/group     (multicast sequence/deliver frames)
-//	0x60–0x6f  internal/lease     (read-lease invalidation records)
+//	0x60–0x6f  internal/lease     (read-lease fence records; the Inval,
+//	                               at version 2, carries the new version
+//	                               and state that move a live lease forward)
 //	0x70–0x7f  internal/rpc       (Empty; this package's tests use 0x7d–0x7e)
 //	0x80–0x8f  retired: the placement service's lookup, batch
 //	                               assignment and replica sync

@@ -107,27 +107,39 @@
 // ZERO RPCs and zero lock-manager traffic. The guarantee is the usual
 // lease one: a snapshot is served only while its lease is valid, and no
 // commit that supersedes a leased version is acknowledged to its writer
-// until every lease on the old version is invalidated — one message to
+// until every lease on the old version is retired — one message to
 // each holder node's lease mailbox, confirmed by its reply — or has
-// provably expired. A read served from the cache is therefore never staler than
-// the last acknowledged commit; what is given up is only the exclusion
-// a server-side read lock would add, which a read-only action does not
-// need. An Atomic that MIXES leased reads with server-side work gets
+// provably expired. A read served from the cache is therefore never
+// staler than the last acknowledged commit; what is given up is only the
+// exclusion a server-side read lock would add, which a read-only action
+// does not need. The message a commit sends carries the new version and
+// state, and a holder whose lease is live moves it forward to them under
+// its old expiry instead of dropping it, so the holder's next read is
+// still served from its cache and sees the write. An Atomic that MIXES leased reads with server-side work gets
 // that exclusion back at commit time: each leased read is revalidated
 // through its server under the action's read lock (one extra RPC per
 // leased object), and a version mismatch aborts with ErrLeaseStale and
 // retries through the servers — so mixed transactions serialize exactly
 // as if every read had gone to the servers, and the zero-RPC fast path
-// is reserved for the all-read case that needs no locks at all.
+// is reserved for the all-read case that needs no locks at all. That case
+// reads each object fresh, but not several objects as one snapshot: a
+// commit's fence reaches a holder one object at a time, so an all-read
+// action served between two of its frames can pair one object's new
+// state with another's old one.
 // CommitReport.LeaseReads counts the invocations an action served
 // from cache, and System.LeaseStats exposes the deployment-wide per-tier
-// hit rates and grant/invalidation/waitout counters.
+// hit rates and grant/invalidation/update/waitout counters.
 //
 // Expiry and invalidation are the two ways a cached lease dies, and
 // they are deliberately asymmetric. Invalidation is the fast, common
 // path: a commit that advances a leased object's version sends an
 // invalidation to each holder it knows and proceeds as soon as every one
-// is confirmed. Expiry is the backstop: when a holder cannot be reached
+// is confirmed. A holder that moved its lease forward answers so, and the
+// server keeps it on its list at the expiry of the original grant: an
+// update never extends a lease, so every bound below holds for a moved
+// lease as for a granted one. Only a server's own commit moves leases;
+// the fences of a passivate, a Rebalance or a checkpoint Installed at a
+// cohort kill them. Expiry is the backstop: when a holder cannot be reached
 // (crashed, partitioned), the committing server waits out the lease
 // clock — bounded by the grants it actually issued, at worst 2×TTL —
 // before the commit is acknowledged, so an unreachable holder delays
@@ -141,7 +153,11 @@
 // pays a one-time 2×TTL wait — a freshly activated server cannot yet
 // know which leases a predecessor granted, so it assumes the worst;
 // later commits invalidate eagerly and pay nothing unless a holder is
-// unreachable. (2) A grant against a long-idle instance triggers a
+// unreachable. Each fence's message to a holder carries the object's
+// state, so a large object costs its size once per live holder per
+// commit; a holder whose answer is lost is waited out as an unreachable
+// one is, and its moved lease has died by the time the commit returns.
+// (2) A grant against a long-idle instance triggers a
 // store probe (a majority of stores must confirm the server still holds
 // the latest committed version) before the server will vouch for its
 // snapshot; the probe costs one store round trip on that read and

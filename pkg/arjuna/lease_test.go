@@ -238,8 +238,9 @@ func TestReadLeaseSecondClientSharesL2(t *testing.T) {
 
 // TestLeaseFenceSendsOneFrame: the fence of a commit to an object that one
 // node holds a lease on is one DeliverBatch frame, straight to that node's
-// lease mailbox — no Sequence call, no relay — and the lease is dead when
-// the writer's commit returns.
+// lease mailbox — no Sequence call, no relay — and when the writer's commit
+// returns, the lease at the old version is dead and the holder's lease is
+// at the new one: its next read is served from the cache and sees the write.
 func TestLeaseFenceSendsOneFrame(t *testing.T) {
 	const ttl = 500 * time.Millisecond
 	sys := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(2), arjuna.WithReadLeases(ttl))
@@ -289,7 +290,79 @@ func TestLeaseFenceSendsOneFrame(t *testing.T) {
 	if sys.LeaseStats().Invalidated != invalidated+1 {
 		t.Fatal("the fence's frame killed no lease at the holder")
 	}
-	if out, leased := read(); leased != 0 || out != "2" {
-		t.Fatalf("read after the fenced commit = %q (leased %d), want 2 through the server", out, leased)
+	if out, leased := read(); leased != 1 || out != "2" {
+		t.Fatalf("read after the fenced commit = %q (leased %d), want 2 from the lease", out, leased)
+	}
+}
+
+// TestLeaseFenceUpdatesEveryHolder: a commit's fence moves every live
+// holder's lease forward, so each holder reads the write from its cache
+// with no RPC at all. A holder whose answer to the fence is lost may have
+// kept its lease or not: the commit waits the lease clock out instead, and
+// once the TTL has run that holder's next read goes through the server.
+func TestLeaseFenceUpdatesEveryHolder(t *testing.T) {
+	const ttl = 500 * time.Millisecond
+	sys := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(3), arjuna.WithReadLeases(ttl))
+	ctx := context.Background()
+	obj := sys.Objects()[0]
+	writer := clientT(t, sys, "c1")
+	holders := []*arjuna.Client{clientT(t, sys, "c2"), clientT(t, sys, "c3")}
+	read := func(cl *arjuna.Client) (string, int) {
+		var out []byte
+		rep, err := cl.Atomic(ctx, func(tx *arjuna.Txn) error {
+			var rerr error
+			out, rerr = tx.Object(obj).Read(ctx, "get", nil)
+			return rerr
+		})
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		return string(out), rep.LeaseReads
+	}
+	write := func() {
+		t.Helper()
+		if _, _, err := writer.Apply(ctx, obj, "add", []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first advance of the object's instance waits out the
+	// first-commit grace; the fences under test are later ones.
+	write()
+	for _, h := range holders {
+		if out, leased := read(h); out != "1" || leased != 0 {
+			t.Fatalf("harvest read = %q (leased %d), want 1 through the server", out, leased)
+		}
+	}
+
+	updated := sys.LeaseStats().Updated
+	write()
+	if got := sys.LeaseStats().Updated - updated; got != 2 {
+		t.Fatalf("the fence moved %d leases forward, want 2", got)
+	}
+	before := totalRPCs(sys)
+	for i, h := range holders {
+		if out, leased := read(h); out != "2" || leased != 1 {
+			t.Fatalf("holder c%d read %q (leased %d) after the commit, want 2 from its lease", i+2, out, leased)
+		}
+	}
+	if after := totalRPCs(sys); after != before {
+		t.Fatalf("the holders' reads issued %d RPCs, want 0", after-before)
+	}
+
+	// c3's answer to the next fence is lost: it may have kept its lease or
+	// not, so the commit waits the lease clock out.
+	sys.Faults().DropReplies(1, transport.ToMethod("c3", group.ServiceName, group.MethodDeliverBatch))
+	waitouts := sys.LeaseStats().Waitouts
+	start := time.Now()
+	write()
+	if got := sys.LeaseStats().Waitouts - waitouts; got != 1 {
+		t.Fatalf("the commit whose fence lost c3's answer waited out %d times, want 1", got)
+	}
+	if took := time.Since(start); took < ttl {
+		t.Fatalf("the commit returned after %v, before the lease clock ran out", took)
+	}
+	time.Sleep(ttl)
+	if out, leased := read(holders[1]); out != "3" || leased != 0 {
+		t.Fatalf("c3 read %q (leased %d) after the TTL, want 3 through the server", out, leased)
 	}
 }

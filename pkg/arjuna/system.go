@@ -146,6 +146,10 @@ type LeaseStats struct {
 	// entries they killed. Waitouts counts commits that could not confirm
 	// delivery and waited out the lease clock instead.
 	Invalidations, Invalidated, Waitouts int64
+	// Updated counts the killed entries whose lease a commit's fence moved
+	// forward in place: a new entry at the commit's version and state took
+	// the old one's place, under its expiry.
+	Updated int64
 }
 
 // LeaseStats reports the read-lease counters (cache hit rates, grants,
@@ -167,6 +171,7 @@ func (s *System) LeaseStats() LeaseStats {
 		Invalidations: get("lease.invalidations"),
 		Invalidated:   get("lease.invalidated"),
 		Waitouts:      get("lease.waitouts"),
+		Updated:       get("lease.updated"),
 	}
 }
 
