@@ -1388,8 +1388,9 @@ func fenceFailed(r *EndResult, err error) {
 // the holders' invalidations are still in flight, so delivery-confirmed
 // invalidation (or the waitout) must precede any conflicting lock grant here;
 // the held write lock is also what keeps the state the fence sends on to the
-// holders the one this commit made. Even a fence interrupted by ctx still releases: the commit stands, and
-// holding the locks past this handler would wedge the object forever.
+// holders the one this commit made. Even a fence interrupted by ctx still
+// releases: the commit stands, and holding the locks past this handler would
+// wedge the object forever.
 func (m *Manager) fenceAndRelease(ctx context.Context, action string, e *ending) error {
 	var err error
 	if e.advanced {

@@ -558,7 +558,7 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool
 
 // revalidateReads upgrades, just before commit, every read the action was
 // served with no lock behind it into a LOCKED server read, when the action
-// also did other work at a server. Two producers feed it and one rule covers
+// also did other work at a server or read more than one object. Two producers feed it and one rule covers
 // both: a leased read ran on a cached snapshot, and a carried read
 // (carriedRead) ran at the server under a read lock the same request
 // released; each recorded the committed version it saw. The object is bound
@@ -575,12 +575,20 @@ func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool
 // attempt fails with ErrLeaseStale and the retry reads through the servers:
 // the cached entry is killed, and a retry never carries.
 //
-// An action that sent no server anything else skips the check. Pure lease
-// reads were each individually valid when served, which is exactly the lease
-// guarantee; a carried read on its own is a whole action at its server —
-// lock, read, release — serialised there like any other.
+// An action that sent no server anything else and read one object skips the
+// check. Its lease reads were each valid when served, which is exactly the
+// lease guarantee; a carried read on its own is a whole action at its server
+// — lock, read, release — serialised there like any other. Lease reads of
+// two objects are each fresh but not one snapshot: a commit that wrote both
+// fences them one frame at a time (in parallel, or from two servers), so a
+// read between two frames can pair one object's new state, moved forward
+// under its holder's lease, with the other's old one. The locked check
+// catches that pair: the unfenced object's write lock is held until its
+// frame is answered, and its version then differs from the one read.
 func (t *Txn) revalidateReads(ctx context.Context) error {
-	if len(t.unlocked) == 0 || t.ops == t.carried {
+	if len(t.unlocked) == 0 || t.ops == t.carried && !slices.ContainsFunc(t.unlocked[1:], func(r unlockedRead) bool {
+		return r.id != t.unlocked[0].id
+	}) {
 		return nil
 	}
 	stale := func(r unlockedRead, err error) error {

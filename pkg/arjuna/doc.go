@@ -103,8 +103,8 @@
 // snapshot of the object — state, version, TTL — to read-path
 // invocations; every client node keeps the snapshots in a shared lease
 // cache (with a small per-client L1 on top); and an Atomic whose body
-// performs only read-only methods on lease-valid objects completes with
-// ZERO RPCs and zero lock-manager traffic. The guarantee is the usual
+// performs only read-only methods on one lease-valid object completes
+// with ZERO RPCs and zero lock-manager traffic. The guarantee is the usual
 // lease one: a snapshot is served only while its lease is valid, and no
 // commit that supersedes a leased version is acknowledged to its writer
 // until every lease on the old version is retired — one message to
@@ -115,17 +115,18 @@
 // does not need. The message a commit sends carries the new version and
 // state, and a holder whose lease is live moves it forward to them under
 // its old expiry instead of dropping it, so the holder's next read is
-// still served from its cache and sees the write. An Atomic that MIXES leased reads with server-side work gets
-// that exclusion back at commit time: each leased read is revalidated
-// through its server under the action's read lock (one extra RPC per
-// leased object), and a version mismatch aborts with ErrLeaseStale and
-// retries through the servers — so mixed transactions serialize exactly
-// as if every read had gone to the servers, and the zero-RPC fast path
-// is reserved for the all-read case that needs no locks at all. That case
-// reads each object fresh, but not several objects as one snapshot: a
-// commit's fence reaches a holder one object at a time, so an all-read
-// action served between two of its frames can pair one object's new
-// state with another's old one.
+// still served from its cache and sees the write. An Atomic that MIXES
+// leased reads with server-side work, or lease-reads more than one
+// object, gets that exclusion back at commit time: each leased read is
+// revalidated through its server under the action's read lock (one extra
+// RPC per leased object), and a version mismatch aborts with
+// ErrLeaseStale and retries through the servers — so such transactions
+// serialize exactly as if every read had gone to the servers. Two objects
+// need it even when only read: a commit that wrote both reaches a holder
+// one object at a time, and a read served between its two frames would
+// otherwise pair one object's new state with the other's old one. The
+// zero-RPC fast path is reserved for the all-read case of one object,
+// which needs no locks at all.
 // CommitReport.LeaseReads counts the invocations an action served
 // from cache, and System.LeaseStats exposes the deployment-wide per-tier
 // hit rates and grant/invalidation/update/waitout counters.
@@ -139,8 +140,8 @@
 // update never extends a lease, so every bound below holds for a moved
 // lease as for a granted one. Only a server's own commit moves leases;
 // the fences of a passivate, a Rebalance or a checkpoint Installed at a
-// cohort kill them. Expiry is the backstop: when a holder cannot be reached
-// (crashed, partitioned), the committing server waits out the lease
+// cohort kill them. Expiry is the backstop: when a holder cannot be
+// reached (crashed, partitioned), the committing server waits out the lease
 // clock — bounded by the grants it actually issued, at worst 2×TTL —
 // before the commit is acknowledged, so an unreachable holder delays
 // that one writer but never breaks the guarantee. Client clocks are
@@ -157,12 +158,14 @@
 // state, so a large object costs its size once per live holder per
 // commit; a holder whose answer is lost is waited out as an unreachable
 // one is, and its moved lease has died by the time the commit returns.
-// (2) A grant against a long-idle instance triggers a
-// store probe (a majority of stores must confirm the server still holds
-// the latest committed version) before the server will vouch for its
-// snapshot; the probe costs one store round trip on that read and
-// refuses the grant — falling back to plain server reads — if the
-// stores have moved on. (3) When a granting view-primary fails during
+// A read-only action over several leased objects pays the revalidation
+// above, a bind and one locked call per object and the action's end,
+// where a read of one leased object pays nothing. (2) A grant against a
+// long-idle instance triggers a store probe (a majority of stores must
+// confirm the server still holds the latest committed version) before
+// the server will vouch for its snapshot; the probe costs one store
+// round trip on that read and refuses the grant — falling back to plain
+// server reads — if the stores have moved on. (3) When a granting view-primary fails during
 // phase two of a commit, the committing CLIENT waits out 2×TTL before
 // Atomic returns: the commit is durable, but nobody is left to confirm
 // the fence, so the acknowledgement is delayed until every lease the

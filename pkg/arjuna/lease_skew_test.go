@@ -88,8 +88,8 @@ func TestMixedTxnRejectsStaleLeasedRead(t *testing.T) {
 }
 
 // TestPureLeaseReadSkipsRevalidation keeps the flip side honest: a
-// transaction that ONLY lease-reads must not be dragged onto the server
-// path by revalidation — each read was individually valid when served,
+// transaction that ONLY lease-reads one object must not be dragged onto the
+// server path by revalidation — each read was individually valid when served,
 // which is the lease guarantee, and the zero-RPC property is the whole
 // point of the cache. Objects are pre-seeded, so no commit (and no
 // first-commit grace wait) is needed anywhere in the test.

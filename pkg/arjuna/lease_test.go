@@ -366,3 +366,103 @@ func TestLeaseFenceUpdatesEveryHolder(t *testing.T) {
 		t.Fatalf("c3 read %q (leased %d) after the TTL, want 3 through the server", out, leased)
 	}
 }
+
+// TestLeaseReadsOfTwoObjectsAreOneSnapshot: an all-read action over two
+// leased objects, served between the two fence frames of one commit that
+// wrote both, must not pair one object's new state with the other's old
+// one. The first frame has moved the holder's lease on one object to the
+// new version while the other's frame is held back; the reader, run right
+// then, finds both leases live, and only the commit-time check through the
+// servers can tell that they straddle the commit.
+func TestLeaseReadsOfTwoObjectsAreOneSnapshot(t *testing.T) {
+	const ttl = 500 * time.Millisecond
+	sys := openT(t, arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithClients(2), arjuna.WithObjects(2), arjuna.WithReadLeases(ttl))
+	ctx := context.Background()
+	a, b := sys.Objects()[0], sys.Objects()[1]
+	writer, holder := clientT(t, sys, "c1"), clientT(t, sys, "c2")
+	both := func() (string, string, int, error) {
+		var x, y []byte
+		rep, err := holder.Atomic(ctx, func(tx *arjuna.Txn) error {
+			var err error
+			if x, err = tx.Object(a).Read(ctx, "get", nil); err != nil {
+				return err
+			}
+			y, err = tx.Object(b).Read(ctx, "get", nil)
+			return err
+		})
+		return string(x), string(y), rep.LeaseReads, err
+	}
+	addBoth := func() {
+		t.Helper()
+		if _, err := writer.Atomic(ctx, func(tx *arjuna.Txn) error {
+			if _, err := tx.Object(a).Invoke(ctx, "add", []byte("1")); err != nil {
+				return err
+			}
+			_, err := tx.Object(b).Invoke(ctx, "add", []byte("1"))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addBoth() // waits out the first-commit grace
+	if _, _, _, err := both(); err != nil {
+		t.Fatal(err) // harvests both grants
+	}
+	if _, _, leased, err := both(); err != nil || leased != 2 {
+		t.Fatalf("the holder's second read of both objects served %d from its leases (err %v), want 2", leased, err)
+	}
+
+	// The holder's first fence frame is answered before the second is let
+	// through, and the second waits until the reader has either returned or
+	// gone to a server.
+	fence := func(req transport.Request) bool {
+		return req.To == "c2" && req.Service == group.ServiceName && req.Method == group.MethodDeliverBatch
+	}
+	answered, sent := make(chan struct{}), make(chan struct{})
+	var once, sentOnce sync.Once
+	sys.Faults().OnReply(1, fence, func(transport.Request) { once.Do(func() { close(answered) }) })
+	sys.Faults().OnRequest(-1, func(req transport.Request) bool { return req.From == "c2" }, func(transport.Request) {
+		sentOnce.Do(func() { close(sent) })
+	})
+	type view struct {
+		x, y string
+		err  error
+	}
+	got := make(chan view, 1)
+	var frames int
+	var mu sync.Mutex
+	sys.Faults().OnRequest(-1, fence, func(transport.Request) {
+		mu.Lock()
+		frames++
+		second := frames == 2
+		mu.Unlock()
+		if !second {
+			return
+		}
+		<-answered
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			x, y, _, err := both()
+			got <- view{x, y, err}
+		}()
+		select {
+		case <-done:
+		case <-sent:
+		}
+	})
+	addBoth()
+	select {
+	case v := <-got:
+		if v.err != nil || v.x != v.y {
+			t.Fatalf("a read of both objects during the fence saw a=%q b=%q (err %v), want one commit's state", v.x, v.y, v.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the read of both objects during the fence never returned")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if frames != 2 {
+		t.Fatalf("the commit sent the holder %d fence frames, want 2", frames)
+	}
+}

@@ -126,8 +126,8 @@ const DefaultLeaseTTL = 250 * time.Millisecond
 // snapshot — state, version, ttl — to read-path invocations, every
 // client node runs a shared lease cache (with a small per-client L1 on
 // top), and a Client whose Atomic body only performs read-only methods
-// on lease-valid objects completes with zero RPCs and zero lock-manager
-// traffic. Commits stay safe: a commit that advances a leased object's
+// on one lease-valid object completes with zero RPCs and zero
+// lock-manager traffic. Commits stay safe: a commit that advances a leased object's
 // version sends each holder an invalidation carrying the new version and
 // state, which moves a live lease forward under its old expiry — or, when
 // a holder cannot be reached, waits out the lease clock — before it is
