@@ -511,22 +511,13 @@ func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
 
 	// Phase one: concurrent, with first-failure abort — the first prepare
 	// refusal cancels the prepares still in flight.
-	votes, rolledBack, err := a.prepareAll(ctx, participants)
+	voters, readOnly, rolledBack, err := a.prepareAll(ctx, participants)
 	if err != nil {
 		a.recordAbort(rolledBack)
 		a.finish(StatusAborted, resolveHooks)
 		return nil, err
 	}
-	report := &CommitReport{}
-	var voters []Participant
-	for i, v := range votes {
-		if v == VoteReadOnly {
-			report.ReadOnlyVoters++
-			continue
-		}
-		report.CommitVoters++
-		voters = append(voters, participants[i])
-	}
+	report := &CommitReport{ReadOnlyVoters: readOnly, CommitVoters: len(voters)}
 
 	// All participants voted read-only: they are already released, and
 	// presumed abort means no recovery will ever consult the log for this
@@ -554,16 +545,23 @@ func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
 
 	// Phase two: concurrent over the commit voters only, best effort;
 	// failures are survivable and aggregated in participant order so the
-	// report is deterministic.
-	errs := a.mgr.pool.DoErr(len(voters), func(i int) error {
-		if err := voters[i].Commit(ctx, a.id); err != nil {
-			return fmt.Errorf("phase-2 commit at %s: %w", voters[i].Name(), err)
+	// report is deterministic. A lone voter is called directly.
+	commit := func(p Participant) error {
+		if err := p.Commit(ctx, a.id); err != nil {
+			return fmt.Errorf("phase-2 commit at %s: %w", p.Name(), err)
 		}
 		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
+	}
+	if len(voters) == 1 {
+		if err := commit(voters[0]); err != nil {
 			report.PhaseTwoErrors = append(report.PhaseTwoErrors, err)
+		}
+	} else {
+		errs := a.mgr.pool.DoErr(len(voters), func(i int) error { return commit(voters[i]) })
+		for _, err := range errs {
+			if err != nil {
+				report.PhaseTwoErrors = append(report.PhaseTwoErrors, err)
+			}
 		}
 	}
 	// Outcome-log GC: once every commit voter has acked phase two —
@@ -597,6 +595,9 @@ func (a *Action) recordAbort(rolledBack bool) {
 // rollbackAll aborts every participant under the given transaction ID
 // and reports whether all of them acknowledged.
 func (a *Action) rollbackAll(ctx context.Context, participants []Participant, tx string) bool {
+	if len(participants) == 1 {
+		return participants[0].Abort(ctx, tx) == nil
+	}
 	errs := a.mgr.pool.DoErr(len(participants), func(i int) error {
 		return participants[i].Abort(ctx, tx)
 	})
@@ -645,15 +646,28 @@ func (a *Action) finish(st Status, resolveHooks []func(bool)) {
 }
 
 // prepareAll runs phase one across all participants concurrently and
-// collects their votes. On the first failure the remaining in-flight
-// prepares are cancelled and every participant is rolled back — including
-// ones whose prepare may have half-happened (e.g. a lost reply), ones
-// that never prepared, and read-only voters already released (Abort is a
-// no-op for them, per the Participant contract). The roll-back uses the
-// caller's context, not the cancelled one; rolledBack reports whether
-// every participant acknowledged it (which licenses pruning the abort
-// record).
-func (a *Action) prepareAll(ctx context.Context, participants []Participant) (votes []Vote, rolledBack bool, err error) {
+// returns the commit voters, in participant order, and how many voted
+// read-only. On the first failure the remaining in-flight prepares are
+// cancelled and every participant is rolled back — including ones whose
+// prepare may have half-happened (e.g. a lost reply), ones that never
+// prepared, and read-only voters already released (Abort is a no-op for
+// them, per the Participant contract). The roll-back uses the caller's
+// context, not the cancelled one; rolledBack reports whether every
+// participant acknowledged it (which licenses pruning the abort record).
+// A lone participant is prepared directly: there is nothing in flight
+// beside it to cancel.
+func (a *Action) prepareAll(ctx context.Context, participants []Participant) (voters []Participant, readOnly int, rolledBack bool, err error) {
+	if len(participants) == 1 {
+		v, perr := participants[0].Prepare(ctx, a.id)
+		switch {
+		case perr != nil:
+			rolledBack, err = a.prepareFailed(ctx, participants, 0, perr)
+			return nil, 0, rolledBack, err
+		case v == VoteReadOnly:
+			return nil, 1, false, nil
+		}
+		return participants, 0, false, nil
+	}
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -661,7 +675,7 @@ func (a *Action) prepareAll(ctx context.Context, participants []Participant) (vo
 		firstErr error
 		firstIdx int
 	)
-	votes = make([]Vote, len(participants))
+	votes := make([]Vote, len(participants))
 	a.mgr.pool.Do(len(participants), func(i int) {
 		v, err := participants[i].Prepare(pctx, a.id)
 		if err != nil {
@@ -676,14 +690,29 @@ func (a *Action) prepareAll(ctx context.Context, participants []Participant) (vo
 		}
 		votes[i] = v
 	})
-	if firstErr == nil {
-		return votes, false, nil
+	if firstErr != nil {
+		rolledBack, err = a.prepareFailed(ctx, participants, firstIdx, firstErr)
+		return nil, 0, rolledBack, err
 	}
+	for i, v := range votes {
+		if v == VoteReadOnly {
+			readOnly++
+		} else {
+			voters = append(voters, participants[i])
+		}
+	}
+	return voters, readOnly, false, nil
+}
+
+// prepareFailed rolls every participant back after participants[i]'s
+// prepare failed with cause, and returns whether all acknowledged and the
+// action's error.
+func (a *Action) prepareFailed(ctx context.Context, participants []Participant, i int, cause error) (rolledBack bool, err error) {
 	rolledBack = a.rollbackAll(ctx, participants, a.id)
 	// Wrap with %w so sentinel causes survive — a participant reporting
 	// ErrOutcomeUnknown must stay visible through this chain or the
 	// caller would misread an in-doubt commit as a definite abort.
-	return nil, rolledBack, fmt.Errorf("%s: %s: %w: %w", a.id, participants[firstIdx].Name(), firstErr, ErrPrepareFailed)
+	return rolledBack, fmt.Errorf("%s: %s: %w: %w", a.id, participants[i].Name(), cause, ErrPrepareFailed)
 }
 
 // Abort ends the action, undoing its effects.

@@ -69,7 +69,7 @@ func TestAdjustModeIncrementsRunConcurrently(t *testing.T) {
 	if err := c2.EndAction(ctx, "drain", true); err != nil {
 		t.Fatal(err)
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("object should be quiescent after the drain")
 	}
 	if _, err := c1.Do(ctx, InsertOp("ins2", w.id, "sv9")); err != nil {
@@ -95,7 +95,7 @@ func TestFastBindCommitsAndDrainsUseCounts(t *testing.T) {
 	if got, _ := w.storeValue("st1"); got != "3" {
 		t.Fatalf("counter = %q, want 3", got)
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("use counts did not drain to zero")
 	}
 }
@@ -131,7 +131,7 @@ func TestFastBindFallsBackToExclusivePassOnBrokenServer(t *testing.T) {
 	if len(sv) != 1 || sv[0] != "sv2" {
 		t.Fatalf("Sv = %v, want [sv2]", sv)
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("use counts did not drain to zero")
 	}
 	// The abandoned fast pass ended with abort (had its read lock stayed,
@@ -163,7 +163,7 @@ func TestAdjustAbortAtZeroClampExact(t *testing.T) {
 	if err := cli.EndAction(ctx, "act", false); err != nil {
 		t.Fatal(err)
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("abort did not restore use counts to zero")
 	}
 }

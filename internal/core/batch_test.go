@@ -13,8 +13,10 @@ import (
 	"repro/internal/uid"
 )
 
-// lockHolders lists who holds the object's Sv and St entry locks.
+// lockHolders counts who holds the object's Sv and St entry locks, once the
+// binders' pending action-ends are flushed.
 func (w *world) lockHolders() (n int) {
+	w.flushEnds()
 	return len(w.db.locks.HolderModes(svKey(w.id))) + len(w.db.locks.HolderModes(stKey(w.id)))
 }
 
@@ -75,7 +77,7 @@ func TestOwnActionEndsWithItsMessage(t *testing.T) {
 		if rpc.CodeOf(err) != CodeUnknownObject {
 			t.Fatalf("batch = %v, want code %s", err, CodeUnknownObject)
 		}
-		if !w.db.Quiescent(w.id) || len(w.db.locks.HolderModes(svKey(w.id))) != 0 {
+		if !w.quiescent(w.id) || len(w.db.locks.HolderModes(svKey(w.id))) != 0 {
 			t.Fatal("the failed message's own action left its count or its Sv lock")
 		}
 		if !w.db.locks.Holds("named", stKey(w.id), lockmgr.Read) {
@@ -88,11 +90,11 @@ func TestOwnActionEndsWithItsMessage(t *testing.T) {
 	if _, err := cli.Do(ctx, BindOp("", w.id, "c1", 1, false), GetViewOp("", w.id)); err != nil {
 		t.Fatal(err)
 	}
-	if w.db.Quiescent(w.id) || w.lockHolders() != 0 {
+	if w.quiescent(w.id) || w.lockHolders() != 0 {
 		t.Fatal("the own action did not commit its count and release its locks with the message")
 	}
-	if _, err := cli.Do(ctx, DecrementOp("", w.id, "c1", []transport.Addr{"sv1"})); err != nil || !w.db.Quiescent(w.id) {
-		t.Fatalf("own Decrement = %v, quiescent %v", err, w.db.Quiescent(w.id))
+	if _, err := cli.Do(ctx, DecrementOp("", w.id, "c1", []transport.Addr{"sv1"})); err != nil || !w.quiescent(w.id) {
+		t.Fatalf("own Decrement = %v, quiescent %v", err, w.quiescent(w.id))
 	}
 }
 
@@ -125,7 +127,7 @@ func TestBindAbortReleasesBatchLocks(t *testing.T) {
 		if holders := w.db.locks.HolderModes(svKey(w.id)); len(holders) != 0 {
 			t.Fatalf("readOnly=%v: Sv entry still locked after the failed bind: %v", readOnly, holders)
 		}
-		if !w.db.Quiescent(w.id) {
+		if !w.quiescent(w.id) {
 			t.Fatalf("readOnly=%v: the failed bind left its use count behind", readOnly)
 		}
 		if err := cli.EndAction(ctx, "recovery", true); err != nil {
@@ -167,7 +169,7 @@ func TestDuplicatedBatchLeavesNoLock(t *testing.T) {
 		if n := w.lockHolders(); n != 0 {
 			t.Fatalf("readOnly=%v: %d lock holders left under finished owners", readOnly, n)
 		}
-		if !w.db.Quiescent(w.id) {
+		if !w.quiescent(w.id) {
 			t.Fatalf("readOnly=%v: use counts did not drain", readOnly)
 		}
 	}
@@ -203,7 +205,7 @@ func TestActionEndDecrementsStandAlone(t *testing.T) {
 		if _, err := cli.Do(ctx, append([]Op{EndActionOp("act", true)}, decs...)...); err != nil {
 			t.Fatalf("gone first %v: action-end = %v", goneFirst, err)
 		}
-		if !w.db.Quiescent(w.id) {
+		if !w.quiescent(w.id) {
 			t.Fatalf("gone first %v: the registered object's count did not drop", goneFirst)
 		}
 		if n := w.lockHolders(); n != 0 {

@@ -169,7 +169,7 @@ func TestSelectOpFollowsTheUseLists(t *testing.T) {
 	if got := sel(); !reflect.DeepEqual(got.Nodes, []transport.Addr{"sv2"}) || got.Use != nil || got.Hosts != nil {
 		t.Fatalf("sv2 in use: Select = %+v, want [sv2] alone", got)
 	}
-	if w.db.Quiescent(w.id) {
+	if w.quiescent(w.id) {
 		t.Fatal("the writer's count went")
 	}
 
@@ -228,7 +228,7 @@ func TestBoundNeverInvokedDrainsItsUseCount(t *testing.T) {
 			if got := bd.Servers(); len(got) != 1 || got[0] != "sv1" {
 				t.Fatalf("%v: bound to %v, want [sv1]", scheme, got)
 			}
-			if counted := !w.db.Quiescent(w.id); counted != (scheme != SchemeStandard) {
+			if counted := !w.quiescent(w.id); counted != (scheme != SchemeStandard) {
 				t.Fatalf("%v: binding counted in the use lists = %v", scheme, counted)
 			}
 			if !commit {
@@ -238,7 +238,7 @@ func TestBoundNeverInvokedDrainsItsUseCount(t *testing.T) {
 			} else if rep, err := act.Commit(ctx); err != nil || rep.ReadOnlyVoters != 1 {
 				t.Fatalf("%v: commit = %+v, %v; want one read-only voter", scheme, rep, err)
 			}
-			if !w.db.Quiescent(w.id) {
+			if !w.quiescent(w.id) {
 				t.Fatalf("%v: use count did not drain (commit=%v)", scheme, commit)
 			}
 			if n := w.lockHolders(); n != 0 {
@@ -281,7 +281,7 @@ func TestServerCrashedBetweenActionsFailsOverOnFirstInvoke(t *testing.T) {
 			if got := bd.Servers(); len(got) != 1 || got[0] != "sv2" {
 				t.Fatalf("%v fast=%v round %d: bound = %v, want [sv2]", c.scheme, c.fast, round, got)
 			}
-			if !w.db.Quiescent(w.id) {
+			if !w.quiescent(w.id) {
 				t.Fatalf("%v fast=%v round %d: use counts did not drain", c.scheme, c.fast, round)
 			}
 			if n := w.lockHolders(); n != 0 {
@@ -336,7 +336,7 @@ func TestRepairMovesUseCountsMidAction(t *testing.T) {
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("use counts did not drain")
 	}
 }
@@ -374,7 +374,7 @@ func TestActiveBindRepairsAfterExplicitProbe(t *testing.T) {
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("use counts did not drain")
 	}
 
@@ -386,7 +386,7 @@ func TestActiveBindRepairsAfterExplicitProbe(t *testing.T) {
 	if _, err := b.Bind(ctx, act, w.id); err == nil {
 		t.Fatal("Bind succeeded with every replica down")
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("a failed bind left its use count behind")
 	}
 	if err := act.Abort(ctx); err != nil {
@@ -416,7 +416,7 @@ func TestFirstInvokeReplyLostDoesNotRepair(t *testing.T) {
 	if st, err := (object.ServerRef{Client: w.cluster.Node("c1").Client(), Node: "sv2", UID: w.id}).Status(ctx); err != nil || st.Active {
 		t.Fatalf("sv2 status = %+v, %v: the operation was taken to a second server", st, err)
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("use counts did not drain")
 	}
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
@@ -461,6 +461,7 @@ func TestRepairRefusedWhileOthersUseTheServer(t *testing.T) {
 		if err := act1.Abort(ctx); err != nil {
 			t.Fatal(err)
 		}
+		w.flushEnds()
 		cli := Client{RPC: w.cluster.Node("c2").Client(), DB: "db"}
 		sv, use, err := cli.GetServer(ctx, "peek", w.id, true, false)
 		if err != nil {
@@ -476,7 +477,7 @@ func TestRepairRefusedWhileOthersUseTheServer(t *testing.T) {
 		if _, err := act2.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if !w.db.Quiescent(w.id) || w.lockHolders() != 0 {
+		if !w.quiescent(w.id) || w.lockHolders() != 0 {
 			t.Fatalf("fast=%v: use counts or locks left behind", fast)
 		}
 	}

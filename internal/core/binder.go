@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -81,10 +80,11 @@ func (s Scheme) String() string {
 //
 // Under the enhanced schemes one binding talks to the database twice — once
 // to bind, and once, shared with the action's other bindings there, to end —
-// and each conversation is one message (Client.Do) carrying the paper's
-// operations in the paper's order, each under the action that owns it —
-// the short top-level actions of Figure 7 (Figure 8's scheme runs the same
-// code) each under its message's own (BatchReq):
+// and each conversation carries the paper's operations in the paper's
+// order, each under the action that owns it — the short top-level actions
+// of Figure 7 (Figure 8's scheme runs the same code) each under its
+// message's own (BatchReq). The bind is a message of its own (Binder.do);
+// the end rides one:
 //
 //   - bind — [Bind(own), GetView(client action)]: the first shaded action
 //     reads Sv and the use lists, selects the servers by the fixed rule and
@@ -96,15 +96,22 @@ func (s Scheme) String() string {
 //   - action-end — [EndAction(client action), Decrement(own) × k]: the
 //     client action's database locks go, then the last shaded action of
 //     Figure 7 drops the use counts, one Decrement for each of the action's
-//     k bindings at this database, each standing alone. It is one message per
-//     database per action, sent when the action's group there has finished
-//     commit or abort processing (txGroup.end).
+//     k bindings at this database, each standing alone. It is queued when
+//     the action's group there has finished commit or abort processing
+//     (txGroup.end), and rides the head of the binder's next message to
+//     that database, an own EndAction between it and the message's own ops;
+//     when a fixed bound (endBound, 1 ms) passes with no such message, it
+//     goes alone. Two ends go at once: that of a group that sent an Exclude,
+//     which the end decides before the action returns, and Figure 6's.
+//     Every wait for quiescence in a deployment flushes its binders first
+//     (Ends.Flush): a server's or a store's recovery, a Move's Deregister,
+//     a shutdown.
 //
 // The first object a read-only action binds has the first conversation only
 // — [Select(own), GetView(own)]: the St read joins the bind action, its
 // lock lives and dies inside the one message, and the binding is unpinned:
 // nothing of the client action's is at the database, its group is untracked
-// (txGroup) and there is no action-end to send. For an action of ONE object
+// (txGroup) and there is no action-end at all. For an action of ONE object
 // the St read lock guards nothing. It never copies a state back, so a
 // recovering store's Include (§4.2) has no view-read/write-back window of
 // its to stay out of, and a view that misses a store included since is
@@ -148,13 +155,14 @@ func (s Scheme) String() string {
 //     Prepare and the Commit are its group's, the action's participant at
 //     the database (txGroup): each server gets one of each naming every
 //     object of the action it holds, so two objects at one server are
-//     bind · bind · invoke · invoke · Prepare · Commit · action-end, 7
-//     messages — a group of two is never a one-phase participant;
+//     bind · bind · invoke · invoke · Prepare · Commit, 6 messages, the
+//     action-end riding the client's next one — a group of two is never a
+//     one-phase participant;
 //   - one invoke for a binding of Apply (a Solo call), whose operation is
 //     declared the action's entire write set: the request carries phase one,
-//     so over one store a committed write is bind · invoke · action-end, and
-//     over several bind · invoke · Commit · action-end, with the outcome
-//     logged before the Commit as ever. Commit processing answers from the
+//     so over one store a committed write is bind · invoke, and over several
+//     bind · invoke · Commit, with the outcome logged before the Commit as
+//     ever, and its end carried as above. Commit processing answers from the
 //     vote the reply carried (replica.Handle);
 //   - one invoke, too, for the read-only binding: a ReadOnly binder's client
 //     cannot write, so when a read is the first thing its action asks of any
@@ -184,12 +192,22 @@ func (s Scheme) String() string {
 //     so the client names it. A request sent after a candidate broke carries
 //     no phase one, so the repair always precedes the first message that
 //     could commit anything at the replacement.
+//   - rebind — a binding whose probe found the servers the use lists put
+//     it on dead before any ran the action's request — its first request
+//     reached none, or its activation reached none or was refused the
+//     repair — while Sv names another server, waits until the use lists
+//     would let a bind pick a live one, and binds again (Binder.rebind):
+//     what put it there may be the use counts of ended actions whose ends
+//     still wait in their clients' binders. Every policy's writers and
+//     readers pass through it; it is [GetServer(own)] after one bound,
+//     then after twice as long each time, then the bind's Sv op alone.
 //
 // The standard scheme (Figure 6) has [GetServer, GetView] and a bare
 // EndAction only, and never repairs. A message that fails part-way leaves
 // what single calls failing at the same operation would (see DB.batch), so
-// the failure paths are ending the repair action as aborted, the
-// action-end's released claim (txGroup.end) and the trackTxDB hook.
+// the failure paths are ending the repair action as aborted, the ends a
+// lost message carried, which the binder sends again (pendingEnds.lost),
+// and the trackTxDB hook.
 type Binder struct {
 	BindConfig
 	// DB addresses the group view database.
@@ -201,6 +219,9 @@ type Binder struct {
 
 	// pool runs the fan-outs of the handles the binder creates.
 	pool conc.Pool
+
+	// ends holds the action-ends waiting for a message to ride (do).
+	ends pendingEnds
 }
 
 // BindConfig is a binder's settings: every Binder field but the database
@@ -260,6 +281,9 @@ type BindConfig struct {
 	// commit processing can wait out the lease clock when a granting
 	// primary fails during phase two (see replica.Config.LeaseTTL).
 	LeaseTTL time.Duration
+	// Ends, when set, is the deployment's set of binders whose action-ends
+	// its waits for quiescence flush first (Ends.Flush).
+	Ends *Ends
 }
 
 // Binding is one client action's binding to one replicated object. Its
@@ -278,6 +302,8 @@ type Binding struct {
 	bound []transport.Addr
 	// probed marks the one post-probe repair as done (see repair).
 	probed bool
+	// rebound marks the one rebind as done (see rebind).
+	rebound bool
 	// group is the client action's group at the binding's database, shared
 	// with sibling bindings and the action-level hook (see txGroup,
 	// trackTxDB). It is untracked while the binding is unpinned: the client
@@ -335,12 +361,13 @@ func (b *Binder) Bind(ctx context.Context, act *action.Action, id uid.UID) (*Bin
 //     and store checks stay per object (Binding.Vote); the group's vote is
 //     commit when any member's is. The stores any member failed to write are
 //     excluded in one Exclude.
-//   - the action-end is one message, [EndAction(client action),
-//     Decrement(own) × k], sent after every member has finished commit or
+//   - the action-end is one conversation, [EndAction(client action),
+//     Decrement(own) × k], queued after every member has finished commit or
 //     abort processing: by phase two or the roll-back, or — when the group
 //     takes no part in phase two, its read-only vote or one-phase commit
 //     having finished it in phase one — by the resolve hook, once the
-//     action's outcome is decided (end).
+//     action's outcome is decided (end). It rides the binder's next message
+//     to the database, or goes alone after endBound.
 type txGroup struct {
 	b   *Binder
 	act *action.Action
@@ -354,9 +381,11 @@ type txGroup struct {
 	// database is registered (trackTxDB). An unpinned binding's group is
 	// not, until the pin (see Binder), and has no action-end to send.
 	tracked bool
-	// ended claims the EndAction; decremented says the Decrements were sent
-	// (or, their message failing, given up: they are best effort).
-	ended, decremented bool
+	// excluded says the group sent an Exclude, which its action-end
+	// decides: the end is then sent at once (end).
+	excluded bool
+	// ended claims the action-end.
+	ended bool
 }
 
 var (
@@ -444,6 +473,7 @@ func (g *txGroup) Prepare(ctx context.Context, tx string) (action.Vote, error) {
 	if len(excluded) == 0 {
 		return vote, nil
 	}
+	g.setExcluded()
 	if err := g.b.DB.Exclude(ctx, tx, excluded, g.b.UseWriteLockForExclude); err != nil {
 		return 0, fmt.Errorf("core: Exclude(%v): %w", excluded, err)
 	}
@@ -505,11 +535,12 @@ func (g *txGroup) CommitOnePhase(ctx context.Context, tx string) (action.Vote, e
 		// Best effort: the state is already committed, so a refused exclude
 		// lock cannot abort the action any more; the recovering store will
 		// be excluded by a later action's commit processing instead.
+		g.setExcluded()
 		_ = g.b.DB.Exclude(ctx, tx, []ExcludePair{{UID: bd.id, Hosts: failed}}, g.b.UseWriteLockForExclude)
 	}
 	// The group is the action's only participant, so nothing else shares
 	// the database action: ending it right here is safe, and the decision
-	// is already commit. The resolve hook retries a failed EndAction.
+	// is already commit.
 	_ = g.end(ctx, true)
 	return bd.vote, nil
 }
@@ -560,59 +591,58 @@ func (g *txGroup) Abort(ctx context.Context, tx string) error {
 	return endErr
 }
 
-// end is the action-end conversation, one message: the client action's
-// database action ends with the action's outcome — unless it was ended
-// already — releasing its locks and deciding any Exclude; then, for the
-// enhanced schemes, each binding's §4.1.3 Decrement runs as the message's own
-// action, after the client action has terminated (the last shaded action of
-// Figure 7). Use counts drop whatever the outcome: the binding existed
-// regardless. A Decrement whose object was deregistered meanwhile drops
-// nothing and fails nothing (DB.Decrement), so each stands alone.
+// end is the action-end conversation: the client action's database action
+// ends with the action's outcome — unless it was ended already — releasing
+// its locks and deciding any Exclude; then, for the enhanced schemes, each
+// binding's §4.1.3 Decrement runs as an own action, after the client action
+// has terminated (the last shaded action of Figure 7). Use counts drop
+// whatever the outcome: the binding existed regardless. A Decrement whose
+// object was deregistered meanwhile drops nothing and fails nothing
+// (DB.Decrement), so each stands alone.
 //
-// The returned error is the EndAction's: a failed message releases the
-// claim so that the resolve hook retries with a fresh context (EndAction
-// is idempotent, and a leaked claim would leak the action's database locks
-// instead). The Decrements are best effort, as they always were — the
-// janitor collects what a failed message leaves.
+// The end is not a message of its own. Its ops wait in the binder (see
+// pendingEnds) and ride the head of the binder's next message to this
+// database — a bind, a pin, another action's end — or, when endBound
+// passes with none, go alone (Binder.do). Holding the client action's read
+// locks that much longer is safe under two-phase locking, and a wait for
+// quiescence flushes the binder first (Binder.FlushEnds). Two kinds of end
+// are sent at once, alone or with whatever else waits: the end of a group
+// that sent an Exclude, which the end decides and which must be decided
+// before the action returns, and Figure 6's, whose locks held to the end are
+// what the standard scheme is measured by.
+//
+// The returned error is that of a message sent at once and lost in
+// transport; the binder sends what it carried once more (Binder.do), and
+// under a context already done it sends nothing and leaves the end to the
+// bound.
 func (g *txGroup) end(ctx context.Context, commit bool) error {
 	b := g.b
 	g.mu.Lock()
-	if !g.tracked {
+	if !g.tracked || g.ended {
 		g.mu.Unlock()
 		return nil
 	}
-	claimed := !g.ended
-	var ops []Op
-	if claimed || !g.decremented {
-		ops = make([]Op, 0, 1+len(g.members))
-	}
-	if claimed {
-		g.ended = true
-		ops = append(ops, EndActionOp(g.act.ID(), commit))
-	}
-	if !g.decremented {
-		g.decremented = true
-		for _, bd := range g.members {
-			ops = bd.appendDecrement(ops)
-		}
-	}
+	g.ended = true
+	members := g.members
+	now := g.excluded || b.Scheme == SchemeStandard
 	g.mu.Unlock()
-	if len(ops) == 0 {
+	b.ends.add(b, g.act.ID(), commit, members)
+	if !now {
 		return nil
 	}
-	_, err := b.DB.Do(ctx, ops...)
-	if !claimed || rpc.CodeOf(err) != "" {
-		// Not ours to end — or the database answered, so the message's
-		// first operation, the infallible EndAction, ran and the error is
-		// a Decrement's.
-		return nil
+	if _, err := b.do(ctx); rpc.CodeOf(err) == "" {
+		// Lost in transport, or nil. An answer means the message's
+		// EndActions, which come first and cannot be refused, ran.
+		return err
 	}
-	if err != nil {
-		g.mu.Lock()
-		g.ended = false
-		g.mu.Unlock()
-	}
-	return err
+	return nil
+}
+
+// setExcluded marks the group as one that sent an Exclude.
+func (g *txGroup) setExcluded() {
+	g.mu.Lock()
+	g.excluded = true
+	g.mu.Unlock()
 }
 
 // untrack undoes the trackTxDB of a bind that left nothing at the database:
@@ -717,7 +747,7 @@ func (bd *Binding) pin(ctx context.Context) error {
 	if _, err := b.trackTxDB(bd.act); err != nil {
 		return err
 	}
-	if _, _, err := b.DB.GetView(ctx, bd.act.ID(), bd.id); err != nil {
+	if _, err := b.do(ctx, GetViewOp(bd.act.ID(), bd.id)); err != nil {
 		if rpc.CodeOf(err) == CodeUnknownObject {
 			// The code stays off the chain: a placement binder would read
 			// it as the object being bound now having moved.
@@ -746,7 +776,7 @@ func (b *Binder) bindStandard(ctx context.Context, act *action.Action, id uid.UI
 		return nil, err
 	}
 	tx := act.ID()
-	res, err := b.DB.Do(ctx, GetServerOp(tx, id, false, false), GetViewOp(tx, id))
+	res, err := b.do(ctx, GetServerOp(tx, id, false, false), GetViewOp(tx, id))
 	if err != nil {
 		return nil, fmt.Errorf("core: GetServer+GetView(%v): %w", id, err)
 	}
@@ -803,7 +833,7 @@ func (b *Binder) bindEnhanced(ctx context.Context, act *action.Action, id uid.UI
 	case b.ReadOnly:
 		svOp = SelectOp("", id)
 	}
-	res, err := b.DB.Do(ctx, svOp, viewOp)
+	res, err := b.do(ctx, svOp, viewOp)
 	if err != nil {
 		if fresh && MovedTo(err) != "" {
 			// The object moved away. The Sv op said so, and the message
@@ -844,10 +874,11 @@ func (b *Binder) bindNonAtomicSv(ctx context.Context, act *action.Action, id uid
 	if len(sv) == 0 {
 		return nil, fmt.Errorf("core: name server has no servers for %v", id)
 	}
-	st, class, err := b.DB.GetView(ctx, act.ID(), id)
+	res, err := b.do(ctx, GetViewOp(act.ID(), id))
 	if err != nil {
 		return nil, fmt.Errorf("core: GetView(%v): %w", id, err)
 	}
+	st, class := res[0].Nodes, res[0].Class
 	candidates, _ := selectServers(sv, nil, b.degree(), b.spreadReads(), b.ClientNode)
 	return b.finishBind(ctx, act, id, class, candidates, st, nil)
 }
@@ -896,7 +927,7 @@ func inUse(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) [
 			}
 		}
 	}
-	sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
+	slices.Sort(active)
 	return active
 }
 
@@ -904,8 +935,27 @@ func inUse(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) [
 // the replication policy needs (none under single-copy passive) with the
 // repair its findings call for, and joins the binding to the action's group
 // at the database. counted lists the servers whose use lists already count
-// it.
+// it. A probe that found the servers it had to be on dead binds again, once
+// the counts that put it there may have gone (rebind).
 func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
+	bd, err := b.probe(ctx, act, id, class, candidates, st, counted)
+	if err != nil && bd != nil && errors.Is(err, replica.ErrNoServers) {
+		if again, rerr := b.rebind(ctx, bd, nil); again != nil || rerr != nil {
+			bd, err = again, rerr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	bd.group.join(bd)
+	return bd, nil
+}
+
+// probe builds the binding over candidates and, for a policy other than
+// single-copy passive, activates it and repairs what the activation found.
+// On a failed probe it drops the binding's counts and returns the error
+// with the binding, for its handle's findings.
+func (b *Binder) probe(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
 	handle, err := replica.New(replica.Config{
 		UID:         id,
 		Class:       class,
@@ -941,12 +991,81 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID,
 			if ops := bd.appendDecrement(nil); len(ops) > 0 {
 				_, _ = b.DB.Do(ctx, ops...)
 			}
-			return nil, err
+			bd.bound = nil
+			return bd, err
 		}
 	}
-	bd.group.join(bd)
 	return bd, nil
 }
+
+// rebind binds failed's object once more, for a binding whose probe found
+// the servers it had to be on dead before any ran a request of the
+// action's: its first request reached none (replica.Handle.Unprobed), or
+// its activation reached none or was refused the repair. The database put
+// it there by §4.1.3(i), because the object was in use at those servers,
+// and the counts that said so may be those of ended actions whose ends
+// still wait in their clients' binders (txGroup.end): due within endBound,
+// and then a message away. So rebind reads Sv and the use lists, a bound
+// after the first read and twice as long after each next one, until none
+// but own counts are at the dead servers, or a live server is in use too —
+// a bind would then pick one — and binds again over
+// the view failed had, in the same message dropping own's counts (own is
+// failed, or nil when they are gone). It gives up, returning nil and no
+// error, when Sv names no live server or after rebindWithin: then the
+// counts are not ends, and the object is in use where this client cannot
+// reach it. The standard scheme keeps no counts, and a read-only binder
+// under active replication ignores them: neither rebinds.
+func (b *Binder) rebind(ctx context.Context, failed, own *Binding) (*Binding, error) {
+	if b.Scheme == SchemeStandard || b.NameServer != nil || b.spreadReads() {
+		return nil, nil
+	}
+	dead := failed.handle.Broken()
+	live := func(sv transport.Addr) bool { return !slices.Contains(dead, sv) }
+	for deadline, wait := time.Now().Add(rebindWithin), endBound; ; wait *= 2 {
+		res, err := b.do(ctx, GetServerOp("", failed.id, true, false))
+		if err != nil || !slices.ContainsFunc(res[0].Nodes, live) {
+			return nil, nil
+		}
+		use := res[0].Use
+		if own != nil {
+			for _, host := range own.bound { // everybody else's use lists
+				if use[host][b.ClientNode] > 0 {
+					use[host][b.ClientNode]--
+				}
+			}
+		}
+		if in := inUse(res[0].Nodes, use); len(in) == 0 || slices.ContainsFunc(in, live) {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			return nil, nil
+		}
+		select {
+		case <-ctx.Done():
+			return nil, nil
+		case <-time.After(wait):
+		}
+	}
+	if own != nil {
+		b.ends.add(b, "", false, []*Binding{own})
+		own.bound = nil
+	}
+	svOp := BindOp("", failed.id, b.ClientNode, b.degree(), !b.FastBind)
+	if b.ReadOnly {
+		svOp = SelectOp("", failed.id)
+	}
+	res, err := b.do(ctx, svOp)
+	if err != nil {
+		return nil, fmt.Errorf("core: Bind(%v): %w", failed.id, err)
+	}
+	return b.probe(ctx, failed.act, failed.id, failed.class, res[0].Nodes, failed.handle.StNodes(), res[0].Hosts)
+}
+
+// rebindWithin bounds how long rebind waits for the counts at dead servers
+// to go: six reads. Ends are due within endBound, so most of it is for
+// their messages under load; a count that is no end — its action still
+// running, or its client gone — holds a bind for all of it.
+const rebindWithin = 30 * endBound
 
 // repair runs once per binding, when the probe — finishBind's Activate, or
 // under single-copy passive the first answered request — has shown which
@@ -1072,6 +1191,15 @@ func (bd *Binding) Servers() []transport.Addr { return bd.handle.Bound() }
 // but cannot fail the request any more.
 func (bd *Binding) Invoke(ctx context.Context, c replica.Call) (object.InvokeResp, error) {
 	resp, err := bd.handle.Invoke(ctx, bd.act, c)
+	if err != nil && !bd.rebound && bd.handle.Unprobed() {
+		bd.rebound = true
+		if again, rerr := bd.binder.rebind(ctx, bd, bd); again != nil {
+			bd.handle, bd.bound = again.handle, again.bound
+			resp, err = bd.handle.Invoke(ctx, bd.act, c)
+		} else if rerr != nil {
+			err = rerr
+		}
+	}
 	if err == nil {
 		err = bd.repair(ctx)
 	} else if errors.Is(err, action.ErrOutcomeUnknown) {

@@ -44,6 +44,8 @@ type world struct {
 	svs     []transport.Addr
 	sts     []transport.Addr
 	mgrs    map[transport.Addr]*action.Manager
+	// ends is the set of the binders binder built, for flushEnds.
+	ends Ends
 }
 
 // newWorld: db node, nServers object-server nodes (sv1..), nStores store
@@ -94,8 +96,21 @@ func (w *world) binder(client transport.Addr, scheme Scheme, policy replica.Poli
 			Scheme:     scheme,
 			Policy:     policy,
 			Degree:     degree,
+			Ends:       &w.ends,
 		},
 	}
+}
+
+// flushEnds sends every binder's pending action-ends (Ends.Flush), as a
+// wait for quiescence does first. An error is the test's to see in what
+// the database holds.
+func (w *world) flushEnds() { _ = w.ends.Flush(context.Background()) }
+
+// quiescent reports, once the binders' pending action-ends are flushed,
+// whether the object is quiescent (DB.Quiescent).
+func (w *world) quiescent(id uid.UID) bool {
+	w.flushEnds()
+	return w.db.Quiescent(id)
 }
 
 // runAction binds, applies "add delta", commits; returns the binding.
@@ -319,7 +334,7 @@ func TestEnhancedSchemeUseListsLifecycle(t *testing.T) {
 	if use["sv1"]["c1"] != 1 {
 		t.Fatalf("use = %v, want sv1/c1=1", use)
 	}
-	if w.db.Quiescent(w.id) {
+	if w.quiescent(w.id) {
 		t.Fatal("object should not be quiescent while bound")
 	}
 	// A second client binding now joins the already-active server (sv1)
@@ -341,7 +356,7 @@ func TestEnhancedSchemeUseListsLifecycle(t *testing.T) {
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("object should be quiescent after all actions ended")
 	}
 }
@@ -461,7 +476,7 @@ func TestJanitorCleansUpDeadClient(t *testing.T) {
 	}
 	// c1 crashes with a non-zero use count (its Decrement will never run).
 	w.cluster.Node("c1").Crash()
-	if w.db.Quiescent(w.id) {
+	if w.quiescent(w.id) {
 		t.Fatal("precondition: object should not be quiescent")
 	}
 	rep := NewJanitor(w.db).Sweep(ctx)
@@ -471,7 +486,7 @@ func TestJanitorCleansUpDeadClient(t *testing.T) {
 	if rep.ClearedCounters == 0 {
 		t.Fatal("no counters cleared")
 	}
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("object should be quiescent after sweep")
 	}
 	// Quiescence restored: a recovering server's Insert succeeds.
@@ -499,8 +514,10 @@ func TestServerRecoveryProtocol(t *testing.T) {
 	if len(sv) != 1 {
 		t.Fatalf("sv = %v", sv)
 	}
-	// The node recovers and re-inserts itself.
+	// The node recovers and re-inserts itself, once the client's action-end
+	// has left its binder (Insert waits for quiescence).
 	sv1.Recover(nil)
+	w.flushEnds()
 	if err := RecoverServerNode(ctx, sv1, "db", []uid.UID{w.id}); err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +597,7 @@ func TestReadOnlyOptimisationBindsSingleConvenientServer(t *testing.T) {
 		}
 	}
 	// No use counts were ever recorded.
-	if !w.db.Quiescent(w.id) {
+	if !w.quiescent(w.id) {
 		t.Fatal("read-only clients must not touch use lists")
 	}
 }

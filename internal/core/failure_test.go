@@ -180,7 +180,7 @@ func TestDBRecoveryPersistsAcrossMultipleObjects(t *testing.T) {
 	}
 	_ = cli.EndAction(ctx, "p2", true)
 	// Use lists survived too (empty but structured).
-	if !w.db.Quiescent(w.id) || !w.db.Quiescent(id2) {
+	if !w.quiescent(w.id) || !w.quiescent(id2) {
 		t.Fatal("objects should be quiescent after recovery")
 	}
 	if got := len(w.db.Objects()); got != 2 {
@@ -226,7 +226,7 @@ func TestPropertyUseCountsNeverNegative(t *testing.T) {
 		if err := cli.EndAction(ctx, act, false); err != nil {
 			return false
 		}
-		return w.db.Quiescent(w.id)
+		return w.quiescent(w.id)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

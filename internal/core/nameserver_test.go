@@ -129,10 +129,12 @@ func TestInsertRefusedWhileUseCountsHeld(t *testing.T) {
 	if got := errCode(err); got != CodeNotQuiescent {
 		t.Fatalf("Insert mid-use err = %v (code %q), want not-quiescent", err, got)
 	}
-	// After the action (and its Decrement) the Insert goes through.
+	// After the action (and its Decrement, flushed from the binder) the
+	// Insert goes through.
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
+	w.flushEnds()
 	if _, err := cli.Do(ctx, InsertOp("ins2", w.id, "sv2")); err != nil {
 		t.Fatalf("Insert after decrement: %v", err)
 	}

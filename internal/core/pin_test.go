@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -34,10 +35,10 @@ var opNames = [...]string{OpRegister: "Register", OpDeregister: "Deregister", Op
 
 // dbOps records, per message, the operations one client sends the database,
 // and renders each as its kind and the action it runs under, given the
-// client action's ID: the message's own ("own"), the client action
-// ("client") or another named one ("repair"). A write-locked read adds
-// ", update".
-func dbOps(w *world, client transport.Addr) func(clientAct string) [][]string {
+// client action's ID and those of earlier client actions: the message's own
+// ("own"), the client action ("client"), an earlier one ("earlier") or
+// another named one ("repair"). A write-locked read adds ", update".
+func dbOps(w *world, client transport.Addr) func(clientAct string, earlier ...string) [][]string {
 	var mu sync.Mutex
 	var sent [][]Op
 	w.cluster.Faults().OnRequest(-1,
@@ -51,18 +52,20 @@ func dbOps(w *world, client transport.Addr) func(clientAct string) [][]string {
 			sent = append(sent, q.Ops)
 			mu.Unlock()
 		})
-	return func(clientAct string) [][]string {
+	return func(clientAct string, earlier ...string) [][]string {
 		mu.Lock()
 		defer mu.Unlock()
 		out := make([][]string, len(sent))
 		for i, ops := range sent {
 			for _, op := range ops {
 				owner := "repair"
-				switch op.Action {
-				case "":
+				switch {
+				case op.Action == "":
 					owner = "own"
-				case clientAct:
+				case op.Action == clientAct:
 					owner = "client"
+				case slices.Contains(earlier, op.Action):
+					owner = "earlier"
 				}
 				if op.ForUpdate {
 					owner += ", update"
@@ -76,7 +79,8 @@ func dbOps(w *world, client transport.Addr) func(clientAct string) [][]string {
 }
 
 // TestReadOnlyBindConversations pins every op list a binder sends the
-// database, one action per row, each message a line of ops.
+// database, one action per row, each message a line of ops, with the
+// binder's pending action-ends flushed after the action (Binder.FlushEnds).
 //
 // The enhanced schemes' bind runs Figure 7's short action as the bind
 // message's own, and the action-end runs the Decrement as its message's
@@ -84,6 +88,9 @@ func dbOps(w *world, client transport.Addr) func(clientAct string) [][]string {
 // one differ in Bind's lock alone. An action of two objects at one database
 // ends there in one message, each object's Decrement beside the other's. A
 // repair spans two messages, so it runs under an action the client names.
+// The end is no message of its own when the binder's next message comes
+// first: it rides that message's head, an own EndAction between its
+// Decrements and the message's own ops.
 //
 // A ReadOnly binder's first object is bound unpinned — the St read joins
 // the bind message's own action and the committed read sends nothing more;
@@ -121,6 +128,20 @@ func TestReadOnlyBindConversations(t *testing.T) {
 		}
 		return act.ID()
 	}
+	// flushed runs the action and then flushes the binder; after, when set,
+	// runs before it, as the client's previous action.
+	flushed := func(t *testing.T, b *Binder, after bool, sent func(string, ...string) [][]string, ids ...uid.UID) [][]string {
+		t.Helper()
+		var earlier []string
+		if after {
+			earlier = append(earlier, run(t, b, ids...))
+		}
+		act := run(t, b, ids...)
+		if err := b.FlushEnds(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return sent(act, earlier...)
+	}
 	reader := func(b *Binder) { b.ReadOnly = true }
 	unpinnedBind := []string{"Select(own)", "GetView(own)"}
 	pinnedBind := []string{"Select(own)", "GetView(client)"}
@@ -128,23 +149,32 @@ func TestReadOnlyBindConversations(t *testing.T) {
 	bind := []string{"Bind(own)", "GetView(client)"}
 	endAndDecrement := []string{"EndAction(client)", "Decrement(own)"}
 	for _, c := range []struct {
-		name      string
-		tweak     func(b *Binder)
-		two, dead bool
-		want      [][]string
+		name             string
+		tweak            func(b *Binder)
+		two, dead, after bool
+		want             [][]string
 	}{
-		{"one object", reader, false, false, [][]string{unpinnedBind}},
-		{"two objects", reader, true, false, [][]string{unpinnedBind, {"GetView(client)"}, pinnedBind, end}},
-		{"lease holder", func(b *Binder) { reader(b); b.LeaseHolder = "c1" }, false, false, [][]string{pinnedBind, end}},
-		{"coordinator-cohort", func(b *Binder) { reader(b); b.Policy = replica.CoordinatorCohort }, false, false, [][]string{pinnedBind, end}},
-		{"active", func(b *Binder) { reader(b); b.Policy = replica.Active }, false, false, [][]string{{"GetServer(own)", "GetView(client)"}, end}},
-		{"standard", func(b *Binder) { reader(b); b.Scheme = SchemeStandard }, false, false, [][]string{{"GetServer(client)", "GetView(client)"}, end}},
-		{"writer, fast bind", func(b *Binder) { b.FastBind = true }, false, false, [][]string{bind, endAndDecrement}},
-		{"writer, classic bind", func(*Binder) {}, false, false, [][]string{{"Bind(own, update)", "GetView(client)"}, endAndDecrement}},
-		{"writer, standard", func(b *Binder) { b.Scheme = SchemeStandard }, false, false, [][]string{{"GetServer(client)", "GetView(client)"}, end}},
-		{"writer, two objects", func(b *Binder) { b.FastBind = true }, true, false, [][]string{bind, bind, {"EndAction(client)", "Decrement(own)", "Decrement(own)"}}},
-		{"writer, repair", func(b *Binder) { b.FastBind = true }, false, true, [][]string{
+		{"one object", reader, false, false, false, [][]string{unpinnedBind}},
+		{"two objects", reader, true, false, false, [][]string{unpinnedBind, {"GetView(client)"}, pinnedBind, end}},
+		{"lease holder", func(b *Binder) { reader(b); b.LeaseHolder = "c1" }, false, false, false, [][]string{pinnedBind, end}},
+		{"coordinator-cohort", func(b *Binder) { reader(b); b.Policy = replica.CoordinatorCohort }, false, false, false, [][]string{pinnedBind, end}},
+		{"active", func(b *Binder) { reader(b); b.Policy = replica.Active }, false, false, false, [][]string{{"GetServer(own)", "GetView(client)"}, end}},
+		{"standard", func(b *Binder) { reader(b); b.Scheme = SchemeStandard }, false, false, false, [][]string{{"GetServer(client)", "GetView(client)"}, end}},
+		{"writer, fast bind", func(b *Binder) { b.FastBind = true }, false, false, false, [][]string{bind, endAndDecrement}},
+		{"writer, classic bind", func(*Binder) {}, false, false, false, [][]string{{"Bind(own, update)", "GetView(client)"}, endAndDecrement}},
+		{"writer, standard", func(b *Binder) { b.Scheme = SchemeStandard }, false, false, false, [][]string{{"GetServer(client)", "GetView(client)"}, end}},
+		{"writer, two objects", func(b *Binder) { b.FastBind = true }, true, false, false, [][]string{bind, bind, {"EndAction(client)", "Decrement(own)", "Decrement(own)"}}},
+		{"writer, repair", func(b *Binder) { b.FastBind = true }, false, true, false, [][]string{
 			bind, {"GetServer(repair, update)"}, {"Remove(repair)", "Increment(repair)", "EndAction(repair)"}, endAndDecrement}},
+		// The earlier action's end rides its successor's bind: a message
+		// fewer, its ops unchanged.
+		{"writer, after an action", func(b *Binder) { b.FastBind = true }, false, false, true, [][]string{
+			{"Bind(own)", "GetView(earlier)"}, {"EndAction(earlier)", "Decrement(own)", "EndAction(own)", "Bind(own)", "GetView(client)"}, endAndDecrement}},
+		{"two objects, after an action", reader, true, false, true, [][]string{
+			unpinnedBind, {"GetView(earlier)"}, {"Select(own)", "GetView(earlier)"},
+			{"EndAction(earlier)", "Select(own)", "GetView(own)"}, {"GetView(client)"}, pinnedBind, end}},
+		{"writer, standard, after an action", func(b *Binder) { b.Scheme = SchemeStandard }, false, false, true, [][]string{
+			{"GetServer(earlier)", "GetView(earlier)"}, {"EndAction(earlier)"}, {"GetServer(client)", "GetView(client)"}, end}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := newWorld(t, 2, 1, 1)
@@ -158,13 +188,13 @@ func TestReadOnlyBindConversations(t *testing.T) {
 			b := w.binder("c1", SchemeIndependent, replica.SingleCopyPassive, 1)
 			c.tweak(b)
 			sent := dbOps(w, "c1")
-			if got := sent(run(t, b, ids...)); !reflect.DeepEqual(got, c.want) {
+			if got := flushed(t, b, c.after, sent, ids...); !reflect.DeepEqual(got, c.want) {
 				t.Fatalf("the database was sent\n %v\nwant\n %v", got, c.want)
 			}
 			if n := w.lockHolders(); n != 0 {
 				t.Fatalf("%d lock holders left", n)
 			}
-			if !w.db.Quiescent(w.id) {
+			if !w.quiescent(w.id) {
 				t.Fatal("use counts did not drain")
 			}
 		})

@@ -171,10 +171,12 @@ func TestRecoverServerNodeRefusedWhileObjectInUse(t *testing.T) {
 		t.Fatal("Insert must be refused while the object is in use")
 	}
 
-	// After the action terminates the object is quiescent again.
+	// After the action terminates, and its action-end has left the binder,
+	// the object is quiescent again.
 	if _, err := act.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
+	w.flushEnds()
 	if err := RecoverServerNode(ctx, sv2, "db", ids); err != nil {
 		t.Fatalf("recovery after quiesce: %v", err)
 	}

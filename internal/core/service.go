@@ -636,7 +636,9 @@ func registerService(srv *rpc.Server, db *DB) {
 // mutations pending) — the state a sequence of single calls failing at the
 // same operation leaves. The message's own action is aborted instead. It
 // lives in this frame alone (see dbAction), and its name is minted at its
-// first op.
+// first op. An own EndAction ends it there, and the next own op begins
+// another: what a message carries ahead of its own ops (Binder.do) commits
+// as its own action and shares no lock or fate with theirs.
 func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (BatchResp, error) {
 	if db.failed.Load() {
 		return BatchResp{}, errStopped
@@ -692,7 +694,10 @@ func (db *DB) exec(ctx context.Context, a *dbAction, op *Op) (res OpResult, err 
 		err = db.Exclude(ctx, a, op.Pairs, op.UseWriteLock)
 	case OpEndAction:
 		if a.own {
+			// An own op after this one starts a fresh own action, with a
+			// fresh name and stable write (batch).
 			err = db.endOwn(a, op.Commit)
+			a.name = ""
 		} else {
 			err = db.EndAction(a.name, op.Commit)
 		}
@@ -719,15 +724,20 @@ type Client struct {
 var opScratch = sync.Pool{New: func() any { return new([]Op) }}
 
 // Do sends ops to the database as one message and returns their results
-// in order. On an error no result is returned; see registerService for
-// what a batch that fails part-way leaves behind.
+// in order. On an error no result is returned; see batch for what a
+// message that fails part-way leaves behind.
 func (c Client) Do(ctx context.Context, ops ...Op) ([]OpResult, error) {
 	scratch := opScratch.Get().(*[]Op)
 	sent := append((*scratch)[:0], ops...)
-	resp, err := rpc.Invoke[BatchReq, BatchResp](ctx, c.RPC, c.DB, ServiceName, MethodBatch, BatchReq{Ops: sent})
-	clear(sent)
-	*scratch = sent[:0]
-	opScratch.Put(scratch)
+	res, err := c.send(ctx, sent)
+	putOps(scratch, sent)
+	return res, err
+}
+
+// send sends ops, a list the request may keep (see opScratch), as one
+// message.
+func (c Client) send(ctx context.Context, ops []Op) ([]OpResult, error) {
+	resp, err := rpc.Invoke[BatchReq, BatchResp](ctx, c.RPC, c.DB, ServiceName, MethodBatch, BatchReq{Ops: ops})
 	if err != nil {
 		return nil, err
 	}
@@ -735,6 +745,13 @@ func (c Client) Do(ctx context.Context, ops ...Op) ([]OpResult, error) {
 		return nil, fmt.Errorf("core: %v answered %d ops with %d results", c, len(ops), len(resp.Results))
 	}
 	return resp.Results, nil
+}
+
+// putOps gives a list taken from opScratch back, emptied.
+func putOps(scratch *[]Op, sent []Op) {
+	clear(sent)
+	*scratch = sent[:0]
+	opScratch.Put(scratch)
 }
 
 // do1 sends a single operation.

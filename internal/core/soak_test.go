@@ -38,6 +38,7 @@ func soak(t *testing.T, scheme Scheme, seed int64) {
 	recoverNode := func(name transport.Addr) {
 		node := w.cluster.Node(name)
 		node.Recover(nil)
+		w.flushEnds() // recovery waits for quiescence
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		var err error

@@ -146,6 +146,9 @@ type World struct {
 	// non-atomic name server (core.NewNameServer): binders built from then
 	// on read and repair Sv there, not in the database (E12; one group).
 	NameServer transport.Addr
+
+	// ends is the set of every binder Binder built, for FlushEnds.
+	ends core.Ends
 }
 
 // New builds a world: one db node, the requested servers/stores/clients,
@@ -317,6 +320,9 @@ func (w *World) Rebalance(ctx context.Context, id uid.UID, target int) error {
 // coordinator. On one group every object is already at shard 1, so a move
 // there is a no-op, and any other target is an unknown shard.
 func (w *World) RebalanceBatch(ctx context.Context, ids []uid.UID, target int) error {
+	// Deregister waits for quiescence. An end whose flush failed leaves
+	// the move refused, and retried, as any other user of the object does.
+	_ = w.FlushEnds(ctx)
 	client := w.Clients[0]
 	pc := placement.NewClient(w.table, w.ring)
 	return placement.Move(ctx, pc, w.Mgrs[client], w.Cluster.Node(client).Client(), ids, target, w.leaseTTL > 0)
@@ -362,6 +368,7 @@ func (w *World) Binder(client transport.Addr, scheme core.Scheme, policy replica
 			Degree:      degree,
 			LeaseHolder: w.leaseHolderFor(client),
 			LeaseTTL:    w.leaseTTL,
+			Ends:        &w.ends,
 		},
 		Place: placement.NewClient(w.table, w.ring),
 		RPC:   rpcc,
@@ -371,6 +378,12 @@ func (w *World) Binder(client transport.Addr, scheme core.Scheme, policy replica
 	}
 	return b
 }
+
+// FlushEnds sends the pending action-ends of every binder Binder built
+// (core.Ends.Flush), and returns the first error. A wait for quiescence in
+// the deployment calls it first — a server's or a store's recovery, a
+// Move's Deregister — and so does a shutdown.
+func (w *World) FlushEnds(ctx context.Context) error { return w.ends.Flush(ctx) }
 
 // StoreSeqs returns each live store node's committed (value, seq) for
 // object idx; missing entries are skipped. Used by consistency checks.

@@ -52,6 +52,7 @@ func TestShardBindersGetEverySetting(t *testing.T) {
 		NameServer:             &core.NSClient{RPC: client.Client(), Node: "ns"},
 		LeaseHolder:            "c1",
 		LeaseTTL:               time.Second,
+		Ends:                   new(core.Ends),
 	}
 	v := reflect.ValueOf(cfg)
 	for i := 0; i < v.NumField(); i++ {

@@ -522,6 +522,18 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, c Call) (object
 	return resp, nil
 }
 
+// Unprobed reports whether no candidate has run a request of a
+// single-copy-passive handle's yet: none was sent, or every one tried was
+// unreachable or refused to activate.
+func (h *Handle) Unprobed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.unprobed
+}
+
+// StNodes returns the St view the handle activates its servers from.
+func (h *Handle) StNodes() []transport.Addr { return h.cfg.StNodes }
+
 // intact reports whether no candidate's binding has broken.
 func (h *Handle) intact() bool {
 	h.mu.Lock()

@@ -26,6 +26,21 @@
 // hold *mutually consistent* states of an object exactly when their
 // sequence numbers for it are equal, which is the property the Object
 // State database's St sets are maintained to guarantee.
+//
+// The reference model (TestStoreBackendsAgree) runs one caller and a
+// backend that never fails, and needs neither more. Concurrent callers: an
+// operation checks the image and appends all its records in one critical
+// section of the Store's mutex, so the image and the log of any concurrent
+// run are those of the sequential run in mutex order, and only the Sync,
+// outside the mutex, overlaps; it decides when an operation answers, never
+// what it wrote, and a log is durable in prefixes, so a crash keeps a
+// prefix of that sequential log — one of the cuts the model checks (the
+// coordinator log's records, appended under the backend's lock, are ops of
+// that order too). A failed backend write: the store answers nothing from
+// then on (Store.st), so no reply can show it, and what a Reopen reads back
+// is again a prefix of the log, the model's crash image. The silence has a
+// test of its own on both backends:
+// TestStoreFailedWriteAnswersNothingUntilReopened.
 package store
 
 import (

@@ -15,13 +15,17 @@ import (
 // group, so every bind goes through the placement binder over a one-row
 // table, and the pin also holds that path to allocating nothing of its own.
 // The budgets are the counts measured when each class last got cheaper —
-// the breaker-note context per attempt taken out, the per-call overhead
-// before it, each solo class's one-phase Prepare message carried by its
-// invoke, the read-only client's first bind holding no database lock — plus
-// 5 %, rounded up: a later change that puts weight back on the path fails
-// here, not in a benchmark run. An Atomic write sends that one-phase
-// Prepare, and a two-object one the two-phase rounds, one message per phase
-// naming both objects.
+// the action-end carried by the next action's bind, the breaker-note
+// context per attempt taken out, the per-call overhead before it, each solo
+// class's one-phase Prepare message carried by its invoke, the read-only
+// client's first bind holding no database lock — plus 5 %, rounded up: a
+// later change that puts weight back on the path fails here, not in a
+// benchmark run. An Atomic write sends that one-phase Prepare, and a
+// two-object one the two-phase rounds, one message per phase naming both
+// objects. Each action's end rides the next one's bind, so a class's count
+// is the steady state's; the ends are flushed between classes, so that the
+// previous class's last end, sent alone once the bound passes, is not
+// counted against the next.
 func TestFacadeAllocs(t *testing.T) {
 	sys := openT(t, arjuna.WithShards(1), arjuna.WithServers(1), arjuna.WithStores(1), arjuna.WithObjects(2))
 	rw := clientT(t, sys, "c1", arjuna.ClientFastBind())
@@ -36,7 +40,7 @@ func TestFacadeAllocs(t *testing.T) {
 			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-		}, 70}, // 66 measured; 68 with a breaker-note context per attempt, 84 when last pinned; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
+		}, 62}, // 59 measured; 66 with the action-end a message of its own, 70 when last pinned; 68 with a breaker-note context per attempt, 84 when last pinned; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
 		{"Atomic+Invoke", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Invoke(ctx, "add", []byte("1"))
@@ -44,7 +48,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 79}, // 75 measured; 77 with a breaker-note context per attempt, 97 when last pinned; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
+		}, 72}, // 68 measured; 75 with the action-end a message of its own, 79 when last pinned; 77 with a breaker-note context per attempt, 97 when last pinned; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
 		{"Atomic+Invoke two objects", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				if _, err := tx.Object(id).Invoke(ctx, "add", []byte("1")); err != nil {
@@ -55,7 +59,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 191}, // 181 measured; 183 with a breaker-note context per attempt, 221 when last pinned; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
+		}, 172}, // 163 measured; 181 with the action-end a message of its own and a fan-out for a lone commit participant, 191 when last pinned; 183 with a breaker-note context per attempt, 221 when last pinned; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)
@@ -66,6 +70,9 @@ func TestFacadeAllocs(t *testing.T) {
 		}, 36}, // 34 measured; 36 with a breaker-note context per attempt, 45 when last pinned; 46 with a copy of the St view kept per binding; 51 with the database's keys rendered per op, a note context per call and the carried vote's item on the heap, 53 with a client-minted bind action, 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
 	} {
 		c.op() // warm-up: placement cache, activation, lock-table free lists
+		if err := sys.World().FlushEnds(ctx); err != nil {
+			t.Fatal(err)
+		}
 		got := testing.AllocsPerRun(200, c.op)
 		t.Logf("%s: %.0f allocations per action (budget %.0f)", c.name, got, c.budget)
 		if got > c.budget {

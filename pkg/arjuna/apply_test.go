@@ -168,6 +168,7 @@ func TestApplyFirstCandidateDeadCommitsSeparately(t *testing.T) {
 		if !slices.Equal(carried, []object.Carry{object.CarryCommit}) || len(svAtCommit) != 0 {
 			t.Fatalf("second Apply: carried %v, %d Prepare messages; want the commit carried", carried, len(svAtCommit))
 		}
+		_ = sys.World().FlushEnds(ctx) // the last action-end waits in its binder
 		if !sys.World().DB.Quiescent(obj) {
 			t.Fatal("use counts did not drain")
 		}

@@ -45,29 +45,21 @@ func (n *countingNet) during(op func()) (calls, db, stores int64) {
 // the client itself issues for one committed action in the steady state
 // (placement cached) — the count is deterministic, so tier-1 can gate on it
 // where a latency could only be advisory. For an action that may write the
-// database's share is one message per conversation, on either topology: bind
-// and action-end (2), and one bind per object beside one action-end per
-// database for an action of several. No message goes to a server at bind
-// time — the first invoke activates — and an Apply's invoke carries the
-// action's phase one, so a write is bind · invoke · action-end, 3 calls, and
-// over three stores 4, because one-phase commit is not eligible there: the
-// invoke carries the prepare and the server still gets a Commit. A
-// ClientReadOnly client's read is sent the same way — the read-only vote
-// rides the invoke whatever the store count — and its bind is unpinned: the
-// St read joined the bind action, so nothing of the client action's is left at
-// the database and there is no action-end to send. Its read is bind · invoke,
-// 2 calls, 1 to the database. Actions a client that may write runs through
-// Atomic + Invoke never send a solo request, and each commit phase sends each
-// server one message naming every object of the action it holds: a
-// two-object action across shards is 2 binds, 2 invokes, Prepare and Commit
-// at each server and an action-end at each database, 10; in one group, where
-// both objects are at one server and one database, it is 2 binds, 2 invokes,
-// one Prepare, one Commit and one action-end, 7, and a three-object action
-// there 9. The server writes the objects of a phase back together, too:
-// each of the group's three stores gets one Prepare and one Commit for the
-// whole action, 6 store calls for two objects as for three. The counts are
-// exact, not ceilings: a message saved that nobody meant to save is as much
-// news as one added.
+// database's share is its binds, one message per object: the action-end
+// ([EndAction, Decrement × k], one per database) is no message of its own
+// but rides the head of the client's next message to that database, so in
+// the steady state it costs ops there and no call. No message goes to a
+// server at bind time — the first invoke activates — and an Apply's invoke
+// carries the action's phase one. Each row derives its count below. The
+// binders' pending ends are flushed before each measured action, so a bound
+// that passed during the warm-up cannot send one inside the count; the
+// measured action's own end waits for the next one. The idle row waits
+// instead, until the bound passes with no message to carry the end and it
+// goes alone: one database call more. A ClientReadOnly client's read is
+// sent the same way as an Apply — the read-only vote rides the invoke
+// whatever the store count — and its bind is unpinned, so there is no
+// action-end at all. The counts are exact, not ceilings: a message saved
+// that nobody meant to save is as much news as one added.
 func TestClientCallsPerAction(t *testing.T) {
 	// stores, when set, is the count of calls the stores are sent.
 	type budget struct{ calls, db, stores int64 }
@@ -81,9 +73,21 @@ func TestClientCallsPerAction(t *testing.T) {
 		// deployment's first three.
 		threeBudget budget
 	}{
-		{"3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 3, budget{10, 4, 0}, budget{}},
+		// One store per shard: a write is bind · invoke carrying the
+		// one-phase commit, 2 calls, 1 to the database. A cross-shard pair is
+		// 2 binds (one per database) · 2 invokes · a Prepare and a Commit at
+		// each server, 8 calls, 2 to the databases.
+		{"3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 2, budget{8, 2, 0}, budget{}},
+		// Three stores: one-phase commit is not eligible, so a write is bind
+		// · invoke carrying the prepare · Commit, 3 calls, 1 to the
+		// database. A pair at one server and one database is 2 binds · 2
+		// invokes · one Prepare and one Commit naming both, 6 calls, 2 to
+		// the database; three objects are 3 binds · 3 invokes · Prepare ·
+		// Commit, 8 calls, 3 to the database. Each store gets one Prepare
+		// and one Commit for the whole action: 6 store calls for two objects
+		// as for three.
 		{"1-group-2sv-3st", []arjuna.Option{arjuna.WithShards(1), arjuna.WithServers(2), arjuna.WithStores(3)},
-			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 4, budget{7, 3, 6}, budget{9, 4, 6}},
+			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 3, budget{6, 2, 6}, budget{8, 3, 6}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net := &countingNet{Network: transport.NewMem(transport.MemOptions{}, nil), from: "c1"}
@@ -95,6 +99,17 @@ func TestClientCallsPerAction(t *testing.T) {
 			write := func() {
 				if _, _, err := rw.Apply(ctx, a, "add", []byte("1")); err != nil {
 					t.Fatal(err)
+				}
+			}
+			// idle is a write after which the client sends nothing: its
+			// action-end goes alone once the bound has passed.
+			idle := func() {
+				sent := net.db.Load() + 2 // the bind, then the end
+				write()
+				for deadline := time.Now().Add(5 * time.Second); net.db.Load() < sent; time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the idle client's action-end was never sent")
+					}
 				}
 			}
 			read := func() {
@@ -123,7 +138,12 @@ func TestClientCallsPerAction(t *testing.T) {
 				name string
 				op   func()
 				budget
-			}{{"write", write, budget{c.writeBudget, 2, 0}}, {"read", read, budget{2, 1, 0}}, {"cross", addTo(a, b), c.crossBudget}}
+			}{
+				{"write", write, budget{c.writeBudget, 1, 0}},
+				{"idle", idle, budget{c.writeBudget + 1, 2, 0}},
+				{"read", read, budget{2, 1, 0}},
+				{"cross", addTo(a, b), c.crossBudget},
+			}
 			if c.threeBudget != (budget{}) {
 				classes = append(classes, struct {
 					name string
@@ -133,6 +153,9 @@ func TestClientCallsPerAction(t *testing.T) {
 			}
 			for _, class := range classes {
 				class.op() // warm-up: placement cache
+				if err := sys.World().FlushEnds(ctx); err != nil {
+					t.Fatal(err)
+				}
 				calls, db, stores := net.during(class.op)
 				if calls != class.calls || db != class.db {
 					t.Errorf("%s: the client issued %d calls (%d to the database) for one committed action, want %d (%d)",
@@ -150,21 +173,27 @@ func TestClientCallsPerAction(t *testing.T) {
 // read row leaves out. A ClientReadOnly action that goes on to a second
 // object pays for the first one's pin: bind · carried read · pin · bind ·
 // read · a method-less Invoke (the carried read re-checked under a held
-// lock) · a Prepare at each server, naming every object it holds · the
-// action-end the pin's hook sends — one per database, so 10 calls (5 to the
-// databases) across two shards and 8 (4) in one group, where one server holds
-// both objects. And the clients whose first bind stays pinned keep
-// the counts they had: with a lease cache (Move's lease fence leans on the
-// write-locked entries to stop new grants) bind · invoke · one-phase
-// Prepare · action-end; under active replication (the binding is probed at
-// bind time, before anything could pin it) the same behind a method-less
-// activation Invoke; under the standard scheme (Figure 6 holds GetServer's
-// and GetView's locks to the action's end alike) bind · carried read ·
-// action-end.
+// lock) · a Prepare at each server, naming every object it holds; the
+// action-end the pin's hook queues, one per database, rides the client's
+// next message there. So 8 calls (3 to the databases: a bind at each, the
+// pin at the first) across two shards, and 7 (3: two binds and the pin) in
+// one group, where one server holds both objects. And the clients whose
+// first bind stays pinned keep their conversations, the end carried: with a
+// lease cache (Move's lease fence leans on the write-locked entries to stop
+// new grants) bind · invoke · one-phase Prepare, 3 (1); under active
+// replication (the binding is probed at bind time, before anything could
+// pin it) the same behind a method-less activation Invoke, 4 (1); under the
+// standard scheme (Figure 6 holds GetServer's and GetView's locks to the
+// action's end alike, and its end is sent at once) bind · carried read ·
+// action-end, 3 (2). The binders' pending ends are flushed before each
+// measured action, as in TestClientCallsPerAction.
 func TestReadOnlyClientCallsPerAction(t *testing.T) {
 	ctx := context.Background()
-	measure := func(t *testing.T, net *countingNet, op func(), calls, db int64) {
+	measure := func(t *testing.T, sys *arjuna.System, net *countingNet, op func(), calls, db int64) {
 		t.Helper()
+		if err := sys.World().FlushEnds(ctx); err != nil {
+			t.Fatal(err)
+		}
 		if c, d, _ := net.during(op); c != calls || d != db {
 			t.Errorf("the client issued %d calls (%d to the database) for one committed action, want %d (%d)", c, d, calls, db)
 		}
@@ -178,9 +207,9 @@ func TestReadOnlyClientCallsPerAction(t *testing.T) {
 		pair      func(t *testing.T, sys *arjuna.System) (a, b uid.UID)
 		calls, db int64
 	}{
-		{"two-object/3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 10, 5},
+		{"two-object/3-shards", []arjuna.Option{arjuna.WithShards(3), arjuna.WithServers(1), arjuna.WithStores(1)}, crossShardPair, 8, 3},
 		{"two-object/1-group-2sv-3st", []arjuna.Option{arjuna.WithShards(1), arjuna.WithServers(2), arjuna.WithStores(3)},
-			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 8, 4},
+			func(_ *testing.T, sys *arjuna.System) (a, b uid.UID) { return sys.Objects()[0], sys.Objects()[1] }, 7, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net := newNet()
@@ -200,7 +229,7 @@ func TestReadOnlyClientCallsPerAction(t *testing.T) {
 				}
 			}
 			twoReads() // warm-up: placement cache
-			measure(t, net, twoReads, c.calls, c.db)
+			measure(t, sys, net, twoReads, c.calls, c.db)
 		})
 	}
 	for _, c := range []struct {
@@ -209,8 +238,8 @@ func TestReadOnlyClientCallsPerAction(t *testing.T) {
 		client    []arjuna.ClientOption
 		calls, db int64
 	}{
-		{"pinned/read-leases", []arjuna.Option{arjuna.WithReadLeases(30 * time.Second)}, nil, 4, 2},
-		{"pinned/active", nil, []arjuna.ClientOption{arjuna.ClientPolicy(arjuna.Active)}, 5, 2},
+		{"pinned/read-leases", []arjuna.Option{arjuna.WithReadLeases(30 * time.Second)}, nil, 3, 1},
+		{"pinned/active", nil, []arjuna.ClientOption{arjuna.ClientPolicy(arjuna.Active)}, 4, 1},
 		{"pinned/standard", nil, []arjuna.ClientOption{arjuna.ClientScheme(arjuna.SchemeStandard)}, 3, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -222,7 +251,7 @@ func TestReadOnlyClientCallsPerAction(t *testing.T) {
 			if _, _, err := readOne(ctx, ro, sys.Objects()[1]); err != nil {
 				t.Fatal(err)
 			}
-			measure(t, net, func() {
+			measure(t, sys, net, func() {
 				if _, _, err := readOne(ctx, ro, sys.Objects()[0]); err != nil {
 					t.Fatal(err)
 				}

@@ -470,9 +470,10 @@ func (c *Client) Atomic(ctx context.Context, fn func(tx *Txn) error) (*CommitRep
 // Semantically Apply is exactly Atomic(one Invoke); the solo declaration
 // buys two things. The server runs the action's phase one in the request
 // that ran the method (and, when the write-back lands on one store, its
-// commit), so a committed Apply is three client calls — bind, invoke,
-// action-end — and the object's write lock is held for the commit, not for
-// a client round trip as well. And for a method the object's class marks
+// commit), so a committed Apply is two client calls — bind and invoke, its
+// action-end riding the client's next message to the database — and the
+// object's write lock is held for the commit, not for a client round trip
+// as well. And for a method the object's class marks
 // Commutative, the server may fold the operation into the current
 // write-lock holder's commit round instead of queueing for the lock (flat
 // combining); the report's Batched field says whether that happened.

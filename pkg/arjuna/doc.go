@@ -206,11 +206,21 @@
 // on from the method into the action's phase one — the combined
 // prepare+commit when the write-back lands on one store, the prepare
 // otherwise — and the reply brings the vote back with the result. A
-// committed Apply is bind, invoke, action-end (and a Commit message when
-// several stores hold the object); the write lock is held for the commit,
-// not for a client round trip besides; and a lock holder folds its queued
-// followers in the request that made it the holder. Atomic with Invoke
-// sends the messages it always sent.
+// committed Apply is bind and invoke (and a Commit message when several
+// stores hold the object); the write lock is held for the commit, not for a
+// client round trip besides; and a lock holder folds its queued followers in
+// the request that made it the holder. Atomic with Invoke sends the
+// messages it always sent.
+//
+// An action's end at the group view database — its St read locks
+// released, its use counts dropped — is no message of its own either: the
+// client's next message to that database carries it at its head, or, when
+// a millisecond passes with none, it goes alone. Holding a read lock that
+// much longer is safe under two-phase locking. A commit that excluded a
+// failed store, and every action under SchemeStandard (Figure 6, whose
+// locks held to the end are what it measures), end at once. Recover and
+// Rebalance, which wait for quiescence, and Close send every client's
+// pending ends first.
 //
 // # Hot keys and backpressure
 //

@@ -70,6 +70,7 @@ func TestFirstInvokeFailoverAfterServerCrash(t *testing.T) {
 			if probes != wantProbes || !slices.Equal(sv, wantSv) {
 				t.Fatalf("%v: %d probes over three actions, Sv = %v; want %d and %v", scheme, probes, sv, wantProbes, wantSv)
 			}
+			_ = sys.World().FlushEnds(ctx) // the last action-end waits in its binder
 			if !sys.World().DB.Quiescent(sys.Objects()[0]) {
 				t.Fatalf("%v: use counts did not drain", scheme)
 			}
@@ -105,6 +106,7 @@ func TestFirstInvokeReplyLostAbortsTheAction(t *testing.T) {
 		if got := counterValue(t, sys, obj); got != "0" {
 			t.Fatalf("committed state after the abort = %q, want 0", got)
 		}
+		_ = sys.World().FlushEnds(ctx) // the last action-end waits in its binder
 		if !sys.World().DB.Quiescent(obj) {
 			t.Fatal("use counts did not drain")
 		}

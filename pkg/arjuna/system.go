@@ -77,6 +77,8 @@ func (s *System) Close() error {
 		return nil
 	}
 	s.closed = true
+	// Best effort: what a failed flush leaves dies with the deployment.
+	_ = s.w.FlushEnds(context.Background())
 	var err error
 	for _, n := range s.w.Cluster.Nodes() {
 		if serr := n.Store().Shutdown(); err == nil {
@@ -299,6 +301,11 @@ func (s *System) Recover(ctx context.Context, node string) error {
 		return fmt.Errorf("arjuna: recover %q: %w", node, ErrUnknownNode)
 	}
 	n.Recover(nil)
+	// A server's Insert waits for the objects to be quiescent, a store's
+	// Include for the actions' read locks to go: the clients' pending
+	// action-ends go first. One whose flush failed makes the recovery report
+	// the object in use, as any other user of it would.
+	_ = s.w.FlushEnds(ctx)
 	// Recovery talks to the node's own group: its database registers the
 	// objects whose views the node must rejoin.
 	g := s.w.GroupFor(addr)
