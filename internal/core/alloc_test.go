@@ -23,8 +23,7 @@ import (
 // What remains, by a memory profile: for each database conversation, the
 // request payload and reply frame, the decoded op and result slices, their
 // address lists and each side's one string copy — the records themselves
-// are values — and the database's batch bookkeeping; for the writer, the
-// store's admission of the database's own action; and the binder's and
+// are values — and the database's batch bookkeeping; and the binder's and
 // the action's own objects — the action, its stash and enlistment, the
 // binding's St view and replica group, the object's rendered name.
 //
@@ -52,9 +51,12 @@ func TestBindAllocs(t *testing.T) {
 		// put its request and reply on the heap at both ends; 43 while the
 		// client's op list for the bind message was the caller's own array,
 		// which the RPC layer's generic call moved to the heap; 42 while the
-		// action-end was a message of its own, and 35 while the action's
-		// lone participant was rolled back through the fan-out.
-		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 32},
+		// action-end was a message of its own; 35 while the action's
+		// lone participant was rolled back through the fan-out, and 32
+		// while the bind message's carried Decrement and its Increment of
+		// the same counter were each written, through the store's
+		// admission, where now they cancel and nothing is.
+		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 26},
 		// 30 while the database's own actions went through its action tables
 		// and rendered their keys per op; 33 while the client minted, and
 		// ended, the bind action; 31 while the binding's one-phase commit

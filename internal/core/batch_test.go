@@ -258,3 +258,38 @@ func TestOwnActionDiesWithItsIncarnation(t *testing.T) {
 		t.Fatalf("count after the crash: %d live, %d durable; want the committed 1 in both", live, stable)
 	}
 }
+
+// TestRestartUnderMessageFailsIt: a message commits a named action's
+// Increment, and its next op waits in the earlier incarnation's lock table
+// while the database's node crashes and recovers. The commit had no write
+// yet, so the restart lost it; when the op then goes on, the message must
+// not be acknowledged.
+func TestRestartUnderMessageFailsIt(t *testing.T) {
+	w := newWorld(t, 1, 1, 1)
+	ctx := context.Background()
+	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
+	if _, err := cli.Include(ctx, "recovery", w.id, "st1"); err != nil {
+		t.Fatal(err)
+	}
+	before := w.db.locks
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.db.batch(ctx, "c1", BatchReq{Ops: []Op{
+			IncrementOp("A", w.id, "c1", []transport.Addr{"sv1"}), EndActionOp("A", true), GetViewOp("", w.id),
+		}})
+		done <- err
+	}()
+	for before.QueueDepth(stKey(w.id)) == 0 {
+		runtime.Gosched() // until the GetView waits behind the Include
+	}
+	node := w.db.Node()
+	node.Crash()
+	node.Recover(nil)
+	before.ReleaseAll("recovery")
+	if err := <-done; err == nil {
+		t.Fatal("a message whose commit the restart lost was acknowledged")
+	}
+	if !w.db.Quiescent(w.id) {
+		t.Fatal("the lost Increment is in the recovered database")
+	}
+}

@@ -630,9 +630,10 @@ func (g *txGroup) end(ctx context.Context, commit bool) error {
 	if !now {
 		return nil
 	}
-	if _, err := b.do(ctx); rpc.CodeOf(err) == "" {
-		// Lost in transport, or nil. An answer means the message's
-		// EndActions, which come first and cannot be refused, ran.
+	if _, err := b.do(ctx); rpc.CodeOf(err) == "" || rpc.CodeOf(err) == CodeStopped {
+		// Nil, lost in transport, or not durable. Any other answer means
+		// the message's EndActions, which come first and cannot be
+		// refused, ran.
 		return err
 	}
 	return nil

@@ -13,6 +13,7 @@ import (
 	"repro/internal/replica"
 	"repro/internal/rpc"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/uid"
 )
@@ -52,9 +53,29 @@ type world struct {
 // nodes (st1..), client nodes (c1..), one registered "counter" object.
 func newWorld(t *testing.T, nServers, nStores, nClients int) *world {
 	t.Helper()
+	return newWorldOn(t, sim.NewCluster(transport.MemOptions{}), nServers, nStores, nClients)
+}
+
+// newCountedWorld is newWorld with one node of each kind, and the
+// database's stable storage counted.
+func newCountedWorld(t *testing.T) (*world, *countingBackend) {
+	t.Helper()
+	cluster := sim.NewCluster(transport.MemOptions{})
+	stable := &countingBackend{Backend: storage.NewMem()}
+	cluster.SetStorage(func(node transport.Addr) storage.Factory {
+		if node != "db" {
+			return nil
+		}
+		return func() (storage.Backend, error) { return stable, nil }
+	})
+	return newWorldOn(t, cluster, 1, 1, 1), stable
+}
+
+func newWorldOn(t *testing.T, cluster *sim.Cluster, nServers, nStores, nClients int) *world {
+	t.Helper()
 	w := &world{
 		t:       t,
-		cluster: sim.NewCluster(transport.MemOptions{}),
+		cluster: cluster,
 		mgrs:    make(map[transport.Addr]*action.Manager),
 	}
 	reg := object.NewRegistry()

@@ -18,13 +18,20 @@
 // persistent entry by entry: every Sv entry and every St entry has its own
 // durable record in that node's stable store (a binary rpc.Wire record
 // under a key derived from the object's UID), so the unit of locking is
-// also the unit of durability. A committing action rewrites exactly the
-// entries it changed, all of them in one atomic stable write; a Deregister
-// leaves a tombstone record in the same write, and the tombstone of an object
-// that moved names the database it went to: the forward every later
-// unknown-object answer for its UID carries (MovedTo). Locks and uncommitted
-// mutations are volatile and die with the node, and recovery rebuilds the
-// database — forwards included — from the records alone.
+// also the unit of durability. A committing action renders the records of
+// exactly the entries it changed — a Deregister a tombstone, and the
+// tombstone of an object that moved names the database it went to: the
+// forward every later unknown-object answer for its UID carries (MovedTo) —
+// and releases its locks at once. The database writes once per message: at
+// its end, before the reply, one atomic stable write holds every record
+// committed since the last write, each entry's last rendering once, and
+// none whose content its durable record already holds (a Decrement and a
+// re-Increment of one counter in one message write nothing). No reply
+// leaves before a write covers every earlier commit, so a crash never takes
+// back anything a reply showed, and a failed write stops the database (see
+// writeRecordsLocked). Locks and uncommitted mutations are volatile and die
+// with the node, and recovery rebuilds the database — forwards included —
+// from the records alone.
 //
 // Lock ownership: every action is top-level, so a lock owner is a top-level
 // action ID. Every scheme in the paper either holds database locks until
@@ -35,22 +42,24 @@
 // from its first op to its EndAction. A message's own action never
 // outlives its message, so it is kept in the handler's frame alone: the
 // janitor has nothing of it to abort, and its undo set comes from a small
-// free list and goes back there when the message ends. Its name is minted
-// once as groupview/own/N, the name its stable write goes under.
+// free list and goes back there when the message ends. Its name, its lock
+// owner, is minted once as groupview/own/N.
 //
 // Each registered object's keys — its entries' names in the lock table
 // (sv/…, st/…) and its records' keys in the stable store (groupview/sv/…,
 // groupview/st/…) — are rendered once and kept beside its entries (see
 // entryKeys). A commit encodes its records into scratch the database
-// reuses; the stable store copies what it keeps.
+// reuses until the next write; the stable store copies what it keeps.
 //
 // Binder (binder.go) implements the three access schemes; recovery.go the
 // §4.1.2/§4.2 recovery protocols; janitor.go the cleanup of §4.1.3.
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,6 +86,10 @@ const (
 	// scheme; the use-list check guards against clients of the enhanced
 	// schemes, whose locks are released between bind and decrement.
 	CodeNotQuiescent = "not-quiescent"
+	// CodeStopped is the answer of a database whose stable write failed,
+	// until its node restarts: nothing of the message that gets it is
+	// durable (DB.write).
+	CodeStopped = "stopped"
 )
 
 // useKey names one use-list counter of an Sv entry: the bindings client
@@ -153,11 +166,16 @@ func (e *serverEntry) settle() {
 }
 
 // record renders the entry's committed state into rec, reusing its Use.
+// The counters are sorted, so that equal content encodes to equal bytes
+// (writeRecordsLocked).
 func (e *serverEntry) record(rec *EntryRecord) *EntryRecord {
 	*rec = EntryRecord{Nodes: e.Nodes, Use: rec.Use[:0]}
 	for k, n := range e.committed {
 		rec.Use = append(rec.Use, UseCount{k.host, k.client, n})
 	}
+	slices.SortFunc(rec.Use, func(a, b UseCount) int {
+		return cmp.Or(cmp.Compare(a.Host, b.Host), cmp.Compare(a.Client, b.Client))
+	})
 	return rec
 }
 
@@ -212,13 +230,23 @@ const maxSpare = 8
 // node the message came from. A named action is looked up in the action
 // tables (pending, clients) by name; the message's own action (own) keeps
 // its undo set here, in batch's frame, once it has one, with the
-// incarnation of the database it was taken in.
+// incarnation of the database it was taken in. first is the number of the
+// first commit made under the value (DB.commits), 0 before one: batch asks
+// it what a failed write means for the message.
 type dbAction struct {
 	name        string
 	from        transport.Addr
 	own         bool
 	snaps       *snapshotSet
 	incarnation uint64
+	first       uint64
+}
+
+// committed notes commit number n (0: none) as made under a.
+func (a *dbAction) committed(n uint64) {
+	if a.first == 0 {
+		a.first = n
+	}
 }
 
 // entryKeys are one object's names: its Sv and St entries' keys in the
@@ -258,18 +286,24 @@ type DB struct {
 	// failed is set by a stable write that failed: the database answers
 	// nothing from then on until its node restarts (writeRecordsLocked).
 	failed atomic.Bool
-	// writes, rec and buf are a commit's scratch: the records it writes,
-	// the one it renders, and their encodings.
+	// writes holds the records committed since the last stable write, one
+	// per key, which the next one writes; buf their encodings and rec the
+	// one a commit renders.
 	writes []store.Write
 	rec    EntryRecord
 	buf    []byte
+	// commits numbers the commits; durable is the number of the last one
+	// a successful stable write covered. Both move under mu, and while
+	// they are equal a message finds nothing to write (DB.write).
+	commits, durable atomic.Uint64
 	// owned numbers the actions minted for messages' own ops (BatchReq);
 	// never reset, as an earlier incarnation's handler may still run.
 	owned atomic.Uint64
-	// incarnation counts the resets of the volatile state (a crash): an own
+	// incarnation counts the resets of the volatile state (a crash): a
+	// message it changed under fails (DB.write), and an own
 	// action's undo set from an earlier one must not reach the state the
 	// records rebuilt, as a named action's goes with the reset pending.
-	incarnation uint64
+	incarnation atomic.Uint64
 
 	// keys holds every registered object's keys (entryKeys). Its own
 	// mutex lets an op find its lock keys before it takes mu.
@@ -277,9 +311,8 @@ type DB struct {
 	keys   map[uid.UID]*entryKeys
 }
 
-// ownActionPrefix starts a minted action's name, which is also the name of
-// its stable write (dbTxPrefix). A client's action names are UIDs, which
-// always hold a ':', so the two never meet.
+// ownActionPrefix starts a minted action's name. A client's action names
+// are UIDs, which always hold a ':', so the two never meet.
 const ownActionPrefix = dbTxPrefix + "own/"
 
 // NewDB installs the group view database on node and registers its RPC
@@ -315,8 +348,11 @@ func (db *DB) resetVolatileLocked() {
 	db.pending = make(map[string]*snapshotSet)
 	db.clients = make(map[string]transport.Addr)
 	db.spare = nil
-	db.incarnation++
+	db.incarnation.Add(1)
 	db.failed.Store(false)
+	// What was committed but not written died with the incarnation.
+	db.writes, db.buf = db.writes[:0], db.buf[:0]
+	db.durable.Store(db.commits.Load())
 	db.keysMu.Lock()
 	db.keys = make(map[uid.UID]*entryKeys)
 	db.keysMu.Unlock()
@@ -362,8 +398,11 @@ const (
 	stRecordPrefix = "groupview/st/"
 	// dbTxPrefix marks the stable store's transaction names as the
 	// database's own: no coordinator answers for them, so one found pending
-	// after a crash (a commit torn between its entry writes) is aborted.
+	// after a crash (a write torn between its entry records) is aborted.
 	dbTxPrefix = "groupview/"
+	// writeTx is the stable transaction every write of the database goes
+	// under: the writes run one at a time, under db.mu.
+	writeTx = dbTxPrefix + "write"
 )
 
 func svRecordKey(id uid.UID) uid.UID {
@@ -427,16 +466,16 @@ func (db *DB) loadRecordsLocked() {
 	}
 }
 
-// commitLocked makes the mutations of the action whose undo set is ss
-// durable, in stable transaction tx: one record per entry the action
-// touched — the keys of its snapshot set plus the entries it adjusted — and
-// nothing else, so other actions' provisional changes to other entries
-// never reach stable storage. Committed counters follow the entry's own, or
-// move by the action's deltas (serverEntry.committed). A deregistered
-// object's St tombstone carries its forward, which is set here, and a
-// registered one's record clears any. It returns the stable write's error.
-// db.mu held.
-func (db *DB) commitLocked(tx string, ss *snapshotSet) error {
+// commitLocked commits the mutations of the action whose undo set is ss:
+// it renders one record per entry the action touched — the keys of its
+// snapshot set plus the entries it adjusted — and nothing else, so other
+// actions' provisional changes to other entries never reach stable storage;
+// the message's write makes them durable (writeRecordsLocked). Committed
+// counters follow the entry's own, or move by the action's deltas
+// (serverEntry.committed). A deregistered object's St tombstone carries its
+// forward, which is set here, and a registered one's record clears any. It
+// returns the commit's number. db.mu held.
+func (db *DB) commitLocked(ss *snapshotSet) uint64 {
 	for id := range ss.servers {
 		if e, ok := db.servers[id]; ok {
 			e.settle()
@@ -451,9 +490,6 @@ func (db *DB) commitLocked(tx string, ss *snapshotSet) error {
 	}
 	sv := func(id uid.UID) {
 		key := db.keysOf(id).svRecord
-		if hasRecord(db.writes, key) {
-			return
-		}
 		if e, ok := db.servers[id]; ok {
 			db.addRecordLocked(key, e.record(&db.rec))
 		} else if ss.servers[id] != nil {
@@ -463,8 +499,10 @@ func (db *DB) commitLocked(tx string, ss *snapshotSet) error {
 	for id := range ss.servers {
 		sv(id)
 	}
-	for _, d := range ss.useDeltas {
-		sv(d.id)
+	for i, d := range ss.useDeltas {
+		if _, done := ss.servers[d.id]; !done && !slices.ContainsFunc(ss.useDeltas[:i], func(e useDelta) bool { return e.id == d.id }) {
+			sv(d.id)
+		}
 	}
 	for id, snap := range ss.states {
 		if e, ok := db.states[id]; ok {
@@ -483,62 +521,87 @@ func (db *DB) commitLocked(tx string, ss *snapshotSet) error {
 			db.dropKeys(id) // deregistered
 		}
 	}
-	return db.writeRecordsLocked(tx)
+	return db.commits.Add(1)
 }
 
-func hasRecord(writes []store.Write, key uid.UID) bool {
-	for _, w := range writes {
-		if w.UID == key {
-			return true
-		}
-	}
-	return false
-}
-
-// addRecordLocked encodes rec into the commit's scratch and adds it to the
-// records the next writeRecordsLocked writes, under key. db.mu held.
+// addRecordLocked encodes rec into the scratch and makes it key's record in
+// the next write, in place of one an earlier commit rendered. db.mu held.
 func (db *DB) addRecordLocked(key uid.UID, rec *EntryRecord) {
 	start := len(db.buf)
 	db.buf = rpc.AppendEncode(db.buf, rec)
-	db.writes = append(db.writes, store.Write{UID: key, Data: db.buf[start:len(db.buf):len(db.buf)]})
+	w := store.Write{UID: key, Data: db.buf[start:len(db.buf):len(db.buf)]}
+	for i := range db.writes {
+		if db.writes[i].UID == key {
+			db.writes[i] = w
+			return
+		}
+	}
+	db.writes = append(db.writes, w)
 }
 
-// writeRecordsLocked writes the records added since its last call
-// (addRecordLocked) to stable storage as one atomic update, stable
-// transaction tx, and empties the scratch: after a crash either every
-// record of the call is there or none is (a multi-object Exclude, or the
-// two halves of a Register, never half-commit). Each record extends its own
-// version chain by one.
+// writeRecordsLocked writes the records committed since the last write
+// (addRecordLocked) to stable storage as one atomic update, and empties the
+// scratch: after a crash either every record of the write is there or none
+// is (a multi-object Exclude, the two halves of a Register, or the commits
+// of several actions never half-commit). A record its key's durable one
+// already equals is left out, and each other extends its own version chain
+// by one. A message's end calls it before the reply (batch), and so does
+// the janitor.
 //
-// A failed stable write fails the commit, and the database with it: from
-// then on it writes nothing and answers no message until its node restarts
-// and reloads the records, as a fail-silent node would (§2.1). The entries
-// in memory hold a commit the records may not, so nothing may be
-// acknowledged from them. db.mu held.
-func (db *DB) writeRecordsLocked(tx string) error {
+// A failed stable write fails the database: from then on it writes nothing
+// and answers no message until its node restarts and reloads the records,
+// as a fail-silent node would (§2.1). The entries in memory hold commits
+// the records may not, so nothing may be acknowledged from them. db.mu
+// held.
+func (db *DB) writeRecordsLocked() error {
 	writes := db.writes
 	db.writes, db.buf = db.writes[:0], db.buf[:0]
 	if db.failed.Load() {
 		return errStopped
 	}
-	if len(writes) == 0 {
-		return nil
-	}
 	st := db.node.Store()
-	for i := range writes {
-		seq, _ := st.SeqOf(writes[i].UID)
-		writes[i].Seq = seq + 1
+	changed := writes[:0]
+	for _, w := range writes {
+		seq, same := st.Holds(w.UID, w.Data)
+		if !same {
+			w.Seq = seq + 1
+			changed = append(changed, w)
+		}
 	}
-	if err := st.CommitOnePhase(tx, writes); err != nil {
-		db.failed.Store(true)
-		return fmt.Errorf("%w: %w", errStopped, err)
+	if len(changed) > 0 {
+		if err := st.CommitOnePhase(writeTx, changed); err != nil {
+			db.failed.Store(true)
+			return fmt.Errorf("%w: %w", errStopped, err)
+		}
 	}
+	db.durable.Store(db.commits.Load())
 	return nil
 }
 
-// errStopped is the answer of a database whose stable write failed, until
-// its node restarts.
-var errStopped = errors.New("core: the group view database's stable write failed; it answers nothing until its node restarts")
+// write is the write of a message that began in incarnation, and says
+// what a failure means for it, given the number of its first commit (0:
+// none): errStopped, the answer of a message none of whose commits is
+// durable, or, when an earlier write covered some of them, an error
+// without its code. A message the database restarted under fails too: a
+// commit of it the restart found unwritten is gone.
+func (db *DB) write(first, incarnation uint64) error {
+	if db.durable.Load() == db.commits.Load() && !db.failed.Load() && db.incarnation.Load() == incarnation {
+		return nil // every commit is written, this message's too
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	err := db.writeRecordsLocked()
+	switch {
+	case err != nil && first != 0 && first <= db.durable.Load():
+		return fmt.Errorf("core: the group view database's stable write failed after an earlier one wrote part of the message: %v", err)
+	case err == nil && db.incarnation.Load() != incarnation:
+		return errors.New("core: the group view database restarted under the message")
+	}
+	return err
+}
+
+// errStopped is the answer of a database whose stable write failed.
+var errStopped = rpc.Errorf(CodeStopped, "core: the group view database's stable write failed; it answers nothing until its node restarts")
 
 // --- lock and snapshot plumbing ---
 
@@ -596,8 +659,8 @@ func (db *DB) snapStateLocked(a *dbAction, id uid.UID) {
 // action's from pending — starting it, from the free list, on first use.
 func (db *DB) snapsLocked(a *dbAction) *snapshotSet {
 	if a.own {
-		if a.snaps == nil || a.incarnation != db.incarnation {
-			a.snaps, a.incarnation = db.spareSnapsLocked(), db.incarnation
+		if a.snaps == nil || a.incarnation != db.incarnation.Load() {
+			a.snaps, a.incarnation = db.spareSnapsLocked(), db.incarnation.Load()
 		}
 		return a.snaps
 	}
@@ -618,12 +681,12 @@ func (db *DB) spareSnapsLocked() *snapshotSet {
 	return &snapshotSet{}
 }
 
-// endLocked commits (in stable transaction tx) or rolls back the action
-// whose undo set is ss, and puts the set back on the free list. It returns
-// the commit's error. db.mu held.
-func (db *DB) endLocked(tx string, ss *snapshotSet, commit bool) (err error) {
+// endLocked commits or rolls back the action whose undo set is ss, and
+// puts the set back on the free list. It returns the commit's number, 0
+// for a roll-back. db.mu held.
+func (db *DB) endLocked(ss *snapshotSet, commit bool) (n uint64) {
 	if commit {
-		err = db.commitLocked(tx, ss)
+		n = db.commitLocked(ss)
 	} else {
 		db.rollbackLocked(ss)
 	}
@@ -634,7 +697,7 @@ func (db *DB) endLocked(tx string, ss *snapshotSet, commit bool) (err error) {
 		ss.useDeltas = ss.useDeltas[:0]
 		db.spare = append(db.spare, ss)
 	}
-	return err
+	return n
 }
 
 // rollbackLocked restores the pre-images of ss. db.mu held.
@@ -672,42 +735,45 @@ func (db *DB) rollbackLocked(ss *snapshotSet) {
 	}
 }
 
-// EndAction finishes a named action at the database: commit makes its
-// entry mutations durable (see commitLocked), abort restores the
-// pre-images; either way the action's locks are released (end of Figure
-// 6's read-lock hold, or of the short independent actions of Figures 7–8).
-// Ending an action the database does not know is a no-op, so the call is
-// idempotent. The error is the commit's stable write's.
-func (db *DB) EndAction(act string, commit bool) (err error) {
+// EndAction finishes a named action at the database, as a message's
+// EndAction does, and writes (writeRecordsLocked): commit makes its entry
+// mutations durable, abort restores the pre-images; either way the
+// action's locks are released (end of Figure 6's read-lock hold, or of the
+// short independent actions of Figures 7–8). Ending an action the database
+// does not know is a no-op, so the call is idempotent. The error is the
+// stable write's.
+func (db *DB) EndAction(act string, commit bool) error {
+	incarnation := db.incarnation.Load()
+	return db.write(db.endAction(act, commit), incarnation)
+}
+
+// endAction is EndAction without the write: it returns the commit's number,
+// 0 for none.
+func (db *DB) endAction(act string, commit bool) (n uint64) {
 	db.mu.Lock()
 	if ss, ok := db.pending[act]; ok {
 		delete(db.pending, act)
-		var tx string
-		if commit {
-			tx = dbTxPrefix + act
-		}
-		err = db.endLocked(tx, ss, commit)
+		n = db.endLocked(ss, commit)
 	}
 	delete(db.clients, act)
 	db.mu.Unlock()
 	db.locks.ReleaseAll(lockmgr.Owner(act))
-	return err
+	return n
 }
 
-// endOwn finishes a message's own action, as EndAction a named one. An
-// undo set from before a crash is dropped: what it undid or would commit
-// died with that incarnation.
-func (db *DB) endOwn(a *dbAction, commit bool) (err error) {
+// endOwn finishes a message's own action, as endAction a named one, and
+// notes its commit in a. An undo set from before a crash is dropped: what
+// it undid or would commit died with that incarnation.
+func (db *DB) endOwn(a *dbAction, commit bool) {
 	if a.snaps != nil {
 		db.mu.Lock()
-		if a.incarnation == db.incarnation {
-			err = db.endLocked(a.name, a.snaps, commit)
+		if a.incarnation == db.incarnation.Load() {
+			a.committed(db.endLocked(a.snaps, commit))
 		}
 		a.snaps = nil
 		db.mu.Unlock()
 	}
 	db.locks.ReleaseAll(lockmgr.Owner(a.name))
-	return err
 }
 
 // Quiescent reports whether all use lists of the object are empty (the

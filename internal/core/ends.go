@@ -214,9 +214,14 @@ func live(ctx context.Context) bool {
 // The ends ride only a message that can leave: under a context already
 // done, do takes none, and they wait for the next message or the bound. An
 // answer from the database, error or not, means the carried ops ran, since
-// they come before anything that failed. A message lost in transport hands
-// them back (pendingEnds.lost). With no ops, do sends the pending ends
-// alone, or nothing when there are none.
+// they come before anything that failed, and their commits are durable,
+// since the database writes before it replies — except CodeStopped, the
+// answer of a database whose stable write failed, which says that nothing
+// of the message is durable: the node restarts without it. That answer, and
+// a message lost in transport, hand them back (pendingEnds.lost), all of
+// them as for a message that never left when the answer is CodeStopped.
+// With no ops, do sends the pending ends alone, or nothing when there are
+// none.
 func (b *Binder) do(ctx context.Context, ops ...Op) ([]OpResult, error) {
 	scratch := opScratch.Get().(*[]Op)
 	sent, again, ticket := (*scratch)[:0], 0, uint64(0)
@@ -231,8 +236,8 @@ func (b *Binder) do(ctx context.Context, ops ...Op) ([]OpResult, error) {
 		res, err = b.DB.send(ctx, sent)
 	}
 	if ticket != 0 {
-		if err != nil && rpc.CodeOf(err) == "" {
-			b.ends.lost(b, sent[:n], again, unsent(err), len(ops) == 0)
+		if code := rpc.CodeOf(err); err != nil && (code == "" || code == CodeStopped) {
+			b.ends.lost(b, sent[:n], again, code == CodeStopped || unsent(err), len(ops) == 0)
 		}
 		b.ends.done(ticket)
 	}

@@ -489,3 +489,51 @@ func TestActionEndCrashRightAfterCommit(t *testing.T) {
 		})
 	}
 }
+
+// TestActionEndFailedStableWrite: the stable write under a carried end
+// fails. The database answers CodeStopped — nothing of the message is
+// durable — and the binder keeps what the message carried: once the
+// database's node has restarted, a flush sends the end again, and the use
+// count drops exactly once. A second binding of the client's, still open,
+// keeps its own count, and the object is quiescent once that one ends too.
+func TestActionEndFailedStableWrite(t *testing.T) {
+	w := newWorld(t, 1, 1, 1)
+	ctx := context.Background()
+	other := w.secondObject()
+	b := w.binder("c1", SchemeIndependent, replica.SingleCopyPassive, 1)
+	b.FastBind = true
+	open := b.Actions.BeginTop()
+	if _, err := b.Bind(ctx, open, w.id); err != nil {
+		t.Fatal(err)
+	}
+	// The end reaches the database no sooner than its store fails, however
+	// slow the test runs.
+	failed := make(chan struct{})
+	w.cluster.Faults().OnRequest(-1, carriesEnd, func(transport.Request) { <-failed })
+	w.apply(b, w.id)
+	stable := w.db.Node().Store()
+	if err := stable.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	close(failed)
+	if _, err := b.Bind(ctx, b.Actions.BeginTop(), other); rpc.CodeOf(err) != CodeStopped {
+		t.Fatalf("a bind beside the failed store = %v, want code %s", err, CodeStopped)
+	}
+	if err := stable.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	w.db.Node().Crash()
+	w.db.Node().Recover(nil)
+	if err := b.FlushEnds(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.count(w.id, "sv1", "c1"); n != 1 {
+		t.Fatalf("c1's count at sv1 = %d after the restart and a flush, want 1: the open binding's", n)
+	}
+	if err := open.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !w.quiescent(w.id) {
+		t.Fatal("the object is not quiescent once both bindings have ended")
+	}
+}

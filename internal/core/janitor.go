@@ -87,7 +87,7 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 	db.mu.Unlock()
 	sort.Strings(doomed)
 	for _, act := range doomed {
-		db.EndAction(act, false)
+		db.endAction(act, false)
 		report.AbortedActions++
 	}
 
@@ -111,7 +111,7 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 			db.addRecordLocked(db.keysOf(id).svRecord, e.record(&db.rec))
 		}
 	}
-	db.writeRecordsLocked(dbTxPrefix + "janitor")
+	db.writeRecordsLocked()
 	db.mu.Unlock()
 	return report
 }

@@ -633,18 +633,27 @@ func registerService(srv *rpc.Server, db *DB) {
 // one that fails: that operation's error, code included, is the reply. An
 // op of a named action runs exactly as if it had arrived alone, so the named
 // actions' ops before the failure stand (their locks are held, their
-// mutations pending) — the state a sequence of single calls failing at the
-// same operation leaves. The message's own action is aborted instead. It
-// lives in this frame alone (see dbAction), and its name is minted at its
-// first op. An own EndAction ends it there, and the next own op begins
-// another: what a message carries ahead of its own ops (Binder.do) commits
-// as its own action and shares no lock or fate with theirs.
+// mutations pending, their commits made) — the state a sequence of single
+// calls failing at the same operation leaves. The message's own action is
+// aborted instead. It lives in this frame alone (see dbAction), and its
+// name is minted at its first op. An own EndAction ends it there, and the
+// next own op begins another: what a message carries ahead of its own ops
+// (Binder.do) commits as its own action and shares no lock or fate with
+// theirs.
+//
+// Each commit releases its locks at once, and the message writes, on
+// success and on failure alike, before it replies (DB.write): one stable
+// write for all it committed, with whatever other messages committed since
+// the last write. A failed write fails the message; CodeStopped says that
+// nothing of it is durable.
 func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (BatchResp, error) {
 	if db.failed.Load() {
 		return BatchResp{}, errStopped
 	}
+	incarnation := db.incarnation.Load()
 	resp := BatchResp{Results: make([]OpResult, len(req.Ops))}
 	own, named := dbAction{from: from, own: true}, dbAction{from: from}
+	var err error
 	for i := range req.Ops {
 		op, a := &req.Ops[i], &own
 		if op.Action != "" {
@@ -653,18 +662,22 @@ func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (Bat
 			var buf [40]byte
 			own.name = string(strconv.AppendUint(append(buf[:0], ownActionPrefix...), db.owned.Add(1), 10))
 		}
-		var err error
 		if resp.Results[i], err = db.exec(ctx, a, op); err != nil {
-			if own.name != "" {
-				db.endOwn(&own, false)
-			}
-			return BatchResp{}, err
+			break
 		}
 	}
 	if own.name != "" {
-		if err := db.endOwn(&own, true); err != nil {
-			return BatchResp{}, err
-		}
+		db.endOwn(&own, err == nil)
+	}
+	first := own.first
+	if named.first != 0 && (first == 0 || named.first < first) {
+		first = named.first
+	}
+	if werr := db.write(first, incarnation); werr != nil {
+		return BatchResp{}, werr
+	}
+	if err != nil {
+		return BatchResp{}, err
 	}
 	return resp, nil
 }
@@ -695,11 +708,11 @@ func (db *DB) exec(ctx context.Context, a *dbAction, op *Op) (res OpResult, err 
 	case OpEndAction:
 		if a.own {
 			// An own op after this one starts a fresh own action, with a
-			// fresh name and stable write (batch).
-			err = db.endOwn(a, op.Commit)
+			// fresh name (batch).
+			db.endOwn(a, op.Commit)
 			a.name = ""
 		} else {
-			err = db.EndAction(a.name, op.Commit)
+			a.committed(db.endAction(a.name, op.Commit))
 		}
 	case OpBind:
 		res.Nodes, res.Hosts, err = db.Bind(ctx, a, op.UID, op.Host, op.Degree, op.ForUpdate)

@@ -71,8 +71,9 @@ type Disk struct {
 	dir  string
 	opts DiskOptions
 
-	// appendGen counts appended frames; the group-commit path reads it
-	// outside mu to know which generation an fsync must cover.
+	// appendGen counts the WAL's appends, one write(2) each; the
+	// group-commit path reads it outside mu to know which generation an
+	// fsync must cover.
 	appendGen atomic.Uint64
 
 	mu      sync.Mutex // guards the fields below and WAL writes
@@ -172,21 +173,48 @@ func DiskFactory(dir string, opts DiskOptions) Factory {
 func (d *Disk) append(r record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err := d.writeLocked(appendRecord(d.scratch[:0], r)); err != nil {
+		return err
+	}
+	applyRecord(d.state, r)
+	return nil
+}
+
+// Stage implements Backend: it frames every record of the operation, writes
+// them to the WAL with one write(2), and only then applies them.
+func (d *Disk) Stage(tx string, writes []Intention, commit bool) error {
+	if len(writes) == 0 && !commit {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	buf := d.scratch[:0]
+	staged(tx, writes, commit, func(r record) { buf = appendRecord(buf, r) })
+	if err := d.writeLocked(buf); err != nil {
+		return err
+	}
+	applyStaged(d.state, tx, writes, commit)
+	return nil
+}
+
+// writeLocked appends frames, one or more whole records, to the WAL in one
+// write(2) and keeps them as the scratch for the next. A write that fails
+// fails the backend. d.mu held.
+func (d *Disk) writeLocked(frames []byte) error {
+	d.scratch = frames
 	if d.closed {
 		return ErrClosed
 	}
 	if d.failed != nil {
 		return d.failed
 	}
-	d.scratch = appendRecord(d.scratch[:0], r)
-	n, err := d.wal.Write(d.scratch)
+	n, err := d.wal.Write(frames)
 	d.walSize += int64(n)
 	if err != nil {
 		d.failed = fmt.Errorf("storage: wal append: %w", err)
 		return d.failed
 	}
 	d.appendGen.Add(1)
-	applyRecord(d.state, r)
 	return nil
 }
 
@@ -407,3 +435,8 @@ func (d *Disk) WALSize() int64 {
 	defer d.mu.Unlock()
 	return d.walSize
 }
+
+// WALWrites returns how many times the WAL has been appended to since the
+// backend opened: one write(2) per single-record mutation, and one per
+// Stage whatever its records.
+func (d *Disk) WALWrites() uint64 { return d.appendGen.Load() }

@@ -4,13 +4,15 @@
 //
 // # One image per node
 //
-// A node's stable contents have one in-memory image, the State its
-// backend holds, and one transition function, applyRecord: every mutation
-// is a record, which a Mem backend applies to the image and a Disk backend
+// A node's stable contents have one in-memory image, the State its backend
+// holds, and one transition function, applyRecord: every mutation is a
+// record, which a Mem backend applies to the image and a Disk backend
 // appends to its WAL and then applies, and which replay at open applies
-// again. Nothing else changes the image, and no one keeps a second copy:
-// Load returns the live State, and callers only read it. Two parties write
-// it, each its own part, and each reads only its own part:
+// again. (A Stage that commits applies its records' net effect at once,
+// applyStaged, where replay folds them record by record.) Nothing else
+// changes the image, and no one keeps a second copy: Load returns the live
+// State, and callers only read it. Two parties write it, each its own
+// part, and each reads only its own part:
 //
 //   - store.Store, which opened the backend, writes the versions and the
 //     intentions (and with them the pins), under its own mutex, and reads
@@ -68,6 +70,12 @@
 // Only a commit with intentions to fold writes a commit-tx record: phase
 // two, or a one-phase commit of several writes or beside earlier
 // intentions; a lone one-phase write is its version record alone.
+//
+// The records of one store operation are appended together: Stage frames
+// a prepare's intentions, or a one-phase commit's intentions and its
+// commit record, into one buffer, which Disk writes with one write(2) and
+// the store then syncs once. A crash can still cut the write anywhere, and
+// replay keeps its whole records and drops the rest, as for any tail.
 //
 // # Crash safety
 //

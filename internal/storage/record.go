@@ -173,6 +173,21 @@ func applyRecord(st *State, r record) {
 	}
 }
 
+// applyStaged applies the records of Stage(tx, writes, commit) to st: what
+// applyRecord makes of them one by one, except that a commit finding no
+// earlier intention of tx sets the versions straight, without intentions it
+// would fold at once. The two differ only where another transaction pins
+// one of the objects, which the store's admission refuses.
+func applyStaged(st *State, tx string, writes []Intention, commit bool) {
+	if !commit || st.Intentions[tx] != nil {
+		staged(tx, writes, commit, func(r record) { applyRecord(st, r) })
+		return
+	}
+	for _, w := range writes {
+		st.Versions[w.ID] = Version{Data: w.Data, Seq: w.Seq, Tx: tx}
+	}
+}
+
 // dropIntentions forgets tx's intentions and the pins they hold.
 func dropIntentions(st *State, tx string) {
 	for id := range st.Intentions[tx] {

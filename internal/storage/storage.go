@@ -25,6 +25,13 @@ type Write struct {
 	Seq  uint64
 }
 
+// Intention is one prepared write of a transaction, with the object it is
+// to: the unit of Stage.
+type Intention struct {
+	ID string
+	Write
+}
+
 // State is the in-memory image of a backend's contents: the only one a
 // node keeps. applyRecord is the only code that changes it, under the
 // backend's mutex; Load hands out the live image, which callers only read
@@ -70,6 +77,11 @@ type Backend interface {
 	// CommitTx folds tx's accumulated intentions into committed versions
 	// and drops the intentions.
 	CommitTx(tx string) error
+	// Stage records writes as prepared writes of tx, as PutIntention does
+	// each in order, and then, with commit, folds tx's intentions as CommitTx
+	// does: all the records of one store operation, appended together (on
+	// Disk, with one write(2)).
+	Stage(tx string, writes []Intention, commit bool) error
 	// AbortTx drops tx's intentions.
 	AbortTx(tx string) error
 	// PutOutcome records tx's outcome code.
@@ -94,10 +106,20 @@ type Backend interface {
 // factory replays the directory.
 type Factory func() (Backend, error)
 
-// mutations implements the Backend's seven mutations by handing each, as
-// its record, to apply: Mem applies it to the image, Disk appends it to
-// the WAL first.
+// mutations implements the Backend's seven single-record mutations by
+// handing each, as its record, to apply: Mem applies it to the image, Disk
+// appends it to the WAL first.
 type mutations struct{ apply func(record) error }
+
+// staged hands f the records of Stage(tx, writes, commit), in log order.
+func staged(tx string, writes []Intention, commit bool, f func(record)) {
+	for _, w := range writes {
+		f(record{tag: recIntention, tx: tx, id: w.ID, seq: w.Seq, data: w.Data})
+	}
+	if commit {
+		f(record{tag: recCommitTx, tx: tx})
+	}
+}
 
 // PutVersion implements Backend.
 func (m mutations) PutVersion(id string, v Version) error {
@@ -162,6 +184,14 @@ func (m *Mem) Factory() Factory {
 func (m *Mem) apply(r record) error {
 	m.mu.Lock()
 	applyRecord(m.state, r)
+	m.mu.Unlock()
+	return nil
+}
+
+// Stage implements Backend.
+func (m *Mem) Stage(tx string, writes []Intention, commit bool) error {
+	m.mu.Lock()
+	applyStaged(m.state, tx, writes, commit)
 	m.mu.Unlock()
 	return nil
 }

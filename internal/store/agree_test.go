@@ -488,8 +488,9 @@ func (l lookup) Lookup(tx string) store.Outcome { return l(tx) }
 // coordinator log on the same backend, ResolveDecided, restarts (a
 // shutdown, a reopen and a presumed-abort Recover) and reads. Every reply,
 // and each store's contents after every operation, must be the spec's, and
-// so must every crash image of the Disk store's files. It returns the
-// replies by operation and the images checked.
+// so must every crash image of the Disk store's files; a prepare or
+// one-phase commit must append all its records to the WAL with one write.
+// It returns the replies by operation and the images checked.
 func runModel(t testing.TB, c chooser, steps int) (map[string]int, *images) {
 	dir := t.TempDir()
 	rec := &recorder{t: t, dir: dir}
@@ -638,6 +639,7 @@ func runModel(t testing.TB, c chooser, steps int) (map[string]int, *images) {
 			specs = append(specs, next)
 		}
 		sp = specs[len(specs)-1]
+		walWrites := rec.disk.WALWrites()
 		for i, s := range stores {
 			if got := run(s, logs[i]); got != want {
 				t.Fatalf("op %d, %s on %s: replied %q, the spec %q", n, name, []string{"mem", "disk"}[i], got, want)
@@ -648,6 +650,13 @@ func runModel(t testing.TB, c chooser, steps int) (map[string]int, *images) {
 			}
 			if d := sp.diff(st); d != "" {
 				t.Fatalf("op %d, %s on %s: %s", n, name, []string{"mem", "disk"}[i], d)
+			}
+		}
+		// A prepare or one-phase commit, of one write or several, appends
+		// all its records with one write(2).
+		if op := strings.Fields(name)[0]; (op == "prepare" || op == "commit-one-phase") && len(recs) > 0 {
+			if w := rec.disk.WALWrites() - walWrites; w != 1 {
+				t.Fatalf("op %d, %s: %d records in %d WAL writes, want one", n, name, len(recs), w)
 			}
 		}
 		img.op(specs, rec.compactions, readFile(t, storage.WALPath(dir)))

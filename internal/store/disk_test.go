@@ -280,6 +280,57 @@ func TestDiskOnePhaseCommitRecords(t *testing.T) {
 	}
 }
 
+// TestDiskOneWALWritePerOperation: each store operation appends all its
+// records to the WAL with one write(2) — a prepare of several writes its
+// intentions, a one-phase commit of several its intentions and its commit
+// record.
+func TestDiskOneWALWritePerOperation(t *testing.T) {
+	dir := t.TempDir()
+	s := diskStore(t, dir)
+	disk := s.Backend().(*storage.Disk)
+	x, y, z := uid.UID{Origin: "obj", Epoch: 1, Seq: 1}, uid.UID{Origin: "obj", Epoch: 1, Seq: 2}, uid.UID{Origin: "obj", Epoch: 1, Seq: 3}
+	for _, c := range []struct {
+		name    string
+		op      func() error
+		records int
+	}{
+		{"put", func() error { return s.Put(x, []byte("1"), 1) }, 1},
+		{"one-phase commit of one write", func() error {
+			return s.CommitOnePhase("tx-1", []Write{{UID: y, Data: []byte("1"), Seq: 1}})
+		}, 1},
+		{"one-phase commit of three writes", func() error {
+			return s.CommitOnePhase("tx-3", []Write{{UID: x, Data: []byte("2"), Seq: 2}, {UID: y, Data: []byte("2"), Seq: 2}, {UID: z, Data: []byte("1"), Seq: 1}})
+		}, 4},
+		{"prepare of two writes", func() error {
+			return s.Prepare("tx-p", []Write{{UID: x, Data: []byte("3"), Seq: 3}, {UID: y, Data: []byte("3"), Seq: 3}})
+		}, 2},
+		{"commit", func() error { return s.Commit("tx-p") }, 1},
+		{"prepare of nothing", func() error { return s.Prepare("tx-0", nil) }, 0},
+	} {
+		tags, _ := walTags(t, dir)
+		writes := disk.WALWrites()
+		if err := c.op(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		after, _ := walTags(t, dir)
+		want := uint64(min(c.records, 1))
+		if got := disk.WALWrites() - writes; got != want || len(after)-len(tags) != c.records {
+			t.Errorf("%s: %d records in %d WAL writes, want %d in %d", c.name, len(after)-len(tags), got, c.records, want)
+		}
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uid.UID{x, y} {
+		if v, err := s.Read(id); err != nil || string(v.Data) != "3" || v.Seq != 3 || v.TxID != "tx-p" {
+			t.Fatalf("%v after reopen: %+v (%v), want 3/3 by tx-p", id, v, err)
+		}
+	}
+}
+
 // TestDiskStoreCompacts: a long commit history stays bounded on disk and
 // replays correctly through the snapshot.
 func TestDiskStoreCompacts(t *testing.T) {
@@ -348,6 +399,19 @@ func (f *failingBackend) CommitTx(tx string) error {
 
 func (f *failingBackend) AbortTx(tx string) error {
 	return f.mutate(func() error { return f.Backend.AbortTx(tx) })
+}
+
+// Stage writes its records one by one, so that each can fail.
+func (f *failingBackend) Stage(tx string, writes []storage.Intention, commit bool) error {
+	for _, w := range writes {
+		if err := f.PutIntention(tx, w.ID, w.Write); err != nil {
+			return err
+		}
+	}
+	if commit {
+		return f.CommitTx(tx)
+	}
+	return nil
 }
 
 // TestStoreFailedWriteAnswersNothingUntilReopened fails each backend write

@@ -44,6 +44,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -255,6 +256,20 @@ func (s *Store) SeqOf(id uid.UID) (uint64, bool) {
 	return v.Seq, ok
 }
 
+// Holds returns the committed sequence number for id, 0 when it has none,
+// and whether its committed data is data.
+func (s *Store) Holds(id uid.UID, data []byte) (uint64, bool) {
+	var buf [keyLen]byte
+	key := id.Append(buf[:0])
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.st == nil {
+		return 0, false
+	}
+	v, ok := s.st.Versions[string(key)]
+	return v.Seq, ok && bytes.Equal(v.Data, data)
+}
+
 // Put writes a committed version directly, outside any transaction — used
 // to install initial states and by recovery catch-up. The write is
 // durable when Put returns.
@@ -303,7 +318,7 @@ func (s *Store) Remove(id uid.UID) error {
 // stale activated copies writing back over newer state — the error says
 // which side is stale. It returns the writes with their data copied and
 // their keys rendered, as the image will hold them. s.mu is held.
-func (s *Store) admitLocked(op, tx string, writes []Write) ([]Write, error) {
+func (s *Store) admitLocked(op, tx string, writes []Write) ([]storage.Intention, error) {
 	if s.st == nil {
 		return nil, fmt.Errorf("%s: %s %s: %w", s.name, op, tx, ErrClosed)
 	}
@@ -322,12 +337,12 @@ func (s *Store) admitLocked(op, tx string, writes []Write) ([]Write, error) {
 			return nil, err
 		}
 	}
-	copies := make([]Write, len(writes))
+	copies := make([]storage.Intention, len(writes))
 	for i, w := range writes {
 		if w.key == "" {
 			w.key = w.UID.String()
 		}
-		copies[i] = Write{key: w.key, Data: append([]byte(nil), w.Data...), Seq: w.Seq}
+		copies[i] = storage.Intention{ID: w.key, Write: storage.Write{Data: append([]byte(nil), w.Data...), Seq: w.Seq}}
 	}
 	return copies, nil
 }
@@ -348,20 +363,10 @@ func (s *Store) Prepare(tx string, writes []Write) error {
 		return err
 	}
 	b := s.backend
-	err = s.wroteLocked(stage(b, tx, copies))
+	err = s.wroteLocked(b.Stage(tx, copies, false))
 	s.mu.Unlock()
 	// The intention must be durable before the vote this return represents.
 	return s.synced(b, err, "prepare", tx)
-}
-
-// stage appends writes as intentions of tx.
-func stage(b storage.Backend, tx string, writes []Write) error {
-	for _, w := range writes {
-		if err := b.PutIntention(tx, w.key, storage.Write{Data: w.Data, Seq: w.Seq}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Commit applies tx's prepared intentions; the commit is durable when it
@@ -406,15 +411,13 @@ func (s *Store) CommitOnePhase(tx string, writes []Write) error {
 	// Several writes, or one beside earlier intentions of tx, must land
 	// all-or-nothing over a crash (the group view database commits a
 	// multi-entry update this way), so they are staged as intentions and
-	// the single commit record folds them all. One sync (outside the mutex)
-	// covers it.
+	// the single commit record folds them all: one append (one write(2) on
+	// Disk) and one sync, outside the mutex, cover it.
 	if len(copies) > 1 || len(s.st.Intentions[tx]) > 0 {
-		if err = stage(b, tx, copies); err == nil {
-			err = b.CommitTx(tx)
-		}
+		err = b.Stage(tx, copies, true)
 	} else if len(copies) == 1 {
 		w := copies[0]
-		err = b.PutVersion(w.key, storage.Version{Data: w.Data, Seq: w.Seq, Tx: tx})
+		err = b.PutVersion(w.ID, storage.Version{Data: w.Data, Seq: w.Seq, Tx: tx})
 	}
 	err = s.wroteLocked(err)
 	s.mu.Unlock()

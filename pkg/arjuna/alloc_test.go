@@ -15,7 +15,8 @@ import (
 // group, so every bind goes through the placement binder over a one-row
 // table, and the pin also holds that path to allocating nothing of its own.
 // The budgets are the counts measured when each class last got cheaper —
-// the action-end carried by the next action's bind, the breaker-note
+// one stable write per database message, the action-end carried by the
+// next action's bind, the breaker-note
 // context per attempt taken out, the per-call overhead before it, each solo
 // class's one-phase Prepare message carried by its invoke, the read-only
 // client's first bind holding no database lock — plus 5 %, rounded up: a
@@ -40,7 +41,7 @@ func TestFacadeAllocs(t *testing.T) {
 			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-		}, 62}, // 59 measured; 66 with the action-end a message of its own, 70 when last pinned; 68 with a breaker-note context per attempt, 84 when last pinned; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
+		}, 56}, // 53 measured; 59 with each commit of a database message written on its own, 62 when last pinned; 66 with the action-end a message of its own, 70 when last pinned; 68 with a breaker-note context per attempt, 84 when last pinned; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
 		{"Atomic+Invoke", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Invoke(ctx, "add", []byte("1"))
@@ -48,7 +49,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 72}, // 68 measured; 75 with the action-end a message of its own, 79 when last pinned; 77 with a breaker-note context per attempt, 97 when last pinned; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
+		}, 66}, // 62 measured; 68 with each commit of a database message written on its own, 72 when last pinned; 75 with the action-end a message of its own, 79 when last pinned; 77 with a breaker-note context per attempt, 97 when last pinned; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
 		{"Atomic+Invoke two objects", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				if _, err := tx.Object(id).Invoke(ctx, "add", []byte("1")); err != nil {
@@ -59,7 +60,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 172}, // 163 measured; 181 with the action-end a message of its own and a fan-out for a lone commit participant, 191 when last pinned; 183 with a breaker-note context per attempt, 221 when last pinned; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
+		}, 164}, // 156 measured; 163 with each commit of a database message written on its own, 172 when last pinned; 181 with the action-end a message of its own and a fan-out for a lone commit participant, 191 when last pinned; 183 with a breaker-note context per attempt, 221 when last pinned; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)

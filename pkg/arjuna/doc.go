@@ -353,7 +353,9 @@
 // internal/storage). Committed object versions, prepared 2PC intentions
 // and the coordinators' commit records are fsynced at their protocol
 // commit points — group commit coalesces concurrent fsyncs by default
-// (WithDiskOptions tunes this). Crash drops the node's entire process
+// (WithDiskOptions tunes this). A store operation appends all its records
+// with one write and one fsync, and the group view database writes once
+// per message, whatever the message committed, before it replies. Crash drops the node's entire process
 // state; Recover replays the directory, truncating any torn WAL tail,
 // and resolves replayed in-doubt intentions against the coordinators'
 // logs before rejoining the St views. Opening a new deployment on an
