@@ -328,8 +328,17 @@ type Action struct {
 	status       Status
 	participants []Participant
 	resolveHooks []func(committed bool)
-	stash        map[string]any
-	retainLog    bool
+	// stash holds StashOnce's values, in stashes' room until it outgrows
+	// it: an action stashes one or two.
+	stash     []stashed
+	stashes   [2]stashed
+	retainLog bool
+}
+
+// stashed is one StashOnce value under its key.
+type stashed struct {
+	key string
+	v   any
 }
 
 // BeginTop starts a top-level action. It commits or aborts independently of
@@ -412,13 +421,13 @@ func (a *Action) ExpectPrepared() {
 func (a *Action) StashOnce(key string, v any) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.stash == nil {
-		a.stash = make(map[string]any)
-	}
-	if _, ok := a.stash[key]; ok {
+	if a.stashedLocked(key) >= 0 {
 		return false
 	}
-	a.stash[key] = v
+	if a.stash == nil {
+		a.stash = a.stashes[:0]
+	}
+	a.stash = append(a.stash, stashed{key, v})
 	return true
 }
 
@@ -426,8 +435,20 @@ func (a *Action) StashOnce(key string, v any) bool {
 func (a *Action) Stashed(key string) (any, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	v, ok := a.stash[key]
-	return v, ok
+	if i := a.stashedLocked(key); i >= 0 {
+		return a.stash[i].v, true
+	}
+	return nil, false
+}
+
+// stashedLocked returns the index of key's value in the stash, or -1.
+func (a *Action) stashedLocked(key string) int {
+	for i := range a.stash {
+		if a.stash[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // CommitReport describes the aftermath of a commit — including the vote

@@ -24,7 +24,7 @@ import (
 // request payload and reply frame, the decoded op and result slices, their
 // address lists and each side's one string copy — the records themselves
 // are values — and the database's batch bookkeeping; and the binder's and
-// the action's own objects — the action, its stash and enlistment, the
+// the action's own objects — the action, its enlistment, the
 // binding's St view and replica group, the object's rendered name.
 //
 // A change that adds an allocation to either path fails here; one that
@@ -55,16 +55,20 @@ func TestBindAllocs(t *testing.T) {
 		// lone participant was rolled back through the fan-out, and 32
 		// while the bind message's carried Decrement and its Increment of
 		// the same counter were each written, through the store's
-		// admission, where now they cancel and nothing is.
-		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 26},
+		// admission, where now they cancel and nothing is; 26 while the
+		// database minted a name for each of a message's own actions, and
+		// 24 while the action's stash was a map.
+		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 22},
 		// 30 while the database's own actions went through its action tables
 		// and rendered their keys per op; 33 while the client minted, and
 		// ended, the bind action; 31 while the binding's one-phase commit
 		// built an empty action-end; 28 while each binding kept a copy of the
 		// St view it was bound over; 27 while its conversation put its
 		// request and reply on the heap at both ends; 23 while its op list
-		// was the caller's own array, moved to the heap.
-		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 22},
+		// was the caller's own array, moved to the heap; 22 while the
+		// database minted a name for the message's own action, and 21 while
+		// the action's stash was a map.
+		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 19},
 	} {
 		op := func() {
 			act := c.b.Actions.BeginTop()

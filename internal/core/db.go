@@ -38,12 +38,17 @@
 // the client action ends (Figure 6) or takes them in short top-level
 // actions (Figures 7–8), each its message's own (BatchReq). A named action
 // (a client's, or a recovery's) is kept in the database's action tables —
-// its undo snapshots in pending, its node in clients for the janitor —
-// from its first op to its EndAction. A message's own action never
-// outlives its message, so it is kept in the handler's frame alone: the
-// janitor has nothing of it to abort, and its undo set comes from a small
-// free list and goes back there when the message ends. Its name, its lock
-// owner, is minted once as groupview/own/N.
+// its undo snapshots in pending, its node in clients for the janitor, its
+// locks in the lock table — from its first op to its EndAction. A message
+// runs in one critical section, under db.mu from its first op to its reply
+// but while it waits for a lock, and its own action never outlives it, so
+// that action is kept in the handler's frame alone: the janitor has nothing
+// of it to abort, its undo set comes from a small free list and goes back
+// there when the message ends, and its locks are checked against the table
+// and kept in a list beside it (DB.held), as no other message can see
+// them. Only when the message must wait are they recorded in the table,
+// under a name minted then, groupview/own/N. The lock table thus holds the
+// locks that outlive their message or must wait, and nothing else.
 //
 // Each registered object's keys — its entries' names in the lock table
 // (sv/…, st/…) and its records' keys in the stable store (groupview/sv/…,
@@ -57,10 +62,12 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,7 +95,7 @@ const (
 	CodeNotQuiescent = "not-quiescent"
 	// CodeStopped is the answer of a database whose stable write failed,
 	// until its node restarts: nothing of the message that gets it is
-	// durable (DB.write).
+	// durable (DB.writeLocked).
 	CodeStopped = "stopped"
 )
 
@@ -229,17 +236,24 @@ const maxSpare = 8
 // dbAction is the action an operation runs under: the lock owner and the
 // node the message came from. A named action is looked up in the action
 // tables (pending, clients) by name; the message's own action (own) keeps
-// its undo set here, in batch's frame, once it has one, with the
-// incarnation of the database it was taken in. first is the number of the
-// first commit made under the value (DB.commits), 0 before one: batch asks
-// it what a failed write means for the message.
+// its undo set here, in batch's frame, once it has one, and its locks in
+// DB.held until they are recorded in the table under a minted name (see
+// DB.lockLocked). first is the number of the first commit made under the
+// value (DB.commits), 0 before one: batch asks it what a failed write means
+// for the message.
 type dbAction struct {
-	name        string
-	from        transport.Addr
-	own         bool
-	snaps       *snapshotSet
-	incarnation uint64
-	first       uint64
+	name  string
+	from  transport.Addr
+	own   bool
+	snaps *snapshotSet
+	first uint64
+}
+
+// heldLock is one lock the message's own action holds and the table does
+// not record.
+type heldLock struct {
+	key  string
+	mode lockmgr.Mode
 }
 
 // committed notes commit number n (0: none) as made under a.
@@ -293,22 +307,27 @@ type DB struct {
 	rec    EntryRecord
 	buf    []byte
 	// commits numbers the commits; durable is the number of the last one
-	// a successful stable write covered. Both move under mu, and while
-	// they are equal a message finds nothing to write (DB.write).
-	commits, durable atomic.Uint64
-	// owned numbers the actions minted for messages' own ops (BatchReq);
-	// never reset, as an earlier incarnation's handler may still run.
-	owned atomic.Uint64
+	// a successful stable write covered. While they are equal a message
+	// finds nothing to write (DB.writeLocked).
+	commits, durable uint64
+	// owned numbers the names minted for messages' own actions
+	// (DB.recordLocked); never reset, as an earlier incarnation's handler
+	// may still run.
+	owned uint64
 	// incarnation counts the resets of the volatile state (a crash): a
-	// message it changed under fails (DB.write), and an own
-	// action's undo set from an earlier one must not reach the state the
-	// records rebuilt, as a named action's goes with the reset pending.
-	incarnation atomic.Uint64
+	// message it changed under fails (DB.lockLocked, DB.writeLocked), and
+	// an own action's undo set from an earlier one must not reach the state
+	// the records rebuilt, as a named action's goes with the reset pending.
+	incarnation uint64
 
-	// keys holds every registered object's keys (entryKeys). Its own
-	// mutex lets an op find its lock keys before it takes mu.
-	keysMu sync.Mutex
-	keys   map[uid.UID]*entryKeys
+	// keys holds every registered object's keys (entryKeys).
+	keys map[uid.UID]*entryKeys
+
+	// held lists the locks the own action of the message that holds mu
+	// holds and the table does not record (DB.lockLocked). It is empty
+	// whenever mu is free: a message records them before it waits, and
+	// drops them when its own action ends.
+	held []heldLock
 }
 
 // ownActionPrefix starts a minted action's name. A client's action names
@@ -348,43 +367,32 @@ func (db *DB) resetVolatileLocked() {
 	db.pending = make(map[string]*snapshotSet)
 	db.clients = make(map[string]transport.Addr)
 	db.spare = nil
-	db.incarnation.Add(1)
+	db.incarnation++
 	db.failed.Store(false)
 	// What was committed but not written died with the incarnation.
 	db.writes, db.buf = db.writes[:0], db.buf[:0]
-	db.durable.Store(db.commits.Load())
-	db.keysMu.Lock()
+	db.durable = db.commits
 	db.keys = make(map[uid.UID]*entryKeys)
-	db.keysMu.Unlock()
 }
 
 // keysOf returns id's keys: the ones kept with its entries, or, for a UID
-// without any, a rendering of its own.
+// without any, a rendering of its own. db.mu held, as for keepKeys and
+// dropKeys, so the keys come and go with the entries.
 func (db *DB) keysOf(id uid.UID) *entryKeys {
-	db.keysMu.Lock()
-	k := db.keys[id]
-	db.keysMu.Unlock()
-	if k == nil {
-		k = newEntryKeys(id)
+	if k := db.keys[id]; k != nil {
+		return k
 	}
-	return k
+	return newEntryKeys(id)
 }
 
 // keepKeys keeps k as id's keys, unless it has some; dropKeys drops them.
-// Their callers hold db.mu, so the keys come and go with the entries.
 func (db *DB) keepKeys(id uid.UID, k *entryKeys) {
-	db.keysMu.Lock()
 	if db.keys[id] == nil {
 		db.keys[id] = k
 	}
-	db.keysMu.Unlock()
 }
 
-func (db *DB) dropKeys(id uid.UID) {
-	db.keysMu.Lock()
-	delete(db.keys, id)
-	db.keysMu.Unlock()
-}
+func (db *DB) dropKeys(id uid.UID) { delete(db.keys, id) }
 
 // --- persistence ---
 
@@ -521,7 +529,8 @@ func (db *DB) commitLocked(ss *snapshotSet) uint64 {
 			db.dropKeys(id) // deregistered
 		}
 	}
-	return db.commits.Add(1)
+	db.commits++
+	return db.commits
 }
 
 // addRecordLocked encodes rec into the scratch and makes it key's record in
@@ -574,31 +583,32 @@ func (db *DB) writeRecordsLocked() error {
 			return fmt.Errorf("%w: %w", errStopped, err)
 		}
 	}
-	db.durable.Store(db.commits.Load())
+	db.durable = db.commits
 	return nil
 }
 
-// write is the write of a message that began in incarnation, and says
-// what a failure means for it, given the number of its first commit (0:
-// none): errStopped, the answer of a message none of whose commits is
+// writeLocked is the write of a message that began in incarnation, and
+// says what a failure means for it, given the number of its first commit
+// (0: none): errStopped, the answer of a message none of whose commits is
 // durable, or, when an earlier write covered some of them, an error
 // without its code. A message the database restarted under fails too: a
-// commit of it the restart found unwritten is gone.
-func (db *DB) write(first, incarnation uint64) error {
-	if db.durable.Load() == db.commits.Load() && !db.failed.Load() && db.incarnation.Load() == incarnation {
+// commit of it the restart found unwritten is gone. db.mu held.
+func (db *DB) writeLocked(first, incarnation uint64) error {
+	if db.durable == db.commits && !db.failed.Load() && db.incarnation == incarnation {
 		return nil // every commit is written, this message's too
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	err := db.writeRecordsLocked()
 	switch {
-	case err != nil && first != 0 && first <= db.durable.Load():
+	case err != nil && first != 0 && first <= db.durable:
 		return fmt.Errorf("core: the group view database's stable write failed after an earlier one wrote part of the message: %v", err)
-	case err == nil && db.incarnation.Load() != incarnation:
-		return errors.New("core: the group view database restarted under the message")
+	case err == nil && db.incarnation != incarnation:
+		return errRestarted
 	}
 	return err
 }
+
+// errRestarted is the answer of a message the database restarted under.
+var errRestarted = errors.New("core: the group view database restarted under the message")
 
 // errStopped is the answer of a database whose stable write failed.
 var errStopped = rpc.Errorf(CodeStopped, "core: the group view database's stable write failed; it answers nothing until its node restarts")
@@ -613,6 +623,116 @@ func stKey(id uid.UID) string { return lockKey("st/", id) }
 func lockKey(prefix string, id uid.UID) string {
 	var buf [56]byte
 	return string(id.Append(append(buf[:0], prefix...)))
+}
+
+// message is one BatchReq in execution: it runs under db.mu from its first
+// op to its reply, but while it waits for a lock (DB.lockLocked), with the
+// lock table and the incarnation it began in, and the two actions its ops
+// run under — its own, and the named one of its latest op that names one.
+type message struct {
+	ctx         context.Context
+	locks       *lockmgr.Manager
+	incarnation uint64
+	own, named  dbAction
+}
+
+// ownHolding reports whether the own action holds, outside the table, a
+// lock on key at least as strong as mode (0: any), by lockmgr's ordering.
+// db.mu held.
+func (db *DB) ownHolding(key string, mode lockmgr.Mode) bool {
+	return slices.ContainsFunc(db.held, func(h heldLock) bool { return h.key == key && h.mode >= mode })
+}
+
+// ownConflicts reports whether the own action holds, outside the table, a
+// lock on key that mode conflicts with. db.mu held.
+func (db *DB) ownConflicts(key string, mode lockmgr.Mode) bool {
+	return slices.ContainsFunc(db.held, func(h heldLock) bool { return h.key == key && !lockmgr.Compatible(mode, h.mode) })
+}
+
+// lockLocked gives a the lock mode on key, as lockmgr.Acquire would grant
+// it. The message's own action takes a lock no other message can see while
+// the message holds db.mu: it is checked against the table — a conflicting
+// holder, or a request queued ahead of it — and kept in db.held, not
+// recorded. A named action's lock is recorded in the table; where it meets
+// one of the own action's, the own action's are recorded first, so that
+// the table sees the conflict.
+//
+// A lock that must wait records the own action's locks first, under a name
+// minted then, and its own request in the table's FIFO queue, and waits
+// with db.mu dropped: until granted, failed by its owner's end
+// (lockmgr.ErrReleased), or the message's context is done. The message
+// fails there if the database restarted meanwhile. db.mu held.
+func (db *DB) lockLocked(m *message, a *dbAction, key string, mode lockmgr.Mode) error {
+	switch {
+	case a == &m.own && a.name == "":
+		if m.locks.Grantable("", key, mode, db.ownHolding(key, 0)) {
+			if !db.ownHolding(key, mode) {
+				db.held = append(db.held, heldLock{key, mode})
+			}
+			return nil
+		}
+		db.recordLocked(m)
+	case db.ownConflicts(key, mode):
+		db.recordLocked(m)
+	}
+	w := m.locks.Request(lockmgr.Owner(a.name), key, mode)
+	if w == nil {
+		return nil
+	}
+	if len(db.held) > 0 {
+		db.recordLocked(m)
+	}
+	db.mu.Unlock()
+	var err error
+	select {
+	case <-w.Ready():
+		db.mu.Lock()
+		err = w.Err()
+	case <-m.ctx.Done():
+		db.mu.Lock()
+		err = m.locks.Abandon(w, m.ctx.Err())
+	}
+	if db.incarnation != m.incarnation {
+		return errRestarted
+	}
+	if err != nil {
+		return rpc.Errorf(CodeLockRefused, "%v", err)
+	}
+	return nil
+}
+
+// recordLocked records the own action's locks in the table under a name
+// minted now, its lock owner from then on until it ends. db.mu held.
+func (db *DB) recordLocked(m *message) {
+	own := &m.own
+	if own.name == "" {
+		var buf [40]byte
+		db.owned++
+		own.name = string(strconv.AppendUint(append(buf[:0], ownActionPrefix...), db.owned, 10))
+	}
+	for _, h := range db.held {
+		m.locks.Grant(lockmgr.Owner(own.name), h.key, h.mode)
+	}
+	db.held = db.held[:0]
+}
+
+// ownerLocked is a's lock owner, for an op that works on the table itself
+// (Remove's and Exclude's non-blocking locks): the own action's locks are
+// recorded first. db.mu held.
+func (db *DB) ownerLocked(m *message, a *dbAction) lockmgr.Owner {
+	if len(db.held) > 0 || (a == &m.own && a.name == "") {
+		db.recordLocked(m)
+	}
+	return lockmgr.Owner(a.name)
+}
+
+// holdsLocked reports whether a holds a lock on key at least as strong as
+// mode (lockmgr.Manager.Holds). db.mu held.
+func (db *DB) holdsLocked(m *message, a *dbAction, key string, mode lockmgr.Mode) bool {
+	if a == &m.own && a.name == "" {
+		return db.ownHolding(key, mode)
+	}
+	return m.locks.Holds(lockmgr.Owner(a.name), key, mode)
 }
 
 // noteLocked remembers which node a named action came from, for the
@@ -659,8 +779,8 @@ func (db *DB) snapStateLocked(a *dbAction, id uid.UID) {
 // action's from pending — starting it, from the free list, on first use.
 func (db *DB) snapsLocked(a *dbAction) *snapshotSet {
 	if a.own {
-		if a.snaps == nil || a.incarnation != db.incarnation.Load() {
-			a.snaps, a.incarnation = db.spareSnapsLocked(), db.incarnation.Load()
+		if a.snaps == nil {
+			a.snaps = db.spareSnapsLocked()
 		}
 		return a.snaps
 	}
@@ -735,45 +855,41 @@ func (db *DB) rollbackLocked(ss *snapshotSet) {
 	}
 }
 
-// EndAction finishes a named action at the database, as a message's
-// EndAction does, and writes (writeRecordsLocked): commit makes its entry
-// mutations durable, abort restores the pre-images; either way the
-// action's locks are released (end of Figure 6's read-lock hold, or of the
-// short independent actions of Figures 7–8). Ending an action the database
-// does not know is a no-op, so the call is idempotent. The error is the
-// stable write's.
-func (db *DB) EndAction(act string, commit bool) error {
-	incarnation := db.incarnation.Load()
-	return db.write(db.endAction(act, commit), incarnation)
-}
-
-// endAction is EndAction without the write: it returns the commit's number,
-// 0 for none.
-func (db *DB) endAction(act string, commit bool) (n uint64) {
-	db.mu.Lock()
+// endActionLocked finishes a named action at the database: commit makes
+// its entry mutations durable with the next write (writeRecordsLocked),
+// abort restores the pre-images; either way the action's locks are
+// released (end of Figure 6's read-lock hold, or of the short independent
+// actions of Figures 7–8). Ending an action the database does not know is
+// a no-op, so the op is idempotent. It returns the commit's number, 0 for
+// none. db.mu held.
+func (db *DB) endActionLocked(act string, commit bool) (n uint64) {
 	if ss, ok := db.pending[act]; ok {
 		delete(db.pending, act)
 		n = db.endLocked(ss, commit)
 	}
 	delete(db.clients, act)
-	db.mu.Unlock()
 	db.locks.ReleaseAll(lockmgr.Owner(act))
 	return n
 }
 
-// endOwn finishes a message's own action, as endAction a named one, and
-// notes its commit in a. An undo set from before a crash is dropped: what
-// it undid or would commit died with that incarnation.
-func (db *DB) endOwn(a *dbAction, commit bool) {
+// endOwnLocked finishes the message's own action, as endActionLocked a
+// named one, and notes its commit. Its locks go: the ones in its list, and
+// any the table recorded. An undo set from before a crash is dropped: what
+// it undid or would commit died with that incarnation. db.mu held.
+func (db *DB) endOwnLocked(m *message, commit bool) {
+	a := &m.own
 	if a.snaps != nil {
-		db.mu.Lock()
-		if a.incarnation == db.incarnation.Load() {
+		if m.incarnation == db.incarnation {
 			a.committed(db.endLocked(a.snaps, commit))
 		}
 		a.snaps = nil
-		db.mu.Unlock()
 	}
-	db.locks.ReleaseAll(lockmgr.Owner(a.name))
+	if a.name != "" {
+		m.locks.ReleaseAll(lockmgr.Owner(a.name))
+		a.name = ""
+	}
+	clear(db.held) // the keys are the entries'; a kept one must not pin them
+	db.held = db.held[:0]
 }
 
 // Quiescent reports whether all use lists of the object are empty (the

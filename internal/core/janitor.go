@@ -78,23 +78,22 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 	// Abort in-flight actions from dead clients: restores entry pre-images
 	// and releases their locks.
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	var doomed []string
 	for act, node := range db.clients {
 		if dead[node] {
 			doomed = append(doomed, act)
 		}
 	}
-	db.mu.Unlock()
 	sort.Strings(doomed)
 	for _, act := range doomed {
-		db.endAction(act, false)
+		db.endActionLocked(act, false)
 		report.AbortedActions++
 	}
 
 	// Zero use-list counters contributed by dead clients. This is cleanup
 	// outside the lock protocol by design: the counters' owners are gone
 	// and can never release them. Only the entries it changed are rewritten.
-	db.mu.Lock()
 	for id, e := range db.servers {
 		changed := false
 		for host, clients := range e.Use {
@@ -112,6 +111,5 @@ func (j *Janitor) Sweep(ctx context.Context) SweepReport {
 		}
 	}
 	db.writeRecordsLocked()
-	db.mu.Unlock()
 	return report
 }

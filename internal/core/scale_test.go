@@ -76,10 +76,12 @@ func newScaleDB(tb testing.TB, n int) (*DB, *countingBackend, uid.UID) {
 	ids := make([]uid.UID, n)
 	for i := range ids {
 		ids[i] = gen.New()
-		if err := db.Register(context.Background(), &dbAction{name: "setup", from: "c1"}, ids[i], "counter", []transport.Addr{"sv1", "sv2"}, []transport.Addr{"st1", "st2", "st3"}); err != nil {
+		if _, err := db.batch(context.Background(), "c1", BatchReq{Ops: []Op{
+			RegisterOp("setup", ids[i], "counter", []transport.Addr{"sv1", "sv2"}, []transport.Addr{"st1", "st2", "st3"}),
+			EndActionOp("setup", true),
+		}}); err != nil {
 			tb.Fatal(err)
 		}
-		db.EndAction("setup", true)
 	}
 	return db, backend, ids[0]
 }
@@ -90,14 +92,12 @@ func newScaleDB(tb testing.TB, n int) (*DB, *countingBackend, uid.UID) {
 func bindCommit(tb testing.TB, db *DB, id uid.UID) {
 	ctx := context.Background()
 	hosts := []transport.Addr{"sv1"}
-	if err := db.Increment(ctx, &dbAction{name: "bind", from: "c1"}, id, "c1", hosts); err != nil {
+	if _, err := db.batch(ctx, "c1", BatchReq{Ops: []Op{IncrementOp("bind", id, "c1", hosts), EndActionOp("bind", true)}}); err != nil {
 		tb.Fatal(err)
 	}
-	db.EndAction("bind", true)
-	if err := db.Decrement(ctx, &dbAction{name: "unbind", from: "c1"}, id, "c1", hosts); err != nil {
+	if _, err := db.batch(ctx, "c1", BatchReq{Ops: []Op{DecrementOp("unbind", id, "c1", hosts), EndActionOp("unbind", true)}}); err != nil {
 		tb.Fatal(err)
 	}
-	db.EndAction("unbind", true)
 }
 
 // TestCommitCostIndependentOfDatabaseSize: a use-count commit writes the

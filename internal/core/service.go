@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -24,18 +23,20 @@ const MethodBatch = "Batch"
 
 // --- server-side operations ---
 
+// The operations below run under action a of message m, with db.mu held
+// (see DB.batch); an op takes its locks first (DB.lockLocked), and reads
+// and changes the entries after.
+
 // Register creates the Sv and St entries for a new object (write locks on
 // both). The St entry also records the object's class.
-func (db *DB) Register(ctx context.Context, a *dbAction, id uid.UID, class string, svNodes, stNodes []transport.Addr) error {
-	owner, keys := lockmgr.Owner(a.name), db.keysOf(id)
-	if err := db.locks.Acquire(ctx, owner, keys.sv, lockmgr.Write); err != nil {
-		return rpc.Errorf(CodeLockRefused, "%v", err)
+func (db *DB) Register(m *message, a *dbAction, id uid.UID, class string, svNodes, stNodes []transport.Addr) error {
+	keys := db.keysOf(id)
+	if err := db.lockLocked(m, a, keys.sv, lockmgr.Write); err != nil {
+		return err
 	}
-	if err := db.locks.Acquire(ctx, owner, keys.st, lockmgr.Write); err != nil {
-		return rpc.Errorf(CodeLockRefused, "%v", err)
+	if err := db.lockLocked(m, a, keys.st, lockmgr.Write); err != nil {
+		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	db.keepKeys(id, keys)
 	db.snapServerLocked(a, id)
@@ -61,16 +62,14 @@ func (db *DB) Register(ctx context.Context, a *dbAction, id uid.UID, class strin
 // never stranded against a vanished entry. The deletion is provisional
 // until the action commits: abort restores both entries from their
 // snapshots, and leaves no forward.
-func (db *DB) Deregister(ctx context.Context, a *dbAction, id uid.UID, to transport.Addr) ([]transport.Addr, string, error) {
-	owner, keys := lockmgr.Owner(a.name), db.keysOf(id)
-	if err := db.locks.Acquire(ctx, owner, keys.sv, lockmgr.Write); err != nil {
-		return nil, "", rpc.Errorf(CodeLockRefused, "%v", err)
+func (db *DB) Deregister(m *message, a *dbAction, id uid.UID, to transport.Addr) ([]transport.Addr, string, error) {
+	keys := db.keysOf(id)
+	if err := db.lockLocked(m, a, keys.sv, lockmgr.Write); err != nil {
+		return nil, "", err
 	}
-	if err := db.locks.Acquire(ctx, owner, keys.st, lockmgr.Write); err != nil {
-		return nil, "", rpc.Errorf(CodeLockRefused, "%v", err)
+	if err := db.lockLocked(m, a, keys.st, lockmgr.Write); err != nil {
+		return nil, "", err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	st, ok := db.states[id]
 	if !ok {
@@ -137,16 +136,14 @@ func MovedTo(err error) transport.Addr {
 // forUpdate takes a write lock instead — the enhanced schemes of §4.1.3
 // read Sv and update use lists within one top-level action, so they take
 // the stronger lock up front rather than promote later.
-func (db *DB) GetServer(ctx context.Context, a *dbAction, id uid.UID, wantUse, forUpdate bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int, error) {
+func (db *DB) GetServer(m *message, a *dbAction, id uid.UID, wantUse, forUpdate bool) ([]transport.Addr, map[transport.Addr]map[transport.Addr]int, error) {
 	mode := lockmgr.Read
 	if forUpdate {
 		mode = lockmgr.Write
 	}
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).sv, mode); err != nil {
-		return nil, nil, rpc.Errorf(CodeLockRefused, "%v", err)
+	if err := db.lockLocked(m, a, db.keysOf(id).sv, mode); err != nil {
+		return nil, nil, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
@@ -179,18 +176,16 @@ func (db *DB) GetServer(ctx context.Context, a *dbAction, id uid.UID, wantUse, f
 // lock is the write lock with forUpdate, else the commutative Adjust lock
 // alone (see Binder.FastBind): on an Sv entry Adjust conflicts with every
 // mode Read does, so it also keeps the entry's Sv still for the read.
-func (db *DB) Bind(ctx context.Context, a *dbAction, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) (candidates, counted []transport.Addr, err error) {
-	owner, key, mode := lockmgr.Owner(a.name), db.keysOf(id).sv, lockmgr.Adjust
+func (db *DB) Bind(m *message, a *dbAction, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) (candidates, counted []transport.Addr, err error) {
+	key, mode := db.keysOf(id).sv, lockmgr.Adjust
 	if forUpdate {
 		mode = lockmgr.Write
 	}
-	if err := db.locks.Acquire(ctx, owner, key, mode); err != nil {
-		return nil, nil, rpc.Errorf(CodeLockRefused, "%v", err)
+	if err := db.lockLocked(m, a, key, mode); err != nil {
+		return nil, nil, err
 	}
 	// An action already holding the write lock counts under it (adjustUse).
-	exclusive := forUpdate || db.locks.Holds(owner, key, lockmgr.Write)
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	exclusive := forUpdate || db.holdsLocked(m, a, key, lockmgr.Write)
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
@@ -208,12 +203,10 @@ func (db *DB) Bind(ctx context.Context, a *dbAction, id uid.UID, clientNode tran
 // preference order — the servers in use, else Sv — so that a read-only
 // client binds to the copy the writers keep current, and nothing else: the
 // use lists stay at the database.
-func (db *DB) Select(ctx context.Context, a *dbAction, id uid.UID) ([]transport.Addr, error) {
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).sv, lockmgr.Read); err != nil {
-		return nil, rpc.Errorf(CodeLockRefused, "%v", err)
+func (db *DB) Select(m *message, a *dbAction, id uid.UID) ([]transport.Addr, error) {
+	if err := db.lockLocked(m, a, db.keysOf(id).sv, lockmgr.Read); err != nil {
+		return nil, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
@@ -229,12 +222,10 @@ func (db *DB) Select(ctx context.Context, a *dbAction, id uid.UID) ([]transport.
 // clients of the enhanced schemes (whose locks are short-lived) the same
 // guarantee comes from the use lists: Insert refuses while any use list
 // is non-empty (§4.1.3's quiescence definition).
-func (db *DB) Insert(ctx context.Context, a *dbAction, id uid.UID, host transport.Addr) error {
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).sv, lockmgr.Write); err != nil {
-		return rpc.Errorf(CodeLockRefused, "%v", err)
+func (db *DB) Insert(m *message, a *dbAction, id uid.UID, host transport.Addr) error {
+	if err := db.lockLocked(m, a, db.keysOf(id).sv, lockmgr.Write); err != nil {
+		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
@@ -265,21 +256,20 @@ func (db *DB) Insert(ctx context.Context, a *dbAction, id uid.UID, host transpor
 // to drop failed servers (§4.1.3). The attempt to take the write lock is
 // non-blocking when tryOnly is set (a client repairing Sv should not wait
 // behind other users; per the paper it simply carries on if it cannot).
-func (db *DB) Remove(ctx context.Context, a *dbAction, id uid.UID, host transport.Addr, tryOnly bool) error {
-	owner, key := lockmgr.Owner(a.name), db.keysOf(id).sv
+func (db *DB) Remove(m *message, a *dbAction, id uid.UID, host transport.Addr, tryOnly bool) error {
+	key := db.keysOf(id).sv
 	if tryOnly {
-		if db.locks.Holds(owner, key, lockmgr.Read) {
-			if err := db.locks.TryPromote(owner, key, lockmgr.Read, lockmgr.Write); err != nil {
+		owner := db.ownerLocked(m, a)
+		if m.locks.Holds(owner, key, lockmgr.Read) {
+			if err := m.locks.TryPromote(owner, key, lockmgr.Read, lockmgr.Write); err != nil {
 				return rpc.Errorf(CodeLockRefused, "%v", err)
 			}
-		} else if err := db.locks.TryAcquire(owner, key, lockmgr.Write); err != nil {
+		} else if err := m.locks.TryAcquire(owner, key, lockmgr.Write); err != nil {
 			return rpc.Errorf(CodeLockRefused, "%v", err)
 		}
-	} else if err := db.locks.Acquire(ctx, owner, key, lockmgr.Write); err != nil {
-		return rpc.Errorf(CodeLockRefused, "%v", err)
+	} else if err := db.lockLocked(m, a, key, lockmgr.Write); err != nil {
+		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
@@ -299,8 +289,8 @@ func (db *DB) Remove(ctx context.Context, a *dbAction, id uid.UID, host transpor
 
 // Increment bumps clientNode's counter in the use list of each host
 // (§4.1.3).
-func (db *DB) Increment(ctx context.Context, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
-	return db.adjustUse(ctx, a, id, clientNode, hosts, +1)
+func (db *DB) Increment(m *message, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
+	return db.adjustUse(m, a, id, clientNode, hosts, +1)
 }
 
 // Decrement is the complementary operation to Increment. A Decrement for an
@@ -308,8 +298,8 @@ func (db *DB) Increment(ctx context.Context, a *dbAction, id uid.UID, clientNode
 // its use lists gone with the entry — has nothing to drop and succeeds: the
 // action-end carries one Decrement per object of the action, and one whose
 // object moved away must not fail the others (see txGroup.end).
-func (db *DB) Decrement(ctx context.Context, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
-	return db.adjustUse(ctx, a, id, clientNode, hosts, -1)
+func (db *DB) Decrement(m *message, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr) error {
+	return db.adjustUse(m, a, id, clientNode, hosts, -1)
 }
 
 // adjustUse applies a use-count delta. Increments and decrements commute,
@@ -320,16 +310,14 @@ func (db *DB) Decrement(ctx context.Context, a *dbAction, id uid.UID, clientNode
 // the inverse delta. An action that does hold the write lock (the Figure 7
 // bind reads Sv, removes failed servers and increments in one action) keeps
 // the exclusive pre-image snapshot discipline.
-func (db *DB) adjustUse(ctx context.Context, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr, delta int) error {
-	owner, key := lockmgr.Owner(a.name), db.keysOf(id).sv
-	exclusive := db.locks.Holds(owner, key, lockmgr.Write)
+func (db *DB) adjustUse(m *message, a *dbAction, id uid.UID, clientNode transport.Addr, hosts []transport.Addr, delta int) error {
+	key := db.keysOf(id).sv
+	exclusive := db.holdsLocked(m, a, key, lockmgr.Write)
 	if !exclusive {
-		if err := db.locks.Acquire(ctx, owner, key, lockmgr.Adjust); err != nil {
-			return rpc.Errorf(CodeLockRefused, "%v", err)
+		if err := db.lockLocked(m, a, key, lockmgr.Adjust); err != nil {
+			return err
 		}
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	e, ok := db.servers[id]
 	if !ok {
@@ -373,12 +361,10 @@ func (db *DB) adjustUseLocked(a *dbAction, id uid.UID, e *serverEntry, clientNod
 }
 
 // GetView returns St_A and the object's class under a read lock (§4.2).
-func (db *DB) GetView(ctx context.Context, a *dbAction, id uid.UID) ([]transport.Addr, string, error) {
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).st, lockmgr.Read); err != nil {
-		return nil, "", rpc.Errorf(CodeLockRefused, "%v", err)
+func (db *DB) GetView(m *message, a *dbAction, id uid.UID) ([]transport.Addr, string, error) {
+	if err := db.lockLocked(m, a, db.keysOf(id).st, lockmgr.Read); err != nil {
+		return nil, "", err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	e, ok := db.states[id]
 	if !ok {
@@ -395,12 +381,10 @@ func (db *DB) GetView(ctx context.Context, a *dbAction, id uid.UID) ([]transport
 // FIRST and fetches its catch-up state while holding it (the returned view
 // names the fetch sources); fetching before the lock would race in-flight
 // commits and re-admit the node with a stale state.
-func (db *DB) Include(ctx context.Context, a *dbAction, id uid.UID, host transport.Addr) ([]transport.Addr, error) {
-	if err := db.locks.Acquire(ctx, lockmgr.Owner(a.name), db.keysOf(id).st, lockmgr.Write); err != nil {
-		return nil, rpc.Errorf(CodeLockRefused, "%v", err)
+func (db *DB) Include(m *message, a *dbAction, id uid.UID, host transport.Addr) ([]transport.Addr, error) {
+	if err := db.lockLocked(m, a, db.keysOf(id).st, lockmgr.Write); err != nil {
+		return nil, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	e, ok := db.states[id]
 	if !ok {
@@ -438,26 +422,24 @@ type ExcludePair struct {
 // promotes to a full write lock, reproducing the paper's problem case: the
 // promotion is refused whenever other clients hold read locks, and the
 // caller's action must abort.
-func (db *DB) Exclude(ctx context.Context, a *dbAction, pairs []ExcludePair, useWriteLock bool) error {
-	owner := lockmgr.Owner(a.name)
+func (db *DB) Exclude(m *message, a *dbAction, pairs []ExcludePair, useWriteLock bool) error {
+	owner := db.ownerLocked(m, a)
 	target := lockmgr.ExcludeWrite
 	if useWriteLock {
 		target = lockmgr.Write
 	}
 	for _, p := range pairs {
 		key := db.keysOf(p.UID).st
-		if db.locks.Holds(owner, key, lockmgr.Read) && !db.locks.Holds(owner, key, target) {
-			if err := db.locks.TryPromote(owner, key, lockmgr.Read, target); err != nil {
+		if m.locks.Holds(owner, key, lockmgr.Read) && !m.locks.Holds(owner, key, target) {
+			if err := m.locks.TryPromote(owner, key, lockmgr.Read, target); err != nil {
 				return rpc.Errorf(CodeLockRefused, "exclude %v: %v", p.UID, err)
 			}
-		} else if !db.locks.Holds(owner, key, target) {
-			if err := db.locks.TryAcquire(owner, key, target); err != nil {
+		} else if !m.locks.Holds(owner, key, target) {
+			if err := m.locks.TryAcquire(owner, key, target); err != nil {
 				return rpc.Errorf(CodeLockRefused, "exclude %v: %v", p.UID, err)
 			}
 		}
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.noteLocked(a)
 	for _, p := range pairs {
 		e, ok := db.states[p.UID]
@@ -635,45 +617,47 @@ func registerService(srv *rpc.Server, db *DB) {
 // actions' ops before the failure stand (their locks are held, their
 // mutations pending, their commits made) — the state a sequence of single
 // calls failing at the same operation leaves. The message's own action is
-// aborted instead. It lives in this frame alone (see dbAction), and its
-// name is minted at its first op. An own EndAction ends it there, and the
-// next own op begins another: what a message carries ahead of its own ops
-// (Binder.do) commits as its own action and shares no lock or fate with
-// theirs.
+// aborted instead. It lives in this frame alone (see dbAction). An own
+// EndAction ends it there, and the next own op begins another: what a
+// message carries ahead of its own ops (Binder.do) commits as its own
+// action and shares no lock or fate with theirs.
+//
+// The message runs in one critical section: it holds db.mu from its first
+// op to its reply, but while an op waits for a lock (DB.lockLocked). The
+// lock table therefore holds only the locks that outlive the message or
+// must wait: the own action's locks are checked against it and kept beside
+// the action, and recorded only for a wait.
 //
 // Each commit releases its locks at once, and the message writes, on
-// success and on failure alike, before it replies (DB.write): one stable
-// write for all it committed, with whatever other messages committed since
-// the last write. A failed write fails the message; CodeStopped says that
-// nothing of it is durable.
+// success and on failure alike, before it replies (DB.writeLocked): one
+// stable write for all it committed, with whatever other messages
+// committed since the last write. A failed write fails the message;
+// CodeStopped says that nothing of it is durable.
 func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (BatchResp, error) {
 	if db.failed.Load() {
 		return BatchResp{}, errStopped
 	}
-	incarnation := db.incarnation.Load()
 	resp := BatchResp{Results: make([]OpResult, len(req.Ops))}
-	own, named := dbAction{from: from, own: true}, dbAction{from: from}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	m := message{ctx: ctx, locks: db.locks, incarnation: db.incarnation}
+	m.own, m.named = dbAction{from: from, own: true}, dbAction{from: from}
 	var err error
 	for i := range req.Ops {
-		op, a := &req.Ops[i], &own
+		op, a := &req.Ops[i], &m.own
 		if op.Action != "" {
-			named.name, a = op.Action, &named
-		} else if own.name == "" {
-			var buf [40]byte
-			own.name = string(strconv.AppendUint(append(buf[:0], ownActionPrefix...), db.owned.Add(1), 10))
+			m.named.name, a = op.Action, &m.named
 		}
-		if resp.Results[i], err = db.exec(ctx, a, op); err != nil {
+		if resp.Results[i], err = db.exec(&m, a, op); err != nil {
 			break
 		}
 	}
-	if own.name != "" {
-		db.endOwn(&own, err == nil)
+	db.endOwnLocked(&m, err == nil)
+	first := m.own.first
+	if m.named.first != 0 && (first == 0 || m.named.first < first) {
+		first = m.named.first
 	}
-	first := own.first
-	if named.first != 0 && (first == 0 || named.first < first) {
-		first = named.first
-	}
-	if werr := db.write(first, incarnation); werr != nil {
+	if werr := db.writeLocked(first, m.incarnation); werr != nil {
 		return BatchResp{}, werr
 	}
 	if err != nil {
@@ -682,42 +666,40 @@ func (db *DB) batch(ctx context.Context, from transport.Addr, req BatchReq) (Bat
 	return resp, nil
 }
 
-// exec runs one operation under a.
-func (db *DB) exec(ctx context.Context, a *dbAction, op *Op) (res OpResult, err error) {
+// exec runs one operation of message m under a. db.mu held.
+func (db *DB) exec(m *message, a *dbAction, op *Op) (res OpResult, err error) {
 	switch op.Kind {
 	case OpRegister:
-		err = db.Register(ctx, a, op.UID, op.Class, op.Hosts, op.Stores)
+		err = db.Register(m, a, op.UID, op.Class, op.Hosts, op.Stores)
 	case OpDeregister:
-		res.Nodes, res.Class, err = db.Deregister(ctx, a, op.UID, op.Host)
+		res.Nodes, res.Class, err = db.Deregister(m, a, op.UID, op.Host)
 	case OpGetServer:
-		res.Nodes, res.Use, err = db.GetServer(ctx, a, op.UID, op.WantUse, op.ForUpdate)
+		res.Nodes, res.Use, err = db.GetServer(m, a, op.UID, op.WantUse, op.ForUpdate)
 	case OpInsert:
-		err = db.Insert(ctx, a, op.UID, op.Host)
+		err = db.Insert(m, a, op.UID, op.Host)
 	case OpRemove:
-		err = db.Remove(ctx, a, op.UID, op.Host, op.TryOnly)
+		err = db.Remove(m, a, op.UID, op.Host, op.TryOnly)
 	case OpIncrement:
-		err = db.Increment(ctx, a, op.UID, op.Host, op.Hosts)
+		err = db.Increment(m, a, op.UID, op.Host, op.Hosts)
 	case OpDecrement:
-		err = db.Decrement(ctx, a, op.UID, op.Host, op.Hosts)
+		err = db.Decrement(m, a, op.UID, op.Host, op.Hosts)
 	case OpGetView:
-		res.Nodes, res.Class, err = db.GetView(ctx, a, op.UID)
+		res.Nodes, res.Class, err = db.GetView(m, a, op.UID)
 	case OpInclude:
-		res.Nodes, err = db.Include(ctx, a, op.UID, op.Host)
+		res.Nodes, err = db.Include(m, a, op.UID, op.Host)
 	case OpExclude:
-		err = db.Exclude(ctx, a, op.Pairs, op.UseWriteLock)
+		err = db.Exclude(m, a, op.Pairs, op.UseWriteLock)
 	case OpEndAction:
 		if a.own {
-			// An own op after this one starts a fresh own action, with a
-			// fresh name (batch).
-			db.endOwn(a, op.Commit)
-			a.name = ""
+			// An own op after this one starts a fresh own action (batch).
+			db.endOwnLocked(m, op.Commit)
 		} else {
-			a.committed(db.endAction(a.name, op.Commit))
+			a.committed(db.endActionLocked(a.name, op.Commit))
 		}
 	case OpBind:
-		res.Nodes, res.Hosts, err = db.Bind(ctx, a, op.UID, op.Host, op.Degree, op.ForUpdate)
+		res.Nodes, res.Hosts, err = db.Bind(m, a, op.UID, op.Host, op.Degree, op.ForUpdate)
 	case OpSelect:
-		res.Nodes, err = db.Select(ctx, a, op.UID)
+		res.Nodes, err = db.Select(m, a, op.UID)
 	default:
 		err = rpc.Errorf(rpc.CodeInternal, "unknown groupview op %d", op.Kind)
 	}

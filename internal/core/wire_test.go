@@ -68,7 +68,7 @@ func TestBatchUnknownOp(t *testing.T) {
 		}
 	}
 	w := newWorld(t, 1, 1, 1)
-	if _, err := w.db.exec(t.Context(), &dbAction{name: "a", from: "c1"}, &Op{Kind: opKindEnd}); rpc.CodeOf(err) != rpc.CodeInternal {
+	if _, err := w.db.batch(t.Context(), "c1", BatchReq{Ops: []Op{{Kind: opKindEnd, Action: "a"}}}); rpc.CodeOf(err) != rpc.CodeInternal {
 		t.Errorf("exec of an unknown kind = %v, want %s", err, rpc.CodeInternal)
 	}
 }

@@ -44,10 +44,16 @@
 // One mutex suffices because no table sees concurrent work on disjoint keys
 // that it could overlap. The system builds two kinds of table: an activated
 // object's, which holds its single "state" key, and the group view
-// database's, whose every operation takes the database's own mutex right
-// after its entry lock. Under the one mutex ReleaseAll is a single critical
-// section: the owner's holds are dropped and its parked acquires failed
-// together.
+// database's, every change to which the database makes under its own mutex.
+// Under the one mutex ReleaseAll is a single critical section: the owner's
+// holds are dropped and its parked acquires failed together.
+//
+// A caller that serialises its own work can take the wait apart: Grantable
+// checks a request without recording it, Grant records a hold so checked,
+// and Request grants at once or queues a Wait, which the caller waits on
+// with its own lock dropped and gives up with Abandon. The group view
+// database runs each message in one critical section this way: a lock that
+// begins and ends inside the section is checked and never recorded.
 package lockmgr
 
 import (
@@ -169,14 +175,33 @@ func (h *holder) strongest() Mode {
 
 func (h *holder) empty() bool { return h.counts == [Write + 1]int{} }
 
-// waiter is one parked blocking acquire. ready is closed (with granted
-// set, under the table's mutex) when the grant happens, so a receive on
-// ready observes a fully granted lock.
-type waiter struct {
+// Wait is one queued acquire (Request). ready is closed (with granted set,
+// under the table's mutex) when the grant happens, or ungranted by its
+// owner's ReleaseAll, so a receive on ready observes a fully granted lock.
+type Wait struct {
 	owner   Owner
+	key     string
 	mode    Mode
 	ready   chan struct{}
 	granted bool
+}
+
+// Ready is closed once the wait is over: granted, or failed by its owner's
+// ReleaseAll (Err tells which).
+func (w *Wait) Ready() <-chan struct{} { return w.ready }
+
+// Err is, once Ready is closed, nil for a granted wait and an ErrReleased
+// error for a failed one.
+func (w *Wait) Err() error {
+	if w.granted {
+		return nil
+	}
+	return w.fail(ErrReleased)
+}
+
+// fail is the error an acquire that waited on w fails with, for cause.
+func (w *Wait) fail(cause error) error {
+	return fmt.Errorf("lockmgr: acquire %s on %q for %s: %w", w.mode, w.key, w.owner, cause)
 }
 
 type entry struct {
@@ -187,7 +212,7 @@ type entry struct {
 	// order, each performed synchronously under the table's mutex by
 	// whichever release made it possible — there is no wake-then-race
 	// window for a newcomer to barge through.
-	waiters []*waiter
+	waiters []*Wait
 }
 
 // holder returns owner's record on e, or nil. The pointer is good until
@@ -223,6 +248,8 @@ type Manager struct {
 	// reuse is invisible.
 	freeEntries []*entry
 	freeKeys    [][]string
+	// grants counts the grants made (Grants).
+	grants uint64
 }
 
 // New returns a Manager using the given ancestry; nil means NoNesting.
@@ -336,6 +363,7 @@ func (m *Manager) grantLocked(e *entry, key string, owner Owner, mode Mode) {
 	}
 	h.counts[mode]++
 	m.indexKeyLocked(owner, key)
+	m.grants++
 }
 
 // grantWaitersLocked hands the entry's lock to queued waiters strictly in
@@ -382,6 +410,29 @@ func (m *Manager) gcLocked(e *entry, key string) {
 // performing a blocking promotion; the non-blocking variant used at commit
 // time is TryPromote.
 func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mode) error {
+	w := m.Request(owner, key, mode)
+	if w == nil {
+		return nil
+	}
+	start := time.Now()
+	select {
+	case <-w.ready:
+		if err := w.Err(); err != nil {
+			return err
+		}
+		if m.obs != nil {
+			m.obs.LockGranted(time.Since(start))
+		}
+		return nil
+	case <-ctx.Done():
+		return m.Abandon(w, ctx.Err())
+	}
+}
+
+// Request is Acquire without the wait: it grants mode on key to owner at
+// once and returns nil, or queues the request and returns its Wait, which
+// the caller waits on (Wait.Ready) or gives up (Abandon).
+func (m *Manager) Request(owner Owner, key string, mode Mode) *Wait {
 	m.mu.Lock()
 	e := m.entryLocked(key)
 	if m.grantableLocked(e, owner, mode) && m.mayOvertakeLocked(e, owner) {
@@ -389,7 +440,7 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 		m.mu.Unlock()
 		return nil
 	}
-	w := &waiter{owner: owner, mode: mode, ready: make(chan struct{})}
+	w := &Wait{owner: owner, key: key, mode: mode, ready: make(chan struct{})}
 	e.waiters = append(e.waiters, w)
 	// Indexed like a hold, so that ReleaseAll finds the queue entry too.
 	m.indexKeyLocked(owner, key)
@@ -398,49 +449,66 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	if m.obs != nil {
 		m.obs.LockQueued(depth)
 	}
-	start := time.Now()
-
-	select {
-	case <-w.ready:
-		if !w.granted {
-			return fmt.Errorf("lockmgr: acquire %s on %q for %s: %w", mode, key, owner, ErrReleased)
-		}
-		if m.obs != nil {
-			m.obs.LockGranted(time.Since(start))
-		}
-		return nil
-	case <-ctx.Done():
-		m.abandonWaiter(key, w)
-		return fmt.Errorf("lockmgr: acquire %s on %q for %s: %w", mode, key, owner, ctx.Err())
-	}
+	return w
 }
 
-// abandonWaiter removes w from key's queue after a cancellation. A grant
-// that raced the cancellation is undone — one unit released — so a
-// cancelled Acquire never leaves its owner holding the lock.
-func (m *Manager) abandonWaiter(key string, w *waiter) {
+// Abandon gives up w, a wait its caller no longer waits on, and returns the
+// error its acquire fails with, cause wrapped. A grant that raced the
+// caller is undone — one unit released — so an abandoned wait never leaves
+// its owner holding the lock.
+func (m *Manager) Abandon(w *Wait, cause error) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[w.key]
+	if !ok {
+		// Only reachable when a racing ReleaseAll for this owner already
+		// dropped the granted lock and GC'd the entry; nothing is held.
+		return w.fail(cause)
+	}
+	if w.granted {
+		m.releaseOneLocked(e, w.key, w.owner, w.mode)
+		return w.fail(cause)
+	}
+	if i := slices.Index(e.waiters, w); i >= 0 {
+		e.waiters = slices.Delete(e.waiters, i, i+1)
+	}
+	// Removing a waiter can unblock the ones behind it (a cancelled
+	// writer between readers).
+	m.grantWaitersLocked(e, w.key)
+	m.gcLocked(e, w.key)
+	return w.fail(cause)
+}
+
+// Grantable reports whether owner may take mode on key at once: no holder
+// of another owner conflicts with it, and no acquirer waits ahead of it.
+// overtake says that the owner holds the entry in its caller's own books,
+// which lets it pass the waiters as a holder's re-entrant acquire does. It
+// records nothing.
+func (m *Manager) Grantable(owner Owner, key string, mode Mode, overtake bool) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.entries[key]
 	if !ok {
-		// Only reachable when a racing ReleaseAll for this owner already
-		// dropped the granted lock and GC'd the entry; nothing is held.
-		return
+		return true
 	}
-	if w.granted {
-		m.releaseOneLocked(e, key, w.owner, w.mode)
-		return
-	}
-	for i, q := range e.waiters {
-		if q == w {
-			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
-			break
-		}
-	}
-	// Removing a waiter can unblock the ones behind it (a cancelled
-	// writer between readers).
-	m.grantWaitersLocked(e, key)
-	m.gcLocked(e, key)
+	return m.grantableLocked(e, owner, mode) && (overtake || m.mayOvertakeLocked(e, owner))
+}
+
+// Grant records one unit of mode on key for owner, unchecked: for a caller
+// that found it Grantable and kept the hold in its own books since, under a
+// serialisation of its own that no other acquire passed.
+func (m *Manager) Grant(owner Owner, key string, mode Mode) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.grantLocked(m.entryLocked(key), key, owner, mode)
+}
+
+// Grants counts the grants the table has made, queued ones and Grant's
+// included, for inspection and tests.
+func (m *Manager) Grants() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.grants
 }
 
 // releaseOneLocked drops one unit of mode held by owner and hands the
@@ -453,7 +521,11 @@ func (m *Manager) releaseOneLocked(e *entry, key string, owner Owner, mode Mode)
 	h.counts[mode]--
 	if h.empty() {
 		e.dropHolder(owner)
-		m.unindexKeyLocked(owner, key)
+		// A request of the owner's still queued here keeps the key in its
+		// index, for ReleaseAll to fail.
+		if !slices.ContainsFunc(e.waiters, func(w *Wait) bool { return w.owner == owner }) {
+			m.unindexKeyLocked(owner, key)
+		}
 	}
 	m.grantWaitersLocked(e, key)
 	m.gcLocked(e, key)
@@ -499,6 +571,8 @@ func (m *Manager) TryPromote(owner Owner, key string, from, to Mode) error {
 	}
 	h.counts[from]--
 	h.counts[to]++
+	// A promotion to a weaker mode can admit the queue's head.
+	m.grantWaitersLocked(e, key)
 	return nil
 }
 
@@ -537,7 +611,7 @@ func (m *Manager) ReleaseAll(owner Owner) {
 			continue
 		}
 		e.dropHolder(owner)
-		e.waiters = slices.DeleteFunc(e.waiters, func(w *waiter) bool {
+		e.waiters = slices.DeleteFunc(e.waiters, func(w *Wait) bool {
 			if w.owner != owner {
 				return false
 			}

@@ -3,7 +3,9 @@
 // a local-area network.
 //
 // A Node either works as specified or stops (Crash). Crashing wipes the
-// node's volatile storage and disconnects it from the network; its stable
+// node's volatile storage and disconnects it from the network — a request
+// its crashed incarnation was still handling gets no answer (the caller
+// sees transport.ErrReplyLost), as a dead process sends none; its stable
 // store survives — by default because the in-memory backend value is
 // kept, or, when the cluster's StorageProvider gave the node a disk
 // backend, because the state genuinely lives on disk and every in-process
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/rpc"
@@ -66,6 +69,10 @@ type Node struct {
 	epoch     uint32
 	volatile  map[string]any
 	onRecover []func(*Node)
+	// running is the epoch of the incarnation that runs, 0 while the node
+	// is down: a handler registered for another incarnation answers
+	// nothing (serve).
+	running atomic.Uint32
 }
 
 // Name returns the node's network address.
@@ -143,6 +150,7 @@ func (n *Node) Crash() {
 		return
 	}
 	n.up = false
+	n.running.Store(0)
 	n.volatile = make(map[string]any)
 	n.mu.Unlock()
 	if n.persistent {
@@ -198,7 +206,7 @@ func (n *Node) Recover(log store.OutcomeLog) {
 	// network: an in-doubt participant must not serve (or catch up over)
 	// state whose fate it has not yet settled.
 	n.stable.Recover(log)
-	n.cluster.net.Register(n.name, n.srv.Handler())
+	n.serve()
 	// The node is provably back: closing everyone's breaker toward it
 	// saves each caller the cooldown and half-open probe its own breaker
 	// would otherwise need.
@@ -400,8 +408,31 @@ func (c *Cluster) Add(name transport.Addr) *Node {
 		return rpc.Empty{}, nil
 	}))
 	c.nodes[name] = n
-	c.net.Register(name, n.srv.Handler())
+	n.serve()
 	return n
+}
+
+// serve puts the node's current incarnation on the network. Its handler
+// answers only while that incarnation runs: a request it was still handling
+// when the node crashed fails as transport.ErrReplyLost, whether the
+// incarnation had run it or not — a dead process sends no reply — and so
+// does one that reaches it afterwards.
+func (n *Node) serve() {
+	n.mu.Lock()
+	epoch := n.epoch
+	n.running.Store(epoch)
+	n.mu.Unlock()
+	h := n.srv.Handler()
+	n.cluster.net.Register(n.name, func(ctx context.Context, req transport.Request) ([]byte, error) {
+		if n.running.Load() != epoch {
+			return nil, fmt.Errorf("%s -> %s %s.%s: crashed incarnation %d: %w", req.From, req.To, req.Service, req.Method, epoch, transport.ErrReplyLost)
+		}
+		resp, err := h(ctx, req)
+		if n.running.Load() != epoch {
+			return nil, fmt.Errorf("%s -> %s %s.%s: crashed incarnation %d: %w", req.From, req.To, req.Service, req.Method, epoch, transport.ErrReplyLost)
+		}
+		return resp, err
+	})
 }
 
 // Node returns the named node, or nil.

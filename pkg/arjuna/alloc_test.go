@@ -15,7 +15,8 @@ import (
 // group, so every bind goes through the placement binder over a one-row
 // table, and the pin also holds that path to allocating nothing of its own.
 // The budgets are the counts measured when each class last got cheaper —
-// one stable write per database message, the action-end carried by the
+// the database's own actions kept out of its lock table and the action's
+// stash a short slice, one stable write per database message, the action-end carried by the
 // next action's bind, the breaker-note
 // context per attempt taken out, the per-call overhead before it, each solo
 // class's one-phase Prepare message carried by its invoke, the read-only
@@ -41,7 +42,7 @@ func TestFacadeAllocs(t *testing.T) {
 			if _, _, err := rw.Apply(ctx, id, "add", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-		}, 56}, // 53 measured; 59 with each commit of a database message written on its own, 62 when last pinned; 66 with the action-end a message of its own, 70 when last pinned; 68 with a breaker-note context per attempt, 84 when last pinned; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
+		}, 52}, // 49 measured; 53 with a name minted for each own action of a database message and the action's stash a map, 56 when last pinned; 59 with each commit of a database message written on its own, 62 when last pinned; 66 with the action-end a message of its own, 70 when last pinned; 68 with a breaker-note context per attempt, 84 when last pinned; 85 with a copy of the St view kept per binding, 86 before; 108 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 107 before one-item phase records, 117 with client-minted bind and decrement actions, 128 with a one-phase Prepare message, 226 with the per-call overhead
 		{"Atomic+Invoke", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Invoke(ctx, "add", []byte("1"))
@@ -49,7 +50,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 66}, // 62 measured; 68 with each commit of a database message written on its own, 72 when last pinned; 75 with the action-end a message of its own, 79 when last pinned; 77 with a breaker-note context per attempt, 97 when last pinned; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
+		}, 61}, // 58 measured; 62 with a name minted for each own action of a database message and the action's stash a map, 66 when last pinned; 68 with each commit of a database message written on its own, 72 when last pinned; 75 with the action-end a message of its own, 79 when last pinned; 77 with a breaker-note context per attempt, 97 when last pinned; 98 with a copy of the St view kept per binding, 99 before; 121 with the database's own actions in its action tables, keys rendered per op, records encoded afresh, a note context per call and a list per lone item and store outcome, 117 before one-item phase records, 127 with client-minted bind and decrement actions, 128 before the one-phase Prepare shared its handler
 		{"Atomic+Invoke two objects", func() {
 			if _, err := rw.Atomic(ctx, func(tx *arjuna.Txn) error {
 				if _, err := tx.Object(id).Invoke(ctx, "add", []byte("1")); err != nil {
@@ -60,7 +61,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 164}, // 156 measured; 163 with each commit of a database message written on its own, 172 when last pinned; 181 with the action-end a message of its own and a fan-out for a lone commit participant, 191 when last pinned; 183 with a breaker-note context per attempt, 221 when last pinned; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
+		}, 159}, // 151 measured; 156 with a name minted for each own action of a database message and the action's stash a map, 164 when last pinned; 163 with each commit of a database message written on its own, 172 when last pinned; 181 with the action-end a message of its own and a fan-out for a lone commit participant, 191 when last pinned; 183 with a breaker-note context per attempt, 221 when last pinned; 223 with a copy of the St view kept per binding, 231 before; 268 with the database's own actions in its action tables, keys rendered per op, records encoded afresh and a note context per call, 286 with a Prepare, a Commit and an action-end per object, 306 with client-minted bind and decrement actions, 318 before the one-phase Prepare shared its handler
 		{"ReadOnly Atomic+Read", func() {
 			if _, err := ro.Atomic(ctx, func(tx *arjuna.Txn) error {
 				_, err := tx.Object(id).Read(ctx, "get", nil)
@@ -68,7 +69,7 @@ func TestFacadeAllocs(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, 36}, // 34 measured; 36 with a breaker-note context per attempt, 45 when last pinned; 46 with a copy of the St view kept per binding; 51 with the database's keys rendered per op, a note context per call and the carried vote's item on the heap, 53 with a client-minted bind action, 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
+		}, 33}, // 31 measured; 34 with a name minted for the database message's own action and the action's stash a map, 36 when last pinned; 36 with a breaker-note context per attempt, 45 when last pinned; 46 with a copy of the St view kept per binding; 51 with the database's keys rendered per op, a note context per call and the carried vote's item on the heap, 53 with a client-minted bind action, 66 with a locked bind, 75 with a one-phase Prepare message, 147 with the per-call overhead
 	} {
 		c.op() // warm-up: placement cache, activation, lock-table free lists
 		if err := sys.World().FlushEnds(ctx); err != nil {
