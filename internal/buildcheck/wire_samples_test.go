@@ -25,7 +25,7 @@ func wireSamples() []wiretest.Record {
 			core.BindOp("", id, "c1", 2, true),
 			core.RegisterOp("a1", id, "Counter", []transport.Addr{"sv1"}, []transport.Addr{"st1", "st2"}),
 			core.ExcludeOp("a1", []core.ExcludePair{{UID: id, Hosts: []transport.Addr{"st2"}}}, true),
-			core.RemoveOp("a2", id, "sv3", true),
+			core.RemoveOp("a2", id, "sv3"),
 			core.EndActionOp("a1", true),
 		}}),
 		wiretest.Of(core.BatchResp{Results: []core.OpResult{

@@ -35,16 +35,18 @@ func TestBatchStopsAtFirstRefusedOp(t *testing.T) {
 		second Op
 		code   string
 	}{
-		// "reader" holds sv's read lock, so the non-blocking promotion to
-		// a write lock is refused.
-		{"lock-refused", RemoveOp("top", w.id, "sv1", true), CodeLockRefused},
+		// "reader" holds sv's read lock, so the Remove waits for the
+		// write lock until the message's deadline, and is refused there.
+		{"lock-refused", RemoveOp("top", w.id, "sv1"), CodeLockRefused},
 		{"unknown-object", GetViewOp("top", unknown), CodeUnknownObject},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if _, _, err := cli.GetServer(ctx, "reader", w.id, false, false); err != nil {
 				t.Fatal(err)
 			}
-			res, err := cli.Do(ctx, GetServerOp("owner", w.id, true, false), c.second, EndActionOp("owner", true))
+			msgCtx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+			res, err := cli.Do(msgCtx, GetServerOp("owner", w.id, true, false), c.second, EndActionOp("owner", true))
+			cancel()
 			if rpc.CodeOf(err) != c.code || res != nil {
 				t.Fatalf("batch = %v, %v; want no results and code %s", res, err, c.code)
 			}
@@ -191,7 +193,7 @@ func TestActionEndDecrementsStandAlone(t *testing.T) {
 	}
 	// The object moves away: its server is removed, which drops the count,
 	// and it is deregistered.
-	if _, err := cli.Do(ctx, RemoveOp("move", gone, "sv1", false), DeregisterOp("move", gone, "db2"), EndActionOp("move", true)); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("move", gone, "sv1"), DeregisterOp("move", gone, "db2"), EndActionOp("move", true)); err != nil {
 		t.Fatal(err)
 	}
 	for _, goneFirst := range []bool{true, false} {

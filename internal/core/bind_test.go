@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/lockmgr"
 	"repro/internal/object"
@@ -95,7 +96,10 @@ func TestBindOpCountsWhatItSelects(t *testing.T) {
 	if h := w.db.locks.HolderModes(svKey(w.id)); len(h) != 1 || h[0].Owner != "b1" || h[0].Mode != lockmgr.Adjust {
 		t.Fatalf("Sv lock holders = %v; want the fast bind action's Adjust lock alone", h)
 	}
-	if _, err := cli.Do(ctx, RemoveOp("rm", w.id, "sv3", true)); rpc.CodeOf(err) != CodeLockRefused {
+	rmCtx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	_, err = cli.Do(rmCtx, RemoveOp("rm", w.id, "sv3"))
+	cancel()
+	if rpc.CodeOf(err) != CodeLockRefused {
 		t.Fatalf("Remove beside the fast bind = %v, want it refused", err)
 	}
 	for _, act := range []string{"rm", "b1"} {
@@ -341,11 +345,11 @@ func TestRepairMovesUseCountsMidAction(t *testing.T) {
 	}
 }
 
-// TestActiveBindRepairsAfterExplicitProbe: active replication keeps its
+// TestRepairAfterActiveExplicitProbe: active replication keeps its
 // explicit probe, now after the bind message. A counted replica found dead
 // is removed by the same repair, and the count moves to the replica that
 // took its place.
-func TestActiveBindRepairsAfterExplicitProbe(t *testing.T) {
+func TestRepairAfterActiveExplicitProbe(t *testing.T) {
 	w := newWorld(t, 3, 1, 1)
 	ctx := context.Background()
 	w.cluster.Node("sv1").Crash()

@@ -181,17 +181,16 @@ func (s Scheme) String() string {
 // stores, because nothing else has kept a stand-in's copy current
 // (object.Manager.revalidate). Active and coordinator-cohort bindings
 // probe explicitly, after the bind message. Either way, when the probe
-// finds selected servers dead, one more action follows it, once:
+// finds selected servers dead, one more message follows it, once:
 //
-//   - repair — [GetServer(repair action, for update)], then [Remove(repair
-//     action)…, Increment(repair action), EndAction(repair action,
-//     commit)]: Figure 7's exclusive pass checks that nobody else is using
-//     the servers found dead (see Binding.repair), drops them from Sv so
-//     later clients do not pay the discovery cost (§4.1.3(i)) and counts
-//     the binding at the servers that replaced them; it spans two messages,
-//     so the client names it. A request sent after a candidate broke carries
-//     no phase one, so the repair always precedes the first message that
-//     could commit anything at the replacement.
+//   - repair — [Decrement(own), Repair(own)]: Figure 7's exclusive pass, the
+//     message's own action under the Sv write lock, drops the binding's
+//     counts, checks that nobody else is using the servers found dead, drops
+//     them from Sv so later clients do not pay the discovery cost
+//     (§4.1.3(i)) and counts the binding at the servers that replaced them
+//     (DB.Repair, Binding.repair). A request sent after a candidate broke
+//     carries no phase one, so the repair always precedes the first message
+//     that could commit anything at the replacement.
 //   - rebind — a binding whose probe found the servers the use lists put
 //     it on dead before any ran the action's request — its first request
 //     reached none, or its activation reached none or was refused the
@@ -205,9 +204,8 @@ func (s Scheme) String() string {
 // The standard scheme (Figure 6) has [GetServer, GetView] and a bare
 // EndAction only, and never repairs. A message that fails part-way leaves
 // what single calls failing at the same operation would (see DB.batch), so
-// the failure paths are ending the repair action as aborted, the ends a
-// lost message carried, which the binder sends again (pendingEnds.lost),
-// and the trackTxDB hook.
+// the failure paths are the ends a lost message carried, which the binder
+// sends again (pendingEnds.lost), and the trackTxDB hook.
 type Binder struct {
 	BindConfig
 	// DB addresses the group view database.
@@ -259,7 +257,7 @@ type BindConfig struct {
 	// every writer of Sv a Read lock would, so binds to a hot object proceed
 	// in parallel instead of convoying behind one another's exclusive write
 	// lock. The exclusive write-locked pass of Figure 7 is still used by the
-	// repair that Removes broken servers (and by Insert/Remove themselves),
+	// repair that removes broken servers (and by Insert/Remove themselves),
 	// so Sv repair and the §4.1.2 quiescence check keep their exact
 	// semantics. Ignored by the standard scheme.
 	FastBind bool
@@ -954,8 +952,9 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID,
 
 // probe builds the binding over candidates and, for a policy other than
 // single-copy passive, activates it and repairs what the activation found.
-// On a failed probe it drops the binding's counts and returns the error
-// with the binding, for its handle's findings.
+// On a failed probe it queues the Decrement of the binding's counts with the
+// binder's pending ends and returns the error with the binding, for its
+// handle's findings.
 func (b *Binder) probe(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
 	handle, err := replica.New(replica.Config{
 		UID:         id,
@@ -988,10 +987,9 @@ func (b *Binder) probe(ctx context.Context, act *action.Action, id uid.UID, clas
 		}
 		if err != nil {
 			// The bind action committed the count, and this binding will
-			// never join its group to drop it at the action's end.
-			if ops := bd.appendDecrement(nil); len(ops) > 0 {
-				_, _ = b.DB.Do(ctx, ops...)
-			}
+			// never join its group to drop it at the action's end: its
+			// Decrement waits for a message to ride, as an action-end's does.
+			b.ends.add(b, "", false, []*Binding{bd})
 			bd.bound = nil
 			return bd, err
 		}
@@ -1079,16 +1077,14 @@ const rebindWithin = 30 * endBound
 // never repair. A failed repair fails the request that triggered it: the
 // action must not run on at a server its use counts do not name.
 //
-// The exclusive pass is two messages under one write-locked action:
-// [GetServer(forUpdate)], then [Remove…, Increment, EndAction]. Between
-// the bind message and this one the binding was counted at servers it
-// could not reach, and other clients may have bound meanwhile. So the pass
-// re-reads the use lists and applies the selection rule to what everybody
-// else holds: if the object is in use, it is in use at servers this binding
-// must be on too (§4.1.3(i)). When it is not — a server dead to this client
-// is serving others — removing that server would leave two activated
-// copies behind, and the pass refuses instead, as a bind that finds the
-// servers in use unreachable always has.
+// The exclusive pass is one message, [Decrement(own), Repair(own)], one
+// action under the Sv write lock that dies with the message: the binding's
+// counts go, and the database applies the selection rule to what everybody
+// else holds (DB.Repair). If the object is in use, it is in use at servers
+// this binding must be on too; when it is not — a server dead to this
+// client is serving others — the pass is refused, as a bind that finds the
+// servers in use unreachable always has, and the Decrement is undone with
+// it.
 func (bd *Binding) repair(ctx context.Context) error {
 	if bd.probed {
 		return nil
@@ -1110,47 +1106,13 @@ func (bd *Binding) repair(ctx context.Context) error {
 	if b.Scheme == SchemeStandard || b.ReadOnly {
 		return nil
 	}
-	repairAct := b.Actions.BeginTop()
-	owner := repairAct.ID()
-	fail := func(err error) error {
-		_ = b.DB.EndAction(context.Background(), owner, false)
-		_ = repairAct.Abort(context.Background())
+	now := bd.handle.Bound()
+	if _, err := b.do(ctx, append(bd.appendDecrement(nil), RepairOp("", bd.id, b.ClientNode, now, broken))...); err != nil {
+		if rpc.CodeOf(err) == CodeNotQuiescent {
+			return fmt.Errorf("core: repair Sv(%v): %v: %w", bd.id, err, replica.ErrNoServers)
+		}
 		return fmt.Errorf("core: repair Sv(%v): %w", bd.id, err)
 	}
-	sv, use, err := b.DB.GetServer(ctx, owner, bd.id, true, true)
-	if err != nil {
-		return fail(err)
-	}
-	for _, host := range bd.bound { // everybody else's use lists: less this binding's own count
-		if use[host][b.ClientNode] > 0 {
-			use[host][b.ClientNode]--
-		}
-	}
-	now := bd.handle.Bound()
-	if others := inUse(sv, use); len(others) > 0 {
-		for _, host := range now {
-			if !slices.Contains(others, host) {
-				return fail(fmt.Errorf("in use at %v, which this client cannot reach: %w", others, replica.ErrNoServers))
-			}
-		}
-	}
-	ops := make([]Op, 0, len(broken)+2)
-	for _, dead := range broken {
-		ops = append(ops, RemoveOp(owner, bd.id, dead, false))
-	}
-	var uncounted []transport.Addr
-	for _, host := range now {
-		if !slices.Contains(bd.bound, host) {
-			uncounted = append(uncounted, host)
-		}
-	}
-	if len(uncounted) > 0 {
-		ops = append(ops, IncrementOp(owner, bd.id, b.ClientNode, uncounted))
-	}
-	if _, err := b.DB.Do(ctx, append(ops, EndActionOp(owner, true))...); err != nil {
-		return fail(err)
-	}
-	_, _ = repairAct.Commit(ctx)
 	bd.bound = now
 	return nil
 }

@@ -461,14 +461,14 @@ func TestDBCrashLosesUncommittedKeepsCommitted(t *testing.T) {
 	ctx := context.Background()
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
 	// Committed: remove sv2 in a finished action.
-	if _, err := cli.Do(ctx, RemoveOp("a-commit", w.id, "sv2", false)); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("a-commit", w.id, "sv2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.EndAction(ctx, "a-commit", true); err != nil {
 		t.Fatal(err)
 	}
 	// Uncommitted: remove sv1 but never end the action.
-	if _, err := cli.Do(ctx, RemoveOp("a-pending", w.id, "sv1", false)); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("a-pending", w.id, "sv1")); err != nil {
 		t.Fatal(err)
 	}
 	w.cluster.Node("db").Crash()
@@ -627,7 +627,7 @@ func TestAbortRestoresDatabaseEntries(t *testing.T) {
 	w := newWorld(t, 2, 2, 1)
 	ctx := context.Background()
 	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
-	if _, err := cli.Do(ctx, RemoveOp("a1", w.id, "sv2", false)); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("a1", w.id, "sv2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.EndAction(ctx, "a1", false); err != nil { // abort

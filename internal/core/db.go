@@ -87,11 +87,13 @@ const (
 	// CodeLockRefused reports a refused lock acquire or promotion — per
 	// §4.2.1 the client action must abort.
 	CodeLockRefused = "lock-refused"
-	// CodeNotQuiescent reports an Insert attempted while the object's use
-	// lists are non-empty (§4.1.3: quiescent means every use list is
-	// empty). The write lock guards against clients of the standard
-	// scheme; the use-list check guards against clients of the enhanced
-	// schemes, whose locks are released between bind and decrement.
+	// CodeNotQuiescent reports an Insert or a Deregister attempted while the
+	// object's use lists are non-empty (§4.1.3: quiescent means every use
+	// list is empty), and a Repair refused because the object is in use at
+	// servers the repairing binding does not run on. The write lock guards
+	// against clients of the standard scheme; the use-list check guards
+	// against clients of the enhanced schemes, whose locks are released
+	// between bind and decrement.
 	CodeNotQuiescent = "not-quiescent"
 	// CodeStopped is the answer of a database whose stable write failed,
 	// until its node restarts: nothing of the message that gets it is
@@ -148,6 +150,14 @@ func (e *serverEntry) clone() *serverEntry {
 
 func (e *stateEntry) clone() *stateEntry {
 	return &stateEntry{Nodes: append([]transport.Addr(nil), e.Nodes...), Class: e.Class}
+}
+
+// drop removes hosts from Sv with their use lists.
+func (e *serverEntry) drop(hosts ...transport.Addr) {
+	e.Nodes = slices.DeleteFunc(slices.Clone(e.Nodes), func(n transport.Addr) bool { return slices.Contains(hosts, n) })
+	for _, host := range hosts {
+		delete(e.Use, host)
+	}
 }
 
 // commitCount sets the committed counter k to n; zero or less drops it.
@@ -717,8 +727,8 @@ func (db *DB) recordLocked(m *message) {
 }
 
 // ownerLocked is a's lock owner, for an op that works on the table itself
-// (Remove's and Exclude's non-blocking locks): the own action's locks are
-// recorded first. db.mu held.
+// (Exclude's non-blocking locks): the own action's locks are recorded
+// first. db.mu held.
 func (db *DB) ownerLocked(m *message, a *dbAction) lockmgr.Owner {
 	if len(db.held) > 0 || (a == &m.own && a.name == "") {
 		db.recordLocked(m)

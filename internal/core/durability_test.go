@@ -253,7 +253,7 @@ func TestFailedStableWriteStopsTheDatabase(t *testing.T) {
 		stable := w.DB.Node().Store()
 
 		must(t, stable.Shutdown())
-		if _, err := w.cli.Do(ctx, core.RemoveOp("A", x, "sv2", false), core.EndActionOp("A", true)); err == nil {
+		if _, err := w.cli.Do(ctx, core.RemoveOp("A", x, "sv2"), core.EndActionOp("A", true)); err == nil {
 			t.Fatal("a commit whose stable write failed was acknowledged")
 		}
 		if _, err := w.cli.Do(ctx, core.IncrementOp("B", y, "c1", []transport.Addr{"sv1"}), core.EndActionOp("B", true)); err == nil {

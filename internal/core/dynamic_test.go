@@ -64,7 +64,7 @@ func TestDynamicReplicationDegree(t *testing.T) {
 	}
 
 	// Shrink Sv back while the object is quiescent.
-	if _, err := cli.Do(ctx, RemoveOp("admin3", w.id, "sv3", false)); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("admin3", w.id, "sv3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.EndAction(ctx, "admin3", true); err != nil {

@@ -50,11 +50,8 @@ func (e *Ends) Flush(ctx context.Context) error {
 // endBound passes with none, they go alone.
 type pendingEnds struct {
 	mu sync.Mutex
-	// acts are EndActions not yet sent; again are EndActions sent once in
-	// a message that may have arrived, to be sent once more and then
-	// given up.
-	acts, again []Op
-	decs        []Op
+	// acts are EndActions and decs Decrements, not yet sent.
+	acts, decs []Op
 	// timer sends the ends alone once endBound has passed since armed was
 	// set; it is made on first use, when the binder also joins its Ends.
 	timer *time.Timer
@@ -84,7 +81,7 @@ func (p *pendingEnds) add(b *Binder, act string, commit bool, members []*Binding
 	}
 }
 
-func (p *pendingEnds) pendingLocked() bool { return len(p.again)+len(p.acts)+len(p.decs) > 0 }
+func (p *pendingEnds) pendingLocked() bool { return len(p.acts)+len(p.decs) > 0 }
 
 func (p *pendingEnds) armLocked(b *Binder) {
 	if p.armed {
@@ -101,17 +98,16 @@ func (p *pendingEnds) armLocked(b *Binder) {
 	}
 }
 
-// take appends every pending op to dst, the EndActions sent once already
-// first, and empties the lists; carrier says a message's own ops will
-// follow, and so need an own EndAction between theirs and the Decrements'.
-// It returns how many of the ops appended were sent once already, and the
+// take appends every pending op to dst, the EndActions first, and empties
+// the lists; carrier says a message's own ops will follow, and so need an
+// own EndAction between theirs and the Decrements'. It returns the
 // message's ticket, zero when it took nothing. A caller that took any op
 // calls done with the ticket once its message has come back.
-func (p *pendingEnds) take(dst []Op, carrier bool) ([]Op, int, uint64) {
+func (p *pendingEnds) take(dst []Op, carrier bool) ([]Op, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.pendingLocked() {
-		return dst, 0, 0
+		return dst, 0
 	}
 	if p.armed {
 		p.timer.Stop()
@@ -119,16 +115,14 @@ func (p *pendingEnds) take(dst []Op, carrier bool) ([]Op, int, uint64) {
 	}
 	p.last++
 	p.out = append(p.out, p.last)
-	again := len(p.again)
-	dst = append(append(append(dst, p.again...), p.acts...), p.decs...)
+	dst = append(append(dst, p.acts...), p.decs...)
 	if carrier && len(p.decs) > 0 {
 		dst = append(dst, EndActionOp("", true))
 	}
-	clear(p.again)
 	clear(p.acts)
 	clear(p.decs)
-	p.again, p.acts, p.decs = p.again[:0], p.acts[:0], p.decs[:0]
-	return dst, again, p.last
+	p.acts, p.decs = p.acts[:0], p.decs[:0]
+	return dst, p.last
 }
 
 // done counts the message with the ticket as come back.
@@ -157,26 +151,20 @@ func (p *pendingEnds) tickets() uint64 {
 	return p.last
 }
 
-// lost puts back what a message lost in transport carried: ops, of which
-// the first again were sent once already. A message that never left
-// (unsent) ran nothing, and everything goes back as it was, the bound armed
-// unless the message was the bound's own (alone): the next carrier takes
-// them then, so a database that cannot be reached is not tried once a
-// bound. A message that may have arrived may have run everything: only its
-// EndActions sent for the first time go once more (EndAction is
-// idempotent), and the rest is given up — a Decrement must not run twice.
-func (p *pendingEnds) lost(b *Binder, ops []Op, again int, unsent, alone bool) {
+// lost puts back what a message lost in transport carried: ops. Its
+// EndActions go back every time: EndAction is idempotent. Its Decrements go
+// back only when the message never left (unsent) and so ran nothing: one
+// that may have arrived may have run them, and a Decrement must not run
+// twice. The bound is armed unless the message never left and was the
+// bound's own (alone): the next carrier takes them then, so a database that
+// cannot be reached is not tried once a bound.
+func (p *pendingEnds) lost(b *Binder, ops []Op, unsent, alone bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if unsent {
-		p.again = append(p.again, ops[:again]...)
-	}
-	for _, op := range ops[again:] {
+	for _, op := range ops {
 		switch {
-		case op.Kind == OpEndAction && op.Action != "" && unsent:
-			p.acts = append(p.acts, op)
 		case op.Kind == OpEndAction && op.Action != "":
-			p.again = append(p.again, op)
+			p.acts = append(p.acts, op)
 		case op.Kind == OpDecrement && unsent:
 			p.decs = append(p.decs, op)
 		}
@@ -224,9 +212,9 @@ func live(ctx context.Context) bool {
 // none.
 func (b *Binder) do(ctx context.Context, ops ...Op) ([]OpResult, error) {
 	scratch := opScratch.Get().(*[]Op)
-	sent, again, ticket := (*scratch)[:0], 0, uint64(0)
+	sent, ticket := (*scratch)[:0], uint64(0)
 	if live(ctx) {
-		sent, again, ticket = b.ends.take(sent, len(ops) > 0)
+		sent, ticket = b.ends.take(sent, len(ops) > 0)
 	}
 	n := len(sent)
 	sent = append(sent, ops...)
@@ -237,7 +225,7 @@ func (b *Binder) do(ctx context.Context, ops ...Op) ([]OpResult, error) {
 	}
 	if ticket != 0 {
 		if code := rpc.CodeOf(err); err != nil && (code == "" || code == CodeStopped) {
-			b.ends.lost(b, sent[:n], again, code == CodeStopped || unsent(err), len(ops) == 0)
+			b.ends.lost(b, sent[:n], code == CodeStopped || unsent(err), len(ops) == 0)
 		}
 		b.ends.done(ticket)
 	}

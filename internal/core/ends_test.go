@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -535,5 +536,82 @@ func TestActionEndFailedStableWrite(t *testing.T) {
 	}
 	if !w.quiescent(w.id) {
 		t.Fatal("the object is not quiescent once both bindings have ended")
+	}
+}
+
+// carriesDecrement reports whether a database request carries a Decrement.
+func carriesDecrement(req transport.Request) bool {
+	var q BatchReq
+	return req.Service == ServiceName && rpc.Decode(req.Payload, &q) == nil &&
+		slices.ContainsFunc(q.Ops, func(op Op) bool { return op.Kind == OpDecrement })
+}
+
+// TestActionEndOfAFailedActivation: a coordinator-cohort binding is counted
+// at both servers, and its activation finds both dead. The binding never
+// joins its action's group, so its Decrement is no part of the action-end:
+// it waits in the binder for a message to ride, as an end's does. The first
+// request that carries it is lost on its way, so it goes back and rides the
+// next: after the abort and a flush, the object is quiescent.
+func TestActionEndOfAFailedActivation(t *testing.T) {
+	w := newWorld(t, 2, 1, 1)
+	ctx := context.Background()
+	w.cluster.Node("sv1").Crash()
+	w.cluster.Node("sv2").Crash()
+	b := w.binder("c1", SchemeIndependent, replica.CoordinatorCohort, 2)
+	b.FastBind = true
+	w.cluster.Faults().DropRequests(1, carriesDecrement)
+	act := b.Actions.BeginTop()
+	if _, err := b.Bind(ctx, act, w.id); !errors.Is(err, replica.ErrNoServers) {
+		t.Fatalf("bind with both servers dead = %v, want ErrNoServers", err)
+	}
+	if err := act.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.FlushEnds(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !w.db.Quiescent(w.id) {
+		t.Fatalf("after the abort and a flush c1 is counted %d at sv1 and %d at sv2, want 0",
+			w.count(w.id, "sv1", "c1"), w.count(w.id, "sv2", "c1"))
+	}
+	if n := w.lockHolders(); n != 0 {
+		t.Fatalf("%d lock holders left", n)
+	}
+}
+
+// TestBindReplyLostLeavesItsCount pins a leak's bound. A fast bind's reply is
+// lost in transport: the bind message ran, and its count stands at the
+// database, but the binder never learnt where, so nothing it sends drops
+// it — not the abort, and not a flush. The leak is one count, at the server
+// the bind selected, and only the janitor clears it, once the client is
+// dead.
+func TestBindReplyLostLeavesItsCount(t *testing.T) {
+	w := newWorld(t, 1, 1, 1)
+	ctx := context.Background()
+	b := w.binder("c1", SchemeIndependent, replica.SingleCopyPassive, 1)
+	b.FastBind = true
+	w.cluster.Faults().DropReplies(1, transport.ToService("db", ServiceName))
+	act := b.Actions.BeginTop()
+	if _, err := b.Bind(ctx, act, w.id); err == nil || rpc.CodeOf(err) != "" {
+		t.Fatalf("bind = %v, want it lost in transport", err)
+	}
+	if err := act.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.FlushEnds(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.count(w.id, "sv1", "c1"); n != 1 {
+		t.Fatalf("c1's count at sv1 after the abort and a flush = %d, want the lost bind's 1", n)
+	}
+	if n := w.lockHolders(); n != 0 {
+		t.Fatalf("%d lock holders left", n)
+	}
+	if rep := NewJanitor(w.db).Sweep(ctx); rep.ClearedCounters != 0 || w.db.Quiescent(w.id) {
+		t.Fatalf("a sweep with c1 alive cleared %d counters, quiescent %v; want the count left", rep.ClearedCounters, w.db.Quiescent(w.id))
+	}
+	w.cluster.Node("c1").Crash()
+	if rep := NewJanitor(w.db).Sweep(ctx); rep.ClearedCounters != 1 || !w.db.Quiescent(w.id) {
+		t.Fatalf("a sweep with c1 dead cleared %d counters, quiescent %v; want the one count cleared", rep.ClearedCounters, w.db.Quiescent(w.id))
 	}
 }

@@ -153,7 +153,7 @@ func TestDBRecoveryPersistsAcrossMultipleObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Commit a Remove on object 1 and an Exclude on object 2.
-	if _, err := cli.Do(ctx, RemoveOp("m1", w.id, "sv2", false)); err != nil {
+	if _, err := cli.Do(ctx, RemoveOp("m1", w.id, "sv2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.EndAction(ctx, "m1", true); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -262,6 +263,16 @@ func removeAll(nodes []transport.Addr, host transport.Addr) []transport.Addr {
 	return slices.DeleteFunc(slices.Clone(nodes), func(n transport.Addr) bool { return n == host })
 }
 
+// removeServer drops host from Sv with its use list.
+func (e *mServer) removeServer(host transport.Addr) {
+	e.nodes = removeAll(e.nodes, host)
+	for k := range e.use {
+		if k.host == host {
+			delete(e.use, k)
+		}
+	}
+}
+
 // exec runs one op under act and returns its result and error code.
 func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 	sv, st := svKey(op.UID), stKey(op.UID)
@@ -321,14 +332,8 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 			}
 		}
 		return res, ""
-	case OpInsert, OpRemove:
-		var granted bool
-		if op.Kind == OpRemove && op.TryOnly && m.holds(sv, act, lockmgr.Read) {
-			granted = m.promote(sv, act, lockmgr.Read, lockmgr.Write)
-		} else {
-			granted = m.acquire(sv, act, lockmgr.Write)
-		}
-		if !granted {
+	case OpInsert, OpRemove, OpRepair:
+		if !m.acquire(sv, act, lockmgr.Write) {
 			return res, CodeLockRefused
 		}
 		e := m.servers[op.UID]
@@ -338,16 +343,32 @@ func (m *dbModel) exec(act string, op *Op) (res OpResult, code string) {
 		if op.Kind == OpInsert && m.inUse(op.UID) {
 			return res, CodeNotQuiescent
 		}
-		m.snapServer(act, op.UID)
-		if op.Kind == OpRemove {
-			e.nodes = removeAll(e.nodes, op.Host)
-			for k := range e.use {
-				if k.host == op.Host {
-					delete(e.use, k)
+		if op.Kind == OpRepair {
+			// While any member of Sv is in use, the binding must run on
+			// servers in use only.
+			var others []transport.Addr
+			for _, host := range e.nodes {
+				if inUseAny(e.use, host) {
+					others = append(others, host)
 				}
 			}
-		} else if !slices.Contains(e.nodes, op.Host) {
-			e.nodes = append(e.nodes, op.Host)
+			if len(others) > 0 && slices.ContainsFunc(op.Hosts, func(h transport.Addr) bool { return !slices.Contains(others, h) }) {
+				return res, CodeNotQuiescent
+			}
+		}
+		m.snapServer(act, op.UID)
+		switch op.Kind {
+		case OpRemove:
+			e.removeServer(op.Host)
+		case OpRepair:
+			for _, host := range op.Stores {
+				e.removeServer(host)
+			}
+			m.adjust(act, op.UID, op.Host, op.Hosts, +1, true)
+		default:
+			if !slices.Contains(e.nodes, op.Host) {
+				e.nodes = append(e.nodes, op.Host)
+			}
 		}
 		return res, ""
 	case OpIncrement, OpDecrement, OpBind:
@@ -580,7 +601,8 @@ func randomOp(rng *rand.Rand, own bool) Op {
 	case k < 6:
 		op = InsertOp(act, id, pick(rng, modelServers))
 	case k < 7:
-		op = RemoveOp(act, id, pick(rng, modelServers), rng.Intn(2) == 0)
+		op = RemoveOp(act, id, pick(rng, modelServers))
+		rng.Intn(2) // unused, so that the corpus seeds draw the sequences they were added for
 	case k < 9:
 		op = IncrementOp(act, id, pick(rng, modelClients), someOf(rng, modelServers))
 	case k < 11:
@@ -624,6 +646,27 @@ func actionEnd(rng *rand.Rand) []Op {
 	return ops
 }
 
+// repair draws the message of a binding's repair: its Decrement, when it
+// was counted, and a Repair that counts it at now, servers none of the dead
+// ones — the message's own action, or now and then a named one.
+func repair(rng *rand.Rand) []Op {
+	id, client := pick(rng, modelIDs), pick(rng, modelClients)
+	var ops []Op
+	if rng.Intn(2) == 0 {
+		ops = append(ops, DecrementOp("", id, client, someOf(rng, modelServers)))
+	}
+	dead := someOf(rng, modelServers)
+	now := someOf(rng, slices.DeleteFunc(slices.Clone(modelServers), func(sv transport.Addr) bool { return slices.Contains(dead, sv) }))
+	ops = append(ops, RepairOp("", id, client, now, dead))
+	if rng.Intn(4) == 0 {
+		act := pick(rng, modelActions)
+		for i := range ops {
+			ops[i].Action = act
+		}
+	}
+	return ops
+}
+
 // opString renders an op in a failure's history: kind, owner and the
 // arguments the kind takes.
 func opString(op Op) string {
@@ -646,7 +689,6 @@ func opString(op Op) string {
 		{op.Kind == OpBind, fmt.Sprintf("degree %d", op.Degree)},
 		{op.WantUse, "use"},
 		{op.ForUpdate, "update"},
-		{op.TryOnly, "try"},
 		{op.UseWriteLock, "write-lock"},
 		{op.Kind == OpEndAction, map[bool]string{true: "commit", false: "abort"}[op.Commit]},
 	} {
@@ -814,9 +856,11 @@ func compare(db *DB, m *dbModel) error {
 
 // runDBModel drives a fresh database and the model with the op sequence
 // seed draws: steps messages of one to three ops — or an action-end of one
-// to three Decrements — a few of them crashes of the database's node. It compares every reply and, after every step, the
-// whole state.
-func runDBModel(t *testing.T, seed int64, steps int) {
+// to three Decrements — a few of them crashes of the database's node, and
+// now and then a repair besides. It compares every reply and, after every
+// message, the whole state, and returns how the repairs went: a count per
+// shape (alone, or after a Decrement) and answer ("granted", or the code).
+func runDBModel(t *testing.T, seed int64, steps int) map[string]int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cluster := sim.NewCluster(transport.MemOptions{})
@@ -827,14 +871,46 @@ func runDBModel(t *testing.T, seed int64, steps int) {
 	// refusal, which is what the model says of it.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// Action-ends are drawn from a generator of their own, so that a seed's
-	// other messages are the ones it drew before they were added.
+	// Action-ends and repairs are drawn from generators of their own, so that
+	// a seed's other messages are the ones it drew before they were added.
 	ends := rand.New(rand.NewSource(^seed))
+	repairs := rand.New(rand.NewSource(seed ^ 0x5eed))
 	var history []string
 	fail := func(step int, err error) {
 		t.Helper()
 		t.Fatalf("seed %d, step %d: %v\nthe last steps:\n  %s\nreplay: go test ./internal/core -run TestDBAgainstModel -db-model-seed=%d",
 			seed, step, err, strings.Join(history[max(0, len(history)-30):], "\n  "), seed)
+	}
+	tally := map[string]int{}
+	send := func(step int, ops []Op) {
+		t.Helper()
+		line := make([]string, len(ops))
+		for i, op := range ops {
+			line[i] = opString(op)
+		}
+		history = append(history, strings.Join(line, ", "))
+		resp, err := db.batch(ctx, "c1", BatchReq{Ops: slices.Clone(ops)})
+		got := resp.Results
+		want, code := m.batch(ops)
+		answer := rpc.CodeOf(err)
+		if to := MovedTo(err); to != "" {
+			answer += movedToSep + string(to)
+		}
+		if answer != code || (err != nil) != (code != "") {
+			fail(step, fmt.Errorf("reply: database %v, model %q", err, code))
+		}
+		for i := range want {
+			if !sameResult(got[i], want[i]) {
+				fail(step, fmt.Errorf("op %d (%+v): database answered %+v, model %+v", i, ops[i], got[i], want[i]))
+			}
+		}
+		if ops[len(ops)-1].Kind == OpRepair {
+			shape := map[bool]string{true: "after a Decrement", false: "alone"}[len(ops) > 1]
+			tally[shape+", "+cmp.Or(code, "granted")]++
+		}
+		if err := compare(db, m); err != nil {
+			fail(step, err)
+		}
 	}
 	for step := 0; step < steps; step++ {
 		if rng.Intn(50) == 0 {
@@ -842,40 +918,21 @@ func runDBModel(t *testing.T, seed int64, steps int) {
 			node.Crash()
 			node.Recover(nil)
 			m.crash()
+			if err := compare(db, m); err != nil {
+				fail(step, err)
+			}
+		} else if ends.Intn(8) == 0 {
+			send(step, actionEnd(ends))
 		} else {
-			var ops []Op
-			if ends.Intn(8) == 0 {
-				ops = actionEnd(ends)
-			} else {
-				ownMsg := rng.Intn(3) == 0
-				ops = make([]Op, 1+rng.Intn(3))
-				for i := range ops {
-					ops[i] = randomOp(rng, ownMsg && rng.Intn(4) != 0)
-				}
+			ownMsg := rng.Intn(3) == 0
+			ops := make([]Op, 1+rng.Intn(3))
+			for i := range ops {
+				ops[i] = randomOp(rng, ownMsg && rng.Intn(4) != 0)
 			}
-			line := make([]string, len(ops))
-			for i, op := range ops {
-				line[i] = opString(op)
-			}
-			history = append(history, strings.Join(line, ", "))
-			resp, err := db.batch(ctx, "c1", BatchReq{Ops: slices.Clone(ops)})
-			got := resp.Results
-			want, code := m.batch(ops)
-			answer := rpc.CodeOf(err)
-			if to := MovedTo(err); to != "" {
-				answer += movedToSep + string(to)
-			}
-			if answer != code || (err != nil) != (code != "") {
-				fail(step, fmt.Errorf("reply: database %v, model %q", err, code))
-			}
-			for i := range want {
-				if !sameResult(got[i], want[i]) {
-					fail(step, fmt.Errorf("op %d (%+v): database answered %+v, model %+v", i, ops[i], got[i], want[i]))
-				}
-			}
+			send(step, ops)
 		}
-		if err := compare(db, m); err != nil {
-			fail(step, err)
+		if repairs.Intn(6) == 0 {
+			send(step, repair(repairs))
 		}
 	}
 	if got, want := db.Objects(), slices.SortedFunc(maps.Keys(m.states), func(a, b uid.UID) int {
@@ -883,19 +940,35 @@ func runDBModel(t *testing.T, seed int64, steps int) {
 	}); !slices.Equal(got, want) {
 		t.Fatalf("seed %d: Objects() = %v, model %v", seed, got, want)
 	}
+	return tally
 }
 
 // TestDBAgainstModel runs the database beside its reference model on fixed
 // seeds (or the one -db-model-seed names) and requires the two to agree on
-// every reply and every state in between.
+// every reply and every state in between. Over the fixed seeds a Repair is
+// both granted and refused, alone and after a Decrement.
 func TestDBAgainstModel(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if *dbModelSeed != 0 {
 		seeds = []int64{*dbModelSeed}
 	}
+	tally := map[string]int{}
 	for _, seed := range seeds {
-		runDBModel(t, seed, 3000)
+		for k, n := range runDBModel(t, seed, 3000) {
+			tally[k] += n
+		}
 	}
+	if *dbModelSeed != 0 {
+		return
+	}
+	for _, shape := range []string{"alone", "after a Decrement"} {
+		for _, answer := range []string{"granted", CodeNotQuiescent} {
+			if tally[shape+", "+answer] == 0 {
+				t.Errorf("no Repair %s was answered %s: %v", shape, answer, tally)
+			}
+		}
+	}
+	t.Logf("repairs: %v", tally)
 }
 
 // FuzzDBAgainstModel lets the fuzzer choose the seeds; the corpus under

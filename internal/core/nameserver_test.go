@@ -141,40 +141,4 @@ func TestInsertRefusedWhileUseCountsHeld(t *testing.T) {
 	_ = cli.EndAction(ctx, "ins2", true)
 }
 
-func TestRemoveTryOnlyPaths(t *testing.T) {
-	w := newWorld(t, 2, 1, 2)
-	ctx := context.Background()
-	cli := Client{RPC: w.cluster.Node("c1").Client(), DB: "db"}
-	// tryOnly promotion from a held read lock succeeds when alone.
-	if _, _, err := cli.GetServer(ctx, "a1", w.id, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Do(ctx, RemoveOp("a1", w.id, "sv2", true)); err != nil {
-		t.Fatalf("solo tryOnly remove: %v", err)
-	}
-	if err := cli.EndAction(ctx, "a1", false); err != nil { // roll back
-		t.Fatal(err)
-	}
-	// With another reader present the tryOnly promotion is refused.
-	cli2 := Client{RPC: w.cluster.Node("c2").Client(), DB: "db"}
-	if _, _, err := cli2.GetServer(ctx, "other", w.id, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cli.GetServer(ctx, "a2", w.id, false, false); err != nil {
-		t.Fatal(err)
-	}
-	_, err := cli.Do(ctx, RemoveOp("a2", w.id, "sv2", true))
-	if got := errCode(err); got != CodeLockRefused {
-		t.Fatalf("contended tryOnly remove err = %v (code %q)", err, got)
-	}
-	_ = cli.EndAction(ctx, "a2", false)
-	_ = cli2.EndAction(ctx, "other", false)
-	// Entry unchanged by the rolled-back remove.
-	sv, _, err := cli.GetServer(ctx, "peek", w.id, false, false)
-	if err != nil || len(sv) != 2 {
-		t.Fatalf("sv = %v (%v)", sv, err)
-	}
-	_ = cli.EndAction(ctx, "peek", true)
-}
-
 func errCode(err error) string { return rpc.CodeOf(err) }

@@ -31,13 +31,13 @@ func (w *world) secondObject() uid.UID {
 var opNames = [...]string{OpRegister: "Register", OpDeregister: "Deregister", OpGetServer: "GetServer",
 	OpInsert: "Insert", OpRemove: "Remove", OpIncrement: "Increment", OpDecrement: "Decrement",
 	OpGetView: "GetView", OpInclude: "Include", OpExclude: "Exclude", OpEndAction: "EndAction",
-	OpBind: "Bind", OpSelect: "Select"}
+	OpBind: "Bind", OpSelect: "Select", OpRepair: "Repair"}
 
 // dbOps records, per message, the operations one client sends the database,
 // and renders each as its kind and the action it runs under, given the
 // client action's ID and those of earlier client actions: the message's own
 // ("own"), the client action ("client"), an earlier one ("earlier") or
-// another named one ("repair"). A write-locked read adds ", update".
+// another named one ("other"). A write-locked read adds ", update".
 func dbOps(w *world, client transport.Addr) func(clientAct string, earlier ...string) [][]string {
 	var mu sync.Mutex
 	var sent [][]Op
@@ -58,7 +58,7 @@ func dbOps(w *world, client transport.Addr) func(clientAct string, earlier ...st
 		out := make([][]string, len(sent))
 		for i, ops := range sent {
 			for _, op := range ops {
-				owner := "repair"
+				owner := "other"
 				switch {
 				case op.Action == "":
 					owner = "own"
@@ -87,8 +87,8 @@ func dbOps(w *world, client transport.Addr) func(clientAct string, earlier ...st
 // own, after the client action's EndAction: a FastBind writer and a classic
 // one differ in Bind's lock alone. An action of two objects at one database
 // ends there in one message, each object's Decrement beside the other's. A
-// repair spans two messages, so it runs under an action the client names.
-// The end is no message of its own when the binder's next message comes
+// repair is one message of its own action: the binding's Decrement, then
+// Repair. The end is no message of its own when the binder's next message comes
 // first: it rides that message's head, an own EndAction between its
 // Decrements and the message's own ops.
 //
@@ -165,7 +165,7 @@ func TestReadOnlyBindConversations(t *testing.T) {
 		{"writer, standard", func(b *Binder) { b.Scheme = SchemeStandard }, false, false, false, [][]string{{"GetServer(client)", "GetView(client)"}, end}},
 		{"writer, two objects", func(b *Binder) { b.FastBind = true }, true, false, false, [][]string{bind, bind, {"EndAction(client)", "Decrement(own)", "Decrement(own)"}}},
 		{"writer, repair", func(b *Binder) { b.FastBind = true }, false, true, false, [][]string{
-			bind, {"GetServer(repair, update)"}, {"Remove(repair)", "Increment(repair)", "EndAction(repair)"}, endAndDecrement}},
+			bind, {"Decrement(own)", "Repair(own)"}, endAndDecrement}},
 		// The earlier action's end rides its successor's bind: a message
 		// fewer, its ops unchanged.
 		{"writer, after an action", func(b *Binder) { b.FastBind = true }, false, false, true, [][]string{

@@ -251,23 +251,11 @@ func (db *DB) Insert(m *message, a *dbAction, id uid.UID, host transport.Addr) e
 	return nil
 }
 
-// Remove deletes host from Sv_A under a write lock — used by applications
-// to vary the degree of replication (§4.1.2) and by the enhanced schemes
-// to drop failed servers (§4.1.3). The attempt to take the write lock is
-// non-blocking when tryOnly is set (a client repairing Sv should not wait
-// behind other users; per the paper it simply carries on if it cannot).
-func (db *DB) Remove(m *message, a *dbAction, id uid.UID, host transport.Addr, tryOnly bool) error {
-	key := db.keysOf(id).sv
-	if tryOnly {
-		owner := db.ownerLocked(m, a)
-		if m.locks.Holds(owner, key, lockmgr.Read) {
-			if err := m.locks.TryPromote(owner, key, lockmgr.Read, lockmgr.Write); err != nil {
-				return rpc.Errorf(CodeLockRefused, "%v", err)
-			}
-		} else if err := m.locks.TryAcquire(owner, key, lockmgr.Write); err != nil {
-			return rpc.Errorf(CodeLockRefused, "%v", err)
-		}
-	} else if err := db.lockLocked(m, a, key, lockmgr.Write); err != nil {
+// Remove deletes host from Sv_A under a write lock — the §4.1.2 operation
+// by which an application varies the degree of replication. The enhanced
+// schemes drop failed servers by Repair instead.
+func (db *DB) Remove(m *message, a *dbAction, id uid.UID, host transport.Addr) error {
+	if err := db.lockLocked(m, a, db.keysOf(id).sv, lockmgr.Write); err != nil {
 		return err
 	}
 	db.noteLocked(a)
@@ -276,14 +264,41 @@ func (db *DB) Remove(m *message, a *dbAction, id uid.UID, host transport.Addr, t
 		return db.unknownLocked("Sv", id)
 	}
 	db.snapServerLocked(a, id)
-	var kept []transport.Addr
-	for _, n := range e.Nodes {
-		if n != host {
-			kept = append(kept, n)
+	e.drop(host)
+	return nil
+}
+
+// Repair is the database half of the repair of Figure 7's bind action
+// (§4.1.3), as one operation under the Sv write lock: a binding whose probe
+// found servers dead is moved off them. Under the fixed selection rule an
+// object in use is in use at servers every binding must be on, so while
+// the use lists name any, Repair refuses with CodeNotQuiescent unless every
+// server in now — the ones the binding runs on — is among them: removing a
+// server dead to this client but serving others would leave two activated
+// copies behind. The binding's own counts are not the others': the binder
+// sends its Decrement ahead of the Repair, under the same action. Otherwise
+// Repair removes the dead servers from Sv with their use lists, so that
+// later clients skip the discovery (§4.1.3(i)), and counts clientNode at
+// now.
+func (db *DB) Repair(m *message, a *dbAction, id uid.UID, clientNode transport.Addr, now, dead []transport.Addr) error {
+	if err := db.lockLocked(m, a, db.keysOf(id).sv, lockmgr.Write); err != nil {
+		return err
+	}
+	db.noteLocked(a)
+	e, ok := db.servers[id]
+	if !ok {
+		return db.unknownLocked("Sv", id)
+	}
+	if others := inUse(e.Nodes, e.Use); len(others) > 0 {
+		for _, host := range now {
+			if !slices.Contains(others, host) {
+				return rpc.Errorf(CodeNotQuiescent, "object %v is in use at %v, which %s cannot reach", id, others, clientNode)
+			}
 		}
 	}
-	e.Nodes = kept
-	delete(e.Use, host)
+	db.snapServerLocked(a, id)
+	e.drop(dead...)
+	db.adjustUseLocked(a, id, e, clientNode, now, +1, true)
 	return nil
 }
 
@@ -480,6 +495,7 @@ const (
 	OpEndAction
 	OpBind
 	OpSelect
+	OpRepair
 	opKindEnd // one past the last valid kind
 )
 
@@ -495,21 +511,22 @@ type Op struct {
 	// Class is the object's class (Register).
 	Class string
 	// Host is the node to insert, remove or include, for Increment,
-	// Decrement and Bind the client node whose counters move, and for
-	// Deregister the database the object moves to.
+	// Decrement, Bind and Repair the client node whose counters move, and
+	// for Deregister the database the object moves to.
 	Host transport.Addr
 	// Hosts lists Sv (Register) or the servers whose use lists move
-	// (Increment, Decrement); Stores lists St (Register).
+	// (Increment, Decrement, Repair); Stores lists St (Register) or the
+	// servers found dead (Repair).
 	Hosts, Stores []transport.Addr
 	// Pairs lists the exclusions (Exclude).
 	Pairs []ExcludePair
 	// Degree is how many servers the binding is counted at (Bind; 0 = all
 	// the rule selects).
 	Degree int
-	// WantUse qualifies GetServer, ForUpdate GetServer and Bind, TryOnly
-	// Remove, UseWriteLock Exclude, and Commit EndAction; see the DB methods
-	// of those names.
-	WantUse, ForUpdate, TryOnly, UseWriteLock, Commit bool
+	// WantUse qualifies GetServer, ForUpdate GetServer and Bind,
+	// UseWriteLock Exclude, and Commit EndAction; see the DB methods of those
+	// names.
+	WantUse, ForUpdate, UseWriteLock, Commit bool
 }
 
 // RegisterOp registers a new object in both databases.
@@ -534,10 +551,9 @@ func InsertOp(act string, id uid.UID, host transport.Addr) Op {
 	return Op{Kind: OpInsert, Action: act, UID: id, Host: host}
 }
 
-// RemoveOp drops a server node from Sv_A; tryOnly makes the lock attempt
-// non-blocking.
-func RemoveOp(act string, id uid.UID, host transport.Addr, tryOnly bool) Op {
-	return Op{Kind: OpRemove, Action: act, UID: id, Host: host, TryOnly: tryOnly}
+// RemoveOp drops a server node from Sv_A.
+func RemoveOp(act string, id uid.UID, host transport.Addr) Op {
+	return Op{Kind: OpRemove, Action: act, UID: id, Host: host}
 }
 
 // IncrementOp bumps clientNode's use count at the given hosts.
@@ -554,6 +570,12 @@ func DecrementOp(act string, id uid.UID, clientNode transport.Addr, hosts []tran
 // at the first degree servers the selection rule picks; see DB.Bind.
 func BindOp(act string, id uid.UID, clientNode transport.Addr, degree int, forUpdate bool) Op {
 	return Op{Kind: OpBind, Action: act, UID: id, Host: clientNode, Degree: degree, ForUpdate: forUpdate}
+}
+
+// RepairOp removes the dead servers from Sv_A and counts clientNode's
+// binding at now, unless the object is in use elsewhere; see DB.Repair.
+func RepairOp(act string, id uid.UID, clientNode transport.Addr, now, dead []transport.Addr) Op {
+	return Op{Kind: OpRepair, Action: act, UID: id, Host: clientNode, Hosts: now, Stores: dead}
 }
 
 // SelectOp reads Sv_A and the use lists and returns the servers the selection
@@ -678,7 +700,7 @@ func (db *DB) exec(m *message, a *dbAction, op *Op) (res OpResult, err error) {
 	case OpInsert:
 		err = db.Insert(m, a, op.UID, op.Host)
 	case OpRemove:
-		err = db.Remove(m, a, op.UID, op.Host, op.TryOnly)
+		err = db.Remove(m, a, op.UID, op.Host)
 	case OpIncrement:
 		err = db.Increment(m, a, op.UID, op.Host, op.Hosts)
 	case OpDecrement:
@@ -700,6 +722,8 @@ func (db *DB) exec(m *message, a *dbAction, op *Op) (res OpResult, err error) {
 		res.Nodes, res.Hosts, err = db.Bind(m, a, op.UID, op.Host, op.Degree, op.ForUpdate)
 	case OpSelect:
 		res.Nodes, err = db.Select(m, a, op.UID)
+	case OpRepair:
+		err = db.Repair(m, a, op.UID, op.Host, op.Hosts, op.Stores)
 	default:
 		err = rpc.Errorf(rpc.CodeInternal, "unknown groupview op %d", op.Kind)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -228,6 +229,73 @@ func TestBindLockTableGrants(t *testing.T) {
 			}
 		}
 		w.flushEnds()
+	}
+	if n := w.lockHolders(); n != 0 || !w.quiescent(w.id) {
+		t.Fatalf("%d lock holders left, quiescent %v", n, w.quiescent(w.id))
+	}
+}
+
+// TestRepairWaitsForAReadLock: a repair message — the binding's Decrement,
+// then Repair — meets a standard-scheme client's Sv read lock, which Figure
+// 6 holds until the client's action ends, and waits in the lock table's
+// queue for the write lock. One whose deadline comes first is refused and
+// leaves nothing behind: no waiter, no lock of its own, its Decrement undone
+// and Sv as it was. One that outwaits the reader repairs once the reader's
+// action ends.
+func TestRepairWaitsForAReadLock(t *testing.T) {
+	w := newWorld(t, 2, 1, 2)
+	ctx := context.Background()
+	reader := w.binder("c2", SchemeStandard, replica.SingleCopyPassive, 1)
+	act := reader.Actions.BeginTop()
+	if _, err := reader.Bind(ctx, act, w.id); err != nil {
+		t.Fatal(err)
+	}
+	sv1, sv2 := []transport.Addr{"sv1"}, []transport.Addr{"sv2"}
+	if _, err := w.db.batch(ctx, "c1", BatchReq{Ops: []Op{IncrementOp("", w.id, "c1", sv1)}}); err != nil {
+		t.Fatal(err)
+	}
+	repair := func(ctx context.Context) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := w.db.batch(ctx, "c1", BatchReq{Ops: []Op{DecrementOp("", w.id, "c1", sv1), RepairOp("", w.id, "c1", sv2, sv1)}})
+			done <- err
+		}()
+		w.awaitQueued(svKey(w.id), 1)
+		return done
+	}
+	sv := func() []transport.Addr {
+		w.db.mu.Lock()
+		defer w.db.mu.Unlock()
+		return slices.Clone(w.db.servers[w.id].Nodes)
+	}
+
+	msgCtx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+	defer cancel()
+	if err := <-repair(msgCtx); rpc.CodeOf(err) != CodeLockRefused {
+		t.Fatalf("repair past its deadline = %v, want code %s", err, CodeLockRefused)
+	}
+	if d := w.db.locks.QueueDepth(svKey(w.id)); d != 0 {
+		t.Fatalf("%d waiters left", d)
+	}
+	if h := w.db.locks.HolderModes(svKey(w.id)); len(h) != 1 || h[0].Owner != lockmgr.Owner(act.ID()) || h[0].Mode != lockmgr.Read {
+		t.Fatalf("Sv holders %v, want the reader's Read alone", h)
+	}
+	if n := w.count(w.id, "sv1", "c1"); n != 1 || !slices.Equal(sv(), w.svs) {
+		t.Fatalf("after the refused repair c1 is counted %d at sv1 and Sv is %v; want 1 and %v", n, sv(), w.svs)
+	}
+
+	done := repair(ctx)
+	if err := act.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("repair once the reader ended: %v", err)
+	}
+	if got := sv(); !slices.Equal(got, sv2) || w.count(w.id, "sv2", "c1") != 1 {
+		t.Fatalf("after the repair Sv is %v and c1 is counted %d at sv2; want [sv2] and 1", got, w.count(w.id, "sv2", "c1"))
+	}
+	if _, err := w.db.batch(ctx, "c1", BatchReq{Ops: []Op{DecrementOp("", w.id, "c1", sv2)}}); err != nil {
+		t.Fatal(err)
 	}
 	if n := w.lockHolders(); n != 0 || !w.quiescent(w.id) {
 		t.Fatalf("%d lock holders left, quiescent %v", n, w.quiescent(w.id))

@@ -69,11 +69,12 @@ func readAddrs(r *rpc.WireReader) []transport.Addr {
 	return out
 }
 
-// Operation flags, one bit each in the op's flag byte.
+// Operation flags, one bit each in the op's flag byte. The third bit is
+// unused, so that the other flags keep the bits version 3 gave them.
 const (
 	flagWantUse byte = 1 << iota
 	flagForUpdate
-	flagTryOnly
+	_
 	flagUseWriteLock
 	flagCommit
 )
@@ -113,7 +114,7 @@ func (q BatchReq) AppendWire(dst []byte) []byte {
 		op := &q.Ops[i]
 		// Kind and flags are both below 0x80: each byte is its own uvarint.
 		dst = append(dst, byte(op.Kind),
-			bit(op.WantUse, flagWantUse)|bit(op.ForUpdate, flagForUpdate)|bit(op.TryOnly, flagTryOnly)|
+			bit(op.WantUse, flagWantUse)|bit(op.ForUpdate, flagForUpdate)|
 				bit(op.UseWriteLock, flagUseWriteLock)|bit(op.Commit, flagCommit))
 		dst = rpc.AppendString(dst, op.Action)
 		dst = appendUID(dst, op.UID)
@@ -143,7 +144,7 @@ func (BatchReq) ParseWire(_ byte, r *rpc.WireReader) (BatchReq, error) {
 			return BatchReq{}, rpc.ErrWire
 		}
 		op.Kind = OpKind(kind)
-		op.WantUse, op.ForUpdate, op.TryOnly = byte(flags)&flagWantUse != 0, byte(flags)&flagForUpdate != 0, byte(flags)&flagTryOnly != 0
+		op.WantUse, op.ForUpdate = byte(flags)&flagWantUse != 0, byte(flags)&flagForUpdate != 0
 		op.UseWriteLock, op.Commit = byte(flags)&flagUseWriteLock != 0, byte(flags)&flagCommit != 0
 		op.Action = r.String()
 		op.UID = readUID(r)

@@ -20,7 +20,7 @@ func wireCases() []wiretest.Record {
 			DeregisterOp("a1", id, "db2"),
 			GetServerOp("a1", id, true, true),
 			InsertOp("a2", id, "n3"),
-			RemoveOp("a2", id, "n3", true),
+			RemoveOp("a2", id, "n3"),
 			IncrementOp("a3", id, "c1", []transport.Addr{"n1", "n2"}),
 			DecrementOp("a3", id, "c1", []transport.Addr{"n1"}),
 			GetViewOp("top", id),
@@ -29,6 +29,7 @@ func wireCases() []wiretest.Record {
 			EndActionOp("a3", true),
 			BindOp("a4", id, "c1", 2, true),
 			DecrementOp("", id, "c1", []transport.Addr{"n2"}),
+			RepairOp("", id, "c1", []transport.Addr{"n2"}, []transport.Addr{"n1", "n3"}),
 		}}),
 		wiretest.Of(BatchResp{Results: []OpResult{
 			{Nodes: []transport.Addr{"n1", "n2"}, Use: map[transport.Addr]map[transport.Addr]int{"n1": {"c1": 2, "c2": -1}, "n2": {}}},

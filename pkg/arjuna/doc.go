@@ -244,16 +244,19 @@
 // Adjust lock that other binders and readers share, so binds to a hot
 // object stop convoying behind one another's exclusive bind window (the
 // exclusive repair pass still runs whenever a binding finds failed
-// servers). Either way a binding costs two messages to the group view
-// database — one reads Sv and St and counts the binding into the use lists
-// of the servers the selection rule picks, the other ends the action and
-// counts it out again — and each of the two use-count commits rewrites one
-// database entry, whatever the number of objects. No message goes to an
-// object server at bind time under single-copy passive replication: the
-// binding's first invocation carries the class and the St view, activates
-// the object where it lands, and is the probe that discovers a dead server
-// "the hard way" — it moves on to the next candidate when the request
-// provably never ran, and aborts the action when it may have.
+// servers, one message that drops them from Sv and moves the binding's
+// count). Either way a binding costs one message to the group view
+// database of its own — it reads Sv and St and counts the binding into the
+// use lists of the servers the selection rule picks — and the action's end,
+// which counts it out again, is no message of its own: it rides the
+// client's next message to that database, or goes alone once 1 ms passes
+// with none. Each of the two use-count commits rewrites one database entry,
+// whatever the number of objects. No message goes to an object server at
+// bind time under single-copy passive replication: the binding's first
+// invocation carries the class and the St view, activates the object where
+// it lands, and is the probe that discovers a dead server "the hard way" —
+// it moves on to the next candidate when the request provably never ran,
+// and aborts the action when it may have.
 // WithAdmission(n) is the third, outermost valve: it caps how many
 // top-level Atomic actions are in flight across the whole deployment,
 // parking surplus callers cheaply at the gate — before any bind, lock or
