@@ -136,6 +136,11 @@ type OnePhaser interface {
 	CommitOnePhase(ctx context.Context, tx string) (Vote, error)
 }
 
+// Resolver is told an action's outcome once it is decided (OnResolve).
+type Resolver interface {
+	Resolved(committed bool)
+}
+
 // Log records and reports transaction outcomes; it is the commit-record
 // service of the 2PC coordinator. Record returns an error when the
 // record could not be made durable — the coordinator must then abort
@@ -319,20 +324,27 @@ func (m *Manager) Lookup(tx string) store.Outcome {
 
 var _ store.OutcomeLog = (*Manager)(nil)
 
-// Action is one top-level atomic action. Use Manager.BeginTop to create.
+// Action is one top-level atomic action. Create one with Manager.BeginTop,
+// or Manager.Begin in memory of the caller's.
 type Action struct {
 	mgr *Manager
 	id  string
 
-	mu           sync.Mutex
-	status       Status
+	mu     sync.Mutex
+	status Status
+	// participants and resolveHooks are in parts' and hooks' room until
+	// they outgrow it, and so is stash in stashes': an action has one
+	// participant and hook per database it binds at, one or two, and
+	// stashes one or two values.
 	participants []Participant
-	resolveHooks []func(committed bool)
-	// stash holds StashOnce's values, in stashes' room until it outgrows
-	// it: an action stashes one or two.
-	stash     []stashed
-	stashes   [2]stashed
-	retainLog bool
+	parts        [2]Participant
+	resolveHooks []Resolver
+	hooks        [2]Resolver
+	stash        []stashed
+	stashes      [2]stashed
+	retainLog    bool
+	// report is the one Commit returns.
+	report CommitReport
 }
 
 // stashed is one StashOnce value under its key.
@@ -344,7 +356,17 @@ type stashed struct {
 // BeginTop starts a top-level action. It commits or aborts independently of
 // every other action, one begun while another is running included.
 func (m *Manager) BeginTop() *Action {
-	return &Action{mgr: m, id: m.gen.New().String(), status: StatusRunning}
+	a := new(Action)
+	m.Begin(a)
+	return a
+}
+
+// Begin starts a top-level action in a, as BeginTop does in memory of its
+// own: a caller with per-action state of its own keeps the action in the
+// same object. a must be unused.
+func (m *Manager) Begin(a *Action) {
+	*a = Action{mgr: m, id: m.gen.New().String(), status: StatusRunning}
+	a.participants, a.resolveHooks = a.parts[:0], a.hooks[:0]
 }
 
 // ID returns the action's identifier: its lock-owner identity and the key
@@ -377,13 +399,13 @@ func (a *Action) Enlist(p Participant) error {
 // processing, so a hook offered from then on — by a participant's Prepare,
 // say — would never run: OnResolve refuses it, and a caller that was about to
 // acquire something only the hook releases must not acquire it.
-func (a *Action) OnResolve(f func(committed bool)) bool {
+func (a *Action) OnResolve(r Resolver) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.status != StatusRunning {
 		return false
 	}
-	a.resolveHooks = append(a.resolveHooks, f)
+	a.resolveHooks = append(a.resolveHooks, r)
 	return true
 }
 
@@ -510,7 +532,7 @@ func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
 	// Read-only fast path: nothing to prepare.
 	if len(participants) == 0 {
 		a.finish(StatusCommitted, resolveHooks)
-		return &CommitReport{}, nil
+		return &a.report, nil
 	}
 
 	// Open the in-flight window BEFORE any prepare can create remote
@@ -538,7 +560,8 @@ func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
 		a.finish(StatusAborted, resolveHooks)
 		return nil, err
 	}
-	report := &CommitReport{ReadOnlyVoters: readOnly, CommitVoters: len(voters)}
+	report := &a.report
+	report.ReadOnlyVoters, report.CommitVoters = readOnly, len(voters)
 
 	// All participants voted read-only: they are already released, and
 	// presumed abort means no recovery will ever consult the log for this
@@ -596,8 +619,8 @@ func (a *Action) Commit(ctx context.Context) (*CommitReport, error) {
 			report.OutcomePruned = true
 		}
 	}
-	for _, f := range resolveHooks {
-		f(true)
+	for _, r := range resolveHooks {
+		r.Resolved(true)
 	}
 	return report, nil
 }
@@ -635,7 +658,7 @@ func (a *Action) rollbackAll(ctx context.Context, participants []Participant, tx
 // written on either path: the participant resolves its own fate before
 // the call returns, and anything it left prepared-but-undecided (a crash
 // mid-call) resolves to abort under the presumed-abort rule.
-func (a *Action) commitOnePhase(ctx context.Context, p Participant, op OnePhaser, resolveHooks []func(bool)) (*CommitReport, error) {
+func (a *Action) commitOnePhase(ctx context.Context, p Participant, op OnePhaser, resolveHooks []Resolver) (*CommitReport, error) {
 	vote, err := op.CommitOnePhase(ctx, a.id)
 	if errors.Is(err, ErrOnePhaseIneligible) {
 		return nil, err
@@ -646,7 +669,8 @@ func (a *Action) commitOnePhase(ctx context.Context, p Participant, op OnePhaser
 		a.finish(StatusAborted, resolveHooks)
 		return nil, fmt.Errorf("%s: %s: %w: %w", a.id, p.Name(), err, ErrPrepareFailed)
 	}
-	report := &CommitReport{OnePhase: true}
+	report := &a.report
+	report.OnePhase = true
 	if vote == VoteReadOnly {
 		report.ReadOnlyVoters = 1
 	} else {
@@ -657,12 +681,12 @@ func (a *Action) commitOnePhase(ctx context.Context, p Participant, op OnePhaser
 }
 
 // finish records the final status and fires the resolve hooks.
-func (a *Action) finish(st Status, resolveHooks []func(bool)) {
+func (a *Action) finish(st Status, resolveHooks []Resolver) {
 	a.mu.Lock()
 	a.status = st
 	a.mu.Unlock()
-	for _, f := range resolveHooks {
-		f(st == StatusCommitted)
+	for _, r := range resolveHooks {
+		r.Resolved(st == StatusCommitted)
 	}
 }
 
@@ -753,8 +777,8 @@ func (a *Action) Abort(ctx context.Context) error {
 
 	a.recordAbort(a.rollbackAll(ctx, participants, a.id))
 	a.mgr.endCommitWindow(a.id) // opened early by ExpectPrepared, if at all
-	for _, f := range resolveHooks {
-		f(false)
+	for _, r := range resolveHooks {
+		r.Resolved(false)
 	}
 	return nil
 }

@@ -16,6 +16,11 @@ import (
 	"repro/internal/uid"
 )
 
+// resolveFunc is a function as a Resolver.
+type resolveFunc func(committed bool)
+
+func (f resolveFunc) Resolved(committed bool) { f(committed) }
+
 // fakeParticipant records lifecycle calls and can be told to fail prepare
 // or vote read-only.
 type fakeParticipant struct {
@@ -132,7 +137,7 @@ func TestReadOnlyCommitSkipsTwoPhase(t *testing.T) {
 	m := NewManager("client", nil)
 	a := m.BeginTop()
 	resolved := false
-	a.OnResolve(func(committed bool) { resolved = committed })
+	a.OnResolve(resolveFunc(func(committed bool) { resolved = committed }))
 	if _, err := a.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +327,7 @@ type hookingParticipant struct {
 }
 
 func (p *hookingParticipant) Prepare(ctx context.Context, tx string) (Vote, error) {
-	p.registered = p.act.OnResolve(func(bool) { p.ran.Add(1) })
+	p.registered = p.act.OnResolve(resolveFunc(func(bool) { p.ran.Add(1) }))
 	return p.fakeParticipant.Prepare(ctx, tx)
 }
 
@@ -343,7 +348,7 @@ func TestOnResolveReportsRegistration(t *testing.T) {
 	} {
 		a := m.BeginTop()
 		var early atomic.Int64
-		if !a.OnResolve(func(bool) { early.Add(1) }) {
+		if !a.OnResolve(resolveFunc(func(bool) { early.Add(1) })) {
 			t.Fatalf("%s: a running action refused a resolve hook", end.name)
 		}
 		p := &hookingParticipant{fakeParticipant: fakeParticipant{name: "p"}, act: a}
@@ -354,7 +359,7 @@ func TestOnResolveReportsRegistration(t *testing.T) {
 		if end.name == "commit" && p.registered {
 			t.Fatal("a hook offered during phase one was reported registered")
 		}
-		if a.OnResolve(func(bool) { p.ran.Add(1) }) {
+		if a.OnResolve(resolveFunc(func(bool) { p.ran.Add(1) })) {
 			t.Fatalf("%s: an ended action reported a hook registered", end.name)
 		}
 		if early.Load() != 1 || p.ran.Load() != 0 {

@@ -18,8 +18,9 @@ func (nopParticipant) Abort(context.Context, string) error           { return ni
 
 // TestCommitOneParticipantAllocs pins what a two-phase commit with one
 // participant allocates — the shape of a write over several stores, which
-// cannot commit in one phase: the action, its participant list and report,
-// the commit window, and the outcome log's record and its removal. A lone
+// cannot commit in one phase: the action, which keeps its participant list
+// and report inside it, the commit window, and the outcome log's record and
+// its removal. A lone
 // participant's Prepare and Commit are called directly, so neither phase
 // allocates a cancel context, a vote list or an error list for it.
 //
@@ -43,8 +44,9 @@ func TestCommitOneParticipantAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per action", got)
 	// 16 while the lone participant's phases ran through the fan-out: a
 	// cancel context and its propagation, the vote list and the closure
-	// state of phase one, the voter list, phase two's error list.
-	if want := 5.0; got != want {
+	// state of phase one, the voter list, phase two's error list; 5 while
+	// the participant list and the report were objects of their own.
+	if want := 3.0; got != want {
 		t.Errorf("%.0f allocations per action, pinned at %.0f", got, want)
 	}
 }

@@ -38,24 +38,24 @@ func wireSamples() []wiretest.Record {
 		wiretest.Of(core.NameUpdateReq{UID: id, Host: "sv3", Nodes: []transport.Addr{"sv1"}}),
 		wiretest.Of(object.InvokeReq{
 			UID: "obj", Action: "a1", Method: "incr", Args: []byte{1, 2}, Solo: true, LeaseHolder: "c1", Class: "Counter",
-			StNodes: []string{"st1", "st2"}, Carry: object.CarryCommit, CheckpointTo: []string{"sv2"}, Failover: true,
+			StNodes: []transport.Addr{"st1", "st2"}, Carry: object.CarryCommit, CheckpointTo: []transport.Addr{"sv2"}, Failover: true,
 		}),
 		wiretest.Of(object.InvokeResp{
 			Result: []byte("ok"), Modified: true, Seq: 1 << 40, Batched: true, BatchSize: 5, WaitNanos: -250,
 			Lease:   &object.LeaseGrant{Class: "Counter", State: []byte{9}, Seq: 3, TTL: 100 * time.Millisecond},
 			Carried: object.CarryPrepare,
-			Vote:    object.Vote{Dirty: true, NewSeq: 7, PreparedNodes: []string{"st1"}, FailedNodes: []string{"st2"}, BatchSize: 3, Code: "c", Msg: "m"},
+			Vote:    object.Vote{Dirty: true, NewSeq: 7, PreparedNodes: []transport.Addr{"st1"}, FailedNodes: []transport.Addr{"st2"}, BatchSize: 3, Code: "c", Msg: "m"},
 		}),
 		wiretest.Of(object.PrepareReq{Action: "a1", OnePhase: true, Items: []object.PrepareItem{
-			{UID: "obj1", StNodes: []string{"st1", "st2"}, CheckpointTo: []string{"sv2"}},
-			{UID: "obj2", StNodes: []string{"st2"}},
+			{UID: "obj1", StNodes: []transport.Addr{"st1", "st2"}, CheckpointTo: []transport.Addr{"sv2"}},
+			{UID: "obj2", StNodes: []transport.Addr{"st2"}},
 		}}),
 		wiretest.Of(object.PrepareResp{Votes: []object.Vote{
-			{Dirty: true, NewSeq: 9, PreparedNodes: []string{"st1", "st2"}, FailedNodes: []string{"st3"}, BatchSize: 1},
+			{Dirty: true, NewSeq: 9, PreparedNodes: []transport.Addr{"st1", "st2"}, FailedNodes: []transport.Addr{"st3"}, BatchSize: 1},
 			{Code: object.CodeNotActive, Msg: "gone"},
 		}}),
-		wiretest.Of(object.EndReq{Action: "a1", Items: []object.EndItem{{UID: "obj1"}, {UID: "obj2", CheckpointTo: []string{"sv2", "sv3"}}}}),
-		wiretest.Of(object.EndResp{Results: []object.EndResult{{FailedNodes: []string{"st2"}}, {Code: object.CodeCommitUncertain, Msg: "fence interrupted"}}}),
+		wiretest.Of(object.EndReq{Action: "a1", Items: []object.EndItem{{UID: "obj1"}, {UID: "obj2", CheckpointTo: []transport.Addr{"sv2", "sv3"}}}}),
+		wiretest.Of(object.EndResp{Results: []object.EndResult{{FailedNodes: []transport.Addr{"st2"}}, {Code: object.CodeCommitUncertain, Msg: "fence interrupted"}}}),
 		wiretest.Of(object.InstallReq{UID: "obj", Class: "Counter", State: []byte{9, 9}, Seq: 3}),
 		wiretest.Of(object.InstallResp{Installed: true}),
 		wiretest.Of(object.PassivateReq{UID: "obj", Force: true}),

@@ -303,6 +303,9 @@ type runner struct {
 	sys    *arjuna.System
 	w      *harness.World
 	faults *transport.Faults
+	// trace keeps the messages the I8 breadcrumbs read; nil unless the
+	// workload is WorkloadReadOnlyRegister over the in-memory transport.
+	trace *callTrace
 
 	progress atomic.Int64
 
@@ -334,8 +337,13 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.LeaseTTL > 0 {
 		opts = append(opts, arjuna.WithReadLeases(cfg.LeaseTTL))
 	}
+	var trace *callTrace
 	switch cfg.Transport {
 	case "", "mem":
+		if cfg.Workload == WorkloadReadOnlyRegister {
+			trace = &callTrace{Mem: transport.NewMem(transport.MemOptions{Jitter: cfg.Jitter, Seed: cfg.Seed}, nil)}
+			opts = append(opts, arjuna.WithNetwork(trace))
+		}
 	case "mux":
 		opts = append(opts, arjuna.WithNetwork(
 			transport.NewFaulty(transport.NewTCPMux(), transport.NewFaultsSeeded(cfg.Seed))))
@@ -355,6 +363,7 @@ func Run(cfg Config) (*Report, error) {
 		sys:    sys,
 		w:      w,
 		faults: faults,
+		trace:  trace,
 		report: &Report{
 			Seed:        cfg.Seed,
 			FinalValues: make(map[string]int),

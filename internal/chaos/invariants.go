@@ -198,21 +198,35 @@ func (r *runner) checkInvariants() []string {
 		client string
 		obj    int
 	}
+	// A violation notes, once per object, the breadcrumbs of the actions
+	// that wrote or read it (runner.breadcrumbs).
 	last := make(map[readerKey]int)
+	traced := make(map[int]bool)
+	crumbs := func(objs ...int) {
+		for _, obj := range objs {
+			if !traced[obj] {
+				traced[obj] = true
+				r.note("obj%d committed and uncertain actions:%s", obj, r.breadcrumbs(obj))
+			}
+		}
+	}
 	for _, rd := range regReads {
 		if rd.pair {
 			if rd.saw != 0 {
 				bad("%s: a committed read of the pair saw a sum of %d, want 0 — its two reads straddled a transfer", rd.client, rd.saw)
+				crumbs(0, 1)
 			}
 			continue
 		}
 		if rd.saw < rd.lo || rd.saw > rd.hi {
 			bad("obj%d: %s read %d, outside [own increments acknowledged before the read %d, increments begun and not aborted %d]",
 				rd.obj, rd.client, rd.saw, rd.lo, rd.hi)
+			crumbs(rd.obj)
 		}
 		k := readerKey{string(rd.client), rd.obj}
 		if rd.saw < last[k] {
 			bad("obj%d: %s read %d after it had read %d — reads of one key went backwards", rd.obj, rd.client, rd.saw, last[k])
+			crumbs(rd.obj)
 		}
 		last[k] = max(last[k], rd.saw)
 	}

@@ -21,11 +21,12 @@ import (
 //     any invoke — the bind message alone.
 //
 // What remains, by a memory profile: for each database conversation, the
-// request payload and reply frame, the decoded op and result slices, their
-// address lists and each side's one string copy — the records themselves
-// are values — and the database's batch bookkeeping; and the binder's and
-// the action's own objects — the action, its enlistment, the
-// binding's St view and replica group, the object's rendered name.
+// request payload and reply frame, the decoded op and result slices, one
+// block for all their address lists and each side's one string copy — the
+// records themselves are values — and the database's batch bookkeeping; and
+// the binder's and the action's own objects — the action and its name, the
+// binding's group with the binding and its replica handle inside it, the
+// object's rendered name.
 //
 // A change that adds an allocation to either path fails here; one that
 // takes one away updates the pin, and says so.
@@ -56,9 +57,13 @@ func TestBindAllocs(t *testing.T) {
 		// while the bind message's carried Decrement and its Increment of
 		// the same counter were each written, through the store's
 		// admission, where now they cancel and nothing is; 26 while the
-		// database minted a name for each of a message's own actions, and
-		// 24 while the action's stash was a map.
-		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 22},
+		// database minted a name for each of a message's own actions; 24
+		// while the action's stash was a map, and 22 while the database
+		// copied the lists it returned, each list of a message decoded into
+		// an array of its own, and the group, the binding, its replica
+		// handle, the action's participant list, its resolve hook and its
+		// hook list were each an object of their own.
+		{"enhanced bind + action-end", writer, func(a *action.Action) error { return a.Abort(ctx) }, 13},
 		// 30 while the database's own actions went through its action tables
 		// and rendered their keys per op; 33 while the client minted, and
 		// ended, the bind action; 31 while the binding's one-phase commit
@@ -66,9 +71,13 @@ func TestBindAllocs(t *testing.T) {
 		// St view it was bound over; 27 while its conversation put its
 		// request and reply on the heap at both ends; 23 while its op list
 		// was the caller's own array, moved to the heap; 22 while the
-		// database minted a name for the message's own action, and 21 while
-		// the action's stash was a map.
-		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 19},
+		// database minted a name for the message's own action; 21 while the
+		// action's stash was a map, and 19 while the database copied the
+		// lists it returned, each list of a message decoded into an array
+		// of its own, and the group, the binding, its replica handle, the
+		// action's participant list and its report were each an object of
+		// their own.
+		{"unpinned read-only bind", reader, func(a *action.Action) error { _, err := a.Commit(ctx); return err }, 12},
 	} {
 		op := func() {
 			act := c.b.Actions.BeginTop()

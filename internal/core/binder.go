@@ -293,7 +293,10 @@ type Binding struct {
 	act    *action.Action
 	id     uid.UID
 	class  string
+	// handle is the binding's replica handle: in own, unless a rebind
+	// moved the binding onto the handle of the binding it made.
 	handle *replica.Handle
+	own    replica.Handle
 	// bound lists the servers whose use lists count this binding: the hosts
 	// the bind action counted, as corrected by repair. Nil where use lists
 	// are not kept (standard scheme, ReadOnly, name server).
@@ -384,11 +387,16 @@ type txGroup struct {
 	excluded bool
 	// ended claims the action-end.
 	ended bool
+	// one is the room of the group's first binding (probe): an action's
+	// first object at a database allocates its binding with its group.
+	one     Binding
+	oneUsed bool
 }
 
 var (
 	_ action.Participant = (*txGroup)(nil)
 	_ action.OnePhaser   = (*txGroup)(nil)
+	_ action.Resolver    = (*txGroup)(nil)
 )
 
 // join makes bd a member of its group, unless the group holds its object
@@ -637,6 +645,22 @@ func (g *txGroup) end(ctx context.Context, commit bool) error {
 	return nil
 }
 
+// Resolved implements action.Resolver: the hook trackTxDB registers, which
+// ends the client action at the database with its outcome unless phase two
+// or the roll-back did.
+func (g *txGroup) Resolved(committed bool) { _ = g.end(context.Background(), committed) }
+
+// newBinding returns memory for a binding of the group's: its room for the
+// first, a new Binding after. An action's binds follow one another (Bind),
+// so the room is claimed with no lock.
+func (g *txGroup) newBinding() *Binding {
+	if g.oneUsed {
+		return new(Binding)
+	}
+	g.oneUsed = true
+	return &g.one
+}
+
 // setExcluded marks the group as one that sent an Exclude.
 func (g *txGroup) setExcluded() {
 	g.mu.Lock()
@@ -695,7 +719,7 @@ func (b *Binder) trackTxDB(act *action.Action) (fresh bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.tracked {
-		if !act.OnResolve(func(committed bool) { _ = g.end(context.Background(), committed) }) {
+		if !act.OnResolve(g) {
 			return false, fmt.Errorf("core: %s has begun to end, nothing would release its locks at %s: %w", act.ID(), b.DB.DB, action.ErrNotRunning)
 		}
 		g.tracked, fresh = true, true
@@ -915,7 +939,7 @@ func selectServers(sv []transport.Addr, use map[transport.Addr]map[transport.Add
 }
 
 // inUse lists, sorted, the members of sv whose use lists hold a non-zero
-// counter.
+// counter, in a list with cap == len (see withNode).
 func inUse(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) []transport.Addr {
 	var active []transport.Addr
 	for _, host := range sv {
@@ -927,7 +951,7 @@ func inUse(sv []transport.Addr, use map[transport.Addr]map[transport.Addr]int) [
 		}
 	}
 	slices.Sort(active)
-	return active
+	return slices.Clip(active)
 }
 
 // finishBind builds the binding over candidates, runs the explicit probe
@@ -956,7 +980,11 @@ func (b *Binder) finishBind(ctx context.Context, act *action.Action, id uid.UID,
 // binder's pending ends and returns the error with the binding, for its
 // handle's findings.
 func (b *Binder) probe(ctx context.Context, act *action.Action, id uid.UID, class string, candidates, st, counted []transport.Addr) (*Binding, error) {
-	handle, err := replica.New(replica.Config{
+	g := b.group(act)
+	bd := g.newBinding()
+	*bd = Binding{binder: b, act: act, id: id, class: class, bound: counted, group: g}
+	bd.handle = &bd.own
+	err := replica.Init(bd.handle, replica.Config{
 		UID:         id,
 		Class:       class,
 		Policy:      b.Policy,
@@ -972,17 +1000,8 @@ func (b *Binder) probe(ctx context.Context, act *action.Action, id uid.UID, clas
 	if err != nil {
 		return nil, err // no candidates, so nothing was counted
 	}
-	bd := &Binding{
-		binder: b,
-		act:    act,
-		id:     id,
-		class:  class,
-		handle: handle,
-		bound:  counted,
-		group:  b.group(act),
-	}
 	if b.Policy != replica.SingleCopyPassive {
-		if err = handle.Activate(ctx); err == nil {
+		if err = bd.handle.Activate(ctx); err == nil {
 			err = bd.repair(ctx)
 		}
 		if err != nil {

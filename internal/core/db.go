@@ -130,9 +130,26 @@ type stateEntry struct {
 	Class string
 }
 
+// Every Sv, St and candidate list the database keeps or hands out is a
+// read-only value: an entry's list is replaced, never changed in place, and
+// has cap == len, so that a holder's append reallocates instead of writing
+// into the entry's array. An op therefore returns the lists it read without
+// copying them, a snapshot shares its entry's, and a reply encodes them
+// after the message has let go of db.mu.
+
+// withNode returns nodes plus host, as a list of its own.
+func withNode(nodes []transport.Addr, host transport.Addr) []transport.Addr {
+	return slices.Clip(append(nodes[:len(nodes):len(nodes)], host))
+}
+
+// withoutNodes returns nodes less hosts, as a list of its own.
+func withoutNodes(nodes []transport.Addr, hosts ...transport.Addr) []transport.Addr {
+	return slices.Clip(slices.DeleteFunc(slices.Clone(nodes), func(n transport.Addr) bool { return slices.Contains(hosts, n) }))
+}
+
 func (e *serverEntry) clone() *serverEntry {
 	cp := &serverEntry{
-		Nodes: append([]transport.Addr(nil), e.Nodes...),
+		Nodes: e.Nodes,
 		Use:   make(map[transport.Addr]map[transport.Addr]int, len(e.Use)),
 	}
 	for host, clients := range e.Use {
@@ -149,12 +166,13 @@ func (e *serverEntry) clone() *serverEntry {
 }
 
 func (e *stateEntry) clone() *stateEntry {
-	return &stateEntry{Nodes: append([]transport.Addr(nil), e.Nodes...), Class: e.Class}
+	cp := *e
+	return &cp
 }
 
 // drop removes hosts from Sv with their use lists.
 func (e *serverEntry) drop(hosts ...transport.Addr) {
-	e.Nodes = slices.DeleteFunc(slices.Clone(e.Nodes), func(n transport.Addr) bool { return slices.Contains(hosts, n) })
+	e.Nodes = withoutNodes(e.Nodes, hosts...)
 	for _, host := range hosts {
 		delete(e.Use, host)
 	}

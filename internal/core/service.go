@@ -45,8 +45,8 @@ func (db *DB) Register(m *message, a *dbAction, id uid.UID, class string, svNode
 	for _, n := range svNodes {
 		use[n] = make(map[transport.Addr]int)
 	}
-	db.servers[id] = &serverEntry{Nodes: append([]transport.Addr(nil), svNodes...), Use: use}
-	db.states[id] = &stateEntry{Nodes: append([]transport.Addr(nil), stNodes...), Class: class}
+	db.servers[id] = &serverEntry{Nodes: slices.Clip(slices.Clone(svNodes)), Use: use}
+	db.states[id] = &stateEntry{Nodes: slices.Clip(slices.Clone(stNodes)), Class: class}
 	return nil
 }
 
@@ -84,8 +84,7 @@ func (db *DB) Deregister(m *message, a *dbAction, id uid.UID, to transport.Addr)
 			}
 		}
 	}
-	view := append([]transport.Addr(nil), st.Nodes...)
-	class := st.Class
+	view, class := st.Nodes, st.Class
 	db.snapServerLocked(a, id)
 	db.snapStateLocked(a, id)
 	if to != "" {
@@ -149,9 +148,8 @@ func (db *DB) GetServer(m *message, a *dbAction, id uid.UID, wantUse, forUpdate 
 	if !ok {
 		return nil, nil, db.unknownLocked("Sv", id)
 	}
-	nodes := append([]transport.Addr(nil), e.Nodes...)
 	if !wantUse {
-		return nodes, nil, nil
+		return e.Nodes, nil, nil
 	}
 	use := make(map[transport.Addr]map[transport.Addr]int, len(e.Nodes))
 	for _, host := range e.Nodes {
@@ -163,7 +161,7 @@ func (db *DB) GetServer(m *message, a *dbAction, id uid.UID, wantUse, forUpdate 
 		}
 		use[host] = m
 	}
-	return nodes, use, nil
+	return e.Nodes, use, nil
 }
 
 // Bind is the database half of the Figure 7/8 bind action, as one
@@ -192,7 +190,6 @@ func (db *DB) Bind(m *message, a *dbAction, id uid.UID, clientNode transport.Add
 		return nil, nil, db.unknownLocked("Sv", id)
 	}
 	candidates, n := selectServers(e.Nodes, e.Use, degree, false, "")
-	candidates = slices.Clone(candidates)
 	db.adjustUseLocked(a, id, e, clientNode, candidates[:n], +1, exclusive)
 	return candidates, candidates[:n:n], nil
 }
@@ -213,7 +210,7 @@ func (db *DB) Select(m *message, a *dbAction, id uid.UID) ([]transport.Addr, err
 		return nil, db.unknownLocked("Sv", id)
 	}
 	candidates, _ := selectServers(e.Nodes, e.Use, 0, false, "")
-	return slices.Clone(candidates), nil
+	return candidates, nil
 }
 
 // Insert adds host to Sv_A under a write lock. Because the write lock
@@ -244,7 +241,7 @@ func (db *DB) Insert(m *message, a *dbAction, id uid.UID, host transport.Addr) e
 			return nil // already a member — idempotent re-insert
 		}
 	}
-	e.Nodes = append(e.Nodes, host)
+	e.Nodes = withNode(e.Nodes, host)
 	if e.Use[host] == nil {
 		e.Use[host] = make(map[transport.Addr]int)
 	}
@@ -385,7 +382,7 @@ func (db *DB) GetView(m *message, a *dbAction, id uid.UID) ([]transport.Addr, st
 	if !ok {
 		return nil, "", db.unknownLocked("St", id)
 	}
-	return append([]transport.Addr(nil), e.Nodes...), e.Class, nil
+	return e.Nodes, e.Class, nil
 }
 
 // Include adds host back to St_A under a write lock — run by a recovering
@@ -414,9 +411,9 @@ func (db *DB) Include(m *message, a *dbAction, id uid.UID, host transport.Addr) 
 		}
 	}
 	if !present {
-		e.Nodes = append(e.Nodes, host)
+		e.Nodes = withNode(e.Nodes, host)
 	}
-	return append([]transport.Addr(nil), e.Nodes...), nil
+	return e.Nodes, nil
 }
 
 // ExcludePair names the store nodes to exclude for one object.
@@ -462,15 +459,7 @@ func (db *DB) Exclude(m *message, a *dbAction, pairs []ExcludePair, useWriteLock
 			return db.unknownLocked("St", p.UID)
 		}
 		db.snapStateLocked(a, p.UID)
-		for _, host := range p.Hosts {
-			var kept []transport.Addr
-			for _, n := range e.Nodes {
-				if n != host {
-					kept = append(kept, n)
-				}
-			}
-			e.Nodes = kept
-		}
+		e.Nodes = withoutNodes(e.Nodes, p.Hosts...)
 	}
 	return nil
 }

@@ -40,35 +40,6 @@ func readUID(r *rpc.WireReader) uid.UID {
 	return uid.UID{Origin: r.String(), Epoch: uint32(r.Uvarint()), Seq: r.Uvarint()}
 }
 
-func appendAddrs(dst []byte, as []transport.Addr) []byte {
-	dst = rpc.AppendUvarint(dst, uint64(len(as)))
-	for _, a := range as {
-		dst = rpc.AppendString(dst, string(a))
-	}
-	return dst
-}
-
-// addrsSize is what appendAddrs takes for as, about.
-func addrsSize(as []transport.Addr) int {
-	n := 2
-	for _, a := range as {
-		n += len(a) + 2
-	}
-	return n
-}
-
-func readAddrs(r *rpc.WireReader) []transport.Addr {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]transport.Addr, n)
-	for i := range out {
-		out[i] = transport.Addr(r.String())
-	}
-	return out
-}
-
 // Operation flags, one bit each in the op's flag byte. The third bit is
 // unused, so that the other flags keep the bits version 3 gave them.
 const (
@@ -120,12 +91,12 @@ func (q BatchReq) AppendWire(dst []byte) []byte {
 		dst = appendUID(dst, op.UID)
 		dst = rpc.AppendString(dst, op.Class)
 		dst = rpc.AppendString(dst, string(op.Host))
-		dst = appendAddrs(dst, op.Hosts)
-		dst = appendAddrs(dst, op.Stores)
+		dst = rpc.AppendAddrs(dst, op.Hosts)
+		dst = rpc.AppendAddrs(dst, op.Stores)
 		dst = rpc.AppendUvarint(dst, uint64(len(op.Pairs)))
 		for _, p := range op.Pairs {
 			dst = appendUID(dst, p.UID)
-			dst = appendAddrs(dst, p.Hosts)
+			dst = rpc.AppendAddrs(dst, p.Hosts)
 		}
 		dst = rpc.AppendUvarint(dst, uint64(op.Degree))
 	}
@@ -150,12 +121,12 @@ func (BatchReq) ParseWire(_ byte, r *rpc.WireReader) (BatchReq, error) {
 		op.UID = readUID(r)
 		op.Class = r.String()
 		op.Host = transport.Addr(r.String())
-		op.Hosts = readAddrs(r)
-		op.Stores = readAddrs(r)
+		op.Hosts = r.Addrs()
+		op.Stores = r.Addrs()
 		if n := r.Count(minPairSize); n > 0 {
 			op.Pairs = make([]ExcludePair, n)
 			for j := range op.Pairs {
-				op.Pairs[j] = ExcludePair{UID: readUID(r), Hosts: readAddrs(r)}
+				op.Pairs[j] = ExcludePair{UID: readUID(r), Hosts: r.Addrs()}
 			}
 		}
 		degree := r.Uvarint()
@@ -180,7 +151,7 @@ func (p BatchResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(p.Results)))
 	for i := range p.Results {
 		res := &p.Results[i]
-		dst = appendAddrs(dst, res.Nodes)
+		dst = rpc.AppendAddrs(dst, res.Nodes)
 		dst = rpc.AppendString(dst, res.Class)
 		dst = rpc.AppendUvarint(dst, uint64(len(res.Use)))
 		for host, byClient := range res.Use {
@@ -191,7 +162,7 @@ func (p BatchResp) AppendWire(dst []byte) []byte {
 				dst = rpc.AppendVarint(dst, int64(n))
 			}
 		}
-		dst = appendAddrs(dst, res.Hosts)
+		dst = rpc.AppendAddrs(dst, res.Hosts)
 	}
 	return dst
 }
@@ -201,7 +172,7 @@ func (BatchResp) ParseWire(_ byte, r *rpc.WireReader) (BatchResp, error) {
 	p := BatchResp{Results: make([]OpResult, r.Count(minResultSize))}
 	for i := range p.Results {
 		res := &p.Results[i]
-		res.Nodes = readAddrs(r)
+		res.Nodes = r.Addrs()
 		res.Class = r.String()
 		if hosts := r.Count(minUseHostSize); hosts > 0 {
 			res.Use = make(map[transport.Addr]map[transport.Addr]int, hosts)
@@ -215,7 +186,7 @@ func (BatchResp) ParseWire(_ byte, r *rpc.WireReader) (BatchResp, error) {
 				res.Use[host] = byClient
 			}
 		}
-		res.Hosts = readAddrs(r)
+		res.Hosts = r.Addrs()
 	}
 	return p, nil
 }
@@ -245,12 +216,14 @@ type EntryRecord struct {
 func (EntryRecord) WireTag() (byte, byte) { return wireTagEntryRecord, 1 }
 
 // WireSizeHint implements rpc.Wire.
-func (e EntryRecord) WireSizeHint() int { return addrsSize(e.Nodes) + len(e.Class) + 32*len(e.Use) + 4 }
+func (e EntryRecord) WireSizeHint() int {
+	return rpc.AddrsSize(e.Nodes) + len(e.Class) + 32*len(e.Use) + 4
+}
 
 // AppendWire implements rpc.Wire.
 func (e EntryRecord) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBool(dst, e.Deleted)
-	dst = appendAddrs(dst, e.Nodes)
+	dst = rpc.AppendAddrs(dst, e.Nodes)
 	dst = rpc.AppendString(dst, e.Class)
 	dst = rpc.AppendUvarint(dst, uint64(len(e.Use)))
 	for _, u := range e.Use {
@@ -263,7 +236,7 @@ func (e EntryRecord) AppendWire(dst []byte) []byte {
 
 // ParseWire implements rpc.Wire.
 func (EntryRecord) ParseWire(_ byte, r *rpc.WireReader) (EntryRecord, error) {
-	e := EntryRecord{Deleted: r.Bool(), Nodes: readAddrs(r), Class: r.String()}
+	e := EntryRecord{Deleted: r.Bool(), Nodes: r.Addrs(), Class: r.String()}
 	if n := r.Count(minUseEntrySize); n > 0 {
 		e.Use = make([]UseCount, n)
 		for i := range e.Use {
@@ -293,14 +266,14 @@ func (NameGetReq) ParseWire(_ byte, r *rpc.WireReader) (NameGetReq, error) {
 func (NameGetResp) WireTag() (byte, byte) { return wireTagNameGetResp, 1 }
 
 // WireSizeHint implements rpc.Wire.
-func (p NameGetResp) WireSizeHint() int { return addrsSize(p.Nodes) }
+func (p NameGetResp) WireSizeHint() int { return rpc.AddrsSize(p.Nodes) }
 
 // AppendWire implements rpc.Wire.
-func (p NameGetResp) AppendWire(dst []byte) []byte { return appendAddrs(dst, p.Nodes) }
+func (p NameGetResp) AppendWire(dst []byte) []byte { return rpc.AppendAddrs(dst, p.Nodes) }
 
 // ParseWire implements rpc.Wire.
 func (NameGetResp) ParseWire(_ byte, r *rpc.WireReader) (NameGetResp, error) {
-	return NameGetResp{Nodes: readAddrs(r)}, nil
+	return NameGetResp{Nodes: r.Addrs()}, nil
 }
 
 // WireTag implements rpc.Wire.
@@ -308,17 +281,17 @@ func (NameUpdateReq) WireTag() (byte, byte) { return wireTagNameUpdateReq, 1 }
 
 // WireSizeHint implements rpc.Wire.
 func (q NameUpdateReq) WireSizeHint() int {
-	return len(q.UID.Origin) + 16 + len(q.Host) + 2 + addrsSize(q.Nodes)
+	return len(q.UID.Origin) + 16 + len(q.Host) + 2 + rpc.AddrsSize(q.Nodes)
 }
 
 // AppendWire implements rpc.Wire.
 func (q NameUpdateReq) AppendWire(dst []byte) []byte {
 	dst = appendUID(dst, q.UID)
 	dst = rpc.AppendString(dst, string(q.Host))
-	return appendAddrs(dst, q.Nodes)
+	return rpc.AppendAddrs(dst, q.Nodes)
 }
 
 // ParseWire implements rpc.Wire.
 func (NameUpdateReq) ParseWire(_ byte, r *rpc.WireReader) (NameUpdateReq, error) {
-	return NameUpdateReq{UID: readUID(r), Host: transport.Addr(r.String()), Nodes: readAddrs(r)}, nil
+	return NameUpdateReq{UID: readUID(r), Host: transport.Addr(r.String()), Nodes: r.Addrs()}, nil
 }

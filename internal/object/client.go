@@ -45,7 +45,7 @@ func (r ServerRef) name() string {
 func (r ServerRef) Invoke(ctx context.Context, req InvokeReq) (InvokeResp, error) {
 	req.UID = r.name()
 	if r.Class != "" || req.Carry != CarryNone {
-		req.Class, req.StNodes, req.Failover = r.Class, addrsToStrings(r.StNodes), r.Failover
+		req.Class, req.StNodes, req.Failover = r.Class, r.StNodes, r.Failover
 	}
 	return rpc.Invoke[InvokeReq, InvokeResp](ctx, r.Client, r.Node, ServiceName, MethodInvoke, req)
 }
@@ -110,12 +110,4 @@ func (s Server) end(ctx context.Context, method string, req EndReq) (EndResp, er
 		err = fmt.Errorf("object: %s answered %d %s items with %d results", s.Node, len(req.Items), method, len(resp.Results))
 	}
 	return resp, err
-}
-
-func addrsToStrings(in []transport.Addr) []string {
-	out := make([]string, len(in))
-	for i, a := range in {
-		out[i] = string(a)
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/rpc"
 	"repro/internal/rpc/wiretest"
+	"repro/internal/transport"
 )
 
 // FuzzBinaryInvokeDecode hardens the hottest binary codecs in the system:
@@ -25,7 +26,7 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	checkReq, err := rpc.Encode(&InvokeReq{UID: "obj-1", Action: "act-1", Class: "counter", StNodes: []string{"st1"}, Failover: true})
+	checkReq, err := rpc.Encode(&InvokeReq{UID: "obj-1", Action: "act-1", Class: "counter", StNodes: []transport.Addr{"st1"}, Failover: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,11 +34,11 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	carryReq, err := rpc.Encode(&InvokeReq{UID: "obj-1", Action: "act-1", Method: "incr", Args: []byte{1}, Solo: true, Class: "counter", StNodes: []string{"st1"}, Failover: true, Carry: CarryCommit, CheckpointTo: []string{"sv2"}})
+	carryReq, err := rpc.Encode(&InvokeReq{UID: "obj-1", Action: "act-1", Method: "incr", Args: []byte{1}, Solo: true, Class: "counter", StNodes: []transport.Addr{"st1"}, Failover: true, Carry: CarryCommit, CheckpointTo: []transport.Addr{"sv2"}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	carryResp, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Carried: CarryPrepare, Vote: Vote{Dirty: true, NewSeq: 2, PreparedNodes: []string{"st1"}, FailedNodes: []string{"st2"}, BatchSize: 1}})
+	carryResp, err := rpc.Encode(&InvokeResp{Result: []byte("r"), Modified: true, Carried: CarryPrepare, Vote: Vote{Dirty: true, NewSeq: 2, PreparedNodes: []transport.Addr{"st1"}, FailedNodes: []transport.Addr{"st2"}, BatchSize: 1}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,23 +46,23 @@ func FuzzBinaryInvokeDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	prepareReq, err := rpc.Encode(&PrepareReq{Action: "act-1", Items: []PrepareItem{{UID: "obj-1", StNodes: []string{"st1"}, CheckpointTo: []string{"sv2"}}}, OnePhase: true})
+	prepareReq, err := rpc.Encode(&PrepareReq{Action: "act-1", Items: []PrepareItem{{UID: "obj-1", StNodes: []transport.Addr{"st1"}, CheckpointTo: []transport.Addr{"sv2"}}}, OnePhase: true})
 	if err != nil {
 		f.Fatal(err)
 	}
-	groupReq, err := rpc.Encode(&PrepareReq{Action: "act-1", Items: []PrepareItem{{UID: "obj-1", StNodes: []string{"st1", "st2"}}, {UID: "obj-2", StNodes: []string{"st2"}}}})
+	groupReq, err := rpc.Encode(&PrepareReq{Action: "act-1", Items: []PrepareItem{{UID: "obj-1", StNodes: []transport.Addr{"st1", "st2"}}, {UID: "obj-2", StNodes: []transport.Addr{"st2"}}}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	groupResp, err := rpc.Encode(&PrepareResp{Votes: []Vote{{Dirty: true, NewSeq: 3, PreparedNodes: []string{"st1"}, FailedNodes: []string{"st2"}, BatchSize: 1}, {Code: CodeStaleServer, Msg: "stale"}}})
+	groupResp, err := rpc.Encode(&PrepareResp{Votes: []Vote{{Dirty: true, NewSeq: 3, PreparedNodes: []transport.Addr{"st1"}, FailedNodes: []transport.Addr{"st2"}, BatchSize: 1}, {Code: CodeStaleServer, Msg: "stale"}}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	endReq, err := rpc.Encode(&EndReq{Action: "act-1", Items: []EndItem{{UID: "obj-1", CheckpointTo: []string{"sv2"}}, {UID: "obj-2"}}})
+	endReq, err := rpc.Encode(&EndReq{Action: "act-1", Items: []EndItem{{UID: "obj-1", CheckpointTo: []transport.Addr{"sv2"}}, {UID: "obj-2"}}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	endResp, err := rpc.Encode(&EndResp{Results: []EndResult{{FailedNodes: []string{"st3"}}, {Code: CodeNotActive, Msg: "gone"}}})
+	endResp, err := rpc.Encode(&EndResp{Results: []EndResult{{FailedNodes: []transport.Addr{"st3"}}, {Code: CodeNotActive, Msg: "gone"}}})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestGroupedPrepareMergesStoreWrites(t *testing.T) {
 	writeBoth(t, ctx, refs, "a1")
 	at1, at2 := w.storeCalls("st1"), w.storeCalls("st2")
 	srv := Server{Client: w.cluster.Node("client").Client(), Node: "sv1"}
-	both := []string{"st1", "st2"}
+	both := []transport.Addr{"st1", "st2"}
 	resp, err := srv.Prepare(ctx, PrepareReq{Action: "a1", Items: []PrepareItem{{UID: w.id.String(), StNodes: both}, {UID: id2.String(), StNodes: both}}})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestGroupedPrepareRefusalIsPerObject(t *testing.T) {
 	refs := []ServerRef{w.ref("sv1"), ref2}
 	writeBoth(t, ctx, refs, "a1")
 	srv := Server{Client: w.cluster.Node("client").Client(), Node: "sv1"}
-	both := []string{"st1", "st2"}
+	both := []transport.Addr{"st1", "st2"}
 	resp, err := srv.Prepare(ctx, PrepareReq{Action: "a1", Items: []PrepareItem{{UID: w.id.String(), StNodes: both}, {UID: id2.String(), StNodes: both}}})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestGroupedPrepareRefusalIsPerObject(t *testing.T) {
 	if v := resp.Votes[0]; v.Err() != nil || !slices.Equal(v.PreparedNodes, both) || len(v.FailedNodes) != 0 {
 		t.Fatalf("first object's vote = %+v, want both stores prepared", v)
 	}
-	if v := resp.Votes[1]; v.Err() != nil || !slices.Equal(v.PreparedNodes, []string{"st1"}) || !slices.Equal(v.FailedNodes, []string{"st2"}) {
+	if v := resp.Votes[1]; v.Err() != nil || !slices.Equal(v.PreparedNodes, []transport.Addr{"st1"}) || !slices.Equal(v.FailedNodes, []transport.Addr{"st2"}) {
 		t.Fatalf("second object's vote = %+v, want st1 prepared and st2 failed", v)
 	}
 	if _, err := srv.Commit(ctx, EndReq{Action: "a1", Items: []EndItem{{UID: w.id.String()}, {UID: id2.String()}}}); err != nil {
@@ -144,7 +144,7 @@ func TestGroupedRequestAnswersEachObject(t *testing.T) {
 	id2, _ := w.secondObject("sv1")
 	writeBoth(t, ctx, []ServerRef{w.ref("sv1")}, "a1")
 	srv := Server{Client: w.cluster.Node("client").Client(), Node: "sv1"}
-	resp, err := srv.Prepare(ctx, PrepareReq{Action: "a1", Items: []PrepareItem{{UID: id2.String(), StNodes: []string{"st1"}}, {UID: w.id.String(), StNodes: []string{"st1"}}}})
+	resp, err := srv.Prepare(ctx, PrepareReq{Action: "a1", Items: []PrepareItem{{UID: id2.String(), StNodes: []transport.Addr{"st1"}}, {UID: w.id.String(), StNodes: []transport.Addr{"st1"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestGroupedCommitFencesSideBySide(t *testing.T) {
 	id2, ref2 := w.secondObject("sv3")
 	writeBoth(t, ctx, []ServerRef{w.ref("sv3"), ref2}, "a1")
 	srv := Server{Client: w.cluster.Node("client").Client(), Node: "sv3"}
-	both := []string{"st1", "st2"}
+	both := []transport.Addr{"st1", "st2"}
 	if _, err := srv.Prepare(ctx, PrepareReq{Action: "a1", Items: []PrepareItem{{UID: w.id.String(), StNodes: both}, {UID: id2.String(), StNodes: both}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -125,14 +125,14 @@ func (in *instance) markConfirmed(t0 time.Time, acked, total int) {
 // spuriously; that needs store faults overlapping a view exclusion,
 // outside the fault model leases are specified for (see the package
 // doc in pkg/arjuna).
-func (m *Manager) probeLatest(ctx context.Context, id uid.UID, seq uint64, stNodes []string) bool {
+func (m *Manager) probeLatest(ctx context.Context, id uid.UID, seq uint64, stNodes []transport.Addr) bool {
 	if len(stNodes) == 0 {
 		return false
 	}
 	seqs := make([]uint64, len(stNodes))
 	oks := make([]bool, len(stNodes))
 	m.pool.Do(len(stNodes), func(i int) {
-		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(stNodes[i])}
+		remote := store.RemoteStore{Client: m.node.Client(), Node: stNodes[i]}
 		v, err := remote.Read(ctx, id)
 		if err != nil {
 			return

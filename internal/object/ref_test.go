@@ -14,9 +14,9 @@ import (
 // has the server commit it too, and release the action, with checkpointTo as
 // Commit's (see PrepareReq.OnePhase).
 func (r ServerRef) Prepare(ctx context.Context, action string, stNodes []transport.Addr, onePhase bool, checkpointTo ...transport.Addr) (Vote, error) {
-	item := PrepareItem{UID: r.name(), StNodes: addrsToStrings(stNodes)}
+	item := PrepareItem{UID: r.name(), StNodes: stNodes}
 	if len(checkpointTo) > 0 {
-		item.CheckpointTo = addrsToStrings(checkpointTo)
+		item.CheckpointTo = checkpointTo
 	}
 	resp, err := Server{Client: r.Client, Node: r.Node}.Prepare(ctx, PrepareReq{Action: action, Items: []PrepareItem{item}, OnePhase: onePhase})
 	if err != nil {
@@ -29,7 +29,7 @@ func (r ServerRef) Prepare(ctx context.Context, action string, stNodes []transpo
 // two). checkpointTo, if non-empty, asks the server to push its committed
 // state to those cohort nodes afterwards.
 func (r ServerRef) Commit(ctx context.Context, action string, checkpointTo ...transport.Addr) (EndResult, error) {
-	return r.end(ctx, action, Server{Client: r.Client, Node: r.Node}.Commit, addrsToStrings(checkpointTo))
+	return r.end(ctx, action, Server{Client: r.Client, Node: r.Node}.Commit, checkpointTo)
 }
 
 // Abort undoes the action at this server for this object alone.
@@ -38,7 +38,7 @@ func (r ServerRef) Abort(ctx context.Context, action string) (EndResult, error) 
 }
 
 // end sends a phase-two request naming this object alone.
-func (r ServerRef) end(ctx context.Context, action string, send func(context.Context, EndReq) (EndResp, error), checkpointTo []string) (EndResult, error) {
+func (r ServerRef) end(ctx context.Context, action string, send func(context.Context, EndReq) (EndResp, error), checkpointTo []transport.Addr) (EndResult, error) {
 	resp, err := send(ctx, EndReq{Action: action, Items: []EndItem{{UID: r.name(), CheckpointTo: checkpointTo}}})
 	if err != nil {
 		return EndResult{}, err

@@ -92,7 +92,7 @@ type instance struct {
 	// moved their leases to (invalidateHolders). graceUntil is the instant
 	// before which no version-advancing commit may be acknowledged
 	// (zero until the instance's first advance sets it).
-	stNodes      []string
+	stNodes      []transport.Addr
 	confirmedAt  time.Time
 	leaseSeq     uint64
 	leaseHolders map[transport.Addr]time.Time
@@ -127,7 +127,7 @@ type actionRec struct {
 
 // newInstance builds an instance holding state at version seq, with no
 // action bound.
-func (m *Manager) newInstance(class *Class, id uid.UID, state []byte, seq uint64, stNodes []string) *instance {
+func (m *Manager) newInstance(class *Class, id uid.UID, state []byte, seq uint64, stNodes []transport.Addr) *instance {
 	return &instance{
 		class:        class,
 		id:           id,
@@ -279,7 +279,7 @@ type InvokeReq struct {
 	// answer: a copy already activated here is then checked against the
 	// stores before it serves (Manager.revalidate).
 	Class    string
-	StNodes  []string
+	StNodes  []transport.Addr
 	Failover bool
 	// Carry, on a Solo request, asks the server to go straight on from the
 	// method into the action's phase one: the operation is all the action
@@ -289,7 +289,7 @@ type InvokeReq struct {
 	// the result. A method that fails carries nothing, and neither does an op
 	// folded into another action's commit.
 	Carry        Carry
-	CheckpointTo []string
+	CheckpointTo []transport.Addr
 }
 
 // Carry says how far a solo request takes its action once the method has
@@ -360,8 +360,8 @@ type PrepareReq struct {
 // PrepareReq.OnePhase).
 type PrepareItem struct {
 	UID          string
-	StNodes      []string
-	CheckpointTo []string
+	StNodes      []transport.Addr
+	CheckpointTo []transport.Addr
 }
 
 // PrepareResp answers a PrepareReq with one vote per item, in item order.
@@ -381,11 +381,11 @@ type Vote struct {
 	NewSeq uint64
 	// PreparedNodes successfully recorded the intention (none one-phase:
 	// the store committed the copy).
-	PreparedNodes []string
+	PreparedNodes []transport.Addr
 	// FailedNodes could not be reached or refused — and, one-phase, cohorts
 	// whose checkpoint failed; the paper requires the caller to Exclude
 	// these from St_A.
-	FailedNodes []string
+	FailedNodes []transport.Addr
 	// BatchSize counts the operations this prepare's state copy carries:
 	// 1 for an ordinary action, 1+N when N queued commutative ops were
 	// folded into the write-back.
@@ -425,7 +425,7 @@ type EndReq struct {
 // Install — the coordinator-cohort checkpointing of §2.3(ii).
 type EndItem struct {
 	UID          string
-	CheckpointTo []string
+	CheckpointTo []transport.Addr
 }
 
 // InstallReq pushes a committed state snapshot into a node's server for an
@@ -450,7 +450,7 @@ type EndResp struct {
 // leg failed (informational; the outcome stands), or — Code set — the error
 // a request naming that object alone would have returned.
 type EndResult struct {
-	FailedNodes []string
+	FailedNodes []transport.Addr
 	Code, Msg   string
 }
 
@@ -495,7 +495,7 @@ type StatusResp struct {
 // activate returns the node's server for the object, creating it — state
 // loaded from one of stNodes — when there is none: a binding's first
 // request arriving at a node where the object is passive.
-func (m *Manager) activate(ctx context.Context, id uid.UID, className string, stNodes []string) (*instance, error) {
+func (m *Manager) activate(ctx context.Context, id uid.UID, className string, stNodes []transport.Addr) (*instance, error) {
 	if in, ok := m.lookup(id); ok {
 		return in, nil
 	}
@@ -507,7 +507,7 @@ func (m *Manager) activate(ctx context.Context, id uid.UID, className string, st
 	if !found {
 		return nil, rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v has its state", id, stNodes)
 	}
-	in, _ := m.admit(m.newInstance(class, id, loaded.Data, loaded.Seq, append([]string(nil), stNodes...)))
+	in, _ := m.admit(m.newInstance(class, id, loaded.Data, loaded.Seq, slices.Clip(slices.Clone(stNodes))))
 	return in, nil
 }
 
@@ -537,9 +537,9 @@ func (m *Manager) admit(in *instance) (resident *instance, admitted bool) {
 // ReadDecided: a commit whose phase-two message the store never got is
 // applied first. An undecided intention stays pending, and the version
 // chain check refuses a copy loaded underneath it.
-func (m *Manager) loadState(ctx context.Context, id uid.UID, stNodes []string) (loaded store.Version, found bool) {
+func (m *Manager) loadState(ctx context.Context, id uid.UID, stNodes []transport.Addr) (loaded store.Version, found bool) {
 	for _, st := range stNodes {
-		remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
+		remote := store.RemoteStore{Client: m.node.Client(), Node: st}
 		if v, err := remote.ReadDecided(ctx, id); err == nil {
 			return v, true
 		}
@@ -853,7 +853,7 @@ func (m *Manager) mustLookup(uidStr string) (*instance, error) {
 // the object's class (a binding's first) activates the object on a miss;
 // any other miss is CodeNotActive. A first request that came here by
 // failover does not take a copy it finds activated on trust (revalidate).
-func (m *Manager) instanceFor(ctx context.Context, from transport.Addr, uidStr, class string, stNodes []string, failover bool) (*instance, error) {
+func (m *Manager) instanceFor(ctx context.Context, from transport.Addr, uidStr, class string, stNodes []transport.Addr, failover bool) (*instance, error) {
 	in, err := m.mustLookup(uidStr)
 	if class == "" {
 		return in, err
@@ -883,7 +883,7 @@ func (m *Manager) instanceFor(ctx context.Context, from transport.Addr, uidStr, 
 // nobody uses is destroyed — the error is CodeNotActive and the caller
 // activates afresh; one still in use is refused as unavailable, which moves
 // the binding on to its next candidate.
-func (m *Manager) revalidate(ctx context.Context, from transport.Addr, in *instance, stNodes []string) error {
+func (m *Manager) revalidate(ctx context.Context, from transport.Addr, in *instance, stNodes []transport.Addr) error {
 	latest, found := m.loadState(ctx, in.id, stNodes)
 	if !found {
 		return rpc.Errorf(CodeUnavailable, "object %s: no reachable store in %v to check the copy at %s against", in.id, stNodes, m.node.Name())
@@ -1039,7 +1039,7 @@ func (m *Manager) copyStates(ctx context.Context, action string, wbs []writeBack
 		return
 	}
 	type leg struct {
-		st     string
+		st     transport.Addr
 		writes []store.Write // in wbs order
 		errs   []error       // each write's outcome
 	}
@@ -1107,10 +1107,8 @@ func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, acti
 	// those. Outcomes are read in StNodes order so PreparedNodes/FailedNodes
 	// stay deterministic.
 	vote := Vote{Dirty: true, NewSeq: wb.seq, BatchSize: wb.batch}
-	var preparedAddrs []transport.Addr
 	if !onePhase {
-		vote.PreparedNodes = make([]string, 0, len(item.StNodes))
-		preparedAddrs = make([]transport.Addr, 0, len(item.StNodes))
+		vote.PreparedNodes = make([]transport.Addr, 0, len(item.StNodes))
 	}
 	stale, doubt := false, false
 	for i, st := range item.StNodes {
@@ -1118,7 +1116,6 @@ func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, acti
 		case err == nil:
 			if !onePhase {
 				vote.PreparedNodes = append(vote.PreparedNodes, st)
-				preparedAddrs = append(preparedAddrs, transport.Addr(st))
 			}
 			continue
 		case errors.Is(err, store.ErrStaleVersion) && !errors.Is(err, store.ErrStoreBehind):
@@ -1155,7 +1152,7 @@ func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, acti
 			// The store did not commit, unless the failure leaves doubt.
 			rec.onePhase = doubt
 		} else {
-			rec.prepared, rec.preparedSeq = preparedAddrs, wb.seq
+			rec.prepared, rec.preparedSeq = vote.PreparedNodes, wb.seq
 		}
 		in.actions[action] = rec
 	}
@@ -1175,8 +1172,8 @@ func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, acti
 		}
 		// Recording the intentions now would leave them, and the entry, for
 		// ever; take them back instead.
-		m.pool.Do(len(preparedAddrs), func(i int) {
-			_ = store.RemoteStore{Client: m.node.Client(), Node: preparedAddrs[i]}.Abort(context.WithoutCancel(ctx), action)
+		m.pool.Do(len(vote.PreparedNodes), func(i int) {
+			_ = store.RemoteStore{Client: m.node.Client(), Node: vote.PreparedNodes[i]}.Abort(context.WithoutCancel(ctx), action)
 		})
 		return Vote{}, rpc.Errorf(rpc.CodeRefused, "object %s: action %s was aborted during its prepare", item.UID, action)
 	}
@@ -1207,8 +1204,8 @@ func (m *Manager) finishWriteBack(ctx context.Context, from transport.Addr, acti
 
 // copyState writes action's new states to one St node: as intentions, or
 // with onePhase as the committed versions.
-func (m *Manager) copyState(ctx context.Context, action, st string, writes []store.Write, onePhase bool) error {
-	remote := store.RemoteStore{Client: m.node.Client(), Node: transport.Addr(st)}
+func (m *Manager) copyState(ctx context.Context, action string, st transport.Addr, writes []store.Write, onePhase bool) error {
+	remote := store.RemoteStore{Client: m.node.Client(), Node: st}
 	err := remote.Prepare(ctx, action, writes, onePhase)
 	if rpc.CodeOf(err) == rpc.CodeConflict {
 		// An object is pinned by another transaction's prepared
@@ -1255,7 +1252,7 @@ type ending struct {
 	advanced bool
 	// ckptTo are the cohorts that take the committed state, ckptState and
 	// ckptSeq that state.
-	ckptTo    []string
+	ckptTo    []transport.Addr
 	ckptState []byte
 	ckptSeq   uint64
 	result    int // the item's index in the request
@@ -1266,7 +1263,7 @@ type ending struct {
 // prepared, the action is forgotten and its folded ops answered, which the
 // decision, already durable, allows before the stores hear of it. in.mu is
 // held on entry and released here.
-func (m *Manager) endLocked(in *instance, action string, checkpointTo []string, result int) ending {
+func (m *Manager) endLocked(in *instance, action string, checkpointTo []transport.Addr, result int) ending {
 	rec := in.actions[action]
 	delete(in.actions, action)
 	e := ending{in: in, rec: rec, advanced: rec.dirty && rec.preparedSeq != 0, ckptTo: checkpointTo, result: result}
@@ -1316,7 +1313,7 @@ func (m *Manager) commitEnds(ctx context.Context, action string, ends []ending, 
 			}
 		}
 		for _, cohort := range e.ckptTo {
-			ref := ServerRef{Client: m.node.Client(), Node: transport.Addr(cohort), UID: e.in.id}
+			ref := ServerRef{Client: m.node.Client(), Node: cohort, UID: e.in.id}
 			installs = append(installs, install{ref, e.in.class.Name, e.ckptState, e.ckptSeq})
 		}
 	}
@@ -1338,7 +1335,7 @@ func (m *Manager) commitEnds(ctx context.Context, action string, ends []ending, 
 		committed := 0
 		for _, st := range e.rec.prepared {
 			if errs[slices.Index(stores, st)] != nil {
-				r.FailedNodes = append(r.FailedNodes, string(st))
+				r.FailedNodes = append(r.FailedNodes, st)
 			} else {
 				committed++
 			}
@@ -1490,7 +1487,7 @@ func (m *Manager) handleAbort(ctx context.Context, from transport.Addr, req EndR
 	for _, u := range undo {
 		for _, st := range u.prepared {
 			if abortErrs[slices.Index(stores, st)] != nil {
-				resp.Results[u.result].FailedNodes = append(resp.Results[u.result].FailedNodes, string(st))
+				resp.Results[u.result].FailedNodes = append(resp.Results[u.result].FailedNodes, st)
 			}
 		}
 		u.in.locks.ReleaseAll(lockmgr.Owner(req.Action))

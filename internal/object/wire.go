@@ -48,13 +48,7 @@ func (InvokeReq) WireTag() (byte, byte) { return wireTagInvokeReq, 5 }
 // WireSizeHint implements rpc.Wire.
 func (q InvokeReq) WireSizeHint() int {
 	n := len(q.UID) + len(q.Action) + len(q.Method) + len(q.Args) + len(q.LeaseHolder) + len(q.Class) + 28
-	for _, st := range q.StNodes {
-		n += len(st) + 2
-	}
-	for _, sv := range q.CheckpointTo {
-		n += len(sv) + 2
-	}
-	return n
+	return n + rpc.AddrsSize(q.StNodes) + rpc.AddrsSize(q.CheckpointTo)
 }
 
 // AppendWire implements rpc.Wire.
@@ -66,9 +60,9 @@ func (q InvokeReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendBool(dst, q.Solo)
 	dst = rpc.AppendString(dst, q.LeaseHolder)
 	dst = rpc.AppendString(dst, q.Class)
-	dst = rpc.AppendStrings(dst, q.StNodes)
+	dst = rpc.AppendAddrs(dst, q.StNodes)
 	dst = rpc.AppendUvarint(dst, uint64(q.Carry))
-	dst = rpc.AppendStrings(dst, q.CheckpointTo)
+	dst = rpc.AppendAddrs(dst, q.CheckpointTo)
 	return rpc.AppendBool(dst, q.Failover)
 }
 
@@ -81,11 +75,11 @@ func (InvokeReq) ParseWire(_ byte, r *rpc.WireReader) (q InvokeReq, err error) {
 	q.Solo = r.Bool()
 	q.LeaseHolder = r.String()
 	q.Class = r.String()
-	q.StNodes = r.Strings()
+	q.StNodes = r.Addrs()
 	if q.Carry, err = readCarry(r); err != nil {
 		return q, err
 	}
-	q.CheckpointTo = r.Strings()
+	q.CheckpointTo = r.Addrs()
 	q.Failover = r.Bool()
 	return q, nil
 }
@@ -164,15 +158,6 @@ func (InvokeResp) ParseWire(_ byte, r *rpc.WireReader) (p InvokeResp, err error)
 	return p, nil
 }
 
-// stringsSize is what AppendStrings takes for ss, about.
-func stringsSize(ss []string) int {
-	n := 2
-	for _, s := range ss {
-		n += len(s) + 2
-	}
-	return n
-}
-
 // PrepareReq
 
 // WireTag implements rpc.Wire.
@@ -182,7 +167,7 @@ func (PrepareReq) WireTag() (byte, byte) { return wireTagPrepareReq, 3 }
 func (q PrepareReq) WireSizeHint() int {
 	n := len(q.Action) + 8
 	for _, it := range q.Items {
-		n += len(it.UID) + 2 + stringsSize(it.StNodes) + stringsSize(it.CheckpointTo)
+		n += len(it.UID) + 2 + rpc.AddrsSize(it.StNodes) + rpc.AddrsSize(it.CheckpointTo)
 	}
 	return n
 }
@@ -194,8 +179,8 @@ func (q PrepareReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(q.Items)))
 	for _, it := range q.Items {
 		dst = rpc.AppendString(dst, it.UID)
-		dst = rpc.AppendStrings(dst, it.StNodes)
-		dst = rpc.AppendStrings(dst, it.CheckpointTo)
+		dst = rpc.AppendAddrs(dst, it.StNodes)
+		dst = rpc.AppendAddrs(dst, it.CheckpointTo)
 	}
 	return dst
 }
@@ -206,7 +191,7 @@ func (PrepareReq) ParseWire(_ byte, r *rpc.WireReader) (PrepareReq, error) {
 	if n := r.Count(3); n > 0 { // an item is a UID and two lists
 		q.Items = make([]PrepareItem, n)
 		for i := range q.Items {
-			q.Items[i] = PrepareItem{UID: r.String(), StNodes: r.Strings(), CheckpointTo: r.Strings()}
+			q.Items[i] = PrepareItem{UID: r.String(), StNodes: r.Addrs(), CheckpointTo: r.Addrs()}
 		}
 	}
 	return q, nil
@@ -250,14 +235,14 @@ func (PrepareResp) ParseWire(_ byte, r *rpc.WireReader) (PrepareResp, error) {
 // Vote is no record of its own: it rides PrepareResp and InvokeResp.
 
 func (v *Vote) wireSize() int {
-	return len(v.Code) + len(v.Msg) + 24 + stringsSize(v.PreparedNodes) + stringsSize(v.FailedNodes)
+	return len(v.Code) + len(v.Msg) + 24 + rpc.AddrsSize(v.PreparedNodes) + rpc.AddrsSize(v.FailedNodes)
 }
 
 func (v *Vote) appendWire(dst []byte) []byte {
 	dst = rpc.AppendBool(dst, v.Dirty)
 	dst = rpc.AppendUvarint(dst, v.NewSeq)
-	dst = rpc.AppendStrings(dst, v.PreparedNodes)
-	dst = rpc.AppendStrings(dst, v.FailedNodes)
+	dst = rpc.AppendAddrs(dst, v.PreparedNodes)
+	dst = rpc.AppendAddrs(dst, v.FailedNodes)
 	dst = rpc.AppendUvarint(dst, uint64(v.BatchSize))
 	dst = rpc.AppendString(dst, v.Code)
 	return rpc.AppendString(dst, v.Msg)
@@ -270,8 +255,8 @@ func parseVote(r *rpc.WireReader) Vote {
 	return Vote{
 		Dirty:         r.Bool(),
 		NewSeq:        r.Uvarint(),
-		PreparedNodes: r.Strings(),
-		FailedNodes:   r.Strings(),
+		PreparedNodes: r.Addrs(),
+		FailedNodes:   r.Addrs(),
 		BatchSize:     int(r.Uvarint()),
 		Code:          r.String(),
 		Msg:           r.String(),
@@ -287,7 +272,7 @@ func (EndReq) WireTag() (byte, byte) { return wireTagEndReq, 2 }
 func (q EndReq) WireSizeHint() int {
 	n := len(q.Action) + 4
 	for _, it := range q.Items {
-		n += len(it.UID) + 2 + stringsSize(it.CheckpointTo)
+		n += len(it.UID) + 2 + rpc.AddrsSize(it.CheckpointTo)
 	}
 	return n
 }
@@ -298,7 +283,7 @@ func (q EndReq) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(q.Items)))
 	for _, it := range q.Items {
 		dst = rpc.AppendString(dst, it.UID)
-		dst = rpc.AppendStrings(dst, it.CheckpointTo)
+		dst = rpc.AppendAddrs(dst, it.CheckpointTo)
 	}
 	return dst
 }
@@ -309,7 +294,7 @@ func (EndReq) ParseWire(_ byte, r *rpc.WireReader) (EndReq, error) {
 	if n := r.Count(2); n > 0 { // an item is a UID and a list
 		q.Items = make([]EndItem, n)
 		for i := range q.Items {
-			q.Items[i] = EndItem{UID: r.String(), CheckpointTo: r.Strings()}
+			q.Items[i] = EndItem{UID: r.String(), CheckpointTo: r.Addrs()}
 		}
 	}
 	return q, nil
@@ -324,7 +309,7 @@ func (EndResp) WireTag() (byte, byte) { return wireTagEndResp, 2 }
 func (p EndResp) WireSizeHint() int {
 	n := 2
 	for _, res := range p.Results {
-		n += stringsSize(res.FailedNodes) + len(res.Code) + len(res.Msg) + 4
+		n += rpc.AddrsSize(res.FailedNodes) + len(res.Code) + len(res.Msg) + 4
 	}
 	return n
 }
@@ -333,7 +318,7 @@ func (p EndResp) WireSizeHint() int {
 func (p EndResp) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendUvarint(dst, uint64(len(p.Results)))
 	for _, res := range p.Results {
-		dst = rpc.AppendStrings(dst, res.FailedNodes)
+		dst = rpc.AppendAddrs(dst, res.FailedNodes)
 		dst = rpc.AppendString(dst, res.Code)
 		dst = rpc.AppendString(dst, res.Msg)
 	}
@@ -346,7 +331,7 @@ func (EndResp) ParseWire(_ byte, r *rpc.WireReader) (EndResp, error) {
 	if n := r.Count(3); n > 0 { // a result is a list, a code and a message
 		p.Results = make([]EndResult, n)
 		for i := range p.Results {
-			p.Results[i] = EndResult{FailedNodes: r.Strings(), Code: r.String(), Msg: r.String()}
+			p.Results[i] = EndResult{FailedNodes: r.Addrs(), Code: r.String(), Msg: r.String()}
 		}
 	}
 	return p, nil

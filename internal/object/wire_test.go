@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/rpc"
 	"repro/internal/rpc/wiretest"
+	"repro/internal/transport"
 )
 
 // wireCases holds representative populated values of every binary codec in
@@ -13,24 +14,24 @@ import (
 func wireCases() []wiretest.Record {
 	return []wiretest.Record{
 		wiretest.Of(InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1, 2, 3}, Solo: true}),
-		wiretest.Of(InvokeReq{UID: "obj", Action: "a1", Method: "get", LeaseHolder: "c1", Class: "Counter", StNodes: []string{"s1", "s2"}}),
-		wiretest.Of(InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1}, Solo: true, Class: "Counter", StNodes: []string{"s1"}, Failover: true, Carry: CarryCommit, CheckpointTo: []string{"sv2"}}),
-		wiretest.Of(InvokeReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []string{"s1"}, Failover: true}),
+		wiretest.Of(InvokeReq{UID: "obj", Action: "a1", Method: "get", LeaseHolder: "c1", Class: "Counter", StNodes: []transport.Addr{"s1", "s2"}}),
+		wiretest.Of(InvokeReq{UID: "obj", Action: "a1", Method: "incr", Args: []byte{1}, Solo: true, Class: "Counter", StNodes: []transport.Addr{"s1"}, Failover: true, Carry: CarryCommit, CheckpointTo: []transport.Addr{"sv2"}}),
+		wiretest.Of(InvokeReq{UID: "obj", Action: "a1", Class: "Counter", StNodes: []transport.Addr{"s1"}, Failover: true}),
 		wiretest.Of(InvokeResp{Result: []byte("ok"), Modified: true, Batched: true, BatchSize: 5, WaitNanos: -250}),
 		wiretest.Of(InvokeResp{Seq: 11}),
 		wiretest.Of(InvokeResp{Result: []byte("ok"), Seq: 1 << 40, WaitNanos: 3}),
-		wiretest.Of(InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryPrepare, Vote: Vote{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}),
+		wiretest.Of(InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryPrepare, Vote: Vote{Dirty: true, NewSeq: 7, PreparedNodes: []transport.Addr{"s1"}, FailedNodes: []transport.Addr{"s2"}, BatchSize: 3}}),
 		wiretest.Of(InvokeResp{Result: []byte("ok"), Modified: true, Carried: CarryCommit, Vote: Vote{Code: CodeCommitUncertain, Msg: "reply lost"}}),
-		wiretest.Of(PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj", StNodes: []string{"s1"}}}}),
-		wiretest.Of(PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj", StNodes: []string{"s1"}, CheckpointTo: []string{"s2"}}}, OnePhase: true}),
-		wiretest.Of(PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj1", StNodes: []string{"s1", "s2"}}, {UID: "obj2", StNodes: []string{"s2"}}}}),
+		wiretest.Of(PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj", StNodes: []transport.Addr{"s1"}}}}),
+		wiretest.Of(PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj", StNodes: []transport.Addr{"s1"}, CheckpointTo: []transport.Addr{"s2"}}}, OnePhase: true}),
+		wiretest.Of(PrepareReq{Action: "a1", Items: []PrepareItem{{UID: "obj1", StNodes: []transport.Addr{"s1", "s2"}}, {UID: "obj2", StNodes: []transport.Addr{"s2"}}}}),
 		wiretest.Of(PrepareReq{Action: "a1"}),
-		wiretest.Of(PrepareResp{Votes: []Vote{{Dirty: true, NewSeq: 7, PreparedNodes: []string{"s1"}, FailedNodes: []string{"s2"}, BatchSize: 3}}}),
-		wiretest.Of(PrepareResp{Votes: []Vote{{NewSeq: 4}, {Code: CodeNotActive, Msg: "gone"}, {Dirty: true, NewSeq: 9, PreparedNodes: []string{"s1", "s2"}, BatchSize: 1}}}),
-		wiretest.Of(EndReq{Action: "a1", Items: []EndItem{{UID: "obj", CheckpointTo: []string{"s1"}}}}),
-		wiretest.Of(EndReq{Action: "a1", Items: []EndItem{{UID: "obj1"}, {UID: "obj2", CheckpointTo: []string{"sv2", "sv3"}}}}),
-		wiretest.Of(EndResp{Results: []EndResult{{FailedNodes: []string{"s2"}}}}),
-		wiretest.Of(EndResp{Results: []EndResult{{}, {Code: CodeCommitUncertain, Msg: "fence interrupted"}, {FailedNodes: []string{"s1", "sv2"}}}}),
+		wiretest.Of(PrepareResp{Votes: []Vote{{Dirty: true, NewSeq: 7, PreparedNodes: []transport.Addr{"s1"}, FailedNodes: []transport.Addr{"s2"}, BatchSize: 3}}}),
+		wiretest.Of(PrepareResp{Votes: []Vote{{NewSeq: 4}, {Code: CodeNotActive, Msg: "gone"}, {Dirty: true, NewSeq: 9, PreparedNodes: []transport.Addr{"s1", "s2"}, BatchSize: 1}}}),
+		wiretest.Of(EndReq{Action: "a1", Items: []EndItem{{UID: "obj", CheckpointTo: []transport.Addr{"s1"}}}}),
+		wiretest.Of(EndReq{Action: "a1", Items: []EndItem{{UID: "obj1"}, {UID: "obj2", CheckpointTo: []transport.Addr{"sv2", "sv3"}}}}),
+		wiretest.Of(EndResp{Results: []EndResult{{FailedNodes: []transport.Addr{"s2"}}}}),
+		wiretest.Of(EndResp{Results: []EndResult{{}, {Code: CodeCommitUncertain, Msg: "fence interrupted"}, {FailedNodes: []transport.Addr{"s1", "sv2"}}}}),
 		wiretest.Of(InstallReq{UID: "obj", Class: "Counter", State: []byte{9, 9}, Seq: 3}),
 		wiretest.Of(InstallResp{Installed: true}),
 		wiretest.Of(PassivateReq{UID: "obj", Force: true}),

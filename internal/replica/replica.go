@@ -145,8 +145,10 @@ type Handle struct {
 
 	mu sync.Mutex
 	// activated lists servers where activation succeeded, in preference
-	// order; only these participate in invocation and commit.
+	// order; only these participate in invocation and commit. It is in
+	// first's room until it outgrows it: single-copy passive activates one.
 	activated []transport.Addr
+	first     [1]transport.Addr
 	// unprobed marks a single-copy-passive handle that has not yet had a
 	// request answered: it is bound to its first intact candidate, and its
 	// first request carries the activation fields and walks the candidates
@@ -208,11 +210,21 @@ type Handle struct {
 // coordinator-cohort replication; a single-copy-passive handle is ready as
 // it is.
 func New(cfg Config) (*Handle, error) {
+	h := new(Handle)
+	if err := Init(h, cfg); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// Init makes *h a handle, as New does, in memory the caller holds: a
+// binding keeps its handle inside itself. h must be unused.
+func Init(h *Handle, cfg Config) error {
 	if len(cfg.Servers) == 0 {
-		return nil, fmt.Errorf("replica %v: empty server set: %w", cfg.UID, ErrNoServers)
+		return fmt.Errorf("replica %v: empty server set: %w", cfg.UID, ErrNoServers)
 	}
 	if cfg.Pool == nil {
-		return nil, fmt.Errorf("replica %v: no fan-out pool", cfg.UID)
+		return fmt.Errorf("replica %v: no fan-out pool", cfg.UID)
 	}
 	if cfg.Policy == SingleCopyPassive {
 		// §3.2(2): single-copy passive means exactly one activated copy;
@@ -220,7 +232,9 @@ func New(cfg Config) (*Handle, error) {
 		// ones cannot activate.
 		cfg.Degree = 1
 	}
-	return &Handle{cfg: cfg, uid: cfg.UID.String(), unprobed: cfg.Policy == SingleCopyPassive}, nil
+	*h = Handle{cfg: cfg, uid: cfg.UID.String(), unprobed: cfg.Policy == SingleCopyPassive}
+	h.activated = h.first[:0]
+	return nil
 }
 
 // mark adds addr to one of the handle's node sets, which stay nil until a
@@ -477,9 +491,7 @@ func (h *Handle) Invoke(ctx context.Context, act *action.Action, c Call) (object
 			ref.StNodes = h.cfg.StNodes
 			if h.onePhaseEligible(1) {
 				req.Carry = object.CarryCommit
-				for _, sv := range h.cohortsOf(ref.Node) {
-					req.CheckpointTo = append(req.CheckpointTo, string(sv))
-				}
+				req.CheckpointTo = h.cohortsOf(ref.Node)
 			} else {
 				req.Carry = object.CarryPrepare
 				if !c.ReadOnly {
@@ -875,9 +887,9 @@ func Prepare(ctx context.Context, tx string, hs []*Handle, onePhase bool, out []
 		}
 		p.first = len(pairs)
 		for _, sv := range p.targets {
-			item := object.PrepareItem{UID: h.uid, StNodes: addrsToStrings(h.cfg.StNodes)}
+			item := object.PrepareItem{UID: h.uid, StNodes: h.cfg.StNodes}
 			if onePhase {
-				item.CheckpointTo = addrsToStrings(p.checkpointTo)
+				item.CheckpointTo = p.checkpointTo
 			}
 			pairs = append(pairs, pair[object.PrepareItem]{sv, item})
 		}
@@ -996,7 +1008,7 @@ func (h *Handle) readPhaseOne(ctx context.Context, tx string, onePhase bool, p *
 		// FailedNodes names stores whose copy failed and, after a one-phase
 		// commit, cohorts whose checkpoint failed.
 		for _, f := range resp.FailedNodes {
-			h.recordFailure(transport.Addr(f))
+			h.recordFailure(f)
 		}
 		h.mu.Lock()
 		if resp.BatchSize > h.batchSize {
@@ -1006,7 +1018,7 @@ func (h *Handle) readPhaseOne(ctx context.Context, tx string, onePhase bool, p *
 			// Prepared: a phase-two target.
 			h.prepared = append(h.prepared, sv)
 			for _, st := range resp.PreparedNodes {
-				mark(&h.preparedStores, transport.Addr(st))
+				mark(&h.preparedStores, st)
 			}
 		}
 		h.mu.Unlock()
@@ -1161,7 +1173,7 @@ func Commit(ctx context.Context, tx string, hs []*Handle, out []Outcome) {
 		for i, sv := range twos[k].servers {
 			item := object.EndItem{UID: h.uid}
 			if i == 0 {
-				item.CheckpointTo = addrsToStrings(h.cohortsOf(sv))
+				item.CheckpointTo = h.cohortsOf(sv)
 			}
 			pairs = append(pairs, pair[object.EndItem]{sv, item})
 		}
@@ -1232,7 +1244,7 @@ func (h *Handle) readCommit(ctx context.Context, tx string, prepared []transport
 		// update. Store Commit is idempotent, so retrying a relay whose
 		// reply (rather than request) was lost is safe.
 		for _, f := range replies[i].ans.FailedNodes {
-			addr := transport.Addr(f)
+			addr := f
 			if h.isStore(addr) {
 				direct := store.RemoteStore{Client: h.cfg.Client, Node: addr}
 				if direct.Commit(ctx, tx) == nil {
@@ -1333,18 +1345,6 @@ func Abort(ctx context.Context, tx string, hs []*Handle, out []Outcome) {
 			}
 		}
 	}
-}
-
-// addrsToStrings renders nodes as requests carry them.
-func addrsToStrings(nodes []transport.Addr) []string {
-	if len(nodes) == 0 {
-		return nil
-	}
-	out := make([]string, len(nodes))
-	for i, a := range nodes {
-		out[i] = string(a)
-	}
-	return out
 }
 
 // isCrashError reports whether err indicates the callee is gone rather

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/transport"
 )
 
 // This file is the hand-rolled binary codec every RPC payload travels
@@ -37,7 +39,8 @@ import (
 //     preallocates no more than a fixed multiple of its input, whatever
 //     the count says.
 //   - Ownership: WireReader.Bytes and String COPY out of the input
-//     buffer (String once per short message; doc.go, "Ownership").
+//     buffer (String once per short message; doc.go, "Ownership"), and
+//     the address lists of one message share one block (Addrs).
 //     Decoded messages never alias transport-owned memory, so a
 //     transport is free to reuse its read buffers the moment Decode
 //     returns (the mux transport does exactly that for request frames).
@@ -96,6 +99,25 @@ func AppendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
+// AppendAddrs appends a uvarint count followed by each address, as
+// AppendStrings does a list of strings: the two encode alike.
+func AppendAddrs(dst []byte, as []transport.Addr) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(as)))
+	for _, a := range as {
+		dst = AppendString(dst, string(a))
+	}
+	return dst
+}
+
+// AddrsSize is what AppendAddrs takes for as, about.
+func AddrsSize(as []transport.Addr) int {
+	n := 2
+	for _, a := range as {
+		n += len(a) + 2
+	}
+	return n
+}
+
 // AppendStrings appends a uvarint count followed by each string.
 func AppendStrings(dst []byte, ss []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ss)))
@@ -118,7 +140,14 @@ type WireReader struct {
 	// field to its end, taken when that field is read; the strings of a
 	// message are sub-strings of it instead of an allocation each.
 	text string
+	// addrs is the unused room of the block the message's address lists
+	// are carved from (Addrs).
+	addrs []transport.Addr
 }
+
+// addrBlock is how many addresses a reader's block holds at least, input
+// permitting: a message names a few lists of one to three nodes each.
+const addrBlock = 8
 
 // maxSharedText is the longest input tail a reader copies whole for its
 // strings to share. A string field keeps that copy alive as long as it
@@ -255,6 +284,31 @@ func (r *WireReader) Strings() []string {
 	out := make([]string, n)
 	for i := range out {
 		out[i] = r.String()
+	}
+	if r.err != nil {
+		return nil
+	}
+	return out
+}
+
+// Addrs consumes a list of addresses, encoded as Strings encodes a list of
+// strings. The lists of one message are carved from one block, each with
+// cap == len, so an append to one reallocates instead of writing into the
+// next. A block holds addrBlock addresses or the list, whichever is more,
+// and never more than the rest of the input has bytes: what a decode
+// allocates stays bounded by its input.
+func (r *WireReader) Addrs() []transport.Addr {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	if len(r.addrs) < n {
+		r.addrs = make([]transport.Addr, max(n, min(addrBlock, len(r.data))))
+	}
+	out := r.addrs[:n:n]
+	r.addrs = r.addrs[n:]
+	for i := range out {
+		out[i] = transport.Addr(r.String())
 	}
 	if r.err != nil {
 		return nil

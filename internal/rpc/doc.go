@@ -51,7 +51,9 @@
 // the message's strings are sub-strings of that copy. They therefore keep
 // one another's bytes alive, which is why the sharing stops at
 // maxSharedText: in a message carrying bulk state each string is copied
-// alone. The reader itself is pooled, taken and returned inside Decode, so
+// alone. WireReader.Addrs carves a message's address lists from one block
+// in the same way, each list with cap == len, so appending to one never
+// writes into another. The reader itself is pooled, taken and returned inside Decode, so
 // a ParseWire must not keep it.
 //
 // The tag registry, in package blocks so additions never collide:

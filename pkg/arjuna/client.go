@@ -138,12 +138,22 @@ type CommitReport struct {
 
 // Txn is one running atomic action. It is handed to the closure passed to
 // Atomic and is only valid for the closure's duration.
+//
+// A Txn is the attempt's one room on the client: it holds the action, the
+// first two object handles and the list naming them, and the report the
+// attempt returns, so that an attempt allocates them as one object. They
+// live as long as the longest-lived of them, the report, which the caller
+// may keep.
 type Txn struct {
 	c   *Client
-	act *action.Action
+	act action.Action
 	// objects lists the handles handed out, in first-use order: an action
-	// touches one or two objects, so a scan beats a map.
+	// touches one or two objects, so a scan beats a map. The first two are
+	// in objs, and the list in ptrs' room until it outgrows it.
 	objects []*Object
+	objs    [2]Object
+	ptrs    [2]*Object
+	rep     CommitReport
 	// unlocked records the reads this action was served with no lock left
 	// behind them, for commit-time revalidation (see revalidateReads).
 	unlocked []unlockedRead
@@ -176,7 +186,16 @@ func (t *Txn) Object(id uid.UID) *Object {
 	if o := t.object(id); o != nil {
 		return o
 	}
-	o := &Object{t: t, id: id}
+	var o *Object
+	if n := len(t.objects); n < len(t.objs) {
+		o = &t.objs[n]
+	} else {
+		o = new(Object)
+	}
+	*o = Object{t: t, id: id}
+	if t.objects == nil {
+		t.objects = t.ptrs[:0]
+	}
 	t.objects = append(t.objects, o)
 	return o
 }
@@ -216,7 +235,7 @@ func (o *Object) bind(ctx context.Context) error {
 	if o.bd != nil {
 		return nil
 	}
-	bd, err := o.t.c.binder.Bind(ctx, o.t.act, o.id)
+	bd, err := o.t.c.binder.Bind(ctx, &o.t.act, o.id)
 	if err != nil {
 		o.bindErr = MapError(err)
 		return o.bindErr
@@ -511,8 +530,9 @@ func (c *Client) Apply(ctx context.Context, id uid.UID, method string, args []by
 // runOnce executes one begin → fn → commit/abort cycle; retry marks an
 // attempt after the first.
 func (c *Client) runOnce(ctx context.Context, fn func(tx *Txn) error, retry bool) (*CommitReport, error) {
-	act := c.binder.Actions.BeginTop()
-	tx := &Txn{c: c, act: act, retry: retry}
+	tx := &Txn{c: c, retry: retry}
+	act := &tx.act
+	c.binder.Actions.Begin(act)
 	// Abort on every path that does not reach commit — including a panic
 	// inside fn — so no action is left running.
 	committed := false
@@ -624,7 +644,8 @@ func (t *Txn) revalidateReads(ctx context.Context) error {
 // report collects the failure anatomy from every bound object and, for a
 // committed action, the phase-one vote of each (core.Binding.Vote).
 func (t *Txn) report(committed bool) *CommitReport {
-	rep := &CommitReport{Committed: committed, LeaseReads: len(t.unlocked) - t.carried}
+	rep := &t.rep
+	*rep = CommitReport{Committed: committed, LeaseReads: len(t.unlocked) - t.carried}
 	// Both lists stay nil unless something broke: the accessors return nil
 	// for an empty set.
 	var broken, excluded []transport.Addr
