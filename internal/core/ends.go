@@ -189,7 +189,7 @@ func live(ctx context.Context) bool {
 		return false
 	}
 	dl, ok := ctx.Deadline()
-	return !ok || time.Now().Before(dl)
+	return !ok || time.Until(dl) > 0
 }
 
 // do sends ops to the binder's database as one message, the pending

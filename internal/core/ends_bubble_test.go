@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/synctest"
 	"time"
+
+	"repro/internal/bubble"
 )
 
 // TestActionEndIdleGoesAloneInBubble is TestActionEndIdleGoesAlone on the
@@ -15,7 +17,7 @@ import (
 //
 //	GOEXPERIMENT=synctest go test -run TestActionEndIdleGoesAloneInBubble ./internal/core
 func TestActionEndIdleGoesAloneInBubble(t *testing.T) {
-	synctest.Run(func() {
+	bubble.Run(func() {
 		deadline := time.Now().Add(endBound + endBound/2)
 		idleEnd(t, func(d time.Duration) bool {
 			time.Sleep(d)

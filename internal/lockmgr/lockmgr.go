@@ -414,18 +414,28 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key string, mode Mod
 	if w == nil {
 		return nil
 	}
+	_, err := m.Await(ctx, w)
+	return err
+}
+
+// Await waits on w, a request Request queued, until it is granted or ctx is
+// done, and returns how long it waited once granted. A done ctx gives the
+// wait up (Abandon). Only a queued request reads the clock, so a caller that
+// times its lock waits pays nothing for a grant made at once.
+func (m *Manager) Await(ctx context.Context, w *Wait) (time.Duration, error) {
 	start := time.Now()
 	select {
 	case <-w.ready:
 		if err := w.Err(); err != nil {
-			return err
+			return 0, err
 		}
+		wait := time.Since(start)
 		if m.obs != nil {
-			m.obs.LockGranted(time.Since(start))
+			m.obs.LockGranted(wait)
 		}
-		return nil
+		return wait, nil
 	case <-ctx.Done():
-		return m.Abandon(w, ctx.Err())
+		return 0, m.Abandon(w, ctx.Err())
 	}
 }
 

@@ -647,6 +647,45 @@ func TestObserverCounts(t *testing.T) {
 	}
 }
 
+// TestAwaitTimesTheWait: a request granted at once has no Wait to time, a
+// queued one's Await returns how long it waited and fires LockGranted as
+// Acquire does, and one whose context ends returns the abandon error and
+// fires nothing.
+func TestAwaitTimesTheWait(t *testing.T) {
+	const hold = 5 * time.Millisecond
+	m := New(nil)
+	obs := &countingObserver{}
+	m.SetObserver(obs)
+	if w := m.Request("holder", "k", Write); w != nil {
+		t.Fatal("an idle key queued its first request")
+	}
+	w := m.Request("w1", "k", Write)
+	if w == nil {
+		t.Fatal("a conflicting request was granted")
+	}
+	go func() {
+		time.Sleep(hold)
+		m.ReleaseAll("holder")
+	}()
+	wait, err := m.Await(context.Background(), w)
+	if err != nil || wait < hold {
+		t.Fatalf("Await = %v, %v; want at least %v and no error", wait, err, hold)
+	}
+	if obs.queued.Load() != 1 || obs.granted.Load() != 1 {
+		t.Fatalf("observer queued=%d granted=%d, want 1/1", obs.queued.Load(), obs.granted.Load())
+	}
+
+	w = m.Request("w2", "k", Write)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if wait, err := m.Await(ctx, w); !errors.Is(err, context.Canceled) || wait != 0 {
+		t.Fatalf("Await under a cancelled context = %v, %v; want 0 and context.Canceled", wait, err)
+	}
+	if obs.granted.Load() != 1 || m.Holds("w2", "k", Write) {
+		t.Fatalf("an abandoned wait was granted (observer granted=%d)", obs.granted.Load())
+	}
+}
+
 func TestAdjustSharesWithAdjustersAndReaders(t *testing.T) {
 	m := New(nil)
 	// The fast-bind shape: hold Read, add Adjust on the same key — and let

@@ -159,7 +159,11 @@ func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
 type Registry struct {
 	counters   sync.Map // string -> *Counter
 	histograms sync.Map // string -> *Histogram
-	memos      sync.Map // string -> any (caller-derived handle bundles)
+	// memos holds caller-derived handle bundles. It is read on every RPC
+	// and written once per key, so a write copies the map under memoMu and
+	// a read is one atomic load and one lookup in a plain map.
+	memos  atomic.Pointer[map[string]any]
+	memoMu sync.Mutex
 }
 
 // Counter returns (creating on first use) the named counter.
@@ -207,13 +211,33 @@ func (r *Registry) LookupHistogram(name string) (*Histogram, bool) {
 // with MemoStore it lets hot-path callers cache derived handle sets
 // (e.g. the RPC layer's per-service counter+histogram bundle) on the
 // registry itself, avoiding name concatenation and repeated lookups.
-func (r *Registry) MemoLoad(key string) (any, bool) { return r.memos.Load(key) }
+func (r *Registry) MemoLoad(key string) (any, bool) {
+	if m := r.memos.Load(); m != nil {
+		v, ok := (*m)[key]
+		return v, ok
+	}
+	return nil, false
+}
 
 // MemoStore caches v under key unless another value was stored first, and
 // returns the cached value.
 func (r *Registry) MemoStore(key string, v any) any {
-	actual, _ := r.memos.LoadOrStore(key, v)
-	return actual
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	var old map[string]any
+	if m := r.memos.Load(); m != nil {
+		old = *m
+	}
+	if actual, ok := old[key]; ok {
+		return actual
+	}
+	m := make(map[string]any, len(old)+1)
+	for k, x := range old {
+		m[k] = x
+	}
+	m[key] = v
+	r.memos.Store(&m)
+	return v
 }
 
 // CounterNames returns the names of all registered counters, sorted.

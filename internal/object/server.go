@@ -321,7 +321,8 @@ type InvokeResp struct {
 	// when Batched).
 	BatchSize int
 	// WaitNanos is how long the op waited for the lock or in the combiner
-	// queue before resolving, for client-side queue-wait stats.
+	// queue before resolving, for client-side queue-wait stats: zero when
+	// the lock was granted at once. The method's own run is not a wait.
 	WaitNanos int64
 	// Lease, when non-nil, is the read lease granted for this
 	// invocation (requested via InvokeReq.LeaseHolder).
@@ -624,10 +625,14 @@ func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (In
 		return m.invokeSolo(ctx, in, req, method)
 	}
 	// Strict two-phase locking: the lock is owned by the client action and
-	// held until that action ends (Commit/Abort RPC).
-	start := time.Now()
-	if err := in.locks.Acquire(ctx, lockmgr.Owner(req.Action), "state", mode); err != nil {
-		return InvokeResp{}, rpc.Errorf(rpc.CodeRefused, "lock: %v", err)
+	// held until that action ends (Commit/Abort RPC). Only a request that
+	// queued has a wait to time.
+	var wait time.Duration
+	if w := in.locks.Request(lockmgr.Owner(req.Action), "state", mode); w != nil {
+		var err error
+		if wait, err = in.locks.Await(ctx, w); err != nil {
+			return InvokeResp{}, rpc.Errorf(rpc.CodeRefused, "lock: %v", err)
+		}
 	}
 	result, seq, err := in.runMethod(req.Action, method, req.Args, mode == lockmgr.Write)
 	if err != nil {
@@ -635,7 +640,7 @@ func (m *Manager) invokeOn(ctx context.Context, in *instance, req InvokeReq) (In
 		// (the action will abort or retry).
 		return InvokeResp{}, rpc.Errorf(rpc.CodeInternal, "method %s: %v", req.Method, err)
 	}
-	resp := InvokeResp{Result: result, Modified: mode == lockmgr.Write, Seq: seq, WaitNanos: int64(time.Since(start))}
+	resp := InvokeResp{Result: result, Modified: mode == lockmgr.Write, Seq: seq, WaitNanos: int64(wait)}
 	// A request carrying phase one releases the read lock before its reply
 	// leaves, so it is never granted (see invalidateHolders).
 	carries := req.Solo && req.Carry != CarryNone
@@ -675,14 +680,15 @@ func (in *instance) runMethod(action string, method Method, args []byte, write b
 // ride the current holder's commit. See combine.go for the scheme.
 func (m *Manager) invokeSolo(ctx context.Context, in *instance, req InvokeReq, method Method) (InvokeResp, error) {
 	owner := lockmgr.Owner(req.Action)
-	start := time.Now()
 	if err := in.locks.TryAcquire(owner, "state", lockmgr.Write); err == nil {
 		result, seq, merr := in.runMethod(req.Action, method, req.Args, true)
 		if merr != nil {
 			return InvokeResp{}, rpc.Errorf(rpc.CodeInternal, "method %s: %v", req.Method, merr)
 		}
-		return InvokeResp{Result: result, Modified: true, Seq: seq, WaitNanos: int64(time.Since(start))}, nil
+		return InvokeResp{Result: result, Modified: true, Seq: seq}, nil
 	}
+	// The lock was taken: the op waits from here.
+	start := time.Now()
 	op := newPendingOp(req.Action, req.Method, req.Args)
 	depth := in.comb.push(op)
 	m.stats.Histogram("objsrv.lock.queue_depth").Record(float64(depth))
@@ -941,7 +947,11 @@ func (m *Manager) prepare(ctx context.Context, from transport.Addr, action strin
 	if len(wbs) == 0 {
 		return nil
 	}
-	start := time.Now()
+	// The instant a copy is confirmed at matters only to a lease.
+	var start time.Time
+	if m.leaseTTL > 0 {
+		start = time.Now()
+	}
 	m.copyStates(ctx, action, wbs, onePhase)
 	for k := range wbs {
 		vote, err := m.finishWriteBack(ctx, from, action, onePhase, &wbs[k], start)
@@ -1317,7 +1327,10 @@ func (m *Manager) commitEnds(ctx context.Context, action string, ends []ending, 
 			installs = append(installs, install{ref, e.in.class.Name, e.ckptState, e.ckptSeq})
 		}
 	}
-	commitStart := time.Now()
+	var commitStart time.Time
+	if m.leaseTTL > 0 {
+		commitStart = time.Now()
+	}
 	var errs []error
 	if legs := len(stores) + len(installs); legs > 0 {
 		errs = m.pool.DoErr(legs, func(i int) error {
@@ -1390,7 +1403,7 @@ func fenceFailed(r *EndResult, err error) {
 // wedge the object forever.
 func (m *Manager) fenceAndRelease(ctx context.Context, action string, e *ending) error {
 	var err error
-	if e.advanced {
+	if e.advanced && m.leaseTTL > 0 {
 		err = m.leaseCommitFence(ctx, e.in, time.Now(), true)
 	}
 	e.in.locks.ReleaseAll(lockmgr.Owner(action))

@@ -573,8 +573,9 @@ func (h *Handle) BatchSize() int {
 	return h.batchSize
 }
 
-// QueueWait returns the longest server-side lock or combiner wait
-// observed across this handle's invocations.
+// QueueWait returns the longest time one of this handle's invocations spent
+// queued at its server, for the lock or in the combiner queue: zero when
+// every one was granted the lock at once.
 func (h *Handle) QueueWait() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -103,10 +103,19 @@ func (s BreakerState) String() string {
 	}
 }
 
-// breaker is one peer's state machine. All fields are guarded by mu; the
-// methods are short critical sections on the per-call path.
+// breaker is one peer's state machine. Its fields are guarded by mu, and
+// the methods are short critical sections on the per-call path, except on a
+// healthy peer: while the breaker is closed with no failure in its window, a
+// call is admitted and its success recorded without mu.
 type breaker struct {
 	cfg BreakerConfig
+
+	// watch is state != StateClosed || fails > 0, stored under mu whenever
+	// either changes. Clear, acquire admits at once, and record drops a
+	// success: the window then holds successes alone, so the outcome a
+	// success would push out is a success too, and no later decision can
+	// tell it was not kept.
+	watch atomic.Bool
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -121,6 +130,9 @@ type breaker struct {
 // acquire decides whether a call may proceed. probe marks the call as the
 // half-open probe; its outcome alone decides the next state.
 func (b *breaker) acquire(now time.Time) (proceed, probe bool) {
+	if !b.watch.Load() {
+		return true, false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -148,6 +160,9 @@ func (b *breaker) acquire(now time.Time) (proceed, probe bool) {
 // the caller) release a probe without judging the peer. Returns whether
 // this outcome tripped the breaker open.
 func (b *breaker) record(failure, countable, probe bool, now time.Time) (tripped bool) {
+	if !failure && !probe && !b.watch.Load() {
+		return false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
@@ -156,8 +171,7 @@ func (b *breaker) record(failure, countable, probe bool, now time.Time) (tripped
 			return false // the probe told us nothing; half-open admits another
 		}
 		if failure {
-			b.state = StateOpen
-			b.openedAt = now
+			b.trip(now)
 			return true
 		}
 		b.toClosed()
@@ -184,11 +198,18 @@ func (b *breaker) record(failure, countable, probe bool, now time.Time) (tripped
 	}
 	b.next = (b.next + 1) % len(b.ring)
 	if b.fails >= b.cfg.Threshold {
-		b.state = StateOpen
-		b.openedAt = now
+		b.trip(now)
 		return true
 	}
+	b.watch.Store(b.fails > 0)
 	return false
+}
+
+// trip opens the breaker at now. mu must be held.
+func (b *breaker) trip(now time.Time) {
+	b.state = StateOpen
+	b.openedAt = now
+	b.watch.Store(true)
 }
 
 // toClosed resets to a fresh closed state. mu must be held.
@@ -201,13 +222,18 @@ func (b *breaker) toClosed() {
 			b.ring[i] = false
 		}
 	}
+	b.watch.Store(false)
 }
 
 // Breakers is one origin node's set of per-peer circuit breakers, shared
 // by every Client that node hands out. Safe for concurrent use.
 type Breakers struct {
 	cfg BreakerConfig
-	m   sync.Map // transport.Addr -> *breaker
+	// peers maps each peer to its breaker. It is read on every call and
+	// written once per peer, so a write copies the map under mu and a read
+	// is one atomic load and one lookup in a plain map.
+	peers atomic.Pointer[map[transport.Addr]*breaker]
+	mu    sync.Mutex
 
 	trips     atomic.Int64
 	fastFails atomic.Int64
@@ -220,12 +246,32 @@ func NewBreakers(cfg BreakerConfig) *Breakers {
 	return &Breakers{cfg: cfg.withDefaults()}
 }
 
-func (s *Breakers) get(peer transport.Addr) *breaker {
-	if v, ok := s.m.Load(peer); ok {
-		return v.(*breaker)
+// all returns the peer-to-breaker map. Callers must not write to it.
+func (s *Breakers) all() map[transport.Addr]*breaker {
+	if m := s.peers.Load(); m != nil {
+		return *m
 	}
-	v, _ := s.m.LoadOrStore(peer, &breaker{cfg: s.cfg})
-	return v.(*breaker)
+	return nil
+}
+
+func (s *Breakers) get(peer transport.Addr) *breaker {
+	if b, ok := s.all()[peer]; ok {
+		return b
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.all()
+	if b, ok := old[peer]; ok {
+		return b
+	}
+	m := make(map[transport.Addr]*breaker, len(old)+1)
+	for p, b := range old {
+		m[p] = b
+	}
+	b := &breaker{cfg: s.cfg}
+	m[peer] = b
+	s.peers.Store(&m)
+	return b
 }
 
 // Acquire asks whether a call to peer may proceed. probe marks the call
@@ -294,11 +340,10 @@ func breakerOutcome(err error) (failure, countable bool) {
 
 // State returns peer's current breaker state (closed for an unknown peer).
 func (s *Breakers) State(peer transport.Addr) BreakerState {
-	v, ok := s.m.Load(peer)
+	b, ok := s.all()[peer]
 	if !ok {
 		return StateClosed
 	}
-	b := v.(*breaker)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	// Surface cooldown expiry without mutating: an open breaker past its
@@ -312,8 +357,7 @@ func (s *Breakers) State(peer transport.Addr) BreakerState {
 // Reset returns peer's breaker to a fresh closed state — called when the
 // peer is known recovered (node restart, partition healed).
 func (s *Breakers) Reset(peer transport.Addr) {
-	if v, ok := s.m.Load(peer); ok {
-		b := v.(*breaker)
+	if b, ok := s.all()[peer]; ok {
 		b.mu.Lock()
 		b.toClosed()
 		b.mu.Unlock()
@@ -322,13 +366,11 @@ func (s *Breakers) Reset(peer transport.Addr) {
 
 // ResetAll closes every breaker in the set.
 func (s *Breakers) ResetAll() {
-	s.m.Range(func(k, v any) bool {
-		b := v.(*breaker)
+	for _, b := range s.all() {
 		b.mu.Lock()
 		b.toClosed()
 		b.mu.Unlock()
-		return true
-	})
+	}
 }
 
 // Counters returns the set's cumulative trip, fast-fail and probe counts.
@@ -341,23 +383,24 @@ type BreakerStatus struct {
 	Peer     transport.Addr
 	State    BreakerState
 	Failures int // failures currently in the sliding window
-	Window   int // outcomes currently in the sliding window
+	// Window counts the outcomes currently in the sliding window. A success
+	// recorded while the window holds no failure is not kept, so a peer
+	// that has never failed reads 0.
+	Window int
 }
 
 // Snapshot returns every tracked peer's status, sorted by peer address.
 func (s *Breakers) Snapshot() []BreakerStatus {
 	var out []BreakerStatus
-	s.m.Range(func(k, v any) bool {
-		b := v.(*breaker)
+	for peer, b := range s.all() {
 		b.mu.Lock()
-		st := BreakerStatus{Peer: k.(transport.Addr), State: b.state, Failures: b.fails, Window: b.size}
+		st := BreakerStatus{Peer: peer, State: b.state, Failures: b.fails, Window: b.size}
 		if b.state == StateOpen && time.Since(b.openedAt) >= b.cfg.Cooldown {
 			st.State = StateHalfOpen
 		}
 		b.mu.Unlock()
 		out = append(out, st)
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }

@@ -95,6 +95,20 @@
 // whole 0x80–0x8f block, the placement service's records, which the
 // forwards in the group view databases replaced.
 //
+// # What a call records
+//
+// Client.Call reads the wall clock once, before the carrier. The call's
+// latency is time.Since that start, which reads only the monotonic clock,
+// and the instant its breaker records is the start plus that latency. With
+// a metrics registry, a call adds one to its service's call count, its
+// latency to the service's histogram and, on a transport error, one to its
+// transport-error count. A call its breaker refuses records none of these,
+// only one breaker.fastfail. With a breaker set, a
+// call to a peer whose breaker is closed with no failure in its window
+// takes no lock: one atomic load admits it and one more drops its success
+// (breaker.go). A failure, a probe, an open breaker or a window that holds
+// a failure go through the breaker's mutex, as every call once did.
+//
 // # Response framing
 //
 // The response framing is a hand-rolled length-prefixed record: a success frame is one tag byte followed

@@ -234,8 +234,10 @@ func (c Client) serviceMetrics(service string) *svcMetrics {
 // invokes Call per destination. Transport failures are returned as the
 // transport's errors; application failures as *AppError.
 func (c Client) Call(ctx context.Context, to transport.Addr, service, method string, payload []byte) ([]byte, error) {
-	// One clock read each side of the carrier serves the breaker and the
-	// metrics both, and the peer's breaker is looked up once.
+	// One clock read before the carrier serves the breaker and the metrics
+	// both: the elapsed time after it is a monotonic difference, and the
+	// breaker's instant is derived from the two. The peer's breaker is
+	// looked up once.
 	start := time.Now()
 	var br *breaker
 	var probe bool
@@ -259,10 +261,9 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 		Method:  method,
 		Payload: payload,
 	})
-	end := time.Now()
+	elapsed := time.Since(start)
 	if c.Metrics != nil {
 		sm := c.serviceMetrics(service)
-		elapsed := end.Sub(start)
 		sm.calls.Inc()
 		sm.hist.RecordDuration(elapsed)
 		if err != nil {
@@ -272,7 +273,7 @@ func (c Client) Call(ctx context.Context, to transport.Addr, service, method str
 	if c.Breakers != nil {
 		// err here is the transport-level outcome: any reply at all —
 		// even one carrying an application error frame — records success.
-		if tripped := c.Breakers.settle(br, probe, err, end); tripped && c.Metrics != nil {
+		if tripped := c.Breakers.settle(br, probe, err, start.Add(elapsed)); tripped && c.Metrics != nil {
 			c.Metrics.Counter("breaker.trips").Inc()
 		}
 	}

@@ -870,7 +870,7 @@ func (c *muxHandlerCtx) Err() error {
 	c.mu.Lock()
 	armed := c.armed
 	c.mu.Unlock()
-	if armed == nil && c.base.Err() == nil && time.Now().Before(c.deadline) {
+	if armed == nil && c.base.Err() == nil && time.Until(c.deadline) > 0 {
 		return nil
 	}
 	return c.arm().Err()

@@ -127,8 +127,10 @@ type CommitReport struct {
 	// away when a second was bound, and the attempt was undone before it could
 	// commit.
 	LeaseStale int
-	// QueueWait is the longest server-side lock or combiner-queue wait
-	// observed by the final attempt's invocations.
+	// QueueWait is the longest time one of the final attempt's invocations
+	// spent queued at its server, for the object's lock or in its combiner
+	// queue. An invocation granted the lock at once waited zero, and no
+	// method's run time is counted.
 	QueueWait time.Duration
 	// LeaseReads counts the final attempt's invocations served entirely
 	// from the client's lease cache — zero RPCs and zero lock-manager
@@ -279,7 +281,12 @@ func (o *Object) Invoke(ctx context.Context, method string, args []byte) ([]byte
 			return o.carriedRead(ctx, method, args)
 		}
 	}
-	t0 := time.Now()
+	// A grant's expiry counts from before the request; only a lease cache
+	// keeps one.
+	var t0 time.Time
+	if t.c.leases != nil {
+		t0 = time.Now()
+	}
 	resp, err := o.bd.Invoke(ctx, replica.Call{Method: method, Args: args})
 	if err != nil {
 		return nil, MapError(err)
